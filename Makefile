@@ -3,10 +3,12 @@ GO ?= go
 # Packages whose concurrency is load-bearing: the sharded runtime, the
 # supervised protection-domain runtime and its chaos harness, the pool
 # caches under them, the linear-ownership cells that make it safe, the
-# telemetry core every one of them records into, and both port
+# telemetry core every one of them records into, both port
 # implementations (the simulated NIC's steered distributor and the
-# socket-backed port's receive loop).
-RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/linear ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/statestore
+# socket-backed port's receive loop), and the NF states whose capture
+# runs beside their packet path (and, for the firewall, beside other
+# workers' captures of one shared rule DB).
+RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/linear ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
 
 # Per-benchmark time for the JSON bench run; raise for stabler numbers.
 BENCHTIME ?= 0.5s
@@ -17,10 +19,11 @@ BENCHTIME ?= 0.5s
 NETPORT_PPS_FLOOR ?= 320000
 
 # Ceiling for the durable-checkpoint overhead gate: a group-committed
-# epoch to disk measured ~1.2x the in-memory checkpoint+encode on this
-# class of machine; 4x leaves room for slow CI disks without letting the
-# WAL become a multiple-of-RAM cliff.
-STATESTORE_OVERHEAD_MAX ?= 4.0
+# epoch through the store against the same bytes written and fsynced to
+# a bare file (measured 0.95-1.3x: framing, CRC and the append lock are
+# noise beside the fsync). 2x leaves room for a noisy run without letting
+# the store become a multiple of the I/O it has to do.
+STATESTORE_OVERHEAD_MAX ?= 2.0
 
 # Ceilings for the pipeline allocation gates. The recorded numbers after
 # the zero-alloc fix are ~800 allocs/op for the checkpointed pipeline at
@@ -28,16 +31,19 @@ STATESTORE_OVERHEAD_MAX ?= 4.0
 # first-sight flows) and ~650 for the supervised steady run; the
 # regression this gate exists to catch was 168k+. 4000 absorbs iteration-
 # count amortisation noise while tripping at a tiny fraction of the bug.
-# The epoch=10ms case additionally pays ~1 alloc per live flow per
-# checkpoint epoch (sanctioned; see DESIGN.md), recorded ~8-9k.
+# The epoch=10ms case additionally pays one buffer per checkpoint epoch
+# (sanctioned; see DESIGN.md): recorded 1019 allocs/op at -benchtime=5x,
+# ~50 above epoch=off; the ceiling is that plus 25%. It was ~8-10k when
+# an epoch cost an allocation per live flow.
 PIPELINE_ALLOCS_MAX ?= 4000
-PIPELINE_EPOCH_ALLOCS_MAX ?= 20000
+PIPELINE_EPOCH_ALLOCS_MAX ?= 1275
 
-.PHONY: check build test test-e2e test-recovery race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate
+.PHONY: check build test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate
 
 ## check: the PR gate — vet, build, full tests, race tier, e2e tier,
-## kill -9 recovery tier, atomics guard, zero-allocation gate.
-check: vet build test race test-e2e test-recovery guard-atomics alloc-gate
+## kill -9 recovery tier, atomics guard, zero-allocation gate, and the
+## benchmark module's own vet + smoke test.
+check: vet build test race test-e2e test-recovery guard-atomics alloc-gate test-bench
 
 ## guard-atomics: hot-path counters must be typed atomic cells
 ## (atomic.Uint64 / telemetry.Counter), never raw integers passed to the
@@ -97,6 +103,16 @@ test-e2e:
 test-recovery:
 	$(GO) test -timeout 180s -run 'TestRecoveryKill9' -count=1 ./internal/statestore
 
+## test-bench: bench/ is a module of its own (the benchmark driver
+## requires it), so `go test ./...` neither compiles nor runs it. It
+## decorates domain.Stateful, TokenCodec, Persister, StateSet,
+## session.Spill and the NF constructors; this is the guard that a change
+## to any of them still compiles against the benchmark and still passes
+## its correctness checks.
+test-bench:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 ## race: race-detector pass over the concurrency-bearing packages.
 race:
 	$(GO) test -race $(RACE_PKGS)
@@ -106,8 +122,8 @@ race-all:
 	$(GO) test -race ./...
 
 ## fuzz: short fuzz smoke on the packet parser, the mailbox ownership
-## boundary, the netport decoder, and the checkpoint round-trip
-## (seed corpus + 10s each).
+## boundary, the netport decoder, the checkpoint round-trip, and the
+## wire-checkpoint-vs-reflect-engine oracles (seed corpus + 10s each).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxOwnership -fuzztime=10s ./internal/domain
@@ -115,6 +131,9 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzTraceSpanEncode -fuzztime=10s ./internal/telemetry/trace
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/statestore
+	$(GO) test -run='^$$' -fuzz=FuzzTableCheckpointOracle -fuzztime=10s ./internal/session
+	$(GO) test -run='^$$' -fuzz=FuzzBalancerCheckpointOracle -fuzztime=10s ./internal/maglev
+	$(GO) test -run='^$$' -fuzz=FuzzStatefulCheckpointOracle -fuzztime=10s ./internal/firewall
 
 ## bench: the pipeline throughput benches (direct/isolated/sharded/
 ## supervised, steady and faulting), recorded machine-readably in
@@ -148,4 +167,4 @@ bench-gate:
 		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopbackTraced -metric pps \
 			-baseline BenchmarkNetportLoopback -min-frac 0.98
 	$(GO) test -run='^$$' -bench='CheckpointEpochDisk$$' -benchtime=2s -count=1 ./internal/statestore \
-		| $(GO) run ./cmd/benchgate -bench BenchmarkCheckpointEpochDisk -metric x-ram -max $(STATESTORE_OVERHEAD_MAX)
+		| $(GO) run ./cmd/benchgate -bench BenchmarkCheckpointEpochDisk -metric x-raw -max $(STATESTORE_OVERHEAD_MAX)

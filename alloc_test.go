@@ -8,8 +8,10 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/domain"
 	"repro/internal/dpdk"
 	"repro/internal/firewall"
 	"repro/internal/linear"
@@ -91,5 +93,65 @@ func TestPipelineSteadyStateAllocBudget(t *testing.T) {
 	if perPacket > allocBudgetPerPacket {
 		t.Fatalf("steady-state pipeline allocates %.4f objects/packet (%.1f/batch), budget %.2f",
 			perPacket, perBatch, allocBudgetPerPacket)
+	}
+}
+
+// TestEpochAllocBudget pins what one checkpoint epoch may allocate: the
+// three NF states write their wire entries straight from live state into
+// one buffer that is both the restore token and the WAL payload. Capture
+// plus encode of a 4096-flow worker is a handful of objects (the buffer,
+// its interface box) and about one buffer's worth of bytes — it was one
+// object per live flow, several times over, when the token was an object
+// graph.
+func TestEpochAllocBudget(t *testing.T) {
+	db := firewall.NewDB(firewall.Deny)
+	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow}); err != nil {
+		t.Fatal(err)
+	}
+	fw, err := firewall.NewStateful(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := maglev.NewBalancer([]maglev.Backend{
+		{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},
+		{Name: "be-1", IP: packet.Addr(10, 1, 0, 2)},
+	}, maglev.DefaultTableSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := session.NewTable()
+	tu := dpdk.DefaultSpec().Tuple
+	for i := 0; i < 4096; i++ {
+		tu.SrcIP++
+		tbl.Track(tu, lb.Pick(tu).IP, 64)
+	}
+	set := domain.NewStateSet().Add("firewall", fw).Add("maglev", lb).Add("session", tbl)
+
+	var payload []byte
+	epoch := func() {
+		tok, err := set.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payload, err = set.EncodeToken(tok); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, epoch); allocs > 8 {
+		t.Fatalf("one epoch of a 4096-flow worker allocates %.1f objects, want <= 8", allocs)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		epoch()
+	}
+	runtime.ReadMemStats(&after)
+	perEpoch := int((after.TotalAlloc - before.TotalAlloc) / runs)
+	if perEpoch > len(payload)+len(payload)/8 {
+		t.Fatalf("one epoch allocates %d B for a %d B payload, want one right-sized buffer", perEpoch, len(payload))
+	}
+	if cap(payload) != len(payload) {
+		t.Fatalf("epoch buffer has %d B of slack over its %d B (sized before capture, never regrown)", cap(payload)-len(payload), len(payload))
 	}
 }

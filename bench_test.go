@@ -401,10 +401,14 @@ func benchCheckpointed(b *testing.B, epoch time.Duration) {
 	b.Helper()
 	const workers = 4
 	const batchSize = 32
-	// Long enough per Run (tens of ms) that a 10ms epoch fires many
-	// times inside it — domains are fresh per Run, so shorter runs would
-	// never checkpoint at all and the bench would price nothing.
-	const batchesPerWorker = 1000
+	// Long enough per Run that the epoch fires several times inside it
+	// (tens of ms for a 10ms epoch, ten times that for 100ms) — domains
+	// are fresh per Run, so a shorter run would never checkpoint at all
+	// and the bench would price nothing.
+	batchesPerWorker := 1000
+	if epoch > 10*time.Millisecond {
+		batchesPerWorker *= int(epoch / (10 * time.Millisecond))
+	}
 	// 1024 flows ≈ 256 session entries per worker: capture cost scales
 	// with state size, so the epoch tax below is per-256-flows-worker;
 	// BenchmarkCheckpointRestoreSession prices the big-graph traversal
@@ -475,7 +479,7 @@ func benchCheckpointed(b *testing.B, epoch time.Duration) {
 	if !ok {
 		b.Fatal("no supervisor snapshot")
 	}
-	if epoch > 0 && epoch < 50*time.Millisecond && sn.Checkpoints == 0 {
+	if epoch > 0 && sn.Checkpoints == 0 {
 		b.Fatal("checkpointing bench took no checkpoints; nothing was priced")
 	}
 	// The snapshot covers the final Run only (each Run boots fresh
@@ -500,30 +504,49 @@ func BenchmarkCheckpointedPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointRestoreSession measures restoring a live session
-// table — 4096 flows interned over 32 shared backend handles, the
-// Figure-3a aliasing shape on runtime state — from a checkpoint taken
-// under each sharing-preserving mode. RcAware pays one flag check per
-// Rc handle; VisitedSet pays a global address-table probe per node.
+// sessionGraph is the session table's shape as the reflect engine sees
+// it — flow pointers in a map, each holding a shared backend handle —
+// built explicitly because the table itself now checkpoints in wire form
+// and never meets an engine mode.
+type sessionGraph struct {
+	Flows map[uint64]*sessionGraphFlow
+}
+
+type sessionGraphFlow struct {
+	Tuple   packet.FiveTuple
+	Backend checkpoint.Rc[session.Backend]
+	Packets uint64
+	Bytes   uint64
+}
+
+// BenchmarkCheckpointRestoreSession measures materializing a session
+// graph — 4096 flows over 32 shared backend handles, the Figure-3a
+// aliasing shape — from a reflect-engine checkpoint taken under each
+// sharing-preserving mode. RcAware pays one flag check per Rc handle;
+// VisitedSet pays a global address-table probe per node.
 func BenchmarkCheckpointRestoreSession(b *testing.B) {
+	backends := make([]checkpoint.Rc[session.Backend], 32)
+	for i := range backends {
+		backends[i] = checkpoint.NewRc(session.Backend{IP: packet.Addr(10, 1, 0, byte(i))})
+	}
+	g := &sessionGraph{Flows: make(map[uint64]*sessionGraphFlow, 4096)}
+	base := dpdk.DefaultSpec().Tuple
+	for i := 0; i < 4096; i++ {
+		tu := base
+		tu.SrcIP += packet.IPv4(i)
+		tu.SrcPort += uint16(i % 50000)
+		g.Flows[tu.Hash()] = &sessionGraphFlow{Tuple: tu, Backend: backends[i%32].Clone(), Packets: 1, Bytes: 64}
+	}
 	for _, mode := range []checkpoint.Mode{checkpoint.RcAware, checkpoint.VisitedSet} {
 		b.Run("mode="+mode.String(), func(b *testing.B) {
-			tbl := session.NewTable()
-			base := dpdk.DefaultSpec().Tuple
-			for i := 0; i < 4096; i++ {
-				tu := base
-				tu.SrcIP += packet.IPv4(i)
-				tu.SrcPort += uint16(i % 50000)
-				tbl.Track(tu, packet.Addr(10, 1, 0, byte(i%32)), 64)
-			}
-			tok, err := tbl.Checkpoint(checkpoint.NewEngine(mode))
+			snap, err := checkpoint.NewEngine(mode).Checkpoint(g)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := tbl.Restore(tok); err != nil {
+				if _, err := snap.Materialize(); err != nil {
 					b.Fatal(err)
 				}
 			}

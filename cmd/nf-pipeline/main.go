@@ -353,15 +353,11 @@ func main() {
 		simPort.RegisterMetrics(reg, telemetry.Labels{"port": "0"})
 		port = simPort
 	}
-	newRuleDB := func() *firewall.DB {
-		db := firewall.NewDB(firewall.Deny)
-		// Admit the synthetic service prefix; everything else drops.
-		if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow, Comment: "service"}); err != nil {
-			log.Fatal(err)
-		}
-		return db
+	db := firewall.NewDB(firewall.Deny)
+	// Admit the synthetic service prefix; everything else drops.
+	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow, Comment: "service"}); err != nil {
+		log.Fatal(err)
 	}
-	db := newRuleDB()
 	backends := make([]maglev.Backend, 8)
 	for i := range backends {
 		backends[i] = maglev.Backend{Name: fmt.Sprintf("be-%d", i), IP: packet.Addr(10, 1, 0, byte(i+1))}
@@ -370,11 +366,10 @@ func main() {
 	// Each worker owns a private balancer and session table: RSS flow
 	// affinity guarantees a flow's packets all reach the same worker, so
 	// per-worker connection/flow tables are exact, not approximate. The
-	// rule DB is read-only after setup and safely shared — except under
-	// -checkpoint-every, where each worker gets a private DB behind a
-	// firewall.Stateful so workers snapshot disjoint graphs (concurrent
-	// checkpoints over one shared graph would fight over the Rc epoch
-	// flags and lose sharing).
+	// rule DB is read-only after setup and shared by every worker; under
+	// -checkpoint-every each worker wraps that one DB in a
+	// firewall.Stateful of its own (capture only reads the DB; a restore
+	// gives the restored worker a private copy).
 	balancers := make([]*maglev.Balancer, *workers)
 	tables := make([]*session.Table, *workers)
 	var fwStates []*firewall.Stateful
@@ -398,7 +393,7 @@ func main() {
 			tables[w].SetSpill(ix, 1<<17)
 		}
 		if fwStates != nil {
-			fws, err := firewall.NewStateful(newRuleDB())
+			fws, err := firewall.NewStateful(db)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -35,13 +35,18 @@ import (
 // state when the current generation snapshots or the monitor restores.
 type Stateful interface {
 	// Checkpoint returns an opaque restore token capturing the state at
-	// this instant, using e (an RcAware engine by default) for the
-	// traversal. The token must be independent of the live state: later
-	// mutations must not leak into it.
+	// this instant. e is an RcAware engine for states that snapshot by
+	// traversal; a state that keeps its checkpoint in wire form ignores
+	// it. The token must be independent of the live state (later
+	// mutations must not leak into it), freshly allocated by this call,
+	// and never written again once returned: the runtime keeps it as
+	// the last good epoch while the store and a restore may be reading
+	// the same memory.
 	Checkpoint(e *checkpoint.Engine) (any, error)
 	// Restore replaces the live state with the token's contents. The
-	// token is always one previously returned by Checkpoint on a state
-	// of the same shape.
+	// token is always one previously returned by Checkpoint (or
+	// DecodeToken) on a state of the same shape, and may be restored
+	// again later: Restore only reads it.
 	Restore(token any) error
 	// Reset reinitializes to clean boot state — the cold start taken
 	// when no checkpoint epoch has completed (or under RestoreCold).
@@ -54,10 +59,22 @@ type Stateful interface {
 // not just domain restarts. DecodeToken must return a token acceptable
 // to the same state's Restore, and must not touch live state — the
 // runtime may decode before the state ever serves.
+//
+// Ownership: both directions may alias rather than copy. A state whose
+// token is its wire form returns the token's own bytes from EncodeToken
+// and hands data back as the token from DecodeToken. That is sound
+// because an epoch's bytes are immutable from the moment Checkpoint
+// returns them: the domain (its last good epoch), the store (its newest
+// record) and any restore in progress share one buffer that nobody
+// writes.
 type TokenCodec interface {
 	// EncodeToken serializes a token previously returned by Checkpoint.
+	// The result may share memory with the token and must not be
+	// written to.
 	EncodeToken(token any) ([]byte, error)
-	// DecodeToken rebuilds a restorable token from EncodeToken's bytes.
+	// DecodeToken validates EncodeToken's bytes and returns a restorable
+	// token, which may retain data; the caller must not write to data
+	// afterwards.
 	DecodeToken(data []byte) (any, error)
 }
 
@@ -68,8 +85,13 @@ type TokenCodec interface {
 type Persister interface {
 	// PersistEpoch durably records the named domain's epoch seq.
 	// seq is monotonic per name within and across process lifetimes.
+	// Ownership of payload moves to the store: it may retain the slice
+	// as the domain's newest epoch instead of copying it, so the caller
+	// must never write to payload again (reading it, as the domain does
+	// for restores, stays safe — the store only reads it too).
 	PersistEpoch(name string, seq uint64, payload []byte) error
 	// LastEpoch returns the newest durable epoch for the named domain.
+	// The payload may be the store's own retained slice: read-only.
 	LastEpoch(name string) (payload []byte, seq uint64, ok bool, err error)
 }
 
@@ -97,49 +119,124 @@ func (m RestoreMode) String() string {
 	}
 }
 
-// StateSet composes named Stateful components into one Stateful, so a
+// wireState is what a StateSet component must be: a Stateful whose
+// Checkpoint token is its own wire bytes (so its TokenCodec is the
+// identity plus validation) and which can append those bytes to a buffer
+// the set owns. session.Table, maglev.Balancer and firewall.Stateful are
+// the implementations.
+type wireState interface {
+	Stateful
+	TokenCodec
+	// CheckpointSize reports the bytes AppendCheckpoint would write now;
+	// the set sizes one buffer for all components from it.
+	CheckpointSize() int
+	// AppendCheckpoint appends the state's wire form to buf, captured
+	// under the state's own lock, and returns the extended buffer.
+	AppendCheckpoint(buf []byte) ([]byte, error)
+}
+
+// StateSet composes named wire-form components into one Stateful, so a
 // pipeline domain can checkpoint its firewall, balancer, and session
-// table as a unit. The token is positional; errors carry the component
-// name.
+// table as a unit. The set's token is its own wire form — a u32 part
+// count, then each component's bytes behind a u32 length — written once
+// into one buffer per epoch; errors carry the component name.
 type StateSet struct {
 	names []string
 	parts []Stateful
+	wires []wireState // parts[i] as a wireState; nil if it is not one
 }
 
 // NewStateSet returns an empty set; Add components in a fixed order.
 func NewStateSet() *StateSet { return &StateSet{} }
 
-// Add appends a named component and returns the set for chaining.
+// Add appends a named component and returns the set for chaining. The
+// component must keep its checkpoint in wire form (see wireState);
+// Checkpoint reports one that does not.
 func (s *StateSet) Add(name string, st Stateful) *StateSet {
 	s.names = append(s.names, name)
 	s.parts = append(s.parts, st)
+	w, _ := st.(wireState)
+	s.wires = append(s.wires, w)
 	return s
 }
 
 // Len reports the number of components.
 func (s *StateSet) Len() int { return len(s.parts) }
 
-// Checkpoint snapshots every component under one engine epoch.
-func (s *StateSet) Checkpoint(e *checkpoint.Engine) (any, error) {
-	tokens := make([]any, len(s.parts))
-	for i, p := range s.parts {
-		t, err := p.Checkpoint(e)
-		if err != nil {
-			return nil, fmt.Errorf("state %s: %w", s.names[i], err)
+// checkWires reports the first component that is not a wireState.
+func (s *StateSet) checkWires() error {
+	for i, w := range s.wires {
+		if w == nil {
+			return fmt.Errorf("domain: state %s (%T) has no wire form to compose", s.names[i], s.parts[i])
 		}
-		tokens[i] = t
 	}
-	return tokens, nil
+	return nil
 }
 
-// Restore distributes a Checkpoint token back to the components.
+// Checkpoint captures every component into one fresh buffer sized for
+// all of them: each appends its bytes behind a length prefix that is
+// patched in once the component has written. The engine is unused.
+func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
+	if err := s.checkWires(); err != nil {
+		return nil, err
+	}
+	size := 4
+	for _, w := range s.wires {
+		size += 4 + w.CheckpointSize()
+	}
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(s.wires)))
+	for i, w := range s.wires {
+		at := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
+		var err error
+		if buf, err = w.AppendCheckpoint(buf); err != nil {
+			return nil, fmt.Errorf("state %s: %w", s.names[i], err)
+		}
+		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	}
+	return buf, nil
+}
+
+// split validates the set's framing and returns each component's bytes
+// (subslices of data, not copies).
+func (s *StateSet) split(data []byte) ([][]byte, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("domain: state-set token truncated")
+	}
+	if n := int(binary.LittleEndian.Uint32(data)); n != len(s.parts) {
+		return nil, fmt.Errorf("domain: state-set token has %d parts, set has %d", n, len(s.parts))
+	}
+	data = data[4:]
+	parts := make([][]byte, len(s.parts))
+	for i := range parts {
+		if len(data) < 4 {
+			return nil, fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
+		}
+		partLen := int(binary.LittleEndian.Uint32(data))
+		data = data[4:]
+		if len(data) < partLen {
+			return nil, fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
+		}
+		parts[i], data = data[:partLen], data[partLen:]
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("domain: state-set token has %d trailing bytes", len(data))
+	}
+	return parts, nil
+}
+
+// Restore hands each component its bytes of a Checkpoint token.
 func (s *StateSet) Restore(token any) error {
-	tokens, ok := token.([]any)
-	if !ok || len(tokens) != len(s.parts) {
+	data, ok := token.([]byte)
+	if !ok {
 		return fmt.Errorf("domain: state-set token has wrong shape (%T)", token)
 	}
+	parts, err := s.split(data)
+	if err != nil {
+		return err
+	}
 	for i, p := range s.parts {
-		if err := p.Restore(tokens[i]); err != nil {
+		if err := p.Restore(parts[i]); err != nil {
 			return fmt.Errorf("state %s: %w", s.names[i], err)
 		}
 	}
@@ -153,65 +250,32 @@ func (s *StateSet) Reset() {
 	}
 }
 
-// EncodeToken implements TokenCodec when every component does: the
-// positional token serializes as a length-prefixed part per component.
+// EncodeToken implements TokenCodec: a Checkpoint token already is its
+// wire form, returned without copying.
 func (s *StateSet) EncodeToken(token any) ([]byte, error) {
-	tokens, ok := token.([]any)
-	if !ok || len(tokens) != len(s.parts) {
+	data, ok := token.([]byte)
+	if !ok {
 		return nil, fmt.Errorf("domain: state-set token has wrong shape (%T)", token)
 	}
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(tokens)))
-	for i, p := range s.parts {
-		c, ok := p.(TokenCodec)
-		if !ok {
-			return nil, fmt.Errorf("domain: state %s (%T) does not implement TokenCodec", s.names[i], p)
-		}
-		b, err := c.EncodeToken(tokens[i])
-		if err != nil {
-			return nil, fmt.Errorf("state %s: encode: %w", s.names[i], err)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf, nil
+	return data, nil
 }
 
-// DecodeToken rebuilds the positional token, delegating each part to
-// its component's codec. The part count must match the set's shape.
+// DecodeToken implements TokenCodec: validate the framing and every
+// component's bytes, and hand data back as the token.
 func (s *StateSet) DecodeToken(data []byte) (any, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("domain: state-set token truncated")
+	if err := s.checkWires(); err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if n != len(s.parts) {
-		return nil, fmt.Errorf("domain: state-set token has %d parts, set has %d", n, len(s.parts))
+	parts, err := s.split(data)
+	if err != nil {
+		return nil, err
 	}
-	tokens := make([]any, n)
-	for i, p := range s.parts {
-		c, ok := p.(TokenCodec)
-		if !ok {
-			return nil, fmt.Errorf("domain: state %s (%T) does not implement TokenCodec", s.names[i], p)
-		}
-		if len(data) < 4 {
-			return nil, fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
-		}
-		partLen := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < partLen {
-			return nil, fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
-		}
-		tok, err := c.DecodeToken(data[:partLen])
-		if err != nil {
+	for i, w := range s.wires {
+		if _, err := w.DecodeToken(parts[i]); err != nil {
 			return nil, fmt.Errorf("state %s: decode: %w", s.names[i], err)
 		}
-		tokens[i] = tok
-		data = data[partLen:]
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("domain: state-set token has %d trailing bytes", len(data))
-	}
-	return tokens, nil
+	return data, nil
 }
 
 // ckptToken is one published checkpoint: the adapter's opaque token plus
@@ -228,7 +292,7 @@ type ckptToken struct {
 // domain has a Stateful and the policy enables epochs.
 type ckptState struct {
 	state  Stateful
-	engine *checkpoint.Engine
+	engine *checkpoint.Engine // RcAware; wire-form states ignore it
 	every  time.Duration
 	mode   RestoreMode
 

@@ -318,7 +318,7 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 // TestStateSet: composition distributes checkpoint/restore/reset across
 // named components and labels errors with the component name.
 func TestStateSet(t *testing.T) {
-	a, b := newKVState(), newKVState()
+	a, b := newDurableKV(), newDurableKV()
 	set := NewStateSet().Add("alpha", a).Add("beta", b)
 	if set.Len() != 2 {
 		t.Fatalf("Len = %d", set.Len())
@@ -349,10 +349,15 @@ func TestStateSet(t *testing.T) {
 		t.Fatalf("bad token error = %v", err)
 	}
 	if err := set.Restore([]any{tok}); err == nil {
+		t.Fatal("token of the old positional shape accepted")
+	}
+	if err := set.Restore(tok.([]byte)[:5]); err == nil {
 		t.Fatal("short token accepted")
 	}
-	// A component failure names the component.
-	if err := set.Restore([]any{"junk", "junk"}); err == nil || !strings.Contains(err.Error(), "alpha") {
+	// A component failure names the component: two parts, the first one
+	// byte of junk.
+	junk := []byte{2, 0, 0, 0, 1, 0, 0, 0, 0xff, 0, 0, 0, 0}
+	if err := set.Restore(junk); err == nil || !strings.Contains(err.Error(), "alpha") {
 		t.Fatalf("component error = %v, want alpha named", err)
 	}
 

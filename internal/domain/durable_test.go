@@ -20,9 +20,12 @@ import (
 	"repro/internal/linear"
 )
 
-// durableKV extends the test Stateful with a TokenCodec: the map
-// serializes as sorted key/value pairs. encodeErr injects codec
-// failures; it is read on the serving goroutine.
+// durableKV is the wire-form test state: its Checkpoint token is the map
+// as sorted key/value pairs, written straight from the live map, so its
+// TokenCodec is the identity plus validation and it composes into a
+// StateSet — the shape session.Table, maglev.Balancer and
+// firewall.Stateful have. encodeErr injects codec failures; it is read
+// on the serving goroutine.
 type durableKV struct {
 	kvState
 	encodeErr atomic.Pointer[error]
@@ -38,35 +41,39 @@ func (s *durableKV) setEncodeErr(err error) {
 	s.encodeErr.Store(&err)
 }
 
-func (s *durableKV) EncodeToken(token any) ([]byte, error) {
-	if errp := s.encodeErr.Load(); errp != nil {
-		return nil, *errp
+func (s *durableKV) CheckpointSize() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 4
+	for k := range s.m {
+		n += 2 + len(k) + 8
 	}
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("durableKV: token is %T", token)
-	}
-	v, err := snap.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	img := v.(*kvImage)
-	keys := make([]string, 0, len(img.M))
-	for k := range img.M {
+	return n
+}
+
+func (s *durableKV) AppendCheckpoint(buf []byte) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.m))
+	for k := range s.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var buf []byte
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 	for _, k := range keys {
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(k)))
 		buf = append(buf, k...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(img.M[k])))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(s.m[k])))
 	}
 	return buf, nil
 }
 
-func (s *durableKV) DecodeToken(data []byte) (any, error) {
+func (s *durableKV) Checkpoint(*checkpoint.Engine) (any, error) {
+	return s.AppendCheckpoint(nil)
+}
+
+// parse decodes a token into a fresh map.
+func (s *durableKV) parse(data []byte) (map[string]int, error) {
 	if len(data) < 4 {
 		return nil, errors.New("durableKV: truncated")
 	}
@@ -75,7 +82,7 @@ func (s *durableKV) DecodeToken(data []byte) (any, error) {
 	if n > len(data)/10 { // each entry is ≥ 2+0+8 bytes
 		return nil, errors.New("durableKV: entry count exceeds payload")
 	}
-	img := &kvImage{M: make(map[string]int, n)}
+	m := make(map[string]int, n)
 	for i := 0; i < n; i++ {
 		if len(data) < 2 {
 			return nil, errors.New("durableKV: truncated key")
@@ -85,11 +92,46 @@ func (s *durableKV) DecodeToken(data []byte) (any, error) {
 		if len(data) < kl+8 {
 			return nil, errors.New("durableKV: truncated entry")
 		}
-		k := string(data[:kl])
-		img.M[k] = int(int64(binary.LittleEndian.Uint64(data[kl:])))
+		m[string(data[:kl])] = int(int64(binary.LittleEndian.Uint64(data[kl:])))
 		data = data[kl+8:]
 	}
-	return checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(img)
+	if len(data) != 0 {
+		return nil, errors.New("durableKV: trailing bytes")
+	}
+	return m, nil
+}
+
+func (s *durableKV) Restore(token any) error {
+	data, ok := token.([]byte)
+	if !ok {
+		return fmt.Errorf("durableKV: token is %T", token)
+	}
+	m, err := s.parse(data)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.m = m
+	s.mu.Unlock()
+	return nil
+}
+
+func (s *durableKV) EncodeToken(token any) ([]byte, error) {
+	if errp := s.encodeErr.Load(); errp != nil {
+		return nil, *errp
+	}
+	data, ok := token.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("durableKV: token is %T", token)
+	}
+	return data, nil
+}
+
+func (s *durableKV) DecodeToken(data []byte) (any, error) {
+	if _, err := s.parse(data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // memPersister is an in-memory Persister with fault injection.
@@ -374,10 +416,20 @@ func TestStateSetTokenRoundTrip(t *testing.T) {
 		t.Fatal("trailing bytes accepted")
 	}
 	mixed := NewStateSet().Add("a", newDurableKV()).Add("plain", newKVState())
-	if _, err := mixed.EncodeToken([]any{nil, nil}); err == nil {
-		t.Fatal("codec-less part accepted in encode")
+	if _, err := mixed.Checkpoint(nil); err == nil || !strings.Contains(err.Error(), "plain") {
+		t.Fatalf("part without a wire form: checkpoint error = %v, want plain named", err)
 	}
 	if _, err := mixed.DecodeToken(payload); err == nil {
-		t.Fatal("codec-less part accepted in decode")
+		t.Fatal("part without a wire form accepted in decode")
+	}
+	if _, err := set.EncodeToken([]any{nil, nil}); err == nil {
+		t.Fatal("non-byte token accepted in encode")
+	}
+	// The token is the payload: encode and decode alias, not copy.
+	if tb := token.([]byte); &tb[0] != &payload[0] {
+		t.Fatal("EncodeToken copied the token")
+	}
+	if tb := token2.([]byte); &tb[0] != &payload[0] {
+		t.Fatal("DecodeToken copied the payload")
 	}
 }

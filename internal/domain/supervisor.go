@@ -62,10 +62,6 @@ type Policy struct {
 	// restores the last good snapshot. 0 (the default) disables
 	// checkpointing entirely — state then survives restarts unmanaged.
 	CheckpointEvery time.Duration
-	// CheckpointMode is the engine's aliasing mode (default RcAware —
-	// the paper's Rc-flag traversal; VisitedSet is the conventional
-	// baseline the benches compare against).
-	CheckpointMode checkpoint.Mode
 	// Restore selects what a restarted domain's state recovery does:
 	// RestoreCheckpoint (default) restores the last good snapshot,
 	// RestoreCold always resets to zero state (the ablation baseline).
@@ -284,7 +280,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 	if cfg.State != nil && s.policy.CheckpointEvery > 0 {
 		d.ck = &ckptState{
 			state:  cfg.State,
-			engine: checkpoint.NewEngine(s.policy.CheckpointMode),
+			engine: checkpoint.NewEngine(checkpoint.RcAware),
 			every:  s.policy.CheckpointEvery,
 			mode:   s.policy.Restore,
 		}

@@ -1,12 +1,11 @@
 package firewall
 
-// durable.go implements the domain runtime's TokenCodec for the
-// stateful firewall: a checkpoint token (engine snapshot of the rule
-// DB) serializes as the distinct shared rules plus, per trie prefix,
-// the indices of the handles attached there — so Figure 3a's aliasing
-// (one rule under many prefixes) survives the byte round trip exactly.
-// Decoding rebuilds the DB through AttachRule clones and re-checkpoints
-// it, yielding the *checkpoint.Snapshot Restore already accepts.
+// durable.go is the wire image of a rule DB, the only checkpointed
+// representation of firewall.Stateful: the distinct shared rules plus,
+// per trie prefix, the indices of the handles attached there — so
+// Figure 3a's aliasing (one rule under many prefixes) survives the byte
+// round trip exactly. Encoding walks the live trie; decoding rebuilds a
+// DB through AttachRule clones of one box per rule index.
 
 import (
 	"encoding/binary"
@@ -52,20 +51,16 @@ func flattenDB(db *DB) (rules []Rule, prefixes []walkedPrefix) {
 	return rules, prefixes
 }
 
-// EncodeToken implements domain.TokenCodec.
-func (s *Stateful) EncodeToken(token any) ([]byte, error) {
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("firewall: encode token is %T, want *checkpoint.Snapshot", token)
-	}
-	db, err := RestoreDB(snap)
-	if err != nil {
-		return nil, fmt.Errorf("firewall: encode: %w", err)
-	}
+// appendDB appends db's wire image to buf. Only reads db (Walk, Rc.Get),
+// so concurrent captures of one DB need no serialization.
+func appendDB(buf []byte, db *DB) ([]byte, error) {
 	rules, prefixes := flattenDB(db)
-	buf := []byte{firewallTokenVersion, byte(db.Default)}
+	buf = append(buf, firewallTokenVersion, byte(db.Default))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rules)))
 	for _, r := range rules {
+		if len(r.Comment) > 0xffff {
+			return nil, fmt.Errorf("firewall: rule %d comment of %d bytes does not fit the token", r.ID, len(r.Comment))
+		}
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(r.ID)))
 		buf = append(buf, byte(r.Action), r.Proto)
 		buf = binary.LittleEndian.AppendUint16(buf, r.DstPort)
@@ -74,6 +69,9 @@ func (s *Stateful) EncodeToken(token any) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(prefixes)))
 	for _, p := range prefixes {
+		if len(p.handles) > 0xffff {
+			return nil, fmt.Errorf("firewall: %d rules under one prefix do not fit the token", len(p.handles))
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ip))
 		buf = append(buf, p.length)
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.handles)))
@@ -84,17 +82,26 @@ func (s *Stateful) EncodeToken(token any) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeToken implements domain.TokenCodec.
-func (s *Stateful) DecodeToken(data []byte) (any, error) {
+// ruleFixedSize is the wire size of a rule with an empty comment.
+const ruleFixedSize = 8 + 1 + 1 + 2 + 2
+
+// decodeDB builds a fresh DB from a wire image: one Rc box per rule
+// index, attached by clone under every prefix that lists it. The rule
+// count is checked against the bytes that remain before it sizes
+// anything.
+func decodeDB(data []byte) (*DB, error) {
 	if len(data) < 6 || data[0] != firewallTokenVersion {
 		return nil, fmt.Errorf("firewall: bad token header")
 	}
 	db := NewDB(Action(data[1]))
 	nRules := int(binary.LittleEndian.Uint32(data[2:]))
 	data = data[6:]
+	if nRules > len(data)/ruleFixedSize {
+		return nil, fmt.Errorf("firewall: token claims %d rules in %d bytes", nRules, len(data))
+	}
 	handles := make([]SharedRule, nRules)
 	for i := 0; i < nRules; i++ {
-		if len(data) < 14 {
+		if len(data) < ruleFixedSize {
 			return nil, fmt.Errorf("firewall: token truncated at rule %d", i)
 		}
 		r := Rule{
@@ -104,7 +111,7 @@ func (s *Stateful) DecodeToken(data []byte) (any, error) {
 			DstPort: binary.LittleEndian.Uint16(data[10:]),
 		}
 		commentLen := int(binary.LittleEndian.Uint16(data[12:]))
-		data = data[14:]
+		data = data[ruleFixedSize:]
 		if len(data) < commentLen {
 			return nil, fmt.Errorf("firewall: token truncated at rule %d comment", i)
 		}
@@ -142,9 +149,5 @@ func (s *Stateful) DecodeToken(data []byte) (any, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("firewall: token has %d trailing bytes", len(data))
 	}
-	snap, err := db.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
-	if err != nil {
-		return nil, fmt.Errorf("firewall: decode: re-checkpoint: %w", err)
-	}
-	return snap, nil
+	return db, nil
 }

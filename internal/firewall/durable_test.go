@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -106,5 +107,83 @@ func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := s.EncodeToken("nope"); err == nil {
 		t.Fatal("bad encode token accepted")
+	}
+	// A hostile rule count must be refused against the bytes that
+	// remain, before the handle slice is sized by it.
+	huge := append([]byte(nil), payload...)
+	huge[2], huge[3], huge[4], huge[5] = 0xff, 0xff, 0xff, 0xff
+	if _, err := s.DecodeToken(huge); err == nil {
+		t.Fatal("4G-rule count accepted by DecodeToken")
+	}
+	if err := s.Restore(huge); err == nil {
+		t.Fatal("4G-rule count accepted by Restore")
+	}
+	if err := s.Restore(7); err == nil {
+		t.Fatal("bad restore token accepted")
+	}
+}
+
+// TestStatefulsShareOneDB: capture only reads the rule DB, so every
+// worker's Stateful may wrap the same one. Workers checkpoint, restore,
+// reset and classify concurrently (run under -race); each ends up with
+// the configured rules, and a restore gives the restoring worker a DB of
+// its own, never a view of a sibling's.
+func TestStatefulsShareOneDB(t *testing.T) {
+	db := NewDB(Deny)
+	shared, err := db.AddRule(0x0a000000, 8, Rule{ID: 1, Action: Allow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AttachRule(0xac100000, 12, shared); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	states := make([]*Stateful, workers)
+	for w := range states {
+		if states[w], err = NewStateful(db); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range states {
+		wg.Add(1)
+		go func(s *Stateful) {
+			defer wg.Done()
+			tu := packet.FiveTuple{DstIP: 0x0a010203, Proto: 6, DstPort: 80}
+			for i := 0; i < 200; i++ {
+				tok, err := s.Checkpoint(nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if act, _ := s.DB().Match(tu); act != Allow {
+					t.Errorf("iteration %d: verdict %v, want allow", i, act)
+					return
+				}
+				switch i % 3 {
+				case 1:
+					if err := s.Restore(tok); err != nil {
+						t.Error(err)
+						return
+					}
+				case 2:
+					s.Reset()
+				}
+			}
+		}(states[w])
+	}
+	wg.Wait()
+	for w, s := range states {
+		if s.DB() == db {
+			t.Fatalf("worker %d still serves the shared boot DB after restores and resets", w)
+		}
+		for v := 0; v < w; v++ {
+			if states[v].DB() == s.DB() {
+				t.Fatalf("workers %d and %d serve one restored DB", v, w)
+			}
+		}
+		if distinct, handles := s.DB().RuleCount(); distinct != 1 || handles != 2 {
+			t.Fatalf("worker %d: %d rules/%d handles, want 1/2", w, distinct, handles)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"bytes"
 	"fmt"
 	"sync/atomic"
 
@@ -11,59 +12,134 @@ import (
 // Stateful adapts a rule database into the domain runtime's checkpointed
 // recovery contract. The live DB sits behind an atomic pointer so a
 // restore's swap is visible to a pipeline already rebuilt by the user
-// Recover hook (state recovery runs after plumbing recovery); a boot-time
-// snapshot backs Reset, since a firewall's cold start is its configured
-// rules, not an empty trie.
+// Recover hook (state recovery runs after plumbing recovery); the wire
+// image of the rules it was built with backs Reset, since a firewall's
+// cold start is its configured rules, not an empty trie.
+//
+// A wrapped DB is never modified again — rules change by swapping in
+// another DB — so its wire image (durable.go) is computed once and
+// cached against the pointer: an epoch over an unchanged rule set costs
+// a pointer comparison, and because capture only reads the DB, several
+// workers' Statefuls may wrap one shared DB.
 type Stateful struct {
 	db   atomic.Pointer[DB]
-	boot *checkpoint.Snapshot
+	boot []byte
+	enc  atomic.Pointer[encodedDB]
 }
 
-// NewStateful wraps db, snapshotting it once as the cold-start image.
+// encodedDB is the wire image of one DB, valid for as long as db is the
+// live pointer.
+type encodedDB struct {
+	db   *DB
+	wire []byte
+}
+
+// NewStateful wraps db, encoding it once as the cold-start image. db
+// must not be modified afterwards.
 func NewStateful(db *DB) (*Stateful, error) {
-	boot, err := db.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
+	boot, err := appendDB(nil, db)
 	if err != nil {
-		return nil, fmt.Errorf("firewall: boot snapshot: %w", err)
+		return nil, fmt.Errorf("firewall: boot image: %w", err)
 	}
 	s := &Stateful{boot: boot}
 	s.db.Store(db)
+	s.enc.Store(&encodedDB{db: db, wire: boot})
 	return s, nil
 }
 
 // DB returns the live database.
 func (s *Stateful) DB() *DB { return s.db.Load() }
 
-// Checkpoint implements the Stateful contract: snapshot the live DB. The
-// DB is updated by pointer swap only (rule installation builds a new
-// trie), so the traversal races no mutator.
-func (s *Stateful) Checkpoint(e *checkpoint.Engine) (any, error) {
-	return s.db.Load().Checkpoint(e)
+// wire returns the live DB's wire image, flattening the trie only when
+// the DB pointer changed since the last call. The result is shared and
+// must not be written to.
+func (s *Stateful) wire() ([]byte, error) {
+	db := s.db.Load()
+	if c := s.enc.Load(); c != nil && c.db == db {
+		return c.wire, nil
+	}
+	wire, err := appendDB(nil, db)
+	if err != nil {
+		return nil, err
+	}
+	s.enc.Store(&encodedDB{db: db, wire: wire})
+	return wire, nil
 }
 
-// Restore swaps in a fresh materialization of a Checkpoint token.
-func (s *Stateful) Restore(token any) error {
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return fmt.Errorf("firewall: restore token is %T, want *checkpoint.Snapshot", token)
-	}
-	db, err := RestoreDB(snap)
+// install swaps in a fresh DB decoded from a wire image, which from then
+// on is also that DB's cached encoding.
+func (s *Stateful) install(wire []byte) error {
+	db, err := decodeDB(wire)
 	if err != nil {
 		return err
 	}
 	s.db.Store(db)
+	s.enc.Store(&encodedDB{db: db, wire: wire})
 	return nil
 }
 
-// Reset swaps in a fresh materialization of the boot-time rules.
-func (s *Stateful) Reset() {
-	db, err := RestoreDB(s.boot)
+// Checkpoint implements the Stateful contract: the token is the live
+// DB's wire image. The engine is unused — the wire form needs no
+// traversal state.
+func (s *Stateful) Checkpoint(*checkpoint.Engine) (any, error) {
+	return s.wire()
+}
+
+// CheckpointSize reports the bytes AppendCheckpoint would write now.
+func (s *Stateful) CheckpointSize() int {
+	wire, _ := s.wire() // an unencodable DB fails in AppendCheckpoint
+	return len(wire)
+}
+
+// AppendCheckpoint appends the live DB's wire image to buf.
+func (s *Stateful) AppendCheckpoint(buf []byte) ([]byte, error) {
+	wire, err := s.wire()
 	if err != nil {
-		// The boot snapshot restored cleanly at least once (NewStateful
-		// checkpointed a live DB); a failure here means memory corruption
-		// the runtime cannot recover from.
-		panic(fmt.Sprintf("firewall: reset from boot snapshot: %v", err))
+		return nil, err
 	}
-	s.db.Store(db)
+	return append(buf, wire...), nil
+}
+
+// Restore swaps in a fresh DB built from a Checkpoint token. The cached
+// encoding is a copy of the token's (configuration-sized) bytes: inside
+// a StateSet the token is a window into the whole epoch buffer, which
+// the cache would otherwise keep alive long after newer epochs replaced
+// it.
+func (s *Stateful) Restore(token any) error {
+	wire, ok := token.([]byte)
+	if !ok {
+		return fmt.Errorf("firewall: restore token is %T, want []byte", token)
+	}
+	return s.install(bytes.Clone(wire))
+}
+
+// Reset swaps in a fresh DB built from the boot-time rules.
+func (s *Stateful) Reset() {
+	if err := s.install(s.boot); err != nil {
+		// NewStateful produced the boot image from a live DB; a failure
+		// here means memory corruption the runtime cannot recover from.
+		panic(fmt.Sprintf("firewall: reset from boot image: %v", err))
+	}
+}
+
+// EncodeToken implements domain.TokenCodec: a Checkpoint token already
+// is its wire form, returned without copying.
+func (s *Stateful) EncodeToken(token any) ([]byte, error) {
+	wire, ok := token.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("firewall: encode token is %T, want []byte", token)
+	}
+	return wire, nil
+}
+
+// DecodeToken implements domain.TokenCodec: validate the bytes and hand
+// them back as the token. A rule set is configuration-sized, so
+// validation is a trial decode.
+func (s *Stateful) DecodeToken(data []byte) (any, error) {
+	if _, err := decodeDB(data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // StatefulOperator is Operator reading the database through a Stateful

@@ -1,14 +1,17 @@
 package maglev
 
-// durable.go implements the domain runtime's TokenCodec for the
-// balancer: the checkpointed connection table (flow hash → backend
-// stickiness) and hit/miss counters serialize to a flat little-endian
-// image. The lookup table is config, not state — it is rebuilt from the
-// backend set at boot, exactly as Restore leaves it untouched.
+// durable.go is the balancer's checkpoint: the connection table (flow
+// hash → backend stickiness) and the hit/miss counters, in the v1 wire
+// image and in no other form. Capture appends the entries straight from
+// the live map under the balancer's lock; the token is those bytes, so
+// encoding is the identity; Restore decodes them into a fresh map. The
+// lookup table is config, not state — it is rebuilt from the backend set
+// at boot and no checkpoint touches it.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/packet"
@@ -16,26 +19,35 @@ import (
 
 const balancerTokenVersion = 1
 
-// EncodeToken implements domain.TokenCodec.
-func (b *Balancer) EncodeToken(token any) ([]byte, error) {
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("maglev: encode token is %T, want *checkpoint.Snapshot", token)
-	}
-	v, err := snap.Materialize()
-	if err != nil {
-		return nil, fmt.Errorf("maglev: encode: materialize: %w", err)
-	}
-	st, ok := v.(*BalancerState)
-	if !ok {
-		return nil, fmt.Errorf("maglev: snapshot holds %T, want *BalancerState", v)
-	}
-	buf := make([]byte, 0, 1+8+8+4+len(st.Conns)*24)
+// Token layout: u8 version, u64 hits, u64 misses, u32 conn count, then
+// per conn: u64 flow hash, u32 backend IP, u16 name length, name.
+const (
+	balancerHeaderSize = 1 + 8 + 8 + 4
+	connFixedSize      = 8 + 4 + 2
+)
+
+// CheckpointSize reports the bytes AppendCheckpoint would write now.
+func (b *Balancer) CheckpointSize() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return balancerHeaderSize + b.connBytes
+}
+
+// AppendCheckpoint appends the balancer's wire image to buf under the
+// read lock (Pick takes the write lock even on hits, so the walk races
+// no mutator).
+func (b *Balancer) AppendCheckpoint(buf []byte) ([]byte, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	buf = slices.Grow(buf, balancerHeaderSize+b.connBytes)
 	buf = append(buf, balancerTokenVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, st.Hits)
-	buf = binary.LittleEndian.AppendUint64(buf, st.Misses)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.Conns)))
-	for h, be := range st.Conns {
+	buf = binary.LittleEndian.AppendUint64(buf, b.hits)
+	buf = binary.LittleEndian.AppendUint64(buf, b.misses)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.conns)))
+	for h, be := range b.conns {
+		if len(be.Name) > 0xffff {
+			return nil, fmt.Errorf("maglev: backend name of %d bytes does not fit the token", len(be.Name))
+		}
 		buf = binary.LittleEndian.AppendUint64(buf, h)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(be.IP))
 		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(be.Name)))
@@ -44,39 +56,104 @@ func (b *Balancer) EncodeToken(token any) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeToken implements domain.TokenCodec: rebuild the state and
-// re-checkpoint it, yielding the *checkpoint.Snapshot Restore expects.
-func (b *Balancer) DecodeToken(data []byte) (any, error) {
-	if len(data) < 1+8+8+4 || data[0] != balancerTokenVersion {
-		return nil, fmt.Errorf("maglev: bad token header")
+// Checkpoint implements the domain runtime's Stateful contract: the
+// token is the wire image in a buffer of its own. The engine is unused —
+// the wire form needs no traversal state.
+func (b *Balancer) Checkpoint(*checkpoint.Engine) (any, error) {
+	return b.AppendCheckpoint(nil)
+}
+
+// tokenHeader validates a wire image's header and returns the counters,
+// the conn count and the entry bytes. The count is checked against the
+// bytes that remain, so a caller may size a map by it.
+func tokenHeader(data []byte) (hits, misses uint64, n int, body []byte, err error) {
+	if len(data) < balancerHeaderSize || data[0] != balancerTokenVersion {
+		return 0, 0, 0, nil, fmt.Errorf("maglev: bad token header")
 	}
-	st := &BalancerState{
-		Hits:   binary.LittleEndian.Uint64(data[1:]),
-		Misses: binary.LittleEndian.Uint64(data[9:]),
+	hits = binary.LittleEndian.Uint64(data[1:])
+	misses = binary.LittleEndian.Uint64(data[9:])
+	n = int(binary.LittleEndian.Uint32(data[17:]))
+	body = data[balancerHeaderSize:]
+	if n > len(body)/connFixedSize {
+		return 0, 0, 0, nil, fmt.Errorf("maglev: token claims %d conns in %d bytes", n, len(body))
 	}
-	n := int(binary.LittleEndian.Uint32(data[17:]))
-	data = data[21:]
-	st.Conns = make(map[uint64]Backend, n)
+	return hits, misses, n, body, nil
+}
+
+// walkConns validates n connection entries filling body exactly and,
+// when fn is non-nil, calls it for each.
+func walkConns(body []byte, n int, fn func(h uint64, ip packet.IPv4, name []byte)) error {
 	for i := 0; i < n; i++ {
-		if len(data) < 14 {
-			return nil, fmt.Errorf("maglev: token truncated at conn %d", i)
+		if len(body) < connFixedSize {
+			return fmt.Errorf("maglev: token truncated at conn %d", i)
 		}
-		h := binary.LittleEndian.Uint64(data)
-		ip := packet.IPv4(binary.LittleEndian.Uint32(data[8:]))
-		nameLen := int(binary.LittleEndian.Uint16(data[12:]))
-		data = data[14:]
-		if len(data) < nameLen {
-			return nil, fmt.Errorf("maglev: token truncated at conn %d name", i)
+		end := connFixedSize + int(binary.LittleEndian.Uint16(body[12:]))
+		if len(body) < end {
+			return fmt.Errorf("maglev: token truncated at conn %d name", i)
 		}
-		st.Conns[h] = Backend{Name: string(data[:nameLen]), IP: ip}
-		data = data[nameLen:]
+		if fn != nil {
+			fn(binary.LittleEndian.Uint64(body), packet.IPv4(binary.LittleEndian.Uint32(body[8:])), body[connFixedSize:end])
+		}
+		body = body[end:]
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("maglev: token has %d trailing bytes", len(data))
+	if len(body) != 0 {
+		return fmt.Errorf("maglev: token has %d trailing bytes", len(body))
 	}
-	snap, err := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(st)
+	return nil
+}
+
+// Restore replaces the connection table and counters with the ones a
+// Checkpoint token describes. The token is only read, so it restores
+// any number of times. The lookup table is untouched: config survives
+// the fault, state is restored.
+func (b *Balancer) Restore(token any) error {
+	data, ok := token.([]byte)
+	if !ok {
+		return fmt.Errorf("maglev: restore token is %T, want []byte", token)
+	}
+	hits, misses, n, body, err := tokenHeader(data)
 	if err != nil {
-		return nil, fmt.Errorf("maglev: decode: re-checkpoint: %w", err)
+		return err
 	}
-	return snap, nil
+	conns := make(map[uint64]Backend, n)
+	names := make(map[string]string) // one string per distinct backend name
+	err = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
+		s, seen := names[string(name)]
+		if !seen {
+			s = string(name)
+			names[s] = s
+		}
+		conns[h] = Backend{Name: s, IP: ip}
+	})
+	if err != nil {
+		return err
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.conns, b.connBytes = conns, len(body)
+	b.hits, b.misses = hits, misses
+	return nil
+}
+
+// EncodeToken implements domain.TokenCodec: a Checkpoint token already
+// is its wire form, returned without copying.
+func (b *Balancer) EncodeToken(token any) ([]byte, error) {
+	data, ok := token.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("maglev: encode token is %T, want []byte", token)
+	}
+	return data, nil
+}
+
+// DecodeToken implements domain.TokenCodec: validate the bytes and hand
+// them back as the token; Restore does the decoding.
+func (b *Balancer) DecodeToken(data []byte) (any, error) {
+	_, _, n, body, err := tokenHeader(data)
+	if err == nil {
+		err = walkConns(body, n, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }

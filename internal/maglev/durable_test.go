@@ -90,6 +90,20 @@ func TestBalancerDecodeRejectsGarbage(t *testing.T) {
 	if _, err := b.DecodeToken(payload[:len(payload)-2]); err == nil {
 		t.Fatal("truncated accepted")
 	}
+	// A hostile conn count (CRC-valid on disk, so it reaches the decoder
+	// at boot) must be refused against the bytes that remain, before any
+	// map is sized by it.
+	huge := append([]byte(nil), payload...)
+	huge[17], huge[18], huge[19], huge[20] = 0xff, 0xff, 0xff, 0xff
+	if _, err := b.DecodeToken(huge); err == nil {
+		t.Fatal("4G-conn count accepted by DecodeToken")
+	}
+	if err := b.Restore(huge); err == nil {
+		t.Fatal("4G-conn count accepted by Restore")
+	}
+	if err := b.Restore(42); err == nil {
+		t.Fatal("bad restore token accepted")
+	}
 	if _, err := b.EncodeToken(42); err == nil {
 		t.Fatal("bad encode token accepted")
 	}

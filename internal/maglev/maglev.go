@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/checkpoint"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 )
@@ -161,6 +160,9 @@ type Balancer struct {
 	mu    sync.RWMutex
 	table *Table
 	conns map[uint64]Backend
+	// connBytes is the wire size of conns' entries, kept as they are
+	// inserted so a checkpoint buffer is sized without a counting walk.
+	connBytes int
 
 	// Stats.
 	hits   uint64 // connection-table hits
@@ -192,7 +194,11 @@ func (b *Balancer) Pick(t packet.FiveTuple) Backend {
 	}
 	be = b.table.Lookup(h)
 	b.mu.Lock()
+	n := len(b.conns)
 	b.conns[h] = be
+	if len(b.conns) > n { // not a key a racing Pick already inserted
+		b.connBytes += connFixedSize + len(be.Name)
+	}
 	b.misses++
 	b.mu.Unlock()
 	return be
@@ -226,57 +232,12 @@ func (b *Balancer) Stats() (hits, misses uint64) {
 	return b.hits, b.misses
 }
 
-// BalancerState is the exported checkpoint shape of a Balancer: the
-// connection table plus its hit/miss counters. The lookup table itself
-// is configuration (rebuilt from the backend set at boot), not state, so
-// it stays out of the snapshot.
-type BalancerState struct {
-	Conns  map[uint64]Backend
-	Hits   uint64
-	Misses uint64
-}
-
-// Checkpoint implements the domain runtime's Stateful contract: a deep
-// snapshot of the connection table under the balancer's read lock (Pick
-// takes the write lock even on hits, so the traversal races no mutator).
-func (b *Balancer) Checkpoint(e *checkpoint.Engine) (any, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return e.Checkpoint(&BalancerState{Conns: b.conns, Hits: b.hits, Misses: b.misses})
-}
-
-// Restore replaces the connection table with a fresh materialization of
-// a Checkpoint token. The lookup table is untouched: config survives the
-// fault, state is restored.
-func (b *Balancer) Restore(token any) error {
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return fmt.Errorf("maglev: restore token is %T, want *checkpoint.Snapshot", token)
-	}
-	v, err := snap.Materialize()
-	if err != nil {
-		return fmt.Errorf("maglev: materialize: %w", err)
-	}
-	st, ok := v.(*BalancerState)
-	if !ok {
-		return fmt.Errorf("maglev: snapshot holds %T, want *BalancerState", v)
-	}
-	if st.Conns == nil {
-		st.Conns = make(map[uint64]Backend)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.conns = st.Conns
-	b.hits, b.misses = st.Hits, st.Misses
-	return nil
-}
-
 // Reset cold-starts the connection table: established-flow stickiness is
 // lost, new flows fall back to the consistent hash.
 func (b *Balancer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns = make(map[uint64]Backend)
+	b.conns, b.connBytes = make(map[uint64]Backend), 0
 	b.hits, b.misses = 0, 0
 }
 

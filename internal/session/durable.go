@@ -1,111 +1,159 @@
 package session
 
-// durable.go implements the domain runtime's TokenCodec for the table:
-// checkpoint tokens (engine snapshots of the flow graph) serialize to a
-// flat little-endian image and decode back into a *checkpoint.Snapshot
-// — so Restore sees exactly the token shape it already handles, and the
-// decoded token is reusable across repeated restores like any other
-// epoch. Decoding interns one Rc box per distinct backend, preserving
-// the Figure 3a aliasing the checkpoint engine works over.
+// durable.go is the table's checkpoint: the v1 wire image is the only
+// checkpointed representation. Capture appends one fixed-size entry per
+// live flow straight from the flow map, under the table lock, into a
+// buffer sized for exactly that; the token handed to the domain runtime
+// *is* those bytes, so encoding it is the identity and the same buffer
+// goes to the WAL. Restore decodes the bytes into a fresh flow graph,
+// interning one Rc box per distinct backend — Figure 3a's aliasing
+// survives by construction, and a token restores any number of times
+// because nothing ever writes to it.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/packet"
 )
 
-// tokenVersion guards the session token wire format.
+// sessionTokenVersion guards the session token wire format.
 const sessionTokenVersion = 1
 
-// Per-flow wire entry: u64 hash, u32 src, u32 dst, u16 sport, u16
-// dport, u8 proto, u8 spilled, u32 backend, u64 packets, u64 bytes.
-const sessionEntrySize = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 4 + 8 + 8
+// Token layout: u8 version, u32 flow count, then per flow: u64 hash,
+// u32 src, u32 dst, u16 sport, u16 dport, u8 proto, u8 spilled, u32
+// backend, u64 packets, u64 bytes.
+const (
+	sessionHeaderSize = 1 + 4
+	sessionEntrySize  = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 4 + 8 + 8
+)
 
-// EncodeToken implements domain.TokenCodec: serialize a Checkpoint
-// token. The snapshot is materialized into a private image first, so
-// encoding never touches live state.
-func (t *Table) EncodeToken(token any) ([]byte, error) {
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("session: encode token is %T, want *checkpoint.Snapshot", token)
-	}
-	v, err := snap.Materialize()
-	if err != nil {
-		return nil, fmt.Errorf("session: encode: materialize: %w", err)
-	}
-	img, ok := v.(*tableImage)
-	if !ok {
-		return nil, fmt.Errorf("session: snapshot holds %T, want *tableImage", v)
-	}
-	buf := make([]byte, 0, 1+4+len(img.Flows)*sessionEntrySize)
+// CheckpointSize reports the bytes AppendCheckpoint would write now.
+func (t *Table) CheckpointSize() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return sessionHeaderSize + len(t.flows)*sessionEntrySize
+}
+
+// AppendCheckpoint appends the table's wire image to buf, reading the
+// live flow map under the table lock. The hot bit is derived state and
+// stays out.
+func (t *Table) AppendCheckpoint(buf []byte) ([]byte, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	buf = slices.Grow(buf, sessionHeaderSize+len(t.flows)*sessionEntrySize)
 	buf = append(buf, sessionTokenVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(img.Flows)))
-	for h, f := range img.Flows {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.flows)))
+	for h, f := range t.flows {
+		off := len(buf)
+		buf = buf[:off+sessionEntrySize]
+		e := buf[off:]
+		binary.LittleEndian.PutUint64(e, h)
+		binary.LittleEndian.PutUint32(e[8:], uint32(f.Tuple.SrcIP))
+		binary.LittleEndian.PutUint32(e[12:], uint32(f.Tuple.DstIP))
+		binary.LittleEndian.PutUint16(e[16:], f.Tuple.SrcPort)
+		binary.LittleEndian.PutUint16(e[18:], f.Tuple.DstPort)
+		e[20] = f.Tuple.Proto
+		e[21] = 0
+		if f.Spilled {
+			e[21] = 1
+		}
 		var ip packet.IPv4
 		if !f.Backend.IsZero() {
-			ip = f.Backend.Get().IP
+			ip = f.Backend.Peek().IP
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, h)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Tuple.SrcIP))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Tuple.DstIP))
-		buf = binary.LittleEndian.AppendUint16(buf, f.Tuple.SrcPort)
-		buf = binary.LittleEndian.AppendUint16(buf, f.Tuple.DstPort)
-		buf = append(buf, f.Tuple.Proto)
-		var spilled byte
-		if f.Spilled {
-			spilled = 1
-		}
-		buf = append(buf, spilled)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(ip))
-		buf = binary.LittleEndian.AppendUint64(buf, f.Packets)
-		buf = binary.LittleEndian.AppendUint64(buf, f.Bytes)
+		binary.LittleEndian.PutUint32(e[22:], uint32(ip))
+		binary.LittleEndian.PutUint64(e[26:], f.Packets)
+		binary.LittleEndian.PutUint64(e[34:], f.Bytes)
 	}
 	return buf, nil
 }
 
-// DecodeToken implements domain.TokenCodec: rebuild the flow image
-// (re-interning shared backend boxes) and re-checkpoint it with an
-// RcAware engine, yielding a token Restore accepts unchanged.
-func (t *Table) DecodeToken(data []byte) (any, error) {
-	if len(data) < 5 || data[0] != sessionTokenVersion {
-		return nil, fmt.Errorf("session: bad token header")
+// Checkpoint implements the domain runtime's Stateful contract: the
+// token is the table's wire image in a buffer of its own. The engine is
+// unused — the wire form needs no traversal state.
+func (t *Table) Checkpoint(*checkpoint.Engine) (any, error) {
+	return t.AppendCheckpoint(nil)
+}
+
+// checkToken validates a wire image's header and length and returns the
+// flow count.
+func checkToken(data []byte) (int, error) {
+	if len(data) < sessionHeaderSize || data[0] != sessionTokenVersion {
+		return 0, fmt.Errorf("session: bad token header")
 	}
 	n := int(binary.LittleEndian.Uint32(data[1:]))
-	data = data[5:]
-	if len(data) != n*sessionEntrySize {
-		return nil, fmt.Errorf("session: token has %d bytes, want %d for %d flows", len(data), n*sessionEntrySize, n)
+	if body := len(data) - sessionHeaderSize; body%sessionEntrySize != 0 || body/sessionEntrySize != n {
+		return 0, fmt.Errorf("session: token has %d bytes after the header, want %d for %d flows", body, n*sessionEntrySize, n)
 	}
-	img := &tableImage{Flows: make(map[uint64]*Flow, n)}
+	return n, nil
+}
+
+// Restore replaces the live table with the flow graph a Checkpoint token
+// describes: fresh Flow objects, one shared Rc box per distinct backend
+// (each flow holds a clone, the intern map the original), the eviction
+// ring reseeded. The token is only read, so a later fault can restore
+// from the same epoch again.
+func (t *Table) Restore(token any) error {
+	data, ok := token.([]byte)
+	if !ok {
+		return fmt.Errorf("session: restore token is %T, want []byte", token)
+	}
+	n, err := checkToken(data)
+	if err != nil {
+		return err
+	}
+	flows := make(map[uint64]*Flow, n)
 	intern := make(map[packet.IPv4]checkpoint.Rc[Backend])
-	for i := 0; i < n; i++ {
-		e := data[i*sessionEntrySize:]
-		h := binary.LittleEndian.Uint64(e)
-		f := &Flow{
-			Tuple: packet.FiveTuple{
-				SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
-				DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
-				SrcPort: binary.LittleEndian.Uint16(e[16:]),
-				DstPort: binary.LittleEndian.Uint16(e[18:]),
-				Proto:   e[20],
-			},
-			Spilled: e[21] == 1,
-			Packets: binary.LittleEndian.Uint64(e[26:]),
-			Bytes:   binary.LittleEndian.Uint64(e[34:]),
+	slab := make([]Flow, n) // one allocation for every restored flow
+	for i := range slab {
+		e := data[sessionHeaderSize+i*sessionEntrySize:]
+		f := &slab[i]
+		f.Tuple = packet.FiveTuple{
+			SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
+			DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
+			SrcPort: binary.LittleEndian.Uint16(e[16:]),
+			DstPort: binary.LittleEndian.Uint16(e[18:]),
+			Proto:   e[20],
 		}
+		f.Spilled = e[21] == 1
+		f.Packets = binary.LittleEndian.Uint64(e[26:])
+		f.Bytes = binary.LittleEndian.Uint64(e[34:])
 		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
-		rc, ok := intern[ip]
-		if !ok {
+		rc, seen := intern[ip]
+		if !seen {
 			rc = checkpoint.NewRc(Backend{IP: ip})
 			intern[ip] = rc
 		}
 		f.Backend = rc.Clone()
-		img.Flows[h] = f
+		flows[binary.LittleEndian.Uint64(e)] = f
 	}
-	snap, err := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(img)
-	if err != nil {
-		return nil, fmt.Errorf("session: decode: re-checkpoint: %w", err)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flows = flows
+	t.intern = intern
+	t.rebuildRingLocked()
+	t.flowPool = nil // don't carry pooled storage across generations
+	return nil
+}
+
+// EncodeToken implements domain.TokenCodec: a Checkpoint token already
+// is its wire form, returned without copying.
+func (t *Table) EncodeToken(token any) ([]byte, error) {
+	data, ok := token.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("session: encode token is %T, want []byte", token)
 	}
-	return snap, nil
+	return data, nil
+}
+
+// DecodeToken implements domain.TokenCodec: validate the bytes and hand
+// them back as the token; Restore does the decoding.
+func (t *Table) DecodeToken(data []byte) (any, error) {
+	if _, err := checkToken(data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

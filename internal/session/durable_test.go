@@ -88,6 +88,12 @@ func TestTokenRoundTrip(t *testing.T) {
 	if dst2.Len() != src.Len() {
 		t.Fatalf("second restore has %d flows, want %d", dst2.Len(), src.Len())
 	}
+
+	// One representation: the token, the payload and the decoded token
+	// are the same bytes, never copies.
+	if &snap.([]byte)[0] != &payload[0] || &token.([]byte)[0] != &payload[0] {
+		t.Fatal("EncodeToken or DecodeToken copied the wire image")
+	}
 }
 
 func TestTokenRoundTripEmpty(t *testing.T) {
@@ -123,6 +129,18 @@ func TestDecodeTokenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := tbl.DecodeToken([]byte{sessionTokenVersion, 5, 0, 0, 0, 1, 2, 3}); err == nil {
 		t.Fatal("truncated token accepted")
+	}
+	// A hostile count must be refused by arithmetic, not by trying to
+	// allocate for it.
+	huge := []byte{sessionTokenVersion, 0xff, 0xff, 0xff, 0xff}
+	if _, err := tbl.DecodeToken(huge); err == nil {
+		t.Fatal("4G-flow count over an empty body accepted")
+	}
+	if err := tbl.Restore(huge); err == nil {
+		t.Fatal("Restore accepted a 4G-flow count over an empty body")
+	}
+	if err := tbl.Restore("not bytes"); err == nil {
+		t.Fatal("bad restore token accepted")
 	}
 	if _, err := tbl.EncodeToken("not a snapshot"); err == nil {
 		t.Fatal("bad encode token accepted")

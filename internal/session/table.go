@@ -2,15 +2,14 @@ package session
 
 // table.go grows the package beyond session-typed channels: a session
 // *table* — the flow-tracking NF whose live state is the pointer-linked
-// graph the §5 checkpoint engine snapshots in production. Every tracked
-// flow holds its backend through checkpoint.Rc, and flows steered to the
-// same backend share one Rc box (Figure 3a's aliasing, on live state):
-// an RcAware checkpoint copies each backend exactly once, while the
-// VisitedSet baseline pays a table probe per handle — the contrast the
-// checkpoint benches measure on this very structure.
+// graph §5 checkpointing is about. Every tracked flow holds its backend
+// through checkpoint.Rc, and flows steered to the same backend share one
+// Rc box (Figure 3a's aliasing, on live state). The production
+// checkpoint (durable.go) writes each flow's wire entry straight from
+// this graph; the reflect engine walks the same graph as the oracle the
+// wire path is tested against.
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/checkpoint"
@@ -42,43 +41,6 @@ type Flow struct {
 	// Derived state — checkpoints don't carry it (restored flows start
 	// cold) and the spill index never sees it.
 	hot bool
-}
-
-// tableImage is the checkpointed shape of a Table: just the flow graph.
-// The backend intern map is derived state, rebuilt on restore.
-type tableImage struct {
-	Flows map[uint64]*Flow
-}
-
-// CheckpointCopy implements checkpoint.Checkpointable: a hand-written
-// deep copy of the flow graph that routes each backend handle through
-// the engine (preserving Rc aliasing per the engine's mode) but copies
-// the flat Flow fields directly. The reflection walk costs ~10
-// allocations per flow (map key/value boxing, reflect.New per struct);
-// this path costs one — the difference between checkpoint epochs being
-// a blip and being the dominant allocator at 10ms epochs.
-func (img *tableImage) CheckpointCopy(clone func(v any) (any, error)) (any, error) {
-	out := &tableImage{}
-	if img.Flows != nil {
-		out.Flows = make(map[uint64]*Flow, len(img.Flows))
-		for h, f := range img.Flows {
-			nf := &Flow{
-				Tuple:   f.Tuple,
-				Packets: f.Packets,
-				Bytes:   f.Bytes,
-				Spilled: f.Spilled,
-			}
-			if !f.Backend.IsZero() {
-				cb, err := clone(f.Backend)
-				if err != nil {
-					return nil, err
-				}
-				nf.Backend = cb.(checkpoint.Rc[Backend])
-			}
-			out.Flows[h] = nf
-		}
-	}
-	return out, nil
 }
 
 // Table is the session table: flow hash → Flow, with an intern map
@@ -202,55 +164,6 @@ func (t *Table) Entries() map[uint64]packet.IPv4 {
 		out[h] = f.Backend.Get().IP
 	}
 	return out
-}
-
-// Checkpoint implements the domain runtime's Stateful contract: a deep
-// snapshot of the flow graph under the table lock. Rc sharing between
-// flows is preserved according to the engine's mode.
-func (t *Table) Checkpoint(e *checkpoint.Engine) (any, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return e.Checkpoint(&tableImage{Flows: t.flows})
-}
-
-// Restore replaces the live table with a fresh materialization of a
-// Checkpoint token and rebuilds the backend intern map from the restored
-// flows' shared handles. Materializing (rather than installing the
-// snapshot's graph directly) keeps the token reusable: a later fault can
-// restore from the same epoch again without aliasing the first restore's
-// since-mutated state.
-func (t *Table) Restore(token any) error {
-	snap, ok := token.(*checkpoint.Snapshot)
-	if !ok {
-		return fmt.Errorf("session: restore token is %T, want *checkpoint.Snapshot", token)
-	}
-	v, err := snap.Materialize()
-	if err != nil {
-		return fmt.Errorf("session: materialize: %w", err)
-	}
-	img, ok := v.(*tableImage)
-	if !ok {
-		return fmt.Errorf("session: snapshot holds %T, want *tableImage", v)
-	}
-	if img.Flows == nil {
-		img.Flows = make(map[uint64]*Flow)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.flows = img.Flows
-	t.intern = make(map[packet.IPv4]checkpoint.Rc[Backend])
-	for _, f := range img.Flows {
-		if f.Backend.IsZero() {
-			continue
-		}
-		ip := f.Backend.Get().IP
-		if _, seen := t.intern[ip]; !seen {
-			t.intern[ip] = f.Backend
-		}
-	}
-	t.rebuildRingLocked()
-	t.flowPool = nil // don't carry pooled storage across generations
-	return nil
 }
 
 // Reset cold-starts the table to empty.

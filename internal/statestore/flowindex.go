@@ -12,6 +12,7 @@ package statestore
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -274,7 +275,11 @@ func (fi *FlowIndex) compactLocked() error {
 	for _, r := range merged {
 		buf = encodeFlowEntry(buf, r)
 	}
-	if err := atomicWriteFile(fi.idxPath(), buf, fi.store.cfg.Fsync != FsyncNone); err != nil {
+	writeIdx := func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	}
+	if err := atomicWriteFile(fi.idxPath(), writeIdx, fi.store.cfg.Fsync != FsyncNone); err != nil {
 		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
 	}
 	if fi.idx != nil {

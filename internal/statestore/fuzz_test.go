@@ -24,16 +24,17 @@ func FuzzWALReplay(f *testing.F) {
 	first := AppendFrame(nil, encodeEpoch("worker-0", 1, 100, []byte("alpha-token")))
 	f.Add([]byte{})
 	f.Add(full)
-	f.Add(full[:len(first)+2])          // torn mid-length-prefix
-	f.Add(full[:len(first)+6])          // torn mid-CRC
-	f.Add(full[:len(full)-3])           // torn mid-payload
+	f.Add(full[:len(first)+2]) // torn mid-length-prefix
+	f.Add(full[:len(first)+6]) // torn mid-CRC
+	f.Add(full[:len(full)-3])  // torn mid-payload
 	flip := append([]byte(nil), full...)
 	flip[len(first)+10] ^= 0x40 // bit flip in second payload
 	f.Add(flip)
 	flip2 := append([]byte(nil), full...)
 	flip2[2] ^= 0x80 // bit flip in first length prefix
 	f.Add(flip2)
-	f.Add(AppendFrame(nil, []byte("not an epoch record"))) // CRC-clean, undecodable
+	f.Add(AppendFrame(nil, []byte("not an epoch record")))                                    // CRC-clean, undecodable
+	f.Add(append(append([]byte(nil), first...), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 1, 2, 3)) // oversized length after a good record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n := SplitFrames(data)
@@ -52,6 +53,22 @@ func FuzzWALReplay(f *testing.F) {
 		recs2, n2 := SplitFrames(data[:n])
 		if n2 != n || len(recs2) != len(recs) {
 			t.Fatalf("re-split: %d records/%d bytes, want %d/%d", len(recs2), n2, len(recs), n)
+		}
+
+		// The streaming reader recovery runs on is the same function:
+		// same records, same valid-prefix length, on every input.
+		var streamed [][]byte
+		valid, err := scanFrames(bytes.NewReader(data), int64(len(data)), func(rec []byte) []byte {
+			streamed = append(streamed, rec) // kept: the scanner gets no buffer back
+			return nil
+		})
+		if err != nil || valid != int64(n) || len(streamed) != len(recs) {
+			t.Fatalf("scanFrames: %d records/%d bytes (err %v), SplitFrames %d/%d", len(streamed), valid, err, len(recs), n)
+		}
+		for i := range recs {
+			if !bytes.Equal(streamed[i], recs[i]) {
+				t.Fatalf("scanFrames record %d differs from SplitFrames", i)
+			}
 		}
 
 		// Full recovery path: the bytes as a store's WAL. Open must not

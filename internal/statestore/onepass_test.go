@@ -1,0 +1,181 @@
+package statestore
+
+// onepass_test.go pins the zero-copy epoch path: PersistEpoch frames the
+// caller's buffer without copying it and retains it, a failed append
+// never strands the epochs after it, and replay streams the log instead
+// of reading it whole.
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// flakyWAL wraps the store's WAL and fails the writes and truncates a
+// test arms. A failed write first lets half its bytes through, as a disk
+// filling up mid-frame would.
+type flakyWAL struct {
+	walFile
+	writes       int
+	failWrite    int // 1-based index of the Write call to fail; 0 = none
+	failTruncate bool
+}
+
+var errInjected = errors.New("injected wal fault")
+
+func (w *flakyWAL) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes == w.failWrite {
+		n, _ := w.walFile.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return w.walFile.Write(p)
+}
+
+func (w *flakyWAL) Truncate(size int64) error {
+	if w.failTruncate {
+		return errInjected
+	}
+	return w.walFile.Truncate(size)
+}
+
+// TestFailedAppendDoesNotStrandLaterEpochs: the frame header lands, the
+// payload write fails half way. The store must cut the partial frame off
+// before the next append, so that the epochs persisted afterwards are
+// inside the longest valid prefix a reopen replays.
+func TestFailedAppendDoesNotStrandLaterEpochs(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Config{CompactAfter: -1})
+	if err := s.PersistEpoch("w", 1, []byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	good := s.WALSize()
+	fw := &flakyWAL{walFile: s.wal, failWrite: 2} // header ok, payload fails
+	s.wal = fw
+	err := s.PersistEpoch("w", 2, bytes.Repeat([]byte("x"), 1000))
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("PersistEpoch over a failing write = %v, want the injected error", err)
+	}
+	if s.WALSize() != good {
+		t.Fatalf("WAL size %d after a failed append, want %d", s.WALSize(), good)
+	}
+	if st, _ := os.Stat(filepath.Join(dir, walName)); st.Size() != good {
+		t.Fatalf("wal.log is %d bytes after a failed append, want the partial frame cut back to %d", st.Size(), good)
+	}
+	if _, seq, _, _ := s.LastEpoch("w"); seq != 1 {
+		t.Fatalf("failed epoch was published: newest seq %d, want 1", seq)
+	}
+	if err := s.PersistEpoch("w", 3, []byte("third")); err != nil {
+		t.Fatalf("append after a recovered failure: %v", err)
+	}
+	s.Close()
+
+	s2 := openT(t, dir, Config{})
+	payload, seq, ok, err := s2.LastEpoch("w")
+	if err != nil || !ok || seq != 3 || string(payload) != "third" {
+		t.Fatalf("reopen: seq=%d payload=%q ok=%v err=%v; epoch 3 was stranded behind a partial frame", seq, payload, ok, err)
+	}
+	if st := s2.StatsSnapshot(); st.TornRecords != 0 {
+		t.Fatalf("reopen found %d torn bytes; the failed append left its partial frame behind", st.TornRecords)
+	}
+}
+
+// TestUntruncatableWALPoisonsStore: when the partial frame cannot be cut
+// off either, the tail of the WAL is unknown and appending behind it
+// would be retry-and-trust: every later PersistEpoch fails instead.
+func TestUntruncatableWALPoisonsStore(t *testing.T) {
+	s := openT(t, t.TempDir(), Config{CompactAfter: -1})
+	fw := &flakyWAL{walFile: s.wal, failWrite: 1, failTruncate: true}
+	s.wal = fw
+	if err := s.PersistEpoch("w", 1, []byte("lost")); !errors.Is(err, errInjected) {
+		t.Fatalf("first append = %v, want the injected error", err)
+	}
+	fw.failTruncate = false // the disk "recovers"; the store must not trust it
+	writes := fw.writes
+	err := s.PersistEpoch("w", 2, []byte("never written"))
+	if err == nil || !errors.Is(err, errInjected) {
+		t.Fatalf("append on a poisoned store = %v, want the original failure", err)
+	}
+	if fw.writes != writes {
+		t.Fatal("a poisoned store wrote to its WAL")
+	}
+	if _, _, ok, _ := s.LastEpoch("w"); ok {
+		t.Fatal("a poisoned store published an epoch")
+	}
+}
+
+// TestPersistEpochBorrowsPayload: at most 4 allocations per epoch and
+// none of them proportional to the payload — the frame is two writes
+// around the caller's buffer — and the store's newest epoch is that very
+// buffer.
+func TestPersistEpochBorrowsPayload(t *testing.T) {
+	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, CompactAfter: -1})
+	payload := bytes.Repeat([]byte{0xa5}, 1<<20)
+	seq := uint64(0)
+	persist := func() {
+		seq++
+		if err := s.PersistEpoch("worker-0", seq, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	persist() // first sight of the name allocates its map slot
+	if allocs := testing.AllocsPerRun(20, persist); allocs > 4 {
+		t.Fatalf("PersistEpoch allocates %.1f objects per epoch, want <= 4", allocs)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		persist()
+	}
+	runtime.ReadMemStats(&after)
+	if perEpoch := (after.TotalAlloc - before.TotalAlloc) / runs; perEpoch > 1024 {
+		t.Fatalf("PersistEpoch allocates %d B per 1 MiB epoch, want <= 1 KiB (no copy of the payload)", perEpoch)
+	}
+	got, _, _, _ := s.LastEpoch("worker-0")
+	if &got[0] != &payload[0] {
+		t.Fatal("the store copied the payload instead of retaining it")
+	}
+	// What went to disk is the v1 frame around those bytes.
+	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, n := SplitFrames(data)
+	if n != len(data) || uint64(len(recs)) != seq {
+		t.Fatalf("WAL: %d records in %d of %d bytes, want %d records, all valid", len(recs), n, len(data), seq)
+	}
+	if _, _, _, token, err := decodeEpoch(recs[0]); err != nil || !bytes.Equal(token, payload) {
+		t.Fatalf("first record does not decode to the payload: %v", err)
+	}
+}
+
+// TestReplayKeepsOnlyNewestRecord: reopening a WAL of many generations
+// holds one buffer per domain plus one in flight, not the file.
+func TestReplayKeepsOnlyNewestRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Config{Fsync: FsyncNone, CompactAfter: -1})
+	const gens, size = 64, 256 << 10
+	for seq := uint64(1); seq <= gens; seq++ {
+		p := bytes.Repeat([]byte{byte(seq)}, size)
+		if err := s.PersistEpoch("worker-0", seq, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2 := openT(t, dir, Config{})
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*size {
+		t.Fatalf("reopening a %d-generation WAL allocated %d KiB, want about two %d KiB buffers", gens, grew>>10, size>>10)
+	}
+	payload, seq, ok, _ := s2.LastEpoch("worker-0")
+	if !ok || seq != gens || !bytes.Equal(payload, bytes.Repeat([]byte{gens}, size)) {
+		t.Fatalf("reopen: seq=%d ok=%v, payload mismatch", seq, ok)
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,10 +87,22 @@ type Config struct {
 }
 
 // epochRec is the in-memory view of a domain's newest durable epoch.
+// token is shared, never copied: it is the slice PersistEpoch was handed
+// (or a view into buf), LastEpoch hands it out, and nobody writes to it.
 type epochRec struct {
 	seq   uint64
 	at    int64 // unix nanos, informational
 	token []byte
+	buf   []byte // replay buffer token points into; nil once this process persisted
+}
+
+// walFile is what the store needs of its WAL: *os.File in production, a
+// failing writer in tests.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // Store is the durable epoch store: an append-only WAL of checkpoint
@@ -98,9 +112,10 @@ type epochRec struct {
 type Store struct {
 	cfg Config
 
-	mu        sync.Mutex // guards wal, walSize, epochs, liveBytes, compaction
-	wal       *os.File
+	mu        sync.Mutex // guards wal, walSize, walErr, epochs, liveBytes, compaction
+	wal       walFile
 	walSize   int64
+	walErr    error // set once the WAL's tail is in an unknown state; every later append returns it
 	epochs    map[string]epochRec
 	liveBytes int64 // sum of current epoch token sizes across domains
 
@@ -176,7 +191,10 @@ func Open(cfg Config) (*Store, error) {
 		epochs: make(map[string]epochRec),
 		flows:  make(map[string]*FlowIndex),
 	}
-	if err := s.loadBase(); err != nil {
+	// The compacted image first. A torn base tail (possible only if a
+	// crash beat the rename barrier, which the write path prevents)
+	// degrades to the valid prefix.
+	if _, _, err := s.replayFile(filepath.Join(cfg.Dir, baseName)); err != nil {
 		return nil, err
 	}
 	if err := s.replayWAL(); err != nil {
@@ -190,50 +208,47 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// loadBase reads the compacted epoch image. A torn base tail (possible
-// only if a crash beat the rename barrier, which the write path
-// prevents) degrades to the valid prefix.
-func (s *Store) loadBase() error {
-	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, baseName))
+// replayFile streams the log at path, applying the longest valid prefix
+// of epoch records, and reports that prefix's length and the file's
+// size. A missing file is an empty log.
+func (s *Store) replayFile(path string) (valid, size int64, err error) {
+	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
+		return 0, 0, fmt.Errorf("statestore: %w", err)
 	}
-	recs, n := SplitFrames(data)
-	if n < len(data) {
-		s.tornRecords.Add(uint64(len(data) - n))
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("statestore: %w", err)
 	}
-	for _, rec := range recs {
-		s.applyEpochRecord(rec)
+	valid, err = scanFrames(f, st.Size(), s.applyEpochRecord)
+	if err != nil {
+		return 0, 0, fmt.Errorf("statestore: replay %s: %w", filepath.Base(path), err)
 	}
-	return nil
+	if valid < st.Size() {
+		s.tornRecords.Add(uint64(st.Size() - valid))
+	}
+	return valid, st.Size(), nil
 }
 
 // replayWAL applies the WAL's longest valid prefix and truncates the
 // file to it, so the next append never splices new frames onto a torn
-// tail.
+// tail. Only the newest record per domain stays in memory.
 func (s *Store) replayWAL() error {
 	path := filepath.Join(s.cfg.Dir, walName)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
+	valid, size, err := s.replayFile(path)
 	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
+		return err
 	}
-	recs, n := SplitFrames(data)
-	for _, rec := range recs {
-		s.applyEpochRecord(rec)
-	}
-	if n < len(data) {
-		s.tornRecords.Add(uint64(len(data) - n))
-		if err := os.Truncate(path, int64(n)); err != nil {
+	if valid < size {
+		if err := os.Truncate(path, valid); err != nil {
 			return fmt.Errorf("statestore: truncate torn tail: %w", err)
 		}
 	}
-	s.walSize = int64(n)
+	s.walSize = valid
 	s.liveBytes = 0
 	for _, rec := range s.epochs {
 		s.liveBytes += int64(len(rec.token))
@@ -241,21 +256,25 @@ func (s *Store) replayWAL() error {
 	return nil
 }
 
-// applyEpochRecord merges one decoded record into the epoch map; newer
-// sequence numbers win (replay order and seq order agree for a single
-// writer, but the base + WAL merge needs the comparison). Records that
-// frame-decode but fail epoch decoding are counted and skipped, never
-// fatal: one bad record must not cost the epochs around it.
-func (s *Store) applyEpochRecord(rec []byte) {
+// applyEpochRecord merges one replayed record into the epoch map,
+// keeping rec when it is the domain's newest; newer sequence numbers win
+// (replay order and seq order agree for a single writer, but the base +
+// WAL merge needs the comparison). Records that frame-decode but fail
+// epoch decoding are counted and skipped, never fatal: one bad record
+// must not cost the epochs around it. The return value is scanFrames'
+// spare buffer: rec when it was not kept, else the buffer it superseded.
+func (s *Store) applyEpochRecord(rec []byte) (spare []byte) {
 	name, seq, at, token, err := decodeEpoch(rec)
 	if err != nil {
 		s.badEpochs.Add(1)
-		return
+		return rec
 	}
-	if cur, ok := s.epochs[name]; ok && cur.seq >= seq {
-		return
+	cur, ok := s.epochs[name]
+	if ok && cur.seq >= seq {
+		return rec
 	}
-	s.epochs[name] = epochRec{seq: seq, at: at, token: token}
+	s.epochs[name] = epochRec{seq: seq, at: at, token: token, buf: rec}
+	return cur.buf
 }
 
 // compactThresholdLocked resolves the effective WAL compaction threshold
@@ -283,18 +302,28 @@ func (s *Store) compactThresholdLocked() int64 {
 //	u32 token length, token bytes
 const epochVersion = 1
 
-func encodeEpoch(name string, seq uint64, at int64, token []byte) []byte {
-	buf := make([]byte, 0, 1+2+len(name)+8+8+4+len(token))
-	buf = append(buf, epochVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(at))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(token)))
-	buf = append(buf, token...)
-	return buf
+// epochFrameHeader returns the bytes that precede token in its frame:
+// the frame header (length and CRC-32C of record header + token, the CRC
+// fed incrementally so the two are never joined) and the record header.
+func epochFrameHeader(name string, seq uint64, at int64, token []byte) ([]byte, error) {
+	recLen := 1 + 2 + len(name) + 8 + 8 + 4 + len(token)
+	if len(name) > 0xffff || recLen > MaxFrame {
+		return nil, fmt.Errorf("statestore: epoch of %q (%d-byte token) does not fit a frame", name, len(token))
+	}
+	hdr := make([]byte, frameHeaderSize, frameHeaderSize+recLen-len(token))
+	hdr = append(hdr, epochVersion)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
+	hdr = append(hdr, name...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, seq)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(at))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(token)))
+	binary.LittleEndian.PutUint32(hdr, uint32(recLen))
+	sum := crc32.Update(crc32.Checksum(hdr[frameHeaderSize:], castagnoli), castagnoli, token)
+	binary.LittleEndian.PutUint32(hdr[4:], sum)
+	return hdr, nil
 }
 
+// decodeEpoch parses one epoch record; token is a subslice of rec.
 func decodeEpoch(rec []byte) (name string, seq uint64, at int64, token []byte, err error) {
 	bad := func(what string) (string, uint64, int64, []byte, error) {
 		return "", 0, 0, nil, fmt.Errorf("statestore: bad epoch record: %s", what)
@@ -320,7 +349,7 @@ func decodeEpoch(rec []byte) (name string, seq uint64, at int64, token []byte, e
 	if len(rec) != tokenLen {
 		return bad("token length")
 	}
-	token = append([]byte(nil), rec...)
+	token = rec
 	if name == "" {
 		return bad("empty name")
 	}
@@ -330,30 +359,34 @@ func decodeEpoch(rec []byte) (name string, seq uint64, at int64, token []byte, e
 // PersistEpoch appends one checkpoint epoch for the named domain and
 // makes it durable per the fsync mode. seq must be monotonic per name
 // (the domain runtime's epoch sequence); at is stamped by the store.
-// This is the domain.Persister contract.
+// This is the domain.Persister contract, ownership rule included: the
+// frame is written around payload without copying it, and the store
+// keeps payload itself as the domain's newest epoch, so the caller must
+// never write to it again.
 func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	at := time.Now().UnixNano()
-	rec := encodeEpoch(name, seq, at, payload)
-	frame := AppendFrame(make([]byte, 0, frameHeaderSize+len(rec)), rec)
+	hdr, err := epochFrameHeader(name, seq, at, payload)
+	if err != nil {
+		return err
+	}
 
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	if _, err := s.wal.Write(frame); err != nil {
+	if err := s.appendLocked(hdr, payload); err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("statestore: append epoch: %w", err)
+		return err
 	}
-	s.walSize += int64(len(frame))
 	if cur, ok := s.epochs[name]; ok {
 		s.liveBytes -= int64(len(cur.token))
 	}
 	s.liveBytes += int64(len(payload))
-	s.epochs[name] = epochRec{seq: seq, at: at, token: append([]byte(nil), payload...)}
+	s.epochs[name] = epochRec{seq: seq, at: at, token: payload}
 	myRec := s.appended.Add(1)
 	s.persisted.Add(1)
 	s.persistBytes.Add(uint64(len(payload)))
@@ -382,6 +415,29 @@ func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 		return s.syncTo(myRec)
 	}
 	return nil
+}
+
+// appendLocked writes one frame to the WAL. A failed or short write may
+// leave part of the frame on disk, where the next append would land
+// behind it and longest-valid-prefix replay could never reach it: the
+// WAL is cut back to its last good length before the lock is released,
+// and if that fails too the store stops appending for good. Caller holds
+// s.mu.
+func (s *Store) appendLocked(hdr, payload []byte) error {
+	if s.walErr != nil {
+		return s.walErr
+	}
+	err := writeFrame(s.wal, hdr, payload)
+	if err == nil {
+		s.walSize += int64(len(hdr) + len(payload))
+		return nil
+	}
+	err = fmt.Errorf("statestore: append epoch: %w", err)
+	if terr := s.wal.Truncate(s.walSize); terr != nil {
+		s.walErr = fmt.Errorf("statestore: wal unusable: %w; cutting the partial frame failed: %v", err, terr)
+		return s.walErr
+	}
+	return err
 }
 
 // syncTo ensures every record up to and including rec is flushed: the
@@ -416,8 +472,9 @@ func (s *Store) advanceSynced(to uint64) {
 }
 
 // LastEpoch returns the newest durable epoch for the named domain: the
-// token payload (a copy), its sequence number, and whether one exists.
-// This is the domain.Persister contract.
+// token payload, its sequence number, and whether one exists. The
+// payload is the store's own slice, shared and read-only. This is the
+// domain.Persister contract.
 func (s *Store) LastEpoch(name string) ([]byte, uint64, bool, error) {
 	if s.closed.Load() {
 		return nil, 0, false, ErrClosed
@@ -428,7 +485,7 @@ func (s *Store) LastEpoch(name string) ([]byte, uint64, bool, error) {
 	if !ok {
 		return nil, 0, false, nil
 	}
-	return append([]byte(nil), rec.token...), rec.seq, true, nil
+	return rec.token, rec.seq, true, nil
 }
 
 // EpochCount reports how many domains have a durable epoch.
@@ -470,13 +527,22 @@ func (s *Store) compactLocked() error {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	var buf []byte
-	for _, name := range names {
-		rec := s.epochs[name]
-		buf = AppendFrame(buf, encodeEpoch(name, rec.seq, rec.at, rec.token))
-	}
 	base := filepath.Join(s.cfg.Dir, baseName)
-	if err := atomicWriteFile(base, buf, s.cfg.Fsync != FsyncNone); err != nil {
+	err := atomicWriteFile(base, func(w io.Writer) error {
+		// One frame at a time, each token written from where it lives.
+		for _, name := range names {
+			rec := s.epochs[name]
+			hdr, err := epochFrameHeader(name, rec.seq, rec.at, rec.token)
+			if err == nil {
+				err = writeFrame(w, hdr, rec.token)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}, s.cfg.Fsync != FsyncNone)
+	if err != nil {
 		return fmt.Errorf("statestore: compact: %w", err)
 	}
 	if err := s.wal.Truncate(0); err != nil {
@@ -489,10 +555,10 @@ func (s *Store) compactLocked() error {
 	return nil
 }
 
-// atomicWriteFile writes data to path through a temp file + rename, with
-// file and directory fsyncs when sync is true — the standard torn-write
-// barrier.
-func atomicWriteFile(path string, data []byte, sync bool) error {
+// atomicWriteFile fills path through a temp file + rename, with file and
+// directory fsyncs when sync is true — the standard torn-write barrier.
+// write produces the contents.
+func atomicWriteFile(path string, write func(w io.Writer) error, sync bool) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -500,7 +566,7 @@ func atomicWriteFile(path string, data []byte, sync bool) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after the rename succeeds
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

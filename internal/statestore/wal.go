@@ -19,8 +19,11 @@
 package statestore
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"io"
 )
 
 // frameHeaderSize is the fixed per-record overhead: u32 length, u32 CRC.
@@ -42,11 +45,67 @@ func AppendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// writeFrame writes one frame whose bytes are split in two — everything
+// up to the bulk of the payload, then the bulk itself, uncopied — as two
+// writes. (io.Writer reports a short write as an error.)
+func writeFrame(w io.Writer, hdr, bulk []byte) error {
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	_, err := w.Write(bulk)
+	return err
+}
+
+// scanFrames is SplitFrames over a stream: it reads the log of size
+// bytes from r and hands fn every complete, CRC-clean record of the
+// longest valid prefix, in order, returning that prefix's length. Memory
+// stays bounded by the records fn keeps: fn owns rec and returns a
+// buffer the scanner may overwrite for the next record — rec itself when
+// it kept nothing, a buffer it no longer needs, or nil. A length prefix
+// is checked against the bytes left in the log before it sizes anything.
+func scanFrames(r io.Reader, size int64, fn func(rec []byte) (spare []byte)) (valid int64, err error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var hdr [frameHeaderSize]byte
+	var buf []byte
+	for {
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return valid, tornOrErr(err)
+		}
+		length := binary.LittleEndian.Uint32(hdr[:])
+		if length > MaxFrame || int64(length) > size-valid-frameHeaderSize {
+			return valid, nil
+		}
+		if cap(buf) < int(length) {
+			buf = make([]byte, length)
+		}
+		buf = buf[:length]
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return valid, tornOrErr(err)
+		}
+		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return valid, nil
+		}
+		valid += frameHeaderSize + int64(length)
+		buf = fn(buf)
+	}
+}
+
+// tornOrErr maps running out of bytes mid-frame to "the prefix ends
+// here" and passes real I/O errors through.
+func tornOrErr(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
+}
+
 // SplitFrames decodes the longest valid prefix of a log: every complete,
 // CRC-clean record in order, and n, the byte length of that prefix.
 // data[n:] is the torn tail (truncated header, short payload, oversized
 // length, or CRC mismatch) and is never partially decoded. The returned
-// payloads are subslices of data, not copies.
+// payloads are subslices of data, not copies. This is the in-memory
+// reference scanFrames is tested against, and what the (small) spill
+// logs replay through.
 func SplitFrames(data []byte) (recs [][]byte, n int) {
 	for {
 		rest := data[n:]

@@ -103,3 +103,13 @@ func TestSplitFramesOversizedLength(t *testing.T) {
 		t.Fatalf("oversized length: %d records, prefix %d; want 0, 0", len(recs), n)
 	}
 }
+
+// encodeEpoch joins the record PersistEpoch writes in two pieces, for
+// tests that build logs by hand.
+func encodeEpoch(name string, seq uint64, at int64, token []byte) []byte {
+	hdr, err := epochFrameHeader(name, seq, at, token)
+	if err != nil {
+		panic(err)
+	}
+	return append(hdr[frameHeaderSize:], token...)
+}
