@@ -5,10 +5,11 @@ GO ?= go
 # caches under them, the linear-ownership cells that make it safe, the
 # telemetry core every one of them records into, both port
 # implementations (the simulated NIC's steered distributor and the
-# socket-backed port's receive loop), and the NF states whose capture
-# runs beside their packet path (and, for the firewall, beside other
-# workers' captures of one shared rule DB).
-RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/linear ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
+# socket-backed port's receive loop) with the mbuf slab layout both are
+# built on, and the NF states whose capture runs beside their packet
+# path (and, for the firewall, beside other workers' captures of one
+# shared rule DB).
+RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/packet ./internal/linear ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
 
 # Per-benchmark time for the JSON bench run; raise for stabler numbers.
 BENCHTIME ?= 0.5s
@@ -38,12 +39,12 @@ STATESTORE_OVERHEAD_MAX ?= 2.0
 PIPELINE_ALLOCS_MAX ?= 4000
 PIPELINE_EPOCH_ALLOCS_MAX ?= 1275
 
-.PHONY: check build test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate
+.PHONY: check build cross test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate
 
-## check: the PR gate — vet, build, full tests, race tier, e2e tier,
-## kill -9 recovery tier, atomics guard, zero-allocation gate, and the
-## benchmark module's own vet + smoke test.
-check: vet build test race test-e2e test-recovery guard-atomics alloc-gate test-bench
+## check: the PR gate — vet, build, cross-build, full tests, race tier,
+## e2e tier, kill -9 recovery tier, atomics guard, zero-allocation gate,
+## and the benchmark module's own vet + smoke test.
+check: vet build cross test race test-e2e test-recovery guard-atomics alloc-gate test-bench
 
 ## guard-atomics: hot-path counters must be typed atomic cells
 ## (atomic.Uint64 / telemetry.Counter), never raw integers passed to the
@@ -67,7 +68,11 @@ guard-atomics:
 ## per-packet allocation regression (168k allocs/op before the fix,
 ## ~800 after — all cold start). benchgate echoes stdin unchanged but a
 ## mid-pipe failure would be masked without pipefail, so the output is
-## captured once and each gate reads the file.
+## captured once and each gate reads the file. The last gate holds the
+## socket datapath to the same standard: the loopback bench (pktgen,
+## recvmmsg, rings, idle polls, pipeline, sendmmsg accounting) must round
+## to 0 allocs per packet — it read 1 while every idle poll made a timer
+## and every batched syscall a closure.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='TraceRecordPath' -benchmem -benchtime=10000x ./internal/telemetry/trace \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTraceRecordPathUntraced -metric allocs/op -max 0
@@ -79,12 +84,20 @@ alloc-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkCheckpointedPipeline/epoch=10ms -metric allocs/op -max $(PIPELINE_EPOCH_ALLOCS_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkCheckpointedPipeline/epoch=100ms -metric allocs/op -max $(PIPELINE_ALLOCS_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkSupervisedPipeline/steady -metric allocs/op -max $(PIPELINE_ALLOCS_MAX) < $$out > /dev/null
+	$(GO) test -run='^$$' -bench='NetportLoopback$$' -benchmem -benchtime=1s ./internal/netport \
+		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0
 
 vet:
 	$(GO) vet ./...
 
 build:
 	$(GO) build ./...
+
+## cross: netport splits on the platform — recvmmsg/sendmmsg on Linux,
+## a one-datagram fallback elsewhere. Building for a target that is not
+## Linux keeps the fallback side compiling.
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

@@ -240,7 +240,7 @@ func TestDomainCheckpointOffIgnoresState(t *testing.T) {
 // (the previous good epoch still restores), and no payload leaks — the
 // pool balances at test end.
 func TestDomainCrashMidCheckpoint(t *testing.T) {
-	pool := mempool.NewPool(16, func() *int { return new(int) })
+	pool := mempool.NewSlabPool(make([]int, 16))
 	leakcheck.Pool(t, "payloads", pool.Available)
 
 	sup := NewSupervisor(ckptPolicy(2 * time.Millisecond))

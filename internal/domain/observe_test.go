@@ -29,7 +29,7 @@ import (
 //     that argument — the ring slot type cannot hold a pointer — is
 //     leakcheck.NoPointers in package telemetry's tests.
 func TestFlightRecorderChaos(t *testing.T) {
-	pool := mempool.NewPool(512, func() *[64]byte { return new([64]byte) })
+	pool := mempool.NewSlabPool(make([][64]byte, 512))
 	leakcheck.Pool(t, "chaos payloads", pool.Available)
 
 	reg := telemetry.NewRegistry()

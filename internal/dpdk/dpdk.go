@@ -181,9 +181,8 @@ func NewPort(cfg Config) *Port {
 		gen:    cfg.Gen,
 		rssKey: packet.DefaultRSSKey,
 		reta:   packet.NewRETA(cfg.RxQueues, 0),
-		pool: mempool.NewPool(cfg.PoolSize, func() *packet.Packet {
-			return &packet.Packet{Data: make([]byte, 0, MbufSize)}
-		}),
+		// One header slab over one data slab (the layout netport uses).
+		pool: mempool.NewSlabPool(packet.NewSlab(make([]byte, cfg.PoolSize*MbufSize), MbufSize)),
 	}
 	p.steered = cfg.RxQueues > 1 && cfg.QueueGen == nil
 	for q := 0; q < cfg.RxQueues; q++ {

@@ -149,3 +149,16 @@ func BenchmarkRxTxBurst32(b *testing.B) {
 		p.TxBurst(batch[:n])
 	}
 }
+
+// TestNewPortAllocsIgnorePoolSize: the mbuf pool is one header slab and
+// one data slab, so what a port costs to build does not grow with its
+// PoolSize (it was two allocations per mbuf). The slack of a few covers
+// size-class effects such as the race detector's shadow bookkeeping.
+func TestNewPortAllocsIgnorePoolSize(t *testing.T) {
+	allocs := func(pool int) float64 {
+		return testing.AllocsPerRun(5, func() { NewPort(Config{PoolSize: pool}) })
+	}
+	if small, large := allocs(64), allocs(4096); large > small+4 {
+		t.Fatalf("NewPort allocations grow with the pool: %v at 64 mbufs, %v at 4096", small, large)
+	}
+}

@@ -6,8 +6,7 @@ import (
 )
 
 func TestCacheGetPutRoundTrip(t *testing.T) {
-	next := 0
-	pool := NewPool(64, func() *int { v := next; next++; return &v })
+	pool := NewSlabPool(make([]int, 64))
 	c := NewCache(pool, 8)
 	objs := make([]*int, 0, 64)
 	for i := 0; i < 64; i++ {
@@ -30,7 +29,7 @@ func TestCacheGetPutRoundTrip(t *testing.T) {
 }
 
 func TestCacheAmortizesPoolTraffic(t *testing.T) {
-	pool := NewPool(1024, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 1024))
 	c := NewCache(pool, 64)
 	// A steady get/put workload should touch the shared pool far less
 	// often than once per operation.
@@ -53,7 +52,7 @@ func TestCacheAmortizesPoolTraffic(t *testing.T) {
 }
 
 func TestCacheSpillsWhenOverfull(t *testing.T) {
-	pool := NewPool(64, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 64))
 	c := NewCache(pool, 4)
 	// Drain the pool through the cache, then return everything: the cache
 	// must spill the excess rather than grow without bound.
@@ -81,7 +80,7 @@ func TestCacheSpillsWhenOverfull(t *testing.T) {
 }
 
 func TestCacheSizeClampedToPool(t *testing.T) {
-	pool := NewPool(4, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 4))
 	c := NewCache(pool, 1024)
 	if c.Size() > 4 {
 		t.Fatalf("cache size %d exceeds pool capacity", c.Size())
@@ -92,7 +91,7 @@ func TestCacheSizeClampedToPool(t *testing.T) {
 }
 
 func TestCachePutNilPanics(t *testing.T) {
-	pool := NewPool(4, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 4))
 	c := NewCache(pool, 4)
 	defer func() {
 		if recover() == nil {
@@ -104,7 +103,7 @@ func TestCachePutNilPanics(t *testing.T) {
 
 // TestPoolBurstOps checks GetBurst/PutBurst semantics directly.
 func TestPoolBurstOps(t *testing.T) {
-	pool := NewPool(8, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 8))
 	out := make([]*int, 6)
 	if n := pool.GetBurst(out); n != 6 {
 		t.Fatalf("GetBurst = %d, want 6", n)
@@ -129,7 +128,7 @@ func TestPoolBurstOps(t *testing.T) {
 }
 
 func TestPoolPutBurstOverflowPanics(t *testing.T) {
-	pool := NewPool(2, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 2))
 	extra := []*int{new(int), new(int), new(int)}
 	defer func() {
 		if recover() == nil {
@@ -148,7 +147,7 @@ func TestConcurrentCachesOverSharedPool(t *testing.T) {
 		workers = 8
 		iters   = 5000
 	)
-	pool := NewPool(workers*64, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, workers*64))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -180,7 +179,7 @@ func TestConcurrentCachesOverSharedPool(t *testing.T) {
 // TestConcurrentPoolGetPutBurst races burst and single ops against each
 // other on the shared pool.
 func TestConcurrentPoolGetPutBurst(t *testing.T) {
-	pool := NewPool(256, func() *int { return new(int) })
+	pool := NewSlabPool(make([]int, 256))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

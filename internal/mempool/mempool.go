@@ -25,25 +25,29 @@ var (
 // Pool is a fixed-capacity free list of preallocated objects. Get/Put are
 // safe for concurrent use.
 type Pool[T any] struct {
-	mu    sync.Mutex
-	free  []*T
-	alloc func() *T
-	cap   int
+	mu   sync.Mutex
+	free []*T
+	cap  int
+	min  int // fewest objects ever free at once (low-water mark)
 
 	gets   telemetry.Counter
 	puts   telemetry.Counter
 	misses telemetry.Counter
 }
 
-// NewPool preallocates capacity objects using alloc.
-func NewPool[T any](capacity int, alloc func() *T) *Pool[T] {
-	if capacity <= 0 {
+// NewSlabPool builds a pool over the elements of slab: the free list
+// points into the caller's one contiguous allocation — DPDK's layout,
+// where a mempool is carved from a single memzone. The pool hands objects out from the end of the
+// slab first and reuses the most recently freed, so the objects a
+// workload ever touches are the top Capacity() - MinAvailable() of it.
+func NewSlabPool[T any](slab []T) *Pool[T] {
+	if len(slab) == 0 {
 		panic("mempool: capacity must be positive")
 	}
-	p := &Pool[T]{alloc: alloc, cap: capacity}
-	p.free = make([]*T, 0, capacity)
-	for i := 0; i < capacity; i++ {
-		p.free = append(p.free, alloc())
+	p := &Pool[T]{cap: len(slab), min: len(slab)}
+	p.free = make([]*T, len(slab))
+	for i := range slab {
+		p.free[i] = &slab[i]
 	}
 	return p
 }
@@ -62,6 +66,7 @@ func (p *Pool[T]) Get() (*T, error) {
 	obj := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
+	p.min = min(p.min, n-1)
 	p.mu.Unlock()
 	p.gets.Add(1)
 	return obj, nil
@@ -99,6 +104,7 @@ func (p *Pool[T]) GetBurst(out []*T) int {
 		p.free[split+i] = nil
 	}
 	p.free = p.free[:split]
+	p.min = min(p.min, split)
 	p.mu.Unlock()
 	p.gets.Add(uint64(n))
 	if n < len(out) {
@@ -136,6 +142,16 @@ func (p *Pool[T]) Available() int {
 	return len(p.free)
 }
 
+// MinAvailable reports the pool's low-water mark: the fewest objects
+// that were ever free at once. Capacity() - MinAvailable() is the most
+// the pool's users ever held at one time — and, because the free list is
+// a stack, the number of distinct objects ever handed out.
+func (p *Pool[T]) MinAvailable() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.min
+}
+
 // Capacity reports the pool's fixed capacity.
 func (p *Pool[T]) Capacity() int { return p.cap }
 
@@ -146,13 +162,15 @@ func (p *Pool[T]) Stats() (gets, puts, misses uint64) {
 
 // RegisterMetrics exports the pool's counters and occupancy on reg
 // under the given labels: pool_{gets,puts,misses}_total counters plus
-// pool_available/pool_capacity gauges. The occupancy gauge takes the
-// pool lock at scrape time only; the hot path is untouched.
+// pool_available/pool_min_available/pool_capacity gauges. The occupancy
+// gauges take the pool lock at scrape time only; the hot path pays one
+// compare under the lock it already holds.
 func (p *Pool[T]) RegisterMetrics(reg *telemetry.Registry, labels telemetry.Labels) {
 	reg.RegisterCounter("pool_gets_total", labels, &p.gets)
 	reg.RegisterCounter("pool_puts_total", labels, &p.puts)
 	reg.RegisterCounter("pool_misses_total", labels, &p.misses)
 	reg.RegisterGaugeFunc("pool_available", labels, func() float64 { return float64(p.Available()) })
+	reg.RegisterGaugeFunc("pool_min_available", labels, func() float64 { return float64(p.MinAvailable()) })
 	reg.RegisterGaugeFunc("pool_capacity", labels, func() float64 { return float64(p.Capacity()) })
 }
 

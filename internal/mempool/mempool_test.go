@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/telemetry"
 )
 
 func TestPoolGetPut(t *testing.T) {
-	p := NewPool(4, func() *int { v := 0; return &v })
+	p := NewSlabPool(make([]int, 4))
 	if p.Available() != 4 || p.Capacity() != 4 {
 		t.Fatalf("avail=%d cap=%d", p.Available(), p.Capacity())
 	}
@@ -36,7 +38,7 @@ func TestPoolGetPut(t *testing.T) {
 }
 
 func TestPoolPutBeyondCapacityPanics(t *testing.T) {
-	p := NewPool(1, func() *int { v := 0; return &v })
+	p := NewSlabPool(make([]int, 1))
 	extra := new(int)
 	defer func() {
 		if recover() == nil {
@@ -47,7 +49,7 @@ func TestPoolPutBeyondCapacityPanics(t *testing.T) {
 }
 
 func TestPoolPutNilPanics(t *testing.T) {
-	p := NewPool(1, func() *int { v := 0; return &v })
+	p := NewSlabPool(make([]int, 1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Put(nil) did not panic")
@@ -57,7 +59,7 @@ func TestPoolPutNilPanics(t *testing.T) {
 }
 
 func TestPoolConcurrent(t *testing.T) {
-	p := NewPool(64, func() *int { v := 0; return &v })
+	p := NewSlabPool(make([]int, 64))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -200,7 +202,7 @@ func TestQuickRingBurstConsistency(t *testing.T) {
 }
 
 func BenchmarkPoolGetPut(b *testing.B) {
-	p := NewPool(1024, func() *int { v := 0; return &v })
+	p := NewSlabPool(make([]int, 1024))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o, _ := p.Get()
@@ -214,5 +216,75 @@ func BenchmarkRingEnqueueDequeue(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = r.Enqueue(i)
 		_, _ = r.Dequeue()
+	}
+}
+
+// TestSlabPool: a pool over a slab hands out pointers into the caller's
+// one allocation — each element exactly once, from the top down — and
+// never grows past it.
+func TestSlabPool(t *testing.T) {
+	slab := make([]int, 8)
+	p := NewSlabPool(slab)
+	if p.Available() != 8 || p.Capacity() != 8 || p.MinAvailable() != 8 {
+		t.Fatalf("avail=%d cap=%d min=%d, want 8/8/8", p.Available(), p.Capacity(), p.MinAvailable())
+	}
+	first, err := p.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != &slab[7] {
+		t.Fatal("first Get did not come from the top of the slab")
+	}
+	rest := make([]*int, 8)
+	if n := p.GetBurst(rest); n != 7 {
+		t.Fatalf("GetBurst = %d, want the 7 remaining", n)
+	}
+	seen := map[*int]bool{first: true}
+	for _, o := range rest[:7] {
+		if seen[o] {
+			t.Fatal("slab element handed out twice")
+		}
+		seen[o] = true
+	}
+	for i := range slab {
+		if !seen[&slab[i]] {
+			t.Fatalf("slab element %d never handed out", i)
+		}
+	}
+	p.PutBurst(rest[:7])
+	p.Put(first)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("over-Put did not panic")
+		}
+	}()
+	p.Put(new(int))
+}
+
+// TestPoolMinAvailable: the low-water mark follows the deepest draw by
+// Get or GetBurst and never recovers when objects come back.
+func TestPoolMinAvailable(t *testing.T) {
+	p := NewSlabPool(make([]int, 16))
+	a, _ := p.Get()
+	b, _ := p.Get()
+	if got := p.MinAvailable(); got != 14 {
+		t.Fatalf("min after two Gets = %d, want 14", got)
+	}
+	p.Put(a)
+	p.Put(b)
+	burst := make([]*int, 5)
+	p.GetBurst(burst)
+	if got := p.MinAvailable(); got != 11 {
+		t.Fatalf("min after a 5-burst = %d, want 11", got)
+	}
+	p.PutBurst(burst)
+	if avail, low := p.Available(), p.MinAvailable(); avail != 16 || low != 11 {
+		t.Fatalf("after everything returned: avail=%d min=%d, want 16 and 11", avail, low)
+	}
+
+	reg := telemetry.NewRegistry()
+	p.RegisterMetrics(reg, nil)
+	if got := reg.Snapshot()["pool_min_available"]; got != float64(11) {
+		t.Fatalf("pool_min_available = %v, want 11", got)
 	}
 }

@@ -49,17 +49,31 @@ type mmsghdr struct {
 // transmits through this conn (one socket serves all queues in
 // distributor mode) and is guarded by txMu — the kernel would serialize
 // concurrent sendmmsg on one socket anyway.
+//
+// The callbacks RawConn.Read/Write run are built once, at construction:
+// a closure written inline escapes through the RawConn interface and
+// costs a heap allocation per call. What a call would have captured —
+// the burst length in, the count and errno out — travels in the rx*/tx*
+// fields instead, under the same ownership as the staging arrays.
 type linuxConn struct {
 	rc syscall.RawConn
 
-	rxHdrs []mmsghdr
-	rxIovs []syscall.Iovec
+	rxHdrs  []mmsghdr
+	rxIovs  []syscall.Iovec
+	rxVlen  int
+	rxN     int
+	rxErrno syscall.Errno
+	rxFn    func(fd uintptr) bool
 
-	txMu   sync.Mutex
-	txHdrs []mmsghdr
-	txIovs []syscall.Iovec
-	txSa4  syscall.RawSockaddrInet4
-	txSa6  syscall.RawSockaddrInet6
+	txMu    sync.Mutex
+	txHdrs  []mmsghdr
+	txIovs  []syscall.Iovec
+	txVlen  int
+	txN     int
+	txErrno syscall.Errno
+	txFn    func(fd uintptr) bool
+	txSa4   syscall.RawSockaddrInet4
+	txSa6   syscall.RawSockaddrInet6
 }
 
 // maxBatch bounds one syscall's burst; recvmmsg's vlen is capped at
@@ -72,7 +86,33 @@ func newBatchConn(c *net.UDPConn) (batchConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &linuxConn{rc: rc}, nil
+	lc := &linuxConn{rc: rc}
+	lc.rxFn, lc.txFn = lc.recvmmsg, lc.sendmmsg
+	return lc, nil
+}
+
+// recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg over
+// rxHdrs[:rxVlen], result in rxN/rxErrno.
+func (lc *linuxConn) recvmmsg(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&lc.rxHdrs[0])), uintptr(lc.rxVlen), msgDontwait, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // park on the netpoller until readable
+	}
+	lc.rxN, lc.rxErrno = int(r), e
+	return true
+}
+
+// sendmmsg is the RawConn.Write callback (txMu held by WriteBatch): one
+// non-blocking sendmmsg over txHdrs[:txVlen], result in txN/txErrno.
+func (lc *linuxConn) sendmmsg(fd uintptr) bool {
+	r, _, e := syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&lc.txHdrs[0])), uintptr(lc.txVlen), msgDontwait, 0, 0)
+	if e == syscall.EAGAIN {
+		return false // park until writable, then retry
+	}
+	lc.txN, lc.txErrno = int(r), e
+	return true
 }
 
 func (lc *linuxConn) BatchCap() int { return maxBatch }
@@ -94,27 +134,17 @@ func (lc *linuxConn) ReadBatch(bufs [][]byte, lens []int) (int, error) {
 		hdrs[i].hdr.Iov = &iovs[i]
 		hdrs[i].hdr.Iovlen = 1
 	}
-	var n int
-	var errno syscall.Errno
-	err := lc.rc.Read(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&hdrs[0])), uintptr(vlen), msgDontwait, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park on the netpoller until readable
-		}
-		n, errno = int(r), e
-		return true
-	})
-	if err != nil {
+	lc.rxVlen = vlen
+	if err := lc.rc.Read(lc.rxFn); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if lc.rxErrno != 0 {
+		return 0, lc.rxErrno
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < lc.rxN; i++ {
 		lens[i] = int(hdrs[i].ln)
 	}
-	return n, nil
+	return lc.rxN, nil
 }
 
 func (lc *linuxConn) WriteBatch(payloads [][]byte, dst *net.UDPAddr) (int, error) {
@@ -143,24 +173,14 @@ func (lc *linuxConn) WriteBatch(payloads [][]byte, dst *net.UDPAddr) (int, error
 		hdrs[i].hdr.Name = name
 		hdrs[i].hdr.Namelen = namelen
 	}
-	var n int
-	var errno syscall.Errno
-	err := lc.rc.Write(func(fd uintptr) bool {
-		r, _, e := syscall.Syscall6(sysSendmmsg, fd,
-			uintptr(unsafe.Pointer(&hdrs[0])), uintptr(vlen), msgDontwait, 0, 0)
-		if e == syscall.EAGAIN {
-			return false // park until writable, then retry
-		}
-		n, errno = int(r), e
-		return true
-	})
-	if err != nil {
+	lc.txVlen = vlen
+	if err := lc.rc.Write(lc.txFn); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if lc.txErrno != 0 {
+		return 0, lc.txErrno
 	}
-	return n, nil
+	return lc.txN, nil
 }
 
 // sockaddr encodes dst into the conn's raw sockaddr scratch (txMu held).

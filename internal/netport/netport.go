@@ -53,6 +53,11 @@
 // holds whenever the receive loops are quiescent — every datagram read
 // off a socket is either delivered to a ring or counted under exactly
 // one cause — which the end-to-end overload test asserts.
+//
+// Memory is DPDK's layout: a port's packet data is one slab, its mbuf
+// headers are another, and the mempool is a free list over the headers —
+// two allocations however large the pool, and pages of the data slab
+// that traffic never reaches are never made resident.
 package netport
 
 import (
@@ -194,6 +199,11 @@ type Config struct {
 type rxQueue struct {
 	ring  *mempool.Ring[*packet.Packet]
 	ready chan struct{}
+	// idle is the one timer every idle poll of this queue reuses, made
+	// on the first. It belongs to the worker that owns the queue (the
+	// same contract as txbuf) and is stopped with its channel empty
+	// whenever RxBurstQueue is not waiting on it.
+	idle  *time.Timer
 	bp    atomic.Bool     // above high watermark (hysteresis state)
 	gauge telemetry.Gauge // 0/1 mirror of bp for the registry
 
@@ -226,6 +236,8 @@ type rxLoop struct {
 	// held counts mbufs checked out by this loop — the staged burst
 	// parked across the blocking batch read. PoolAvailable adds it back
 	// so leak baselines are exact whenever the loop is between batches.
+	// It moves with the cache under mu; only the hand-off to a ring
+	// decrements it outside.
 	held atomic.Int64
 
 	// Staging for one batch read: pkts[i] is the mbuf behind bufs[i]
@@ -395,9 +407,7 @@ func newPort(cfg Config) (*Port, error) {
 		batch:    cfg.BatchSize,
 		rec:      cfg.Recorder,
 		tracer:   cfg.Tracer,
-		pool: mempool.NewPool(cfg.PoolSize, func() *packet.Packet {
-			return &packet.Packet{Data: make([]byte, 0, MbufSize)}
-		}),
+		pool:     mempool.NewSlabPool(packet.NewSlab(make([]byte, cfg.PoolSize*MbufSize), MbufSize)),
 	}
 	p.cacheSize = cfg.CacheSize
 	for q := 0; q < cfg.Queues; q++ {
@@ -480,8 +490,8 @@ func (l *rxLoop) stage(want int) int {
 		l.pkts[staged] = pkt
 		staged++
 	}
-	l.mu.Unlock()
 	l.held.Add(int64(staged))
+	l.mu.Unlock()
 	for i := 0; i < want; i++ {
 		if i < staged {
 			l.bufs[i] = l.pkts[i].Data[:MbufSize]
@@ -496,8 +506,8 @@ func (l *rxLoop) stage(want int) int {
 func (l *rxLoop) put(pkt *packet.Packet) {
 	l.mu.Lock()
 	l.cache.Put(pkt)
-	l.mu.Unlock()
 	l.held.Add(-1)
+	l.mu.Unlock()
 }
 
 // putRange recycles the staged-but-unused mbufs pkts[from:to].
@@ -509,8 +519,8 @@ func (l *rxLoop) putRange(from, to int) {
 	for i := from; i < to; i++ {
 		l.cache.Put(l.pkts[i])
 	}
-	l.mu.Unlock()
 	l.held.Add(int64(from - to))
+	l.mu.Unlock()
 }
 
 // runLoop is one receive loop: stage a burst of mbufs, let the kernel
@@ -619,12 +629,7 @@ func (p *Port) RxBurstQueue(q int, out []*packet.Packet) int {
 	rq := p.queue(q)
 	n := rq.ring.DequeueBurst(out)
 	if n == 0 && !p.closed.Load() {
-		t := time.NewTimer(p.pollWait)
-		select {
-		case <-rq.ready:
-			t.Stop()
-		case <-t.C:
-		}
+		rq.wait(p.pollWait)
 		n = rq.ring.DequeueBurst(out)
 	}
 	if n > 0 && rq.bp.Load() && rq.ring.Len() <= p.low && rq.bp.CompareAndSwap(true, false) {
@@ -632,6 +637,32 @@ func (p *Port) RxBurstQueue(q int, out []*packet.Packet) int {
 		p.Stats.Backpressure.Add(-1)
 	}
 	return n
+}
+
+// wait blocks until the receive loop signals ready or d passes, on the
+// queue's one reused timer: an idle poll allocates nothing. The timer is
+// handed back stopped with its channel empty. When ready wins but Stop
+// reports the timer already fired, the tick is received here — it is in
+// the channel or on its way — because left behind it would end the next
+// idle poll at once. That is the pre-Go-1.23 contract, the one a go.mod
+// below 1.23 selects; under the 1.23 semantics Stop discards the unread
+// tick itself and returns true, so the receive is never reached and
+// cannot block.
+func (rq *rxQueue) wait(d time.Duration) {
+	t := rq.idle
+	if t == nil {
+		t = time.NewTimer(d)
+		rq.idle = t
+	} else {
+		t.Reset(d)
+	}
+	select {
+	case <-rq.ready:
+		if !t.Stop() {
+			<-t.C
+		}
+	case <-t.C:
+	}
 }
 
 // RxBurst polls queue 0 (single-queue convenience, mirroring dpdk.Port).
@@ -795,18 +826,26 @@ func (p *Port) closeConns() {
 // PoolAvailable reports free mbufs — in the shared pool, every receive
 // loop's cache and staged burst, and every queue's cache — for leak
 // assertions in tests. Only buffers held by in-flight packets (rings
-// and batches) are excluded; the result is exact at quiescence and
-// approximate while datagrams are moving.
+// and batches) are excluded. Every transfer between the pool, a cache
+// and a staged burst happens under that loop's or queue's lock, so the
+// count is taken with all of them held: one snapshot, exact even while
+// a receive loop is staging (read piecemeal, a burst moving from a
+// cache to the loop between two reads showed up as a 96-mbuf leak in
+// TestE2EOverloadSheds under -race), and off by at most the datagrams
+// in the act of being enqueued.
 func (p *Port) PoolAvailable() int {
-	n := p.pool.Available()
 	for _, l := range p.loops {
-		n += int(l.held.Load())
 		l.mu.Lock()
-		n += l.cache.Len()
-		l.mu.Unlock()
 	}
 	for _, rq := range p.queues {
 		rq.mu.Lock()
+	}
+	n := p.pool.Available()
+	for _, l := range p.loops {
+		n += int(l.held.Load()) + l.cache.Len()
+		l.mu.Unlock()
+	}
+	for _, rq := range p.queues {
 		n += rq.cache.Len()
 		rq.mu.Unlock()
 	}
@@ -827,6 +866,9 @@ func (p *Port) RSSQueue(t packet.FiveTuple) int {
 // counters (labelled cause=ring_full|parse_error|pool_empty), the
 // backpressure gauges, the mempool, and every queue's ring depth and
 // cache on reg. base labels every series; queues add a "queue" label.
+// Only the mbufs traffic ever reached are backed by pages, so a port's
+// resident set is its base plus
+// (pool_capacity - pool_min_available) x MbufSize.
 func (p *Port) RegisterMetrics(reg *telemetry.Registry, base telemetry.Labels) {
 	reg.RegisterCounter("port_rx_datagrams_total", base, &p.Stats.RxDatagrams)
 	reg.RegisterCounter("port_rx_batches_total", base, &p.Stats.RxBatches)

@@ -238,6 +238,48 @@ func TestPoolExhaustionSheds(t *testing.T) {
 	p.FreeQueue(0, buf[:n])
 }
 
+// TestPoolLayout: every mbuf the port's pool hands out is an empty,
+// MbufSize-capped window of the data slab, no two windows overlap, and
+// growing a frame past its room reallocates instead of writing into the
+// neighbour's.
+func TestPoolLayout(t *testing.T) {
+	p, err := newPort(Config{Queues: 1, RingSize: 16, PoolSize: 64, CacheSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { p.Close() })
+	hdrs := make([]*packet.Packet, p.PoolCapacity())
+	if n := p.pool.GetBurst(hdrs); n != len(hdrs) {
+		t.Fatalf("pool handed out %d of %d mbufs", n, len(hdrs))
+	}
+	defer p.pool.PutBurst(hdrs)
+	for i, h := range hdrs {
+		if len(h.Data) != 0 || cap(h.Data) != MbufSize {
+			t.Fatalf("header %d: len %d cap %d, want 0 and %d", i, len(h.Data), cap(h.Data), MbufSize)
+		}
+		// Paint the whole room; an overlap would be repainted below.
+		room := h.Data[:MbufSize]
+		for j := range room {
+			room[j] = byte(i)
+		}
+	}
+	for i, h := range hdrs {
+		room := h.Data[:MbufSize]
+		if room[0] != byte(i) || room[MbufSize-1] != byte(i) {
+			t.Fatalf("header %d's room was overwritten by another header's: rooms overlap", i)
+		}
+	}
+	full := hdrs[0].Data[:MbufSize]
+	if grown := append(full, 0xEE); &grown[0] == &full[0] {
+		t.Fatal("append past MbufSize stayed in the slab")
+	}
+	for i, h := range hdrs[1:] {
+		if got := h.Data[:1][0]; got != byte(i+1) {
+			t.Fatalf("append past header 0's room wrote %#x into header %d's", got, i+1)
+		}
+	}
+}
+
 func TestLoopbackSocketRxTx(t *testing.T) {
 	// Egress sink: a socket whose datagrams we count.
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -342,6 +384,7 @@ func TestRegisterMetrics(t *testing.T) {
 		`port_rx_backpressure{port="net0",queue="0"}`,
 		`port_rx_backpressure_queues{port="net0"}`,
 		`pool_available{port="net0"}`,
+		`pool_min_available{port="net0"}`,
 	} {
 		if _, ok := snap[key]; !ok {
 			t.Fatalf("metric %s not registered", key)

@@ -131,6 +131,24 @@ type Packet struct {
 	Trace trace.Span
 }
 
+// NewSlab lays an mbuf pool out the way DPDK does: one slab of headers
+// over one arena of packet data. Header i's Data is the empty,
+// capacity-capped slice arena[i*mbufSize : i*mbufSize : (i+1)*mbufSize],
+// so a frame can grow to mbufSize in place and an append past that
+// reallocates rather than bleeding into header i+1's room. The arena's
+// length fixes the count (a trailing partial mbuf is unused).
+func NewSlab(arena []byte, mbufSize int) []Packet {
+	if mbufSize <= 0 {
+		panic("packet: mbuf size must be positive")
+	}
+	slab := make([]Packet, len(arena)/mbufSize)
+	for i := range slab {
+		off := i * mbufSize
+		slab[i].Data = arena[off : off : off+mbufSize]
+	}
+	return slab
+}
+
 // Len returns the frame length in bytes.
 func (p *Packet) Len() int { return len(p.Data) }
 

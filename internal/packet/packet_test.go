@@ -290,3 +290,29 @@ func BenchmarkTupleHash(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestNewSlab: one header per whole mbuf of arena, each an empty window
+// capped at its own room, so frames grow in place up to mbufSize and
+// never into the next header's bytes.
+func TestNewSlab(t *testing.T) {
+	const size = 64
+	arena := make([]byte, 4*size+size/2) // the trailing half mbuf is unused
+	slab := NewSlab(arena, size)
+	if len(slab) != 4 {
+		t.Fatalf("%d headers over %d bytes of %d-byte mbufs, want 4", len(slab), len(arena), size)
+	}
+	for i := range slab {
+		d := slab[i].Data
+		if len(d) != 0 || cap(d) != size {
+			t.Fatalf("header %d: len %d cap %d, want 0 and %d", i, len(d), cap(d), size)
+		}
+		if &d[:1][0] != &arena[i*size] {
+			t.Fatalf("header %d does not start at arena offset %d", i, i*size)
+		}
+	}
+	full := slab[0].Data[:size]
+	grown := append(full, 0xEE)
+	if &grown[0] == &full[0] || arena[size] != 0 {
+		t.Fatal("append past an mbuf's room wrote into its neighbour's")
+	}
+}
