@@ -72,7 +72,9 @@ guard-atomics:
 ## socket datapath to the same standard: the loopback bench (pktgen,
 ## recvmmsg, rings, idle polls, pipeline, sendmmsg accounting) must round
 ## to 0 allocs per packet — it read 1 while every idle poll made a timer
-## and every batched syscall a closure.
+## and every batched syscall a closure. So must the RSS hash by key, which
+## every simulated-NIC packet and every software-steered datagram pays: a
+## table cache that missed would allocate a 36 KiB table per call.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='TraceRecordPath' -benchmem -benchtime=10000x ./internal/telemetry/trace \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTraceRecordPathUntraced -metric allocs/op -max 0
@@ -86,6 +88,8 @@ alloc-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkSupervisedPipeline/steady -metric allocs/op -max $(PIPELINE_ALLOCS_MAX) < $$out > /dev/null
 	$(GO) test -run='^$$' -bench='NetportLoopback$$' -benchmem -benchtime=1s ./internal/netport \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0
+	$(GO) test -run='^$$' -bench='RSSHashTable$$' -benchmem -benchtime=100000x ./internal/packet \
+		| $(GO) run ./cmd/benchgate -bench BenchmarkRSSHashTable -metric allocs/op -max 0
 
 vet:
 	$(GO) vet ./...
@@ -134,11 +138,13 @@ race:
 race-all:
 	$(GO) test -race ./...
 
-## fuzz: short fuzz smoke on the packet parser, the mailbox ownership
+## fuzz: short fuzz smoke on the packet parser, the table-driven RSS
+## hash against its bit-serial definition, the mailbox ownership
 ## boundary, the netport decoder, the checkpoint round-trip, and the
 ## wire-checkpoint-vs-reflect-engine oracles (seed corpus + 10s each).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
+	$(GO) test -run='^$$' -fuzz=FuzzToeplitzTable -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxOwnership -fuzztime=10s ./internal/domain
 	$(GO) test -run='^$$' -fuzz=FuzzNetportDecode -fuzztime=10s ./internal/netport
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=10s ./internal/checkpoint
@@ -148,22 +154,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBalancerCheckpointOracle -fuzztime=10s ./internal/maglev
 	$(GO) test -run='^$$' -fuzz=FuzzStatefulCheckpointOracle -fuzztime=10s ./internal/firewall
 
-## bench: the pipeline throughput benches (direct/isolated/sharded/
-## supervised, steady and faulting), recorded machine-readably in
-## BENCH_pipeline.json so the perf trajectory is diffable across PRs.
+## bench: the telemetry record-path micro-benchmarks, recorded in
+## BENCH_telemetry.json (every record path must read 0 allocs/op).
+## Throughput, per-layer cost and memory are nfbench's to report
+## (bench/README.md), one run of one commit; the named `go test -bench`
+## targets behind alloc-gate and bench-gate stay as gates, not records.
 bench:
-	$(GO) test -run='^$$' -bench='Figure2|Sharded|Supervised|Recovery' -benchmem -benchtime=$(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -o BENCH_pipeline.json
 	$(GO) test -run='^$$' -bench='Telemetry' -benchmem -benchtime=$(BENCHTIME) ./internal/telemetry \
 		| $(GO) run ./cmd/benchjson -out BENCH_telemetry.json
-	$(GO) test -run='^$$' -bench='NetportLoopback' -benchtime=$(BENCHTIME) ./internal/netport \
-		| $(GO) run ./cmd/benchjson -out BENCH_netport.json
-	$(GO) test -run='^$$' -bench='CheckpointedPipeline|CheckpointRestoreSession' -benchmem -benchtime=$(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -out BENCH_checkpoint.json
-	$(GO) test -run='^$$' -bench='TraceRecordPath|NetportLoopbackTraced' -benchmem -benchtime=$(BENCHTIME) ./internal/telemetry/trace ./internal/netport \
-		| $(GO) run ./cmd/benchjson -out BENCH_trace.json
-	$(GO) test -run='^$$' -bench='CheckpointEpoch|FlowIndex' -benchmem -benchtime=$(BENCHTIME) ./internal/statestore \
-		| $(GO) run ./cmd/benchjson -out BENCH_statestore.json
 
 ## bench-all: the full testing.B harness (human-readable only).
 bench-all:

@@ -266,9 +266,9 @@ func benchSupervised(b *testing.B, crashProb float64) {
 	}
 }
 
-// BenchmarkSupervisedPipeline is the steady/faulting sweep the perf
-// trajectory tracks in BENCH_pipeline.json: supervision overhead at zero
-// faults, then throughput under 1% and 5% injected crash rates.
+// BenchmarkSupervisedPipeline is the steady/faulting sweep: supervision
+// overhead at zero faults, then throughput under 1% and 5% injected
+// crash rates (alloc-gate holds the steady case's allocs/op).
 func BenchmarkSupervisedPipeline(b *testing.B) {
 	cases := []struct {
 		name string
@@ -487,9 +487,9 @@ func benchCheckpointed(b *testing.B, epoch time.Duration) {
 	b.ReportMetric(float64(sn.Checkpoints), "ckpts/run")
 }
 
-// BenchmarkCheckpointedPipeline is the epoch sweep recorded in
-// BENCH_checkpoint.json: checkpointing off, the 10ms acceptance point,
-// and the relaxed 100ms epoch.
+// BenchmarkCheckpointedPipeline is the epoch sweep: checkpointing off,
+// the 10ms acceptance point, and the relaxed 100ms epoch (alloc-gate
+// holds each case's allocs/op).
 func BenchmarkCheckpointedPipeline(b *testing.B) {
 	cases := []struct {
 		name  string

@@ -1,7 +1,6 @@
 // Command benchgate fails a build when a benchmark metric regresses
-// past a bound. It closes the loop the JSON bench records open: the
-// numbers in BENCH_*.json show the perf trajectory, and benchgate turns
-// one of them into a hard gate —
+// past a bound: it turns one number of a `go test -bench` run into a
+// hard gate —
 //
 //	go test -run='^$' -bench='NetportLoopback$' ./internal/netport \
 //	    | benchgate -bench BenchmarkNetportLoopback -metric pps -min 320000

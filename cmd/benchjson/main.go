@@ -1,13 +1,13 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON file (benchmark name → metric → value), so the
-// perf trajectory of the pipeline benches can be tracked across PRs by
-// diffing BENCH_pipeline.json instead of eyeballing tables.
+// machine-readable JSON file (benchmark name → metric → value), so a
+// micro-benchmark record (`make bench`: BENCH_telemetry.json) can be
+// diffed across PRs instead of eyeballing tables.
 //
 // It reads the benchmark output on stdin, echoes it unchanged (keeping
 // the human-readable table in the terminal and in CI logs), and writes
-// the parsed results to the -o file:
+// the parsed results to the -out file:
 //
-//	go test -run='^$' -bench=Sharded -benchmem . | benchjson -o BENCH_pipeline.json
+//	go test -run='^$' -bench=Telemetry -benchmem ./internal/telemetry | benchjson -out BENCH_telemetry.json
 //
 // Every value/unit pair go test prints is captured — ns/op, B/op,
 // allocs/op, and custom b.ReportMetric units such as pkts/s.
@@ -32,8 +32,7 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
-	out := flag.String("o", "BENCH_pipeline.json", "output JSON file")
-	flag.StringVar(out, "out", "BENCH_pipeline.json", "output JSON file (alias for -o)")
+	out := flag.String("out", "BENCH_telemetry.json", "output JSON file")
 	flag.Parse()
 
 	results := map[string]map[string]float64{}

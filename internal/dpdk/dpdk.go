@@ -127,9 +127,9 @@ type Port struct {
 	pool  *mempool.Pool[packet.Packet]
 	gen   Generator // shared traffic source (single-queue and steered modes)
 
-	reta    *packet.RETA
-	rssKey  packet.RSSKey
-	steered bool // software-RSS distributor mode (shared gen, per-queue rings)
+	reta     *packet.RETA
+	rss      *packet.RSSTable // the port key's hash table, resolved once
+	steered  bool             // software-RSS distributor mode (shared gen, per-queue rings)
 	queues   []*rxQueue
 	fillMu   sync.Mutex       // serializes the shared generator on the steered fill path
 	fillSpec packet.BuildSpec // fillSteered scratch, guarded by fillMu (see rxQueue.spec)
@@ -177,10 +177,10 @@ func NewPort(cfg Config) *Port {
 		cfg.RxRingSize = 512
 	}
 	p := &Port{
-		Index:  cfg.Index,
-		gen:    cfg.Gen,
-		rssKey: packet.DefaultRSSKey,
-		reta:   packet.NewRETA(cfg.RxQueues, 0),
+		Index: cfg.Index,
+		gen:   cfg.Gen,
+		rss:   packet.RSSTableFor(packet.DefaultRSSKey),
+		reta:  packet.NewRETA(cfg.RxQueues, 0),
 		// One header slab over one data slab (the layout netport uses).
 		pool: mempool.NewSlabPool(packet.NewSlab(make([]byte, cfg.PoolSize*MbufSize), MbufSize)),
 	}

@@ -51,7 +51,7 @@ func (p *Port) RETA() *packet.RETA { return p.reta }
 
 // RSSQueue reports which receive queue the port steers a flow to.
 func (p *Port) RSSQueue(t packet.FiveTuple) int {
-	return p.reta.Queue(t.RSSHash(p.rssKey))
+	return p.reta.Queue(p.rss.HashTuple(t))
 }
 
 // RxBurstQueue fills out with up to len(out) packets from receive queue
@@ -95,7 +95,7 @@ func (p *Port) fillLocal(q int, rq *rxQueue, out []*packet.Packet) int {
 			break
 		}
 		rq.gen.NextSpec(&rq.spec)
-		p.initPacket(pkt, &rq.spec, q)
+		p.initPacket(pkt, &rq.spec, q, p.rss.HashTuple(rq.spec.Tuple))
 		p.countRx(pkt)
 		out[n] = pkt
 		n++
@@ -121,8 +121,9 @@ func (p *Port) fillSteered(q int, want int) {
 			break
 		}
 		p.gen.NextSpec(spec)
-		dst := p.reta.Queue(spec.Tuple.RSSHash(p.rssKey))
-		p.initPacket(pkt, spec, dst)
+		hash := p.rss.HashTuple(spec.Tuple)
+		dst := p.reta.Queue(hash)
+		p.initPacket(pkt, spec, dst, hash)
 		if p.queues[dst].ring.Enqueue(pkt) != nil {
 			// Destination ring full: the owning worker is not draining.
 			// Hardware drops the packet and counts rx_missed.
@@ -138,8 +139,10 @@ func (p *Port) fillSteered(q int, want int) {
 }
 
 // initPacket builds the frame described by spec into pkt and stamps the
-// receive metadata a NIC would deposit (port, queue, RSS hash).
-func (p *Port) initPacket(pkt *packet.Packet, spec *packet.BuildSpec, queue int) {
+// receive metadata a NIC would deposit (port, queue, and the RSS hash
+// the caller computed — once per packet, whether or not it also steered
+// by it).
+func (p *Port) initPacket(pkt *packet.Packet, spec *packet.BuildSpec, queue int, hash uint32) {
 	frame, err := packet.Build(pkt.Data[:0], *spec)
 	if err != nil {
 		panic(fmt.Sprintf("dpdk: generator produced invalid spec: %v", err))
@@ -148,7 +151,7 @@ func (p *Port) initPacket(pkt *packet.Packet, spec *packet.BuildSpec, queue int)
 	pkt.Reset()
 	pkt.RxPort = p.Index
 	pkt.RxQueue = queue
-	pkt.RxHash = spec.Tuple.RSSHash(p.rssKey)
+	pkt.RxHash = hash
 }
 
 // countRx records a delivered packet in the port counters.
@@ -247,12 +250,13 @@ func NewRSSPartition(base packet.BuildSpec, flows, queues int) func(queue int) G
 		panic("dpdk: queues must be positive")
 	}
 	reta := packet.NewRETA(queues, 0)
+	rss := packet.RSSTableFor(packet.DefaultRSSKey)
 	parts := make([][]packet.BuildSpec, queues)
 	for i := 0; i < flows; i++ {
 		spec := base
 		spec.Tuple.SrcIP += packet.IPv4(i)
 		spec.Tuple.SrcPort += uint16(i % 50000)
-		q := reta.Queue(spec.Tuple.RSSHash(packet.DefaultRSSKey))
+		q := reta.Queue(rss.HashTuple(spec.Tuple))
 		parts[q] = append(parts[q], spec)
 	}
 	return func(queue int) Generator {

@@ -246,3 +246,66 @@ func TestNewRSSPartitionValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestRxHashAndQueuePinned: the hash and queue the port stamps for a
+// fixed flow list are literal values recorded before the RSS hash became
+// table-driven (and before steered mode stopped hashing each packet
+// twice), in partitioned and in steered mode alike. A changed hash would
+// silently re-steer every flow a restored store remembers.
+func TestRxHashAndQueuePinned(t *testing.T) {
+	const queues = 4
+	pinned := []struct {
+		hash  uint32
+		queue int
+	}{
+		{0x02b27643, 3}, {0x857d4ddc, 0}, {0x1e148ef5, 1}, {0x2877e04c, 0},
+		{0xebc4375b, 3}, {0x08ffe98e, 2}, {0xe0e9423d, 1}, {0x6518b225, 1},
+	}
+	specs := make([]packet.BuildSpec, len(pinned))
+	want := map[packet.FiveTuple]int{} // tuple -> index into pinned
+	for i := range specs {
+		specs[i] = DefaultSpec()
+		specs[i].Tuple.SrcIP += packet.IPv4(i * 7919)
+		specs[i].Tuple.SrcPort += uint16(i * 31)
+		want[specs[i].Tuple] = i
+	}
+	partitioned := func(q int) Generator {
+		var own []packet.BuildSpec
+		for i, s := range specs {
+			if pinned[i].queue == q {
+				own = append(own, s)
+			}
+		}
+		return &cycleSpecs{specs: own}
+	}
+	for name, cfg := range map[string]Config{
+		"partitioned": {PoolSize: 1024, RxQueues: queues, QueueGen: partitioned},
+		"steered":     {PoolSize: 1024, RxQueues: queues, Gen: &cycleSpecs{specs: specs}},
+	} {
+		p := NewPort(cfg)
+		seen := map[int]bool{}
+		buf := make([]*packet.Packet, 8)
+		for q := 0; q < queues; q++ {
+			n := p.RxBurstQueue(q, buf)
+			for _, pkt := range buf[:n] {
+				if err := pkt.Parse(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				i, ok := want[pkt.Tuple()]
+				if !ok {
+					t.Fatalf("%s: queue %d delivered unknown flow %v", name, q, pkt.Tuple())
+				}
+				if pkt.RxHash != pinned[i].hash || pkt.RxQueue != pinned[i].queue || q != pinned[i].queue {
+					t.Errorf("%s: flow %d on queue %d stamped hash %#08x queue %d, pinned %#08x queue %d",
+						name, i, q, pkt.RxHash, pkt.RxQueue, pinned[i].hash, pinned[i].queue)
+				}
+				seen[i] = true
+			}
+			p.FreeQueue(q, buf[:n])
+		}
+		if len(seen) != len(pinned) {
+			t.Errorf("%s: saw %d of %d pinned flows", name, len(seen), len(pinned))
+		}
+		p.Drain()
+	}
+}

@@ -28,17 +28,16 @@ const (
 
 // CheckpointSize reports the bytes AppendCheckpoint would write now.
 func (b *Balancer) CheckpointSize() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return balancerHeaderSize + b.connBytes
 }
 
 // AppendCheckpoint appends the balancer's wire image to buf under the
-// read lock (Pick takes the write lock even on hits, so the walk races
-// no mutator).
+// balancer's lock, so the walk races no Pick.
 func (b *Balancer) AppendCheckpoint(buf []byte) ([]byte, error) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	buf = slices.Grow(buf, balancerHeaderSize+b.connBytes)
 	buf = append(buf, balancerTokenVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, b.hits)

@@ -100,18 +100,22 @@ func NewTable(backends []Backend, size int) (*Table, error) {
 
 	m := uint64(size)
 	n := len(backends)
-	offset := make([]uint64, n)
+	// Backend i's permutation is (offset + k*skip) mod m for k = 0, 1, …;
+	// cursor[i] holds its next element and advances by add-and-wrap, not
+	// a 64-bit division per probe (cursor < m and skip < m, so adding
+	// skip overshoots m by less than m).
+	cursor := make([]uint64, n)
 	skip := make([]uint64, n)
-	nextIdx := make([]uint64, n)
 	for i, b := range backends {
-		offset[i] = hash1(b.Name) % m
+		cursor[i] = hash1(b.Name) % m
 		skip[i] = hash2(b.Name)%(m-1) + 1
 	}
 
 	entries := make([]int32, size)
-	for i := range entries {
-		entries[i] = -1
-	}
+	// taken marks claimed slots, one bit each: the probes below land on
+	// random slots, and 8 KiB of bits stays in L1 where 256 KiB of
+	// entries does not.
+	taken := make([]uint64, (size+63)/64)
 	filled := 0
 	// Round-robin: each backend claims the next unclaimed slot of its
 	// permutation until the table is full. Terminates because size is
@@ -119,13 +123,20 @@ func NewTable(backends []Backend, size int) (*Table, error) {
 	for filled < size {
 		for i := 0; i < n && filled < size; i++ {
 			var slot uint64
+			c, sk := cursor[i], skip[i]
 			for {
-				slot = (offset[i] + nextIdx[i]*skip[i]) % m
-				nextIdx[i]++
-				if entries[slot] == -1 {
+				slot = c
+				// Branch-free wrap: a step is as likely to wrap as
+				// not, and a mispredicted branch costs more than the
+				// rest of the probe.
+				d := c + sk - m                // negative as int64 iff no wrap
+				c = d + m&uint64(int64(d)>>63) // add m back if so
+				if taken[slot/64]&(1<<(slot%64)) == 0 {
 					break
 				}
 			}
+			cursor[i] = c
+			taken[slot/64] |= 1 << (slot % 64)
 			entries[slot] = int32(i)
 			filled++
 		}
@@ -157,7 +168,9 @@ func (t *Table) Distribution() map[string]int {
 // table giving established flows affinity to their original backend even
 // after the backend set changes.
 type Balancer struct {
-	mu    sync.RWMutex
+	// mu is a plain mutex: Pick, the only hot caller, writes a counter
+	// on every lookup, so no path would ever share a read lock.
+	mu    sync.Mutex
 	table *Table
 	conns map[uint64]Backend
 	// connBytes is the wire size of conns' entries, kept as they are
@@ -180,26 +193,21 @@ func NewBalancer(backends []Backend, tableSize int) (*Balancer, error) {
 
 // Pick returns the backend for the flow, consulting the connection table
 // first (Maglev's connection tracking) and falling back to the consistent
-// hash for new flows.
+// hash for new flows. Lookup, counter and (on a miss) insert are one
+// critical section, so two Picks racing on a new flow cannot both insert
+// it and connBytes counts each entry exactly once.
 func (b *Balancer) Pick(t packet.FiveTuple) Backend {
 	h := t.Hash()
-	b.mu.RLock()
-	be, ok := b.conns[h]
-	b.mu.RUnlock()
-	if ok {
-		b.mu.Lock()
-		b.hits++
-		b.mu.Unlock()
-		return be
-	}
-	be = b.table.Lookup(h)
 	b.mu.Lock()
-	n := len(b.conns)
-	b.conns[h] = be
-	if len(b.conns) > n { // not a key a racing Pick already inserted
+	be, ok := b.conns[h]
+	if ok {
+		b.hits++
+	} else {
+		be = b.table.Lookup(h)
+		b.conns[h] = be
 		b.connBytes += connFixedSize + len(be.Name)
+		b.misses++
 	}
-	b.misses++
 	b.mu.Unlock()
 	return be
 }
@@ -220,15 +228,15 @@ func (b *Balancer) UpdateBackends(backends []Backend) error {
 
 // ConnCount reports tracked connections.
 func (b *Balancer) ConnCount() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return len(b.conns)
 }
 
 // Stats reports connection-table hits and misses.
 func (b *Balancer) Stats() (hits, misses uint64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.hits, b.misses
 }
 

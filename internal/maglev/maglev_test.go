@@ -3,6 +3,7 @@ package maglev
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -32,6 +33,69 @@ func TestNewTableValidation(t *testing.T) {
 	dup := []Backend{{Name: "a"}, {Name: "a"}}
 	if _, err := NewTable(dup, 7); !errors.Is(err, ErrDupBackend) {
 		t.Fatalf("duplicate: %v", err)
+	}
+}
+
+// populateMod is NewTable's population loop as it was first written —
+// each probe evaluates (offset + next*skip) mod m outright — kept as the
+// oracle for the add-and-wrap cursor and occupancy bitset that replaced it.
+func populateMod(backends []Backend, size int) []int32 {
+	m := uint64(size)
+	n := len(backends)
+	offset := make([]uint64, n)
+	skip := make([]uint64, n)
+	nextIdx := make([]uint64, n)
+	for i, b := range backends {
+		offset[i] = hash1(b.Name) % m
+		skip[i] = hash2(b.Name)%(m-1) + 1
+	}
+	entries := make([]int32, size)
+	for i := range entries {
+		entries[i] = -1
+	}
+	for filled := 0; filled < size; {
+		for i := 0; i < n && filled < size; i++ {
+			var slot uint64
+			for {
+				slot = (offset[i] + nextIdx[i]*skip[i]) % m
+				nextIdx[i]++
+				if entries[slot] == -1 {
+					break
+				}
+			}
+			entries[slot] = int32(i)
+			filled++
+		}
+	}
+	return entries
+}
+
+// TestTableMatchesModOracle: the table is entry for entry the one the
+// division form builds, over several backend sets and prime sizes. A
+// table that differed in one slot would silently re-steer new flows —
+// and flows restored from a store written by an older build would no
+// longer agree with the table that first placed them.
+func TestTableMatchesModOracle(t *testing.T) {
+	sets := [][]Backend{
+		backends(1), backends(2), backends(3), backends(16), backends(100),
+		{{Name: ""}, {Name: "a"}, {Name: "a-much-longer-backend-name.example.net:8443"}},
+	}
+	for _, size := range []int{7, 13, 251, 4099, DefaultTableSize} {
+		for _, bs := range sets {
+			if size <= len(bs) {
+				continue
+			}
+			tbl, err := NewTable(bs, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := populateMod(bs, size)
+			for slot, e := range tbl.entries {
+				if e != want[slot] {
+					t.Fatalf("size %d, %d backends: slot %d holds backend %d, oracle %d", size, len(bs), slot, e, want[slot])
+				}
+			}
+		}
 	}
 }
 
@@ -235,6 +299,45 @@ func TestIsPrime(t *testing.T) {
 		if isPrime(c) {
 			t.Errorf("isPrime(%d) = true", c)
 		}
+	}
+}
+
+// TestPickConcurrentAccounting: many goroutines picking the same new
+// flows at once insert each flow once, count every call as exactly one
+// hit or one miss, and leave connBytes equal to the image the next
+// checkpoint writes. Run under -race by `make race`.
+func TestPickConcurrentAccounting(t *testing.T) {
+	lb, err := NewBalancer(backends(5), 251)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, flows, rounds = 8, 64, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for f := 0; f < flows; f++ {
+					lb.Pick(packet.FiveTuple{SrcIP: packet.Addr(10, 0, 0, 1), SrcPort: uint16(f), DstPort: 80, Proto: packet.ProtoUDP})
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hits, misses := lb.Stats()
+	if misses != flows || hits+misses != workers*flows*rounds {
+		t.Fatalf("hits=%d misses=%d, want %d misses of %d picks", hits, misses, flows, workers*flows*rounds)
+	}
+	if lb.ConnCount() != flows {
+		t.Fatalf("%d connections tracked, want %d", lb.ConnCount(), flows)
+	}
+	image, err := lb.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lb.CheckpointSize() != len(image) {
+		t.Fatalf("CheckpointSize %d, image is %d bytes", lb.CheckpointSize(), len(image))
 	}
 }
 

@@ -266,7 +266,7 @@ type Port struct {
 	pool   *mempool.Pool[packet.Packet]
 
 	reta      *packet.RETA
-	rssKey    packet.RSSKey
+	rss       *packet.RSSTable // the port key's hash table, resolved once
 	pollWait  time.Duration
 	batch     int
 	cacheSize int
@@ -401,7 +401,7 @@ func newPort(cfg Config) (*Port, error) {
 		cfg.PoolSize = cfg.Queues*(cfg.RingSize+2*cache+cfg.BatchSize) + 1024
 	}
 	p := &Port{
-		rssKey:   packet.DefaultRSSKey,
+		rss:      packet.RSSTableFor(packet.DefaultRSSKey),
 		reta:     packet.NewRETA(cfg.Queues, 0),
 		pollWait: cfg.PollWait,
 		batch:    cfg.BatchSize,
@@ -580,7 +580,7 @@ func (p *Port) deliver(l *rxLoop, pkt *packet.Packet, n int) {
 		p.shed(&p.Stats.ParseError, DropParseError, 0)
 		return
 	}
-	hash := pkt.Tuple().RSSHash(p.rssKey)
+	hash := p.rss.HashTuple(pkt.Tuple())
 	q := l.queue
 	if q < 0 {
 		q = p.reta.Queue(hash)
@@ -859,7 +859,7 @@ func (p *Port) PoolCapacity() int { return p.pool.Capacity() }
 // to (the distributor path; kernel REUSEPORT fan-out hashes the outer
 // flow instead).
 func (p *Port) RSSQueue(t packet.FiveTuple) int {
-	return p.reta.Queue(t.RSSHash(p.rssKey))
+	return p.reta.Queue(p.rss.HashTuple(t))
 }
 
 // RegisterMetrics exports the port's counters, the per-cause drop
