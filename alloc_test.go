@@ -2,9 +2,9 @@
 // counterpart of the make-check alloc gate on the pipeline benches. The
 // per-packet path (RX burst → parse → firewall → maglev → session → TX)
 // must stay allocation-free once flows, pools, and scratch are warm;
-// cold starts, first-sight flows, eviction batches, and checkpoint
-// epochs are the only sanctioned allocators (see DESIGN.md "Memory
-// discipline").
+// cold starts, first-sight flows and compactions are the only sanctioned
+// allocators, and a checkpoint epoch whose predecessor was handed back
+// allocates nothing either (see DESIGN.md "Memory discipline").
 package repro
 
 import (
@@ -19,6 +19,7 @@ import (
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 	"repro/internal/session"
+	"repro/internal/statestore"
 )
 
 // allocBudgetPerPacket is the explicit steady-state budget. The path is
@@ -96,14 +97,9 @@ func TestPipelineSteadyStateAllocBudget(t *testing.T) {
 	}
 }
 
-// TestEpochAllocBudget pins what one checkpoint epoch may allocate: the
-// three NF states write their wire entries straight from live state into
-// one buffer that is both the restore token and the WAL payload. Capture
-// plus encode of a 4096-flow worker is a handful of objects (the buffer,
-// its interface box) and about one buffer's worth of bytes — it was one
-// object per live flow, several times over, when the token was an object
-// graph.
-func TestEpochAllocBudget(t *testing.T) {
+// warmStateSet is one worker's NF state with 4096 established flows.
+func warmStateSet(t *testing.T) *domain.StateSet {
+	t.Helper()
 	db := firewall.NewDB(firewall.Deny)
 	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow}); err != nil {
 		t.Fatal(err)
@@ -125,7 +121,19 @@ func TestEpochAllocBudget(t *testing.T) {
 		tu.SrcIP++
 		tbl.Track(tu, lb.Pick(tu).IP, 64)
 	}
-	set := domain.NewStateSet().Add("firewall", fw).Add("maglev", lb).Add("session", tbl)
+	return domain.NewStateSet().Add("firewall", fw).Add("maglev", lb).Add("session", tbl)
+}
+
+// TestEpochAllocBudget pins what one checkpoint epoch may allocate when
+// nothing is ever handed back (the harness's final epoch, any caller that
+// is not the domain runtime): the three NF states write their wire
+// entries straight from live state into one buffer that is both the
+// restore token and the WAL payload. Capture plus encode of a 4096-flow
+// worker is a handful of objects (the buffer, the token holding it) and
+// about one buffer's worth of bytes — it was one object per live flow,
+// several times over, when the token was an object graph.
+func TestEpochAllocBudget(t *testing.T) {
+	set := warmStateSet(t)
 
 	var payload []byte
 	epoch := func() {
@@ -154,4 +162,77 @@ func TestEpochAllocBudget(t *testing.T) {
 	if cap(payload) != len(payload) {
 		t.Fatalf("epoch buffer has %d B of slack over its %d B (sized before capture, never regrown)", cap(payload)-len(payload), len(payload))
 	}
+}
+
+// TestRecycledEpochAllocatesNothing is the other half: the loop the
+// domain runtime runs — capture, publish as the last good epoch, persist,
+// hand the epoch that was replaced back to the state — allocates nothing
+// once two buffers are in rotation, with no store and with a
+// statestore.Store retaining each epoch and naming the one it let go.
+// (The runtime's own publication record, one small struct per epoch, is
+// not part of this loop; BenchmarkChaosRestore prices the real thing.)
+func TestRecycledEpochAllocatesNothing(t *testing.T) {
+	t.Run("no store", func(t *testing.T) {
+		set := warmStateSet(t)
+		var last any
+		epoch := func() {
+			tok, err := set.Checkpoint(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := last
+			last = tok
+			if old != nil {
+				set.RecycleToken(old)
+			}
+		}
+		epoch()
+		epoch()
+		if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+			t.Fatalf("a recycled epoch allocates %.1f objects, want 0", allocs)
+		}
+	})
+	t.Run("store", func(t *testing.T) {
+		store, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone, CompactAfter: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		set := warmStateSet(t)
+		var last any
+		var seq uint64
+		epoch := func() {
+			tok, err := set.Checkpoint(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := last
+			last = tok
+			payload, err := set.EncodeToken(tok)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq++
+			released, err := store.SwapEpoch("worker-0", seq, payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if old == nil {
+				return
+			}
+			held, _ := set.EncodeToken(old)
+			if len(released) != len(held) || &released[0] != &held[0] {
+				t.Fatal("the store let go of something other than the previous epoch")
+			}
+			set.RecycleToken(old)
+		}
+		epoch()
+		epoch()
+		if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+			t.Fatalf("a recycled, persisted epoch allocates %.1f objects, want 0", allocs)
+		}
+		if payload, gotSeq, ok, err := store.LastEpoch("worker-0"); err != nil || !ok || gotSeq != seq || len(payload) == 0 {
+			t.Fatalf("store holds seq %d (ok=%v, err=%v), want %d", gotSeq, ok, err, seq)
+		}
+	})
 }

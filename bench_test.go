@@ -504,6 +504,109 @@ func BenchmarkCheckpointedPipeline(b *testing.B) {
 	}
 }
 
+// everyNth panics on every nth batch it sees. The count lives outside the
+// operator because stage recovery rebuilds the operator from its factory.
+type everyNth struct {
+	seen *int
+	n    int
+}
+
+func (everyNth) Name() string { return "fault" }
+
+func (o everyNth) ProcessBatch(*netbricks.Batch) error {
+	if *o.seen++; *o.seen%o.n == 0 {
+		panic("bench: injected fault")
+	}
+	return nil
+}
+
+// BenchmarkChaosRestore is nfbench's mem-chaos in miniature: two
+// supervised workers over 4096 established flows, a handler panic on
+// every 2000th batch of each, 10ms RAM checkpoint epochs, so every Run
+// takes a few dozen epochs and restores each worker's maglev and session
+// state five times. What it prices is what those leave behind: with
+// epoch buffers handed back and Restore rebuilding in place, B/op is the
+// cold start of a Run and little else (alloc-gate holds both B/op and
+// allocs/op; a Run made ~9 MB of epoch buffers and restored graphs
+// before).
+func BenchmarkChaosRestore(b *testing.B) {
+	const workers = 2
+	const batchSize = 32
+	const faultEvery = 2000
+	const batchesPerWorker = 5*faultEvery + faultEvery/2
+	port := dpdk.NewPort(dpdk.Config{
+		PoolSize: workers * 512,
+		RxQueues: workers,
+		QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 4096, workers),
+	})
+	db := firewall.NewDB(firewall.Deny)
+	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow}); err != nil {
+		b.Fatal(err)
+	}
+	backends := make([]maglev.Backend, 8)
+	for i := range backends {
+		backends[i] = maglev.Backend{Name: fmt.Sprintf("be-%d", i), IP: packet.Addr(10, 1, 0, byte(i+1))}
+	}
+	tables := make([]*session.Table, workers)
+	balancers := make([]*maglev.Balancer, workers)
+	seen := make([]int, workers)
+	for w := range tables {
+		tables[w] = session.NewTable()
+		lb, err := maglev.NewBalancer(backends, maglev.DefaultTableSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		balancers[w] = lb
+	}
+	r := &netbricks.ShardedRunner{
+		Port: port, Workers: workers, BatchSize: batchSize,
+		Supervise: true,
+		Policy: domain.Policy{
+			Backoff:         20 * time.Microsecond,
+			MaxBackoff:      time.Millisecond,
+			MaxRestarts:     -1,
+			CheckpointEvery: 10 * time.Millisecond,
+		},
+		NewIsolated: func(w int) (*netbricks.IsolatedPipeline, error) {
+			fault := func() netbricks.Operator { return everyNth{seen: &seen[w], n: faultEvery} }
+			return netbricks.NewIsolatedPipeline(sfi.NewManager(),
+				[]netbricks.Operator{
+					netbricks.Parse{},
+					fault(),
+					firewall.Operator{DB: db},
+					maglev.Operator{LB: balancers[w]},
+					session.Operator{T: tables[w]},
+				},
+				[]func() netbricks.Operator{nil, fault, nil, nil, nil})
+		},
+		NewState: func(w int) domain.Stateful {
+			return domain.NewStateSet().
+				Add("maglev", balancers[w]).
+				Add("session", tables[w])
+		},
+	}
+	if _, err := r.Run(batchesPerWorker); err != nil { // establish the flows and size the tables
+		b.Fatal(err)
+	}
+	var restores uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(batchesPerWorker); err != nil {
+			b.Fatal(err)
+		}
+		sn, ok := r.SupervisorSnapshot()
+		if !ok || sn.ColdStarts != 0 {
+			b.Fatalf("run %d: snapshot ok=%v, %d cold starts; every fault should restore", i, ok, sn.ColdStarts)
+		}
+		restores += sn.Restores
+	}
+	if restores < uint64(b.N)*workers*4 {
+		b.Fatalf("%d restores over %d runs; the bench priced no restore path", restores, b.N)
+	}
+	b.ReportMetric(float64(restores)/float64(b.N), "restores/run")
+}
+
 // sessionGraph is the session table's shape as the reflect engine sees
 // it — flow pointers in a map, each holding a shared backend handle —
 // built explicitly because the table itself now checkpoints in wire form

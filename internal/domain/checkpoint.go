@@ -16,10 +16,18 @@ package domain
 // discards the half-built snapshot (it was never published) and the
 // previous token stands. Only a domain with no completed epoch resets to
 // zero state.
+//
+// An epoch's buffer has one owner at every instant (DESIGN.md, "Who owns
+// an epoch buffer"): the state while it captures, then the runtime and
+// the store as read-only sharers from publication, then — once both have
+// let go and the runtime can prove it — the state again, as the spare
+// its next capture writes into. Where the runtime cannot prove it, the
+// buffer is left to the collector.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,10 +46,11 @@ type Stateful interface {
 	// this instant. e is an RcAware engine for states that snapshot by
 	// traversal; a state that keeps its checkpoint in wire form ignores
 	// it. The token must be independent of the live state (later
-	// mutations must not leak into it), freshly allocated by this call,
-	// and never written again once returned: the runtime keeps it as
-	// the last good epoch while the store and a restore may be reading
-	// the same memory.
+	// mutations must not leak into it) and not written again until the
+	// runtime hands it back: the runtime keeps it as the last good epoch
+	// while the store and a restore may be reading the same memory. A
+	// state that does not implement RecycleToken (see tokenRecycler) is
+	// never handed anything back, so for it "until" is "ever".
 	Checkpoint(e *checkpoint.Engine) (any, error)
 	// Restore replaces the live state with the token's contents. The
 	// token is always one previously returned by Checkpoint (or
@@ -63,10 +72,12 @@ type Stateful interface {
 // Ownership: both directions may alias rather than copy. A state whose
 // token is its wire form returns the token's own bytes from EncodeToken
 // and hands data back as the token from DecodeToken. That is sound
-// because an epoch's bytes are immutable from the moment Checkpoint
-// returns them: the domain (its last good epoch), the store (its newest
-// record) and any restore in progress share one buffer that nobody
-// writes.
+// because an epoch's bytes are not written again until the runtime
+// hands the token back: from the moment Checkpoint returns them, the
+// domain (its last good epoch), the store (its newest record) and any
+// restore in progress share one buffer that nobody writes. The runtime
+// also uses EncodeToken to learn which buffer a token occupies, so a
+// codec that copies is simply never recycled.
 type TokenCodec interface {
 	// EncodeToken serializes a token previously returned by Checkpoint.
 	// The result may share memory with the token and must not be
@@ -85,14 +96,40 @@ type TokenCodec interface {
 type Persister interface {
 	// PersistEpoch durably records the named domain's epoch seq.
 	// seq is monotonic per name within and across process lifetimes.
-	// Ownership of payload moves to the store: it may retain the slice
-	// as the domain's newest epoch instead of copying it, so the caller
-	// must never write to payload again (reading it, as the domain does
-	// for restores, stays safe — the store only reads it too).
+	// The store becomes a sharer of payload: it may retain the slice as
+	// the domain's newest epoch instead of copying it, so the caller
+	// must not write to payload until the store has said it let the
+	// slice go (SwapEpoch, see epochReleaser; a store without it never
+	// says so). Reading it, as the domain does for restores, stays safe
+	// — the store only reads it too.
 	PersistEpoch(name string, seq uint64, payload []byte) error
 	// LastEpoch returns the newest durable epoch for the named domain.
-	// The payload may be the store's own retained slice: read-only.
+	// The payload may be the store's own retained slice: read-only, and
+	// only the domain of that name may rely on it past the next epoch
+	// persisted under the name (it holds the slice as its last good
+	// epoch until then).
 	LastEpoch(name string) (payload []byte, seq uint64, ok bool, err error)
+}
+
+// tokenRecycler is the optional hand-back half of Stateful, found by
+// type assertion at Spawn. The runtime calls RecycleToken with a token
+// the state's Checkpoint returned earlier once nothing else can read it:
+// a newer epoch replaced it as the last good one, no restore is running,
+// and the store (if any) reported letting its bytes go. The state may
+// write into the token's memory from then on. A state wrapped in a type
+// that does not forward the method is never handed anything back.
+type tokenRecycler interface {
+	RecycleToken(token any)
+}
+
+// epochReleaser is the optional second half of Persister, found by type
+// assertion at Spawn: PersistEpoch that also reports which retained
+// payload the store let go when it recorded this one. released is the
+// exact slice an earlier call was handed (nil when there was none, or on
+// error); the store no longer references it. statestore.Store implements
+// it; behind a Persister that does not, the runtime recycles nothing.
+type epochReleaser interface {
+	SwapEpoch(name string, seq uint64, payload []byte) (released []byte, err error)
 }
 
 // RestoreMode selects what a restarted domain's state recovery does.
@@ -137,13 +174,26 @@ type wireState interface {
 
 // StateSet composes named wire-form components into one Stateful, so a
 // pipeline domain can checkpoint its firewall, balancer, and session
-// table as a unit. The set's token is its own wire form — a u32 part
+// table as a unit. The set's token holds its own wire form — a u32 part
 // count, then each component's bytes behind a u32 length — written once
 // into one buffer per epoch; errors carry the component name.
 type StateSet struct {
 	names []string
 	parts []Stateful
 	wires []wireState // parts[i] as a wireState; nil if it is not one
+
+	// spare is the one token handed back by RecycleToken and not yet taken
+	// by a Checkpoint. mu guards only the field: a superseded generation
+	// may be capturing while the current one hands a token back.
+	mu    sync.Mutex
+	spare *setToken
+}
+
+// setToken is a StateSet restore token: the set's wire form. It is a
+// pointer so that handing it through the Stateful interface, and back,
+// allocates nothing.
+type setToken struct {
+	wire []byte
 }
 
 // NewStateSet returns an empty set; Add components in a fixed order.
@@ -173,9 +223,12 @@ func (s *StateSet) checkWires() error {
 	return nil
 }
 
-// Checkpoint captures every component into one fresh buffer sized for
-// all of them: each appends its bytes behind a length prefix that is
-// patched in once the component has written. The engine is unused.
+// Checkpoint captures every component into one buffer sized for all of
+// them: each appends its bytes behind a length prefix that is patched in
+// once the component has written. The buffer is the token RecycleToken
+// last handed back when there is one and it is large enough, and freshly
+// allocated otherwise — so a caller that never hands a token back gets a
+// new, exactly sized buffer every call. The engine is unused.
 func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
 	if err := s.checkWires(); err != nil {
 		return nil, err
@@ -184,63 +237,97 @@ func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
 	for _, w := range s.wires {
 		size += 4 + w.CheckpointSize()
 	}
-	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(s.wires)))
+	s.mu.Lock()
+	tok := s.spare
+	s.spare = nil
+	s.mu.Unlock()
+	switch {
+	case tok == nil:
+		tok = &setToken{wire: make([]byte, 0, size)}
+	case cap(tok.wire) < size:
+		// The state outgrew the buffers in rotation: leave headroom, or
+		// a table that gains a flow per epoch reallocates every epoch.
+		tok.wire = make([]byte, 0, size+size/8)
+	}
+	buf := binary.LittleEndian.AppendUint32(tok.wire[:0], uint32(len(s.wires)))
 	for i, w := range s.wires {
 		at := len(buf)
 		buf = append(buf, 0, 0, 0, 0)
 		var err error
 		if buf, err = w.AppendCheckpoint(buf); err != nil {
+			s.RecycleToken(tok) // never published: still ours alone
 			return nil, fmt.Errorf("state %s: %w", s.names[i], err)
 		}
 		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
 	}
-	return buf, nil
+	tok.wire = buf
+	return tok, nil
 }
 
-// split validates the set's framing and returns each component's bytes
-// (subslices of data, not copies).
-func (s *StateSet) split(data []byte) ([][]byte, error) {
+// RecycleToken takes back a token Checkpoint returned, once its caller
+// knows nothing reads it any more (see tokenRecycler): its buffer becomes
+// the spare the next Checkpoint writes into. The set keeps one spare, the
+// larger when offered a second.
+func (s *StateSet) RecycleToken(token any) {
+	tok, ok := token.(*setToken)
+	if !ok {
+		return
+	}
+	s.mu.Lock()
+	if s.spare == nil || cap(tok.wire) > cap(s.spare.wire) {
+		s.spare = tok
+	}
+	s.mu.Unlock()
+}
+
+// eachPart validates the set's framing and calls fn with each
+// component's bytes (subslices of data, not copies).
+func (s *StateSet) eachPart(data []byte, fn func(i int, part []byte) error) error {
 	if len(data) < 4 {
-		return nil, fmt.Errorf("domain: state-set token truncated")
+		return fmt.Errorf("domain: state-set token truncated")
 	}
 	if n := int(binary.LittleEndian.Uint32(data)); n != len(s.parts) {
-		return nil, fmt.Errorf("domain: state-set token has %d parts, set has %d", n, len(s.parts))
+		return fmt.Errorf("domain: state-set token has %d parts, set has %d", n, len(s.parts))
 	}
 	data = data[4:]
-	parts := make([][]byte, len(s.parts))
-	for i := range parts {
+	for i := range s.parts {
 		if len(data) < 4 {
-			return nil, fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
+			return fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
 		}
 		partLen := int(binary.LittleEndian.Uint32(data))
 		data = data[4:]
 		if len(data) < partLen {
-			return nil, fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
+			return fmt.Errorf("domain: state-set token truncated at %s", s.names[i])
 		}
-		parts[i], data = data[:partLen], data[partLen:]
+		if fn != nil {
+			if err := fn(i, data[:partLen]); err != nil {
+				return err
+			}
+		}
+		data = data[partLen:]
 	}
 	if len(data) != 0 {
-		return nil, fmt.Errorf("domain: state-set token has %d trailing bytes", len(data))
+		return fmt.Errorf("domain: state-set token has %d trailing bytes", len(data))
 	}
-	return parts, nil
+	return nil
 }
 
-// Restore hands each component its bytes of a Checkpoint token.
+// Restore hands each component its bytes of a Checkpoint token, after
+// checking the whole frame: a token cut short restores nothing.
 func (s *StateSet) Restore(token any) error {
-	data, ok := token.([]byte)
+	tok, ok := token.(*setToken)
 	if !ok {
 		return fmt.Errorf("domain: state-set token has wrong shape (%T)", token)
 	}
-	parts, err := s.split(data)
-	if err != nil {
+	if err := s.eachPart(tok.wire, nil); err != nil {
 		return err
 	}
-	for i, p := range s.parts {
-		if err := p.Restore(parts[i]); err != nil {
+	return s.eachPart(tok.wire, func(i int, part []byte) error {
+		if err := s.parts[i].Restore(part); err != nil {
 			return fmt.Errorf("state %s: %w", s.names[i], err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Reset cold-starts every component.
@@ -250,32 +337,32 @@ func (s *StateSet) Reset() {
 	}
 }
 
-// EncodeToken implements TokenCodec: a Checkpoint token already is its
-// wire form, returned without copying.
+// EncodeToken implements TokenCodec: a Checkpoint token already holds
+// its wire form, returned without copying.
 func (s *StateSet) EncodeToken(token any) ([]byte, error) {
-	data, ok := token.([]byte)
+	tok, ok := token.(*setToken)
 	if !ok {
 		return nil, fmt.Errorf("domain: state-set token has wrong shape (%T)", token)
 	}
-	return data, nil
+	return tok.wire, nil
 }
 
 // DecodeToken implements TokenCodec: validate the framing and every
-// component's bytes, and hand data back as the token.
+// component's bytes, and return a token over data itself.
 func (s *StateSet) DecodeToken(data []byte) (any, error) {
 	if err := s.checkWires(); err != nil {
 		return nil, err
 	}
-	parts, err := s.split(data)
+	err := s.eachPart(data, func(i int, part []byte) error {
+		if _, err := s.wires[i].DecodeToken(part); err != nil {
+			return fmt.Errorf("state %s: decode: %w", s.names[i], err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i, w := range s.wires {
-		if _, err := w.DecodeToken(parts[i]); err != nil {
-			return nil, fmt.Errorf("state %s: decode: %w", s.names[i], err)
-		}
-	}
-	return data, nil
+	return &setToken{wire: data}, nil
 }
 
 // ckptToken is one published checkpoint: the adapter's opaque token plus
@@ -297,8 +384,9 @@ type ckptState struct {
 	mode   RestoreMode
 
 	// last is the newest good checkpoint; published by the serving
-	// goroutine, consumed by the monitor's restore. Never holds a
-	// half-built snapshot: a fault during traversal leaves it untouched.
+	// goroutine (under the domain's gmu, see publish), consumed by the
+	// monitor's restore. Never holds a half-built snapshot: a fault
+	// during traversal leaves it untouched.
 	last atomic.Pointer[ckptToken]
 	// lastAttempt (unix nanos) paces epochs across both trigger paths
 	// (idle ticker and post-invocation dueness check).
@@ -312,6 +400,12 @@ type ckptState struct {
 	persist Persister
 	codec   TokenCodec
 	seq     atomic.Uint64
+
+	// Hand-back (nil when the state or the store does not offer it): the
+	// state takes superseded tokens back, the store says which payload it
+	// let go. See takeCheckpoint for when both are used.
+	recycler tokenRecycler
+	releaser epochReleaser
 
 	taken         telemetry.Counter
 	failed        telemetry.Counter
@@ -334,7 +428,18 @@ func (c *ckptState) due(now time.Time) bool {
 // like a handler panic: the error propagates to the supervisor, the
 // half-built snapshot is discarded unpublished, and the previous good
 // token keeps standing. A checkpoint *error* is softer — the domain keeps
-// serving on its last good epoch and the failure is only counted.
+// serving on its last good epoch and the failure is only counted. So is
+// a capture that finished after its generation was superseded: the
+// monitor may already have chosen what the next generation restores.
+//
+// The epoch this one replaces goes back to the state (tokenRecycler) when
+// the runtime knows nobody else reads it: publish took it out of last
+// while this generation was current, which rules out a restore (those run
+// on the monitor strictly between one generation's exit or supersession
+// and the next one's start), and either no store is configured or the
+// store returned that very buffer as the one it let go. In every other
+// case — persist or fsync error, a codec that copies, a wrapper hiding
+// either optional interface — the old buffer is left to the collector.
 func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck := d.ck
 	start := time.Now()
@@ -354,40 +459,77 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	}
 	lat := time.Since(start)
 	tok := &ckptToken{token: token, epoch: epoch, at: start}
-	if ck.persist != nil {
-		tok.seq = ck.seq.Add(1)
+	old, ok := d.publish(tok)
+	if !ok {
+		ck.failed.Add(1)
+		return nil
 	}
-	ck.last.Store(tok)
 	ck.taken.Add(1)
 	ck.ckptLat.Observe(lat)
 	d.rec.Record(d.actor, telemetry.EvCheckpoint, uint64(lat))
+	handBack := old != nil && ck.recycler != nil
 	if ck.persist != nil {
 		// Still inside the fault guard: a panic in the codec or the store
 		// is a domain fault, but the RAM epoch above already stands — the
 		// restart restores it. A persist *error* is softer yet: the domain
 		// keeps serving, only durability lags (counted, never published).
-		d.persistEpoch(tok)
+		released := d.persistEpoch(tok)
+		handBack = handBack && ck.sameBuffer(old, released)
+	}
+	if handBack {
+		ck.recycler.RecycleToken(old.token)
 	}
 	return nil
+}
+
+// publish makes tok the last good epoch and returns the one it replaced,
+// unless tok's generation has been superseded: gmu is the lock supersede
+// takes, so a generation that is still current here cannot have a restore
+// reading last beside it, and one that is not leaves last alone.
+func (d *Domain[T]) publish(tok *ckptToken) (old *ckptToken, ok bool) {
+	d.gmu.Lock()
+	defer d.gmu.Unlock()
+	if d.epoch.Load() != tok.epoch {
+		return nil, false
+	}
+	if d.ck.persist != nil {
+		tok.seq = d.ck.seq.Add(1)
+	}
+	return d.ck.last.Swap(tok), true
 }
 
 // persistEpoch encodes one published epoch and appends it to the policy
 // store, on the serving goroutine (the checkpoint already paid the
 // traversal; the append is the cheap half, and ordering per domain is
-// free on one goroutine).
-func (d *Domain[T]) persistEpoch(tok *ckptToken) {
+// free on one goroutine). It returns the payload the store reported
+// letting go, nil when it reported none or the append failed.
+func (d *Domain[T]) persistEpoch(tok *ckptToken) (released []byte) {
 	ck := d.ck
 	start := time.Now()
 	payload, err := ck.codec.EncodeToken(tok.token)
-	if err == nil {
+	switch {
+	case err != nil:
+	case ck.releaser != nil:
+		released, err = ck.releaser.SwapEpoch(d.name, tok.seq, payload)
+	default:
 		err = ck.persist.PersistEpoch(d.name, tok.seq, payload)
 	}
 	if err != nil {
 		ck.persistFailed.Add(1)
-		return
+		return nil
 	}
 	ck.persisted.Add(1)
 	ck.persistLat.Observe(time.Since(start))
+	return released
+}
+
+// sameBuffer reports whether released is the memory old's token occupies.
+func (c *ckptState) sameBuffer(old *ckptToken, released []byte) bool {
+	if len(released) == 0 {
+		return false
+	}
+	held, err := c.codec.EncodeToken(old.token)
+	return err == nil && len(held) == len(released) && &held[0] == &released[0]
 }
 
 // loadDurable seeds the checkpoint machinery from the store's newest
@@ -432,7 +574,11 @@ func (d *Domain[T]) loadDurable() error {
 // user Recover hook (pipeline rebuild) has completed. With a good
 // checkpoint and RestoreCheckpoint mode the state is restored from the
 // last token; otherwise it cold-starts. A restore error is a fault — the
-// streak keeps growing, converging on degrade/stop.
+// streak keeps growing, converging on degrade/stop. The generation whose
+// fault or supersession scheduled the restart has exited or can no longer
+// publish, and the next one starts only after this returns, so the token
+// read here is not replaced or handed back meanwhile
+// (TestNoPublishOrHandBackDuringRestore).
 func (d *Domain[T]) restoreOrReset() error {
 	ck := d.ck
 	if last := ck.last.Load(); last != nil && ck.mode == RestoreCheckpoint {

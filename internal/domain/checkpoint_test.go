@@ -351,12 +351,12 @@ func TestStateSet(t *testing.T) {
 	if err := set.Restore([]any{tok}); err == nil {
 		t.Fatal("token of the old positional shape accepted")
 	}
-	if err := set.Restore(tok.([]byte)[:5]); err == nil {
+	if err := set.Restore(&setToken{wire: tok.(*setToken).wire[:5]}); err == nil {
 		t.Fatal("short token accepted")
 	}
 	// A component failure names the component: two parts, the first one
 	// byte of junk.
-	junk := []byte{2, 0, 0, 0, 1, 0, 0, 0, 0xff, 0, 0, 0, 0}
+	junk := &setToken{wire: []byte{2, 0, 0, 0, 1, 0, 0, 0, 0xff, 0, 0, 0, 0}}
 	if err := set.Restore(junk); err == nil || !strings.Contains(err.Error(), "alpha") {
 		t.Fatalf("component error = %v, want alpha named", err)
 	}

@@ -425,11 +425,11 @@ func TestStateSetTokenRoundTrip(t *testing.T) {
 	if _, err := set.EncodeToken([]any{nil, nil}); err == nil {
 		t.Fatal("non-byte token accepted in encode")
 	}
-	// The token is the payload: encode and decode alias, not copy.
-	if tb := token.([]byte); &tb[0] != &payload[0] {
+	// The token holds the payload: encode and decode alias, not copy.
+	if tb := token.(*setToken).wire; &tb[0] != &payload[0] {
 		t.Fatal("EncodeToken copied the token")
 	}
-	if tb := token2.([]byte); &tb[0] != &payload[0] {
+	if tb := token2.(*setToken).wire; &tb[0] != &payload[0] {
 		t.Fatal("DecodeToken copied the payload")
 	}
 }

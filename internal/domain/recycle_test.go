@@ -1,0 +1,593 @@
+package domain
+
+// recycle_test.go covers who owns an epoch buffer: the StateSet's single
+// spare, the runtime's rule for handing a superseded token back (only
+// what it can prove nobody else reads), the publish that a superseded
+// generation must not make, and the ordering the rule leans on — no
+// publish and no hand-back while a restore is reading the last epoch.
+
+import (
+	"bytes"
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/linear"
+)
+
+// bufOf is the address of the memory a StateSet token occupies.
+func bufOf(t testing.TB, token any) *byte {
+	t.Helper()
+	tok, ok := token.(*setToken)
+	if !ok || cap(tok.wire) == 0 {
+		t.Fatalf("not a state-set token with a buffer: %T", token)
+	}
+	return &tok.wire[:1][0]
+}
+
+// TestStateSetKeepsOneSpare: a token handed back is the next capture's
+// buffer, a caller that hands nothing back gets a fresh exactly sized
+// buffer every time, a second hand-back does not grow the stock, a spare
+// the state has outgrown is replaced with headroom, and a failed capture
+// keeps its spare.
+func TestStateSetKeepsOneSpare(t *testing.T) {
+	kv := newDurableKV()
+	kv.set("a", 1)
+	set := NewStateSet().Add("kv", kv)
+	checkpointT := func() any {
+		t.Helper()
+		tok, err := set.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tok
+	}
+
+	a, b := checkpointT(), checkpointT()
+	if bufOf(t, a) == bufOf(t, b) {
+		t.Fatal("two captures with no hand-back between them share a buffer")
+	}
+	if w := a.(*setToken).wire; cap(w) != len(w) {
+		t.Fatalf("fresh buffer has %d B of slack", cap(w)-len(w))
+	}
+	pristine := bytes.Clone(b.(*setToken).wire)
+
+	set.RecycleToken(a)
+	set.RecycleToken(b) // same capacity: the stock stays at one, a
+	if set.spare != a {
+		t.Fatal("a second hand-back replaced a spare of equal capacity")
+	}
+	c := checkpointT()
+	if c != a {
+		t.Fatal("the capture after a hand-back did not reuse the spare")
+	}
+	if set.spare != nil {
+		t.Fatal("a taken spare is still in stock")
+	}
+	if !bytes.Equal(b.(*setToken).wire, pristine) {
+		t.Fatal("a token that was not in stock was written to")
+	}
+	if d := checkpointT(); d == a || d == b {
+		t.Fatal("a capture with no spare in stock reused a published token")
+	}
+
+	// Outgrown spare: replaced, with headroom for the next few epochs.
+	set.RecycleToken(c)
+	for i := 0; i < 64; i++ {
+		kv.set(string(rune('b'+i)), i)
+	}
+	grown := checkpointT().(*setToken)
+	if grown != c {
+		t.Fatal("the token object is not reused when only its buffer is outgrown")
+	}
+	if cap(grown.wire) <= len(grown.wire) {
+		t.Fatalf("buffer regrown under recycling has no headroom (%d/%d)", len(grown.wire), cap(grown.wire))
+	}
+	set.RecycleToken(grown)
+	kv.set("one-more", 1)
+	if again := checkpointT().(*setToken); &again.wire[0] != &grown.wire[:1][0] {
+		t.Fatal("one more key outgrew a buffer that was sized with headroom")
+	}
+
+	// A capture that fails gives its spare back rather than dropping it.
+	failing := NewStateSet().Add("kv", kv).Add("bad", &failingWire{durableKV: newDurableKV()})
+	failing.RecycleToken(&setToken{wire: make([]byte, 0, 4096)})
+	spare := failing.spare
+	if _, err := failing.Checkpoint(nil); err == nil {
+		t.Fatal("capture over a failing component succeeded")
+	}
+	if failing.spare != spare {
+		t.Fatal("a failed capture lost the spare it had taken")
+	}
+	set.RecycleToken("not a token") // ignored, not a panic
+}
+
+// failingWire is a wire-form component whose capture always fails.
+type failingWire struct{ *durableKV }
+
+func (f *failingWire) AppendCheckpoint([]byte) ([]byte, error) {
+	return nil, errors.New("failingWire: injected capture error")
+}
+
+// gatedSet is a StateSet whose captures wait for the test: one permit,
+// one capture. It forwards RecycleToken (so the runtime still finds it)
+// and records every hand-back; hold makes the next capture wait a second
+// time after the bytes are written, which is where a generation can be
+// superseded mid-capture.
+type gatedSet struct {
+	*StateSet
+	permits chan struct{}
+	waiting atomic.Int32 // captures parked on permits
+	hold    atomic.Bool
+	held    chan struct{} // signalled when a capture is holding
+	release chan struct{}
+
+	mu       sync.Mutex
+	captured []*byte
+	recycled []*byte
+}
+
+func newGatedSet(parts ...*durableKV) *gatedSet {
+	g := &gatedSet{
+		StateSet: NewStateSet(),
+		permits:  make(chan struct{}, 64), // the test grants ahead; never more than a few
+		held:     make(chan struct{}, 1),
+		release:  make(chan struct{}),
+	}
+	for i, p := range parts {
+		g.Add(string(rune('a'+i)), p)
+	}
+	return g
+}
+
+func (g *gatedSet) Checkpoint(e *checkpoint.Engine) (any, error) {
+	g.waiting.Add(1)
+	_, open := <-g.permits
+	g.waiting.Add(-1)
+	if !open {
+		return nil, errors.New("gatedSet: test over")
+	}
+	tok, err := g.StateSet.Checkpoint(e)
+	if err == nil {
+		g.mu.Lock()
+		g.captured = append(g.captured, &tok.(*setToken).wire[:1][0])
+		g.mu.Unlock()
+	}
+	if g.hold.CompareAndSwap(true, false) {
+		g.held <- struct{}{}
+		<-g.release
+	}
+	return tok, err
+}
+
+func (g *gatedSet) RecycleToken(token any) {
+	g.mu.Lock()
+	g.recycled = append(g.recycled, &token.(*setToken).wire[:1][0])
+	g.mu.Unlock()
+	g.StateSet.RecycleToken(token)
+}
+
+func (g *gatedSet) counts() (captured, recycled int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.captured), len(g.recycled)
+}
+
+func (g *gatedSet) lastCaptured() *byte {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.captured[len(g.captured)-1]
+}
+
+func (g *gatedSet) lastRecycled() *byte {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.recycled) == 0 {
+		return nil
+	}
+	return g.recycled[len(g.recycled)-1]
+}
+
+// swapPersister is a retaining store in miniature: it keeps the caller's
+// slice as the newest epoch and, through SwapEpoch, says which one it
+// let go. failBefore refuses the next epoch before recording it;
+// failAfter records it and then fails, as an fsync after the swap does.
+type swapPersister struct {
+	mu         sync.Mutex
+	retained   []byte
+	seq        uint64
+	failBefore bool
+	failAfter  bool
+}
+
+func (p *swapPersister) SwapEpoch(_ string, seq uint64, payload []byte) ([]byte, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.failBefore {
+		p.failBefore = false
+		return nil, errors.New("swapPersister: refused before recording")
+	}
+	released := p.retained
+	p.retained, p.seq = payload, seq
+	if p.failAfter {
+		p.failAfter = false
+		return nil, errors.New("swapPersister: failed after recording")
+	}
+	return released, nil
+}
+
+func (p *swapPersister) PersistEpoch(name string, seq uint64, payload []byte) error {
+	_, err := p.SwapEpoch(name, seq, payload)
+	return err
+}
+
+func (p *swapPersister) LastEpoch(string) ([]byte, uint64, bool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.retained, p.seq, p.retained != nil, nil
+}
+
+// held returns the retained slice itself and where it starts.
+func (p *swapPersister) held() ([]byte, *byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.retained == nil {
+		return nil, nil
+	}
+	return p.retained, &p.retained[:1][0]
+}
+
+func (p *swapPersister) arm(before, after bool) {
+	p.mu.Lock()
+	p.failBefore, p.failAfter = before, after
+	p.mu.Unlock()
+}
+
+// plainPersister retains like swapPersister but offers no SwapEpoch: the
+// runtime cannot learn what it let go.
+type plainPersister struct{ inner swapPersister }
+
+func (p *plainPersister) PersistEpoch(name string, seq uint64, payload []byte) error {
+	return p.inner.PersistEpoch(name, seq, payload)
+}
+
+func (p *plainPersister) LastEpoch(name string) ([]byte, uint64, bool, error) {
+	return p.inner.LastEpoch(name)
+}
+
+// spawnGated spawns a domain over g whose handler sets one key per
+// payload (negative payloads panic).
+func spawnGated(t *testing.T, s *Supervisor, name string, g *gatedSet, kv *durableKV) *Domain[int] {
+	t.Helper()
+	d, err := Spawn(s, Config[int]{
+		Name:  name,
+		State: g,
+		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			v, err := msg.Into()
+			if err != nil {
+				return err
+			}
+			if v < 0 {
+				panic("injected handler crash")
+			}
+			kv.set(string(rune('a'+v%26)), v)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { close(g.permits) }) // after sup.Close (LIFO): lets parked captures end
+	return d
+}
+
+// epoch grants one capture and waits until the serving goroutine has
+// finished with it — publish, persist and hand-back all happen on that
+// goroutine before it can park on the next permit. (One generation at a
+// time: a test that restarts the domain waits for the old one itself.)
+func epoch(t *testing.T, d *Domain[int], g *gatedSet) {
+	t.Helper()
+	sn := d.Snapshot()
+	before := sn.Checkpoints + sn.CheckpointFailures
+	g.permits <- struct{}{}
+	waitFor(t, "one epoch", func() bool {
+		sn := d.Snapshot()
+		return sn.Checkpoints+sn.CheckpointFailures > before && g.waiting.Load() == 1
+	})
+}
+
+// reachable counts the distinct epoch buffers the runtime, the state and
+// the store hold between epochs.
+func reachable(t *testing.T, d *Domain[int], g *gatedSet, retained *byte) int {
+	t.Helper()
+	seen := map[*byte]bool{}
+	if last := d.ck.last.Load(); last != nil {
+		seen[bufOf(t, last.token)] = true
+	}
+	g.StateSet.mu.Lock()
+	if g.spare != nil {
+		seen[bufOf(t, g.spare)] = true
+	}
+	g.StateSet.mu.Unlock()
+	if retained != nil {
+		seen[retained] = true
+	}
+	return len(seen)
+}
+
+// TestRuntimeHandsBackOnlyWhatItOwns drives real epochs through each
+// kind of store and checks, between epochs, the three ownership facts:
+// the buffer a capture was handed is not one the store still retains,
+// at most two buffers are reachable, and a hand-back happens exactly
+// when the runtime and the store have both let the buffer go.
+func TestRuntimeHandsBackOnlyWhatItOwns(t *testing.T) {
+	t.Run("no store", func(t *testing.T) {
+		sup := NewSupervisor(ckptPolicy(200 * time.Microsecond))
+		defer sup.Close()
+		kv := newDurableKV()
+		g := newGatedSet(kv)
+		d := spawnGated(t, sup, "w", g, kv)
+		epoch(t, d, g)
+		first := g.lastCaptured()
+		epoch(t, d, g)
+		if g.lastRecycled() != first {
+			t.Fatal("the epoch a newer one replaced was not handed back")
+		}
+		epoch(t, d, g)
+		if g.lastCaptured() != first {
+			t.Fatal("the third capture did not write into the buffer handed back by the second")
+		}
+		for i := 0; i < 20; i++ {
+			epoch(t, d, g)
+			if n := reachable(t, d, g, nil); n > 2 {
+				t.Fatalf("%d epoch buffers reachable, want <= 2", n)
+			}
+		}
+		if captured, recycled := g.counts(); recycled != captured-1 {
+			t.Fatalf("%d captures, %d hand-backs; every epoch but the newest should be back", captured, recycled)
+		}
+	})
+
+	t.Run("store that reports what it let go", func(t *testing.T) {
+		p := &swapPersister{}
+		sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+		defer sup.Close()
+		kv := newDurableKV()
+		g := newGatedSet(kv)
+		d := spawnGated(t, sup, "w", g, kv)
+		step := func(wantHandBack bool, what string) {
+			t.Helper()
+			_, before := g.counts()
+			_, retained := p.held()
+			epoch(t, d, g)
+			if retained != nil && g.lastCaptured() == retained {
+				t.Fatalf("%s: the capture was handed the buffer the store still retained", what)
+			}
+			if _, after := g.counts(); (after > before) != wantHandBack {
+				t.Fatalf("%s: hand-back = %v, want %v", what, after > before, wantHandBack)
+			}
+			if _, now := p.held(); reachable(t, d, g, now) > 2 {
+				n := reachable(t, d, g, now)
+				t.Fatalf("%s: %d epoch buffers reachable, want <= 2", what, n)
+			}
+		}
+		step(false, "first epoch")
+		step(true, "second epoch")
+		step(true, "third epoch")
+
+		// Persist fails before the store records: it still retains the
+		// previous epoch, so nothing goes back — not that one (the store
+		// reads it), and not on the next success either, when the store
+		// lets go of a buffer the runtime dropped an epoch earlier.
+		p.arm(true, false)
+		kept, keptAt := p.held()
+		pristine := bytes.Clone(kept)
+		step(false, "persist error")
+		if _, at := p.held(); at != keptAt || !bytes.Equal(kept, pristine) {
+			t.Fatal("the epoch the store retained across a failed persist changed")
+		}
+		step(false, "first success after a persist error")
+		if !bytes.Equal(kept, pristine) {
+			t.Fatal("the buffer the store let go after a failed persist was written, and nobody owned it")
+		}
+		step(true, "second success after a persist error")
+
+		// Fsync fails after the store swapped: the store does not say
+		// what it let go, so that buffer is left to the collector; the
+		// rotation is whole again two epochs later.
+		p.arm(false, true)
+		step(false, "fsync error after the swap")
+		step(true, "first success after an fsync error")
+		step(true, "second success after an fsync error")
+		if sn := d.Snapshot(); sn.PersistFailures != 2 {
+			t.Fatalf("persist failures = %d, want 2", sn.PersistFailures)
+		}
+	})
+
+	t.Run("store that does not say", func(t *testing.T) {
+		p := &plainPersister{}
+		sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+		defer sup.Close()
+		kv := newDurableKV()
+		g := newGatedSet(kv)
+		d := spawnGated(t, sup, "w", g, kv)
+		for i := 0; i < 5; i++ {
+			epoch(t, d, g)
+		}
+		if _, recycled := g.counts(); recycled != 0 {
+			t.Fatalf("%d hand-backs behind a Persister without SwapEpoch, want 0", recycled)
+		}
+	})
+}
+
+// TestSupersededCaptureDoesNotPublish: a sibling's fault retires the
+// whole group while this domain is mid-capture. The monitor restores the
+// domain from its last good epoch and starts a new generation; when the
+// old generation's capture finally returns it must neither replace that
+// epoch nor hand its buffer back.
+func TestSupersededCaptureDoesNotPublish(t *testing.T) {
+	p := ckptPolicy(200 * time.Microsecond)
+	p.Strategy = OneForAll
+	sup := NewSupervisor(p)
+	defer sup.Close()
+	kv := newDurableKV()
+	g := newGatedSet(kv)
+	d := spawnGated(t, sup, "victim", g, kv)
+	crasher, err := Spawn(sup, Config[int]{
+		Name: "crasher",
+		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			if _, err := msg.Into(); err != nil {
+				return err
+			}
+			panic("crasher always crashes")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	kv.set("good", 1)
+	epoch(t, d, g)
+	epoch(t, d, g) // two epochs: one published, one spare in stock
+	good, ok := d.LastCheckpoint()
+	if !ok {
+		t.Fatal("no epoch published")
+	}
+	goodBuf := bufOf(t, d.ck.last.Load().token)
+	_, recycledBefore := g.counts()
+	failedBefore := d.Snapshot().CheckpointFailures
+
+	kv.set("torn", 2) // live only: the capture below would carry it
+	g.hold.Store(true)
+	g.permits <- struct{}{}
+	<-g.held // bytes written into the spare, generation still current
+	midCapture := g.lastCaptured()
+
+	_ = crasher.Inbox().Send(linear.New(1))
+	waitFor(t, "group restart restores the victim", func() bool {
+		sn := d.Snapshot()
+		return sn.Restarts >= 1 && sn.Restores >= 1
+	})
+	if _, ok := kv.get("torn"); ok {
+		t.Fatal("restore kept a key that no published epoch carried")
+	}
+	g.release <- struct{}{} // the superseded capture returns now
+
+	waitFor(t, "refused publish is counted", func() bool {
+		return d.Snapshot().CheckpointFailures == failedBefore+1
+	})
+	if at, _ := d.LastCheckpoint(); !at.Equal(good) {
+		t.Fatal("a superseded generation replaced the last good epoch")
+	}
+	if bufOf(t, d.ck.last.Load().token) != goodBuf {
+		t.Fatal("the last good epoch's buffer changed")
+	}
+	if _, recycled := g.counts(); recycled != recycledBefore {
+		t.Fatal("a superseded generation handed a buffer back")
+	}
+	g.StateSet.mu.Lock()
+	spare := g.spare
+	g.StateSet.mu.Unlock()
+	if spare != nil && bufOf(t, spare) == midCapture {
+		t.Fatal("the unpublished capture's buffer went back into stock")
+	}
+	// The new generation publishes normally.
+	epoch(t, d, g)
+	if at, _ := d.LastCheckpoint(); !at.After(good) {
+		t.Fatal("the new generation did not publish")
+	}
+}
+
+// orderedKV is a plain Stateful that watches for what must never happen
+// while a restore reads the last epoch: a publish (LastCheckpoint moves)
+// or a hand-back.
+type orderedKV struct {
+	kvState
+	dom        atomic.Pointer[Domain[int]]
+	restoring  atomic.Bool
+	restores   atomic.Int64
+	violations atomic.Int64
+}
+
+func (s *orderedKV) Restore(token any) error {
+	d := s.dom.Load()
+	if d == nil {
+		return s.kvState.Restore(token)
+	}
+	at0, _ := d.LastCheckpoint()
+	s.restoring.Store(true)
+	time.Sleep(500 * time.Microsecond) // several epoch intervals
+	err := s.kvState.Restore(token)
+	s.restoring.Store(false)
+	if at1, _ := d.LastCheckpoint(); !at1.Equal(at0) {
+		s.violations.Add(1)
+	}
+	s.restores.Add(1)
+	return err
+}
+
+func (s *orderedKV) RecycleToken(any) {
+	if s.restoring.Load() {
+		s.violations.Add(1)
+	}
+}
+
+// TestNoPublishOrHandBackDuringRestore asserts the ordering the hand-back
+// rule leans on instead of assuming it: restoreOrReset runs on the
+// monitor strictly between the old generation's exit or supersession and
+// the new one's start, so nothing publishes and nothing is handed back
+// while it reads the last epoch — under handler panics, group restarts
+// and hang abandonment with epochs every 100µs.
+func TestNoPublishOrHandBackDuringRestore(t *testing.T) {
+	p := ckptPolicy(100 * time.Microsecond)
+	p.Strategy = OneForAll
+	p.HangAfter = 2 * time.Millisecond
+	sup := NewSupervisor(p)
+	defer sup.Close()
+	states := []*orderedKV{{kvState: kvState{m: map[string]int{}}}, {kvState: kvState{m: map[string]int{}}}}
+	doms := make([]*Domain[int], len(states))
+	for i, st := range states {
+		st := st
+		d, err := Spawn(sup, Config[int]{
+			Name:  string(rune('a' + i)),
+			State: st,
+			Handler: func(c *Ctx, msg linear.Owned[int]) error {
+				v, err := msg.Into()
+				if err != nil {
+					return err
+				}
+				switch {
+				case v%17 == 0:
+					panic("injected handler crash")
+				case v%29 == 0:
+					time.Sleep(4 * time.Millisecond) // past HangAfter: abandoned
+				}
+				st.set("k", v)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.dom.Store(d)
+		doms[i] = d
+	}
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for v := 1; time.Now().Before(deadline); v++ {
+		_ = doms[v%2].Inbox().TrySend(linear.New(v))
+		if v%8 == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	waitFor(t, "restores under chaos", func() bool {
+		return states[0].restores.Load() >= 3 && states[1].restores.Load() >= 3
+	})
+	for i, st := range states {
+		if n := st.violations.Load(); n != 0 {
+			t.Fatalf("domain %d: %d publishes or hand-backs while a restore was reading the last epoch", i, n)
+		}
+	}
+}

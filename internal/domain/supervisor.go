@@ -285,6 +285,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			mode:   s.policy.Restore,
 		}
 		d.ck.lastAttempt.Store(time.Now().UnixNano())
+		d.ck.recycler, _ = cfg.State.(tokenRecycler)
 		if p := s.policy.Persist; p != nil {
 			codec, ok := cfg.State.(TokenCodec)
 			if !ok {
@@ -292,6 +293,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			}
 			d.ck.persist = p
 			d.ck.codec = codec
+			d.ck.releaser, _ = p.(epochReleaser)
 		}
 	}
 	d.handler.Store(&handlerCell[T]{fn: cfg.Handler})

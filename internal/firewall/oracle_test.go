@@ -126,18 +126,23 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 			}
 		}
 
-		// An unchanged rule set is flattened once: the next epoch returns
-		// the cached image. The restored side's image is the token's bytes
-		// in a buffer of its own, so it pins no epoch buffer.
-		again, _ := src.Checkpoint(nil)
-		if &again.([]byte)[0] != &tok.([]byte)[0] {
-			t.Fatal("second checkpoint of an unchanged DB re-encoded it")
+		// An unchanged rule set is flattened once: later epochs copy the
+		// cached image, each into a token of its own. The restored side's
+		// image is the token's bytes in a buffer of its own, so it neither
+		// pins an epoch buffer nor reads one the state may write again.
+		first, _ := src.wire()
+		again, _ := src.wire()
+		if &again[0] != &first[0] {
+			t.Fatal("second epoch of an unchanged DB re-encoded it")
+		}
+		if next, _ := src.Checkpoint(nil); &next.([]byte)[0] == &tok.([]byte)[0] || !bytes.Equal(next.([]byte), pristine) {
+			t.Fatal("a second checkpoint must be the same bytes in a token of its own")
 		}
 		dtok, _ := dst.Checkpoint(nil)
 		if !bytes.Equal(dtok.([]byte), pristine) {
 			t.Fatal("checkpoint after restore differs from the token it was restored from")
 		}
-		if &dtok.([]byte)[0] == &tok.([]byte)[0] {
+		if cached, _ := dst.wire(); &cached[0] == &tok.([]byte)[0] {
 			t.Fatal("the restored side caches the token's own buffer")
 		}
 		// Token reuse: a second restore builds a DB sharing nothing with

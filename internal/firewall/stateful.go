@@ -79,10 +79,10 @@ func (s *Stateful) install(wire []byte) error {
 }
 
 // Checkpoint implements the Stateful contract: the token is the live
-// DB's wire image. The engine is unused — the wire form needs no
-// traversal state.
+// DB's wire image in a buffer of its own. The engine is unused — the
+// wire form needs no traversal state.
 func (s *Stateful) Checkpoint(*checkpoint.Engine) (any, error) {
-	return s.wire()
+	return s.AppendCheckpoint(nil)
 }
 
 // CheckpointSize reports the bytes AppendCheckpoint would write now.
@@ -100,11 +100,12 @@ func (s *Stateful) AppendCheckpoint(buf []byte) ([]byte, error) {
 	return append(buf, wire...), nil
 }
 
-// Restore swaps in a fresh DB built from a Checkpoint token. The cached
-// encoding is a copy of the token's (configuration-sized) bytes: inside
-// a StateSet the token is a window into the whole epoch buffer, which
-// the cache would otherwise keep alive long after newer epochs replaced
-// it.
+// Restore swaps in a fresh DB built from a Checkpoint token; decoding
+// validates the whole token before the swap, so a bad one leaves the
+// live DB in place. The cached encoding is a copy of the token's
+// (configuration-sized) bytes: inside a StateSet the token is a window
+// into the whole epoch buffer, which the set writes again once the
+// runtime hands it back.
 func (s *Stateful) Restore(token any) error {
 	wire, ok := token.([]byte)
 	if !ok {

@@ -4,7 +4,7 @@ package maglev
 // hash → backend stickiness) and the hit/miss counters, in the v1 wire
 // image and in no other form. Capture appends the entries straight from
 // the live map under the balancer's lock; the token is those bytes, so
-// encoding is the identity; Restore decodes them into a fresh map. The
+// encoding is the identity; Restore decodes them back into that map. The
 // lookup table is config, not state — it is rebuilt from the backend set
 // at boot and no checkpoint touches it.
 
@@ -102,34 +102,53 @@ func walkConns(body []byte, n int, fn func(h uint64, ip packet.IPv4, name []byte
 }
 
 // Restore replaces the connection table and counters with the ones a
-// Checkpoint token describes. The token is only read, so it restores
-// any number of times. The lookup table is untouched: config survives
-// the fault, state is restored.
+// Checkpoint token describes, in place: the token is walked whole first
+// (a bad one leaves the balancer as it was), then under the lock the map
+// is cleared (or, holding under half the token's connections, replaced by
+// one sized for them) and refilled. Backend names are taken from the balancer's
+// own backend set, so a restore allocates a string only for a backend
+// that has since left it. The token is only read, so it restores any
+// number of times. The lookup table is untouched: config survives the
+// fault, state is restored.
 func (b *Balancer) Restore(token any) error {
 	data, ok := token.([]byte)
 	if !ok {
 		return fmt.Errorf("maglev: restore token is %T, want []byte", token)
 	}
 	hits, misses, n, body, err := tokenHeader(data)
-	if err != nil {
-		return err
+	if err == nil {
+		err = walkConns(body, n, nil)
 	}
-	conns := make(map[uint64]Backend, n)
-	names := make(map[string]string) // one string per distinct backend name
-	err = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
-		s, seen := names[string(name)]
-		if !seen {
-			s = string(name)
-			names[s] = s
-		}
-		conns[h] = Backend{Name: s, IP: ip}
-	})
 	if err != nil {
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = conns, len(body)
+	if len(b.conns) < n/2 {
+		// Not grown to the token's size (a cold reopen): size it once.
+		b.conns = make(map[uint64]Backend, n)
+	} else {
+		clear(b.conns)
+	}
+	known := b.table.backends
+	var departed []string // names of backends no longer in the set, one string each
+	_ = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
+		for _, be := range known {
+			if be.IP == ip && be.Name == string(name) {
+				b.conns[h] = be
+				return
+			}
+		}
+		for _, s := range departed {
+			if s == string(name) {
+				b.conns[h] = Backend{Name: s, IP: ip}
+				return
+			}
+		}
+		departed = append(departed, string(name))
+		b.conns[h] = Backend{Name: departed[len(departed)-1], IP: ip}
+	})
+	b.connBytes = len(body)
 	b.hits, b.misses = hits, misses
 	return nil
 }

@@ -20,6 +20,7 @@ package netbricks
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/linear"
 	"repro/internal/packet"
@@ -230,10 +231,11 @@ func (t Transform) ProcessBatch(b *Batch) error {
 }
 
 // FaultInjector panics on the Nth batch it sees — the §3 recovery
-// experiment "simulating a panic in the null-filter".
+// experiment "simulating a panic in the null-filter". One injector may
+// sit in a stage that several workers call, so the count is atomic.
 type FaultInjector struct {
 	PanicOn int // 1-based batch index to panic on; 0 = never
-	seen    int
+	seen    atomic.Int64
 }
 
 // Name implements Operator.
@@ -241,9 +243,9 @@ func (f *FaultInjector) Name() string { return "fault-injector" }
 
 // ProcessBatch implements Operator.
 func (f *FaultInjector) ProcessBatch(*Batch) error {
-	f.seen++
-	if f.PanicOn != 0 && f.seen == f.PanicOn {
-		panic(fmt.Sprintf("injected fault on batch %d", f.seen))
+	seen := int(f.seen.Add(1))
+	if f.PanicOn != 0 && seen == f.PanicOn {
+		panic(fmt.Sprintf("injected fault on batch %d", seen))
 	}
 	return nil
 }

@@ -5,10 +5,10 @@ package session
 // live flow straight from the flow map, under the table lock, into a
 // buffer sized for exactly that; the token handed to the domain runtime
 // *is* those bytes, so encoding it is the identity and the same buffer
-// goes to the WAL. Restore decodes the bytes into a fresh flow graph,
-// interning one Rc box per distinct backend — Figure 3a's aliasing
-// survives by construction, and a token restores any number of times
-// because nothing ever writes to it.
+// goes to the WAL. Restore decodes the bytes back into the table's own
+// maps and one retained slab of flows, interning one Rc box per distinct
+// backend — Figure 3a's aliasing survives by construction, and a token
+// restores any number of times because Restore only reads it.
 
 import (
 	"encoding/binary"
@@ -92,10 +92,14 @@ func checkToken(data []byte) (int, error) {
 }
 
 // Restore replaces the live table with the flow graph a Checkpoint token
-// describes: fresh Flow objects, one shared Rc box per distinct backend
-// (each flow holds a clone, the intern map the original), the eviction
-// ring reseeded. The token is only read, so a later fault can restore
-// from the same epoch again.
+// describes, in place: the token is checked whole first (a bad one leaves
+// the table as it was), then under the table lock the maps are cleared
+// (the flow map replaced by one sized for the token when it holds under
+// half as many flows) and refilled — every flow in one slab the table keeps between restores,
+// one shared Rc box per distinct backend (each flow holds a clone, the
+// intern map the original), the eviction ring reseeded. A restart thus
+// allocates a box per backend, not a graph per restore. The token is only
+// read, so a later fault can restore from the same epoch again.
 func (t *Table) Restore(token any) error {
 	data, ok := token.([]byte)
 	if !ok {
@@ -105,37 +109,43 @@ func (t *Table) Restore(token any) error {
 	if err != nil {
 		return err
 	}
-	flows := make(map[uint64]*Flow, n)
-	intern := make(map[packet.IPv4]checkpoint.Rc[Backend])
-	slab := make([]Flow, n) // one allocation for every restored flow
-	for i := range slab {
-		e := data[sessionHeaderSize+i*sessionEntrySize:]
-		f := &slab[i]
-		f.Tuple = packet.FiveTuple{
-			SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
-			DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
-			SrcPort: binary.LittleEndian.Uint16(e[16:]),
-			DstPort: binary.LittleEndian.Uint16(e[18:]),
-			Proto:   e[20],
-		}
-		f.Spilled = e[21] == 1
-		f.Packets = binary.LittleEndian.Uint64(e[26:])
-		f.Bytes = binary.LittleEndian.Uint64(e[34:])
-		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
-		rc, seen := intern[ip]
-		if !seen {
-			rc = checkpoint.NewRc(Backend{IP: ip})
-			intern[ip] = rc
-		}
-		f.Backend = rc.Clone()
-		flows[binary.LittleEndian.Uint64(e)] = f
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.flows = flows
-	t.intern = intern
+	// Nothing outside the lock holds a *Flow, and the two places inside
+	// it that do are emptied here, so the slab is free to overwrite.
+	if len(t.flows) < n/2 {
+		// A restore onto a table that has not grown to the token's size
+		// (a cold reopen): sized once beats growing a group at a time.
+		t.flows = make(map[uint64]*Flow, n)
+	} else {
+		clear(t.flows)
+	}
+	clear(t.intern)
+	t.flowPool = nil
+	if cap(t.slab) < n {
+		t.slab = make([]Flow, n)
+	}
+	clear(t.slab[n:cap(t.slab)]) // drop the backend handles of a larger past restore
+	t.slab = t.slab[:n]
+	for i := range t.slab {
+		e := data[sessionHeaderSize+i*sessionEntrySize:]
+		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
+		t.slab[i] = Flow{
+			Tuple: packet.FiveTuple{
+				SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
+				DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
+				SrcPort: binary.LittleEndian.Uint16(e[16:]),
+				DstPort: binary.LittleEndian.Uint16(e[18:]),
+				Proto:   e[20],
+			},
+			Backend: t.internLocked(ip).Clone(),
+			Packets: binary.LittleEndian.Uint64(e[26:]),
+			Bytes:   binary.LittleEndian.Uint64(e[34:]),
+			Spilled: e[21] == 1,
+		}
+		t.flows[binary.LittleEndian.Uint64(e)] = &t.slab[i]
+	}
 	t.rebuildRingLocked()
-	t.flowPool = nil // don't carry pooled storage across generations
 	return nil
 }
 

@@ -1,0 +1,199 @@
+package session
+
+// inplace_test.go holds Restore's rebuild-in-place to the fresh-graph
+// Restore it replaced, which stays here as the oracle, and pins what a
+// restore onto a populated table may allocate.
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/packet"
+)
+
+// restoreFresh is the parent commit's Restore: decode into new maps and a
+// new slab, then swap them in.
+func restoreFresh(t *Table, data []byte) error {
+	n, err := checkToken(data)
+	if err != nil {
+		return err
+	}
+	flows := make(map[uint64]*Flow, n)
+	intern := make(map[packet.IPv4]checkpoint.Rc[Backend])
+	slab := make([]Flow, n)
+	for i := range slab {
+		e := data[sessionHeaderSize+i*sessionEntrySize:]
+		f := &slab[i]
+		f.Tuple = packet.FiveTuple{
+			SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
+			DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
+			SrcPort: binary.LittleEndian.Uint16(e[16:]),
+			DstPort: binary.LittleEndian.Uint16(e[18:]),
+			Proto:   e[20],
+		}
+		f.Spilled = e[21] == 1
+		f.Packets = binary.LittleEndian.Uint64(e[26:])
+		f.Bytes = binary.LittleEndian.Uint64(e[34:])
+		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
+		rc, seen := intern[ip]
+		if !seen {
+			rc = checkpoint.NewRc(Backend{IP: ip})
+			intern[ip] = rc
+		}
+		f.Backend = rc.Clone()
+		flows[binary.LittleEndian.Uint64(e)] = f
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.flows = flows
+	t.intern = intern
+	t.rebuildRingLocked()
+	t.flowPool = nil
+	return nil
+}
+
+// sameTable compares everything a restore must bring back: identity,
+// counters, Spilled bits, the eviction ring as a set, and one Rc box per
+// backend with a strong count of its flows plus the intern map's handle.
+func sameTable(t *testing.T, got, want *Table) {
+	t.Helper()
+	got.mu.Lock()
+	defer got.mu.Unlock()
+	want.mu.Lock()
+	defer want.mu.Unlock()
+	if len(got.flows) != len(want.flows) {
+		t.Fatalf("%d flows, oracle %d", len(got.flows), len(want.flows))
+	}
+	perBackend := map[packet.IPv4]int64{}
+	for h, wf := range want.flows {
+		gf, ok := got.flows[h]
+		if !ok {
+			t.Fatalf("flow %x missing", h)
+		}
+		if gf.Tuple != wf.Tuple || gf.Packets != wf.Packets || gf.Bytes != wf.Bytes || gf.Spilled != wf.Spilled || gf.hot != wf.hot {
+			t.Fatalf("flow %x = %+v, oracle %+v", h, *gf, *wf)
+		}
+		ip := wf.Backend.Get().IP
+		if gf.Backend.Get().IP != ip {
+			t.Fatalf("flow %x → %v, oracle %v", h, gf.Backend.Get().IP, ip)
+		}
+		if !gf.Backend.SameBox(got.intern[ip]) {
+			t.Fatalf("flow %x holds a backend box of its own, not the interned one", h)
+		}
+		perBackend[ip]++
+	}
+	if len(got.intern) != len(want.intern) || len(got.intern) != len(perBackend) {
+		t.Fatalf("%d interned backends, oracle %d, flows use %d", len(got.intern), len(want.intern), len(perBackend))
+	}
+	for ip, n := range perBackend {
+		if g, w := got.intern[ip].StrongCount(), want.intern[ip].StrongCount(); g != w || g != n+1 {
+			t.Fatalf("backend %v: strong count %d, oracle %d, want flows+1 = %d", ip, g, w, n+1)
+		}
+	}
+	gr, wr := slices.Clone(got.ring), slices.Clone(want.ring)
+	slices.Sort(gr)
+	slices.Sort(wr)
+	if !slices.Equal(gr, wr) || got.hand != want.hand {
+		t.Fatalf("eviction ring holds %d hashes (hand %d), oracle %d (hand %d)", len(gr), got.hand, len(wr), want.hand)
+	}
+	if len(got.flowPool) != 0 {
+		t.Fatalf("%d pooled flows carried across a restore", len(got.flowPool))
+	}
+}
+
+// TestRestoreInPlaceMatchesFreshGraph restores a sequence of tokens of
+// varying size onto one long-lived table — populated, spilling, with
+// pooled flows and a slab from the restore before — and onto the oracle,
+// and requires the two to agree after every restore, with traffic in
+// between that evicts and re-admits flows living in the slab.
+func TestRestoreInPlaceMatchesFreshGraph(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		got, want := NewTable(), NewTable()
+		got.SetSpill(newMemSpill(), 96)
+		want.SetSpill(newMemSpill(), 96)
+		for step := 0; step < 12; step++ {
+			// A source table of random size and backend spread, some of
+			// its flows promoted back from a spill index (Spilled set).
+			src := NewTable()
+			src.SetSpill(newMemSpill(), 64)
+			base := rng.Intn(1000)
+			for i, n := 0, 1+rng.Intn(200); i < n; i++ {
+				src.Track(flowTuple(base+rng.Intn(150)), packet.IPv4(0xc0a80001+uint32(rng.Intn(5))), 60+rng.Intn(40))
+			}
+			tok, err := src.Checkpoint(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Restore(tok); err != nil {
+				t.Fatal(err)
+			}
+			if err := restoreFresh(want, tok.([]byte)); err != nil {
+				t.Fatal(err)
+			}
+			sameTable(t, got, want)
+			// Live traffic between restores: new flows, evictions into
+			// the pool (slab slots among them), promotions out of the
+			// index. Victims follow ring order, which follows map order,
+			// so the two tables part ways here; the next restore has to
+			// bring them back together from whatever this left behind.
+			for i, n := 0, rng.Intn(300); i < n; i++ {
+				tu, ip := flowTuple(base+rng.Intn(400)), packet.IPv4(0xc0a80001+uint32(rng.Intn(5)))
+				got.Track(tu, ip, 64)
+				want.Track(tu, ip, 64)
+			}
+		}
+	}
+}
+
+// TestRestoreBadTokenLeavesTableUntouched: the token is checked whole
+// before the first live entry is cleared.
+func TestRestoreBadTokenLeavesTableUntouched(t *testing.T) {
+	tbl := NewTable()
+	for i := 0; i < 20; i++ {
+		tbl.Track(flowTuple(i), 0xc0a80001, 100)
+	}
+	tok, _ := tbl.Checkpoint(nil)
+	before := tbl.Entries()
+	for _, bad := range [][]byte{nil, {9}, tok.([]byte)[:len(tok.([]byte))-1], append(slices.Clone(tok.([]byte)), 0)} {
+		if err := tbl.Restore(bad); err == nil {
+			t.Fatalf("token of %d bytes accepted", len(bad))
+		}
+		if after := tbl.Entries(); len(after) != len(before) {
+			t.Fatalf("a rejected token left %d of %d flows", len(after), len(before))
+		}
+	}
+}
+
+// TestRestoreInPlaceAllocBudget: restoring a 4096-flow token onto a table
+// that already holds those flows allocates one Rc box per distinct
+// backend and the token's interface box — it was two maps and a slab,
+// about 0.4 MB, per restore.
+func TestRestoreInPlaceAllocBudget(t *testing.T) {
+	const flows, backends = 4096, 8
+	tbl := NewTable()
+	for i := 0; i < flows; i++ {
+		tbl.Track(flowTuple(i), packet.IPv4(0xc0a80001+uint32(i%backends)), 100)
+	}
+	tok, err := tbl.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Restore(tok); err != nil { // first restore sizes the slab
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := tbl.Restore(tok); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > backends+2 {
+		t.Fatalf("in-place restore of %d flows allocates %.0f objects, want <= %d", flows, allocs, backends+2)
+	}
+	if tbl.Len() != flows || tbl.Backends() != backends {
+		t.Fatalf("restored %d flows over %d backends", tbl.Len(), tbl.Backends())
+	}
+}

@@ -74,6 +74,10 @@ type Table struct {
 	victimScratch []uint64
 	recScratch    []SpillRecord
 	flowPool      []*Flow
+
+	// slab holds every flow of the last Restore (durable.go); the next
+	// one overwrites it.
+	slab []Flow
 }
 
 // newFlowLocked takes a zeroed Flow from the pool, or allocates one.
@@ -175,6 +179,7 @@ func (t *Table) Reset() {
 	t.ring = t.ring[:0]
 	t.hand = 0
 	t.flowPool = nil
+	t.slab = nil
 }
 
 // Operator adapts the table into a NetBricks stage placed after the load

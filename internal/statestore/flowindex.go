@@ -10,12 +10,13 @@ package statestore
 // so reads are overlay-then-index.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -68,6 +69,12 @@ type FlowIndex struct {
 	overlay  map[uint64]session.SpillRecord
 	idx      *os.File // nil until the first compaction
 	idxCount int
+
+	// Scratch kept across calls, under mu: a spill batch's payload and
+	// frame, and a compaction's merged records and index image (which
+	// also holds the old index while it is read back).
+	payload, frame, image []byte
+	merged                []session.SpillRecord
 }
 
 // FlowIndex opens (or creates) the named flow index inside the store,
@@ -102,26 +109,25 @@ func (fi *FlowIndex) idxPath() string {
 }
 
 func (fi *FlowIndex) open() error {
-	// Replay the spill log's longest valid prefix and truncate the tail,
-	// exactly like the epoch WAL.
-	data, err := os.ReadFile(fi.logPath())
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("statestore: %w", err)
-	}
-	recs, n := SplitFrames(data)
-	for _, batch := range recs {
+	// Replay the spill log's longest valid prefix into the overlay and
+	// truncate the tail, exactly like the epoch WAL.
+	valid, size, err := scanLogFile(fi.logPath(), func(batch []byte) []byte {
 		if len(batch)%flowEntrySize != 0 {
 			fi.store.badEpochs.Add(1)
-			continue
+			return batch
 		}
 		for off := 0; off < len(batch); off += flowEntrySize {
 			r := decodeFlowEntry(batch[off : off+flowEntrySize])
 			fi.overlay[r.Hash] = r
 		}
+		return batch
+	})
+	if err != nil {
+		return err
 	}
-	if n < len(data) {
-		fi.store.tornRecords.Add(uint64(len(data) - n))
-		if err := os.Truncate(fi.logPath(), int64(n)); err != nil {
+	if valid < size {
+		fi.store.tornRecords.Add(uint64(size - valid))
+		if err := os.Truncate(fi.logPath(), valid); err != nil {
 			return fmt.Errorf("statestore: truncate torn spill tail: %w", err)
 		}
 	}
@@ -130,7 +136,7 @@ func (fi *FlowIndex) open() error {
 		return fmt.Errorf("statestore: %w", err)
 	}
 	fi.log = log
-	fi.logSize = int64(n)
+	fi.logSize = valid
 	// The compacted index, if one exists. A torn size (not a multiple of
 	// the entry width) cannot happen through the rename barrier; treat it
 	// as absent rather than guessing.
@@ -159,13 +165,14 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	if fi.store.closed.Load() {
 		return ErrClosed
 	}
-	payload := make([]byte, 0, len(recs)*flowEntrySize)
+	fi.mu.Lock()
+	defer fi.mu.Unlock()
+	payload := fi.payload[:0]
 	for _, r := range recs {
 		payload = encodeFlowEntry(payload, r)
 	}
-	frame := AppendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
+	frame := AppendFrame(fi.frame[:0], payload)
+	fi.payload, fi.frame = payload, frame
 	if _, err := fi.log.Write(frame); err != nil {
 		return fmt.Errorf("statestore: spill %s: %w", fi.name, err)
 	}
@@ -254,9 +261,12 @@ func (fi *FlowIndex) Compact() error {
 
 func (fi *FlowIndex) compactLocked() error {
 	// Merge: current index entries, overridden/extended by the overlay.
-	merged := make([]session.SpillRecord, 0, fi.idxCount+len(fi.overlay))
+	// The old index is read into the image scratch, decoded out of it,
+	// and the new image then encoded over it.
+	merged := fi.merged[:0]
 	if fi.idx != nil && fi.idxCount > 0 {
-		old := make([]byte, fi.idxCount*flowEntrySize)
+		old := slices.Grow(fi.image[:0], fi.idxCount*flowEntrySize)[:fi.idxCount*flowEntrySize]
+		fi.image = old
 		if _, err := fi.idx.ReadAt(old, 0); err != nil {
 			return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
 		}
@@ -270,11 +280,12 @@ func (fi *FlowIndex) compactLocked() error {
 	for _, r := range fi.overlay {
 		merged = append(merged, r)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Hash < merged[j].Hash })
-	buf := make([]byte, 0, len(merged)*flowEntrySize)
+	slices.SortFunc(merged, func(a, b session.SpillRecord) int { return cmp.Compare(a.Hash, b.Hash) })
+	buf := fi.image[:0]
 	for _, r := range merged {
 		buf = encodeFlowEntry(buf, r)
 	}
+	fi.merged, fi.image = merged[:0], buf[:0]
 	writeIdx := func(w io.Writer) error {
 		_, err := w.Write(buf)
 		return err
@@ -291,7 +302,7 @@ func (fi *FlowIndex) compactLocked() error {
 	}
 	fi.idx = idx
 	fi.idxCount = len(merged)
-	fi.overlay = make(map[uint64]session.SpillRecord)
+	clear(fi.overlay)
 	if err := fi.log.Truncate(0); err != nil {
 		return fmt.Errorf("statestore: compact %s: truncate log: %w", fi.name, err)
 	}

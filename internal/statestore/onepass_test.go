@@ -14,13 +14,14 @@ import (
 	"testing"
 )
 
-// flakyWAL wraps the store's WAL and fails the writes and truncates a
-// test arms. A failed write first lets half its bytes through, as a disk
-// filling up mid-frame would.
+// flakyWAL wraps the store's WAL and fails the writes, fsyncs and
+// truncates a test arms. A failed write first lets half its bytes
+// through, as a disk filling up mid-frame would.
 type flakyWAL struct {
 	walFile
 	writes       int
 	failWrite    int // 1-based index of the Write call to fail; 0 = none
+	failSync     bool
 	failTruncate bool
 }
 
@@ -33,6 +34,13 @@ func (w *flakyWAL) Write(p []byte) (int, error) {
 		return n, errInjected
 	}
 	return w.walFile.Write(p)
+}
+
+func (w *flakyWAL) Sync() error {
+	if w.failSync {
+		return errInjected
+	}
+	return w.walFile.Sync()
 }
 
 func (w *flakyWAL) Truncate(size int64) error {

@@ -1,0 +1,708 @@
+package statestore
+
+// ownership_test.go is the safety half of recycled epoch buffers: a
+// buffer goes back to the state that wrote it only when the runtime and
+// the store have both let it go. It runs the real domain runtime over a
+// real StateSet and a real Store (with the walFile seam failing writes
+// and fsyncs on cue), scripted one epoch at a time, and checks that no
+// reader — a restore, LastEpoch, a compaction — ever sees bytes that
+// differ from what some capture produced.
+
+import (
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/checkpoint"
+	"repro/internal/domain"
+	"repro/internal/linear"
+	"repro/internal/maglev"
+	"repro/internal/packet"
+	"repro/internal/session"
+)
+
+// TestSwapEpochReportsWhatItLetGo: the store names the exact slice a
+// newer epoch replaced, and names nothing when the swap did not happen
+// or the caller is told the append failed.
+func TestSwapEpochReportsWhatItLetGo(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Config{CompactAfter: -1})
+	first, second, third := []byte("first epoch"), []byte("second epoch"), []byte("third epoch")
+	same := func(a, b []byte) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+
+	if released, err := s.SwapEpoch("w", 1, first); err != nil || released != nil {
+		t.Fatalf("first epoch of a name: released %q, err %v; want nothing let go", released, err)
+	}
+	if released, err := s.SwapEpoch("other", 1, []byte("another domain")); err != nil || released != nil {
+		t.Fatalf("another name's first epoch: released %q, err %v", released, err)
+	}
+	released, err := s.SwapEpoch("w", 2, second)
+	if err != nil || !same(released, first) {
+		t.Fatalf("second epoch: released %q, err %v; want the first epoch's own slice", released, err)
+	}
+
+	// A write that fails records nothing and lets go of nothing.
+	fw := &flakyWAL{walFile: s.wal, failWrite: 1}
+	s.wal = fw
+	if released, err := s.SwapEpoch("w", 3, third); err == nil || released != nil {
+		t.Fatalf("failed append: released %q, err %v", released, err)
+	}
+	if got, seq, _, _ := s.LastEpoch("w"); seq != 2 || !same(got, second) {
+		t.Fatalf("after a failed append the store retains seq %d", seq)
+	}
+
+	// An fsync that fails after the swap: the store holds the new epoch
+	// and no longer the old one, but the caller is told only "error".
+	fw.failSync = true
+	if released, err := s.SwapEpoch("w", 3, third); err == nil || released != nil {
+		t.Fatalf("failed fsync: released %q, err %v", released, err)
+	}
+	fw.failSync = false
+	if got, seq, _, _ := s.LastEpoch("w"); seq != 3 || !same(got, third) {
+		t.Fatalf("after a failed fsync the store retains seq %d, want the epoch it recorded", seq)
+	}
+	fourth := []byte("fourth epoch")
+	if released, err := s.SwapEpoch("w", 4, fourth); err != nil || !same(released, third) {
+		t.Fatalf("epoch after a failed fsync: released %q, err %v; want the third epoch's slice", released, err)
+	}
+	s.Close()
+
+	// After a reopen the retained slice is a view into a replay buffer;
+	// it is let go like any other.
+	s2 := openT(t, dir, Config{CompactAfter: -1})
+	replayed, _, ok, err := s2.LastEpoch("w")
+	if err != nil || !ok || string(replayed) != "fourth epoch" {
+		t.Fatalf("reopen: %q ok=%v err=%v", replayed, ok, err)
+	}
+	if released, err := s2.SwapEpoch("w", 5, []byte("fifth epoch")); err != nil || !same(released, replayed) {
+		t.Fatalf("first epoch after a reopen: released %q, err %v; want the replayed slice", released, err)
+	}
+}
+
+// TestSpillSteadyStateAllocatesNothing: with its payload and frame
+// scratch warm, a spill batch that triggers no compaction allocates
+// nothing (it was a payload and a frame, about 42 KiB per 512 flows).
+func TestSpillSteadyStateAllocatesNothing(t *testing.T) {
+	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, FlowCompactAfter: -1})
+	fi, err := s.FlowIndex("worker-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]session.SpillRecord, 512)
+	next := uint64(0)
+	spill := func() {
+		for i := range batch {
+			batch[i] = rec(next%4096, 0x0a000001, next) // 4096 hashes: the overlay stops growing
+			next++
+		}
+		if err := fi.SpillFlows(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		spill()
+	}
+	if allocs := testing.AllocsPerRun(50, spill); allocs != 0 {
+		t.Fatalf("a steady-state spill batch allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestCompactionReusesItsScratch: compactions after the first grow no
+// new merge or image buffers when the index has stopped growing.
+func TestCompactionReusesItsScratch(t *testing.T) {
+	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, FlowCompactAfter: -1})
+	fi, err := s.FlowIndex("worker-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]session.SpillRecord, 1024)
+	round := func(pkts uint64) {
+		for i := range batch {
+			batch[i] = rec(uint64(i)*31, 0x0a000001, pkts)
+		}
+		if err := fi.SpillFlows(batch); err != nil {
+			t.Fatal(err)
+		}
+		if err := fi.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(1)
+	round(2)
+	merged, image := cap(fi.merged), cap(fi.image)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for p := uint64(3); p < 13; p++ {
+		round(p)
+	}
+	runtime.ReadMemStats(&after)
+	if cap(fi.merged) != merged || cap(fi.image) != image {
+		t.Fatalf("scratch regrew: merged %d -> %d, image %d -> %d", merged, cap(fi.merged), image, cap(fi.image))
+	}
+	// What is left is the temp file and rename (names, *os.File), not
+	// anything proportional to the 1024 flows (~90 KiB per round before).
+	if perRound := (after.TotalAlloc - before.TotalAlloc) / 10; perRound > 8<<10 {
+		t.Fatalf("a compaction of a steady index allocates %d B", perRound)
+	}
+	if got, ok, _ := fi.LookupFlow(31 * 7); !ok || got.Packets != 12 {
+		t.Fatalf("after the last compaction flow 7 = %+v, %v", got, ok)
+	}
+	if n, _ := fi.FlowCount(); n != 1024 || fi.OverlaySize() != 0 {
+		t.Fatalf("index holds %d flows with %d in the overlay", n, fi.OverlaySize())
+	}
+}
+
+// --- the ownership script -------------------------------------------------
+
+// scriptedWAL fails the next write or fsync when armed.
+type scriptedWAL struct {
+	walFile
+	failWrite atomic.Bool
+	failSync  atomic.Bool
+}
+
+func (w *scriptedWAL) Write(p []byte) (int, error) {
+	if w.failWrite.CompareAndSwap(true, false) {
+		n, _ := w.walFile.Write(p[:len(p)/2])
+		return n, errInjected
+	}
+	return w.walFile.Write(p)
+}
+
+func (w *scriptedWAL) Sync() error {
+	if w.failSync.CompareAndSwap(true, false) {
+		return errInjected
+	}
+	return w.walFile.Sync()
+}
+
+// ownBook is what the script knows about every epoch buffer: the
+// checksums captures produced, per domain; the checksum of each epoch as
+// it was handed to the store, per sequence number; and which buffers are
+// still reachable (a finalizer crosses them off).
+type ownBook struct {
+	mu       sync.Mutex
+	sums     map[string]map[uint32]bool
+	bySeq    map[string]map[uint64]uint32
+	tracked  map[uintptr]bool
+	fresh    map[string]int // buffers never seen before, per domain
+	problems []string
+}
+
+func newOwnBook() *ownBook {
+	return &ownBook{
+		sums: map[string]map[uint32]bool{}, bySeq: map[string]map[uint64]uint32{},
+		tracked: map[uintptr]bool{}, fresh: map[string]int{},
+	}
+}
+
+func (b *ownBook) problem(format string, args ...any) {
+	b.mu.Lock()
+	b.problems = append(b.problems, fmt.Sprintf(format, args...))
+	b.mu.Unlock()
+}
+
+func (b *ownBook) known(name string, data []byte) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sums[name][crc32.Checksum(data, castagnoli)]
+}
+
+// persisted reports whether data is what the store was handed as epoch
+// seq of name: stricter than known, it also catches a retained buffer
+// rewritten whole by a later capture.
+func (b *ownBook) persisted(name string, seq uint64, data []byte) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	sum, ok := b.bySeq[name][seq]
+	return ok && sum == crc32.Checksum(data, castagnoli)
+}
+
+// capture records a capture's checksum and starts tracking its buffer.
+func (b *ownBook) capture(name string, data []byte) {
+	p := &data[:1][0]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.sums[name] == nil {
+		b.sums[name] = map[uint32]bool{}
+	}
+	b.sums[name][crc32.Checksum(data, castagnoli)] = true
+	key := uintptr(unsafe.Pointer(p))
+	if b.tracked[key] {
+		return // a buffer back from the spare
+	}
+	b.tracked[key] = true
+	b.fresh[name]++
+	runtime.SetFinalizer(p, func(p *byte) {
+		b.mu.Lock()
+		delete(b.tracked, uintptr(unsafe.Pointer(p)))
+		b.mu.Unlock()
+	})
+}
+
+func (b *ownBook) reachable() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.tracked)
+}
+
+// ownedStore notes each epoch's checksum on its way into the store. Like
+// ownedState it forwards the optional half of the interface it wraps.
+type ownedStore struct {
+	*Store
+	book *ownBook
+}
+
+func (o *ownedStore) SwapEpoch(name string, seq uint64, payload []byte) ([]byte, error) {
+	o.book.mu.Lock()
+	if o.book.bySeq[name] == nil {
+		o.book.bySeq[name] = map[uint64]uint32{}
+	}
+	o.book.bySeq[name][seq] = crc32.Checksum(payload, castagnoli)
+	o.book.mu.Unlock()
+	return o.Store.SwapEpoch(name, seq, payload)
+}
+
+func (o *ownedStore) PersistEpoch(name string, seq uint64, payload []byte) error {
+	_, err := o.SwapEpoch(name, seq, payload)
+	return err
+}
+
+// ownedState stands between the runtime and a worker's StateSet. It does
+// not hide RecycleToken, so the runtime recycles exactly as it would
+// without it. A capture waits for a permit from the script, which is how
+// the script knows when nothing is in flight.
+type ownedState struct {
+	name    string
+	inner   *domain.StateSet
+	store   *Store
+	book    *ownBook
+	permits chan struct{}
+	waiting atomic.Int32
+	panicIn atomic.Bool // panic in the next capture, after the bytes are written
+}
+
+// retainedAt reports whether the store currently retains a slice that
+// starts where data does.
+func (o *ownedState) retainedAt(data []byte) bool {
+	o.store.mu.Lock()
+	defer o.store.mu.Unlock()
+	for _, rec := range o.store.epochs {
+		if len(rec.token) > 0 && &rec.token[0] == &data[0] {
+			return true
+		}
+	}
+	return false
+}
+
+func (o *ownedState) Checkpoint(e *checkpoint.Engine) (any, error) {
+	o.waiting.Add(1)
+	_, open := <-o.permits
+	o.waiting.Add(-1)
+	if !open {
+		return nil, errors.New("ownedState: script over")
+	}
+	tok, err := o.inner.Checkpoint(e)
+	if err != nil {
+		return nil, err
+	}
+	data, _ := o.inner.EncodeToken(tok)
+	if o.retainedAt(data) {
+		o.book.problem("%s: a capture was handed the buffer the store still retains", o.name)
+	}
+	o.book.capture(o.name, data)
+	if o.panicIn.CompareAndSwap(true, false) {
+		panic("ownedState: injected mid-capture crash")
+	}
+	return tok, nil
+}
+
+func (o *ownedState) Restore(token any) error {
+	data, err := o.inner.EncodeToken(token)
+	if err != nil {
+		return err
+	}
+	if !o.book.known(o.name, data) {
+		o.book.problem("%s: restore reads %d bytes no capture produced", o.name, len(data))
+	}
+	return o.inner.Restore(token)
+}
+
+func (o *ownedState) Reset() { o.inner.Reset() }
+
+func (o *ownedState) RecycleToken(token any) {
+	if data, err := o.inner.EncodeToken(token); err == nil && len(data) > 0 && o.retainedAt(data) {
+		o.book.problem("%s: the runtime handed back the buffer the store still retains", o.name)
+	}
+	o.inner.RecycleToken(token)
+}
+
+func (o *ownedState) EncodeToken(token any) ([]byte, error) { return o.inner.EncodeToken(token) }
+func (o *ownedState) DecodeToken(data []byte) (any, error)  { return o.inner.DecodeToken(data) }
+
+// ownWorker is one supervised domain of the script.
+type ownWorker struct {
+	state *ownedState
+	lb    *maglev.Balancer
+	tbl   *session.Table
+	dom   *domain.Domain[func()]
+	flows int
+}
+
+// ownScript is one run: two workers under one supervisor and one store.
+type ownScript struct {
+	t       *testing.T
+	dir     string
+	store   *Store
+	wal     *scriptedWAL
+	book    *ownBook
+	sup     *domain.Supervisor
+	workers []*ownWorker
+	group   bool // OneForAll: every fault restarts both workers
+}
+
+func newOwnScript(t *testing.T, group bool) *ownScript {
+	t.Helper()
+	sc := &ownScript{t: t, dir: t.TempDir(), group: group}
+	sc.store = openT(t, sc.dir, Config{Fsync: FsyncGroup, CompactAfter: -1})
+	sc.wal = &scriptedWAL{walFile: sc.store.wal}
+	sc.store.wal = sc.wal
+	sc.book = newOwnBook()
+	policy := domain.Policy{
+		Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1,
+		CheckpointEvery: 100 * time.Microsecond, Persist: &ownedStore{Store: sc.store, book: sc.book},
+	}
+	if group {
+		policy.Strategy = domain.OneForAll
+	}
+	sc.sup = domain.NewSupervisor(policy)
+	for w := 0; w < 2; w++ {
+		lb, err := maglev.NewBalancer([]maglev.Backend{
+			{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},
+			{Name: "be-1", IP: packet.Addr(10, 1, 0, 2)},
+			{Name: "be-2", IP: packet.Addr(10, 1, 0, 3)},
+		}, 251)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wk := &ownWorker{lb: lb, tbl: session.NewTable()}
+		wk.state = &ownedState{
+			name:    fmt.Sprintf("worker-%d", w),
+			inner:   domain.NewStateSet().Add("maglev", lb).Add("session", wk.tbl),
+			store:   sc.store,
+			book:    sc.book,
+			permits: make(chan struct{}, 16), // the script grants at most a few ahead
+		}
+		wk.dom, err = domain.Spawn(sc.sup, domain.Config[func()]{
+			Name:  wk.state.name,
+			State: wk.state,
+			Handler: func(c *domain.Ctx, msg linear.Owned[func()]) error {
+				fn, err := msg.Into()
+				if err != nil {
+					return err
+				}
+				fn()
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.workers = append(sc.workers, wk)
+	}
+	t.Cleanup(func() {
+		sc.sup.Close()
+		for _, wk := range sc.workers {
+			close(wk.state.permits) // parked captures return an error and their generations exit
+		}
+	})
+	sc.settle()
+	for w := range sc.workers {
+		sc.epoch(w, true) // from here on every fault has an epoch to restore
+	}
+	return sc
+}
+
+func (sc *ownScript) wait(what string, cond func() bool) {
+	sc.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			sc.t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// attempts counts a worker's finished epoch attempts of every outcome.
+func attempts(wk *ownWorker) uint64 {
+	sn := wk.dom.Snapshot()
+	return sn.Checkpoints + sn.CheckpointFailures
+}
+
+// settle waits until every worker's only runnable work is a capture
+// parked on its permit: publish, persist and hand-back all run on the
+// goroutine that captured, before it can ask for the next permit, so
+// nothing touches an epoch buffer while this holds. stale says how many
+// superseded generations are known to be parked beside the current one.
+func (sc *ownScript) settle(stale ...int) {
+	sc.t.Helper()
+	for i, wk := range sc.workers {
+		want := int32(1)
+		if i < len(stale) {
+			want += int32(stale[i])
+		}
+		wk := wk
+		sc.wait(wk.state.name+" parked at its permit", func() bool {
+			return wk.dom.State() == domain.StateLive && wk.state.waiting.Load() == want
+		})
+	}
+}
+
+// epoch lets worker w take one epoch and waits for it to finish. The
+// handler first tracks three flows, new ones when grow is set and the
+// first three again otherwise, so that no two epochs are the same bytes
+// (the packet counters move either way).
+func (sc *ownScript) epoch(w int, grow bool) {
+	sc.t.Helper()
+	wk := sc.workers[w]
+	from := 0
+	if grow {
+		from = wk.flows
+		wk.flows += 3
+	}
+	track := func() {
+		for i := from; i < from+3; i++ {
+			tu := packet.FiveTuple{SrcIP: packet.IPv4(0x0a000000 + uint32(i)), DstIP: packet.Addr(10, 99, 0, 1), SrcPort: uint16(1024 + i), DstPort: 80, Proto: 17}
+			wk.tbl.Track(tu, wk.lb.Pick(tu).IP, 64)
+		}
+	}
+	before := attempts(wk)
+	if err := wk.dom.Inbox().Send(linear.New(track)); err != nil {
+		sc.t.Fatal(err)
+	}
+	wk.state.permits <- struct{}{}
+	sc.wait("one epoch of "+wk.state.name, func() bool { return attempts(wk) > before })
+	sc.settle()
+}
+
+// crash faults worker w — in its handler, or inside its next capture —
+// and waits for the restart (of both workers under OneForAll). The
+// sibling's parked generation is superseded where it stands: it wakes on
+// the next permit, captures, and must be refused publication.
+func (sc *ownScript) crash(w int, inCapture bool) {
+	sc.t.Helper()
+	wk := sc.workers[w]
+	restarts := make([]uint64, len(sc.workers))
+	for i, o := range sc.workers {
+		restarts[i] = o.dom.Snapshot().Restarts
+	}
+	if inCapture {
+		wk.state.panicIn.Store(true)
+	} else if err := wk.dom.Inbox().Send(linear.New(func() { panic("ownScript: injected handler crash") })); err != nil {
+		sc.t.Fatal(err)
+	}
+	wk.state.permits <- struct{}{} // the parked capture runs; a handler crash follows it
+	stale := make([]int, len(sc.workers))
+	for i, o := range sc.workers {
+		if i != w && !sc.group {
+			continue
+		}
+		i, o := i, o
+		sc.wait(o.state.name+" restarted", func() bool { return o.dom.Snapshot().Restarts > restarts[i] })
+		if i != w {
+			stale[i] = 1
+		}
+	}
+	sc.settle(stale...)
+	for i, o := range sc.workers {
+		if stale[i] == 0 {
+			continue
+		}
+		// Two permits, two parked generations, in whichever order they
+		// wake: the stale one is refused and exits, the current one
+		// publishes and parks again.
+		before := attempts(o)
+		refused := o.dom.Snapshot().CheckpointFailures
+		o.state.permits <- struct{}{}
+		o.state.permits <- struct{}{}
+		o := o
+		sc.wait(o.state.name+" flushing its superseded generation", func() bool { return attempts(o) >= before+2 })
+		if got := o.dom.Snapshot().CheckpointFailures; got != refused+1 {
+			sc.t.Fatalf("%s: %d refused publishes after a superseded capture, want 1", o.state.name, got-refused)
+		}
+	}
+	sc.settle()
+}
+
+// verify runs with everything parked: every retained epoch and every
+// frame of a compacted base must be bytes some capture produced, and no
+// more than two epoch buffers per worker may still be reachable.
+func (sc *ownScript) verify(compact bool) {
+	sc.t.Helper()
+	if compact {
+		if err := sc.store.Compact(); err != nil {
+			sc.t.Fatalf("compact: %v", err)
+		}
+		f, err := os.Open(filepath.Join(sc.dir, baseName))
+		if err != nil {
+			sc.t.Fatal(err)
+		}
+		st, _ := f.Stat()
+		_, err = scanFrames(f, st.Size(), func(rec []byte) []byte {
+			name, seq, _, token, derr := decodeEpoch(rec)
+			if derr != nil || !sc.book.persisted(name, seq, token) {
+				sc.book.problem("base.db holds as epoch %d of %q bytes the store was never handed (decode: %v)", seq, name, derr)
+			}
+			return rec
+		})
+		f.Close()
+		if err != nil {
+			sc.t.Fatal(err)
+		}
+	}
+	for _, wk := range sc.workers {
+		data, seq, ok, err := sc.store.LastEpoch(wk.state.name)
+		if err != nil {
+			sc.t.Fatal(err)
+		}
+		if ok && !sc.book.persisted(wk.state.name, seq, data) {
+			sc.book.problem("%s: LastEpoch returns as epoch %d bytes the store was never handed", wk.state.name, seq)
+		}
+	}
+	limit := 2 * len(sc.workers)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		if sc.book.reachable() <= limit {
+			break
+		}
+		if time.Now().After(deadline) {
+			sc.t.Fatalf("%d epoch buffers still reachable with everything parked, want <= %d (two per worker)", sc.book.reachable(), limit)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	sc.book.mu.Lock()
+	defer sc.book.mu.Unlock()
+	if len(sc.book.problems) > 0 {
+		sc.t.Fatalf("ownership violated:\n%v", sc.book.problems)
+	}
+}
+
+// Opcodes of the script; the worker is the byte's next bit up.
+const (
+	opEpoch = iota
+	opPersistError
+	opFsyncError
+	opCrash
+	opCrashInCapture
+	opCompact
+	opVerify
+	ownOps
+)
+
+// run plays ops and verifies once more at the end.
+func (sc *ownScript) run(ops []byte) {
+	sc.t.Helper()
+	for _, b := range ops {
+		w := int(b/ownOps) % len(sc.workers)
+		switch b % ownOps {
+		case opEpoch:
+			sc.epoch(w, b&0x80 == 0)
+		case opPersistError:
+			sc.wal.failWrite.Store(true)
+			sc.epoch(w, true)
+			sc.wal.failWrite.Store(false)
+		case opFsyncError:
+			sc.wal.failSync.Store(true)
+			sc.epoch(w, true)
+			sc.wal.failSync.Store(false)
+		case opCrash:
+			sc.crash(w, false)
+		case opCrashInCapture:
+			sc.crash(w, true)
+		case opCompact:
+			sc.verify(true)
+		case opVerify:
+			sc.verify(false)
+		}
+	}
+	sc.verify(true)
+	for _, wk := range sc.workers {
+		if sn := wk.dom.Snapshot(); sn.ColdStarts != 0 {
+			sc.t.Fatalf("%s cold-started %d times; every fault had a published epoch to restore", wk.state.name, sn.ColdStarts)
+		}
+	}
+}
+
+// TestEpochOwnershipProperty plays seeded random scripts under both
+// restart strategies.
+func TestEpochOwnershipProperty(t *testing.T) {
+	for _, group := range []bool{false, true} {
+		for seed := int64(1); seed <= 4; seed++ {
+			t.Run(fmt.Sprintf("group=%v/seed=%d", group, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				ops := make([]byte, 60)
+				for i := range ops {
+					ops[i] = byte(rng.Intn(2 * ownOps))
+					if rng.Intn(3) == 0 { // weight plain epochs: faults need epochs around them
+						ops[i] = byte(opEpoch + ownOps*rng.Intn(2))
+					}
+				}
+				newOwnScript(t, group).run(ops)
+			})
+		}
+	}
+}
+
+// TestEpochBuffersRotate: with no faults and a state that has stopped
+// growing, a worker's epochs alternate between two buffers for as long
+// as it runs — the check that the script above is exercising recycling
+// and not only its fallback.
+func TestEpochBuffersRotate(t *testing.T) {
+	sc := newOwnScript(t, false)
+	fresh := func() int {
+		sc.book.mu.Lock()
+		defer sc.book.mu.Unlock()
+		return sc.book.fresh["worker-0"]
+	}
+	for i := 0; i < 3; i++ { // the first captures were of a smaller state
+		sc.epoch(0, false)
+	}
+	warm := fresh()
+	for i := 0; i < 40; i++ {
+		sc.epoch(0, false)
+	}
+	sc.verify(false)
+	if n := fresh() - warm; n != 0 {
+		t.Fatalf("40 fault-free epochs of a steady state allocated %d new buffers, want a rotation of two", n)
+	}
+}
+
+// FuzzEpochOwnership plays arbitrary scripts. The seeds are the orders
+// the hand-back rule was written around: a persist that fails and then
+// succeeds (the store lets go of a buffer the runtime dropped an epoch
+// earlier), an fsync that fails after the swap, a crash right after
+// each, and a group restart landing on a parked capture.
+func FuzzEpochOwnership(f *testing.F) {
+	f.Add(false, []byte{opEpoch, opEpoch, opPersistError, opEpoch, opEpoch, opVerify})
+	f.Add(false, []byte{opEpoch, opEpoch, opFsyncError, opEpoch, opEpoch, opCompact})
+	f.Add(false, []byte{opEpoch, opPersistError, opCrash, opEpoch, opFsyncError, opCrashInCapture, opEpoch})
+	f.Add(true, []byte{opEpoch, opEpoch + ownOps, opCrash, opEpoch, opCrashInCapture + ownOps, opCompact, opEpoch})
+	f.Add(true, []byte{opPersistError, opFsyncError + ownOps, opCrash + ownOps, opVerify})
+	f.Fuzz(func(t *testing.T, group bool, ops []byte) {
+		if len(ops) > 48 {
+			ops = ops[:48]
+		}
+		newOwnScript(t, group).run(ops)
+	})
+}

@@ -88,7 +88,9 @@ type Config struct {
 
 // epochRec is the in-memory view of a domain's newest durable epoch.
 // token is shared, never copied: it is the slice PersistEpoch was handed
-// (or a view into buf), LastEpoch hands it out, and nobody writes to it.
+// (or a view into buf), LastEpoch hands it out, and nobody writes to it
+// while it is in the map. The entry that replaces it under mu is the
+// store letting it go, which SwapEpoch reports to its caller.
 type epochRec struct {
 	seq   uint64
 	at    int64 // unix nanos, informational
@@ -127,6 +129,10 @@ type Store struct {
 
 	flowMu sync.Mutex
 	flows  map[string]*FlowIndex
+
+	// hdrs recycles epoch frame headers (*[]byte): one is built outside
+	// mu per append, because its CRC runs over the whole token.
+	hdrs sync.Pool
 
 	closed atomic.Bool
 
@@ -190,6 +196,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg:    cfg,
 		epochs: make(map[string]epochRec),
 		flows:  make(map[string]*FlowIndex),
+		hdrs:   sync.Pool{New: func() any { return new([]byte) }},
 	}
 	// The compacted image first. A torn base tail (possible only if a
 	// crash beat the rename barrier, which the write path prevents)
@@ -208,10 +215,10 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// replayFile streams the log at path, applying the longest valid prefix
-// of epoch records, and reports that prefix's length and the file's
-// size. A missing file is an empty log.
-func (s *Store) replayFile(path string) (valid, size int64, err error) {
+// scanLogFile streams the log at path through fn (see scanFrames) and
+// reports the length of its longest valid prefix and the file's size. A
+// missing file is an empty log.
+func scanLogFile(path string, fn func(rec []byte) (spare []byte)) (valid, size int64, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, 0, nil
@@ -224,14 +231,22 @@ func (s *Store) replayFile(path string) (valid, size int64, err error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("statestore: %w", err)
 	}
-	valid, err = scanFrames(f, st.Size(), s.applyEpochRecord)
+	valid, err = scanFrames(f, st.Size(), fn)
 	if err != nil {
 		return 0, 0, fmt.Errorf("statestore: replay %s: %w", filepath.Base(path), err)
 	}
-	if valid < st.Size() {
-		s.tornRecords.Add(uint64(st.Size() - valid))
-	}
 	return valid, st.Size(), nil
+}
+
+// replayFile applies the longest valid prefix of the epoch log at path
+// and reports that prefix's length and the file's size, counting what
+// follows the prefix as torn.
+func (s *Store) replayFile(path string) (valid, size int64, err error) {
+	valid, size, err = scanLogFile(path, s.applyEpochRecord)
+	if err == nil && valid < size {
+		s.tornRecords.Add(uint64(size - valid))
+	}
+	return valid, size, err
 }
 
 // replayWAL applies the WAL's longest valid prefix and truncates the
@@ -302,15 +317,16 @@ func (s *Store) compactThresholdLocked() int64 {
 //	u32 token length, token bytes
 const epochVersion = 1
 
-// epochFrameHeader returns the bytes that precede token in its frame:
-// the frame header (length and CRC-32C of record header + token, the CRC
-// fed incrementally so the two are never joined) and the record header.
-func epochFrameHeader(name string, seq uint64, at int64, token []byte) ([]byte, error) {
+// epochFrameHeader builds, in hdr's memory when it is large enough, the
+// bytes that precede token in its frame: the frame header (length and
+// CRC-32C of record header + token, the CRC fed incrementally so the two
+// are never joined) and the record header.
+func epochFrameHeader(hdr []byte, name string, seq uint64, at int64, token []byte) ([]byte, error) {
 	recLen := 1 + 2 + len(name) + 8 + 8 + 4 + len(token)
 	if len(name) > 0xffff || recLen > MaxFrame {
 		return nil, fmt.Errorf("statestore: epoch of %q (%d-byte token) does not fit a frame", name, len(token))
 	}
-	hdr := make([]byte, frameHeaderSize, frameHeaderSize+recLen-len(token))
+	hdr = append(hdr[:0], make([]byte, frameHeaderSize)...)
 	hdr = append(hdr, epochVersion)
 	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(name)))
 	hdr = append(hdr, name...)
@@ -362,59 +378,74 @@ func decodeEpoch(rec []byte) (name string, seq uint64, at int64, token []byte, e
 // This is the domain.Persister contract, ownership rule included: the
 // frame is written around payload without copying it, and the store
 // keeps payload itself as the domain's newest epoch, so the caller must
-// never write to it again.
+// not write to it while the store holds it — which a caller of this
+// method never learns has ended; SwapEpoch is the form that says.
 func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
+	_, err := s.SwapEpoch(name, seq, payload)
+	return err
+}
+
+// SwapEpoch is PersistEpoch that also returns the payload the store let
+// go: the slice an earlier call for name was handed (or the one replayed
+// at Open) and that payload replaced as the domain's newest epoch. The
+// swap happens under mu, so the answer is exact — no compaction or
+// LastEpoch can reach released afterwards — and the store never touches
+// it again. released is nil when name had no epoch and on every error,
+// including a failed fsync after the swap: the caller then just does not
+// learn what was let go.
+func (s *Store) SwapEpoch(name string, seq uint64, payload []byte) (released []byte, err error) {
 	if s.closed.Load() {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	at := time.Now().UnixNano()
-	hdr, err := epochFrameHeader(name, seq, at, payload)
+	hp := s.hdrs.Get().(*[]byte)
+	defer s.hdrs.Put(hp)
+	hdr, err := epochFrameHeader(*hp, name, seq, at, payload)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	*hp = hdr
 
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if err := s.appendLocked(hdr, payload); err != nil {
 		s.mu.Unlock()
-		return err
+		return nil, err
 	}
-	if cur, ok := s.epochs[name]; ok {
-		s.liveBytes -= int64(len(cur.token))
-	}
-	s.liveBytes += int64(len(payload))
+	released = s.epochs[name].token
+	s.liveBytes += int64(len(payload)) - int64(len(released))
 	s.epochs[name] = epochRec{seq: seq, at: at, token: payload}
 	myRec := s.appended.Add(1)
 	s.persisted.Add(1)
 	s.persistBytes.Add(uint64(len(payload)))
-	needCompact := s.cfg.CompactAfter >= 0 && s.walSize >= s.compactThresholdLocked()
-	if needCompact {
+	switch {
+	case s.cfg.CompactAfter >= 0 && s.walSize >= s.compactThresholdLocked():
 		// Compaction writes base.db through a rename barrier and then
 		// truncates the WAL, so it subsumes this record's durability.
-		err := s.compactLocked()
+		err = s.compactLocked()
 		s.mu.Unlock()
-		return err
-	}
-	if s.cfg.Fsync == FsyncAlways {
-		err := s.wal.Sync()
+	case s.cfg.Fsync == FsyncAlways:
+		err = s.wal.Sync()
 		s.fsyncs.Add(1)
 		if err == nil {
 			s.advanceSynced(myRec)
+		} else {
+			err = fmt.Errorf("statestore: fsync: %w", err)
 		}
 		s.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("statestore: fsync: %w", err)
-		}
-		return nil
+	case s.cfg.Fsync == FsyncGroup:
+		s.mu.Unlock()
+		err = s.syncTo(myRec)
+	default:
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	if s.cfg.Fsync == FsyncGroup {
-		return s.syncTo(myRec)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return released, nil
 }
 
 // appendLocked writes one frame to the WAL. A failed or short write may
@@ -530,9 +561,11 @@ func (s *Store) compactLocked() error {
 	base := filepath.Join(s.cfg.Dir, baseName)
 	err := atomicWriteFile(base, func(w io.Writer) error {
 		// One frame at a time, each token written from where it lives.
+		var hdr []byte
 		for _, name := range names {
 			rec := s.epochs[name]
-			hdr, err := epochFrameHeader(name, rec.seq, rec.at, rec.token)
+			var err error
+			hdr, err = epochFrameHeader(hdr, name, rec.seq, rec.at, rec.token)
 			if err == nil {
 				err = writeFrame(w, hdr, rec.token)
 			}

@@ -56,9 +56,11 @@ func writeFrame(w io.Writer, hdr, bulk []byte) error {
 	return err
 }
 
-// scanFrames is SplitFrames over a stream: it reads the log of size
-// bytes from r and hands fn every complete, CRC-clean record of the
-// longest valid prefix, in order, returning that prefix's length. Memory
+// scanFrames reads the log of size bytes from r and hands fn every
+// complete, CRC-clean record of the longest valid prefix, in order,
+// returning that prefix's length; what follows the prefix is the torn
+// tail (truncated header, short payload, oversized length, or CRC
+// mismatch) and is never partially decoded. Memory
 // stays bounded by the records fn keeps: fn owns rec and returns a
 // buffer the scanner may overwrite for the next record — rec itself when
 // it kept nothing, a buffer it no longer needs, or nil. A length prefix
@@ -97,31 +99,4 @@ func tornOrErr(err error) error {
 		return nil
 	}
 	return err
-}
-
-// SplitFrames decodes the longest valid prefix of a log: every complete,
-// CRC-clean record in order, and n, the byte length of that prefix.
-// data[n:] is the torn tail (truncated header, short payload, oversized
-// length, or CRC mismatch) and is never partially decoded. The returned
-// payloads are subslices of data, not copies. This is the in-memory
-// reference scanFrames is tested against, and what the (small) spill
-// logs replay through.
-func SplitFrames(data []byte) (recs [][]byte, n int) {
-	for {
-		rest := data[n:]
-		if len(rest) < frameHeaderSize {
-			return recs, n
-		}
-		length := binary.LittleEndian.Uint32(rest)
-		if length > MaxFrame || int(length) > len(rest)-frameHeaderSize {
-			return recs, n
-		}
-		sum := binary.LittleEndian.Uint32(rest[4:])
-		payload := rest[frameHeaderSize : frameHeaderSize+int(length)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, n
-		}
-		recs = append(recs, payload)
-		n += frameHeaderSize + int(length)
-	}
 }

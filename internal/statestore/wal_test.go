@@ -2,8 +2,36 @@ package statestore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
+
+// SplitFrames decodes the longest valid prefix of a log: every complete,
+// CRC-clean record in order, and n, the byte length of that prefix.
+// data[n:] is the torn tail (truncated header, short payload, oversized
+// length, or CRC mismatch) and is never partially decoded. The returned
+// payloads are subslices of data, not copies. This is the in-memory
+// reference scanFrames is tested against (FuzzWALReplay).
+func SplitFrames(data []byte) (recs [][]byte, n int) {
+	for {
+		rest := data[n:]
+		if len(rest) < frameHeaderSize {
+			return recs, n
+		}
+		length := binary.LittleEndian.Uint32(rest)
+		if length > MaxFrame || int(length) > len(rest)-frameHeaderSize {
+			return recs, n
+		}
+		sum := binary.LittleEndian.Uint32(rest[4:])
+		payload := rest[frameHeaderSize : frameHeaderSize+int(length)]
+		if crc32.Checksum(payload, castagnoli) != sum {
+			return recs, n
+		}
+		recs = append(recs, payload)
+		n += frameHeaderSize + int(length)
+	}
+}
 
 func frames(payloads ...string) []byte {
 	var buf []byte
@@ -107,7 +135,7 @@ func TestSplitFramesOversizedLength(t *testing.T) {
 // encodeEpoch joins the record PersistEpoch writes in two pieces, for
 // tests that build logs by hand.
 func encodeEpoch(name string, seq uint64, at int64, token []byte) []byte {
-	hdr, err := epochFrameHeader(name, seq, at, token)
+	hdr, err := epochFrameHeader(nil, name, seq, at, token)
 	if err != nil {
 		panic(err)
 	}
