@@ -178,7 +178,7 @@ func main() {
 		direct    = flag.Bool("direct", false, "run without isolation (baseline)")
 		flows     = flag.Int("flows", 4096, "distinct synthetic flows")
 		workers   = flag.Int("workers", 1, "parallel pipeline workers (RSS-sharded when > 1)")
-		supervise = flag.Bool("supervise", false, "run sharded workers as supervised protection domains")
+		supervise = flag.Bool("supervise", false, "run workers as supervised protection domains")
 		crashrate = flag.Float64("crashrate", 0, "probability [0,1) that the firewall panics on a batch")
 
 		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/flightrecorder on this address (e.g. :9090)")
@@ -215,12 +215,6 @@ func main() {
 	}
 	if *workers < 1 {
 		log.Fatal("-workers must be >= 1")
-	}
-	if *supervise && *workers < 2 {
-		// Supervision is a sharded-runner mode; run the minimal shard count
-		// rather than refusing.
-		log.Print("-supervise implies sharded workers; raising -workers to 2")
-		*workers = 2
 	}
 	if *crashrate < 0 || *crashrate >= 1 {
 		log.Fatal("-crashrate must be in [0,1)")
@@ -437,82 +431,53 @@ func main() {
 		}
 	}
 
-	var stats netbricks.RunStats
-	var err error
-	c := cycles.Start()
-	if *workers == 1 {
-		runner := netbricks.Runner{Port: port, BatchSize: *size, Tracer: tracer}
-		if *direct {
-			runner.Direct = netbricks.NewPipeline(stagesFor(0)...)
-		} else {
-			mgr := sfi.NewManager()
-			mgr.SetRegistry(reg, nil)
-			iso, ierr := netbricks.NewIsolatedPipeline(mgr, stagesFor(0), recoveryFor(0))
-			if ierr != nil {
-				log.Fatal(ierr)
-			}
-			runner.Isolated = iso
-			runner.AutoRecover = true
-		}
-		stats, err = runner.Run(sfi.NewContext(), *batches)
-	} else {
-		runner := &netbricks.ShardedRunner{
-			Port: port, Workers: *workers, BatchSize: *size,
-			Supervise: *supervise,
-			Registry:  reg,
-			Tracer:    tracer,
-			Policy: domain.Policy{
-				Recorder:        rec,
-				CheckpointEvery: *checkpointEvery,
-				OnDegrade: func(name string, events []telemetry.Event) {
-					log.Printf("flight-recorder dump: %s exhausted its restart budget; last %d events:", name, len(events))
-					for _, ev := range events {
-						log.Printf("  %s", ev)
-					}
-				},
+	runner := &netbricks.ShardedRunner{
+		Port: port, Workers: *workers, BatchSize: *size,
+		Supervise: *supervise,
+		Registry:  reg,
+		Tracer:    tracer,
+		Policy: domain.Policy{
+			Recorder:        rec,
+			CheckpointEvery: *checkpointEvery,
+			OnDegrade: func(name string, events []telemetry.Event) {
+				log.Printf("flight-recorder dump: %s exhausted its restart budget; last %d events:", name, len(events))
+				for _, ev := range events {
+					log.Printf("  %s", ev)
+				}
 			},
-		}
-		if *checkpointEvery > 0 {
-			runner.NewState = func(w int) domain.Stateful {
-				return domain.NewStateSet().
-					Add("firewall", fwStates[w]).
-					Add("maglev", balancers[w]).
-					Add("session", tables[w])
-			}
-		}
-		if store != nil {
-			// Guarded assignment: a nil *Store inside the interface would
-			// read as non-nil to the domain layer.
-			runner.Policy.Persist = store
-		}
-		if *direct {
-			runner.NewDirect = func(w int) *netbricks.Pipeline {
-				return netbricks.NewPipeline(stagesFor(w)...)
-			}
-		} else {
-			runner.NewIsolated = func(w int) (*netbricks.IsolatedPipeline, error) {
-				// Each worker's stage domains live in a private manager;
-				// the worker label keeps their series apart on the shared
-				// registry.
-				mgr := sfi.NewManager()
-				mgr.SetRegistry(reg, telemetry.Labels{"worker": strconv.Itoa(w)})
-				return netbricks.NewIsolatedPipeline(mgr, stagesFor(w), recoveryFor(w))
-			}
-			runner.AutoRecover = true
-		}
-		stats, err = runner.Run(*batches)
-		if sn, ok := runner.SupervisorSnapshot(); ok {
-			defer fmt.Printf("supervisor: %d restarts (%d errors, %d crashes, %d hangs), degraded=%v\n",
-				sn.Restarts, sn.Errors, sn.Crashes, sn.Hangs, sn.Degraded)
-			if *checkpointEvery > 0 {
-				defer fmt.Printf("checkpoint: %s epochs: %d taken (%d failed), %d restores, %d cold starts\n",
-					*checkpointEvery, sn.Checkpoints, sn.CheckpointFailures, sn.Restores, sn.ColdStarts)
-			}
+		},
+	}
+	if *checkpointEvery > 0 {
+		runner.NewState = func(w int) domain.Stateful {
+			return domain.NewStateSet().
+				Add("firewall", fwStates[w]).
+				Add("maglev", balancers[w]).
+				Add("session", tables[w])
 		}
 	}
-	if err != nil {
-		log.Fatal(err)
+	if store != nil {
+		// Guarded assignment: a nil *Store inside the interface would
+		// read as non-nil to the domain layer.
+		runner.Policy.Persist = store
 	}
+	if *direct {
+		runner.NewDirect = func(w int) *netbricks.Pipeline {
+			return netbricks.NewPipeline(stagesFor(w)...)
+		}
+	} else {
+		runner.NewIsolated = func(w int) (*netbricks.IsolatedPipeline, error) {
+			// Each worker's stage domains live in a private manager; the
+			// worker label keeps their series apart on the shared registry.
+			mgr := sfi.NewManager()
+			mgr.SetRegistry(reg, telemetry.Labels{"worker": strconv.Itoa(w)})
+			return netbricks.NewIsolatedPipeline(mgr, stagesFor(w), recoveryFor(w))
+		}
+		runner.AutoRecover = true
+	}
+	c := cycles.Start()
+	// A run that lost a worker still returns its stats: the summary is
+	// printed either way, and the error decides the exit status at the end.
+	stats, err := runner.Run(*batches)
 	elapsed := c.Elapsed()
 
 	mode := "isolated (one protection domain per stage)"
@@ -570,6 +535,17 @@ func main() {
 		armed, completed, aborted := tracer.Counts()
 		fmt.Printf("trace:      1/%d sampled: %d armed, %d completed, %d aborted\n",
 			tracer.SampleEvery(), armed, completed, aborted)
+	}
+	if sn, ok := runner.SupervisorSnapshot(); ok {
+		if *checkpointEvery > 0 {
+			fmt.Printf("checkpoint: %s epochs: %d taken (%d failed), %d restores, %d cold starts\n",
+				*checkpointEvery, sn.Checkpoints, sn.CheckpointFailures, sn.Restores, sn.ColdStarts)
+		}
+		fmt.Printf("supervisor: %d restarts (%d errors, %d crashes, %d hangs), degraded=%v\n",
+			sn.Restarts, sn.Errors, sn.Crashes, sn.Hangs, sn.Degraded)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 }
 

@@ -78,8 +78,11 @@ func main() {
 
 	// Now run batches through until the injected fault fires, with
 	// automatic recovery.
-	runner := netbricks.Runner{Port: port, BatchSize: 8, Isolated: pipeline, AutoRecover: true}
-	stats, err := runner.Run(ctx, 20)
+	runner := netbricks.ShardedRunner{
+		Port: port, Workers: 1, BatchSize: 8, AutoRecover: true,
+		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) { return pipeline, nil },
+	}
+	stats, err := runner.Run(20)
 	if err != nil {
 		log.Fatal(err)
 	}

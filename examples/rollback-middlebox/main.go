@@ -1,141 +1,139 @@
 // Rollback-middlebox: the §5 "applications" layer in action. A stateful
-// monitoring NF (per-flow packet counter) runs inside a protection
-// domain; its state graph is checkpointed automatically every few
-// batches. When a fault is injected, §3 recovery restores the last
-// snapshot instead of clean state — rollback-recovery for middleboxes
-// (Sherry et al.) with bounded state loss. The same snapshots feed a
-// standby replica via the txn layer.
+// monitoring NF (per-flow packet counter) runs as a stage in its own
+// protection domain; its state graph is checkpointed automatically once
+// per epoch, with no hand-written serialization. When a fault is
+// injected, §3 recovery restores the last snapshot instead of clean
+// state — rollback-recovery for middleboxes (Sherry et al.) with bounded
+// state loss — on the mechanism nf-pipeline itself runs on: a
+// domain.Stateful under a supervised netbricks.ShardedRunner. The same
+// snapshots feed a standby replica via the txn layer.
 package main
 
 import (
-	"errors"
 	"fmt"
 	"log"
+	"sync"
+	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/domain"
 	"repro/internal/dpdk"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
-	"repro/internal/rollback"
 	"repro/internal/sfi"
 	"repro/internal/txn"
 )
 
-// monitor counts packets per flow; Total is shared through Rc so restores
-// must preserve aliasing.
-type monitor struct {
-	Counts  map[packet.FiveTuple]int
-	Total   checkpoint.Rc[int]
-	panicOn int
-	seen    int
-}
-
+// monitorState is the NF's state graph: packets per flow; Total is shared
+// through Rc so restores must preserve aliasing.
 type monitorState struct {
 	Counts map[packet.FiveTuple]int
 	Total  checkpoint.Rc[int]
 }
 
-func newMonitor() *monitor {
-	return &monitor{Counts: make(map[packet.FiveTuple]int), Total: checkpoint.NewRc(0)}
+func newMonitorState() *monitorState {
+	return &monitorState{Counts: make(map[packet.FiveTuple]int), Total: checkpoint.NewRc(0)}
 }
 
-func (m *monitor) Name() string { return "monitor" }
+// monitor owns the state and is the domain.Stateful the runtime
+// checkpoints and restores. It lives outside the stage's protection
+// domain, so it survives the stage's faults.
+type monitor struct {
+	mu sync.Mutex
+	st *monitorState
+}
 
-func (m *monitor) ProcessBatch(b *netbricks.Batch) error {
-	m.seen++
-	if m.panicOn != 0 && m.seen == m.panicOn {
-		panic("injected monitor fault")
+func (m *monitor) Checkpoint(e *checkpoint.Engine) (any, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return e.Checkpoint(m.st)
+}
+
+func (m *monitor) Restore(token any) error {
+	restored, err := token.(*checkpoint.Snapshot).Materialize()
+	if err != nil {
+		return err
 	}
-	for _, p := range b.Pkts {
-		if !p.Parsed() {
-			if err := p.Parse(); err != nil {
-				continue
-			}
-		}
-		m.Counts[p.Tuple()]++
-		m.Total.Set(m.Total.Get() + 1)
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.st = restored.(*monitorState)
+	fmt.Printf("FAULT contained in the monitor's protection domain; rolled back to the last checkpoint (%d flows, %d packets)\n",
+		len(m.st.Counts), m.st.Total.Get())
 	return nil
 }
 
-func (m *monitor) ExportState() any {
-	return &monitorState{Counts: m.Counts, Total: m.Total}
+func (m *monitor) Reset() {
+	m.mu.Lock()
+	m.st = newMonitorState()
+	m.mu.Unlock()
 }
 
-func (m *monitor) ImportState(state any) error {
-	st, ok := state.(*monitorState)
-	if !ok {
-		return fmt.Errorf("bad state %T", state)
+// monitorStage is the pipeline stage counting into the monitor; recovery
+// re-exports a fresh one. It is a slow middlebox, a millisecond per
+// batch, so a 3ms checkpoint epoch is about three batches long.
+type monitorStage struct {
+	m       *monitor
+	panicOn int
+	seen    int
+}
+
+func (s *monitorStage) Name() string { return "monitor" }
+
+func (s *monitorStage) ProcessBatch(b *netbricks.Batch) error {
+	s.seen++
+	if s.seen == s.panicOn {
+		panic("injected monitor fault")
 	}
-	m.Counts, m.Total = st.Counts, st.Total
+	time.Sleep(time.Millisecond)
+	s.m.mu.Lock()
+	defer s.m.mu.Unlock()
+	for _, p := range b.Pkts {
+		s.m.st.Counts[p.Tuple()]++
+		s.m.st.Total.Set(s.m.st.Total.Get() + 1)
+	}
 	return nil
 }
 
 func main() {
 	log.SetFlags(0)
 
-	// The first operator instance crashes on its 6th batch; replacements
-	// are healthy.
-	first := true
-	factory := func() rollback.StatefulOperator {
-		m := newMonitor()
-		if first {
-			m.panicOn = 6
-			first = false
-		}
-		return m
-	}
-	guard, err := rollback.NewGuard(factory, 3) // checkpoint every 3 batches
-	if err != nil {
-		log.Fatal(err)
-	}
-	mgr := sfi.NewManager()
-	stage, err := rollback.NewGuardedStage(mgr, "monitor", guard)
-	if err != nil {
-		log.Fatal(err)
-	}
-
+	mon := &monitor{st: newMonitorState()}
 	port := dpdk.NewPort(dpdk.Config{
 		PoolSize: 64,
 		Gen:      &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 6},
 	})
-	ctx := sfi.NewContext()
-	pkts := make([]*packet.Packet, 4)
-	for i := 1; i <= 12; i++ {
-		n := port.RxBurst(pkts)
-		batch := &netbricks.Batch{Pkts: pkts[:n]}
-		err := stage.RRef.Call(ctx, "process", func(op netbricks.Operator) error {
-			return op.ProcessBatch(batch)
-		})
-		if err != nil {
-			if !errors.Is(err, sfi.ErrDomainFailed) {
-				log.Fatal(err)
-			}
-			fmt.Printf("batch %2d: FAULT contained in domain %q; rolling back to last checkpoint\n",
-				i, stage.Domain.Name())
-			if err := mgr.Recover(stage.Domain); err != nil {
-				log.Fatal(err)
-			}
-		}
-		port.Free(pkts[:n])
+	runner := netbricks.ShardedRunner{
+		Port: port, Workers: 1, BatchSize: 4, Supervise: true,
+		Policy:   domain.Policy{CheckpointEvery: 3 * time.Millisecond},
+		NewState: func(int) domain.Stateful { return mon },
+		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) {
+			// The first stage instance crashes on its 6th batch;
+			// replacements are healthy.
+			return netbricks.NewIsolatedPipeline(sfi.NewManager(),
+				[]netbricks.Operator{netbricks.Parse{}, &monitorStage{m: mon, panicOn: 6}},
+				[]func() netbricks.Operator{nil, func() netbricks.Operator { return &monitorStage{m: mon} }})
+		},
 	}
-	processed, ckpts, restores := guard.Stats()
-	fmt.Printf("\nguard: %d batches counted, %d checkpoints, %d rollback-restores\n",
-		processed, ckpts, restores)
-	fmt.Println("state loss was bounded by the checkpoint interval (3 batches),")
-	fmt.Println("not a clean-slate reset — the §5 automation applied to §3 recovery.")
-
-	// Replication on the same machinery: ship the NF state to a standby.
-	store, err := txn.NewStore(guard.State(), 0)
+	stats, err := runner.Run(12)
 	if err != nil {
 		log.Fatal(err)
 	}
-	standby := txn.NewReplica[any]()
+	sn, _ := runner.SupervisorSnapshot()
+	fmt.Printf("\nmonitor: %d batches forwarded, %d lost to the fault, %d checkpoints, %d rollback-restores\n",
+		stats.Batches, stats.Faults, sn.Checkpoints, sn.Restores)
+	fmt.Println("state loss was bounded by the checkpoint epoch (3ms, about 3 batches),")
+	fmt.Println("not a clean-slate reset — the §5 automation applied to §3 recovery.")
+
+	// Replication on the same machinery: ship the NF state to a standby.
+	store, err := txn.NewStore(mon.st, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	standby := txn.NewReplica[*monitorState]()
 	if err := standby.SyncFrom(store); err != nil {
 		log.Fatal(err)
 	}
-	standby.View(func(s any) {
-		st := s.(*monitorState)
+	standby.View(func(st *monitorState) {
 		fmt.Printf("\nstandby replica synced: %d flows, %d packets total\n",
 			len(st.Counts), st.Total.Get())
 	})

@@ -101,8 +101,11 @@ func main() {
 	gen := &poisonGen{base: spec, poisonAt: 7}
 	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, Gen: gen})
 
-	runner := netbricks.Runner{Port: port, BatchSize: 4, Isolated: pipeline, AutoRecover: true}
-	stats, err := runner.Run(sfi.NewContext(), 10)
+	runner := netbricks.ShardedRunner{
+		Port: port, Workers: 1, BatchSize: 4, AutoRecover: true,
+		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) { return pipeline, nil },
+	}
+	stats, err := runner.Run(10)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,11 @@
 //
 // The overhead difference between the two, divided by pipeline length, is
 // the per-remote-invocation cost plotted in Figure 2.
+//
+// One runner drives either: ShardedRunner, one worker per receive queue
+// (Workers: 1 is the paper's single-threaded run), inline or — with
+// Supervise — each worker a supervised protection domain. See worker.go
+// for the one per-batch step all of those configurations share.
 package netbricks
 
 import (
@@ -28,12 +33,12 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// BurstPort is the driver contract the runners consume: a multi-queue
+// BurstPort is the driver contract the runner consumes: a multi-queue
 // packet port polled and fed in bursts, DPDK PMD style. Two
 // implementations exist — dpdk.Port (synthetic in-process traffic, the
 // paper's measured code path) and netport.Port (a real UDP socket, so
 // the bytes crossing the protection-domain boundary arrived from outside
-// the process). The runners are written against this interface only;
+// the process). The runner is written against this interface only;
 // swapping the wire for the simulator changes no pipeline code.
 //
 // Semantics every implementation must provide:
@@ -69,6 +74,11 @@ type Batch struct {
 	// collected once at batch build (scanTraced) so stage stamping never
 	// rescans the batch. Empty on all but ~1/N batches.
 	traced []*packet.Packet
+
+	// loaded is every packet the runner loaded the batch with. Stages
+	// never touch it: it is the packets' one route back to the pool when
+	// the batch does not come out of the pipeline again (worker.serve).
+	loaded []*packet.Packet
 }
 
 // Len reports the number of live packets in the batch.
@@ -81,6 +91,7 @@ func (b *Batch) reset() {
 	b.Pkts = b.Pkts[:0]
 	b.Dropped = b.Dropped[:0]
 	b.traced = b.traced[:0]
+	b.loaded = b.loaded[:0]
 }
 
 // Drop removes the packet at index i (order not preserved) and records it
@@ -91,53 +102,6 @@ func (b *Batch) Drop(i int) {
 	b.Pkts[i] = b.Pkts[last]
 	b.Pkts[last] = nil
 	b.Pkts = b.Pkts[:last]
-}
-
-// batchCarrier reuses one *Batch object and its linear cell across a
-// synchronous run-to-completion loop, so the steady-state per-batch cost
-// is a slice copy into retained capacity plus a generation bump (Renew)
-// instead of two heap allocations. Fault paths call lost() — the batch
-// may be trapped inside a failed stage domain, so the next load starts
-// fresh and the old storage falls to the GC.
-type batchCarrier struct {
-	b    *Batch
-	cell linear.Owned[*Batch]
-	ok   bool // cell is a consumed handle Renew can revive
-}
-
-// load fills the carrier's batch from pkts and wraps it in a live handle.
-func (bc *batchCarrier) load(pkts []*packet.Packet, traced bool) linear.Owned[*Batch] {
-	if bc.b == nil {
-		bc.b = &Batch{}
-	}
-	bc.b.Pkts = append(bc.b.Pkts[:0], pkts...)
-	bc.b.Dropped = bc.b.Dropped[:0]
-	bc.b.traced = bc.b.traced[:0]
-	if traced {
-		bc.b.scanTraced()
-	}
-	if bc.ok {
-		bc.ok = false
-		if o, err := bc.cell.Renew(bc.b); err == nil {
-			return o
-		}
-	}
-	return linear.New(bc.b)
-}
-
-// recycle stores a consumed handle and its (now transmitted) batch for
-// the next load.
-func (bc *batchCarrier) recycle(cell linear.Owned[*Batch], b *Batch) {
-	b.reset()
-	bc.b = b
-	bc.cell = cell
-	bc.ok = true
-}
-
-// lost abandons the current storage after a fault.
-func (bc *batchCarrier) lost() {
-	bc.b = nil
-	bc.ok = false
 }
 
 // Operator is one pipeline stage. ProcessBatch mutates the batch in place
@@ -264,14 +228,11 @@ type Pipeline struct {
 // SetTracer attaches the sampled packet tracer: after each stage whose
 // name maps to a trace stage, the armed spans in the batch are stamped.
 // Call before traffic; a nil tracer detaches.
-func (p *Pipeline) SetTracer(t *trace.Tracer) {
-	p.tracer = t
-	p.stageIDs = stageIDsFor(p.stages)
-}
+func (p *Pipeline) SetTracer(t *trace.Tracer) { p.tracer = t }
 
 // NewPipeline builds a direct-call pipeline.
 func NewPipeline(stages ...Operator) *Pipeline {
-	return &Pipeline{stages: stages}
+	return &Pipeline{stages: stages, stageIDs: stageIDsFor(stages)}
 }
 
 // Len reports the number of stages.
@@ -325,7 +286,6 @@ type IsolatedPipeline struct {
 	// borrowed across the protection boundary.
 	tracer   *trace.Tracer
 	stageIDs []trace.Stage
-	names    []string
 }
 
 // ErrStageFailed wraps a stage fault with its index.
@@ -336,7 +296,7 @@ var ErrStageFailed = errors.New("netbricks: stage failed")
 // the corresponding factory (falling back to reusing the operator when no
 // factory is given).
 func NewIsolatedPipeline(mgr *sfi.Manager, stages []Operator, factories []func() Operator) (*IsolatedPipeline, error) {
-	ip := &IsolatedPipeline{mgr: mgr}
+	ip := &IsolatedPipeline{mgr: mgr, stageIDs: stageIDsFor(stages)}
 	for i, op := range stages {
 		d := mgr.NewDomain(fmt.Sprintf("stage-%d-%s", i, op.Name()))
 		rref, err := sfi.Export[Operator](d, op)
@@ -355,23 +315,12 @@ func NewIsolatedPipeline(mgr *sfi.Manager, stages []Operator, factories []func()
 			return sfi.ExportAt[Operator](d, slot, factory())
 		})
 		ip.stages = append(ip.stages, &IsolatedStage{Domain: d, RRef: rref})
-		ip.names = append(ip.names, op.Name())
 	}
 	return ip, nil
 }
 
 // SetTracer attaches the sampled packet tracer (see Pipeline.SetTracer).
-func (p *IsolatedPipeline) SetTracer(t *trace.Tracer) {
-	p.tracer = t
-	p.stageIDs = make([]trace.Stage, len(p.names))
-	for i, name := range p.names {
-		id, ok := trace.StageForName(name)
-		if !ok {
-			id = trace.NumStages
-		}
-		p.stageIDs[i] = id
-	}
-}
+func (p *IsolatedPipeline) SetTracer(t *trace.Tracer) { p.tracer = t }
 
 // Len reports the number of stages.
 func (p *IsolatedPipeline) Len() int { return len(p.stages) }
@@ -431,8 +380,8 @@ type RunStats struct {
 }
 
 // Merge adds o's counters into s. This is the shared aggregation helper
-// behind every multi-worker stats view (ShardedRunner.Snapshot and Run,
-// Runner.RunParallel), the RunStats counterpart of
+// behind every multi-worker stats view (ShardedRunner.Snapshot and Run),
+// the RunStats counterpart of
 // domain.MergeSnapshots: each input is a point-in-time copy of monotonic
 // per-worker counters, so the merged total is safe to take during a live
 // run but not atomic across workers or fields.
@@ -442,118 +391,4 @@ func (s *RunStats) Merge(o RunStats) {
 	s.Drops += o.Drops
 	s.Faults += o.Faults
 	s.Recovered += o.Recovered
-}
-
-// Runner drives a port through a pipeline run-to-completion: fetch a
-// batch, process it fully, transmit, repeat — the paper's execution model
-// ("processes the batch to completion before starting the next batch").
-type Runner struct {
-	Port      BurstPort // single-queue use: the runner polls queue 0
-	BatchSize int
-	// Direct and Isolated are alternatives; exactly one must be set.
-	Direct   *Pipeline
-	Isolated *IsolatedPipeline
-	// AutoRecover makes the runner recover failed stages and continue.
-	AutoRecover bool
-	// Tracer, when non-nil, is attached to the pipeline at Run: sampled
-	// spans armed by the port are stamped at every recognized stage.
-	Tracer *trace.Tracer
-}
-
-// RunParallel drives the pipeline from workers goroutines, each with its
-// own port (traffic source) and its own sfi.Context — the explicit
-// per-worker stand-in for the paper's thread-local current-domain store.
-// Domains are shared across workers; their counters are atomic. Each
-// worker processes n batches; aggregated stats and the first error are
-// returned.
-func (r *Runner) RunParallel(workers, n int, mkPort func(worker int) BurstPort) (RunStats, error) {
-	if workers <= 0 {
-		return RunStats{}, errors.New("netbricks: workers must be positive")
-	}
-	type result struct {
-		stats RunStats
-		err   error
-	}
-	results := make(chan result, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			worker := *r // copy the config; swap in the worker's port
-			worker.Port = mkPort(w)
-			stats, err := worker.Run(sfi.NewContext(), n)
-			results <- result{stats: stats, err: err}
-		}(w)
-	}
-	var agg RunStats
-	var firstErr error
-	for w := 0; w < workers; w++ {
-		res := <-results
-		agg.Merge(res.stats)
-		if res.err != nil && firstErr == nil {
-			firstErr = res.err
-		}
-	}
-	return agg, firstErr
-}
-
-// Run processes n batches and reports stats. Packets dropped by filters
-// and batches lost to faults are freed back to the port pool.
-func (r *Runner) Run(ctx *sfi.Context, n int) (RunStats, error) {
-	if (r.Direct == nil) == (r.Isolated == nil) {
-		return RunStats{}, errors.New("netbricks: set exactly one of Direct or Isolated")
-	}
-	if r.BatchSize <= 0 {
-		return RunStats{}, errors.New("netbricks: BatchSize must be positive")
-	}
-	if r.Tracer != nil {
-		if r.Direct != nil {
-			r.Direct.SetTracer(r.Tracer)
-		} else {
-			r.Isolated.SetTracer(r.Tracer)
-		}
-	}
-	var stats RunStats
-	var car batchCarrier
-	buf := make([]*packet.Packet, r.BatchSize)
-	for i := 0; i < n; i++ {
-		got := r.Port.RxBurstQueue(0, buf)
-		if got == 0 {
-			break
-		}
-		owned := car.load(buf[:got], r.Tracer != nil)
-		var err error
-		if r.Direct != nil {
-			owned, err = r.Direct.Process(owned)
-		} else {
-			owned, err = r.Isolated.Process(ctx, owned)
-		}
-		if err != nil {
-			stats.Faults++
-			// The batch went down with the domain; its buffers are
-			// unreachable through the linear layer, but the simulation
-			// must return them to the pool (real DPDK would leak them
-			// until pool destruction; the manager reclaims domain memory
-			// by clearing the reference table, which the GC then frees).
-			r.Port.FreeQueue(0, buf[:got])
-			car.lost()
-			if r.AutoRecover && r.Isolated != nil {
-				if rerr := r.Isolated.Recover(); rerr != nil {
-					return stats, rerr
-				}
-				stats.Recovered++
-				continue
-			}
-			return stats, err
-		}
-		final, err := owned.Into()
-		if err != nil {
-			return stats, err
-		}
-		stats.Batches++
-		stats.Packets += uint64(len(final.Pkts))
-		stats.Drops += uint64(len(final.Dropped))
-		r.Port.TxBurstQueue(0, final.Pkts)
-		r.Port.FreeQueue(0, final.Dropped)
-		car.recycle(owned, final)
-	}
-	return stats, nil
 }

@@ -20,11 +20,22 @@ func newPort(t *testing.T, pool int) *dpdk.Port {
 	return port
 }
 
+// single is the paper's one-thread run: one worker on a single-queue
+// port, over a pipeline the test built itself.
+func single(port *dpdk.Port, batch int, direct *Pipeline, isolated *IsolatedPipeline) *ShardedRunner {
+	r := &ShardedRunner{Port: port, Workers: 1, BatchSize: batch}
+	if direct != nil {
+		r.NewDirect = func(int) *Pipeline { return direct }
+	} else {
+		r.NewIsolated = func(int) (*IsolatedPipeline, error) { return isolated, nil }
+	}
+	return r
+}
+
 func TestDirectPipelineNullFilters(t *testing.T) {
 	port := newPort(t, 128)
 	pl := NewPipeline(NullFilter{}, NullFilter{}, NullFilter{})
-	r := &Runner{Port: port, BatchSize: 32, Direct: pl}
-	stats, err := r.Run(sfi.NewContext(), 10)
+	stats, err := single(port, 32, pl, nil).Run(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +71,7 @@ func TestParseAndFilterDropping(t *testing.T) {
 		return p.Tuple().SrcPort%2 == 0
 	}}
 	pl := NewPipeline(Parse{}, evenPort)
-	r := &Runner{Port: port, BatchSize: 16, Direct: pl}
-	stats, err := r.Run(sfi.NewContext(), 4)
+	stats, err := single(port, 16, pl, nil).Run(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +104,7 @@ func TestIsolatedPipelineProcesses(t *testing.T) {
 		t.Fatalf("Len = %d", ip.Len())
 	}
 	port := newPort(t, 64)
-	r := &Runner{Port: port, BatchSize: 8, Isolated: ip}
-	stats, err := r.Run(sfi.NewContext(), 5)
+	stats, err := single(port, 8, nil, ip).Run(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +165,9 @@ func TestIsolatedPipelineFaultContainmentAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	port := newPort(t, 64)
-	r := &Runner{Port: port, BatchSize: 4, Isolated: ip, AutoRecover: true}
-	stats, err := r.Run(sfi.NewContext(), 10)
+	r := single(port, 4, nil, ip)
+	r.AutoRecover = true
+	stats, err := r.Run(10)
 	if err != nil {
 		t.Fatalf("run with auto-recover: %v", err)
 	}
@@ -184,8 +194,7 @@ func TestIsolatedPipelineFaultWithoutRecoveryStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	port := newPort(t, 16)
-	r := &Runner{Port: port, BatchSize: 4, Isolated: ip}
-	_, err = r.Run(sfi.NewContext(), 5)
+	_, err = single(port, 4, nil, ip).Run(5)
 	if !errors.Is(err, ErrStageFailed) || !errors.Is(err, sfi.ErrDomainFailed) {
 		t.Fatalf("err = %v, want ErrStageFailed wrapping ErrDomainFailed", err)
 	}
@@ -194,75 +203,23 @@ func TestIsolatedPipelineFaultWithoutRecoveryStops(t *testing.T) {
 	}
 }
 
-func TestRunParallelAggregates(t *testing.T) {
-	mgr := sfi.NewManager()
-	ip, err := NewIsolatedPipeline(mgr, []Operator{Parse{}, NullFilter{}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{BatchSize: 8, Isolated: ip}
-	stats, err := r.RunParallel(4, 25, func(int) BurstPort {
-		return dpdk.NewPort(dpdk.Config{PoolSize: 64})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Batches != 100 || stats.Packets != 800 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	// Both shared stage domains saw all workers' calls.
-	for _, st := range ip.Stages() {
-		calls, _, _, _, _ := st.Domain.Stats.Snapshot()
-		if calls != 100 {
-			t.Fatalf("stage %s calls = %d", st.Domain.Name(), calls)
-		}
-	}
-}
-
-func TestRunParallelFaultsContainedPerWorker(t *testing.T) {
-	mgr := sfi.NewManager()
-	// One injector shared by all workers panics once; with AutoRecover
-	// every worker continues.
-	ip, err := NewIsolatedPipeline(mgr,
-		[]Operator{&FaultInjector{PanicOn: 10}},
-		[]func() Operator{func() Operator { return &FaultInjector{} }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{BatchSize: 4, Isolated: ip, AutoRecover: true}
-	stats, err := r.RunParallel(4, 20, func(int) BurstPort {
-		return dpdk.NewPort(dpdk.Config{PoolSize: 32})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Faults < 1 {
-		t.Fatalf("no faults recorded: %+v", stats)
-	}
-	if stats.Batches+stats.Faults != 80 {
-		t.Fatalf("batches %d + faults %d != 80", stats.Batches, stats.Faults)
-	}
-}
-
-func TestRunParallelValidation(t *testing.T) {
-	r := &Runner{BatchSize: 4, Direct: NewPipeline()}
-	if _, err := r.RunParallel(0, 1, func(int) BurstPort { return newPort(t, 4) }); err == nil {
-		t.Fatal("zero workers accepted")
-	}
-}
-
+// TestRunnerValidation: the single-worker shape is held to the same rules
+// as any other — exactly one pipeline factory, a positive batch size.
 func TestRunnerValidation(t *testing.T) {
 	port := newPort(t, 8)
-	r := &Runner{Port: port, BatchSize: 4}
-	if _, err := r.Run(sfi.NewContext(), 1); err == nil {
+	if _, err := single(port, 4, NewPipeline(), nil).Run(1); err != nil {
+		t.Fatalf("one worker on a single-queue port rejected: %v", err)
+	}
+	none := &ShardedRunner{Port: port, Workers: 1, BatchSize: 4}
+	if _, err := none.Run(1); err == nil {
 		t.Fatal("runner with no pipeline accepted")
 	}
-	r2 := &Runner{Port: port, BatchSize: 0, Direct: NewPipeline()}
-	if _, err := r2.Run(sfi.NewContext(), 1); err == nil {
+	if _, err := single(port, 0, NewPipeline(), nil).Run(1); err == nil {
 		t.Fatal("runner with zero batch size accepted")
 	}
-	both := &Runner{Port: port, BatchSize: 4, Direct: NewPipeline(), Isolated: &IsolatedPipeline{}}
-	if _, err := both.Run(sfi.NewContext(), 1); err == nil {
+	both := single(port, 4, NewPipeline(), nil)
+	both.NewIsolated = func(int) (*IsolatedPipeline, error) { return &IsolatedPipeline{}, nil }
+	if _, err := both.Run(1); err == nil {
 		t.Fatal("runner with both pipelines accepted")
 	}
 }

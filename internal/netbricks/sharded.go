@@ -1,13 +1,13 @@
-// Sharded multi-worker pipeline runtime.
+// The runner: one worker per receive queue.
 //
-// The paper's §3 evaluation drives one pipeline from one thread; real NF
-// deployments scale out by giving each core its own receive queue and
-// running an independent pipeline instance per core, with the NIC's RSS
-// hash keeping every packet of one flow on the same core. This file adds
-// that runtime. It is safe by the same argument the paper makes for the
-// single pipeline: a batch is linearly owned by exactly one stage of one
-// worker at any time, so workers cannot race on packet data no matter
-// how many run — ownership, not locking, is the synchronization.
+// The paper's §3 evaluation drives one pipeline from one thread
+// (Workers: 1); real NF deployments scale out by giving each core its own
+// receive queue and running an independent pipeline instance per core,
+// with the NIC's RSS hash keeping every packet of one flow on the same
+// core. It is safe by the same argument the paper makes for the single
+// pipeline: a batch is linearly owned by exactly one stage of one worker
+// at any time, so workers cannot race on packet data no matter how many
+// run — ownership, not locking, is the synchronization.
 //
 // Everything per-worker is genuinely per-worker: the pipeline instance
 // (operators and their state), the sfi.Context (the paper's thread-local
@@ -22,11 +22,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/domain"
-	"repro/internal/packet"
-	"repro/internal/sfi"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -80,10 +77,10 @@ const maxIdlePolls = 8
 // ShardedRunner drives one multi-queue port with one worker goroutine
 // per receive queue. Each worker owns a private pipeline instance (built
 // by the factory, so per-stage NF state is sharded, never shared) and a
-// private sfi.Context, and processes batches run-to-completion exactly
-// like Runner. RSS steering in the port guarantees flow affinity:
-// per-flow state such as a load balancer's connection table is correct
-// without any cross-worker coordination.
+// private sfi.Context, and processes batches run-to-completion. RSS
+// steering in the port guarantees flow affinity: per-flow state such as a
+// load balancer's connection table is correct without any cross-worker
+// coordination.
 type ShardedRunner struct {
 	Port      BurstPort // must expose at least Workers receive queues
 	Workers   int
@@ -92,7 +89,10 @@ type ShardedRunner struct {
 	// set. The factory runs once per worker, before traffic starts.
 	NewDirect   func(worker int) *Pipeline
 	NewIsolated func(worker int) (*IsolatedPipeline, error)
-	// AutoRecover makes workers recover failed stages and continue.
+	// AutoRecover makes workers recover their pipeline after a faulted
+	// batch and continue, instead of stopping with the fault as their
+	// error. (A panic in a direct pipeline of an unsupervised worker still
+	// takes the process down: nothing contains it.)
 	AutoRecover bool
 
 	// Supervise runs every worker as a supervised protection domain (see
@@ -157,9 +157,11 @@ func (r *ShardedRunner) Snapshot() RunStats {
 }
 
 // Run processes up to n batches on every worker and returns the
-// aggregated stats and the first worker error. On return the port has
-// been drained: every buffer is back in the pool (or a queue cache), so
-// pool-leak accounting balances.
+// aggregated stats and the workers' errors, joined: a worker that stopped
+// on a fault (inline, without AutoRecover) or that exhausted its restart
+// budget (supervised) leaves the rest of its queue unserved, and the run
+// says so. On return the port has been drained: every buffer is back in
+// the pool (or a queue cache), so pool-leak accounting balances.
 func (r *ShardedRunner) Run(n int) (RunStats, error) {
 	if r.Workers <= 0 {
 		return RunStats{}, errors.New("netbricks: workers must be positive")
@@ -176,6 +178,9 @@ func (r *ShardedRunner) Run(n int) (RunStats, error) {
 	if r.Port.Queues() < r.Workers {
 		return RunStats{}, errors.New("netbricks: port has fewer RX queues than workers")
 	}
+	if !r.Supervise && (r.NewState != nil || r.Policy.CheckpointEvery > 0 || r.Policy.Persist != nil) {
+		return RunStats{}, errors.New("netbricks: NewState, Policy.CheckpointEvery and Policy.Persist checkpoint supervised worker domains; set Supervise")
+	}
 	r.stats = make([]*WorkerStats, r.Workers)
 	// Register every worker's series in one transaction: Run may be
 	// re-registering over a previous run's series while the metrics
@@ -186,96 +191,37 @@ func (r *ShardedRunner) Run(n int) (RunStats, error) {
 		r.stats[w].register(txn, telemetry.Labels{"worker": strconv.Itoa(w)})
 	}
 	txn.Commit()
+	// depth is how many batches queue between a worker's rx and its serve:
+	// a mailbox's worth under supervision, none inline.
+	depth := 0
 	if r.Supervise {
-		return r.runSupervised(n)
+		if depth = r.MailboxDepth; depth <= 0 {
+			depth = 4
+		}
 	}
-	errs := make([]error, r.Workers)
-	var wg sync.WaitGroup
-	for w := 0; w < r.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = r.runWorker(w, n)
-		}(w)
+	workers := make([]*worker, r.Workers)
+	for q := range workers {
+		w, err := r.newWorker(q, depth)
+		if err != nil {
+			return RunStats{}, err
+		}
+		workers[q] = w
 	}
-	wg.Wait()
-	r.Port.Drain()
-	var agg RunStats
-	for _, ws := range r.stats {
-		agg.Merge(ws.Snapshot())
-	}
-	return agg, errors.Join(errs...)
-}
-
-// runWorker is one worker's run-to-completion loop over its own queue.
-func (r *ShardedRunner) runWorker(w, n int) error {
-	var direct *Pipeline
-	var isolated *IsolatedPipeline
-	if r.NewDirect != nil {
-		direct = r.NewDirect(w)
+	var errs []error
+	if r.Supervise {
+		errs = r.runSupervised(workers, depth, n)
 	} else {
-		var err error
-		isolated, err = r.NewIsolated(w)
-		if err != nil {
-			return err
+		errs = make([]error, r.Workers)
+		var wg sync.WaitGroup
+		for q, w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[q] = w.run(n)
+			}()
 		}
+		wg.Wait()
 	}
-	if r.Tracer != nil {
-		if direct != nil {
-			direct.SetTracer(r.Tracer)
-		} else {
-			isolated.SetTracer(r.Tracer)
-		}
-	}
-	ctx := sfi.NewContext()
-	ws := r.stats[w]
-	var car batchCarrier
-	buf := make([]*packet.Packet, r.BatchSize)
-	idle := 0
-	for i := 0; i < n; {
-		got := r.Port.RxBurstQueue(w, buf)
-		if got == 0 {
-			ws.IdlePolls.Add(1)
-			idle++
-			if idle >= maxIdlePolls {
-				return nil
-			}
-			continue
-		}
-		idle = 0
-		i++
-		owned := car.load(buf[:got], r.Tracer != nil)
-		var err error
-		start := time.Now()
-		if direct != nil {
-			owned, err = direct.Process(owned)
-		} else {
-			owned, err = isolated.Process(ctx, owned)
-		}
-		ws.Latency.ObserveNanos(int64(time.Since(start)))
-		if err != nil {
-			ws.Faults.Add(1)
-			r.Port.FreeQueue(w, buf[:got])
-			car.lost()
-			if r.AutoRecover && isolated != nil {
-				if rerr := isolated.Recover(); rerr != nil {
-					return rerr
-				}
-				ws.Recovered.Add(1)
-				continue
-			}
-			return err
-		}
-		final, err := owned.Into()
-		if err != nil {
-			return err
-		}
-		ws.Batches.Add(1)
-		ws.Packets.Add(uint64(len(final.Pkts)))
-		ws.Drops.Add(uint64(len(final.Dropped)))
-		r.Port.TxBurstQueue(w, final.Pkts)
-		r.Port.FreeQueue(w, final.Dropped)
-		car.recycle(owned, final)
-	}
-	return nil
+	r.Port.Drain()
+	return r.Snapshot(), errors.Join(errs...)
 }

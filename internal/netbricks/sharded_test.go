@@ -2,9 +2,13 @@ package netbricks
 
 import (
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/domain"
 	"repro/internal/dpdk"
 	"repro/internal/leakcheck"
 	"repro/internal/packet"
@@ -289,6 +293,13 @@ func TestShardedRunnerValidation(t *testing.T) {
 			}}},
 		{"nil port", &ShardedRunner{Workers: 2, BatchSize: 4, NewDirect: direct}},
 		{"too few queues", &ShardedRunner{Port: port, Workers: 4, BatchSize: 4, NewDirect: direct}},
+		// Checkpoint configuration only a supervised worker domain acts on.
+		{"state without supervise", &ShardedRunner{Port: port, Workers: 2, BatchSize: 4, NewDirect: direct,
+			NewState: func(int) domain.Stateful { return domain.NewStateSet() }}},
+		{"checkpoint epoch without supervise", &ShardedRunner{Port: port, Workers: 2, BatchSize: 4, NewDirect: direct,
+			Policy: domain.Policy{CheckpointEvery: time.Millisecond}}},
+		{"persister without supervise", &ShardedRunner{Port: port, Workers: 2, BatchSize: 4, NewDirect: direct,
+			Policy: domain.Policy{Persist: nopPersister{}}}},
 	}
 	for _, c := range cases {
 		if _, err := c.r.Run(1); err == nil {
@@ -313,5 +324,155 @@ func TestShardedRunnerIsolatedFactoryError(t *testing.T) {
 	}
 	if _, err := r.Run(2); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want factory error", err)
+	}
+}
+
+type nopPersister struct{}
+
+func (nopPersister) PersistEpoch(string, uint64, []byte) error { return nil }
+func (nopPersister) LastEpoch(string) ([]byte, uint64, bool, error) {
+	return nil, 0, false, nil
+}
+
+// faultEvery faults every k-th batch its worker sees, by error return or
+// by panic, and counts the packets that went down with those batches. The
+// batch counter lives outside the stage so it survives the rebuilds and
+// re-exports recovery performs.
+type faultEvery struct {
+	seen   *atomic.Int64
+	k      int64
+	panics bool
+	lost   *atomic.Uint64
+}
+
+func (faultEvery) Name() string { return "fault-every" }
+
+func (f faultEvery) ProcessBatch(b *Batch) error {
+	if f.k == 0 || f.seen.Add(1)%f.k != 0 {
+		return nil
+	}
+	f.lost.Add(uint64(len(b.Pkts) + len(b.Dropped)))
+	if f.panics {
+		panic("injected stage panic")
+	}
+	return errors.New("injected stage error")
+}
+
+// TestOneRunnerEveryConfiguration drives the same stages over the same
+// traffic through {direct, isolated} × {inline, supervised}: one runner,
+// so one account of every packet. The fault rows add a stage fault every
+// k-th batch in each form the configuration contains (an unsupervised
+// direct pipeline contains an error return but not a panic), which
+// between them leave serve by every exit it has.
+func TestOneRunnerEveryConfiguration(t *testing.T) {
+	const workers, batch, n, k = 2, 8, 60, 7
+	cases := []struct {
+		name                 string
+		isolated, supervised bool
+		fault                string // "", "error" or "panic"
+	}{
+		{"direct_inline", false, false, ""},
+		{"isolated_inline", true, false, ""},
+		{"direct_supervised", false, true, ""},
+		{"isolated_supervised", true, true, ""},
+		{"direct_inline_error", false, false, "error"}, // batch handed back
+		{"isolated_inline_error", true, false, "error"},
+		{"isolated_inline_panic", true, false, "panic"}, // batch lost in a failed stage domain
+		{"direct_supervised_error", false, true, "error"},
+		{"direct_supervised_panic", false, true, "panic"}, // panic unwinding through serve
+		{"isolated_supervised_error", true, true, "error"},
+		{"isolated_supervised_panic", true, true, "panic"},
+	}
+	var clean *RunStats // the first fault-free row; the others must match it
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			port := newShardedPort(t, workers, 512)
+			var lost atomic.Uint64
+			seen := make([]atomic.Int64, workers)
+			stages := func(w int) []Operator {
+				f := faultEvery{seen: &seen[w], panics: c.fault == "panic", lost: &lost}
+				if c.fault != "" {
+					f.k = k
+				}
+				return []Operator{Parse{}, Filter{Label: "even-src", Pred: func(p *packet.Packet) bool {
+					return p.Tuple().SrcPort%2 == 0
+				}}, f}
+			}
+			r := &ShardedRunner{
+				Port: port, Workers: workers, BatchSize: batch, AutoRecover: true,
+				Supervise: c.supervised,
+				Policy:    domain.Policy{Backoff: 20 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1},
+			}
+			if c.isolated {
+				r.NewIsolated = func(w int) (*IsolatedPipeline, error) {
+					ops := stages(w)
+					return NewIsolatedPipeline(sfi.NewManager(), ops,
+						[]func() Operator{nil, nil, func() Operator { return ops[2] }})
+				}
+			} else {
+				r.NewDirect = func(w int) *Pipeline { return NewPipeline(stages(w)...) }
+			}
+			stats, err := r.Run(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx := port.Stats.RxPackets.Load()
+			if got := stats.Packets + stats.Drops; got != rx-lost.Load() {
+				t.Fatalf("forwarded %d + filtered %d = %d, want rx %d - %d in faulted batches = %d",
+					stats.Packets, stats.Drops, got, rx, lost.Load(), rx-lost.Load())
+			}
+			if stats.Packets == 0 || stats.Drops == 0 {
+				t.Fatalf("the filter must both pass and drop: %+v", stats)
+			}
+			faults := 0
+			if c.fault != "" {
+				faults = workers * (n / k)
+			}
+			if stats.Faults != faults || stats.Recovered != faults || stats.Batches != workers*n-faults {
+				t.Fatalf("stats = %+v, want %d faults, as many recoveries, %d batches", stats, faults, workers*n-faults)
+			}
+			if c.fault == "" {
+				if clean == nil {
+					clean = &stats
+				} else if stats.Packets != clean.Packets || stats.Drops != clean.Drops {
+					t.Fatalf("forwarded %d, filtered %d; the first fault-free configuration forwarded %d, filtered %d",
+						stats.Packets, stats.Drops, clean.Packets, clean.Drops)
+				}
+			}
+		})
+	}
+}
+
+// TestSupervisedRunReportsDegradedWorker: a worker that exhausts
+// Policy.MaxRestarts stops for good and leaves its queue unserved. The
+// run must say so, by name, while the other worker serves its whole
+// budget and no buffer leaks.
+func TestSupervisedRunReportsDegradedWorker(t *testing.T) {
+	const workers, n = 2, 20
+	port := newShardedPort(t, workers, 512)
+	r := &ShardedRunner{
+		Port: port, Workers: workers, BatchSize: 8, Supervise: true,
+		Policy: domain.Policy{Backoff: 20 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: 1},
+		NewDirect: func(w int) *Pipeline {
+			if w == 0 {
+				// Every rebuild gets a fresh injector: it always panics.
+				return NewPipeline(Parse{}, &FaultInjector{PanicOn: 1})
+			}
+			return NewPipeline(Parse{})
+		},
+	}
+	stats, err := r.Run(n)
+	if err == nil || !strings.Contains(err.Error(), "worker-0") || strings.Contains(err.Error(), "worker-1") {
+		t.Fatalf("err = %v, want one naming worker-0 only", err)
+	}
+	per := r.WorkerSnapshots()
+	if per[0].Batches != 0 || per[0].Faults != 2 {
+		t.Fatalf("worker 0 = %+v, want no batch served and 2 faults (MaxRestarts 1)", per[0])
+	}
+	if per[1].Batches != n {
+		t.Fatalf("worker 1 served %d batches, want its full budget of %d", per[1].Batches, n)
+	}
+	if stats.Batches != n {
+		t.Fatalf("aggregate stats = %+v, want them returned beside the error", stats)
 	}
 }

@@ -1,114 +1,30 @@
-// Supervised sharded execution: each worker runs as a protection domain
-// under a domain.Supervisor instead of a bare goroutine.
+// Supervised execution: each worker runs as a protection domain under a
+// domain.Supervisor instead of a bare goroutine.
 //
-// The plain ShardedRunner treats a worker fault as the end of the run
-// (or, with AutoRecover, retries inline). Supervised mode upgrades each
-// worker to a long-lived service: a feeder goroutine pumps batches from
-// the worker's receive queue into the worker domain's mailbox (a
-// blocking send, so a worker sitting in restart backoff exerts
-// backpressure on its queue instead of losing batches), and the
-// supervisor absorbs worker faults — operator panics, pipeline errors,
-// handler stalls — restarting workers under the configured policy while
-// the other workers keep forwarding.
-//
-// Buffer conservation holds across every fault path: the handler
-// snapshots the batch's packet slice before ownership moves into the
-// pipeline, so whichever way an invocation dies — error return, panic
-// unwinding mid-pipeline, payload reclaimed at the domain entry point,
-// mailbox drop — the packets go back to the worker's queue cache.
+// An inline worker treats a fault as the end of its run (or, with
+// AutoRecover, recovers on the spot). Supervision upgrades each worker to
+// a long-lived service built from the same three functions (worker.go): a
+// feeder goroutine pumps rx into the worker domain's mailbox — a blocking
+// send, so a worker sitting in restart backoff exerts backpressure on its
+// queue instead of losing batches — the domain's handler is serve, and
+// its recovery function is recover. The supervisor absorbs worker faults
+// — operator panics, pipeline errors, handler stalls — restarting workers
+// under the configured policy while the other workers keep forwarding.
 package netbricks
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/domain"
 	"repro/internal/linear"
-	"repro/internal/packet"
 )
 
-// batchRecycler is one worker's free-list of batch-carrier storage: the
-// *Batch object with its packet slices, the linear cell that carried it
-// (revived with Renew, so stale handles still fail the generation
-// check), and the handler's conservation-snapshot scratch. The feeder
-// goroutine and the domain's serving goroutine exchange entries through
-// it, making steady-state forwarding allocation-free per batch. Fault
-// paths simply don't recycle — the next batch pays one fresh allocation.
-// The mutex also serializes access across handler generations: a hung
-// generation the supervisor abandoned may still be running while its
-// successor serves.
-type batchRecycler struct {
-	mu    sync.Mutex
-	cells []recycledCell
-	snaps [][]*packet.Packet
-}
-
-type recycledCell struct {
-	cell  linear.Owned[*Batch]
-	batch *Batch
-}
-
-func newBatchRecycler(depth int) *batchRecycler {
-	return &batchRecycler{
-		cells: make([]recycledCell, 0, depth),
-		snaps: make([][]*packet.Packet, 0, depth),
-	}
-}
-
-func (rc *batchRecycler) put(cell linear.Owned[*Batch], b *Batch) {
-	b.reset()
-	rc.mu.Lock()
-	if len(rc.cells) < cap(rc.cells) {
-		rc.cells = append(rc.cells, recycledCell{cell: cell, batch: b})
-	}
-	rc.mu.Unlock()
-}
-
-func (rc *batchRecycler) get() (linear.Owned[*Batch], *Batch, bool) {
-	rc.mu.Lock()
-	n := len(rc.cells)
-	if n == 0 {
-		rc.mu.Unlock()
-		return linear.Owned[*Batch]{}, nil, false
-	}
-	e := rc.cells[n-1]
-	rc.cells[n-1] = recycledCell{}
-	rc.cells = rc.cells[:n-1]
-	rc.mu.Unlock()
-	return e.cell, e.batch, true
-}
-
-func (rc *batchRecycler) getSnap() []*packet.Packet {
-	rc.mu.Lock()
-	n := len(rc.snaps)
-	if n == 0 {
-		rc.mu.Unlock()
-		return nil
-	}
-	s := rc.snaps[n-1]
-	rc.snaps[n-1] = nil
-	rc.snaps = rc.snaps[:n-1]
-	rc.mu.Unlock()
-	return s
-}
-
-func (rc *batchRecycler) putSnap(s []*packet.Packet) {
-	if cap(s) == 0 {
-		return
-	}
-	rc.mu.Lock()
-	if len(rc.snaps) < cap(rc.snaps) {
-		rc.snaps = append(rc.snaps, s[:0])
-	}
-	rc.mu.Unlock()
-}
-
-// runSupervised is Run's supervised-mode body: spawn one supervised
-// domain plus one feeder per worker, wait for the feeders to exhaust
-// their batch budget and the domains to drain, then settle the pool.
-func (r *ShardedRunner) runSupervised(n int) (RunStats, error) {
+// runSupervised is Run's supervised body: spawn one supervised domain
+// plus one feeder per worker, wait for the feeders to exhaust their batch
+// budget and the domains to drain, then name the workers that did not
+// last the run.
+func (r *ShardedRunner) runSupervised(workers []*worker, depth, n int) []error {
 	pol := r.Policy
 	if pol.Registry == nil {
 		pol.Registry = r.Registry
@@ -117,219 +33,77 @@ func (r *ShardedRunner) runSupervised(n int) (RunStats, error) {
 	defer sup.Close()
 	r.sup.Store(sup)
 
-	depth := r.MailboxDepth
-	if depth <= 0 {
-		depth = 4
-	}
-	doms := make([]*domain.Domain[*Batch], r.Workers)
-	recs := make([]*batchRecycler, r.Workers)
-	for w := 0; w < r.Workers; w++ {
-		recs[w] = newBatchRecycler(depth + 2)
-		d, err := r.spawnWorker(sup, w, recs[w])
+	doms := make([]*domain.Domain[*Batch], len(workers))
+	for q, w := range workers {
+		d, err := w.spawn(sup, depth)
 		if err != nil {
-			return RunStats{}, err
+			return []error{err}
 		}
-		doms[w] = d
+		doms[q] = d
 	}
 	var wg sync.WaitGroup
-	for w := range doms {
+	for q, w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			r.feedWorker(doms[w], w, n, recs[w])
-		}(w)
+			w.feed(doms[q], n)
+		}()
 	}
 	wg.Wait()
+	var errs []error
 	for _, d := range doms {
 		<-d.Done()
+		// Feeders only ever block on a full mailbox, so a mailbox destroys
+		// payloads for one reason: its domain ran out of restart budget
+		// (Policy.MaxRestarts) and stopped with batches still queued or
+		// still arriving. The rest of that queue's budget went unserved.
+		if sn := d.Snapshot(); sn.MailboxDrops > 0 {
+			errs = append(errs, fmt.Errorf("netbricks: %s exhausted its restart budget (%d crashes, %d errors, %d hangs, %d restarts) and stopped with its queue unserved",
+				sn.Name, sn.Crashes, sn.Errors, sn.Hangs, sn.Restarts))
+		}
 	}
-	sup.Close()
-	r.Port.Drain()
-	return r.Snapshot(), nil
+	return errs
 }
 
-// spawnWorker builds worker w's pipeline and spawns its supervised
-// domain. The handler mirrors runWorker's per-batch body; recovery
-// mirrors its AutoRecover path (rebuild the direct pipeline, or recover
-// the isolated pipeline's failed stage domains).
-func (r *ShardedRunner) spawnWorker(sup *domain.Supervisor, w int, rec *batchRecycler) (*domain.Domain[*Batch], error) {
-	ws := r.stats[w]
-	newDirect := func() *Pipeline {
-		p := r.NewDirect(w)
-		if r.Tracer != nil {
-			p.SetTracer(r.Tracer)
-		}
-		return p
-	}
-	var direct atomic.Pointer[Pipeline]
-	var isolated *IsolatedPipeline
-	if r.NewDirect != nil {
-		direct.Store(newDirect())
-	} else {
-		ip, err := r.NewIsolated(w)
-		if err != nil {
-			return nil, err
-		}
-		if r.Tracer != nil {
-			ip.SetTracer(r.Tracer)
-		}
-		isolated = ip
-	}
-
-	free := func(pkts []*packet.Packet) { r.Port.FreeQueue(w, pkts) }
-
-	handler := func(c *domain.Ctx, msg linear.Owned[*Batch]) error {
-		// Snapshot the packet slice while we still own the batch: once
-		// ownership moves into the pipeline, this copy is the only route
-		// the packets have back to the pool if the invocation faults.
-		// The scratch slice comes from (and returns to) the worker's
-		// recycler, so the steady state copies into retained capacity.
-		pkts := rec.getSnap()
-		defer func() { rec.putSnap(pkts) }()
-		if err := msg.With(func(b *Batch) {
-			pkts = append(pkts[:0], b.Pkts...)
-		}); err != nil {
-			return err
-		}
-		defer func() {
-			// A panic unwinding mid-pipeline (direct mode; isolated mode
-			// converts stage panics to errors at the sfi boundary) took
-			// the batch down with it: free the snapshot on the way to the
-			// domain guard. If the payload is still owned the entry-point
-			// reclaim handles it instead — never both.
-			if p := recover(); p != nil {
-				ws.Faults.Add(1)
-				if !msg.Valid() {
-					free(pkts)
-				}
-				panic(p)
-			}
-		}()
-		var out linear.Owned[*Batch]
-		var err error
-		start := time.Now()
-		if isolated != nil {
-			out, err = isolated.Process(c.SFI, msg)
-		} else {
-			out, err = direct.Load().Process(msg)
-		}
-		ws.Latency.ObserveNanos(int64(time.Since(start)))
-		if err != nil {
-			ws.Faults.Add(1)
-			if out.Valid() {
-				// The pipeline handed the (faulted) batch back; destroy it
-				// and recycle its storage.
-				if b, ierr := out.Into(); ierr == nil {
-					free(b.Pkts)
-					free(b.Dropped)
-					rec.put(out, b)
-				}
-			} else if !msg.Valid() {
-				// The batch was lost inside a failed stage domain; the
-				// snapshot settles the pool, as in runWorker's fault path.
-				free(pkts)
-			}
-			return err
-		}
-		final, ferr := out.Into()
-		if ferr != nil {
-			return ferr
-		}
-		ws.Batches.Add(1)
-		ws.Packets.Add(uint64(len(final.Pkts)))
-		ws.Drops.Add(uint64(len(final.Dropped)))
-		r.Port.TxBurstQueue(w, final.Pkts)
-		r.Port.FreeQueue(w, final.Dropped)
-		rec.put(out, final)
-		return nil
-	}
-
-	recoverFn := func() error {
-		if isolated != nil {
-			if err := isolated.Recover(); err != nil {
-				return err
-			}
-		} else {
-			// A fresh pipeline instance: operator state reinitializes from
-			// clean, exactly like a re-exported stage after §3 recovery.
-			direct.Store(newDirect())
-		}
-		ws.Recovered.Add(1)
-		return nil
-	}
-
-	depth := r.MailboxDepth
-	if depth <= 0 {
-		depth = 4
-	}
+// spawn starts the worker's supervised domain: serve behind a mailbox,
+// recover as the §3 user recovery function.
+func (w *worker) spawn(sup *domain.Supervisor, depth int) (*domain.Domain[*Batch], error) {
+	r := w.r
 	var state domain.Stateful
 	if r.NewState != nil {
-		state = r.NewState(w)
+		state = r.NewState(w.q)
 	}
 	d, err := domain.Spawn(sup, domain.Config[*Batch]{
-		Name:    fmt.Sprintf("worker-%d", w),
+		Name:    fmt.Sprintf("worker-%d", w.q),
 		Mailbox: depth,
-		Handler: handler,
+		Handler: func(c *domain.Ctx, msg linear.Owned[*Batch]) error { return w.serve(c.SFI, msg) },
 		Release: func(b *Batch) {
-			// Payloads destroyed by the runtime — mailbox drops, backlog
-			// drained at stop, batches reclaimed at the entry point.
-			free(b.Pkts)
-			free(b.Dropped)
+			// Batches serve never saw: backlog destroyed when the domain
+			// stops, sends that arrive after it has.
+			r.Port.FreeQueue(w.q, b.Pkts)
+			r.Port.FreeQueue(w.q, b.Dropped)
 		},
-		Recover: recoverFn,
+		Recover: w.recover,
 		State:   state,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if r.Tracer != nil {
-		// The mailbox's stage clock stamps the send/recv hops, so each
-		// trace shows the queueing delay across the domain boundary.
-		d.Inbox().SetStageClock(mailboxStageClock(r.Tracer))
-	}
+	// The mailbox's stage clock stamps the send/recv hops, so each trace
+	// shows the queueing delay across the domain boundary (no tracer, no
+	// hooks).
+	d.Inbox().SetStageClock(mailboxStageClock(r.Tracer))
 	return d, nil
 }
 
-// feedWorker pumps up to n batches from worker w's receive queue into
-// its domain's mailbox. Send blocks while the mailbox is full (a worker
-// in restart backoff backpressures its queue rather than dropping), and
-// fails only when the domain has stopped for good — at which point the
-// mailbox has already released the payload.
-func (r *ShardedRunner) feedWorker(d *domain.Domain[*Batch], w, n int, rec *batchRecycler) {
-	ws := r.stats[w]
-	buf := make([]*packet.Packet, r.BatchSize)
-	idle := 0
-	for i := 0; i < n; {
-		got := r.Port.RxBurstQueue(w, buf)
-		if got == 0 {
-			ws.IdlePolls.Add(1)
-			idle++
-			if idle >= maxIdlePolls {
-				break
-			}
-			continue
-		}
-		idle = 0
-		i++
-		cell, b, recycled := rec.get()
-		if !recycled {
-			b = &Batch{}
-		}
-		b.Pkts = append(b.Pkts[:0], buf[:got]...)
-		if r.Tracer != nil {
-			b.scanTraced()
-		}
-		var msg linear.Owned[*Batch]
-		if recycled {
-			m, rerr := cell.Renew(b)
-			if rerr != nil {
-				m = linear.New(b)
-			}
-			msg = m
-		} else {
-			msg = linear.New(b)
-		}
-		if err := d.Inbox().Send(msg); err != nil {
+// feed pumps up to n batches from the worker's queue into its domain's
+// mailbox. Send blocks while the mailbox is full, and fails only when the
+// domain has stopped for good — at which point the mailbox has already
+// released the payload.
+func (w *worker) feed(d *domain.Domain[*Batch], n int) {
+	for i := 0; i < n; i++ {
+		msg, ok := w.rx()
+		if !ok || d.Inbox().Send(msg) != nil {
 			break
 		}
 	}

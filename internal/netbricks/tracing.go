@@ -1,5 +1,5 @@
 // Stage-clock plumbing for the sampled packet tracer: the hooks that
-// stamp trace spans as batches move through pipelines, runners, and
+// stamp trace spans as batches move through pipelines, the runner, and
 // domain mailboxes (see internal/telemetry/trace).
 //
 // The cost discipline mirrors the tracer's: when no tracer is attached
@@ -15,7 +15,7 @@ import (
 
 // scanTraced collects the batch's armed packets into the traced subset,
 // so per-stage stamping iterates the (usually empty) subset instead of
-// the whole batch. Runners call it once at batch build, after ingress
+// the whole batch. The runner calls it once at batch build, after ingress
 // arming and before the first stage.
 func (b *Batch) scanTraced() {
 	b.traced = b.traced[:0]
