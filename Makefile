@@ -178,8 +178,9 @@ loc:
 ## fuzz: short fuzz smoke on the packet parser, the table-driven RSS
 ## hash against its bit-serial definition, the mailbox ownership
 ## boundary, the netport decoder, the checkpoint round-trip, the
-## wire-checkpoint-vs-reflect-engine oracles, and the epoch-buffer
-## ownership script (seed corpus + 10s each).
+## wire-checkpoint-vs-reflect-engine oracles, the epoch-buffer ownership
+## script, and the flow index's streaming merge against a plain-map
+## oracle (seed corpus + 10s each).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzToeplitzTable -fuzztime=10s ./internal/packet
@@ -189,6 +190,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTraceSpanEncode -fuzztime=10s ./internal/telemetry/trace
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/statestore
 	$(GO) test -run='^$$' -fuzz=FuzzEpochOwnership -fuzztime=10s ./internal/statestore
+	$(GO) test -run='^$$' -fuzz=FuzzFlowIndexMerge -fuzztime=10s ./internal/statestore
 	$(GO) test -run='^$$' -fuzz=FuzzTableCheckpointOracle -fuzztime=10s ./internal/session
 	$(GO) test -run='^$$' -fuzz=FuzzBalancerCheckpointOracle -fuzztime=10s ./internal/maglev
 	$(GO) test -run='^$$' -fuzz=FuzzStatefulCheckpointOracle -fuzztime=10s ./internal/firewall

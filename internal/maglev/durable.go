@@ -3,10 +3,12 @@ package maglev
 // durable.go is the balancer's checkpoint: the connection table (flow
 // hash → backend stickiness) and the hit/miss counters, in the v1 wire
 // image and in no other form. Capture appends the entries straight from
-// the live map under the balancer's lock; the token is those bytes, so
-// encoding is the identity; Restore decodes them back into that map. The
-// lookup table is config, not state — it is rebuilt from the backend set
-// at boot and no checkpoint touches it.
+// the live map under the balancer's lock, each with its backend's name
+// and IP written out (the interned index a map slot holds means nothing
+// outside this process); the token is those bytes, so encoding is the
+// identity; Restore decodes them back into that map. The lookup table is
+// config, not state — it is rebuilt from the backend set at boot and no
+// checkpoint touches it.
 
 import (
 	"encoding/binary"
@@ -43,7 +45,8 @@ func (b *Balancer) AppendCheckpoint(buf []byte) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, b.hits)
 	buf = binary.LittleEndian.AppendUint64(buf, b.misses)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.conns)))
-	for h, be := range b.conns {
+	for h, at := range b.conns {
+		be := b.backends[at]
 		if len(be.Name) > 0xffff {
 			return nil, fmt.Errorf("maglev: backend name of %d bytes does not fit the token", len(be.Name))
 		}
@@ -105,9 +108,10 @@ func walkConns(body []byte, n int, fn func(h uint64, ip packet.IPv4, name []byte
 // Checkpoint token describes, in place: the token is walked whole first
 // (a bad one leaves the balancer as it was), then under the lock the map
 // is cleared (or, holding under half the token's connections, replaced by
-// one sized for them) and refilled. Backend names are taken from the balancer's
-// own backend set, so a restore allocates a string only for a backend
-// that has since left it. The token is only read, so it restores any
+// one sized for them) and refilled. Each connection's backend is found
+// among the interned ones, which restart as the balancer's own backend
+// set, so a restore allocates a Backend (and its name) only for one that
+// has since left the set. The token is only read, so it restores any
 // number of times. The lookup table is untouched: config survives the
 // fault, state is restored.
 func (b *Balancer) Restore(token any) error {
@@ -126,27 +130,13 @@ func (b *Balancer) Restore(token any) error {
 	defer b.mu.Unlock()
 	if len(b.conns) < n/2 {
 		// Not grown to the token's size (a cold reopen): size it once.
-		b.conns = make(map[uint64]Backend, n)
+		b.conns = make(map[uint64]int32, n)
 	} else {
 		clear(b.conns)
 	}
-	known := b.table.backends
-	var departed []string // names of backends no longer in the set, one string each
+	b.internTableLocked()
 	_ = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
-		for _, be := range known {
-			if be.IP == ip && be.Name == string(name) {
-				b.conns[h] = be
-				return
-			}
-		}
-		for _, s := range departed {
-			if s == string(name) {
-				b.conns[h] = Backend{Name: s, IP: ip}
-				return
-			}
-		}
-		departed = append(departed, string(name))
-		b.conns[h] = Backend{Name: departed[len(departed)-1], IP: ip}
+		b.conns[h] = b.internLocked(name, ip)
 	})
 	b.connBytes = len(body)
 	b.hits, b.misses = hits, misses

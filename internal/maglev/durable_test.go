@@ -1,9 +1,15 @@
 package maglev
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/leakcheck"
 	"repro/internal/packet"
 )
 
@@ -52,20 +58,12 @@ func TestBalancerTokenRoundTrip(t *testing.T) {
 		t.Fatalf("stats %d/%d, want %d/%d", dh, dm, sh, sm)
 	}
 	// Stickiness survives: every flow picks the same backend it had.
-	src.mu.Lock()
-	conns := make(map[uint64]Backend, len(src.conns))
-	for h, be := range src.conns {
-		conns[h] = be
-	}
-	src.mu.Unlock()
-	dst.mu.Lock()
-	for h, want := range conns {
-		if got := dst.conns[h]; got != want {
-			dst.mu.Unlock()
-			t.Fatalf("conn %x → %+v, want %+v", h, got, want)
+	got := dst.connsView()
+	for h, want := range src.connsView() {
+		if got[h] != want {
+			t.Fatalf("conn %x → %+v, want %+v", h, got[h], want)
 		}
 	}
-	dst.mu.Unlock()
 }
 
 func TestBalancerDecodeRejectsGarbage(t *testing.T) {
@@ -108,4 +106,108 @@ func TestBalancerDecodeRejectsGarbage(t *testing.T) {
 		t.Fatal("bad encode token accepted")
 	}
 	_ = good
+}
+
+// sortedToken returns a token with its connection entries (all of one
+// size: every backend name here is 4 bytes) in byte order, so two
+// captures of one connection set compare whatever the map's order.
+func sortedToken(t *testing.T, tok any) []byte {
+	t.Helper()
+	out := bytes.Clone(tok.([]byte))
+	const entry = connFixedSize + 4
+	body := out[balancerHeaderSize:]
+	if len(body)%entry != 0 {
+		t.Fatalf("%d entry bytes are not a multiple of %d", len(body), entry)
+	}
+	chunks := make([][]byte, 0, len(body)/entry)
+	for off := 0; off < len(body); off += entry {
+		chunks = append(chunks, bytes.Clone(body[off:off+entry]))
+	}
+	slices.SortFunc(chunks, bytes.Compare)
+	for i, c := range chunks {
+		copy(body[i*entry:], c)
+	}
+	return out
+}
+
+// TestDepartedBackendSurvivesCheckpoint: a backend leaves through
+// UpdateBackends while connections still point at it. They keep picking
+// it, by name and IP; their checkpoint names it in full; a fresh balancer
+// that never had it restores them onto it; and the token — v1, the name
+// written per connection — is the bytes the Backend-valued table wrote
+// for the same picks (its entries sorted; the digest was taken at 5f5d456).
+func TestDepartedBackendSurvivesCheckpoint(t *testing.T) {
+	const parentLen, parentDigest = 597, "26222743394ef0c2cbc157d1a5f357b7c14aa07554ab35d29b2808bc8d0461b0"
+	old := []Backend{{Name: "be-a", IP: 0x0a630001}, {Name: "be-b", IP: 0x0a630002}, {Name: "be-c", IP: 0x0a630003}}
+	// be-b leaves; be-c comes back under a new address.
+	next := []Backend{{Name: "be-a", IP: 0x0a630001}, {Name: "be-c", IP: 0x0a630009}, {Name: "be-d", IP: 0x0a630004}}
+	src, err := NewBalancer(old, 127)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[int]Backend{}
+	for i := 0; i < 24; i++ {
+		before[i] = src.Pick(testTuple(i))
+	}
+	if err := src.UpdateBackends(next); err != nil {
+		t.Fatal(err)
+	}
+	for i := 24; i < 32; i++ {
+		src.Pick(testTuple(i)) // new flows see only the new set
+	}
+	tok, err := src.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(sortedToken(t, tok))
+	if got := hex.EncodeToString(sum[:]); len(tok.([]byte)) != parentLen || got != parentDigest {
+		t.Fatalf("token of %d bytes, digest %s; the parent wrote %d bytes, digest %s", len(tok.([]byte)), got, parentLen, parentDigest)
+	}
+
+	dst, err := NewBalancer(next, 127)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Restore(tok); err != nil {
+		t.Fatal(err)
+	}
+	again, err := dst.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sortedToken(t, again), sortedToken(t, tok)) {
+		t.Fatal("the restored balancer's checkpoint differs from the token it was restored from")
+	}
+	departed := 0
+	for _, lb := range []*Balancer{src, dst} {
+		for i, want := range before {
+			if got := lb.Pick(testTuple(i)); got != want {
+				t.Fatalf("flow %d picks %+v, it was established on %+v", i, got, want)
+			}
+			if want.Name == "be-b" || want.IP == 0x0a630003 {
+				departed++
+			}
+		}
+		for i := 24; i < 32; i++ {
+			if got := lb.Pick(testTuple(i)); !slices.Contains(next, got) {
+				t.Fatalf("flow %d, new after the update, picks %+v", i, got)
+			}
+		}
+	}
+	if departed == 0 {
+		t.Fatal("no established flow sat on a backend that left: the test exercises nothing")
+	}
+}
+
+// TestConnTableHoldsNoPointers: neither half of a connection-table slot
+// can hold a pointer, so the collector allocates the map's buckets
+// noscan and never walks them.
+func TestConnTableHoldsNoPointers(t *testing.T) {
+	lb, err := NewBalancer(testBackends(2), 127)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := reflect.TypeOf(lb.conns)
+	leakcheck.NoPointers(t, "conns key", reflect.Zero(m.Key()).Interface())
+	leakcheck.NoPointers(t, "conns value", reflect.Zero(m.Elem()).Interface())
 }

@@ -12,8 +12,22 @@ import (
 	"repro/internal/packet"
 )
 
-// restoreFresh is the parent commit's Restore: decode into a new map,
-// interning one string per distinct name, then swap it in.
+// connsView materialises the connection table as the map of whole
+// Backend values its slots stand for: what the differential tests and
+// the reflect-engine oracle compare.
+func (b *Balancer) connsView() map[uint64]Backend {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	out := make(map[uint64]Backend, len(b.conns))
+	for h, at := range b.conns {
+		out[h] = b.backends[at]
+	}
+	return out
+}
+
+// restoreFresh is the Restore that rebuild-in-place replaced: decode into
+// a new map of Backend values, one string per distinct name, then swap
+// it in (as indices, now that that is what the balancer holds).
 func restoreFresh(b *Balancer, data []byte) error {
 	hits, misses, n, body, err := tokenHeader(data)
 	if err != nil {
@@ -34,7 +48,11 @@ func restoreFresh(b *Balancer, data []byte) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = conns, len(body)
+	b.conns, b.connBytes = make(map[uint64]int32, n), len(body)
+	b.internTableLocked()
+	for h, be := range conns {
+		b.conns[h] = b.internLocked([]byte(be.Name), be.IP)
+	}
 	b.hits, b.misses = hits, misses
 	return nil
 }
@@ -54,6 +72,7 @@ func testTuple(i int) packet.FiveTuple {
 // sameBalancer compares everything a restore must bring back.
 func sameBalancer(t *testing.T, got, want *Balancer) {
 	t.Helper()
+	gotConns, wantConns := got.connsView(), want.connsView()
 	got.mu.Lock()
 	defer got.mu.Unlock()
 	want.mu.Lock()
@@ -61,22 +80,34 @@ func sameBalancer(t *testing.T, got, want *Balancer) {
 	if got.hits != want.hits || got.misses != want.misses || got.connBytes != want.connBytes {
 		t.Fatalf("counters %d/%d, %d conn bytes; oracle %d/%d, %d", got.hits, got.misses, got.connBytes, want.hits, want.misses, want.connBytes)
 	}
-	if len(got.conns) != len(want.conns) {
-		t.Fatalf("%d conns, oracle %d", len(got.conns), len(want.conns))
+	if len(gotConns) != len(wantConns) {
+		t.Fatalf("%d conns, oracle %d", len(gotConns), len(wantConns))
 	}
-	for h, w := range want.conns {
-		if g, ok := got.conns[h]; !ok || g != w {
+	for h, w := range wantConns {
+		if g, ok := gotConns[h]; !ok || g != w {
 			t.Fatalf("conn %x = %+v (%v), oracle %+v", h, g, ok, w)
 		}
 	}
 	// One string per distinct name, as the oracle interns them.
 	distinct := map[string]*byte{}
-	for _, be := range got.conns {
+	for _, be := range gotConns {
 		p := unsafe.StringData(be.Name)
 		if q, seen := distinct[be.Name]; seen && q != p {
 			t.Fatalf("backend name %q restored as more than one string", be.Name)
 		}
 		distinct[be.Name] = p
+	}
+	// And nothing interned that no connection and no table entry names:
+	// a restore starts the set over instead of growing it.
+	used := map[Backend]bool{}
+	for _, be := range got.table.backends {
+		used[be] = true
+	}
+	for _, be := range gotConns {
+		used[be] = true
+	}
+	if len(got.backends) != len(used) {
+		t.Fatalf("%d backends interned, %d in use", len(got.backends), len(used))
 	}
 }
 

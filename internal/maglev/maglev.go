@@ -152,7 +152,12 @@ func (t *Table) Backends() []Backend { return t.backends }
 
 // Lookup maps a flow hash to a backend.
 func (t *Table) Lookup(flowHash uint64) Backend {
-	return t.backends[t.entries[flowHash%uint64(len(t.entries))]]
+	return t.backends[t.index(flowHash)]
+}
+
+// index maps a flow hash to a backend's position in the table's set.
+func (t *Table) index(flowHash uint64) int32 {
+	return t.entries[flowHash%uint64(len(t.entries))]
 }
 
 // Distribution counts slots per backend, for balance assertions.
@@ -172,7 +177,16 @@ type Balancer struct {
 	// on every lookup, so no path would ever share a read lock.
 	mu    sync.Mutex
 	table *Table
-	conns map[uint64]Backend
+	// conns maps a flow hash to an index into backends. Key and value are
+	// both scalars: a slot is half the size it was with a Backend (and its
+	// string header) in it, and the collector never scans the map.
+	conns map[uint64]int32
+	// backends interns every Backend a connection points at: the current
+	// table's set, then any backend that has left it but is still named by
+	// a connection made before UpdateBackends or brought back by Restore.
+	// tableAt[i] is where the current table's backend i sits in it.
+	backends []Backend
+	tableAt  []int32
 	// connBytes is the wire size of conns' entries, kept as they are
 	// inserted so a checkpoint buffer is sized without a counting walk.
 	connBytes int
@@ -188,7 +202,33 @@ func NewBalancer(backends []Backend, tableSize int) (*Balancer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Balancer{table: t, conns: make(map[uint64]Backend)}, nil
+	b := &Balancer{table: t, conns: make(map[uint64]int32)}
+	b.internTableLocked()
+	return b, nil
+}
+
+// internTableLocked restarts the interned backends as exactly the current
+// table's set. Only for a caller that has emptied conns (or is about to
+// refill it): every index held there is void afterwards.
+func (b *Balancer) internTableLocked() {
+	b.backends = append(b.backends[:0], b.table.backends...)
+	b.tableAt = b.tableAt[:0]
+	for i := range b.backends {
+		b.tableAt = append(b.tableAt, int32(i))
+	}
+}
+
+// internLocked returns the index of the backend with this name and IP,
+// appending it when no connection has pointed at it yet. The set is a
+// handful of backends, so a scan beats a map.
+func (b *Balancer) internLocked(name []byte, ip packet.IPv4) int32 {
+	for i := range b.backends {
+		if b.backends[i].IP == ip && b.backends[i].Name == string(name) {
+			return int32(i)
+		}
+	}
+	b.backends = append(b.backends, Backend{Name: string(name), IP: ip})
+	return int32(len(b.backends) - 1)
 }
 
 // Pick returns the backend for the flow, consulting the connection table
@@ -199,15 +239,16 @@ func NewBalancer(backends []Backend, tableSize int) (*Balancer, error) {
 func (b *Balancer) Pick(t packet.FiveTuple) Backend {
 	h := t.Hash()
 	b.mu.Lock()
-	be, ok := b.conns[h]
+	at, ok := b.conns[h]
 	if ok {
 		b.hits++
 	} else {
-		be = b.table.Lookup(h)
-		b.conns[h] = be
-		b.connBytes += connFixedSize + len(be.Name)
+		at = b.tableAt[b.table.index(h)]
+		b.conns[h] = at
+		b.connBytes += connFixedSize + len(b.backends[at].Name)
 		b.misses++
 	}
+	be := b.backends[at]
 	b.mu.Unlock()
 	return be
 }
@@ -222,6 +263,10 @@ func (b *Balancer) UpdateBackends(backends []Backend) error {
 	}
 	b.mu.Lock()
 	b.table = nt
+	b.tableAt = b.tableAt[:0]
+	for _, be := range nt.backends {
+		b.tableAt = append(b.tableAt, b.internLocked([]byte(be.Name), be.IP))
+	}
 	b.mu.Unlock()
 	return nil
 }
@@ -245,7 +290,8 @@ func (b *Balancer) Stats() (hits, misses uint64) {
 func (b *Balancer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = make(map[uint64]Backend), 0
+	b.conns, b.connBytes = make(map[uint64]int32), 0
+	b.internTableLocked()
 	b.hits, b.misses = 0, 0
 }
 

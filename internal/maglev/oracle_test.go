@@ -52,7 +52,7 @@ func FuzzBalancerCheckpointOracle(f *testing.F) {
 		}
 
 		snap, err := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(
-			&oracleState{Conns: src.conns, Hits: src.hits, Misses: src.misses})
+			&oracleState{Conns: src.connsView(), Hits: src.hits, Misses: src.misses})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,9 +86,10 @@ func FuzzBalancerCheckpointOracle(f *testing.F) {
 			t.Fatalf("restored %d conns %d/%d, oracle %d conns %d/%d",
 				len(dst.conns), dst.hits, dst.misses, len(want.Conns), want.Hits, want.Misses)
 		}
+		got := dst.connsView()
 		for h, be := range want.Conns {
-			if dst.conns[h] != be {
-				t.Fatalf("conn %x → %+v, oracle %+v", h, dst.conns[h], be)
+			if got[h] != be {
+				t.Fatalf("conn %x → %+v, oracle %+v", h, got[h], be)
 			}
 		}
 		if dst.connBytes != len(pristine)-balancerHeaderSize {

@@ -3,14 +3,27 @@ package statestore
 // flowindex.go is the on-disk half of the session table's cache story:
 // a per-domain flow index holding every flow ever evicted from RAM.
 // Writes append framed batches to <name>.flog (same framing and
-// torn-tail recovery as the epoch WAL); compaction merges the log into
-// <name>.fidx, a flat array of fixed-size entries sorted by flow hash
-// that lookups binary-search with ReadAt — no resident copy of the full
-// flow set. Recent puts live in a RAM overlay until the next compaction,
-// so reads are overlay-then-index.
+// torn-tail recovery as the epoch WAL, and the same truncate-or-poison
+// on a failed append); compaction merges the log into <name>.fidx, a
+// flat array of fixed-size entries sorted by flow hash that lookups
+// binary-search with ReadAt. Recent puts live in a RAM overlay until the
+// next compaction, so reads are overlay-then-index.
+//
+// What an index keeps resident is set by the store's configuration, not
+// by how many flows it holds:
+//
+//	overlay   <= FlowCompactAfter - 1 + one spill batch of records
+//	keys      one u64 per overlay record, sorted for the merge
+//	payload,  one spill batch encoded, and the same batch framed
+//	frame
+//	merge     one mergeBufSize reader over the old .fidx and one
+//	          mergeBufSize writer into the new one
+//
+// and nothing proportional to idxCount: a compaction streams the old
+// index past the sorted overlay into the new file, entry by entry.
 
 import (
-	"cmp"
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -57,6 +70,9 @@ func decodeFlowEntry(b []byte) session.SpillRecord {
 	}
 }
 
+// mergeBufSize is the size of each of a compaction's two buffers.
+const mergeBufSize = 64 << 10
+
 // FlowIndex is one domain's durable flow set. It implements the session
 // package's Spill contract.
 type FlowIndex struct {
@@ -64,17 +80,22 @@ type FlowIndex struct {
 	name  string
 
 	mu       sync.Mutex
-	log      *os.File
+	log      walFile
 	logSize  int64
+	logErr   error // set once the log's tail is in an unknown state; every later spill returns it
 	overlay  map[uint64]session.SpillRecord
 	idx      *os.File // nil until the first compaction
 	idxCount int
+	// openIdx opens a freshly renamed index: os.Open, except in tests.
+	openIdx func(path string) (*os.File, error)
 
 	// Scratch kept across calls, under mu: a spill batch's payload and
-	// frame, and a compaction's merged records and index image (which
-	// also holds the old index while it is read back).
-	payload, frame, image []byte
-	merged                []session.SpillRecord
+	// frame, and a compaction's sorted overlay hashes and its two merge
+	// buffers (made by the first compaction, Reset by each).
+	payload, frame []byte
+	keys           []uint64
+	mergeR         *bufio.Reader
+	mergeW         *bufio.Writer
 }
 
 // FlowIndex opens (or creates) the named flow index inside the store,
@@ -92,7 +113,7 @@ func (s *Store) FlowIndex(name string) (*FlowIndex, error) {
 	if fi, ok := s.flows[name]; ok {
 		return fi, nil
 	}
-	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]session.SpillRecord)}
+	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]session.SpillRecord), openIdx: os.Open}
 	if err := fi.open(); err != nil {
 		return nil, err
 	}
@@ -157,7 +178,11 @@ func (fi *FlowIndex) open() error {
 }
 
 // SpillFlows appends a batch of evicted flows (upsert by hash) and makes
-// it durable per the store's fsync mode. Implements session.Spill.
+// it durable per the store's fsync mode. A failed append is undone
+// (cutPartialFrame) before the lock is released, so no later batch lands
+// behind a partial frame; if that fails too the index refuses every
+// later spill (the session table keeps the victims in RAM). Implements
+// session.Spill.
 func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -167,6 +192,9 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
+	if fi.logErr != nil {
+		return fi.logErr
+	}
 	payload := fi.payload[:0]
 	for _, r := range recs {
 		payload = encodeFlowEntry(payload, r)
@@ -174,7 +202,8 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	frame := AppendFrame(fi.frame[:0], payload)
 	fi.payload, fi.frame = payload, frame
 	if _, err := fi.log.Write(frame); err != nil {
-		return fmt.Errorf("statestore: spill %s: %w", fi.name, err)
+		err, fi.logErr = cutPartialFrame(fi.log, fi.logSize, "spill log of "+fi.name, fmt.Errorf("statestore: spill %s: %w", fi.name, err))
+		return err
 	}
 	fi.logSize += int64(len(frame))
 	for _, r := range recs {
@@ -260,48 +289,36 @@ func (fi *FlowIndex) Compact() error {
 }
 
 func (fi *FlowIndex) compactLocked() error {
-	// Merge: current index entries, overridden/extended by the overlay.
-	// The old index is read into the image scratch, decoded out of it,
-	// and the new image then encoded over it.
-	merged := fi.merged[:0]
-	if fi.idx != nil && fi.idxCount > 0 {
-		old := slices.Grow(fi.image[:0], fi.idxCount*flowEntrySize)[:fi.idxCount*flowEntrySize]
-		fi.image = old
-		if _, err := fi.idx.ReadAt(old, 0); err != nil {
-			return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
-		}
-		for off := 0; off < len(old); off += flowEntrySize {
-			r := decodeFlowEntry(old[off : off+flowEntrySize])
-			if _, shadowed := fi.overlay[r.Hash]; !shadowed {
-				merged = append(merged, r)
-			}
-		}
+	// Only the overlay needs sorting: the old index already is.
+	keys := slices.Grow(fi.keys[:0], len(fi.overlay))
+	for h := range fi.overlay {
+		keys = append(keys, h)
 	}
-	for _, r := range fi.overlay {
-		merged = append(merged, r)
+	slices.Sort(keys)
+	fi.keys = keys
+	if fi.mergeR == nil {
+		fi.mergeR = bufio.NewReaderSize(nil, mergeBufSize)
+		fi.mergeW = bufio.NewWriterSize(nil, mergeBufSize)
 	}
-	slices.SortFunc(merged, func(a, b session.SpillRecord) int { return cmp.Compare(a.Hash, b.Hash) })
-	buf := fi.image[:0]
-	for _, r := range merged {
-		buf = encodeFlowEntry(buf, r)
-	}
-	fi.merged, fi.image = merged[:0], buf[:0]
-	writeIdx := func(w io.Writer) error {
-		_, err := w.Write(buf)
+	count := 0
+	merge := func(w io.Writer) (err error) {
+		count, err = fi.mergeLocked(w, keys)
 		return err
 	}
-	if err := atomicWriteFile(fi.idxPath(), writeIdx, fi.store.cfg.Fsync != FsyncNone); err != nil {
+	if err := atomicWriteFile(fi.idxPath(), merge, fi.store.cfg.Fsync != FsyncNone); err != nil {
+		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
+	}
+	// The old handle is let go only once the new one is open: until then
+	// it and the overlay, both untouched, still answer every lookup and
+	// feed the next compaction.
+	idx, err := fi.openIdx(fi.idxPath())
+	if err != nil {
 		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
 	}
 	if fi.idx != nil {
 		fi.idx.Close()
 	}
-	idx, err := os.Open(fi.idxPath())
-	if err != nil {
-		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
-	}
-	fi.idx = idx
-	fi.idxCount = len(merged)
+	fi.idx, fi.idxCount = idx, count
 	clear(fi.overlay)
 	if err := fi.log.Truncate(0); err != nil {
 		return fmt.Errorf("statestore: compact %s: truncate log: %w", fi.name, err)
@@ -309,6 +326,56 @@ func (fi *FlowIndex) compactLocked() error {
 	fi.logSize = 0
 	fi.store.compactions.Add(1)
 	return nil
+}
+
+// mergeLocked streams the old index and the overlay records named by
+// keys (sorted) into w as one run sorted by hash, the overlay winning on
+// an equal hash, and reports how many entries it wrote. An old entry
+// that survives is copied as the bytes it is, never decoded.
+func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
+	br, bw := fi.mergeR, fi.mergeW
+	bw.Reset(w)
+	if fi.idxCount > 0 {
+		// Sequential reads share the handle with lookups' ReadAt, which
+		// neither uses nor moves the file offset.
+		if _, err := fi.idx.Seek(0, io.SeekStart); err != nil {
+			return 0, err
+		}
+		br.Reset(fi.idx)
+	}
+	var ent [flowEntrySize]byte
+	n, k := 0, 0
+	for i := 0; ; i++ {
+		var old []byte
+		var oldHash uint64
+		if i < fi.idxCount {
+			var err error
+			if old, err = br.Peek(flowEntrySize); err != nil {
+				return 0, fmt.Errorf("old index ends at entry %d of %d: %w", i, fi.idxCount, err)
+			}
+			oldHash = binary.LittleEndian.Uint64(old)
+		}
+		// Overlay records below the next old entry — all that are left,
+		// once the old index is exhausted.
+		for ; k < len(keys) && (old == nil || keys[k] < oldHash); k++ {
+			if _, err := bw.Write(encodeFlowEntry(ent[:0], fi.overlay[keys[k]])); err != nil {
+				return 0, err
+			}
+			n++
+		}
+		if old == nil {
+			return n, bw.Flush()
+		}
+		// A shadowed old entry is dropped; its overlay record goes out on
+		// the next turn, below whatever follows.
+		if k == len(keys) || keys[k] != oldHash {
+			if _, err := bw.Write(old); err != nil {
+				return 0, err
+			}
+			n++
+		}
+		br.Discard(flowEntrySize)
+	}
 }
 
 // OverlaySize reports uncompacted put entries (test introspection).

@@ -116,51 +116,6 @@ func TestSpillSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestCompactionReusesItsScratch: compactions after the first grow no
-// new merge or image buffers when the index has stopped growing.
-func TestCompactionReusesItsScratch(t *testing.T) {
-	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, FlowCompactAfter: -1})
-	fi, err := s.FlowIndex("worker-0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]session.SpillRecord, 1024)
-	round := func(pkts uint64) {
-		for i := range batch {
-			batch[i] = rec(uint64(i)*31, 0x0a000001, pkts)
-		}
-		if err := fi.SpillFlows(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := fi.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	round(1)
-	round(2)
-	merged, image := cap(fi.merged), cap(fi.image)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for p := uint64(3); p < 13; p++ {
-		round(p)
-	}
-	runtime.ReadMemStats(&after)
-	if cap(fi.merged) != merged || cap(fi.image) != image {
-		t.Fatalf("scratch regrew: merged %d -> %d, image %d -> %d", merged, cap(fi.merged), image, cap(fi.image))
-	}
-	// What is left is the temp file and rename (names, *os.File), not
-	// anything proportional to the 1024 flows (~90 KiB per round before).
-	if perRound := (after.TotalAlloc - before.TotalAlloc) / 10; perRound > 8<<10 {
-		t.Fatalf("a compaction of a steady index allocates %d B", perRound)
-	}
-	if got, ok, _ := fi.LookupFlow(31 * 7); !ok || got.Packets != 12 {
-		t.Fatalf("after the last compaction flow 7 = %+v, %v", got, ok)
-	}
-	if n, _ := fi.FlowCount(); n != 1024 || fi.OverlaySize() != 0 {
-		t.Fatalf("index holds %d flows with %d in the overlay", n, fi.OverlaySize())
-	}
-}
-
 // --- the ownership script -------------------------------------------------
 
 // scriptedWAL fails the next write or fsync when armed.

@@ -448,12 +448,24 @@ func (s *Store) SwapEpoch(name string, seq uint64, payload []byte) (released []b
 	return released, nil
 }
 
-// appendLocked writes one frame to the WAL. A failed or short write may
-// leave part of the frame on disk, where the next append would land
-// behind it and longest-valid-prefix replay could never reach it: the
-// WAL is cut back to its last good length before the lock is released,
-// and if that fails too the store stops appending for good. Caller holds
-// s.mu.
+// cutPartialFrame undoes a failed append to the log f (what names it in
+// errors): a failed or short write may leave part of a frame on disk,
+// where the next append would land behind it and longest-valid-prefix
+// replay could never reach it, so f is cut back to good, its length
+// before the append. It returns err when the cut worked, and otherwise
+// sticky, the error the log's owner must give every later append: the
+// tail is in an unknown state and nothing may be written behind it.
+func cutPartialFrame(f walFile, good int64, what string, err error) (ret, sticky error) {
+	if terr := f.Truncate(good); terr != nil {
+		sticky = fmt.Errorf("statestore: %s unusable: %w; cutting the partial frame failed: %v", what, err, terr)
+		return sticky, sticky
+	}
+	return err, nil
+}
+
+// appendLocked writes one frame to the WAL; a failed write is undone
+// (cutPartialFrame) before the lock is released, and if that fails too
+// the store stops appending for good. Caller holds s.mu.
 func (s *Store) appendLocked(hdr, payload []byte) error {
 	if s.walErr != nil {
 		return s.walErr
@@ -463,11 +475,7 @@ func (s *Store) appendLocked(hdr, payload []byte) error {
 		s.walSize += int64(len(hdr) + len(payload))
 		return nil
 	}
-	err = fmt.Errorf("statestore: append epoch: %w", err)
-	if terr := s.wal.Truncate(s.walSize); terr != nil {
-		s.walErr = fmt.Errorf("statestore: wal unusable: %w; cutting the partial frame failed: %v", err, terr)
-		return s.walErr
-	}
+	err, s.walErr = cutPartialFrame(s.wal, s.walSize, "wal", fmt.Errorf("statestore: append epoch: %w", err))
 	return err
 }
 
