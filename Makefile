@@ -2,14 +2,16 @@ GO ?= go
 
 # Packages whose concurrency is load-bearing: the sharded runtime, the
 # supervised protection-domain runtime and its chaos harness, the pool
-# caches under them, the linear-ownership cells that make it safe, the
+# caches under them, the linear-ownership cells that make it safe (and
+# the sfi reference tables whose crossing is those cells' Rc CAS loops —
+# the package where the teardown-generation race was found), the
 # telemetry core every one of them records into, both port
 # implementations (the simulated NIC's steered distributor and the
 # socket-backed port's receive loop) with the mbuf slab layout both are
 # built on, and the NF states whose capture runs beside their packet
 # path (and, for the firewall, beside other workers' captures of one
 # shared rule DB).
-RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/packet ./internal/linear ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
+RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/packet ./internal/linear ./internal/sfi ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
 
 # Per-benchmark time for the JSON bench run; raise for stabler numbers.
 BENCHTIME ?= 0.5s

@@ -617,7 +617,7 @@ type sessionGraph struct {
 
 type sessionGraphFlow struct {
 	Tuple   packet.FiveTuple
-	Backend checkpoint.Rc[session.Backend]
+	Backend linear.Rc[session.Backend]
 	Packets uint64
 	Bytes   uint64
 }
@@ -628,9 +628,9 @@ type sessionGraphFlow struct {
 // sharing-preserving mode. RcAware pays one flag check per Rc handle;
 // VisitedSet pays a global address-table probe per node.
 func BenchmarkCheckpointRestoreSession(b *testing.B) {
-	backends := make([]checkpoint.Rc[session.Backend], 32)
+	backends := make([]linear.Rc[session.Backend], 32)
 	for i := range backends {
-		backends[i] = checkpoint.NewRc(session.Backend{IP: packet.Addr(10, 1, 0, byte(i))})
+		backends[i] = linear.NewRc(session.Backend{IP: packet.Addr(10, 1, 0, byte(i))})
 	}
 	g := &sessionGraph{Flows: make(map[uint64]*sessionGraphFlow, 4096)}
 	base := dpdk.DefaultSpec().Tuple

@@ -6,10 +6,10 @@
 // runtime-enforced linear ownership model (§3), static information-flow
 // control by abstract interpretation of a purpose-built mini-Rust
 // language (§4), and automatic alias-preserving checkpointing (§5) —
-// plus the paper-motivated extensions: session-typed channels,
-// transactions/replication, rollback-recovery for middleboxes (a
-// checkpointed domain.Stateful under the one supervised runner; see
-// examples/rollback-middlebox), and verified kernel extensions (§6).
+// plus the paper-motivated extensions: transactions/replication,
+// rollback-recovery for middleboxes (a checkpointed domain.Stateful
+// under the one supervised runner; see examples/rollback-middlebox), and
+// verified kernel extensions (§6).
 //
 // Start with README.md; DESIGN.md holds the system inventory and
 // per-experiment index; EXPERIMENTS.md records paper-vs-measured for

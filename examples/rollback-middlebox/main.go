@@ -18,6 +18,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/domain"
 	"repro/internal/dpdk"
+	"repro/internal/linear"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 	"repro/internal/sfi"
@@ -28,11 +29,11 @@ import (
 // through Rc so restores must preserve aliasing.
 type monitorState struct {
 	Counts map[packet.FiveTuple]int
-	Total  checkpoint.Rc[int]
+	Total  linear.Rc[int]
 }
 
 func newMonitorState() *monitorState {
-	return &monitorState{Counts: make(map[packet.FiveTuple]int), Total: checkpoint.NewRc(0)}
+	return &monitorState{Counts: make(map[packet.FiveTuple]int), Total: linear.NewRc(0)}
 }
 
 // monitor owns the state and is the domain.Stateful the runtime

@@ -15,10 +15,10 @@
 //   - plain pointers are treated as unique owners and traversed without a
 //     visited set (the linear regime this repository enforces dynamically
 //     via internal/linear makes that sound); and
-//   - aliasing is explicit in the type: only checkpoint.Rc values can be
+//   - aliasing is explicit in the type: only linear.Rc values can be
 //     shared, and the Rc box itself carries the per-epoch "already
-//     checkpointed" state, so sharing is preserved with O(1) work per
-//     alias and no global address table.
+//     checkpointed" state (linear.Rc.CheckpointVisit), so sharing is
+//     preserved with O(1) work per alias and no global address table.
 //
 // Three engine modes exist so that Figure 3 and its ablation can be
 // regenerated:
@@ -35,8 +35,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/linear"
 )
 
 // Mode selects how the engine handles aliasing during traversal.
@@ -121,8 +122,24 @@ func (e *Engine) Mode() Mode { return e.mode }
 type run struct {
 	mode    Mode
 	epoch   uint64
-	visited map[any]reflect.Value // VisitedSet mode: pointer -> copied value
+	visited map[any]reflect.Value // VisitedSet mode: pointer or Rc handle -> copied value
 	stats   Stats
+	// The two callbacks an Rc box is handed, bound once per run instead
+	// of once per visit: cloneFn is cloneAny; register (VisitedSet only)
+	// enters a fresh copy into visited under the handle it copies.
+	cloneFn  func(any) (any, error)
+	register func(orig, cp any)
+}
+
+// newRun starts a traversal in its own epoch.
+func newRun(mode Mode) *run {
+	r := &run{mode: mode, epoch: epochCounter.Add(1)}
+	r.cloneFn = r.cloneAny
+	if mode == VisitedSet {
+		r.visited = make(map[any]reflect.Value)
+		r.register = func(orig, cp any) { r.visited[orig] = reflect.ValueOf(cp) }
+	}
+	return r
 }
 
 // Snapshot is an immutable deep copy of a value graph, with the alias
@@ -144,10 +161,7 @@ func (s *Snapshot) Mode() Mode { return s.mode }
 // Checkpoint deep-copies v and returns the snapshot. The input graph is
 // not modified except for the epoch words inside Rc boxes.
 func (e *Engine) Checkpoint(v any) (*Snapshot, error) {
-	r := &run{mode: e.mode, epoch: epochCounter.Add(1)}
-	if e.mode == VisitedSet {
-		r.visited = make(map[any]reflect.Value)
-	}
+	r := newRun(e.mode)
 	rv := reflect.ValueOf(v)
 	if !rv.IsValid() {
 		return nil, fmt.Errorf("checkpoint of nil interface: %w", ErrUnsupported)
@@ -181,10 +195,7 @@ func (s *Snapshot) Restore(dst any) error {
 			return fmt.Errorf("restore into %s, snapshot holds %s: %w", dv.Elem().Type(), s.typ, ErrTypeMismatch)
 		}
 	}
-	r := &run{mode: s.mode, epoch: epochCounter.Add(1)}
-	if s.mode == VisitedSet {
-		r.visited = make(map[any]reflect.Value)
-	}
+	r := newRun(s.mode)
 	cp, err := r.clone(s.val)
 	if err != nil {
 		return err
@@ -198,10 +209,7 @@ func (s *Snapshot) Restore(dst any) error {
 // (e.g. code handling heterogeneous state graphs). The copy preserves the
 // snapshot's alias structure like Restore.
 func (s *Snapshot) Materialize() (any, error) {
-	r := &run{mode: s.mode, epoch: epochCounter.Add(1)}
-	if s.mode == VisitedSet {
-		r.visited = make(map[any]reflect.Value)
-	}
+	r := newRun(s.mode)
 	cp, err := r.clone(s.val)
 	if err != nil {
 		return nil, err
@@ -209,10 +217,60 @@ func (s *Snapshot) Materialize() (any, error) {
 	return cp.Interface(), nil
 }
 
-// aliased is implemented by Rc; it routes traversal through the box's
-// epoch flag (or duplicates, in Naive mode).
+// aliased is the engine's view of a linear.Rc[T] of any T: the handle's
+// own first-visit flag, reached by interface assertion so that this
+// package needs neither T nor a second shared-pointer type.
 type aliased interface {
-	checkpointAliased(r *run) (reflect.Value, error)
+	IsZero() bool
+	CheckpointVisit(epoch uint64, clone func(any) (any, error), pre func(orig, cp any)) (cp any, first bool, err error)
+}
+
+// The engine meets Rc only through the assertion; this is what stops
+// compiling if the method it asserts for drifts.
+var _ aliased = linear.Rc[struct{}]{}
+
+// cloneAny is clone for callers outside reflection: Rc boxes and
+// Checkpointable implementations.
+func (r *run) cloneAny(v any) (any, error) {
+	cv, err := r.clone(reflect.ValueOf(v))
+	if err != nil || !cv.IsValid() {
+		return nil, err
+	}
+	return cv.Interface(), nil
+}
+
+// cloneRc routes an Rc through the flag in its box. RcAware: the box
+// copies itself once per epoch and every other alias gets a handle to
+// that copy. Naive: every visit copies (Figure 3b). VisitedSet: the
+// handle — comparable, equal exactly when the box is the same — goes
+// through the run's address table, registered before the value is cloned
+// so a cycle through the box ends there.
+func (r *run) cloneRc(v reflect.Value, a aliased) (reflect.Value, error) {
+	if a.IsZero() {
+		return v, nil
+	}
+	epoch := r.epoch
+	switch r.mode {
+	case Naive:
+		epoch = 0
+	case VisitedSet:
+		r.stats.SetProbes++
+		if prev, ok := r.visited[v.Interface()]; ok {
+			r.stats.RcReused++
+			return prev, nil
+		}
+		epoch = 0
+	}
+	cp, first, err := a.CheckpointVisit(epoch, r.cloneFn, r.register)
+	if err != nil {
+		return reflect.Value{}, err
+	}
+	if first {
+		r.stats.RcFirst++
+	} else {
+		r.stats.RcReused++
+	}
+	return reflect.ValueOf(cp), nil
 }
 
 // clone dispatches on the dynamic structure of v.
@@ -227,17 +285,11 @@ func (r *run) clone(v reflect.Value) (reflect.Value, error) {
 	if v.CanInterface() {
 		if v.Kind() == reflect.Struct {
 			if a, ok := v.Interface().(aliased); ok {
-				return a.checkpointAliased(r)
+				return r.cloneRc(v, a)
 			}
 		}
 		if c, ok := v.Interface().(Checkpointable); ok {
-			out, err := c.CheckpointCopy(func(inner any) (any, error) {
-				cv, err := r.clone(reflect.ValueOf(inner))
-				if err != nil {
-					return nil, err
-				}
-				return cv.Interface(), nil
-			})
+			out, err := c.CheckpointCopy(r.cloneFn)
 			if err != nil {
 				return reflect.Value{}, err
 			}
@@ -372,164 +424,3 @@ func (r *run) cloneStruct(v reflect.Value) (reflect.Value, error) {
 	}
 	return out, nil
 }
-
-// rcBox is the shared allocation behind checkpoint.Rc handles. It carries
-// the paper's "internal flag": the epoch of the last checkpoint that
-// visited it and the copy made by that visit.
-type rcBox[T any] struct {
-	mu     sync.Mutex
-	val    T
-	strong int64
-
-	ckptEpoch uint64
-	ckptCopy  *rcBox[T]
-}
-
-// Rc is a reference-counted shared value with built-in checkpoint
-// support — the analogue of the paper's custom Checkpointable impl for
-// Rust's Rc. Aliasing a value in a checkpointable structure is only
-// possible through Rc, which is what makes derivation sound without alias
-// analysis.
-type Rc[T any] struct {
-	box *rcBox[T]
-}
-
-// NewRc allocates a shared value.
-func NewRc[T any](v T) Rc[T] {
-	return Rc[T]{box: &rcBox[T]{val: v, strong: 1}}
-}
-
-// Clone creates another handle to the same shared value.
-func (r Rc[T]) Clone() Rc[T] {
-	if r.box == nil {
-		panic("checkpoint: Clone of zero Rc")
-	}
-	r.box.mu.Lock()
-	r.box.strong++
-	r.box.mu.Unlock()
-	return r
-}
-
-// Get returns the shared value.
-func (r Rc[T]) Get() T {
-	if r.box == nil {
-		panic("checkpoint: Get on zero Rc")
-	}
-	r.box.mu.Lock()
-	defer r.box.mu.Unlock()
-	return r.box.val
-}
-
-// Peek returns a pointer to the shared value without copying it. It is
-// the read path for per-packet code: Get copies T under the box lock and
-// the copy heap-escapes when the caller returns a pointer to it, while
-// Peek hands out the box's own storage. The caller must treat the target
-// as read-only and must not race it with Set; values that mutate after
-// publication should stay on Get/Set.
-func (r Rc[T]) Peek() *T {
-	if r.box == nil {
-		panic("checkpoint: Peek on zero Rc")
-	}
-	return &r.box.val
-}
-
-// Set replaces the shared value (visible through every alias — this is
-// exactly the behaviour that defeats naive traversal and security-type
-// systems, and that the epoch flag handles for free).
-func (r Rc[T]) Set(v T) {
-	if r.box == nil {
-		panic("checkpoint: Set on zero Rc")
-	}
-	r.box.mu.Lock()
-	r.box.val = v
-	r.box.mu.Unlock()
-}
-
-// StrongCount reports the number of handles.
-func (r Rc[T]) StrongCount() int64 {
-	if r.box == nil {
-		return 0
-	}
-	r.box.mu.Lock()
-	defer r.box.mu.Unlock()
-	return r.box.strong
-}
-
-// SameBox reports whether two handles alias the same allocation — the
-// sharing-structure probe the Figure 3 assertions use.
-func (r Rc[T]) SameBox(o Rc[T]) bool { return r.box == o.box }
-
-// IsZero reports whether the handle is the zero Rc.
-func (r Rc[T]) IsZero() bool { return r.box == nil }
-
-// checkpointAliased implements the aliased hook. RcAware: first visit in
-// an epoch copies the value and parks the copy in the box; subsequent
-// visits hand out handles to the same copy. Naive: every visit copies.
-// VisitedSet: the box pointer goes through the run's address table.
-func (r Rc[T]) checkpointAliased(run *run) (reflect.Value, error) {
-	if r.box == nil {
-		return reflect.ValueOf(r), nil
-	}
-	switch run.mode {
-	case Naive:
-		r.box.mu.Lock()
-		val := r.box.val
-		r.box.mu.Unlock()
-		cv, err := run.clone(reflect.ValueOf(&val).Elem())
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		run.stats.RcFirst++
-		return reflect.ValueOf(NewRc(cv.Interface().(T))), nil
-
-	case VisitedSet:
-		run.stats.SetProbes++
-		if prev, ok := run.visited[r.box]; ok {
-			run.stats.RcReused++
-			return prev, nil
-		}
-		r.box.mu.Lock()
-		val := r.box.val
-		r.box.mu.Unlock()
-		nb := &rcBox[T]{strong: 1}
-		out := reflect.ValueOf(Rc[T]{box: nb})
-		run.visited[r.box] = out // pre-register: cycles through Rc
-		cv, err := run.clone(reflect.ValueOf(&val).Elem())
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		nb.val = cv.Interface().(T)
-		run.stats.RcFirst++
-		return out, nil
-
-	default: // RcAware
-		r.box.mu.Lock()
-		if r.box.ckptEpoch == run.epoch && r.box.ckptCopy != nil {
-			cp := r.box.ckptCopy
-			cp.mu.Lock()
-			cp.strong++
-			cp.mu.Unlock()
-			r.box.mu.Unlock()
-			run.stats.RcReused++
-			return reflect.ValueOf(Rc[T]{box: cp}), nil
-		}
-		// First visit this epoch: set the flag *before* copying so a
-		// cycle through this box reuses the (in-progress) copy.
-		nb := &rcBox[T]{strong: 1}
-		r.box.ckptEpoch = run.epoch
-		r.box.ckptCopy = nb
-		val := r.box.val
-		r.box.mu.Unlock()
-		cv, err := run.clone(reflect.ValueOf(&val).Elem())
-		if err != nil {
-			return reflect.Value{}, err
-		}
-		nb.mu.Lock()
-		nb.val = cv.Interface().(T)
-		nb.mu.Unlock()
-		run.stats.RcFirst++
-		return reflect.ValueOf(Rc[T]{box: nb}), nil
-	}
-}
-
-var _ aliased = Rc[int]{}

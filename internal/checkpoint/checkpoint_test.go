@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/linear"
 )
 
 type point struct {
@@ -216,11 +218,11 @@ type rule struct {
 
 type db struct {
 	// Two slots that may alias the same rule, as two trie leaves would.
-	A, B Rc[rule]
+	A, B linear.Rc[rule]
 }
 
 func TestRcAwarePreservesSharing(t *testing.T) {
-	shared := NewRc(rule{ID: 1, Action: "allow"})
+	shared := linear.NewRc(rule{ID: 1, Action: "allow"})
 	d := db{A: shared, B: shared.Clone()}
 	if !d.A.SameBox(d.B) {
 		t.Fatal("setup: not aliased")
@@ -261,7 +263,7 @@ func TestRcAwarePreservesSharing(t *testing.T) {
 
 func TestNaiveDuplicatesSharedRule(t *testing.T) {
 	// Figure 3b: naive traversal creates multiple copies of rule 1.
-	shared := NewRc(rule{ID: 1})
+	shared := linear.NewRc(rule{ID: 1})
 	d := db{A: shared, B: shared.Clone()}
 	e := NewEngine(Naive)
 	s, err := e.Checkpoint(d)
@@ -281,7 +283,7 @@ func TestNaiveDuplicatesSharedRule(t *testing.T) {
 }
 
 func TestVisitedSetPreservesSharingWithProbes(t *testing.T) {
-	shared := NewRc(rule{ID: 1})
+	shared := linear.NewRc(rule{ID: 1})
 	d := db{A: shared, B: shared.Clone()}
 	e := NewEngine(VisitedSet)
 	s, err := e.Checkpoint(d)
@@ -307,7 +309,7 @@ func TestVisitedSetPreservesSharingWithProbes(t *testing.T) {
 func TestRepeatedCheckpointsIndependentEpochs(t *testing.T) {
 	// The paper's flag must reset between checkpoints: a second
 	// checkpoint must copy again, not reuse the first run's copy.
-	shared := NewRc(rule{ID: 1})
+	shared := linear.NewRc(rule{ID: 1})
 	d := db{A: shared, B: shared.Clone()}
 	e := NewEngine(RcAware)
 	s1, err := e.Checkpoint(d)
@@ -336,7 +338,7 @@ func TestRepeatedCheckpointsIndependentEpochs(t *testing.T) {
 
 type cyclic struct {
 	ID   int
-	Peer Rc[*cyclic]
+	Peer linear.Rc[*cyclic]
 }
 
 func TestCyclicGraphThroughRc(t *testing.T) {
@@ -344,8 +346,8 @@ func TestCyclicGraphThroughRc(t *testing.T) {
 	// the linear regime. The epoch flag must terminate the traversal.
 	a := &cyclic{ID: 1}
 	b := &cyclic{ID: 2}
-	ra := NewRc(a)
-	rb := NewRc(b)
+	ra := linear.NewRc(a)
+	rb := linear.NewRc(b)
 	a.Peer = rb
 	b.Peer = ra
 
@@ -354,7 +356,7 @@ func TestCyclicGraphThroughRc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Rc[*cyclic]
+	var got linear.Rc[*cyclic]
 	if err := s.Restore(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -437,13 +439,25 @@ func (s secretive) CheckpointCopy(clone func(any) (any, error)) (any, error) {
 }
 
 func TestRcZeroAndPanics(t *testing.T) {
-	var z Rc[int]
+	var z linear.Rc[int]
 	if !z.IsZero() || z.StrongCount() != 0 {
 		t.Fatal("zero Rc misbehaves")
+	}
+	// A zero handle has no box to visit: every mode copies it as it is.
+	for _, mode := range []Mode{RcAware, Naive, VisitedSet} {
+		s, err := NewEngine(mode).Checkpoint(db{})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		var got db
+		if err := s.Restore(&got); err != nil || !got.A.IsZero() || !got.B.IsZero() || s.Stats() != (Stats{}) {
+			t.Fatalf("%v: zero handles came back as %+v, stats %+v, err %v", mode, got, s.Stats(), err)
+		}
 	}
 	for name, fn := range map[string]func(){
 		"Get":   func() { z.Get() },
 		"Set":   func() { z.Set(1) },
+		"Peek":  func() { z.Peek() },
 		"Clone": func() { z.Clone() },
 	} {
 		func() {
@@ -458,7 +472,7 @@ func TestRcZeroAndPanics(t *testing.T) {
 }
 
 func TestRcCloneCountsAndSet(t *testing.T) {
-	r := NewRc(10)
+	r := linear.NewRc(10)
 	c := r.Clone()
 	if r.StrongCount() != 2 {
 		t.Fatalf("count = %d", r.StrongCount())
@@ -469,12 +483,72 @@ func TestRcCloneCountsAndSet(t *testing.T) {
 	}
 }
 
+// TestRcOneCellServesBothLayers: the paper's two mechanisms on one box.
+// §3's reference table holds the strong handle and hands out a Weak (what
+// sfi.exportAt does); the same box is aliased into a state graph and
+// checkpointed by §5's flag; then the table revokes. The weak handle
+// fails closed, and the snapshot — boxes of its own — neither notices nor
+// keeps the revoked value reachable through the original.
+func TestRcOneCellServesBothLayers(t *testing.T) {
+	table := linear.NewRc(rule{ID: 1, Action: "allow"}) // the reference table's proxy
+	weak := table.Downgrade()                           // the client's RRef
+	d := db{A: table.Clone(), B: table.Clone()}         // two leaves sharing the rule
+	if table.StrongCount() != 3 || table.WeakCount() != 1 {
+		t.Fatalf("setup: %d strong, %d weak", table.StrongCount(), table.WeakCount())
+	}
+
+	s, err := NewEngine(RcAware).Checkpoint(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.RcFirst != 1 || st.RcReused != 1 {
+		t.Fatalf("stats = %+v, want one copy and one reuse", st)
+	}
+	if table.StrongCount() != 3 || table.WeakCount() != 1 {
+		t.Fatalf("the traversal moved the original's counts: %d strong, %d weak", table.StrongCount(), table.WeakCount())
+	}
+	call, ok := weak.Upgrade() // an invocation in flight holds a strong handle
+	if !ok || call.Peek().ID != 1 {
+		t.Fatal("Upgrade failed with the table entry installed")
+	}
+
+	for _, h := range []linear.Rc[rule]{call, d.A, d.B, table} {
+		if !weak.Alive() {
+			t.Fatal("the value died before its last strong handle")
+		}
+		if err := h.Drop(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := weak.Upgrade(); ok || weak.Alive() {
+		t.Fatal("Upgrade succeeded after the last strong handle was dropped")
+	}
+	if err := table.Drop(); err == nil {
+		t.Fatal("Drop below zero succeeded")
+	}
+
+	var got db
+	if err := s.Restore(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !got.A.SameBox(got.B) || got.A.SameBox(table) || got.A.Get() != (rule{ID: 1, Action: "allow"}) {
+		t.Fatalf("restored %+v / %+v", got.A.Get(), got.B.Get())
+	}
+	if got.A.StrongCount() != 2 || got.A.WeakCount() != 0 {
+		t.Fatalf("restored box: %d strong, %d weak, want one per alias and none", got.A.StrongCount(), got.A.WeakCount())
+	}
+	snap := s.Value().(db)
+	if snap.A.StrongCount() != 2 || !snap.A.Alive() {
+		t.Fatalf("the snapshot's own copy: %d strong", snap.A.StrongCount())
+	}
+}
+
 func TestConcurrentMutationDuringCheckpoint(t *testing.T) {
 	// §5: "adds the checkpointing capability ... in an efficient and
 	// thread-safe way". Mutators race with checkpoints; every snapshot
 	// must contain a value that was valid at some point (no torn reads)
 	// and the engine must not crash.
-	shared := NewRc(rule{ID: 0, Action: "allow"})
+	shared := linear.NewRc(rule{ID: 0, Action: "allow"})
 	d := db{A: shared, B: shared.Clone()}
 	e := NewEngine(RcAware)
 	var wg sync.WaitGroup
@@ -526,9 +600,9 @@ func TestQuickRcCopyCounts(t *testing.T) {
 		}
 		// Build a pool of up to 4 distinct shared rules, then a slice of
 		// handles chosen by pattern.
-		pool := []Rc[rule]{NewRc(rule{ID: 0}), NewRc(rule{ID: 1}), NewRc(rule{ID: 2}), NewRc(rule{ID: 3})}
+		pool := []linear.Rc[rule]{linear.NewRc(rule{ID: 0}), linear.NewRc(rule{ID: 1}), linear.NewRc(rule{ID: 2}), linear.NewRc(rule{ID: 3})}
 		used := map[int]bool{}
-		handles := make([]Rc[rule], 0, len(pattern))
+		handles := make([]linear.Rc[rule], 0, len(pattern))
 		for _, p := range pattern {
 			i := int(p) % len(pool)
 			used[i] = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/linear"
 )
 
 type policy struct {
@@ -12,7 +13,7 @@ type policy struct {
 
 type router struct {
 	// Two routes sharing one policy object — the Figure 3a shape.
-	RouteA, RouteB checkpoint.Rc[policy]
+	RouteA, RouteB linear.Rc[policy]
 	Hops           []string
 }
 
@@ -20,7 +21,7 @@ type router struct {
 // the shared policy once and the restored graph preserves the aliasing;
 // the naive engine duplicates it.
 func Example() {
-	shared := checkpoint.NewRc(policy{Name: "allow-web"})
+	shared := linear.NewRc(policy{Name: "allow-web"})
 	r := &router{RouteA: shared, RouteB: shared.Clone(), Hops: []string{"a", "b"}}
 
 	snap, _ := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(r)
@@ -44,7 +45,7 @@ func Example() {
 // ExampleSnapshot_Restore shows that snapshots are immune to later
 // mutation of the live graph — the checkpoint/rollback property.
 func ExampleSnapshot_Restore() {
-	live := &router{RouteA: checkpoint.NewRc(policy{Name: "v1"})}
+	live := &router{RouteA: linear.NewRc(policy{Name: "v1"})}
 	live.RouteB = live.RouteA.Clone()
 	snap, _ := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(live)
 

@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/linear"
 )
 
 // fuzzNode is one vertex of the fuzz graph: plain data plus an Rc
 // handle that may share its box with other nodes.
 type fuzzNode struct {
 	ID  int
-	Ref checkpoint.Rc[int]
+	Ref linear.Rc[int]
 }
 
 // fuzzGraph is the checkpointed root: a slice of unique node pointers
@@ -44,9 +45,9 @@ func FuzzCheckpointRestore(f *testing.F) {
 		}
 		mode := checkpoint.Mode(int(data[0]) % 3)
 		nBoxes := int(data[1])%7 + 1
-		boxes := make([]checkpoint.Rc[int], nBoxes)
+		boxes := make([]linear.Rc[int], nBoxes)
 		for i := range boxes {
-			boxes[i] = checkpoint.NewRc(i * 100)
+			boxes[i] = linear.NewRc(i * 100)
 		}
 		assign := data[2:]
 		if len(assign) > 32 {

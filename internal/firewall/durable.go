@@ -11,7 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/packet"
 )
 
@@ -117,7 +117,7 @@ func decodeDB(data []byte) (*DB, error) {
 		}
 		r.Comment = string(data[:commentLen])
 		data = data[commentLen:]
-		handles[i] = checkpoint.NewRc(r)
+		handles[i] = linear.NewRc(r)
 	}
 	if len(data) < 4 {
 		return nil, fmt.Errorf("firewall: token truncated at prefix count")

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 	"repro/internal/trie"
@@ -59,7 +60,7 @@ func (r Rule) Matches(t packet.FiveTuple) bool {
 
 // SharedRule is a reference-counted rule handle; cloning it and inserting
 // under several prefixes creates the Figure 3a sharing.
-type SharedRule = checkpoint.Rc[Rule]
+type SharedRule = linear.Rc[Rule]
 
 // DB is the rule database: a destination-prefix trie whose leaves hold
 // lists of shared rule handles, evaluated in order. All fields are
@@ -77,7 +78,7 @@ func NewDB(def Action) *DB {
 // AddRule inserts a fresh rule under the destination prefix and returns
 // the shared handle so callers can attach the same rule elsewhere.
 func (db *DB) AddRule(dst packet.IPv4, length int, r Rule) (SharedRule, error) {
-	h := checkpoint.NewRc(r)
+	h := linear.NewRc(r)
 	if err := db.AttachRule(dst, length, h); err != nil {
 		return SharedRule{}, err
 	}

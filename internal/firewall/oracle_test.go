@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/packet"
 )
 
@@ -42,7 +43,7 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 		db := NewDB(Action(data[0] % 2))
 		rules := make([]SharedRule, int(data[1])%7+1)
 		for i := range rules {
-			rules[i] = checkpoint.NewRc(Rule{
+			rules[i] = linear.NewRc(Rule{
 				ID: i - 3, Action: Action(i % 2), Proto: uint8(6 + 11*(i%2)), DstPort: uint16(53 * (i % 3)),
 				Comment: "rule-" + string(rune('a'+i)),
 			})

@@ -47,19 +47,3 @@ func ExampleRc() {
 	// upgraded: shared config
 	// upgrade after drop: false
 }
-
-// ExampleChan demonstrates ownership transfer through a channel: the
-// sender's handle dies at Send, as if passed to a function.
-func ExampleChan() {
-	ch := linear.NewChan[string](1)
-	msg := linear.New("exclusive payload")
-	_ = ch.Send(msg)
-	_, err := msg.Borrow()
-	fmt.Println("sender access:", !errors.Is(err, linear.ErrMoved))
-
-	got, _ := ch.Recv()
-	fmt.Println("receiver got:", got.MustInto())
-	// Output:
-	// sender access: false
-	// receiver got: exclusive payload
-}

@@ -4,7 +4,7 @@
 // The paper's mechanisms rest on Rust's compile-time guarantee that every
 // live object has a unique owner: passing a value moves it, borrows are
 // scoped and either shared-immutable or exclusive-mutable, and aliasing is
-// only possible through explicit reference-counted wrappers (Rc/Arc).
+// only possible through an explicit reference-counted wrapper (Rc).
 //
 // Go has no linear types, so this package enforces the same discipline
 // dynamically: every Owned[T] handle carries a generation stamp, moves

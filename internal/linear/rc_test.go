@@ -86,63 +86,6 @@ func TestZeroWeakUpgradeFails(t *testing.T) {
 	w.Drop() // must not panic
 }
 
-func TestRcMarkCAS(t *testing.T) {
-	r := NewRc(1)
-	if r.Mark() != 0 {
-		t.Fatalf("initial mark = %d", r.Mark())
-	}
-	if !r.SetMarkIf(0, 5) {
-		t.Fatal("first CAS failed")
-	}
-	if r.SetMarkIf(0, 9) {
-		t.Fatal("stale CAS succeeded")
-	}
-	if r.Mark() != 5 {
-		t.Fatalf("mark = %d, want 5", r.Mark())
-	}
-	c := r.Clone()
-	if c.Mark() != 5 {
-		t.Fatal("mark not shared between clones")
-	}
-}
-
-func TestArcWithLock(t *testing.T) {
-	a := NewArc(map[string]int{})
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			a.WithLock(func(m *map[string]int) {
-				(*m)["n"]++
-			})
-		}()
-	}
-	wg.Wait()
-	a.WithLock(func(m *map[string]int) {
-		if (*m)["n"] != 32 {
-			t.Errorf("n = %d, want 32", (*m)["n"])
-		}
-	})
-}
-
-func TestArcCloneDropParity(t *testing.T) {
-	a := NewArc(1)
-	b := a.Clone()
-	if a.StrongCount() != 2 {
-		t.Fatalf("count = %d", a.StrongCount())
-	}
-	if !a.SameBox(b) {
-		t.Fatal("not same box")
-	}
-	w := a.Downgrade()
-	_ = a.Drop()
-	_ = b.Drop()
-	if w.Alive() {
-		t.Fatal("arc alive after drops")
-	}
-}
-
 // Property: after c clones and c drops, the value is alive iff the net
 // handle count is positive, and exactly dies at zero.
 func TestQuickRcRefcountInvariant(t *testing.T) {
@@ -204,66 +147,6 @@ func TestConcurrentWeakUpgradeRace(t *testing.T) {
 			t.Fatal("value alive after all drops")
 		}
 	}
-}
-
-func TestLinearMutexExclusion(t *testing.T) {
-	m := NewMutex(0)
-	g := m.Lock()
-	if _, ok := m.TryLock(); ok {
-		t.Fatal("TryLock succeeded while locked")
-	}
-	*g.Value() = 10
-	g.Unlock()
-	g2, ok := m.TryLock()
-	if !ok {
-		t.Fatal("TryLock failed while unlocked")
-	}
-	if *g2.Value() != 10 {
-		t.Fatalf("value = %d", *g2.Value())
-	}
-	g2.Unlock()
-}
-
-func TestGuardUseAfterUnlockPanics(t *testing.T) {
-	m := NewMutex(1)
-	g := m.Lock()
-	g.Unlock()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Value after Unlock did not panic")
-		}
-	}()
-	_ = g.Value()
-}
-
-func TestGuardDoubleUnlockPanics(t *testing.T) {
-	m := NewMutex(1)
-	g := m.Lock()
-	g.Unlock()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Unlock did not panic")
-		}
-	}()
-	g.Unlock()
-}
-
-func TestMutexWith(t *testing.T) {
-	m := NewMutex([]int(nil))
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(n int) {
-			defer wg.Done()
-			m.With(func(s *[]int) { *s = append(*s, n) })
-		}(i)
-	}
-	wg.Wait()
-	m.With(func(s *[]int) {
-		if len(*s) != 16 {
-			t.Errorf("len = %d, want 16", len(*s))
-		}
-	})
 }
 
 func BenchmarkAblationOwnedBorrow(b *testing.B) {

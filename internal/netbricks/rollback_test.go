@@ -16,6 +16,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/dpdk"
 	"repro/internal/leakcheck"
+	"repro/internal/linear"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 	"repro/internal/sfi"
@@ -25,7 +26,7 @@ import (
 // Rc box, so a restore that broke sharing would show.
 type counterState struct {
 	Counts       map[packet.FiveTuple]int
-	Total, Alias checkpoint.Rc[int]
+	Total, Alias linear.Rc[int]
 }
 
 // flowCounter is the domain.Stateful owning the graph.
@@ -37,7 +38,7 @@ type flowCounter struct {
 }
 
 func newCounterState() *counterState {
-	total := checkpoint.NewRc(0)
+	total := linear.NewRc(0)
 	return &counterState{Counts: make(map[packet.FiveTuple]int), Total: total, Alias: total.Clone()}
 }
 

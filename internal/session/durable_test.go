@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/packet"
 )
 
@@ -55,7 +56,7 @@ func TestTokenRoundTrip(t *testing.T) {
 		t.Fatalf("restored %d backends, want 3", dst.Backends())
 	}
 	dst.mu.Lock()
-	boxes := map[packet.IPv4]checkpoint.Rc[Backend]{}
+	boxes := map[packet.IPv4]linear.Rc[Backend]{}
 	for _, f := range dst.flows {
 		ip := f.Backend.Get().IP
 		if prev, ok := boxes[ip]; ok {

@@ -1,49 +1,36 @@
 package session_test
 
 import (
-	"errors"
 	"fmt"
 
+	"repro/internal/packet"
 	"repro/internal/session"
 )
 
-// Example runs a request/response session: the protocol is stated once,
-// the peer's side is derived by duality, and a linearity violation —
-// reusing a consumed endpoint — is caught, the error the Rust encoding
-// turns into a compile failure.
+// Example tracks three flows steered to two backends, checkpoints the
+// table, loses it to a cold start and restores it: flow identity and
+// backend sharing come back, from bytes that can be restored again.
 func Example() {
-	// client: !string . ?int . end
-	proto := session.Send("string", session.Recv("int", session.End))
-	client, server := session.New(proto, 1)
+	flow := func(i int) packet.FiveTuple {
+		return packet.FiveTuple{SrcIP: packet.Addr(10, 0, 0, byte(i)), DstIP: packet.Addr(10, 9, 9, 9), SrcPort: 4000, DstPort: 80, Proto: 6}
+	}
+	beA, beB := packet.Addr(10, 1, 0, 1), packet.Addr(10, 1, 0, 2)
 
-	go func() {
-		req, s1, _ := server.Recv()
-		s2, _ := s1.Send(len(req.(string)))
-		_ = s2.Close()
-	}()
+	t := session.NewTable()
+	t.Track(flow(1), beA, 64)
+	t.Track(flow(2), beA, 64)
+	t.Track(flow(3), beB, 64)
+	fmt.Println("tracked:", t.Len(), "flows,", t.Backends(), "backends")
 
-	c1, _ := client.Send("hello")
-	resp, c2, _ := c1.Recv()
-	fmt.Println("length:", resp)
+	token, _ := t.Checkpoint(nil) // the v1 wire image; no engine needed
+	t.Reset()
+	fmt.Println("after a cold start:", t.Len(), "flows")
 
-	// Linearity: the pre-send handle is consumed.
-	_, err := client.Send("again")
-	fmt.Println("stale handle rejected:", errors.Is(err, session.ErrConsumed))
-	_ = c2
+	_ = t.Restore(token)
+	ip, ok := t.Lookup(flow(2).Hash())
+	fmt.Println("restored:", t.Len(), "flows,", t.Backends(), "backends; flow 2 ->", ip, ok)
 	// Output:
-	// length: 5
-	// stale handle rejected: true
-}
-
-// ExampleDual shows mechanical protocol duality.
-func ExampleDual() {
-	p := session.Choose(
-		session.Send("int", session.End),
-		session.Recv("string", session.End),
-	)
-	fmt.Println("mine: ", p)
-	fmt.Println("yours:", session.Dual(p))
-	// Output:
-	// mine:  (+){!int.end | ?string.end}
-	// yours: (&){?int.end | !string.end}
+	// tracked: 3 flows, 2 backends
+	// after a cold start: 0 flows
+	// restored: 3 flows, 2 backends; flow 2 -> 10.1.0.1 true
 }

@@ -10,7 +10,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/packet"
 )
 
@@ -22,7 +22,7 @@ func restoreFresh(t *Table, data []byte) error {
 		return err
 	}
 	flows := make(map[uint64]*Flow, n)
-	intern := make(map[packet.IPv4]checkpoint.Rc[Backend])
+	intern := make(map[packet.IPv4]linear.Rc[Backend])
 	slab := make([]Flow, n)
 	for i := range slab {
 		e := data[sessionHeaderSize+i*sessionEntrySize:]
@@ -40,7 +40,7 @@ func restoreFresh(t *Table, data []byte) error {
 		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
 		rc, seen := intern[ip]
 		if !seen {
-			rc = checkpoint.NewRc(Backend{IP: ip})
+			rc = linear.NewRc(Backend{IP: ip})
 			intern[ip] = rc
 		}
 		f.Backend = rc.Clone()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/packet"
 )
 
@@ -17,7 +18,7 @@ type oracleImage struct {
 
 type oracleFlow struct {
 	Tuple   packet.FiveTuple
-	Backend checkpoint.Rc[Backend]
+	Backend linear.Rc[Backend]
 	Packets uint64
 	Bytes   uint64
 	Spilled bool

@@ -210,7 +210,7 @@ func (t *Table) evictLocked(keep uint64) {
 func (t *Table) Lookup(h uint64) (packet.IPv4, bool) {
 	t.mu.Lock()
 	if f, ok := t.flows[h]; ok {
-		ip := f.Backend.Get().IP
+		ip := f.Backend.Peek().IP
 		t.mu.Unlock()
 		return ip, true
 	}

@@ -162,3 +162,58 @@ func TestNoSpillUnchanged(t *testing.T) {
 		t.Fatal("phantom flow")
 	}
 }
+
+// backendCounts checks, for every interned backend, StrongCount ==
+// resident flows naming it + the intern map's own handle.
+func backendCounts(t *testing.T, tbl *Table, when string) {
+	t.Helper()
+	tbl.mu.Lock()
+	defer tbl.mu.Unlock()
+	naming := map[packet.IPv4]int64{}
+	for _, f := range tbl.flows {
+		naming[f.Backend.Peek().IP]++
+	}
+	for ip, rc := range tbl.intern {
+		if got, want := rc.StrongCount(), naming[ip]+1; got != want {
+			t.Fatalf("%s: backend %v has StrongCount %d, want %d resident flows + 1", when, ip, got, want)
+		}
+	}
+}
+
+// TestEvictionGivesBackTheBackendHandle: a flow leaving RAM drops the
+// clone it took at Track, so the count follows the resident flows, not
+// the flows ever seen (the parent read 1001 after the first loop: its Rc
+// could not Drop). Promotion, restore and reset keep the same equation.
+func TestEvictionGivesBackTheBackendHandle(t *testing.T) {
+	tbl := NewTable()
+	tbl.SetSpill(newMemSpill(), 16)
+	for i := 0; i < 1000; i++ {
+		tbl.Track(flowTuple(i), 0xc0a80001, 100)
+		backendCounts(t, tbl, "track")
+	}
+	if n := tbl.Len(); n > 16 {
+		t.Fatalf("%d resident flows over a cap of 16", n)
+	}
+	for i := 0; i < 1000; i += 7 { // promotions, each evicting in turn
+		tbl.Track(flowTuple(i), 0xc0a80001, 100)
+		backendCounts(t, tbl, "promote")
+	}
+	if _, promoted, _ := tbl.SpillStats(); promoted == 0 {
+		t.Fatal("nothing was promoted; the second loop exercised nothing")
+	}
+	tok, err := tbl.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Restore(tok); err != nil {
+		t.Fatal(err)
+	}
+	backendCounts(t, tbl, "restore")
+	for i := 1000; i < 1100; i++ { // evictions out of the restored slab
+		tbl.Track(flowTuple(i), 0xc0a80002, 100)
+		backendCounts(t, tbl, "track after restore")
+	}
+	tbl.Reset()
+	tbl.Track(flowTuple(0), 0xc0a80001, 100)
+	backendCounts(t, tbl, "reset")
+}

@@ -1,18 +1,23 @@
+// Package session is the flow-tracking NF: a session table mapping each
+// five-tuple the load balancer steered to the backend it was steered to,
+// with soft packet and byte counters. Its live state is the
+// pointer-linked graph the paper's §5 checkpointing is about: every
+// tracked flow holds its backend through a linear.Rc, and flows steered
+// to the same backend share one box (Figure 3a's aliasing, on live
+// state), so for every interned backend StrongCount is the number of
+// resident flows naming it plus the table's own handle.
+//
+// table.go is the table and its netbricks stage; spill.go bounds it in
+// RAM by evicting cold flows to a Spill index (statestore.FlowIndex) and
+// promoting them back; durable.go is its checkpoint, the v1 wire image
+// written straight from this graph. The reflect engine walks the same
+// graph as the oracle the wire path is tested against.
 package session
-
-// table.go grows the package beyond session-typed channels: a session
-// *table* — the flow-tracking NF whose live state is the pointer-linked
-// graph §5 checkpointing is about. Every tracked flow holds its backend
-// through checkpoint.Rc, and flows steered to the same backend share one
-// Rc box (Figure 3a's aliasing, on live state). The production
-// checkpoint (durable.go) writes each flow's wire entry straight from
-// this graph; the reflect engine walks the same graph as the oracle the
-// wire path is tested against.
 
 import (
 	"sync"
 
-	"repro/internal/checkpoint"
+	"repro/internal/linear"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 )
@@ -31,7 +36,7 @@ type Backend struct {
 // counts across RAM and disk count it once.
 type Flow struct {
 	Tuple   packet.FiveTuple
-	Backend checkpoint.Rc[Backend]
+	Backend linear.Rc[Backend]
 	Packets uint64
 	Bytes   uint64
 	Spilled bool
@@ -51,7 +56,7 @@ type Flow struct {
 type Table struct {
 	mu     sync.Mutex
 	flows  map[uint64]*Flow
-	intern map[packet.IPv4]checkpoint.Rc[Backend]
+	intern map[packet.IPv4]linear.Rc[Backend]
 
 	// Spill state (see spill.go): when spill is non-nil the RAM table is
 	// a cache over the on-disk flow index, capped at maxFlows.
@@ -92,8 +97,10 @@ func (t *Table) newFlowLocked() *Flow {
 	return f
 }
 
-// freeFlowLocked zeroes a no-longer-tracked Flow and pools it.
+// freeFlowLocked gives back a no-longer-tracked Flow's backend handle,
+// zeroes the Flow and pools it.
 func (t *Table) freeFlowLocked(f *Flow) {
+	_ = f.Backend.Drop() // never the last handle: the intern map holds one
 	*f = Flow{}
 	t.flowPool = append(t.flowPool, f)
 }
@@ -102,16 +109,16 @@ func (t *Table) freeFlowLocked(f *Flow) {
 func NewTable() *Table {
 	return &Table{
 		flows:  make(map[uint64]*Flow),
-		intern: make(map[packet.IPv4]checkpoint.Rc[Backend]),
+		intern: make(map[packet.IPv4]linear.Rc[Backend]),
 	}
 }
 
 // internLocked returns the shared Rc box for a backend IP, creating it
 // on first sight. Callers hold t.mu.
-func (t *Table) internLocked(ip packet.IPv4) checkpoint.Rc[Backend] {
+func (t *Table) internLocked(ip packet.IPv4) linear.Rc[Backend] {
 	rc, interned := t.intern[ip]
 	if !interned {
-		rc = checkpoint.NewRc(Backend{IP: ip})
+		rc = linear.NewRc(Backend{IP: ip})
 		t.intern[ip] = rc
 	}
 	return rc
@@ -165,7 +172,7 @@ func (t *Table) Entries() map[uint64]packet.IPv4 {
 	defer t.mu.Unlock()
 	out := make(map[uint64]packet.IPv4, len(t.flows))
 	for h, f := range t.flows {
-		out[h] = f.Backend.Get().IP
+		out[h] = f.Backend.Peek().IP
 	}
 	return out
 }
@@ -175,7 +182,7 @@ func (t *Table) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.flows = make(map[uint64]*Flow)
-	t.intern = make(map[packet.IPv4]checkpoint.Rc[Backend])
+	t.intern = make(map[packet.IPv4]linear.Rc[Backend])
 	t.ring = t.ring[:0]
 	t.hand = 0
 	t.flowPool = nil

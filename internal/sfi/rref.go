@@ -199,7 +199,9 @@ func (r *RRef[T]) Call(ctx *Context, method string, fn func(obj T) error) error 
 	r.dom.Stats.Calls.Add(1)
 	ctx.push(r.dom.id)
 	defer ctx.pop()
-	return r.guard(method, func() error { return fn(rc.Get()) })
+	// rc is a strong handle held until this call returns, so the proxy
+	// cannot be cleared under it: read it without the box lock.
+	return r.guard(method, func() error { return fn(*rc.Peek()) })
 }
 
 // guard is the domain entry point: it converts callee panics into
@@ -257,7 +259,7 @@ func CallMove[T, A any](ctx *Context, r *RRef[T], method string, arg linear.Owne
 	var out linear.Owned[A]
 	err = r.guard(method, func() error {
 		var ferr error
-		out, ferr = fn(rc.Get(), moved)
+		out, ferr = fn(*rc.Peek(), moved) // unlocked: rc is held for the call, as in Call
 		return ferr
 	})
 	if err != nil {

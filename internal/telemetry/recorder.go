@@ -99,13 +99,11 @@ func (k EventKind) String() string {
 // can never pin a payload, a name, or anything else against the GC.
 type ActorID uint32
 
-// slot is one ring entry. Every field is an atomic cell: recording and
-// dumping are race-free by construction, and the slot is pointer-free
-// (leakcheck.NoPointers asserts this), so a recorded event can never
-// retain a linear.Owned payload that crashed mid-flight.
-type slot struct {
-	seq   atomic.Uint64 // 1-based claim position; 0 = empty or being written
-	nanos atomic.Int64  // unix nanoseconds
+// eventCells is one ring record. Every field is an atomic cell and none
+// is a pointer (see Ring), so a recorded event can never retain a
+// linear.Owned payload that crashed mid-flight.
+type eventCells struct {
+	nanos atomic.Int64 // unix nanoseconds
 	actor atomic.Uint32
 	kind  atomic.Uint32
 	arg   atomic.Uint64
@@ -127,20 +125,14 @@ func (e Event) String() string {
 }
 
 // Recorder is a fixed-size ring buffer of the last N events — the
-// flight recorder. Record is lock-free and allocation-free: claim a slot
-// with one atomic add, fill its atomic cells, publish by storing the
-// claim sequence. Dump reads concurrently with writers and discards
-// slots it observes mid-write; under extreme wrap pressure (a writer
-// lapping the ring during another writer's store sequence) an event can
-// surface with mixed fields, which is the classic flight-recorder
-// trade: the record path must never wait.
+// flight recorder, a Ring of eventCells. Record is lock-free and
+// allocation-free; Dump reads concurrently with writers and discards
+// slots it observes mid-write.
 //
 // A nil *Recorder is valid: Record and Actor become no-ops, so layers
 // instrument unconditionally.
 type Recorder struct {
-	slots  []slot
-	mask   uint64
-	cursor atomic.Uint64
+	ring Ring[eventCells]
 
 	mu     sync.Mutex
 	actors []string
@@ -149,11 +141,9 @@ type Recorder struct {
 // NewRecorder creates a recorder holding the last n events (rounded up
 // to a power of two, minimum 16).
 func NewRecorder(n int) *Recorder {
-	size := 16
-	for size < n {
-		size <<= 1
-	}
-	return &Recorder{slots: make([]slot, size), mask: uint64(size - 1)}
+	r := &Recorder{}
+	r.ring.Init(max(n, 16))
+	return r
 }
 
 // Cap reports the ring capacity in events.
@@ -161,7 +151,7 @@ func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return r.ring.Cap()
 }
 
 // Actor interns name and returns its ID, reusing the ID of an
@@ -187,14 +177,12 @@ func (r *Recorder) Record(a ActorID, k EventKind, arg uint64) {
 	if r == nil {
 		return
 	}
-	pos := r.cursor.Add(1) // 1-based claim
-	s := &r.slots[(pos-1)&r.mask]
-	s.seq.Store(0) // invalidate for concurrent readers
-	s.nanos.Store(time.Now().UnixNano())
-	s.actor.Store(uint32(a))
-	s.kind.Store(uint32(k))
-	s.arg.Store(arg)
-	s.seq.Store(pos)
+	c, pos := r.ring.Claim()
+	c.nanos.Store(time.Now().UnixNano())
+	c.actor.Store(uint32(a))
+	c.kind.Store(uint32(k))
+	c.arg.Store(arg)
+	r.ring.Publish(pos)
 }
 
 // Len reports how many events are currently dumpable (at most Cap).
@@ -202,11 +190,7 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	n := r.cursor.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
+	return r.ring.Len()
 }
 
 // Dump returns the recorded events in sequence order, oldest first.
@@ -216,35 +200,23 @@ func (r *Recorder) Dump() []Event {
 	if r == nil {
 		return nil
 	}
-	head := r.cursor.Load()
-	start := uint64(1)
-	if n := uint64(len(r.slots)); head > n {
-		start = head - n + 1
-	}
 	r.mu.Lock()
 	names := append([]string(nil), r.actors...)
 	r.mu.Unlock()
-	out := make([]Event, 0, head-start+1)
-	for pos := start; pos <= head; pos++ {
-		s := &r.slots[(pos-1)&r.mask]
-		if s.seq.Load() != pos {
-			continue // overwritten or mid-write
-		}
-		ev := Event{
+	out := make([]Event, 0, r.ring.Len())
+	var ev Event
+	r.ring.Scan(func(pos uint64, c *eventCells) {
+		ev = Event{
 			Seq:   pos,
-			Time:  time.Unix(0, s.nanos.Load()),
-			Kind:  EventKind(s.kind.Load()),
-			Arg:   s.arg.Load(),
+			Time:  time.Unix(0, c.nanos.Load()),
+			Kind:  EventKind(c.kind.Load()),
+			Arg:   c.arg.Load(),
 			Actor: "?",
 		}
-		if id := s.actor.Load(); id >= 1 && int(id) <= len(names) {
+		if id := c.actor.Load(); id >= 1 && int(id) <= len(names) {
 			ev.Actor = names[id-1]
 		}
-		if s.seq.Load() != pos {
-			continue // overwritten while reading
-		}
-		out = append(out, ev)
-	}
+	}, func() { out = append(out, ev) })
 	return out
 }
 

@@ -17,10 +17,11 @@
 //   - Stage stamping is a nil-guarded store of a pre-taken Mark into the
 //     span's arrays; every record path is 0 allocs/op (the alloc gate in
 //     `make check` enforces it).
-//   - Completed traces land in a lock-free ring of all-atomic slots
-//     (the flight-recorder idiom) and feed per-stage latency histograms;
-//     EvTrace/EvTraceAbort flight-recorder events link the aggregate
-//     view back to individual trace IDs in /debug/traces.
+//   - Completed traces land in a telemetry.Ring (the lock-free ring of
+//     all-atomic slots the flight recorder also is) and feed per-stage
+//     latency histograms; EvTrace/EvTraceAbort flight-recorder events
+//     link the aggregate view back to individual trace IDs in
+//     /debug/traces.
 //
 // Span lifecycle is conservation-checked: every armed span is completed
 // exactly once (at TX) or aborted exactly once (packet dropped, batch
@@ -182,11 +183,9 @@ func (s *Sampler) MaybeArm(sp *Span, worker int) bool {
 	return true
 }
 
-// traceSlot is one completed-trace ring entry. Like the flight
-// recorder's slots, every field is an atomic cell — recording and
-// dumping are race-free by construction — and the slot is pointer-free.
+// traceSlot is one completed-trace record in the tracer's
+// telemetry.Ring: all atomic cells, no pointers.
 type traceSlot struct {
-	seq    atomic.Uint64 // 1-based claim position; 0 = empty or mid-write
 	id     atomic.Uint64
 	worker atomic.Int64
 	stamps [NumStages]atomic.Int64
@@ -239,9 +238,7 @@ type Tracer struct {
 	completed telemetry.Counter
 	aborted   telemetry.Counter
 
-	slots  []traceSlot
-	rmask  uint64
-	cursor atomic.Uint64
+	ring telemetry.Ring[traceSlot]
 
 	// allocMu guards the preallocated runtime/metrics scratch so Now
 	// stays allocation-free; allocOK gates on the metric existing.
@@ -260,18 +257,14 @@ func New(cfg Config) *Tracer {
 	if ring <= 0 {
 		ring = 128
 	}
-	for ring&(ring-1) != 0 {
-		ring++
-	}
 	t := &Tracer{
 		mask:        uint64(every - 1),
 		every:       every,
 		rec:         cfg.Recorder,
 		actor:       cfg.Recorder.Actor("trace"),
-		slots:       make([]traceSlot, ring),
-		rmask:       uint64(ring - 1),
 		allocSample: []metrics.Sample{{Name: allocMetric}},
 	}
+	t.ring.Init(ring)
 	metrics.Read(t.allocSample)
 	t.allocOK = t.allocSample[0].Value.Kind() == metrics.KindUint64
 	return t
@@ -290,7 +283,7 @@ func (t *Tracer) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.slots)
+	return t.ring.Cap()
 }
 
 // NewSampler returns an arming sampler for one receive loop. A nil
@@ -362,16 +355,14 @@ func (t *Tracer) Complete(sp *Span) {
 		}
 		prevN, prevA, started = n, sp.allocs[st], true
 	}
-	pos := t.cursor.Add(1)
-	s := &t.slots[(pos-1)&t.rmask]
-	s.seq.Store(0) // invalidate for concurrent readers
+	s, pos := t.ring.Claim()
 	s.id.Store(sp.id)
 	s.worker.Store(int64(sp.worker))
 	for i := 0; i < int(NumStages); i++ {
 		s.stamps[i].Store(sp.stamps[i])
 		s.allocs[i].Store(sp.allocs[i])
 	}
-	s.seq.Store(pos)
+	t.ring.Publish(pos)
 	t.completed.Inc()
 	t.rec.Record(t.actor, telemetry.EvTrace, sp.id)
 	*sp = Span{}
@@ -482,27 +473,15 @@ func (t *Tracer) Dump() []Record {
 	if t == nil {
 		return nil
 	}
-	head := t.cursor.Load()
-	start := uint64(1)
-	if n := uint64(len(t.slots)); head > n {
-		start = head - n + 1
-	}
-	out := make([]Record, 0, head-start+1)
-	for pos := start; pos <= head; pos++ {
-		s := &t.slots[(pos-1)&t.rmask]
-		if s.seq.Load() != pos {
-			continue // overwritten or mid-write
-		}
-		r := Record{ID: s.id.Load(), Worker: int32(s.worker.Load())}
+	out := make([]Record, 0, t.ring.Len())
+	var r Record
+	t.ring.Scan(func(_ uint64, s *traceSlot) {
+		r = Record{ID: s.id.Load(), Worker: int32(s.worker.Load())}
 		for i := 0; i < int(NumStages); i++ {
 			r.Stamps[i] = s.stamps[i].Load()
 			r.Allocs[i] = s.allocs[i].Load()
 		}
-		if s.seq.Load() != pos {
-			continue // overwritten while reading
-		}
-		out = append(out, r)
-	}
+	}, func() { out = append(out, r) })
 	return out
 }
 
@@ -547,7 +526,7 @@ func (t *Tracer) Handler() http.Handler {
 		_ = enc.Encode(map[string]any{
 			"enabled":      true,
 			"sample_every": t.every,
-			"ring":         len(t.slots),
+			"ring":         t.ring.Cap(),
 			"armed":        armed,
 			"completed":    completed,
 			"aborted":      aborted,

@@ -59,7 +59,7 @@ type versioned struct {
 // NewStore creates a store holding initial, retaining up to keep
 // committed versions for multiversion reads (keep 0 retains none).
 // T (and everything it references) must be checkpointable: exported
-// fields, sharing through checkpoint.Rc.
+// fields, sharing through linear.Rc.
 func NewStore[T any](initial T, keep int) (*Store[T], error) {
 	s := &Store[T]{
 		eng:   checkpoint.NewEngine(checkpoint.RcAware),

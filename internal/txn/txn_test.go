@@ -7,13 +7,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/checkpoint"
+	"repro/internal/linear"
 )
 
 // account graph with explicit sharing: two views of the same balance.
 type account struct {
 	Name    string
-	Balance checkpoint.Rc[int]
+	Balance linear.Rc[int]
 }
 
 type bank struct {
@@ -24,8 +24,8 @@ type bank struct {
 func newBank() *bank {
 	return &bank{
 		Accounts: []*account{
-			{Name: "a", Balance: checkpoint.NewRc(100)},
-			{Name: "b", Balance: checkpoint.NewRc(50)},
+			{Name: "a", Balance: linear.NewRc(100)},
+			{Name: "b", Balance: linear.NewRc(50)},
 		},
 		Total: 150,
 	}
