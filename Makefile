@@ -56,6 +56,12 @@ PIPELINE_EPOCH_ALLOCS_MAX ?= 1262
 CHAOS_RESTORE_ALLOCS_MAX ?= 1225
 CHAOS_RESTORE_BYTES_MAX ?= 1200000
 
+# Ceiling for BenchmarkNewPort (PoolSize 65 536): the 128 MiB data arena
+# (65 536 × 2 KiB, pointer-free and untouched at construction) plus
+# 256 KiB. Recorded 134 261 928 B/op, the arena and ≈ 43 KiB of queues,
+# caches and RETA; the eager header slab it replaced added ≈ 16.8 MB.
+NEWPORT_BYTES_MAX ?= 134479872
+
 .PHONY: check build cross test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate loc
 
 ## check: the PR gate — vet, build, cross-build, full tests, race tier,
@@ -93,7 +99,10 @@ guard-atomics:
 ## pipeline, sendmmsg accounting) must round to 0 allocs per packet — it read 1 while every idle poll made a timer
 ## and every batched syscall a closure. So must the RSS hash by key, which
 ## every simulated-NIC packet and every software-steered datagram pays: a
-## table cache that missed would allocate a 36 KiB table per call.
+## table cache that missed would allocate a 36 KiB table per call. The
+## construction gate holds a port of 65 536 mbufs to its data arena plus
+## 256 KiB: mbuf headers are made on first use, so an eager header slab
+## (≈ 16 MB of headers and a 0.5 MB free list at that size) fails it.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='TraceRecordPath' -benchmem -benchtime=10000x ./internal/telemetry/trace \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTraceRecordPathUntraced -metric allocs/op -max 0
@@ -111,6 +120,8 @@ alloc-gate:
 		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0
 	$(GO) test -run='^$$' -bench='RSSHashTable$$' -benchmem -benchtime=100000x ./internal/packet \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkRSSHashTable -metric allocs/op -max 0
+	$(GO) test -run='^$$' -bench='NewPort$$' -benchmem -benchtime=1x ./internal/dpdk \
+		| $(GO) run ./cmd/benchgate -bench BenchmarkNewPort -metric B/op -max $(NEWPORT_BYTES_MAX)
 
 vet:
 	$(GO) vet ./...

@@ -43,8 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"runtime"
 	"strconv"
@@ -262,24 +260,7 @@ func main() {
 		// return something useful. CPU and heap profiles need no arming.
 		runtime.SetMutexProfileFraction(100)
 		runtime.SetBlockProfileRate(int(time.Millisecond))
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg.Handler())
-		mux.Handle("/debug/flightrecorder", rec.Handler())
-		// Nil-safe without -trace-sample: both report {"enabled":false}.
-		mux.Handle("/debug/traces", tracer.Handler())
-		mux.Handle("/debug/alloc", tracer.AllocHandler())
-		// The mux is custom, so net/http/pprof's DefaultServeMux
-		// registrations never see traffic; mount its handlers explicitly.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				log.Printf("metrics server: %v", err)
-			}
-		}()
+		serveAdmin(*metricsAddr, reg, rec, tracer)
 		log.Printf("serving http://%s/metrics, /debug/flightrecorder, /debug/traces, /debug/alloc, /debug/pprof/", *metricsAddr)
 	}
 	if *statsInterval > 0 {

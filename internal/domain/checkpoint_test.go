@@ -240,7 +240,7 @@ func TestDomainCheckpointOffIgnoresState(t *testing.T) {
 // (the previous good epoch still restores), and no payload leaks — the
 // pool balances at test end.
 func TestDomainCrashMidCheckpoint(t *testing.T) {
-	pool := mempool.NewSlabPool(make([]int, 16))
+	pool := mempool.NewPool[int](16, nil)
 	leakcheck.Pool(t, "payloads", pool.Available)
 
 	sup := NewSupervisor(ckptPolicy(2 * time.Millisecond))

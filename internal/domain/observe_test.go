@@ -29,7 +29,7 @@ import (
 //     that argument — the ring slot type cannot hold a pointer — is
 //     leakcheck.NoPointers in package telemetry's tests.
 func TestFlightRecorderChaos(t *testing.T) {
-	pool := mempool.NewSlabPool(make([][64]byte, 512))
+	pool := mempool.NewPool[[64]byte](512, nil)
 	leakcheck.Pool(t, "chaos payloads", pool.Available)
 
 	reg := telemetry.NewRegistry()

@@ -181,8 +181,8 @@ func NewPort(cfg Config) *Port {
 		gen:   cfg.Gen,
 		rss:   packet.RSSTableFor(packet.DefaultRSSKey),
 		reta:  packet.NewRETA(cfg.RxQueues, 0),
-		// One header slab over one data slab (the layout netport uses).
-		pool: mempool.NewSlabPool(packet.NewSlab(make([]byte, cfg.PoolSize*MbufSize), MbufSize)),
+		// One data arena, headers made on first use (the layout netport uses).
+		pool: packet.NewPool(cfg.PoolSize, MbufSize),
 	}
 	p.steered = cfg.RxQueues > 1 && cfg.QueueGen == nil
 	for q := 0; q < cfg.RxQueues; q++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/leakcheck"
+	"repro/internal/mempool"
 	"repro/internal/packet"
 )
 
@@ -150,15 +151,56 @@ func BenchmarkRxTxBurst32(b *testing.B) {
 	}
 }
 
-// TestNewPortAllocsIgnorePoolSize: the mbuf pool is one header slab and
-// one data slab, so what a port costs to build does not grow with its
-// PoolSize (it was two allocations per mbuf). The slack of a few covers
-// size-class effects such as the race detector's shadow bookkeeping.
+// TestNewPortAllocsIgnorePoolSize: the mbuf pool is one data arena and
+// no headers until traffic needs them, so what a port costs to build does
+// not grow with its PoolSize (it was two allocations per mbuf). The slack
+// of a few covers size-class effects such as the race detector's shadow
+// bookkeeping.
 func TestNewPortAllocsIgnorePoolSize(t *testing.T) {
 	allocs := func(pool int) float64 {
 		return testing.AllocsPerRun(5, func() { NewPort(Config{PoolSize: pool}) })
 	}
 	if small, large := allocs(64), allocs(4096); large > small+4 {
 		t.Fatalf("NewPort allocations grow with the pool: %v at 64 mbufs, %v at 4096", small, large)
+	}
+}
+
+// TestPortMakesHeadersOnFirstUse: a big port has made no mbuf header at
+// construction, and k mbufs drawn make ⌈k/ChunkSize⌉ chunks of them — the
+// headers resident follow the deepest draw, not PoolSize.
+func TestPortMakesHeadersOnFirstUse(t *testing.T) {
+	p := NewPort(Config{PoolSize: 1 << 16})
+	leakcheck.Pool(t, "port", p.PoolAvailable)
+	if made := p.pool.Made(); made != 0 {
+		t.Fatalf("fresh port made %d headers, want 0", made)
+	}
+	var held []*packet.Packet
+	for _, k := range []int{1, mempool.ChunkSize, mempool.ChunkSize + 1, 1000} {
+		for len(held) < k {
+			pkt, err := p.pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, pkt)
+		}
+		chunks := (k + mempool.ChunkSize - 1) / mempool.ChunkSize
+		if made := p.pool.Made(); made != chunks*mempool.ChunkSize {
+			t.Fatalf("after %d gets: %d headers made, want %d chunks of %d", k, made, chunks, mempool.ChunkSize)
+		}
+	}
+	if p.PoolAvailable() != 1<<16-len(held) {
+		t.Fatalf("PoolAvailable %d with %d of %d held", p.PoolAvailable(), len(held), 1<<16)
+	}
+	p.Free(held)
+}
+
+// BenchmarkNewPort is the construction gate in `make alloc-gate`: at
+// PoolSize 65 536 a port must cost its data arena (128 MiB, pointer-free,
+// left untouched) plus small change — an eager header slab would add
+// ≈ 16 MB of pointerful headers and a 0.5 MB free list.
+func BenchmarkNewPort(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewPort(Config{PoolSize: 1 << 16})
 	}
 }

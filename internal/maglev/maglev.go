@@ -12,6 +12,7 @@ package maglev
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/netbricks"
@@ -147,8 +148,9 @@ func NewTable(backends []Backend, size int) (*Table, error) {
 // Size returns the number of table slots.
 func (t *Table) Size() int { return len(t.entries) }
 
-// Backends returns the backend set the table was built over.
-func (t *Table) Backends() []Backend { return t.backends }
+// Backends returns a copy of the backend set the table was built over
+// (a table may be shared by every balancer over that set).
+func (t *Table) Backends() []Backend { return slices.Clone(t.backends) }
 
 // Lookup maps a flow hash to a backend.
 func (t *Table) Lookup(flowHash uint64) Backend {
@@ -167,6 +169,41 @@ func (t *Table) Distribution() map[string]int {
 		d[t.backends[e].Name]++
 	}
 	return d
+}
+
+// tables interns the lookup tables balancers use, keyed by (backends,
+// size): a table is immutable and a pure function of its key, so every
+// worker's balancer over one backend set shares one table (256 KiB at
+// DefaultTableSize) and only the first builds it. The cap bounds memory
+// for a caller cycling through backend sets (the oldest entry is
+// dropped); real processes hold one set, or two during an update.
+var (
+	tablesMu sync.Mutex
+	tables   []*Table
+)
+
+const tablesMax = 4
+
+// tableFor returns the interned table over (backends, size), building it
+// on first use. The build runs under tablesMu, so balancers constructed
+// at once over one set wait for one build rather than each making one.
+func tableFor(backends []Backend, size int) (*Table, error) {
+	tablesMu.Lock()
+	defer tablesMu.Unlock()
+	for _, t := range tables {
+		if len(t.entries) == size && slices.Equal(t.backends, backends) {
+			return t, nil
+		}
+	}
+	t, err := NewTable(backends, size)
+	if err != nil {
+		return nil, err
+	}
+	if len(tables) == tablesMax {
+		tables = slices.Delete(tables, 0, 1)
+	}
+	tables = append(tables, t)
+	return t, nil
 }
 
 // Balancer is the full load balancer: a lookup table plus a connection
@@ -196,9 +233,11 @@ type Balancer struct {
 	misses uint64 // new flows steered by the lookup table
 }
 
-// NewBalancer creates a balancer over the given backends.
+// NewBalancer creates a balancer over the given backends. Its lookup
+// table is the one every balancer over the same (backends, tableSize)
+// shares.
 func NewBalancer(backends []Backend, tableSize int) (*Balancer, error) {
-	t, err := NewTable(backends, tableSize)
+	t, err := tableFor(backends, tableSize)
 	if err != nil {
 		return nil, err
 	}
@@ -253,11 +292,15 @@ func (b *Balancer) Pick(t packet.FiveTuple) Backend {
 	return be
 }
 
-// UpdateBackends swaps in a new backend set, rebuilding the lookup table.
-// Established flows keep flowing to their recorded backend (connection
-// stickiness); only new flows see the new table.
+// UpdateBackends swaps in the (shared) lookup table over a new backend
+// set. Established flows keep flowing to their recorded backend
+// (connection stickiness); only new flows see the new table. Other
+// balancers keep the table they hold.
 func (b *Balancer) UpdateBackends(backends []Backend) error {
-	nt, err := NewTable(backends, b.table.Size())
+	b.mu.Lock()
+	size := b.table.Size()
+	b.mu.Unlock()
+	nt, err := tableFor(backends, size)
 	if err != nil {
 		return err
 	}

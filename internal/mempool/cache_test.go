@@ -6,7 +6,7 @@ import (
 )
 
 func TestCacheGetPutRoundTrip(t *testing.T) {
-	pool := NewSlabPool(make([]int, 64))
+	pool := NewPool[int](64, nil)
 	c := NewCache(pool, 8)
 	objs := make([]*int, 0, 64)
 	for i := 0; i < 64; i++ {
@@ -29,7 +29,7 @@ func TestCacheGetPutRoundTrip(t *testing.T) {
 }
 
 func TestCacheAmortizesPoolTraffic(t *testing.T) {
-	pool := NewSlabPool(make([]int, 1024))
+	pool := NewPool[int](1024, nil)
 	c := NewCache(pool, 64)
 	// A steady get/put workload should touch the shared pool far less
 	// often than once per operation.
@@ -52,7 +52,7 @@ func TestCacheAmortizesPoolTraffic(t *testing.T) {
 }
 
 func TestCacheSpillsWhenOverfull(t *testing.T) {
-	pool := NewSlabPool(make([]int, 64))
+	pool := NewPool[int](64, nil)
 	c := NewCache(pool, 4)
 	// Drain the pool through the cache, then return everything: the cache
 	// must spill the excess rather than grow without bound.
@@ -80,7 +80,7 @@ func TestCacheSpillsWhenOverfull(t *testing.T) {
 }
 
 func TestCacheSizeClampedToPool(t *testing.T) {
-	pool := NewSlabPool(make([]int, 4))
+	pool := NewPool[int](4, nil)
 	c := NewCache(pool, 1024)
 	if c.Size() > 4 {
 		t.Fatalf("cache size %d exceeds pool capacity", c.Size())
@@ -91,7 +91,7 @@ func TestCacheSizeClampedToPool(t *testing.T) {
 }
 
 func TestCachePutNilPanics(t *testing.T) {
-	pool := NewSlabPool(make([]int, 4))
+	pool := NewPool[int](4, nil)
 	c := NewCache(pool, 4)
 	defer func() {
 		if recover() == nil {
@@ -103,7 +103,7 @@ func TestCachePutNilPanics(t *testing.T) {
 
 // TestPoolBurstOps checks GetBurst/PutBurst semantics directly.
 func TestPoolBurstOps(t *testing.T) {
-	pool := NewSlabPool(make([]int, 8))
+	pool := NewPool[int](8, nil)
 	out := make([]*int, 6)
 	if n := pool.GetBurst(out); n != 6 {
 		t.Fatalf("GetBurst = %d, want 6", n)
@@ -128,7 +128,7 @@ func TestPoolBurstOps(t *testing.T) {
 }
 
 func TestPoolPutBurstOverflowPanics(t *testing.T) {
-	pool := NewSlabPool(make([]int, 2))
+	pool := NewPool[int](2, nil)
 	extra := []*int{new(int), new(int), new(int)}
 	defer func() {
 		if recover() == nil {
@@ -147,7 +147,7 @@ func TestConcurrentCachesOverSharedPool(t *testing.T) {
 		workers = 8
 		iters   = 5000
 	)
-	pool := NewSlabPool(make([]int, workers*64))
+	pool := NewPool[int](workers*64, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -179,7 +179,7 @@ func TestConcurrentCachesOverSharedPool(t *testing.T) {
 // TestConcurrentPoolGetPutBurst races burst and single ops against each
 // other on the shared pool.
 func TestConcurrentPoolGetPutBurst(t *testing.T) {
-	pool := NewSlabPool(make([]int, 256))
+	pool := NewPool[int](256, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

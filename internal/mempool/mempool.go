@@ -10,6 +10,7 @@ package mempool
 
 import (
 	"errors"
+	"slices"
 	"sync"
 
 	"repro/internal/telemetry"
@@ -22,41 +23,68 @@ var (
 	ErrRingEmpty = errors.New("mempool: ring empty")
 )
 
-// Pool is a fixed-capacity free list of preallocated objects. Get/Put are
+// Pool is a fixed-capacity free list of objects the pool makes itself,
+// a chunk at a time, the first time the free list runs dry. Get/Put are
 // safe for concurrent use.
 type Pool[T any] struct {
 	mu   sync.Mutex
 	free []*T
+	made int // objects made so far; the rest of cap exists only as a count
 	cap  int
-	min  int // fewest objects ever free at once (low-water mark)
+	min  int // fewest objects ever available at once (low-water mark)
+	init func(i int, obj *T)
 
 	gets   telemetry.Counter
 	puts   telemetry.Counter
 	misses telemetry.Counter
 }
 
-// NewSlabPool builds a pool over the elements of slab: the free list
-// points into the caller's one contiguous allocation — DPDK's layout,
-// where a mempool is carved from a single memzone. The pool hands objects out from the end of the
-// slab first and reuses the most recently freed, so the objects a
-// workload ever touches are the top Capacity() - MinAvailable() of it.
-func NewSlabPool[T any](slab []T) *Pool[T] {
-	if len(slab) == 0 {
+// ChunkSize is how many objects the pool makes at once: one allocation
+// per chunk, never per object, and never more chunks than the deepest
+// draw on the pool has needed.
+const ChunkSize = 64
+
+// NewPool builds a pool of capacity objects without making any of them.
+// Object i (0 ≤ i < capacity) is made in the chunk that first needs it and
+// passed to init, if init is non-nil, exactly once before it is handed
+// out — DPDK's rte_mempool_obj_iter, run lazily. Chunks are made in
+// index order and the free list is a stack, so the objects a workload
+// ever touches are the first Made(): Capacity() - MinAvailable() rounded
+// up to a chunk.
+func NewPool[T any](capacity int, init func(i int, obj *T)) *Pool[T] {
+	if capacity <= 0 {
 		panic("mempool: capacity must be positive")
 	}
-	p := &Pool[T]{cap: len(slab), min: len(slab)}
-	p.free = make([]*T, len(slab))
-	for i := range slab {
-		p.free[i] = &slab[i]
-	}
-	return p
+	return &Pool[T]{cap: capacity, min: capacity, init: init}
 }
+
+// growLocked makes chunks until want objects are free or every object has
+// been made. The free list's backing array is grown to hold every made
+// object at once, so a Put never reallocates it.
+func (p *Pool[T]) growLocked(want int) {
+	for len(p.free) < want && p.made < p.cap {
+		n := min(ChunkSize, p.cap-p.made)
+		chunk := make([]T, n)
+		p.free = slices.Grow(p.free, p.made+n-len(p.free))
+		for j := range chunk {
+			if p.init != nil {
+				p.init(p.made+j, &chunk[j])
+			}
+			p.free = append(p.free, &chunk[j])
+		}
+		p.made += n
+	}
+}
+
+// availableLocked counts free objects, made or not.
+func (p *Pool[T]) availableLocked() int { return len(p.free) + p.cap - p.made }
 
 // Get removes an object from the pool. It fails with ErrExhausted when the
 // pool is empty — like a real mempool, it never over-allocates, which is
 // what gives NF frameworks their bounded memory footprint.
 func (p *Pool[T]) Get() (*T, error) {
 	p.mu.Lock()
+	p.growLocked(1)
 	n := len(p.free)
 	if n == 0 {
 		p.mu.Unlock()
@@ -66,20 +94,20 @@ func (p *Pool[T]) Get() (*T, error) {
 	obj := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
-	p.min = min(p.min, n-1)
+	p.min = min(p.min, p.availableLocked())
 	p.mu.Unlock()
 	p.gets.Add(1)
 	return obj, nil
 }
 
-// Put returns an object to the pool. Returning more objects than capacity
-// indicates a double-free and panics.
+// Put returns an object to the pool. Returning more objects than the pool
+// has handed out indicates a double-free and panics.
 func (p *Pool[T]) Put(obj *T) {
 	if obj == nil {
 		panic("mempool: Put(nil)")
 	}
 	p.mu.Lock()
-	if len(p.free) >= p.cap {
+	if len(p.free) >= p.made {
 		p.mu.Unlock()
 		panic("mempool: Put beyond capacity (double free?)")
 	}
@@ -94,17 +122,15 @@ func (p *Pool[T]) Put(obj *T) {
 // short return counts one miss.
 func (p *Pool[T]) GetBurst(out []*T) int {
 	p.mu.Lock()
-	n := len(out)
-	if avail := len(p.free); n > avail {
-		n = avail
-	}
+	p.growLocked(len(out))
+	n := min(len(out), len(p.free))
 	split := len(p.free) - n
 	for i := 0; i < n; i++ {
 		out[i] = p.free[split+i]
 		p.free[split+i] = nil
 	}
 	p.free = p.free[:split]
-	p.min = min(p.min, split)
+	p.min = min(p.min, p.availableLocked())
 	p.mu.Unlock()
 	p.gets.Add(uint64(n))
 	if n < len(out) {
@@ -114,23 +140,24 @@ func (p *Pool[T]) GetBurst(out []*T) int {
 }
 
 // PutBurst returns all objects in objs under a single lock acquisition.
-// Like Put, overflowing capacity or returning nil panics.
+// Like Put, overflowing what was handed out or returning nil panics — and
+// then returns none of objs: the burst is checked whole before the free
+// list is touched, so a recovered panic leaves the pool as it was.
 func (p *Pool[T]) PutBurst(objs []*T) {
 	if len(objs) == 0 {
 		return
 	}
+	for _, obj := range objs {
+		if obj == nil {
+			panic("mempool: PutBurst(nil)")
+		}
+	}
 	p.mu.Lock()
-	if len(p.free)+len(objs) > p.cap {
+	if len(p.free)+len(objs) > p.made {
 		p.mu.Unlock()
 		panic("mempool: PutBurst beyond capacity (double free?)")
 	}
-	for _, obj := range objs {
-		if obj == nil {
-			p.mu.Unlock()
-			panic("mempool: PutBurst(nil)")
-		}
-		p.free = append(p.free, obj)
-	}
+	p.free = append(p.free, objs...)
 	p.mu.Unlock()
 	p.puts.Add(uint64(len(objs)))
 }
@@ -139,13 +166,14 @@ func (p *Pool[T]) PutBurst(objs []*T) {
 func (p *Pool[T]) Available() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.free)
+	return p.availableLocked()
 }
 
 // MinAvailable reports the pool's low-water mark: the fewest objects
-// that were ever free at once. Capacity() - MinAvailable() is the most
-// the pool's users ever held at one time — and, because the free list is
-// a stack, the number of distinct objects ever handed out.
+// that were ever free (made or not) at once. Capacity() - MinAvailable()
+// is the most the pool's users ever held at one time — and, because the
+// free list is a stack, the number of distinct objects ever handed out;
+// Made() is that rounded up to a whole chunk.
 func (p *Pool[T]) MinAvailable() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -154,6 +182,15 @@ func (p *Pool[T]) MinAvailable() int {
 
 // Capacity reports the pool's fixed capacity.
 func (p *Pool[T]) Capacity() int { return p.cap }
+
+// Made reports how many objects the pool has made so far: a whole number
+// of chunks (the last one short when capacity is not a multiple of
+// ChunkSize), never more than the deepest draw has needed.
+func (p *Pool[T]) Made() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.made
+}
 
 // Stats reports cumulative gets, puts, and allocation misses.
 func (p *Pool[T]) Stats() (gets, puts, misses uint64) {

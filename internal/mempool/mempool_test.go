@@ -10,7 +10,7 @@ import (
 )
 
 func TestPoolGetPut(t *testing.T) {
-	p := NewSlabPool(make([]int, 4))
+	p := NewPool[int](4, nil)
 	if p.Available() != 4 || p.Capacity() != 4 {
 		t.Fatalf("avail=%d cap=%d", p.Available(), p.Capacity())
 	}
@@ -38,7 +38,7 @@ func TestPoolGetPut(t *testing.T) {
 }
 
 func TestPoolPutBeyondCapacityPanics(t *testing.T) {
-	p := NewSlabPool(make([]int, 1))
+	p := NewPool[int](1, nil)
 	extra := new(int)
 	defer func() {
 		if recover() == nil {
@@ -49,7 +49,7 @@ func TestPoolPutBeyondCapacityPanics(t *testing.T) {
 }
 
 func TestPoolPutNilPanics(t *testing.T) {
-	p := NewSlabPool(make([]int, 1))
+	p := NewPool[int](1, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Put(nil) did not panic")
@@ -59,7 +59,7 @@ func TestPoolPutNilPanics(t *testing.T) {
 }
 
 func TestPoolConcurrent(t *testing.T) {
-	p := NewSlabPool(make([]int, 64))
+	p := NewPool[int](64, nil)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -202,7 +202,7 @@ func TestQuickRingBurstConsistency(t *testing.T) {
 }
 
 func BenchmarkPoolGetPut(b *testing.B) {
-	p := NewSlabPool(make([]int, 1024))
+	p := NewPool[int](1024, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o, _ := p.Get()
@@ -219,39 +219,58 @@ func BenchmarkRingEnqueueDequeue(b *testing.B) {
 	}
 }
 
-// TestSlabPool: a pool over a slab hands out pointers into the caller's
-// one allocation — each element exactly once, from the top down — and
-// never grows past it.
+// TestSlabPool: the pool makes its objects itself, a chunk at a time in
+// index order and only when the free list runs dry; it hands each object
+// out exactly once, runs init on it once before that, and never grows
+// past its capacity.
 func TestSlabPool(t *testing.T) {
-	slab := make([]int, 8)
-	p := NewSlabPool(slab)
-	if p.Available() != 8 || p.Capacity() != 8 || p.MinAvailable() != 8 {
-		t.Fatalf("avail=%d cap=%d min=%d, want 8/8/8", p.Available(), p.Capacity(), p.MinAvailable())
+	const capacity = 2*ChunkSize + 8 // the last chunk is short
+	inits := make([]int, capacity)
+	index := map[*int]int{}
+	p := NewPool(capacity, func(i int, obj *int) {
+		inits[i]++
+		*obj = i
+		index[obj] = i
+	})
+	if p.Available() != capacity || p.Capacity() != capacity || p.MinAvailable() != capacity || p.Made() != 0 {
+		t.Fatalf("fresh pool: avail=%d cap=%d min=%d made=%d, want %d/%d/%d/0",
+			p.Available(), p.Capacity(), p.MinAvailable(), p.Made(), capacity, capacity, capacity)
 	}
 	first, err := p.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != &slab[7] {
-		t.Fatal("first Get did not come from the top of the slab")
+	if *first >= ChunkSize || p.Made() != ChunkSize {
+		t.Fatalf("first Get: object %d with %d made, want one from the first chunk of %d", *first, p.Made(), ChunkSize)
 	}
-	rest := make([]*int, 8)
-	if n := p.GetBurst(rest); n != 7 {
-		t.Fatalf("GetBurst = %d, want the 7 remaining", n)
+	rest := make([]*int, capacity)
+	if n := p.GetBurst(rest); n != capacity-1 {
+		t.Fatalf("GetBurst = %d, want the %d remaining", n, capacity-1)
+	}
+	if p.Made() != capacity {
+		t.Fatalf("made %d after draining the pool, want all %d", p.Made(), capacity)
 	}
 	seen := map[*int]bool{first: true}
-	for _, o := range rest[:7] {
+	for _, o := range rest[:capacity-1] {
 		if seen[o] {
-			t.Fatal("slab element handed out twice")
+			t.Fatal("object handed out twice")
 		}
 		seen[o] = true
 	}
-	for i := range slab {
-		if !seen[&slab[i]] {
-			t.Fatalf("slab element %d never handed out", i)
+	for i, n := range inits {
+		if n != 1 {
+			t.Fatalf("object %d initialized %d times, want once", i, n)
 		}
 	}
-	p.PutBurst(rest[:7])
+	if len(index) != capacity {
+		t.Fatalf("%d distinct objects made, want %d", len(index), capacity)
+	}
+	p.PutBurst(rest[:capacity-1])
+	p.Put(first)
+	// LIFO: the most recently freed object comes back first.
+	if again, _ := p.Get(); again != first {
+		t.Fatal("Get after Put did not return the most recently freed object")
+	}
 	p.Put(first)
 	defer func() {
 		if recover() == nil {
@@ -261,10 +280,55 @@ func TestSlabPool(t *testing.T) {
 	p.Put(new(int))
 }
 
+// TestPoolMakesOnlyWhatIsDrawn: k gets make ⌈k/ChunkSize⌉ chunks, and
+// returning them and drawing again makes nothing more.
+func TestPoolMakesOnlyWhatIsDrawn(t *testing.T) {
+	p := NewPool[int](1<<16, nil)
+	for _, k := range []int{1, ChunkSize, ChunkSize + 1, 5*ChunkSize - 3} {
+		held := make([]*int, k)
+		for i := range held {
+			held[i], _ = p.Get()
+		}
+		want := (k + ChunkSize - 1) / ChunkSize * ChunkSize
+		if got := p.Made(); got != want {
+			t.Fatalf("after %d gets: %d made, want %d", k, got, want)
+		}
+		p.PutBurst(held)
+	}
+	if p.Available() != p.Capacity() {
+		t.Fatalf("avail %d of %d after everything came back", p.Available(), p.Capacity())
+	}
+}
+
+// TestPutBurstIsWholeOrNothing: a burst with a nil in it panics before
+// the free list is touched, so a recovered panic cannot leave the objects
+// ahead of the nil pushed (to be freed again later: a double free).
+func TestPutBurstIsWholeOrNothing(t *testing.T) {
+	p := NewPool[int](8, nil)
+	held := make([]*int, 4)
+	p.GetBurst(held)
+	before := p.Available()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("PutBurst with a nil did not panic")
+			}
+		}()
+		p.PutBurst([]*int{held[0], held[1], nil, held[2]})
+	}()
+	if got := p.Available(); got != before {
+		t.Fatalf("Available %d after a recovered PutBurst panic, want %d unchanged", got, before)
+	}
+	p.PutBurst(held) // the whole burst still goes back exactly once
+	if p.Available() != 8 {
+		t.Fatalf("Available %d after returning everything, want 8", p.Available())
+	}
+}
+
 // TestPoolMinAvailable: the low-water mark follows the deepest draw by
 // Get or GetBurst and never recovers when objects come back.
 func TestPoolMinAvailable(t *testing.T) {
-	p := NewSlabPool(make([]int, 16))
+	p := NewPool[int](16, nil)
 	a, _ := p.Get()
 	b, _ := p.Get()
 	if got := p.MinAvailable(); got != 14 {

@@ -8,9 +8,9 @@
 package netport_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -328,9 +328,11 @@ func TestE2ETraceLoopback(t *testing.T) {
 	t.Logf("traces: %d armed, %d completed, %d with the full %d-stage vector",
 		armed, completed, full, len(wantStages))
 
-	// The admin surface serves the same vectors as JSON.
-	w := httptest.NewRecorder()
-	tracer.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
+	// The admin surface's /debug/traces body renders the same vectors as JSON.
+	var w bytes.Buffer
+	if err := tracer.WriteJSON(&w); err != nil {
+		t.Fatal(err)
+	}
 	var body struct {
 		Enabled bool `json:"enabled"`
 		Traces  []struct {
@@ -342,7 +344,7 @@ func TestE2ETraceLoopback(t *testing.T) {
 			} `json:"stages"`
 		} `json:"traces"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+	if err := json.Unmarshal(w.Bytes(), &body); err != nil {
 		t.Fatalf("/debug/traces JSON: %v", err)
 	}
 	if !body.Enabled || len(body.Traces) == 0 {
@@ -359,8 +361,10 @@ func TestE2ETraceLoopback(t *testing.T) {
 	}
 
 	// /debug/alloc attributes the traced packets' allocation deltas.
-	aw := httptest.NewRecorder()
-	tracer.AllocHandler().ServeHTTP(aw, httptest.NewRequest("GET", "/debug/alloc", nil))
+	var aw bytes.Buffer
+	if err := tracer.WriteAllocJSON(&aw); err != nil {
+		t.Fatal(err)
+	}
 	var alloc struct {
 		Enabled bool `json:"enabled"`
 		Stages  []struct {
@@ -368,7 +372,7 @@ func TestE2ETraceLoopback(t *testing.T) {
 			Samples uint64 `json:"samples"`
 		} `json:"stages"`
 	}
-	if err := json.Unmarshal(aw.Body.Bytes(), &alloc); err != nil {
+	if err := json.Unmarshal(aw.Bytes(), &alloc); err != nil {
 		t.Fatalf("/debug/alloc JSON: %v", err)
 	}
 	sampled := uint64(0)

@@ -54,10 +54,11 @@
 // off a socket is either delivered to a ring or counted under exactly
 // one cause — which the end-to-end overload test asserts.
 //
-// Memory is DPDK's layout: a port's packet data is one slab, its mbuf
-// headers are another, and the mempool is a free list over the headers —
-// two allocations however large the pool, and pages of the data slab
-// that traffic never reaches are never made resident.
+// Memory is DPDK's layout: a port's packet data is one arena, and the
+// mempool is a free list over mbuf headers it makes a chunk at a time on
+// first use (packet.NewPool) — one allocation at Open however large the
+// pool, and neither the headers nor the data pages traffic never reaches
+// are ever made resident.
 package netport
 
 import (
@@ -407,7 +408,7 @@ func newPort(cfg Config) (*Port, error) {
 		batch:    cfg.BatchSize,
 		rec:      cfg.Recorder,
 		tracer:   cfg.Tracer,
-		pool:     mempool.NewSlabPool(packet.NewSlab(make([]byte, cfg.PoolSize*MbufSize), MbufSize)),
+		pool:     packet.NewPool(cfg.PoolSize, MbufSize),
 	}
 	p.cacheSize = cfg.CacheSize
 	for q := 0; q < cfg.Queues; q++ {
@@ -866,9 +867,9 @@ func (p *Port) RSSQueue(t packet.FiveTuple) int {
 // counters (labelled cause=ring_full|parse_error|pool_empty), the
 // backpressure gauges, the mempool, and every queue's ring depth and
 // cache on reg. base labels every series; queues add a "queue" label.
-// Only the mbufs traffic ever reached are backed by pages, so a port's
-// resident set is its base plus
-// (pool_capacity - pool_min_available) x MbufSize.
+// Only the mbufs traffic ever reached are made or backed by pages, so a
+// port's resident set is its base plus
+// (pool_capacity - pool_min_available) x MbufSize, to within a chunk.
 func (p *Port) RegisterMetrics(reg *telemetry.Registry, base telemetry.Labels) {
 	reg.RegisterCounter("port_rx_datagrams_total", base, &p.Stats.RxDatagrams)
 	reg.RegisterCounter("port_rx_batches_total", base, &p.Stats.RxBatches)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/leakcheck"
+	"repro/internal/mempool"
 	"repro/internal/packet"
 	"repro/internal/telemetry"
 )
@@ -238,16 +239,19 @@ func TestPoolExhaustionSheds(t *testing.T) {
 	p.FreeQueue(0, buf[:n])
 }
 
-// TestPoolLayout: every mbuf the port's pool hands out is an empty,
-// MbufSize-capped window of the data slab, no two windows overlap, and
-// growing a frame past its room reallocates instead of writing into the
-// neighbour's.
+// TestPoolLayout: the port makes no mbuf header before one is drawn;
+// every mbuf the pool then hands out is an empty, MbufSize-capped window
+// of the data arena, no two windows overlap, and growing a frame past its
+// room reallocates instead of writing into the neighbour's.
 func TestPoolLayout(t *testing.T) {
-	p, err := newPort(Config{Queues: 1, RingSize: 16, PoolSize: 64, CacheSize: 4})
+	p, err := newPort(Config{Queues: 1, RingSize: 16, PoolSize: 2*mempool.ChunkSize + 8, CacheSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
+	if made := p.pool.Made(); made != 0 {
+		t.Fatalf("fresh port made %d headers, want 0", made)
+	}
 	hdrs := make([]*packet.Packet, p.PoolCapacity())
 	if n := p.pool.GetBurst(hdrs); n != len(hdrs) {
 		t.Fatalf("pool handed out %d of %d mbufs", n, len(hdrs))

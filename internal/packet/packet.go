@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/mempool"
 	"repro/internal/telemetry/trace"
 )
 
@@ -131,22 +132,22 @@ type Packet struct {
 	Trace trace.Span
 }
 
-// NewSlab lays an mbuf pool out the way DPDK does: one slab of headers
-// over one arena of packet data. Header i's Data is the empty,
-// capacity-capped slice arena[i*mbufSize : i*mbufSize : (i+1)*mbufSize],
-// so a frame can grow to mbufSize in place and an append past that
-// reallocates rather than bleeding into header i+1's room. The arena's
-// length fixes the count (a trailing partial mbuf is unused).
-func NewSlab(arena []byte, mbufSize int) []Packet {
+// NewPool lays an mbuf pool out the way DPDK does: one arena of packet
+// data, made here in a single pointer-free allocation, and count headers
+// over it that the pool makes a chunk at a time on first use. Header i's
+// Data is the empty, capacity-capped slice
+// arena[i*mbufSize : i*mbufSize : (i+1)*mbufSize], so a frame can grow to
+// mbufSize in place and an append past that reallocates rather than
+// bleeding into header i+1's room.
+func NewPool(count, mbufSize int) *mempool.Pool[Packet] {
 	if mbufSize <= 0 {
 		panic("packet: mbuf size must be positive")
 	}
-	slab := make([]Packet, len(arena)/mbufSize)
-	for i := range slab {
+	arena := make([]byte, count*mbufSize)
+	return mempool.NewPool(count, func(i int, p *Packet) {
 		off := i * mbufSize
-		slab[i].Data = arena[off : off : off+mbufSize]
-	}
-	return slab
+		p.Data = arena[off : off : off+mbufSize]
+	})
 }
 
 // Len returns the frame length in bytes.

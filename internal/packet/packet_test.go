@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sampleSpec(proto uint8, payload int) BuildSpec {
@@ -291,28 +292,34 @@ func BenchmarkTupleHash(b *testing.B) {
 	_ = sink
 }
 
-// TestNewSlab: one header per whole mbuf of arena, each an empty window
-// capped at its own room, so frames grow in place up to mbufSize and
-// never into the next header's bytes.
+// TestNewSlab: every header the pool makes is an empty window of the one
+// arena capped at its own room, in index order, so frames grow in place
+// up to mbufSize and never into the next header's bytes — and no header
+// exists before a Get needs it.
 func TestNewSlab(t *testing.T) {
-	const size = 64
-	arena := make([]byte, 4*size+size/2) // the trailing half mbuf is unused
-	slab := NewSlab(arena, size)
-	if len(slab) != 4 {
-		t.Fatalf("%d headers over %d bytes of %d-byte mbufs, want 4", len(slab), len(arena), size)
+	const size, count = 64, 4
+	pool := NewPool(count, size)
+	if pool.Capacity() != count || pool.Made() != 0 {
+		t.Fatalf("fresh pool: capacity %d, %d headers made; want %d and 0", pool.Capacity(), pool.Made(), count)
 	}
-	for i := range slab {
-		d := slab[i].Data
-		if len(d) != 0 || cap(d) != size {
-			t.Fatalf("header %d: len %d cap %d, want 0 and %d", i, len(d), cap(d), size)
+	hdrs := make([]*Packet, count)
+	if n := pool.GetBurst(hdrs); n != count {
+		t.Fatalf("pool handed out %d of %d headers", n, count)
+	}
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(hdrs[0].Data)))
+	for i, h := range hdrs {
+		if len(h.Data) != 0 || cap(h.Data) != size {
+			t.Fatalf("header %d: len %d cap %d, want 0 and %d", i, len(h.Data), cap(h.Data), size)
 		}
-		if &d[:1][0] != &arena[i*size] {
-			t.Fatalf("header %d does not start at arena offset %d", i, i*size)
+		// Header i starts i mbufs past header 0: one arena, in order.
+		if off := uintptr(unsafe.Pointer(unsafe.SliceData(h.Data))) - base; off != uintptr(i*size) {
+			t.Fatalf("header %d starts at arena offset %d, want %d", i, off, i*size)
 		}
 	}
-	full := slab[0].Data[:size]
+	full := hdrs[0].Data[:size]
 	grown := append(full, 0xEE)
-	if &grown[0] == &full[0] || arena[size] != 0 {
+	if &grown[0] == &full[0] || hdrs[1].Data[:1][0] != 0 {
 		t.Fatal("append past an mbuf's room wrote into its neighbour's")
 	}
+	pool.PutBurst(hdrs)
 }

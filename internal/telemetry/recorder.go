@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"fmt"
-	"net/http"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,12 +220,13 @@ func (r *Recorder) Dump() []Event {
 	return out
 }
 
-// Handler serves the recorder dump as a text listing, newest last.
-func (r *Recorder) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		for _, ev := range r.Dump() {
-			fmt.Fprintln(w, ev)
+// WriteText writes the recorder dump as a text listing, one event per
+// line, newest last (what nf-pipeline serves at /debug/flightrecorder).
+func (r *Recorder) WriteText(w io.Writer) error {
+	for _, ev := range r.Dump() {
+		if _, err := fmt.Fprintln(w, ev); err != nil {
+			return err
 		}
-	})
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -356,18 +355,4 @@ func (r *Registry) Snapshot() map[string]any {
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	return enc.Encode(r.Snapshot())
-}
-
-// Handler serves the registry: the Prometheus text format at any path,
-// or the JSON snapshot when the request asks for ?format=json.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = r.WriteJSON(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		_ = r.WritePrometheus(w)
-	})
 }

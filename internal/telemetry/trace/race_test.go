@@ -1,8 +1,8 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
-	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -12,7 +12,7 @@ import (
 // TestConcurrentTracing drives the tracer the way the runtime does: one
 // sampler per worker goroutine arming and completing its own spans (span
 // ownership follows batch ownership — exclusive), while scrape-side
-// goroutines Dump the ring and hit the handlers concurrently. Under
+// goroutines Dump the ring and render them as JSON concurrently. Under
 // -race this proves the all-atomic ring and counters are data-race-free;
 // the final conservation check proves no span was lost or double-counted
 // in the melee.
@@ -62,13 +62,16 @@ func TestConcurrentTracing(t *testing.T) {
 						return
 					}
 				}
-				w := httptest.NewRecorder()
-				tr.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
+				var w bytes.Buffer
+				if err := tr.WriteJSON(&w); err != nil {
+					t.Errorf("render under load: %v", err)
+					return
+				}
 				var body struct {
 					Enabled bool `json:"enabled"`
 				}
-				if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil || !body.Enabled {
-					t.Errorf("handler under load: err=%v enabled=%v", err, body.Enabled)
+				if err := json.Unmarshal(w.Bytes(), &body); err != nil || !body.Enabled {
+					t.Errorf("render under load: err=%v enabled=%v", err, body.Enabled)
 					return
 				}
 			}

@@ -33,7 +33,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"runtime/metrics"
 	"sync"
 	"sync/atomic"
@@ -495,43 +495,51 @@ type traceJSON struct {
 	Stages  []Segment `json:"stages"`
 }
 
-// Handler serves the completed-trace ring as JSON at /debug/traces:
-// lifecycle counters plus every dumped trace's per-stage latency vector,
-// newest last. A nil tracer serves {"enabled":false}.
-func (t *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if t == nil {
-			fmt.Fprintln(w, `{"enabled":false}`)
-			return
+// writeDisabled is what a nil tracer renders in place of either view.
+func writeDisabled(w io.Writer) error {
+	_, err := fmt.Fprintln(w, `{"enabled":false}`)
+	return err
+}
+
+// writeIndented writes v as indented JSON, the shape both views share.
+func writeIndented(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// WriteJSON writes the completed-trace ring as JSON (what nf-pipeline
+// serves at /debug/traces): lifecycle counters plus every dumped trace's
+// per-stage latency vector, newest last. A nil tracer writes
+// {"enabled":false}.
+func (t *Tracer) WriteJSON(w io.Writer) error {
+	if t == nil {
+		return writeDisabled(w)
+	}
+	armed, completed, aborted := t.Counts()
+	recs := t.Dump()
+	traces := make([]traceJSON, 0, len(recs))
+	for _, r := range recs {
+		start := ""
+		if n := r.Stamps[StageIngress]; n != 0 {
+			start = time.Unix(0, n).Format(time.RFC3339Nano)
 		}
-		armed, completed, aborted := t.Counts()
-		recs := t.Dump()
-		traces := make([]traceJSON, 0, len(recs))
-		for _, r := range recs {
-			start := ""
-			if n := r.Stamps[StageIngress]; n != 0 {
-				start = time.Unix(0, n).Format(time.RFC3339Nano)
-			}
-			traces = append(traces, traceJSON{
-				ID:      r.ID,
-				Worker:  r.Worker,
-				Start:   start,
-				TotalNS: int64(r.Total()),
-				Stages:  r.Segments(),
-			})
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(map[string]any{
-			"enabled":      true,
-			"sample_every": t.every,
-			"ring":         t.ring.Cap(),
-			"armed":        armed,
-			"completed":    completed,
-			"aborted":      aborted,
-			"traces":       traces,
+		traces = append(traces, traceJSON{
+			ID:      r.ID,
+			Worker:  r.Worker,
+			Start:   start,
+			TotalNS: int64(r.Total()),
+			Stages:  r.Segments(),
 		})
+	}
+	return writeIndented(w, map[string]any{
+		"enabled":      true,
+		"sample_every": t.every,
+		"ring":         t.ring.Cap(),
+		"armed":        armed,
+		"completed":    completed,
+		"aborted":      aborted,
+		"traces":       traces,
 	})
 }
 
@@ -543,37 +551,32 @@ type allocJSON struct {
 	AllocsPerPacket float64 `json:"allocs_per_packet"`
 }
 
-// AllocHandler serves per-stage allocation attribution at /debug/alloc:
-// for each stage, how many heap objects the process allocated during
-// traced packets' transits of that stage, total and per packet — the
-// MallocsPerOp view, sampled continuously instead of in a benchmark.
-// A nil tracer serves {"enabled":false}.
-func (t *Tracer) AllocHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if t == nil {
-			fmt.Fprintln(w, `{"enabled":false}`)
-			return
+// WriteAllocJSON writes per-stage allocation attribution as JSON (what
+// nf-pipeline serves at /debug/alloc): for each stage, how many heap
+// objects the process allocated during traced packets' transits of that
+// stage, total and per packet — the MallocsPerOp view, sampled
+// continuously instead of in a benchmark. A nil tracer writes
+// {"enabled":false}.
+func (t *Tracer) WriteAllocJSON(w io.Writer) error {
+	if t == nil {
+		return writeDisabled(w)
+	}
+	stages := make([]allocJSON, 0, NumStages)
+	for st := StageIngress + 1; st < NumStages; st++ {
+		row := allocJSON{
+			Stage:       st.String(),
+			Samples:     t.segSamples[st].Load(),
+			AllocsTotal: t.segAllocs[st].Load(),
 		}
-		stages := make([]allocJSON, 0, NumStages)
-		for st := StageIngress + 1; st < NumStages; st++ {
-			row := allocJSON{
-				Stage:       st.String(),
-				Samples:     t.segSamples[st].Load(),
-				AllocsTotal: t.segAllocs[st].Load(),
-			}
-			if row.Samples > 0 {
-				row.AllocsPerPacket = float64(row.AllocsTotal) / float64(row.Samples)
-			}
-			stages = append(stages, row)
+		if row.Samples > 0 {
+			row.AllocsPerPacket = float64(row.AllocsTotal) / float64(row.Samples)
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(map[string]any{
-			"enabled": true,
-			"metric":  allocMetric,
-			"note":    "alloc deltas are process-wide over each traced packet's stage window; per-stage attribution is an estimate that sharpens with more samples",
-			"stages":  stages,
-		})
+		stages = append(stages, row)
+	}
+	return writeIndented(w, map[string]any{
+		"enabled": true,
+		"metric":  allocMetric,
+		"note":    "alloc deltas are process-wide over each traced packet's stage window; per-stage attribution is an estimate that sharpens with more samples",
+		"stages":  stages,
 	})
 }

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
-	"net/http/httptest"
+	"io"
 	"runtime/metrics"
 	"strings"
 	"testing"
@@ -197,21 +198,19 @@ func TestNilTracer(t *testing.T) {
 	if a, c, ab := tr.Counts(); a != 0 || c != 0 || ab != 0 {
 		t.Fatal("nil tracer has nonzero counts")
 	}
-	// Handlers still serve — they report disabled.
+	// The renderers still write — they report disabled.
 	for _, h := range []struct {
-		name string
-		w    *httptest.ResponseRecorder
-	}{{"traces", httptest.NewRecorder()}, {"alloc", httptest.NewRecorder()}} {
-		req := httptest.NewRequest("GET", "/debug/"+h.name, nil)
-		if h.name == "traces" {
-			tr.Handler().ServeHTTP(h.w, req)
-		} else {
-			tr.AllocHandler().ServeHTTP(h.w, req)
+		name  string
+		write func(io.Writer) error
+	}{{"traces", tr.WriteJSON}, {"alloc", tr.WriteAllocJSON}} {
+		var w bytes.Buffer
+		if err := h.write(&w); err != nil {
+			t.Fatalf("%s: %v", h.name, err)
 		}
 		var body struct {
 			Enabled bool `json:"enabled"`
 		}
-		if err := json.Unmarshal(h.w.Body.Bytes(), &body); err != nil {
+		if err := json.Unmarshal(w.Bytes(), &body); err != nil {
 			t.Fatalf("%s: bad JSON: %v", h.name, err)
 		}
 		if body.Enabled {
@@ -247,7 +246,7 @@ func TestRingWrap(t *testing.T) {
 	}
 }
 
-func TestHandlerJSON(t *testing.T) {
+func TestWriteJSON(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	samp := tr.NewSampler()
 	var sp Span
@@ -256,8 +255,10 @@ func TestHandlerJSON(t *testing.T) {
 	sp.StampAt(StageFirewall, tr.Now())
 	tr.Complete(&sp)
 
-	w := httptest.NewRecorder()
-	tr.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/traces", nil))
+	var w bytes.Buffer
+	if err := tr.WriteJSON(&w); err != nil {
+		t.Fatal(err)
+	}
 	var body struct {
 		Enabled     bool   `json:"enabled"`
 		SampleEvery int    `json:"sample_every"`
@@ -271,7 +272,7 @@ func TestHandlerJSON(t *testing.T) {
 			Stages []Segment `json:"stages"`
 		} `json:"traces"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+	if err := json.Unmarshal(w.Bytes(), &body); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
 	if !body.Enabled || body.SampleEvery != 1 || body.Armed != 1 || body.Completed != 1 {
@@ -289,7 +290,7 @@ func TestHandlerJSON(t *testing.T) {
 	}
 }
 
-func TestAllocHandlerJSON(t *testing.T) {
+func TestWriteAllocJSON(t *testing.T) {
 	tr := New(Config{SampleEvery: 1})
 	samp := tr.NewSampler()
 	var sp Span
@@ -297,8 +298,10 @@ func TestAllocHandlerJSON(t *testing.T) {
 	sp.StampAt(StageParse, tr.Now())
 	tr.Complete(&sp)
 
-	w := httptest.NewRecorder()
-	tr.AllocHandler().ServeHTTP(w, httptest.NewRequest("GET", "/debug/alloc", nil))
+	var w bytes.Buffer
+	if err := tr.WriteAllocJSON(&w); err != nil {
+		t.Fatal(err)
+	}
 	var body struct {
 		Enabled bool   `json:"enabled"`
 		Metric  string `json:"metric"`
@@ -307,7 +310,7 @@ func TestAllocHandlerJSON(t *testing.T) {
 			Samples uint64 `json:"samples"`
 		} `json:"stages"`
 	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+	if err := json.Unmarshal(w.Bytes(), &body); err != nil {
 		t.Fatalf("bad JSON: %v", err)
 	}
 	if !body.Enabled || body.Metric != allocMetric {
