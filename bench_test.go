@@ -4,12 +4,16 @@
 //
 //	go test -bench=. -benchmem
 //
-// The printed-table equivalents (closer to the paper's figures) live in
-// cmd/sfi-bench and cmd/ckpt-bench; both are wrappers over
-// internal/experiments, as are these benchmarks.
+// Figure 2, the §3 recovery cost and Figure 3 are each built once here, by
+// a setup that returns one iteration of the measurement (a step). The
+// benchmarks run the step b.N times; the claim tests in claims_test.go time
+// the same step, assert the paper's shape and print its tables:
+//
+//	go test -run TestClaim -v .
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -18,7 +22,6 @@ import (
 	"repro/internal/domain"
 	"repro/internal/domain/faultinject"
 	"repro/internal/dpdk"
-	"repro/internal/experiments"
 	"repro/internal/firewall"
 	"repro/internal/ifc"
 	"repro/internal/linear"
@@ -30,58 +33,88 @@ import (
 	"repro/internal/sfi"
 )
 
-// --- Figure 2: remote-invocation overhead vs. batch size ---------------
-
-// benchPipeline measures cycles/batch through a 5-stage null-filter
-// pipeline, direct or isolated, at one batch size.
-func benchPipeline(b *testing.B, batchSize int, isolated bool) {
-	b.Helper()
-	port := dpdk.NewPort(dpdk.Config{PoolSize: batchSize + 64})
-	pkts := make([]*packet.Packet, batchSize)
-	n := port.RxBurst(pkts)
-	batch := &netbricks.Batch{Pkts: pkts[:n]}
-	ops := []netbricks.Operator{
-		netbricks.NullFilter{}, netbricks.NullFilter{}, netbricks.NullFilter{},
-		netbricks.NullFilter{}, netbricks.NullFilter{},
-	}
-	ctx := sfi.NewContext()
-	var direct *netbricks.Pipeline
-	var iso *netbricks.IsolatedPipeline
-	if isolated {
-		var err error
-		iso, err = netbricks.NewIsolatedPipeline(sfi.NewManager(), ops, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-	} else {
-		direct = netbricks.NewPipeline(ops...)
-	}
+// runSteps is the b.N loop of a benchmark whose iteration is one step.
+func runSteps(b *testing.B, step func() error) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		owned := linear.New(batch)
-		var out linear.Owned[*netbricks.Batch]
-		var err error
-		if isolated {
-			out, err = iso.Process(ctx, owned)
-		} else {
-			out, err = direct.Process(owned)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := out.Into(); err != nil {
+		if err := step(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// --- Figure 2: remote-invocation overhead vs. batch size ---------------
+
+// paperBatchSizes are the batch sizes on Figure 2's x-axis.
+var paperBatchSizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
+
+// figure2Stages is the pipeline length Figure 2 is reported for.
+const figure2Stages = 5
+
+// rxBatch pulls one batch of size packets from a fresh simulated port
+// (gen nil: one fixed flow).
+func rxBatch(size int, gen dpdk.Generator) *netbricks.Batch {
+	port := dpdk.NewPort(dpdk.Config{PoolSize: size + 64, Gen: gen})
+	pkts := make([]*packet.Packet, size)
+	n := port.RxBurst(pkts)
+	return &netbricks.Batch{Pkts: pkts[:n]}
+}
+
+// nullPipeline is Figure 2's subject: stages null filters, called directly
+// or each in its own protection domain, over one batch of batchSize
+// packets. The step hands the batch to the pipeline and takes it back.
+func nullPipeline(tb testing.TB, stages, batchSize int, isolated bool) func() error {
+	tb.Helper()
+	batch := rxBatch(batchSize, nil)
+	ops := make([]netbricks.Operator, stages)
+	for i := range ops {
+		ops[i] = netbricks.NullFilter{}
+	}
+	if !isolated {
+		pl := netbricks.NewPipeline(ops...)
+		return func() error { return consume(pl.Process(linear.New(batch))) }
+	}
+	iso, err := netbricks.NewIsolatedPipeline(sfi.NewManager(), ops, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx := sfi.NewContext()
+	return func() error { return consume(iso.Process(ctx, linear.New(batch))) }
+}
+
+// consume takes a batch back out of a pipeline's result.
+func consume(out linear.Owned[*netbricks.Batch], err error) error {
+	if err == nil {
+		_, err = out.Into()
+	}
+	return err
+}
+
+// maglevBatch is Figure 2's reference line, the per-batch cost of a
+// realistic, lightweight NF: Maglev over 16 backends, one batch of
+// batchSize packets from 1024 flows.
+func maglevBatch(tb testing.TB, batchSize int) func() error {
+	tb.Helper()
+	batch := rxBatch(batchSize, &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 1024})
+	backends := make([]maglev.Backend, 16)
+	for i := range backends {
+		backends[i] = maglev.Backend{Name: fmt.Sprintf("be-%d", i), IP: packet.Addr(10, 1, 0, byte(i+1))}
+	}
+	lb, err := maglev.NewBalancer(backends, maglev.DefaultTableSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	op := maglev.Operator{LB: lb}
+	return func() error { return op.ProcessBatch(batch) }
+}
+
 // BenchmarkFigure2Direct is the unprotected baseline at every paper batch
 // size (function calls between stages).
 func BenchmarkFigure2Direct(b *testing.B) {
-	for _, bs := range experiments.PaperBatchSizes {
+	for _, bs := range paperBatchSizes {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			benchPipeline(b, bs, false)
+			runSteps(b, nullPipeline(b, figure2Stages, bs, false))
 		})
 	}
 }
@@ -90,41 +123,18 @@ func BenchmarkFigure2Direct(b *testing.B) {
 // domain per stage (remote invocations). (Isolated − Direct)/5 is the
 // per-invocation overhead Figure 2 plots.
 func BenchmarkFigure2Isolated(b *testing.B) {
-	for _, bs := range experiments.PaperBatchSizes {
+	for _, bs := range paperBatchSizes {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			benchPipeline(b, bs, true)
+			runSteps(b, nullPipeline(b, figure2Stages, bs, true))
 		})
 	}
 }
 
-// BenchmarkFigure2Maglev is the Maglev reference line of Figure 2: the
-// per-batch cost of a realistic, lightweight NF.
+// BenchmarkFigure2Maglev is the Maglev reference line of Figure 2.
 func BenchmarkFigure2Maglev(b *testing.B) {
-	for _, bs := range experiments.PaperBatchSizes {
+	for _, bs := range paperBatchSizes {
 		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			port := dpdk.NewPort(dpdk.Config{
-				PoolSize: bs + 64,
-				Gen:      &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 1024},
-			})
-			pkts := make([]*packet.Packet, bs)
-			n := port.RxBurst(pkts)
-			batch := &netbricks.Batch{Pkts: pkts[:n]}
-			backends := make([]maglev.Backend, 16)
-			for i := range backends {
-				backends[i] = maglev.Backend{Name: fmt.Sprintf("be-%d", i), IP: packet.Addr(10, 1, 0, byte(i+1))}
-			}
-			lb, err := maglev.NewBalancer(backends, maglev.DefaultTableSize)
-			if err != nil {
-				b.Fatal(err)
-			}
-			op := maglev.Operator{LB: lb}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := op.ProcessBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
+			runSteps(b, maglevBatch(b, bs))
 		})
 	}
 }
@@ -285,31 +295,35 @@ func BenchmarkSupervisedPipeline(b *testing.B) {
 
 // --- §3 scalar: recovery cost ------------------------------------------
 
-// BenchmarkRecovery measures catching an injected panic, clearing the
-// failed domain's reference table, and re-creating the domain from clean
-// state (paper: 4389 cycles).
-func BenchmarkRecovery(b *testing.B) {
+// domainRecovery is §3's recovery experiment (paper: 4389 cycles): the step
+// faults a call into a null-filter domain, which clears its reference
+// table, and re-creates the domain from clean state.
+func domainRecovery(tb testing.TB) func() error {
+	tb.Helper()
 	mgr := sfi.NewManager()
 	d := mgr.NewDomain("null-filter")
 	rref, err := sfi.Export[netbricks.Operator](d, netbricks.NullFilter{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	slot := rref.Slot()
 	d.SetRecovery(func(d *sfi.Domain) error {
 		return sfi.ExportAt[netbricks.Operator](d, slot, netbricks.NullFilter{})
 	})
 	ctx := sfi.NewContext()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() error {
 		if err := rref.Call(ctx, "p", func(netbricks.Operator) error { panic("injected") }); err == nil {
-			b.Fatal("panic not caught")
+			return errors.New("injected panic not caught")
 		}
-		if err := mgr.Recover(d); err != nil {
-			b.Fatal(err)
-		}
+		return mgr.Recover(d)
 	}
+}
+
+// BenchmarkRecovery measures catching an injected panic, clearing the
+// failed domain's reference table, and re-creating the domain from clean
+// state.
+func BenchmarkRecovery(b *testing.B) {
+	runSteps(b, domainRecovery(b))
 }
 
 // --- §4: verification cost ----------------------------------------------
@@ -348,23 +362,49 @@ func BenchmarkIFCVerifyPaperListing(b *testing.B) {
 
 // --- Figure 3: checkpointing --------------------------------------------
 
+// figure3Modes are Figure 3's arms: the paper's flag inside Rc, the
+// duplicating traversal of Figure 3b, and the conventional visited set.
+var figure3Modes = []checkpoint.Mode{checkpoint.RcAware, checkpoint.Naive, checkpoint.VisitedSet}
+
+// buildFirewallDB builds a DB of rules distinct rules, each attached under
+// share prefixes (share > 1 is Figure 3a's several leaves per rule).
+func buildFirewallDB(tb testing.TB, rules, share int) *firewall.DB {
+	tb.Helper()
+	db := firewall.NewDB(firewall.Deny)
+	for r := 0; r < rules; r++ {
+		base := packet.Addr(10, byte(r/256), byte(r%256), 0)
+		h, err := db.AddRule(base, 24, firewall.Rule{ID: r, Action: firewall.Allow, Comment: fmt.Sprintf("rule %d", r)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for s := 1; s < share; s++ {
+			alias := packet.Addr(172, byte((r*7+s)/256%256), byte((r*7+s)%256), 0)
+			if err := db.AttachRule(alias, 24, h); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return db
+}
+
+// figure3Checkpoint is Figure 3's subject: the step checkpoints a
+// rules × share DB under mode and leaves the snapshot in *last.
+func figure3Checkpoint(tb testing.TB, rules, share int, mode checkpoint.Mode, last **checkpoint.Snapshot) func() error {
+	db := buildFirewallDB(tb, rules, share)
+	eng := checkpoint.NewEngine(mode)
+	return func() (err error) {
+		*last, err = db.Checkpoint(eng)
+		return err
+	}
+}
+
 // BenchmarkFigure3Checkpoint measures checkpointing a 1000-rule firewall
 // database (sharing factor 3) under each aliasing mode.
 func BenchmarkFigure3Checkpoint(b *testing.B) {
-	for _, mode := range []checkpoint.Mode{checkpoint.RcAware, checkpoint.Naive, checkpoint.VisitedSet} {
+	for _, mode := range figure3Modes {
 		b.Run(mode.String(), func(b *testing.B) {
-			db, err := experiments.BuildFirewallDB(1000, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := checkpoint.NewEngine(mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Checkpoint(eng); err != nil {
-					b.Fatal(err)
-				}
-			}
+			var snap *checkpoint.Snapshot
+			runSteps(b, figure3Checkpoint(b, 1000, 3, mode, &snap))
 		})
 	}
 }
@@ -372,22 +412,14 @@ func BenchmarkFigure3Checkpoint(b *testing.B) {
 // BenchmarkFigure3Restore measures restoring the database from a
 // snapshot.
 func BenchmarkFigure3Restore(b *testing.B) {
-	db, err := experiments.BuildFirewallDB(1000, 3)
+	snap, err := buildFirewallDB(b, 1000, 3).Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap, err := db.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	runSteps(b, func() error {
 		var out *firewall.DB
-		if err := snap.Restore(&out); err != nil {
-			b.Fatal(err)
-		}
-	}
+		return snap.Restore(&out)
+	})
 }
 
 // --- §5→§3: checkpointed stateful recovery ------------------------------

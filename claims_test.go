@@ -2,18 +2,22 @@
 // claim in the paper, each headed by the sentence it verifies. These run
 // across package boundaries, complementing the per-package unit tests;
 // together with bench_test.go they are the repository's reproduction
-// certificate.
+// certificate. The quantitative claims (Figure 2, the §3 scalars, Figure 3)
+// time the steps bench_test.go benchmarks and log the paper's tables:
+//
+//	go test -run TestClaim -v .
 package repro
 
 import (
 	"bytes"
 	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/dpdk"
-	"repro/internal/experiments"
 	"repro/internal/extension"
 	"repro/internal/firewall"
 	"repro/internal/ifc"
@@ -25,6 +29,40 @@ import (
 	"repro/internal/sfi"
 	"repro/internal/verifier"
 )
+
+// paperGHz is the clock of the paper's evaluation machine (Xeon E5530).
+// The tables below convert measured ns to cycles at it: they compare with
+// the paper in shape, not in absolute value, on any host.
+const paperGHz = 2.40
+
+// minNsPerOp runs step iters times per round, rounds timed rounds after
+// one untimed warm-up round, and returns the fastest round's ns per step:
+// preemption, GC and cold caches only ever inflate a round.
+func minNsPerOp(t *testing.T, rounds, iters int, step func() error) float64 {
+	t.Helper()
+	best := math.Inf(1)
+	for r := -1; r < rounds; r++ {
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r >= 0 {
+			best = min(best, float64(time.Since(start).Nanoseconds())/float64(iters))
+		}
+	}
+	return best
+}
+
+// invocationCycles is the per-invocation overhead Figure 2 plots: the
+// isolated pipeline's cost over the direct one's, per stage, in cycles.
+func invocationCycles(t *testing.T, stages, batchSize int) (direct, isolated, perCall float64) {
+	t.Helper()
+	direct = minNsPerOp(t, 5, 500, nullPipeline(t, stages, batchSize, false)) * paperGHz
+	isolated = minNsPerOp(t, 5, 500, nullPipeline(t, stages, batchSize, true)) * paperGHz
+	return direct, isolated, (isolated - direct) / float64(stages)
+}
 
 // §3: "The Rust compiler ensures that, once a pointer has been passed
 // across isolation boundaries, it can no longer be accessed by the
@@ -170,6 +208,53 @@ func TestClaim_S3_SingleStageAccess(t *testing.T) {
 	}
 }
 
+// §3, Figure 2: a remote invocation costs 90 cycles at one packet per
+// batch and 122 at 256, and above 32 packets per batch that is under 1 %
+// of what the Maglev NF spends on the batch. The shape is the claim: the
+// overhead is per batch, Maglev's cost is per packet.
+func TestClaim_S3_Figure2InvocationOverhead(t *testing.T) {
+	t.Logf("Figure 2: remote-invocation overhead vs. Maglev batch cost, %d null filters (cycles at %.2f GHz)", figure2Stages, paperGHz)
+	t.Logf("%10s %12s %12s %10s %12s %8s", "pkts/batch", "direct cyc", "isolated cyc", "ovh/call", "maglev cyc", "ovh %")
+	pct := map[int]float64{}
+	maglevCyc := map[int]float64{}
+	for _, bs := range paperBatchSizes {
+		direct, isolated, perCall := invocationCycles(t, figure2Stages, bs)
+		maglevCyc[bs] = minNsPerOp(t, 5, 500, maglevBatch(t, bs)) * paperGHz
+		pct[bs] = perCall / maglevCyc[bs] * 100
+		t.Logf("%10d %12.0f %12.0f %10.0f %12.0f %7.2f%%", bs, direct, isolated, perCall, maglevCyc[bs], pct[bs])
+	}
+	t.Log("(paper: 90 cycles at 1 pkt/batch -> 122 at 256; <1% of Maglev above 32 pkts/batch)")
+	if pct[1] < pct[64] {
+		t.Fatalf("overhead did not fall relative to Maglev as the batch grew: %.2f%% at 1, %.2f%% at 64", pct[1], pct[64])
+	}
+	if maglevCyc[64] <= maglevCyc[1] {
+		t.Fatalf("Maglev's per-batch cost did not grow with the batch: %.0f cycles at 1, %.0f at 64", maglevCyc[1], maglevCyc[64])
+	}
+}
+
+// §3: "We found this overhead to be independent of the pipeline length."
+func TestClaim_S3_OverheadIndependentOfPipelineLength(t *testing.T) {
+	t.Log("per-invocation overhead across pipeline lengths, 32 pkts/batch")
+	t.Logf("%8s %10s", "stages", "ovh/call")
+	for _, n := range []int{1, 2, 5, 10} {
+		_, _, perCall := invocationCycles(t, n, 32)
+		t.Logf("%8d %10.0f", n, perCall)
+		if perCall < 0 {
+			t.Fatalf("%d stages: isolated pipeline cheaper than direct (%.0f cycles per call)", n, perCall)
+		}
+	}
+}
+
+// §3: recovering a failed domain — catch the panic, clear its reference
+// table, re-create it from clean state — takes 4389 cycles.
+func TestClaim_S3_RecoveryCost(t *testing.T) {
+	cyc := minNsPerOp(t, 5, 500, domainRecovery(t)) * paperGHz
+	t.Logf("recovery: catch panic + clear reference table + re-create domain = %.0f cycles (paper: 4389)", cyc)
+	if cyc < 100 {
+		t.Fatalf("implausibly cheap recovery: %.0f cycles", cyc)
+	}
+}
+
 // §4: "line 17 is rejected by the compiler, as it attempts to access the
 // nonsec variable, whose ownership was transferred to the append method
 // in line 14."
@@ -262,22 +347,45 @@ fn main() {
 // the library "checkpoints objects with internal aliases correctly and
 // efficiently."
 func TestClaim_S5_Figure3CopyCounts(t *testing.T) {
-	rows, err := experiments.Figure3(25, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		switch r.Mode {
-		case checkpoint.RcAware:
-			if r.CopiesMade != 25 {
-				t.Fatalf("rc-aware copies = %d, want 25", r.CopiesMade)
-			}
-		case checkpoint.Naive:
-			if r.CopiesMade != 100 {
-				t.Fatalf("naive copies = %d, want 100 (duplication)", r.CopiesMade)
-			}
+	const rules, share = 1000, 3
+	t.Logf("Figure 3: checkpointing a %d-rule firewall DB, each rule on %d trie leaves (cycles at %.2f GHz)", rules, share, paperGHz)
+	t.Logf("%12s %8s %8s %10s %12s %10s", "mode", "copies", "handles", "probes", "cycles", "sharing")
+	for _, mode := range figure3Modes {
+		var snap *checkpoint.Snapshot
+		cyc := minNsPerOp(t, 3, 2, figure3Checkpoint(t, rules, share, mode, &snap)) * paperGHz
+		st := snap.Stats()
+		restored, err := firewall.RestoreDB(snap)
+		if err != nil {
+			t.Fatal(err)
 		}
+		distinct, handles := restored.RuleCount()
+		// Naive copies once per handle (Figure 3b); the other two arms once
+		// per rule, each copy holding one strong handle per leaf naming it.
+		copies, perRule, status := rules, int64(share), "ok"
+		if mode == checkpoint.Naive {
+			copies, perRule, status = rules*share, 1, "duplicated"
+		}
+		t.Logf("%12s %8d %8d %10d %12.0f %10s", mode, st.RcFirst, handles, st.SetProbes, cyc, status)
+		if st.RcFirst != copies {
+			t.Fatalf("%s copies = %d, want %d", mode, st.RcFirst, copies)
+		}
+		if probed := st.SetProbes > 0; probed != (mode == checkpoint.VisitedSet) {
+			t.Fatalf("%s made %d visited-set probes; only the visited-set arm probes a table", mode, st.SetProbes)
+		}
+		if distinct != copies || handles != rules*share {
+			t.Fatalf("%s restored %d rules under %d handles, want %d under %d", mode, distinct, handles, copies, rules*share)
+		}
+		restored.Rules.Walk(func(_ packet.IPv4, _ int, v *[]firewall.SharedRule) bool {
+			for _, sr := range *v {
+				if n := sr.StrongCount(); n != perRule {
+					t.Fatalf("%s: restored rule %d has %d strong handles, want %d", mode, sr.Get().ID, n, perRule)
+				}
+			}
+			return true
+		})
 	}
+	t.Log("(paper: the Rc flag copies each shared rule once; naive traversal duplicates it;")
+	t.Log(" conventional languages pay a visited-set probe per pointer to avoid that)")
 }
 
 // §5: "Aliasing, when present, is explicit in object's type signature" —

@@ -154,3 +154,109 @@ func TestDocsCiteWhatExists(t *testing.T) {
 		}
 	}
 }
+
+var (
+	// docDir matches a directory under internal/, cmd/ or examples/, with
+	// or without a leading ./, not itself the tail of a longer path.
+	docDir = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:internal|cmd|examples)/[\w-]+)`)
+	// docTreeRoot and docTreeEntry read a directory tree drawn in a code
+	// block: a bare internal/ (or cmd/, examples/) line, then one entry
+	// per line, two spaces in, as name/.
+	docTreeRoot  = regexp.MustCompile(`^(internal|cmd|examples)/\s*$`)
+	docTreeEntry = regexp.MustCompile(`^  ([\w-]+)/`)
+	// docGoRun matches a go run of a command or example.
+	docGoRun = regexp.MustCompile(`go run \./((?:cmd|examples)/[\w-]+)`)
+)
+
+// dirRef is a directory a document names, at a 1-based line.
+type dirRef struct {
+	line int
+	dir  string
+}
+
+// docDirsNamed returns, in order, the internal/, cmd/ and examples/
+// directories a Markdown document names in backticks or in a fenced code
+// block, tree entries included.
+func docDirsNamed(text string) []dirRef {
+	var named []dirRef
+	inBlock, root := false, ""
+	for i, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inBlock, root = !inBlock, ""
+			continue
+		}
+		spans := docSpan.FindAllString(line, -1)
+		if inBlock {
+			spans = []string{line}
+			if m := docTreeRoot.FindStringSubmatch(line); m != nil {
+				root = m[1]
+			} else if m := docTreeEntry.FindStringSubmatch(line); m != nil && root != "" {
+				named = append(named, dirRef{i + 1, root + "/" + m[1]})
+			} else if !strings.HasPrefix(line, " ") {
+				root = ""
+			}
+		}
+		for _, span := range spans {
+			for _, m := range docDir.FindAllStringSubmatch(span, -1) {
+				named = append(named, dirRef{i + 1, m[1]})
+			}
+		}
+	}
+	return named
+}
+
+// isMainPackage reports whether dir holds a command: at least one non-test
+// Go file, all of them in package main.
+func isMainPackage(dir string) bool {
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	n := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		pf, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.PackageClauseOnly)
+		if err != nil || pf.Name.Name != "main" {
+			return false
+		}
+		n++
+	}
+	return n > 0
+}
+
+// TestDocsNameDirsThatExist: every internal/, cmd/ or examples/ directory
+// README.md or DESIGN.md names in backticks or a code block exists, and
+// every go run line in README's quick start runs a main package — so a PR
+// deleting a package or a command finds the prose that still names it.
+func TestDocsNameDirsThatExist(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range docDirsNamed(string(raw)) {
+			if fi, err := os.Stat(ref.dir); err != nil || !fi.IsDir() {
+				t.Errorf("%s:%d: names %s, which is not a directory", doc, ref.line, ref.dir)
+			}
+		}
+	}
+	raw, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, quick, ok := strings.Cut(string(raw), "## Quick start")
+	if !ok {
+		t.Fatal("README.md has no Quick start section")
+	}
+	_, quick, _ = strings.Cut(quick, "```")
+	quick, _, _ = strings.Cut(quick, "```")
+	runs := 0
+	for _, m := range docGoRun.FindAllStringSubmatch(quick, -1) {
+		runs++
+		if !isMainPackage(m[1]) {
+			t.Errorf("README.md quick start: go run ./%s is not a main package", m[1])
+		}
+	}
+	if runs == 0 {
+		t.Error("README.md quick start runs no command or example")
+	}
+}

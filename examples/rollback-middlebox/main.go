@@ -6,7 +6,7 @@
 // state — rollback-recovery for middleboxes (Sherry et al.) with bounded
 // state loss — on the mechanism nf-pipeline itself runs on: a
 // domain.Stateful under a supervised netbricks.ShardedRunner. The same
-// snapshots feed a standby replica via the txn layer.
+// engine then ships a snapshot of the state to a standby replica.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 	"repro/internal/sfi"
-	"repro/internal/txn"
 )
 
 // monitorState is the NF's state graph: packets per flow; Total is shared
@@ -125,17 +124,17 @@ func main() {
 	fmt.Println("state loss was bounded by the checkpoint epoch (3ms, about 3 batches),")
 	fmt.Println("not a clean-slate reset — the §5 automation applied to §3 recovery.")
 
-	// Replication on the same machinery: ship the NF state to a standby.
-	store, err := txn.NewStore(mon.st, 0)
+	// Replication on the same machinery: the standby materializes its own
+	// copy of a snapshot of the NF state.
+	snap, err := checkpoint.NewEngine(checkpoint.RcAware).Checkpoint(mon.st)
 	if err != nil {
 		log.Fatal(err)
 	}
-	standby := txn.NewReplica[*monitorState]()
-	if err := standby.SyncFrom(store); err != nil {
+	replica, err := snap.Materialize()
+	if err != nil {
 		log.Fatal(err)
 	}
-	standby.View(func(st *monitorState) {
-		fmt.Printf("\nstandby replica synced: %d flows, %d packets total\n",
-			len(st.Counts), st.Total.Get())
-	})
+	standby := replica.(*monitorState)
+	fmt.Printf("\nstandby replica synced: %d flows, %d packets total\n",
+		len(standby.Counts), standby.Total.Get())
 }

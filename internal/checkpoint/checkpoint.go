@@ -218,11 +218,13 @@ func (s *Snapshot) Materialize() (any, error) {
 }
 
 // aliased is the engine's view of a linear.Rc[T] of any T: the handle's
-// own first-visit flag, reached by interface assertion so that this
-// package needs neither T nor a second shared-pointer type.
+// own first-visit flag, and Clone for the visited-set arm, reached by
+// interface assertion so that this package needs neither T nor a second
+// shared-pointer type.
 type aliased interface {
 	IsZero() bool
 	CheckpointVisit(epoch uint64, clone func(any) (any, error), pre func(orig, cp any)) (cp any, first bool, err error)
+	CloneAny() any
 }
 
 // The engine meets Rc only through the assertion; this is what stops
@@ -244,7 +246,8 @@ func (r *run) cloneAny(v any) (any, error) {
 // that copy. Naive: every visit copies (Figure 3b). VisitedSet: the
 // handle — comparable, equal exactly when the box is the same — goes
 // through the run's address table, registered before the value is cloned
-// so a cycle through the box ends there.
+// so a cycle through the box ends there; a later alias takes one more
+// strong handle to the registered copy, as RcAware's reuse does.
 func (r *run) cloneRc(v reflect.Value, a aliased) (reflect.Value, error) {
 	if a.IsZero() {
 		return v, nil
@@ -257,7 +260,7 @@ func (r *run) cloneRc(v reflect.Value, a aliased) (reflect.Value, error) {
 		r.stats.SetProbes++
 		if prev, ok := r.visited[v.Interface()]; ok {
 			r.stats.RcReused++
-			return prev, nil
+			return reflect.ValueOf(prev.Interface().(aliased).CloneAny()), nil
 		}
 		epoch = 0
 	}

@@ -306,6 +306,43 @@ func TestVisitedSetPreservesSharingWithProbes(t *testing.T) {
 	}
 }
 
+// TestRestoredAliasesCountTheirHandles: in every mode that keeps sharing,
+// a copied box holds one strong handle per handle naming it — in the
+// snapshot and in every restore — so dropping all but one alias leaves the
+// value readable through the last.
+func TestRestoredAliasesCountTheirHandles(t *testing.T) {
+	type graph struct{ A, B, C linear.Rc[int] }
+	shared := linear.NewRc(7)
+	g := &graph{A: shared, B: shared.Clone(), C: shared.Clone()}
+	for _, mode := range []Mode{RcAware, VisitedSet} {
+		s, err := NewEngine(mode).Checkpoint(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *graph
+		if err := s.Restore(&got); err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*graph{"snapshot": s.Value().(*graph), "restore": got} {
+			if !c.A.SameBox(c.B) || !c.A.SameBox(c.C) {
+				t.Fatalf("%s %s: sharing lost", mode, name)
+			}
+			if n := c.A.StrongCount(); n != 3 {
+				t.Fatalf("%s %s: StrongCount = %d, want 3 (one per handle)", mode, name, n)
+			}
+		}
+		if err := got.A.Drop(); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.B.Drop(); err != nil {
+			t.Fatal(err)
+		}
+		if !got.C.Alive() || got.C.Get() != 7 {
+			t.Fatalf("%s: last alias reads alive=%v value=%d after its siblings dropped", mode, got.C.Alive(), got.C.Get())
+		}
+	}
+}
+
 func TestRepeatedCheckpointsIndependentEpochs(t *testing.T) {
 	// The paper's flag must reset between checkpoints: a second
 	// checkpoint must copy again, not reuse the first run's copy.

@@ -8,10 +8,10 @@
 //
 // Go has no linear types, so this package enforces the same discipline
 // dynamically: every Owned[T] handle carries a generation stamp, moves
-// invalidate the previous handle, and borrows are tracked with reader/
-// writer counts. A violation that the Rust compiler would reject at
-// compile time (use-after-move, mutable aliasing, drop-while-borrowed)
-// surfaces here as a well-typed error — or a panic through the Must*
+// invalidate the previous handle, and shared borrows are tracked with a
+// reader count. A violation that the Rust compiler would reject at
+// compile time (use-after-move, move- or drop-while-borrowed) surfaces
+// here as a well-typed error — or a panic through the Must*
 // variants, which model "the program does not compile, full stop."
 //
 // The cost of this dynamic enforcement relative to a bare pointer is
@@ -34,12 +34,9 @@ var (
 	ErrMoved = errors.New("linear: use of moved value")
 	// ErrDropped reports a use of a handle whose value was dropped.
 	ErrDropped = errors.New("linear: use of dropped value")
-	// ErrBorrowed reports a move, drop, or exclusive borrow attempted
-	// while borrows are outstanding.
+	// ErrBorrowed reports a move, consume, drop or renew attempted while
+	// borrows are outstanding.
 	ErrBorrowed = errors.New("linear: value is borrowed")
-	// ErrMutBorrowed reports an access attempted while an exclusive
-	// borrow is outstanding.
-	ErrMutBorrowed = errors.New("linear: value is mutably borrowed")
 	// ErrReleased reports a double release of a borrow guard.
 	ErrReleased = errors.New("linear: borrow already released")
 	// ErrLive reports a Renew of a cell that still holds a live value;
@@ -50,7 +47,7 @@ var (
 // ViolationError wraps a sentinel error with the operation that failed.
 // Use errors.Is to match the underlying sentinel.
 type ViolationError struct {
-	Op  string // the operation attempted, e.g. "Owned.BorrowMut"
+	Op  string // the operation attempted, e.g. "Owned.Move"
 	Err error  // one of the sentinel errors above
 }
 
@@ -90,7 +87,6 @@ type cell[T any] struct {
 	state   cellState
 	gen     uint64 // current handle generation; stale handles are "moved"
 	readers int    // outstanding shared borrows
-	writer  bool   // outstanding exclusive borrow
 }
 
 // Owned is a linearly owned value of type T. The zero Owned is invalid;
@@ -135,7 +131,7 @@ func (o Owned[T]) Move() (Owned[T], error) {
 	if err := o.check(op); err != nil {
 		return Owned[T]{}, err
 	}
-	if o.c.readers > 0 || o.c.writer {
+	if o.c.readers > 0 {
 		return Owned[T]{}, violation(op, ErrBorrowed)
 	}
 	o.c.gen++
@@ -164,7 +160,7 @@ func (o Owned[T]) Into() (T, error) {
 	if err := o.check(op); err != nil {
 		return zero, err
 	}
-	if o.c.readers > 0 || o.c.writer {
+	if o.c.readers > 0 {
 		return zero, violation(op, ErrBorrowed)
 	}
 	o.c.state = stateMoved
@@ -195,7 +191,7 @@ func (o Owned[T]) Drop() error {
 	if err := o.check(op); err != nil {
 		return err
 	}
-	if o.c.readers > 0 || o.c.writer {
+	if o.c.readers > 0 {
 		return violation(op, ErrBorrowed)
 	}
 	o.c.state = stateDropped
@@ -216,9 +212,9 @@ func (o Owned[T]) Valid() bool {
 }
 
 // Borrow takes a shared (immutable) borrow. Multiple shared borrows may
-// coexist; an exclusive borrow excludes them. The returned Ref must be
-// Released; failing to release blocks subsequent moves, mirroring how a
-// borrow outliving its scope is rejected by rustc.
+// coexist. The returned Ref must be Released; failing to release blocks
+// subsequent moves, mirroring how a borrow outliving its scope is
+// rejected by rustc.
 func (o Owned[T]) Borrow() (*Ref[T], error) {
 	const op = "Owned.Borrow"
 	if o.c == nil {
@@ -229,9 +225,6 @@ func (o Owned[T]) Borrow() (*Ref[T], error) {
 	if err := o.check(op); err != nil {
 		return nil, err
 	}
-	if o.c.writer {
-		return nil, violation(op, ErrMutBorrowed)
-	}
 	o.c.readers++
 	return &Ref[T]{c: o.c}, nil
 }
@@ -239,37 +232,6 @@ func (o Owned[T]) Borrow() (*Ref[T], error) {
 // MustBorrow is Borrow but panics on violation.
 func (o Owned[T]) MustBorrow() *Ref[T] {
 	r, err := o.Borrow()
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// BorrowMut takes an exclusive (mutable) borrow. It fails while any other
-// borrow is outstanding.
-func (o Owned[T]) BorrowMut() (*RefMut[T], error) {
-	const op = "Owned.BorrowMut"
-	if o.c == nil {
-		return nil, violation(op, ErrDropped)
-	}
-	o.c.mu.Lock()
-	defer o.c.mu.Unlock()
-	if err := o.check(op); err != nil {
-		return nil, err
-	}
-	if o.c.readers > 0 {
-		return nil, violation(op, ErrBorrowed)
-	}
-	if o.c.writer {
-		return nil, violation(op, ErrMutBorrowed)
-	}
-	o.c.writer = true
-	return &RefMut[T]{c: o.c}, nil
-}
-
-// MustBorrowMut is BorrowMut but panics on violation.
-func (o Owned[T]) MustBorrowMut() *RefMut[T] {
-	r, err := o.BorrowMut()
 	if err != nil {
 		panic(err)
 	}
@@ -291,10 +253,6 @@ func (o Owned[T]) With(fn func(T)) error {
 		c.mu.Unlock()
 		return err
 	}
-	if c.writer {
-		c.mu.Unlock()
-		return violation(op, ErrMutBorrowed)
-	}
 	c.readers++
 	v := c.val
 	c.mu.Unlock()
@@ -308,41 +266,6 @@ func (o Owned[T]) With(fn func(T)) error {
 func releaseShared[T any](c *cell[T]) {
 	c.mu.Lock()
 	c.readers--
-	c.mu.Unlock()
-}
-
-// WithMut runs fn with an exclusive borrow of the value. Like With, the
-// borrow is tracked inline without allocating a guard.
-func (o Owned[T]) WithMut(fn func(*T)) error {
-	const op = "Owned.WithMut"
-	c := o.c
-	if c == nil {
-		return violation(op, ErrDropped)
-	}
-	c.mu.Lock()
-	if err := o.check(op); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	if c.readers > 0 {
-		c.mu.Unlock()
-		return violation(op, ErrBorrowed)
-	}
-	if c.writer {
-		c.mu.Unlock()
-		return violation(op, ErrMutBorrowed)
-	}
-	c.writer = true
-	c.mu.Unlock()
-	defer releaseExclusive(c)
-	fn(&c.val)
-	return nil
-}
-
-// releaseExclusive ends an inline exclusive borrow taken by WithMut.
-func releaseExclusive[T any](c *cell[T]) {
-	c.mu.Lock()
-	c.writer = false
 	c.mu.Unlock()
 }
 
@@ -367,7 +290,7 @@ func (o Owned[T]) Renew(v T) (Owned[T], error) {
 	case stateDropped:
 		return Owned[T]{}, violation(op, ErrDropped)
 	}
-	if o.c.readers > 0 || o.c.writer {
+	if o.c.readers > 0 {
 		return Owned[T]{}, violation(op, ErrBorrowed)
 	}
 	o.c.gen++
@@ -428,32 +351,6 @@ func (r *Ref[T]) Release() error {
 	r.released = true
 	r.c.mu.Lock()
 	r.c.readers--
-	r.c.mu.Unlock()
-	return nil
-}
-
-// RefMut is an exclusive borrow of an Owned value.
-type RefMut[T any] struct {
-	c        *cell[T]
-	released bool
-	mu       sync.Mutex
-}
-
-// Value returns a pointer to the borrowed value for in-place mutation.
-func (r *RefMut[T]) Value() *T {
-	return &r.c.val
-}
-
-// Release ends the borrow. Releasing twice is a violation.
-func (r *RefMut[T]) Release() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.released {
-		return violation("RefMut.Release", ErrReleased)
-	}
-	r.released = true
-	r.c.mu.Lock()
-	r.c.writer = false
 	r.c.mu.Unlock()
 	return nil
 }

@@ -72,42 +72,23 @@ func TestSharedBorrowsCoexist(t *testing.T) {
 	if a.Value() != "x" || b.Value() != "x" {
 		t.Fatal("shared borrows see different values")
 	}
-	if _, err := o.BorrowMut(); !errors.Is(err, ErrBorrowed) {
-		t.Fatalf("BorrowMut with readers: err = %v, want ErrBorrowed", err)
+	if _, err := o.Move(); !errors.Is(err, ErrBorrowed) {
+		t.Fatalf("Move with readers: err = %v, want ErrBorrowed", err)
 	}
 	_ = a.Release()
-	if _, err := o.BorrowMut(); !errors.Is(err, ErrBorrowed) {
-		t.Fatalf("BorrowMut with one reader left: err = %v", err)
+	if err := o.With(func(s string) {
+		if s != "x" {
+			t.Errorf("value = %q, want x", s)
+		}
+	}); err != nil {
+		t.Fatalf("With beside one reader: %v", err)
+	}
+	if _, err := o.Into(); !errors.Is(err, ErrBorrowed) {
+		t.Fatalf("Into with one reader left: err = %v", err)
 	}
 	_ = b.Release()
-	m, err := o.BorrowMut()
-	if err != nil {
-		t.Fatalf("BorrowMut after releases: %v", err)
-	}
-	*m.Value() = "y"
-	_ = m.Release()
-	o.With(func(s string) {
-		if s != "y" {
-			t.Fatalf("value = %q, want y", s)
-		}
-	})
-}
-
-func TestExclusiveBorrowExcludes(t *testing.T) {
-	o := New(1)
-	m := o.MustBorrowMut()
-	if _, err := o.Borrow(); !errors.Is(err, ErrMutBorrowed) {
-		t.Fatalf("Borrow during mut: err = %v, want ErrMutBorrowed", err)
-	}
-	if _, err := o.BorrowMut(); !errors.Is(err, ErrMutBorrowed) {
-		t.Fatalf("second BorrowMut: err = %v, want ErrMutBorrowed", err)
-	}
-	if _, err := o.Move(); !errors.Is(err, ErrBorrowed) {
-		t.Fatalf("Move during mut: err = %v, want ErrBorrowed", err)
-	}
-	_ = m.Release()
-	if _, err := o.Borrow(); err != nil {
-		t.Fatalf("Borrow after release: %v", err)
+	if v, err := o.Into(); err != nil || v != "x" {
+		t.Fatalf("Into after releases = (%q, %v)", v, err)
 	}
 }
 
@@ -138,10 +119,8 @@ func TestDoubleRelease(t *testing.T) {
 	if err := r.Release(); !errors.Is(err, ErrReleased) {
 		t.Fatalf("double Release: err = %v, want ErrReleased", err)
 	}
-	m := o.MustBorrowMut()
-	_ = m.Release()
-	if err := m.Release(); !errors.Is(err, ErrReleased) {
-		t.Fatalf("double RefMut.Release: err = %v, want ErrReleased", err)
+	if _, err := o.Move(); err != nil {
+		t.Fatalf("Move after a double Release: %v (reader count went negative or stuck)", err)
 	}
 }
 

@@ -63,7 +63,7 @@ func TestConcurrentMoveChainUnderRace(t *testing.T) {
 				staleErrs.Add(1)
 			}
 		}()
-		if err := next.WithMut(func(p **payload) { (*p).n++ }); err != nil {
+		if err := next.With(func(p *payload) { p.n++ }); err != nil {
 			t.Fatal(err)
 		}
 		o = next
@@ -144,6 +144,56 @@ func TestConcurrentIntoSingleConsumer(t *testing.T) {
 		wg.Wait()
 		if got.Load() != 1 {
 			t.Fatalf("value consumed %d times", got.Load())
+		}
+	}
+}
+
+// TestRenewUnderContention is the mailbox's cell recycling under
+// contention: Renew refuses a live value and a stale handle, and when
+// copies of the consuming handle race to revive the cell, exactly one
+// wins and the rest find its generation gone.
+func TestRenewUnderContention(t *testing.T) {
+	o := New(0)
+	if _, err := o.Renew(1); !errors.Is(err, ErrLive) {
+		t.Fatalf("Renew of a live value: err = %v, want ErrLive", err)
+	}
+	for round := 1; round <= 100; round++ {
+		if _, err := o.Into(); err != nil {
+			t.Fatal(err)
+		}
+		const contenders = 8
+		renewed := make(chan Owned[int], contenders)
+		var losses atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < contenders; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if n, err := o.Renew(round); err == nil {
+					renewed <- n
+				} else if errors.Is(err, ErrMoved) {
+					losses.Add(1)
+				} else {
+					t.Errorf("unexpected error: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+		close(renewed)
+		if len(renewed) != 1 || losses.Load() != contenders-1 {
+			t.Fatalf("round %d: %d renewed, %d refused; want exactly 1", round, len(renewed), losses.Load())
+		}
+		stale := o
+		o = <-renewed
+		if err := stale.With(func(int) { t.Error("stale handle granted access") }); !errors.Is(err, ErrMoved) {
+			t.Fatalf("stale handle after Renew: err = %v, want ErrMoved", err)
+		}
+		if err := o.With(func(v int) {
+			if v != round {
+				t.Errorf("renewed value = %d, want %d", v, round)
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -68,6 +68,11 @@ func (r Rc[T]) Clone() Rc[T] {
 	return r
 }
 
+// CloneAny is Clone for a caller that cannot name T: the checkpoint
+// engine's visited-set arm, handing a later alias the copy it registered.
+// An Rc is one pointer, so the interface conversion does not allocate.
+func (r Rc[T]) CloneAny() any { return r.Clone() }
+
 // Get returns a copy of the shared value, taken under the box lock.
 func (r Rc[T]) Get() T {
 	if r.box == nil {
