@@ -94,7 +94,12 @@ guard-atomics:
 ## captured once and each gate reads the file. BenchmarkChaosRestore
 ## rides in the same run: its ceilings (objects and bytes per Run) are
 ## what keeps epoch-buffer and restore garbage from coming back
-## unnoticed. The last gate holds the socket datapath to the same
+## unnoticed. TestRecycledEpochAllocatesNothing gates the two epoch loops
+## at 0 objects: RAM-only (capture, publish, hand the replaced epoch
+## back — two buffers in rotation) and durable (after one warm-up epoch,
+## capture → PersistEpoch → RecycleToken of that same token — the store
+## keeps the epoch on disk, so one buffer serves every epoch). The last
+## gate holds the socket datapath to the same
 ## standard: the loopback bench (pktgen, recvmmsg, rings, idle polls,
 ## pipeline, sendmmsg accounting) must round to 0 allocs per packet — it read 1 while every idle poll made a timer
 ## and every batched syscall a closure. So must the RSS hash by key, which
@@ -116,6 +121,7 @@ alloc-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkSupervisedPipeline/steady -metric allocs/op -max $(PIPELINE_ALLOCS_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric allocs/op -max $(CHAOS_RESTORE_ALLOCS_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/op -max $(CHAOS_RESTORE_BYTES_MAX) < $$out > /dev/null
+	$(GO) test -run='^TestRecycledEpochAllocatesNothing$$' -count=1 -v .
 	$(GO) test -run='^$$' -bench='NetportLoopback$$' -benchmem -benchtime=1s ./internal/netport \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0
 	$(GO) test -run='^$$' -bench='RSSHashTable$$' -benchmem -benchtime=100000x ./internal/packet \

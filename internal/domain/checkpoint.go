@@ -18,11 +18,13 @@ package domain
 // zero state.
 //
 // An epoch's buffer has one owner at every instant (DESIGN.md, "Who owns
-// an epoch buffer"): the state while it captures, then the runtime and
-// the store as read-only sharers from publication, then — once both have
-// let go and the runtime can prove it — the state again, as the spare
-// its next capture writes into. Where the runtime cannot prove it, the
-// buffer is left to the collector.
+// an epoch buffer"): the state while it captures, then the runtime as
+// the last good epoch, read-only and lent to the store for one append,
+// then — once the store holds the epoch, or a newer one replaced it, and
+// the runtime can prove nobody reads it — the state again, as the spare
+// its next capture writes into. A durable domain's last good epoch is
+// then a reference to the store's newest record, not a buffer. Where the
+// runtime cannot prove a buffer unread, it is left to the collector.
 
 import (
 	"encoding/binary"
@@ -48,9 +50,10 @@ type Stateful interface {
 	// it. The token must be independent of the live state (later
 	// mutations must not leak into it) and not written again until the
 	// runtime hands it back: the runtime keeps it as the last good epoch
-	// while the store and a restore may be reading the same memory. A
-	// state that does not implement RecycleToken (see tokenRecycler) is
-	// never handed anything back, so for it "until" is "ever".
+	// while a restore or the store's append may be reading the same
+	// memory. A state that does not implement RecycleToken (see
+	// tokenRecycler) is never handed anything back, so for it "until" is
+	// "ever".
 	Checkpoint(e *checkpoint.Engine) (any, error)
 	// Restore replaces the live state with the token's contents. The
 	// token is always one previously returned by Checkpoint (or
@@ -74,10 +77,10 @@ type Stateful interface {
 // and hands data back as the token from DecodeToken. That is sound
 // because an epoch's bytes are not written again until the runtime
 // hands the token back: from the moment Checkpoint returns them, the
-// domain (its last good epoch), the store (its newest record) and any
-// restore in progress share one buffer that nobody writes. The runtime
-// also uses EncodeToken to learn which buffer a token occupies, so a
-// codec that copies is simply never recycled.
+// domain (its last good epoch), the store (for the one PersistEpoch
+// call that appends them) and any restore in progress share one buffer
+// that nobody writes. The bytes DecodeToken is given are the caller's:
+// LastEpoch's fresh slice, which nothing else holds.
 type TokenCodec interface {
 	// EncodeToken serializes a token previously returned by Checkpoint.
 	// The result may share memory with the token and must not be
@@ -96,40 +99,27 @@ type TokenCodec interface {
 type Persister interface {
 	// PersistEpoch durably records the named domain's epoch seq.
 	// seq is monotonic per name within and across process lifetimes.
-	// The store becomes a sharer of payload: it may retain the slice as
-	// the domain's newest epoch instead of copying it, so the caller
-	// must not write to payload until the store has said it let the
-	// slice go (SwapEpoch, see epochReleaser; a store without it never
-	// says so). Reading it, as the domain does for restores, stays safe
-	// — the store only reads it too.
+	// payload is borrowed for the call: the store reads it (it may write
+	// it to disk without copying) but keeps nothing of it once the call
+	// returns, so the caller may write to it from then on.
 	PersistEpoch(name string, seq uint64, payload []byte) error
-	// LastEpoch returns the newest durable epoch for the named domain.
-	// The payload may be the store's own retained slice: read-only, and
-	// only the domain of that name may rely on it past the next epoch
-	// persisted under the name (it holds the slice as its last good
-	// epoch until then).
+	// LastEpoch returns the newest durable epoch for the named domain,
+	// in a slice the caller owns. A durable domain's restart restores
+	// through it: the runtime holds a successfully persisted epoch as a
+	// reference to the store's newest record, not as bytes.
 	LastEpoch(name string) (payload []byte, seq uint64, ok bool, err error)
 }
 
 // tokenRecycler is the optional hand-back half of Stateful, found by
 // type assertion at Spawn. The runtime calls RecycleToken with a token
 // the state's Checkpoint returned earlier once nothing else can read it:
-// a newer epoch replaced it as the last good one, no restore is running,
-// and the store (if any) reported letting its bytes go. The state may
-// write into the token's memory from then on. A state wrapped in a type
-// that does not forward the method is never handed anything back.
+// no restore is running, no store append is reading it, and either a
+// newer epoch replaced it as the last good one or the store holds its
+// epoch. The state may write into the token's memory from then on. A
+// state wrapped in a type that does not forward the method is never
+// handed anything back.
 type tokenRecycler interface {
 	RecycleToken(token any)
-}
-
-// epochReleaser is the optional second half of Persister, found by type
-// assertion at Spawn: PersistEpoch that also reports which retained
-// payload the store let go when it recorded this one. released is the
-// exact slice an earlier call was handed (nil when there was none, or on
-// error); the store no longer references it. statestore.Store implements
-// it; behind a Persister that does not, the runtime recycles nothing.
-type epochReleaser interface {
-	SwapEpoch(name string, seq uint64, payload []byte) (released []byte, err error)
 }
 
 // RestoreMode selects what a restarted domain's state recovery does.
@@ -367,7 +357,9 @@ func (s *StateSet) DecodeToken(data []byte) (any, error) {
 
 // ckptToken is one published checkpoint: the adapter's opaque token plus
 // the serving epoch and wall time it was taken at. seq is the durable
-// sequence number (0 when persistence is off).
+// sequence number (0 when persistence is off). A nil token is a durable
+// reference: the epoch is the store's newest record for the domain, seq,
+// and a restore reads it back through LastEpoch.
 type ckptToken struct {
 	token any
 	epoch uint64
@@ -401,11 +393,9 @@ type ckptState struct {
 	codec   TokenCodec
 	seq     atomic.Uint64
 
-	// Hand-back (nil when the state or the store does not offer it): the
-	// state takes superseded tokens back, the store says which payload it
-	// let go. See takeCheckpoint for when both are used.
+	// recycler takes tokens back (nil when the state does not offer it);
+	// see takeCheckpoint for when.
 	recycler tokenRecycler
-	releaser epochReleaser
 
 	taken         telemetry.Counter
 	failed        telemetry.Counter
@@ -432,14 +422,22 @@ func (c *ckptState) due(now time.Time) bool {
 // a capture that finished after its generation was superseded: the
 // monitor may already have chosen what the next generation restores.
 //
-// The epoch this one replaces goes back to the state (tokenRecycler) when
-// the runtime knows nobody else reads it: publish took it out of last
-// while this generation was current, which rules out a restore (those run
-// on the monitor strictly between one generation's exit or supersession
-// and the next one's start), and either no store is configured or the
-// store returned that very buffer as the one it let go. In every other
-// case — persist or fsync error, a codec that copies, a wrapper hiding
-// either optional interface — the old buffer is left to the collector.
+// Buffers go back to the state (tokenRecycler) when the runtime knows
+// nobody else reads them. Two hand-backs, both made only by a generation
+// that was current when it took the buffer out of last — which rules out
+// a restore, since those run on the monitor strictly between one
+// generation's exit or supersession and the next one's start:
+//
+//   - the epoch this one replaced, if it was still a buffer (no store, or
+//     its persist failed), unless a store is configured and an earlier
+//     generation published it: that generation may have been superseded
+//     inside its own PersistEpoch call, still reading the bytes;
+//   - this epoch itself, once the store holds it (makeDurable): last then
+//     refers to the store's record instead, so a durable domain rotates
+//     one buffer.
+//
+// Anything else — a superseded generation's buffer, a failed persist's
+// after a restart — is left to the collector.
 func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck := d.ck
 	start := time.Now()
@@ -467,19 +465,24 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck.taken.Add(1)
 	ck.ckptLat.Observe(lat)
 	d.rec.Record(d.actor, telemetry.EvCheckpoint, uint64(lat))
-	handBack := old != nil && ck.recycler != nil
-	if ck.persist != nil {
-		// Still inside the fault guard: a panic in the codec or the store
-		// is a domain fault, but the RAM epoch above already stands — the
-		// restart restores it. A persist *error* is softer yet: the domain
-		// keeps serving, only durability lags (counted, never published).
-		released := d.persistEpoch(tok)
-		handBack = handBack && ck.sameBuffer(old, released)
+	if old != nil && old.token != nil && (ck.persist == nil || old.epoch == epoch) {
+		ck.recycle(old.token)
 	}
-	if handBack {
-		ck.recycler.RecycleToken(old.token)
+	// Still inside the fault guard: a panic in the codec or the store is a
+	// domain fault, but the RAM epoch above already stands — the restart
+	// restores it. A persist *error* is softer yet: the domain keeps
+	// serving on the RAM epoch, only durability lags (counted).
+	if ck.persist != nil && d.persistEpoch(tok) && d.makeDurable(tok) {
+		ck.recycle(tok.token)
 	}
 	return nil
+}
+
+// recycle hands token back to the state, if it takes tokens back.
+func (c *ckptState) recycle(token any) {
+	if c.recycler != nil {
+		c.recycler.RecycleToken(token)
+	}
 }
 
 // publish makes tok the last good epoch and returns the one it replaced,
@@ -501,39 +504,70 @@ func (d *Domain[T]) publish(tok *ckptToken) (old *ckptToken, ok bool) {
 // persistEpoch encodes one published epoch and appends it to the policy
 // store, on the serving goroutine (the checkpoint already paid the
 // traversal; the append is the cheap half, and ordering per domain is
-// free on one goroutine). It returns the payload the store reported
-// letting go, nil when it reported none or the append failed.
-func (d *Domain[T]) persistEpoch(tok *ckptToken) (released []byte) {
+// free on one goroutine). It reports whether the store now holds the
+// epoch.
+func (d *Domain[T]) persistEpoch(tok *ckptToken) bool {
 	ck := d.ck
 	start := time.Now()
 	payload, err := ck.codec.EncodeToken(tok.token)
-	switch {
-	case err != nil:
-	case ck.releaser != nil:
-		released, err = ck.releaser.SwapEpoch(d.name, tok.seq, payload)
-	default:
+	if err == nil {
 		err = ck.persist.PersistEpoch(d.name, tok.seq, payload)
 	}
 	if err != nil {
 		ck.persistFailed.Add(1)
-		return nil
+		return false
 	}
 	ck.persisted.Add(1)
 	ck.persistLat.Observe(time.Since(start))
-	return released
+	return true
 }
 
-// sameBuffer reports whether released is the memory old's token occupies.
-func (c *ckptState) sameBuffer(old *ckptToken, released []byte) bool {
-	if len(released) == 0 {
-		return false
+// makeDurable replaces tok as the last good epoch with a reference to
+// the store's record of it, and reports whether it did: only while tok's
+// generation is current, under gmu as publish, so no restore is reading
+// tok — and once it has, nothing can reach tok's buffer.
+func (d *Domain[T]) makeDurable(tok *ckptToken) bool {
+	d.gmu.Lock()
+	defer d.gmu.Unlock()
+	return d.epoch.Load() == tok.epoch &&
+		d.ck.last.CompareAndSwap(tok, &ckptToken{epoch: tok.epoch, seq: tok.seq, at: tok.at})
+}
+
+// durableToken reads the store's newest epoch for the domain and decodes
+// it into a token the state can restore. A nonzero want is the epoch a
+// durable reference names, and anything else is an error.
+func (d *Domain[T]) durableToken(want uint64) (token any, seq uint64, ok bool, err error) {
+	payload, seq, ok, err := d.ck.persist.LastEpoch(d.name)
+	if err != nil {
+		return nil, 0, false, fmt.Errorf("load durable epoch: %w", err)
 	}
-	held, err := c.codec.EncodeToken(old.token)
-	return err == nil && len(held) == len(released) && &held[0] == &released[0]
+	if want != 0 && (!ok || seq != want) {
+		return nil, 0, false, fmt.Errorf("the store's newest epoch is %d, not the durable epoch %d", seq, want)
+	}
+	if !ok {
+		return nil, 0, false, nil
+	}
+	if token, err = d.ck.codec.DecodeToken(payload); err != nil {
+		return nil, 0, false, fmt.Errorf("decode durable epoch %d: %w", seq, err)
+	}
+	return token, seq, true, nil
+}
+
+// restore applies token to the state, timed and counted.
+func (d *Domain[T]) restore(token any) error {
+	start := time.Now()
+	if err := d.ck.state.Restore(token); err != nil {
+		return err
+	}
+	lat := time.Since(start)
+	d.ck.restores.Add(1)
+	d.ck.restoreLat.Observe(lat)
+	d.rec.Record(d.actor, telemetry.EvRestore, uint64(lat))
+	return nil
 }
 
 // loadDurable seeds the checkpoint machinery from the store's newest
-// durable epoch at Spawn time: the decoded token becomes the domain's
+// durable epoch at Spawn time: a reference to it becomes the domain's
 // last good checkpoint (so even a pre-traffic fault restores it), the
 // sequence continues where the dead process stopped, and under
 // RestoreCheckpoint the state is restored immediately — a process
@@ -542,30 +576,21 @@ func (c *ckptState) sameBuffer(old *ckptToken, released []byte) bool {
 // is a misconfiguration, not a fault to retry through.
 func (d *Domain[T]) loadDurable() error {
 	ck := d.ck
-	payload, seq, ok, err := ck.persist.LastEpoch(d.name)
+	token, seq, ok, err := d.durableToken(0)
 	if err != nil {
-		return fmt.Errorf("domain %s: load durable epoch: %w", d.name, err)
+		return fmt.Errorf("domain %s: %w", d.name, err)
 	}
 	if !ok {
 		return nil
 	}
-	token, err := ck.codec.DecodeToken(payload)
-	if err != nil {
-		return fmt.Errorf("domain %s: decode durable epoch %d: %w", d.name, seq, err)
-	}
 	ck.seq.Store(seq)
-	ck.last.Store(&ckptToken{token: token, seq: seq, at: time.Now()})
+	ck.last.Store(&ckptToken{seq: seq, at: time.Now()})
 	if ck.mode != RestoreCheckpoint {
 		return nil
 	}
-	start := time.Now()
-	if err := ck.state.Restore(token); err != nil {
+	if err := d.restore(token); err != nil {
 		return fmt.Errorf("domain %s: restore durable epoch %d: %w", d.name, seq, err)
 	}
-	lat := time.Since(start)
-	ck.restores.Add(1)
-	ck.restoreLat.Observe(lat)
-	d.rec.Record(d.actor, telemetry.EvRestore, uint64(lat))
 	return nil
 }
 
@@ -573,24 +598,29 @@ func (d *Domain[T]) loadDurable() error {
 // goroutine after the sfi reference table has been recovered and the
 // user Recover hook (pipeline rebuild) has completed. With a good
 // checkpoint and RestoreCheckpoint mode the state is restored from the
-// last token; otherwise it cold-starts. A restore error is a fault — the
-// streak keeps growing, converging on degrade/stop. The generation whose
-// fault or supersession scheduled the restart has exited or can no longer
-// publish, and the next one starts only after this returns, so the token
-// read here is not replaced or handed back meanwhile
-// (TestNoPublishOrHandBackDuringRestore).
+// last token — read back from the store when last is a durable
+// reference, which must still be the store's newest epoch; otherwise it
+// cold-starts. A restore error, a failed read included, is a fault — the
+// streak keeps growing, converging on degrade/stop — never a silent cold
+// start. The generation whose fault or supersession scheduled the
+// restart has exited or can no longer publish, and the next one starts
+// only after this returns, so the token read here is not replaced or
+// handed back meanwhile (TestNoPublishOrHandBackDuringRestore).
 func (d *Domain[T]) restoreOrReset() error {
 	ck := d.ck
 	if last := ck.last.Load(); last != nil && ck.mode == RestoreCheckpoint {
-		start := time.Now()
-		if err := ck.state.Restore(last.token); err != nil {
+		token := last.token
+		var err error
+		if token == nil {
+			token, _, _, err = d.durableToken(last.seq)
+		}
+		if err == nil {
+			err = d.restore(token)
+		}
+		if err != nil {
 			ck.failed.Add(1)
 			return fmt.Errorf("domain %s: restore checkpoint: %w", d.name, err)
 		}
-		lat := time.Since(start)
-		ck.restores.Add(1)
-		ck.restoreLat.Observe(lat)
-		d.rec.Record(d.actor, telemetry.EvRestore, uint64(lat))
 		return nil
 	}
 	ck.state.Reset()

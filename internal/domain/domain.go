@@ -218,10 +218,12 @@ type Domain[T any] struct {
 	epoch atomic.Uint64
 	gmu   sync.Mutex
 	quit  chan struct{}
-	// busy+beat implement the heartbeat: busy is set for the duration of
-	// a handler invocation, beat stamps its start. A domain blocked on an
-	// empty inbox is idle, not hung.
-	busy  atomic.Bool
+	// busy+beat implement the heartbeat: busy holds the epoch of the
+	// generation inside a handler invocation (0 when none is), beat stamps
+	// the invocation's start. A domain blocked on an empty inbox is idle,
+	// not hung, and so is a replacement generation whose abandoned
+	// predecessor is still stuck: the verdict belongs to the generation.
+	busy  atomic.Uint64
 	beat  atomic.Int64 // unix nanos
 	state atomic.Int32
 	// faultStreak counts consecutive faults (reset by a completed
@@ -369,9 +371,9 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 // revoke the table a recovered replacement is already serving from.
 func (d *Domain[T]) invoke(ctx *Ctx, msg linear.Owned[T], epoch uint64) error {
 	d.beat.Store(time.Now().UnixNano())
-	d.busy.Store(true)
+	d.busy.Store(epoch)
 	err := d.guard(ctx, msg)
-	d.busy.Store(false)
+	d.busy.CompareAndSwap(epoch, 0) // a replacement's invocation is not ours to clear
 	if err == nil {
 		d.st.processed.Add(1)
 		return nil
@@ -423,10 +425,12 @@ func (d *Domain[T]) supersede() uint64 {
 	return e
 }
 
-// stalled reports whether the domain has been inside one handler
-// invocation for longer than limit.
+// stalled reports whether the domain's current generation has been
+// inside one handler invocation for longer than limit. A generation the
+// supervisor already abandoned is not the domain's to be stalled by.
 func (d *Domain[T]) stalled(now time.Time, limit time.Duration) bool {
-	return d.busy.Load() && now.UnixNano()-d.beat.Load() > int64(limit)
+	e := d.busy.Load()
+	return e != 0 && e == d.epoch.Load() && now.UnixNano()-d.beat.Load() > int64(limit)
 }
 
 // degrade swaps in the fallback handler, reporting false when none is

@@ -319,7 +319,7 @@ func TestDomainHangAbandonment(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = d.Inbox().Send(linear.New(-1)) // hangs
-	waitFor(t, "hang detection", func() bool { return d.Snapshot().Hangs == 1 })
+	waitFor(t, "hang detection", func() bool { return d.Snapshot().Hangs >= 1 })
 	_ = d.Inbox().Send(linear.New(1)) // served by the replacement
 	waitFor(t, "replacement serving", func() bool { return processed.Load() == 1 })
 	close(stall) // let the abandoned goroutine finish and exit
@@ -330,6 +330,42 @@ func TestDomainHangAbandonment(t *testing.T) {
 	// The abandoned invocation's late completion is counted exactly once:
 	// 2 payloads received, 2 processed, nothing lost or double-counted.
 	waitFor(t, "late completion counted", func() bool { return d.Snapshot().Processed == 2 })
+}
+
+// TestOneStuckHandlerIsOneHang: a handler stuck for well over ten hang
+// ticks costs one hang verdict and one restart. The replacement
+// generation sits idle beside the abandoned one, and the abandoned
+// invocation still marks the domain busy — but it is not the current
+// generation's, so the next tick must not read the idle replacement as
+// hung (it did, once per tick, while busy belonged to the domain).
+func TestOneStuckHandlerIsOneHang(t *testing.T) {
+	p := fastPolicy()
+	p.HangAfter = 5 * time.Millisecond
+	p.Tick = time.Millisecond
+	s := NewSupervisor(p)
+	defer s.Close()
+	stall := make(chan struct{})
+	defer close(stall)
+	d, err := Spawn(s, Config[int]{
+		Name: "stuck",
+		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			_, err := msg.Into()
+			<-stall
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = d.Inbox().Send(linear.New(1))
+	waitFor(t, "the hang verdict and its restart", func() bool {
+		sn := d.Snapshot()
+		return sn.Hangs >= 1 && sn.Restarts >= 1
+	})
+	time.Sleep(15 * p.Tick) // the stuck handler stays stuck; the replacement idles
+	if sn := d.Snapshot(); sn.Hangs != 1 || sn.Restarts != 1 {
+		t.Fatalf("one stuck handler over 15 ticks: %d hangs and %d restarts, want 1 and 1", sn.Hangs, sn.Restarts)
+	}
 }
 
 // TestSpawnValidation covers config errors.

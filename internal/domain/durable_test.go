@@ -283,8 +283,9 @@ func TestDurableBootRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "second-life epoch", func() bool { return per.lastSeq("kv") > firstSeq })
+	sup2.Close() // one process per name: the third life must not share it with a live second
 
-	// And a mid-life crash restores the boot-seeded token even before
+	// And a mid-life crash restores the boot-seeded epoch even before
 	// any new epoch completes (the durable epoch is the last-good).
 	sup3 := NewSupervisor(durablePolicy(time.Hour, per))
 	defer sup3.Close()

@@ -1,14 +1,16 @@
 package domain
 
 // recycle_test.go covers who owns an epoch buffer: the StateSet's single
-// spare, the runtime's rule for handing a superseded token back (only
-// what it can prove nobody else reads), the publish that a superseded
-// generation must not make, and the ordering the rule leans on — no
-// publish and no hand-back while a restore is reading the last epoch.
+// spare, the runtime's rule for handing a token back (only what it can
+// prove nobody else reads: a replaced epoch, or one the store now holds),
+// the publish that a superseded generation must not make, and the
+// ordering the rule leans on — no publish and no hand-back while a
+// restore is reading the last epoch.
 
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -128,6 +130,7 @@ type gatedSet struct {
 	mu       sync.Mutex
 	captured []*byte
 	recycled []*byte
+	lastWire []byte // a copy of the newest capture's bytes
 }
 
 func newGatedSet(parts ...*durableKV) *gatedSet {
@@ -154,6 +157,7 @@ func (g *gatedSet) Checkpoint(e *checkpoint.Engine) (any, error) {
 	if err == nil {
 		g.mu.Lock()
 		g.captured = append(g.captured, &tok.(*setToken).wire[:1][0])
+		g.lastWire = bytes.Clone(tok.(*setToken).wire)
 		g.mu.Unlock()
 	}
 	if g.hold.CompareAndSwap(true, false) {
@@ -191,75 +195,64 @@ func (g *gatedSet) lastRecycled() *byte {
 	return g.recycled[len(g.recycled)-1]
 }
 
-// swapPersister is a retaining store in miniature: it keeps the caller's
-// slice as the newest epoch and, through SwapEpoch, says which one it
-// let go. failBefore refuses the next epoch before recording it;
-// failAfter records it and then fails, as an fsync after the swap does.
-type swapPersister struct {
-	mu         sync.Mutex
-	retained   []byte
-	seq        uint64
-	failBefore bool
-	failAfter  bool
+// copyPersister is a store in miniature that keeps the bytes, not the
+// slice: it copies each payload, as a store writing it to a file does,
+// hands out copies, and refuses an epoch no newer than the one it holds.
+// failBefore refuses the next epoch before recording it; failAfter
+// records it and then fails, as an fsync after the append does; hold
+// makes the next call signal entered and wait for release while it
+// still has the payload.
+type copyPersister struct {
+	*memPersister
+	failBefore, failAfter, hold bool // guarded by memPersister.mu
+	entered, release            chan struct{}
 }
 
-func (p *swapPersister) SwapEpoch(_ string, seq uint64, payload []byte) ([]byte, error) {
+func (p *copyPersister) PersistEpoch(name string, seq uint64, payload []byte) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.failBefore {
-		p.failBefore = false
-		return nil, errors.New("swapPersister: refused before recording")
+	before, after, hold := p.failBefore, p.failAfter, p.hold
+	p.failBefore, p.failAfter, p.hold = false, false, false
+	p.mu.Unlock()
+	if hold {
+		p.entered <- struct{}{}
+		<-p.release
 	}
-	released := p.retained
-	p.retained, p.seq = payload, seq
-	if p.failAfter {
-		p.failAfter = false
-		return nil, errors.New("swapPersister: failed after recording")
+	if newest := p.lastSeq(name); seq <= newest {
+		return fmt.Errorf("copyPersister: epoch %d is not newer than %d", seq, newest)
 	}
-	return released, nil
-}
-
-func (p *swapPersister) PersistEpoch(name string, seq uint64, payload []byte) error {
-	_, err := p.SwapEpoch(name, seq, payload)
-	return err
-}
-
-func (p *swapPersister) LastEpoch(string) ([]byte, uint64, bool, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retained, p.seq, p.retained != nil, nil
-}
-
-// held returns the retained slice itself and where it starts.
-func (p *swapPersister) held() ([]byte, *byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.retained == nil {
-		return nil, nil
+	if before {
+		return errors.New("copyPersister: refused before recording")
 	}
-	return p.retained, &p.retained[:1][0]
+	if err := p.memPersister.PersistEpoch(name, seq, payload); err != nil {
+		return err
+	}
+	if after {
+		return errors.New("copyPersister: failed after recording")
+	}
+	return nil
 }
 
-func (p *swapPersister) arm(before, after bool) {
+func (p *copyPersister) arm(before, after bool) {
 	p.mu.Lock()
 	p.failBefore, p.failAfter = before, after
 	p.mu.Unlock()
 }
 
-// plainPersister retains like swapPersister but offers no SwapEpoch: the
-// runtime cannot learn what it let go.
-type plainPersister struct{ inner swapPersister }
+// wrappedPersister forwards the Persister methods and nothing else, the
+// way a timing decorator would.
+type wrappedPersister struct{ inner Persister }
 
-func (p *plainPersister) PersistEpoch(name string, seq uint64, payload []byte) error {
+func (p wrappedPersister) PersistEpoch(name string, seq uint64, payload []byte) error {
 	return p.inner.PersistEpoch(name, seq, payload)
 }
 
-func (p *plainPersister) LastEpoch(name string) ([]byte, uint64, bool, error) {
+func (p wrappedPersister) LastEpoch(name string) ([]byte, uint64, bool, error) {
 	return p.inner.LastEpoch(name)
 }
 
 // spawnGated spawns a domain over g whose handler sets one key per
-// payload (negative payloads panic).
+// payload; -1 also sets "torn" before it panics, any other negative
+// payload just panics.
 func spawnGated(t *testing.T, s *Supervisor, name string, g *gatedSet, kv *durableKV) *Domain[int] {
 	t.Helper()
 	d, err := Spawn(s, Config[int]{
@@ -269,6 +262,9 @@ func spawnGated(t *testing.T, s *Supervisor, name string, g *gatedSet, kv *durab
 			v, err := msg.Into()
 			if err != nil {
 				return err
+			}
+			if v == -1 {
+				kv.set("torn", 1)
 			}
 			if v < 0 {
 				panic("injected handler crash")
@@ -299,12 +295,12 @@ func epoch(t *testing.T, d *Domain[int], g *gatedSet) {
 	})
 }
 
-// reachable counts the distinct epoch buffers the runtime, the state and
-// the store hold between epochs.
-func reachable(t *testing.T, d *Domain[int], g *gatedSet, retained *byte) int {
+// reachable counts the distinct epoch buffers the runtime and the state
+// hold between epochs (a durable reference holds none).
+func reachable(t *testing.T, d *Domain[int], g *gatedSet) int {
 	t.Helper()
 	seen := map[*byte]bool{}
-	if last := d.ck.last.Load(); last != nil {
+	if last := d.ck.last.Load(); last != nil && last.token != nil {
 		seen[bufOf(t, last.token)] = true
 	}
 	g.StateSet.mu.Lock()
@@ -312,17 +308,15 @@ func reachable(t *testing.T, d *Domain[int], g *gatedSet, retained *byte) int {
 		seen[bufOf(t, g.spare)] = true
 	}
 	g.StateSet.mu.Unlock()
-	if retained != nil {
-		seen[retained] = true
-	}
 	return len(seen)
 }
 
-// TestRuntimeHandsBackOnlyWhatItOwns drives real epochs through each
-// kind of store and checks, between epochs, the three ownership facts:
-// the buffer a capture was handed is not one the store still retains,
-// at most two buffers are reachable, and a hand-back happens exactly
-// when the runtime and the store have both let the buffer go.
+// TestRuntimeHandsBackOnlyWhatItOwns drives real epochs with and without
+// a store and checks, between epochs, the ownership facts: at most two
+// buffers are reachable (one, once a store holds the epoch), a hand-back
+// happens exactly when nobody else can read the buffer, and the store's
+// newest epoch is the bytes that were captured whatever was recycled
+// since.
 func TestRuntimeHandsBackOnlyWhatItOwns(t *testing.T) {
 	t.Run("no store", func(t *testing.T) {
 		sup := NewSupervisor(ckptPolicy(200 * time.Microsecond))
@@ -342,7 +336,7 @@ func TestRuntimeHandsBackOnlyWhatItOwns(t *testing.T) {
 		}
 		for i := 0; i < 20; i++ {
 			epoch(t, d, g)
-			if n := reachable(t, d, g, nil); n > 2 {
+			if n := reachable(t, d, g); n > 2 {
 				t.Fatalf("%d epoch buffers reachable, want <= 2", n)
 			}
 		}
@@ -351,65 +345,65 @@ func TestRuntimeHandsBackOnlyWhatItOwns(t *testing.T) {
 		}
 	})
 
-	t.Run("store that reports what it let go", func(t *testing.T) {
-		p := &swapPersister{}
+	t.Run("store", func(t *testing.T) {
+		p := &copyPersister{memPersister: newMemPersister()}
 		sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
 		defer sup.Close()
 		kv := newDurableKV()
 		g := newGatedSet(kv)
 		d := spawnGated(t, sup, "w", g, kv)
-		step := func(wantHandBack bool, what string) {
+		v := 0
+		// step grows the state by a key, takes one epoch, and checks how
+		// many buffers went back, how many are left, and — when the store
+		// recorded the epoch — that it holds the bytes captured, whatever
+		// was written into the recycled buffer since.
+		step := func(handBacks, buffers int, stored bool, what string) {
 			t.Helper()
+			v++
+			if err := d.Inbox().Send(linear.New(v)); err != nil {
+				t.Fatal(err)
+			}
 			_, before := g.counts()
-			_, retained := p.held()
 			epoch(t, d, g)
-			if retained != nil && g.lastCaptured() == retained {
-				t.Fatalf("%s: the capture was handed the buffer the store still retained", what)
+			if _, after := g.counts(); after-before != handBacks {
+				t.Fatalf("%s: %d hand-backs, want %d", what, after-before, handBacks)
 			}
-			if _, after := g.counts(); (after > before) != wantHandBack {
-				t.Fatalf("%s: hand-back = %v, want %v", what, after > before, wantHandBack)
+			if n := reachable(t, d, g); n != buffers {
+				t.Fatalf("%s: %d epoch buffers reachable, want %d", what, n, buffers)
 			}
-			if _, now := p.held(); reachable(t, d, g, now) > 2 {
-				n := reachable(t, d, g, now)
-				t.Fatalf("%s: %d epoch buffers reachable, want <= 2", what, n)
+			payload, _, _, _ := p.LastEpoch("w")
+			g.mu.Lock()
+			same := bytes.Equal(payload, g.lastWire)
+			g.mu.Unlock()
+			if same != stored {
+				t.Fatalf("%s: the store holds the epoch just captured = %v, want %v", what, same, stored)
 			}
 		}
-		step(false, "first epoch")
-		step(true, "second epoch")
-		step(true, "third epoch")
+		step(1, 1, true, "first epoch")
+		step(1, 1, true, "second epoch")
+		step(1, 1, true, "third epoch")
 
-		// Persist fails before the store records: it still retains the
-		// previous epoch, so nothing goes back — not that one (the store
-		// reads it), and not on the next success either, when the store
-		// lets go of a buffer the runtime dropped an epoch earlier.
+		// Persist fails before the store records: the epoch stays in RAM
+		// as the last good one, so nothing goes back. The next success
+		// hands back both: the failed epoch (replaced) and its own (held
+		// by the store now), keeping one of them as the spare.
 		p.arm(true, false)
-		kept, keptAt := p.held()
-		pristine := bytes.Clone(kept)
-		step(false, "persist error")
-		if _, at := p.held(); at != keptAt || !bytes.Equal(kept, pristine) {
-			t.Fatal("the epoch the store retained across a failed persist changed")
-		}
-		step(false, "first success after a persist error")
-		if !bytes.Equal(kept, pristine) {
-			t.Fatal("the buffer the store let go after a failed persist was written, and nobody owned it")
-		}
-		step(true, "second success after a persist error")
+		step(0, 1, false, "persist error")
+		step(2, 1, true, "first success after a persist error")
 
-		// Fsync fails after the store swapped: the store does not say
-		// what it let go, so that buffer is left to the collector; the
-		// rotation is whole again two epochs later.
+		// Fsync fails after the store recorded: the runtime is not told
+		// the store holds it, so the same as above.
 		p.arm(false, true)
-		step(false, "fsync error after the swap")
-		step(true, "first success after an fsync error")
-		step(true, "second success after an fsync error")
+		step(0, 1, true, "fsync error after the append")
+		step(2, 1, true, "first success after an fsync error")
+		step(1, 1, true, "second success after an fsync error")
 		if sn := d.Snapshot(); sn.PersistFailures != 2 {
 			t.Fatalf("persist failures = %d, want 2", sn.PersistFailures)
 		}
 	})
 
-	t.Run("store that does not say", func(t *testing.T) {
-		p := &plainPersister{}
-		sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+	t.Run("store behind a wrapper", func(t *testing.T) {
+		sup := NewSupervisor(durablePolicy(200*time.Microsecond, wrappedPersister{newMemPersister()}))
 		defer sup.Close()
 		kv := newDurableKV()
 		g := newGatedSet(kv)
@@ -417,10 +411,77 @@ func TestRuntimeHandsBackOnlyWhatItOwns(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			epoch(t, d, g)
 		}
-		if _, recycled := g.counts(); recycled != 0 {
-			t.Fatalf("%d hand-backs behind a Persister without SwapEpoch, want 0", recycled)
+		if captured, recycled := g.counts(); recycled != captured {
+			t.Fatalf("%d captures, %d hand-backs behind a Persister wrapper; every persisted epoch should be back", captured, recycled)
 		}
 	})
+}
+
+// TestDurableDomainKeepsOneEpochBuffer: once warm, every epoch of a
+// durable domain is captured into the same buffer — the runtime holds
+// the store's record, not the bytes — and a restart restores from the
+// store exactly the state the last epoch captured.
+func TestDurableDomainKeepsOneEpochBuffer(t *testing.T) {
+	p := newMemPersister()
+	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+	defer sup.Close()
+	kv := newDurableKV()
+	g := newGatedSet(kv)
+	d := spawnGated(t, sup, "w", g, kv)
+	for i := 0; i < 26; i++ { // every key the handler writes: the state stops growing
+		if err := d.Inbox().Send(linear.New(i)); err != nil {
+			t.Fatal(err)
+		}
+		epoch(t, d, g)
+	}
+	epoch(t, d, g) // a capture parks before the payload it was granted for: this one has all 26
+	buf := g.lastCaptured()
+	for i := 0; i < 20; i++ {
+		if err := d.Inbox().Send(linear.New(100 + i)); err != nil {
+			t.Fatal(err)
+		}
+		epoch(t, d, g)
+		if g.lastCaptured() != buf {
+			t.Fatalf("epoch %d was captured into a second buffer", i)
+		}
+		if n := reachable(t, d, g); n != 1 {
+			t.Fatalf("%d epoch buffers reachable, want the one spare", n)
+		}
+	}
+	if d.ck.last.Load().token != nil {
+		t.Fatal("the last good epoch of a durable domain is a buffer, not the store's record")
+	}
+
+	oracle := map[string]int{}
+	kv.mu.Lock()
+	for k, v := range kv.m {
+		oracle[k] = v
+	}
+	kv.mu.Unlock()
+	restores := d.Snapshot().Restores
+	// The parked capture runs first (an epoch of the oracle's state); then
+	// -1 writes "torn" and panics, and the restart restores from the store.
+	if err := d.Inbox().Send(linear.New(-1)); err != nil {
+		t.Fatal(err)
+	}
+	g.permits <- struct{}{}
+	waitFor(t, "durable restore", func() bool {
+		sn := d.Snapshot()
+		return sn.Restarts >= 1 && sn.Restores > restores && g.waiting.Load() == 1
+	})
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	if len(kv.m) != len(oracle) {
+		t.Fatalf("restored %d keys, the last epoch held %d", len(kv.m), len(oracle))
+	}
+	for k, v := range oracle {
+		if kv.m[k] != v {
+			t.Fatalf("key %s restored as %d, want %d", k, kv.m[k], v)
+		}
+	}
+	if sn := d.Snapshot(); sn.ColdStarts != 0 || sn.CheckpointFailures != 0 {
+		t.Fatalf("cold starts %d, checkpoint failures %d; want 0, 0", sn.ColdStarts, sn.CheckpointFailures)
+	}
 }
 
 // TestSupersededCaptureDoesNotPublish: a sibling's fault retires the
@@ -498,6 +559,85 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 	epoch(t, d, g)
 	if at, _ := d.LastCheckpoint(); !at.After(good) {
 		t.Fatal("the new generation did not publish")
+	}
+}
+
+// TestSupersededPersistIsNotHandedBack: a sibling's fault retires the
+// group while this domain is inside PersistEpoch, still reading its
+// epoch's bytes. The next generation replaces that epoch, but may not
+// hand its buffer back — the old generation is reading it — and when the
+// old generation's append finally runs, the store refuses it as older
+// than the new generation's, so the durable reference still names the
+// store's newest epoch and a restart restores it.
+func TestSupersededPersistIsNotHandedBack(t *testing.T) {
+	p := &copyPersister{memPersister: newMemPersister(), entered: make(chan struct{}), release: make(chan struct{})}
+	pol := durablePolicy(200*time.Microsecond, p)
+	pol.Strategy = OneForAll
+	sup := NewSupervisor(pol)
+	defer sup.Close()
+	kv := newDurableKV()
+	g := newGatedSet(kv)
+	d := spawnGated(t, sup, "victim", g, kv)
+	crasher, err := Spawn(sup, Config[int]{
+		Name: "crasher",
+		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			if _, err := msg.Into(); err != nil {
+				return err
+			}
+			panic("crasher always crashes")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kv.set("good", 1)
+	epoch(t, d, g)
+	epoch(t, d, g)
+
+	p.mu.Lock()
+	p.hold = true
+	p.mu.Unlock()
+	g.permits <- struct{}{}
+	<-p.entered // published, and the store is reading the bytes
+	reading := g.lastCaptured()
+	_, since := g.counts()
+	_ = crasher.Inbox().Send(linear.New(1))
+	waitFor(t, "group restart", func() bool {
+		sn := d.Snapshot()
+		return sn.Restarts >= 1 && g.waiting.Load() == 1
+	})
+	epoch(t, d, g) // the new generation replaces the epoch being persisted
+	if newest := d.ck.last.Load(); newest.token != nil {
+		t.Fatal("the new generation's epoch did not become durable")
+	}
+	handedBack := func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		for _, b := range g.recycled[since:] {
+			if b == reading {
+				return true
+			}
+		}
+		return false
+	}
+	if handedBack() {
+		t.Fatal("a buffer the superseded generation was persisting was handed back")
+	}
+	failures := d.Snapshot().PersistFailures
+	p.release <- struct{}{}
+	waitFor(t, "the superseded append refused", func() bool { return d.Snapshot().PersistFailures == failures+1 })
+	if handedBack() {
+		t.Fatal("the superseded generation handed its buffer back")
+	}
+
+	restores := d.Snapshot().Restores
+	_ = crasher.Inbox().Send(linear.New(2))
+	waitFor(t, "restore from the durable epoch", func() bool { return d.Snapshot().Restores > restores })
+	if sn := d.Snapshot(); sn.ColdStarts != 0 {
+		t.Fatalf("%d cold starts", sn.ColdStarts)
+	}
+	if v, ok := kv.get("good"); !ok || v != 1 {
+		t.Fatal("the restore from the store lost the epoch's state")
 	}
 }
 

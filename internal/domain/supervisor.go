@@ -293,7 +293,6 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			}
 			d.ck.persist = p
 			d.ck.codec = codec
-			d.ck.releaser, _ = p.(epochReleaser)
 		}
 	}
 	d.handler.Store(&handlerCell[T]{fn: cfg.Handler})

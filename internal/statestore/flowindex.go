@@ -6,21 +6,24 @@ package statestore
 // torn-tail recovery as the epoch WAL, and the same truncate-or-poison
 // on a failed append); compaction merges the log into <name>.fidx, a
 // flat array of fixed-size entries sorted by flow hash that lookups
-// binary-search with ReadAt. Recent puts live in a RAM overlay until the
-// next compaction, so reads are overlay-then-index.
+// binary-search with ReadAt. Flows spilled since the last compaction are
+// found through a RAM overlay that maps each hash to its newest entry in
+// the log, so reads are overlay-then-index, and either way a ReadAt.
 //
 // What an index keeps resident is set by the store's configuration, not
 // by how many flows it holds:
 //
-//	overlay   <= FlowCompactAfter - 1 + one spill batch of records
-//	keys      one u64 per overlay record, sorted for the merge
+//	overlay   <= FlowCompactAfter - 1 + one spill batch of log offsets
+//	          (a u64 hash and an i64 offset per flow, plus the map slot)
+//	keys      one u64 per overlay flow, sorted for the merge
 //	payload,  one spill batch encoded, and the same batch framed
 //	frame
 //	merge     one mergeBufSize reader over the old .fidx and one
 //	          mergeBufSize writer into the new one
 //
 // and nothing proportional to idxCount: a compaction streams the old
-// index past the sorted overlay into the new file, entry by entry.
+// index past the sorted overlay, whose entries it reads back from the
+// log, into the new file, entry by entry.
 
 import (
 	"bufio"
@@ -70,7 +73,8 @@ func decodeFlowEntry(b []byte) session.SpillRecord {
 	}
 }
 
-// mergeBufSize is the size of each of a compaction's two buffers.
+// mergeBufSize is the size of each of a flow-index compaction's two
+// buffers, and of the store's epoch-compaction copy buffer.
 const mergeBufSize = 64 << 10
 
 // FlowIndex is one domain's durable flow set. It implements the session
@@ -79,20 +83,24 @@ type FlowIndex struct {
 	store *Store
 	name  string
 
-	mu       sync.Mutex
-	log      walFile
-	logSize  int64
-	logErr   error // set once the log's tail is in an unknown state; every later spill returns it
-	overlay  map[uint64]session.SpillRecord
+	mu      sync.Mutex
+	log     walFile
+	logSize int64
+	logErr  error // set once the log's tail is in an unknown state; every later spill returns it
+	// overlay maps each flow spilled since the last compaction to the
+	// offset of its newest entry in the spill log.
+	overlay  map[uint64]int64
 	idx      *os.File // nil until the first compaction
 	idxCount int
 	// openIdx opens a freshly renamed index: os.Open, except in tests.
 	openIdx func(path string) (*os.File, error)
 
 	// Scratch kept across calls, under mu: a spill batch's payload and
-	// frame, and a compaction's sorted overlay hashes and its two merge
-	// buffers (made by the first compaction, Reset by each).
+	// frame, one entry read back from the log, and a compaction's sorted
+	// overlay hashes and its two merge buffers (made by the first
+	// compaction, Reset by each).
 	payload, frame []byte
+	ent            [flowEntrySize]byte
 	keys           []uint64
 	mergeR         *bufio.Reader
 	mergeW         *bufio.Writer
@@ -113,7 +121,7 @@ func (s *Store) FlowIndex(name string) (*FlowIndex, error) {
 	if fi, ok := s.flows[name]; ok {
 		return fi, nil
 	}
-	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]session.SpillRecord), openIdx: os.Open}
+	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]int64), openIdx: os.Open}
 	if err := fi.open(); err != nil {
 		return nil, err
 	}
@@ -132,29 +140,15 @@ func (fi *FlowIndex) idxPath() string {
 func (fi *FlowIndex) open() error {
 	// Replay the spill log's longest valid prefix into the overlay and
 	// truncate the tail, exactly like the epoch WAL.
-	valid, size, err := scanLogFile(fi.logPath(), func(batch []byte) []byte {
+	log, valid, err := fi.store.openLog(fi.logPath(), func(off int64, batch []byte) {
 		if len(batch)%flowEntrySize != 0 {
 			fi.store.badEpochs.Add(1)
-			return batch
+			return
 		}
-		for off := 0; off < len(batch); off += flowEntrySize {
-			r := decodeFlowEntry(batch[off : off+flowEntrySize])
-			fi.overlay[r.Hash] = r
-		}
-		return batch
+		fi.noteBatch(off, batch)
 	})
 	if err != nil {
 		return err
-	}
-	if valid < size {
-		fi.store.tornRecords.Add(uint64(size - valid))
-		if err := os.Truncate(fi.logPath(), valid); err != nil {
-			return fmt.Errorf("statestore: truncate torn spill tail: %w", err)
-		}
-	}
-	log, err := os.OpenFile(fi.logPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("statestore: %w", err)
 	}
 	fi.log = log
 	fi.logSize = valid
@@ -205,10 +199,8 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 		err, fi.logErr = cutPartialFrame(fi.log, fi.logSize, "spill log of "+fi.name, fmt.Errorf("statestore: spill %s: %w", fi.name, err))
 		return err
 	}
+	fi.noteBatch(fi.logSize, payload)
 	fi.logSize += int64(len(frame))
-	for _, r := range recs {
-		fi.overlay[r.Hash] = r
-	}
 	fi.store.spilled.Add(uint64(len(recs)))
 	fi.store.persistBytes.Add(uint64(len(payload)))
 	if after := fi.store.cfg.FlowCompactAfter; after > 0 && len(fi.overlay) >= after {
@@ -225,14 +217,40 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	return nil
 }
 
-// LookupFlow reads one flow record: overlay first, then a binary search
-// over the sorted on-disk index. Implements session.Spill.
+// noteBatch points the overlay at each entry of a batch whose frame the
+// spill log holds at off (a later entry of one hash wins, as in replay).
+func (fi *FlowIndex) noteBatch(off int64, batch []byte) {
+	at := off + frameHeaderSize
+	for i := 0; i < len(batch); i += flowEntrySize {
+		fi.overlay[binary.LittleEndian.Uint64(batch[i:])] = at + int64(i)
+	}
+}
+
+// readLogEntryLocked reads into fi.ent the spill-log entry at off, which
+// the overlay holds for hash, and fails if the entry there is another
+// flow's.
+func (fi *FlowIndex) readLogEntryLocked(hash uint64, off int64) error {
+	if _, err := fi.log.ReadAt(fi.ent[:], off); err != nil {
+		return fmt.Errorf("statestore: spill log of %s: %w", fi.name, err)
+	}
+	if got := binary.LittleEndian.Uint64(fi.ent[:]); got != hash {
+		return fmt.Errorf("statestore: spill log of %s holds flow %#x where flow %#x was spilled", fi.name, got, hash)
+	}
+	return nil
+}
+
+// LookupFlow reads one flow record: the overlay's entry in the spill log
+// first, then a binary search over the sorted on-disk index. Implements
+// session.Spill.
 func (fi *FlowIndex) LookupFlow(hash uint64) (session.SpillRecord, bool, error) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if r, ok := fi.overlay[hash]; ok {
+	if off, ok := fi.overlay[hash]; ok {
+		if err := fi.readLogEntryLocked(hash, off); err != nil {
+			return session.SpillRecord{}, false, err
+		}
 		fi.store.promotions.Add(1)
-		return r, true, nil
+		return decodeFlowEntry(fi.ent[:]), true, nil
 	}
 	r, ok, err := fi.searchIdxLocked(hash)
 	if ok {
@@ -343,7 +361,6 @@ func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
 		}
 		br.Reset(fi.idx)
 	}
-	var ent [flowEntrySize]byte
 	n, k := 0, 0
 	for i := 0; ; i++ {
 		var old []byte
@@ -356,9 +373,12 @@ func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
 			oldHash = binary.LittleEndian.Uint64(old)
 		}
 		// Overlay records below the next old entry — all that are left,
-		// once the old index is exhausted.
+		// once the old index is exhausted — read back from the spill log.
 		for ; k < len(keys) && (old == nil || keys[k] < oldHash); k++ {
-			if _, err := bw.Write(encodeFlowEntry(ent[:0], fi.overlay[keys[k]])); err != nil {
+			if err := fi.readLogEntryLocked(keys[k], fi.overlay[keys[k]]); err != nil {
+				return 0, err
+			}
+			if _, err := bw.Write(fi.ent[:]); err != nil {
 				return 0, err
 			}
 			n++

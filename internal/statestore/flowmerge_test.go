@@ -343,20 +343,28 @@ func TestMergeReadErrorLeavesIndexAndOverlay(t *testing.T) {
 	}
 }
 
-// FuzzFlowIndexMerge drives one flow index from the input — spill
-// batches over 48 hashes (so most are revisits), forced compactions,
-// FlowCount (which compacts), close and reopen — beside a plain map.
-// After every step each flow in the map must read back as its newest
-// record, the index's distinct-flow count (counted without compacting,
-// so the overlay keeps whatever shape the input gave it) must equal the
-// map's size, and the .fidx on disk must be strictly increasing by hash;
-// FlowCount itself must agree whenever the input calls it and at the end.
+// FuzzFlowIndexMerge is the flow index's oracle test: it drives one index
+// from the input — spill batches over 48 hashes (so most are revisits),
+// spill batches whose write fails half way and is cut back, forced
+// compactions, FlowCount (which compacts), close and reopen — beside a
+// plain map. After every step each flow in the map must read back as its
+// newest record, the index's distinct-flow count (counted without
+// compacting, so the overlay keeps whatever shape the input gave it)
+// must equal the map's size, and the .fidx on disk must be strictly
+// increasing by hash; FlowCount itself must agree whenever the input
+// calls it and at the end. The overlay holds offsets into the spill log,
+// so a stale one — kept past a cut, a compaction's truncate or a reopen —
+// reads another flow's entry or none, and fails a lookup or a merge.
 func FuzzFlowIndexMerge(f *testing.F) {
-	f.Add([]byte{0, 1, 5, 2, 0, 1, 10, 2, 3})                                                                           // put, compact, overwrite, compact, reopen
-	f.Add([]byte{55, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 2, 4})                                                    // a 12-record batch, reopen with a log to replay, compact
-	f.Add([]byte{10, 47, 46, 45, 2, 10, 0, 46, 1, 2, 10, 47, 24, 44})                                                   // overlay records below, between and above the old entries
-	f.Add([]byte{5, 9, 9, 2, 2, 4, 3, 5, 9, 9, 3, 4})                                                                   // a batch repeating one hash; compacting nothing twice
-	f.Add([]byte{56, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 56, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 0, 25}) // the overlay threshold fires mid-input
+	// An op byte b is b%6: 0 and 1 spill the next b/6%12+1 bytes as a
+	// batch, 2 compacts, 3 reopens, 4 calls FlowCount, 5 spills a batch
+	// whose write fails.
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 3})                                                                                  // put, compact, overwrite, compact, reopen
+	f.Add([]byte{66, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 3, 2, 4})                                                    // a 12-record batch, reopen with a log to replay, compact
+	f.Add([]byte{12, 47, 46, 45, 2, 12, 0, 46, 1, 2, 12, 47, 24, 44})                                                   // overlay records below, between and above the old entries
+	f.Add([]byte{6, 9, 9, 2, 2, 11, 9, 7, 0, 9, 3, 4})                                                                  // a batch repeating one hash; compacting nothing twice; a failed batch; reopen
+	f.Add([]byte{66, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 66, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 0, 25}) // the overlay threshold fires mid-input
+	f.Add([]byte{12, 1, 2, 3, 17, 2, 4, 5, 12, 6, 7, 8, 2, 5, 1, 3, 11, 9, 10, 0, 10})                                  // failed batches between good ones, across a compaction and a reopen
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
@@ -403,14 +411,26 @@ func FuzzFlowIndexMerge(f *testing.F) {
 		for step := 1; len(data) > 0; step++ {
 			op := data[0]
 			data = data[1:]
-			switch op % 5 {
-			case 0, 1:
-				n := min(int(op/5)%12+1, len(data))
+			switch op % 6 {
+			case 0, 1, 5:
+				n := min(int(op/6)%12+1, len(data))
 				batch = batch[:0]
 				for i, b := range data[:n] {
 					batch = append(batch, rec(spread(uint64(b%48)), uint32(b), uint64(step)<<8|uint64(i)))
 				}
 				data = data[n:]
+				if op%6 == 5 && n > 0 {
+					// Half the frame lands, the write fails, the log is cut back:
+					// the batch must leave no trace, in the overlay or on disk.
+					fw := &flakyWAL{walFile: fi.log, failWrite: 1}
+					fi.log = fw
+					err := fi.SpillFlows(batch)
+					fi.log = fw.walFile
+					if !errors.Is(err, errInjected) {
+						t.Fatalf("step %d: spill over a failing write: %v", step, err)
+					}
+					break
+				}
 				if err := fi.SpillFlows(batch); err != nil {
 					t.Fatalf("step %d: spill: %v", step, err)
 				}

@@ -58,9 +58,13 @@ func FuzzWALReplay(f *testing.F) {
 		// The streaming reader recovery runs on is the same function:
 		// same records, same valid-prefix length, on every input.
 		var streamed [][]byte
-		valid, err := scanFrames(bytes.NewReader(data), int64(len(data)), func(rec []byte) []byte {
-			streamed = append(streamed, rec) // kept: the scanner gets no buffer back
-			return nil
+		var next int64 // where the next frame starts, by the frames seen so far
+		valid, err := scanFrames(bytes.NewReader(data), int64(len(data)), func(off int64, rec []byte) {
+			if off != next {
+				t.Fatalf("scanFrames: record %d at offset %d, want %d", len(streamed), off, next)
+			}
+			next += frameHeaderSize + int64(len(rec))
+			streamed = append(streamed, bytes.Clone(rec)) // rec is the scanner's buffer
 		})
 		if err != nil || valid != int64(n) || len(streamed) != len(recs) {
 			t.Fatalf("scanFrames: %d records/%d bytes (err %v), SplitFrames %d/%d", len(streamed), valid, err, len(recs), n)

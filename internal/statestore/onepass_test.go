@@ -1,9 +1,9 @@
 package statestore
 
 // onepass_test.go pins the zero-copy epoch path: PersistEpoch frames the
-// caller's buffer without copying it and retains it, a failed append
-// never strands the epochs after it, and replay streams the log instead
-// of reading it whole.
+// caller's buffer without copying it and keeps nothing of it, a failed
+// append never strands the epochs after it, and replay streams the log
+// instead of reading it whole.
 
 import (
 	"bytes"
@@ -14,15 +14,23 @@ import (
 	"testing"
 )
 
-// flakyWAL wraps the store's WAL and fails the writes, fsyncs and
-// truncates a test arms. A failed write first lets half its bytes
-// through, as a disk filling up mid-frame would.
+// flakyWAL wraps one of the store's files and fails the writes, reads,
+// fsyncs and truncates a test arms. A failed write first lets half its
+// bytes through, as a disk filling up mid-frame would.
 type flakyWAL struct {
 	walFile
 	writes       int
 	failWrite    int // 1-based index of the Write call to fail; 0 = none
+	failRead     bool
 	failSync     bool
 	failTruncate bool
+}
+
+func (w *flakyWAL) ReadAt(p []byte, off int64) (int, error) {
+	if w.failRead {
+		return 0, errInjected
+	}
+	return w.walFile.ReadAt(p, off)
 }
 
 var errInjected = errors.New("injected wal fault")
@@ -117,16 +125,26 @@ func TestUntruncatableWALPoisonsStore(t *testing.T) {
 
 // TestPersistEpochBorrowsPayload: at most 4 allocations per epoch and
 // none of them proportional to the payload — the frame is two writes
-// around the caller's buffer — and the store's newest epoch is that very
-// buffer.
+// around the caller's buffer — and PersistEpoch borrows that buffer for
+// the call only: scribbling over it after every return changes nothing
+// LastEpoch, a compaction or a reopen reads. (The root
+// TestRecycledEpochAllocatesNothing holds the loop to 0 allocations
+// outside the race detector, which makes sync.Pool drop entries.)
 func TestPersistEpochBorrowsPayload(t *testing.T) {
-	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, CompactAfter: -1})
-	payload := bytes.Repeat([]byte{0xa5}, 1<<20)
+	dir := t.TempDir()
+	s := openT(t, dir, Config{Fsync: FsyncNone, CompactAfter: -1})
+	payload := make([]byte, 1<<20)
 	seq := uint64(0)
 	persist := func() {
 		seq++
+		for i := range payload {
+			payload[i] = byte(seq)
+		}
 		if err := s.PersistEpoch("worker-0", seq, payload); err != nil {
 			t.Fatal(err)
+		}
+		for i := range payload {
+			payload[i] = 0xee // the caller owns the buffer again
 		}
 	}
 	persist() // first sight of the name allocates its map slot
@@ -143,12 +161,20 @@ func TestPersistEpochBorrowsPayload(t *testing.T) {
 	if perEpoch := (after.TotalAlloc - before.TotalAlloc) / runs; perEpoch > 1024 {
 		t.Fatalf("PersistEpoch allocates %d B per 1 MiB epoch, want <= 1 KiB (no copy of the payload)", perEpoch)
 	}
-	got, _, _, _ := s.LastEpoch("worker-0")
-	if &got[0] != &payload[0] {
-		t.Fatal("the store copied the payload instead of retaining it")
+	want := bytes.Repeat([]byte{byte(seq)}, len(payload))
+	check := func(s *Store, what string) {
+		t.Helper()
+		got, gotSeq, ok, err := s.LastEpoch("worker-0")
+		if err != nil || !ok || gotSeq != seq || !bytes.Equal(got, want) {
+			t.Fatalf("%s: LastEpoch = seq %d ok %v err %v, equal %v; want epoch %d as handed over", what, gotSeq, ok, err, bytes.Equal(got, want), seq)
+		}
+		if len(got) > 0 && &got[0] == &payload[0] {
+			t.Fatalf("%s: LastEpoch returned the caller's buffer", what)
+		}
 	}
+	check(s, "live")
 	// What went to disk is the v1 frame around those bytes.
-	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, walName))
+	data, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +182,15 @@ func TestPersistEpochBorrowsPayload(t *testing.T) {
 	if n != len(data) || uint64(len(recs)) != seq {
 		t.Fatalf("WAL: %d records in %d of %d bytes, want %d records, all valid", len(recs), n, len(data), seq)
 	}
-	if _, _, _, token, err := decodeEpoch(recs[0]); err != nil || !bytes.Equal(token, payload) {
-		t.Fatalf("first record does not decode to the payload: %v", err)
+	if _, _, _, token, err := decodeEpoch(recs[0]); err != nil || !bytes.Equal(token, bytes.Repeat([]byte{1}, len(payload))) {
+		t.Fatalf("first record does not decode to the first payload: %v", err)
 	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after a compaction")
+	s.Close()
+	check(openT(t, dir, Config{}), "after a reopen")
 }
 
 // TestReplayKeepsOnlyNewestRecord: reopening a WAL of many generations

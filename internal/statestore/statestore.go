@@ -86,22 +86,24 @@ type Config struct {
 	FlowCompactAfter int
 }
 
-// epochRec is the in-memory view of a domain's newest durable epoch.
-// token is shared, never copied: it is the slice PersistEpoch was handed
-// (or a view into buf), LastEpoch hands it out, and nobody writes to it
-// while it is in the map. The entry that replaces it under mu is the
-// store letting it go, which SwapEpoch reports to its caller.
+// epochRec says where a domain's newest durable epoch is, not what it
+// holds: the file (base.db or wal.log), the offset of its frame there,
+// and the offset and length of its token, which is the frame's tail.
+// LastEpoch and compaction read the bytes back from the file.
 type epochRec struct {
-	seq   uint64
-	at    int64 // unix nanos, informational
-	token []byte
-	buf   []byte // replay buffer token points into; nil once this process persisted
+	seq    uint64
+	inBase bool
+	frame  int64
+	token  int64
+	length int64
 }
 
-// walFile is what the store needs of its WAL: *os.File in production, a
-// failing writer in tests.
+// walFile is what the store needs of a file it appends to or reads
+// back — the WAL, base.db, a spill log: *os.File in production, a
+// failing one in tests.
 type walFile interface {
 	io.Writer
+	io.ReaderAt
 	Sync() error
 	Truncate(size int64) error
 	Close() error
@@ -114,12 +116,14 @@ type walFile interface {
 type Store struct {
 	cfg Config
 
-	mu        sync.Mutex // guards wal, walSize, walErr, epochs, liveBytes, compaction
+	mu        sync.Mutex // guards wal, base, walSize, walErr, epochs, liveBytes, copyBuf, compaction
 	wal       walFile
+	base      walFile // nil until base.db exists
 	walSize   int64
 	walErr    error // set once the WAL's tail is in an unknown state; every later append returns it
 	epochs    map[string]epochRec
-	liveBytes int64 // sum of current epoch token sizes across domains
+	liveBytes int64  // sum of current epoch token sizes across domains
+	copyBuf   []byte // compaction's frame copy buffer, made by the first compaction
 
 	// Group commit: appended counts records written, synced the highest
 	// count known flushed. syncMu serializes the fsync itself.
@@ -201,95 +205,87 @@ func Open(cfg Config) (*Store, error) {
 	// The compacted image first. A torn base tail (possible only if a
 	// crash beat the rename barrier, which the write path prevents)
 	// degrades to the valid prefix.
-	if _, _, err := s.replayFile(filepath.Join(cfg.Dir, baseName)); err != nil {
-		return nil, err
-	}
-	if err := s.replayWAL(); err != nil {
-		return nil, err
-	}
-	wal, err := os.OpenFile(filepath.Join(cfg.Dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	base, err := os.Open(filepath.Join(cfg.Dir, baseName))
+	switch {
+	case err == nil:
+		s.base = base
+		valid, size, err := scanFile(base, func(off int64, rec []byte) { s.applyEpochRecord(true, off, rec) })
+		if err != nil {
+			base.Close()
+			return nil, err
+		}
+		s.tornRecords.Add(uint64(size - valid))
+	case !errors.Is(err, os.ErrNotExist):
 		return nil, fmt.Errorf("statestore: %w", err)
 	}
-	s.wal = wal
+	wal, walSize, err := s.openLog(filepath.Join(cfg.Dir, walName), func(off int64, rec []byte) { s.applyEpochRecord(false, off, rec) })
+	if err != nil {
+		if s.base != nil {
+			s.base.Close()
+		}
+		return nil, err
+	}
+	s.wal, s.walSize = wal, walSize
+	for _, rec := range s.epochs {
+		s.liveBytes += rec.length
+	}
 	return s, nil
 }
 
-// scanLogFile streams the log at path through fn (see scanFrames) and
-// reports the length of its longest valid prefix and the file's size. A
-// missing file is an empty log.
-func scanLogFile(path string, fn func(rec []byte) (spare []byte)) (valid, size int64, err error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("statestore: %w", err)
-	}
-	defer f.Close()
+// scanFile streams f from its start through fn (see scanFrames) and
+// reports the length of its longest valid prefix and the file's size.
+func scanFile(f *os.File, fn func(off int64, rec []byte)) (valid, size int64, err error) {
 	st, err := f.Stat()
 	if err != nil {
 		return 0, 0, fmt.Errorf("statestore: %w", err)
 	}
 	valid, err = scanFrames(f, st.Size(), fn)
 	if err != nil {
-		return 0, 0, fmt.Errorf("statestore: replay %s: %w", filepath.Base(path), err)
+		return 0, 0, fmt.Errorf("statestore: replay %s: %w", filepath.Base(f.Name()), err)
 	}
 	return valid, st.Size(), nil
 }
 
-// replayFile applies the longest valid prefix of the epoch log at path
-// and reports that prefix's length and the file's size, counting what
-// follows the prefix as torn.
-func (s *Store) replayFile(path string) (valid, size int64, err error) {
-	valid, size, err = scanLogFile(path, s.applyEpochRecord)
+// openLog opens (or creates) the log at path for appends and reads,
+// replays its longest valid prefix through fn and cuts the torn tail
+// after it, counted as torn, so the next append never splices new frames
+// onto it. It returns the file and its length.
+func (s *Store) openLog(path string, fn func(off int64, rec []byte)) (*os.File, int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, 0, fmt.Errorf("statestore: %w", err)
+	}
+	valid, size, err := scanFile(f, fn)
 	if err == nil && valid < size {
 		s.tornRecords.Add(uint64(size - valid))
-	}
-	return valid, size, err
-}
-
-// replayWAL applies the WAL's longest valid prefix and truncates the
-// file to it, so the next append never splices new frames onto a torn
-// tail. Only the newest record per domain stays in memory.
-func (s *Store) replayWAL() error {
-	path := filepath.Join(s.cfg.Dir, walName)
-	valid, size, err := s.replayFile(path)
-	if err != nil {
-		return err
-	}
-	if valid < size {
-		if err := os.Truncate(path, valid); err != nil {
-			return fmt.Errorf("statestore: truncate torn tail: %w", err)
+		if err = f.Truncate(valid); err != nil {
+			err = fmt.Errorf("statestore: truncate torn tail of %s: %w", filepath.Base(path), err)
 		}
 	}
-	s.walSize = valid
-	s.liveBytes = 0
-	for _, rec := range s.epochs {
-		s.liveBytes += int64(len(rec.token))
+	if err != nil {
+		f.Close()
+		return nil, 0, err
 	}
-	return nil
+	return f, valid, nil
 }
 
-// applyEpochRecord merges one replayed record into the epoch map,
-// keeping rec when it is the domain's newest; newer sequence numbers win
-// (replay order and seq order agree for a single writer, but the base +
-// WAL merge needs the comparison). Records that frame-decode but fail
-// epoch decoding are counted and skipped, never fatal: one bad record
-// must not cost the epochs around it. The return value is scanFrames'
-// spare buffer: rec when it was not kept, else the buffer it superseded.
-func (s *Store) applyEpochRecord(rec []byte) (spare []byte) {
-	name, seq, at, token, err := decodeEpoch(rec)
+// applyEpochRecord notes where one replayed record is when it is its
+// domain's newest; newer sequence numbers win (replay order and seq order
+// agree for a single writer, but the base + WAL merge needs the
+// comparison). Records that frame-decode but fail epoch decoding are
+// counted and skipped, never fatal: one bad record must not cost the
+// epochs around it.
+func (s *Store) applyEpochRecord(inBase bool, off int64, rec []byte) {
+	name, seq, _, token, err := decodeEpoch(rec)
 	if err != nil {
 		s.badEpochs.Add(1)
-		return rec
+		return
 	}
-	cur, ok := s.epochs[name]
-	if ok && cur.seq >= seq {
-		return rec
+	if cur, ok := s.epochs[name]; ok && cur.seq >= seq {
+		return
 	}
-	s.epochs[name] = epochRec{seq: seq, at: at, token: token, buf: rec}
-	return cur.buf
+	at := off + frameHeaderSize + int64(len(rec)-len(token))
+	s.epochs[name] = epochRec{seq: seq, inBase: inBase, frame: off, token: at, length: int64(len(token))}
 }
 
 // compactThresholdLocked resolves the effective WAL compaction threshold
@@ -373,51 +369,43 @@ func decodeEpoch(rec []byte) (name string, seq uint64, at int64, token []byte, e
 }
 
 // PersistEpoch appends one checkpoint epoch for the named domain and
-// makes it durable per the fsync mode. seq must be monotonic per name
-// (the domain runtime's epoch sequence); at is stamped by the store.
-// This is the domain.Persister contract, ownership rule included: the
-// frame is written around payload without copying it, and the store
-// keeps payload itself as the domain's newest epoch, so the caller must
-// not write to it while the store holds it — which a caller of this
-// method never learns has ended; SwapEpoch is the form that says.
+// makes it durable per the fsync mode. seq must be newer than the
+// domain's newest epoch (the domain runtime's epoch sequence): an older
+// or equal one is refused, as replay would discard it. The store stamps
+// the time. This is the domain.Persister contract: payload is borrowed
+// for the call only — the frame is written around it without copying
+// it, and the store keeps where the epoch is, not its bytes — so the
+// caller may write to payload as soon as PersistEpoch returns, whatever
+// it returned.
 func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
-	_, err := s.SwapEpoch(name, seq, payload)
-	return err
-}
-
-// SwapEpoch is PersistEpoch that also returns the payload the store let
-// go: the slice an earlier call for name was handed (or the one replayed
-// at Open) and that payload replaced as the domain's newest epoch. The
-// swap happens under mu, so the answer is exact — no compaction or
-// LastEpoch can reach released afterwards — and the store never touches
-// it again. released is nil when name had no epoch and on every error,
-// including a failed fsync after the swap: the caller then just does not
-// learn what was let go.
-func (s *Store) SwapEpoch(name string, seq uint64, payload []byte) (released []byte, err error) {
 	if s.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	at := time.Now().UnixNano()
 	hp := s.hdrs.Get().(*[]byte)
 	defer s.hdrs.Put(hp)
-	hdr, err := epochFrameHeader(*hp, name, seq, at, payload)
+	hdr, err := epochFrameHeader(*hp, name, seq, time.Now().UnixNano(), payload)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	*hp = hdr
 
 	s.mu.Lock()
 	if s.closed.Load() {
 		s.mu.Unlock()
-		return nil, ErrClosed
+		return ErrClosed
 	}
+	cur, ok := s.epochs[name]
+	if ok && seq <= cur.seq {
+		s.mu.Unlock()
+		return fmt.Errorf("statestore: epoch %d of %q is not newer than the stored %d", seq, name, cur.seq)
+	}
+	frame := s.walSize
 	if err := s.appendLocked(hdr, payload); err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return err
 	}
-	released = s.epochs[name].token
-	s.liveBytes += int64(len(payload)) - int64(len(released))
-	s.epochs[name] = epochRec{seq: seq, at: at, token: payload}
+	s.liveBytes += int64(len(payload)) - cur.length
+	s.epochs[name] = epochRec{seq: seq, frame: frame, token: frame + int64(len(hdr)), length: int64(len(payload))}
 	myRec := s.appended.Add(1)
 	s.persisted.Add(1)
 	s.persistBytes.Add(uint64(len(payload)))
@@ -442,10 +430,7 @@ func (s *Store) SwapEpoch(name string, seq uint64, payload []byte) (released []b
 	default:
 		s.mu.Unlock()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return released, nil
+	return err
 }
 
 // cutPartialFrame undoes a failed append to the log f (what names it in
@@ -512,8 +497,9 @@ func (s *Store) advanceSynced(to uint64) {
 
 // LastEpoch returns the newest durable epoch for the named domain: the
 // token payload, its sequence number, and whether one exists. The
-// payload is the store's own slice, shared and read-only. This is the
-// domain.Persister contract.
+// payload is read from the store's files into a fresh slice the caller
+// owns; a read that fails, or bytes that are not that epoch's frame,
+// are an error. This is the domain.Persister contract.
 func (s *Store) LastEpoch(name string) ([]byte, uint64, bool, error) {
 	if s.closed.Load() {
 		return nil, 0, false, ErrClosed
@@ -524,7 +510,66 @@ func (s *Store) LastEpoch(name string) ([]byte, uint64, bool, error) {
 	if !ok {
 		return nil, 0, false, nil
 	}
-	return rec.token, rec.seq, true, nil
+	frame := make([]byte, rec.token+rec.length-rec.frame)
+	if err := s.readEpochLocked(name, rec, frame, nil); err != nil {
+		return nil, 0, false, fmt.Errorf("statestore: read epoch %d of %q: %w", rec.seq, name, err)
+	}
+	return frame[rec.token-rec.frame:], rec.seq, true, nil
+}
+
+// readEpochLocked reads the frame rec locates, len(buf) bytes at a time,
+// handing each chunk to emit (when not nil), and checks that the frame is
+// that epoch: its length, its record header (name, seq, token length) and
+// its CRC. A stale location therefore fails the read instead of yielding
+// another epoch's bytes. buf must hold at least the frame's bytes before
+// the token. Caller holds s.mu.
+func (s *Store) readEpochLocked(name string, rec epochRec, buf []byte, emit func([]byte) error) error {
+	src := s.wal
+	if rec.inBase {
+		src = s.base
+	}
+	size := rec.token + rec.length - rec.frame
+	var want, sum uint32
+	for done := int64(0); done < size; {
+		chunk := buf[:min(int64(len(buf)), size-done)]
+		if _, err := src.ReadAt(chunk, rec.frame+done); err != nil {
+			return err
+		}
+		body := chunk
+		if done == 0 {
+			head := chunk[:rec.token-rec.frame]
+			if !isEpochHead(head, name, rec.seq, rec.length) {
+				return errors.New("the bytes there are not this epoch's frame")
+			}
+			want = binary.LittleEndian.Uint32(head[4:])
+			body = chunk[frameHeaderSize:]
+		}
+		sum = crc32.Update(sum, castagnoli, body)
+		if emit != nil {
+			if err := emit(chunk); err != nil {
+				return err
+			}
+		}
+		done += int64(len(chunk))
+	}
+	if sum != want {
+		return errors.New("the frame there fails its CRC")
+	}
+	return nil
+}
+
+// isEpochHead reports whether head, a frame's bytes up to its token,
+// frames epoch seq of name with a token of length bytes.
+func isEpochHead(head []byte, name string, seq uint64, length int64) bool {
+	r := head[frameHeaderSize:]
+	n := len(name)
+	return len(r) == 1+2+n+8+8+4 &&
+		int64(binary.LittleEndian.Uint32(head)) == int64(len(r))+length &&
+		r[0] == epochVersion &&
+		int(binary.LittleEndian.Uint16(r[1:])) == n &&
+		string(r[3:3+n]) == name &&
+		binary.LittleEndian.Uint64(r[3+n:]) == seq &&
+		int64(binary.LittleEndian.Uint32(r[3+n+16:])) == length
 }
 
 // EpochCount reports how many domains have a durable epoch.
@@ -560,31 +605,55 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
+// compactLocked copies the newest frame per domain, verbatim and checked
+// (readEpochLocked), from wherever it is into a new base.db, and re-points
+// the epochs at their frames there only once the new file is in place
+// and open: until then the old base handle, the WAL and the epoch map are
+// untouched and still serve LastEpoch and the next compaction.
 func (s *Store) compactLocked() error {
 	names := make([]string, 0, len(s.epochs))
 	for name := range s.epochs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	base := filepath.Join(s.cfg.Dir, baseName)
-	err := atomicWriteFile(base, func(w io.Writer) error {
-		// One frame at a time, each token written from where it lives.
-		var hdr []byte
-		for _, name := range names {
+	if s.copyBuf == nil {
+		s.copyBuf = make([]byte, mergeBufSize)
+	}
+	moved := make([]epochRec, len(names))
+	path := filepath.Join(s.cfg.Dir, baseName)
+	err := atomicWriteFile(path, func(w io.Writer) error {
+		var off int64
+		emit := func(b []byte) error {
+			_, err := w.Write(b)
+			return err
+		}
+		for i, name := range names {
 			rec := s.epochs[name]
-			var err error
-			hdr, err = epochFrameHeader(hdr, name, rec.seq, rec.at, rec.token)
-			if err == nil {
-				err = writeFrame(w, hdr, rec.token)
+			buf := s.copyBuf
+			if head := rec.token - rec.frame; head > int64(len(buf)) {
+				buf = make([]byte, head)
 			}
-			if err != nil {
-				return err
+			if err := s.readEpochLocked(name, rec, buf, emit); err != nil {
+				return fmt.Errorf("epoch %d of %q: %w", rec.seq, name, err)
 			}
+			moved[i] = epochRec{seq: rec.seq, inBase: true, frame: off, token: off + rec.token - rec.frame, length: rec.length}
+			off = moved[i].token + rec.length
 		}
 		return nil
 	}, s.cfg.Fsync != FsyncNone)
 	if err != nil {
 		return fmt.Errorf("statestore: compact: %w", err)
+	}
+	base, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("statestore: compact: %w", err)
+	}
+	if s.base != nil {
+		s.base.Close()
+	}
+	s.base = base
+	for i, name := range names {
+		s.epochs[name] = moved[i]
 	}
 	if err := s.wal.Truncate(0); err != nil {
 		return fmt.Errorf("statestore: compact: truncate wal: %w", err)
@@ -676,8 +745,8 @@ func (s *Store) RegisterMetrics(reg telemetry.Registrar, labels telemetry.Labels
 	})
 }
 
-// Close flushes and closes the WAL and every open flow index. Further
-// operations return ErrClosed.
+// Close flushes and closes the WAL, base.db and every open flow index.
+// Further operations return ErrClosed.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -691,6 +760,11 @@ func (s *Store) Close() error {
 			}
 		}
 		if err := s.wal.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	if s.base != nil {
+		if err := s.base.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

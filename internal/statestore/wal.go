@@ -57,15 +57,14 @@ func writeFrame(w io.Writer, hdr, bulk []byte) error {
 }
 
 // scanFrames reads the log of size bytes from r and hands fn every
-// complete, CRC-clean record of the longest valid prefix, in order,
-// returning that prefix's length; what follows the prefix is the torn
-// tail (truncated header, short payload, oversized length, or CRC
-// mismatch) and is never partially decoded. Memory
-// stays bounded by the records fn keeps: fn owns rec and returns a
-// buffer the scanner may overwrite for the next record — rec itself when
-// it kept nothing, a buffer it no longer needs, or nil. A length prefix
-// is checked against the bytes left in the log before it sizes anything.
-func scanFrames(r io.Reader, size int64, fn func(rec []byte) (spare []byte)) (valid int64, err error) {
+// complete, CRC-clean record of the longest valid prefix, in order, with
+// the offset of its frame, returning that prefix's length; what follows
+// the prefix is the torn tail (truncated header, short payload,
+// oversized length, or CRC mismatch) and is never partially decoded. rec
+// is the scanner's buffer, valid only for the call: a scan holds one
+// record in memory, whatever the log's length. A length prefix is
+// checked against the bytes left in the log before it sizes anything.
+func scanFrames(r io.Reader, size int64, fn func(off int64, rec []byte)) (valid int64, err error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var hdr [frameHeaderSize]byte
 	var buf []byte
@@ -87,8 +86,8 @@ func scanFrames(r io.Reader, size int64, fn func(rec []byte) (spare []byte)) (va
 		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
 			return valid, nil
 		}
+		fn(valid, buf)
 		valid += frameHeaderSize + int64(length)
-		buf = fn(buf)
 	}
 }
 
