@@ -6,11 +6,11 @@ GO ?= go
 # the sfi reference tables whose crossing is those cells' Rc CAS loops —
 # the package where the teardown-generation race was found), the
 # telemetry core every one of them records into, both port
-# implementations (the simulated NIC's steered distributor and the
-# socket-backed port's receive loop) with the mbuf slab layout both are
-# built on, and the NF states whose capture runs beside their packet
-# path (and, for the firewall, beside other workers' captures of one
-# shared rule DB).
+# implementations (the simulated NIC's per-queue sources over one
+# shared pool and the socket-backed port's receive loop) with the mbuf
+# slab layout both are built on, and the NF states whose capture runs
+# beside their packet path (and, for the firewall, beside other
+# workers' captures of one shared rule DB).
 RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/packet ./internal/linear ./internal/sfi ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
 
 # Per-benchmark time for the JSON bench run; raise for stabler numbers.
@@ -172,8 +172,8 @@ test-bench:
 ## package binary at a time (-p 1). Several race binaries sharing a 2-CPU
 ## sandbox slow each other 10-20x, and the chaos tier's hang detector is a
 ## wall-clock constant (HangAfter: 2ms): under that load it declares live
-## goroutines hung and TestChaosSupervisedPipeline[Checkpointed] fails
-## "reached retired operator instances" about one run in two, while
+## goroutines hung, some before a worker's first checkpoint epoch, which
+## TestChaosSupervisedPipelineCheckpointed counts as a cold start, while
 ## ./internal/netbricks alone passes. Serial is slower and repeatable.
 race:
 	$(GO) test -race -p 1 $(RACE_PKGS)

@@ -13,9 +13,7 @@
 package dpdk
 
 import (
-	"math/rand"
 	"strconv"
-	"sync"
 
 	"repro/internal/mempool"
 	"repro/internal/packet"
@@ -28,16 +26,15 @@ const MbufSize = 2048
 
 // Generator produces the next synthetic packet's parameters.
 //
-// Concurrency contract: a port serializes every NextSpec call it makes —
-// under the distributor lock in steered mode (fillSteered), under the
-// owning queue's lock in partitioned mode (fillLocal) — so handing a
-// stateful generator to ONE port is safe no matter how many worker
-// goroutines poll that port's queues concurrently. What is not safe is
-// sharing one stateful generator (UniformFlows, ZipfFlows, cycleSpecs)
-// between two ports, or calling NextSpec yourself while a port owns the
-// generator: nothing serializes across ports. Stateless generators such
-// as FixedFlow are exempt and may be shared freely. The race regression
-// tests in generator_race_test.go pin both halves of this contract.
+// Concurrency contract: a port calls a queue's generator only under that
+// queue's lock, so a stateful generator (UniformFlows, NewZipfFlows and
+// the partition sources) is safe as long as it feeds ONE queue of ONE port,
+// however many goroutines poll the port. What is not safe is sharing one
+// stateful generator between queues or ports, or calling NextSpec
+// yourself while a port owns the generator: nothing serializes across
+// queues. Stateless generators such as FixedFlow are exempt and may be
+// shared freely. The race regression tests in generator_race_test.go pin
+// both halves of this contract.
 type Generator interface {
 	// NextSpec fills spec with the next packet description.
 	NextSpec(spec *packet.BuildSpec)
@@ -71,35 +68,13 @@ func (g *UniformFlows) NextSpec(spec *packet.BuildSpec) {
 	spec.Tuple.SrcPort += uint16(i % 50000)
 }
 
-// ZipfFlows draws flows from a zipfian popularity distribution, the
-// standard skewed traffic model for load-balancer studies (a few elephant
-// flows, many mice).
-type ZipfFlows struct {
-	Base  packet.BuildSpec
-	Flows int
-	zipf  *rand.Zipf
-}
-
-// NewZipfFlows creates a zipfian generator over flows flows with skew s
-// (s > 1; 1.1 is mild, 2 is heavy) and a deterministic seed.
-func NewZipfFlows(base packet.BuildSpec, flows int, s float64, seed int64) *ZipfFlows {
-	if flows <= 0 {
-		panic("dpdk: flows must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	return &ZipfFlows{
-		Base:  base,
-		Flows: flows,
-		zipf:  rand.NewZipf(rng, s, 1, uint64(flows-1)),
-	}
-}
-
-// NextSpec implements Generator.
-func (g *ZipfFlows) NextSpec(spec *packet.BuildSpec) {
-	*spec = g.Base
-	i := g.zipf.Uint64()
-	spec.Tuple.SrcIP += packet.IPv4(i)
-	spec.Tuple.SrcPort += uint16(i % 50000)
+// NewZipfFlows draws flows flows derived from base (the UniformFlows
+// walk) from a zipfian popularity distribution with skew s (s > 1; 1.1
+// is mild, 2 is heavy) and a deterministic seed — the standard skewed
+// traffic model for load-balancer studies (a few elephant flows, many
+// mice). It is the one-queue case of NewZipfPartition.
+func NewZipfFlows(base packet.BuildSpec, flows int, s float64, seed int64) Generator {
+	return NewZipfPartition(base, flows, 1, s, seed)(0)
 }
 
 // PortStats holds cumulative port counters — telemetry cells, written
@@ -111,28 +86,20 @@ type PortStats struct {
 	TxPackets telemetry.Counter
 	TxBytes   telemetry.Counter
 	AllocFail telemetry.Counter
-	// RxMissed counts packets the steering path dropped because the
-	// destination queue's descriptor ring was full (the rx_missed
-	// counter of real NICs): the owning worker was not draining fast
-	// enough.
-	RxMissed telemetry.Counter
 }
 
 // Port is a simulated poll-mode NIC port with one or more receive
-// queues. Multi-queue ports steer flows to queues RSS-style: every
-// packet of one flow lands on the same queue, so one worker per queue
+// queues. Every queue has its own traffic source; on a multi-queue port
+// each source carries only the flows RSS steers to its queue, so every
+// packet of one flow lands on the same queue and one worker per queue
 // sees complete flows.
 type Port struct {
 	Index int
 	pool  *mempool.Pool[packet.Packet]
-	gen   Generator // shared traffic source (single-queue and steered modes)
 
-	reta     *packet.RETA
-	rss      *packet.RSSTable // the port key's hash table, resolved once
-	steered  bool             // software-RSS distributor mode (shared gen, per-queue rings)
-	queues   []*rxQueue
-	fillMu   sync.Mutex       // serializes the shared generator on the steered fill path
-	fillSpec packet.BuildSpec // fillSteered scratch, guarded by fillMu (see rxQueue.spec)
+	reta   *packet.RETA
+	rss    *packet.RSSTable // the port key's hash table, resolved once
+	queues []*rxQueue
 
 	// Stats is exported for harnesses.
 	Stats PortStats
@@ -142,24 +109,21 @@ type Port struct {
 type Config struct {
 	Index    int
 	PoolSize int // number of mbufs; default 4096
-	Gen      Generator
+	// Gen is the traffic source of a one-queue port (default: one
+	// FixedFlow of DefaultSpec).
+	Gen Generator
 
-	// RxQueues is the number of receive queues (default 1). With more
-	// than one queue the port steers flows by RSS hash: either in
-	// hardware style — QueueGen supplies an independent traffic source
-	// per queue whose flows already belong to that queue (see
-	// NewRSSPartition) — or, when QueueGen is nil, through a software
-	// distributor that hashes packets from Gen and fans them out to
-	// per-queue rings.
+	// RxQueues is the number of receive queues (default 1). A port with
+	// more than one takes QueueGen instead of Gen.
 	RxQueues int
-	// QueueGen, when set, supplies the traffic source for each queue.
+	// QueueGen supplies each queue's own traffic source, whose flows
+	// already hash to that queue — hardware RSS, precomputed (see
+	// NewRSSPartition and NewZipfPartition). A nil source is a queue no
+	// flow hashes to: it delivers nothing.
 	QueueGen func(queue int) Generator
 	// CacheSize bounds each queue's local mempool cache (default
 	// mempool.DefaultCacheSize, clamped to the pool size).
 	CacheSize int
-	// RxRingSize bounds each queue's descriptor ring in steered mode
-	// (default 512, rounded up to a power of two).
-	RxRingSize int
 }
 
 // NewPort creates a port backed by its own mempool and generator(s).
@@ -170,32 +134,28 @@ func NewPort(cfg Config) *Port {
 	if cfg.RxQueues <= 0 {
 		cfg.RxQueues = 1
 	}
-	if cfg.Gen == nil && cfg.QueueGen == nil {
-		cfg.Gen = &FixedFlow{Spec: DefaultSpec()}
-	}
-	if cfg.RxRingSize <= 0 {
-		cfg.RxRingSize = 512
+	if cfg.QueueGen == nil {
+		if cfg.RxQueues > 1 {
+			panic("dpdk: a multi-queue port takes QueueGen, one source per queue (NewRSSPartition, NewZipfPartition)")
+		}
+		gen := cfg.Gen
+		if gen == nil {
+			gen = &FixedFlow{Spec: DefaultSpec()}
+		}
+		cfg.QueueGen = func(int) Generator { return gen }
 	}
 	p := &Port{
 		Index: cfg.Index,
-		gen:   cfg.Gen,
 		rss:   packet.RSSTableFor(packet.DefaultRSSKey),
 		reta:  packet.NewRETA(cfg.RxQueues, 0),
 		// One data arena, headers made on first use (the layout netport uses).
 		pool: packet.NewPool(cfg.PoolSize, MbufSize),
 	}
-	p.steered = cfg.RxQueues > 1 && cfg.QueueGen == nil
 	for q := 0; q < cfg.RxQueues; q++ {
-		rq := &rxQueue{cache: mempool.NewCache(p.pool, cfg.CacheSize)}
-		switch {
-		case cfg.QueueGen != nil:
-			rq.gen = cfg.QueueGen(q)
-		case !p.steered:
-			rq.gen = cfg.Gen
-		default:
-			rq.ring = mempool.NewRing[*packet.Packet](cfg.RxRingSize)
-		}
-		p.queues = append(p.queues, rq)
+		p.queues = append(p.queues, &rxQueue{
+			gen:   cfg.QueueGen(q),
+			cache: mempool.NewCache(p.pool, cfg.CacheSize),
+		})
 	}
 	return p
 }
@@ -218,40 +178,21 @@ func DefaultSpec() packet.BuildSpec {
 
 // RxBurst fills out with up to len(out) freshly generated packets,
 // returning the count. Buffers come from the port mempool; the caller owns
-// them until TxBurst or Free returns them. On a multi-queue port this is
-// equivalent to polling queue 0.
-func (p *Port) RxBurst(out []*packet.Packet) int {
-	return p.RxBurstQueue(0, out)
-}
+// them until TxBurst or Free returns them. RxBurst, TxBurst and Free are
+// queue 0's RxBurstQueue, TxBurstQueue and FreeQueue.
+func (p *Port) RxBurst(out []*packet.Packet) int { return p.RxBurstQueue(0, out) }
 
 // TxBurst transmits the packets (accounting only — there is no wire) and
-// recycles their buffers into the mempool. It returns the number sent,
-// which is always len(pkts) in the simulation.
-func (p *Port) TxBurst(pkts []*packet.Packet) int {
-	for _, pkt := range pkts {
-		if pkt == nil {
-			continue
-		}
-		p.Stats.TxPackets.Add(1)
-		p.Stats.TxBytes.Add(uint64(pkt.Len()))
-		p.pool.Put(pkt)
-	}
-	return len(pkts)
-}
+// recycles their buffers. It returns the number sent, which is always
+// len(pkts) in the simulation.
+func (p *Port) TxBurst(pkts []*packet.Packet) int { return p.TxBurstQueue(0, pkts) }
 
 // Free returns packets to the mempool without counting them as
 // transmitted (drops).
-func (p *Port) Free(pkts []*packet.Packet) {
-	for _, pkt := range pkts {
-		if pkt != nil {
-			p.pool.Put(pkt)
-		}
-	}
-}
+func (p *Port) Free(pkts []*packet.Packet) { p.FreeQueue(0, pkts) }
 
 // RegisterMetrics exports the port's counters, its mempool, and every
-// receive queue's cache (and, in steered mode, descriptor-ring depth)
-// on reg. base labels every series; queues add a "queue" label. Gauges
+// receive queue's cache on reg. base labels every series; queues add a "queue" label. Gauges
 // that need the queue lock take it at scrape time only.
 func (p *Port) RegisterMetrics(reg *telemetry.Registry, base telemetry.Labels) {
 	reg.RegisterCounter("port_rx_packets_total", base, &p.Stats.RxPackets)
@@ -259,22 +200,14 @@ func (p *Port) RegisterMetrics(reg *telemetry.Registry, base telemetry.Labels) {
 	reg.RegisterCounter("port_tx_packets_total", base, &p.Stats.TxPackets)
 	reg.RegisterCounter("port_tx_bytes_total", base, &p.Stats.TxBytes)
 	reg.RegisterCounter("port_alloc_fail_total", base, &p.Stats.AllocFail)
-	reg.RegisterCounter("port_rx_missed_total", base, &p.Stats.RxMissed)
 	p.pool.RegisterMetrics(reg, base)
 	for q, rq := range p.queues {
 		rq := rq
-		labels := base.With("queue", strconv.Itoa(q))
-		rq.cache.RegisterMetrics(reg, labels, func() float64 {
+		rq.cache.RegisterMetrics(reg, base.With("queue", strconv.Itoa(q)), func() float64 {
 			rq.mu.Lock()
 			defer rq.mu.Unlock()
 			return float64(rq.cache.Len())
 		})
-		if rq.ring != nil {
-			ring := rq.ring
-			reg.RegisterGaugeFunc("port_rx_ring_depth", labels, func() float64 {
-				return float64(ring.Len())
-			})
-		}
 	}
 }
 

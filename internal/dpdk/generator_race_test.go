@@ -1,8 +1,8 @@
 // Regression tests for the Generator concurrency contract (see the
-// Generator doc in dpdk.go): a port serializes its own NextSpec calls,
-// so concurrent multi-queue polling with one shared stateful generator
-// inside one port must be race-free; and a stateless FixedFlow must be
-// shareable across ports polled concurrently. Run under `make race` —
+// Generator doc in dpdk.go): a port calls each queue's stateful
+// generator under that queue's lock, so concurrent multi-queue polling
+// must be race-free; and a stateless FixedFlow must be shareable across
+// ports polled concurrently. Run under `make race` —
 // the race detector is the assertion.
 package dpdk
 
@@ -13,11 +13,10 @@ import (
 	"repro/internal/packet"
 )
 
-// TestGeneratorSteeredConcurrentPolls polls every queue of a steered
-// port from its own goroutine. All four queues draw from one shared
-// stateful UniformFlows through fillSteered; the distributor lock must
-// serialize those NextSpec calls, and flow affinity must survive the
-// contention.
+// TestGeneratorSteeredConcurrentPolls polls every queue of an
+// RSS-partitioned port from its own goroutine. Each queue draws from its
+// own stateful zipf source (its own rand stream), and flow affinity must
+// survive the contention on the shared pool.
 func TestGeneratorSteeredConcurrentPolls(t *testing.T) {
 	const (
 		queues = 4
@@ -25,11 +24,10 @@ func TestGeneratorSteeredConcurrentPolls(t *testing.T) {
 		batch  = 16
 	)
 	port := NewPort(Config{
-		PoolSize:   queues * 256,
-		RxQueues:   queues,
-		RxRingSize: 128,
-		CacheSize:  16,
-		Gen:        &UniformFlows{Base: DefaultSpec(), Flows: 64},
+		PoolSize:  queues * 256,
+		RxQueues:  queues,
+		CacheSize: 16,
+		QueueGen:  NewZipfPartition(DefaultSpec(), 256, queues, 1.3, 11),
 	})
 	var wg sync.WaitGroup
 	for q := 0; q < queues; q++ {

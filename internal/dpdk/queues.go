@@ -2,43 +2,38 @@
 //
 // Real NICs spread flows across receive queues by hashing the 5-tuple
 // (Toeplitz) and indexing a redirection table; one core polls each queue
-// and therefore sees every packet of the flows assigned to it. This file
-// provides that in two forms:
-//
-//   - partitioned mode (Config.QueueGen, usually via NewRSSPartition):
-//     each queue has an independent traffic source whose flows already
-//     hash to that queue — the moral equivalent of hardware RSS, with no
-//     shared state on the per-packet path; and
-//   - steered mode (shared Config.Gen, RxQueues > 1): a software
-//     distributor pulls packets from the shared generator, hashes them,
-//     and fans them out to per-queue descriptor rings — the RSS
-//     emulation a single-queue NIC or virtio port would need.
-//
-// Either way the invariant the sharded pipeline runtime depends on
-// holds: packets of one flow always surface on the same queue.
+// and therefore sees every packet of the flows assigned to it. The
+// simulated port has one receive path that gives the same result: every
+// queue draws from its own traffic source, and on a multi-queue port
+// that source holds only the flows RSS steers to its queue (see
+// NewRSSPartition and NewZipfPartition). Steering is paid once, when the
+// flows are partitioned, never per packet, and the invariant the sharded
+// pipeline runtime depends on holds by construction: packets of one flow
+// always surface on the same queue.
 package dpdk
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"repro/internal/mempool"
 	"repro/internal/packet"
 )
 
-// rxQueue is one receive queue: a local mempool cache for buffer
-// recycling and, in steered mode, the descriptor ring the distributor
-// fills. The mutex makes each queue's operations atomic; in the intended
-// one-worker-per-queue deployment it is uncontended.
+// rxQueue is one receive queue: its traffic source and a local mempool
+// cache for buffer recycling. The mutex makes each queue's operations
+// atomic; in the intended one-worker-per-queue deployment it is
+// uncontended.
 type rxQueue struct {
 	mu    sync.Mutex
-	gen   Generator                     // per-queue source; nil in steered mode or for empty partitions
-	ring  *mempool.Ring[*packet.Packet] // steered mode only
+	gen   Generator // nil for a queue no flow hashes to
 	cache *mempool.Cache[packet.Packet]
 
-	// spec is fillLocal's scratch, a struct field because a stack-local
-	// BuildSpec passed through the Generator interface escapes — one heap
-	// allocation per burst on the receive hot path. Guarded by mu.
+	// spec is RxBurstQueue's scratch, a struct field because a
+	// stack-local BuildSpec passed through the Generator interface
+	// escapes — one heap allocation per burst on the receive hot path.
+	// Guarded by mu.
 	spec packet.BuildSpec
 }
 
@@ -55,109 +50,44 @@ func (p *Port) RSSQueue(t packet.FiveTuple) int {
 }
 
 // RxBurstQueue fills out with up to len(out) packets from receive queue
-// q, returning the count. A short (even zero) return is not end-of-
-// stream: in steered mode it means the distributor produced nothing for
-// this queue on this poll; callers poll again, exactly like a PMD.
+// q's own source, returning the count. Buffers come from the queue's
+// mempool cache, so the shared pool is only touched in bursts. A short
+// return means the pool ran dry (counted in AllocFail); a zero return
+// from a queue no flow hashes to is not end-of-stream either — callers
+// poll again, exactly like a PMD.
 //
 // Each queue is safe to poll concurrently with other queues; polling the
 // same queue from two goroutines is serialized but pointless (and
 // destroys flow affinity for the callers).
 func (p *Port) RxBurstQueue(q int, out []*packet.Packet) int {
 	rq := p.queue(q)
-	if !p.steered {
-		rq.mu.Lock()
-		n := p.fillLocal(q, rq, out)
-		rq.mu.Unlock()
-		return n
-	}
-	// Steered mode: drain the ring; if short, run a distributor pass and
-	// drain again.
-	n := rq.ring.DequeueBurst(out)
-	if n == len(out) {
-		return n
-	}
-	p.fillSteered(q, len(out)-n)
-	return n + rq.ring.DequeueBurst(out[n:])
-}
-
-// fillLocal generates packets for queue q from its own source, using the
-// queue's mempool cache so the shared pool is only touched in bursts.
-// Caller holds rq.mu.
-func (p *Port) fillLocal(q int, rq *rxQueue, out []*packet.Packet) int {
+	rq.mu.Lock()
+	defer rq.mu.Unlock()
 	if rq.gen == nil {
-		return 0 // empty partition: no flows hash to this queue
+		return 0
 	}
-	n := 0
-	for n < len(out) {
+	for n := range out {
 		pkt, err := rq.cache.Get()
 		if err != nil {
 			p.Stats.AllocFail.Add(1)
-			break
+			return n
 		}
 		rq.gen.NextSpec(&rq.spec)
-		p.initPacket(pkt, &rq.spec, q, p.rss.HashTuple(rq.spec.Tuple))
-		p.countRx(pkt)
-		out[n] = pkt
-		n++
-	}
-	return n
-}
-
-// fillSteered runs one distributor pass: pull packets from the shared
-// generator, hash, and enqueue onto the owning queue's ring, stopping
-// once queue q has received want packets or the generation budget is
-// spent. The budget bounds the pass when q's flows are rare (or absent)
-// in the traffic mix.
-func (p *Port) fillSteered(q int, want int) {
-	budget := want*len(p.queues) + 16
-	p.fillMu.Lock()
-	defer p.fillMu.Unlock()
-	spec := &p.fillSpec // scratch under fillMu; a stack local would escape via the Generator call
-	got := 0
-	for i := 0; i < budget && got < want; i++ {
-		pkt, err := p.pool.Get()
+		frame, err := packet.Build(pkt.Data[:0], rq.spec)
 		if err != nil {
-			p.Stats.AllocFail.Add(1)
-			break
+			panic(fmt.Sprintf("dpdk: generator produced invalid spec: %v", err))
 		}
-		p.gen.NextSpec(spec)
-		hash := p.rss.HashTuple(spec.Tuple)
-		dst := p.reta.Queue(hash)
-		p.initPacket(pkt, spec, dst, hash)
-		if p.queues[dst].ring.Enqueue(pkt) != nil {
-			// Destination ring full: the owning worker is not draining.
-			// Hardware drops the packet and counts rx_missed.
-			p.Stats.RxMissed.Add(1)
-			p.pool.Put(pkt)
-			continue
-		}
-		p.countRx(pkt)
-		if dst == q {
-			got++
-		}
+		// The receive metadata a NIC deposits: port, queue, RSS hash.
+		pkt.Data = frame
+		pkt.Reset()
+		pkt.RxPort = p.Index
+		pkt.RxQueue = q
+		pkt.RxHash = p.rss.HashTuple(rq.spec.Tuple)
+		p.Stats.RxPackets.Add(1)
+		p.Stats.RxBytes.Add(uint64(pkt.Len()))
+		out[n] = pkt
 	}
-}
-
-// initPacket builds the frame described by spec into pkt and stamps the
-// receive metadata a NIC would deposit (port, queue, and the RSS hash
-// the caller computed — once per packet, whether or not it also steered
-// by it).
-func (p *Port) initPacket(pkt *packet.Packet, spec *packet.BuildSpec, queue int, hash uint32) {
-	frame, err := packet.Build(pkt.Data[:0], *spec)
-	if err != nil {
-		panic(fmt.Sprintf("dpdk: generator produced invalid spec: %v", err))
-	}
-	pkt.Data = frame
-	pkt.Reset()
-	pkt.RxPort = p.Index
-	pkt.RxQueue = queue
-	pkt.RxHash = hash
-}
-
-// countRx records a delivered packet in the port counters.
-func (p *Port) countRx(pkt *packet.Packet) {
-	p.Stats.RxPackets.Add(1)
-	p.Stats.RxBytes.Add(uint64(pkt.Len()))
+	return len(out)
 }
 
 // TxBurstQueue transmits pkts from the worker owning queue q, recycling
@@ -191,24 +121,12 @@ func (p *Port) FreeQueue(q int, pkts []*packet.Packet) {
 	rq.mu.Unlock()
 }
 
-// Drain stops the receive side and consolidates every buffer back into
-// the shared pool: undelivered ring descriptors are freed and queue
-// caches flushed. Runners call this on shutdown so pool accounting
+// Drain consolidates every buffer back into the shared pool by flushing
+// the queue caches. Runners call this on shutdown so pool accounting
 // balances; the port is reusable afterwards.
 func (p *Port) Drain() {
-	p.fillMu.Lock()
-	defer p.fillMu.Unlock()
 	for _, rq := range p.queues {
 		rq.mu.Lock()
-		if rq.ring != nil {
-			for {
-				pkt, err := rq.ring.Dequeue()
-				if err != nil {
-					break
-				}
-				p.pool.Put(pkt)
-			}
-		}
 		rq.cache.Flush()
 		rq.mu.Unlock()
 	}
@@ -234,15 +152,21 @@ func (g *cycleSpecs) NextSpec(spec *packet.BuildSpec) {
 	g.next = (g.next + 1) % len(g.specs)
 }
 
-// NewRSSPartition derives flows distinct flows from base (the same
-// SrcIP/SrcPort walk UniformFlows performs), computes each flow's RSS
-// hash, and partitions them across queues by redirection table — the
-// packets hardware RSS would deliver to each queue, precomputed. The
-// returned factory suits Config.QueueGen: each queue round-robins only
-// its own flows, so steering costs nothing per packet and flow affinity
-// holds by construction. Queues that no flow hashes to produce no
-// traffic.
-func NewRSSPartition(base packet.BuildSpec, flows, queues int) func(queue int) Generator {
+// zipfSpecs draws from a fixed list of flow specs with zipfian
+// popularity (one RSS partition's share of a skewed mix).
+type zipfSpecs struct {
+	specs []packet.BuildSpec
+	zipf  *rand.Zipf
+}
+
+// NextSpec implements Generator.
+func (g *zipfSpecs) NextSpec(spec *packet.BuildSpec) { *spec = g.specs[g.zipf.Uint64()] }
+
+// partition derives flows distinct flows from base (the same
+// SrcIP/SrcPort walk UniformFlows performs) and splits them
+// across queues by RSS hash and redirection table, keeping each queue's
+// flows in flow order.
+func partition(base packet.BuildSpec, flows, queues int) [][]packet.BuildSpec {
 	if flows <= 0 {
 		panic("dpdk: flows must be positive")
 	}
@@ -259,10 +183,34 @@ func NewRSSPartition(base packet.BuildSpec, flows, queues int) func(queue int) G
 		q := reta.Queue(rss.HashTuple(spec.Tuple))
 		parts[q] = append(parts[q], spec)
 	}
+	return parts
+}
+
+// NewRSSPartition partitions flows distinct flows derived from base
+// across queues the way hardware RSS would deliver them. The returned
+// factory suits Config.QueueGen: each queue round-robins only its own
+// flows. Queues that no flow hashes to produce no traffic.
+func NewRSSPartition(base packet.BuildSpec, flows, queues int) func(queue int) Generator {
+	parts := partition(base, flows, queues)
 	return func(queue int) Generator {
 		if len(parts[queue]) == 0 {
 			return nil
 		}
 		return &cycleSpecs{specs: parts[queue]}
+	}
+}
+
+// NewZipfPartition is NewRSSPartition with a skewed mix: each queue
+// draws its own flows by zipfian popularity with skew s (s > 1), from a
+// stream seeded with seed+queue.
+func NewZipfPartition(base packet.BuildSpec, flows, queues int, s float64, seed int64) func(queue int) Generator {
+	parts := partition(base, flows, queues)
+	return func(queue int) Generator {
+		own := parts[queue]
+		if len(own) == 0 {
+			return nil
+		}
+		rng := rand.New(rand.NewSource(seed + int64(queue)))
+		return &zipfSpecs{specs: own, zipf: rand.NewZipf(rng, s, 1, uint64(len(own)-1))}
 	}
 }

@@ -1,6 +1,8 @@
 package dpdk
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,12 +46,14 @@ func TestPartitionedQueuesDeliverOwnFlows(t *testing.T) {
 	p.Drain()
 }
 
+// TestSteeredQueuesPreserveFlowAffinity: over a skewed mix, every flow
+// surfaces on one queue only, the one RSS steers it to.
 func TestSteeredQueuesPreserveFlowAffinity(t *testing.T) {
 	const queues = 4
 	p := NewPort(Config{
 		PoolSize: 1024,
 		RxQueues: queues,
-		Gen:      &UniformFlows{Base: DefaultSpec(), Flows: 64},
+		QueueGen: NewZipfPartition(DefaultSpec(), 64, queues, 1.2, 7),
 	})
 	leakcheck.Pool(t, "steered port", p.PoolAvailable)
 	buf := make([]*packet.Packet, 16)
@@ -78,38 +82,15 @@ func TestSteeredQueuesPreserveFlowAffinity(t *testing.T) {
 	p.Drain()
 }
 
-// TestSteeredRingOverflowDropsNotLeaks: when one queue is never polled,
-// its ring fills and further packets for it are dropped (rx_missed), but
-// every buffer stays accounted for.
-func TestSteeredRingOverflowDropsNotLeaks(t *testing.T) {
-	p := NewPort(Config{
-		PoolSize:   4096,
-		RxQueues:   2,
-		RxRingSize: 64,
-		Gen:        &UniformFlows{Base: DefaultSpec(), Flows: 64},
-	})
-	leakcheck.Pool(t, "overflow port", p.PoolAvailable)
-	buf := make([]*packet.Packet, 32)
-	// Poll only queue 0; queue 1's ring must overflow eventually.
-	for i := 0; i < 50; i++ {
-		n := p.RxBurstQueue(0, buf)
-		p.TxBurstQueue(0, buf[:n])
-	}
-	if p.Stats.RxMissed.Load() == 0 {
-		t.Fatal("no rx_missed recorded despite unpolled queue")
-	}
-	p.Drain()
-}
-
 // TestSteeredBackpressureBudget: a queue whose flows never appear
 // returns 0 rather than spinning forever.
 func TestSteeredBackpressureBudget(t *testing.T) {
 	p := NewPort(Config{
 		PoolSize: 256,
 		RxQueues: 2,
-		Gen:      &FixedFlow{Spec: DefaultSpec()}, // one flow: one queue gets everything
+		QueueGen: NewRSSPartition(DefaultSpec(), 1, 2), // one flow: one queue gets everything
 	})
-	leakcheck.Pool(t, "fixed-flow port", p.PoolAvailable)
+	leakcheck.Pool(t, "one-flow port", p.PoolAvailable)
 	buf := make([]*packet.Packet, 8)
 	home := p.RSSQueue(DefaultSpec().Tuple)
 	other := 1 - home
@@ -124,19 +105,31 @@ func TestSteeredBackpressureBudget(t *testing.T) {
 	p.Drain()
 }
 
+// TestMultiQueuePortNeedsQueueGen: a shared generator cannot feed more
+// than one queue (it would deliver every flow on every queue), so a
+// multi-queue port without per-queue sources is refused at construction.
+func TestMultiQueuePortNeedsQueueGen(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "QueueGen") {
+			t.Fatalf("recover() = %v, want a panic naming QueueGen", r)
+		}
+	}()
+	NewPort(Config{PoolSize: 64, RxQueues: 2, Gen: &UniformFlows{Base: DefaultSpec(), Flows: 64}})
+}
+
 func TestDrainConsolidatesRingsAndCaches(t *testing.T) {
 	p := NewPort(Config{
 		PoolSize: 512,
 		RxQueues: 2,
-		Gen:      &UniformFlows{Base: DefaultSpec(), Flows: 64},
+		QueueGen: NewRSSPartition(DefaultSpec(), 64, 2),
 	})
 	buf := make([]*packet.Packet, 16)
-	n := p.RxBurstQueue(0, buf) // fills both rings, returns queue 0's share
-	p.TxBurstQueue(0, buf[:n])  // parks buffers in queue 0's cache
+	n := p.RxBurstQueue(0, buf)
+	p.TxBurstQueue(0, buf[:n]) // parks buffers in queue 0's cache
 	p.Drain()
 	// After drain, the shared pool itself (not just pool+caches) is whole.
-	if avail := p.PoolAvailable(); avail != 512 {
-		t.Fatalf("available = %d after drain, want 512", avail)
+	if avail := p.pool.Available(); avail != 512 {
+		t.Fatalf("pool holds %d after drain, want 512", avail)
 	}
 }
 
@@ -165,32 +158,6 @@ func TestConcurrentQueuePolling(t *testing.T) {
 	if p.Stats.RxPackets.Load() != p.Stats.TxPackets.Load() {
 		t.Fatalf("rx %d != tx %d", p.Stats.RxPackets.Load(), p.Stats.TxPackets.Load())
 	}
-}
-
-// TestConcurrentSteeredPolling exercises the shared distributor from
-// every queue's worker at once (the -race hot spot for fillMu).
-func TestConcurrentSteeredPolling(t *testing.T) {
-	const queues = 4
-	p := NewPort(Config{
-		PoolSize: 2048,
-		RxQueues: queues,
-		Gen:      NewZipfFlows(DefaultSpec(), 256, 1.3, 11),
-	})
-	leakcheck.Pool(t, "steered concurrent port", p.PoolAvailable)
-	var wg sync.WaitGroup
-	for q := 0; q < queues; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			buf := make([]*packet.Packet, 16)
-			for i := 0; i < 100; i++ {
-				n := p.RxBurstQueue(q, buf)
-				p.TxBurstQueue(q, buf[:n])
-			}
-		}(q)
-	}
-	wg.Wait()
-	p.Drain()
 }
 
 func TestQueueIndexOutOfRangePanics(t *testing.T) {
@@ -249,9 +216,8 @@ func TestNewRSSPartitionValidation(t *testing.T) {
 
 // TestRxHashAndQueuePinned: the hash and queue the port stamps for a
 // fixed flow list are literal values recorded before the RSS hash became
-// table-driven (and before steered mode stopped hashing each packet
-// twice), in partitioned and in steered mode alike. A changed hash would
-// silently re-steer every flow a restored store remembers.
+// table-driven. A changed hash would silently re-steer every flow a
+// restored store remembers.
 func TestRxHashAndQueuePinned(t *testing.T) {
 	const queues = 4
 	pinned := []struct {
@@ -278,34 +244,29 @@ func TestRxHashAndQueuePinned(t *testing.T) {
 		}
 		return &cycleSpecs{specs: own}
 	}
-	for name, cfg := range map[string]Config{
-		"partitioned": {PoolSize: 1024, RxQueues: queues, QueueGen: partitioned},
-		"steered":     {PoolSize: 1024, RxQueues: queues, Gen: &cycleSpecs{specs: specs}},
-	} {
-		p := NewPort(cfg)
-		seen := map[int]bool{}
-		buf := make([]*packet.Packet, 8)
-		for q := 0; q < queues; q++ {
-			n := p.RxBurstQueue(q, buf)
-			for _, pkt := range buf[:n] {
-				if err := pkt.Parse(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				i, ok := want[pkt.Tuple()]
-				if !ok {
-					t.Fatalf("%s: queue %d delivered unknown flow %v", name, q, pkt.Tuple())
-				}
-				if pkt.RxHash != pinned[i].hash || pkt.RxQueue != pinned[i].queue || q != pinned[i].queue {
-					t.Errorf("%s: flow %d on queue %d stamped hash %#08x queue %d, pinned %#08x queue %d",
-						name, i, q, pkt.RxHash, pkt.RxQueue, pinned[i].hash, pinned[i].queue)
-				}
-				seen[i] = true
+	p := NewPort(Config{PoolSize: 1024, RxQueues: queues, QueueGen: partitioned})
+	seen := map[int]bool{}
+	buf := make([]*packet.Packet, 8)
+	for q := 0; q < queues; q++ {
+		n := p.RxBurstQueue(q, buf)
+		for _, pkt := range buf[:n] {
+			if err := pkt.Parse(); err != nil {
+				t.Fatal(err)
 			}
-			p.FreeQueue(q, buf[:n])
+			i, ok := want[pkt.Tuple()]
+			if !ok {
+				t.Fatalf("queue %d delivered unknown flow %v", q, pkt.Tuple())
+			}
+			if pkt.RxHash != pinned[i].hash || pkt.RxQueue != q || p.RSSQueue(pkt.Tuple()) != pinned[i].queue {
+				t.Errorf("flow %d on queue %d stamped hash %#08x queue %d, steers to %d; pinned %#08x queue %d",
+					i, q, pkt.RxHash, pkt.RxQueue, p.RSSQueue(pkt.Tuple()), pinned[i].hash, pinned[i].queue)
+			}
+			seen[i] = true
 		}
-		if len(seen) != len(pinned) {
-			t.Errorf("%s: saw %d of %d pinned flows", name, len(seen), len(pinned))
-		}
-		p.Drain()
+		p.FreeQueue(q, buf[:n])
 	}
+	if len(seen) != len(pinned) {
+		t.Errorf("saw %d of %d pinned flows", len(seen), len(pinned))
+	}
+	p.Drain()
 }

@@ -183,16 +183,11 @@ func TestChaosSupervisedPipeline(t *testing.T) {
 	)
 	t.Run("dpdk", func(t *testing.T) {
 		const perWorker = 5000
-		ring := 4 * batchSize
-		if ring < 128 {
-			ring = 128
-		}
 		port := dpdk.NewPort(dpdk.Config{
-			PoolSize:   workers*(ring+batchSize+batchSize) + 256,
-			RxQueues:   workers,
-			RxRingSize: ring,
-			CacheSize:  batchSize,
-			Gen:        dpdk.NewZipfFlows(dpdk.DefaultSpec(), 1024, 1.3, 42),
+			PoolSize:  workers*(128+batchSize+batchSize) + 256,
+			RxQueues:  workers,
+			CacheSize: batchSize,
+			QueueGen:  dpdk.NewZipfPartition(dpdk.DefaultSpec(), 1024, workers, 1.3, 42),
 		})
 		leakcheck.Pool(t, "chaos port", port.PoolAvailable)
 

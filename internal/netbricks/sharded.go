@@ -12,9 +12,9 @@
 // Everything per-worker is genuinely per-worker: the pipeline instance
 // (operators and their state), the sfi.Context (the paper's thread-local
 // current-domain store), the receive queue with its mempool cache, and
-// the stats cell. The only shared structures on the hot path are the
-// port's mempool (touched in amortized bursts through the per-queue
-// caches) and, in steered mode, the distributor.
+// the stats cell. The only shared structure on the hot path is the
+// port's mempool, touched in amortized bursts through the per-queue
+// caches.
 package netbricks
 
 import (
@@ -37,8 +37,8 @@ type WorkerStats struct {
 	Drops     telemetry.Counter
 	Faults    telemetry.Counter
 	Recovered telemetry.Counter
-	// IdlePolls counts receive polls that returned no packets (steered
-	// mode back-pressure, or an empty RSS partition).
+	// IdlePolls counts receive polls that returned no packets (a quiet
+	// wire, a dry pool, or an empty RSS partition).
 	IdlePolls telemetry.Counter
 	// Latency is the per-batch pipeline latency histogram: the time one
 	// Process invocation took, faulted or not, measured at the worker.

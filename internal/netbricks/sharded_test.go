@@ -113,15 +113,15 @@ func TestShardedRunnerFlowAffinity(t *testing.T) {
 	}
 }
 
-// TestShardedRunnerSteeredMode drives the software-RSS distributor: one
-// shared zipf generator fanned out to per-queue rings. Flow affinity
-// must hold there too, and dropped-at-ring packets must not leak.
+// TestShardedRunnerSteeredMode drives a skewed mix: one zipf source per
+// queue, each over the flows RSS steers to it. Flow affinity must hold
+// under skew too, and no buffer may leak.
 func TestShardedRunnerSteeredMode(t *testing.T) {
 	const workers = 4
 	port := dpdk.NewPort(dpdk.Config{
 		PoolSize: 2048,
 		RxQueues: workers,
-		Gen:      dpdk.NewZipfFlows(dpdk.DefaultSpec(), 512, 1.2, 7),
+		QueueGen: dpdk.NewZipfPartition(dpdk.DefaultSpec(), 512, workers, 1.2, 7),
 	})
 	leakcheck.Pool(t, "steered port", port.PoolAvailable)
 	var mu sync.Mutex
@@ -154,8 +154,8 @@ func TestShardedRunnerSteeredMode(t *testing.T) {
 }
 
 // TestShardedRunnerRace is the concurrency stress for the race tier: the
-// maximum worker count over a small shared pool (so refill/spill, ring,
-// and distributor paths all interleave), isolated pipelines whose
+// maximum worker count over a small shared pool (so every queue's cache
+// refills and spills interleave), isolated pipelines whose
 // domains live in per-worker managers, and a shared-state spy guarded
 // only by linear ownership of the batch. Run with -race; an ownership
 // violation or unsynchronized access fails loudly.
@@ -275,7 +275,7 @@ func TestShardedRunnerEmptyPartition(t *testing.T) {
 }
 
 func TestShardedRunnerValidation(t *testing.T) {
-	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, RxQueues: 2})
+	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, RxQueues: 2, QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 2, 2)})
 	direct := func(int) *Pipeline { return NewPipeline(NullFilter{}) }
 	// ShardedRunner holds atomics and must not be copied (go vet
 	// copylocks), hence pointers here.

@@ -37,6 +37,10 @@ type worker struct {
 type workerPipeline struct {
 	process func(*sfi.Context, linear.Owned[*Batch]) (linear.Owned[*Batch], error)
 	recover func() error
+	// serving counts serve calls inside process. recover runs between
+	// generations, so a nonzero count there is a serve the supervisor
+	// abandoned (hung, or a superseded sibling) that is still running.
+	serving atomic.Int32
 }
 
 // newWorker builds worker q with its pipeline. depth is how many batches
@@ -148,14 +152,26 @@ func (w *worker) serve(ctx *sfi.Context, msg linear.Owned[*Batch]) (err error) {
 		}
 	}()
 	start := time.Now()
-	out, err = w.pipe.Load().process(ctx, msg)
+	pipe := w.pipe.Load()
+	pipe.serving.Add(1)
+	defer pipe.serving.Add(-1)
+	out, err = pipe.process(ctx, msg)
 	ws.Latency.ObserveNanos(int64(time.Since(start)))
 	return err
 }
 
-// recover brings the pipeline back after a fault serve reported.
+// recover brings the pipeline back after a fault serve reported. A serve
+// still inside the pipeline was abandoned mid-call and may hold a bound
+// stage instance: recovering that stage in place would retire the
+// instance under it, so the next generation gets a pipeline of its own
+// and the abandoned call finishes in the old one.
 func (w *worker) recover() error {
-	if err := w.pipe.Load().recover(); err != nil {
+	p := w.pipe.Load()
+	recoverFn := p.recover
+	if p.serving.Load() > 0 {
+		recoverFn = w.build
+	}
+	if err := recoverFn(); err != nil {
 		return err
 	}
 	w.stats.Recovered.Add(1)

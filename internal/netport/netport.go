@@ -7,8 +7,8 @@
 // complete Ethernet frame (the same Ethernet/IPv4/{TCP,UDP} framing
 // packet.Build produces and packet.Parse validates), the way a
 // VXLAN-style tunnel or a userspace virtio backend would carry frames.
-// Pktgen in this package — and `nf-pipeline -target` — produces that
-// format, so one binary can drive another over loopback.
+// Pktgen in this package — and the pktgen command over it — produces
+// that format, so one process can drive another over loopback.
 //
 // Ingress is batched: each receive loop stages a burst of mbufs from the
 // port mempool, lets one recvmmsg copy a whole burst of datagrams into

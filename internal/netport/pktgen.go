@@ -1,6 +1,6 @@
 // Pktgen: the load generator for the socket port. It speaks the same
 // overlay wire format the port receives — one UDP datagram per Ethernet
-// frame — so `nf-pipeline -target` can drive `nf-pipeline -listen` over
+// frame — so the pktgen command can drive `nf-pipeline -listen` over
 // loopback, and the end-to-end tests can offer precisely paced load.
 package netport
 

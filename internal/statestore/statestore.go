@@ -49,20 +49,6 @@ func (m FsyncMode) String() string {
 	}
 }
 
-// ParseFsyncMode parses the -fsync flag values.
-func ParseFsyncMode(s string) (FsyncMode, error) {
-	switch s {
-	case "group":
-		return FsyncGroup, nil
-	case "always":
-		return FsyncAlways, nil
-	case "none":
-		return FsyncNone, nil
-	default:
-		return 0, fmt.Errorf("statestore: unknown fsync mode %q (want group, always, or none)", s)
-	}
-}
-
 // Config parameterizes Open.
 type Config struct {
 	// Dir is the store directory; created if missing.

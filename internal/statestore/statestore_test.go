@@ -240,18 +240,6 @@ func TestFsyncModes(t *testing.T) {
 	}
 }
 
-func TestParseFsyncMode(t *testing.T) {
-	for s, want := range map[string]FsyncMode{"group": FsyncGroup, "always": FsyncAlways, "none": FsyncNone} {
-		got, err := ParseFsyncMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseFsyncMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseFsyncMode("sometimes"); err == nil {
-		t.Fatal("bad mode accepted")
-	}
-}
-
 func TestClosedStore(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir, Config{})

@@ -34,7 +34,7 @@ func TestTxnBatchedRegistration(t *testing.T) {
 // TestTxnAtomicReregistration is the regression test for the mid-scrape
 // reregistration race: a runner re-registering a group of series (as
 // ShardedRunner.Run does per worker, and Supervisor.Spawn per domain)
-// while /metrics or -stats-interval snapshots concurrently must never
+// while /metrics or /metrics?format=json snapshots concurrently must never
 // let a scrape observe the group half-replaced — some series from the
 // new generation, some from the old. The writer flips a pair of series
 // to a new generation via one Txn per flip; every snapshot must see the
