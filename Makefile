@@ -108,6 +108,11 @@ guard-atomics:
 ## construction gate holds a port of 65 536 mbufs to its data arena plus
 ## 256 KiB: mbuf headers are made on first use, so an eager header slab
 ## (≈ 16 MB of headers and a 0.5 MB free list at that size) fails it.
+## Maglev's capped connection table evicts on the packet path: a new flow
+## into a full table must allocate nothing once the warm-up has grown the
+## map and ring. The bench's allocs/op spreads a sweep over the
+## ConnTableSize/8 inserts between sweeps and would round its garbage to
+## 0, so TestSweepAllocatesNothing counts one whole sweep per run.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='TraceRecordPath' -benchmem -benchtime=10000x ./internal/telemetry/trace \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTraceRecordPathUntraced -metric allocs/op -max 0
@@ -128,6 +133,9 @@ alloc-gate:
 		| $(GO) run ./cmd/benchgate -bench BenchmarkRSSHashTable -metric allocs/op -max 0
 	$(GO) test -run='^$$' -bench='NewPort$$' -benchmem -benchtime=1x ./internal/dpdk \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkNewPort -metric B/op -max $(NEWPORT_BYTES_MAX)
+	$(GO) test -run='^$$' -bench='PickChurn$$' -benchmem -benchtime=1000000x ./internal/maglev \
+		| $(GO) run ./cmd/benchgate -bench BenchmarkPickChurn -metric allocs/op -max 0
+	$(GO) test -run='^TestSweepAllocatesNothing$$' -count=1 -v ./internal/maglev
 
 vet:
 	$(GO) vet ./...

@@ -156,11 +156,12 @@ func TestEpochAllocBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perEpoch := int((after.TotalAlloc - before.TotalAlloc) / runs)
-	if perEpoch > len(payload)+len(payload)/8 {
-		t.Fatalf("one epoch allocates %d B for a %d B payload, want one right-sized buffer", perEpoch, len(payload))
+	// The allocator rounds a buffer this large up to whole 8 KiB pages.
+	if perEpoch > cap(payload)+8<<10+1024 {
+		t.Fatalf("one epoch allocates %d B for a %d B buffer, want that buffer and next to nothing else", perEpoch, cap(payload))
 	}
-	if cap(payload) != len(payload) {
-		t.Fatalf("epoch buffer has %d B of slack over its %d B (sized before capture, never regrown)", cap(payload)-len(payload), len(payload))
+	if cap(payload) != len(payload)+len(payload)/8 {
+		t.Fatalf("epoch buffer has %d B of headroom over its %d B, want an eighth (sized before capture, never regrown)", cap(payload)-len(payload), len(payload))
 	}
 }
 

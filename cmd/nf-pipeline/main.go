@@ -379,20 +379,23 @@ func run(o options, out io.Writer) error {
 			elapsed/float64(stats.Batches), elapsed/float64(stats.Packets))
 	}
 	var conns int
-	var hits, misses uint64
+	var hits, misses, evictions uint64
 	for _, lb := range balancers {
 		h, m := lb.Stats()
 		hits += h
 		misses += m
 		conns += lb.ConnCount()
+		evictions += lb.Evictions()
 	}
-	fmt.Fprintf(out, "maglev:     %d tracked connections, %d table hits, %d new flows\n", conns, hits, misses)
+	fmt.Fprintf(out, "maglev:     %d tracked connections, %d table hits, %d new flows, %d evictions\n", conns, hits, misses, evictions)
 	flowCount, backendCount := 0, 0
+	var moved uint64
 	for _, t := range tables {
 		flowCount += t.Len()
 		backendCount += t.Backends()
+		moved += t.Moved()
 	}
-	fmt.Fprintf(out, "session:    %d tracked flows over %d backend handles\n", flowCount, backendCount)
+	fmt.Fprintf(out, "session:    %d tracked flows over %d backend handles, %d packets moved\n", flowCount, backendCount, moved)
 	if store != nil {
 		ss := store.StatsSnapshot()
 		fmt.Fprintf(out, "statestore: %d epochs persisted (%d bytes, %d fsyncs, %d compactions), %d flows spilled, %d promoted, wal=%dB\n",

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/statestore"
 )
 
 // TestValidateFlags holds nf-pipeline to one way of running: the
@@ -176,14 +178,28 @@ func TestRunRecoversEveryFault(t *testing.T) {
 }
 
 // TestRunRestoresAcrossRuns: a second run over the same -state-dir boots
-// every worker from its last durable epoch, with no cold start.
+// every worker from its last durable epoch, with no cold start. A
+// worker's first epoch is due 2 ms after it starts, so the first run
+// serves tens of milliseconds of batches and must leave an epoch for
+// every worker in the store; a run shorter than 2 ms left the second
+// run a cold start to make.
 func TestRunRestoresAcrossRuns(t *testing.T) {
-	o := options{workers: 2, batches: 200, checkpointEvery: 2 * time.Millisecond, stateDir: t.TempDir()}
+	o := options{workers: 2, batches: 3000, checkpointEvery: 2 * time.Millisecond, stateDir: t.TempDir()}
 	var first, second strings.Builder
 	if err := run(o, &first); err != nil {
 		t.Fatalf("first run: %v\n%s", err, first.String())
 	}
-	summaryLine(t, first.String(), "statestore:")
+	var persisted int
+	fmt.Sscanf(summaryLine(t, first.String(), "statestore:"), "statestore: %d epochs persisted", &persisted)
+	store, err := statestore.Open(statestore.Config{Dir: o.stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := store.EpochCount()
+	store.Close()
+	if persisted < o.workers || domains != o.workers {
+		t.Fatalf("first run persisted %d epochs, for %d of %d workers\n%s", persisted, domains, o.workers, first.String())
+	}
 	o.batches = 20
 	if err := run(o, &second); err != nil {
 		t.Fatalf("second run: %v\n%s", err, second.String())

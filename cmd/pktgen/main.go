@@ -38,7 +38,6 @@ func parseArgs(args []string, usage io.Writer) (*netport.Pktgen, time.Duration, 
 		duration = fs.Duration("duration", 10*time.Second, "how long to send when -count is 0")
 		flows    = fs.Int("flows", 4096, "distinct synthetic flows, cycled round-robin")
 		sockets  = fs.Int("sockets", 16, "source sockets to spread flows over (REUSEPORT receivers need the source-port entropy)")
-		batch    = fs.Int("batch", 32, "datagrams per batched send")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, 0, err
@@ -52,8 +51,8 @@ func parseArgs(args []string, usage io.Writer) (*netport.Pktgen, time.Duration, 
 		return nil, 0, errors.New("-pps and -count must be >= 0")
 	case *count == 0 && *duration <= 0:
 		return nil, 0, errors.New("-duration must be > 0 when -count is 0")
-	case *flows < 1 || *sockets < 1 || *batch < 1:
-		return nil, 0, errors.New("-flows, -sockets and -batch must be >= 1")
+	case *flows < 1 || *sockets < 1:
+		return nil, 0, errors.New("-flows and -sockets must be >= 1")
 	}
 	return &netport.Pktgen{
 		Target:  *target,
@@ -62,7 +61,6 @@ func parseArgs(args []string, usage io.Writer) (*netport.Pktgen, time.Duration, 
 		PPS:     *pps,
 		Count:   *count,
 		Sockets: *sockets,
-		Batch:   *batch,
 	}, *duration, nil
 }
 

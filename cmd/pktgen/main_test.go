@@ -22,6 +22,7 @@ func TestParseArgs(t *testing.T) {
 		{name: "zero sockets", args: []string{"-target", "x:1", "-sockets", "0"}, wantErr: "must be >= 1"},
 		{name: "stray argument", args: []string{"-target", "x:1", "extra"}, wantErr: "unexpected argument"},
 		{name: "pipeline flag", args: []string{"-target", "x:1", "-workers", "4"}, wantErr: "not defined: -workers"},
+		{name: "retired batch", args: []string{"-target", "x:1", "-batch", "8"}, wantErr: "not defined: -batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,8 +38,8 @@ func TestParseArgs(t *testing.T) {
 			}
 		})
 	}
-	gen, d, err := parseArgs([]string{"-target", "h:1", "-flows", "128", "-batch", "8"}, io.Discard)
-	if err != nil || gen.Flows != 128 || gen.Batch != 8 || gen.Sockets != 16 || gen.PPS != 100000 || d != 10*time.Second {
+	gen, d, err := parseArgs([]string{"-target", "h:1", "-flows", "128"}, io.Discard)
+	if err != nil || gen.Flows != 128 || gen.Batch != 0 || gen.Sockets != 16 || gen.PPS != 100000 || d != 10*time.Second {
 		t.Fatalf("parseArgs = %+v, %s, %v", gen, d, err)
 	}
 }

@@ -218,7 +218,7 @@ func (s *StateSet) checkWires() error {
 // once the component has written. The buffer is the token RecycleToken
 // last handed back when there is one and it is large enough, and freshly
 // allocated otherwise — so a caller that never hands a token back gets a
-// new, exactly sized buffer every call. The engine is unused.
+// new buffer every call. The engine is unused.
 func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
 	if err := s.checkWires(); err != nil {
 		return nil, err
@@ -231,12 +231,16 @@ func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
 	tok := s.spare
 	s.spare = nil
 	s.mu.Unlock()
-	switch {
-	case tok == nil:
-		tok = &setToken{wire: make([]byte, 0, size)}
-	case cap(tok.wire) < size:
-		// The state outgrew the buffers in rotation: leave headroom, or
-		// a table that gains a flow per epoch reallocates every epoch.
+	if tok == nil {
+		tok = &setToken{}
+	}
+	if cap(tok.wire) < size {
+		// Every buffer the set makes leaves an eighth of headroom. A
+		// table that gains a flow per epoch would otherwise reallocate
+		// every epoch, and a worker's tables still grow a little between
+		// its first two epochs: an exact first buffer was outgrown by the
+		// second, after the warm-up's last collection, and stayed resident
+		// as garbage (≈ 1 MB a worker on mem-durable).
 		tok.wire = make([]byte, 0, size+size/8)
 	}
 	buf := binary.LittleEndian.AppendUint32(tok.wire[:0], uint32(len(s.wires)))

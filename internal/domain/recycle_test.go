@@ -31,10 +31,10 @@ func bufOf(t testing.TB, token any) *byte {
 }
 
 // TestStateSetKeepsOneSpare: a token handed back is the next capture's
-// buffer, a caller that hands nothing back gets a fresh exactly sized
-// buffer every time, a second hand-back does not grow the stock, a spare
-// the state has outgrown is replaced with headroom, and a failed capture
-// keeps its spare.
+// buffer, a caller that hands nothing back gets a fresh buffer with an
+// eighth of headroom every time, a second hand-back does not grow the
+// stock, a spare the state has outgrown is replaced with headroom, and a
+// failed capture keeps its spare.
 func TestStateSetKeepsOneSpare(t *testing.T) {
 	kv := newDurableKV()
 	kv.set("a", 1)
@@ -52,8 +52,8 @@ func TestStateSetKeepsOneSpare(t *testing.T) {
 	if bufOf(t, a) == bufOf(t, b) {
 		t.Fatal("two captures with no hand-back between them share a buffer")
 	}
-	if w := a.(*setToken).wire; cap(w) != len(w) {
-		t.Fatalf("fresh buffer has %d B of slack", cap(w)-len(w))
+	if w := a.(*setToken).wire; cap(w) != len(w)+len(w)/8 {
+		t.Fatalf("fresh buffer of %d B has %d B of headroom, want an eighth", len(w), cap(w)-len(w))
 	}
 	pristine := bytes.Clone(b.(*setToken).wire)
 

@@ -45,8 +45,8 @@ func (b *Balancer) AppendCheckpoint(buf []byte) ([]byte, error) {
 	buf = binary.LittleEndian.AppendUint64(buf, b.hits)
 	buf = binary.LittleEndian.AppendUint64(buf, b.misses)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.conns)))
-	for h, at := range b.conns {
-		be := b.backends[at]
+	for h, c := range b.conns {
+		be := b.backends[c.at]
 		if len(be.Name) > 0xffff {
 			return nil, fmt.Errorf("maglev: backend name of %d bytes does not fit the token", len(be.Name))
 		}
@@ -111,7 +111,9 @@ func walkConns(body []byte, n int, fn func(h uint64, ip packet.IPv4, name []byte
 // one sized for them) and refilled. Each connection's backend is found
 // among the interned ones, which restart as the balancer's own backend
 // set, so a restore allocates a Backend (and its name) only for one that
-// has since left the set. The token is only read, so it restores any
+// has since left the set. Restored connections start cold. A token holding
+// more than ConnTableSize of them restores whole; the next insert sweeps
+// the table back under the cap. The token is only read, so it restores any
 // number of times. The lookup table is untouched: config survives the
 // fault, state is restored.
 func (b *Balancer) Restore(token any) error {
@@ -130,13 +132,15 @@ func (b *Balancer) Restore(token any) error {
 	defer b.mu.Unlock()
 	if len(b.conns) < n/2 {
 		// Not grown to the token's size (a cold reopen): size it once.
-		b.conns = make(map[uint64]int32, n)
+		b.conns = make(map[uint64]conn, n)
 	} else {
 		clear(b.conns)
 	}
+	b.clock.Reset()
 	b.internTableLocked()
 	_ = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
-		b.conns[h] = b.internLocked(name, ip)
+		b.conns[h] = conn{at: b.internLocked(name, ip)}
+		b.clock.Add(h)
 	})
 	b.connBytes = len(body)
 	b.hits, b.misses = hits, misses

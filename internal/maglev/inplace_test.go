@@ -19,8 +19,8 @@ func (b *Balancer) connsView() map[uint64]Backend {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := make(map[uint64]Backend, len(b.conns))
-	for h, at := range b.conns {
-		out[h] = b.backends[at]
+	for h, c := range b.conns {
+		out[h] = b.backends[c.at]
 	}
 	return out
 }
@@ -48,10 +48,12 @@ func restoreFresh(b *Balancer, data []byte) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = make(map[uint64]int32, n), len(body)
+	b.conns, b.connBytes = make(map[uint64]conn, n), len(body)
+	b.clock.Reset()
 	b.internTableLocked()
 	for h, be := range conns {
-		b.conns[h] = b.internLocked([]byte(be.Name), be.IP)
+		b.conns[h] = conn{at: b.internLocked([]byte(be.Name), be.IP)}
+		b.clock.Add(h)
 	}
 	b.hits, b.misses = hits, misses
 	return nil

@@ -5,8 +5,8 @@
 //
 // The implementation follows the paper's NetBricks port: lookup-table
 // construction with per-backend permutations, 5-tuple flow hashing, and a
-// connection table providing per-flow stickiness across backend set
-// changes.
+// bounded connection table providing per-flow stickiness across backend
+// set changes.
 package maglev
 
 import (
@@ -15,6 +15,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/evict"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 )
@@ -206,6 +207,17 @@ func tableFor(backends []Backend, size int) (*Table, error) {
 	return t, nil
 }
 
+// ConnTableSize caps each balancer's connection table (one balancer per
+// worker). Maglev keeps a bounded connection-tracking table per packet
+// thread and sends any flow not in it through the consistent hash
+// (Eisenbud et al., §3.3); so does this one. At the cap an insert evicts
+// cold connections down to 7/8 of it, with the session table's
+// second-chance clock (package evict). An evicted flow's next packet is
+// re-hashed through the lookup table and reaches the backend it had
+// unless the backend set changed since. A full table is about 0.7 MB of
+// map and clock ring, and at most 0.3 MB of checkpoint.
+const ConnTableSize = 1 << 14
+
 // Balancer is the full load balancer: a lookup table plus a connection
 // table giving established flows affinity to their original backend even
 // after the backend set changes.
@@ -214,10 +226,12 @@ type Balancer struct {
 	// on every lookup, so no path would ever share a read lock.
 	mu    sync.Mutex
 	table *Table
-	// conns maps a flow hash to an index into backends. Key and value are
-	// both scalars: a slot is half the size it was with a Backend (and its
-	// string header) in it, and the collector never scans the map.
-	conns map[uint64]int32
+	// conns maps a flow hash to its connection: scalars only, so the
+	// collector never scans the map. At most ConnTableSize of them stay
+	// after an insert.
+	conns map[uint64]conn
+	// clock holds conns' hashes for eviction.
+	clock evict.Clock
 	// backends interns every Backend a connection points at: the current
 	// table's set, then any backend that has left it but is still named by
 	// a connection made before UpdateBackends or brought back by Restore.
@@ -225,12 +239,23 @@ type Balancer struct {
 	backends []Backend
 	tableAt  []int32
 	// connBytes is the wire size of conns' entries, kept as they are
-	// inserted so a checkpoint buffer is sized without a counting walk.
+	// inserted and evicted so a checkpoint buffer is sized without a
+	// counting walk.
 	connBytes int
 
 	// Stats.
-	hits   uint64 // connection-table hits
-	misses uint64 // new flows steered by the lookup table
+	hits      uint64 // connection-table hits
+	misses    uint64 // new flows steered by the lookup table
+	evictions uint64 // connections evicted at the cap
+}
+
+// conn is one tracked connection: where its backend sits in the
+// balancer's interned set, and the clock's reference bit — set on a hit,
+// cleared when the hand passes. The bit is not checkpointed: a restored
+// connection starts cold.
+type conn struct {
+	at  int32
+	hot bool
 }
 
 // NewBalancer creates a balancer over the given backends. Its lookup
@@ -241,7 +266,7 @@ func NewBalancer(backends []Backend, tableSize int) (*Balancer, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Balancer{table: t, conns: make(map[uint64]int32)}
+	b := &Balancer{table: t, conns: make(map[uint64]conn)}
 	b.internTableLocked()
 	return b, nil
 }
@@ -272,24 +297,58 @@ func (b *Balancer) internLocked(name []byte, ip packet.IPv4) int32 {
 
 // Pick returns the backend for the flow, consulting the connection table
 // first (Maglev's connection tracking) and falling back to the consistent
-// hash for new flows. Lookup, counter and (on a miss) insert are one
-// critical section, so two Picks racing on a new flow cannot both insert
-// it and connBytes counts each entry exactly once.
+// hash for new flows. Lookup, counter and (on a miss) insert and eviction
+// are one critical section, so two Picks racing on a new flow cannot both
+// insert it and connBytes counts each entry exactly once.
 func (b *Balancer) Pick(t packet.FiveTuple) Backend {
 	h := t.Hash()
 	b.mu.Lock()
-	at, ok := b.conns[h]
+	c, ok := b.conns[h]
 	if ok {
 		b.hits++
+		if !c.hot { // written once per pass of the hand, not per hit
+			c.hot = true
+			b.conns[h] = c
+		}
 	} else {
-		at = b.tableAt[b.table.index(h)]
-		b.conns[h] = at
-		b.connBytes += connFixedSize + len(b.backends[at].Name)
+		c.at = b.tableAt[b.table.index(h)]
+		b.conns[h] = c
+		b.clock.Add(h)
+		b.connBytes += b.connSizeLocked(c)
 		b.misses++
+		b.evictLocked(h)
 	}
-	be := b.backends[at]
+	be := b.backends[c.at]
 	b.mu.Unlock()
 	return be
+}
+
+// connSizeLocked is c's size in the checkpoint.
+func (b *Balancer) connSizeLocked(c conn) int {
+	return connFixedSize + len(b.backends[c.at].Name)
+}
+
+// evictLocked keeps the table at its cap: past ConnTableSize, the clock
+// takes cold connections down to 7/8 of it in one sweep, sparing hot
+// ones and keep, the connection just inserted.
+func (b *Balancer) evictLocked(keep uint64) {
+	victims := b.clock.Sweep(len(b.conns), ConnTableSize, keep, func(h uint64) evict.Verdict {
+		c, ok := b.conns[h]
+		switch {
+		case !ok:
+			return evict.Gone
+		case c.hot:
+			c.hot = false
+			b.conns[h] = c
+			return evict.Spared
+		}
+		return evict.Victim
+	})
+	for _, h := range victims {
+		b.connBytes -= b.connSizeLocked(b.conns[h])
+		delete(b.conns, h)
+	}
+	b.evictions += uint64(len(victims))
 }
 
 // UpdateBackends swaps in the (shared) lookup table over a new backend
@@ -328,12 +387,22 @@ func (b *Balancer) Stats() (hits, misses uint64) {
 	return b.hits, b.misses
 }
 
+// Evictions reports the connections this balancer has evicted at
+// ConnTableSize. Like session.Table's spill counters it is the process's
+// own: not checkpointed, kept across Reset and Restore.
+func (b *Balancer) Evictions() uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.evictions
+}
+
 // Reset cold-starts the connection table: established-flow stickiness is
 // lost, new flows fall back to the consistent hash.
 func (b *Balancer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = make(map[uint64]int32), 0
+	b.conns, b.connBytes = make(map[uint64]conn), 0
+	b.clock.Reset()
 	b.internTableLocked()
 	b.hits, b.misses = 0, 0
 }

@@ -9,6 +9,7 @@ package session
 // statestore.FlowIndex implements it structurally.
 
 import (
+	"repro/internal/evict"
 	"repro/internal/packet"
 )
 
@@ -76,20 +77,19 @@ func (t *Table) ringAppendLocked(h uint64) {
 	if t.spill == nil {
 		return
 	}
-	t.ring = append(t.ring, h)
+	t.clock.Add(h)
 }
 
 // rebuildRingLocked reseeds the clock ring from the resident flow set —
 // used when a spill index is attached to a populated table and after
 // Restore replaces the flow map wholesale.
 func (t *Table) rebuildRingLocked() {
-	t.ring = t.ring[:0]
-	t.hand = 0
+	t.clock.Reset()
 	if t.spill == nil {
 		return
 	}
 	for h := range t.flows {
-		t.ring = append(t.ring, h)
+		t.clock.Add(h)
 	}
 }
 
@@ -122,55 +122,33 @@ func (t *Table) promoteLocked(h uint64) *Flow {
 // down to ~7/8 of maxFlows in one batch write. keep is the hash of the
 // flow just touched — never a victim.
 //
-// Victims come from a clock-hand (second-chance) sweep: the hand walks
-// the residency ring, spares any flow whose reference bit is set
+// Victims come from the second-chance clock (package evict): the hand
+// walks the residency ring, spares any flow whose reference bit is set
 // (clearing the bit and counting evictions_hot_touched), and spills the
 // cold ones it lands on. Hot flows therefore survive as long as packets
 // keep arriving for them; a plain map-order walk — the previous policy —
-// spilled hot and cold alike. The victim and record slices are scratch
-// retained on the table, so a steady eviction cadence allocates nothing.
+// spilled hot and cold alike. The victim slice is the clock's and the
+// record slice is scratch retained on the table, so a steady eviction
+// cadence allocates nothing.
 func (t *Table) evictLocked(keep uint64) {
-	if t.spill == nil || t.maxFlows <= 0 || len(t.flows) <= t.maxFlows {
+	if t.spill == nil || t.maxFlows <= 0 {
 		return
 	}
-	target := t.maxFlows - t.maxFlows/8
-	if target < 1 {
-		target = 1
-	}
-	need := len(t.flows) - target
-	victims := t.victimScratch[:0]
-	recs := t.recScratch[:0]
-	// Budget bounds the sweep: one pass may only clear ref bits, the
-	// second finds victims; stale ring entries shrink the ring as the
-	// hand meets them, so the loop always terminates.
-	budget := 2*len(t.ring) + need + 1
-	for len(victims) < need && len(t.ring) > 0 && budget > 0 {
-		budget--
-		if t.hand >= len(t.ring) {
-			t.hand = 0
-		}
-		h := t.ring[t.hand]
+	victims := t.clock.Sweep(len(t.flows), t.maxFlows, keep, func(h uint64) evict.Verdict {
 		f, ok := t.flows[h]
-		if !ok {
-			// Stale entry (flow already evicted or replaced): drop it and
-			// re-examine the swapped-in slot.
-			last := len(t.ring) - 1
-			t.ring[t.hand] = t.ring[last]
-			t.ring = t.ring[:last]
-			continue
-		}
-		if h == keep {
-			t.hand++
-			continue
-		}
-		if f.hot {
-			// Second chance: clear the bit, spare the flow this sweep.
+		switch {
+		case !ok:
+			return evict.Gone // already evicted or replaced
+		case f.hot:
 			f.hot = false
 			t.hotTouched++
-			t.hand++
-			continue
+			return evict.Spared
 		}
-		victims = append(victims, h)
+		return evict.Victim
+	})
+	recs := t.recScratch[:0]
+	for _, h := range victims {
+		f := t.flows[h]
 		recs = append(recs, SpillRecord{
 			Hash:    h,
 			Tuple:   f.Tuple,
@@ -178,11 +156,7 @@ func (t *Table) evictLocked(keep uint64) {
 			Packets: f.Packets,
 			Bytes:   f.Bytes,
 		})
-		last := len(t.ring) - 1
-		t.ring[t.hand] = t.ring[last]
-		t.ring = t.ring[:last]
 	}
-	t.victimScratch = victims[:0]
 	t.recScratch = recs[:0]
 	if len(recs) == 0 {
 		return
@@ -192,7 +166,9 @@ func (t *Table) evictLocked(keep uint64) {
 		// runs over its cap — degraded, never wrong), restore the victims
 		// to the clock ring, and count it.
 		t.spillErrs++
-		t.ring = append(t.ring, victims...)
+		for _, h := range victims {
+			t.clock.Add(h)
+		}
 		return
 	}
 	for _, h := range victims {

@@ -17,6 +17,7 @@ package session
 import (
 	"sync"
 
+	"repro/internal/evict"
 	"repro/internal/linear"
 	"repro/internal/netbricks"
 	"repro/internal/packet"
@@ -66,19 +67,20 @@ type Table struct {
 	promoted  uint64
 	spillErrs uint64
 
-	// Eviction clock (see spill.go): ring holds the hashes of resident
-	// flows in approximate insertion order, hand is the sweep cursor, and
-	// hotTouched counts flows the hand spared because their ref bit was
-	// set. Maintained only while a spill index is attached.
-	ring       []uint64
-	hand       int
+	// Eviction clock (see spill.go) over the resident flows, maintained
+	// only while a spill index is attached; hotTouched counts flows the
+	// hand spared because their ref bit was set.
+	clock      evict.Clock
 	hotTouched uint64
+
+	// moved counts packets steered to a backend other than the one the
+	// table holds for their flow.
+	moved uint64
 
 	// Per-batch scratch reused across evictions, and a free list of Flow
 	// objects so steady-state churn (evict → new flow) allocates nothing.
-	victimScratch []uint64
-	recScratch    []SpillRecord
-	flowPool      []*Flow
+	recScratch []SpillRecord
+	flowPool   []*Flow
 
 	// slab holds every flow of the last Restore (durable.go); the next
 	// one overwrites it.
@@ -126,9 +128,10 @@ func (t *Table) internLocked(ip packet.IPv4) linear.Rc[Backend] {
 
 // Track records one packet of flow tu steered to backend ip. New flows
 // clone the interned backend handle (bumping its strong count); known
-// flows just bump counters. With a spill index attached, a RAM miss
-// first tries to promote the flow's evicted record (its backend and
-// counters survive), and growth past the cap evicts a batch to disk.
+// flows just bump counters, and count as moved when ip is not the
+// backend they hold. With a spill index attached, a RAM miss first tries
+// to promote the flow's evicted record (its backend and counters
+// survive), and growth past the cap evicts a batch to disk.
 func (t *Table) Track(tu packet.FiveTuple, ip packet.IPv4, nbytes int) {
 	h := tu.Hash()
 	t.mu.Lock()
@@ -143,6 +146,8 @@ func (t *Table) Track(tu packet.FiveTuple, ip packet.IPv4, nbytes int) {
 		f.Backend = t.internLocked(ip).Clone()
 		t.flows[h] = f
 		t.ringAppendLocked(h)
+	} else if f.Backend.Peek().IP != ip {
+		t.moved++
 	}
 	f.hot = true
 	f.Packets++
@@ -155,6 +160,20 @@ func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.flows)
+}
+
+// Moved reports the packets steered to a backend other than the one the
+// table holds for their flow: a flow the load balancer forgot (evicted
+// from its connection table, or lost to a cold start) and re-hashed
+// after its backend set changed. The table keeps the backend it first
+// saw while the balancer tracks the flow on its new one, so every later
+// packet of a moved flow counts again: this is traffic that moved, not a
+// number of moves. The count is this table's own, kept across Reset and
+// Restore.
+func (t *Table) Moved() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.moved
 }
 
 // Backends reports the number of distinct interned backends.
@@ -183,8 +202,7 @@ func (t *Table) Reset() {
 	defer t.mu.Unlock()
 	t.flows = make(map[uint64]*Flow)
 	t.intern = make(map[packet.IPv4]linear.Rc[Backend])
-	t.ring = t.ring[:0]
-	t.hand = 0
+	t.clock.Reset()
 	t.flowPool = nil
 	t.slab = nil
 }
