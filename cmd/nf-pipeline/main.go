@@ -326,7 +326,7 @@ func run(o options, out io.Writer) error {
 		Policy: domain.Policy{
 			Recorder:        rec,
 			CheckpointEvery: o.checkpointEvery,
-			OnDegrade: func(name string, events []telemetry.Event) {
+			OnExhausted: func(name string, events []telemetry.Event) {
 				log.Printf("flight-recorder dump: %s exhausted its restart budget; last %d events:", name, len(events))
 				for _, ev := range events {
 					log.Printf("  %s", ev)
@@ -420,8 +420,8 @@ func run(o options, out io.Writer) error {
 			fmt.Fprintf(out, "checkpoint: %s epochs: %d taken (%d failed), %d restores, %d cold starts\n",
 				o.checkpointEvery, sn.Checkpoints, sn.CheckpointFailures, sn.Restores, sn.ColdStarts)
 		}
-		fmt.Fprintf(out, "supervisor: %d restarts (%d errors, %d crashes, %d hangs), degraded=%v\n",
-			sn.Restarts, sn.Errors, sn.Crashes, sn.Hangs, sn.Degraded)
+		fmt.Fprintf(out, "supervisor: %d restarts (%d errors, %d crashes, %d hangs)\n",
+			sn.Restarts, sn.Errors, sn.Crashes, sn.Hangs)
 	}
 	return runErr
 }

@@ -61,7 +61,7 @@ type Stateful interface {
 	// again later: Restore only reads it.
 	Restore(token any) error
 	// Reset reinitializes to clean boot state — the cold start taken
-	// when no checkpoint epoch has completed (or under RestoreCold).
+	// when no checkpoint epoch has completed.
 	Reset()
 }
 
@@ -120,30 +120,6 @@ type Persister interface {
 // handed anything back.
 type tokenRecycler interface {
 	RecycleToken(token any)
-}
-
-// RestoreMode selects what a restarted domain's state recovery does.
-type RestoreMode int
-
-const (
-	// RestoreCheckpoint (the default) restores the last good checkpoint,
-	// cold-starting only when no epoch has completed.
-	RestoreCheckpoint RestoreMode = iota
-	// RestoreCold always resets to zero state — the ablation baseline
-	// the chaos tier and benches compare against.
-	RestoreCold
-)
-
-// String implements fmt.Stringer.
-func (m RestoreMode) String() string {
-	switch m {
-	case RestoreCheckpoint:
-		return "checkpoint"
-	case RestoreCold:
-		return "cold"
-	default:
-		return fmt.Sprintf("RestoreMode(%d)", int(m))
-	}
 }
 
 // wireState is what a StateSet component must be: a Stateful whose
@@ -377,7 +353,6 @@ type ckptState struct {
 	state  Stateful
 	engine *checkpoint.Engine // RcAware; wire-form states ignore it
 	every  time.Duration
-	mode   RestoreMode
 
 	// last is the newest good checkpoint; published by the serving
 	// goroutine (under the domain's gmu, see publish), consumed by the
@@ -573,11 +548,11 @@ func (d *Domain[T]) restore(token any) error {
 // loadDurable seeds the checkpoint machinery from the store's newest
 // durable epoch at Spawn time: a reference to it becomes the domain's
 // last good checkpoint (so even a pre-traffic fault restores it), the
-// sequence continues where the dead process stopped, and under
-// RestoreCheckpoint the state is restored immediately — a process
-// restart with ≥1 durable epoch cold-starts nothing. Errors are Spawn
-// errors: a store that cannot be read or a token that cannot be decoded
-// is a misconfiguration, not a fault to retry through.
+// sequence continues where the dead process stopped, and the state is
+// restored immediately — a process restart with ≥1 durable epoch
+// cold-starts nothing. Errors are Spawn errors: a store that cannot be
+// read or a token that cannot be decoded is a misconfiguration, not a
+// fault to retry through.
 func (d *Domain[T]) loadDurable() error {
 	ck := d.ck
 	token, seq, ok, err := d.durableToken(0)
@@ -589,9 +564,6 @@ func (d *Domain[T]) loadDurable() error {
 	}
 	ck.seq.Store(seq)
 	ck.last.Store(&ckptToken{seq: seq, at: time.Now()})
-	if ck.mode != RestoreCheckpoint {
-		return nil
-	}
 	if err := d.restore(token); err != nil {
 		return fmt.Errorf("domain %s: restore durable epoch %d: %w", d.name, seq, err)
 	}
@@ -601,18 +573,18 @@ func (d *Domain[T]) loadDurable() error {
 // restoreOrReset is the state half of a restart, run on the monitor
 // goroutine after the sfi reference table has been recovered and the
 // user Recover hook (pipeline rebuild) has completed. With a good
-// checkpoint and RestoreCheckpoint mode the state is restored from the
-// last token — read back from the store when last is a durable
-// reference, which must still be the store's newest epoch; otherwise it
-// cold-starts. A restore error, a failed read included, is a fault — the
-// streak keeps growing, converging on degrade/stop — never a silent cold
-// start. The generation whose fault or supersession scheduled the
-// restart has exited or can no longer publish, and the next one starts
-// only after this returns, so the token read here is not replaced or
-// handed back meanwhile (TestNoPublishOrHandBackDuringRestore).
+// checkpoint the state is restored from the last token — read back from
+// the store when last is a durable reference, which must still be the
+// store's newest epoch; otherwise it cold-starts. A restore error, a
+// failed read included, is a fault — the streak keeps growing,
+// converging on stop — never a silent cold start. The generation whose
+// fault or supersession scheduled the restart has exited or can no
+// longer publish, and the next one starts only after this returns, so
+// the token read here is not replaced or handed back meanwhile
+// (TestNoPublishOrHandBackDuringRestore).
 func (d *Domain[T]) restoreOrReset() error {
 	ck := d.ck
-	if last := ck.last.Load(); last != nil && ck.mode == RestoreCheckpoint {
+	if last := ck.last.Load(); last != nil {
 		token := last.token
 		var err error
 		if token == nil {

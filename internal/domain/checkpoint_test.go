@@ -180,35 +180,6 @@ func TestDomainColdStartWithoutEpoch(t *testing.T) {
 	}
 }
 
-// TestDomainRestoreColdMode: the RestoreCold ablation resets even when
-// good checkpoints exist.
-func TestDomainRestoreColdMode(t *testing.T) {
-	p := ckptPolicy(2 * time.Millisecond)
-	p.Restore = RestoreCold
-	sup := NewSupervisor(p)
-	defer sup.Close()
-	st := newKVState()
-	d := spawnKV(t, sup, st)
-
-	if err := d.Inbox().Send(linear.New(1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "first payload", func() bool { return d.Snapshot().Processed == 1 })
-	c0 := d.Snapshot().Checkpoints
-	waitFor(t, "post-mutation checkpoint", func() bool { return d.Snapshot().Checkpoints > c0 })
-
-	if err := d.Inbox().Send(linear.New(-1)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "cold start", func() bool { return d.Snapshot().ColdStarts == 1 })
-	if st.size() != 0 {
-		t.Fatalf("state size %d after RestoreCold restart, want 0", st.size())
-	}
-	if d.Snapshot().Restores != 0 {
-		t.Fatal("RestoreCold must never restore")
-	}
-}
-
 // TestDomainCheckpointOffIgnoresState: with CheckpointEvery zero the
 // State field is inert — no epochs, no reset, state rides through the
 // restart unmanaged (the pre-§5 behavior).

@@ -9,12 +9,11 @@
 // faulted domain alive *as a service* under sustained traffic: a
 // Supervisor detects faults (handler panics and errors, caught at the
 // domain entry point) and hangs (per-domain heartbeats), tears the
-// domain's sfi reference table down (sfi.Domain.Reset), and restarts the
-// domain under a configurable policy — one-for-one or one-for-all,
-// exponential backoff with jitter, max-restarts-then-degrade to a user
-// fallback handler. Every transition is counted in per-domain atomic
-// stats exposed via Snapshot, the same contract netbricks.ShardedRunner
-// uses for its workers.
+// domain's sfi reference table down (sfi.Domain.Reset), and restarts
+// that domain alone after an exponential backoff, until a fault streak
+// exhausts its restart budget and the domain stops. Every transition is
+// counted in per-domain atomic stats exposed via Snapshot, the same
+// contract netbricks.ShardedRunner uses for its workers.
 //
 // Ownership is the safety argument throughout, exactly as in the
 // synchronous case: a payload is owned by exactly one side of a mailbox
@@ -58,7 +57,7 @@ const (
 	// traffic.
 	StateBackoff
 	// StateStopped: the domain has exited for good — inbox closed and
-	// drained, or restarts exhausted with no fallback handler.
+	// drained, or restarts exhausted.
 	StateStopped
 )
 
@@ -102,9 +101,6 @@ type Config[T any] struct {
 	Mailbox int
 	// Handler serves the inbox. Required.
 	Handler Handler[T]
-	// Fallback, when non-nil, replaces Handler after the restart budget
-	// is exhausted (degraded mode) instead of stopping the domain.
-	Fallback Handler[T]
 	// Release reclaims resources inside a payload the runtime destroys:
 	// mailbox tail drops, backlog drained at stop, and payloads
 	// abandoned by a crashing handler.
@@ -137,7 +133,6 @@ type stats struct {
 	restarts     telemetry.Counter
 	reclaimed    telemetry.Counter
 	backoffNanos atomic.Int64
-	degraded     atomic.Bool
 }
 
 // Snapshot is a plain-value copy of one domain's counters, taken
@@ -164,9 +159,6 @@ type Snapshot struct {
 	Reclaimed uint64
 	// TimeInBackoff accumulates scheduled backoff delay.
 	TimeInBackoff time.Duration
-	// Degraded reports the domain is serving through its fallback
-	// handler.
-	Degraded bool
 	// Checkpoint lifecycle counters (§5 integration): epochs published,
 	// failed attempts (error or mid-traversal fault), restarts that
 	// restored the last good checkpoint, and restarts that had to
@@ -187,20 +179,15 @@ type Snapshot struct {
 	MailboxDrops uint64
 }
 
-// handlerCell wraps a handler so the active one can be swapped atomically
-// (degrade happens while an abandoned goroutine may still be running).
-type handlerCell[T any] struct{ fn Handler[T] }
-
 // Domain is a long-lived supervised goroutine serving a mailbox. Create
 // one with Spawn; the zero Domain is invalid.
 type Domain[T any] struct {
 	name    string
 	sup     *Supervisor
 	inbox   *Mailbox[T]
-	handler atomic.Pointer[handlerCell[T]]
+	handler Handler[T]
 	release func(T)
 	recover func() error
-	fallbck Handler[T]
 
 	pd *sfi.Domain
 
@@ -210,11 +197,11 @@ type Domain[T any] struct {
 	actor telemetry.ActorID
 
 	// epoch identifies the serving goroutine generation. The supervisor
-	// bumps it to supersede a goroutine it has given up on (hangs, group
-	// restarts): the stale goroutine notices at its next checkpoint and
-	// exits silently. quit is the current generation's wakeup: supersede
-	// closes it so a goroutine parked on an empty inbox exits instead of
-	// competing with its replacement for the next payload.
+	// bumps it to supersede a goroutine it has given up on (a hang): the
+	// stale goroutine notices at its next checkpoint and exits silently.
+	// quit is the current generation's wakeup: supersede closes it so a
+	// goroutine parked on an empty inbox exits instead of competing with
+	// its replacement for the next payload.
 	epoch atomic.Uint64
 	gmu   sync.Mutex
 	quit  chan struct{}
@@ -250,8 +237,7 @@ func (d *Domain[T]) PD() *sfi.Domain { return d.pd }
 func (d *Domain[T]) State() State { return State(d.state.Load()) }
 
 // Done returns a channel closed when the domain has stopped for good:
-// its inbox was closed and fully drained, or its restart budget ran out
-// with no fallback.
+// its inbox was closed and fully drained, or its restart budget ran out.
 func (d *Domain[T]) Done() <-chan struct{} { return d.done }
 
 // Snapshot returns a point-in-time copy of the domain's counters.
@@ -266,7 +252,6 @@ func (d *Domain[T]) Snapshot() Snapshot {
 		Restarts:      d.st.restarts.Load(),
 		Reclaimed:     d.st.reclaimed.Load(),
 		TimeInBackoff: time.Duration(d.st.backoffNanos.Load()),
-		Degraded:      d.st.degraded.Load(),
 		MailboxDepth:  d.inbox.Depth(),
 		MailboxSends:  d.inbox.Stats.Sends.Load(),
 		MailboxRecvs:  d.inbox.Stats.Recvs.Load(),
@@ -402,7 +387,7 @@ func (d *Domain[T]) guard(ctx *Ctx, msg linear.Owned[T]) (err error) {
 			err = fmt.Errorf("domain %s: panic: %v: %w", d.name, p, ErrCrashed)
 		}
 	}()
-	if herr := d.handler.Load().fn(ctx, msg); herr != nil {
+	if herr := d.handler(ctx, msg); herr != nil {
 		d.st.errors.Add(1)
 		d.rec.Record(d.actor, telemetry.EvError, d.faultStreak.Load()+1)
 		return fmt.Errorf("domain %s: %w", d.name, herr)
@@ -433,19 +418,6 @@ func (d *Domain[T]) stalled(now time.Time, limit time.Duration) bool {
 	return e != 0 && e == d.epoch.Load() && now.UnixNano()-d.beat.Load() > int64(limit)
 }
 
-// degrade swaps in the fallback handler, reporting false when none is
-// configured or the domain is already degraded (a fallback that also
-// exhausts its budget stops the domain rather than looping).
-func (d *Domain[T]) degrade() bool {
-	if d.fallbck == nil || d.st.degraded.Load() {
-		return false
-	}
-	d.handler.Store(&handlerCell[T]{fn: d.fallbck})
-	d.st.degraded.Store(true)
-	d.rec.Record(d.actor, telemetry.EvDegrade, d.faultStreak.Load())
-	return true
-}
-
 // stop retires the domain permanently: supersede any serving goroutine,
 // destroy the backlog, close Done. Safe to call more than once.
 func (d *Domain[T]) stop() {
@@ -461,8 +433,8 @@ func (d *Domain[T]) stop() {
 // registerMetrics exports the domain's counters on reg labeled
 // {domain=<name>}. Called once at Spawn; the record path never sees the
 // registry.
-func (d *Domain[T]) registerMetrics(reg telemetry.Registrar, base telemetry.Labels) {
-	labels := base.With("domain", d.name)
+func (d *Domain[T]) registerMetrics(reg telemetry.Registrar) {
+	labels := telemetry.Labels{"domain": d.name}
 	reg.RegisterCounter("domain_processed_total", labels, &d.st.processed)
 	reg.RegisterCounter("domain_errors_total", labels, &d.st.errors)
 	reg.RegisterCounter("domain_crashes_total", labels, &d.st.crashes)
@@ -474,12 +446,6 @@ func (d *Domain[T]) registerMetrics(reg telemetry.Registrar, base telemetry.Labe
 	})
 	reg.RegisterGaugeFunc("domain_state", labels, func() float64 {
 		return float64(d.state.Load())
-	})
-	reg.RegisterGaugeFunc("domain_degraded", labels, func() float64 {
-		if d.st.degraded.Load() {
-			return 1
-		}
-		return 0
 	})
 	if d.ck != nil {
 		d.registerCkptMetrics(reg, labels)

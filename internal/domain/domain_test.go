@@ -211,47 +211,9 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 	}
 }
 
-// TestDomainDegradeToFallback: exhausting the restart budget swaps in the
-// fallback handler instead of stopping.
-func TestDomainDegradeToFallback(t *testing.T) {
-	p := fastPolicy()
-	p.MaxRestarts = 2
-	s := NewSupervisor(p)
-	defer s.Close()
-	var fallback atomic.Int64
-	d, err := Spawn(s, Config[int]{
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
-			panic("always")
-		},
-		Fallback: func(c *Ctx, msg linear.Owned[int]) error {
-			_, err := msg.Into()
-			fallback.Add(1)
-			return err
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for i := 0; i < 100; i++ {
-			if d.Inbox().Send(linear.New(i)) != nil {
-				return
-			}
-		}
-	}()
-	waitFor(t, "degrade to fallback", func() bool {
-		sn := d.Snapshot()
-		return sn.Degraded && fallback.Load() > 0
-	})
-	if sn := d.Snapshot(); sn.Crashes != 3 { // MaxRestarts=2 → third crash degrades
-		t.Fatalf("crashes = %d, want 3", sn.Crashes)
-	}
-}
-
-// TestDomainStopsWithoutFallback: restart budget exhausted, no fallback —
-// the domain stops, its backlog is destroyed through Release, Done
-// closes.
-func TestDomainStopsWithoutFallback(t *testing.T) {
+// TestDomainStopsWhenBudgetExhausted: restart budget exhausted — the
+// domain stops, its backlog is destroyed through Release, Done closes.
+func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	p := fastPolicy()
 	p.MaxRestarts = 1
 	s := NewSupervisor(p)
@@ -295,7 +257,6 @@ func TestDomainStopsWithoutFallback(t *testing.T) {
 func TestDomainHangAbandonment(t *testing.T) {
 	p := fastPolicy()
 	p.HangAfter = 5 * time.Millisecond
-	p.Tick = time.Millisecond
 	s := NewSupervisor(p)
 	defer s.Close()
 	stall := make(chan struct{})
@@ -341,7 +302,6 @@ func TestDomainHangAbandonment(t *testing.T) {
 func TestOneStuckHandlerIsOneHang(t *testing.T) {
 	p := fastPolicy()
 	p.HangAfter = 5 * time.Millisecond
-	p.Tick = time.Millisecond
 	s := NewSupervisor(p)
 	defer s.Close()
 	stall := make(chan struct{})
@@ -362,7 +322,7 @@ func TestOneStuckHandlerIsOneHang(t *testing.T) {
 		sn := d.Snapshot()
 		return sn.Hangs >= 1 && sn.Restarts >= 1
 	})
-	time.Sleep(15 * p.Tick) // the stuck handler stays stuck; the replacement idles
+	time.Sleep(15 * p.hangTick()) // the stuck handler stays stuck; the replacement idles
 	if sn := d.Snapshot(); sn.Hangs != 1 || sn.Restarts != 1 {
 		t.Fatalf("one stuck handler over 15 ticks: %d hangs and %d restarts, want 1 and 1", sn.Hangs, sn.Restarts)
 	}

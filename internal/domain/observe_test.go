@@ -19,9 +19,9 @@ import (
 // and checks the observability contract end to end:
 //
 //   - the recorder captures the full lifecycle — payload movement,
-//     faults, backoffs, restarts, and the degrade/stop that ends a
-//     restart budget;
-//   - the OnDegrade hook fires with a dump when a budget runs out;
+//     faults, backoffs, restarts, and the stop that ends a restart
+//     budget;
+//   - the OnExhausted hook fires with a dump when a budget runs out;
 //   - the registry serves every domain's counters mid-chaos;
 //   - recording never pins a linear.Owned payload: every pooled buffer
 //     is back by test end (leakcheck.Pool) even though payloads crashed
@@ -35,15 +35,15 @@ func TestFlightRecorderChaos(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(1024)
 	var mu sync.Mutex
-	degraded := make(map[string]int) // domain name -> dump length
+	exhausted := make(map[string]int) // domain name -> dump length
 
 	p := fastPolicy()
 	p.MaxRestarts = 3
 	p.Registry = reg
 	p.Recorder = rec
-	p.OnDegrade = func(name string, events []telemetry.Event) {
+	p.OnExhausted = func(name string, events []telemetry.Event) {
 		mu.Lock()
-		degraded[name] = len(events)
+		exhausted[name] = len(events)
 		mu.Unlock()
 	}
 	s := NewSupervisor(p)
@@ -58,7 +58,7 @@ func TestFlightRecorderChaos(t *testing.T) {
 	for i := 0; i < domains; i++ {
 		i := i
 		seen := 0
-		cfg := Config[*[64]byte]{
+		d, err := Spawn(s, Config[*[64]byte]{
 			Name:    fmt.Sprintf("chaos-%d", i),
 			Mailbox: 4,
 			Release: func(b *[64]byte) { pool.Put(b) },
@@ -80,17 +80,7 @@ func TestFlightRecorderChaos(t *testing.T) {
 				}
 				return nil
 			},
-		}
-		if i == 0 {
-			// Domain 0 degrades to a fallback; domain 1 (no fallback) stops.
-			cfg.Fallback = func(c *Ctx, msg linear.Owned[*[64]byte]) error {
-				if b, err := msg.Into(); err == nil {
-					pool.Put(b)
-				}
-				return nil
-			}
-		}
-		d, err := Spawn(s, cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,18 +107,15 @@ func TestFlightRecorderChaos(t *testing.T) {
 	waitFor(t, "budget exhaustion on both failing domains", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(degraded) >= 2 && doms[1].State() == StateStopped
+		return len(exhausted) >= 2 && doms[0].State() == StateStopped && doms[1].State() == StateStopped
 	})
 	mu.Lock()
-	for name, n := range degraded {
+	for name, n := range exhausted {
 		if n == 0 {
-			t.Errorf("OnDegrade(%s) received an empty flight-recorder dump", name)
+			t.Errorf("OnExhausted(%s) received an empty flight-recorder dump", name)
 		}
 	}
 	mu.Unlock()
-	if !doms[0].Snapshot().Degraded {
-		t.Error("domain 0 should be serving through its fallback")
-	}
 
 	// The recorder saw the whole taxonomy.
 	kinds := map[telemetry.EventKind]bool{}
@@ -137,7 +124,7 @@ func TestFlightRecorderChaos(t *testing.T) {
 	}
 	for _, want := range []telemetry.EventKind{
 		telemetry.EvSend, telemetry.EvRecv, telemetry.EvPanic,
-		telemetry.EvBackoff, telemetry.EvRestart, telemetry.EvDegrade, telemetry.EvStop,
+		telemetry.EvBackoff, telemetry.EvRestart, telemetry.EvStop,
 	} {
 		if !kinds[want] {
 			t.Errorf("flight recorder captured no %v event", want)

@@ -484,31 +484,25 @@ func TestDurableDomainKeepsOneEpochBuffer(t *testing.T) {
 	}
 }
 
-// TestSupersededCaptureDoesNotPublish: a sibling's fault retires the
-// whole group while this domain is mid-capture. The monitor restores the
-// domain from its last good epoch and starts a new generation; when the
-// old generation's capture finally returns it must neither replace that
-// epoch nor hand its buffer back.
+// raceHangVerdict retires d's serving generation wherever it stands,
+// through the supervisor's own hang-verdict steps (supersede, reference
+// table reset, restart after backoff). In production that is a verdict
+// racing the end of the handler it judged: by the time it lands, the
+// generation has moved on into a capture or the store's append. The
+// tests below park the generation there and deliver the verdict.
+func raceHangVerdict(sup *Supervisor, d *Domain[int]) { sup.abandon(d) }
+
+// TestSupersededCaptureDoesNotPublish: a hang verdict retires the domain
+// while it is mid-capture. The monitor restores the domain from its last
+// good epoch and starts a new generation; when the old generation's
+// capture finally returns it must neither replace that epoch nor hand
+// its buffer back.
 func TestSupersededCaptureDoesNotPublish(t *testing.T) {
-	p := ckptPolicy(200 * time.Microsecond)
-	p.Strategy = OneForAll
-	sup := NewSupervisor(p)
+	sup := NewSupervisor(ckptPolicy(200 * time.Microsecond))
 	defer sup.Close()
 	kv := newDurableKV()
 	g := newGatedSet(kv)
 	d := spawnGated(t, sup, "victim", g, kv)
-	crasher, err := Spawn(sup, Config[int]{
-		Name: "crasher",
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
-			if _, err := msg.Into(); err != nil {
-				return err
-			}
-			panic("crasher always crashes")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	kv.set("good", 1)
 	epoch(t, d, g)
@@ -527,8 +521,8 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 	<-g.held // bytes written into the spare, generation still current
 	midCapture := g.lastCaptured()
 
-	_ = crasher.Inbox().Send(linear.New(1))
-	waitFor(t, "group restart restores the victim", func() bool {
+	raceHangVerdict(sup, d)
+	waitFor(t, "the restart restores the victim", func() bool {
 		sn := d.Snapshot()
 		return sn.Restarts >= 1 && sn.Restores >= 1
 	})
@@ -562,34 +556,20 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 	}
 }
 
-// TestSupersededPersistIsNotHandedBack: a sibling's fault retires the
-// group while this domain is inside PersistEpoch, still reading its
-// epoch's bytes. The next generation replaces that epoch, but may not
-// hand its buffer back — the old generation is reading it — and when the
-// old generation's append finally runs, the store refuses it as older
-// than the new generation's, so the durable reference still names the
+// TestSupersededPersistIsNotHandedBack: a hang verdict retires the
+// domain while it is inside PersistEpoch, still reading its epoch's
+// bytes. The next generation replaces that epoch, but may not hand its
+// buffer back — the old generation is reading it — and when the old
+// generation's append finally runs, the store refuses it as older than
+// the new generation's, so the durable reference still names the
 // store's newest epoch and a restart restores it.
 func TestSupersededPersistIsNotHandedBack(t *testing.T) {
 	p := &copyPersister{memPersister: newMemPersister(), entered: make(chan struct{}), release: make(chan struct{})}
-	pol := durablePolicy(200*time.Microsecond, p)
-	pol.Strategy = OneForAll
-	sup := NewSupervisor(pol)
+	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
 	defer sup.Close()
 	kv := newDurableKV()
 	g := newGatedSet(kv)
 	d := spawnGated(t, sup, "victim", g, kv)
-	crasher, err := Spawn(sup, Config[int]{
-		Name: "crasher",
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
-			if _, err := msg.Into(); err != nil {
-				return err
-			}
-			panic("crasher always crashes")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	kv.set("good", 1)
 	epoch(t, d, g)
 	epoch(t, d, g)
@@ -601,8 +581,8 @@ func TestSupersededPersistIsNotHandedBack(t *testing.T) {
 	<-p.entered // published, and the store is reading the bytes
 	reading := g.lastCaptured()
 	_, since := g.counts()
-	_ = crasher.Inbox().Send(linear.New(1))
-	waitFor(t, "group restart", func() bool {
+	raceHangVerdict(sup, d)
+	waitFor(t, "the restart", func() bool {
 		sn := d.Snapshot()
 		return sn.Restarts >= 1 && g.waiting.Load() == 1
 	})
@@ -631,7 +611,7 @@ func TestSupersededPersistIsNotHandedBack(t *testing.T) {
 	}
 
 	restores := d.Snapshot().Restores
-	_ = crasher.Inbox().Send(linear.New(2))
+	raceHangVerdict(sup, d)
 	waitFor(t, "restore from the durable epoch", func() bool { return d.Snapshot().Restores > restores })
 	if sn := d.Snapshot(); sn.ColdStarts != 0 {
 		t.Fatalf("%d cold starts", sn.ColdStarts)
@@ -679,11 +659,10 @@ func (s *orderedKV) RecycleToken(any) {
 // rule leans on instead of assuming it: restoreOrReset runs on the
 // monitor strictly between the old generation's exit or supersession and
 // the new one's start, so nothing publishes and nothing is handed back
-// while it reads the last epoch — under handler panics, group restarts
-// and hang abandonment with epochs every 100µs.
+// while it reads the last epoch — under handler panics and hang
+// abandonment with epochs every 100µs.
 func TestNoPublishOrHandBackDuringRestore(t *testing.T) {
 	p := ckptPolicy(100 * time.Microsecond)
-	p.Strategy = OneForAll
 	p.HangAfter = 2 * time.Millisecond
 	sup := NewSupervisor(p)
 	defer sup.Close()

@@ -3,7 +3,6 @@ package domain
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,48 +12,23 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Strategy selects which domains a restart cycle touches.
-type Strategy int
-
-// Restart strategies, after the OTP supervisor taxonomy.
-const (
-	// OneForOne restarts only the faulted domain; siblings keep serving.
-	OneForOne Strategy = iota
-	// OneForAll retires every sibling when one domain faults and
-	// restarts the whole group together — for domains whose state must
-	// stay mutually consistent.
-	OneForAll
-)
-
 // Policy parameterizes fault handling. The zero value gets sane defaults
 // (see withDefaults).
 type Policy struct {
-	// Strategy is the restart scope (default OneForOne).
-	Strategy Strategy
 	// Backoff is the delay before the first restart of a fault streak
-	// (default 1ms). Each further consecutive fault multiplies it by
-	// Multiplier (default 2) up to MaxBackoff (default 1s).
+	// (default 1ms). Each further consecutive fault doubles it, up to
+	// MaxBackoff (default 1s).
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	Multiplier float64
-	// Jitter spreads each backoff uniformly over ±Jitter fraction of its
-	// value (default 0.2) so a group of domains crashed by one cause does
-	// not restart in lockstep.
-	Jitter float64
 	// MaxRestarts bounds a fault streak: when a domain's consecutive
-	// faults exceed it, the domain degrades to its fallback handler (or
-	// stops, if it has none). 0 means the default (16); negative means
-	// unlimited.
+	// faults exceed it, the domain stops. 0 means the default (16);
+	// negative means unlimited.
 	MaxRestarts int
 	// HangAfter declares a domain hung when one handler invocation runs
 	// longer than this; the stuck goroutine is abandoned (superseded) and
-	// the domain restarted. 0 disables hang detection.
+	// the domain restarted. The detector polls every HangAfter/4, clamped
+	// to [1ms, 1s]. 0 disables hang detection.
 	HangAfter time.Duration
-	// Tick is the hang-detector poll interval (default HangAfter/4,
-	// clamped to [1ms, 1s]).
-	Tick time.Duration
-	// Seed makes backoff jitter deterministic (default 1).
-	Seed int64
 
 	// CheckpointEvery enables §5 checkpointed recovery for domains that
 	// carry a Config.State: each domain snapshots its state once per
@@ -62,10 +36,6 @@ type Policy struct {
 	// restores the last good snapshot. 0 (the default) disables
 	// checkpointing entirely — state then survives restarts unmanaged.
 	CheckpointEvery time.Duration
-	// Restore selects what a restarted domain's state recovery does:
-	// RestoreCheckpoint (default) restores the last good snapshot,
-	// RestoreCold always resets to zero state (the ablation baseline).
-	Restore RestoreMode
 	// Persist, when non-nil alongside CheckpointEvery, makes epochs
 	// durable: every published checkpoint of a domain whose State
 	// implements TokenCodec is encoded and appended to the store, and
@@ -75,26 +45,22 @@ type Policy struct {
 	Persist Persister
 
 	// Registry, when non-nil, receives every spawned domain's counters
-	// and gauges (labeled {domain=<name>} on top of Labels), the
-	// supervisor's aggregate counters, and the sfi management plane's
-	// per-protection-domain counters. Registration happens at Spawn time
-	// only; the data path never touches the registry.
+	// and gauges (labeled {domain=<name>}), the supervisor's aggregate
+	// counters, and the sfi management plane's per-protection-domain
+	// counters. Registration happens at Spawn time only; the data path
+	// never touches the registry.
 	Registry *telemetry.Registry
-	// Labels is the base label set for every metric this supervisor
-	// registers — e.g. {worker="3"} when several supervisors share one
-	// registry.
-	Labels telemetry.Labels
 	// Recorder, when non-nil, is the flight recorder: every domain and
 	// its mailbox record lifecycle and payload-movement events into it
-	// (send, recv, drop, error, panic, hang, backoff, restart, degrade,
-	// stop). A nil recorder records nothing at zero cost.
+	// (send, recv, drop, error, panic, hang, backoff, restart, stop). A
+	// nil recorder records nothing at zero cost.
 	Recorder *telemetry.Recorder
-	// OnDegrade, when non-nil, runs on the monitor goroutine when a
-	// domain exhausts its restart budget — degrading to its fallback or
-	// stopping for good — with a dump of the flight recorder at that
-	// moment (nil when no Recorder is configured). This is the black-box
-	// readout: the last events leading up to the failure.
-	OnDegrade func(name string, events []telemetry.Event)
+	// OnExhausted, when non-nil, runs on the monitor goroutine when a
+	// domain exhausts its restart budget and stops for good, with a dump
+	// of the flight recorder at that moment (nil when no Recorder is
+	// configured). This is the black-box readout: the last events leading
+	// up to the failure.
+	OnExhausted func(name string, events []telemetry.Event)
 }
 
 func (p Policy) withDefaults() Policy {
@@ -104,46 +70,31 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = time.Second
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter < 0 || p.Jitter > 1 {
-		p.Jitter = 0.2
-	}
 	if p.MaxRestarts == 0 {
 		p.MaxRestarts = 16
 	}
-	if p.Tick <= 0 {
-		p.Tick = p.HangAfter / 4
-	}
-	if p.Tick < time.Millisecond {
-		p.Tick = time.Millisecond
-	}
-	if p.Tick > time.Second {
-		p.Tick = time.Second
-	}
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
 	return p
+}
+
+// hangTick is the hang detector's poll interval: a quarter of HangAfter,
+// clamped to [1ms, 1s].
+func (p Policy) hangTick() time.Duration {
+	return min(max(p.HangAfter/4, time.Millisecond), time.Second)
 }
 
 // child is the type-erased view the supervisor keeps of a Domain[T].
 type child interface {
 	Name() string
 	State() State
-	Done() <-chan struct{}
 	Snapshot() Snapshot
 	currentEpoch() uint64
 	supersede() uint64
 	stalled(now time.Time, limit time.Duration) bool
-	degrade() bool
 	stop()
 	serve(epoch uint64)
 	recoverState() error
 	pdom() *sfi.Domain
 	bumpStreak() uint64
-	resetStreak()
 	noteBackoff(d time.Duration)
 	noteRestart()
 	noteHang()
@@ -153,7 +104,6 @@ type child interface {
 func (d *Domain[T]) currentEpoch() uint64 { return d.epoch.Load() }
 func (d *Domain[T]) pdom() *sfi.Domain    { return d.pd }
 func (d *Domain[T]) bumpStreak() uint64   { return d.faultStreak.Add(1) }
-func (d *Domain[T]) resetStreak()         { d.faultStreak.Store(0) }
 func (d *Domain[T]) setState(s State)     { d.state.Store(int32(s)) }
 
 func (d *Domain[T]) noteBackoff(b time.Duration) {
@@ -176,7 +126,7 @@ func (d *Domain[T]) noteHang() {
 // recovery function — e.g. fresh pipeline instances exported into the
 // recovered reference table), then the §5 restore hands the rebuilt
 // plumbing its last good checkpoint, cold-starting only when no epoch
-// has completed (or under RestoreCold).
+// has completed.
 func (d *Domain[T]) recoverState() error {
 	if d.recover != nil {
 		if err := d.recover(); err != nil {
@@ -205,7 +155,6 @@ type event struct {
 type Supervisor struct {
 	policy Policy
 	mgr    *sfi.Manager
-	rng    *rand.Rand // monitor goroutine only
 
 	mu       sync.Mutex
 	children []child
@@ -220,7 +169,6 @@ type Supervisor struct {
 	faults   telemetry.Counter
 	hangs    telemetry.Counter
 	restarts telemetry.Counter
-	degrades telemetry.Counter
 }
 
 // NewSupervisor starts a supervisor with the given policy.
@@ -231,13 +179,11 @@ func NewSupervisor(p Policy) *Supervisor {
 		events: make(chan event, 128),
 		stop:   make(chan struct{}),
 	}
-	s.rng = rand.New(rand.NewSource(s.policy.Seed))
 	if reg := s.policy.Registry; reg != nil {
-		reg.RegisterCounter("supervisor_faults_total", s.policy.Labels, &s.faults)
-		reg.RegisterCounter("supervisor_hangs_total", s.policy.Labels, &s.hangs)
-		reg.RegisterCounter("supervisor_restarts_total", s.policy.Labels, &s.restarts)
-		reg.RegisterCounter("supervisor_degrades_total", s.policy.Labels, &s.degrades)
-		s.mgr.SetRegistry(reg, s.policy.Labels)
+		reg.RegisterCounter("supervisor_faults_total", nil, &s.faults)
+		reg.RegisterCounter("supervisor_hangs_total", nil, &s.hangs)
+		reg.RegisterCounter("supervisor_restarts_total", nil, &s.restarts)
+		s.mgr.SetRegistry(reg, nil)
 	}
 	s.wg.Add(1)
 	go s.monitor()
@@ -273,7 +219,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 		inbox:   NewMailbox(cfg.Mailbox, cfg.Release),
 		release: cfg.Release,
 		recover: cfg.Recover,
-		fallbck: cfg.Fallback,
+		handler: cfg.Handler,
 		pd:      s.mgr.NewDomain(cfg.Name),
 		done:    make(chan struct{}),
 	}
@@ -282,7 +228,6 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			state:  cfg.State,
 			engine: checkpoint.NewEngine(checkpoint.RcAware),
 			every:  s.policy.CheckpointEvery,
-			mode:   s.policy.Restore,
 		}
 		d.ck.lastAttempt.Store(time.Now().UnixNano())
 		d.ck.recycler, _ = cfg.State.(tokenRecycler)
@@ -295,7 +240,6 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			d.ck.codec = codec
 		}
 	}
-	d.handler.Store(&handlerCell[T]{fn: cfg.Handler})
 	d.state.Store(int32(StateLive))
 	d.rec = s.policy.Recorder
 	d.actor = d.rec.Actor(cfg.Name)
@@ -313,7 +257,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 		// racing the spawn sees the group entirely or not at all, never
 		// a half-registered domain.
 		txn := s.policy.Registry.Begin()
-		d.registerMetrics(txn, s.policy.Labels)
+		d.registerMetrics(txn)
 		txn.Commit()
 	}
 	s.mu.Lock()
@@ -338,7 +282,7 @@ func (s *Supervisor) monitor() {
 	defer s.wg.Done()
 	tickC := make(<-chan time.Time) // never fires when hang detection is off
 	if s.policy.HangAfter > 0 {
-		t := time.NewTicker(s.policy.Tick)
+		t := time.NewTicker(s.policy.hangTick())
 		defer t.Stop()
 		tickC = t.C
 	}
@@ -373,94 +317,71 @@ func (s *Supervisor) onFault(c child, epoch uint64, err error) {
 }
 
 // checkHangs abandons domains stuck inside one handler invocation beyond
-// the policy limit: supersede the stuck goroutine (it exits silently at
-// its next checkpoint), clear the reference table, and restart.
+// the policy limit.
 func (s *Supervisor) checkHangs(now time.Time) {
 	s.mu.Lock()
 	kids := append([]child(nil), s.children...)
 	s.mu.Unlock()
 	for _, c := range kids {
-		if c.State() != StateLive || !c.stalled(now, s.policy.HangAfter) {
-			continue
+		if c.State() == StateLive && c.stalled(now, s.policy.HangAfter) {
+			s.abandon(c)
 		}
-		c.noteHang()
-		s.hangs.Add(1)
-		c.supersede()
-		c.pdom().Reset()
-		s.applyPolicy(c)
 	}
 }
 
-// applyPolicy runs the restart decision for a faulted/hung domain:
-// degrade or stop when the streak exceeds the budget, otherwise schedule
-// a restart after exponential backoff — for the domain alone
-// (OneForOne) or the whole group (OneForAll).
+// abandon is the hang verdict on c: supersede its serving goroutine (it
+// exits silently at its next checkpoint), clear the reference table, and
+// restart. The verdict can race the end of the handler it judged, so the
+// superseded generation may be anywhere past it — capturing an epoch, or
+// inside the store's append — when the replacement restores.
+func (s *Supervisor) abandon(c child) {
+	c.noteHang()
+	s.hangs.Add(1)
+	c.supersede()
+	c.pdom().Reset()
+	s.applyPolicy(c)
+}
+
+// applyPolicy runs the restart decision for a faulted or hung domain:
+// stop it when the streak exceeds the budget, otherwise schedule its
+// restart after exponential backoff.
 func (s *Supervisor) applyPolicy(c child) {
 	streak := c.bumpStreak()
 	if s.policy.MaxRestarts >= 0 && streak > uint64(s.policy.MaxRestarts) {
-		// Budget exhausted: the domain leaves normal service. Dump the
-		// flight recorder first so the readout shows the events that led
-		// here, then degrade (or stop, with the degrade/stop event
-		// appended by the transition itself visible to later dumps).
-		if hook := s.policy.OnDegrade; hook != nil {
+		// Budget exhausted: the domain leaves service. Dump the flight
+		// recorder first so the readout shows the events that led here;
+		// the stop event appended by the transition itself is visible to
+		// later dumps.
+		if hook := s.policy.OnExhausted; hook != nil {
 			hook(c.Name(), s.policy.Recorder.Dump())
 		}
-		if !c.degrade() {
-			c.stop()
-			return
-		}
-		s.degrades.Add(1)
-		c.resetStreak()
-		streak = 1
+		c.stop()
+		return
 	}
 	backoff := s.backoffFor(streak)
-	targets := []child{c}
-	if s.policy.Strategy == OneForAll {
-		s.mu.Lock()
-		for _, sib := range s.children {
-			if sib != c && sib.State() == StateLive {
-				targets = append(targets, sib)
-			}
+	c.setState(StateBackoff)
+	c.noteBackoff(backoff)
+	epoch := c.currentEpoch()
+	time.AfterFunc(backoff, func() {
+		select {
+		case s.events <- event{restart: true, c: c, epoch: epoch}:
+		case <-s.stop:
 		}
-		s.mu.Unlock()
-	}
-	for _, t := range targets {
-		if t != c {
-			// Retire the sibling's serving goroutine; its reference
-			// table is cleared so the group restarts from clean state.
-			t.supersede()
-			t.pdom().Reset()
-		}
-		t.setState(StateBackoff)
-		t.noteBackoff(backoff)
-		target, epoch := t, t.currentEpoch()
-		time.AfterFunc(backoff, func() {
-			select {
-			case s.events <- event{restart: true, c: target, epoch: epoch}:
-			case <-s.stop:
-			}
-		})
-	}
+	})
 }
 
-// backoffFor computes the jittered exponential backoff for the given
-// consecutive-fault count (streak >= 1).
+// backoffFor computes the exponential backoff for the given
+// consecutive-fault count (streak >= 1): Backoff·2^(streak−1), capped at
+// MaxBackoff.
 func (s *Supervisor) backoffFor(streak uint64) time.Duration {
-	b := float64(s.policy.Backoff)
+	b, limit := s.policy.Backoff, s.policy.MaxBackoff
 	for i := uint64(1); i < streak; i++ {
-		b *= s.policy.Multiplier
-		if b >= float64(s.policy.MaxBackoff) {
-			b = float64(s.policy.MaxBackoff)
-			break
+		if b > limit/2 {
+			return limit
 		}
+		b *= 2
 	}
-	if j := s.policy.Jitter; j > 0 {
-		b *= 1 + j*(2*s.rng.Float64()-1)
-	}
-	if b > float64(s.policy.MaxBackoff) {
-		b = float64(s.policy.MaxBackoff)
-	}
-	return time.Duration(b)
+	return min(b, limit)
 }
 
 // restart brings a domain back after backoff: recover the sfi protection
@@ -483,7 +404,7 @@ func (s *Supervisor) restart(c child, epoch uint64) {
 	}
 	if err := c.recoverState(); err != nil {
 		// Recovery itself faulted: count it and go around again; the
-		// streak keeps growing, so this converges on degrade/stop.
+		// streak keeps growing, so this converges on stop.
 		s.faults.Add(1)
 		s.applyPolicy(c)
 		return
@@ -539,9 +460,8 @@ func (s *Supervisor) Snapshot() Snapshot {
 // netbricks), matching the package telemetry snapshot contract: every
 // counter is a sum of monotonic per-domain counters, each read
 // point-in-time (the aggregate is not atomic across inputs or fields);
-// MailboxDepth sums instantaneous gauges; Degraded is true if any input
-// is; State is the most-alive input state (StateLive if any domain still
-// serves, else StateStopped).
+// MailboxDepth sums instantaneous gauges; State is the most-alive input
+// state (StateLive if any domain still serves, else StateStopped).
 func MergeSnapshots(name string, snaps []Snapshot) Snapshot {
 	agg := Snapshot{Name: name, State: StateStopped}
 	for _, sn := range snaps {
@@ -561,7 +481,6 @@ func MergeSnapshots(name string, snaps []Snapshot) Snapshot {
 		agg.ColdStarts += sn.ColdStarts
 		agg.Persisted += sn.Persisted
 		agg.PersistFailures += sn.PersistFailures
-		agg.Degraded = agg.Degraded || sn.Degraded
 		agg.MailboxDepth += sn.MailboxDepth
 		agg.MailboxSends += sn.MailboxSends
 		agg.MailboxRecvs += sn.MailboxRecvs
@@ -572,6 +491,6 @@ func MergeSnapshots(name string, snaps []Snapshot) Snapshot {
 
 // String summarizes the supervisor's aggregate counters.
 func (s *Supervisor) String() string {
-	return fmt.Sprintf("supervisor{faults=%d hangs=%d restarts=%d degrades=%d}",
-		s.faults.Load(), s.hangs.Load(), s.restarts.Load(), s.degrades.Load())
+	return fmt.Sprintf("supervisor{faults=%d hangs=%d restarts=%d}",
+		s.faults.Load(), s.hangs.Load(), s.restarts.Load())
 }

@@ -89,7 +89,6 @@ func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 			MaxBackoff:  time.Millisecond,
 			MaxRestarts: -1,
 			HangAfter:   2 * time.Millisecond,
-			Tick:        time.Millisecond,
 		},
 	}
 	ran := make(chan error, 1)

@@ -225,7 +225,6 @@ func runCheckpointedChaos(t *testing.T, minFaults, phase2Min uint64, persist dom
 			MaxBackoff:      time.Millisecond,
 			MaxRestarts:     -1,
 			HangAfter:       2 * time.Millisecond,
-			Tick:            time.Millisecond,
 			CheckpointEvery: 5 * time.Millisecond,
 			Persist:         persist,
 		},

@@ -113,7 +113,6 @@ func chaosRun(t *testing.T, port netbricks.BurstPort, workers, batchSize, perWor
 			MaxBackoff:  time.Millisecond,
 			MaxRestarts: -1,
 			HangAfter:   2 * time.Millisecond,
-			Tick:        time.Millisecond,
 		},
 	}
 	stats, err := r.Run(perWorker)

@@ -443,11 +443,11 @@ func TestOneRunnerEveryConfiguration(t *testing.T) {
 	}
 }
 
-// TestSupervisedRunReportsDegradedWorker: a worker that exhausts
+// TestSupervisedRunReportsStoppedWorker: a worker that exhausts
 // Policy.MaxRestarts stops for good and leaves its queue unserved. The
 // run must say so, by name, while the other worker serves its whole
 // budget and no buffer leaks.
-func TestSupervisedRunReportsDegradedWorker(t *testing.T) {
+func TestSupervisedRunReportsStoppedWorker(t *testing.T) {
 	const workers, n = 2, 20
 	port := newShardedPort(t, workers, 512)
 	r := &ShardedRunner{

@@ -66,13 +66,10 @@ func BenchmarkCheckpointEpochRAM(b *testing.B) {
 	}
 }
 
-func BenchmarkCheckpointEpochDisk(b *testing.B)       { benchEpochDisk(b, statestore.FsyncGroup) }
-func BenchmarkCheckpointEpochDiskAlways(b *testing.B) { benchEpochDisk(b, statestore.FsyncAlways) }
-
-func benchEpochDisk(b *testing.B, mode statestore.FsyncMode) {
+func BenchmarkCheckpointEpochDisk(b *testing.B) {
 	tbl := benchTable(b)
 	engine := checkpoint.NewEngine(checkpoint.RcAware)
-	store, err := statestore.Open(statestore.Config{Dir: b.TempDir(), Fsync: mode})
+	store, err := statestore.Open(statestore.Config{Dir: b.TempDir(), Fsync: statestore.FsyncGroup})
 	if err != nil {
 		b.Fatal(err)
 	}

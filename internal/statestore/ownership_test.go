@@ -264,24 +264,19 @@ type ownScript struct {
 	book    *ownBook
 	sup     *domain.Supervisor
 	workers []*ownWorker
-	group   bool // OneForAll: every fault restarts both workers
 }
 
-func newOwnScript(t *testing.T, group bool) *ownScript {
+func newOwnScript(t *testing.T) *ownScript {
 	t.Helper()
-	sc := &ownScript{t: t, dir: t.TempDir(), group: group}
+	sc := &ownScript{t: t, dir: t.TempDir()}
 	sc.store = openT(t, sc.dir, Config{Fsync: FsyncGroup, CompactAfter: -1})
 	sc.wal = &scriptedWAL{walFile: sc.store.wal}
 	sc.store.wal = sc.wal
 	sc.book = newOwnBook()
-	policy := domain.Policy{
+	sc.sup = domain.NewSupervisor(domain.Policy{
 		Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1,
 		CheckpointEvery: 100 * time.Microsecond, Persist: &ownedStore{Store: sc.store, book: sc.book},
-	}
-	if group {
-		policy.Strategy = domain.OneForAll
-	}
-	sc.sup = domain.NewSupervisor(policy)
+	})
 	for w := 0; w < 2; w++ {
 		lb, err := maglev.NewBalancer([]maglev.Backend{
 			{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},
@@ -348,18 +343,13 @@ func attempts(wk *ownWorker) uint64 {
 // settle waits until every worker's only runnable work is a capture
 // parked on its permit: publish, persist and hand-back all run on the
 // goroutine that captured, before it can ask for the next permit, so
-// nothing touches an epoch buffer while this holds. stale says how many
-// superseded generations are known to be parked beside the current one.
-func (sc *ownScript) settle(stale ...int) {
+// nothing touches an epoch buffer while this holds.
+func (sc *ownScript) settle() {
 	sc.t.Helper()
-	for i, wk := range sc.workers {
-		want := int32(1)
-		if i < len(stale) {
-			want += int32(stale[i])
-		}
+	for _, wk := range sc.workers {
 		wk := wk
 		sc.wait(wk.state.name+" parked at its permit", func() bool {
-			return wk.dom.State() == domain.StateLive && wk.state.waiting.Load() == want
+			return wk.dom.State() == domain.StateLive && wk.state.waiting.Load() == 1
 		})
 	}
 }
@@ -392,51 +382,18 @@ func (sc *ownScript) epoch(w int, grow bool) {
 }
 
 // crash faults worker w — in its handler, or inside its next capture —
-// and waits for the restart (of both workers under OneForAll). The
-// sibling's parked generation is superseded where it stands: it wakes on
-// the next permit, captures, and must be refused publication.
+// and waits for its restart.
 func (sc *ownScript) crash(w int, inCapture bool) {
 	sc.t.Helper()
 	wk := sc.workers[w]
-	restarts := make([]uint64, len(sc.workers))
-	for i, o := range sc.workers {
-		restarts[i] = o.dom.Snapshot().Restarts
-	}
+	restarts := wk.dom.Snapshot().Restarts
 	if inCapture {
 		wk.state.panicIn.Store(true)
 	} else if err := wk.dom.Inbox().Send(linear.New(func() { panic("ownScript: injected handler crash") })); err != nil {
 		sc.t.Fatal(err)
 	}
 	wk.state.permits <- struct{}{} // the parked capture runs; a handler crash follows it
-	stale := make([]int, len(sc.workers))
-	for i, o := range sc.workers {
-		if i != w && !sc.group {
-			continue
-		}
-		i, o := i, o
-		sc.wait(o.state.name+" restarted", func() bool { return o.dom.Snapshot().Restarts > restarts[i] })
-		if i != w {
-			stale[i] = 1
-		}
-	}
-	sc.settle(stale...)
-	for i, o := range sc.workers {
-		if stale[i] == 0 {
-			continue
-		}
-		// Two permits, two parked generations, in whichever order they
-		// wake: the stale one is refused and exits, the current one
-		// publishes and parks again.
-		before := attempts(o)
-		refused := o.dom.Snapshot().CheckpointFailures
-		o.state.permits <- struct{}{}
-		o.state.permits <- struct{}{}
-		o := o
-		sc.wait(o.state.name+" flushing its superseded generation", func() bool { return attempts(o) >= before+2 })
-		if got := o.dom.Snapshot().CheckpointFailures; got != refused+1 {
-			sc.t.Fatalf("%s: %d refused publishes after a superseded capture, want 1", o.state.name, got-refused)
-		}
-	}
+	sc.wait(wk.state.name+" restarted", func() bool { return wk.dom.Snapshot().Restarts > restarts })
 	sc.settle()
 }
 
@@ -541,23 +498,20 @@ func (sc *ownScript) run(ops []byte) {
 	}
 }
 
-// TestEpochOwnershipProperty plays seeded random scripts under both
-// restart strategies.
+// TestEpochOwnershipProperty plays seeded random scripts.
 func TestEpochOwnershipProperty(t *testing.T) {
-	for _, group := range []bool{false, true} {
-		for seed := int64(1); seed <= 4; seed++ {
-			t.Run(fmt.Sprintf("group=%v/seed=%d", group, seed), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(seed))
-				ops := make([]byte, 60)
-				for i := range ops {
-					ops[i] = byte(rng.Intn(2 * ownOps))
-					if rng.Intn(3) == 0 { // weight plain epochs: faults need epochs around them
-						ops[i] = byte(opEpoch + ownOps*rng.Intn(2))
-					}
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			ops := make([]byte, 60)
+			for i := range ops {
+				ops[i] = byte(rng.Intn(2 * ownOps))
+				if rng.Intn(3) == 0 { // weight plain epochs: faults need epochs around them
+					ops[i] = byte(opEpoch + ownOps*rng.Intn(2))
 				}
-				newOwnScript(t, group).run(ops)
-			})
-		}
+			}
+			newOwnScript(t).run(ops)
+		})
 	}
 }
 
@@ -566,7 +520,7 @@ func TestEpochOwnershipProperty(t *testing.T) {
 // buffer for as long as it runs — the check that the script above is
 // exercising recycling and not only its fallback.
 func TestEpochBuffersRotate(t *testing.T) {
-	sc := newOwnScript(t, false)
+	sc := newOwnScript(t)
 	counts := func() (fresh, moves int) {
 		sc.book.mu.Lock()
 		defer sc.book.mu.Unlock()
@@ -589,18 +543,15 @@ func TestEpochBuffersRotate(t *testing.T) {
 // the hand-back rule was written around: a persist that fails and then
 // succeeds (the failed epoch stays in RAM as the last good one and goes
 // back only when a newer one replaces it), an fsync that fails after the
-// append, a crash right after each, and a group restart landing on a
-// parked capture.
+// append, and a crash right after each.
 func FuzzEpochOwnership(f *testing.F) {
-	f.Add(false, []byte{opEpoch, opEpoch, opPersistError, opEpoch, opEpoch, opVerify})
-	f.Add(false, []byte{opEpoch, opEpoch, opFsyncError, opEpoch, opEpoch, opCompact})
-	f.Add(false, []byte{opEpoch, opPersistError, opCrash, opEpoch, opFsyncError, opCrashInCapture, opEpoch})
-	f.Add(true, []byte{opEpoch, opEpoch + ownOps, opCrash, opEpoch, opCrashInCapture + ownOps, opCompact, opEpoch})
-	f.Add(true, []byte{opPersistError, opFsyncError + ownOps, opCrash + ownOps, opVerify})
-	f.Fuzz(func(t *testing.T, group bool, ops []byte) {
+	f.Add([]byte{opEpoch, opEpoch, opPersistError, opEpoch, opEpoch, opVerify})
+	f.Add([]byte{opEpoch, opEpoch, opFsyncError, opEpoch, opEpoch, opCompact})
+	f.Add([]byte{opEpoch, opPersistError, opCrash, opEpoch, opFsyncError, opCrashInCapture, opEpoch})
+	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 48 {
 			ops = ops[:48]
 		}
-		newOwnScript(t, group).run(ops)
+		newOwnScript(t).run(ops)
 	})
 }

@@ -102,7 +102,7 @@ func TestFailedEpochReadFailsSpawn(t *testing.T) {
 // never comes back cold — and the first attempt after the file reads
 // again restores the state the last epoch captured.
 func TestFailedEpochReadIsARestoreFault(t *testing.T) {
-	sc := newOwnScript(t, false)
+	sc := newOwnScript(t)
 	sc.epoch(0, true)
 	wk := sc.workers[0]
 	want := wk.tbl.Entries()

@@ -26,12 +26,10 @@ const (
 	// without issuing its own. Durability per epoch, ~one fsync per
 	// batch of concurrent epochs.
 	FsyncGroup FsyncMode = iota
-	// FsyncAlways issues one fsync per append, under the append lock —
-	// strict ordering, maximum latency.
-	FsyncAlways
 	// FsyncNone never syncs; durability is whatever the kernel flushed.
 	// Crash recovery still works (longest valid prefix), it just may
-	// recover an older epoch.
+	// recover an older epoch. Tests use it to keep fsync latency out of
+	// what they time or repeat.
 	FsyncNone
 )
 
@@ -40,8 +38,6 @@ func (m FsyncMode) String() string {
 	switch m {
 	case FsyncGroup:
 		return "group"
-	case FsyncAlways:
-		return "always"
 	case FsyncNone:
 		return "none"
 	default:
@@ -400,15 +396,6 @@ func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 		// Compaction writes base.db through a rename barrier and then
 		// truncates the WAL, so it subsumes this record's durability.
 		err = s.compactLocked()
-		s.mu.Unlock()
-	case s.cfg.Fsync == FsyncAlways:
-		err = s.wal.Sync()
-		s.fsyncs.Add(1)
-		if err == nil {
-			s.advanceSynced(myRec)
-		} else {
-			err = fmt.Errorf("statestore: fsync: %w", err)
-		}
 		s.mu.Unlock()
 	case s.cfg.Fsync == FsyncGroup:
 		s.mu.Unlock()

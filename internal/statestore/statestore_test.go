@@ -211,7 +211,7 @@ func TestConcurrentPersist(t *testing.T) {
 }
 
 func TestFsyncModes(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncGroup, FsyncAlways, FsyncNone} {
+	for _, mode := range []FsyncMode{FsyncGroup, FsyncNone} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			s := openT(t, dir, Config{Fsync: mode})
@@ -221,15 +221,8 @@ func TestFsyncModes(t *testing.T) {
 				}
 			}
 			st := s.StatsSnapshot()
-			switch mode {
-			case FsyncAlways:
-				if st.Fsyncs != 5 {
-					t.Fatalf("always: %d fsyncs, want 5", st.Fsyncs)
-				}
-			case FsyncNone:
-				if st.Fsyncs != 0 {
-					t.Fatalf("none: %d fsyncs, want 0", st.Fsyncs)
-				}
+			if mode == FsyncNone && st.Fsyncs != 0 {
+				t.Fatalf("none: %d fsyncs, want 0", st.Fsyncs)
 			}
 			s.Close()
 			s2 := openT(t, dir, Config{Fsync: mode})

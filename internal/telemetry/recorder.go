@@ -11,7 +11,7 @@ import (
 // EventKind classifies a flight-recorder event. The set mirrors the
 // lifecycle of a supervised protection domain: payload movement through
 // mailboxes, the fault taxonomy (error, panic, heartbeat-miss), and the
-// supervisor's responses (backoff, restart, degrade, stop).
+// supervisor's responses (backoff, restart, stop).
 type EventKind uint32
 
 // Flight-recorder event kinds. Arg carries the per-kind detail noted on
@@ -33,8 +33,6 @@ const (
 	EvBackoff
 	// EvRestart: a restart completed and the domain serves again.
 	EvRestart
-	// EvDegrade: the restart budget ran out; fallback handler installed.
-	EvDegrade
 	// EvStop: the domain stopped for good.
 	EvStop
 	// EvCheckpoint: a domain published a state checkpoint. Arg =
@@ -74,8 +72,6 @@ func (k EventKind) String() string {
 		return "backoff"
 	case EvRestart:
 		return "restart"
-	case EvDegrade:
-		return "degrade"
 	case EvStop:
 		return "stop"
 	case EvCheckpoint:

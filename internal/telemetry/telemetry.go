@@ -2,7 +2,7 @@
 // counters, gauges, and fixed-bucket latency histograms whose record
 // path is pure atomics — no locks, no allocations — plus a ring-buffer
 // flight recorder that keeps the last N domain events for post-mortem
-// dumps when the supervisor degrades a domain.
+// dumps when a domain exhausts its restart budget.
 //
 // The design splits the two costs the paper's argument hinges on:
 //

@@ -226,7 +226,7 @@ func TestRecorderWraps(t *testing.T) {
 
 func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{EvSend, EvRecv, EvDrop, EvError, EvPanic, EvHang,
-		EvBackoff, EvRestart, EvDegrade, EvStop}
+		EvBackoff, EvRestart, EvStop}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()
