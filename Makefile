@@ -46,14 +46,18 @@ PIPELINE_ALLOCS_MAX ?= 4000
 PIPELINE_EPOCH_ALLOCS_MAX ?= 1262
 
 # Ceilings for BenchmarkChaosRestore (mem-chaos in miniature: a few dozen
-# 10ms epochs and ~11 restores per Run over 4096 flows). Recorded 967-982
-# allocs/op and 0.58 MB/op, all of it the Run's cold start; the parent of
-# the hand-back change read ~1400 allocs/op and 7.3-8.4 MB/op on the same
-# bench. The object ceiling is the recorded number plus 25%. The byte
-# ceiling is the one that resolves — an epoch buffer or a restored flow
-# graph is a few large objects, not many — and sits at twice the recorded
-# number, a sixth of what one Run used to leave behind.
-CHAOS_RESTORE_ALLOCS_MAX ?= 1225
+# 10ms epochs and ~11 restores per Run over 4096 flows). Recorded 553-554
+# allocs/op and 0.60 MB/op, nearly all of it the Run's cold start; before
+# a fault and its restart stopped making garbage a Run read 967-1013
+# allocs/op (≈ 48 objects per fault), and before the hand-back change
+# ~1400 allocs/op and 7.3-8.4 MB/op. The object ceiling is the recorded
+# number plus 25%. The byte ceiling is the one that resolves — an epoch
+# buffer or a restored flow graph is a few large objects, not many — and
+# sits at twice the recorded number, a sixth of what one Run used to leave
+# behind. The bench also prices one fault against a fault-free twin:
+# recorded 12.4-12.6 allocs/fault and 550-630 B/fault (48 and ≈ 2.8 KB
+# before), gated at TestFaultAllocBudget's budget of 20 and 1024 B.
+CHAOS_RESTORE_ALLOCS_MAX ?= 690
 CHAOS_RESTORE_BYTES_MAX ?= 1200000
 
 # Ceiling for BenchmarkNewPort (PoolSize 65 536): the 128 MiB data arena
@@ -94,7 +98,9 @@ guard-atomics:
 ## captured once and each gate reads the file. BenchmarkChaosRestore
 ## rides in the same run: its ceilings (objects and bytes per Run) are
 ## what keeps epoch-buffer and restore garbage from coming back
-## unnoticed. TestRecycledEpochAllocatesNothing gates the two epoch loops
+## unnoticed, and its per-fault ceilings (objects and bytes one fault and
+## its restart allocate, against a fault-free twin) keep the fault path
+## from making garbage again. TestRecycledEpochAllocatesNothing gates the two epoch loops
 ## at 0 objects: RAM-only (capture, publish, hand the replaced epoch
 ## back — two buffers in rotation) and durable (after one warm-up epoch,
 ## capture → PersistEpoch → RecycleToken of that same token — the store
@@ -125,7 +131,9 @@ alloc-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkCheckpointedPipeline/epoch=100ms -metric allocs/op -max $(PIPELINE_ALLOCS_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkSupervisedPipeline/steady -metric allocs/op -max $(PIPELINE_ALLOCS_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric allocs/op -max $(CHAOS_RESTORE_ALLOCS_MAX) < $$out > /dev/null; \
-	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/op -max $(CHAOS_RESTORE_BYTES_MAX) < $$out > /dev/null
+	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/op -max $(CHAOS_RESTORE_BYTES_MAX) < $$out > /dev/null; \
+	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric allocs/fault -max 20 < $$out > /dev/null; \
+	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/fault -max 1024 < $$out > /dev/null
 	$(GO) test -run='^TestRecycledEpochAllocatesNothing$$' -count=1 -v .
 	$(GO) test -run='^$$' -bench='NetportLoopback$$' -benchmem -benchtime=1s ./internal/netport \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0

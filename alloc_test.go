@@ -10,6 +10,7 @@ package repro
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/domain"
 	"repro/internal/dpdk"
@@ -170,9 +171,9 @@ func TestEpochAllocBudget(t *testing.T) {
 // publish as the last good epoch, hand the epoch that was replaced back
 // to the state (two buffers in rotation). With a statestore.Store:
 // capture, PersistEpoch, hand that same token back — the store holds the
-// epoch on disk, so one buffer serves every epoch. (The runtime's own
-// publication records, small structs per epoch, are not part of these
-// loops; BenchmarkChaosRestore prices the real thing.)
+// epoch on disk, so one buffer serves every epoch. These loops stand in
+// for the runtime's; TestLiveEpochAllocBudget runs the runtime's own,
+// publication records and all.
 func TestRecycledEpochAllocatesNothing(t *testing.T) {
 	t.Run("no store", func(t *testing.T) {
 		set := warmStateSet(t)
@@ -225,4 +226,105 @@ func TestRecycledEpochAllocatesNothing(t *testing.T) {
 			t.Fatalf("store holds seq %d (ok=%v, err=%v), want %d", gotSeq, ok, err, seq)
 		}
 	})
+}
+
+// TestFaultAllocBudget pins what a fault and its restart allocate once a
+// domain has faulted before: chaosRunner with a panic on every 2000th
+// batch of each worker (mem-chaos's rate), 100 faults over two Runs,
+// against its fault-free twin (perFault). The errors format lazily, the
+// sfi table is cleared in place, an exited generation hands its context
+// on, each domain keeps one ticker and one backoff timer, the lost
+// batch's storage goes back to the worker's free list and the session
+// table's backend boxes are reused, so what is left is the three error
+// values, the new stage instance's box and table entry (and the operator
+// this setup's fault-stage factory boxes), its client's fresh binding,
+// the next generation's quit channel and goroutine, the lost batch's
+// fresh cell and the restore's two component tokens: ≈ 12 objects and
+// ≈ 0.6 KB. Before that change a fault read 48 objects and ≈ 2.8 KB here.
+func TestFaultAllocBudget(t *testing.T) {
+	const (
+		faultEvery = 2000
+		// A whole number of fault periods: the fault stage's count carries
+		// across Runs, so each Run faults first faultEvery batches in,
+		// well past its first 10ms epoch (an earlier fault would
+		// cold-start, and chaosRuns fails the Run).
+		batchesPerWorker = 25 * faultEvery
+		runs             = 2
+		maxAllocs        = 20
+		maxBytes         = 1024
+	)
+	twin := twinCost(t, runs, batchesPerWorker)
+	faulty := chaosRuns(t, chaosRunner(t, faultEvery, batchesPerWorker), runs, batchesPerWorker)
+	if faulty.faults < 100 || faulty.restores != faulty.faults {
+		t.Fatalf("%d faults, %d restores; want at least 100 faults, each restored", faulty.faults, faulty.restores)
+	}
+	allocs, bytes := perFault(faulty, twin)
+	t.Logf("%d faults: %.1f objects and %.0f B per fault", faulty.faults, allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Fatalf("a fault and its restart allocate %.1f objects and %.0f B, want at most %d and %d B",
+			allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// TestLiveEpochAllocBudget runs at least 100 checkpoint epochs through a
+// live, idle Domain — the ticker wakes it, it captures, publishes and hands
+// back — and pins what an epoch allocates once warm: the buffers rotate
+// (TestRecycledEpochAllocatesNothing), and so do the publication records
+// that say which buffer is the last good epoch, two of them, rewritten
+// under the same rule that hands a buffer back. With a statestore.Store
+// the record of the epoch just persisted turns into the reference to the
+// store's copy in place. Before that change an epoch allocated one
+// record, two with a store.
+func TestLiveEpochAllocBudget(t *testing.T) {
+	const epochs = 200
+	for _, durable := range []bool{false, true} {
+		name := "no store"
+		if durable {
+			name = "store"
+		}
+		t.Run(name, func(t *testing.T) {
+			pol := domain.Policy{CheckpointEvery: time.Millisecond}
+			if durable {
+				store, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone, CompactAfter: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer store.Close()
+				pol.Persist = store
+			}
+			sup := domain.NewSupervisor(pol)
+			defer sup.Close()
+			d, err := domain.Spawn(sup, domain.Config[int]{
+				Name:    "worker-0",
+				Handler: func(*domain.Ctx, linear.Owned[int]) error { return nil },
+				State:   warmStateSet(t),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			taken := func() uint64 { return d.Snapshot().Checkpoints }
+			waitEpochs := func(n uint64) {
+				for deadline := time.Now().Add(30 * time.Second); taken() < n; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d epochs after 30s, want %d", taken(), n)
+					}
+				}
+			}
+			waitEpochs(4) // two buffers and two records in rotation
+			var before, after runtime.MemStats
+			from := taken()
+			runtime.ReadMemStats(&before)
+			waitEpochs(from + epochs)
+			runtime.ReadMemStats(&after)
+			n := taken() - from
+			per := float64(after.Mallocs-before.Mallocs) / float64(n)
+			t.Logf("%d epochs: %.3f objects per epoch", n, per)
+			if per > 0.05 {
+				t.Fatalf("a live epoch allocates %.3f objects, want <= 0.05", per)
+			}
+			if sn := d.Snapshot(); sn.CheckpointFailures != 0 || (durable && sn.Persisted < from+epochs) {
+				t.Fatalf("snapshot %+v: every epoch should succeed and, with a store, persist", sn)
+			}
+		})
+	}
 }

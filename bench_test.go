@@ -15,6 +15,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -536,8 +537,9 @@ func BenchmarkCheckpointedPipeline(b *testing.B) {
 	}
 }
 
-// everyNth panics on every nth batch it sees. The count lives outside the
-// operator because stage recovery rebuilds the operator from its factory.
+// everyNth panics on every nth batch it sees (never when n is 0). The
+// count lives outside the operator because stage recovery rebuilds the
+// operator from its factory.
 type everyNth struct {
 	seen *int
 	n    int
@@ -546,52 +548,52 @@ type everyNth struct {
 func (everyNth) Name() string { return "fault" }
 
 func (o everyNth) ProcessBatch(*netbricks.Batch) error {
-	if *o.seen++; *o.seen%o.n == 0 {
+	if *o.seen++; o.n > 0 && *o.seen%o.n == 0 {
 		panic("bench: injected fault")
 	}
 	return nil
 }
 
-// BenchmarkChaosRestore is nfbench's mem-chaos in miniature: two
-// supervised workers over 4096 established flows, a handler panic on
-// every 2000th batch of each, 10ms RAM checkpoint epochs, so every Run
-// takes a few dozen epochs and restores each worker's maglev and session
-// state five times. What it prices is what those leave behind: with
-// epoch buffers handed back and Restore rebuilding in place, B/op is the
-// cold start of a Run and little else (alloc-gate holds both B/op and
-// allocs/op; a Run made ~9 MB of epoch buffers and restored graphs
-// before).
-func BenchmarkChaosRestore(b *testing.B) {
-	const workers = 2
-	const batchSize = 32
-	const faultEvery = 2000
-	const batchesPerWorker = 5*faultEvery + faultEvery/2
+// chaosWorkers is mem-chaos's worker count, which chaosRunner keeps.
+const chaosWorkers = 2
+
+// chaosRunner is nfbench's mem-chaos in miniature: chaosWorkers
+// supervised workers over 4096 established flows and 8 backends, each a
+// five-stage isolated pipeline (parse, a stage that panics on every
+// faultEvery-th batch, firewall, maglev, session) whose maglev and
+// session state is checkpointed every 10ms and restored on each restart.
+// faultEvery 0 is the same runner with a stage that never panics: the
+// twin a fault's cost is measured against. The runner comes back after
+// one Run of batchesPerWorker batches per worker, which establishes the
+// flows and sizes the tables.
+func chaosRunner(tb testing.TB, faultEvery, batchesPerWorker int) *netbricks.ShardedRunner {
+	tb.Helper()
 	port := dpdk.NewPort(dpdk.Config{
-		PoolSize: workers * 512,
-		RxQueues: workers,
-		QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 4096, workers),
+		PoolSize: chaosWorkers * 512,
+		RxQueues: chaosWorkers,
+		QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 4096, chaosWorkers),
 	})
 	db := firewall.NewDB(firewall.Deny)
 	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	backends := make([]maglev.Backend, 8)
 	for i := range backends {
 		backends[i] = maglev.Backend{Name: fmt.Sprintf("be-%d", i), IP: packet.Addr(10, 1, 0, byte(i+1))}
 	}
-	tables := make([]*session.Table, workers)
-	balancers := make([]*maglev.Balancer, workers)
-	seen := make([]int, workers)
+	tables := make([]*session.Table, chaosWorkers)
+	balancers := make([]*maglev.Balancer, chaosWorkers)
+	seen := make([]int, chaosWorkers)
 	for w := range tables {
 		tables[w] = session.NewTable()
 		lb, err := maglev.NewBalancer(backends, maglev.DefaultTableSize)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		balancers[w] = lb
 	}
 	r := &netbricks.ShardedRunner{
-		Port: port, Workers: workers, BatchSize: batchSize,
+		Port: port, Workers: chaosWorkers, BatchSize: 32,
 		Supervise: true,
 		Policy: domain.Policy{
 			Backoff:         20 * time.Microsecond,
@@ -617,26 +619,87 @@ func BenchmarkChaosRestore(b *testing.B) {
 				Add("session", tables[w])
 		},
 	}
-	if _, err := r.Run(batchesPerWorker); err != nil { // establish the flows and size the tables
-		b.Fatal(err)
+	if _, err := r.Run(batchesPerWorker); err != nil {
+		tb.Fatal(err)
 	}
-	var restores uint64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return r
+}
+
+// chaosCost is what runs of a chaosRunner allocated, and the faults and
+// restores they took.
+type chaosCost struct {
+	mallocs, bytes, faults, restores uint64
+}
+
+// chaosRuns runs r runs times over batchesPerWorker batches per worker
+// and counts what those runs allocate. Each Run boots fresh domains, and
+// a fault that beat a Run's first epoch would cold-start instead of
+// restoring, so every Run is checked to have restored every fault.
+func chaosRuns(tb testing.TB, r *netbricks.ShardedRunner, runs, batchesPerWorker int) chaosCost {
+	tb.Helper()
+	var c chaosCost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
 		if _, err := r.Run(batchesPerWorker); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		sn, ok := r.SupervisorSnapshot()
 		if !ok || sn.ColdStarts != 0 {
-			b.Fatalf("run %d: snapshot ok=%v, %d cold starts; every fault should restore", i, ok, sn.ColdStarts)
+			tb.Fatalf("run %d: snapshot ok=%v, %d cold starts; every fault should restore", i, ok, sn.ColdStarts)
 		}
-		restores += sn.Restores
+		c.faults += sn.Crashes + sn.Errors + sn.Hangs
+		c.restores += sn.Restores
 	}
-	if restores < uint64(b.N)*workers*4 {
-		b.Fatalf("%d restores over %d runs; the bench priced no restore path", restores, b.N)
+	runtime.ReadMemStats(&after)
+	c.mallocs, c.bytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	return c
+}
+
+// perFault is what one fault and its restart allocate: the objects and
+// bytes of faulty's runs less those of a fault-free twin run as often,
+// per fault. Batches, epochs and each Run's cold start cost the twins
+// the same, so what is left is the fault path: the errors, the sfi
+// teardown and rebind, the restart and the restore.
+func perFault(faulty, twin chaosCost) (allocs, bytes float64) {
+	n := float64(faulty.faults)
+	return (float64(faulty.mallocs) - float64(twin.mallocs)) / n, (float64(faulty.bytes) - float64(twin.bytes)) / n
+}
+
+// twinCost measures runs of a fault-free chaosRunner: the other half of
+// perFault.
+func twinCost(tb testing.TB, runs, batchesPerWorker int) chaosCost {
+	tb.Helper()
+	c := chaosRuns(tb, chaosRunner(tb, 0, batchesPerWorker), runs, batchesPerWorker)
+	if c.faults != 0 {
+		tb.Fatalf("the fault-free twin faulted %d times", c.faults)
 	}
-	b.ReportMetric(float64(restores)/float64(b.N), "restores/run")
+	return c
+}
+
+// BenchmarkChaosRestore runs chaosRunner with a handler panic on every
+// 2000th batch of each worker, so every Run takes a few dozen epochs and
+// restores each worker's maglev and session state five times. allocs/op
+// and B/op are one Run: with epoch buffers handed back and Restore
+// rebuilding in place, its cold start and little else (a Run made ~9 MB
+// of epoch buffers and restored graphs before). allocs/fault and B/fault
+// are one fault and its restart, against a fault-free twin (perFault).
+// alloc-gate holds all four.
+func BenchmarkChaosRestore(b *testing.B) {
+	const faultEvery = 2000
+	const batchesPerWorker = 5*faultEvery + faultEvery/2
+	r := chaosRunner(b, faultEvery, batchesPerWorker)
+	b.ReportAllocs()
+	b.ResetTimer()
+	c := chaosRuns(b, r, b.N, batchesPerWorker)
+	b.StopTimer()
+	if c.restores < uint64(b.N)*chaosWorkers*4 {
+		b.Fatalf("%d restores over %d runs; the bench priced no restore path", c.restores, b.N)
+	}
+	b.ReportMetric(float64(c.restores)/float64(b.N), "restores/run")
+	allocs, bytes := perFault(c, twinCost(b, b.N, batchesPerWorker))
+	b.ReportMetric(allocs, "allocs/fault")
+	b.ReportMetric(bytes, "B/fault")
 }
 
 // sessionGraph is the session table's shape as the reflect engine sees

@@ -339,7 +339,10 @@ func (s *StateSet) DecodeToken(data []byte) (any, error) {
 // the serving epoch and wall time it was taken at. seq is the durable
 // sequence number (0 when persistence is off). A nil token is a durable
 // reference: the epoch is the store's newest record for the domain, seq,
-// and a restore reads it back through LastEpoch.
+// and a restore reads it back through LastEpoch. A record is written only
+// while nobody else can read it: before publish, under gmu while its
+// generation is current (makeDurable), and as a spare once the runtime
+// hands its buffer back (see takeCheckpoint).
 type ckptToken struct {
 	token any
 	epoch uint64
@@ -353,6 +356,9 @@ type ckptState struct {
 	state  Stateful
 	engine *checkpoint.Engine // RcAware; wire-form states ignore it
 	every  time.Duration
+	// tick wakes an idle serving goroutine every epoch. The domain has one
+	// from Spawn until it stops, shared by its generations in turn.
+	tick *time.Ticker
 
 	// last is the newest good checkpoint; published by the serving
 	// goroutine (under the domain's gmu, see publish), consumed by the
@@ -373,8 +379,11 @@ type ckptState struct {
 	seq     atomic.Uint64
 
 	// recycler takes tokens back (nil when the state does not offer it);
-	// see takeCheckpoint for when.
+	// see takeCheckpoint for when. spareRec is the publication record that
+	// went out of use with the last buffer handed back, rewritten by the
+	// next epoch instead of a new one.
 	recycler tokenRecycler
+	spareRec atomic.Pointer[ckptToken]
 
 	taken         telemetry.Counter
 	failed        telemetry.Counter
@@ -411,11 +420,14 @@ func (c *ckptState) due(now time.Time) bool {
 //     its persist failed), unless a store is configured and an earlier
 //     generation published it: that generation may have been superseded
 //     inside its own PersistEpoch call, still reading the bytes;
-//   - this epoch itself, once the store holds it (makeDurable): last then
-//     refers to the store's record instead, so a durable domain rotates
-//     one buffer.
+//   - this epoch itself, once the store holds it (makeDurable): its record
+//     then refers to the store's record instead, so a durable domain
+//     rotates one buffer.
 //
-// Anything else — a superseded generation's buffer, a failed persist's
+// The replaced epoch's record goes out of use under the first rule
+// (whether it held a buffer or referred to the store), and the next epoch
+// rewrites it: records rotate with their buffers, two of them. Anything
+// else — a superseded generation's buffer or record, a failed persist's
 // after a restart — is left to the collector.
 func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck := d.ck
@@ -426,7 +438,7 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 			d.st.crashes.Add(1)
 			ck.failed.Add(1)
 			d.rec.Record(d.actor, telemetry.EvPanic, d.faultStreak.Load()+1)
-			fault = fmt.Errorf("domain %s: checkpoint panic: %v: %w", d.name, p, ErrCrashed)
+			fault = &faultError{domain: d.name, what: "checkpoint panic", val: p}
 		}
 	}()
 	token, err := ck.state.Checkpoint(ck.engine)
@@ -435,7 +447,11 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 		return nil
 	}
 	lat := time.Since(start)
-	tok := &ckptToken{token: token, epoch: epoch, at: start}
+	tok := ck.spareRec.Swap(nil)
+	if tok == nil {
+		tok = new(ckptToken)
+	}
+	*tok = ckptToken{token: token, epoch: epoch, at: start}
 	old, ok := d.publish(tok)
 	if !ok {
 		ck.failed.Add(1)
@@ -444,15 +460,18 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck.taken.Add(1)
 	ck.ckptLat.Observe(lat)
 	d.rec.Record(d.actor, telemetry.EvCheckpoint, uint64(lat))
-	if old != nil && old.token != nil && (ck.persist == nil || old.epoch == epoch) {
-		ck.recycle(old.token)
+	if old != nil && (ck.persist == nil || old.epoch == epoch) {
+		if old.token != nil {
+			ck.recycle(old.token)
+		}
+		ck.spareRec.Store(old)
 	}
 	// Still inside the fault guard: a panic in the codec or the store is a
 	// domain fault, but the RAM epoch above already stands — the restart
 	// restores it. A persist *error* is softer yet: the domain keeps
 	// serving on the RAM epoch, only durability lags (counted).
 	if ck.persist != nil && d.persistEpoch(tok) && d.makeDurable(tok) {
-		ck.recycle(tok.token)
+		ck.recycle(token)
 	}
 	return nil
 }
@@ -501,15 +520,18 @@ func (d *Domain[T]) persistEpoch(tok *ckptToken) bool {
 	return true
 }
 
-// makeDurable replaces tok as the last good epoch with a reference to
+// makeDurable turns tok, still the last good epoch, into a reference to
 // the store's record of it, and reports whether it did: only while tok's
 // generation is current, under gmu as publish, so no restore is reading
 // tok — and once it has, nothing can reach tok's buffer.
 func (d *Domain[T]) makeDurable(tok *ckptToken) bool {
 	d.gmu.Lock()
 	defer d.gmu.Unlock()
-	return d.epoch.Load() == tok.epoch &&
-		d.ck.last.CompareAndSwap(tok, &ckptToken{epoch: tok.epoch, seq: tok.seq, at: tok.at})
+	if d.epoch.Load() != tok.epoch || d.ck.last.Load() != tok {
+		return false
+	}
+	tok.token = nil
+	return true
 }
 
 // durableToken reads the store's newest epoch for the domain and decodes
@@ -606,11 +628,14 @@ func (d *Domain[T]) restoreOrReset() error {
 }
 
 // LastCheckpoint reports when the newest good checkpoint was taken and
-// whether one exists — test and operational introspection.
+// whether one exists — test and operational introspection. It reads under
+// gmu: a record leaves last under that lock before it is rewritten.
 func (d *Domain[T]) LastCheckpoint() (time.Time, bool) {
 	if d.ck == nil {
 		return time.Time{}, false
 	}
+	d.gmu.Lock()
+	defer d.gmu.Unlock()
 	last := d.ck.last.Load()
 	if last == nil {
 		return time.Time{}, false

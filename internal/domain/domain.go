@@ -37,6 +37,31 @@ import (
 // ErrCrashed wraps a handler panic caught at the domain entry point.
 var ErrCrashed = errors.New("domain: handler crashed")
 
+// faultError is a fault caught at the domain entry point: a handler's
+// error (err), or a panic (val) in the handler or in a checkpoint (what
+// says which), which wraps ErrCrashed. Its message is built only when
+// read; the supervisor never reads it.
+type faultError struct {
+	domain string
+	what   string
+	val    any
+	err    error
+}
+
+func (e *faultError) Error() string {
+	if e.err != nil {
+		return "domain " + e.domain + ": " + e.err.Error()
+	}
+	return fmt.Sprintf("domain %s: %s: %v: %v", e.domain, e.what, e.val, ErrCrashed)
+}
+
+func (e *faultError) Unwrap() error {
+	if e.err != nil {
+		return e.err
+	}
+	return ErrCrashed
+}
+
 // errSuperseded is the internal signal that a serving generation has been
 // retired while idle; the goroutine exits without touching domain state.
 var errSuperseded = errors.New("domain: serving generation superseded")
@@ -217,6 +242,19 @@ type Domain[T any] struct {
 	// invocation); the restart policy's budget applies to the streak.
 	faultStreak atomic.Uint64
 
+	// spareCtx is the context a generation that exited on a fault handed
+	// on; the next generation resets it and serves with it. A generation
+	// abandoned by a hang keeps its own (its goroutine may still be in a
+	// call), and the next one makes a fresh context.
+	spareCtx atomic.Pointer[Ctx]
+	// backoff is the domain's one restart timer, made at its first fault
+	// and reset by the monitor for every later one; when it fires it asks
+	// for a restart of restartEpoch, the epoch its backoff was scheduled
+	// in. At most one restart is pending per domain: a domain in backoff
+	// neither serves nor reads as hung, so nothing schedules another.
+	backoff      *time.Timer
+	restartEpoch atomic.Uint64
+
 	// ck is the §5 checkpoint machinery; nil when checkpointing is off.
 	ck *ckptState
 
@@ -287,17 +325,20 @@ func (d *Domain[T]) serve(epoch uint64) {
 // closed and drained (domain stops), when a fault occurs (the supervisor
 // restarts a fresh generation), or when it discovers it was superseded.
 func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
-	ctx := &Ctx{SFI: sfi.NewContext(), PD: d.pd}
-	// When checkpointing is on, a per-generation ticker wakes an idle
-	// serving goroutine so quiet domains still complete epochs; under
-	// sustained traffic the post-invocation dueness check below paces the
-	// epochs instead (the recv select favors ready payloads, so the tick
-	// case would starve).
+	ctx := d.spareCtx.Swap(nil)
+	if ctx == nil {
+		ctx = &Ctx{SFI: sfi.NewContext(), PD: d.pd}
+	} else {
+		ctx.SFI.Reset()
+	}
+	// When checkpointing is on, the domain's ticker wakes an idle serving
+	// goroutine so quiet domains still complete epochs; under sustained
+	// traffic the post-invocation dueness check below paces the epochs
+	// instead (the recv select favors ready payloads, so the tick case
+	// would starve).
 	var tickC <-chan time.Time
 	if d.ck != nil {
-		t := time.NewTicker(d.ck.every)
-		defer t.Stop()
-		tickC = t.C
+		tickC = d.ck.tick.C
 	}
 	for {
 		if d.epoch.Load() != epoch {
@@ -310,7 +351,7 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 			// a handler fault.
 			if d.epoch.Load() == epoch && d.ck.due(time.Now()) {
 				if fault := d.takeCheckpoint(epoch); fault != nil {
-					d.sup.report(d, epoch, fault)
+					d.fault(ctx, epoch, fault)
 					return
 				}
 			}
@@ -329,7 +370,7 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 		fault := d.invoke(ctx, msg, epoch)
 		if fault != nil {
 			if d.epoch.Load() == epoch {
-				d.sup.report(d, epoch, fault)
+				d.fault(ctx, epoch, fault)
 			}
 			return
 		}
@@ -341,11 +382,19 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 			// Between invocations: the handler is not running, so the
 			// traversal races no hot-path mutator.
 			if fault := d.takeCheckpoint(epoch); fault != nil {
-				d.sup.report(d, epoch, fault)
+				d.fault(ctx, epoch, fault)
 				return
 			}
 		}
 	}
+}
+
+// fault ends a current generation that faulted: it hands its context on
+// to the next generation, then reports. The goroutine exits right after
+// and never touches ctx again.
+func (d *Domain[T]) fault(ctx *Ctx, epoch uint64, err error) {
+	d.spareCtx.Store(ctx)
+	d.sup.report(d, epoch, err)
 }
 
 // invoke is the domain entry point: heartbeat, guard, fault accounting,
@@ -384,13 +433,13 @@ func (d *Domain[T]) guard(ctx *Ctx, msg linear.Owned[T]) (err error) {
 		if p := recover(); p != nil {
 			d.st.crashes.Add(1)
 			d.rec.Record(d.actor, telemetry.EvPanic, d.faultStreak.Load()+1)
-			err = fmt.Errorf("domain %s: panic: %v: %w", d.name, p, ErrCrashed)
+			err = &faultError{domain: d.name, what: "panic", val: p}
 		}
 	}()
 	if herr := d.handler(ctx, msg); herr != nil {
 		d.st.errors.Add(1)
 		d.rec.Record(d.actor, telemetry.EvError, d.faultStreak.Load()+1)
-		return fmt.Errorf("domain %s: %w", d.name, herr)
+		return &faultError{domain: d.name, err: herr}
 	}
 	return nil
 }
@@ -426,6 +475,9 @@ func (d *Domain[T]) stop() {
 		return
 	}
 	d.rec.Record(d.actor, telemetry.EvStop, 0)
+	if d.ck != nil {
+		d.ck.tick.Stop()
+	}
 	d.inbox.Drain()
 	close(d.done)
 }

@@ -99,6 +99,7 @@ type child interface {
 	noteRestart()
 	noteHang()
 	setState(s State)
+	scheduleRestart(after time.Duration)
 }
 
 func (d *Domain[T]) currentEpoch() uint64 { return d.epoch.Load() }
@@ -252,6 +253,11 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			return nil, err
 		}
 	}
+	if d.ck != nil {
+		// After the last error return, so a failed Spawn leaves no ticker
+		// running; stop stops it.
+		d.ck.tick = time.NewTicker(d.ck.every)
+	}
 	if s.policy.Registry != nil {
 		// One transaction for the domain's whole series group: a scrape
 		// racing the spawn sees the group entirely or not at all, never
@@ -361,13 +367,27 @@ func (s *Supervisor) applyPolicy(c child) {
 	backoff := s.backoffFor(streak)
 	c.setState(StateBackoff)
 	c.noteBackoff(backoff)
-	epoch := c.currentEpoch()
-	time.AfterFunc(backoff, func() {
-		select {
-		case s.events <- event{restart: true, c: c, epoch: epoch}:
-		case <-s.stop:
-		}
-	})
+	c.scheduleRestart(backoff)
+}
+
+// scheduleRestart asks the monitor, after delay, to restart the epoch
+// the domain is in now. Only the monitor calls it.
+func (d *Domain[T]) scheduleRestart(delay time.Duration) {
+	d.restartEpoch.Store(d.epoch.Load())
+	if d.backoff == nil {
+		d.backoff = time.AfterFunc(delay, d.restartDue)
+		return
+	}
+	d.backoff.Reset(delay)
+}
+
+// restartDue is the backoff timer's function.
+func (d *Domain[T]) restartDue() {
+	s := d.sup
+	select {
+	case s.events <- event{restart: true, c: d, epoch: d.restartEpoch.Load()}:
+	case <-s.stop:
+	}
 }
 
 // backoffFor computes the exponential backoff for the given

@@ -157,6 +157,27 @@ func (r Rc[T]) Drop() error {
 	}
 }
 
+// DropN releases n strong handles at once: the copies a holder discards
+// wholesale, as session.Table.Restore does with every flow's clone of a
+// backend box. It never releases the last handle (Drop does, running the
+// destructor), so n must leave at least one; otherwise, and on a zero or
+// dead handle, it releases nothing and reports a violation.
+func (r Rc[T]) DropN(n int64) error {
+	const op = "Rc.DropN"
+	if r.box == nil || n < 0 {
+		return violation(op, ErrDropped)
+	}
+	for {
+		c := r.box.strong.Load()
+		if c-n < 1 {
+			return violation(op, ErrDropped)
+		}
+		if r.box.strong.CompareAndSwap(c, c-n) {
+			return nil
+		}
+	}
+}
+
 // Alive reports whether the value is still strongly referenced.
 func (r Rc[T]) Alive() bool {
 	return r.box != nil && r.box.strong.Load() > 0

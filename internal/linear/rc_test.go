@@ -46,6 +46,31 @@ func TestRcDropToZeroClearsValue(t *testing.T) {
 	}
 }
 
+// TestRcDropN: n handles go at once, never the last one.
+func TestRcDropN(t *testing.T) {
+	r := NewRc(7)
+	for i := 0; i < 4; i++ {
+		r.Clone()
+	}
+	if err := r.DropN(3); err != nil || r.StrongCount() != 2 {
+		t.Fatalf("DropN(3) of 5: err %v, StrongCount %d, want 2", err, r.StrongCount())
+	}
+	for _, n := range []int64{2, 3, -1} {
+		if err := r.DropN(n); err == nil || r.StrongCount() != 2 {
+			t.Fatalf("DropN(%d) of 2 released (err %v, StrongCount %d); it must leave one and release nothing otherwise", n, err, r.StrongCount())
+		}
+	}
+	if err := r.DropN(1); err != nil || r.StrongCount() != 1 || r.Get() != 7 {
+		t.Fatalf("DropN(1) of 2: err %v, StrongCount %d", err, r.StrongCount())
+	}
+	if err := r.DropN(0); err != nil || r.StrongCount() != 1 {
+		t.Fatalf("DropN(0): err %v, StrongCount %d", err, r.StrongCount())
+	}
+	if err := (Rc[int]{}).DropN(0); err == nil {
+		t.Fatal("DropN on the zero Rc succeeded")
+	}
+}
+
 func TestWeakUpgradeKeepsAlive(t *testing.T) {
 	r := NewRc(7)
 	w := r.Downgrade()

@@ -291,6 +291,21 @@ type IsolatedPipeline struct {
 // ErrStageFailed wraps a stage fault with its index.
 var ErrStageFailed = errors.New("netbricks: stage failed")
 
+// stageError is a stage fault: it wraps ErrStageFailed and the stage's
+// own error (a caught panic wraps sfi.ErrDomainFailed). Its message is
+// built only when read; the supervised runner never reads it.
+type stageError struct {
+	index int
+	name  string
+	err   error
+}
+
+func (e *stageError) Error() string {
+	return fmt.Sprintf("stage %d (%s): %v: %v", e.index, e.name, ErrStageFailed, e.err)
+}
+
+func (e *stageError) Unwrap() []error { return []error{ErrStageFailed, e.err} }
+
 // NewIsolatedPipeline exports each operator into a fresh domain under mgr.
 // Each domain's recovery function re-exports a fresh operator produced by
 // the corresponding factory (falling back to reusing the operator when no
@@ -350,8 +365,7 @@ func (p *IsolatedPipeline) Process(ctx *sfi.Context, b linear.Owned[*Batch]) (li
 				return batch, perr
 			})
 		if err != nil {
-			return linear.Owned[*Batch]{}, fmt.Errorf("stage %d (%s): %w: %w",
-				i, st.Domain.Name(), ErrStageFailed, err)
+			return linear.Owned[*Batch]{}, &stageError{index: i, name: st.Domain.Name(), err: err}
 		}
 		b = out
 	}

@@ -203,6 +203,26 @@ func TestIsolatedPipelineFaultWithoutRecoveryStops(t *testing.T) {
 	}
 }
 
+// TestStagePanicErrorText pins the error an isolated pipeline returns for
+// a stage panic — its text, the fmt.Errorf text of the parent of the
+// typed errors byte for byte, and both sentinels it wraps. A supervised
+// worker's domain adds "domain worker-N: " in front (domain's
+// TestFaultErrorText).
+func TestStagePanicErrorText(t *testing.T) {
+	ip, err := NewIsolatedPipeline(sfi.NewManager(), []Operator{NullFilter{}, &FaultInjector{PanicOn: 1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ip.Process(sfi.NewContext(), linear.New(&Batch{}))
+	const want = "stage 1 (stage-1-fault-injector): netbricks: stage failed: domain 2 (stage-1-fault-injector) panicked in process: injected fault on batch 1: sfi: domain failed during invocation"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant  %s", err, want)
+	}
+	if !errors.Is(err, ErrStageFailed) || !errors.Is(err, sfi.ErrDomainFailed) {
+		t.Fatalf("err = %v, want ErrStageFailed and sfi.ErrDomainFailed", err)
+	}
+}
+
 // TestRunnerValidation: the single-worker shape is held to the same rules
 // as any other — exactly one pipeline factory, a positive batch size.
 func TestRunnerValidation(t *testing.T) {

@@ -97,10 +97,11 @@ func (w *worker) rx() (msg linear.Owned[*Batch], ok bool) {
 }
 
 // serve runs one batch through the pipeline and settles it, whichever way
-// the pipeline returns. It takes the list of loaded packets while the
-// batch is still ours: once ownership moves into the pipeline, that list
-// is the only route the packets have back to the pool if the batch never
-// comes out again. Exactly one of these happens per call:
+// the pipeline returns. It notes the batch storage while the batch is
+// still ours: once ownership moves into the pipeline, the storage's list
+// of loaded packets is the only route the packets have back to the pool
+// if the batch never comes out again. Exactly one of these happens per
+// call:
 //
 //   - processed: the forwarded packets are transmitted, the dropped ones
 //     freed, the storage recycled;
@@ -109,44 +110,32 @@ func (w *worker) rx() (msg linear.Owned[*Batch], ok bool) {
 //     is freed and the storage recycled;
 //   - fault with the batch lost — inside a failed stage domain, or to a
 //     panic unwinding through a direct pipeline (re-raised once settled):
-//     the loaded packets are freed, and the storage falls to the GC.
+//     the loaded packets are freed, and the storage goes back on the
+//     free list under a fresh cell (the lost handle's cell is still live,
+//     so it cannot be renewed).
 //
 // So a caller never owes the pool anything after serve, and nothing is
 // freed twice: msg is dead on return, and a domain entry point that looks
-// for an abandoned payload to reclaim finds none.
+// for an abandoned payload to reclaim finds none. A lost batch's storage
+// is safe to reuse because settle runs on the goroutine that served it,
+// once the pipeline has returned or the panic has unwound to here: the
+// stages do not keep a batch past their call, so nothing reaches it any
+// more. A serve abandoned by a hang verdict reaches settle only when its
+// stuck call returns, so until then its batch stays out of the free list
+// its successor loads from.
 func (w *worker) serve(ctx *sfi.Context, msg linear.Owned[*Batch]) (err error) {
-	var loaded []*packet.Packet
-	if err = msg.With(func(b *Batch) { loaded = b.loaded }); err != nil {
+	var batch *Batch
+	if err = msg.With(func(b *Batch) { batch = b }); err != nil {
 		return err // not ours to settle
 	}
-	port, q, ws := w.r.Port, w.q, w.stats
 	var out linear.Owned[*Batch]
 	defer func() {
 		p := recover()
 		faulted := p != nil || err != nil
 		if faulted {
-			ws.Faults.Add(1)
+			w.stats.Faults.Add(1)
 		}
-		held := out
-		b, ierr := held.Into()
-		if ierr != nil {
-			held = msg
-			b, ierr = held.Into()
-		}
-		if ierr != nil {
-			port.FreeQueue(q, loaded) // lost: nobody holds the batch
-		} else {
-			if faulted {
-				port.FreeQueue(q, b.Pkts)
-			} else {
-				ws.Batches.Add(1)
-				ws.Packets.Add(uint64(len(b.Pkts)))
-				ws.Drops.Add(uint64(len(b.Dropped)))
-				port.TxBurstQueue(q, b.Pkts)
-			}
-			port.FreeQueue(q, b.Dropped)
-			w.free.put(held, b)
-		}
+		w.settle(out, msg, batch, faulted)
 		if p != nil {
 			panic(p)
 		}
@@ -156,8 +145,40 @@ func (w *worker) serve(ctx *sfi.Context, msg linear.Owned[*Batch]) (err error) {
 	pipe.serving.Add(1)
 	defer pipe.serving.Add(-1)
 	out, err = pipe.process(ctx, msg)
-	ws.Latency.ObserveNanos(int64(time.Since(start)))
+	w.stats.Latency.ObserveNanos(int64(time.Since(start)))
 	return err
+}
+
+// settle is serve's one exit: transmit or free the packets of whichever
+// of out and msg still holds the batch, and put its storage back on the
+// free list. When neither does, batch — the storage msg carried in — was
+// lost inside the pipeline.
+func (w *worker) settle(out, msg linear.Owned[*Batch], batch *Batch, faulted bool) {
+	port, q, ws := w.r.Port, w.q, w.stats
+	held := out
+	if !held.Valid() {
+		held = msg
+	}
+	if !held.Valid() {
+		port.FreeQueue(q, batch.loaded)
+		w.free.put(linear.Owned[*Batch]{}, batch)
+		return
+	}
+	b, err := held.Into()
+	if err != nil {
+		port.FreeQueue(q, batch.loaded) // held but unusable: free the packets, drop the storage
+		return
+	}
+	if faulted {
+		port.FreeQueue(q, b.Pkts)
+	} else {
+		ws.Batches.Add(1)
+		ws.Packets.Add(uint64(len(b.Pkts)))
+		ws.Drops.Add(uint64(len(b.Dropped)))
+		port.TxBurstQueue(q, b.Pkts)
+	}
+	port.FreeQueue(q, b.Dropped)
+	w.free.put(held, b)
 }
 
 // recover brings the pipeline back after a fault serve reported. A serve
@@ -205,8 +226,8 @@ func (w *worker) run(n int) error {
 // object with its packet slices and the linear cell that carried it
 // (revived with Renew, so stale handles still fail the generation check).
 // rx and serve exchange entries through it, making steady-state
-// forwarding allocation-free per batch. A batch lost to a fault is simply
-// not put back — the next one pays one fresh allocation. The mutex is for
+// forwarding allocation-free per batch. A batch lost to a fault comes back
+// without its cell, so the next load of it pays for one fresh cell. The mutex is for
 // supervised workers, where rx and serve run on different goroutines and
 // a hung serve the supervisor abandoned may still be running beside its
 // successor.
@@ -239,7 +260,7 @@ func (rc *batchRecycler) load(pkts []*packet.Packet, traced bool) linear.Owned[*
 	if traced {
 		b.scanTraced()
 	}
-	if e.batch != nil {
+	if e.cell != (linear.Owned[*Batch]{}) {
 		if o, err := e.cell.Renew(b); err == nil {
 			return o
 		}
@@ -247,7 +268,8 @@ func (rc *batchRecycler) load(pkts []*packet.Packet, traced bool) linear.Owned[*
 	return linear.New(b)
 }
 
-// put stores a consumed handle and its settled batch for the next load.
+// put stores a consumed handle (or the zero handle, for a batch whose cell
+// was lost with it) and its settled batch for the next load.
 func (rc *batchRecycler) put(cell linear.Owned[*Batch], b *Batch) {
 	b.reset()
 	rc.mu.Lock()

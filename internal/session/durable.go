@@ -6,7 +6,7 @@ package session
 // buffer sized for exactly that; the token handed to the domain runtime
 // *is* those bytes, so encoding it is the identity and the same buffer
 // goes to the WAL. Restore decodes the bytes back into the table's own
-// maps and one retained slab of flows, interning one Rc box per distinct
+// maps and one retained slab of flows, sharing one Rc box per distinct
 // backend — Figure 3a's aliasing survives by construction, and a token
 // restores any number of times because Restore only reads it.
 
@@ -93,13 +93,17 @@ func checkToken(data []byte) (int, error) {
 
 // Restore replaces the live table with the flow graph a Checkpoint token
 // describes, in place: the token is checked whole first (a bad one leaves
-// the table as it was), then under the table lock the maps are cleared
-// (the flow map replaced by one sized for the token when it holds under
-// half as many flows) and refilled — every flow in one slab the table keeps between restores,
-// one shared Rc box per distinct backend (each flow holds a clone, the
-// intern map the original), the eviction ring reseeded. A restart thus
-// allocates a box per backend, not a graph per restore. The token is only
-// read, so a later fault can restore from the same epoch again.
+// the table as it was), then under the table lock every live flow's
+// backend handle is released, the flow map is cleared (or replaced by one
+// sized for the token when it holds under half as many flows) and
+// refilled — every flow in one slab the table keeps between restores, one
+// shared Rc box per distinct backend (each flow holds a clone, the intern
+// map the original), the eviction ring reseeded. The interned boxes are
+// reused: a box the token names again only gains its flows' clones back,
+// so StrongCount is again flows + 1, and a box it no longer names is
+// dropped. A restart thus allocates a box only for a backend the table
+// has not interned, not a graph per restore. The token is only read, so a
+// later fault can restore from the same epoch again.
 func (t *Table) Restore(token any) error {
 	data, ok := token.([]byte)
 	if !ok {
@@ -112,7 +116,14 @@ func (t *Table) Restore(token any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Nothing outside the lock holds a *Flow, and the two places inside
-	// it that do are emptied here, so the slab is free to overwrite.
+	// it that do are emptied here, so the slab is free to overwrite. Every
+	// strong handle on an interned box but the map's own is a resident
+	// flow's clone, and every flow is forgotten here: release them at
+	// once, so each box is the map's alone before the token's flows clone
+	// it again.
+	for _, rc := range t.intern {
+		_ = rc.DropN(rc.StrongCount() - 1)
+	}
 	if len(t.flows) < n/2 {
 		// A restore onto a table that has not grown to the token's size
 		// (a cold reopen): sized once beats growing a group at a time.
@@ -120,7 +131,6 @@ func (t *Table) Restore(token any) error {
 	} else {
 		clear(t.flows)
 	}
-	clear(t.intern)
 	t.flowPool = nil
 	if cap(t.slab) < n {
 		t.slab = make([]Flow, n)
@@ -144,6 +154,12 @@ func (t *Table) Restore(token any) error {
 			Spilled: e[21] == 1,
 		}
 		t.flows[binary.LittleEndian.Uint64(e)] = &t.slab[i]
+	}
+	for ip, rc := range t.intern {
+		if rc.StrongCount() == 1 { // no restored flow names it
+			_ = rc.Drop()
+			delete(t.intern, ip)
+		}
 	}
 	t.rebuildRingLocked()
 	return nil

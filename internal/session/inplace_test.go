@@ -169,9 +169,9 @@ func TestRestoreBadTokenLeavesTableUntouched(t *testing.T) {
 }
 
 // TestRestoreInPlaceAllocBudget: restoring a 4096-flow token onto a table
-// that already holds those flows allocates one Rc box per distinct
-// backend and the token's interface box — it was two maps and a slab,
-// about 0.4 MB, per restore.
+// that already holds those flows allocates nothing: the flow map, the
+// slab and the backend boxes are all reused. It was two maps and a slab,
+// about 0.4 MB, per restore, and then one Rc box per distinct backend.
 func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	const flows, backends = 4096, 8
 	tbl := NewTable()
@@ -190,8 +190,8 @@ func TestRestoreInPlaceAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > backends+2 {
-		t.Fatalf("in-place restore of %d flows allocates %.0f objects, want <= %d", flows, allocs, backends+2)
+	if allocs != 0 {
+		t.Fatalf("in-place restore of %d flows allocates %.0f objects, want 0", flows, allocs)
 	}
 	if tbl.Len() != flows || tbl.Backends() != backends {
 		t.Fatalf("restored %d flows over %d backends", tbl.Len(), tbl.Backends())

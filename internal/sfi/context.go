@@ -36,11 +36,12 @@ func (c *Context) Current() DomainID {
 // Depth reports the cross-domain call depth (0 at root).
 func (c *Context) Depth() int { return len(c.stack) }
 
-// Reset truncates the stack back to RootDomain. A supervisor reuses a
-// worker's context after retiring that worker mid-call (hang abandonment):
-// the replacement goroutine must not inherit the stuck call's domain
-// attribution. Like every other Context method it must only be called by
-// the goroutine that owns the context.
+// Reset truncates the stack back to RootDomain. The domain runtime
+// resets the context a serving generation handed on when it exited, before
+// the next generation serves with it; a generation abandoned mid-call by a
+// hang verdict never hands its context on, since its goroutine may still
+// be inside the call. Like every other Context method it must only be
+// called by the goroutine that owns the context.
 func (c *Context) Reset() { c.stack = c.stack[:0] }
 
 func (c *Context) push(id DomainID) {

@@ -2,6 +2,7 @@ package sfi
 
 import (
 	"fmt"
+	"reflect"
 	"sync/atomic"
 
 	"repro/internal/linear"
@@ -44,35 +45,48 @@ type rrefBinding[T any] struct {
 // use to reach it. The object's ownership transfers into the domain: the
 // table's strong Rc is the sole root.
 func Export[T any](d *Domain, obj T) (*RRef[T], error) {
-	return exportAt(d, 0, false, obj, nil)
+	return export(d, obj, nil)
 }
 
 // ExportIntercepted is Export with a per-entry interceptor for
 // fine-grained access control on this object's methods.
 func ExportIntercepted[T any](d *Domain, obj T, ic Interceptor) (*RRef[T], error) {
-	return exportAt(d, 0, false, obj, ic)
+	return export(d, obj, ic)
 }
 
 // ExportAt places obj at a specific table slot. Recovery functions use it
 // to re-populate the slots that outstanding RRefs were minted for, making
-// the fault transparent to clients (§3). Exporting over a live entry
-// revokes it first.
+// the fault transparent to clients (§3): those RRefs re-bind on their
+// next call, so ExportAt mints none. Exporting over a live entry revokes
+// it first.
 func ExportAt[T any](d *Domain, slot uint64, obj T) error {
-	_, err := exportAt(d, slot, true, obj, nil)
-	return err
+	if !d.Live() {
+		return d.exportErr()
+	}
+	d.install(slot, true, &tableEntry{handle: linear.NewRc(obj), typ: reflect.TypeOf(obj)})
+	return nil
 }
 
-func exportAt[T any](d *Domain, slot uint64, explicit bool, obj T, ic Interceptor) (*RRef[T], error) {
+// export installs obj in the next free slot and mints the RRef for it.
+func export[T any](d *Domain, obj T, ic Interceptor) (*RRef[T], error) {
 	if !d.Live() {
-		return nil, fmt.Errorf("export into domain %d (%s): %w", d.id, d.name, stateErr(domainState(d.state.Load())))
+		return nil, d.exportErr()
 	}
 	rc := linear.NewRc(obj)
-	e := &tableEntry{
-		handle:      rc,
-		revoke:      func() { _ = rc.Drop() },
-		interceptor: ic,
-		typeName:    fmt.Sprintf("%T", obj),
-	}
+	slot := d.install(0, false, &tableEntry{handle: rc, interceptor: ic, typ: reflect.TypeOf(obj)})
+	rref := &RRef[T]{dom: d, slot: slot}
+	rref.bind.Store(&rrefBinding[T]{weak: rc.Downgrade(), intercepted: ic != nil, gen: d.gen.Load()})
+	return rref, nil
+}
+
+// exportErr is the error for an export into a domain that is not live.
+func (d *Domain) exportErr() error {
+	return fmt.Errorf("export into domain %d (%s): %w", d.id, d.name, stateErr(domainState(d.state.Load())))
+}
+
+// install puts e at slot (the next free one unless explicit) and returns
+// the slot.
+func (d *Domain) install(slot uint64, explicit bool, e *tableEntry) uint64 {
 	d.mu.Lock()
 	if !explicit {
 		d.nextSlot++
@@ -92,9 +106,7 @@ func exportAt[T any](d *Domain, slot uint64, explicit bool, obj T, ic Intercepto
 		d.Stats.Revocations.Add(1)
 	}
 	d.Stats.Exports.Add(1)
-	rref := &RRef[T]{dom: d, slot: slot}
-	rref.bind.Store(&rrefBinding[T]{weak: rc.Downgrade(), intercepted: ic != nil, gen: d.gen.Load()})
-	return rref, nil
+	return slot
 }
 
 // Slot returns the reference-table slot this RRef is bound to.
@@ -161,7 +173,7 @@ func (r *RRef[T]) acquire() (linear.Rc[T], Interceptor, error) {
 	// it), if it has the right type.
 	rc, ok := e.handle.(linear.Rc[T])
 	if !ok {
-		return linear.Rc[T]{}, nil, fmt.Errorf("re-bind slot %d in domain %d: have %s: %w", r.slot, r.dom.id, e.typeName, ErrWrongType)
+		return linear.Rc[T]{}, nil, fmt.Errorf("re-bind slot %d in domain %d: have %s: %w", r.slot, r.dom.id, e.typeName(), ErrWrongType)
 	}
 	strong := rc.Clone()
 	fresh := &rrefBinding[T]{weak: strong.Downgrade(), intercepted: e.interceptor != nil, gen: g}
@@ -210,12 +222,26 @@ func (r *RRef[T]) guard(method string, fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.dom.fail()
-			err = fmt.Errorf("domain %d (%s) panicked in %s: %v: %w",
-				r.dom.id, r.dom.name, method, p, ErrDomainFailed)
+			err = &panicError{dom: r.dom, method: method, val: p}
 		}
 	}()
 	return fn()
 }
+
+// panicError is a callee panic caught at a domain's entry point; it
+// wraps ErrDomainFailed. Its message is built only when read, so a fault
+// whose error nobody prints costs one small object.
+type panicError struct {
+	dom    *Domain
+	method string
+	val    any
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("domain %d (%s) panicked in %s: %v: %v", e.dom.id, e.dom.name, e.method, e.val, ErrDomainFailed)
+}
+
+func (e *panicError) Unwrap() error { return ErrDomainFailed }
 
 func (d *Domain) checkPolicy(caller DomainID, method string, ic Interceptor) error {
 	if pp := d.policy.Load(); pp != nil {

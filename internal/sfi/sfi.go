@@ -31,6 +31,7 @@ package sfi
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -107,12 +108,23 @@ func (d *Domain) registerMetrics(reg *telemetry.Registry, base telemetry.Labels)
 
 // tableEntry is one slot of a domain's reference table. handle holds the
 // strong linear.Rc[T] (type-erased); revoke drops it; interceptor, when
-// non-nil, screens each invocation through this slot.
+// non-nil, screens each invocation through this slot. typ is the exported
+// object's dynamic type, named only by a re-bind that finds the wrong one.
 type tableEntry struct {
-	handle      any
-	revoke      func()
+	handle      interface{ Drop() error }
 	interceptor Interceptor
-	typeName    string
+	typ         reflect.Type
+}
+
+// revoke drops the table's strong handle.
+func (e *tableEntry) revoke() { _ = e.handle.Drop() }
+
+// typeName is fmt's %T of the exported object.
+func (e *tableEntry) typeName() string {
+	if e.typ == nil {
+		return "<nil>"
+	}
+	return e.typ.String()
 }
 
 // Interceptor screens a single invocation through a table entry. It runs
@@ -141,6 +153,10 @@ type Domain struct {
 	mu       sync.RWMutex
 	table    map[uint64]*tableEntry
 	nextSlot uint64
+	// revoking is clearTable's scratch list of the entries it cleared,
+	// kept between teardowns; a teardown takes it under mu and puts it
+	// back once it has revoked them.
+	revoking []*tableEntry
 
 	recovery func(*Domain) error
 	// policy is read on every remote invocation; it is stored atomically
@@ -242,19 +258,25 @@ func (d *Domain) TableSize() int {
 // outstanding weak handles fail to upgrade.
 func (d *Domain) clearTable() {
 	d.mu.Lock()
-	entries := d.table
-	d.table = make(map[uint64]*tableEntry)
+	entries := d.revoking[:0]
+	d.revoking = nil
+	for _, e := range d.table {
+		entries = append(entries, e)
+	}
+	clear(d.table)
 	d.mu.Unlock()
 	// Invalidate every outstanding rref binding, including ones whose
 	// proxies are pinned alive by in-flight invocations: new calls must
 	// fail closed (or re-bind after recovery), not reach the old object.
 	d.gen.Add(1)
-	for range entries {
-		d.Stats.Revocations.Add(1)
-	}
+	d.Stats.Revocations.Add(uint64(len(entries)))
 	for _, e := range entries {
 		e.revoke()
 	}
+	clear(entries)
+	d.mu.Lock()
+	d.revoking = entries
+	d.mu.Unlock()
 }
 
 // Reset tears a live domain down to its post-fault state: the domain is
