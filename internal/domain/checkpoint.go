@@ -4,12 +4,12 @@ package domain
 // checkpoint/restore of pointer-linked state — into the §3 supervised
 // runtime. A domain whose Config carries a Stateful gets snapshotted
 // periodically (Policy.CheckpointEvery) by its own serving goroutine, at
-// mailbox-quiescent points: either the inbox is empty and the epoch
-// ticker fired, or one handler invocation just completed and the next has
-// not begun. In both cases no handler is running, and handlers are the
-// only mutators the runtime drives, so the traversal races nothing on the
-// hot path. (An abandoned hung generation may still hold references —
-// Stateful implementations serialize against that with their own lock.)
+// mailbox-quiescent points: either the inbox is empty and the monitor
+// woke the domain for its epoch, or one handler invocation just completed
+// and the next has not begun. In both cases no handler is running, and
+// handlers are the only mutators the runtime drives, so the traversal
+// races nothing on the hot path. (An abandoned hung generation may still
+// hold references; Stateful implementations lock against that.)
 //
 // On restart the supervisor's monitor goroutine hands the last *good*
 // checkpoint to Restore instead of cold-starting: a fault mid-traversal
@@ -18,13 +18,7 @@ package domain
 // zero state.
 //
 // An epoch's buffer has one owner at every instant (DESIGN.md, "Who owns
-// an epoch buffer"): the state while it captures, then the runtime as
-// the last good epoch, read-only and lent to the store for one append,
-// then — once the store holds the epoch, or a newer one replaced it, and
-// the runtime can prove nobody reads it — the state again, as the spare
-// its next capture writes into. A durable domain's last good epoch is
-// then a reference to the store's newest record, not a buffer. Where the
-// runtime cannot prove a buffer unread, it is left to the collector.
+// an epoch buffer"; takeCheckpoint has the hand-back rules).
 
 import (
 	"encoding/binary"
@@ -356,9 +350,9 @@ type ckptState struct {
 	state  Stateful
 	engine *checkpoint.Engine // RcAware; wire-form states ignore it
 	every  time.Duration
-	// tick wakes an idle serving goroutine every epoch. The domain has one
-	// from Spawn until it stops, shared by its generations in turn.
-	tick *time.Ticker
+	// wake is the monitor's call to an idle serving goroutine whose epoch
+	// is due (idleEpoch); one slot, so a second call is absorbed.
+	wake chan struct{}
 
 	// last is the newest good checkpoint; published by the serving
 	// goroutine (under the domain's gmu, see publish), consumed by the
@@ -366,7 +360,7 @@ type ckptState struct {
 	// during traversal leaves it untouched.
 	last atomic.Pointer[ckptToken]
 	// lastAttempt (unix nanos) paces epochs across both trigger paths
-	// (idle ticker and post-invocation dueness check).
+	// (the monitor's idle wake and the post-invocation dueness check).
 	lastAttempt atomic.Int64
 
 	// Durability (nil/zero when Policy.Persist is unset): every published
@@ -401,6 +395,27 @@ func (c *ckptState) due(now time.Time) bool {
 	return now.UnixNano()-c.lastAttempt.Load() >= int64(c.every)
 }
 
+// idleEpoch wakes the serving goroutine, on the monitor, when an epoch is
+// due and the current generation is not inside an invocation (a busy one
+// checks dueness itself after it; a spare wake is harmless, the idle path
+// checks again). It returns when to look next, zero for never.
+func (d *Domain[T]) idleEpoch(now time.Time) time.Time {
+	ck := d.ck
+	if ck == nil || d.State() != StateLive {
+		return time.Time{}
+	}
+	if at := ck.lastAttempt.Load() + int64(ck.every); at > now.UnixNano() {
+		return time.Unix(0, at)
+	}
+	if d.busy.Load() != d.epoch.Load() {
+		select {
+		case ck.wake <- struct{}{}:
+		default:
+		}
+	}
+	return now.Add(ck.every)
+}
+
 // takeCheckpoint runs one snapshot epoch on the serving goroutine. A
 // panic inside the traversal (or the adapter) is a domain fault exactly
 // like a handler panic: the error propagates to the supervisor, the
@@ -431,7 +446,7 @@ func (c *ckptState) due(now time.Time) bool {
 // after a restart — is left to the collector.
 func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck := d.ck
-	start := time.Now()
+	start := d.now()
 	ck.lastAttempt.Store(start.UnixNano())
 	defer func() {
 		if p := recover(); p != nil {
@@ -446,7 +461,7 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 		ck.failed.Add(1)
 		return nil
 	}
-	lat := time.Since(start)
+	lat := d.now().Sub(start)
 	tok := ck.spareRec.Swap(nil)
 	if tok == nil {
 		tok = new(ckptToken)
@@ -506,7 +521,7 @@ func (d *Domain[T]) publish(tok *ckptToken) (old *ckptToken, ok bool) {
 // epoch.
 func (d *Domain[T]) persistEpoch(tok *ckptToken) bool {
 	ck := d.ck
-	start := time.Now()
+	start := d.now()
 	payload, err := ck.codec.EncodeToken(tok.token)
 	if err == nil {
 		err = ck.persist.PersistEpoch(d.name, tok.seq, payload)
@@ -516,7 +531,7 @@ func (d *Domain[T]) persistEpoch(tok *ckptToken) bool {
 		return false
 	}
 	ck.persisted.Add(1)
-	ck.persistLat.Observe(time.Since(start))
+	ck.persistLat.Observe(d.now().Sub(start))
 	return true
 }
 
@@ -556,11 +571,11 @@ func (d *Domain[T]) durableToken(want uint64) (token any, seq uint64, ok bool, e
 
 // restore applies token to the state, timed and counted.
 func (d *Domain[T]) restore(token any) error {
-	start := time.Now()
+	start := d.now()
 	if err := d.ck.state.Restore(token); err != nil {
 		return err
 	}
-	lat := time.Since(start)
+	lat := d.now().Sub(start)
 	d.ck.restores.Add(1)
 	d.ck.restoreLat.Observe(lat)
 	d.rec.Record(d.actor, telemetry.EvRestore, uint64(lat))
@@ -585,25 +600,22 @@ func (d *Domain[T]) loadDurable() error {
 		return nil
 	}
 	ck.seq.Store(seq)
-	ck.last.Store(&ckptToken{seq: seq, at: time.Now()})
+	ck.last.Store(&ckptToken{seq: seq, at: d.now()})
 	if err := d.restore(token); err != nil {
 		return fmt.Errorf("domain %s: restore durable epoch %d: %w", d.name, seq, err)
 	}
 	return nil
 }
 
-// restoreOrReset is the state half of a restart, run on the monitor
-// goroutine after the sfi reference table has been recovered and the
-// user Recover hook (pipeline rebuild) has completed. With a good
-// checkpoint the state is restored from the last token — read back from
-// the store when last is a durable reference, which must still be the
-// store's newest epoch; otherwise it cold-starts. A restore error, a
-// failed read included, is a fault — the streak keeps growing,
-// converging on stop — never a silent cold start. The generation whose
-// fault or supersession scheduled the restart has exited or can no
-// longer publish, and the next one starts only after this returns, so
-// the token read here is not replaced or handed back meanwhile
-// (TestNoPublishOrHandBackDuringRestore).
+// restoreOrReset is the state half of a restart (recoverState). With a
+// good checkpoint the state is restored from the last token — read back
+// from the store when last is a durable reference, which must still be
+// the store's newest epoch; otherwise it cold-starts. A restore error, a
+// failed read included, is a fault (the streak grows toward stop), never
+// a silent cold start. The generation whose fault or supersession
+// scheduled the restart can no longer publish, and the next starts only
+// after this returns, so the token read here is not replaced or handed
+// back meanwhile (TestNoPublishOrHandBackDuringRestore).
 func (d *Domain[T]) restoreOrReset() error {
 	ck := d.ck
 	if last := ck.last.Load(); last != nil {
@@ -641,20 +653,4 @@ func (d *Domain[T]) LastCheckpoint() (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return last.at, true
-}
-
-// registerCkptMetrics exports the checkpoint cells; called from
-// registerMetrics when checkpointing is enabled.
-func (d *Domain[T]) registerCkptMetrics(reg telemetry.Registrar, labels telemetry.Labels) {
-	reg.RegisterCounter("domain_checkpoints_taken_total", labels, &d.ck.taken)
-	reg.RegisterCounter("domain_checkpoint_failures_total", labels, &d.ck.failed)
-	reg.RegisterCounter("domain_restores_total", labels, &d.ck.restores)
-	reg.RegisterCounter("domain_cold_starts_total", labels, &d.ck.coldStarts)
-	reg.RegisterHistogram("domain_checkpoint_seconds", labels, &d.ck.ckptLat)
-	reg.RegisterHistogram("domain_restore_seconds", labels, &d.ck.restoreLat)
-	if d.ck.persist != nil {
-		reg.RegisterCounter("domain_checkpoints_persisted_total", labels, &d.ck.persisted)
-		reg.RegisterCounter("domain_persist_failures_total", labels, &d.ck.persistFailed)
-		reg.RegisterHistogram("domain_persist_seconds", labels, &d.ck.persistLat)
-	}
 }

@@ -22,6 +22,10 @@ type kvState struct {
 
 	panicNext atomic.Bool // panic on the next Checkpoint call
 	resets    atomic.Int64
+	// captured, when set, is signalled after every completed capture, and
+	// served after every payload spawnDurableKV's handler stores.
+	captured chan struct{}
+	served   chan struct{}
 }
 
 type kvImage struct{ M map[string]int }
@@ -53,7 +57,11 @@ func (s *kvState) Checkpoint(e *checkpoint.Engine) (any, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return e.Checkpoint(&kvImage{M: s.m})
+	tok, err := e.Checkpoint(&kvImage{M: s.m})
+	if s.captured != nil {
+		s.captured <- struct{}{}
+	}
+	return tok, err
 }
 
 func (s *kvState) Restore(token any) error {
@@ -118,60 +126,72 @@ func spawnKV(t *testing.T, s *Supervisor, st *kvState) *Domain[int] {
 // checkpoint epoch survives a crash — the restart restores the snapshot
 // instead of cold-starting.
 func TestDomainCheckpointRestore(t *testing.T) {
-	sup := NewSupervisor(ckptPolicy(2 * time.Millisecond))
+	p := ckptPolicy(2 * time.Millisecond)
+	sup, fc := fakeSupervisor(p)
 	defer sup.Close()
 	st := newKVState()
+	st.captured = make(chan struct{}, 8)
 	d := spawnKV(t, sup, st)
+	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 
 	if err := d.Inbox().Send(linear.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first payload", func() bool { return d.Snapshot().Processed == 1 })
-	// Wait for an epoch that provably includes k1.
-	c0 := d.Snapshot().Checkpoints
-	waitFor(t, "post-mutation checkpoint", func() bool { return d.Snapshot().Checkpoints > c0 })
+	// An epoch that provably includes k1: the payload was queued before
+	// the epoch came due, and a queued payload goes before the epoch.
+	fc.step(t, p.CheckpointEvery)
+	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	<-st.captured
 
 	if err := d.Inbox().Send(linear.New(-1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "restore after crash", func() bool { return d.Snapshot().Restores >= 1 })
+	fc.expectArmed(t, fc.now().Add(p.Backoff))
+	fc.step(t, p.Backoff)
+	fc.armed() // the restart, restoring the epoch
 	if v, ok := st.get("k1"); !ok || v != 1 {
 		t.Fatalf("k1 not restored: (%d, %v), state size %d", v, ok, st.size())
 	}
 	sn := d.Snapshot()
-	if sn.ColdStarts != 0 {
-		t.Fatalf("cold starts = %d, want 0 (a checkpoint epoch had completed)", sn.ColdStarts)
+	if sn.Restores != 1 || sn.ColdStarts != 0 {
+		t.Fatalf("restores = %d, cold starts = %d, want 1 and 0 (a checkpoint epoch had completed)", sn.Restores, sn.ColdStarts)
 	}
 	if st.resets.Load() != 0 {
 		t.Fatalf("Reset ran %d times, want 0", st.resets.Load())
 	}
 
-	// The restored domain keeps serving and checkpointing.
+	// The restored domain keeps serving.
 	if err := d.Inbox().Send(linear.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "post-restore payload", func() bool {
-		_, ok := st.get("k2")
-		return ok
-	})
+	d.Inbox().Close()
+	<-d.Done()
+	if _, ok := st.get("k2"); !ok {
+		t.Fatal("the restored domain did not serve k2")
+	}
 }
 
 // TestDomainColdStartWithoutEpoch: a crash before any checkpoint epoch
 // completes falls back to Reset — cold start only at boot.
 func TestDomainColdStartWithoutEpoch(t *testing.T) {
-	sup := NewSupervisor(ckptPolicy(time.Hour)) // no epoch will complete
+	p := ckptPolicy(time.Hour) // no epoch will complete
+	sup, fc := fakeSupervisor(p)
 	defer sup.Close()
 	st := newKVState()
 	d := spawnKV(t, sup, st)
+	fc.expectArmed(t, fc.now().Add(time.Hour))
 
-	if err := d.Inbox().Send(linear.New(1)); err != nil {
-		t.Fatal(err)
+	for _, v := range []int{1, -1} {
+		if err := d.Inbox().Send(linear.New(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, "first payload", func() bool { return d.Snapshot().Processed == 1 })
-	if err := d.Inbox().Send(linear.New(-1)); err != nil {
-		t.Fatal(err)
+	fc.expectArmed(t, fc.now().Add(p.Backoff))
+	fc.step(t, p.Backoff)
+	fc.armed() // the restart, cold
+	if n := d.Snapshot().ColdStarts; n != 1 {
+		t.Fatalf("%d cold starts, want 1", n)
 	}
-	waitFor(t, "cold start", func() bool { return d.Snapshot().ColdStarts == 1 })
 	if st.size() != 0 {
 		t.Fatalf("state size %d after cold start, want 0", st.size())
 	}
@@ -184,19 +204,24 @@ func TestDomainColdStartWithoutEpoch(t *testing.T) {
 // State field is inert — no epochs, no reset, state rides through the
 // restart unmanaged (the pre-§5 behavior).
 func TestDomainCheckpointOffIgnoresState(t *testing.T) {
-	sup := NewSupervisor(fastPolicy())
+	p := fastPolicy()
+	sup, fc := fakeSupervisor(p)
 	defer sup.Close()
 	st := newKVState()
 	d := spawnKV(t, sup, st)
+	fc.expectArmed(t, time.Time{}) // no epochs to schedule
 
-	if err := d.Inbox().Send(linear.New(1)); err != nil {
-		t.Fatal(err)
+	for _, v := range []int{1, -1} {
+		if err := d.Inbox().Send(linear.New(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor(t, "first payload", func() bool { return d.Snapshot().Processed == 1 })
-	if err := d.Inbox().Send(linear.New(-1)); err != nil {
-		t.Fatal(err)
+	fc.expectArmed(t, fc.now().Add(p.Backoff))
+	fc.step(t, p.Backoff)
+	fc.expectArmed(t, time.Time{})
+	if n := d.Snapshot().Restarts; n != 1 {
+		t.Fatalf("%d restarts, want 1", n)
 	}
-	waitFor(t, "restart", func() bool { return d.Snapshot().Restarts == 1 })
 	if v, ok := st.get("k1"); !ok || v != 1 {
 		t.Fatalf("unmanaged state lost across restart: (%d, %v)", v, ok)
 	}
@@ -214,9 +239,11 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 	pool := mempool.NewPool[int](16, nil)
 	leakcheck.Pool(t, "payloads", pool.Available)
 
-	sup := NewSupervisor(ckptPolicy(2 * time.Millisecond))
+	p := ckptPolicy(2 * time.Millisecond)
+	sup, fc := fakeSupervisor(p)
 	defer sup.Close()
 	st := newKVState()
+	st.captured = make(chan struct{}, 8)
 	d, err := Spawn(sup, Config[*int]{
 		Name:    "kv-mid",
 		State:   st,
@@ -244,46 +271,50 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 
 	send(1)
-	waitFor(t, "first payload", func() bool { return d.Snapshot().Processed == 1 })
-	c0 := d.Snapshot().Checkpoints
-	waitFor(t, "good checkpoint with k1", func() bool { return d.Snapshot().Checkpoints > c0 })
+	fc.step(t, p.CheckpointEvery)
+	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	<-st.captured // a good checkpoint with k1
 
 	// Arm the fault, then mutate: k2 lands in live state only — the next
 	// checkpoint attempt (which would have captured it) dies mid-flight.
 	st.panicNext.Store(true)
 	taken := d.Snapshot().Checkpoints
 	send(2)
-	waitFor(t, "mid-checkpoint fault + restore", func() bool {
-		sn := d.Snapshot()
-		return sn.CheckpointFailures >= 1 && sn.Restores >= 1
-	})
+	fc.step(t, p.CheckpointEvery)
+	// Two wakes, the epoch's and the fault's, in either order when the
+	// capture runs after the invocation rather than on the idle wake; the
+	// later one arms the restart.
+	fc.armed()
+	fc.expectArmed(t, fc.now().Add(p.Backoff))
+	fc.step(t, p.Backoff)
+	fc.armed() // the restart, restoring the good epoch
+	if sn := d.Snapshot(); sn.CheckpointFailures != 1 || sn.Restores != 1 {
+		t.Fatalf("snapshot %+v: want 1 checkpoint failure and 1 restore", sn)
+	}
 	if v, ok := st.get("k1"); !ok || v != 1 {
 		t.Fatalf("k1 lost: the previous good epoch should restore (got %d, %v)", v, ok)
 	}
 	if _, ok := st.get("k2"); ok {
 		t.Fatal("k2 present after restore: the half-built snapshot was published")
 	}
-	// The failed attempt must not count as a taken epoch. (New epochs may
-	// complete after the restart, but only after the restore that dropped
-	// k2 — so k2's absence above already proves the discard; here we pin
-	// the counter semantics.)
-	if sn := d.Snapshot(); sn.Checkpoints < taken {
-		t.Fatalf("taken count went backwards: %d -> %d", taken, sn.Checkpoints)
+	// The failed attempt must not count as a taken epoch.
+	if sn := d.Snapshot(); sn.Checkpoints != taken {
+		t.Fatalf("taken count moved from %d to %d on a failed attempt", taken, sn.Checkpoints)
 	}
-	if sn := d.Snapshot(); sn.Crashes < 1 {
+	if sn := d.Snapshot(); sn.Crashes != 1 {
 		t.Fatalf("checkpoint panic not counted as a crash: %+v", sn)
 	}
 
 	// The restored domain serves on; drain cleanly so leakcheck settles.
 	send(3)
-	waitFor(t, "post-restore payload", func() bool {
-		_, ok := st.get("k3")
-		return ok
-	})
 	d.Inbox().Close()
 	<-d.Done()
+	if _, ok := st.get("k3"); !ok {
+		t.Fatal("the restored domain did not serve k3")
+	}
 }
 
 // TestStateSet: composition distributes checkpoint/restore/reset across

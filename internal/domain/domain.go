@@ -66,8 +66,8 @@ func (e *faultError) Unwrap() error {
 // retired while idle; the goroutine exits without touching domain state.
 var errSuperseded = errors.New("domain: serving generation superseded")
 
-// errCheckpointDue is the internal signal that the checkpoint ticker
-// fired while the inbox was empty — a provably quiescent snapshot point.
+// errCheckpointDue is the internal signal that the monitor's epoch wake
+// arrived while the inbox was empty — a provably quiescent snapshot point.
 var errCheckpointDue = errors.New("domain: checkpoint epoch due")
 
 // State is a domain's lifecycle state.
@@ -86,18 +86,14 @@ const (
 	StateStopped
 )
 
+var stateNames = [...]string{StateLive: "live", StateBackoff: "backoff", StateStopped: "stopped"}
+
 // String implements fmt.Stringer.
 func (s State) String() string {
-	switch s {
-	case StateLive:
-		return "live"
-	case StateBackoff:
-		return "backoff"
-	case StateStopped:
-		return "stopped"
-	default:
-		return fmt.Sprintf("state(%d)", int32(s))
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
+	return fmt.Sprintf("state(%d)", int32(s))
 }
 
 // Ctx is the per-invocation context handed to handlers: the worker's
@@ -247,13 +243,6 @@ type Domain[T any] struct {
 	// abandoned by a hang keeps its own (its goroutine may still be in a
 	// call), and the next one makes a fresh context.
 	spareCtx atomic.Pointer[Ctx]
-	// backoff is the domain's one restart timer, made at its first fault
-	// and reset by the monitor for every later one; when it fires it asks
-	// for a restart of restartEpoch, the epoch its backoff was scheduled
-	// in. At most one restart is pending per domain: a domain in backoff
-	// neither serves nor reads as hung, so nothing schedules another.
-	backoff      *time.Timer
-	restartEpoch atomic.Uint64
 
 	// ck is the §5 checkpoint machinery; nil when checkpointing is off.
 	ck *ckptState
@@ -331,58 +320,50 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 	} else {
 		ctx.SFI.Reset()
 	}
-	// When checkpointing is on, the domain's ticker wakes an idle serving
-	// goroutine so quiet domains still complete epochs; under sustained
-	// traffic the post-invocation dueness check below paces the epochs
-	// instead (the recv select favors ready payloads, so the tick case
-	// would starve).
-	var tickC <-chan time.Time
+	// The monitor wakes an idle domain whose epoch is due; under sustained
+	// traffic, where recv's preference for payloads starves the wake, the
+	// dueness check after each invocation paces the epochs instead.
+	var wake <-chan struct{}
 	if d.ck != nil {
-		tickC = d.ck.tick.C
+		wake = d.ck.wake
 	}
 	for {
 		if d.epoch.Load() != epoch {
 			return // superseded while idle
 		}
-		msg, err := d.inbox.recvOrTick(quit, tickC)
-		if err == errCheckpointDue {
-			// The inbox was empty when the ticker fired: the domain is
-			// quiescent, snapshot now. A checkpoint fault is reported like
-			// a handler fault.
-			if d.epoch.Load() == epoch && d.ck.due(time.Now()) {
-				if fault := d.takeCheckpoint(epoch); fault != nil {
-					d.fault(ctx, epoch, fault)
-					return
+		msg, err := d.inbox.recv(quit, wake)
+		switch err {
+		case nil:
+			// A superseded goroutine can still win the race for one queued
+			// payload (quit and a pending message are both ready in recv's
+			// select). It completes that one invocation — the payload is
+			// accounted for exactly once either way — and exits below.
+			if fault := d.invoke(ctx, msg, epoch); fault != nil {
+				if d.epoch.Load() == epoch {
+					d.fault(ctx, epoch)
 				}
+				return
 			}
-			continue
-		}
-		if err != nil {
+			if d.epoch.Load() != epoch {
+				return // late success of an abandoned generation: counted, then exit
+			}
+			d.faultStreak.Store(0)
+		case errCheckpointDue: // the inbox was empty when the wake came
+			if d.epoch.Load() != epoch {
+				return
+			}
+		default:
 			if err != errSuperseded && d.epoch.Load() == epoch {
 				d.stop()
 			}
 			return
 		}
-		// A superseded goroutine can still win the race for one queued
-		// payload (quit and a pending message are both ready in recv's
-		// select). It completes that one invocation — the payload is
-		// accounted for exactly once either way — and exits below.
-		fault := d.invoke(ctx, msg, epoch)
-		if fault != nil {
-			if d.epoch.Load() == epoch {
-				d.fault(ctx, epoch, fault)
-			}
-			return
-		}
-		if d.epoch.Load() != epoch {
-			return // late success of an abandoned generation: counted, then exit
-		}
-		d.faultStreak.Store(0)
-		if d.ck != nil && d.ck.due(time.Now()) {
-			// Between invocations: the handler is not running, so the
-			// traversal races no hot-path mutator.
+		// Idle, or between invocations: the handler is not running, so the
+		// traversal races no hot-path mutator. A checkpoint fault is
+		// reported like a handler fault.
+		if d.ck != nil && d.ck.due(d.now()) {
 			if fault := d.takeCheckpoint(epoch); fault != nil {
-				d.fault(ctx, epoch, fault)
+				d.fault(ctx, epoch)
 				return
 			}
 		}
@@ -390,11 +371,14 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 }
 
 // fault ends a current generation that faulted: it hands its context on
-// to the next generation, then reports. The goroutine exits right after
-// and never touches ctx again.
-func (d *Domain[T]) fault(ctx *Ctx, epoch uint64, err error) {
+// to the next generation, then reports to the monitor. The goroutine
+// exits right after and never touches ctx again.
+func (d *Domain[T]) fault(ctx *Ctx, epoch uint64) {
 	d.spareCtx.Store(ctx)
-	d.sup.report(d, epoch, err)
+	select {
+	case d.sup.events <- event{d, epoch}:
+	case <-d.sup.stop:
+	}
 }
 
 // invoke is the domain entry point: heartbeat, guard, fault accounting,
@@ -404,7 +388,7 @@ func (d *Domain[T]) fault(ctx *Ctx, epoch uint64, err error) {
 // the protection domain, so a stale generation faulting late cannot
 // revoke the table a recovered replacement is already serving from.
 func (d *Domain[T]) invoke(ctx *Ctx, msg linear.Owned[T], epoch uint64) error {
-	d.beat.Store(time.Now().UnixNano())
+	d.beat.Store(d.now().UnixNano())
 	d.busy.Store(epoch)
 	err := d.guard(ctx, msg)
 	d.busy.CompareAndSwap(epoch, 0) // a replacement's invocation is not ours to clear
@@ -475,9 +459,6 @@ func (d *Domain[T]) stop() {
 		return
 	}
 	d.rec.Record(d.actor, telemetry.EvStop, 0)
-	if d.ck != nil {
-		d.ck.tick.Stop()
-	}
 	d.inbox.Drain()
 	close(d.done)
 }
@@ -499,8 +480,18 @@ func (d *Domain[T]) registerMetrics(reg telemetry.Registrar) {
 	reg.RegisterGaugeFunc("domain_state", labels, func() float64 {
 		return float64(d.state.Load())
 	})
-	if d.ck != nil {
-		d.registerCkptMetrics(reg, labels)
+	if ck := d.ck; ck != nil {
+		reg.RegisterCounter("domain_checkpoints_taken_total", labels, &ck.taken)
+		reg.RegisterCounter("domain_checkpoint_failures_total", labels, &ck.failed)
+		reg.RegisterCounter("domain_restores_total", labels, &ck.restores)
+		reg.RegisterCounter("domain_cold_starts_total", labels, &ck.coldStarts)
+		reg.RegisterHistogram("domain_checkpoint_seconds", labels, &ck.ckptLat)
+		reg.RegisterHistogram("domain_restore_seconds", labels, &ck.restoreLat)
+		if ck.persist != nil {
+			reg.RegisterCounter("domain_checkpoints_persisted_total", labels, &ck.persisted)
+			reg.RegisterCounter("domain_persist_failures_total", labels, &ck.persistFailed)
+			reg.RegisterHistogram("domain_persist_seconds", labels, &ck.persistLat)
+		}
 	}
 	reg.RegisterCounter("mailbox_sends_total", labels, &d.inbox.Stats.Sends)
 	reg.RegisterCounter("mailbox_recvs_total", labels, &d.inbox.Stats.Recvs)

@@ -9,20 +9,8 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/sfi"
+	"repro/internal/telemetry"
 )
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
 
 // fastPolicy keeps restart cycles microscopic so tests run in
 // milliseconds.
@@ -71,9 +59,11 @@ func TestDomainServes(t *testing.T) {
 // table is cleared, and after restart the domain keeps serving — the §3
 // cycle run as a service.
 func TestDomainCrashRestart(t *testing.T) {
-	s := NewSupervisor(fastPolicy())
+	p := fastPolicy()
+	s, fc := fakeSupervisor(p)
 	defer s.Close()
-	var processed, released, recovered atomic.Int64
+	var released, recovered atomic.Int64
+	served := make(chan int, 2)
 	d, err := Spawn(s, Config[int]{
 		Name:    "crashy",
 		Release: func(int) { released.Add(1) },
@@ -85,26 +75,30 @@ func TestDomainCrashRestart(t *testing.T) {
 			if crash {
 				panic("injected")
 			}
-			if _, err := msg.Into(); err != nil {
+			x, err := msg.Into()
+			if err != nil {
 				return err
 			}
-			processed.Add(1)
+			served <- x
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Inbox().Send(linear.New(1)); err != nil {
-		t.Fatal(err)
+	fc.expectArmed(t, time.Time{})      // Spawn's wake: nothing to schedule
+	for _, v := range []int{1, -1, 2} { // the crash abandons -1; 2 is served after the restart
+		if err := d.Inbox().Send(linear.New(v)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := d.Inbox().Send(linear.New(-1)); err != nil { // crash, payload abandoned
-		t.Fatal(err)
-	}
-	if err := d.Inbox().Send(linear.New(2)); err != nil { // served post-restart
-		t.Fatal(err)
-	}
-	waitFor(t, "post-restart processing", func() bool { return processed.Load() == 2 })
+	<-served
+	fc.expectArmed(t, fc.now().Add(p.Backoff)) // the crash, handled
+	fc.step(t, p.Backoff)
+	fc.expectArmed(t, time.Time{}) // the restart
+	<-served
+	d.Inbox().Close()
+	<-d.Done()
 	if released.Load() != 1 {
 		t.Fatalf("abandoned payload released %d times, want 1", released.Load())
 	}
@@ -112,18 +106,19 @@ func TestDomainCrashRestart(t *testing.T) {
 		t.Fatalf("user recovery ran %d times, want 1", recovered.Load())
 	}
 	sn := d.Snapshot()
-	if sn.Crashes != 1 || sn.Restarts != 1 || sn.Reclaimed != 1 {
+	if sn.Processed != 2 || sn.Crashes != 1 || sn.Restarts != 1 || sn.Reclaimed != 1 {
 		t.Fatalf("snapshot %+v", sn)
 	}
-	if sn.TimeInBackoff <= 0 {
-		t.Fatal("no backoff recorded")
+	if sn.TimeInBackoff != p.Backoff {
+		t.Fatalf("backoff recorded %v, want %v", sn.TimeInBackoff, p.Backoff)
 	}
 }
 
 // TestDomainErrorIsFault: a handler error return is a fault — same
 // restart path as a panic.
 func TestDomainErrorIsFault(t *testing.T) {
-	s := NewSupervisor(fastPolicy())
+	p := fastPolicy()
+	s, fc := fakeSupervisor(p)
 	defer s.Close()
 	var calls atomic.Int64
 	d, err := Spawn(s, Config[int]{
@@ -138,12 +133,17 @@ func TestDomainErrorIsFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc.expectArmed(t, time.Time{})
 	_ = d.Inbox().Send(linear.New(1))
 	_ = d.Inbox().Send(linear.New(2))
-	waitFor(t, "restart after error", func() bool {
-		sn := d.Snapshot()
-		return sn.Errors == 1 && sn.Restarts >= 1 && sn.Processed == 1
-	})
+	fc.expectArmed(t, fc.now().Add(p.Backoff))
+	fc.step(t, p.Backoff)
+	fc.expectArmed(t, time.Time{})
+	d.Inbox().Close()
+	<-d.Done()
+	if sn := d.Snapshot(); sn.Errors != 1 || sn.Restarts != 1 || sn.Processed != 1 {
+		t.Fatalf("snapshot %+v: want 1 error, 1 restart, 1 processed", sn)
+	}
 }
 
 // TestDomainRRefsFailClosedAcrossCrash drives the paper's recovery
@@ -152,11 +152,13 @@ func TestDomainErrorIsFault(t *testing.T) {
 // closed) and transparently re-bound after the supervisor recovers the
 // domain via the sfi recovery function.
 func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
-	s := NewSupervisor(fastPolicy())
+	p := fastPolicy()
+	s, fc := fakeSupervisor(p)
 	defer s.Close()
 
 	type counter struct{ n int }
 	var rref *sfi.RRef[*counter]
+	served := make(chan struct{}, 1)
 	d, err := Spawn(s, Config[int]{
 		Name: "stateful",
 		Handler: func(c *Ctx, msg linear.Owned[int]) error {
@@ -167,12 +169,15 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 			if v < 0 {
 				panic("injected")
 			}
-			return rref.Call(c.SFI, "incr", func(ct *counter) error { ct.n++; return nil })
+			err = rref.Call(c.SFI, "incr", func(ct *counter) error { ct.n++; return nil })
+			served <- struct{}{}
+			return err
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc.expectArmed(t, time.Time{})
 	rref, err = sfi.Export(d.PD(), &counter{})
 	if err != nil {
 		t.Fatal(err)
@@ -185,23 +190,25 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 	if err := d.Inbox().Send(linear.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "first increment", func() bool { return d.Snapshot().Processed == 1 })
-
+	<-served                           // the first increment
 	_ = d.Inbox().Send(linear.New(-1)) // crash
-	waitFor(t, "crash detected", func() bool { return d.Snapshot().Crashes == 1 })
+	fc.expectArmed(t, fc.now().Add(p.Backoff))
 
 	// Between teardown and recovery the RRef fails closed.
 	root := sfi.NewContext()
-	if d.PD().Failed() {
-		if err := rref.Call(root, "peek", func(*counter) error { return nil }); err == nil {
-			t.Fatal("RRef still served after crash teardown")
-		}
+	if !d.PD().Failed() {
+		t.Fatal("the crash did not tear the reference table down")
+	}
+	if err := rref.Call(root, "peek", func(*counter) error { return nil }); err == nil {
+		t.Fatal("RRef still served after crash teardown")
 	}
 
 	// After the supervisor restarts the domain, the same RRef re-binds to
 	// the re-populated slot.
 	_ = d.Inbox().Send(linear.New(2))
-	waitFor(t, "post-recovery increment", func() bool { return d.Snapshot().Processed == 2 })
+	fc.step(t, p.Backoff)
+	fc.expectArmed(t, time.Time{})
+	<-served // the post-recovery increment
 	n, err := sfi.CallResult(root, rref, "peek", func(ct *counter) (int, error) { return ct.n, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +223,7 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	p := fastPolicy()
 	p.MaxRestarts = 1
-	s := NewSupervisor(p)
+	s, fc := fakeSupervisor(p)
 	defer s.Close()
 	var released atomic.Int64
 	d, err := Spawn(s, Config[int]{
@@ -227,11 +234,14 @@ func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc.expectArmed(t, time.Time{})
 	for i := 0; i < 10; i++ {
 		if err := d.Inbox().Send(linear.New(i)); err != nil {
 			break
 		}
 	}
+	fc.expectArmed(t, fc.now().Add(p.Backoff)) // the first crash
+	fc.step(t, p.Backoff)                      // the restart, whose first payload crashes too
 	select {
 	case <-d.Done():
 	case <-time.After(5 * time.Second):
@@ -242,25 +252,45 @@ func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	}
 	// Every payload is accounted for: 2 reclaimed at the entry point by
 	// the two crashes, the backlog destroyed at stop.
-	waitFor(t, "all payloads released", func() bool { return released.Load() == 10 })
+	if n := released.Load(); n != 10 {
+		t.Fatalf("%d payloads released, want 10", n)
+	}
 	if err := d.Inbox().Send(linear.New(99)); !errors.Is(err, ErrMailboxClosed) {
 		t.Fatalf("send after stop: %v, want ErrMailboxClosed", err)
 	}
 }
 
+// awaitHangVerdict steps the clock from one deadline to the next until
+// the monitor gives d's stuck invocation, which began at beat, its hang
+// verdict. The verdict must come after HangAfter and by HangAfter plus
+// one poll. It returns the deadline armed after the verdict.
+func awaitHangVerdict[T any](t *testing.T, fc *fakeClock, d *Domain[T], p Policy, beat time.Time) time.Time {
+	t.Helper()
+	var at time.Time
+	for i := 0; d.Snapshot().Hangs == 0; i++ {
+		if i == 1000 {
+			t.Fatal("no hang verdict")
+		}
+		at = fc.next()
+	}
+	if lag := fc.now().Sub(beat); lag <= p.HangAfter || lag > p.HangAfter+p.hangTick() {
+		t.Fatalf("hang verdict %v into the stuck invocation, want within (%v, %v]", lag, p.HangAfter, p.HangAfter+p.hangTick())
+	}
+	return at
+}
+
 // TestDomainHangAbandonment: a handler stall beyond HangAfter is
 // detected by heartbeat, the stuck goroutine superseded, and a
-// replacement serves the next payload; the stalled invocation's late
-// completion is still counted (payload conservation: every received
-// payload is processed or released exactly once) but triggers no
-// further lifecycle activity.
+// replacement serves the next payload. (That the stalled invocation's
+// late completion is still counted once is
+// TestAbandonedLateSuccessCountsOnce.)
 func TestDomainHangAbandonment(t *testing.T) {
 	p := fastPolicy()
 	p.HangAfter = 5 * time.Millisecond
-	s := NewSupervisor(p)
+	s, fc := fakeSupervisor(p)
 	defer s.Close()
-	stall := make(chan struct{})
-	var processed atomic.Int64
+	entered, stall := make(chan struct{}), make(chan struct{})
+	served := make(chan int, 1)
 	d, err := Spawn(s, Config[int]{
 		Name: "staller",
 		Handler: func(c *Ctx, msg linear.Owned[int]) error {
@@ -269,47 +299,52 @@ func TestDomainHangAbandonment(t *testing.T) {
 				return err
 			}
 			if v < 0 {
+				entered <- struct{}{}
 				<-stall // hang until the test releases it
 				return nil
 			}
-			processed.Add(1)
+			served <- v
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc.expectArmed(t, fc.now().Add(p.hangTick()))
 	_ = d.Inbox().Send(linear.New(-1)) // hangs
-	waitFor(t, "hang detection", func() bool { return d.Snapshot().Hangs >= 1 })
+	<-entered
+	at := awaitHangVerdict(t, fc, d, p, fc.now())
+	if want := fc.now().Add(p.Backoff); !at.Equal(want) {
+		t.Fatalf("after the verdict the monitor armed at %v, want the restart at %v", fc.since(at), fc.since(want))
+	}
+	fc.next()                         // the restart
 	_ = d.Inbox().Send(linear.New(1)) // served by the replacement
-	waitFor(t, "replacement serving", func() bool { return processed.Load() == 1 })
+	<-served
 	close(stall) // let the abandoned goroutine finish and exit
-	waitFor(t, "restart accounting", func() bool {
-		sn := d.Snapshot()
-		return sn.Hangs == 1 && sn.Restarts >= 1
-	})
-	// The abandoned invocation's late completion is counted exactly once:
-	// 2 payloads received, 2 processed, nothing lost or double-counted.
-	waitFor(t, "late completion counted", func() bool { return d.Snapshot().Processed == 2 })
+	if sn := d.Snapshot(); sn.Hangs != 1 || sn.Restarts != 1 {
+		t.Fatalf("snapshot %+v: want 1 hang and 1 restart", sn)
+	}
 }
 
-// TestOneStuckHandlerIsOneHang: a handler stuck for well over ten hang
-// ticks costs one hang verdict and one restart. The replacement
-// generation sits idle beside the abandoned one, and the abandoned
-// invocation still marks the domain busy — but it is not the current
-// generation's, so the next tick must not read the idle replacement as
-// hung (it did, once per tick, while busy belonged to the domain).
+// TestOneStuckHandlerIsOneHang: a handler stuck for fifteen hang polls
+// past its verdict costs one hang verdict and one restart. The
+// replacement generation sits idle beside the abandoned one, and the
+// abandoned invocation still marks the domain busy — but it is not the
+// current generation's, so the next poll must not read the idle
+// replacement as hung (it did, once per poll, while busy belonged to the
+// domain).
 func TestOneStuckHandlerIsOneHang(t *testing.T) {
 	p := fastPolicy()
 	p.HangAfter = 5 * time.Millisecond
-	s := NewSupervisor(p)
+	s, fc := fakeSupervisor(p)
 	defer s.Close()
-	stall := make(chan struct{})
+	entered, stall := make(chan struct{}), make(chan struct{})
 	defer close(stall)
 	d, err := Spawn(s, Config[int]{
 		Name: "stuck",
 		Handler: func(c *Ctx, msg linear.Owned[int]) error {
 			_, err := msg.Into()
+			entered <- struct{}{}
 			<-stall
 			return err
 		},
@@ -317,14 +352,122 @@ func TestOneStuckHandlerIsOneHang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fc.expectArmed(t, fc.now().Add(p.hangTick()))
 	_ = d.Inbox().Send(linear.New(1))
-	waitFor(t, "the hang verdict and its restart", func() bool {
-		sn := d.Snapshot()
-		return sn.Hangs >= 1 && sn.Restarts >= 1
-	})
-	time.Sleep(15 * p.hangTick()) // the stuck handler stays stuck; the replacement idles
+	<-entered
+	awaitHangVerdict(t, fc, d, p, fc.now())
+	fc.next() // the restart
+	for i := 0; i < 15; i++ {
+		fc.next() // a hang poll: the stuck handler stays stuck; the replacement idles
+	}
 	if sn := d.Snapshot(); sn.Hangs != 1 || sn.Restarts != 1 {
-		t.Fatalf("one stuck handler over 15 ticks: %d hangs and %d restarts, want 1 and 1", sn.Hangs, sn.Restarts)
+		t.Fatalf("one stuck handler over 15 polls: %d hangs and %d restarts, want 1 and 1", sn.Hangs, sn.Restarts)
+	}
+}
+
+// TestLifecycleOnOneClock drives one checkpointing domain through its
+// whole lifecycle on the fake clock, each step at the instant the policy
+// names and not a nanosecond before: fault → restart at Backoff → second
+// fault → restart at 2·Backoff → idle epoch at CheckpointEvery → hang
+// verdict by HangAfter plus one poll → restart at 4·Backoff, restoring
+// that epoch → a fault that takes the streak past MaxRestarts → stop.
+func TestLifecycleOnOneClock(t *testing.T) {
+	const (
+		ok = iota
+		fault
+		hang
+	)
+	p := Policy{
+		Backoff:         time.Millisecond,
+		MaxBackoff:      time.Second,
+		MaxRestarts:     3,
+		HangAfter:       40 * time.Millisecond,
+		CheckpointEvery: 5 * time.Millisecond,
+	}
+	exhausted := make(chan string, 1)
+	p.OnExhausted = func(name string, _ []telemetry.Event) { exhausted <- name }
+	s, fc := fakeSupervisor(p)
+	defer s.Close()
+	t0 := fc.now()
+	st := newKVState()
+	st.captured = make(chan struct{}, 8)
+	entered, stall := make(chan struct{}), make(chan struct{})
+	defer close(stall)
+	d, err := Spawn(s, Config[int]{
+		Name:  "life",
+		State: st,
+		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			v, err := msg.Into()
+			if err != nil {
+				return err
+			}
+			switch v {
+			case fault:
+				panic("injected")
+			case hang:
+				entered <- struct{}{}
+				<-stall
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(v int) {
+		t.Helper()
+		if err := d.Inbox().Send(linear.New(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// exactlyAt moves the clock to at, checking the alarm was armed for
+	// at and not a nanosecond earlier.
+	exactlyAt := func(at time.Time, what string) {
+		t.Helper()
+		if fc.moveTo(at.Add(-time.Nanosecond)) || !fc.moveTo(at) {
+			t.Fatalf("%s did not fire at exactly %v", what, fc.since(at))
+		}
+	}
+	firstEpoch := t0.Add(p.CheckpointEvery)
+	fc.expectArmed(t, firstEpoch) // the epoch comes before the first hang poll
+
+	for i, backoff := range []time.Duration{p.Backoff, 2 * p.Backoff} {
+		send(fault)
+		restart := fc.now().Add(backoff)
+		fc.expectArmed(t, restart)
+		exactlyAt(restart, "the restart")
+		fc.expectArmed(t, firstEpoch)
+		if n := d.Snapshot().Restarts; n != uint64(i+1) {
+			t.Fatalf("%d restarts after fault %d", n, i+1)
+		}
+	}
+
+	exactlyAt(firstEpoch, "the idle epoch")
+	fc.expectArmed(t, firstEpoch.Add(p.CheckpointEvery))
+	<-st.captured
+	send(hang) // served after the epoch is published
+	<-entered
+	if at, ok := d.LastCheckpoint(); !ok || !at.Equal(firstEpoch) {
+		t.Fatalf("last checkpoint at %v (%v), want %v", fc.since(at), ok, fc.since(firstEpoch))
+	}
+
+	restart := awaitHangVerdict(t, fc, d, p, firstEpoch)
+	if want := fc.now().Add(4 * p.Backoff); !restart.Equal(want) {
+		t.Fatalf("the hang's restart armed at %v, want %v", fc.since(restart), fc.since(want))
+	}
+	exactlyAt(restart, "the restart after the hang")
+	fc.armed()
+	if sn := d.Snapshot(); sn.Restarts != 3 || sn.Restores != 1 || sn.ColdStarts != 2 {
+		t.Fatalf("snapshot %+v: want 3 restarts, the last one restoring the epoch after 2 cold starts", sn)
+	}
+
+	send(fault) // the fourth fault in a row: past MaxRestarts
+	<-d.Done()
+	if name := <-exhausted; name != "life" {
+		t.Fatalf("OnExhausted(%q)", name)
+	}
+	if sn := d.Snapshot(); sn.State != StateStopped || sn.Crashes != 3 || sn.Hangs != 1 || sn.Restarts != 3 {
+		t.Fatalf("snapshot %+v: want stopped after 3 crashes, 1 hang and 3 restarts", sn)
 	}
 }
 

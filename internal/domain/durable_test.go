@@ -69,7 +69,11 @@ func (s *durableKV) AppendCheckpoint(buf []byte) ([]byte, error) {
 }
 
 func (s *durableKV) Checkpoint(*checkpoint.Engine) (any, error) {
-	return s.AppendCheckpoint(nil)
+	tok, err := s.AppendCheckpoint(nil)
+	if s.captured != nil {
+		s.captured <- struct{}{}
+	}
+	return tok, err
 }
 
 // parse decodes a token into a fresh map.
@@ -203,6 +207,9 @@ func spawnDurableKV(t *testing.T, s *Supervisor, st *durableKV) *Domain[int] {
 				panic("injected handler crash")
 			}
 			st.set(fmt.Sprintf("k%d", v), v)
+			if st.served != nil {
+				st.served <- struct{}{}
+			}
 			return nil
 		},
 	})
@@ -210,6 +217,32 @@ func spawnDurableKV(t *testing.T, s *Supervisor, st *durableKV) *Domain[int] {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// fakeDurableKV spawns a durable kv domain on a fake clock, ready for
+// durableEpoch.
+func fakeDurableKV(t *testing.T, p Policy, st *durableKV) (*Supervisor, *fakeClock, *Domain[int]) {
+	t.Helper()
+	sup, fc := fakeSupervisor(p)
+	st.captured = make(chan struct{}, 4)
+	st.served = make(chan struct{}, 4)
+	d := spawnDurableKV(t, sup, st)
+	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	return sup, fc, d
+}
+
+// durableEpoch moves the fake clock to d's next idle epoch and returns
+// once the epoch's capture, publish and append are done: a payload sent
+// after the capture is served only after them.
+func durableEpoch(t *testing.T, fc *fakeClock, d *Domain[int], st *durableKV, every time.Duration) {
+	t.Helper()
+	fc.step(t, every)
+	fc.expectArmed(t, fc.now().Add(every))
+	<-st.captured
+	if err := d.Inbox().Send(linear.New(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-st.served
 }
 
 // TestDurableEpochsPersist: published epochs reach the persister with
@@ -305,17 +338,15 @@ func TestDurableBootRestore(t *testing.T) {
 func TestDurablePersistErrorIsSoft(t *testing.T) {
 	per := newMemPersister()
 	per.failNext = true
-	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per))
-	defer sup.Close()
+	p := durablePolicy(2*time.Millisecond, per)
 	st := newDurableKV()
-	d := spawnDurableKV(t, sup, st)
-	if err := d.Inbox().Send(linear.New(1)); err != nil {
-		t.Fatal(err)
+	sup, fc, d := fakeDurableKV(t, p, st)
+	defer sup.Close()
+	durableEpoch(t, fc, d, st, p.CheckpointEvery) // its append fails
+	durableEpoch(t, fc, d, st, p.CheckpointEvery)
+	if sn := d.Snapshot(); sn.PersistFailures != 1 || sn.Persisted != 1 {
+		t.Fatalf("snapshot %+v: want 1 persist failure, then 1 epoch persisted", sn)
 	}
-	waitFor(t, "failure counted and service continues", func() bool {
-		sn := d.Snapshot()
-		return sn.PersistFailures >= 1 && sn.Persisted >= 1
-	})
 	if d.State() != StateLive {
 		t.Fatalf("domain state %v after soft persist failure", d.State())
 	}
@@ -324,17 +355,20 @@ func TestDurablePersistErrorIsSoft(t *testing.T) {
 // TestDurableEncodeErrorIsSoft: same contract for codec failures.
 func TestDurableEncodeErrorIsSoft(t *testing.T) {
 	per := newMemPersister()
-	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per))
-	defer sup.Close()
+	p := durablePolicy(2*time.Millisecond, per)
 	st := newDurableKV()
 	st.setEncodeErr(errors.New("injected encode failure"))
-	d := spawnDurableKV(t, sup, st)
-	waitFor(t, "encode failure counted", func() bool { return d.Snapshot().PersistFailures >= 1 })
-	if d.Snapshot().Persisted != 0 {
-		t.Fatal("persisted despite encode failure")
+	sup, fc, d := fakeDurableKV(t, p, st)
+	defer sup.Close()
+	durableEpoch(t, fc, d, st, p.CheckpointEvery)
+	if sn := d.Snapshot(); sn.PersistFailures != 1 || sn.Persisted != 0 {
+		t.Fatalf("snapshot %+v: want the encode failure counted and nothing persisted", sn)
 	}
 	st.setEncodeErr(nil)
-	waitFor(t, "recovery after encode failures", func() bool { return d.Snapshot().Persisted >= 1 })
+	durableEpoch(t, fc, d, st, p.CheckpointEvery)
+	if n := d.Snapshot().Persisted; n != 1 {
+		t.Fatalf("%d epochs persisted after the encode failure, want 1", n)
+	}
 }
 
 // TestDurableRequiresCodec: Persist with a codec-less State is a Spawn

@@ -3,7 +3,6 @@ package domain
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/linear"
 	"repro/internal/telemetry"
@@ -218,43 +217,17 @@ func (m *Mailbox[T]) TrySend(v linear.Owned[T]) error {
 // Recv dequeues the next payload, blocking until one arrives or the
 // mailbox is closed. Payloads already queued at close time are still
 // delivered; ErrMailboxClosed means closed and drained.
-func (m *Mailbox[T]) Recv() (linear.Owned[T], error) {
-	// Favor queued payloads over the closed signal so a receiver drains
-	// the backlog before observing the close.
-	select {
-	case p := <-m.ch:
-		return m.received(p), nil
-	default:
-	}
-	select {
-	case p := <-m.ch:
-		return m.received(p), nil
-	case <-m.done:
-		// One more non-blocking look: a payload may have been enqueued
-		// concurrently with Close.
-		select {
-		case p := <-m.ch:
-			return m.received(p), nil
-		default:
-			return linear.Owned[T]{}, ErrMailboxClosed
-		}
-	}
-}
+func (m *Mailbox[T]) Recv() (linear.Owned[T], error) { return m.recv(nil, nil) }
 
-// recv is Recv with a supersession signal: quit aborts an idle wait with
+// recv is the serving loop's Recv. quit aborts an idle wait with
 // errSuperseded so a retired serving generation stops competing for
-// payloads. A payload already queued can still win the race against
-// quit — the caller owns (and must account for) that final delivery.
-func (m *Mailbox[T]) recv(quit <-chan struct{}) (linear.Owned[T], error) {
-	return m.recvOrTick(quit, nil)
-}
-
-// recvOrTick is recv with a checkpoint wakeup: when tick fires while the
-// queue is empty it returns errCheckpointDue, handing the serving loop a
-// mailbox-quiescent instant to snapshot at. A nil tick never fires.
-// Queued payloads always win over the tick, so checkpointing never
-// delays delivery.
-func (m *Mailbox[T]) recvOrTick(quit <-chan struct{}, tick <-chan time.Time) (linear.Owned[T], error) {
+// payloads. wake, the supervisor monitor's call for a checkpoint epoch
+// (ckptState.wake), returns errCheckpointDue: a mailbox-quiescent instant
+// to snapshot at. Queued payloads win over all three signals, so a
+// receiver drains the backlog before it sees a close, checkpointing never
+// delays delivery, and a superseded receiver may take one last payload,
+// which its caller must account for.
+func (m *Mailbox[T]) recv(quit, wake <-chan struct{}) (linear.Owned[T], error) {
 	select {
 	case p := <-m.ch:
 		return m.received(p), nil
@@ -263,11 +236,13 @@ func (m *Mailbox[T]) recvOrTick(quit <-chan struct{}, tick <-chan time.Time) (li
 	select {
 	case p := <-m.ch:
 		return m.received(p), nil
-	case <-tick:
+	case <-wake:
 		return linear.Owned[T]{}, errCheckpointDue
 	case <-quit:
 		return linear.Owned[T]{}, errSuperseded
 	case <-m.done:
+		// One more look: a payload may have been enqueued concurrently
+		// with Close.
 		select {
 		case p := <-m.ch:
 			return m.received(p), nil

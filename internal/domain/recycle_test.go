@@ -489,8 +489,14 @@ func TestDurableDomainKeepsOneEpochBuffer(t *testing.T) {
 // table reset, restart after backoff). In production that is a verdict
 // racing the end of the handler it judged: by the time it lands, the
 // generation has moved on into a capture or the store's append. The
-// tests below park the generation there and deliver the verdict.
-func raceHangVerdict(sup *Supervisor, d *Domain[int]) { sup.abandon(d) }
+// tests below park the generation there and deliver the verdict: the
+// supersession here, and the monitor's half — the reset and the restart
+// it schedules — through a report for the epoch the verdict opened.
+func raceHangVerdict(sup *Supervisor, d *Domain[int]) {
+	d.noteHang()
+	sup.hangs.Add(1)
+	sup.events <- event{d, d.supersede()}
+}
 
 // TestSupersededCaptureDoesNotPublish: a hang verdict retires the domain
 // while it is mid-capture. The monitor restores the domain from its last

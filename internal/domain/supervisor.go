@@ -26,8 +26,8 @@ type Policy struct {
 	MaxRestarts int
 	// HangAfter declares a domain hung when one handler invocation runs
 	// longer than this; the stuck goroutine is abandoned (superseded) and
-	// the domain restarted. The detector polls every HangAfter/4, clamped
-	// to [1ms, 1s]. 0 disables hang detection.
+	// the domain restarted. The supervisor's monitor polls for it every
+	// HangAfter/4, clamped to [1ms, 1s]. 0 disables hang detection.
 	HangAfter time.Duration
 
 	// CheckpointEvery enables §5 checkpointed recovery for domains that
@@ -76,8 +76,7 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// hangTick is the hang detector's poll interval: a quarter of HangAfter,
-// clamped to [1ms, 1s].
+// hangTick is the hang poll's interval: HangAfter/4, clamped to [1ms, 1s].
 func (p Policy) hangTick() time.Duration {
 	return min(max(p.HangAfter/4, time.Millisecond), time.Second)
 }
@@ -90,31 +89,34 @@ type child interface {
 	currentEpoch() uint64
 	supersede() uint64
 	stalled(now time.Time, limit time.Duration) bool
+	idleEpoch(now time.Time) time.Time
 	stop()
-	serve(epoch uint64)
 	recoverState() error
 	pdom() *sfi.Domain
 	bumpStreak() uint64
-	noteBackoff(d time.Duration)
-	noteRestart()
+	backOff(d time.Duration)
+	resume()
 	noteHang()
-	setState(s State)
-	scheduleRestart(after time.Duration)
 }
 
 func (d *Domain[T]) currentEpoch() uint64 { return d.epoch.Load() }
 func (d *Domain[T]) pdom() *sfi.Domain    { return d.pd }
 func (d *Domain[T]) bumpStreak() uint64   { return d.faultStreak.Add(1) }
-func (d *Domain[T]) setState(s State)     { d.state.Store(int32(s)) }
 
-func (d *Domain[T]) noteBackoff(b time.Duration) {
+// backOff puts the domain in backoff for b.
+func (d *Domain[T]) backOff(b time.Duration) {
+	d.state.Store(int32(StateBackoff))
 	d.st.backoffNanos.Add(int64(b))
 	d.rec.Record(d.actor, telemetry.EvBackoff, uint64(b))
 }
 
-func (d *Domain[T]) noteRestart() {
+// resume ends a restart: the domain is live again under a fresh serving
+// goroutine.
+func (d *Domain[T]) resume() {
 	d.st.restarts.Add(1)
 	d.rec.Record(d.actor, telemetry.EvRestart, 0)
+	d.state.Store(int32(StateLive))
+	d.serve(d.supersede())
 }
 
 func (d *Domain[T]) noteHang() {
@@ -122,13 +124,19 @@ func (d *Domain[T]) noteHang() {
 	d.rec.Record(d.actor, telemetry.EvHang, 0)
 }
 
-// recoverState is the restart's state half, on the monitor goroutine:
-// first the user Recover hook rebuilds the handler plumbing (the §3
-// recovery function — e.g. fresh pipeline instances exported into the
-// recovered reference table), then the §5 restore hands the rebuilt
-// plumbing its last good checkpoint, cold-starting only when no epoch
-// has completed.
+// recoverState is a restart's recovery, on the monitor goroutine: the
+// sfi protection domain is recovered (its recovery function re-populates
+// reference-table slots), the user Recover hook rebuilds the handler
+// plumbing (the §3 recovery function — e.g. fresh pipeline instances
+// exported into the recovered table), and the §5 restore hands the
+// rebuilt plumbing its last good checkpoint, cold-starting only when no
+// epoch has completed.
 func (d *Domain[T]) recoverState() error {
+	if d.pd.Failed() {
+		if err := d.sup.mgr.Recover(d.pd); err != nil {
+			return err
+		}
+	}
 	if d.recover != nil {
 		if err := d.recover(); err != nil {
 			return err
@@ -140,31 +148,33 @@ func (d *Domain[T]) recoverState() error {
 	return d.restoreOrReset()
 }
 
-// event is the monitor loop's single inbound message type: fault reports
-// from serving goroutines and restart requests from backoff timers.
+// event is a fault report from a serving goroutine to the monitor.
 type event struct {
-	restart bool
-	c       child
-	epoch   uint64 // the reporter's (fault) or target (restart) epoch
-	err     error
+	c     child
+	epoch uint64 // the reporter's
 }
 
 // Supervisor owns a group of domains: it spawns them, watches for faults
 // and hangs, and applies the restart policy. All policy decisions run on
 // one monitor goroutine, so per-domain lifecycle transitions are
-// serialized; the domains' data paths never block on the supervisor.
+// serialized; the domains' data paths never block on the supervisor. The
+// monitor owns every deadline too: backoffs, idle epochs, the hang poll.
 type Supervisor struct {
 	policy Policy
 	mgr    *sfi.Manager
+	clock  clock
 
+	// children is append-only; closed is set under mu, so a Spawn appends
+	// before Close reads children, or fails.
 	mu       sync.Mutex
 	children []child
+	closed   atomic.Bool
 
 	events chan event
+	kick   chan struct{} // Spawn's wake for the monitor (cap 1)
 	stop   chan struct{}
 	once   sync.Once
 	wg     sync.WaitGroup
-	closed atomic.Bool
 
 	// Aggregate counters (per-domain detail lives in each Domain).
 	faults   telemetry.Counter
@@ -173,11 +183,15 @@ type Supervisor struct {
 }
 
 // NewSupervisor starts a supervisor with the given policy.
-func NewSupervisor(p Policy) *Supervisor {
+func NewSupervisor(p Policy) *Supervisor { return newSupervisor(p, wallClock{}) }
+
+func newSupervisor(p Policy, clk clock) *Supervisor {
 	s := &Supervisor{
 		policy: p.withDefaults(),
 		mgr:    sfi.NewManager(),
+		clock:  clk,
 		events: make(chan event, 128),
+		kick:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
 	if reg := s.policy.Registry; reg != nil {
@@ -190,10 +204,6 @@ func NewSupervisor(p Policy) *Supervisor {
 	go s.monitor()
 	return s
 }
-
-// Manager returns the sfi management plane the supervisor's protection
-// domains live in.
-func (s *Supervisor) Manager() *sfi.Manager { return s.mgr }
 
 // ErrSupervisorClosed reports a Spawn on a closed supervisor.
 var ErrSupervisorClosed = errors.New("domain: supervisor closed")
@@ -229,8 +239,9 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			state:  cfg.State,
 			engine: checkpoint.NewEngine(checkpoint.RcAware),
 			every:  s.policy.CheckpointEvery,
+			wake:   make(chan struct{}, 1),
 		}
-		d.ck.lastAttempt.Store(time.Now().UnixNano())
+		d.ck.lastAttempt.Store(s.clock.now().UnixNano())
 		d.ck.recycler, _ = cfg.State.(tokenRecycler)
 		if p := s.policy.Persist; p != nil {
 			codec, ok := cfg.State.(TokenCodec)
@@ -253,59 +264,104 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			return nil, err
 		}
 	}
-	if d.ck != nil {
-		// After the last error return, so a failed Spawn leaves no ticker
-		// running; stop stops it.
-		d.ck.tick = time.NewTicker(d.ck.every)
+	d.epoch.Store(1)
+	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		return nil, ErrSupervisorClosed
 	}
+	s.children = append(s.children, d)
+	s.mu.Unlock()
 	if s.policy.Registry != nil {
-		// One transaction for the domain's whole series group: a scrape
-		// racing the spawn sees the group entirely or not at all, never
-		// a half-registered domain.
+		// One transaction: a scrape racing the spawn sees the domain's
+		// whole series group or none of it.
 		txn := s.policy.Registry.Begin()
 		d.registerMetrics(txn)
 		txn.Commit()
 	}
-	s.mu.Lock()
-	s.children = append(s.children, d)
-	s.mu.Unlock()
-	d.epoch.Store(1)
-	d.serve(1)
+	// Wake the monitor, which may have nothing armed, to schedule d.
+	select {
+	case s.kick <- struct{}{}:
+	default:
+	}
+	d.serve(1) // a Close that stopped d meanwhile retired epoch 1 first
 	return d, nil
 }
 
-// report delivers a fault from a serving goroutine to the monitor.
-func (s *Supervisor) report(c child, epoch uint64, err error) {
-	select {
-	case s.events <- event{c: c, epoch: epoch, err: err}:
-	case <-s.stop:
-	}
+// kids returns the children spawned so far: a stable view, no copy.
+func (s *Supervisor) kids() []child {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.children
 }
 
-// monitor is the single policy thread: it consumes fault reports and
-// restart timers, and polls heartbeats for hang detection.
+// pending is a child's restart in the monitor's schedule: when its backoff
+// ends (zero: none pending) and the epoch it was scheduled in.
+type pending struct {
+	c     child
+	at    time.Time
+	epoch uint64
+}
+
+// monitor is the single policy thread and the package's one timer loop.
+// Each wake — a fault report, a Spawn, the alarm — reads the clock once,
+// scans every child and re-arms the alarm at the earliest deadline left.
+// A wake allocates nothing.
 func (s *Supervisor) monitor() {
 	defer s.wg.Done()
-	tickC := make(<-chan time.Time) // never fires when hang detection is off
-	if s.policy.HangAfter > 0 {
-		t := time.NewTicker(s.policy.hangTick())
-		defer t.Stop()
-		tickC = t.C
-	}
+	fired, arm := s.clock.alarm()
+	defer arm(time.Time{}, time.Time{})
+	var sched []pending
+	var hangAt time.Time // the next hang poll
 	for {
+		var ev event
 		select {
 		case <-s.stop:
 			return
-		case ev := <-s.events:
-			if ev.restart {
-				s.restart(ev.c, ev.epoch)
-			} else {
-				s.onFault(ev.c, ev.epoch, ev.err)
-			}
-		case now := <-tickC:
-			s.checkHangs(now)
+		case ev = <-s.events:
+		case <-s.kick:
+		case <-fired:
 		}
+		now := s.clock.now()
+		for _, c := range s.kids()[len(sched):] {
+			sched = append(sched, pending{c: c})
+		}
+		hangs := s.policy.HangAfter > 0 && !hangAt.After(now)
+		if hangs {
+			hangAt = now.Add(s.policy.hangTick())
+		}
+		next := hangAt
+		for i := range sched {
+			p := &sched[i]
+			if p.c == ev.c {
+				s.onFault(p, ev.epoch, now)
+			}
+			next = earliest(next, s.scan(p, now, hangs))
+		}
+		arm(next, now)
 	}
+}
+
+// scan restarts a child whose backoff has ended, gives the hang verdict
+// on a stuck one when the poll is due, and wakes an idle one whose epoch
+// is due. It returns the child's next deadline, zero when it has none.
+func (s *Supervisor) scan(p *pending, now time.Time, hangs bool) time.Time {
+	if !p.at.IsZero() && !p.at.After(now) {
+		p.at = time.Time{}
+		s.restart(p, now)
+	}
+	if hangs && p.c.State() == StateLive && p.c.stalled(now, s.policy.HangAfter) {
+		s.abandon(p, now)
+	}
+	return earliest(p.at, p.c.idleEpoch(now))
+}
+
+// earliest returns the earlier of two deadlines, a zero one meaning none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
 }
 
 // onFault handles one fault report: verify it is current, clear the
@@ -313,81 +369,47 @@ func (s *Supervisor) monitor() {
 // by serving goroutines, so a stale generation cannot revoke a table its
 // replacement already recovered), then apply the restart policy. The
 // faulting goroutine has already unwound and reclaimed the payload.
-func (s *Supervisor) onFault(c child, epoch uint64, err error) {
-	if c.currentEpoch() != epoch || c.State() == StateStopped {
+func (s *Supervisor) onFault(p *pending, epoch uint64, now time.Time) {
+	if p.c.currentEpoch() != epoch || p.c.State() == StateStopped {
 		return // superseded or retired while the report was in flight
 	}
 	s.faults.Add(1)
-	c.pdom().Reset()
-	s.applyPolicy(c)
+	p.c.pdom().Reset()
+	s.applyPolicy(p, now)
 }
 
-// checkHangs abandons domains stuck inside one handler invocation beyond
-// the policy limit.
-func (s *Supervisor) checkHangs(now time.Time) {
-	s.mu.Lock()
-	kids := append([]child(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range kids {
-		if c.State() == StateLive && c.stalled(now, s.policy.HangAfter) {
-			s.abandon(c)
-		}
-	}
-}
-
-// abandon is the hang verdict on c: supersede its serving goroutine (it
-// exits silently at its next checkpoint), clear the reference table, and
-// restart. The verdict can race the end of the handler it judged, so the
-// superseded generation may be anywhere past it — capturing an epoch, or
-// inside the store's append — when the replacement restores.
-func (s *Supervisor) abandon(c child) {
-	c.noteHang()
+// abandon is the hang verdict on a child: supersede its serving goroutine
+// (it exits silently at its next checkpoint), clear the reference table,
+// and restart. The verdict can race the end of the handler it judged, so
+// the superseded generation may be anywhere past it — capturing an epoch,
+// or inside the store's append — when the replacement restores.
+func (s *Supervisor) abandon(p *pending, now time.Time) {
+	p.c.noteHang()
 	s.hangs.Add(1)
-	c.supersede()
-	c.pdom().Reset()
-	s.applyPolicy(c)
+	p.c.supersede()
+	p.c.pdom().Reset()
+	s.applyPolicy(p, now)
 }
 
 // applyPolicy runs the restart decision for a faulted or hung domain:
 // stop it when the streak exceeds the budget, otherwise schedule its
 // restart after exponential backoff.
-func (s *Supervisor) applyPolicy(c child) {
-	streak := c.bumpStreak()
+func (s *Supervisor) applyPolicy(p *pending, now time.Time) {
+	streak := p.c.bumpStreak()
 	if s.policy.MaxRestarts >= 0 && streak > uint64(s.policy.MaxRestarts) {
 		// Budget exhausted: the domain leaves service. Dump the flight
 		// recorder first so the readout shows the events that led here;
 		// the stop event appended by the transition itself is visible to
 		// later dumps.
 		if hook := s.policy.OnExhausted; hook != nil {
-			hook(c.Name(), s.policy.Recorder.Dump())
+			hook(p.c.Name(), s.policy.Recorder.Dump())
 		}
-		c.stop()
+		p.c.stop()
 		return
 	}
 	backoff := s.backoffFor(streak)
-	c.setState(StateBackoff)
-	c.noteBackoff(backoff)
-	c.scheduleRestart(backoff)
-}
-
-// scheduleRestart asks the monitor, after delay, to restart the epoch
-// the domain is in now. Only the monitor calls it.
-func (d *Domain[T]) scheduleRestart(delay time.Duration) {
-	d.restartEpoch.Store(d.epoch.Load())
-	if d.backoff == nil {
-		d.backoff = time.AfterFunc(delay, d.restartDue)
-		return
-	}
-	d.backoff.Reset(delay)
-}
-
-// restartDue is the backoff timer's function.
-func (d *Domain[T]) restartDue() {
-	s := d.sup
-	select {
-	case s.events <- event{restart: true, c: d, epoch: d.restartEpoch.Load()}:
-	case <-s.stop:
-	}
+	p.c.backOff(backoff)
+	p.at, p.epoch = now.Add(backoff), p.c.currentEpoch()
 }
 
 // backoffFor computes the exponential backoff for the given
@@ -404,35 +426,23 @@ func (s *Supervisor) backoffFor(streak uint64) time.Duration {
 	return min(b, limit)
 }
 
-// restart brings a domain back after backoff: recover the sfi protection
-// domain (re-populating reference-table slots via its sfi recovery
-// function, if set), run the user recovery function, and start a fresh
-// serving goroutine. The epoch recorded at schedule time guards against
-// double serving: if anything superseded the domain meanwhile (a hang, a
-// stop, a later restart), this request is stale and dropped.
-func (s *Supervisor) restart(c child, epoch uint64) {
-	if s.closed.Load() || c.State() == StateStopped || c.currentEpoch() != epoch {
+// restart brings a domain back after backoff: recover it and start a
+// fresh serving goroutine. The epoch recorded at schedule time guards
+// against double serving: if anything superseded the domain meanwhile (a
+// hang, a stop, a later restart), this restart is stale and dropped.
+func (s *Supervisor) restart(p *pending, now time.Time) {
+	if s.closed.Load() || p.c.State() == StateStopped || p.c.currentEpoch() != p.epoch {
 		return
 	}
-	pd := c.pdom()
-	if pd.Failed() {
-		if err := s.mgr.Recover(pd); err != nil {
-			s.faults.Add(1)
-			s.applyPolicy(c)
-			return
-		}
-	}
-	if err := c.recoverState(); err != nil {
+	if err := p.c.recoverState(); err != nil {
 		// Recovery itself faulted: count it and go around again; the
 		// streak keeps growing, so this converges on stop.
 		s.faults.Add(1)
-		s.applyPolicy(c)
+		s.applyPolicy(p, now)
 		return
 	}
-	c.noteRestart()
 	s.restarts.Add(1)
-	c.setState(StateLive)
-	c.serve(c.supersede())
+	p.c.resume()
 }
 
 // Close stops the monitor and retires every domain: inboxes are closed,
@@ -441,14 +451,13 @@ func (s *Supervisor) restart(c child, epoch uint64) {
 // their next checkpoint.
 func (s *Supervisor) Close() {
 	s.once.Do(func() {
+		s.mu.Lock()
 		s.closed.Store(true)
+		s.mu.Unlock()
 		close(s.stop)
 	})
 	s.wg.Wait()
-	s.mu.Lock()
-	kids := append([]child(nil), s.children...)
-	s.mu.Unlock()
-	for _, c := range kids {
+	for _, c := range s.kids() {
 		c.stop()
 	}
 }
@@ -456,9 +465,7 @@ func (s *Supervisor) Close() {
 // Snapshots returns a point-in-time Snapshot per domain, in spawn order —
 // the per-worker view, like ShardedRunner.WorkerSnapshots.
 func (s *Supervisor) Snapshots() []Snapshot {
-	s.mu.Lock()
-	kids := append([]child(nil), s.children...)
-	s.mu.Unlock()
+	kids := s.kids()
 	out := make([]Snapshot, len(kids))
 	for i, c := range kids {
 		out[i] = c.Snapshot()
@@ -507,10 +514,4 @@ func MergeSnapshots(name string, snaps []Snapshot) Snapshot {
 		agg.MailboxDrops += sn.MailboxDrops
 	}
 	return agg
-}
-
-// String summarizes the supervisor's aggregate counters.
-func (s *Supervisor) String() string {
-	return fmt.Sprintf("supervisor{faults=%d hangs=%d restarts=%d}",
-		s.faults.Load(), s.hangs.Load(), s.restarts.Load())
 }

@@ -194,3 +194,56 @@ func TestSupervisorStress(t *testing.T) {
 	t.Logf("stress: processed=%d released=%d crashes=%d restarts=%d drops=%d",
 		processed.Load(), released.Load(), agg.Crashes, agg.Restarts, agg.MailboxDrops)
 }
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		if cond() {
+			return
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestAbandonedLateSuccessCountsOnce: an invocation abandoned by a hang
+// verdict that completes after its replacement took over is counted
+// exactly once — 2 payloads received, 2 processed, nothing lost or
+// double-counted — and sets off nothing else. The runtime never joins an
+// abandoned goroutine, so the count is the one thing here that is waited
+// for by polling.
+func TestAbandonedLateSuccessCountsOnce(t *testing.T) {
+	p := fastPolicy()
+	p.HangAfter = 5 * time.Millisecond
+	s, fc := fakeSupervisor(p)
+	defer s.Close()
+	entered, stall := make(chan struct{}), make(chan struct{})
+	d, err := Spawn(s, Config[int]{
+		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			v, err := msg.Into()
+			if v < 0 {
+				entered <- struct{}{}
+				<-stall
+			}
+			return err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc.expectArmed(t, fc.now().Add(p.hangTick()))
+	_ = d.Inbox().Send(linear.New(-1))
+	<-entered
+	awaitHangVerdict(t, fc, d, p, fc.now())
+	fc.next() // the restart
+	_ = d.Inbox().Send(linear.New(1))
+	close(stall)
+	waitFor(t, "the late completion counted", func() bool { return d.Snapshot().Processed == 2 })
+	d.Inbox().Close()
+	<-d.Done()
+	if sn := d.Snapshot(); sn.Processed != 2 || sn.MailboxRecvs != 2 || sn.Hangs != 1 || sn.Restarts != 1 {
+		t.Fatalf("snapshot %+v: want 2 received, 2 processed, 1 hang, 1 restart", sn)
+	}
+}
