@@ -60,11 +60,12 @@ PIPELINE_EPOCH_ALLOCS_MAX ?= 1262
 CHAOS_RESTORE_ALLOCS_MAX ?= 690
 CHAOS_RESTORE_BYTES_MAX ?= 1200000
 
-# Ceiling for BenchmarkNewPort (PoolSize 65 536): the 128 MiB data arena
-# (65 536 × 2 KiB, pointer-free and untouched at construction) plus
-# 256 KiB. Recorded 134 261 928 B/op, the arena and ≈ 43 KiB of queues,
-# caches and RETA; the eager header slab it replaced added ≈ 16.8 MB.
-NEWPORT_BYTES_MAX ?= 134479872
+# Ceiling for BenchmarkNewPort (PoolSize 65 536): the two data arenas
+# (65 536 × 2 KiB = 128 MiB of large rooms and 65 536 × 128 B = 8 MiB of
+# small ones, pointer-free and untouched at construction) plus 256 KiB.
+# Recorded 142 650 608 B/op, the arenas and ≈ 43 KiB of queues, caches and
+# RETA; the eager header slab they replaced added ≈ 16.8 MB.
+NEWPORT_BYTES_MAX ?= 142868480
 
 .PHONY: check build cross test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate loc
 
@@ -107,11 +108,13 @@ guard-atomics:
 ## keeps the epoch on disk, so one buffer serves every epoch). The last
 ## gate holds the socket datapath to the same
 ## standard: the loopback bench (pktgen, recvmmsg, rings, idle polls,
-## pipeline, sendmmsg accounting) must round to 0 allocs per packet — it read 1 while every idle poll made a timer
+## pipeline, sendmmsg accounting) must round to 0 allocs per packet, with
+## frames for either mbuf room (BenchmarkNetportLoopbackLarge sends
+## 1400-byte ones) — it read 1 while every idle poll made a timer
 ## and every batched syscall a closure. So must the RSS hash by key, which
 ## every simulated-NIC packet and every software-steered datagram pays: a
 ## table cache that missed would allocate a 36 KiB table per call. The
-## construction gate holds a port of 65 536 mbufs to its data arena plus
+## construction gate holds a port of 65 536 mbufs to its data arenas plus
 ## 256 KiB: mbuf headers are made on first use, so an eager header slab
 ## (≈ 16 MB of headers and a 0.5 MB free list at that size) fails it.
 ## Maglev's capped connection table evicts on the packet path: a new flow
@@ -135,8 +138,10 @@ alloc-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric allocs/fault -max 20 < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/fault -max 1024 < $$out > /dev/null
 	$(GO) test -run='^TestRecycledEpochAllocatesNothing$$' -count=1 -v .
-	$(GO) test -run='^$$' -bench='NetportLoopback$$' -benchmem -benchtime=1s ./internal/netport \
-		| $(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0
+	@set -e; out=$$(mktemp); trap "rm -f $$out" EXIT; \
+	$(GO) test -run='^$$' -bench='NetportLoopback(Large)?$$' -benchmem -benchtime=1s ./internal/netport | tee $$out; \
+	$(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0 < $$out > /dev/null; \
+	$(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopbackLarge -metric allocs/op -max 0 < $$out > /dev/null
 	$(GO) test -run='^$$' -bench='RSSHashTable$$' -benchmem -benchtime=100000x ./internal/packet \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkRSSHashTable -metric allocs/op -max 0
 	$(GO) test -run='^$$' -bench='NewPort$$' -benchmem -benchtime=1x ./internal/dpdk \

@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -29,11 +30,27 @@ import (
 // the floor without flaking.
 const allocBudgetPerPacket = 0.05
 
+// TestPipelineSteadyStateAllocBudget runs the budget at DefaultSpec's
+// frame, which the simulated NIC builds in an mbuf's small room, and at a
+// 1400-byte one, which goes in the large room.
 func TestPipelineSteadyStateAllocBudget(t *testing.T) {
+	small := dpdk.DefaultSpec()
+	large := small
+	large.PayloadLen = 1400 - (packet.EthHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen)
+	for _, spec := range []packet.BuildSpec{small, large} {
+		frame, err := spec.FrameLen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("frame=%d", frame), func(t *testing.T) { steadyStateAllocBudget(t, spec) })
+	}
+}
+
+func steadyStateAllocBudget(t *testing.T, spec packet.BuildSpec) {
 	const batchSize = 32
 	port := dpdk.NewPort(dpdk.Config{
 		PoolSize: 512,
-		QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 64, 1),
+		QueueGen: dpdk.NewRSSPartition(spec, 64, 1),
 	})
 	db := firewall.NewDB(firewall.Deny)
 	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow}); err != nil {

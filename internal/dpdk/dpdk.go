@@ -20,8 +20,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// MbufSize is the fixed buffer size of a simulated mbuf, matching DPDK's
-// conventional 2 KiB data room.
+// MbufSize is the size of a simulated mbuf's large data room, DPDK's
+// conventional 2 KiB, and so the longest frame a generator may ask for.
+// Every mbuf also has a small room, where frames of up to 128 bytes go
+// (packet.NewPool).
 const MbufSize = 2048
 
 // Generator produces the next synthetic packet's parameters.
@@ -126,7 +128,11 @@ type Config struct {
 	CacheSize int
 }
 
-// NewPort creates a port backed by its own mempool and generator(s).
+// NewPort creates a port backed by its own mempool and generator(s). The
+// mempool has netport's layout (packet.NewPool): two data arenas, one of
+// 128-byte rooms and one of MbufSize rooms, and headers made on first
+// use, so a made mbuf keeps resident only the rooms its frames have used
+// — 128 bytes for every frame of DefaultSpec.
 func NewPort(cfg Config) *Port {
 	if cfg.PoolSize <= 0 {
 		cfg.PoolSize = 4096
@@ -148,8 +154,7 @@ func NewPort(cfg Config) *Port {
 		Index: cfg.Index,
 		rss:   packet.RSSTableFor(packet.DefaultRSSKey),
 		reta:  packet.NewRETA(cfg.RxQueues, 0),
-		// One data arena, headers made on first use (the layout netport uses).
-		pool: packet.NewPool(cfg.PoolSize, MbufSize),
+		pool:  packet.NewPool(cfg.PoolSize, MbufSize),
 	}
 	for q := 0; q < cfg.RxQueues; q++ {
 		p.queues = append(p.queues, &rxQueue{

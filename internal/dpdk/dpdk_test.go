@@ -1,6 +1,8 @@
 package dpdk
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/leakcheck"
@@ -47,6 +49,58 @@ func TestRxBurstExhaustsPool(t *testing.T) {
 	p.Free(batch[:n])
 	if p.PoolAvailable() != 8 {
 		t.Fatalf("pool leak: %d available", p.PoolAvailable())
+	}
+}
+
+// TestRxBurstBuildsInTheSmallestRoom: each frame is built in place at the
+// start of the smallest room of its mbuf that holds it, on both sides of
+// the small room's 128-byte edge and up to MbufSize, and still parses.
+func TestRxBurstBuildsInTheSmallestRoom(t *testing.T) {
+	headers := packet.EthHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen
+	for _, c := range []struct{ frame, room int }{
+		{64, 128}, {128, 128}, {129, MbufSize}, {1400, MbufSize}, {MbufSize, MbufSize},
+	} {
+		spec := DefaultSpec()
+		spec.PayloadLen = c.frame - headers
+		p := NewPort(Config{PoolSize: 8, Gen: &FixedFlow{Spec: spec}})
+		batch := make([]*packet.Packet, 8)
+		n := p.RxBurst(batch)
+		for _, pkt := range batch[:n] {
+			room := pkt.Room(c.frame)
+			if pkt.Len() != c.frame || cap(room) != c.room || cap(pkt.Data) != c.room || &pkt.Data[0] != &room[:1][0] {
+				t.Fatalf("%d-byte frame: got %d bytes in a %d-byte buffer, want the start of the %d-byte room",
+					c.frame, pkt.Len(), cap(pkt.Data), c.room)
+			}
+			if err := pkt.Parse(); err != nil {
+				t.Fatalf("%d-byte frame does not parse: %v", c.frame, err)
+			}
+		}
+		p.Free(batch[:n])
+		if got := p.PoolAvailable(); got != 8 {
+			t.Fatalf("%d-byte frames: pool leak, %d of 8 available", c.frame, got)
+		}
+	}
+}
+
+// TestRxBurstRejectsOversizedFrame: a spec whose frame does not fit an
+// mbuf is a generator bug, rejected like an invalid spec rather than
+// built on the heap, and the mbuf drawn for it goes back.
+func TestRxBurstRejectsOversizedFrame(t *testing.T) {
+	for _, payload := range []int{MbufSize, 3000, -1} {
+		spec := DefaultSpec()
+		spec.PayloadLen = payload
+		p := NewPort(Config{PoolSize: 8, Gen: &FixedFlow{Spec: spec}})
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid spec") {
+					t.Fatalf("payload %d: recover() = %v, want an invalid-spec panic", payload, r)
+				}
+			}()
+			p.RxBurst(make([]*packet.Packet, 1))
+		}()
+		if got := p.PoolAvailable(); got != 8 {
+			t.Fatalf("payload %d: the rejected frame's mbuf leaked (%d of 8 available)", payload, got)
+		}
 	}
 }
 
@@ -151,7 +205,7 @@ func BenchmarkRxTxBurst32(b *testing.B) {
 	}
 }
 
-// TestNewPortAllocsIgnorePoolSize: the mbuf pool is one data arena and
+// TestNewPortAllocsIgnorePoolSize: the mbuf pool is two data arenas and
 // no headers until traffic needs them, so what a port costs to build does
 // not grow with its PoolSize (it was two allocations per mbuf). The slack
 // of a few covers size-class effects such as the race detector's shadow
@@ -195,8 +249,9 @@ func TestPortMakesHeadersOnFirstUse(t *testing.T) {
 }
 
 // BenchmarkNewPort is the construction gate in `make alloc-gate`: at
-// PoolSize 65 536 a port must cost its data arena (128 MiB, pointer-free,
-// left untouched) plus small change — an eager header slab would add
+// PoolSize 65 536 a port must cost its data arenas (128 MiB of large
+// rooms and 8 MiB of small ones, pointer-free, left untouched) plus small
+// change — an eager header slab would add
 // ≈ 16 MB of pointerful headers and a 0.5 MB free list.
 func BenchmarkNewPort(b *testing.B) {
 	b.ReportAllocs()

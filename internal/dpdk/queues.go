@@ -54,7 +54,10 @@ func (p *Port) RSSQueue(t packet.FiveTuple) int {
 // mempool cache, so the shared pool is only touched in bursts. A short
 // return means the pool ran dry (counted in AllocFail); a zero return
 // from a queue no flow hashes to is not end-of-stream either — callers
-// poll again, exactly like a PMD.
+// poll again, exactly like a PMD. Each frame is built in place in the
+// smallest room of its mbuf that holds it (packet.Packet.Room). A spec
+// that Build rejects, or whose frame is longer than MbufSize, is a
+// generator bug and panics.
 //
 // Each queue is safe to poll concurrently with other queues; polling the
 // same queue from two goroutines is serialized but pointless (and
@@ -73,10 +76,17 @@ func (p *Port) RxBurstQueue(q int, out []*packet.Packet) int {
 			return n
 		}
 		rq.gen.NextSpec(&rq.spec)
-		frame, err := packet.Build(pkt.Data[:0], rq.spec)
+		size, err := rq.spec.FrameLen()
+		if err == nil && size > MbufSize {
+			err = fmt.Errorf("%d-byte frame exceeds the %d-byte mbuf", size, MbufSize)
+		}
 		if err != nil {
+			rq.cache.Put(pkt)
 			panic(fmt.Sprintf("dpdk: generator produced invalid spec: %v", err))
 		}
+		// FrameLen vetted the spec, so Build cannot fail, and the room
+		// holds the frame, so Build writes it in place.
+		frame, _ := packet.Build(pkt.Room(size), rq.spec)
 		// The receive metadata a NIC deposits: port, queue, RSS hash.
 		pkt.Data = frame
 		pkt.Reset()

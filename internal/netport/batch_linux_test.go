@@ -29,6 +29,7 @@ func TestBatchIOAllocatesNothing(t *testing.T) {
 		payloads[i] = flowFrame(t, i)
 		bufs[i] = make([]byte, MbufSize)
 	}
+	payloads[burst-1] = sizedFrame(t, 1400, 0) // a frame for the large room
 	lens := make([]int, burst)
 
 	if avg := testing.AllocsPerRun(100, func() {

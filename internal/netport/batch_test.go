@@ -20,7 +20,7 @@ type fakeBatchConn struct {
 	bytes   int
 }
 
-func (f *fakeBatchConn) BatchCap() int { return maxStage }
+func (f *fakeBatchConn) BatchCap() int { return maxBurst }
 
 func (f *fakeBatchConn) ReadBatch([][]byte, []int) (int, error) {
 	panic("fakeBatchConn: unexpected ReadBatch")

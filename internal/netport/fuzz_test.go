@@ -37,9 +37,9 @@ func wouldDeliver(data []byte) bool {
 //   - whatever is delivered parsed cleanly and sits on the queue its
 //     RSS hash selects.
 //
-// The seed corpus covers the adversarial classes the satellite spec
-// names: truncated frames, oversized (>= MbufSize) datagrams the kernel
-// would truncate, boundary sizes either side of MbufSize, and
+// The seed corpus covers the adversarial classes: truncated frames,
+// oversized (>= MbufSize) datagrams the kernel would truncate, boundary
+// sizes either side of MbufSize and of the small room, and
 // non-UDP/non-IPv4 frames.
 func FuzzNetportDecode(f *testing.F) {
 	valid, err := packet.Build(nil, testSpec())
@@ -73,6 +73,9 @@ func FuzzNetportDecode(f *testing.F) {
 	f.Add(arp) // non-IPv4 ethertype
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
+	for _, size := range []int{smallRoom - 1, smallRoom, smallRoom + 1} {
+		f.Add(sizedFrame(f, size, 0)) // either side of the small room's edge
+	}
 
 	neighborA, neighborB := flowFrame(f, 1), flowFrame(f, 2)
 
@@ -124,6 +127,7 @@ func FuzzNetportDecode(f *testing.F) {
 				if !pkt.Parsed() {
 					t.Fatal("unparsed packet delivered")
 				}
+				checkRoom(t, pkt)
 				if want := p.RSSQueue(pkt.Tuple()); want != q {
 					t.Fatalf("flow %s delivered to queue %d, RSS says %d", pkt.Tuple(), q, want)
 				}

@@ -10,13 +10,15 @@
 // Pktgen in this package — and the pktgen command over it — produces
 // that format, so one process can drive another over loopback.
 //
-// Ingress is batched: each receive loop stages a burst of mbufs from the
-// port mempool, lets one recvmmsg copy a whole burst of datagrams into
-// them — the only copy on the path; everything after it is by-reference
-// ownership transfer — and then parses, steers, and enqueues each frame
-// on a bounded ingress ring for a worker to poll. The syscall cost is
-// paid once per burst, not once per frame (on non-Linux builds a
-// portable fallback reads one datagram per call with identical
+// Ingress is batched: one recvmmsg copies a whole burst of datagrams
+// into the receive loop's fixed read buffers, and the loop then copies
+// each datagram into the smallest room of an mbuf from the port mempool
+// that holds it (packet.Packet.Room) and parses, steers, and enqueues the
+// frame on a bounded ingress ring for a worker to poll. Everything after
+// that second, user-space copy — at most 128 bytes for a small frame, and
+// cheap next to the syscall — is by-reference ownership transfer. The
+// syscall cost is paid once per burst, not once per frame (on non-Linux
+// builds a portable fallback reads one datagram per call with identical
 // semantics). Egress mirrors it: TxBurstQueue drains a worker's batch
 // through one sendmmsg with exact partial-send accounting.
 //
@@ -41,8 +43,8 @@
 //   - parse_error: the payload is not a well-formed frame (including
 //     datagrams at or beyond the mbuf size, which the kernel would have
 //     truncated);
-//   - pool_empty: no mbuf was free; the datagram is read into a scratch
-//     buffer and discarded.
+//   - pool_empty: no mbuf was free; the datagram, read like any other,
+//     is discarded.
 //
 // Each cause has its own counter, every shed datagram is recorded in the
 // flight recorder, and a high/low-watermark gauge per queue exposes
@@ -54,11 +56,13 @@
 // off a socket is either delivered to a ring or counted under exactly
 // one cause — which the end-to-end overload test asserts.
 //
-// Memory is DPDK's layout: a port's packet data is one arena, and the
-// mempool is a free list over mbuf headers it makes a chunk at a time on
-// first use (packet.NewPool) — one allocation at Open however large the
-// pool, and neither the headers nor the data pages traffic never reaches
-// are ever made resident.
+// Memory is DPDK's layout with two rooms per mbuf (packet.NewPool): a
+// port's packet data is two arenas, one of 128-byte rooms and one of
+// MbufSize rooms, and the mempool is a free list over mbuf headers it
+// makes a chunk at a time on first use — two allocations at Open however
+// large the pool, and neither the headers nor the data pages traffic
+// never reaches are ever made resident. A frame of at most 128 bytes
+// touches only its mbuf's small room.
 package netport
 
 import (
@@ -76,11 +80,12 @@ import (
 	"repro/internal/telemetry/trace"
 )
 
-// MbufSize is the fixed buffer size of an mbuf, matching internal/dpdk's
-// conventional 2 KiB data room. A datagram that does not fit below this
-// size is counted as a parse_error drop: the kernel silently truncates
-// reads into a full buffer, so a read of MbufSize bytes cannot be
-// distinguished from a truncated larger frame and is rejected.
+// MbufSize is the size of an mbuf's large data room and of each receive
+// loop's read buffers, matching internal/dpdk's conventional 2 KiB. A
+// datagram that does not fit below this size is counted as a parse_error
+// drop: the kernel silently truncates reads into a full buffer, so a
+// read of MbufSize bytes cannot be distinguished from a truncated larger
+// frame and is rejected.
 const MbufSize = 2048
 
 // DefaultBatch is the default burst size for the batched syscalls —
@@ -149,8 +154,8 @@ type Config struct {
 	// software RETA — so one worker per queue sees complete flows.
 	Queues int
 	// BatchSize is the datagram burst one batched syscall moves
-	// (default DefaultBatch, clamped to [1, 512]). Receive loops stage
-	// this many mbufs per read; TxBurstQueue sends up to this many
+	// (default DefaultBatch, clamped to [1, 512]). Receive loops read up
+	// to this many datagrams per call; TxBurstQueue sends up to this many
 	// frames per sendmmsg.
 	BatchSize int
 	// ReusePort opens one socket per queue in an SO_REUSEPORT group so
@@ -159,8 +164,8 @@ type Config struct {
 	// port falls back to the single-socket software distributor —
 	// check ReusePortActive to see which mode is live.
 	ReusePort bool
-	// PoolSize is the mbuf count (default: enough to fill every ring,
-	// cache, and staged burst with 1024 spare for in-flight batches).
+	// PoolSize is the mbuf count (default: enough to fill every ring and
+	// cache, plus a burst per queue and 1024 spare for in-flight batches).
 	PoolSize int
 	// RingSize bounds each queue's ingress ring in datagrams (default
 	// 1024, rounded up to a power of two). This is the overload-shedding
@@ -219,7 +224,7 @@ type rxQueue struct {
 }
 
 // rxLoop is one receive loop: the goroutine that owns one socket's read
-// side, a private mbuf cache, and the staging arrays one batched read
+// side, a private mbuf cache, and the read buffers one batched read
 // fills. In REUSEPORT mode there is one loop per queue (queue >= 0); in
 // distributor mode a single loop steers by RETA (queue == -1).
 type rxLoop struct {
@@ -231,24 +236,18 @@ type rxLoop struct {
 	done  chan struct{} // loop exited
 
 	// mu guards cache: the loop is the only Get/Put caller, but
-	// PoolAvailable scrapes Len from other goroutines.
+	// PoolAvailable scrapes Len from other goroutines. The loop holds it
+	// for the whole dispatch of a batch, so every mbuf it takes is back
+	// in the cache or on a ring before anyone else can look.
 	mu    sync.Mutex
 	cache *mempool.Cache[packet.Packet]
-	// held counts mbufs checked out by this loop — the staged burst
-	// parked across the blocking batch read. PoolAvailable adds it back
-	// so leak baselines are exact whenever the loop is between batches.
-	// It moves with the cache under mu; only the hand-off to a ring
-	// decrements it outside.
-	held atomic.Int64
 
-	// Staging for one batch read: pkts[i] is the mbuf behind bufs[i]
-	// for i < staged; beyond that bufs[i] is scratch (pool exhausted —
-	// datagrams landing there are read and shed pool_empty, so a dry
-	// pool still drains the socket at batch speed).
-	pkts    []*packet.Packet
-	bufs    [][]byte
-	lens    []int
+	// One batch read: datagram i lands in scratch[i] (MbufSize bytes)
+	// and is lens[i] bytes long. No mbuf is checked out across the
+	// blocking read, so a dry pool still drains the socket at batch
+	// speed, shedding pool_empty.
 	scratch [][]byte
+	lens    []int
 
 	// samp is this loop's trace sampler (nil when tracing is off): a
 	// loop-owned counter, so per-worker sampling needs no atomics.
@@ -391,8 +390,8 @@ func newPort(cfg Config) (*Port, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatch
 	}
-	if cfg.BatchSize > maxStage {
-		cfg.BatchSize = maxStage
+	if cfg.BatchSize > maxBurst {
+		cfg.BatchSize = maxBurst
 	}
 	cache := cfg.CacheSize
 	if cache <= 0 {
@@ -425,15 +424,15 @@ func newPort(cfg Config) (*Port, error) {
 	size := p.queues[0].ring.Capacity()
 	p.high = size * 3 / 4
 	p.low = size / 4
-	// Socketless placeholder loop: inject (tests, fuzzing) stages and
-	// delivers through it exactly like a socket-backed loop would.
+	// Socketless placeholder loop: inject (tests, fuzzing) dispatches
+	// through it exactly like a socket-backed loop would.
 	p.loops = []*rxLoop{p.newLoop(nil, nil, -1)}
 	return p, nil
 }
 
-// maxStage caps one staged burst (and therefore BatchSize); one syscall
-// cannot carry more than the batchConn's BatchCap anyway.
-const maxStage = 512
+// maxBurst caps BatchSize and so each receive loop's read buffers; one
+// syscall cannot carry more than the batchConn's BatchCap anyway.
+const maxBurst = 512
 
 // newLoop builds one receive loop's state sized to the port's batch.
 func (p *Port) newLoop(conn *net.UDPConn, bc batchConn, queue int) *rxLoop {
@@ -447,10 +446,8 @@ func (p *Port) newLoop(conn *net.UDPConn, bc batchConn, queue int) *rxLoop {
 		queue:   queue,
 		done:    make(chan struct{}),
 		cache:   mempool.NewCache(p.pool, p.cacheSize),
-		pkts:    make([]*packet.Packet, b),
-		bufs:    make([][]byte, b),
-		lens:    make([]int, b),
 		scratch: make([][]byte, b),
+		lens:    make([]int, b),
 		samp:    p.tracer.NewSampler(),
 	}
 	for i := range l.scratch {
@@ -475,109 +472,55 @@ func (p *Port) Queues() int { return len(p.queues) }
 // fan-out (one socket per queue) rather than the software distributor.
 func (p *Port) ReusePortActive() bool { return p.reuse }
 
-// stage checks out up to one burst of mbufs for a batch read and wires
-// the staging arrays: bufs[i] is mbuf-backed for i < staged and scratch
-// beyond. It returns the staged mbuf count; want caps the burst (tests
-// stage exactly the burst they inject).
-func (l *rxLoop) stage(want int) int {
-	want = min(want, len(l.pkts))
-	staged := 0
-	l.mu.Lock()
-	for staged < want {
-		pkt, err := l.cache.Get()
-		if err != nil {
-			break
-		}
-		l.pkts[staged] = pkt
-		staged++
-	}
-	l.held.Add(int64(staged))
-	l.mu.Unlock()
-	for i := 0; i < want; i++ {
-		if i < staged {
-			l.bufs[i] = l.pkts[i].Data[:MbufSize]
-		} else {
-			l.bufs[i] = l.scratch[i]
-		}
-	}
-	return staged
-}
-
-// put recycles one mbuf through the loop's cache.
-func (l *rxLoop) put(pkt *packet.Packet) {
-	l.mu.Lock()
-	l.cache.Put(pkt)
-	l.held.Add(-1)
-	l.mu.Unlock()
-}
-
-// putRange recycles the staged-but-unused mbufs pkts[from:to].
-func (l *rxLoop) putRange(from, to int) {
-	if from >= to {
-		return
-	}
-	l.mu.Lock()
-	for i := from; i < to; i++ {
-		l.cache.Put(l.pkts[i])
-	}
-	l.held.Add(int64(from - to))
-	l.mu.Unlock()
-}
-
-// runLoop is one receive loop: stage a burst of mbufs, let the kernel
-// copy a batch of datagrams into them with one call, dispatch each.
+// runLoop is one receive loop: let the kernel copy a batch of datagrams
+// into the loop's read buffers with one call, dispatch each.
 func (p *Port) runLoop(l *rxLoop) {
 	defer close(l.done)
 	for {
-		// stage wires every slot: mbuf-backed below staged, scratch
-		// beyond — so a dry pool still drains the socket at batch
-		// speed and sheds with exact accounting.
-		staged := l.stage(len(l.pkts))
-		want := len(l.bufs)
-		n, err := l.bc.ReadBatch(l.bufs[:want], l.lens[:want])
+		n, err := l.bc.ReadBatch(l.scratch, l.lens)
 		if err != nil {
-			l.putRange(0, staged)
 			if p.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			p.Stats.RxSocketErrors.Inc()
 			continue
 		}
-		p.dispatch(l, n, staged)
+		p.dispatch(l, n)
 	}
 }
 
-// dispatch accounts one batch read: datagrams 0..n-1 landed in the
-// loop's staged buffers (mbuf-backed below staged, scratch beyond —
-// those shed pool_empty), and staged-but-unused mbufs are recycled.
-func (p *Port) dispatch(l *rxLoop, n, staged int) {
+// dispatch accounts one batch read of n datagrams, each in the loop's
+// read buffers, delivering or shedding each under the loop's lock.
+func (p *Port) dispatch(l *rxLoop, n int) {
 	if n > 0 {
 		p.Stats.RxBatches.Inc()
 	}
+	l.mu.Lock()
 	for i := 0; i < n; i++ {
-		if i < staged {
-			p.deliver(l, l.pkts[i], l.lens[i])
-		} else {
-			p.shed(&p.Stats.PoolEmpty, DropPoolEmpty, 0)
-		}
+		p.deliver(l, l.scratch[i][:l.lens[i]])
 	}
-	l.putRange(n, staged)
+	l.mu.Unlock()
 }
 
-// deliver is the per-datagram ingress path after the kernel copy: parse,
-// steer, enqueue-or-shed. It owns pkt (whose first n bytes are the
-// datagram) and either hands it to a ring or recycles it.
-func (p *Port) deliver(l *rxLoop, pkt *packet.Packet, n int) {
-	if n >= MbufSize {
+// deliver is the per-datagram ingress path after the kernel copy, run
+// with l.mu held: copy the datagram into the smallest room of an mbuf
+// that holds it, then parse, steer, enqueue-or-shed. The mbuf goes to a
+// ring or back to the loop's cache before deliver returns.
+func (p *Port) deliver(l *rxLoop, dgram []byte) {
+	if len(dgram) >= MbufSize {
 		// Possibly truncated by the kernel read; reject (see MbufSize).
-		l.put(pkt)
 		p.shed(&p.Stats.ParseError, DropParseError, 0)
 		return
 	}
-	pkt.Data = pkt.Data[:n]
+	pkt, err := l.cache.Get()
+	if err != nil {
+		p.shed(&p.Stats.PoolEmpty, DropPoolEmpty, 0)
+		return
+	}
+	pkt.Data = append(pkt.Room(len(dgram)), dgram...)
 	pkt.Reset()
 	if err := pkt.Parse(); err != nil {
-		l.put(pkt)
+		l.cache.Put(pkt)
 		p.shed(&p.Stats.ParseError, DropParseError, 0)
 		return
 	}
@@ -595,13 +538,12 @@ func (p *Port) deliver(l *rxLoop, pkt *packet.Packet, n int) {
 	rq := p.queues[q]
 	if rq.ring.Enqueue(pkt) != nil {
 		p.tracer.Abort(&pkt.Trace) // armed span sheds with its mbuf
-		l.put(pkt)
+		l.cache.Put(pkt)
 		p.shed(&p.Stats.RingFull, DropRingFull, rq.actor)
 		return
 	}
-	l.held.Add(-1) // ownership moved to the ring
 	p.Stats.RxPackets.Inc()
-	p.Stats.RxBytes.Add(uint64(n))
+	p.Stats.RxBytes.Add(uint64(len(dgram)))
 	p.Stats.RxDatagrams.Inc()
 	if !rq.bp.Load() && rq.ring.Len() >= p.high && rq.bp.CompareAndSwap(false, true) {
 		rq.gauge.Set(1)
@@ -825,15 +767,15 @@ func (p *Port) closeConns() {
 }
 
 // PoolAvailable reports free mbufs — in the shared pool, every receive
-// loop's cache and staged burst, and every queue's cache — for leak
-// assertions in tests. Only buffers held by in-flight packets (rings
-// and batches) are excluded. Every transfer between the pool, a cache
-// and a staged burst happens under that loop's or queue's lock, so the
-// count is taken with all of them held: one snapshot, exact even while
-// a receive loop is staging (read piecemeal, a burst moving from a
+// loop's cache, and every queue's cache — for leak assertions in tests.
+// Only buffers held by in-flight packets (rings and batches) are
+// excluded. Every transfer between the pool and a cache happens under
+// that loop's or queue's lock, and a receive loop hands each mbuf it
+// takes to a ring or back to its cache under the same lock, so the count
+// is taken with all of them held: one exact snapshot even while a
+// receive loop is dispatching (read piecemeal, a burst moving from a
 // cache to the loop between two reads showed up as a 96-mbuf leak in
-// TestE2EOverloadSheds under -race), and off by at most the datagrams
-// in the act of being enqueued.
+// TestE2EOverloadSheds under -race).
 func (p *Port) PoolAvailable() int {
 	for _, l := range p.loops {
 		l.mu.Lock()
@@ -843,7 +785,7 @@ func (p *Port) PoolAvailable() int {
 	}
 	n := p.pool.Available()
 	for _, l := range p.loops {
-		n += int(l.held.Load()) + l.cache.Len()
+		n += l.cache.Len()
 		l.mu.Unlock()
 	}
 	for _, rq := range p.queues {
@@ -867,9 +809,11 @@ func (p *Port) RSSQueue(t packet.FiveTuple) int {
 // counters (labelled cause=ring_full|parse_error|pool_empty), the
 // backpressure gauges, the mempool, and every queue's ring depth and
 // cache on reg. base labels every series; queues add a "queue" label.
-// Only the mbufs traffic ever reached are made or backed by pages, so a
-// port's resident set is its base plus
-// (pool_capacity - pool_min_available) x MbufSize, to within a chunk.
+// Only the mbufs traffic ever reached are made, and only the rooms their
+// frames were written into are backed by pages, so a port whose frames
+// are all small keeps its base plus
+// (pool_capacity - pool_min_available) x (header + 128 B) resident, to
+// within a chunk.
 func (p *Port) RegisterMetrics(reg *telemetry.Registry, base telemetry.Labels) {
 	reg.RegisterCounter("port_rx_datagrams_total", base, &p.Stats.RxDatagrams)
 	reg.RegisterCounter("port_rx_batches_total", base, &p.Stats.RxBatches)

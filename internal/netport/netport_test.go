@@ -42,35 +42,53 @@ func flowFrame(t testing.TB, i int) []byte {
 	return frame
 }
 
-// inject runs the per-datagram ingress path the way a receive loop
-// does, minus the socket: stage an mbuf (or shed pool_empty), stand in
-// for the kernel copy, deliver. Only valid on a socketless newPort port,
-// whose placeholder loop has no goroutine contending for the staging
-// arrays.
-func (p *Port) inject(data []byte) {
-	l := p.loops[0]
-	if l.stage(1) == 0 {
-		p.shed(&p.Stats.PoolEmpty, DropPoolEmpty, 0)
-		return
+// sizedFrame builds a valid size-byte UDP frame of testSpec's flow whose
+// payload is all fill.
+func sizedFrame(t testing.TB, size int, fill byte) []byte {
+	t.Helper()
+	spec := testSpec()
+	spec.PayloadLen = size - (packet.EthHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen)
+	spec.PayloadByte = fill
+	frame, err := packet.Build(nil, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	n := copy(l.bufs[0][:MbufSize], data)
-	p.deliver(l, l.pkts[0], n)
+	return frame
 }
 
-// injectBatch runs one whole batch read through the genuine batched
-// dispatch path: stage a burst, copy each datagram into its staged
-// buffer (scratch past the staged count, exactly as a dry pool leaves
-// it), then dispatch with the same accounting the socket loop uses.
+// checkRoom fails unless pkt's frame sits at the start of the smallest
+// of its rooms that holds it: smallRoom bytes up to smallRoom, MbufSize
+// beyond.
+func checkRoom(t testing.TB, pkt *packet.Packet) {
+	t.Helper()
+	want := smallRoom
+	if pkt.Len() > smallRoom {
+		want = MbufSize
+	}
+	room := pkt.Room(pkt.Len())
+	if cap(room) != want || cap(pkt.Data) != want || &pkt.Data[:1][0] != &room[:1][0] {
+		t.Fatalf("%d-byte frame in a %d-byte buffer, want the start of its %d-byte room", pkt.Len(), cap(pkt.Data), want)
+	}
+}
+
+// inject runs one datagram through the ingress path the way a receive
+// loop does, minus the socket (see injectBatch).
+func (p *Port) inject(data []byte) { p.injectBatch([][]byte{data}) }
+
+// injectBatch runs whole batch reads through the genuine batched
+// dispatch path: copy each datagram into the loop's read buffers, as the
+// kernel does, then dispatch with the same accounting the socket loop
+// uses. Only valid on a socketless newPort port, whose placeholder loop
+// has no goroutine contending for the read buffers.
 func (p *Port) injectBatch(datagrams [][]byte) {
 	l := p.loops[0]
 	for off := 0; off < len(datagrams); {
-		burst := datagrams[off:min(off+len(l.bufs), len(datagrams))]
-		staged := l.stage(len(burst))
+		burst := datagrams[off:min(off+len(l.scratch), len(datagrams))]
 		for i, d := range burst {
 			// copy caps at MbufSize — the kernel-style truncation.
-			l.lens[i] = copy(l.bufs[i][:MbufSize], d)
+			l.lens[i] = copy(l.scratch[i], d)
 		}
-		p.dispatch(l, len(burst), staged)
+		p.dispatch(l, len(burst))
 		off += len(burst)
 	}
 }
@@ -239,10 +257,14 @@ func TestPoolExhaustionSheds(t *testing.T) {
 	p.FreeQueue(0, buf[:n])
 }
 
+// smallRoom is the size of an mbuf's small data room (packet.NewPool).
+const smallRoom = 128
+
 // TestPoolLayout: the port makes no mbuf header before one is drawn;
-// every mbuf the pool then hands out is an empty, MbufSize-capped window
-// of the data arena, no two windows overlap, and growing a frame past its
-// room reallocates instead of writing into the neighbour's.
+// every mbuf the pool then hands out has two rooms, an empty window of
+// smallRoom bytes and one of MbufSize, each capped at its size; no room
+// overlaps another, and growing a frame past its room reallocates instead
+// of writing into the neighbour's.
 func TestPoolLayout(t *testing.T) {
 	p, err := newPort(Config{Queues: 1, RingSize: 16, PoolSize: 2*mempool.ChunkSize + 8, CacheSize: 4})
 	if err != nil {
@@ -257,29 +279,42 @@ func TestPoolLayout(t *testing.T) {
 		t.Fatalf("pool handed out %d of %d mbufs", n, len(hdrs))
 	}
 	defer p.pool.PutBurst(hdrs)
-	for i, h := range hdrs {
-		if len(h.Data) != 0 || cap(h.Data) != MbufSize {
-			t.Fatalf("header %d: len %d cap %d, want 0 and %d", i, len(h.Data), cap(h.Data), MbufSize)
-		}
-		// Paint the whole room; an overlap would be repainted below.
-		room := h.Data[:MbufSize]
-		for j := range room {
-			room[j] = byte(i)
+	rooms := []struct {
+		name        string
+		frame, size int  // a frame of this length goes in the room of this size
+		paint       byte // XORed into the header index to fill the room
+	}{
+		{"small", smallRoom, smallRoom, 0},
+		{"large", smallRoom + 1, MbufSize, 0xFF},
+	}
+	// Paint every room of every header; an overlap would be repainted.
+	for _, r := range rooms {
+		for i, h := range hdrs {
+			room := h.Room(r.frame)
+			if len(room) != 0 || cap(room) != r.size {
+				t.Fatalf("header %d %s room: len %d cap %d, want 0 and %d", i, r.name, len(room), cap(room), r.size)
+			}
+			room = room[:r.size]
+			for j := range room {
+				room[j] = byte(i) ^ r.paint
+			}
 		}
 	}
-	for i, h := range hdrs {
-		room := h.Data[:MbufSize]
-		if room[0] != byte(i) || room[MbufSize-1] != byte(i) {
-			t.Fatalf("header %d's room was overwritten by another header's: rooms overlap", i)
+	for _, r := range rooms {
+		for i, h := range hdrs {
+			room := h.Room(r.frame)[:r.size]
+			if want := byte(i) ^ r.paint; room[0] != want || room[r.size-1] != want {
+				t.Fatalf("header %d's %s room was overwritten by another room: rooms overlap", i, r.name)
+			}
 		}
-	}
-	full := hdrs[0].Data[:MbufSize]
-	if grown := append(full, 0xEE); &grown[0] == &full[0] {
-		t.Fatal("append past MbufSize stayed in the slab")
-	}
-	for i, h := range hdrs[1:] {
-		if got := h.Data[:1][0]; got != byte(i+1) {
-			t.Fatalf("append past header 0's room wrote %#x into header %d's", got, i+1)
+		full := hdrs[0].Room(r.frame)[:r.size]
+		if grown := append(full, 0xEE); &grown[0] == &full[0] {
+			t.Fatalf("append past the %s room stayed in the arena", r.name)
+		}
+		for i, h := range hdrs[1:] {
+			if got, want := h.Room(r.frame)[:1][0], byte(i+1)^r.paint; got != want {
+				t.Fatalf("append past header 0's %s room wrote %#x into header %d's", r.name, got, i+1)
+			}
 		}
 	}
 }
@@ -360,6 +395,89 @@ func TestLoopbackSocketRxTx(t *testing.T) {
 	}
 	t.Logf("loopback: %d sent, %d delivered, %d forwarded, %d reached the sink",
 		sent, p.Stats.RxPackets.Load(), forwarded, got)
+}
+
+// TestE2EMixedFrameSizes: frames on both sides of the small room's edge,
+// and one far past it, cross a real loopback socket into the port and
+// out through its tx socket. Each delivered mbuf holds its frame in the
+// smallest room that fits it, the sink receives every frame byte for
+// byte, and rx_datagrams = delivered + drops exactly.
+func TestE2EMixedFrameSizes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e loopback tier skipped in -short")
+	}
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	p, err := Open(Config{Listen: "127.0.0.1:0", TxTarget: sink.LocalAddr().String(), ReadBuffer: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leakcheck.Pool(t, "netport", p.PoolAvailable)
+	t.Cleanup(func() { p.Close() })
+
+	var sent [][]byte
+	for i := 0; i < 25; i++ {
+		for _, size := range []int{64, smallRoom, smallRoom + 1, 1400} {
+			sent = append(sent, sizedFrame(t, size, byte(len(sent))))
+		}
+	}
+	sunk := make(chan []byte, len(sent))
+	go func() {
+		buf := make([]byte, MbufSize)
+		for {
+			n, err := sink.Read(buf)
+			if err != nil {
+				return
+			}
+			sunk <- append([]byte(nil), buf[:n]...)
+		}
+	}()
+	src, err := net.DialUDP("udp", nil, p.Addr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for _, frame := range sent {
+		if _, err := src.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	unseen := map[string]int{}
+	for _, frame := range sent {
+		unseen[string(frame)]++
+	}
+	buf := make([]*packet.Packet, 32)
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Stats.RxDatagrams.Load() < uint64(len(sent)) || p.Stats.TxPackets.Load() < p.Stats.RxPackets.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("port read %d of %d datagrams and sent %d (kernel socket drop?)",
+				p.Stats.RxDatagrams.Load(), len(sent), p.Stats.TxPackets.Load())
+		}
+		n := p.RxBurst(buf)
+		for _, pkt := range buf[:n] {
+			checkRoom(t, pkt)
+		}
+		p.TxBurst(buf[:n])
+	}
+	accounted(t, p)
+	if got := p.Stats.RxPackets.Load(); got != uint64(len(sent)) {
+		t.Fatalf("delivered %d of %d well-formed datagrams (drops: %d)", got, len(sent), p.Stats.drops())
+	}
+	for got := range len(sent) {
+		select {
+		case frame := <-sunk:
+			if unseen[string(frame)] == 0 {
+				t.Fatalf("sink received a %d-byte frame the sender never sent", len(frame))
+			}
+			unseen[string(frame)]--
+		case <-time.After(5 * time.Second):
+			t.Fatalf("sink received %d of %d frames", got, len(sent))
+		}
+	}
 }
 
 func TestRegisterMetrics(t *testing.T) {

@@ -130,24 +130,55 @@ type Packet struct {
 	// packets. Netport ingress arms it, pipeline stages stamp it, and TX
 	// completes it (any drop path aborts it instead).
 	Trace trace.Span
+
+	// small and large are the header's two data rooms, set once by
+	// NewPool: empty windows of its pool's two arenas, each capped at its
+	// own size. Nil for a packet made outside a pool. See Room.
+	small, large []byte
 }
 
-// NewPool lays an mbuf pool out the way DPDK does: one arena of packet
-// data, made here in a single pointer-free allocation, and count headers
-// over it that the pool makes a chunk at a time on first use. Header i's
-// Data is the empty, capacity-capped slice
-// arena[i*mbufSize : i*mbufSize : (i+1)*mbufSize], so a frame can grow to
-// mbufSize in place and an append past that reallocates rather than
-// bleeding into header i+1's room.
+// smallRoom is the size of every mbuf's small data room: a 64-byte
+// frame, the size of every benchmark frame and of the paper's Figure 2
+// packets, fits twice over.
+const smallRoom = 128
+
+// NewPool lays an mbuf pool out the way DPDK does, with one difference:
+// every header has two data rooms, a small one of smallRoom bytes and a
+// large one of mbufSize, each in its own arena made here in a single
+// pointer-free allocation. The count headers over them are made by the
+// pool a chunk at a time on first use. Header i's rooms are the empty,
+// capacity-capped slices arena[i*size : i*size : (i+1)*size] of each
+// arena, so a frame grows in place up to its room's size and an append
+// past that reallocates rather than bleeding into header i+1's room. A
+// frame is written only into the room Room picks for it, so an mbuf that
+// only ever carries small frames keeps smallRoom bytes resident, not
+// mbufSize: the kernel backs an arena page only once it is written. A
+// fresh header's Data is its small room.
 func NewPool(count, mbufSize int) *mempool.Pool[Packet] {
-	if mbufSize <= 0 {
-		panic("packet: mbuf size must be positive")
+	if mbufSize <= smallRoom {
+		panic(fmt.Sprintf("packet: mbuf size %d must exceed the %d-byte small room", mbufSize, smallRoom))
 	}
-	arena := make([]byte, count*mbufSize)
+	small := make([]byte, count*smallRoom)
+	large := make([]byte, count*mbufSize)
 	return mempool.NewPool(count, func(i int, p *Packet) {
-		off := i * mbufSize
-		p.Data = arena[off : off : off+mbufSize]
+		p.small = small[i*smallRoom : i*smallRoom : (i+1)*smallRoom]
+		p.large = large[i*mbufSize : i*mbufSize : (i+1)*mbufSize]
+		p.Data = p.small
 	})
+}
+
+// Room returns the smallest of p's data rooms that holds an n-byte frame:
+// an empty slice capped at that room's size, for the caller to write the
+// frame into and make p's Data. It returns nil when n is larger than
+// every room (and for a packet made outside a pool, which has none).
+func (p *Packet) Room(n int) []byte {
+	switch {
+	case n <= cap(p.small):
+		return p.small
+	case n <= cap(p.large):
+		return p.large
+	}
+	return nil
 }
 
 // Len returns the frame length in bytes.
@@ -333,20 +364,33 @@ type BuildSpec struct {
 	PayloadByte    byte
 }
 
-// Build serializes a well-formed Ethernet/IPv4/{TCP,UDP} frame into buf
-// (allocating if buf is too small) and returns the frame. The traffic
-// generators in internal/dpdk call this for every synthetic packet.
-func Build(buf []byte, spec BuildSpec) ([]byte, error) {
+// FrameLen returns the length of the frame Build makes from s, or the
+// error Build returns for it.
+func (s BuildSpec) FrameLen() (int, error) {
 	var l4len int
-	switch spec.Tuple.Proto {
+	switch s.Tuple.Proto {
 	case ProtoTCP:
 		l4len = TCPHeaderLen
 	case ProtoUDP:
 		l4len = UDPHeaderLen
 	default:
-		return nil, fmt.Errorf("build: protocol %d: %w", spec.Tuple.Proto, ErrUnsupported)
+		return 0, fmt.Errorf("build: protocol %d: %w", s.Tuple.Proto, ErrUnsupported)
 	}
-	total := EthHeaderLen + IPv4HeaderLen + l4len + spec.PayloadLen
+	if s.PayloadLen < 0 {
+		return 0, fmt.Errorf("build: negative payload length %d", s.PayloadLen)
+	}
+	return EthHeaderLen + IPv4HeaderLen + l4len + s.PayloadLen, nil
+}
+
+// Build serializes a well-formed Ethernet/IPv4/{TCP,UDP} frame into buf
+// (allocating if buf is too small) and returns the frame. The traffic
+// generators in internal/dpdk call this for every synthetic packet.
+func Build(buf []byte, spec BuildSpec) ([]byte, error) {
+	total, err := spec.FrameLen()
+	if err != nil {
+		return nil, err
+	}
+	l4len := total - EthHeaderLen - IPv4HeaderLen - spec.PayloadLen
 	if cap(buf) < total {
 		buf = make([]byte, total)
 	}

@@ -292,12 +292,14 @@ func BenchmarkTupleHash(b *testing.B) {
 	_ = sink
 }
 
-// TestNewSlab: every header the pool makes is an empty window of the one
-// arena capped at its own room, in index order, so frames grow in place
-// up to mbufSize and never into the next header's bytes — and no header
-// exists before a Get needs it.
+// TestNewSlab: every header the pool makes has two rooms, each an empty
+// window of its own arena capped at the room's size, in index order, so a
+// frame grows in place up to its room's size and never into the next
+// header's bytes; a fresh header's frame is its small room, Room picks
+// the smallest room that holds a frame, and no header exists before a
+// Get needs it.
 func TestNewSlab(t *testing.T) {
-	const size, count = 64, 4
+	const size, count = 256, 4
 	pool := NewPool(count, size)
 	if pool.Capacity() != count || pool.Made() != 0 {
 		t.Fatalf("fresh pool: capacity %d, %d headers made; want %d and 0", pool.Capacity(), pool.Made(), count)
@@ -306,20 +308,80 @@ func TestNewSlab(t *testing.T) {
 	if n := pool.GetBurst(hdrs); n != count {
 		t.Fatalf("pool handed out %d of %d headers", n, count)
 	}
-	base := uintptr(unsafe.Pointer(unsafe.SliceData(hdrs[0].Data)))
-	for i, h := range hdrs {
-		if len(h.Data) != 0 || cap(h.Data) != size {
-			t.Fatalf("header %d: len %d cap %d, want 0 and %d", i, len(h.Data), cap(h.Data), size)
+	defer pool.PutBurst(hdrs)
+	rooms := []struct {
+		name string
+		size int
+		of   func(*Packet) []byte
+	}{
+		{"small", smallRoom, func(h *Packet) []byte { return h.small }},
+		{"large", size, func(h *Packet) []byte { return h.large }},
+	}
+	for _, r := range rooms {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(r.of(hdrs[0]))))
+		for i, h := range hdrs {
+			room := r.of(h)
+			if len(room) != 0 || cap(room) != r.size {
+				t.Fatalf("header %d %s room: len %d cap %d, want 0 and %d", i, r.name, len(room), cap(room), r.size)
+			}
+			// Header i's room starts i rooms past header 0's: one arena, in order.
+			if off := uintptr(unsafe.Pointer(unsafe.SliceData(room))) - base; off != uintptr(i*r.size) {
+				t.Fatalf("header %d %s room starts at arena offset %d, want %d", i, r.name, off, i*r.size)
+			}
 		}
-		// Header i starts i mbufs past header 0: one arena, in order.
-		if off := uintptr(unsafe.Pointer(unsafe.SliceData(h.Data))) - base; off != uintptr(i*size) {
-			t.Fatalf("header %d starts at arena offset %d, want %d", i, off, i*size)
+		full := r.of(hdrs[0])[:r.size]
+		grown := append(full, 0xEE)
+		if &grown[0] == &full[0] || r.of(hdrs[1])[:1][0] != 0 {
+			t.Fatalf("append past an mbuf's %s room wrote into its neighbour's", r.name)
 		}
 	}
-	full := hdrs[0].Data[:size]
-	grown := append(full, 0xEE)
-	if &grown[0] == &full[0] || hdrs[1].Data[:1][0] != 0 {
-		t.Fatal("append past an mbuf's room wrote into its neighbour's")
+
+	h := hdrs[0]
+	if unsafe.SliceData(h.Data) != unsafe.SliceData(h.small) || len(h.Data) != 0 {
+		t.Fatal("a fresh header's Data is not its empty small room")
 	}
-	pool.PutBurst(hdrs)
+	for _, c := range []struct{ n, want int }{{0, smallRoom}, {smallRoom, smallRoom}, {smallRoom + 1, size}, {size, size}} {
+		if got := cap(h.Room(c.n)); got != c.want {
+			t.Fatalf("Room(%d) has %d bytes, want the %d-byte room", c.n, got, c.want)
+		}
+	}
+	if h.Room(size+1) != nil || (&Packet{}).Room(1) != nil {
+		t.Fatal("Room returned a room too small for the frame")
+	}
+}
+
+// TestBuildMatchesFrameLen: FrameLen predicts the length of every frame
+// Build makes, on both sides of the small room's edge, and rejects the
+// specs Build rejects — a negative payload with an error, not a panic.
+func TestBuildMatchesFrameLen(t *testing.T) {
+	udp := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen
+	cases := []struct {
+		name string
+		spec BuildSpec
+		want int // frame length; 0 means rejected
+	}{
+		{"udp-64", sampleSpec(ProtoUDP, 64-udp), 64},
+		{"udp-128", sampleSpec(ProtoUDP, smallRoom-udp), smallRoom},
+		{"udp-129", sampleSpec(ProtoUDP, smallRoom+1-udp), smallRoom + 1},
+		{"tcp-empty", sampleSpec(ProtoTCP, 0), EthHeaderLen + IPv4HeaderLen + TCPHeaderLen},
+		{"negative-payload", sampleSpec(ProtoUDP, -1), 0},
+		{"unknown-proto", sampleSpec(99, 0), 0},
+	}
+	for _, c := range cases {
+		n, lenErr := c.spec.FrameLen()
+		frame, buildErr := Build(nil, c.spec)
+		if c.want == 0 {
+			if lenErr == nil || buildErr == nil {
+				t.Errorf("%s: FrameLen err %v, Build err %v; want both to reject the spec", c.name, lenErr, buildErr)
+			}
+			continue
+		}
+		if lenErr != nil || buildErr != nil || n != c.want || len(frame) != c.want {
+			t.Errorf("%s: FrameLen %d (%v), Build %d bytes (%v); want %d", c.name, n, lenErr, len(frame), buildErr, c.want)
+			continue
+		}
+		if err := (&Packet{Data: frame}).Parse(); err != nil {
+			t.Errorf("%s: built frame does not parse: %v", c.name, err)
+		}
+	}
 }
