@@ -2,11 +2,11 @@ package statestore
 
 // flowindex.go is the on-disk half of the session table's cache story:
 // a per-domain flow index holding every flow ever evicted from RAM.
-// Writes append framed batches to <name>.flog (same framing and
-// torn-tail recovery as the epoch WAL, and the same truncate-or-poison
-// on a failed append); compaction merges the log into <name>.fidx, a
-// flat array of fixed-size entries sorted by flow hash that lookups
-// binary-search with ReadAt. Flows spilled since the last compaction are
+// Writes append framed batches to <name>.flog (an appendLog, as the
+// epoch WAL is: same framing, torn-tail recovery and failure rule);
+// compaction merges the log into <name>.fidx, a flat array of
+// fixed-size entries sorted by flow hash that lookups binary-search
+// with ReadAt. Flows spilled since the last compaction are
 // found through a RAM overlay that maps each hash to its newest entry in
 // the log, so reads are overlay-then-index, and either way a ReadAt.
 //
@@ -28,6 +28,7 @@ package statestore
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -83,22 +84,18 @@ type FlowIndex struct {
 	store *Store
 	name  string
 
-	mu      sync.Mutex
-	log     walFile
-	logSize int64
-	logErr  error // set once the log's tail is in an unknown state; every later spill returns it
+	mu  sync.Mutex
+	log *appendLog
 	// overlay maps each flow spilled since the last compaction to the
 	// offset of its newest entry in the spill log.
 	overlay  map[uint64]int64
-	idx      *os.File // nil until the first compaction
+	idx      file // nil until the first compaction
 	idxCount int
-	// openIdx opens a freshly renamed index: os.Open, except in tests.
-	openIdx func(path string) (*os.File, error)
 
 	// Scratch kept across calls, under mu: a spill batch's payload and
-	// frame, one entry read back from the log, and a compaction's sorted
-	// overlay hashes and its two merge buffers (made by the first
-	// compaction, Reset by each).
+	// frame, one entry read back from the log or the index, and a
+	// compaction's sorted overlay hashes and its two merge buffers (made
+	// by the first compaction, Reset by each).
 	payload, frame []byte
 	ent            [flowEntrySize]byte
 	keys           []uint64
@@ -121,7 +118,7 @@ func (s *Store) FlowIndex(name string) (*FlowIndex, error) {
 	if fi, ok := s.flows[name]; ok {
 		return fi, nil
 	}
-	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]int64), openIdx: os.Open}
+	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]int64)}
 	if err := fi.open(); err != nil {
 		return nil, err
 	}
@@ -138,11 +135,10 @@ func (fi *FlowIndex) idxPath() string {
 }
 
 func (fi *FlowIndex) open() error {
-	// Replay the spill log's longest valid prefix into the overlay and
-	// truncate the tail, exactly like the epoch WAL.
-	log, valid, err := fi.store.openLog(fi.logPath(), func(off int64, batch []byte) {
+	s := fi.store
+	log, torn, err := openLog(s.fs, fi.logPath(), func(off int64, batch []byte) {
 		if len(batch)%flowEntrySize != 0 {
-			fi.store.badEpochs.Add(1)
+			s.badEpochs.Add(1)
 			return
 		}
 		fi.noteBatch(off, batch)
@@ -150,33 +146,42 @@ func (fi *FlowIndex) open() error {
 	if err != nil {
 		return err
 	}
+	s.tornRecords.Add(uint64(torn))
 	fi.log = log
-	fi.logSize = valid
 	// The compacted index, if one exists. A torn size (not a multiple of
-	// the entry width) cannot happen through the rename barrier; treat it
-	// as absent rather than guessing.
-	idx, err := os.Open(fi.idxPath())
+	// the entry width) cannot happen through the rename barrier: it is
+	// counted as torn and treated as absent rather than guessed at. An
+	// index that cannot be opened or sized is an error, not an absence,
+	// or the next compaction would write the overlay alone and lose every
+	// flow the index held.
+	idx, err := s.fs.OpenFile(fi.idxPath(), os.O_RDONLY)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	var st os.FileInfo
 	if err == nil {
-		st, serr := idx.Stat()
-		if serr == nil && st.Size()%flowEntrySize == 0 {
-			fi.idx = idx
-			fi.idxCount = int(st.Size() / flowEntrySize)
-		} else {
+		if st, err = idx.Stat(); err != nil {
 			idx.Close()
 		}
-	} else if !os.IsNotExist(err) {
-		fi.log.Close()
-		return fmt.Errorf("statestore: %w", err)
+	}
+	if err != nil {
+		log.close(false)
+		return fmt.Errorf("statestore: index %s: %w", fi.name, err)
+	}
+	if st.Size()%flowEntrySize == 0 {
+		fi.idx, fi.idxCount = idx, int(st.Size()/flowEntrySize)
+	} else {
+		s.tornRecords.Add(uint64(st.Size()))
+		idx.Close()
 	}
 	return nil
 }
 
 // SpillFlows appends a batch of evicted flows (upsert by hash) and makes
-// it durable per the store's fsync mode. A failed append is undone
-// (cutPartialFrame) before the lock is released, so no later batch lands
-// behind a partial frame; if that fails too the index refuses every
-// later spill (the session table keeps the victims in RAM). Implements
-// session.Spill.
+// it durable per the store's fsync mode, under the spill log's failure
+// rule (see appendLog): a failed batch leaves no trace, and a poisoned
+// log refuses every later spill (the session table keeps the victims in
+// RAM) until a compaction. Implements session.Spill.
 func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	if len(recs) == 0 {
 		return nil
@@ -186,21 +191,17 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if fi.logErr != nil {
-		return fi.logErr
-	}
 	payload := fi.payload[:0]
 	for _, r := range recs {
 		payload = encodeFlowEntry(payload, r)
 	}
 	frame := AppendFrame(fi.frame[:0], payload)
 	fi.payload, fi.frame = payload, frame
-	if _, err := fi.log.Write(frame); err != nil {
-		err, fi.logErr = cutPartialFrame(fi.log, fi.logSize, "spill log of "+fi.name, fmt.Errorf("statestore: spill %s: %w", fi.name, err))
+	at := fi.log.size
+	if err := fi.log.append(frame); err != nil {
 		return err
 	}
-	fi.noteBatch(fi.logSize, payload)
-	fi.logSize += int64(len(frame))
+	fi.noteBatch(at, payload)
 	fi.store.spilled.Add(uint64(len(recs)))
 	fi.store.persistBytes.Add(uint64(len(payload)))
 	if after := fi.store.cfg.FlowCompactAfter; after > 0 && len(fi.overlay) >= after {
@@ -209,8 +210,8 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	if fi.store.cfg.Fsync != FsyncNone {
 		// One fsync per eviction batch — already amortized over the
 		// batch, so group coalescing buys nothing here.
-		if err := fi.log.Sync(); err != nil {
-			return fmt.Errorf("statestore: spill %s: %w", fi.name, err)
+		if err := fi.log.sync(); err != nil {
+			return err
 		}
 		fi.store.fsyncs.Add(1)
 	}
@@ -230,7 +231,7 @@ func (fi *FlowIndex) noteBatch(off int64, batch []byte) {
 // the overlay holds for hash, and fails if the entry there is another
 // flow's.
 func (fi *FlowIndex) readLogEntryLocked(hash uint64, off int64) error {
-	if _, err := fi.log.ReadAt(fi.ent[:], off); err != nil {
+	if _, err := fi.log.f.ReadAt(fi.ent[:], off); err != nil {
 		return fmt.Errorf("statestore: spill log of %s: %w", fi.name, err)
 	}
 	if got := binary.LittleEndian.Uint64(fi.ent[:]); got != hash {
@@ -259,12 +260,14 @@ func (fi *FlowIndex) LookupFlow(hash uint64) (session.SpillRecord, bool, error) 
 	return r, ok, err
 }
 
-// searchIdxLocked binary-searches the compacted index file by hash.
+// searchIdxLocked binary-searches the compacted index file by hash,
+// reading each probe into fi.ent (a buffer on the stack would escape
+// through the file interface: an allocation per lookup).
 func (fi *FlowIndex) searchIdxLocked(hash uint64) (session.SpillRecord, bool, error) {
 	if fi.idx == nil || fi.idxCount == 0 {
 		return session.SpillRecord{}, false, nil
 	}
-	var buf [flowEntrySize]byte
+	buf := &fi.ent
 	lo, hi := 0, fi.idxCount
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -299,7 +302,7 @@ func (fi *FlowIndex) FlowCount() (int, error) {
 }
 
 // Compact merges the overlay into the sorted index file and truncates
-// the spill log.
+// the spill log, clearing its poison.
 func (fi *FlowIndex) Compact() error {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
@@ -323,13 +326,10 @@ func (fi *FlowIndex) compactLocked() error {
 		count, err = fi.mergeLocked(w, keys)
 		return err
 	}
-	if err := atomicWriteFile(fi.idxPath(), merge, fi.store.cfg.Fsync != FsyncNone); err != nil {
-		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
-	}
 	// The old handle is let go only once the new one is open: until then
 	// it and the overlay, both untouched, still answer every lookup and
 	// feed the next compaction.
-	idx, err := fi.openIdx(fi.idxPath())
+	idx, err := replaceFile(fi.store.fs, fi.idxPath(), merge, fi.store.cfg.Fsync != FsyncNone)
 	if err != nil {
 		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
 	}
@@ -338,10 +338,9 @@ func (fi *FlowIndex) compactLocked() error {
 	}
 	fi.idx, fi.idxCount = idx, count
 	clear(fi.overlay)
-	if err := fi.log.Truncate(0); err != nil {
-		return fmt.Errorf("statestore: compact %s: truncate log: %w", fi.name, err)
+	if err := fi.log.reset(); err != nil {
+		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
 	}
-	fi.logSize = 0
 	fi.store.compactions.Add(1)
 	return nil
 }
@@ -354,12 +353,7 @@ func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
 	br, bw := fi.mergeR, fi.mergeW
 	bw.Reset(w)
 	if fi.idxCount > 0 {
-		// Sequential reads share the handle with lookups' ReadAt, which
-		// neither uses nor moves the file offset.
-		if _, err := fi.idx.Seek(0, io.SeekStart); err != nil {
-			return 0, err
-		}
-		br.Reset(fi.idx)
+		br.Reset(io.NewSectionReader(fi.idx, 0, int64(fi.idxCount)*flowEntrySize))
 	}
 	n, k := 0, 0
 	for i := 0; ; i++ {
@@ -408,18 +402,7 @@ func (fi *FlowIndex) OverlaySize() int {
 func (fi *FlowIndex) close() error {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	var first error
-	if fi.log != nil {
-		if fi.store.cfg.Fsync != FsyncNone {
-			if err := fi.log.Sync(); err != nil {
-				first = err
-			}
-		}
-		if err := fi.log.Close(); err != nil && first == nil {
-			first = err
-		}
-		fi.log = nil
-	}
+	first := fi.log.close(fi.store.cfg.Fsync != FsyncNone)
 	if fi.idx != nil {
 		if err := fi.idx.Close(); err != nil && first == nil {
 			first = err

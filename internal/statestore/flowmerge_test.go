@@ -186,11 +186,10 @@ func wantFlows(t *testing.T, fi *FlowIndex, from, n int, present bool) {
 // batch is appended, or a reopen's longest valid prefix ends at the
 // partial frame and every batch spilled after it is lost.
 func TestFailedSpillDoesNotStrandLaterBatches(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: -1})
+	dir, fs := t.TempDir(), &faultFS{}
+	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
 	fi := flowIndexT(t, s, "w")
-	fw := &flakyWAL{walFile: fi.log, failWrite: 2}
-	fi.log = fw
+	fs.arm(fault{op: "write", name: "w.flog", skip: 1, n: 1})
 	if err := fi.SpillFlows(flowBatch(0, 10, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +201,8 @@ func TestFailedSpillDoesNotStrandLaterBatches(t *testing.T) {
 		t.Fatalf("spill after a failed one: %v", err)
 	}
 	frame := int64(frameHeaderSize + 10*flowEntrySize)
-	if st, err := os.Stat(filepath.Join(dir, "w.flog")); err != nil || st.Size() != 2*frame || fi.logSize != 2*frame {
-		t.Fatalf("spill log is %d bytes (index says %d), want the two whole frames = %d", st.Size(), fi.logSize, 2*frame)
+	if st, err := os.Stat(filepath.Join(dir, "w.flog")); err != nil || st.Size() != 2*frame || fi.log.size != 2*frame {
+		t.Fatalf("spill log is %d bytes (index says %d), want the two whole frames = %d", st.Size(), fi.log.size, 2*frame)
 	}
 	s.Close()
 
@@ -222,24 +221,25 @@ func TestFailedSpillDoesNotStrandLaterBatches(t *testing.T) {
 // later spill gets the same error and the session table keeps its
 // victims in RAM.
 func TestUncuttableSpillLogRefusesLaterSpills(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: -1})
+	dir, fs := t.TempDir(), &faultFS{}
+	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 10, 1)); err != nil {
 		t.Fatal(err)
 	}
-	fw := &flakyWAL{walFile: fi.log, failWrite: 1, failTruncate: true}
-	fi.log = fw
+	fs.arm(fault{op: "write", name: "w.flog", n: 1})
+	fs.arm(fault{op: "truncate", name: "w.flog", n: -1})
+	writes := fs.count("write", "w.flog")
 	first := fi.SpillFlows(flowBatch(10, 10, 1))
 	if !errors.Is(first, errInjected) || !strings.Contains(first.Error(), "unusable") {
 		t.Fatalf("spill with write and truncate both failing: %v", first)
 	}
-	fw.failTruncate = false // the file would take writes again; the tail is still unknown
+	fs.disarm() // the file would take writes again; the tail is still unknown
 	if err := fi.SpillFlows(flowBatch(20, 10, 1)); err != first {
 		t.Fatalf("spill into a poisoned log: %v, want the sticky %v", err, first)
 	}
-	if fw.writes != 1 {
-		t.Fatalf("%d writes reached a log whose tail is unknown, want the 1 that failed", fw.writes)
+	if n := fs.count("write", "w.flog") - writes; n != 1 {
+		t.Fatalf("%d writes reached a log whose tail is unknown, want the 1 that failed", n)
 	}
 	wantFlows(t, fi, 0, 10, true) // reads are unaffected
 	wantFlows(t, fi, 10, 20, false)
@@ -260,8 +260,8 @@ func TestUncuttableSpillLogRefusesLaterSpills(t *testing.T) {
 // must merge from them — closing the old handle first left every later
 // lookup and compaction failing on a closed file.
 func TestFailedIndexReopenKeepsTheOldHandle(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: -1})
+	dir, fs := t.TempDir(), &faultFS{}
+	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func TestFailedIndexReopenKeepsTheOldHandle(t *testing.T) {
 	if err := fi.SpillFlows(flowBatch(30, 40, 2)); err != nil { // 10 updates, 30 new
 		t.Fatal(err)
 	}
-	fi.openIdx = func(string) (*os.File, error) { return nil, errInjected }
+	fs.arm(fault{op: "open", name: "w.fidx", n: 1})
 	if err := fi.Compact(); !errors.Is(err, errInjected) {
 		t.Fatalf("compaction whose new index cannot be opened: %v", err)
 	}
@@ -283,7 +283,6 @@ func TestFailedIndexReopenKeepsTheOldHandle(t *testing.T) {
 	if got, _, _ := fi.LookupFlow(spread(35)); got.Packets != 2 {
 		t.Fatalf("updated flow 35 reads %d packets through the old index, want the overlay's 2", got.Packets)
 	}
-	fi.openIdx = os.Open
 	if err := fi.Compact(); err != nil {
 		t.Fatalf("compaction after the failed swap: %v", err)
 	}
@@ -328,8 +327,8 @@ func TestMergeReadErrorLeavesIndexAndOverlay(t *testing.T) {
 	if st, err := os.Stat(idxPath); err != nil || st.Size() != 25*flowEntrySize+7 {
 		t.Fatalf("the failed compaction replaced the index: %v, %v", st, err)
 	}
-	if fi.OverlaySize() != 10 || fi.logSize == 0 {
-		t.Fatalf("the failed compaction dropped the overlay (%d entries) or the log (%d bytes)", fi.OverlaySize(), fi.logSize)
+	if fi.OverlaySize() != 10 || fi.log.size == 0 {
+		t.Fatalf("the failed compaction dropped the overlay (%d entries) or the log (%d bytes)", fi.OverlaySize(), fi.log.size)
 	}
 	wantFlows(t, fi, 40, 10, true)
 	ents, err := os.ReadDir(dir)
@@ -370,7 +369,8 @@ func FuzzFlowIndexMerge(f *testing.F) {
 			data = data[:256]
 		}
 		cfg := Config{Dir: t.TempDir(), Fsync: FsyncNone, CompactAfter: -1, FlowCompactAfter: 24}
-		s := openT(t, cfg.Dir, cfg)
+		fs := &faultFS{}
+		s := openFaultT(t, cfg.Dir, cfg, fs)
 		fi := flowIndexT(t, s, "w")
 		oracle := map[uint64]session.SpillRecord{}
 		check := func(step int) {
@@ -422,10 +422,9 @@ func FuzzFlowIndexMerge(f *testing.F) {
 				if op%6 == 5 && n > 0 {
 					// Half the frame lands, the write fails, the log is cut back:
 					// the batch must leave no trace, in the overlay or on disk.
-					fw := &flakyWAL{walFile: fi.log, failWrite: 1}
-					fi.log = fw
+					fs.arm(fault{op: "write", name: "w.flog", n: 1})
 					err := fi.SpillFlows(batch)
-					fi.log = fw.walFile
+					fs.disarm()
 					if !errors.Is(err, errInjected) {
 						t.Fatalf("step %d: spill over a failing write: %v", step, err)
 					}
@@ -445,7 +444,7 @@ func FuzzFlowIndexMerge(f *testing.F) {
 				if err := s.Close(); err != nil {
 					t.Fatalf("step %d: close: %v", step, err)
 				}
-				s = openT(t, cfg.Dir, cfg)
+				s = openFaultT(t, cfg.Dir, cfg, fs)
 				fi = flowIndexT(t, s, "w")
 			case 4:
 				flowCount(step)

@@ -14,63 +14,18 @@ import (
 	"testing"
 )
 
-// flakyWAL wraps one of the store's files and fails the writes, reads,
-// fsyncs and truncates a test arms. A failed write first lets half its
-// bytes through, as a disk filling up mid-frame would.
-type flakyWAL struct {
-	walFile
-	writes       int
-	failWrite    int // 1-based index of the Write call to fail; 0 = none
-	failRead     bool
-	failSync     bool
-	failTruncate bool
-}
-
-func (w *flakyWAL) ReadAt(p []byte, off int64) (int, error) {
-	if w.failRead {
-		return 0, errInjected
-	}
-	return w.walFile.ReadAt(p, off)
-}
-
-var errInjected = errors.New("injected wal fault")
-
-func (w *flakyWAL) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes == w.failWrite {
-		n, _ := w.walFile.Write(p[:len(p)/2])
-		return n, errInjected
-	}
-	return w.walFile.Write(p)
-}
-
-func (w *flakyWAL) Sync() error {
-	if w.failSync {
-		return errInjected
-	}
-	return w.walFile.Sync()
-}
-
-func (w *flakyWAL) Truncate(size int64) error {
-	if w.failTruncate {
-		return errInjected
-	}
-	return w.walFile.Truncate(size)
-}
-
 // TestFailedAppendDoesNotStrandLaterEpochs: the frame header lands, the
 // payload write fails half way. The store must cut the partial frame off
 // before the next append, so that the epochs persisted afterwards are
 // inside the longest valid prefix a reopen replays.
 func TestFailedAppendDoesNotStrandLaterEpochs(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Config{CompactAfter: -1})
+	dir, fs := t.TempDir(), &faultFS{}
+	s := openFaultT(t, dir, Config{CompactAfter: -1}, fs)
 	if err := s.PersistEpoch("w", 1, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
 	good := s.WALSize()
-	fw := &flakyWAL{walFile: s.wal, failWrite: 2} // header ok, payload fails
-	s.wal = fw
+	fs.arm(fault{op: "write", name: walName, skip: 1, n: 1}) // header ok, payload fails
 	err := s.PersistEpoch("w", 2, bytes.Repeat([]byte("x"), 1000))
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("PersistEpoch over a failing write = %v, want the injected error", err)
@@ -103,19 +58,20 @@ func TestFailedAppendDoesNotStrandLaterEpochs(t *testing.T) {
 // off either, the tail of the WAL is unknown and appending behind it
 // would be retry-and-trust: every later PersistEpoch fails instead.
 func TestUntruncatableWALPoisonsStore(t *testing.T) {
-	s := openT(t, t.TempDir(), Config{CompactAfter: -1})
-	fw := &flakyWAL{walFile: s.wal, failWrite: 1, failTruncate: true}
-	s.wal = fw
+	fs := &faultFS{}
+	s := openFaultT(t, t.TempDir(), Config{CompactAfter: -1}, fs)
+	fs.arm(fault{op: "write", name: walName, n: 1})
+	fs.arm(fault{op: "truncate", name: walName, n: -1})
 	if err := s.PersistEpoch("w", 1, []byte("lost")); !errors.Is(err, errInjected) {
 		t.Fatalf("first append = %v, want the injected error", err)
 	}
-	fw.failTruncate = false // the disk "recovers"; the store must not trust it
-	writes := fw.writes
+	fs.disarm() // the disk "recovers"; the store must not trust it
+	writes := fs.count("write", walName)
 	err := s.PersistEpoch("w", 2, []byte("never written"))
 	if err == nil || !errors.Is(err, errInjected) {
 		t.Fatalf("append on a poisoned store = %v, want the original failure", err)
 	}
-	if fw.writes != writes {
+	if fs.count("write", walName) != writes {
 		t.Fatal("a poisoned store wrote to its WAL")
 	}
 	if _, _, ok, _ := s.LastEpoch("w"); ok {

@@ -4,7 +4,7 @@ package statestore
 // buffer goes back to the state that wrote it only when nobody reads it
 // any more — the store borrows it for one PersistEpoch call and keeps
 // nothing of it. It runs the real domain runtime over a real StateSet and
-// a real Store (with the walFile seam failing writes and fsyncs on cue),
+// a real Store (with the disk seam failing writes and fsyncs on cue),
 // scripted one epoch at a time, scribbles over every buffer the moment it
 // is handed back, and checks that no reader — a restore, LastEpoch, a
 // compaction — ever sees bytes that differ from what some capture
@@ -61,37 +61,6 @@ func TestSpillSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // --- the ownership script -------------------------------------------------
-
-// scriptedWAL fails the next write or fsync when armed, and every read
-// while failRead is set.
-type scriptedWAL struct {
-	walFile
-	failWrite atomic.Bool
-	failSync  atomic.Bool
-	failRead  atomic.Bool
-}
-
-func (w *scriptedWAL) ReadAt(p []byte, off int64) (int, error) {
-	if w.failRead.Load() {
-		return 0, errInjected
-	}
-	return w.walFile.ReadAt(p, off)
-}
-
-func (w *scriptedWAL) Write(p []byte) (int, error) {
-	if w.failWrite.CompareAndSwap(true, false) {
-		n, _ := w.walFile.Write(p[:len(p)/2])
-		return n, errInjected
-	}
-	return w.walFile.Write(p)
-}
-
-func (w *scriptedWAL) Sync() error {
-	if w.failSync.CompareAndSwap(true, false) {
-		return errInjected
-	}
-	return w.walFile.Sync()
-}
 
 // ownBook is what the script knows about every epoch buffer: the
 // checksums captures produced, per domain; the checksum of each epoch as
@@ -260,7 +229,7 @@ type ownScript struct {
 	t       *testing.T
 	dir     string
 	store   *Store
-	wal     *scriptedWAL
+	fs      *faultFS
 	book    *ownBook
 	sup     *domain.Supervisor
 	workers []*ownWorker
@@ -268,10 +237,8 @@ type ownScript struct {
 
 func newOwnScript(t *testing.T) *ownScript {
 	t.Helper()
-	sc := &ownScript{t: t, dir: t.TempDir()}
-	sc.store = openT(t, sc.dir, Config{Fsync: FsyncGroup, CompactAfter: -1})
-	sc.wal = &scriptedWAL{walFile: sc.store.wal}
-	sc.store.wal = sc.wal
+	sc := &ownScript{t: t, dir: t.TempDir(), fs: &faultFS{}}
+	sc.store = openFaultT(t, sc.dir, Config{Fsync: FsyncGroup, CompactAfter: -1}, sc.fs)
 	sc.book = newOwnBook()
 	sc.sup = domain.NewSupervisor(domain.Policy{
 		Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1,
@@ -473,13 +440,13 @@ func (sc *ownScript) run(ops []byte) {
 		case opEpoch:
 			sc.epoch(w, b&0x80 == 0)
 		case opPersistError:
-			sc.wal.failWrite.Store(true)
+			sc.fs.arm(fault{op: "write", name: walName, n: 1})
 			sc.epoch(w, true)
-			sc.wal.failWrite.Store(false)
+			sc.fs.disarm()
 		case opFsyncError:
-			sc.wal.failSync.Store(true)
+			sc.fs.arm(fault{op: "sync", name: walName, n: 1})
 			sc.epoch(w, true)
-			sc.wal.failSync.Store(false)
+			sc.fs.disarm()
 		case opCrash:
 			sc.crash(w, false)
 		case opCrashInCapture:

@@ -52,20 +52,19 @@ func TestFailedEpochReadFailsSpawn(t *testing.T) {
 			name = "base"
 		}
 		t.Run(name, func(t *testing.T) {
-			s := openT(t, t.TempDir(), Config{CompactAfter: -1})
+			fs := &faultFS{}
+			s := openFaultT(t, t.TempDir(), Config{CompactAfter: -1}, fs)
 			payload, _, tbl := sessionEpoch(t, 20)
 			if err := s.PersistEpoch("worker-0", 1, payload); err != nil {
 				t.Fatal(err)
 			}
-			f := &flakyWAL{walFile: s.wal, failRead: true}
 			if inBase {
 				if err := s.Compact(); err != nil {
 					t.Fatal(err)
 				}
-				f.walFile = s.base
-				s.base = f
+				fs.arm(fault{op: "read", name: baseName, n: -1})
 			} else {
-				s.wal = f
+				fs.arm(fault{op: "read", name: walName, n: -1})
 			}
 			if _, _, _, err := s.LastEpoch("worker-0"); !errors.Is(err, errInjected) {
 				t.Fatalf("LastEpoch over a failing read = %v, want the injected error", err)
@@ -84,7 +83,7 @@ func TestFailedEpochReadFailsSpawn(t *testing.T) {
 			if _, _, err := spawn(); !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "load durable epoch") {
 				t.Fatalf("Spawn over a failing epoch read = %v, want a load error wrapping the injected one", err)
 			}
-			f.failRead = false
+			fs.disarm()
 			d, fresh, err := spawn()
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +106,7 @@ func TestFailedEpochReadIsARestoreFault(t *testing.T) {
 	wk := sc.workers[0]
 	want := wk.tbl.Entries()
 	before := wk.dom.Snapshot()
-	sc.wal.failRead.Store(true)
+	sc.fs.arm(fault{op: "read", name: walName, n: -1})
 	// The parked capture runs and persists (an append reads nothing), then
 	// the handler crashes and the restart has to read the epoch back.
 	if err := wk.dom.Inbox().Send(linear.New(func() { panic("readfault: injected handler crash") })); err != nil {
@@ -121,7 +120,7 @@ func TestFailedEpochReadIsARestoreFault(t *testing.T) {
 		t.Fatalf("while the epoch cannot be read: %d restarts, %d cold starts, %d restores; want %d, 0, %d",
 			sn.Restarts, sn.ColdStarts, sn.Restores, before.Restarts, before.Restores)
 	}
-	sc.wal.failRead.Store(false)
+	sc.fs.disarm()
 	sc.wait("the restart once the epoch reads", func() bool { return wk.dom.Snapshot().Restarts > before.Restarts })
 	sc.settle()
 	got := wk.tbl.Entries()
@@ -147,8 +146,8 @@ func TestFailedEpochReadIsARestoreFault(t *testing.T) {
 func TestFailedReadMidCompactionLeavesTheStore(t *testing.T) {
 	for _, which := range []string{"wal", "base"} {
 		t.Run(which, func(t *testing.T) {
-			dir := t.TempDir()
-			s := openT(t, dir, Config{CompactAfter: -1})
+			dir, fs := t.TempDir(), &faultFS{}
+			s := openFaultT(t, dir, Config{CompactAfter: -1}, fs)
 			for _, e := range []struct {
 				name string
 				seq  uint64
@@ -169,12 +168,7 @@ func TestFailedReadMidCompactionLeavesTheStore(t *testing.T) {
 				t.Fatal(err)
 			}
 			walBefore := s.WALSize()
-			f := &flakyWAL{failRead: true}
-			if which == "wal" {
-				f.walFile, s.wal = s.wal, f
-			} else {
-				f.walFile, s.base = s.base, f
-			}
+			fs.arm(fault{op: "read", name: map[string]string{"wal": walName, "base": baseName}[which], n: -1})
 			if err := s.Compact(); !errors.Is(err, errInjected) {
 				t.Fatalf("compaction over a failing read = %v, want the injected error", err)
 			}
@@ -193,7 +187,7 @@ func TestFailedReadMidCompactionLeavesTheStore(t *testing.T) {
 					t.Fatalf("the failed compaction left %s behind", e.Name())
 				}
 			}
-			f.failRead = false
+			fs.disarm()
 			check := func(s *Store, what string) {
 				t.Helper()
 				for name, want := range map[string]string{"a": "a-2", "b": "b-1"} {
@@ -218,8 +212,8 @@ func TestFailedReadMidCompactionLeavesTheStore(t *testing.T) {
 // fails without touching the .fidx, the overlay or the log, and the next
 // compaction merges everything.
 func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: -1})
+	dir, fs := t.TempDir(), &faultFS{}
+	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -235,19 +229,18 @@ func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logSize, overlay := fi.logSize, fi.OverlaySize()
-	fw := &flakyWAL{walFile: fi.log, failRead: true}
-	fi.log = fw
+	logSize, overlay := fi.log.size, fi.OverlaySize()
+	fs.arm(fault{op: "read", name: "w.flog", n: -1})
 	if err := fi.Compact(); !errors.Is(err, errInjected) {
 		t.Fatalf("merge over a failing log read = %v, want the injected error", err)
 	}
 	if got, _ := os.ReadFile(idxPath); string(got) != string(idxBefore) {
 		t.Fatal("the failed merge replaced the index")
 	}
-	if fi.logSize != logSize || fi.OverlaySize() != overlay {
-		t.Fatalf("the failed merge left a %d-byte log and %d overlay flows, want %d and %d", fi.logSize, fi.OverlaySize(), logSize, overlay)
+	if fi.log.size != logSize || fi.OverlaySize() != overlay {
+		t.Fatalf("the failed merge left a %d-byte log and %d overlay flows, want %d and %d", fi.log.size, fi.OverlaySize(), logSize, overlay)
 	}
-	fi.log = fw.walFile
+	fs.disarm()
 	if n, err := fi.FlowCount(); err != nil || n != 50 {
 		t.Fatalf("FlowCount after the failed merge = %d, %v; want 50", n, err)
 	}
@@ -263,7 +256,8 @@ func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
 // record it did not read. And an overlay offset that has gone stale reads
 // another flow's entry: that is an error too, never that flow's record.
 func TestFailedOverlayReadPromotesNothing(t *testing.T) {
-	s := openT(t, t.TempDir(), Config{FlowCompactAfter: -1})
+	fs := &faultFS{}
+	s := openFaultT(t, t.TempDir(), Config{FlowCompactAfter: -1}, fs)
 	fi := flowIndexT(t, s, "w")
 	tbl := session.NewTable()
 	tbl.SetSpill(fi, 16)
@@ -285,8 +279,7 @@ func TestFailedOverlayReadPromotesNothing(t *testing.T) {
 		t.Fatalf("%d flows spilled, %d in the overlay; want at least 2, all of them", len(spilled), fi.OverlaySize())
 	}
 
-	fw := &flakyWAL{walFile: fi.log, failRead: true}
-	fi.log = fw
+	fs.arm(fault{op: "read", name: "w.flog", n: -1})
 	h := spilled[0].Hash()
 	if ip, ok := tbl.Lookup(h); ok {
 		t.Fatalf("a lookup through a failing log found backend %v", ip)
@@ -299,7 +292,7 @@ func TestFailedOverlayReadPromotesNothing(t *testing.T) {
 	if got := tbl.Entries()[h]; got != newBackend {
 		t.Fatalf("the flow tracks backend %v, want the %v it was given", got, newBackend)
 	}
-	fi.log = fw.walFile
+	fs.disarm()
 
 	a, b := spilled[1].Hash(), spilled[0].Hash()
 	fi.mu.Lock()

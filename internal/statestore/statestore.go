@@ -80,29 +80,17 @@ type epochRec struct {
 	length int64
 }
 
-// walFile is what the store needs of a file it appends to or reads
-// back — the WAL, base.db, a spill log: *os.File in production, a
-// failing one in tests.
-type walFile interface {
-	io.Writer
-	io.ReaderAt
-	Sync() error
-	Truncate(size int64) error
-	Close() error
-}
-
 // Store is the durable epoch store: an append-only WAL of checkpoint
 // tokens plus a compacted base image, with per-domain flow indexes
 // hanging off it. One Store serves every domain of a process; appends
 // from concurrent workers serialize on mu and coalesce their fsyncs.
 type Store struct {
 	cfg Config
+	fs  fileSystem
 
-	mu        sync.Mutex // guards wal, base, walSize, walErr, epochs, liveBytes, copyBuf, compaction
-	wal       walFile
-	base      walFile // nil until base.db exists
-	walSize   int64
-	walErr    error // set once the WAL's tail is in an unknown state; every later append returns it
+	mu        sync.Mutex // guards wal's appends and reset, base, epochs, liveBytes, copyBuf, compaction
+	wal       *appendLog
+	base      file // nil until base.db exists
 	epochs    map[string]epochRec
 	liveBytes int64  // sum of current epoch token sizes across domains
 	copyBuf   []byte // compaction's frame copy buffer, made by the first compaction
@@ -168,18 +156,21 @@ var ErrClosed = errors.New("statestore: closed")
 // longest valid prefix of the WAL over the compacted base image and
 // truncating any torn tail. After Open returns, LastEpoch serves the
 // newest durable epoch per domain.
-func Open(cfg Config) (*Store, error) {
+func Open(cfg Config) (*Store, error) { return open(cfg, osFS{}) }
+
+func open(cfg Config, fs fileSystem) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("statestore: Config.Dir is required")
 	}
 	if cfg.FlowCompactAfter == 0 {
 		cfg.FlowCompactAfter = defaultFlowCompactAfter
 	}
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := fs.MkdirAll(cfg.Dir); err != nil {
 		return nil, fmt.Errorf("statestore: %w", err)
 	}
 	s := &Store{
 		cfg:    cfg,
+		fs:     fs,
 		epochs: make(map[string]epochRec),
 		flows:  make(map[string]*FlowIndex),
 		hdrs:   sync.Pool{New: func() any { return new([]byte) }},
@@ -187,7 +178,7 @@ func Open(cfg Config) (*Store, error) {
 	// The compacted image first. A torn base tail (possible only if a
 	// crash beat the rename barrier, which the write path prevents)
 	// degrades to the valid prefix.
-	base, err := os.Open(filepath.Join(cfg.Dir, baseName))
+	base, err := fs.OpenFile(filepath.Join(cfg.Dir, baseName), os.O_RDONLY)
 	switch {
 	case err == nil:
 		s.base = base
@@ -200,55 +191,19 @@ func Open(cfg Config) (*Store, error) {
 	case !errors.Is(err, os.ErrNotExist):
 		return nil, fmt.Errorf("statestore: %w", err)
 	}
-	wal, walSize, err := s.openLog(filepath.Join(cfg.Dir, walName), func(off int64, rec []byte) { s.applyEpochRecord(false, off, rec) })
+	wal, torn, err := openLog(fs, filepath.Join(cfg.Dir, walName), func(off int64, rec []byte) { s.applyEpochRecord(false, off, rec) })
 	if err != nil {
 		if s.base != nil {
 			s.base.Close()
 		}
 		return nil, err
 	}
-	s.wal, s.walSize = wal, walSize
+	s.wal = wal
+	s.tornRecords.Add(uint64(torn))
 	for _, rec := range s.epochs {
 		s.liveBytes += rec.length
 	}
 	return s, nil
-}
-
-// scanFile streams f from its start through fn (see scanFrames) and
-// reports the length of its longest valid prefix and the file's size.
-func scanFile(f *os.File, fn func(off int64, rec []byte)) (valid, size int64, err error) {
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("statestore: %w", err)
-	}
-	valid, err = scanFrames(f, st.Size(), fn)
-	if err != nil {
-		return 0, 0, fmt.Errorf("statestore: replay %s: %w", filepath.Base(f.Name()), err)
-	}
-	return valid, st.Size(), nil
-}
-
-// openLog opens (or creates) the log at path for appends and reads,
-// replays its longest valid prefix through fn and cuts the torn tail
-// after it, counted as torn, so the next append never splices new frames
-// onto it. It returns the file and its length.
-func (s *Store) openLog(path string, fn func(off int64, rec []byte)) (*os.File, int64, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, 0, fmt.Errorf("statestore: %w", err)
-	}
-	valid, size, err := scanFile(f, fn)
-	if err == nil && valid < size {
-		s.tornRecords.Add(uint64(size - valid))
-		if err = f.Truncate(valid); err != nil {
-			err = fmt.Errorf("statestore: truncate torn tail of %s: %w", filepath.Base(path), err)
-		}
-	}
-	if err != nil {
-		f.Close()
-		return nil, 0, err
-	}
-	return f, valid, nil
 }
 
 // applyEpochRecord notes where one replayed record is when it is its
@@ -381,8 +336,8 @@ func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 		s.mu.Unlock()
 		return fmt.Errorf("statestore: epoch %d of %q is not newer than the stored %d", seq, name, cur.seq)
 	}
-	frame := s.walSize
-	if err := s.appendLocked(hdr, payload); err != nil {
+	frame := s.wal.size
+	if err := s.wal.append(hdr, payload); err != nil {
 		s.mu.Unlock()
 		return err
 	}
@@ -392,7 +347,7 @@ func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 	s.persisted.Add(1)
 	s.persistBytes.Add(uint64(len(payload)))
 	switch {
-	case s.cfg.CompactAfter >= 0 && s.walSize >= s.compactThresholdLocked():
+	case s.cfg.CompactAfter >= 0 && s.wal.size >= s.compactThresholdLocked():
 		// Compaction writes base.db through a rename barrier and then
 		// truncates the WAL, so it subsumes this record's durability.
 		err = s.compactLocked()
@@ -406,40 +361,10 @@ func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 	return err
 }
 
-// cutPartialFrame undoes a failed append to the log f (what names it in
-// errors): a failed or short write may leave part of a frame on disk,
-// where the next append would land behind it and longest-valid-prefix
-// replay could never reach it, so f is cut back to good, its length
-// before the append. It returns err when the cut worked, and otherwise
-// sticky, the error the log's owner must give every later append: the
-// tail is in an unknown state and nothing may be written behind it.
-func cutPartialFrame(f walFile, good int64, what string, err error) (ret, sticky error) {
-	if terr := f.Truncate(good); terr != nil {
-		sticky = fmt.Errorf("statestore: %s unusable: %w; cutting the partial frame failed: %v", what, err, terr)
-		return sticky, sticky
-	}
-	return err, nil
-}
-
-// appendLocked writes one frame to the WAL; a failed write is undone
-// (cutPartialFrame) before the lock is released, and if that fails too
-// the store stops appending for good. Caller holds s.mu.
-func (s *Store) appendLocked(hdr, payload []byte) error {
-	if s.walErr != nil {
-		return s.walErr
-	}
-	err := writeFrame(s.wal, hdr, payload)
-	if err == nil {
-		s.walSize += int64(len(hdr) + len(payload))
-		return nil
-	}
-	err, s.walErr = cutPartialFrame(s.wal, s.walSize, "wal", fmt.Errorf("statestore: append epoch: %w", err))
-	return err
-}
-
 // syncTo ensures every record up to and including rec is flushed: the
 // group-commit path. A caller whose record was covered by a concurrent
-// fsync returns without issuing one.
+// fsync returns without issuing one; one whose record a failed fsync
+// covered gets that failure, the WAL's poison, and issues none either.
 func (s *Store) syncTo(rec uint64) error {
 	if s.synced.Load() >= rec {
 		return nil
@@ -450,8 +375,8 @@ func (s *Store) syncTo(rec uint64) error {
 		return nil // a sibling's sync covered us while we waited
 	}
 	covered := s.appended.Load()
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("statestore: fsync: %w", err)
+	if err := s.wal.sync(); err != nil {
+		return err
 	}
 	s.fsyncs.Add(1)
 	s.advanceSynced(covered)
@@ -497,7 +422,7 @@ func (s *Store) LastEpoch(name string) ([]byte, uint64, bool, error) {
 // another epoch's bytes. buf must hold at least the frame's bytes before
 // the token. Caller holds s.mu.
 func (s *Store) readEpochLocked(name string, rec epochRec, buf []byte, emit func([]byte) error) error {
-	src := s.wal
+	src := s.wal.f
 	if rec.inBase {
 		src = s.base
 	}
@@ -568,7 +493,8 @@ func (s *Store) Names() []string {
 // the WAL. Crash-safe: the new base is fully written and fsynced before
 // a rename swaps it in, the directory entry is fsynced before the WAL is
 // truncated, so every instant of the sequence recovers to either the old
-// (base + WAL) or the new (base alone) image — never less.
+// (base + WAL) or the new (base alone) image — never less. A compaction
+// that succeeds clears a poisoned WAL (see appendLog).
 func (s *Store) Compact() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -593,8 +519,7 @@ func (s *Store) compactLocked() error {
 		s.copyBuf = make([]byte, mergeBufSize)
 	}
 	moved := make([]epochRec, len(names))
-	path := filepath.Join(s.cfg.Dir, baseName)
-	err := atomicWriteFile(path, func(w io.Writer) error {
+	base, err := replaceFile(s.fs, filepath.Join(s.cfg.Dir, baseName), func(w io.Writer) error {
 		var off int64
 		emit := func(b []byte) error {
 			_, err := w.Write(b)
@@ -617,10 +542,6 @@ func (s *Store) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("statestore: compact: %w", err)
 	}
-	base, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("statestore: compact: %w", err)
-	}
 	if s.base != nil {
 		s.base.Close()
 	}
@@ -628,68 +549,61 @@ func (s *Store) compactLocked() error {
 	for i, name := range names {
 		s.epochs[name] = moved[i]
 	}
-	if err := s.wal.Truncate(0); err != nil {
-		return fmt.Errorf("statestore: compact: truncate wal: %w", err)
+	if err := s.wal.reset(); err != nil {
+		return fmt.Errorf("statestore: compact: %w", err)
 	}
-	s.walSize = 0
 	s.compactions.Add(1)
 	// Everything appended so far is now durable via the base image.
 	s.advanceSynced(s.appended.Load())
 	return nil
 }
 
-// atomicWriteFile fills path through a temp file + rename, with file and
-// directory fsyncs when sync is true — the standard torn-write barrier.
-// write produces the contents.
-func atomicWriteFile(path string, write func(w io.Writer) error, sync bool) error {
+// replaceFile puts a new file at path through the torn-write barrier —
+// temp file, fsync, rename, directory fsync (the fsyncs when sync is
+// set) — and returns it opened for reading; write fills it. Until it
+// returns nil, the old file and every handle on it are as they were.
+func replaceFile(fs fileSystem, path string, write func(w io.Writer) error, sync bool) (file, error) {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+	tmp, err := fs.CreateTemp(dir, ".tmp-*")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after the rename succeeds
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		return err
+	defer fs.Remove(tmp.Name()) // fails harmlessly once renamed
+	err = write(tmp)
+	if err == nil && sync {
+		err = tmp.Sync()
 	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fs.Rename(tmp.Name(), path)
+	}
+	if err == nil && sync {
+		var d file
+		if d, err = fs.OpenFile(dir, os.O_RDONLY); err == nil {
+			err = d.Sync()
+			d.Close()
 		}
 	}
-	if err := tmp.Close(); err != nil {
-		return err
+	if err != nil {
+		return nil, err
 	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return err
-	}
-	if sync {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		defer d.Close()
-		if err := d.Sync(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fs.OpenFile(path, os.O_RDONLY)
 }
 
 // WALSize reports the current WAL length in bytes.
 func (s *Store) WALSize() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.walSize
+	return s.wal.size
 }
 
 // StatsSnapshot returns a point-in-time copy of the store's counters.
 func (s *Store) StatsSnapshot() Stats {
 	s.mu.Lock()
 	epochs := len(s.epochs)
-	wal := s.walSize
+	wal := s.wal.size
 	s.mu.Unlock()
 	return Stats{
 		Epochs:       epochs,
@@ -718,24 +632,15 @@ func (s *Store) RegisterMetrics(reg telemetry.Registrar, labels telemetry.Labels
 	})
 }
 
-// Close flushes and closes the WAL, base.db and every open flow index.
-// Further operations return ErrClosed.
+// Close flushes and closes the WAL, base.db and every open flow index;
+// a poisoned log is closed unsynced and its poison returned. Further
+// operations return ErrClosed.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
 	}
-	var first error
 	s.mu.Lock()
-	if s.wal != nil {
-		if s.cfg.Fsync != FsyncNone {
-			if err := s.wal.Sync(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if err := s.wal.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
+	first := s.wal.close(s.cfg.Fsync != FsyncNone)
 	if s.base != nil {
 		if err := s.base.Close(); err != nil && first == nil {
 			first = err

@@ -11,8 +11,15 @@ import (
 
 func openT(t *testing.T, dir string, cfg Config) *Store {
 	t.Helper()
+	return openFaultT(t, dir, cfg, osFS{})
+}
+
+// openFaultT opens the store in dir over fs; it is closed at the test's
+// end.
+func openFaultT(t *testing.T, dir string, cfg Config, fs fileSystem) *Store {
+	t.Helper()
 	cfg.Dir = dir
-	s, err := Open(cfg)
+	s, err := open(cfg, fs)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

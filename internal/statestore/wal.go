@@ -22,8 +22,12 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
+	"sync/atomic"
 )
 
 // frameHeaderSize is the fixed per-record overhead: u32 length, u32 CRC.
@@ -43,17 +47,6 @@ func AppendFrame(buf, payload []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
 	return append(buf, payload...)
-}
-
-// writeFrame writes one frame whose bytes are split in two — everything
-// up to the bulk of the payload, then the bulk itself, uncopied — as two
-// writes. (io.Writer reports a short write as an error.)
-func writeFrame(w io.Writer, hdr, bulk []byte) error {
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(bulk)
-	return err
 }
 
 // scanFrames reads the log of size bytes from r and hands fn every
@@ -97,5 +90,123 @@ func tornOrErr(err error) error {
 	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return nil
 	}
+	return err
+}
+
+// appendLog is one append-only log of frames — wal.log, or a flow
+// index's <name>.flog — and the one failure rule both follow. Every byte
+// before size is whole frames. A failed or short append is cut back to
+// size before the next can land behind it. If the cut fails, or an fsync
+// does, the log is poisoned: its tail, or what the kernel kept of it
+// after a writeback error, is unknown, so every later append, sync and
+// close returns that error and nothing is retried and trusted. Only
+// reset clears it, once the log's compaction has copied what it holds,
+// checked, into a fresh fsynced file. The owner serializes append and
+// reset; sync may run beside them, so the poison is atomic.
+type appendLog struct {
+	f    file
+	size int64
+	bad  atomic.Pointer[error]
+}
+
+// openLog opens (or creates) the log at path, hands fn every record of
+// its longest valid prefix and cuts the torn tail after it, so that no
+// append splices onto it. torn is the tail's length.
+func openLog(fs fileSystem, path string, fn func(off int64, rec []byte)) (l *appendLog, torn int64, err error) {
+	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND)
+	if err != nil {
+		return nil, 0, fmt.Errorf("statestore: %w", err)
+	}
+	valid, size, err := scanFile(f, fn)
+	if err == nil && valid < size {
+		if err = f.Truncate(valid); err != nil {
+			err = fmt.Errorf("statestore: truncate torn tail of %s: %w", filepath.Base(path), err)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, 0, err
+	}
+	return &appendLog{f: f, size: valid}, size - valid, nil
+}
+
+// scanFile streams f from its start through fn (see scanFrames) and
+// reports the length of its longest valid prefix and the file's size.
+func scanFile(f file, fn func(off int64, rec []byte)) (valid, size int64, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, 0, fmt.Errorf("statestore: %w", err)
+	}
+	valid, err = scanFrames(io.NewSectionReader(f, 0, st.Size()), st.Size(), fn)
+	if err != nil {
+		return 0, 0, fmt.Errorf("statestore: replay %s: %w", filepath.Base(f.Name()), err)
+	}
+	return valid, st.Size(), nil
+}
+
+// append writes one frame given in parts, each written as it is (an
+// epoch is its header, then the caller's payload, uncopied).
+func (l *appendLog) append(parts ...[]byte) error {
+	if err := l.poisoned(); err != nil {
+		return err
+	}
+	n := 0
+	for _, p := range parts {
+		if _, err := l.f.Write(p); err != nil { // a short write is an error
+			name := filepath.Base(l.f.Name())
+			if terr := l.f.Truncate(l.size); terr != nil {
+				return l.poison(fmt.Errorf("statestore: %s unusable: %w; cutting the partial frame failed: %v", name, err, terr))
+			}
+			return fmt.Errorf("statestore: append to %s: %w", name, err)
+		}
+		n += len(p)
+	}
+	l.size += int64(n)
+	return nil
+}
+
+// sync flushes the log. A failed fsync poisons it.
+func (l *appendLog) sync() error {
+	if err := l.poisoned(); err != nil {
+		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return l.poison(fmt.Errorf("statestore: fsync %s: %w", filepath.Base(l.f.Name()), err))
+	}
+	return nil
+}
+
+// reset empties the log and clears its poison; a failed cut poisons it.
+func (l *appendLog) reset() error {
+	if err := l.f.Truncate(0); err != nil {
+		return l.poison(fmt.Errorf("statestore: truncate %s: %w", filepath.Base(l.f.Name()), err))
+	}
+	l.size = 0
+	l.bad.Store(nil)
+	return nil
+}
+
+// close closes the log, syncing it first when sync is set. A poisoned
+// log is not synced again: close returns the poison.
+func (l *appendLog) close(sync bool) error {
+	err := l.poisoned()
+	if err == nil && sync {
+		err = l.sync()
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (l *appendLog) poisoned() error {
+	if p := l.bad.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (l *appendLog) poison(err error) error {
+	l.bad.Store(&err)
 	return err
 }
