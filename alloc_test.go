@@ -84,17 +84,20 @@ func steadyStateAllocBudget(t *testing.T, spec packet.BuildSpec) {
 		}
 		batch.Pkts = append(batch.Pkts[:0], buf[:got]...)
 		batch.Dropped = batch.Dropped[:0]
-		var owned linear.Owned[*netbricks.Batch]
+		owned := linear.New(batch)
 		if haveCell {
-			owned = cell.MustRenew(batch)
-		} else {
-			owned = linear.New(batch)
+			if owned, err = cell.Renew(batch); err != nil {
+				t.Fatal(err)
+			}
 		}
 		out, err := pipe.Process(owned)
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}
-		final := out.MustInto()
+		final, err := out.Into()
+		if err != nil {
+			t.Fatal(err)
+		}
 		port.TxBurstQueue(0, final.Pkts)
 		port.FreeQueue(0, final.Dropped)
 		final.Pkts = final.Pkts[:0]

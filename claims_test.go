@@ -130,7 +130,7 @@ func TestClaim_S3_ZeroCopyCrossing(t *testing.T) {
 			t.Fatalf("packet %d copied on return", i)
 		}
 	}
-	port.Free(final.Pkts)
+	port.FreeQueue(0, final.Pkts)
 }
 
 // §3: "By clearing the reference table one can automatically deallocate

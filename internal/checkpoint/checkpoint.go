@@ -115,9 +115,6 @@ type Engine struct {
 // NewEngine creates an engine in the given mode.
 func NewEngine(mode Mode) *Engine { return &Engine{mode: mode} }
 
-// Mode reports the engine's aliasing mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
 // run is the per-checkpoint traversal state.
 type run struct {
 	mode    Mode
@@ -155,9 +152,6 @@ type Snapshot struct {
 // Stats reports the traversal counters of the checkpoint run.
 func (s *Snapshot) Stats() Stats { return s.stats }
 
-// Mode reports the engine mode the snapshot was taken with.
-func (s *Snapshot) Mode() Mode { return s.mode }
-
 // Checkpoint deep-copies v and returns the snapshot. The input graph is
 // not modified except for the epoch words inside Rc boxes.
 func (e *Engine) Checkpoint(v any) (*Snapshot, error) {
@@ -172,10 +166,6 @@ func (e *Engine) Checkpoint(v any) (*Snapshot, error) {
 	}
 	return &Snapshot{val: cp, typ: rv.Type(), stats: r.stats, mode: e.mode}, nil
 }
-
-// Value returns the snapshot's root as an interface value. The returned
-// graph must be treated as immutable; use Restore for a mutable copy.
-func (s *Snapshot) Value() any { return s.val.Interface() }
 
 // Restore materializes a fresh mutable copy of the snapshot into *dst.
 // dst must be a non-nil pointer whose element type matches the

@@ -170,9 +170,6 @@ func (s *StateSet) Add(name string, st Stateful) *StateSet {
 	return s
 }
 
-// Len reports the number of components.
-func (s *StateSet) Len() int { return len(s.parts) }
-
 // checkWires reports the first component that is not a wireState.
 func (s *StateSet) checkWires() error {
 	for i, w := range s.wires {
@@ -637,20 +634,4 @@ func (d *Domain[T]) restoreOrReset() error {
 	ck.coldStarts.Add(1)
 	d.rec.Record(d.actor, telemetry.EvColdStart, 0)
 	return nil
-}
-
-// LastCheckpoint reports when the newest good checkpoint was taken and
-// whether one exists — test and operational introspection. It reads under
-// gmu: a record leaves last under that lock before it is rewritten.
-func (d *Domain[T]) LastCheckpoint() (time.Time, bool) {
-	if d.ck == nil {
-		return time.Time{}, false
-	}
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	last := d.ck.last.Load()
-	if last == nil {
-		return time.Time{}, false
-	}
-	return last.at, true
 }

@@ -322,8 +322,8 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 func TestStateSet(t *testing.T) {
 	a, b := newDurableKV(), newDurableKV()
 	set := NewStateSet().Add("alpha", a).Add("beta", b)
-	if set.Len() != 2 {
-		t.Fatalf("Len = %d", set.Len())
+	if len(set.parts) != 2 {
+		t.Fatalf("Len = %d", len(set.parts))
 	}
 	a.set("x", 1)
 	b.set("y", 2)

@@ -257,9 +257,6 @@ func (d *Domain[T]) Name() string { return d.name }
 // Inbox returns the domain's mailbox; producers send work here.
 func (d *Domain[T]) Inbox() *Mailbox[T] { return d.inbox }
 
-// PD returns the domain's sfi protection domain.
-func (d *Domain[T]) PD() *sfi.Domain { return d.pd }
-
 // State returns the current lifecycle state.
 func (d *Domain[T]) State() State { return State(d.state.Load()) }
 
@@ -323,7 +320,7 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 	// The monitor wakes an idle domain whose epoch is due; under sustained
 	// traffic, where recv's preference for payloads starves the wake, the
 	// dueness check after each invocation paces the epochs instead.
-	var wake <-chan struct{}
+	var wake chan struct{}
 	if d.ck != nil {
 		wake = d.ck.wake
 	}

@@ -178,12 +178,12 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc.expectArmed(t, time.Time{})
-	rref, err = sfi.Export(d.PD(), &counter{})
+	rref, err = sfi.Export(d.pd, &counter{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	slot := rref.Slot()
-	d.PD().SetRecovery(func(pd *sfi.Domain) error {
+	d.pd.SetRecovery(func(pd *sfi.Domain) error {
 		return sfi.ExportAt(pd, slot, &counter{}) // fresh state, same slot
 	})
 
@@ -196,7 +196,7 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 
 	// Between teardown and recovery the RRef fails closed.
 	root := sfi.NewContext()
-	if !d.PD().Failed() {
+	if !d.pd.Failed() {
 		t.Fatal("the crash did not tear the reference table down")
 	}
 	if err := rref.Call(root, "peek", func(*counter) error { return nil }); err == nil {
@@ -447,7 +447,7 @@ func TestLifecycleOnOneClock(t *testing.T) {
 	<-st.captured
 	send(hang) // served after the epoch is published
 	<-entered
-	if at, ok := d.LastCheckpoint(); !ok || !at.Equal(firstEpoch) {
+	if at, ok := d.lastCheckpoint(); !ok || !at.Equal(firstEpoch) {
 		t.Fatalf("last checkpoint at %v (%v), want %v", fc.since(at), ok, fc.since(firstEpoch))
 	}
 

@@ -1,7 +1,7 @@
 // Package faultinject is the chaos harness for the supervised
 // protection-domain runtime: deterministic, probabilistic injection of
-// the three fault classes the supervisor must absorb — handler panics,
-// handler stalls (hangs), and mailbox-full pressure.
+// the two fault classes the supervisor must absorb — handler panics and
+// handler stalls (hangs).
 //
 // An Injector is seeded, so a chaos run is reproducible: the same seed
 // injects the same fault sequence. All methods are safe for concurrent
@@ -15,9 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/domain"
-	"repro/internal/linear"
 )
 
 // Stats counts injected faults.
@@ -84,32 +81,4 @@ func (i *Injector) Point(label string) {
 		i.Stats.Stalls.Add(1)
 		time.Sleep(i.StallFor)
 	}
-}
-
-// Wrap instruments a handler with an injection point ahead of every
-// invocation: the injected panic unwinds to the domain entry point
-// exactly like a fault in the handler itself.
-func Wrap[T any](h domain.Handler[T], inj *Injector, label string) domain.Handler[T] {
-	return func(c *domain.Ctx, msg linear.Owned[T]) error {
-		inj.Point(label)
-		return h(c, msg)
-	}
-}
-
-// Flood applies mailbox-full pressure: it sends n payloads built by mk
-// into mb as fast as TrySend allows, relying on tail-drop (and the
-// mailbox release hook) for the overflow. It returns how many were
-// accepted; the rest were dropped by the mailbox and show up in its
-// Stats.Drops.
-func Flood[T any](mb *domain.Mailbox[T], n int, mk func(i int) T) (accepted int) {
-	for i := 0; i < n; i++ {
-		err := mb.TrySend(linear.New(mk(i)))
-		switch err {
-		case nil:
-			accepted++
-		case domain.ErrMailboxClosed:
-			return accepted
-		}
-	}
-	return accepted
 }

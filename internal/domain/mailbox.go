@@ -13,9 +13,6 @@ var (
 	// ErrMailboxClosed reports a send to (or receive from a drained)
 	// closed mailbox.
 	ErrMailboxClosed = errors.New("domain: mailbox closed")
-	// ErrMailboxFull reports a TrySend that found no free slot; the
-	// payload has been released (tail drop), not returned.
-	ErrMailboxFull = errors.New("domain: mailbox full")
 )
 
 // MailboxStats holds a mailbox's counters — telemetry cells updated
@@ -35,12 +32,11 @@ type MailboxStats struct {
 // (sfi.CallMove) in an asynchronous setting.
 //
 // The move is unconditional: every send consumes the caller's handle,
-// success or not. When the mailbox cannot accept the payload (TrySend on
-// a full queue, any send after Close), it destroys the payload through
-// the release hook instead of handing it back, the way a NIC tail-drops a
-// frame when the descriptor ring is full. This keeps the ownership story
-// one-directional — after Send/TrySend returns, the sender provably has
-// nothing — which is the invariant the fuzz harness checks.
+// success or not. When the mailbox cannot accept the payload (a send
+// after Close), it destroys the payload through the release hook instead
+// of handing it back. This keeps the ownership story one-directional —
+// after Send returns, the sender provably has nothing — which is the
+// invariant the fuzz harness checks.
 type Mailbox[T any] struct {
 	ch      chan linear.Owned[T]
 	done    chan struct{}
@@ -140,14 +136,8 @@ func NewMailbox[T any](capacity int, release func(T)) *Mailbox[T] {
 	}
 }
 
-// Cap reports the mailbox capacity.
-func (m *Mailbox[T]) Cap() int { return cap(m.ch) }
-
 // Depth reports the number of queued payloads.
 func (m *Mailbox[T]) Depth() int { return len(m.ch) }
-
-// Closed reports whether Close has been called.
-func (m *Mailbox[T]) Closed() bool { return m.closed.Load() }
 
 // destroy releases a payload the mailbox owns and will not deliver.
 func (m *Mailbox[T]) destroy(p linear.Owned[T]) {
@@ -187,73 +177,47 @@ func (m *Mailbox[T]) Send(v linear.Owned[T]) error {
 	}
 }
 
-// TrySend is Send without blocking: a full mailbox tail-drops the payload
-// (released via the hook, counted in Stats.Drops) and returns
-// ErrMailboxFull. Feeders under backpressure use this so a domain sitting
-// in restart backoff sheds load instead of stalling the traffic source.
-func (m *Mailbox[T]) TrySend(v linear.Owned[T]) error {
-	moved, err := v.Move()
-	if err != nil {
-		return err
+// recv dequeues the next payload, blocking until one arrives or a signal
+// comes. quit aborts an idle wait with errSuperseded so a retired serving
+// generation stops competing for payloads. wake, the supervisor monitor's
+// call for a checkpoint epoch (ckptState.wake), returns errCheckpointDue:
+// a mailbox-quiescent instant to snapshot at. Close returns
+// ErrMailboxClosed once the mailbox is drained. Queued payloads win over
+// all three signals, so a receiver drains the backlog before it sees a
+// close, checkpointing never delays delivery, and a superseded receiver
+// may take one last payload, which its caller must account for.
+func (m *Mailbox[T]) recv(quit <-chan struct{}, wake chan struct{}) (linear.Owned[T], error) {
+	if p, ok := m.tryRecv(); ok {
+		return p, nil
 	}
-	if m.closed.Load() {
-		m.destroy(moved)
-		return ErrMailboxClosed
-	}
-	m.clockSend(moved)
-	select {
-	case m.ch <- moved:
-		m.noteSend()
-		return nil
-	case <-m.done:
-		m.destroy(moved)
-		return ErrMailboxClosed
-	default:
-		m.destroy(moved)
-		return ErrMailboxFull
-	}
-}
-
-// Recv dequeues the next payload, blocking until one arrives or the
-// mailbox is closed. Payloads already queued at close time are still
-// delivered; ErrMailboxClosed means closed and drained.
-func (m *Mailbox[T]) Recv() (linear.Owned[T], error) { return m.recv(nil, nil) }
-
-// recv is the serving loop's Recv. quit aborts an idle wait with
-// errSuperseded so a retired serving generation stops competing for
-// payloads. wake, the supervisor monitor's call for a checkpoint epoch
-// (ckptState.wake), returns errCheckpointDue: a mailbox-quiescent instant
-// to snapshot at. Queued payloads win over all three signals, so a
-// receiver drains the backlog before it sees a close, checkpointing never
-// delays delivery, and a superseded receiver may take one last payload,
-// which its caller must account for.
-func (m *Mailbox[T]) recv(quit, wake <-chan struct{}) (linear.Owned[T], error) {
-	select {
-	case p := <-m.ch:
-		return m.received(p), nil
-	default:
-	}
+	var err error
 	select {
 	case p := <-m.ch:
 		return m.received(p), nil
 	case <-wake:
-		return linear.Owned[T]{}, errCheckpointDue
+		err = errCheckpointDue
 	case <-quit:
-		return linear.Owned[T]{}, errSuperseded
+		err = errSuperseded
 	case <-m.done:
-		// One more look: a payload may have been enqueued concurrently
-		// with Close.
-		select {
-		case p := <-m.ch:
-			return m.received(p), nil
-		default:
-			return linear.Owned[T]{}, ErrMailboxClosed
-		}
+		err = ErrMailboxClosed
 	}
+	// A payload may have become ready with the signal, and select picks
+	// between ready cases at random: look once more. A wake a payload
+	// beats goes back for the next idle instant.
+	if p, ok := m.tryRecv(); ok {
+		if err == errCheckpointDue {
+			select {
+			case wake <- struct{}{}:
+			default:
+			}
+		}
+		return p, nil
+	}
+	return linear.Owned[T]{}, err
 }
 
-// TryRecv dequeues without blocking; ok=false means the queue was empty.
-func (m *Mailbox[T]) TryRecv() (linear.Owned[T], bool) {
+// tryRecv dequeues without blocking; ok=false means the queue was empty.
+func (m *Mailbox[T]) tryRecv() (linear.Owned[T], bool) {
 	select {
 	case p := <-m.ch:
 		return m.received(p), true

@@ -10,7 +10,7 @@ import (
 // FuzzMailboxOwnership drives a mailbox through an arbitrary operation
 // sequence and checks the ownership contract the runtime is built on:
 //
-//  1. A send is a move — after Send/TrySend returns, success or failure,
+//  1. A send is a move — after Send/trySend returns, success or failure,
 //     the sender's handle is dead: not Valid, not movable, not readable.
 //  2. Payloads are conserved — every payload ever created is eventually
 //     observed exactly once: consumed by a receiver, or destroyed by the
@@ -19,16 +19,19 @@ import (
 //
 // Inputs: capacity selector plus one opcode byte per step.
 func FuzzMailboxOwnership(f *testing.F) {
-	f.Add(uint8(1), []byte{0, 0, 1, 2, 3, 0, 4})             // fill, overflow, recv, close, late send
-	f.Add(uint8(4), []byte{0, 0, 0, 0, 0, 2, 2, 2, 2, 2})    // burst then drain by recv
-	f.Add(uint8(2), []byte{0, 4, 0, 5})                      // double-send probe, then Drain
-	f.Add(uint8(3), []byte{1, 1, 1, 3, 2, 2, 2, 2, 1})       // blocking sends, close, recv backlog
-	f.Add(uint8(0), []byte{5, 0, 1, 2})                      // ops after Drain
+	f.Add(uint8(1), []byte{0, 0, 1, 2, 3, 0, 4})          // fill, overflow, recv, close, late send
+	f.Add(uint8(4), []byte{0, 0, 0, 0, 0, 2, 2, 2, 2, 2}) // burst then drain by recv
+	f.Add(uint8(2), []byte{0, 4, 0, 5})                   // double-send probe, then Drain
+	f.Add(uint8(3), []byte{1, 1, 1, 3, 2, 2, 2, 2, 1})    // blocking sends, close, recv backlog
+	f.Add(uint8(0), []byte{5, 0, 1, 2})                   // ops after Drain
 	f.Fuzz(func(t *testing.T, capSel uint8, ops []byte) {
 		capacity := int(capSel%8) + 1
 		released := 0
 		mb := NewMailbox(capacity, func(int) { released++ })
 
+		// A closed quit makes recv return at once on an empty mailbox.
+		quit := make(chan struct{})
+		close(quit)
 		created, received := 0, 0
 		newPayload := func() linear.Owned[int] {
 			created++
@@ -50,18 +53,18 @@ func FuzzMailboxOwnership(f *testing.F) {
 
 		for _, op := range ops {
 			switch op % 6 {
-			case 0: // TrySend a fresh payload
+			case 0: // trySend a fresh payload
 				v := newPayload()
-				_ = mb.TrySend(v)
+				_ = mb.trySend(v)
 				checkDead(v)
 			case 1: // Send, guarded so a full open mailbox cannot block forever
-				if mb.Depth() < mb.Cap() || mb.Closed() {
+				if len(mb.ch) < cap(mb.ch) || mb.closed.Load() {
 					v := newPayload()
 					_ = mb.Send(v)
 					checkDead(v)
 				}
-			case 2: // TryRecv; consume what arrives
-				if p, ok := mb.TryRecv(); ok {
+			case 2: // recv without waiting; consume what arrives
+				if p, err := mb.recv(quit, nil); err == nil {
 					if _, err := p.Into(); err != nil {
 						t.Fatalf("received payload not owned: %v", err)
 					}
@@ -73,10 +76,10 @@ func FuzzMailboxOwnership(f *testing.F) {
 				// fail with a linearity error and enqueue nothing
 				v := newPayload()
 				depthAfter := -1
-				if err := mb.TrySend(v); err == nil || err == ErrMailboxFull || err == ErrMailboxClosed {
+				if err := mb.trySend(v); err == nil || err == errMailboxFull || err == ErrMailboxClosed {
 					depthAfter = mb.Depth()
 				}
-				if err := mb.TrySend(v); !errors.Is(err, linear.ErrMoved) {
+				if err := mb.trySend(v); !errors.Is(err, linear.ErrMoved) {
 					t.Fatalf("double send: got %v, want linear.ErrMoved", err)
 				}
 				if depthAfter >= 0 && mb.Depth() != depthAfter {

@@ -2,6 +2,7 @@ package domain
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -22,13 +23,13 @@ func TestMailboxSendIsMove(t *testing.T) {
 		t.Fatal("sender handle still valid after Send")
 	}
 
-	// Mailbox full: TrySend tail-drops, sender handle still dies.
+	// Mailbox full: trySend tail-drops, sender handle still dies.
 	v2 := linear.New(2)
-	if err := mb.TrySend(v2); !errors.Is(err, ErrMailboxFull) {
-		t.Fatalf("TrySend on full: got %v, want ErrMailboxFull", err)
+	if err := mb.trySend(v2); !errors.Is(err, errMailboxFull) {
+		t.Fatalf("trySend on full: got %v, want errMailboxFull", err)
 	}
 	if v2.Valid() {
-		t.Fatal("sender handle still valid after dropped TrySend")
+		t.Fatal("sender handle still valid after dropped trySend")
 	}
 	if released.Load() != 1 {
 		t.Fatalf("release ran %d times, want 1", released.Load())
@@ -38,7 +39,7 @@ func TestMailboxSendIsMove(t *testing.T) {
 	}
 
 	// The queued payload arrives owned.
-	got, err := mb.Recv()
+	got, err := mb.recv(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestMailboxCloseSemantics(t *testing.T) {
 		t.Fatalf("post-close send not released (released=%d)", released.Load())
 	}
 	for i := 0; i < 3; i++ {
-		got, err := mb.Recv()
+		got, err := mb.recv(nil, nil)
 		if err != nil {
 			t.Fatalf("recv %d after close: %v", i, err)
 		}
@@ -97,7 +98,7 @@ func TestMailboxCloseSemantics(t *testing.T) {
 			t.Fatalf("recv %d = %d (FIFO violated)", i, n)
 		}
 	}
-	if _, err := mb.Recv(); !errors.Is(err, ErrMailboxClosed) {
+	if _, err := mb.recv(nil, nil); !errors.Is(err, ErrMailboxClosed) {
 		t.Fatalf("recv on drained closed mailbox: got %v, want ErrMailboxClosed", err)
 	}
 }
@@ -117,7 +118,7 @@ func TestMailboxDrain(t *testing.T) {
 	if released.Load() != 5 {
 		t.Fatalf("release ran %d times, want 5", released.Load())
 	}
-	if mb.Depth() != 0 || !mb.Closed() {
+	if mb.Depth() != 0 || !mb.closed.Load() {
 		t.Fatal("mailbox not empty+closed after Drain")
 	}
 }
@@ -139,4 +140,55 @@ func TestMailboxBlockingSendUnblocksOnClose(t *testing.T) {
 	if released.Load() != 1 {
 		t.Fatalf("blocked payload not released (released=%d)", released.Load())
 	}
+}
+
+// TestQueuedPayloadBeatsTheWake: a payload and a checkpoint wake that
+// become ready together reach a receiver that has just found the mailbox
+// empty; the payload wins, and the wake stays pending for the next idle
+// instant. A receiver between its two selects sees both ready at once,
+// and select alone would pick at random. The receiver starts each round
+// as the sender posts, after a delay that varies by round, so some rounds
+// land in that window.
+func TestQueuedPayloadBeatsTheWake(t *testing.T) {
+	const rounds = 200000
+	mb := NewMailbox[int](1, nil)
+	wake := make(chan struct{}, 1)
+	got := make(chan error, 1)
+	var turn atomic.Int64
+	defer turn.Store(-1) // stops the receiver if a round fails
+	go func() {
+		for i := int64(1); i <= rounds; i++ {
+			for t := turn.Load(); t != i; t = turn.Load() {
+				if t < 0 {
+					return
+				}
+				runtime.Gosched()
+			}
+			p, err := mb.recv(nil, wake)
+			if err == nil {
+				_, err = p.Into()
+			}
+			got <- err
+		}
+	}()
+	var sink int
+	for i := 1; i <= rounds; i++ {
+		turn.Store(int64(i))
+		for j := 0; j < i%64; j++ {
+			sink += j
+		}
+		if err := mb.Send(linear.New(i)); err != nil {
+			t.Fatal(err)
+		}
+		wake <- struct{}{}
+		if err := <-got; err != nil {
+			t.Fatalf("round %d: recv returned %v with a payload queued", i, err)
+		}
+		select {
+		case <-wake:
+		default:
+			t.Fatalf("round %d: the payload took the wake with it", i)
+		}
+	}
+	_ = sink
 }

@@ -513,7 +513,7 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 	kv.set("good", 1)
 	epoch(t, d, g)
 	epoch(t, d, g) // two epochs: one published, one spare in stock
-	good, ok := d.LastCheckpoint()
+	good, ok := d.lastCheckpoint()
 	if !ok {
 		t.Fatal("no epoch published")
 	}
@@ -540,7 +540,7 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 	waitFor(t, "refused publish is counted", func() bool {
 		return d.Snapshot().CheckpointFailures == failedBefore+1
 	})
-	if at, _ := d.LastCheckpoint(); !at.Equal(good) {
+	if at, _ := d.lastCheckpoint(); !at.Equal(good) {
 		t.Fatal("a superseded generation replaced the last good epoch")
 	}
 	if bufOf(t, d.ck.last.Load().token) != goodBuf {
@@ -557,7 +557,7 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 	}
 	// The new generation publishes normally.
 	epoch(t, d, g)
-	if at, _ := d.LastCheckpoint(); !at.After(good) {
+	if at, _ := d.lastCheckpoint(); !at.After(good) {
 		t.Fatal("the new generation did not publish")
 	}
 }
@@ -643,12 +643,12 @@ func (s *orderedKV) Restore(token any) error {
 	if d == nil {
 		return s.kvState.Restore(token)
 	}
-	at0, _ := d.LastCheckpoint()
+	at0, _ := d.lastCheckpoint()
 	s.restoring.Store(true)
 	time.Sleep(500 * time.Microsecond) // several epoch intervals
 	err := s.kvState.Restore(token)
 	s.restoring.Store(false)
-	if at1, _ := d.LastCheckpoint(); !at1.Equal(at0) {
+	if at1, _ := d.lastCheckpoint(); !at1.Equal(at0) {
 		s.violations.Add(1)
 	}
 	s.restores.Add(1)
@@ -702,7 +702,7 @@ func TestNoPublishOrHandBackDuringRestore(t *testing.T) {
 	}
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for v := 1; time.Now().Before(deadline); v++ {
-		_ = doms[v%2].Inbox().TrySend(linear.New(v))
+		_ = doms[v%2].Inbox().trySend(linear.New(v))
 		if v%8 == 0 {
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -22,13 +22,13 @@ func TestMailboxStageClock(t *testing.T) {
 	if err := mb.Send(linear.New(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Full mailbox: TrySend drops the payload. The send hook has already
+	// Full mailbox: trySend drops the payload. The send hook has already
 	// stamped it (the hook runs while the sender owns the payload, before
 	// the enqueue decides), but it must never reach the recv side.
-	if err := mb.TrySend(linear.New(99)); !errors.Is(err, ErrMailboxFull) {
-		t.Fatalf("TrySend on full: %v", err)
+	if err := mb.trySend(linear.New(99)); !errors.Is(err, errMailboxFull) {
+		t.Fatalf("trySend on full: %v", err)
 	}
-	got, err := mb.Recv()
+	got, err := mb.recv(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +36,12 @@ func TestMailboxStageClock(t *testing.T) {
 		t.Fatalf("received %d, want 1", v)
 	}
 
-	if err := mb.TrySend(linear.New(2)); err != nil {
+	if err := mb.trySend(linear.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	got2, ok := mb.TryRecv()
+	got2, ok := mb.tryRecv()
 	if !ok {
-		t.Fatal("TryRecv found nothing")
+		t.Fatal("tryRecv found nothing")
 	}
 	if v, _ := got2.Into(); v != 2 {
 		t.Fatalf("received %d, want 2", v)
@@ -71,7 +71,7 @@ func TestMailboxStageClock(t *testing.T) {
 	if err := mb.Send(linear.New(3)); err != nil {
 		t.Fatal(err)
 	}
-	got3, err := mb.Recv()
+	got3, err := mb.recv(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

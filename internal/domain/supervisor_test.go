@@ -150,13 +150,13 @@ func TestSupervisorStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
 				d := doms[(pr+i)%workers]
-				switch err := d.Inbox().TrySend(linear.New(pr*perProd + i)); err {
+				switch err := d.Inbox().trySend(linear.New(pr*perProd + i)); err {
 				case nil:
 					sent.Add(1)
-				case ErrMailboxFull, ErrMailboxClosed:
+				case errMailboxFull, ErrMailboxClosed:
 					dropped.Add(1)
 				default:
-					t.Errorf("TrySend: %v", err)
+					t.Errorf("trySend: %v", err)
 					return
 				}
 			}

@@ -192,10 +192,6 @@ func (p *Port) RxBurst(out []*packet.Packet) int { return p.RxBurstQueue(0, out)
 // len(pkts) in the simulation.
 func (p *Port) TxBurst(pkts []*packet.Packet) int { return p.TxBurstQueue(0, pkts) }
 
-// Free returns packets to the mempool without counting them as
-// transmitted (drops).
-func (p *Port) Free(pkts []*packet.Packet) { p.FreeQueue(0, pkts) }
-
 // RegisterMetrics exports the port's counters, its mempool, and every
 // receive queue's cache on reg. base labels every series; queues add a "queue" label. Gauges
 // that need the queue lock take it at scrape time only.

@@ -32,7 +32,7 @@ func TestRxBurstFillsBatch(t *testing.T) {
 	if got := p.Stats.RxPackets.Load(); got != 32 {
 		t.Fatalf("RxPackets = %d", got)
 	}
-	p.Free(batch[:n])
+	p.FreeQueue(0, batch[:n])
 }
 
 func TestRxBurstExhaustsPool(t *testing.T) {
@@ -46,7 +46,7 @@ func TestRxBurstExhaustsPool(t *testing.T) {
 	if p.Stats.AllocFail.Load() == 0 {
 		t.Fatal("no alloc failure recorded")
 	}
-	p.Free(batch[:n])
+	p.FreeQueue(0, batch[:n])
 	if p.PoolAvailable() != 8 {
 		t.Fatalf("pool leak: %d available", p.PoolAvailable())
 	}
@@ -75,7 +75,7 @@ func TestRxBurstBuildsInTheSmallestRoom(t *testing.T) {
 				t.Fatalf("%d-byte frame does not parse: %v", c.frame, err)
 			}
 		}
-		p.Free(batch[:n])
+		p.FreeQueue(0, batch[:n])
 		if got := p.PoolAvailable(); got != 8 {
 			t.Fatalf("%d-byte frames: pool leak, %d of 8 available", c.frame, got)
 		}
@@ -124,7 +124,7 @@ func TestTxBurstRecycles(t *testing.T) {
 	if m != 16 {
 		t.Fatalf("second RxBurst = %d", m)
 	}
-	p.Free(batch[:m])
+	p.FreeQueue(0, batch[:m])
 }
 
 func TestTxBurstSkipsNil(t *testing.T) {
@@ -245,7 +245,7 @@ func TestPortMakesHeadersOnFirstUse(t *testing.T) {
 	if p.PoolAvailable() != 1<<16-len(held) {
 		t.Fatalf("PoolAvailable %d with %d of %d held", p.PoolAvailable(), len(held), 1<<16)
 	}
-	p.Free(held)
+	p.FreeQueue(0, held)
 }
 
 // BenchmarkNewPort is the construction gate in `make alloc-gate`: at

@@ -40,7 +40,7 @@ func TestGeneratorSteeredConcurrentPolls(t *testing.T) {
 				for _, pkt := range buf[:n] {
 					if err := pkt.Parse(); err != nil {
 						t.Error(err)
-					} else if want := port.RSSQueue(pkt.Tuple()); want != q {
+					} else if want := port.rssQueue(pkt.Tuple()); want != q {
 						t.Errorf("flow %s surfaced on queue %d, RSS says %d", pkt.Tuple(), q, want)
 					}
 				}
@@ -69,7 +69,7 @@ func TestGeneratorFixedFlowSharedAcrossPorts(t *testing.T) {
 			buf := make([]*packet.Packet, 16)
 			for b := 0; b < 200; b++ {
 				n := port.RxBurst(buf)
-				port.Free(buf[:n])
+				port.FreeQueue(0, buf[:n])
 			}
 			port.Drain()
 			if got := port.PoolAvailable(); got != port.pool.Capacity() {

@@ -40,15 +40,6 @@ type rxQueue struct {
 // Queues reports the number of receive queues.
 func (p *Port) Queues() int { return len(p.queues) }
 
-// RETA exposes the port's RSS redirection table (read-only; safe for
-// concurrent use).
-func (p *Port) RETA() *packet.RETA { return p.reta }
-
-// RSSQueue reports which receive queue the port steers a flow to.
-func (p *Port) RSSQueue(t packet.FiveTuple) int {
-	return p.reta.Queue(p.rss.HashTuple(t))
-}
-
 // RxBurstQueue fills out with up to len(out) packets from receive queue
 // q's own source, returning the count. Buffers come from the queue's
 // mempool cache, so the shared pool is only touched in bursts. A short

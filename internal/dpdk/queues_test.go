@@ -31,7 +31,7 @@ func TestPartitionedQueuesDeliverOwnFlows(t *testing.T) {
 			if err := pkt.Parse(); err != nil {
 				t.Fatalf("queue %d produced unparsable packet: %v", q, err)
 			}
-			if got := p.RSSQueue(pkt.Tuple()); got != q {
+			if got := p.rssQueue(pkt.Tuple()); got != q {
 				t.Fatalf("queue %d delivered a flow that hashes to queue %d", q, got)
 			}
 			if pkt.RxQueue != q {
@@ -69,7 +69,7 @@ func TestSteeredQueuesPreserveFlowAffinity(t *testing.T) {
 					t.Fatalf("flow %v seen on queues %d and %d", pkt.Tuple(), prev, q)
 				}
 				seen[pkt.Tuple()] = q
-				if got := p.RSSQueue(pkt.Tuple()); got != q {
+				if got := p.rssQueue(pkt.Tuple()); got != q {
 					t.Fatalf("flow on queue %d but RETA says %d", q, got)
 				}
 			}
@@ -92,7 +92,7 @@ func TestSteeredBackpressureBudget(t *testing.T) {
 	})
 	leakcheck.Pool(t, "one-flow port", p.PoolAvailable)
 	buf := make([]*packet.Packet, 8)
-	home := p.RSSQueue(DefaultSpec().Tuple)
+	home := p.rssQueue(DefaultSpec().Tuple)
 	other := 1 - home
 	if n := p.RxBurstQueue(other, buf); n != 0 {
 		t.Fatalf("queue %d got %d packets of a flow steered to %d", other, n, home)
@@ -257,9 +257,9 @@ func TestRxHashAndQueuePinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("queue %d delivered unknown flow %v", q, pkt.Tuple())
 			}
-			if pkt.RxHash != pinned[i].hash || pkt.RxQueue != q || p.RSSQueue(pkt.Tuple()) != pinned[i].queue {
+			if pkt.RxHash != pinned[i].hash || pkt.RxQueue != q || p.rssQueue(pkt.Tuple()) != pinned[i].queue {
 				t.Errorf("flow %d on queue %d stamped hash %#08x queue %d, steers to %d; pinned %#08x queue %d",
-					i, q, pkt.RxHash, pkt.RxQueue, p.RSSQueue(pkt.Tuple()), pinned[i].hash, pinned[i].queue)
+					i, q, pkt.RxHash, pkt.RxQueue, p.rssQueue(pkt.Tuple()), pinned[i].hash, pinned[i].queue)
 			}
 			seen[i] = true
 		}

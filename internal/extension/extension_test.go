@@ -169,8 +169,8 @@ func TestOperatorFiltersBatch(t *testing.T) {
 	if err := op.ProcessBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 || len(b.Dropped) != 2 {
-		t.Fatalf("kept %d dropped %d", b.Len(), len(b.Dropped))
+	if len(b.Pkts) != 1 || len(b.Dropped) != 2 {
+		t.Fatalf("kept %d dropped %d", len(b.Pkts), len(b.Dropped))
 	}
 	if op.Name() != "ext:web-only" {
 		t.Fatalf("Name = %q", op.Name())

@@ -202,18 +202,18 @@ func TestOperatorDropsDenied(t *testing.T) {
 		t.Fatal(err)
 	}
 	// DefaultSpec dst is 10.99.0.1 → allowed; all pass.
-	if batch.Len() != n {
-		t.Fatalf("allowed batch len = %d, want %d", batch.Len(), n)
+	if len(batch.Pkts) != n {
+		t.Fatalf("allowed batch len = %d, want %d", len(batch.Pkts), n)
 	}
 	// Now a deny-by-default DB with no rules drops everything.
 	deny := NewDB(Deny)
 	if err := (Operator{DB: deny}).ProcessBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if batch.Len() != 0 {
-		t.Fatalf("deny batch len = %d, want 0", batch.Len())
+	if len(batch.Pkts) != 0 {
+		t.Fatalf("deny batch len = %d, want 0", len(batch.Pkts))
 	}
-	port.Free(pkts[:n])
+	port.FreeQueue(0, pkts[:n])
 }
 
 func TestOperatorDropsGarbage(t *testing.T) {
@@ -222,7 +222,7 @@ func TestOperatorDropsGarbage(t *testing.T) {
 	if err := (Operator{DB: db}).ProcessBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if batch.Len() != 0 || len(batch.Dropped) != 1 {
+	if len(batch.Pkts) != 0 || len(batch.Dropped) != 1 {
 		t.Fatal("unparseable packet not dropped")
 	}
 }

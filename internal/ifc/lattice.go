@@ -36,7 +36,6 @@ import (
 var (
 	ErrEmptyLattice = errors.New("ifc: lattice needs at least one level")
 	ErrDupLevel     = errors.New("ifc: duplicate level")
-	ErrUnknownLevel = errors.New("ifc: unknown level")
 )
 
 // Lattice is a totally ordered set of confidentiality levels (a chain),
@@ -91,9 +90,6 @@ func (l *Lattice) Has(level string) bool {
 	_, ok := l.rank[level]
 	return ok
 }
-
-// Levels returns the chain, bottom first.
-func (l *Lattice) Levels() []string { return append([]string(nil), l.levels...) }
 
 // Join returns the least upper bound. Unknown levels join to Top
 // (fail-secure).

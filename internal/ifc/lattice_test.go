@@ -58,7 +58,7 @@ func TestForProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Bottom() != "low" || l.Top() != "high" || len(l.Levels()) != 3 {
+	if l.Bottom() != "low" || l.Top() != "high" || len(l.levels) != 3 {
 		t.Fatalf("lattice = %s", l)
 	}
 	prog2, err := minirust.Parse(`fn main() { }`)
@@ -81,7 +81,7 @@ func TestQuickLatticeLaws(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := l.Levels()
+	levels := l.levels
 	pick := func(i uint8) string { return levels[int(i)%len(levels)] }
 	f := func(i, j, k uint8) bool {
 		x, y, z := pick(i), pick(j), pick(k)

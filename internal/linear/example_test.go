@@ -21,7 +21,7 @@ func Example() {
 	_, err := v1.Borrow()
 	fmt.Println("v1 after take:", errors.Is(err, linear.ErrMoved))
 
-	r := v2.MustBorrow()
+	r, _ := v2.Borrow()
 	borrow(r)
 	_ = r.Release()
 	fmt.Println("v2 after borrow:", v2.Valid())

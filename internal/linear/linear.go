@@ -11,8 +11,7 @@
 // invalidate the previous handle, and shared borrows are tracked with a
 // reader count. A violation that the Rust compiler would reject at
 // compile time (use-after-move, move- or drop-while-borrowed) surfaces
-// here as a well-typed error — or a panic through the Must*
-// variants, which model "the program does not compile, full stop."
+// here as a well-typed error.
 //
 // The cost of this dynamic enforcement relative to a bare pointer is
 // measured by the BenchmarkAblationOwned* benches; the SFI and
@@ -138,15 +137,6 @@ func (o Owned[T]) Move() (Owned[T], error) {
 	return Owned[T]{c: o.c, gen: o.c.gen}, nil
 }
 
-// MustMove is Move but panics on violation, modeling a compile error.
-func (o Owned[T]) MustMove() Owned[T] {
-	n, err := o.Move()
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 // Into consumes the value and returns it, ending the linear regime for it.
 // It is the analogue of moving out of the wrapper (Rust's into_inner).
 func (o Owned[T]) Into() (T, error) {
@@ -168,15 +158,6 @@ func (o Owned[T]) Into() (T, error) {
 	var z T
 	o.c.val = z
 	return v, nil
-}
-
-// MustInto is Into but panics on violation.
-func (o Owned[T]) MustInto() T {
-	v, err := o.Into()
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // Drop destroys the value. In Rust this runs when the binding leaves
@@ -227,15 +208,6 @@ func (o Owned[T]) Borrow() (*Ref[T], error) {
 	}
 	o.c.readers++
 	return &Ref[T]{c: o.c}, nil
-}
-
-// MustBorrow is Borrow but panics on violation.
-func (o Owned[T]) MustBorrow() *Ref[T] {
-	r, err := o.Borrow()
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // With runs fn with a shared borrow of the value, releasing it afterwards.
@@ -297,15 +269,6 @@ func (o Owned[T]) Renew(v T) (Owned[T], error) {
 	o.c.val = v
 	o.c.state = stateLive
 	return Owned[T]{c: o.c, gen: o.c.gen}, nil
-}
-
-// MustRenew is Renew but panics on violation.
-func (o Owned[T]) MustRenew(v T) Owned[T] {
-	n, err := o.Renew(v)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 // String implements fmt.Stringer for diagnostics without borrowing.

@@ -51,7 +51,7 @@ func TestMoveInvalidatesOldHandle(t *testing.T) {
 func TestBorrowPreservesBinding(t *testing.T) {
 	// The paper's borrow(&v2) example: borrowing does not consume.
 	v2 := New([]int{1, 2, 3})
-	r := v2.MustBorrow()
+	r, _ := v2.Borrow()
 	_ = r.Value()
 	if err := r.Release(); err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func TestBorrowPreservesBinding(t *testing.T) {
 
 func TestSharedBorrowsCoexist(t *testing.T) {
 	o := New("x")
-	a := o.MustBorrow()
-	b := o.MustBorrow()
+	a, _ := o.Borrow()
+	b, _ := o.Borrow()
 	if a.Value() != "x" || b.Value() != "x" {
 		t.Fatal("shared borrows see different values")
 	}
@@ -94,7 +94,7 @@ func TestSharedBorrowsCoexist(t *testing.T) {
 
 func TestMoveWhileBorrowedFails(t *testing.T) {
 	o := New(7)
-	r := o.MustBorrow()
+	r, _ := o.Borrow()
 	if _, err := o.Move(); !errors.Is(err, ErrBorrowed) {
 		t.Fatalf("Move while borrowed: err = %v, want ErrBorrowed", err)
 	}
@@ -112,7 +112,7 @@ func TestMoveWhileBorrowedFails(t *testing.T) {
 
 func TestDoubleRelease(t *testing.T) {
 	o := New(1)
-	r := o.MustBorrow()
+	r, _ := o.Borrow()
 	if err := r.Release(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +164,6 @@ func TestZeroOwnedIsInvalid(t *testing.T) {
 	}
 }
 
-func TestMustVariantsPanic(t *testing.T) {
-	o := New(1)
-	o2 := o.MustMove()
-	_ = o2
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustMove on moved handle did not panic")
-		}
-	}()
-	o.MustMove()
-}
-
 func TestViolationErrorFormatting(t *testing.T) {
 	o := New(1)
 	_, _ = o.Move()
@@ -197,7 +185,7 @@ func TestStringStates(t *testing.T) {
 	if s := o.String(); s != "Owned(5)" {
 		t.Fatalf("String = %q", s)
 	}
-	n := o.MustMove()
+	n, _ := o.Move()
 	if s := o.String(); s != "Owned(<moved>)" {
 		t.Fatalf("String after move = %q", s)
 	}

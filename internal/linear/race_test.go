@@ -50,7 +50,7 @@ func TestConcurrentMoveChainUnderRace(t *testing.T) {
 	var staleErrs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < hops; i++ {
-		next := o.MustMove()
+		next, _ := o.Move()
 		stale := o
 		wg.Add(1)
 		go func() {

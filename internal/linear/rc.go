@@ -120,14 +120,6 @@ func (r Rc[T]) StrongCount() int64 {
 	return r.box.strong.Load()
 }
 
-// WeakCount reports the current number of weak handles.
-func (r Rc[T]) WeakCount() int64 {
-	if r.box == nil {
-		return 0
-	}
-	return max(r.box.weak.Load()-1, 0)
-}
-
 // Drop releases one strong handle. When the last strong handle is
 // dropped the value is cleared (with whatever checkpoint copy the box
 // still pointed at); outstanding weak handles can no longer upgrade.
@@ -176,11 +168,6 @@ func (r Rc[T]) DropN(n int64) error {
 			return nil
 		}
 	}
-}
-
-// Alive reports whether the value is still strongly referenced.
-func (r Rc[T]) Alive() bool {
-	return r.box != nil && r.box.strong.Load() > 0
 }
 
 // Downgrade creates a weak handle that does not keep the value alive.
@@ -272,11 +259,6 @@ func (w Weak[T]) Upgrade() (Rc[T], bool) {
 			return Rc[T]{box: w.box}, true
 		}
 	}
-}
-
-// Alive reports whether an upgrade would currently succeed.
-func (w Weak[T]) Alive() bool {
-	return w.box != nil && w.box.strong.Load() > 0
 }
 
 // Drop releases the weak handle. Safe to call once per handle.

@@ -28,7 +28,7 @@ func TestRcCheckpointVisitFlag(t *testing.T) {
 		return cp.(Rc[int]), first
 	}
 	c1, first := visit(r, 7)
-	if !first || c1.SameBox(r) || c1.Get() != 1 || c1.StrongCount() != 1 || c1.WeakCount() != 0 {
+	if !first || c1.SameBox(r) || c1.Get() != 1 || c1.StrongCount() != 1 || c1.weakCount() != 0 {
 		t.Fatalf("first visit: first=%v same=%v val=%d strong=%d", first, c1.SameBox(r), c1.Get(), c1.StrongCount())
 	}
 	c2, first := visit(alias, 7)
@@ -168,11 +168,8 @@ func modelSequential(t *testing.T, seed int64) {
 			}
 			lastCopy = cp
 		}
-		if got, gotW := root.StrongCount(), root.WeakCount(); got != m.strong || gotW != m.weak {
+		if got, gotW := root.StrongCount(), root.weakCount(); got != m.strong || gotW != m.weak {
 			t.Fatalf("step %d: counts %d strong %d weak, model %d %d", step, got, gotW, m.strong, m.weak)
-		}
-		if root.Alive() != (m.strong > 0) {
-			t.Fatalf("step %d: Alive = %v with %d strong", step, root.Alive(), m.strong)
 		}
 		if box.val != m.val || (m.strong == 0 && box.cp != nil) {
 			t.Fatalf("step %d: box holds %d (copy %v), model %d with %d strong", step, box.val, box.cp != nil, m.val, m.strong)
@@ -249,19 +246,19 @@ func modelConcurrent(t *testing.T, seed int64) {
 	if t.Failed() {
 		return
 	}
-	if got, gotW := root.StrongCount(), root.WeakCount(); got != strong.Load()+1 || gotW != weak.Load() {
+	if got, gotW := root.StrongCount(), root.weakCount(); got != strong.Load()+1 || gotW != weak.Load() {
 		t.Fatalf("at the join: %d strong %d weak, workers hold %d+1 and %d", got, gotW, strong.Load(), weak.Load())
 	}
 	last := root.Get()
 	for _, mine := range held {
 		for _, h := range mine {
-			if !root.Alive() || *root.Peek() != last {
+			if root.StrongCount() == 0 || *root.Peek() != last {
 				t.Fatal("value cleared before the last Drop")
 			}
 			_ = h.Drop()
 		}
 	}
-	if err := root.Drop(); err != nil || root.Alive() || root.box.val != 0 || root.box.cp != nil {
-		t.Fatalf("last Drop: err=%v alive=%v val=%d", err, root.Alive(), root.box.val)
+	if err := root.Drop(); err != nil || root.StrongCount() != 0 || root.box.val != 0 || root.box.cp != nil {
+		t.Fatalf("last Drop: err=%v strong=%d val=%d", err, root.StrongCount(), root.box.val)
 	}
 }

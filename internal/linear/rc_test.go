@@ -35,7 +35,7 @@ func TestRcDropToZeroClearsValue(t *testing.T) {
 	if err := r.Drop(); err != nil {
 		t.Fatal(err)
 	}
-	if r.Alive() {
+	if r.StrongCount() > 0 {
 		t.Fatal("Alive after last drop")
 	}
 	if _, ok := w.Upgrade(); ok {
@@ -74,8 +74,8 @@ func TestRcDropN(t *testing.T) {
 func TestWeakUpgradeKeepsAlive(t *testing.T) {
 	r := NewRc(7)
 	w := r.Downgrade()
-	if r.WeakCount() != 1 {
-		t.Fatalf("WeakCount = %d, want 1", r.WeakCount())
+	if r.weakCount() != 1 {
+		t.Fatalf("WeakCount = %d, want 1", r.weakCount())
 	}
 	s, ok := w.Upgrade()
 	if !ok {
@@ -88,13 +88,13 @@ func TestWeakUpgradeKeepsAlive(t *testing.T) {
 	if err := r.Drop(); err != nil {
 		t.Fatal(err)
 	}
-	if !w.Alive() {
+	if !w.alive() {
 		t.Fatal("value died while upgraded handle outstanding")
 	}
 	if err := s.Drop(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Alive() {
+	if w.alive() {
 		t.Fatal("value alive after all strong handles dropped")
 	}
 	w.Drop()
@@ -105,7 +105,7 @@ func TestZeroWeakUpgradeFails(t *testing.T) {
 	if _, ok := w.Upgrade(); ok {
 		t.Fatal("zero Weak upgraded")
 	}
-	if w.Alive() {
+	if w.alive() {
 		t.Fatal("zero Weak alive")
 	}
 	w.Drop() // must not panic
@@ -125,13 +125,13 @@ func TestQuickRcRefcountInvariant(t *testing.T) {
 			return false
 		}
 		for i, h := range handles {
-			if !h.Alive() {
+			if h.StrongCount() == 0 {
 				return false
 			}
 			if err := h.Drop(); err != nil {
 				return false
 			}
-			alive := r.Alive()
+			alive := r.StrongCount() > 0
 			if i < len(handles)-1 && !alive {
 				return false
 			}
@@ -168,7 +168,7 @@ func TestConcurrentWeakUpgradeRace(t *testing.T) {
 			}
 		}()
 		wg.Wait()
-		if w.Alive() {
+		if w.alive() {
 			t.Fatal("value alive after all drops")
 		}
 	}
@@ -188,7 +188,7 @@ func BenchmarkAblationOwnedMove(b *testing.B) {
 	o := New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o = o.MustMove()
+		o, _ = o.Move()
 	}
 }
 

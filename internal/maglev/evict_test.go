@@ -93,7 +93,7 @@ func TestStickyAcrossUpdateUnderChurn(t *testing.T) {
 	}
 	elsewhere := 0
 	for i := range want {
-		if tableOf(lb).Lookup(testTuple(i).Hash()) != want[i] {
+		if tableOf(lb).lookup(testTuple(i).Hash()) != want[i] {
 			elsewhere++
 		}
 	}

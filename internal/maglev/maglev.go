@@ -26,11 +26,10 @@ const DefaultTableSize = 65537
 
 // Errors returned by the balancer.
 var (
-	ErrNoBackends  = errors.New("maglev: no backends")
-	ErrNotPrime    = errors.New("maglev: table size must be prime")
-	ErrDupBackend  = errors.New("maglev: duplicate backend name")
-	ErrUnparsed    = errors.New("maglev: packet not parsed")
-	ErrNoneHealthy = errors.New("maglev: all backends unhealthy")
+	ErrNoBackends = errors.New("maglev: no backends")
+	ErrNotPrime   = errors.New("maglev: table size must be prime")
+	ErrDupBackend = errors.New("maglev: duplicate backend name")
+	ErrUnparsed   = errors.New("maglev: packet not parsed")
 )
 
 // Backend is a service endpoint packets are steered to.
@@ -149,27 +148,9 @@ func NewTable(backends []Backend, size int) (*Table, error) {
 // Size returns the number of table slots.
 func (t *Table) Size() int { return len(t.entries) }
 
-// Backends returns a copy of the backend set the table was built over
-// (a table may be shared by every balancer over that set).
-func (t *Table) Backends() []Backend { return slices.Clone(t.backends) }
-
-// Lookup maps a flow hash to a backend.
-func (t *Table) Lookup(flowHash uint64) Backend {
-	return t.backends[t.index(flowHash)]
-}
-
 // index maps a flow hash to a backend's position in the table's set.
 func (t *Table) index(flowHash uint64) int32 {
 	return t.entries[flowHash%uint64(len(t.entries))]
-}
-
-// Distribution counts slots per backend, for balance assertions.
-func (t *Table) Distribution() map[string]int {
-	d := make(map[string]int, len(t.backends))
-	for _, e := range t.entries {
-		d[t.backends[e].Name]++
-	}
-	return d
 }
 
 // tables interns the lookup tables balancers use, keyed by (backends,

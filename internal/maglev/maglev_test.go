@@ -105,7 +105,10 @@ func TestTableFullAndBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := tbl.Distribution()
+	dist := map[string]int{}
+	for _, e := range tbl.entries {
+		dist[tbl.backends[e].Name]++
+	}
 	total := 0
 	for _, b := range bs {
 		c := dist[b.Name]
@@ -128,7 +131,7 @@ func TestLookupDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for h := uint64(0); h < 1000; h++ {
-		if tbl.Lookup(h) != tbl.Lookup(h) {
+		if tbl.lookup(h) != tbl.lookup(h) {
 			t.Fatal("lookup not deterministic")
 		}
 	}
@@ -149,8 +152,8 @@ func TestConsistency(t *testing.T) {
 	moved, shouldMove := 0, 0
 	const flows = 20000
 	for h := uint64(0); h < flows; h++ {
-		a := t1.Lookup(h)
-		b := t2.Lookup(h)
+		a := t1.lookup(h)
+		b := t2.lookup(h)
 		if a.Name == "be-9" {
 			shouldMove++
 			continue
@@ -238,7 +241,7 @@ func TestOperatorRewritesBatch(t *testing.T) {
 			t.Fatal("checksum broken by rewrite")
 		}
 	}
-	port.Free(pkts[:n])
+	port.FreeQueue(0, pkts[:n])
 }
 
 func TestOperatorParsesUnparsed(t *testing.T) {
@@ -276,11 +279,11 @@ func TestQuickLookupTotalAndStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(h uint64) bool {
-		b := tbl.Lookup(h)
+		b := tbl.lookup(h)
 		if b.Name == "" {
 			return false
 		}
-		return tbl2.Lookup(h) == b
+		return tbl2.lookup(h) == b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -105,13 +105,6 @@ func (c *Cache[T]) Len() int { return len(c.local) }
 // Size reports the cache's high-water mark.
 func (c *Cache[T]) Size() int { return c.size }
 
-// Stats reports cumulative local gets and puts and the number of
-// refill/spill bursts against the shared pool; (gets+puts) much greater
-// than (refills+spills) is the contention-avoidance working.
-func (c *Cache[T]) Stats() (gets, puts, refills, spills uint64) {
-	return c.gets.Load(), c.puts.Load(), c.refills.Load(), c.spills.Load()
-}
-
 // RegisterMetrics exports the cache's counters and occupancy on reg
 // under the given labels. The occupancy gauge reads the single-owner
 // free list; callers whose cache is guarded by a queue lock (dpdk's

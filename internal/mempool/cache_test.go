@@ -40,11 +40,11 @@ func TestCacheAmortizesPoolTraffic(t *testing.T) {
 		}
 		c.Put(obj)
 	}
-	gets, puts, refills, spills := c.Stats()
+	gets, puts, refills, spills := c.gets.Load(), c.puts.Load(), c.refills.Load(), c.spills.Load()
 	if gets != 10000 || puts != 10000 {
 		t.Fatalf("gets=%d puts=%d", gets, puts)
 	}
-	poolGets, poolPuts, _ := pool.Stats()
+	poolGets, poolPuts := pool.gets.Load(), pool.puts.Load()
 	if poolOps := poolGets + poolPuts; poolOps > 100 {
 		t.Fatalf("pool saw %d ops for 20000 cache ops (refills=%d spills=%d); cache not absorbing traffic",
 			poolOps, refills, spills)
@@ -73,7 +73,7 @@ func TestCacheSpillsWhenOverfull(t *testing.T) {
 	if got := pool.Available() + c.Len(); got != 64 {
 		t.Fatalf("pool+cache = %d, want 64", got)
 	}
-	_, _, _, spills := c.Stats()
+	spills := c.spills.Load()
 	if spills == 0 {
 		t.Fatal("no spills recorded")
 	}
@@ -116,7 +116,7 @@ func TestPoolBurstOps(t *testing.T) {
 	if n := pool.GetBurst(rest); n != 2 {
 		t.Fatalf("short GetBurst = %d, want 2", n)
 	}
-	_, _, misses := pool.Stats()
+	misses := pool.misses.Load()
 	if misses != 1 {
 		t.Fatalf("misses = %d, want 1 for the short burst", misses)
 	}

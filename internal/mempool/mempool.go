@@ -192,11 +192,6 @@ func (p *Pool[T]) Made() int {
 	return p.made
 }
 
-// Stats reports cumulative gets, puts, and allocation misses.
-func (p *Pool[T]) Stats() (gets, puts, misses uint64) {
-	return p.gets.Load(), p.puts.Load(), p.misses.Load()
-}
-
 // RegisterMetrics exports the pool's counters and occupancy on reg
 // under the given labels: pool_{gets,puts,misses}_total counters plus
 // pool_available/pool_min_available/pool_capacity gauges. The occupancy
@@ -272,24 +267,6 @@ func (r *Ring[T]) Dequeue() (T, error) {
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.count--
 	return v, nil
-}
-
-// EnqueueBurst adds up to len(vs) descriptors, returning how many fit
-// (DPDK's rte_ring_enqueue_burst semantics).
-func (r *Ring[T]) EnqueueBurst(vs []T) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, v := range vs {
-		if r.count == len(r.buf) {
-			break
-		}
-		r.buf[r.tail] = v
-		r.tail = (r.tail + 1) & (len(r.buf) - 1)
-		r.count++
-		n++
-	}
-	return n
 }
 
 // DequeueBurst removes up to len(out) descriptors into out, returning the

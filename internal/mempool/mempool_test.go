@@ -31,7 +31,7 @@ func TestPoolGetPut(t *testing.T) {
 	if p.Available() != 4 {
 		t.Fatalf("avail = %d after puts", p.Available())
 	}
-	gets, puts, misses := p.Stats()
+	gets, puts, misses := p.gets.Load(), p.puts.Load(), p.misses.Load()
 	if gets != 4 || puts != 4 || misses != 1 {
 		t.Fatalf("stats = %d/%d/%d", gets, puts, misses)
 	}
@@ -108,14 +108,25 @@ func TestRingRoundsUpToPowerOfTwo(t *testing.T) {
 	}
 }
 
+// enqueueBurst enqueues vs until the ring is full, returning how many
+// fit.
+func enqueueBurst[T any](r *Ring[T], vs []T) int {
+	for i, v := range vs {
+		if r.Enqueue(v) != nil {
+			return i
+		}
+	}
+	return len(vs)
+}
+
 func TestRingBurst(t *testing.T) {
 	r := NewRing[int](8)
 	in := []int{1, 2, 3, 4, 5, 6}
-	if n := r.EnqueueBurst(in); n != 6 {
-		t.Fatalf("EnqueueBurst = %d", n)
+	if n := enqueueBurst(r, in); n != 6 {
+		t.Fatalf("enqueued %d", n)
 	}
-	if n := r.EnqueueBurst([]int{7, 8, 9}); n != 2 {
-		t.Fatalf("partial EnqueueBurst = %d, want 2", n)
+	if n := enqueueBurst(r, []int{7, 8, 9}); n != 2 {
+		t.Fatalf("partially enqueued %d, want 2", n)
 	}
 	out := make([]int, 16)
 	if n := r.DequeueBurst(out); n != 8 {
@@ -183,7 +194,7 @@ func TestQuickRingBurstConsistency(t *testing.T) {
 			for i := range batch {
 				batch[i] = next + i
 			}
-			accepted := r.EnqueueBurst(batch)
+			accepted := enqueueBurst(r, batch)
 			next += accepted
 			out := make([]int, n)
 			got := r.DequeueBurst(out)

@@ -160,12 +160,6 @@ func (in *Interp) Run() error {
 // NewInt builds an i64 runtime value with the given label ("" = untracked).
 func NewInt(v int64, label string) Value { return Value{Kind: VInt, I: v, Label: label} }
 
-// NewBool builds a bool runtime value.
-func NewBool(v bool, label string) Value { return Value{Kind: VBool, B: v, Label: label} }
-
-// NewStr builds a str runtime value.
-func NewStr(v string, label string) Value { return Value{Kind: VStr, S: v, Label: label} }
-
 // CallFunction invokes a named function with the given argument values —
 // the embedding hook for hosts (e.g. verified kernel extensions) that
 // drive entry points other than main. The step budget is shared across

@@ -11,10 +11,12 @@ import (
 )
 
 // witnessStage counts calls that reach it after its recovery factory
-// retired it, and panics once when armed.
+// retired it, and panics once when armed. The instance the stuck call
+// binds to parks that call in park before anything else.
 type witnessStage struct {
 	retired    atomic.Bool
 	first      bool // the instance the stuck call bound to
+	park       func()
 	violations *atomic.Uint64
 	armed      *atomic.Bool
 	firstRan   chan<- struct{}
@@ -23,6 +25,9 @@ type witnessStage struct {
 func (s *witnessStage) Name() string { return "witness" }
 
 func (s *witnessStage) ProcessBatch(*Batch) error {
+	if s.park != nil {
+		s.park()
+	}
 	if s.retired.Load() {
 		s.violations.Add(1)
 	}
@@ -43,9 +48,10 @@ func (s *witnessStage) ProcessBatch(*Batch) error {
 // replacement generation must not share stage domains with it: otherwise
 // the replacement's next fault recovers the stage in place, retiring the
 // very instance the abandoned call is about to enter (the cleared-slot
-// access the chaos tier's witness counts). The stuck call is parked in
-// the stage domain's policy hook — after the rref is acquired, before the
-// operator runs — so the interleaving is forced, not waited for.
+// access the chaos tier's witness counts). The stuck call is parked at the
+// top of the first instance's ProcessBatch — after the rref is acquired,
+// before the retired check — so the interleaving is forced, not waited
+// for.
 func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 	var (
 		violations atomic.Uint64
@@ -56,27 +62,24 @@ func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 		retiredOne = make(chan struct{}, 8)
 		firstRan   = make(chan struct{}, 1)
 	)
+	var calls atomic.Int32
+	park := func() {
+		if calls.Add(1) == 1 {
+			stuck <- struct{}{}
+			<-release
+		}
+	}
 	newIsolated := func(int) (*IsolatedPipeline, error) {
-		first := builds.Add(1) == 1
-		cur := &witnessStage{first: first, violations: &violations, armed: &armed, firstRan: firstRan}
-		ip, err := NewIsolatedPipeline(sfi.NewManager(), []Operator{cur}, []func() Operator{func() Operator {
+		cur := &witnessStage{first: builds.Add(1) == 1, violations: &violations, armed: &armed, firstRan: firstRan}
+		if cur.first {
+			cur.park = park
+		}
+		return NewIsolatedPipeline(sfi.NewManager(), []Operator{cur}, []func() Operator{func() Operator {
 			cur.retired.Store(true)
 			retiredOne <- struct{}{}
 			cur = &witnessStage{violations: &violations, armed: &armed, firstRan: firstRan}
 			return cur
 		}})
-		if err != nil || !first {
-			return ip, err
-		}
-		var calls atomic.Int32
-		ip.Stages()[0].Domain.SetPolicy(sfi.PolicyFunc(func(sfi.DomainID, sfi.DomainID, string) error {
-			if calls.Add(1) == 1 {
-				stuck <- struct{}{}
-				<-release
-			}
-			return nil
-		}))
-		return ip, nil
 	}
 	r := &ShardedRunner{
 		Port:        dpdk.NewPort(dpdk.Config{PoolSize: 256}),

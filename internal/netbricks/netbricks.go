@@ -81,9 +81,6 @@ type Batch struct {
 	loaded []*packet.Packet
 }
 
-// Len reports the number of live packets in the batch.
-func (b *Batch) Len() int { return len(b.Pkts) }
-
 // reset empties the batch for reuse, keeping the slice capacity. Packet
 // pointers left in the capacity tail are pool-owned and permanently live,
 // so truncation is enough.
@@ -144,56 +141,6 @@ func (Parse) ProcessBatch(b *Batch) error {
 	return nil
 }
 
-// Filter drops packets failing a predicate.
-type Filter struct {
-	Label string
-	Pred  func(*packet.Packet) bool
-}
-
-// Name implements Operator.
-func (f Filter) Name() string {
-	if f.Label != "" {
-		return f.Label
-	}
-	return "filter"
-}
-
-// ProcessBatch implements Operator.
-func (f Filter) ProcessBatch(b *Batch) error {
-	for i := 0; i < len(b.Pkts); {
-		if !f.Pred(b.Pkts[i]) {
-			b.Drop(i)
-			continue
-		}
-		i++
-	}
-	return nil
-}
-
-// Transform applies fn to every packet.
-type Transform struct {
-	Label string
-	Fn    func(*packet.Packet) error
-}
-
-// Name implements Operator.
-func (t Transform) Name() string {
-	if t.Label != "" {
-		return t.Label
-	}
-	return "transform"
-}
-
-// ProcessBatch implements Operator.
-func (t Transform) ProcessBatch(b *Batch) error {
-	for _, p := range b.Pkts {
-		if err := t.Fn(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // FaultInjector panics on the Nth batch it sees — the §3 recovery
 // experiment "simulating a panic in the null-filter". One injector may
 // sit in a stage that several workers call, so the count is atomic.
@@ -234,9 +181,6 @@ func (p *Pipeline) SetTracer(t *trace.Tracer) { p.tracer = t }
 func NewPipeline(stages ...Operator) *Pipeline {
 	return &Pipeline{stages: stages, stageIDs: stageIDsFor(stages)}
 }
-
-// Len reports the number of stages.
-func (p *Pipeline) Len() int { return len(p.stages) }
 
 // Process runs the batch through every stage. Ownership of the batch moves
 // into Process and back out through the return value.
@@ -336,9 +280,6 @@ func NewIsolatedPipeline(mgr *sfi.Manager, stages []Operator, factories []func()
 
 // SetTracer attaches the sampled packet tracer (see Pipeline.SetTracer).
 func (p *IsolatedPipeline) SetTracer(t *trace.Tracer) { p.tracer = t }
-
-// Len reports the number of stages.
-func (p *IsolatedPipeline) Len() int { return len(p.stages) }
 
 // Stages exposes the isolated stages (for fault-injection tests and the
 // recovery benchmark).

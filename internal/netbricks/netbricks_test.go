@@ -100,8 +100,8 @@ func TestIsolatedPipelineProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ip.Len() != 5 {
-		t.Fatalf("Len = %d", ip.Len())
+	if len(ip.stages) != 5 {
+		t.Fatalf("Len = %d", len(ip.stages))
 	}
 	port := newPort(t, 64)
 	stats, err := single(port, 8, nil, ip).Run(5)
@@ -248,8 +248,8 @@ func TestBatchDrop(t *testing.T) {
 	pkts := []*packet.Packet{{UserTag: 1}, {UserTag: 2}, {UserTag: 3}}
 	b := &Batch{Pkts: append([]*packet.Packet(nil), pkts...)}
 	b.Drop(0)
-	if b.Len() != 2 || len(b.Dropped) != 1 {
-		t.Fatalf("len=%d dropped=%d", b.Len(), len(b.Dropped))
+	if len(b.Pkts) != 2 || len(b.Dropped) != 1 {
+		t.Fatalf("len=%d dropped=%d", len(b.Pkts), len(b.Dropped))
 	}
 	if b.Dropped[0].UserTag != 1 {
 		t.Fatal("wrong packet dropped")

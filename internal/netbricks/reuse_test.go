@@ -14,8 +14,9 @@ import (
 
 // reuseStage parks the first call of the first pipeline built until the
 // test releases it, reading its serve's sfi.Context from inside the stage
-// once released; in every later pipeline it panics while faults are
-// armed and reports any call that carries the parked call's batch.
+// as it parks and once released; in every later pipeline it panics while
+// faults are armed and reports any call that carries the parked call's
+// batch.
 type reuseStage struct {
 	parked bool // the first pipeline's instance
 	t      *reuseTrace
@@ -29,8 +30,7 @@ type reuseTrace struct {
 	stuckBatch               atomic.Pointer[Batch]
 	parkedNow                atomic.Bool
 	stuckCtx                 *sfi.Context // set and read on the parked call's goroutine
-	depth                    int
-	current                  sfi.DomainID
+	parkedIn, current, after sfi.DomainID // the context's domain as the call parks, once released, and once the call has returned
 }
 
 func (s *reuseStage) Name() string { return "reuse" }
@@ -38,10 +38,11 @@ func (s *reuseStage) Name() string { return "reuse" }
 func (s *reuseStage) ProcessBatch(b *Batch) error {
 	tr := s.t
 	if s.parked && tr.stuckBatch.CompareAndSwap(nil, b) {
+		tr.parkedIn = tr.stuckCtx.Current()
 		tr.parkedNow.Store(true)
 		tr.stuck <- struct{}{}
 		<-tr.release
-		tr.depth, tr.current = tr.stuckCtx.Depth(), tr.stuckCtx.Current()
+		tr.current = tr.stuckCtx.Current()
 		tr.parkedNow.Store(false) // its serve may recycle the batch once this returns
 		close(tr.released)
 		return nil
@@ -72,16 +73,10 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	tr := &reuseTrace{stuck: make(chan struct{}, 1), release: make(chan struct{}), released: make(chan struct{})}
 	mgr := sfi.NewManager() // one manager: every pipeline's stage domain has its own ID
 	var builds atomic.Int32
-	var parkedStage sfi.DomainID
 	r := &ShardedRunner{
 		Port: port, Workers: 1, BatchSize: 4, Supervise: true,
 		NewIsolated: func(int) (*IsolatedPipeline, error) {
-			first := builds.Add(1) == 1
-			ip, err := NewIsolatedPipeline(mgr, []Operator{&reuseStage{parked: first, t: tr}}, nil)
-			if err == nil && first {
-				parkedStage = ip.Stages()[0].Domain.ID()
-			}
-			return ip, err
+			return NewIsolatedPipeline(mgr, []Operator{&reuseStage{parked: builds.Add(1) == 1, t: tr}}, nil)
 		},
 		Policy: domain.Policy{
 			Backoff:     20 * time.Microsecond,
@@ -101,7 +96,9 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	w.pipe.Store(&workerPipeline{
 		process: func(ctx *sfi.Context, b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
 			tr.stuckCtx = ctx
-			return parked.process(ctx, b)
+			out, err := parked.process(ctx, b)
+			tr.after = ctx.Current()
+			return out, err
 		},
 		recover: parked.recover,
 	})
@@ -161,8 +158,8 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	sup.Close()
 	port.Drain()
 
-	if tr.depth != 1 || tr.current != parkedStage {
-		t.Errorf("the released call's context is %d deep in domain %d, want 1 deep in its stage's domain %d", tr.depth, tr.current, parkedStage)
+	if tr.current != tr.parkedIn || tr.after != sfi.RootDomain {
+		t.Errorf("the released call's context is in domain %d and returns to %d, want its stage's domain %d and then the root", tr.current, tr.after, tr.parkedIn)
 	}
 	if n := tr.sawStuckBatch.Load(); n != 0 {
 		t.Errorf("%d successor calls were handed the parked call's batch", n)

@@ -81,11 +81,12 @@ func TestShardedRunnerFlowAffinity(t *testing.T) {
 	port := newShardedPort(t, workers, 1024)
 	var mu sync.Mutex
 	flowWorker := map[packet.FiveTuple]int{}
+	reta := packet.NewRETA(workers, 0) // the port's steering: default key, default table
 	r := &ShardedRunner{
 		Port: port, Workers: workers, BatchSize: 16,
 		NewDirect: func(w int) *Pipeline {
 			spy := Transform{Label: "spy", Fn: func(p *packet.Packet) error {
-				if got := port.RSSQueue(p.Tuple()); got != w {
+				if got := reta.Queue(p.RSSHash()); got != w {
 					return errors.New("packet steered to wrong queue")
 				}
 				if p.RxQueue != w {

@@ -128,7 +128,7 @@ func FuzzNetportDecode(f *testing.F) {
 					t.Fatal("unparsed packet delivered")
 				}
 				checkRoom(t, pkt)
-				if want := p.RSSQueue(pkt.Tuple()); want != q {
+				if want := p.rssQueue(pkt.Tuple()); want != q {
 					t.Fatalf("flow %s delivered to queue %d, RSS says %d", pkt.Tuple(), q, want)
 				}
 			}

@@ -140,11 +140,6 @@ type Stats struct {
 	Backpressure telemetry.Gauge
 }
 
-// drops returns the sum of the per-cause drop counters.
-func (s *Stats) drops() uint64 {
-	return s.RingFull.Load() + s.ParseError.Load() + s.PoolEmpty.Load()
-}
-
 // Config parameterizes Open.
 type Config struct {
 	// Listen is the UDP address to receive on, e.g. "127.0.0.1:0".
@@ -608,9 +603,6 @@ func (rq *rxQueue) wait(d time.Duration) {
 	}
 }
 
-// RxBurst polls queue 0 (single-queue convenience, mirroring dpdk.Port).
-func (p *Port) RxBurst(out []*packet.Packet) int { return p.RxBurstQueue(0, out) }
-
 // TxBurstQueue transmits pkts from the worker owning queue q — one
 // batched send of UDP datagrams, one per frame, to the configured
 // TxTarget (pure accounting when the port is a sink) — and recycles the
@@ -684,9 +676,6 @@ func (p *Port) TxBurstQueue(q int, pkts []*packet.Packet) int {
 	return sent
 }
 
-// TxBurst transmits from queue 0 (single-queue convenience).
-func (p *Port) TxBurst(pkts []*packet.Packet) int { return p.TxBurstQueue(0, pkts) }
-
 // FreeQueue returns packets to queue q's local cache without
 // transmitting them (drops).
 func (p *Port) FreeQueue(q int, pkts []*packet.Packet) {
@@ -709,9 +698,6 @@ func (p *Port) FreeQueue(q int, pkts []*packet.Packet) {
 	}
 	rq.mu.Unlock()
 }
-
-// Free returns packets to queue 0's cache (single-queue convenience).
-func (p *Port) Free(pkts []*packet.Packet) { p.FreeQueue(0, pkts) }
 
 // Drain consolidates undelivered ring descriptors and the per-queue
 // caches back into the shared pool, once the workers have stopped.
@@ -797,13 +783,6 @@ func (p *Port) PoolAvailable() int {
 
 // PoolCapacity reports the mbuf pool's fixed capacity.
 func (p *Port) PoolCapacity() int { return p.pool.Capacity() }
-
-// RSSQueue reports which receive queue the software RETA steers a flow
-// to (the distributor path; kernel REUSEPORT fan-out hashes the outer
-// flow instead).
-func (p *Port) RSSQueue(t packet.FiveTuple) int {
-	return p.reta.Queue(p.rss.HashTuple(t))
-}
 
 // RegisterMetrics exports the port's counters, the per-cause drop
 // counters (labelled cause=ring_full|parse_error|pool_empty), the

@@ -118,7 +118,7 @@ func TestDeliverSteersByRSS(t *testing.T) {
 		spec := testSpec()
 		spec.Tuple.SrcIP += packet.IPv4(i)
 		spec.Tuple.SrcPort += uint16(i % 50000)
-		perQueue[p.RSSQueue(spec.Tuple)]++
+		perQueue[p.rssQueue(spec.Tuple)]++
 		p.inject(flowFrame(t, i))
 	}
 	accounted(t, p)
@@ -138,7 +138,7 @@ func TestDeliverSteersByRSS(t *testing.T) {
 			if pkt.RxQueue != q {
 				t.Fatalf("packet on queue %d stamped RxQueue=%d", q, pkt.RxQueue)
 			}
-			if want := p.RSSQueue(pkt.Tuple()); want != q {
+			if want := p.rssQueue(pkt.Tuple()); want != q {
 				t.Fatalf("flow %s on queue %d, RSS says %d", pkt.Tuple(), q, want)
 			}
 			if pkt.RxHash == 0 {
@@ -457,11 +457,11 @@ func TestE2EMixedFrameSizes(t *testing.T) {
 			t.Fatalf("port read %d of %d datagrams and sent %d (kernel socket drop?)",
 				p.Stats.RxDatagrams.Load(), len(sent), p.Stats.TxPackets.Load())
 		}
-		n := p.RxBurst(buf)
+		n := p.RxBurstQueue(0, buf)
 		for _, pkt := range buf[:n] {
 			checkRoom(t, pkt)
 		}
-		p.TxBurst(buf[:n])
+		p.TxBurstQueue(0, buf[:n])
 	}
 	accounted(t, p)
 	if got := p.Stats.RxPackets.Load(); got != uint64(len(sent)) {

@@ -117,7 +117,6 @@ type Packet struct {
 	// Cached parse results, valid after Parse succeeds.
 	l3Off   int
 	l4Off   int
-	payOff  int
 	tuple   FiveTuple
 	parsed  bool
 	RxPort  int    // ingress port index, set by the driver
@@ -248,14 +247,12 @@ func (p *Packet) Parse() error {
 		if dataOff < TCPHeaderLen || len(l4) < dataOff {
 			return fmt.Errorf("tcp data offset %d: %w", dataOff, ErrTruncated)
 		}
-		p.payOff = p.l4Off + dataOff
 	case ProtoUDP:
 		if len(l4) < UDPHeaderLen {
 			return fmt.Errorf("udp: %w", ErrTruncated)
 		}
 		sport = binary.BigEndian.Uint16(l4[0:2])
 		dport = binary.BigEndian.Uint16(l4[2:4])
-		p.payOff = p.l4Off + UDPHeaderLen
 	default:
 		return fmt.Errorf("protocol %d: %w", proto, ErrUnsupported)
 	}
@@ -268,28 +265,6 @@ func (p *Packet) Parse() error {
 	}
 	p.parsed = true
 	return nil
-}
-
-// Payload returns the transport payload; Parse must have succeeded.
-func (p *Packet) Payload() []byte {
-	if !p.parsed || p.payOff > len(p.Data) {
-		return nil
-	}
-	return p.Data[p.payOff:]
-}
-
-// SrcMAC returns the Ethernet source address.
-func (p *Packet) SrcMAC() MAC {
-	var m MAC
-	copy(m[:], p.Data[6:12])
-	return m
-}
-
-// DstMAC returns the Ethernet destination address.
-func (p *Packet) DstMAC() MAC {
-	var m MAC
-	copy(m[:], p.Data[0:6])
-	return m
 }
 
 // SetDstIP rewrites the IPv4 destination (used by load balancers when
@@ -305,22 +280,6 @@ func (p *Packet) SetDstIP(ip IPv4) {
 	binary.BigEndian.PutUint16(hdr[10:12], 0)
 	binary.BigEndian.PutUint16(hdr[10:12], ipChecksum(hdr))
 	p.tuple.DstIP = ip
-}
-
-// TTLDecrement decrements the IPv4 TTL, returning false when it expires.
-// Forwarding elements (Click-style) use this.
-func (p *Packet) TTLDecrement() bool {
-	if !p.parsed {
-		return false
-	}
-	hdr := p.Data[p.l3Off:p.l4Off]
-	if hdr[8] == 0 {
-		return false
-	}
-	hdr[8]--
-	binary.BigEndian.PutUint16(hdr[10:12], 0)
-	binary.BigEndian.PutUint16(hdr[10:12], ipChecksum(hdr))
-	return hdr[8] > 0
 }
 
 // ipChecksum computes the IPv4 header checksum (RFC 1071) over hdr with

@@ -35,10 +35,11 @@ func TestBuildParseRoundTripTCP(t *testing.T) {
 	if tup.SrcPort != 12345 || tup.DstPort != 80 || tup.Proto != ProtoTCP {
 		t.Fatalf("tuple = %v", tup)
 	}
-	if got := len(p.Payload()); got != 100 {
+	pay := p.Data[p.l4Off+TCPHeaderLen:]
+	if got := len(pay); got != 100 {
 		t.Fatalf("payload len = %d, want 100", got)
 	}
-	for _, b := range p.Payload() {
+	for _, b := range pay {
 		if b != 0xAB {
 			t.Fatal("payload corrupted")
 		}
@@ -60,7 +61,7 @@ func TestBuildParseRoundTripUDP(t *testing.T) {
 	if p.Tuple().Proto != ProtoUDP {
 		t.Fatalf("proto = %d", p.Tuple().Proto)
 	}
-	if got := len(p.Payload()); got != 8 {
+	if got := len(p.Data[p.l4Off+UDPHeaderLen:]); got != 8 {
 		t.Fatalf("payload len = %d", got)
 	}
 }
@@ -138,7 +139,7 @@ func TestMACAccessorsAndString(t *testing.T) {
 	spec := sampleSpec(ProtoTCP, 0)
 	frame, _ := Build(nil, spec)
 	p := &Packet{Data: frame}
-	if p.SrcMAC() != spec.SrcMAC || p.DstMAC() != spec.DstMAC {
+	if MAC(p.Data[6:12]) != spec.SrcMAC || MAC(p.Data[0:6]) != spec.DstMAC {
 		t.Fatal("MAC round trip failed")
 	}
 	if got := spec.SrcMAC.String(); got != "02:00:00:00:00:01" {
@@ -186,28 +187,6 @@ func TestSetDstIPRewritesAndChecksums(t *testing.T) {
 	}
 }
 
-func TestTTLDecrement(t *testing.T) {
-	spec := sampleSpec(ProtoUDP, 0)
-	spec.TTL = 2
-	frame, _ := Build(nil, spec)
-	p := &Packet{Data: frame}
-	if err := p.Parse(); err != nil {
-		t.Fatal(err)
-	}
-	if !p.TTLDecrement() { // 2 -> 1, still alive
-		t.Fatal("TTL expired early")
-	}
-	if !p.VerifyIPChecksum() {
-		t.Fatal("checksum invalid after TTL decrement")
-	}
-	if p.TTLDecrement() { // 1 -> 0, expired
-		t.Fatal("TTL should have expired")
-	}
-	if p.TTLDecrement() { // stays at 0
-		t.Fatal("TTL decremented below zero")
-	}
-}
-
 func TestResetClearsState(t *testing.T) {
 	frame, _ := Build(nil, sampleSpec(ProtoTCP, 0))
 	p := &Packet{Data: frame, RxPort: 3, UserTag: 9}
@@ -238,7 +217,11 @@ func TestQuickBuildParseTuple(t *testing.T) {
 		if err := p.Parse(); err != nil {
 			return false
 		}
-		return p.Tuple() == spec.Tuple && p.VerifyIPChecksum() && len(p.Payload()) == int(pay)
+		hdr := TCPHeaderLen
+		if udp {
+			hdr = UDPHeaderLen
+		}
+		return p.Tuple() == spec.Tuple && p.VerifyIPChecksum() && len(p.Data)-p.l4Off-hdr == int(pay)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

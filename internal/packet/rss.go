@@ -211,8 +211,7 @@ const DefaultRETASize = 128
 // touching the hash. The table is immutable after construction and safe
 // for concurrent readers.
 type RETA struct {
-	table  []uint16
-	queues int
+	table []uint16
 }
 
 // NewRETA builds a redirection table of the given size (rounded up to a
@@ -229,18 +228,12 @@ func NewRETA(queues, size int) *RETA {
 	for n < size {
 		n <<= 1
 	}
-	r := &RETA{table: make([]uint16, n), queues: queues}
+	r := &RETA{table: make([]uint16, n)}
 	for i := range r.table {
 		r.table[i] = uint16(i % queues)
 	}
 	return r
 }
-
-// Queues reports the number of receive queues the table spreads across.
-func (r *RETA) Queues() int { return r.queues }
-
-// Size reports the number of table entries.
-func (r *RETA) Size() int { return len(r.table) }
 
 // Queue maps an RSS hash to a receive queue via the indirection table.
 func (r *RETA) Queue(hash uint32) int {

@@ -337,11 +337,8 @@ func TestRSSShardingBalanced(t *testing.T) {
 // TestRETAShape checks sizing and round-robin reset state.
 func TestRETAShape(t *testing.T) {
 	r := NewRETA(3, 100)
-	if r.Size() != DefaultRETASize {
-		t.Fatalf("size %d, want %d (rounded up)", r.Size(), DefaultRETASize)
-	}
-	if r.Queues() != 3 {
-		t.Fatalf("queues = %d", r.Queues())
+	if len(r.table) != DefaultRETASize {
+		t.Fatalf("size %d, want %d (rounded up)", len(r.table), DefaultRETASize)
 	}
 	// Round-robin assignment: entry i serves queue i mod 3.
 	for hash := uint32(0); hash < DefaultRETASize; hash++ {

@@ -27,7 +27,7 @@ func Example() {
 	fmt.Println("after a cold start:", t.Len(), "flows")
 
 	_ = t.Restore(token)
-	ip, ok := t.Lookup(flow(2).Hash())
+	ip, ok := t.Entries()[flow(2).Hash()]
 	fmt.Println("restored:", t.Len(), "flows,", t.Backends(), "backends; flow 2 ->", ip, ok)
 	// Output:
 	// tracked: 3 flows, 2 backends

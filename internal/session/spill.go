@@ -60,17 +60,6 @@ func (t *Table) SpillStats() (spilled, promoted, errs uint64) {
 	return t.spilled, t.promoted, t.spillErrs
 }
 
-// HotTouched reports evictions_hot_touched: the number of times the
-// eviction clock hand landed on a flow whose reference bit was set and
-// spared it (clearing the bit) instead of spilling it. A workload with a
-// hot/cold skew should see this climb while its hot flows stay resident
-// — the observable proof eviction victims come from the cold tail.
-func (t *Table) HotTouched() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hotTouched
-}
-
 // ringAppendLocked registers a newly resident flow with the eviction
 // clock. The ring is only maintained while a spill index is attached.
 func (t *Table) ringAppendLocked(h uint64) {
@@ -124,12 +113,11 @@ func (t *Table) promoteLocked(h uint64) *Flow {
 //
 // Victims come from the second-chance clock (package evict): the hand
 // walks the residency ring, spares any flow whose reference bit is set
-// (clearing the bit and counting evictions_hot_touched), and spills the
-// cold ones it lands on. Hot flows therefore survive as long as packets
-// keep arriving for them; a plain map-order walk — the previous policy —
-// spilled hot and cold alike. The victim slice is the clock's and the
-// record slice is scratch retained on the table, so a steady eviction
-// cadence allocates nothing.
+// (clearing the bit), and spills the cold ones it lands on. Hot flows
+// therefore survive as long as packets keep arriving for them; a plain
+// map-order walk — the previous policy — spilled hot and cold alike. The
+// victim slice is the clock's and the record slice is scratch retained on
+// the table, so a steady eviction cadence allocates nothing.
 func (t *Table) evictLocked(keep uint64) {
 	if t.spill == nil || t.maxFlows <= 0 {
 		return
@@ -141,7 +129,6 @@ func (t *Table) evictLocked(keep uint64) {
 			return evict.Gone // already evicted or replaced
 		case f.hot:
 			f.hot = false
-			t.hotTouched++
 			return evict.Spared
 		}
 		return evict.Victim
@@ -178,51 +165,4 @@ func (t *Table) evictLocked(keep uint64) {
 		}
 	}
 	t.spilled += uint64(len(recs))
-}
-
-// Lookup resolves a flow hash to its backend, reading through the RAM
-// table into the spill index without promoting — the read-only view
-// recovery tests and operational tooling use.
-func (t *Table) Lookup(h uint64) (packet.IPv4, bool) {
-	t.mu.Lock()
-	if f, ok := t.flows[h]; ok {
-		ip := f.Backend.Peek().IP
-		t.mu.Unlock()
-		return ip, true
-	}
-	sp := t.spill
-	t.mu.Unlock()
-	if sp == nil {
-		return 0, false
-	}
-	rec, ok, err := sp.LookupFlow(h)
-	if err != nil || !ok {
-		return 0, false
-	}
-	return rec.Backend, true
-}
-
-// TotalFlows reports the distinct flow population across RAM and the
-// spill index: index flows plus RAM flows the index has never seen
-// (promoted flows stay counted on the index side). Soft after a crash:
-// flows tracked after the last durable epoch and never evicted are
-// RAM-only and die with the process.
-func (t *Table) TotalFlows() (int, error) {
-	t.mu.Lock()
-	ramOnly := 0
-	for _, f := range t.flows {
-		if !f.Spilled {
-			ramOnly++
-		}
-	}
-	sp := t.spill
-	t.mu.Unlock()
-	if sp == nil {
-		return ramOnly, nil
-	}
-	n, err := sp.FlowCount()
-	if err != nil {
-		return ramOnly, err
-	}
-	return ramOnly + n, nil
 }

@@ -62,12 +62,12 @@ func TestSpillEviction(t *testing.T) {
 	// Every flow is reachable: RAM or index.
 	for i := 0; i < flows; i++ {
 		h := flowTuple(i).Hash()
-		ip, ok := tbl.Lookup(h)
+		ip, ok := tbl.lookup(h)
 		if !ok || ip != 0xc0a80001 {
 			t.Fatalf("flow %d: %v, %v", i, ip, ok)
 		}
 	}
-	total, err := tbl.TotalFlows()
+	total, err := tbl.totalFlows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSpillErrorDegradesGracefully(t *testing.T) {
 		t.Fatal("spill errors not counted")
 	}
 	for i := 0; i < 50; i++ {
-		if ip, ok := tbl.Lookup(flowTuple(i).Hash()); !ok || ip != 0xc0a80001 {
+		if ip, ok := tbl.lookup(flowTuple(i).Hash()); !ok || ip != 0xc0a80001 {
 			t.Fatalf("flow %d lost on spill failure", i)
 		}
 	}
@@ -151,14 +151,14 @@ func TestNoSpillUnchanged(t *testing.T) {
 	if tbl.Len() != 100 {
 		t.Fatalf("unspilled table capped: %d", tbl.Len())
 	}
-	total, err := tbl.TotalFlows()
+	total, err := tbl.totalFlows()
 	if err != nil || total != 100 {
 		t.Fatalf("TotalFlows = %d, %v", total, err)
 	}
-	if _, ok := tbl.Lookup(flowTuple(0).Hash()); !ok {
+	if _, ok := tbl.lookup(flowTuple(0).Hash()); !ok {
 		t.Fatal("Lookup without spill broken")
 	}
-	if _, ok := tbl.Lookup(12345); ok {
+	if _, ok := tbl.lookup(12345); ok {
 		t.Fatal("phantom flow")
 	}
 }

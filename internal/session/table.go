@@ -68,10 +68,8 @@ type Table struct {
 	spillErrs uint64
 
 	// Eviction clock (see spill.go) over the resident flows, maintained
-	// only while a spill index is attached; hotTouched counts flows the
-	// hand spared because their ref bit was set.
-	clock      evict.Clock
-	hotTouched uint64
+	// only while a spill index is attached.
+	clock evict.Clock
 
 	// moved counts packets steered to a backend other than the one the
 	// table holds for their flow.

@@ -8,7 +8,7 @@ package sfi
 // stack of domain IDs: every remote invocation pushes the callee's ID on
 // entry and pops it on exit, so nested cross-domain calls attribute
 // correctly. The substitution is behaviour-preserving — TLS was only used
-// to answer "which domain is executing?" for policy and accounting.
+// to answer "which domain is executing?" for accounting.
 //
 // A Context must not be shared between goroutines (exactly as a TLS slot
 // belongs to one thread); create one per worker with NewContext. It is
@@ -32,9 +32,6 @@ func (c *Context) Current() DomainID {
 	}
 	return c.stack[len(c.stack)-1]
 }
-
-// Depth reports the cross-domain call depth (0 at root).
-func (c *Context) Depth() int { return len(c.stack) }
 
 // Reset truncates the stack back to RootDomain. The domain runtime
 // resets the context a serving generation handed on when it exited, before

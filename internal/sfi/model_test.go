@@ -9,14 +9,13 @@ import (
 )
 
 // Model-based randomized test: drive a domain through random sequences
-// of export / call / revoke / fault / recover / destroy operations while
+// of export / call / revoke / fault / recover operations while
 // tracking a trivial reference model, and assert after every step that
 // the implementation agrees with the model:
 //
 //   - a call through an rref succeeds iff the model says (domain live ∧
 //     slot occupied by a value of the right type);
 //   - a failed domain accepts nothing until recovered;
-//   - a destroyed domain accepts nothing forever;
 //   - table size always matches the model's occupancy.
 func TestModelRandomLifecycle(t *testing.T) {
 	const (
@@ -33,7 +32,7 @@ func TestModelRandomLifecycle(t *testing.T) {
 		model := make(map[uint64]*modelEntry) // slot -> entry
 		var rrefs []*RRef[*counter]
 		rrefSlot := make(map[*RRef[*counter]]uint64)
-		state := "live" // live | failed | dead
+		state := "live" // live | failed
 
 		// The recovery function re-populates every slot the model says
 		// should exist.
@@ -112,11 +111,6 @@ func TestModelRandomLifecycle(t *testing.T) {
 						t.Fatalf("trial %d step %d: recover of %s domain succeeded", trial, step, state)
 					}
 				}
-
-			case op == 9 && rng.Intn(40) == 0: // rare: destroy
-				d.Destroy()
-				state = "dead"
-				model = map[uint64]*modelEntry{}
 			}
 
 			// Invariant: table occupancy matches the model while live.

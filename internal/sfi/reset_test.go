@@ -131,11 +131,11 @@ func TestContextReset(t *testing.T) {
 	ctx := NewContext()
 	ctx.push(7)
 	ctx.push(9)
-	if ctx.Current() != 9 || ctx.Depth() != 2 {
-		t.Fatalf("setup: current=%d depth=%d", ctx.Current(), ctx.Depth())
+	if ctx.Current() != 9 || len(ctx.stack) != 2 {
+		t.Fatalf("setup: current=%d depth=%d", ctx.Current(), len(ctx.stack))
 	}
 	ctx.Reset()
-	if ctx.Current() != RootDomain || ctx.Depth() != 0 {
-		t.Fatalf("after Reset: current=%d depth=%d, want root/0", ctx.Current(), ctx.Depth())
+	if ctx.Current() != RootDomain || len(ctx.stack) != 0 {
+		t.Fatalf("after Reset: current=%d depth=%d, want root/0", ctx.Current(), len(ctx.stack))
 	}
 }

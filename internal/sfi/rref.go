@@ -16,22 +16,21 @@ import (
 //
 // RRef values may be freely copied and shared between client domains —
 // they confer no direct access; every use goes through Call/CallMove,
-// which upgrade the weak pointer, apply the owner's policy, and execute
-// the method inside the owner's fault boundary.
+// which upgrade the weak pointer and execute the method inside the
+// owner's fault boundary.
 type RRef[T any] struct {
 	dom  *Domain
 	slot uint64
 	// bind holds the current weak binding. It is replaced wholesale (via
 	// CAS) when the slow path re-binds after recovery, so concurrent
 	// fast-path readers in other workers always see a consistent
-	// (weak, intercepted) pair.
+	// (weak, gen) pair.
 	bind atomic.Pointer[rrefBinding[T]]
 }
 
 // rrefBinding is the immutable snapshot an RRef points at.
 type rrefBinding[T any] struct {
-	weak        linear.Weak[T]
-	intercepted bool // entry has a per-object interceptor installed
+	weak linear.Weak[T]
 	// gen is the owner domain's teardown generation when this binding was
 	// minted. A successful weak upgrade alone does not prove the entry is
 	// still installed: an in-flight invocation holds a strong handle for
@@ -45,13 +44,14 @@ type rrefBinding[T any] struct {
 // use to reach it. The object's ownership transfers into the domain: the
 // table's strong Rc is the sole root.
 func Export[T any](d *Domain, obj T) (*RRef[T], error) {
-	return export(d, obj, nil)
-}
-
-// ExportIntercepted is Export with a per-entry interceptor for
-// fine-grained access control on this object's methods.
-func ExportIntercepted[T any](d *Domain, obj T, ic Interceptor) (*RRef[T], error) {
-	return export(d, obj, ic)
+	if !d.Live() {
+		return nil, d.exportErr()
+	}
+	rc := linear.NewRc(obj)
+	slot := d.install(0, false, &tableEntry{handle: rc, typ: reflect.TypeOf(obj)})
+	rref := &RRef[T]{dom: d, slot: slot}
+	rref.bind.Store(&rrefBinding[T]{weak: rc.Downgrade(), gen: d.gen.Load()})
+	return rref, nil
 }
 
 // ExportAt places obj at a specific table slot. Recovery functions use it
@@ -67,21 +67,9 @@ func ExportAt[T any](d *Domain, slot uint64, obj T) error {
 	return nil
 }
 
-// export installs obj in the next free slot and mints the RRef for it.
-func export[T any](d *Domain, obj T, ic Interceptor) (*RRef[T], error) {
-	if !d.Live() {
-		return nil, d.exportErr()
-	}
-	rc := linear.NewRc(obj)
-	slot := d.install(0, false, &tableEntry{handle: rc, interceptor: ic, typ: reflect.TypeOf(obj)})
-	rref := &RRef[T]{dom: d, slot: slot}
-	rref.bind.Store(&rrefBinding[T]{weak: rc.Downgrade(), intercepted: ic != nil, gen: d.gen.Load()})
-	return rref, nil
-}
-
 // exportErr is the error for an export into a domain that is not live.
 func (d *Domain) exportErr() error {
-	return fmt.Errorf("export into domain %d (%s): %w", d.id, d.name, stateErr(domainState(d.state.Load())))
+	return fmt.Errorf("export into domain %d (%s): %w", d.id, d.name, ErrDomainFailed)
 }
 
 // install puts e at slot (the next free one unless explicit) and returns
@@ -112,21 +100,9 @@ func (d *Domain) install(slot uint64, explicit bool, e *tableEntry) uint64 {
 // Slot returns the reference-table slot this RRef is bound to.
 func (r *RRef[T]) Slot() uint64 { return r.slot }
 
-// Domain returns the owning domain.
-func (r *RRef[T]) Domain() *Domain { return r.dom }
-
-// Alive reports whether an invocation would currently find the object
-// (without performing one).
-func (r *RRef[T]) Alive() bool {
-	if r.bind.Load().weak.Alive() {
-		return true
-	}
-	return r.dom.Live() && r.dom.lookup(r.slot) != nil
-}
-
 // acquire upgrades the weak pointer, re-binding through the table if the
-// proxy was replaced by recovery. It returns the strong handle (which the
-// caller must Drop) and the entry's interceptor.
+// proxy was replaced by recovery. It returns the strong handle, which the
+// caller must Drop.
 //
 // The fast path is a weak upgrade plus one generation compare, with no
 // table lock. The upgrade alone is not proof the entry is still
@@ -137,20 +113,11 @@ func (r *RRef[T]) Alive() bool {
 // to be torn down, recovered, and serving again. The generation check
 // refuses such stale bindings, so new calls fail closed (or re-bind to
 // the recovered entry) instead of reaching the torn-down object.
-// Interceptors are fetched from the table only when one was installed at
-// export time (recorded in the rref), keeping the common no-interceptor
-// call lock-free.
-func (r *RRef[T]) acquire() (linear.Rc[T], Interceptor, error) {
+func (r *RRef[T]) acquire() (linear.Rc[T], error) {
 	old := r.bind.Load()
 	if rc, ok := old.weak.Upgrade(); ok {
 		if old.gen == r.dom.gen.Load() {
-			var ic Interceptor
-			if old.intercepted {
-				if e := r.dom.lookup(r.slot); e != nil {
-					ic = e.interceptor
-				}
-			}
-			return rc, ic, nil
+			return rc, nil
 		}
 		// Stale binding pinned alive by an in-flight call; fall through.
 		r.dom.Stats.Stale.Add(1)
@@ -162,21 +129,21 @@ func (r *RRef[T]) acquire() (linear.Rc[T], Interceptor, error) {
 	// than the entry it wraps (a teardown between the two reads leaves
 	// the binding conservatively stale, never wrongly current).
 	g := r.dom.gen.Load()
-	if st := domainState(r.dom.state.Load()); st != stateLive {
-		return linear.Rc[T]{}, nil, fmt.Errorf("invoke on domain %d (%s): %w", r.dom.id, r.dom.name, stateErr(st))
+	if !r.dom.Live() {
+		return linear.Rc[T]{}, fmt.Errorf("invoke on domain %d (%s): %w", r.dom.id, r.dom.name, ErrDomainFailed)
 	}
 	e := r.dom.lookup(r.slot)
 	if e == nil {
-		return linear.Rc[T]{}, nil, fmt.Errorf("invoke slot %d in domain %d: %w", r.slot, r.dom.id, ErrRevoked)
+		return linear.Rc[T]{}, fmt.Errorf("invoke slot %d in domain %d: %w", r.slot, r.dom.id, ErrRevoked)
 	}
 	// Re-bind to the entry now occupying our slot (recovery re-populated
 	// it), if it has the right type.
 	rc, ok := e.handle.(linear.Rc[T])
 	if !ok {
-		return linear.Rc[T]{}, nil, fmt.Errorf("re-bind slot %d in domain %d: have %s: %w", r.slot, r.dom.id, e.typeName(), ErrWrongType)
+		return linear.Rc[T]{}, fmt.Errorf("re-bind slot %d in domain %d: have %s: %w", r.slot, r.dom.id, e.typeName(), ErrWrongType)
 	}
 	strong := rc.Clone()
-	fresh := &rrefBinding[T]{weak: strong.Downgrade(), intercepted: e.interceptor != nil, gen: g}
+	fresh := &rrefBinding[T]{weak: strong.Downgrade(), gen: g}
 	// Publish the new binding; if another worker re-bound first, keep
 	// theirs and retire ours (a binding is published exactly once, so
 	// the loser is the only dropper of its own weak handle).
@@ -185,12 +152,12 @@ func (r *RRef[T]) acquire() (linear.Rc[T], Interceptor, error) {
 	} else {
 		fresh.weak.Drop()
 	}
-	return strong, e.interceptor, nil
+	return strong, nil
 }
 
-// Call performs a remote invocation: it upgrades the weak pointer, applies
-// policy, switches the current domain for the duration, and runs method
-// with a borrowed view of the object. The object remains in its domain;
+// Call performs a remote invocation: it upgrades the weak pointer,
+// switches the current domain for the duration, and runs method with a
+// borrowed view of the object. The object remains in its domain;
 // only results cross back, per the paper's semantics for borrowed
 // arguments.
 //
@@ -199,15 +166,11 @@ func (r *RRef[T]) acquire() (linear.Rc[T], Interceptor, error) {
 // cleared), and ErrDomainFailed is returned to the caller — the caller's
 // domain keeps running.
 func (r *RRef[T]) Call(ctx *Context, method string, fn func(obj T) error) error {
-	rc, ic, err := r.acquire()
+	rc, err := r.acquire()
 	if err != nil {
 		return err
 	}
 	defer func() { _ = rc.Drop() }()
-	caller := ctx.Current()
-	if err := r.dom.checkPolicy(caller, method, ic); err != nil {
-		return err
-	}
 	r.dom.Stats.Calls.Add(1)
 	ctx.push(r.dom.id)
 	defer ctx.pop()
@@ -243,20 +206,6 @@ func (e *panicError) Error() string {
 
 func (e *panicError) Unwrap() error { return ErrDomainFailed }
 
-func (d *Domain) checkPolicy(caller DomainID, method string, ic Interceptor) error {
-	if pp := d.policy.Load(); pp != nil {
-		if err := (*pp).Allow(caller, d.id, method); err != nil {
-			return fmt.Errorf("call %s from domain %d to %d: %w", method, caller, d.id, err)
-		}
-	}
-	if ic != nil {
-		if err := ic(caller, method); err != nil {
-			return fmt.Errorf("call %s from domain %d to %d: %w", method, caller, d.id, err)
-		}
-	}
-	return nil
-}
-
 // CallMove performs a remote invocation that transfers ownership of arg
 // into the callee — the zero-copy send the paper builds its NetBricks
 // experiment on. The caller's handle is invalidated *before* the callee
@@ -265,15 +214,11 @@ func (d *Domain) checkPolicy(caller DomainID, method string, ic Interceptor) err
 // (possibly different) owned value, whose ownership transfers back.
 func CallMove[T, A any](ctx *Context, r *RRef[T], method string, arg linear.Owned[A], fn func(obj T, arg linear.Owned[A]) (linear.Owned[A], error)) (linear.Owned[A], error) {
 	var zero linear.Owned[A]
-	rc, ic, err := r.acquire()
+	rc, err := r.acquire()
 	if err != nil {
 		return zero, err
 	}
 	defer func() { _ = rc.Drop() }()
-	caller := ctx.Current()
-	if err := r.dom.checkPolicy(caller, method, ic); err != nil {
-		return zero, err
-	}
 	moved, err := arg.Move() // sender loses access here
 	if err != nil {
 		return zero, fmt.Errorf("CallMove %s: argument: %w", method, err)

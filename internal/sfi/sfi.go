@@ -43,14 +43,9 @@ var (
 	// ErrRevoked reports an invocation through an RRef whose table entry
 	// was removed (weak upgrade failed and the slot is empty).
 	ErrRevoked = errors.New("sfi: remote reference revoked")
-	// ErrDomainDead reports an operation on a destroyed domain.
-	ErrDomainDead = errors.New("sfi: domain destroyed")
 	// ErrDomainFailed reports that the callee domain panicked during the
 	// invocation; the domain has been torn down and is awaiting recovery.
 	ErrDomainFailed = errors.New("sfi: domain failed during invocation")
-	// ErrAccessDenied reports that the access-control policy rejected a
-	// cross-domain call.
-	ErrAccessDenied = errors.New("sfi: access denied by policy")
 	// ErrWrongType reports a type mismatch while re-binding an RRef to a
 	// re-populated table slot.
 	ErrWrongType = errors.New("sfi: table entry has wrong type")
@@ -62,15 +57,6 @@ type DomainID uint32
 
 // RootDomain is the implicit domain of code not executing inside any PD.
 const RootDomain DomainID = 0
-
-// domainState tracks the lifecycle of a protection domain.
-type domainState int32
-
-const (
-	stateLive domainState = iota
-	stateFailed
-	stateDead
-)
 
 // Stats holds per-domain counters — telemetry cells updated with
 // uncontended atomic adds on the invocation path.
@@ -107,13 +93,11 @@ func (d *Domain) registerMetrics(reg *telemetry.Registry, base telemetry.Labels)
 }
 
 // tableEntry is one slot of a domain's reference table. handle holds the
-// strong linear.Rc[T] (type-erased); revoke drops it; interceptor, when
-// non-nil, screens each invocation through this slot. typ is the exported
+// strong linear.Rc[T] (type-erased); revoke drops it. typ is the exported
 // object's dynamic type, named only by a re-bind that finds the wrong one.
 type tableEntry struct {
-	handle      interface{ Drop() error }
-	interceptor Interceptor
-	typ         reflect.Type
+	handle interface{ Drop() error }
+	typ    reflect.Type
 }
 
 // revoke drops the table's strong handle.
@@ -127,19 +111,15 @@ func (e *tableEntry) typeName() string {
 	return e.typ.String()
 }
 
-// Interceptor screens a single invocation through a table entry. It runs
-// after the domain-level policy and may reject the call; this is the
-// paper's "intercept remote invocations for fine-grained access control".
-type Interceptor func(caller DomainID, method string) error
-
 // Domain is a protection domain. Create domains through a Manager so that
 // recovery can be orchestrated; the zero Domain is invalid.
 type Domain struct {
 	id   DomainID
 	name string
-	mgr  *Manager
 
-	state atomic.Int32
+	// failed is set from a fault's teardown until recovery completes; a
+	// live domain accepts invocations.
+	failed atomic.Bool
 	// gen is the teardown generation: bumped whenever table entries are
 	// revoked (fault teardown, Revoke, export-over-live-entry). RRef
 	// bindings record the generation they were minted under; a binding
@@ -159,25 +139,19 @@ type Domain struct {
 	revoking []*tableEntry
 
 	recovery func(*Domain) error
-	// policy is read on every remote invocation; it is stored atomically
-	// so the hot path never takes the table lock.
-	policy atomic.Pointer[Policy]
 
 	// Stats is exported for benchmarks and the management plane.
 	Stats Stats
 }
 
-// ID returns the domain's identifier.
-func (d *Domain) ID() DomainID { return d.id }
-
 // Name returns the human-readable name given at creation.
 func (d *Domain) Name() string { return d.name }
 
 // Live reports whether the domain currently accepts invocations.
-func (d *Domain) Live() bool { return domainState(d.state.Load()) == stateLive }
+func (d *Domain) Live() bool { return !d.failed.Load() }
 
 // Failed reports whether the domain is torn down and awaiting recovery.
-func (d *Domain) Failed() bool { return domainState(d.state.Load()) == stateFailed }
+func (d *Domain) Failed() bool { return d.failed.Load() }
 
 // SetRecovery installs the user-provided recovery function, run by the
 // manager after a fault to reinitialize the domain from clean state. The
@@ -188,39 +162,6 @@ func (d *Domain) SetRecovery(fn func(*Domain) error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.recovery = fn
-}
-
-// SetPolicy installs the domain-level access-control policy consulted on
-// every inbound invocation. A nil policy admits all callers.
-func (d *Domain) SetPolicy(p Policy) {
-	if p == nil {
-		d.policy.Store(nil)
-		return
-	}
-	d.policy.Store(&p)
-}
-
-// Execute runs fn in the context of this domain: the current-domain ID
-// visible through ctx is d's for the duration. This mirrors the paper's
-// Domain::execute(&d, || ...), used to create objects "inside" a PD.
-func (d *Domain) Execute(ctx *Context, fn func() error) error {
-	if !d.Live() {
-		return fmt.Errorf("Execute on domain %d (%s): %w", d.id, d.name, stateErr(domainState(d.state.Load())))
-	}
-	ctx.push(d.id)
-	defer ctx.pop()
-	return fn()
-}
-
-func stateErr(s domainState) error {
-	switch s {
-	case stateFailed:
-		return ErrDomainFailed
-	case stateDead:
-		return ErrDomainDead
-	default:
-		return nil
-	}
 }
 
 // lookup returns the entry at slot, or nil.
@@ -289,7 +230,7 @@ func (d *Domain) clearTable() {
 // hung or otherwise unhealthy. Resetting a domain that is not live is a
 // no-op; Reset reports whether it performed the teardown.
 func (d *Domain) Reset() bool {
-	if !d.state.CompareAndSwap(int32(stateLive), int32(stateFailed)) {
+	if !d.failed.CompareAndSwap(false, true) {
 		return false
 	}
 	d.Stats.Faults.Add(1)
@@ -301,48 +242,28 @@ func (d *Domain) Reset() bool {
 // the reference table so clients fail closed until recovery.
 func (d *Domain) fail() { d.Reset() }
 
-// Destroy permanently tears the domain down.
-func (d *Domain) Destroy() {
-	d.state.Store(int32(stateDead))
-	d.clearTable()
-	if d.mgr != nil {
-		d.mgr.forget(d.id)
-	}
-}
-
-// Manager is the management plane controlling domain lifecycle: creation,
-// lookup, and fault recovery.
+// Manager is the management plane controlling domain lifecycle: creation
+// and fault recovery.
 type Manager struct {
-	mu      sync.RWMutex
-	domains map[DomainID]*Domain
+	mu      sync.Mutex
 	nextID  uint32
 	reg     *telemetry.Registry
 	regBase telemetry.Labels
 }
 
-// SetRegistry makes the manager export every domain's counters on reg,
-// labeled {"domain": name} over base. Existing domains are registered
-// immediately; domains created later register at creation. base
+// SetRegistry makes every domain the manager creates from now on export
+// its counters on reg, labeled {"domain": name} over base. base
 // disambiguates managers sharing one registry (e.g. per-worker isolated
 // pipelines pass {"worker": n}).
 func (m *Manager) SetRegistry(reg *telemetry.Registry, base telemetry.Labels) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.reg = reg
 	m.regBase = base
-	doms := make([]*Domain, 0, len(m.domains))
-	for _, d := range m.domains {
-		doms = append(doms, d)
-	}
-	m.mu.Unlock()
-	for _, d := range doms {
-		d.registerMetrics(reg, base)
-	}
 }
 
 // NewManager creates an empty management plane.
-func NewManager() *Manager {
-	return &Manager{domains: make(map[DomainID]*Domain)}
-}
+func NewManager() *Manager { return &Manager{} }
 
 // NewDomain creates a live protection domain.
 func (m *Manager) NewDomain(name string) *Domain {
@@ -351,11 +272,8 @@ func (m *Manager) NewDomain(name string) *Domain {
 	d := &Domain{
 		id:    DomainID(m.nextID),
 		name:  name,
-		mgr:   m,
 		table: make(map[uint64]*tableEntry),
 	}
-	d.state.Store(int32(stateLive))
-	m.domains[d.id] = d
 	reg, base := m.reg, m.regBase
 	m.mu.Unlock()
 	if reg != nil {
@@ -364,41 +282,13 @@ func (m *Manager) NewDomain(name string) *Domain {
 	return d
 }
 
-// Domain returns the domain with the given ID, if it exists.
-func (m *Manager) Domain(id DomainID) (*Domain, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	d, ok := m.domains[id]
-	return d, ok
-}
-
-// Domains returns a snapshot of all registered domains.
-func (m *Manager) Domains() []*Domain {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]*Domain, 0, len(m.domains))
-	for _, d := range m.domains {
-		out = append(out, d)
-	}
-	return out
-}
-
-func (m *Manager) forget(id DomainID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.domains, id)
-}
-
 // Recover runs the §3 recovery protocol on a failed domain: the reference
 // table has already been cleared at fault time; Recover re-initializes the
 // domain from clean state by running the user recovery function, then
 // marks it live. RRefs held by clients re-bind to the re-populated slots
 // on their next invocation.
 func (m *Manager) Recover(d *Domain) error {
-	if domainState(d.state.Load()) == stateDead {
-		return fmt.Errorf("recover domain %d: %w", d.id, ErrDomainDead)
-	}
-	if !d.state.CompareAndSwap(int32(stateFailed), int32(stateLive)) {
+	if !d.failed.CompareAndSwap(true, false) {
 		return fmt.Errorf("recover domain %d: domain is not in failed state", d.id)
 	}
 	d.mu.RLock()
@@ -406,7 +296,7 @@ func (m *Manager) Recover(d *Domain) error {
 	d.mu.RUnlock()
 	if rec != nil {
 		if err := rec(d); err != nil {
-			d.state.Store(int32(stateFailed))
+			d.failed.Store(true)
 			return fmt.Errorf("recover domain %d: recovery function: %w", d.id, err)
 		}
 	}

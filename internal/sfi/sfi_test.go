@@ -3,10 +3,12 @@ package sfi
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/linear"
+	"repro/internal/telemetry"
 )
 
 // counter is a simple stateful object to export into domains.
@@ -69,9 +71,11 @@ func TestFigure1Structure(t *testing.T) {
 	if n := rc.StrongCount(); n != 1 {
 		t.Fatalf("strong count = %d, want 1 (table only)", n)
 	}
-	if n := rc.WeakCount(); n != 1 {
-		t.Fatalf("weak count = %d, want 1 (the rref)", n)
+	w, ok := rref.bind.Load().weak.Upgrade()
+	if !ok || !w.SameBox(rc) {
+		t.Fatal("the rref's weak handle is not on the table's proxy")
 	}
+	_ = w.Drop()
 }
 
 func TestRevokeFailsClosed(t *testing.T) {
@@ -79,7 +83,11 @@ func TestRevokeFailsClosed(t *testing.T) {
 	d := m.NewDomain("svc")
 	rref, _ := Export(d, &counter{})
 	d.Revoke(rref.Slot())
-	if rref.Alive() {
+	if d.lookup(rref.Slot()) != nil {
+		t.Fatal("slot still occupied after revoke")
+	}
+	if w, ok := rref.bind.Load().weak.Upgrade(); ok {
+		_ = w.Drop()
 		t.Fatal("rref alive after revoke")
 	}
 	err := rref.Call(ctx, "incr", func(c *counter) error { return nil })
@@ -174,10 +182,6 @@ func TestRecoverRequiresFailedState(t *testing.T) {
 	if err := m.Recover(d); err == nil {
 		t.Fatal("Recover on live domain succeeded")
 	}
-	d.Destroy()
-	if err := m.Recover(d); !errors.Is(err, ErrDomainDead) {
-		t.Fatalf("Recover on dead domain: %v, want ErrDomainDead", err)
-	}
 }
 
 func TestRecoveryFunctionFailureKeepsDomainFailed(t *testing.T) {
@@ -259,7 +263,7 @@ func TestCallMoveWithMovedArgFails(t *testing.T) {
 	d := m.NewDomain("stage")
 	rref, _ := Export(d, &counter{})
 	arg := linear.New(1)
-	_ = arg.MustMove() // consume it first
+	_, _ = arg.Move() // consume it first
 	_, err := CallMove(ctx, rref, "p", arg, func(c *counter, a linear.Owned[int]) (linear.Owned[int], error) {
 		return a, nil
 	})
@@ -285,78 +289,6 @@ func TestCallMovePanicFailsDomainAndDropsNothingOnCaller(t *testing.T) {
 	}
 }
 
-func TestDomainPolicyEnforced(t *testing.T) {
-	m := NewManager()
-	d := m.NewDomain("guarded")
-	client := m.NewDomain("client")
-	rref, _ := Export(d, &counter{})
-
-	acl := NewACL().AllowMethod(client.ID(), "incr")
-	d.SetPolicy(acl)
-
-	ctx := NewContext()
-	// Call from root: denied (no grant).
-	err := rref.Call(ctx, "incr", func(*counter) error { return nil })
-	if !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("root call: err = %v, want ErrAccessDenied", err)
-	}
-	// Call from client domain on allowed method: admitted.
-	err = client.Execute(ctx, func() error {
-		return rref.Call(ctx, "incr", func(c *counter) error { c.incr(); return nil })
-	})
-	if err != nil {
-		t.Fatalf("client call: %v", err)
-	}
-	// Call from client on another method: denied.
-	err = client.Execute(ctx, func() error {
-		return rref.Call(ctx, "reset", func(*counter) error { return nil })
-	})
-	if !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("client reset: err = %v, want ErrAccessDenied", err)
-	}
-	// Revoke the caller: denied again.
-	acl.RevokeCaller(client.ID())
-	err = client.Execute(ctx, func() error {
-		return rref.Call(ctx, "incr", func(*counter) error { return nil })
-	})
-	if !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("after revoke: err = %v, want ErrAccessDenied", err)
-	}
-}
-
-func TestPerEntryInterceptor(t *testing.T) {
-	m, ctx := newWorld(t)
-	d := m.NewDomain("svc")
-	rref, _ := ExportIntercepted(d, &counter{}, func(caller DomainID, method string) error {
-		if method == "secret" {
-			return fmt.Errorf("method sealed: %w", ErrAccessDenied)
-		}
-		return nil
-	})
-	if err := rref.Call(ctx, "public", func(*counter) error { return nil }); err != nil {
-		t.Fatalf("public: %v", err)
-	}
-	if err := rref.Call(ctx, "secret", func(*counter) error { return nil }); !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("secret: err = %v, want ErrAccessDenied", err)
-	}
-}
-
-func TestBuiltinPolicies(t *testing.T) {
-	if err := AllowAll.Allow(1, 2, "m"); err != nil {
-		t.Fatalf("AllowAll: %v", err)
-	}
-	if err := DenyAll.Allow(1, 2, "m"); !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("DenyAll: %v", err)
-	}
-	acl := NewACL().AllowCaller(7)
-	if err := acl.Allow(7, 2, "anything"); err != nil {
-		t.Fatalf("wildcard caller: %v", err)
-	}
-	if err := acl.Allow(8, 2, "anything"); !errors.Is(err, ErrAccessDenied) {
-		t.Fatalf("unknown caller admitted")
-	}
-}
-
 func TestContextNesting(t *testing.T) {
 	m := NewManager()
 	a := m.NewDomain("a")
@@ -365,19 +297,19 @@ func TestContextNesting(t *testing.T) {
 	ra, _ := Export(a, &counter{})
 	rb, _ := Export(b, &counter{})
 
-	if ctx.Current() != RootDomain || ctx.Depth() != 0 {
+	if ctx.Current() != RootDomain || len(ctx.stack) != 0 {
 		t.Fatal("fresh context not at root")
 	}
 	err := ra.Call(ctx, "outer", func(*counter) error {
-		if ctx.Current() != a.ID() {
+		if ctx.Current() != a.id {
 			t.Errorf("inside a: current = %d", ctx.Current())
 		}
 		return rb.Call(ctx, "inner", func(*counter) error {
-			if ctx.Current() != b.ID() {
+			if ctx.Current() != b.id {
 				t.Errorf("inside b: current = %d", ctx.Current())
 			}
-			if ctx.Depth() != 2 {
-				t.Errorf("depth = %d, want 2", ctx.Depth())
+			if len(ctx.stack) != 2 {
+				t.Errorf("depth = %d, want 2", len(ctx.stack))
 			}
 			return nil
 		})
@@ -390,37 +322,30 @@ func TestContextNesting(t *testing.T) {
 	}
 }
 
-func TestDestroyedDomainRejectsEverything(t *testing.T) {
-	m, ctx := newWorld(t)
-	d := m.NewDomain("gone")
-	rref, _ := Export(d, &counter{})
-	d.Destroy()
-	if err := rref.Call(ctx, "incr", func(*counter) error { return nil }); !errors.Is(err, ErrDomainDead) {
-		t.Fatalf("call: %v, want ErrDomainDead", err)
-	}
-	if _, err := Export(d, &counter{}); !errors.Is(err, ErrDomainDead) {
-		t.Fatalf("export: %v, want ErrDomainDead", err)
-	}
-	if err := d.Execute(ctx, func() error { return nil }); !errors.Is(err, ErrDomainDead) {
-		t.Fatalf("execute: %v, want ErrDomainDead", err)
-	}
-	if _, ok := m.Domain(d.ID()); ok {
-		t.Fatal("destroyed domain still registered")
-	}
-}
-
+// TestManagerRegistry: a manager hands out distinct domain IDs, and
+// once given a registry it exports the counters of every domain it
+// creates, labeled by domain name.
 func TestManagerRegistry(t *testing.T) {
 	m := NewManager()
+	reg := telemetry.NewRegistry()
+	m.SetRegistry(reg, telemetry.Labels{"worker": "0"})
 	a := m.NewDomain("a")
 	b := m.NewDomain("b")
-	if a.ID() == b.ID() {
+	if a.id == b.id {
 		t.Fatal("duplicate domain IDs")
 	}
-	if got, ok := m.Domain(a.ID()); !ok || got != a {
-		t.Fatal("lookup failed")
+	rref, _ := Export(a, &counter{})
+	if err := rref.Call(NewContext(), "incr", func(c *counter) error { c.incr(); return nil }); err != nil {
+		t.Fatal(err)
 	}
-	if len(m.Domains()) != 2 {
-		t.Fatalf("Domains() = %d entries", len(m.Domains()))
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`sfi_calls_total{domain="a",worker="0"} 1`, `sfi_calls_total{domain="b",worker="0"} 0`} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("registry lacks %q:\n%s", want, out.String())
+		}
 	}
 }
 

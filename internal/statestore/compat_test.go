@@ -26,7 +26,37 @@ type nfState struct {
 	fw  *firewall.Stateful
 	lb  *maglev.Balancer
 	tbl *session.Table
+	ix  *statestore.FlowIndex
 	set *domain.StateSet
+}
+
+// resolve reads a flow through the table's RAM into its spill index
+// without promoting it: where a tracked packet's promotion would find it.
+func resolve(tbl *session.Table, ix session.Spill, h uint64) (packet.IPv4, bool) {
+	if ip, ok := tbl.Entries()[h]; ok {
+		return ip, true
+	}
+	rec, ok, err := ix.LookupFlow(h)
+	if err != nil || !ok {
+		return 0, false
+	}
+	return rec.Backend, true
+}
+
+// flowImages splits a session table's wire image (session's v1 token
+// layout: a 5-byte header, then one 42-byte entry per resident flow
+// that starts with the flow hash) into entries by hash.
+func flowImages(t *testing.T, tbl *session.Table) map[uint64][]byte {
+	t.Helper()
+	img, err := tbl.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[uint64][]byte{}
+	for e := img[5:]; len(e) >= 42; e = e[42:] {
+		out[binary.LittleEndian.Uint64(e)] = e[:42]
+	}
+	return out
 }
 
 // newParentStoreState builds the NF state of testdata/parent-store's
@@ -61,6 +91,7 @@ func newParentStoreState(t *testing.T, store *statestore.Store) *nfState {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.ix = ix
 	st.tbl.SetSpill(ix, 16)
 	st.set = domain.NewStateSet().Add("firewall", st.fw).Add("maglev", st.lb).Add("session", st.tbl)
 	return st
@@ -125,16 +156,17 @@ func sameNFState(t *testing.T, got, want *nfState) {
 	}
 	for i := 0; i < 40; i++ { // resident or spilled, every flow resolves the same
 		h := recipeTuple(i).Hash()
-		gip, gok := got.tbl.Lookup(h)
-		wip, wok := want.tbl.Lookup(h)
+		gip, gok := resolve(got.tbl, got.ix, h)
+		wip, wok := resolve(want.tbl, want.ix, h)
 		if gip != wip || gok != wok {
-			t.Fatalf("Lookup(flow %d) = %v,%v, want %v,%v", i, gip, gok, wip, wok)
+			t.Fatalf("flow %d resolves to %v,%v, want %v,%v", i, gip, gok, wip, wok)
 		}
 	}
-	gt, _ := got.tbl.TotalFlows()
-	wt, _ := want.tbl.TotalFlows()
-	if gt != wt {
-		t.Fatalf("TotalFlows %d, want %d (Spilled flags)", gt, wt)
+	gi, wi := flowImages(t, got.tbl), flowImages(t, want.tbl)
+	for h, w := range wi {
+		if !bytes.Equal(gi[h], w) {
+			t.Fatalf("flow %x restored as %x, want %x (tuple, Spilled flag, backend, counters)", h, gi[h], w)
+		}
 	}
 	gh, gm := got.lb.Stats()
 	wh, wm := want.lb.Stats()

@@ -392,13 +392,6 @@ func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
 	}
 }
 
-// OverlaySize reports uncompacted put entries (test introspection).
-func (fi *FlowIndex) OverlaySize() int {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return len(fi.overlay)
-}
-
 func (fi *FlowIndex) close() error {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()

@@ -276,8 +276,8 @@ func TestFailedIndexReopenKeepsTheOldHandle(t *testing.T) {
 	if err := fi.Compact(); !errors.Is(err, errInjected) {
 		t.Fatalf("compaction whose new index cannot be opened: %v", err)
 	}
-	if fi.idxCount != 40 || fi.OverlaySize() != 40 {
-		t.Fatalf("after the failed swap the index says %d entries with %d in the overlay, want the old 40 and 40", fi.idxCount, fi.OverlaySize())
+	if fi.idxCount != 40 || len(fi.overlay) != 40 {
+		t.Fatalf("after the failed swap the index says %d entries with %d in the overlay, want the old 40 and 40", fi.idxCount, len(fi.overlay))
 	}
 	wantFlows(t, fi, 0, 70, true)
 	if got, _, _ := fi.LookupFlow(spread(35)); got.Packets != 2 {
@@ -327,8 +327,8 @@ func TestMergeReadErrorLeavesIndexAndOverlay(t *testing.T) {
 	if st, err := os.Stat(idxPath); err != nil || st.Size() != 25*flowEntrySize+7 {
 		t.Fatalf("the failed compaction replaced the index: %v, %v", st, err)
 	}
-	if fi.OverlaySize() != 10 || fi.log.size == 0 {
-		t.Fatalf("the failed compaction dropped the overlay (%d entries) or the log (%d bytes)", fi.OverlaySize(), fi.log.size)
+	if len(fi.overlay) != 10 || fi.log.size == 0 {
+		t.Fatalf("the failed compaction dropped the overlay (%d entries) or the log (%d bytes)", len(fi.overlay), fi.log.size)
 	}
 	wantFlows(t, fi, 40, 10, true)
 	ents, err := os.ReadDir(dir)

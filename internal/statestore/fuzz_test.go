@@ -86,7 +86,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open on fuzzed WAL: %v", err)
 		}
-		names := s.Names()
+		names := s.names()
 		epochs := make(map[string]uint64, len(names))
 		for _, name := range names {
 			_, seq, ok, err := s.LastEpoch(name)
@@ -107,8 +107,8 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("reopen lost %q: seq %d→%d ok=%v err=%v", name, seq, seq2, ok, err)
 			}
 		}
-		if len(s2.Names()) != len(names) {
-			t.Fatalf("reopen domain count %d != %d", len(s2.Names()), len(names))
+		if len(s2.names()) != len(names) {
+			t.Fatalf("reopen domain count %d != %d", len(s2.names()), len(names))
 		}
 	})
 }

@@ -178,12 +178,13 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 			dir := t.TempDir()
 			const ramCap = 48
 			evicted := map[uint64]packet.IPv4{}
+			var fi *statestore.FlowIndex
 			open := func() (*statestore.Store, *session.Table) {
 				s, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone, FlowCompactAfter: 64})
 				if err != nil {
 					t.Fatalf("Open: %v", err)
 				}
-				fi, err := s.FlowIndex("t")
+				fi, err = s.FlowIndex("t")
 				if err != nil {
 					t.Fatalf("FlowIndex: %v", err)
 				}
@@ -204,24 +205,24 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 				// Everything durable (epoch image or evicted to the index)
 				// must resolve to its true backend.
 				for h, ip := range durable {
-					got, ok := tbl.Lookup(h)
+					got, ok := resolve(tbl, fi, h)
 					if !ok || got != ip {
 						t.Fatalf("%s: durable flow %x → %v,%v; want %v", what, h, got, ok, ip)
 					}
 				}
 				for h, ip := range evicted {
-					got, ok := tbl.Lookup(h)
+					got, ok := resolve(tbl, fi, h)
 					if !ok || got != ip {
 						t.Fatalf("%s: evicted flow %x → %v,%v; want %v", what, h, got, ok, ip)
 					}
 				}
 				// And nothing ever resolves wrongly.
 				for h, ip := range tracked {
-					if got, ok := tbl.Lookup(h); ok && got != ip {
+					if got, ok := resolve(tbl, fi, h); ok && got != ip {
 						t.Fatalf("%s: flow %x → wrong backend %v, want %v", what, h, got, ip)
 					}
 				}
-				if _, ok := tbl.Lookup(0xfeedfacecafebeef); ok {
+				if _, ok := resolve(tbl, fi, 0xfeedfacecafebeef); ok {
 					t.Fatalf("%s: phantom flow found", what)
 				}
 			}

@@ -229,7 +229,7 @@ func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logSize, overlay := fi.log.size, fi.OverlaySize()
+	logSize, overlay := fi.log.size, len(fi.overlay)
 	fs.arm(fault{op: "read", name: "w.flog", n: -1})
 	if err := fi.Compact(); !errors.Is(err, errInjected) {
 		t.Fatalf("merge over a failing log read = %v, want the injected error", err)
@@ -237,8 +237,8 @@ func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
 	if got, _ := os.ReadFile(idxPath); string(got) != string(idxBefore) {
 		t.Fatal("the failed merge replaced the index")
 	}
-	if fi.log.size != logSize || fi.OverlaySize() != overlay {
-		t.Fatalf("the failed merge left a %d-byte log and %d overlay flows, want %d and %d", fi.log.size, fi.OverlaySize(), logSize, overlay)
+	if fi.log.size != logSize || len(fi.overlay) != overlay {
+		t.Fatalf("the failed merge left a %d-byte log and %d overlay flows, want %d and %d", fi.log.size, len(fi.overlay), logSize, overlay)
 	}
 	fs.disarm()
 	if n, err := fi.FlowCount(); err != nil || n != 50 {
@@ -275,14 +275,14 @@ func TestFailedOverlayReadPromotesNothing(t *testing.T) {
 			spilled = append(spilled, tuple(i))
 		}
 	}
-	if len(spilled) < 2 || fi.OverlaySize() != len(spilled) {
-		t.Fatalf("%d flows spilled, %d in the overlay; want at least 2, all of them", len(spilled), fi.OverlaySize())
+	if len(spilled) < 2 || len(fi.overlay) != len(spilled) {
+		t.Fatalf("%d flows spilled, %d in the overlay; want at least 2, all of them", len(spilled), len(fi.overlay))
 	}
 
 	fs.arm(fault{op: "read", name: "w.flog", n: -1})
 	h := spilled[0].Hash()
-	if ip, ok := tbl.Lookup(h); ok {
-		t.Fatalf("a lookup through a failing log found backend %v", ip)
+	if rec, ok, _ := fi.LookupFlow(h); ok {
+		t.Fatalf("a lookup through a failing log found backend %v", rec.Backend)
 	}
 	_, promoted, errs := tbl.SpillStats()
 	tbl.Track(spilled[0], newBackend, 64)

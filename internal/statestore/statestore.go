@@ -477,18 +477,6 @@ func (s *Store) EpochCount() int {
 	return len(s.epochs)
 }
 
-// Names returns the domains with a durable epoch, sorted.
-func (s *Store) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.epochs))
-	for name := range s.epochs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Compact rewrites base.db as the newest epoch per domain and truncates
 // the WAL. Crash-safe: the new base is fully written and fsynced before
 // a rename swaps it in, the directory entry is fsynced before the WAL is

@@ -56,7 +56,7 @@ func TestPersistAndReopen(t *testing.T) {
 	if _, _, ok, _ := s2.LastEpoch("ghost"); ok {
 		t.Fatal("ghost domain has an epoch")
 	}
-	if got := s2.Names(); len(got) != 2 || got[0] != "worker-0" || got[1] != "worker-1" {
+	if got := s2.names(); len(got) != 2 || got[0] != "worker-0" || got[1] != "worker-1" {
 		t.Fatalf("Names = %v", got)
 	}
 }

@@ -40,12 +40,6 @@ func (h *Histogram) ObserveNanos(n int64) {
 	h.sum.Add(n)
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the total of all recorded samples.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
 // BucketUpper reports bucket i's inclusive upper bound. The last bucket
 // is unbounded and reports the largest representable duration.
 func BucketUpper(i int) time.Duration {
@@ -101,12 +95,4 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 		}
 	}
 	return BucketUpper(NumBuckets - 1)
-}
-
-// Mean returns the average recorded sample, or 0 with no samples.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
 }

@@ -50,9 +50,6 @@ func TestConcurrentRegistrationVsRecord(t *testing.T) {
 		}
 		_ = reg.Snapshot()
 		_ = rec.Dump()
-		if i%10 == 0 {
-			reg.Unregister("churn_total", labels[i%len(labels)])
-		}
 	}
 	close(stop)
 	wg.Wait()

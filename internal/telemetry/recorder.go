@@ -142,14 +142,6 @@ func NewRecorder(n int) *Recorder {
 	return r
 }
 
-// Cap reports the ring capacity in events.
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return r.ring.Cap()
-}
-
 // Actor interns name and returns its ID, reusing the ID of an
 // already-interned name. Call at spawn time, never on the record path.
 func (r *Recorder) Actor(name string) ActorID {
@@ -179,14 +171,6 @@ func (r *Recorder) Record(a ActorID, k EventKind, arg uint64) {
 	c.kind.Store(uint32(k))
 	c.arg.Store(arg)
 	r.ring.Publish(pos)
-}
-
-// Len reports how many events are currently dumpable (at most Cap).
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	return r.ring.Len()
 }
 
 // Dump returns the recorded events in sequence order, oldest first.

@@ -250,16 +250,6 @@ func (t *Txn) Commit() {
 	t.pending = nil
 }
 
-// Unregister removes the series with the given name+labels, if present.
-func (r *Registry) Unregister(name string, labels Labels) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	delete(r.metrics, name+labels.String())
-	r.mu.Unlock()
-}
-
 // snapshotMetrics copies the metric list (sorted by name, then labels)
 // so exports iterate without holding the lock across user read funcs.
 func (r *Registry) snapshotMetrics() []*metric {

@@ -23,23 +23,23 @@ func TestCounterGauge(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
-	h.Observe(0)                    // bucket 0
-	h.Observe(1)                    // bucket 1: [1,1]
-	h.Observe(3)                    // bucket 2: [2,3]
-	h.Observe(1024)                 // bucket 11: [1024,2047]
-	h.Observe(-5)                   // clamps to 0 → bucket 0
-	h.Observe(100 * time.Second)    // clamps into the last bucket
-	if got := h.Count(); got != 6 {
-		t.Fatalf("count = %d, want 6", got)
-	}
+	h.Observe(0)                 // bucket 0
+	h.Observe(1)                 // bucket 1: [1,1]
+	h.Observe(3)                 // bucket 2: [2,3]
+	h.Observe(1024)              // bucket 11: [1024,2047]
+	h.Observe(-5)                // clamps to 0 → bucket 0
+	h.Observe(100 * time.Second) // clamps into the last bucket
 	s := h.Snapshot()
+	if s.Count != 6 {
+		t.Fatalf("count = %d, want 6", s.Count)
+	}
 	for i, want := range map[int]uint64{0: 2, 1: 1, 2: 1, 11: 1, NumBuckets - 1: 1} {
 		if s.Buckets[i] != want {
 			t.Errorf("bucket[%d] = %d, want %d", i, s.Buckets[i], want)
 		}
 	}
-	if got := h.Sum(); got != 1028+100*time.Second {
-		t.Fatalf("sum = %v", got)
+	if s.Sum != 1028+100*time.Second {
+		t.Fatalf("sum = %v", s.Sum)
 	}
 }
 
@@ -62,9 +62,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %v, want 0", got)
-	}
-	if mean := s.Mean(); mean <= 0 {
-		t.Errorf("mean = %v, want > 0", mean)
 	}
 }
 
@@ -123,7 +120,7 @@ func TestRegistryPrometheus(t *testing.T) {
 	}
 }
 
-func TestRegistryReplaceAndUnregister(t *testing.T) {
+func TestRegistryReplace(t *testing.T) {
 	reg := NewRegistry()
 	var a, b Counter
 	a.Add(1)
@@ -131,12 +128,8 @@ func TestRegistryReplaceAndUnregister(t *testing.T) {
 	reg.RegisterCounter("x_total", nil, &a)
 	reg.RegisterCounter("x_total", nil, &b) // replaces: re-runs re-register
 	snap := reg.Snapshot()
-	if got := snap["x_total"]; got != 2.0 {
-		t.Fatalf("after replace: %v, want 2", got)
-	}
-	reg.Unregister("x_total", nil)
-	if got := len(reg.Snapshot()); got != 0 {
-		t.Fatalf("after unregister: %d series", got)
+	if got := snap["x_total"]; got != 2.0 || len(snap) != 1 {
+		t.Fatalf("after replace: %v in %d series, want 2 in one", got, len(snap))
 	}
 }
 
@@ -162,13 +155,12 @@ func TestNilRegistryAndRecorder(t *testing.T) {
 	var reg *Registry
 	var c Counter
 	reg.RegisterCounter("x", nil, &c) // must not panic
-	reg.Unregister("x", nil)
 	if reg.Snapshot() != nil && len(reg.Snapshot()) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
 	var rec *Recorder
 	rec.Record(rec.Actor("a"), EvSend, 1) // must not panic
-	if rec.Dump() != nil || rec.Len() != 0 || rec.Cap() != 0 {
+	if rec.Dump() != nil {
 		t.Fatal("nil recorder not inert")
 	}
 }
@@ -211,9 +203,6 @@ func TestRecorderWraps(t *testing.T) {
 	evs := rec.Dump()
 	if len(evs) != 16 {
 		t.Fatalf("dump len = %d, want ring size 16", len(evs))
-	}
-	if rec.Len() != 16 {
-		t.Fatalf("Len = %d", rec.Len())
 	}
 	// Oldest surviving event is #85 (100 recorded, 16 kept).
 	if evs[0].Seq != 85 || evs[0].Arg != 84 {

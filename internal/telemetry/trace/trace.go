@@ -139,10 +139,6 @@ type Span struct {
 // aborted). One inlineable field compare — the untraced-path guard.
 func (s *Span) Armed() bool { return s.id != 0 }
 
-// ID returns the trace ID (0 when unarmed) — the value EvTrace and
-// EvTraceAbort carry, and the `id` field in /debug/traces.
-func (s *Span) ID() uint64 { return s.id }
-
 // StampAt records m as the span's visit to st. No-op on an unarmed span
 // or an out-of-range stage; re-stamping a stage overwrites (last visit
 // wins, which is what a restarted delivery should report).
@@ -276,14 +272,6 @@ func (t *Tracer) SampleEvery() int {
 		return 0
 	}
 	return t.every
-}
-
-// Cap reports the completed-trace ring capacity.
-func (t *Tracer) Cap() int {
-	if t == nil {
-		return 0
-	}
-	return t.ring.Cap()
 }
 
 // NewSampler returns an arming sampler for one receive loop. A nil

@@ -47,7 +47,7 @@ func TestSamplerInterval(t *testing.T) {
 	samp := tr.NewSampler()
 	armedCount := 0
 	var sp Span
-	for i := 0; i < 128 * 4; i++ {
+	for i := 0; i < 128*4; i++ {
 		if samp.MaybeArm(&sp, 0) {
 			armedCount++
 			tr.Abort(&sp) // return the span so conservation holds
@@ -77,7 +77,7 @@ func TestLifecycle(t *testing.T) {
 	if !sp.Armed() {
 		t.Fatal("span not armed after MaybeArm returned true")
 	}
-	id := sp.ID()
+	id := sp.id
 	for _, st := range []Stage{StageParse, StageFirewall, StageMaglev, StageSession} {
 		sp.StampAt(st, tr.Now())
 	}
@@ -138,7 +138,7 @@ func TestAbortEmitsEvent(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, Recorder: rec})
 	var sp Span
 	tr.NewSampler().MaybeArm(&sp, 0)
-	id := sp.ID()
+	id := sp.id
 	tr.Abort(&sp)
 	if sp.Armed() {
 		t.Fatal("span still armed after Abort")
@@ -179,7 +179,7 @@ func TestUnarmedSpanIsInert(t *testing.T) {
 // can instrument unconditionally.
 func TestNilTracer(t *testing.T) {
 	var tr *Tracer
-	if tr.SampleEvery() != 0 || tr.Cap() != 0 {
+	if tr.SampleEvery() != 0 {
 		t.Fatal("nil tracer reports nonzero config")
 	}
 	samp := tr.NewSampler()
@@ -223,15 +223,15 @@ func TestNilTracer(t *testing.T) {
 // newest Cap() records, in completion order.
 func TestRingWrap(t *testing.T) {
 	tr := New(Config{SampleEvery: 1, Ring: 4})
-	if tr.Cap() != 4 {
-		t.Fatalf("Cap() = %d, want 4", tr.Cap())
+	if tr.ring.Cap() != 4 {
+		t.Fatalf("Cap() = %d, want 4", tr.ring.Cap())
 	}
 	samp := tr.NewSampler()
 	var lastID uint64
 	for i := 0; i < 10; i++ {
 		var sp Span
 		samp.MaybeArm(&sp, 0)
-		lastID = sp.ID()
+		lastID = sp.id
 		tr.Complete(&sp)
 	}
 	recs := tr.Dump()

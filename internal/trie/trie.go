@@ -100,41 +100,6 @@ func (t *Trie[V]) Exact(ip packet.IPv4, length int) (V, bool) {
 	return *n.Val, true
 }
 
-// Delete removes the exact prefix, reporting whether it was present.
-// Empty interior nodes are pruned.
-func (t *Trie[V]) Delete(ip packet.IPv4, length int) bool {
-	if length < 0 || length > 32 {
-		return false
-	}
-	// Record the path for pruning.
-	path := make([]*Node[V], 0, length+1)
-	n := t.Root
-	path = append(path, n)
-	for i := 0; i < length; i++ {
-		n = n.Child[bit(ip, i)]
-		if n == nil {
-			return false
-		}
-		path = append(path, n)
-	}
-	if n.Val == nil {
-		return false
-	}
-	n.Val = nil
-	t.Count--
-	// Prune childless, valueless nodes bottom-up (never the root).
-	for i := len(path) - 1; i > 0; i-- {
-		cur := path[i]
-		if cur.Val != nil || cur.Child[0] != nil || cur.Child[1] != nil {
-			break
-		}
-		parent := path[i-1]
-		b := bit(ip, i-1)
-		parent.Child[b] = nil
-	}
-	return true
-}
-
 // Walk visits every stored value in prefix order. The callback receives
 // the prefix, its length, and a pointer to the stored value (so callers
 // can inspect identity/sharing). Returning false stops the walk.
