@@ -55,7 +55,7 @@ PIPELINE_EPOCH_ALLOCS_MAX ?= 1262
 # buffer or a restored flow graph is a few large objects, not many — and
 # sits at twice the recorded number, a sixth of what one Run used to leave
 # behind. The bench also prices one fault against a fault-free twin:
-# recorded 12.4-12.6 allocs/fault and 550-630 B/fault (48 and ≈ 2.8 KB
+# recorded 10.0-10.1 allocs/fault and 490-510 B/fault (48 and ≈ 2.8 KB
 # before), gated at TestFaultAllocBudget's budget of 20 and 1024 B.
 CHAOS_RESTORE_ALLOCS_MAX ?= 690
 CHAOS_RESTORE_BYTES_MAX ?= 1200000
@@ -217,14 +217,16 @@ loc:
 
 ## fuzz: short fuzz smoke on the packet parser, the table-driven RSS
 ## hash against its bit-serial definition, the mailbox ownership
-## boundary, the netport decoder, the checkpoint round-trip, the
-## wire-checkpoint-vs-reflect-engine oracles, the epoch-buffer ownership
-## script, and the flow index's streaming merge against a plain-map
-## oracle (seed corpus + 10s each).
+## boundary, a StateSet's decode of hostile epoch bytes, the netport
+## decoder, the checkpoint round-trip, the wire-checkpoint-vs-reflect-
+## engine oracles, the epoch-buffer ownership script, and the flow
+## index's streaming merge against a plain-map oracle (seed corpus + 10s
+## each).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzToeplitzTable -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxOwnership -fuzztime=10s ./internal/domain
+	$(GO) test -run='^$$' -fuzz=FuzzStateSetDecode -fuzztime=10s ./internal/domain
 	$(GO) test -run='^$$' -fuzz=FuzzNetportDecode -fuzztime=10s ./internal/netport
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointRestore -fuzztime=10s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzTraceSpanEncode -fuzztime=10s ./internal/telemetry/trace

@@ -252,15 +252,15 @@ func TestRecycledEpochAllocatesNothing(t *testing.T) {
 // domain has faulted before: chaosRunner with a panic on every 2000th
 // batch of each worker (mem-chaos's rate), 100 faults over two Runs,
 // against its fault-free twin (perFault). The errors format lazily, the
-// sfi table is cleared in place, an exited generation hands its context
-// on, each domain keeps one ticker and one backoff timer, the lost
+// sfi table is cleared in place, a domain's context is made once, each
+// domain keeps one ticker and one backoff timer, the lost
 // batch's storage goes back to the worker's free list and the session
 // table's backend boxes are reused, so what is left is the three error
 // values, the new stage instance's box and table entry (and the operator
 // this setup's fault-stage factory boxes), its client's fresh binding,
-// the next generation's quit channel and goroutine, the lost batch's
-// fresh cell and the restore's two component tokens: ≈ 12 objects and
-// ≈ 0.6 KB. Before that change a fault read 48 objects and ≈ 2.8 KB here.
+// the next generation's quit channel and goroutine and the lost batch's
+// fresh cell: ≈ 10 objects and ≈ 0.5 KB. Before that change a fault read
+// 48 objects and ≈ 2.8 KB here.
 func TestFaultAllocBudget(t *testing.T) {
 	const (
 		faultEvery = 2000

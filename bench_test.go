@@ -80,8 +80,7 @@ func nullPipeline(tb testing.TB, stages, batchSize int, isolated bool) func() er
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ctx := sfi.NewContext()
-	return func() error { return consume(iso.Process(ctx, linear.New(batch))) }
+	return func() error { return consume(iso.Process(linear.New(batch))) }
 }
 
 // consume takes a batch back out of a pipeline's result.
@@ -311,9 +310,8 @@ func domainRecovery(tb testing.TB) func() error {
 	d.SetRecovery(func(d *sfi.Domain) error {
 		return sfi.ExportAt[netbricks.Operator](d, slot, netbricks.NullFilter{})
 	})
-	ctx := sfi.NewContext()
 	return func() error {
-		if err := rref.Call(ctx, "p", func(netbricks.Operator) error { panic("injected") }); err == nil {
+		if err := rref.Call("p", func(netbricks.Operator) error { panic("injected") }); err == nil {
 			return errors.New("injected panic not caught")
 		}
 		return mgr.Recover(d)
@@ -764,10 +762,9 @@ func BenchmarkAblationRRefCall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := sfi.NewContext()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := rref.Call(ctx, "p", func(netbricks.Operator) error { return nil }); err != nil {
+		if err := rref.Call("p", func(netbricks.Operator) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -827,12 +824,11 @@ func BenchmarkAblationMoveSFI(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ctx := sfi.NewContext()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				owned := linear.New(batch)
-				out, err := sfi.CallMove(ctx, rref, "p", owned,
+				out, err := sfi.CallMove(rref, "p", owned,
 					func(op netbricks.Operator, a linear.Owned[*netbricks.Batch]) (linear.Owned[*netbricks.Batch], error) {
 						return a, nil
 					})

@@ -27,7 +27,6 @@ var callerAllowlist = map[string]string{
 	"packet.Packet.VerifyIPChecksum":  "packet and maglev tests: the oracle every rewritten header is checked with",
 	"maglev.Balancer.UpdateBackends":  "maglev's stickiness tests: DESIGN.md's claim that a backend change keeps flows",
 	"linear.Ref":                      "BenchmarkAblationOwnedBorrow and linear's borrow tests: a borrow ends with Release",
-	"sfi.Context.Current":             "TestContextNesting and TestAbandonedHandlerKeepsWhatItHolds: the domain stack a call pushes",
 	"mempool.Pool.Made":               "the dpdk, netport and packet pool tests: a port makes no mbuf header before one is drawn",
 	"evict.Clock.Hashes":              "session's TestRestoreInPlace*: a restored table's eviction ring equals a fresh one's",
 	"statestore.Store.Compact":        "statestore's compaction and crash-point tests: force a WAL compaction",
@@ -243,8 +242,9 @@ func (x *callerIndex) ref(obj types.Object, id *ast.Ident) {
 	}
 }
 
-// declareFile records f's functions and methods, and its exported types
-// and vars; recvs are the method receivers of f's package.
+// declareFile records f's functions and methods, its exported types and
+// vars, and the explicit methods of its interfaces but sealing markers;
+// recvs are the method receivers of f's package.
 func (x *callerIndex) declareFile(info *types.Info, f *ast.File, recvs []span) {
 	for _, d := range f.Decls {
 		switch d := d.(type) {
@@ -264,6 +264,9 @@ func (x *callerIndex) declareFile(info *types.Info, f *ast.File, recvs []span) {
 					if sp.Name.IsExported() {
 						x.declare(info.Defs[sp.Name], sp.Name, &declSite{own: append([]span{x.span(sp)}, recvs...)})
 					}
+					if it, ok := sp.Type.(*ast.InterfaceType); ok {
+						x.declareMethods(info, it)
+					}
 				case *ast.ValueSpec:
 					for _, n := range sp.Names {
 						if d.Tok == token.VAR && n.IsExported() {
@@ -272,6 +275,25 @@ func (x *callerIndex) declareFile(info *types.Info, f *ast.File, recvs []span) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// declareMethods records an interface's explicit methods, each of which
+// only a selection through the interface (or one embedding it) uses. A
+// sealing marker — unexported, no parameters, no results — is never
+// called, by design.
+func (x *callerIndex) declareMethods(info *types.Info, it *ast.InterfaceType) {
+	for _, field := range it.Methods.List {
+		for _, n := range field.Names {
+			fn, ok := info.Defs[n].(*types.Func)
+			if !ok {
+				continue
+			}
+			if sig := fn.Type().(*types.Signature); !fn.Exported() && sig.Params().Len() == 0 && sig.Results().Len() == 0 {
+				continue
+			}
+			x.declare(fn, n, &declSite{own: []span{x.span(field)}})
 		}
 	}
 }
@@ -426,13 +448,15 @@ func allowed(key string, pos string) string {
 }
 
 // TestEveryExportHasACaller: every exported function, method, type and
-// var in internal/, and every unexported function and method, has a
-// reference from a non-test file of the module (bench/nfbench
-// included), on linux or on darwin; a method that implements an
-// interface its type satisfies counts as referenced. What only tests
-// reach is deleted, or moved into a test file, or named in
-// callerAllowlist with the test that needs it. The fixture proves the
-// check fires and honours interface satisfaction.
+// var in internal/, every unexported function and method, and every
+// interface method but a sealing marker has a reference from a non-test
+// file of the module (bench/nfbench included), on linux or on darwin; a
+// method that implements an interface its type satisfies counts as
+// referenced, and an interface method counts only when selected through
+// its interface. What only tests reach is deleted, or moved into a test
+// file, or named in callerAllowlist with the test that needs it. The
+// fixture proves the check fires on a function and on an interface
+// method, and honours interface satisfaction and sealing markers.
 func TestEveryExportHasACaller(t *testing.T) {
 	if len(callerAllowlist) > 15 {
 		t.Fatalf("the allowlist has %d entries, at most 15", len(callerAllowlist))
@@ -472,7 +496,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 	fx := newCallerIndex(fset)
 	fx.add(tf, func(string) bool { return true })
 	got := fx.unreferenced()
-	if _, ok := got["fixture.Orphan"]; !ok || len(got) != 1 {
-		t.Fatalf("the fixture's one orphan was not the one finding: %v", got)
+	_, orphan := got["fixture.Orphan"]
+	_, reset := got["fixture.counter.Reset"]
+	if !orphan || !reset || len(got) != 2 {
+		t.Fatalf("the fixture's two orphans were not the findings: %v", got)
 	}
 }

@@ -76,7 +76,7 @@ func TestClaim_S3_SenderLosesAccessAcrossBoundary(t *testing.T) {
 	}
 	batch := linear.New([]byte("line-rate payload"))
 	sender := batch
-	if _, err := sfi.CallMove(sfi.NewContext(), rref, "p", batch,
+	if _, err := sfi.CallMove(rref, "p", batch,
 		func(_ *struct{}, a linear.Owned[[]byte]) (linear.Owned[[]byte], error) {
 			return a, nil
 		}); err != nil {
@@ -107,7 +107,7 @@ func TestClaim_S3_ZeroCopyCrossing(t *testing.T) {
 	copy(before, batch.Pkts)
 
 	owned := linear.New(batch)
-	out, err := sfi.CallMove(sfi.NewContext(), rref, "p", owned,
+	out, err := sfi.CallMove(rref, "p", owned,
 		func(op netbricks.Operator, a linear.Owned[*netbricks.Batch]) (linear.Owned[*netbricks.Batch], error) {
 			_ = a.With(func(b *netbricks.Batch) {
 				for i, p := range b.Pkts {
@@ -148,13 +148,12 @@ func TestClaim_S3_TeardownFailsClosed(t *testing.T) {
 		}
 		refs = append(refs, r)
 	}
-	ctx := sfi.NewContext()
-	_ = refs[0].Call(ctx, "boom", func(*bytes.Buffer) error { panic("fault") })
+	_ = refs[0].Call("boom", func(*bytes.Buffer) error { panic("fault") })
 	if d.TableSize() != 0 {
 		t.Fatalf("table not cleared: %d", d.TableSize())
 	}
 	for i, r := range refs {
-		if err := r.Call(ctx, "use", func(*bytes.Buffer) error { return nil }); err == nil {
+		if err := r.Call("use", func(*bytes.Buffer) error { return nil }); err == nil {
 			t.Fatalf("rref %d usable after teardown", i)
 		}
 	}
@@ -173,13 +172,12 @@ func TestClaim_S3_RecoveryTransparent(t *testing.T) {
 	d.SetRecovery(func(d *sfi.Domain) error {
 		return sfi.ExportAt(d, slot, bytes.NewBufferString("gen-2"))
 	})
-	ctx := sfi.NewContext()
-	_ = rref.Call(ctx, "boom", func(*bytes.Buffer) error { panic("fault") })
+	_ = rref.Call("boom", func(*bytes.Buffer) error { panic("fault") })
 	if err := mgr.Recover(d); err != nil {
 		t.Fatal(err)
 	}
 	// The *same client-held rref* works again without re-acquisition.
-	got, err := sfi.CallResult(ctx, rref, "read", func(b *bytes.Buffer) (string, error) {
+	got, err := sfi.CallResult(rref, "read", func(b *bytes.Buffer) (string, error) {
 		return b.String(), nil
 	})
 	if err != nil {
@@ -460,7 +458,7 @@ fn filter(src: i64, dst: i64, sport: i64, dport: i64, proto: i64) -> bool {
 	spec.Tuple.SrcPort = 0 // poison
 	frame, _ := packet.Build(nil, spec)
 	b := &netbricks.Batch{Pkts: []*packet.Packet{{Data: frame}}}
-	err = rref.Call(sfi.NewContext(), "p", func(op netbricks.Operator) error {
+	err = rref.Call("p", func(op netbricks.Operator) error {
 		return op.ProcessBatch(b)
 	})
 	if !errors.Is(err, sfi.ErrDomainFailed) {

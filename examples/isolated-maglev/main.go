@@ -60,8 +60,7 @@ func main() {
 	n := port.RxBurst(pkts)
 	batch := linear.New(&netbricks.Batch{Pkts: pkts[:n]})
 	stale := batch // sender keeps a copy of the handle, as an attacker would
-	ctx := sfi.NewContext()
-	out, err := pipeline.Process(ctx, batch)
+	out, err := pipeline.Process(batch)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,11 +25,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Invoke the rref from another PD (here, the root domain). This is
+	// Invoke the rref from outside the PD. This is
 	// the paper's `match rref.method1() { Ok(ret) => ..., Err(_) => ... }`.
-	ctx := sfi.NewContext()
 	for i := 0; i < 3; i++ {
-		ret, err := sfi.CallResult(ctx, rref, "incr", func(c *counter) (int, error) {
+		ret, err := sfi.CallResult(rref, "incr", func(c *counter) (int, error) {
 			c.n++
 			return c.n, nil
 		})
@@ -43,7 +42,7 @@ func main() {
 	// Revoke the reference: the owner removes the proxy from its
 	// reference table, and every outstanding rref fails closed.
 	d.Revoke(rref.Slot())
-	err = rref.Call(ctx, "incr", func(c *counter) error { c.n++; return nil })
+	err = rref.Call("incr", func(c *counter) error { c.n++; return nil })
 	switch {
 	case errors.Is(err, sfi.ErrRevoked):
 		fmt.Println("after revocation: incr() failed with ErrRevoked (as designed)")

@@ -40,14 +40,13 @@ import (
 type Stateful interface {
 	// Checkpoint returns an opaque restore token capturing the state at
 	// this instant. e is an RcAware engine for states that snapshot by
-	// traversal; a state that keeps its checkpoint in wire form ignores
-	// it. The token must be independent of the live state (later
-	// mutations must not leak into it) and not written again until the
-	// runtime hands it back: the runtime keeps it as the last good epoch
-	// while a restore or the store's append may be reading the same
-	// memory. A state that does not implement RecycleToken (see
-	// tokenRecycler) is never handed anything back, so for it "until" is
-	// "ever".
+	// traversal; StateSet, whose token is its wire form, ignores it. The
+	// token must be independent of the live state (later mutations must
+	// not leak into it) and not written again until the runtime hands it
+	// back: the runtime keeps it as the last good epoch while a restore
+	// or the store's append may be reading the same memory. A state that
+	// does not implement RecycleToken (see tokenRecycler) is never handed
+	// anything back, so for it "until" is "ever".
 	Checkpoint(e *checkpoint.Engine) (any, error)
 	// Restore replaces the live state with the token's contents. The
 	// token is always one previously returned by Checkpoint (or
@@ -66,8 +65,8 @@ type Stateful interface {
 // to the same state's Restore, and must not touch live state — the
 // runtime may decode before the state ever serves.
 //
-// Ownership: both directions may alias rather than copy. A state whose
-// token is its wire form returns the token's own bytes from EncodeToken
+// Ownership: both directions may alias rather than copy. StateSet, whose
+// token is its wire form, returns the token's own bytes from EncodeToken
 // and hands data back as the token from DecodeToken. That is sound
 // because an epoch's bytes are not written again until the runtime
 // hands the token back: from the moment Checkpoint returns them, the
@@ -116,31 +115,35 @@ type tokenRecycler interface {
 	RecycleToken(token any)
 }
 
-// wireState is what a StateSet component must be: a Stateful whose
-// Checkpoint token is its own wire bytes (so its TokenCodec is the
-// identity plus validation) and which can append those bytes to a buffer
-// the set owns. session.Table, maglev.Balancer and firewall.Stateful are
-// the implementations.
+// wireState is what a StateSet part is: state that is its own wire
+// bytes. session.Table, maglev.Balancer and firewall.Stateful are the
+// implementations. Like a Stateful, a part takes its own lock.
 type wireState interface {
-	Stateful
-	TokenCodec
 	// CheckpointSize reports the bytes AppendCheckpoint would write now;
-	// the set sizes one buffer for all components from it.
+	// the set sizes one buffer for all parts from it.
 	CheckpointSize() int
 	// AppendCheckpoint appends the state's wire form to buf, captured
 	// under the state's own lock, and returns the extended buffer.
 	AppendCheckpoint(buf []byte) ([]byte, error)
+	// CheckCheckpoint reports whether Restore would accept data, without
+	// touching the live state: it accepts exactly what Restore does.
+	CheckCheckpoint(data []byte) error
+	// Restore replaces the live state with data's contents; a rejected
+	// data leaves it as it was. data is only read, and not kept: the set
+	// writes the epoch buffer again once the runtime hands it back.
+	Restore(data []byte) error
+	// Reset reinitializes to clean boot state.
+	Reset()
 }
 
-// StateSet composes named wire-form components into one Stateful, so a
+// StateSet composes named wire-form parts into one Stateful, so a
 // pipeline domain can checkpoint its firewall, balancer, and session
 // table as a unit. The set's token holds its own wire form — a u32 part
-// count, then each component's bytes behind a u32 length — written once
-// into one buffer per epoch; errors carry the component name.
+// count, then each part's bytes behind a u32 length — written once into
+// one buffer per epoch; errors carry the part name.
 type StateSet struct {
 	names []string
-	parts []Stateful
-	wires []wireState // parts[i] as a wireState; nil if it is not one
+	parts []wireState
 
 	// spare is the one token handed back by RecycleToken and not yet taken
 	// by a Checkpoint. mu guards only the field: a superseded generation
@@ -156,43 +159,26 @@ type setToken struct {
 	wire []byte
 }
 
-// NewStateSet returns an empty set; Add components in a fixed order.
+// NewStateSet returns an empty set; Add parts in a fixed order.
 func NewStateSet() *StateSet { return &StateSet{} }
 
-// Add appends a named component and returns the set for chaining. The
-// component must keep its checkpoint in wire form (see wireState);
-// Checkpoint reports one that does not.
-func (s *StateSet) Add(name string, st Stateful) *StateSet {
+// Add appends a named part and returns the set for chaining.
+func (s *StateSet) Add(name string, part wireState) *StateSet {
 	s.names = append(s.names, name)
-	s.parts = append(s.parts, st)
-	w, _ := st.(wireState)
-	s.wires = append(s.wires, w)
+	s.parts = append(s.parts, part)
 	return s
 }
 
-// checkWires reports the first component that is not a wireState.
-func (s *StateSet) checkWires() error {
-	for i, w := range s.wires {
-		if w == nil {
-			return fmt.Errorf("domain: state %s (%T) has no wire form to compose", s.names[i], s.parts[i])
-		}
-	}
-	return nil
-}
-
-// Checkpoint captures every component into one buffer sized for all of
-// them: each appends its bytes behind a length prefix that is patched in
-// once the component has written. The buffer is the token RecycleToken
-// last handed back when there is one and it is large enough, and freshly
+// Checkpoint captures every part into one buffer sized for all of them:
+// each appends its bytes behind a length prefix that is patched in once
+// the part has written. The buffer is the token RecycleToken last handed
+// back when there is one and it is large enough, and freshly
 // allocated otherwise — so a caller that never hands a token back gets a
 // new buffer every call. The engine is unused.
 func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
-	if err := s.checkWires(); err != nil {
-		return nil, err
-	}
 	size := 4
-	for _, w := range s.wires {
-		size += 4 + w.CheckpointSize()
+	for _, p := range s.parts {
+		size += 4 + p.CheckpointSize()
 	}
 	s.mu.Lock()
 	tok := s.spare
@@ -210,12 +196,12 @@ func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
 		// as garbage (≈ 1 MB a worker on mem-durable).
 		tok.wire = make([]byte, 0, size+size/8)
 	}
-	buf := binary.LittleEndian.AppendUint32(tok.wire[:0], uint32(len(s.wires)))
-	for i, w := range s.wires {
+	buf := binary.LittleEndian.AppendUint32(tok.wire[:0], uint32(len(s.parts)))
+	for i, p := range s.parts {
 		at := len(buf)
 		buf = append(buf, 0, 0, 0, 0)
 		var err error
-		if buf, err = w.AppendCheckpoint(buf); err != nil {
+		if buf, err = p.AppendCheckpoint(buf); err != nil {
 			s.RecycleToken(tok) // never published: still ours alone
 			return nil, fmt.Errorf("state %s: %w", s.names[i], err)
 		}
@@ -242,7 +228,7 @@ func (s *StateSet) RecycleToken(token any) {
 }
 
 // eachPart validates the set's framing and calls fn with each
-// component's bytes (subslices of data, not copies).
+// part's bytes (subslices of data, not copies).
 func (s *StateSet) eachPart(data []byte, fn func(i int, part []byte) error) error {
 	if len(data) < 4 {
 		return fmt.Errorf("domain: state-set token truncated")
@@ -273,7 +259,7 @@ func (s *StateSet) eachPart(data []byte, fn func(i int, part []byte) error) erro
 	return nil
 }
 
-// Restore hands each component its bytes of a Checkpoint token, after
+// Restore hands each part its bytes of a Checkpoint token, after
 // checking the whole frame: a token cut short restores nothing.
 func (s *StateSet) Restore(token any) error {
 	tok, ok := token.(*setToken)
@@ -291,7 +277,7 @@ func (s *StateSet) Restore(token any) error {
 	})
 }
 
-// Reset cold-starts every component.
+// Reset cold-starts every part.
 func (s *StateSet) Reset() {
 	for _, p := range s.parts {
 		p.Reset()
@@ -309,13 +295,10 @@ func (s *StateSet) EncodeToken(token any) ([]byte, error) {
 }
 
 // DecodeToken implements TokenCodec: validate the framing and every
-// component's bytes, and return a token over data itself.
+// part's bytes, and return a token over data itself.
 func (s *StateSet) DecodeToken(data []byte) (any, error) {
-	if err := s.checkWires(); err != nil {
-		return nil, err
-	}
 	err := s.eachPart(data, func(i int, part []byte) error {
-		if _, err := s.wires[i].DecodeToken(part); err != nil {
+		if err := s.parts[i].CheckCheckpoint(part); err != nil {
 			return fmt.Errorf("state %s: decode: %w", s.names[i], err)
 		}
 		return nil

@@ -96,13 +96,11 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// Ctx is the per-invocation context handed to handlers: the worker's
-// sfi.Context (the explicit stand-in for thread-local current-domain
-// storage) and the domain's sfi protection domain, into which handlers
-// may export state via sfi.Export/ExportAt.
+// Ctx is the context handed to handlers: the domain's sfi protection
+// domain, into which handlers may export state via sfi.Export/ExportAt.
+// A domain makes one at Spawn, and every generation serves with it.
 type Ctx struct {
-	SFI *sfi.Context
-	PD  *sfi.Domain
+	PD *sfi.Domain
 }
 
 // Handler processes one payload. The payload arrives owned: the handler
@@ -238,11 +236,8 @@ type Domain[T any] struct {
 	// invocation); the restart policy's budget applies to the streak.
 	faultStreak atomic.Uint64
 
-	// spareCtx is the context a generation that exited on a fault handed
-	// on; the next generation resets it and serves with it. A generation
-	// abandoned by a hang keeps its own (its goroutine may still be in a
-	// call), and the next one makes a fresh context.
-	spareCtx atomic.Pointer[Ctx]
+	// ctx is what every generation hands its handler; nothing writes it.
+	ctx *Ctx
 
 	// ck is the §5 checkpoint machinery; nil when checkpointing is off.
 	ck *ckptState
@@ -311,12 +306,6 @@ func (d *Domain[T]) serve(epoch uint64) {
 // closed and drained (domain stops), when a fault occurs (the supervisor
 // restarts a fresh generation), or when it discovers it was superseded.
 func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
-	ctx := d.spareCtx.Swap(nil)
-	if ctx == nil {
-		ctx = &Ctx{SFI: sfi.NewContext(), PD: d.pd}
-	} else {
-		ctx.SFI.Reset()
-	}
 	// The monitor wakes an idle domain whose epoch is due; under sustained
 	// traffic, where recv's preference for payloads starves the wake, the
 	// dueness check after each invocation paces the epochs instead.
@@ -335,9 +324,9 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 			// payload (quit and a pending message are both ready in recv's
 			// select). It completes that one invocation — the payload is
 			// accounted for exactly once either way — and exits below.
-			if fault := d.invoke(ctx, msg, epoch); fault != nil {
+			if fault := d.invoke(msg, epoch); fault != nil {
 				if d.epoch.Load() == epoch {
-					d.fault(ctx, epoch)
+					d.fault(epoch)
 				}
 				return
 			}
@@ -360,18 +349,16 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 		// reported like a handler fault.
 		if d.ck != nil && d.ck.due(d.now()) {
 			if fault := d.takeCheckpoint(epoch); fault != nil {
-				d.fault(ctx, epoch)
+				d.fault(epoch)
 				return
 			}
 		}
 	}
 }
 
-// fault ends a current generation that faulted: it hands its context on
-// to the next generation, then reports to the monitor. The goroutine
-// exits right after and never touches ctx again.
-func (d *Domain[T]) fault(ctx *Ctx, epoch uint64) {
-	d.spareCtx.Store(ctx)
+// fault ends a current generation that faulted: it reports to the
+// monitor, and the goroutine exits right after.
+func (d *Domain[T]) fault(epoch uint64) {
 	select {
 	case d.sup.events <- event{d, epoch}:
 	case <-d.sup.stop:
@@ -384,10 +371,10 @@ func (d *Domain[T]) fault(ctx *Ctx, epoch uint64) {
 // clear) is NOT done here: only the supervisor's monitor goroutine resets
 // the protection domain, so a stale generation faulting late cannot
 // revoke the table a recovered replacement is already serving from.
-func (d *Domain[T]) invoke(ctx *Ctx, msg linear.Owned[T], epoch uint64) error {
+func (d *Domain[T]) invoke(msg linear.Owned[T], epoch uint64) error {
 	d.beat.Store(d.now().UnixNano())
 	d.busy.Store(epoch)
-	err := d.guard(ctx, msg)
+	err := d.guard(msg)
 	d.busy.CompareAndSwap(epoch, 0) // a replacement's invocation is not ours to clear
 	if err == nil {
 		d.st.processed.Add(1)
@@ -409,7 +396,7 @@ func (d *Domain[T]) invoke(ctx *Ctx, msg linear.Owned[T], epoch uint64) error {
 
 // guard converts handler panics into ErrCrashed, the asynchronous
 // equivalent of sfi's remote-invocation boundary.
-func (d *Domain[T]) guard(ctx *Ctx, msg linear.Owned[T]) (err error) {
+func (d *Domain[T]) guard(msg linear.Owned[T]) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			d.st.crashes.Add(1)
@@ -417,7 +404,7 @@ func (d *Domain[T]) guard(ctx *Ctx, msg linear.Owned[T]) (err error) {
 			err = &faultError{domain: d.name, what: "panic", val: p}
 		}
 	}()
-	if herr := d.handler(ctx, msg); herr != nil {
+	if herr := d.handler(d.ctx, msg); herr != nil {
 		d.st.errors.Add(1)
 		d.rec.Record(d.actor, telemetry.EvError, d.faultStreak.Load()+1)
 		return &faultError{domain: d.name, err: herr}

@@ -169,7 +169,7 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 			if v < 0 {
 				panic("injected")
 			}
-			err = rref.Call(c.SFI, "incr", func(ct *counter) error { ct.n++; return nil })
+			err = rref.Call("incr", func(ct *counter) error { ct.n++; return nil })
 			served <- struct{}{}
 			return err
 		},
@@ -195,11 +195,10 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 	fc.expectArmed(t, fc.now().Add(p.Backoff))
 
 	// Between teardown and recovery the RRef fails closed.
-	root := sfi.NewContext()
 	if !d.pd.Failed() {
 		t.Fatal("the crash did not tear the reference table down")
 	}
-	if err := rref.Call(root, "peek", func(*counter) error { return nil }); err == nil {
+	if err := rref.Call("peek", func(*counter) error { return nil }); err == nil {
 		t.Fatal("RRef still served after crash teardown")
 	}
 
@@ -209,7 +208,7 @@ func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
 	fc.step(t, p.Backoff)
 	fc.expectArmed(t, time.Time{})
 	<-served // the post-recovery increment
-	n, err := sfi.CallResult(root, rref, "peek", func(ct *counter) (int, error) { return ct.n, nil })
+	n, err := sfi.CallResult(rref, "peek", func(ct *counter) (int, error) { return ct.n, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

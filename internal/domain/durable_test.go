@@ -20,12 +20,11 @@ import (
 	"repro/internal/linear"
 )
 
-// durableKV is the wire-form test state: its Checkpoint token is the map
-// as sorted key/value pairs, written straight from the live map, so its
-// TokenCodec is the identity plus validation and it composes into a
-// StateSet — the shape session.Table, maglev.Balancer and
-// firewall.Stateful have. encodeErr injects codec failures; it is read
-// on the serving goroutine.
+// durableKV is the wire-form test state, shaped as a StateSet part the
+// way session.Table, maglev.Balancer and firewall.Stateful are: the map
+// as sorted key/value pairs, written straight from the live map.
+// encodeErr injects codec failures into soloKV; it is read on the
+// serving goroutine.
 type durableKV struct {
 	kvState
 	encodeErr atomic.Pointer[error]
@@ -68,15 +67,7 @@ func (s *durableKV) AppendCheckpoint(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-func (s *durableKV) Checkpoint(*checkpoint.Engine) (any, error) {
-	tok, err := s.AppendCheckpoint(nil)
-	if s.captured != nil {
-		s.captured <- struct{}{}
-	}
-	return tok, err
-}
-
-// parse decodes a token into a fresh map.
+// parse decodes a wire image into a fresh map.
 func (s *durableKV) parse(data []byte) (map[string]int, error) {
 	if len(data) < 4 {
 		return nil, errors.New("durableKV: truncated")
@@ -105,11 +96,12 @@ func (s *durableKV) parse(data []byte) (map[string]int, error) {
 	return m, nil
 }
 
-func (s *durableKV) Restore(token any) error {
-	data, ok := token.([]byte)
-	if !ok {
-		return fmt.Errorf("durableKV: token is %T", token)
-	}
+func (s *durableKV) CheckCheckpoint(data []byte) error {
+	_, err := s.parse(data)
+	return err
+}
+
+func (s *durableKV) Restore(data []byte) error {
 	m, err := s.parse(data)
 	if err != nil {
 		return err
@@ -120,19 +112,39 @@ func (s *durableKV) Restore(token any) error {
 	return nil
 }
 
-func (s *durableKV) EncodeToken(token any) ([]byte, error) {
+// soloKV runs a durableKV alone as a domain's state: its token is the
+// part's wire bytes, so its TokenCodec is the identity plus validation.
+type soloKV struct{ *durableKV }
+
+func (s soloKV) Checkpoint(*checkpoint.Engine) (any, error) {
+	tok, err := s.AppendCheckpoint(nil)
+	if s.captured != nil {
+		s.captured <- struct{}{}
+	}
+	return tok, err
+}
+
+func (s soloKV) Restore(token any) error {
+	data, ok := token.([]byte)
+	if !ok {
+		return fmt.Errorf("soloKV: token is %T", token)
+	}
+	return s.durableKV.Restore(data)
+}
+
+func (s soloKV) EncodeToken(token any) ([]byte, error) {
 	if errp := s.encodeErr.Load(); errp != nil {
 		return nil, *errp
 	}
 	data, ok := token.([]byte)
 	if !ok {
-		return nil, fmt.Errorf("durableKV: token is %T", token)
+		return nil, fmt.Errorf("soloKV: token is %T", token)
 	}
 	return data, nil
 }
 
-func (s *durableKV) DecodeToken(data []byte) (any, error) {
-	if _, err := s.parse(data); err != nil {
+func (s soloKV) DecodeToken(data []byte) (any, error) {
+	if err := s.CheckCheckpoint(data); err != nil {
 		return nil, err
 	}
 	return data, nil
@@ -197,7 +209,7 @@ func spawnDurableKV(t *testing.T, s *Supervisor, st *durableKV) *Domain[int] {
 	t.Helper()
 	d, err := Spawn(s, Config[int]{
 		Name:  "kv",
-		State: st,
+		State: soloKV{st},
 		Handler: func(c *Ctx, msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
@@ -269,12 +281,11 @@ func TestDurableEpochsPersist(t *testing.T) {
 	if err != nil || !ok || seq == 0 {
 		t.Fatalf("LastEpoch: seq=%d ok=%v err=%v", seq, ok, err)
 	}
-	token, err := st.DecodeToken(payload)
-	if err != nil {
-		t.Fatalf("decode persisted payload: %v", err)
+	if err := st.CheckCheckpoint(payload); err != nil {
+		t.Fatalf("check persisted payload: %v", err)
 	}
 	fresh := newDurableKV()
-	if err := fresh.Restore(token); err != nil {
+	if err := fresh.Restore(payload); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	if v, ok := fresh.get("k7"); !ok || v != 7 {
@@ -399,7 +410,7 @@ func TestDurableBadPayloadFailsSpawn(t *testing.T) {
 	defer sup.Close()
 	_, err := Spawn(sup, Config[int]{
 		Name:    "kv",
-		State:   newDurableKV(),
+		State:   soloKV{newDurableKV()},
 		Handler: func(c *Ctx, msg linear.Owned[int]) error { _, e := msg.Into(); return e },
 	})
 	if err == nil || !strings.Contains(err.Error(), "decode durable epoch") {
@@ -449,13 +460,6 @@ func TestStateSetTokenRoundTrip(t *testing.T) {
 	}
 	if _, err := set2.DecodeToken(append(append([]byte(nil), payload...), 0xff)); err == nil {
 		t.Fatal("trailing bytes accepted")
-	}
-	mixed := NewStateSet().Add("a", newDurableKV()).Add("plain", newKVState())
-	if _, err := mixed.Checkpoint(nil); err == nil || !strings.Contains(err.Error(), "plain") {
-		t.Fatalf("part without a wire form: checkpoint error = %v, want plain named", err)
-	}
-	if _, err := mixed.DecodeToken(payload); err == nil {
-		t.Fatal("part without a wire form accepted in decode")
 	}
 	if _, err := set.EncodeToken([]any{nil, nil}); err == nil {
 		t.Fatal("non-byte token accepted in encode")

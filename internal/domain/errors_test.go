@@ -34,7 +34,7 @@ func TestFaultErrorText(t *testing.T) {
 	invoke := func(h Handler[int]) func(*Domain[int]) error {
 		return func(d *Domain[int]) error {
 			d.handler = h
-			return d.guard(&Ctx{SFI: sfi.NewContext()}, linear.New(1))
+			return d.guard(linear.New(1))
 		}
 	}
 	cases := []struct {
@@ -47,7 +47,7 @@ func TestFaultErrorText(t *testing.T) {
 		{
 			name: "stage panic",
 			fault: invoke(func(c *Ctx, _ linear.Owned[int]) error {
-				return rref.Call(c.SFI, "process", func(int) error { panic("boom") })
+				return rref.Call("process", func(int) error { panic("boom") })
 			}),
 			want:  "domain worker-0: domain 1 (stage-0-parse) panicked in process: boom: sfi: domain failed during invocation",
 			is:    []error{sfi.ErrDomainFailed},

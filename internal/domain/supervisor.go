@@ -234,6 +234,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 		pd:      s.mgr.NewDomain(cfg.Name),
 		done:    make(chan struct{}),
 	}
+	d.ctx = &Ctx{PD: d.pd}
 	if cfg.State != nil && s.policy.CheckpointEvery > 0 {
 		d.ck = &ckptState{
 			state:  cfg.State,

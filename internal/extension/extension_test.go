@@ -199,7 +199,6 @@ func TestCrashContainedByDomainAndRecovered(t *testing.T) {
 		}
 		return sfi.ExportAt[netbricks.Operator](d, slot, Operator{Ext: fresh})
 	})
-	ctx := sfi.NewContext()
 
 	mkBatch := func(sport uint16) *netbricks.Batch {
 		spec := dpdk.DefaultSpec()
@@ -211,14 +210,14 @@ func TestCrashContainedByDomainAndRecovered(t *testing.T) {
 	}
 
 	// Normal packet: fine.
-	if err := rref.Call(ctx, "process", func(op netbricks.Operator) error {
+	if err := rref.Call("process", func(op netbricks.Operator) error {
 		return op.ProcessBatch(mkBatch(40000))
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Poisoned packet (sport 0): the extension crashes; the domain
 	// contains it.
-	err = rref.Call(ctx, "process", func(op netbricks.Operator) error {
+	err = rref.Call("process", func(op netbricks.Operator) error {
 		return op.ProcessBatch(mkBatch(0))
 	})
 	if !errors.Is(err, sfi.ErrDomainFailed) {
@@ -231,7 +230,7 @@ func TestCrashContainedByDomainAndRecovered(t *testing.T) {
 	if err := mgr.Recover(d); err != nil {
 		t.Fatal(err)
 	}
-	if err := rref.Call(ctx, "process", func(op netbricks.Operator) error {
+	if err := rref.Call("process", func(op netbricks.Operator) error {
 		return op.ProcessBatch(mkBatch(40000))
 	}); err != nil {
 		t.Fatalf("after recovery: %v", err)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/packet"
 )
 
@@ -31,11 +30,7 @@ func TestFirewallTokenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := src.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := src.EncodeToken(snap)
+	payload, err := src.AppendCheckpoint(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +39,10 @@ func TestFirewallTokenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	token, err := dst.DecodeToken(payload)
-	if err != nil {
+	if err := dst.CheckCheckpoint(payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Restore(token); err != nil {
+	if err := dst.Restore(payload); err != nil {
 		t.Fatal(err)
 	}
 	got := dst.DB()
@@ -83,17 +77,13 @@ func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DecodeToken(nil); err == nil {
+	if err := s.CheckCheckpoint(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := s.DecodeToken([]byte{0xee, 0, 0, 0, 0, 0}); err == nil {
+	if err := s.CheckCheckpoint([]byte{0xee, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	snap, err := s.Checkpoint(checkpoint.NewEngine(checkpoint.RcAware))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, err := s.EncodeToken(snap)
+	payload, err := s.AppendCheckpoint(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,25 +91,19 @@ func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 		if cut >= len(payload) {
 			continue
 		}
-		if _, err := s.DecodeToken(payload[:cut]); err == nil {
+		if err := s.CheckCheckpoint(payload[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
 		}
-	}
-	if _, err := s.EncodeToken("nope"); err == nil {
-		t.Fatal("bad encode token accepted")
 	}
 	// A hostile rule count must be refused against the bytes that
 	// remain, before the handle slice is sized by it.
 	huge := append([]byte(nil), payload...)
 	huge[2], huge[3], huge[4], huge[5] = 0xff, 0xff, 0xff, 0xff
-	if _, err := s.DecodeToken(huge); err == nil {
-		t.Fatal("4G-rule count accepted by DecodeToken")
+	if err := s.CheckCheckpoint(huge); err == nil {
+		t.Fatal("4G-rule count accepted by CheckCheckpoint")
 	}
 	if err := s.Restore(huge); err == nil {
 		t.Fatal("4G-rule count accepted by Restore")
-	}
-	if err := s.Restore(7); err == nil {
-		t.Fatal("bad restore token accepted")
 	}
 }
 
@@ -151,7 +135,7 @@ func TestStatefulsShareOneDB(t *testing.T) {
 			defer wg.Done()
 			tu := packet.FiveTuple{DstIP: 0x0a010203, Proto: 6, DstPort: 80}
 			for i := 0; i < 200; i++ {
-				tok, err := s.Checkpoint(nil)
+				tok, err := s.AppendCheckpoint(nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -72,11 +72,11 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tok, err := src.Checkpoint(nil)
+		tok, err := src.AppendCheckpoint(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pristine := bytes.Clone(tok.([]byte))
+		pristine := bytes.Clone(tok)
 		dst, err := NewStateful(NewDB(Allow))
 		if err != nil {
 			t.Fatal(err)
@@ -136,14 +136,14 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 		if &again[0] != &first[0] {
 			t.Fatal("second epoch of an unchanged DB re-encoded it")
 		}
-		if next, _ := src.Checkpoint(nil); &next.([]byte)[0] == &tok.([]byte)[0] || !bytes.Equal(next.([]byte), pristine) {
+		if next, _ := src.AppendCheckpoint(nil); &next[0] == &tok[0] || !bytes.Equal(next, pristine) {
 			t.Fatal("a second checkpoint must be the same bytes in a token of its own")
 		}
-		dtok, _ := dst.Checkpoint(nil)
-		if !bytes.Equal(dtok.([]byte), pristine) {
+		dtok, _ := dst.AppendCheckpoint(nil)
+		if !bytes.Equal(dtok, pristine) {
 			t.Fatal("checkpoint after restore differs from the token it was restored from")
 		}
-		if cached, _ := dst.wire(); &cached[0] == &tok.([]byte)[0] {
+		if cached, _ := dst.wire(); &cached[0] == &tok[0] {
 			t.Fatal("the restored side caches the token's own buffer")
 		}
 		// Token reuse: a second restore builds a DB sharing nothing with
@@ -160,7 +160,7 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 				}
 			}
 		}
-		if !bytes.Equal(tok.([]byte), pristine) {
+		if !bytes.Equal(tok, pristine) {
 			t.Fatal("restoring wrote to the token")
 		}
 	})

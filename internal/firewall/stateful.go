@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/checkpoint"
 	"repro/internal/netbricks"
 )
 
-// Stateful adapts a rule database into the domain runtime's checkpointed
-// recovery contract. The live DB sits behind an atomic pointer so a
+// Stateful adapts a rule database into a part of a domain.StateSet, the
+// domain runtime's checkpointed recovery contract. The live DB sits behind an atomic pointer so a
 // restore's swap is visible to a pipeline already rebuilt by the user
 // Recover hook (state recovery runs after plumbing recovery); the wire
 // image of the rules it was built with backs Reset, since a firewall's
@@ -78,13 +77,6 @@ func (s *Stateful) install(wire []byte) error {
 	return nil
 }
 
-// Checkpoint implements the Stateful contract: the token is the live
-// DB's wire image in a buffer of its own. The engine is unused — the
-// wire form needs no traversal state.
-func (s *Stateful) Checkpoint(*checkpoint.Engine) (any, error) {
-	return s.AppendCheckpoint(nil)
-}
-
 // CheckpointSize reports the bytes AppendCheckpoint would write now.
 func (s *Stateful) CheckpointSize() int {
 	wire, _ := s.wire() // an unencodable DB fails in AppendCheckpoint
@@ -100,17 +92,20 @@ func (s *Stateful) AppendCheckpoint(buf []byte) ([]byte, error) {
 	return append(buf, wire...), nil
 }
 
-// Restore swaps in a fresh DB built from a Checkpoint token; decoding
-// validates the whole token before the swap, so a bad one leaves the
-// live DB in place. The cached encoding is a copy of the token's
-// (configuration-sized) bytes: inside a StateSet the token is a window
+// CheckCheckpoint reports whether Restore would accept wire. A rule set
+// is configuration-sized, so the check is a trial decode.
+func (s *Stateful) CheckCheckpoint(wire []byte) error {
+	_, err := decodeDB(wire)
+	return err
+}
+
+// Restore swaps in a fresh DB built from a wire image; decoding validates
+// the whole image before the swap, so a bad one leaves the live DB in
+// place. The cached encoding is a copy of the image's
+// (configuration-sized) bytes: inside a StateSet the image is a window
 // into the whole epoch buffer, which the set writes again once the
 // runtime hands it back.
-func (s *Stateful) Restore(token any) error {
-	wire, ok := token.([]byte)
-	if !ok {
-		return fmt.Errorf("firewall: restore token is %T, want []byte", token)
-	}
+func (s *Stateful) Restore(wire []byte) error {
 	return s.install(bytes.Clone(wire))
 }
 
@@ -121,26 +116,6 @@ func (s *Stateful) Reset() {
 		// here means memory corruption the runtime cannot recover from.
 		panic(fmt.Sprintf("firewall: reset from boot image: %v", err))
 	}
-}
-
-// EncodeToken implements domain.TokenCodec: a Checkpoint token already
-// is its wire form, returned without copying.
-func (s *Stateful) EncodeToken(token any) ([]byte, error) {
-	wire, ok := token.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("firewall: encode token is %T, want []byte", token)
-	}
-	return wire, nil
-}
-
-// DecodeToken implements domain.TokenCodec: validate the bytes and hand
-// them back as the token. A rule set is configuration-sized, so
-// validation is a trial decode.
-func (s *Stateful) DecodeToken(data []byte) (any, error) {
-	if _, err := decodeDB(data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }
 
 // StatefulOperator is Operator reading the database through a Stateful

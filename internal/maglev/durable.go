@@ -5,8 +5,7 @@ package maglev
 // image and in no other form. Capture appends the entries straight from
 // the live map under the balancer's lock, each with its backend's name
 // and IP written out (the interned index a map slot holds means nothing
-// outside this process); the token is those bytes, so encoding is the
-// identity; Restore decodes them back into that map. The lookup table is
+// outside this process); Restore decodes them back into that map. The lookup table is
 // config, not state — it is rebuilt from the backend set at boot and no
 // checkpoint touches it.
 
@@ -15,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/checkpoint"
 	"repro/internal/packet"
 )
 
@@ -58,11 +56,14 @@ func (b *Balancer) AppendCheckpoint(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Checkpoint implements the domain runtime's Stateful contract: the
-// token is the wire image in a buffer of its own. The engine is unused —
-// the wire form needs no traversal state.
-func (b *Balancer) Checkpoint(*checkpoint.Engine) (any, error) {
-	return b.AppendCheckpoint(nil)
+// CheckCheckpoint validates a wire image whole, the same walk Restore
+// makes before it touches the balancer.
+func (b *Balancer) CheckCheckpoint(data []byte) error {
+	_, _, n, body, err := tokenHeader(data)
+	if err == nil {
+		err = walkConns(body, n, nil)
+	}
+	return err
 }
 
 // tokenHeader validates a wire image's header and returns the counters,
@@ -105,33 +106,26 @@ func walkConns(body []byte, n int, fn func(h uint64, ip packet.IPv4, name []byte
 }
 
 // Restore replaces the connection table and counters with the ones a
-// Checkpoint token describes, in place: the token is walked whole first
-// (a bad one leaves the balancer as it was), then under the lock the map
-// is cleared (or, holding under half the token's connections, replaced by
+// wire image describes, in place: the image is walked whole first (a bad
+// one leaves the balancer as it was), then under the lock the map is
+// cleared (or, holding under half the image's connections, replaced by
 // one sized for them) and refilled. Each connection's backend is found
 // among the interned ones, which restart as the balancer's own backend
 // set, so a restore allocates a Backend (and its name) only for one that
-// has since left the set. Restored connections start cold. A token holding
-// more than ConnTableSize of them restores whole; the next insert sweeps
-// the table back under the cap. The token is only read, so it restores any
-// number of times. The lookup table is untouched: config survives the
-// fault, state is restored.
-func (b *Balancer) Restore(token any) error {
-	data, ok := token.([]byte)
-	if !ok {
-		return fmt.Errorf("maglev: restore token is %T, want []byte", token)
-	}
-	hits, misses, n, body, err := tokenHeader(data)
-	if err == nil {
-		err = walkConns(body, n, nil)
-	}
-	if err != nil {
+// has since left the set. Restored connections start cold. An image
+// holding more than ConnTableSize of them restores whole; the next insert
+// sweeps the table back under the cap. The image is only read, so it
+// restores any number of times. The lookup table is untouched: config
+// survives the fault, state is restored.
+func (b *Balancer) Restore(data []byte) error {
+	if err := b.CheckCheckpoint(data); err != nil {
 		return err
 	}
+	hits, misses, n, body, _ := tokenHeader(data)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.conns) < n/2 {
-		// Not grown to the token's size (a cold reopen): size it once.
+		// Not grown to the image's size (a cold reopen): size it once.
 		b.conns = make(map[uint64]conn, n)
 	} else {
 		clear(b.conns)
@@ -145,27 +139,4 @@ func (b *Balancer) Restore(token any) error {
 	b.connBytes = len(body)
 	b.hits, b.misses = hits, misses
 	return nil
-}
-
-// EncodeToken implements domain.TokenCodec: a Checkpoint token already
-// is its wire form, returned without copying.
-func (b *Balancer) EncodeToken(token any) ([]byte, error) {
-	data, ok := token.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("maglev: encode token is %T, want []byte", token)
-	}
-	return data, nil
-}
-
-// DecodeToken implements domain.TokenCodec: validate the bytes and hand
-// them back as the token; Restore does the decoding.
-func (b *Balancer) DecodeToken(data []byte) (any, error) {
-	_, _, n, body, err := tokenHeader(data)
-	if err == nil {
-		err = walkConns(body, n, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return data, nil
 }

@@ -133,23 +133,23 @@ func TestRestoreInPlaceMatchesFreshMap(t *testing.T) {
 			for i, n := 0, rng.Intn(300); i < n; i++ {
 				src.Pick(testTuple(base + rng.Intn(200)))
 			}
-			tok, err := src.Checkpoint(nil)
+			tok, err := src.AppendCheckpoint(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := got.Restore(tok); err != nil {
 				t.Fatal(err)
 			}
-			if err := restoreFresh(want, tok.([]byte)); err != nil {
+			if err := restoreFresh(want, tok); err != nil {
 				t.Fatal(err)
 			}
 			sameBalancer(t, got, want)
-			again, err := got.Checkpoint(nil)
+			again, err := got.AppendCheckpoint(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(again.([]byte)) != len(tok.([]byte)) || got.CheckpointSize() != len(tok.([]byte)) {
-				t.Fatalf("checkpoint after restore is %d B (size says %d), the token was %d", len(again.([]byte)), got.CheckpointSize(), len(tok.([]byte)))
+			if len(again) != len(tok) || got.CheckpointSize() != len(tok) {
+				t.Fatalf("checkpoint after restore is %d B (size says %d), the token was %d", len(again), got.CheckpointSize(), len(tok))
 			}
 			for i, n := 0, rng.Intn(300); i < n; i++ {
 				tu := testTuple(base + rng.Intn(400))
@@ -168,8 +168,8 @@ func TestRestoreBadTokenLeavesBalancerUntouched(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lb.Pick(testTuple(i))
 	}
-	tok, _ := lb.Checkpoint(nil)
-	good := tok.([]byte)
+	tok, _ := lb.AppendCheckpoint(nil)
+	good := tok
 	for _, bad := range [][]byte{nil, good[:len(good)-1], append(append([]byte(nil), good...), 0)} {
 		if err := lb.Restore(bad); err == nil {
 			t.Fatalf("token of %d bytes accepted", len(bad))
@@ -189,7 +189,7 @@ func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		lb.Pick(testTuple(i))
 	}
-	tok, err := lb.Checkpoint(nil)
+	tok, err := lb.AppendCheckpoint(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import "repro/internal/telemetry"
 // sharded pipeline runtime contention-free per packet.
 //
 // The free list is deliberately unsynchronized — it belongs to exactly
-// one worker, the same single-owner discipline as sfi.Context. Sharing
-// one across goroutines is a bug the race detector will flag. The
+// one worker. Sharing one across goroutines is a bug the race detector
+// will flag. The
 // counters, by contrast, are telemetry cells (uncontended atomics) so a
 // metrics scrape can read refill/spill behavior while the owner runs.
 type Cache[T any] struct {

@@ -290,9 +290,9 @@ func (p *IsolatedPipeline) Stages() []*IsolatedStage { return p.stages }
 // comes back the same way. If a stage panics, the batch is lost with the
 // failed domain and an error wrapping ErrStageFailed and
 // sfi.ErrDomainFailed is returned.
-func (p *IsolatedPipeline) Process(ctx *sfi.Context, b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
+func (p *IsolatedPipeline) Process(b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
 	for i, st := range p.stages {
-		out, err := sfi.CallMove(ctx, st.RRef, "process", b,
+		out, err := sfi.CallMove(st.RRef, "process", b,
 			func(op Operator, batch linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
 				var perr error
 				if err := batch.With(func(bb *Batch) {

@@ -135,7 +135,7 @@ func TestIsolatedPipelineZeroCopy(t *testing.T) {
 	}
 	pkt := &packet.Packet{Data: []byte{1, 2, 3}}
 	b := linear.New(&Batch{Pkts: []*packet.Packet{pkt}})
-	out, err := ip.Process(sfi.NewContext(), b)
+	out, err := ip.Process(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestStagePanicErrorText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = ip.Process(sfi.NewContext(), linear.New(&Batch{}))
+	_, err = ip.Process(linear.New(&Batch{}))
 	const want = "stage 1 (stage-1-fault-injector): netbricks: stage failed: domain 2 (stage-1-fault-injector) panicked in process: injected fault on batch 1: sfi: domain failed during invocation"
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v\nwant  %s", err, want)
@@ -318,11 +318,10 @@ func TestIsolationOverheadScalesWithStages(t *testing.T) {
 		return ip, NewPipeline(ops...)
 	}
 	run := func(ip *IsolatedPipeline, pl *Pipeline, batches int) (int, int) {
-		ctx := sfi.NewContext()
 		isoCalls := 0
 		for i := 0; i < batches; i++ {
 			b := linear.New(&Batch{})
-			out, err := ip.Process(ctx, b)
+			out, err := ip.Process(b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,15 +8,12 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/dpdk"
-	"repro/internal/linear"
 	"repro/internal/sfi"
 )
 
 // reuseStage parks the first call of the first pipeline built until the
-// test releases it, reading its serve's sfi.Context from inside the stage
-// as it parks and once released; in every later pipeline it panics while
-// faults are armed and reports any call that carries the parked call's
-// batch.
+// test releases it; in every later pipeline it panics while faults are
+// armed and reports any call that carries the parked call's batch.
 type reuseStage struct {
 	parked bool // the first pipeline's instance
 	t      *reuseTrace
@@ -29,8 +26,6 @@ type reuseTrace struct {
 	sawStuckBatch            atomic.Int32 // successor calls given the parked call's batch while it was parked
 	stuckBatch               atomic.Pointer[Batch]
 	parkedNow                atomic.Bool
-	stuckCtx                 *sfi.Context // set and read on the parked call's goroutine
-	parkedIn, current, after sfi.DomainID // the context's domain as the call parks, once released, and once the call has returned
 }
 
 func (s *reuseStage) Name() string { return "reuse" }
@@ -38,11 +33,9 @@ func (s *reuseStage) Name() string { return "reuse" }
 func (s *reuseStage) ProcessBatch(b *Batch) error {
 	tr := s.t
 	if s.parked && tr.stuckBatch.CompareAndSwap(nil, b) {
-		tr.parkedIn = tr.stuckCtx.Current()
 		tr.parkedNow.Store(true)
 		tr.stuck <- struct{}{}
 		<-tr.release
-		tr.current = tr.stuckCtx.Current()
 		tr.parkedNow.Store(false) // its serve may recycle the batch once this returns
 		close(tr.released)
 		return nil
@@ -59,13 +52,10 @@ func (s *reuseStage) ProcessBatch(b *Batch) error {
 // TestAbandonedHandlerKeepsWhatItHolds pins the restart path's reuse
 // rule: reuse only what an exited generation held. A handler parks inside
 // a stage past its hang verdict and stays there while its replacement
-// faults and restarts several times — each of those restarts takes the
-// context the faulted generation handed on, and each lost batch goes back
-// to the worker's free list. Then the parked handler is released. Its
-// sfi.Context must still hold exactly the stage domain it pushed (no
-// successor reset or reused it), its batch must never have reached the
-// free list the successors load from while it was parked, and the pool
-// must get every mbuf back.
+// faults and restarts several times — each lost batch goes back to the
+// worker's free list. Then the parked handler is released. Its batch must
+// never have reached the free list the successors load from while it was
+// parked, and the pool must get every mbuf back.
 func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	const faults = 5
 	port := dpdk.NewPort(dpdk.Config{PoolSize: 256})
@@ -85,23 +75,12 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 			HangAfter:   2 * time.Millisecond,
 		},
 	}
-	// Run's supervised body for one worker, with the first pipeline
-	// wrapped so the parked call's context is in reach of its stage.
+	// Run's supervised body for one worker.
 	r.stats = []*WorkerStats{{}}
 	w, err := r.newWorker(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parked := w.pipe.Load()
-	w.pipe.Store(&workerPipeline{
-		process: func(ctx *sfi.Context, b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
-			tr.stuckCtx = ctx
-			out, err := parked.process(ctx, b)
-			tr.after = ctx.Current()
-			return out, err
-		},
-		recover: parked.recover,
-	})
 	sup := domain.NewSupervisor(r.Policy)
 	defer sup.Close()
 	d, err := w.spawn(sup, 4)
@@ -158,9 +137,6 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	sup.Close()
 	port.Drain()
 
-	if tr.current != tr.parkedIn || tr.after != sfi.RootDomain {
-		t.Errorf("the released call's context is in domain %d and returns to %d, want its stage's domain %d and then the root", tr.current, tr.after, tr.parkedIn)
-	}
 	if n := tr.sawStuckBatch.Load(); n != 0 {
 		t.Errorf("%d successor calls were handed the parked call's batch", n)
 	}

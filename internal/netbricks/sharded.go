@@ -10,9 +10,8 @@
 // run — ownership, not locking, is the synchronization.
 //
 // Everything per-worker is genuinely per-worker: the pipeline instance
-// (operators and their state), the sfi.Context (the paper's thread-local
-// current-domain store), the receive queue with its mempool cache, and
-// the stats cell. The only shared structure on the hot path is the
+// (operators and their state), the receive queue with its mempool cache,
+// and the stats cell. The only shared structure on the hot path is the
 // port's mempool, touched in amortized bursts through the per-queue
 // caches.
 package netbricks
@@ -76,8 +75,8 @@ const maxIdlePolls = 8
 
 // ShardedRunner drives one multi-queue port with one worker goroutine
 // per receive queue. Each worker owns a private pipeline instance (built
-// by the factory, so per-stage NF state is sharded, never shared) and a
-// private sfi.Context, and processes batches run-to-completion. RSS
+// by the factory, so per-stage NF state is sharded, never shared) and
+// processes batches run-to-completion. RSS
 // steering in the port guarantees flow affinity: per-flow state such as a
 // load balancer's connection table is correct without any cross-worker
 // coordination.

@@ -76,7 +76,7 @@ func (w *worker) spawn(sup *domain.Supervisor, depth int) (*domain.Domain[*Batch
 	d, err := domain.Spawn(sup, domain.Config[*Batch]{
 		Name:    fmt.Sprintf("worker-%d", w.q),
 		Mailbox: depth,
-		Handler: func(c *domain.Ctx, msg linear.Owned[*Batch]) error { return w.serve(c.SFI, msg) },
+		Handler: func(_ *domain.Ctx, msg linear.Owned[*Batch]) error { return w.serve(msg) },
 		Release: func(b *Batch) {
 			// Batches serve never saw: backlog destroyed when the domain
 			// stops, sends that arrive after it has.

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/linear"
 	"repro/internal/packet"
-	"repro/internal/sfi"
 )
 
 // worker is one receive queue's share of a run: its private pipeline
@@ -35,7 +34,7 @@ type worker struct {
 
 // workerPipeline is either pipeline driver behind one call shape.
 type workerPipeline struct {
-	process func(*sfi.Context, linear.Owned[*Batch]) (linear.Owned[*Batch], error)
+	process func(linear.Owned[*Batch]) (linear.Owned[*Batch], error)
 	recover func() error
 	// serving counts serve calls inside process. recover runs between
 	// generations, so a nonzero count there is a serve the supervisor
@@ -64,9 +63,7 @@ func (w *worker) build() error {
 		p := w.r.NewDirect(w.q)
 		p.SetTracer(w.r.Tracer)
 		w.pipe.Store(&workerPipeline{
-			process: func(_ *sfi.Context, b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
-				return p.Process(b)
-			},
+			process: p.Process,
 			// A direct pipeline has no stage domains to recover: it is
 			// rebuilt, operator state reinitialized from clean exactly
 			// like a re-exported stage after §3 recovery.
@@ -123,7 +120,7 @@ func (w *worker) rx() (msg linear.Owned[*Batch], ok bool) {
 // more. A serve abandoned by a hang verdict reaches settle only when its
 // stuck call returns, so until then its batch stays out of the free list
 // its successor loads from.
-func (w *worker) serve(ctx *sfi.Context, msg linear.Owned[*Batch]) (err error) {
+func (w *worker) serve(msg linear.Owned[*Batch]) (err error) {
 	var batch *Batch
 	if err = msg.With(func(b *Batch) { batch = b }); err != nil {
 		return err // not ours to settle
@@ -144,7 +141,7 @@ func (w *worker) serve(ctx *sfi.Context, msg linear.Owned[*Batch]) (err error) {
 	pipe := w.pipe.Load()
 	pipe.serving.Add(1)
 	defer pipe.serving.Add(-1)
-	out, err = pipe.process(ctx, msg)
+	out, err = pipe.process(msg)
 	w.stats.Latency.ObserveNanos(int64(time.Since(start)))
 	return err
 }
@@ -204,13 +201,12 @@ func (w *worker) recover() error {
 // execution model ("processes the batch to completion before starting
 // the next batch"). A faulted batch counts against the budget of n.
 func (w *worker) run(n int) error {
-	ctx := sfi.NewContext()
 	for i := 0; i < n; i++ {
 		msg, ok := w.rx()
 		if !ok {
 			return nil
 		}
-		if err := w.serve(ctx, msg); err != nil {
+		if err := w.serve(msg); err != nil {
 			if !w.r.AutoRecover {
 				return err
 			}

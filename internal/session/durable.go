@@ -2,20 +2,18 @@ package session
 
 // durable.go is the table's checkpoint: the v1 wire image is the only
 // checkpointed representation. Capture appends one fixed-size entry per
-// live flow straight from the flow map, under the table lock, into a
-// buffer sized for exactly that; the token handed to the domain runtime
-// *is* those bytes, so encoding it is the identity and the same buffer
-// goes to the WAL. Restore decodes the bytes back into the table's own
-// maps and one retained slab of flows, sharing one Rc box per distinct
-// backend — Figure 3a's aliasing survives by construction, and a token
-// restores any number of times because Restore only reads it.
+// live flow straight from the flow map, under the table lock, into the
+// buffer a domain.StateSet sizes for every part; the same bytes go to the
+// WAL. Restore decodes the bytes back into the table's own maps and one
+// retained slab of flows, sharing one Rc box per distinct backend —
+// Figure 3a's aliasing survives by construction, and an image restores
+// any number of times because Restore only reads it.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"slices"
 
-	"repro/internal/checkpoint"
 	"repro/internal/packet"
 )
 
@@ -71,11 +69,11 @@ func (t *Table) AppendCheckpoint(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// Checkpoint implements the domain runtime's Stateful contract: the
-// token is the table's wire image in a buffer of its own. The engine is
-// unused — the wire form needs no traversal state.
-func (t *Table) Checkpoint(*checkpoint.Engine) (any, error) {
-	return t.AppendCheckpoint(nil)
+// CheckCheckpoint validates a wire image's header and length, the whole
+// of what Restore checks, without touching the table.
+func (t *Table) CheckCheckpoint(data []byte) error {
+	_, err := checkToken(data)
+	return err
 }
 
 // checkToken validates a wire image's header and length and returns the
@@ -91,24 +89,20 @@ func checkToken(data []byte) (int, error) {
 	return n, nil
 }
 
-// Restore replaces the live table with the flow graph a Checkpoint token
-// describes, in place: the token is checked whole first (a bad one leaves
+// Restore replaces the live table with the flow graph a wire image
+// describes, in place: the image is checked whole first (a bad one leaves
 // the table as it was), then under the table lock every live flow's
 // backend handle is released, the flow map is cleared (or replaced by one
-// sized for the token when it holds under half as many flows) and
+// sized for the image when it holds under half as many flows) and
 // refilled — every flow in one slab the table keeps between restores, one
 // shared Rc box per distinct backend (each flow holds a clone, the intern
 // map the original), the eviction ring reseeded. The interned boxes are
-// reused: a box the token names again only gains its flows' clones back,
+// reused: a box the image names again only gains its flows' clones back,
 // so StrongCount is again flows + 1, and a box it no longer names is
 // dropped. A restart thus allocates a box only for a backend the table
-// has not interned, not a graph per restore. The token is only read, so a
+// has not interned, not a graph per restore. The image is only read, so a
 // later fault can restore from the same epoch again.
-func (t *Table) Restore(token any) error {
-	data, ok := token.([]byte)
-	if !ok {
-		return fmt.Errorf("session: restore token is %T, want []byte", token)
-	}
+func (t *Table) Restore(data []byte) error {
 	n, err := checkToken(data)
 	if err != nil {
 		return err
@@ -119,13 +113,13 @@ func (t *Table) Restore(token any) error {
 	// it that do are emptied here, so the slab is free to overwrite. Every
 	// strong handle on an interned box but the map's own is a resident
 	// flow's clone, and every flow is forgotten here: release them at
-	// once, so each box is the map's alone before the token's flows clone
+	// once, so each box is the map's alone before the image's flows clone
 	// it again.
 	for _, rc := range t.intern {
 		_ = rc.DropN(rc.StrongCount() - 1)
 	}
 	if len(t.flows) < n/2 {
-		// A restore onto a table that has not grown to the token's size
+		// A restore onto a table that has not grown to the image's size
 		// (a cold reopen): sized once beats growing a group at a time.
 		t.flows = make(map[uint64]*Flow, n)
 	} else {
@@ -163,23 +157,4 @@ func (t *Table) Restore(token any) error {
 	}
 	t.rebuildRingLocked()
 	return nil
-}
-
-// EncodeToken implements domain.TokenCodec: a Checkpoint token already
-// is its wire form, returned without copying.
-func (t *Table) EncodeToken(token any) ([]byte, error) {
-	data, ok := token.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("session: encode token is %T, want []byte", token)
-	}
-	return data, nil
-}
-
-// DecodeToken implements domain.TokenCodec: validate the bytes and hand
-// them back as the token; Restore does the decoding.
-func (t *Table) DecodeToken(data []byte) (any, error) {
-	if _, err := checkToken(data); err != nil {
-		return nil, err
-	}
-	return data, nil
 }

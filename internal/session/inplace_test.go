@@ -124,14 +124,14 @@ func TestRestoreInPlaceMatchesFreshGraph(t *testing.T) {
 			for i, n := 0, 1+rng.Intn(200); i < n; i++ {
 				src.Track(flowTuple(base+rng.Intn(150)), packet.IPv4(0xc0a80001+uint32(rng.Intn(5))), 60+rng.Intn(40))
 			}
-			tok, err := src.Checkpoint(nil)
+			tok, err := src.AppendCheckpoint(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := got.Restore(tok); err != nil {
 				t.Fatal(err)
 			}
-			if err := restoreFresh(want, tok.([]byte)); err != nil {
+			if err := restoreFresh(want, tok); err != nil {
 				t.Fatal(err)
 			}
 			sameTable(t, got, want)
@@ -156,9 +156,9 @@ func TestRestoreBadTokenLeavesTableUntouched(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tbl.Track(flowTuple(i), 0xc0a80001, 100)
 	}
-	tok, _ := tbl.Checkpoint(nil)
+	tok, _ := tbl.AppendCheckpoint(nil)
 	before := tbl.Entries()
-	for _, bad := range [][]byte{nil, {9}, tok.([]byte)[:len(tok.([]byte))-1], append(slices.Clone(tok.([]byte)), 0)} {
+	for _, bad := range [][]byte{nil, {9}, tok[:len(tok)-1], append(slices.Clone(tok), 0)} {
 		if err := tbl.Restore(bad); err == nil {
 			t.Fatalf("token of %d bytes accepted", len(bad))
 		}
@@ -178,7 +178,7 @@ func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	for i := 0; i < flows; i++ {
 		tbl.Track(flowTuple(i), packet.IPv4(0xc0a80001+uint32(i%backends)), 100)
 	}
-	tok, err := tbl.Checkpoint(nil)
+	tok, err := tbl.AppendCheckpoint(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

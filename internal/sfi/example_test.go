@@ -20,8 +20,7 @@ func Example() {
 	d := mgr.NewDomain("kv")
 	rref, _ := sfi.Export(d, &kvStore{data: map[string]string{"k": "v"}})
 
-	ctx := sfi.NewContext()
-	val, err := sfi.CallResult(ctx, rref, "get", func(s *kvStore) (string, error) {
+	val, err := sfi.CallResult(rref, "get", func(s *kvStore) (string, error) {
 		return s.data["k"], nil
 	})
 	if err != nil {
@@ -31,7 +30,7 @@ func Example() {
 	}
 
 	d.Revoke(rref.Slot())
-	err = rref.Call(ctx, "get", func(*kvStore) error { return nil })
+	err = rref.Call("get", func(*kvStore) error { return nil })
 	fmt.Println("after revoke:", errors.Is(err, sfi.ErrRevoked))
 	// Output:
 	// Result: v
@@ -47,7 +46,7 @@ func ExampleCallMove() {
 
 	payload := linear.New([]byte("packet payload"))
 	sender := payload
-	out, _ := sfi.CallMove(sfi.NewContext(), rref, "process", payload,
+	out, _ := sfi.CallMove(rref, "process", payload,
 		func(_ *kvStore, batch linear.Owned[[]byte]) (linear.Owned[[]byte], error) {
 			return batch, nil
 		})
@@ -71,12 +70,11 @@ func ExampleManager_Recover() {
 		return sfi.ExportAt(d, slot, &kvStore{data: map[string]string{"state": "clean"}})
 	})
 
-	ctx := sfi.NewContext()
-	err := rref.Call(ctx, "crash", func(*kvStore) error { panic("bounds violation") })
+	err := rref.Call("crash", func(*kvStore) error { panic("bounds violation") })
 	fmt.Println("fault contained:", errors.Is(err, sfi.ErrDomainFailed))
 
 	_ = mgr.Recover(d)
-	state, _ := sfi.CallResult(ctx, rref, "get", func(s *kvStore) (string, error) {
+	state, _ := sfi.CallResult(rref, "get", func(s *kvStore) (string, error) {
 		return s.data["state"], nil
 	})
 	fmt.Println("after recovery:", state)

@@ -26,7 +26,6 @@ func TestModelRandomLifecycle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial) + 1))
 		mgr := NewManager()
 		d := mgr.NewDomain("model")
-		ctx := NewContext()
 
 		type modelEntry struct{ value int }
 		model := make(map[uint64]*modelEntry) // slot -> entry
@@ -67,7 +66,7 @@ func TestModelRandomLifecycle(t *testing.T) {
 				rref := rrefs[rng.Intn(len(rrefs))]
 				slot := rrefSlot[rref]
 				_, entryLive := model[slot]
-				err := rref.Call(ctx, "peek", func(c *counter) error { return nil })
+				err := rref.Call("peek", func(c *counter) error { return nil })
 				shouldSucceed := state == "live" && entryLive
 				if shouldSucceed && err != nil {
 					t.Fatalf("trial %d step %d: call should succeed: %v", trial, step, err)
@@ -92,7 +91,7 @@ func TestModelRandomLifecycle(t *testing.T) {
 				if _, ok := model[rrefSlot[rref]]; !ok {
 					continue // call would fail before reaching the body
 				}
-				err := rref.Call(ctx, "boom", func(*counter) error { panic("injected") })
+				err := rref.Call("boom", func(*counter) error { panic("injected") })
 				if !errors.Is(err, ErrDomainFailed) {
 					t.Fatalf("trial %d step %d: fault err = %v", trial, step, err)
 				}
@@ -139,7 +138,6 @@ func TestModelCallMoveOwnership(t *testing.T) {
 		}
 		slot := rref.Slot()
 		d.SetRecovery(func(d *Domain) error { return ExportAt(d, slot, &counter{}) })
-		ctx := NewContext()
 
 		token := linear.New(42)
 		holderAlive := true // caller holds the token
@@ -150,7 +148,7 @@ func TestModelCallMoveOwnership(t *testing.T) {
 				holderAlive = true
 			}
 			crash := rng.Intn(5) == 0
-			out, err := CallMove(ctx, rref, "mv", token,
+			out, err := CallMove(rref, "mv", token,
 				func(c *counter, a linear.Owned[int]) (linear.Owned[int], error) {
 					if crash {
 						panic("crash holding token")

@@ -28,8 +28,7 @@ func TestDomainReset(t *testing.T) {
 	if d.TableSize() != 0 {
 		t.Fatalf("reference table has %d entries after Reset, want 0", d.TableSize())
 	}
-	ctx := NewContext()
-	if err := rref.Call(ctx, "get", func(string) error { return nil }); !errors.Is(err, ErrDomainFailed) {
+	if err := rref.Call("get", func(string) error { return nil }); !errors.Is(err, ErrDomainFailed) {
 		t.Fatalf("Call after Reset: got %v, want ErrDomainFailed", err)
 	}
 	// Reset is idempotent on a non-live domain.
@@ -40,7 +39,7 @@ func TestDomainReset(t *testing.T) {
 	if err := mgr.Recover(d); err != nil {
 		t.Fatal(err)
 	}
-	got, err := CallResult(ctx, rref, "get", func(s string) (string, error) { return s, nil })
+	got, err := CallResult(rref, "get", func(s string) (string, error) { return s, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +92,7 @@ func TestStalledCallDoesNotPinStaleBinding(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		ctx := NewContext()
-		done <- rref.Call(ctx, "stall", func(*inst) error {
+		done <- rref.Call("stall", func(*inst) error {
 			close(entered)
 			<-release
 			return nil
@@ -111,8 +109,7 @@ func TestStalledCallDoesNotPinStaleBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx := NewContext()
-	got, err := CallResult(ctx, rref, "get", func(o *inst) (int, error) { return o.id, nil })
+	got, err := CallResult(rref, "get", func(o *inst) (int, error) { return o.id, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,19 +120,5 @@ func TestStalledCallDoesNotPinStaleBinding(t *testing.T) {
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("stalled call finished with %v, want nil", err)
-	}
-}
-
-// TestContextReset verifies the stack truncates to root.
-func TestContextReset(t *testing.T) {
-	ctx := NewContext()
-	ctx.push(7)
-	ctx.push(9)
-	if ctx.Current() != 9 || len(ctx.stack) != 2 {
-		t.Fatalf("setup: current=%d depth=%d", ctx.Current(), len(ctx.stack))
-	}
-	ctx.Reset()
-	if ctx.Current() != RootDomain || len(ctx.stack) != 0 {
-		t.Fatalf("after Reset: current=%d depth=%d, want root/0", ctx.Current(), len(ctx.stack))
 	}
 }

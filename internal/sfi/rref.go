@@ -155,9 +155,8 @@ func (r *RRef[T]) acquire() (linear.Rc[T], error) {
 	return strong, nil
 }
 
-// Call performs a remote invocation: it upgrades the weak pointer,
-// switches the current domain for the duration, and runs method with a
-// borrowed view of the object. The object remains in its domain;
+// Call performs a remote invocation: it upgrades the weak pointer and
+// runs method with a borrowed view of the object. The object remains in its domain;
 // only results cross back, per the paper's semantics for borrowed
 // arguments.
 //
@@ -165,15 +164,13 @@ func (r *RRef[T]) acquire() (linear.Rc[T], error) {
 // the domain entry point, the callee domain is failed (its reference table
 // cleared), and ErrDomainFailed is returned to the caller — the caller's
 // domain keeps running.
-func (r *RRef[T]) Call(ctx *Context, method string, fn func(obj T) error) error {
+func (r *RRef[T]) Call(method string, fn func(obj T) error) error {
 	rc, err := r.acquire()
 	if err != nil {
 		return err
 	}
 	defer func() { _ = rc.Drop() }()
 	r.dom.Stats.Calls.Add(1)
-	ctx.push(r.dom.id)
-	defer ctx.pop()
 	// rc is a strong handle held until this call returns, so the proxy
 	// cannot be cleared under it: read it without the box lock.
 	return r.guard(method, func() error { return fn(*rc.Peek()) })
@@ -212,7 +209,7 @@ func (e *panicError) Unwrap() error { return ErrDomainFailed }
 // runs, so even a malicious caller cannot observe or mutate the argument
 // afterwards; the callee receives a fresh Owned handle and may return a
 // (possibly different) owned value, whose ownership transfers back.
-func CallMove[T, A any](ctx *Context, r *RRef[T], method string, arg linear.Owned[A], fn func(obj T, arg linear.Owned[A]) (linear.Owned[A], error)) (linear.Owned[A], error) {
+func CallMove[T, A any](r *RRef[T], method string, arg linear.Owned[A], fn func(obj T, arg linear.Owned[A]) (linear.Owned[A], error)) (linear.Owned[A], error) {
 	var zero linear.Owned[A]
 	rc, err := r.acquire()
 	if err != nil {
@@ -224,9 +221,6 @@ func CallMove[T, A any](ctx *Context, r *RRef[T], method string, arg linear.Owne
 		return zero, fmt.Errorf("CallMove %s: argument: %w", method, err)
 	}
 	r.dom.Stats.Calls.Add(1)
-	ctx.push(r.dom.id)
-	defer ctx.pop()
-
 	var out linear.Owned[A]
 	err = r.guard(method, func() error {
 		var ferr error
@@ -247,9 +241,9 @@ func CallMove[T, A any](ctx *Context, r *RRef[T], method string, arg linear.Owne
 // CallResult is a convenience wrapper returning a value computed against a
 // borrowed view of the remote object (the Ok(ret) pattern in the paper's
 // listing).
-func CallResult[T, R any](ctx *Context, r *RRef[T], method string, fn func(obj T) (R, error)) (R, error) {
+func CallResult[T, R any](r *RRef[T], method string, fn func(obj T) (R, error)) (R, error) {
 	var out R
-	err := r.Call(ctx, method, func(obj T) error {
+	err := r.Call(method, func(obj T) error {
 		var ferr error
 		out, ferr = fn(obj)
 		return ferr

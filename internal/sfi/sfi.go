@@ -51,12 +51,9 @@ var (
 	ErrWrongType = errors.New("sfi: table entry has wrong type")
 )
 
-// DomainID identifies a protection domain. ID 0 is the root (manager)
-// domain that exists outside any Domain object.
+// DomainID identifies a protection domain; a Manager numbers its domains
+// from 1.
 type DomainID uint32
-
-// RootDomain is the implicit domain of code not executing inside any PD.
-const RootDomain DomainID = 0
 
 // Stats holds per-domain counters — telemetry cells updated with
 // uncontended atomic adds on the invocation path.

@@ -24,19 +24,14 @@ func (c *counter) incr() int {
 	return c.n
 }
 
-func newWorld(t *testing.T) (*Manager, *Context) {
-	t.Helper()
-	return NewManager(), NewContext()
-}
-
 func TestExportAndCall(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	rref, err := Export(d, &counter{})
 	if err != nil {
 		t.Fatalf("Export: %v", err)
 	}
-	got, err := CallResult(ctx, rref, "incr", func(c *counter) (int, error) {
+	got, err := CallResult(rref, "incr", func(c *counter) (int, error) {
 		return c.incr(), nil
 	})
 	if err != nil || got != 1 {
@@ -50,7 +45,7 @@ func TestExportAndCall(t *testing.T) {
 func TestFigure1Structure(t *testing.T) {
 	// Figure 1: the object lives in the owner's reference table (strong
 	// proxy); the client-side rref holds only a weak pointer.
-	m, _ := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("owner")
 	rref, err := Export(d, &counter{})
 	if err != nil {
@@ -79,7 +74,7 @@ func TestFigure1Structure(t *testing.T) {
 }
 
 func TestRevokeFailsClosed(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	rref, _ := Export(d, &counter{})
 	d.Revoke(rref.Slot())
@@ -90,7 +85,7 @@ func TestRevokeFailsClosed(t *testing.T) {
 		_ = w.Drop()
 		t.Fatal("rref alive after revoke")
 	}
-	err := rref.Call(ctx, "incr", func(c *counter) error { return nil })
+	err := rref.Call("incr", func(c *counter) error { return nil })
 	if !errors.Is(err, ErrRevoked) {
 		t.Fatalf("Call after revoke: err = %v, want ErrRevoked", err)
 	}
@@ -100,7 +95,7 @@ func TestRevokeFailsClosed(t *testing.T) {
 }
 
 func TestRevokeUnknownSlotIsNoop(t *testing.T) {
-	m, _ := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	d.Revoke(12345)
 	if _, _, _, revs, _ := d.Stats.Snapshot(); revs != 0 {
@@ -109,12 +104,12 @@ func TestRevokeUnknownSlotIsNoop(t *testing.T) {
 }
 
 func TestPanicIsolatesAndFailsDomain(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("flaky")
 	rref, _ := Export(d, &counter{})
 	other, _ := Export(d, &counter{})
 
-	err := rref.Call(ctx, "boom", func(c *counter) error {
+	err := rref.Call("boom", func(c *counter) error {
 		panic("bounds check violation")
 	})
 	if !errors.Is(err, ErrDomainFailed) {
@@ -129,22 +124,18 @@ func TestPanicIsolatesAndFailsDomain(t *testing.T) {
 		t.Fatalf("table size = %d after fault, want 0", d.TableSize())
 	}
 	// All other rrefs into the domain fail closed too.
-	if err := other.Call(ctx, "incr", func(c *counter) error { return nil }); !errors.Is(err, ErrDomainFailed) {
+	if err := other.Call("incr", func(c *counter) error { return nil }); !errors.Is(err, ErrDomainFailed) {
 		t.Fatalf("sibling rref err = %v, want ErrDomainFailed", err)
 	}
 	if _, faults, _, _, _ := d.Stats.Snapshot(); faults != 1 {
 		t.Fatalf("faults = %d, want 1", faults)
-	}
-	// Context unwound back to root despite the panic.
-	if got := ctx.Current(); got != RootDomain {
-		t.Fatalf("current domain = %d after fault, want root", got)
 	}
 }
 
 func TestRecoveryTransparentToClients(t *testing.T) {
 	// §3: "The recovery process can re-populate the reference table, thus
 	// making the failure transparent to clients of the domain."
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	rref, _ := Export(d, &counter{n: 100})
 	slot := rref.Slot()
@@ -153,7 +144,7 @@ func TestRecoveryTransparentToClients(t *testing.T) {
 	})
 
 	// Fault the domain.
-	_ = rref.Call(ctx, "boom", func(c *counter) error { panic("injected") })
+	_ = rref.Call("boom", func(c *counter) error { panic("injected") })
 	if !d.Failed() {
 		t.Fatal("domain not failed")
 	}
@@ -164,7 +155,7 @@ func TestRecoveryTransparentToClients(t *testing.T) {
 		t.Fatal("domain not live after recovery")
 	}
 	// The *same* rref works again, now reaching the fresh object.
-	got, err := CallResult(ctx, rref, "incr", func(c *counter) (int, error) { return c.incr(), nil })
+	got, err := CallResult(rref, "incr", func(c *counter) (int, error) { return c.incr(), nil })
 	if err != nil {
 		t.Fatalf("Call after recovery: %v", err)
 	}
@@ -177,7 +168,7 @@ func TestRecoveryTransparentToClients(t *testing.T) {
 }
 
 func TestRecoverRequiresFailedState(t *testing.T) {
-	m, _ := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	if err := m.Recover(d); err == nil {
 		t.Fatal("Recover on live domain succeeded")
@@ -185,11 +176,11 @@ func TestRecoverRequiresFailedState(t *testing.T) {
 }
 
 func TestRecoveryFunctionFailureKeepsDomainFailed(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	rref, _ := Export(d, &counter{})
 	d.SetRecovery(func(*Domain) error { return errors.New("init failed") })
-	_ = rref.Call(ctx, "boom", func(*counter) error { panic("x") })
+	_ = rref.Call("boom", func(*counter) error { panic("x") })
 	if err := m.Recover(d); err == nil {
 		t.Fatal("Recover succeeded despite failing recovery fn")
 	}
@@ -199,18 +190,18 @@ func TestRecoveryFunctionFailureKeepsDomainFailed(t *testing.T) {
 }
 
 func TestRebindWrongTypeRejected(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("svc")
 	rref, _ := Export(d, &counter{})
 	slot := rref.Slot()
 	d.SetRecovery(func(d *Domain) error {
 		return ExportAt(d, slot, "not a counter") // wrong type on purpose
 	})
-	_ = rref.Call(ctx, "boom", func(*counter) error { panic("x") })
+	_ = rref.Call("boom", func(*counter) error { panic("x") })
 	if err := m.Recover(d); err != nil {
 		t.Fatal(err)
 	}
-	err := rref.Call(ctx, "incr", func(*counter) error { return nil })
+	err := rref.Call("incr", func(*counter) error { return nil })
 	if !errors.Is(err, ErrWrongType) {
 		t.Fatalf("err = %v, want ErrWrongType", err)
 	}
@@ -220,7 +211,7 @@ func TestCallMoveTransfersOwnership(t *testing.T) {
 	// The zero-copy property: after sending a batch by move, the sender's
 	// handle is dead; the callee (and then the caller, on return) holds a
 	// live handle to the same underlying data — no copies.
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("stage")
 	rref, _ := Export(d, &counter{})
 
@@ -228,7 +219,7 @@ func TestCallMoveTransfersOwnership(t *testing.T) {
 	arg := linear.New(payload)
 	stale := arg // a copy of the handle the sender might squirrel away
 
-	out, err := CallMove(ctx, rref, "process", arg,
+	out, err := CallMove(rref, "process", arg,
 		func(c *counter, batch linear.Owned[[]int]) (linear.Owned[[]int], error) {
 			c.incr()
 			var first int
@@ -259,12 +250,12 @@ func TestCallMoveTransfersOwnership(t *testing.T) {
 }
 
 func TestCallMoveWithMovedArgFails(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("stage")
 	rref, _ := Export(d, &counter{})
 	arg := linear.New(1)
 	_, _ = arg.Move() // consume it first
-	_, err := CallMove(ctx, rref, "p", arg, func(c *counter, a linear.Owned[int]) (linear.Owned[int], error) {
+	_, err := CallMove(rref, "p", arg, func(c *counter, a linear.Owned[int]) (linear.Owned[int], error) {
 		return a, nil
 	})
 	if !errors.Is(err, linear.ErrMoved) {
@@ -273,11 +264,11 @@ func TestCallMoveWithMovedArgFails(t *testing.T) {
 }
 
 func TestCallMovePanicFailsDomainAndDropsNothingOnCaller(t *testing.T) {
-	m, ctx := newWorld(t)
+	m := NewManager()
 	d := m.NewDomain("stage")
 	rref, _ := Export(d, &counter{})
 	arg := linear.New(42)
-	_, err := CallMove(ctx, rref, "p", arg, func(c *counter, a linear.Owned[int]) (linear.Owned[int], error) {
+	_, err := CallMove(rref, "p", arg, func(c *counter, a linear.Owned[int]) (linear.Owned[int], error) {
 		panic("stage crashed holding the batch")
 	})
 	if !errors.Is(err, ErrDomainFailed) {
@@ -286,39 +277,6 @@ func TestCallMovePanicFailsDomainAndDropsNothingOnCaller(t *testing.T) {
 	// The batch went down with the domain: the caller cannot use it.
 	if arg.Valid() {
 		t.Fatal("caller still holds the batch after moving it into a crashed domain")
-	}
-}
-
-func TestContextNesting(t *testing.T) {
-	m := NewManager()
-	a := m.NewDomain("a")
-	b := m.NewDomain("b")
-	ctx := NewContext()
-	ra, _ := Export(a, &counter{})
-	rb, _ := Export(b, &counter{})
-
-	if ctx.Current() != RootDomain || len(ctx.stack) != 0 {
-		t.Fatal("fresh context not at root")
-	}
-	err := ra.Call(ctx, "outer", func(*counter) error {
-		if ctx.Current() != a.id {
-			t.Errorf("inside a: current = %d", ctx.Current())
-		}
-		return rb.Call(ctx, "inner", func(*counter) error {
-			if ctx.Current() != b.id {
-				t.Errorf("inside b: current = %d", ctx.Current())
-			}
-			if len(ctx.stack) != 2 {
-				t.Errorf("depth = %d, want 2", len(ctx.stack))
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctx.Current() != RootDomain {
-		t.Fatalf("after calls: current = %d", ctx.Current())
 	}
 }
 
@@ -335,7 +293,7 @@ func TestManagerRegistry(t *testing.T) {
 		t.Fatal("duplicate domain IDs")
 	}
 	rref, _ := Export(a, &counter{})
-	if err := rref.Call(NewContext(), "incr", func(c *counter) error { c.incr(); return nil }); err != nil {
+	if err := rref.Call("incr", func(c *counter) error { c.incr(); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
@@ -360,9 +318,8 @@ func TestConcurrentCallsOneDomain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := NewContext()
 			for i := 0; i < perWorker; i++ {
-				if err := rref.Call(ctx, "incr", func(c *counter) error { c.incr(); return nil }); err != nil {
+				if err := rref.Call("incr", func(c *counter) error { c.incr(); return nil }); err != nil {
 					t.Errorf("call: %v", err)
 					return
 				}
@@ -370,7 +327,7 @@ func TestConcurrentCallsOneDomain(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	got, err := CallResult(NewContext(), rref, "read", func(c *counter) (int, error) {
+	got, err := CallResult(rref, "read", func(c *counter) (int, error) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return c.n, nil
@@ -394,7 +351,7 @@ func TestConcurrentRebindAfterRecovery(t *testing.T) {
 		}
 		slot := rref.Slot()
 		d.SetRecovery(func(d *Domain) error { return ExportAt(d, slot, &counter{}) })
-		_ = rref.Call(NewContext(), "boom", func(*counter) error { panic("x") })
+		_ = rref.Call("boom", func(*counter) error { panic("x") })
 		if err := m.Recover(d); err != nil {
 			t.Fatal(err)
 		}
@@ -403,9 +360,8 @@ func TestConcurrentRebindAfterRecovery(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ctx := NewContext()
 				for i := 0; i < 20; i++ {
-					if err := rref.Call(ctx, "incr", func(c *counter) error { c.incr(); return nil }); err != nil {
+					if err := rref.Call("incr", func(c *counter) error { c.incr(); return nil }); err != nil {
 						t.Errorf("call: %v", err)
 						return
 					}
@@ -413,7 +369,7 @@ func TestConcurrentRebindAfterRecovery(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		got, err := CallResult(NewContext(), rref, "read", func(c *counter) (int, error) {
+		got, err := CallResult(rref, "read", func(c *counter) (int, error) {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return c.n, nil
@@ -440,14 +396,13 @@ func TestConcurrentFaultAndCalls(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := NewContext()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				err := rref.Call(ctx, "incr", func(c *counter) error { c.incr(); return nil })
+				err := rref.Call("incr", func(c *counter) error { c.incr(); return nil })
 				if err != nil && !errors.Is(err, ErrDomainFailed) && !errors.Is(err, ErrRevoked) {
 					t.Errorf("unexpected error: %v", err)
 					return
@@ -455,9 +410,8 @@ func TestConcurrentFaultAndCalls(t *testing.T) {
 			}
 		}()
 	}
-	ctx := NewContext()
 	for i := 0; i < 50; i++ {
-		_ = rref.Call(ctx, "boom", func(*counter) error { panic("chaos") })
+		_ = rref.Call("boom", func(*counter) error { panic("chaos") })
 		_ = m.Recover(d)
 	}
 	close(stop)
@@ -468,7 +422,7 @@ func TestConcurrentFaultAndCalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := rref.Call(ctx, "incr", func(c *counter) error { return nil }); err != nil {
+	if err := rref.Call("incr", func(c *counter) error { return nil }); err != nil {
 		t.Fatalf("final call: %v", err)
 	}
 }

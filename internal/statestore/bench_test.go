@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/packet"
 	"repro/internal/session"
 	"repro/internal/statestore"
@@ -40,16 +39,12 @@ func benchTable(b *testing.B) *session.Table {
 	return tbl
 }
 
-// ramEpoch is the in-memory epoch: capture + token encode, nothing
+// ramEpoch is the in-memory epoch: the table's wire image, nothing
 // touching disk. It runs on both sides of the ratio, so the ratio
 // isolates the store's append against a bare write + fsync.
-func ramEpoch(b *testing.B, tbl *session.Table, engine *checkpoint.Engine) []byte {
+func ramEpoch(b *testing.B, tbl *session.Table) []byte {
 	b.Helper()
-	snap, err := tbl.Checkpoint(engine)
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload, err := tbl.EncodeToken(snap)
+	payload, err := tbl.AppendCheckpoint(nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,17 +53,15 @@ func ramEpoch(b *testing.B, tbl *session.Table, engine *checkpoint.Engine) []byt
 
 func BenchmarkCheckpointEpochRAM(b *testing.B) {
 	tbl := benchTable(b)
-	engine := checkpoint.NewEngine(checkpoint.RcAware)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ramEpoch(b, tbl, engine)
+		ramEpoch(b, tbl)
 	}
 }
 
 func BenchmarkCheckpointEpochDisk(b *testing.B) {
 	tbl := benchTable(b)
-	engine := checkpoint.NewEngine(checkpoint.RcAware)
 	store, err := statestore.Open(statestore.Config{Dir: b.TempDir(), Fsync: statestore.FsyncGroup})
 	if err != nil {
 		b.Fatal(err)
@@ -85,7 +78,7 @@ func BenchmarkCheckpointEpochDisk(b *testing.B) {
 	const baselineIters = 64
 	start := time.Now()
 	for i := 0; i < baselineIters; i++ {
-		if _, err := raw.Write(ramEpoch(b, tbl, engine)); err != nil {
+		if _, err := raw.Write(ramEpoch(b, tbl)); err != nil {
 			b.Fatal(err)
 		}
 		if err := raw.Sync(); err != nil {
@@ -97,7 +90,7 @@ func BenchmarkCheckpointEpochDisk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payload := ramEpoch(b, tbl, engine)
+		payload := ramEpoch(b, tbl)
 		if err := store.PersistEpoch("bench", uint64(i+1), payload); err != nil {
 			b.Fatal(err)
 		}

@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/packet"
 	"repro/internal/session"
 	"repro/internal/statestore"
@@ -66,7 +65,6 @@ func TestPropertyEpochDurability(t *testing.T) {
 			store := open()
 			defer func() { store.Close() }()
 			tbl := session.NewTable()
-			engine := checkpoint.NewEngine(checkpoint.RcAware)
 
 			// Oracle: the live flow set and the image at the last durable
 			// checkpoint.
@@ -84,13 +82,9 @@ func TestPropertyEpochDurability(t *testing.T) {
 						live[tu.Hash()] = ip
 					}
 				case op < 6: // checkpoint + persist
-					snap, err := tbl.Checkpoint(engine)
+					payload, err := tbl.AppendCheckpoint(nil)
 					if err != nil {
 						t.Fatalf("checkpoint: %v", err)
-					}
-					payload, err := tbl.EncodeToken(snap)
-					if err != nil {
-						t.Fatalf("encode: %v", err)
 					}
 					seq++
 					if err := store.PersistEpoch("t", seq, payload); err != nil {
@@ -127,11 +121,7 @@ func TestPropertyEpochDurability(t *testing.T) {
 						if gotSeq != seq {
 							t.Fatalf("recovered seq %d, want %d", gotSeq, seq)
 						}
-						token, err := tbl.DecodeToken(payload)
-						if err != nil {
-							t.Fatalf("decode: %v", err)
-						}
-						if err := tbl.Restore(token); err != nil {
+						if err := tbl.Restore(payload); err != nil {
 							t.Fatalf("restore: %v", err)
 						}
 					} else if seq != 0 {
@@ -194,7 +184,6 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 			}
 			store, tbl := open()
 			defer func() { store.Close() }()
-			engine := checkpoint.NewEngine(checkpoint.RcAware)
 
 			tracked := map[uint64]packet.IPv4{}
 			durable := map[uint64]packet.IPv4{}
@@ -237,13 +226,9 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 						tracked[tu.Hash()] = ip
 					}
 				case op < 8: // checkpoint + persist the RAM cache image
-					snap, err := tbl.Checkpoint(engine)
+					payload, err := tbl.AppendCheckpoint(nil)
 					if err != nil {
 						t.Fatalf("checkpoint: %v", err)
-					}
-					payload, err := tbl.EncodeToken(snap)
-					if err != nil {
-						t.Fatalf("encode: %v", err)
 					}
 					seq++
 					if err := store.PersistEpoch("t", seq, payload); err != nil {
@@ -261,11 +246,7 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 						t.Fatalf("LastEpoch: %v", err)
 					}
 					if ok {
-						token, err := tbl.DecodeToken(payload)
-						if err != nil {
-							t.Fatalf("decode: %v", err)
-						}
-						if err := tbl.Restore(token); err != nil {
+						if err := tbl.Restore(payload); err != nil {
 							t.Fatalf("restore: %v", err)
 						}
 					}

@@ -171,7 +171,6 @@ func (r *Registry) RegisterHistogram(name string, labels Labels, h *Histogram) {
 type Registrar interface {
 	RegisterCounter(name string, labels Labels, c *Counter)
 	RegisterCounterFunc(name string, labels Labels, fn func() float64)
-	RegisterGauge(name string, labels Labels, g *Gauge)
 	RegisterGaugeFunc(name string, labels Labels, fn func() float64)
 	RegisterHistogram(name string, labels Labels, h *Histogram)
 }
@@ -217,11 +216,6 @@ func (t *Txn) RegisterCounter(name string, labels Labels, c *Counter) {
 // RegisterCounterFunc stages a computed counter for Commit.
 func (t *Txn) RegisterCounterFunc(name string, labels Labels, fn func() float64) {
 	t.add(counterFuncMetric(name, labels, fn))
-}
-
-// RegisterGauge stages g for Commit.
-func (t *Txn) RegisterGauge(name string, labels Labels, g *Gauge) {
-	t.add(gaugeMetric(name, labels, g))
 }
 
 // RegisterGaugeFunc stages a computed gauge for Commit.
