@@ -117,11 +117,12 @@ guard-atomics:
 ## construction gate holds a port of 65 536 mbufs to its data arenas plus
 ## 256 KiB: mbuf headers are made on first use, so an eager header slab
 ## (≈ 16 MB of headers and a 0.5 MB free list at that size) fails it.
-## Maglev's capped connection table evicts on the packet path: a new flow
-## into a full table must allocate nothing once the warm-up has grown the
-## map and ring. The bench's allocs/op spreads a sweep over the
-## ConnTableSize/8 inserts between sweeps and would round its garbage to
-## 0, so TestSweepAllocatesNothing counts one whole sweep per run.
+## Maglev's capped connection table and session's capped RAM table evict
+## on the packet path: a new flow into a full table must allocate nothing
+## once the warm-up has filled it (BenchmarkPickChurn, BenchmarkTrackChurn).
+## The benches' allocs/op spread a sweep over the cap/8 inserts between
+## sweeps and would round its garbage to 0, so TestSweepAllocatesNothing
+## (maglev) and TestEvictionSteadyStateAllocs (session) count whole sweeps.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='TraceRecordPath' -benchmem -benchtime=10000x ./internal/telemetry/trace \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTraceRecordPathUntraced -metric allocs/op -max 0
@@ -149,6 +150,9 @@ alloc-gate:
 	$(GO) test -run='^$$' -bench='PickChurn$$' -benchmem -benchtime=1000000x ./internal/maglev \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkPickChurn -metric allocs/op -max 0
 	$(GO) test -run='^TestSweepAllocatesNothing$$' -count=1 -v ./internal/maglev
+	$(GO) test -run='^$$' -bench='TrackChurn$$' -benchmem -benchtime=1000000x ./internal/session \
+		| $(GO) run ./cmd/benchgate -bench BenchmarkTrackChurn -metric allocs/op -max 0
+	$(GO) test -run='^TestEvictionSteadyStateAllocs$$' -count=1 -v ./internal/session
 
 vet:
 	$(GO) vet ./...
@@ -219,9 +223,12 @@ loc:
 ## hash against its bit-serial definition, the mailbox ownership
 ## boundary, a StateSet's decode of hostile epoch bytes, the netport
 ## decoder, the checkpoint round-trip, the wire-checkpoint-vs-reflect-
-## engine oracles, the epoch-buffer ownership script, and the flow
-## index's streaming merge against a plain-map oracle (seed corpus + 10s
-## each).
+## engine oracles, the epoch-buffer ownership script, the flow index's
+## streaming merge against a plain-map oracle, the flow table against the
+## map and clock it replaced (FuzzFlowTable: same members, same victims
+## in the same order), and the session table's track / evict / spill /
+## promote / checkpoint / restore scripts against a plain-map oracle
+## (seed corpus + 10s each).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzToeplitzTable -fuzztime=10s ./internal/packet
@@ -233,6 +240,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/statestore
 	$(GO) test -run='^$$' -fuzz=FuzzEpochOwnership -fuzztime=10s ./internal/statestore
 	$(GO) test -run='^$$' -fuzz=FuzzFlowIndexMerge -fuzztime=10s ./internal/statestore
+	$(GO) test -run='^$$' -fuzz=FuzzFlowTable -fuzztime=10s ./internal/evict
+	$(GO) test -run='^$$' -fuzz=FuzzTableScript -fuzztime=10s ./internal/session
 	$(GO) test -run='^$$' -fuzz=FuzzTableCheckpointOracle -fuzztime=10s ./internal/session
 	$(GO) test -run='^$$' -fuzz=FuzzBalancerCheckpointOracle -fuzztime=10s ./internal/maglev
 	$(GO) test -run='^$$' -fuzz=FuzzStatefulCheckpointOracle -fuzztime=10s ./internal/firewall

@@ -28,7 +28,6 @@ var callerAllowlist = map[string]string{
 	"maglev.Balancer.UpdateBackends":  "maglev's stickiness tests: DESIGN.md's claim that a backend change keeps flows",
 	"linear.Ref":                      "BenchmarkAblationOwnedBorrow and linear's borrow tests: a borrow ends with Release",
 	"mempool.Pool.Made":               "the dpdk, netport and packet pool tests: a port makes no mbuf header before one is drawn",
-	"evict.Clock.Hashes":              "session's TestRestoreInPlace*: a restored table's eviction ring equals a fresh one's",
 	"statestore.Store.Compact":        "statestore's compaction and crash-point tests: force a WAL compaction",
 	"statestore.FlowIndex.Compact":    "statestore's index-merge tests: force a merge",
 	"internal/leakcheck/leakcheck.go": "the port, pipeline and domain tests: mbuf conservation and pointer-free layouts, checked at cleanup",

@@ -8,7 +8,7 @@ import (
 
 // TestAllocsPick pins the per-packet balancing cost: picking a backend
 // for a flow already in the connection table (steady state) must not
-// allocate. Only a flow's first packet pays the conns-map insert.
+// allocate.
 func TestAllocsPick(t *testing.T) {
 	backends := []Backend{
 		{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},

@@ -3,9 +3,10 @@ package maglev
 // durable.go is the balancer's checkpoint: the connection table (flow
 // hash → backend stickiness) and the hit/miss counters, in the v1 wire
 // image and in no other form. Capture appends the entries straight from
-// the live map under the balancer's lock, each with its backend's name
-// and IP written out (the interned index a map slot holds means nothing
-// outside this process); Restore decodes them back into that map. The lookup table is
+// the live table, in its ring order, under the balancer's lock, each with
+// its backend's name and IP written out (the interned index an entry
+// holds means nothing outside this process); Restore decodes them back
+// into that table, in the image's order. The lookup table is
 // config, not state — it is rebuilt from the backend set at boot and no
 // checkpoint touches it.
 
@@ -42,9 +43,10 @@ func (b *Balancer) AppendCheckpoint(buf []byte) ([]byte, error) {
 	buf = append(buf, balancerTokenVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, b.hits)
 	buf = binary.LittleEndian.AppendUint64(buf, b.misses)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.conns)))
-	for h, c := range b.conns {
-		be := b.backends[c.at]
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(b.conns.Len()))
+	for i := 0; i < b.conns.Len(); i++ {
+		h, at := b.conns.At(i)
+		be := b.backends[*at]
 		if len(be.Name) > 0xffff {
 			return nil, fmt.Errorf("maglev: backend name of %d bytes does not fit the token", len(be.Name))
 		}
@@ -68,7 +70,7 @@ func (b *Balancer) CheckCheckpoint(data []byte) error {
 
 // tokenHeader validates a wire image's header and returns the counters,
 // the conn count and the entry bytes. The count is checked against the
-// bytes that remain, so a caller may size a map by it.
+// bytes that remain, so a caller may size a table by it.
 func tokenHeader(data []byte) (hits, misses uint64, n int, body []byte, err error) {
 	if len(data) < balancerHeaderSize || data[0] != balancerTokenVersion {
 		return 0, 0, 0, nil, fmt.Errorf("maglev: bad token header")
@@ -107,16 +109,17 @@ func walkConns(body []byte, n int, fn func(h uint64, ip packet.IPv4, name []byte
 
 // Restore replaces the connection table and counters with the ones a
 // wire image describes, in place: the image is walked whole first (a bad
-// one leaves the balancer as it was), then under the lock the map is
-// cleared (or, holding under half the image's connections, replaced by
-// one sized for them) and refilled. Each connection's backend is found
-// among the interned ones, which restart as the balancer's own backend
-// set, so a restore allocates a Backend (and its name) only for one that
-// has since left the set. Restored connections start cold. An image
-// holding more than ConnTableSize of them restores whole; the next insert
-// sweeps the table back under the cap. The image is only read, so it
-// restores any number of times. The lookup table is untouched: config
-// survives the fault, state is restored.
+// one leaves the balancer as it was), then under the lock the table is
+// emptied, keeping its memory, and refilled in the image's order with the
+// hand parked. Each connection's backend is found among the interned
+// ones, which restart as the balancer's own backend set, so a restore
+// allocates a Backend (and its name) only for one that has since left
+// the set. Restored connections start cold. An image that names a flow
+// hash twice restores one connection, the last entry's, and counts only
+// it in connBytes. An image holding more than ConnTableSize connections
+// restores whole; the next insert sweeps the table back under the cap.
+// The image is only read, so it restores any number of times. The lookup
+// table is untouched: config survives the fault, state is restored.
 func (b *Balancer) Restore(data []byte) error {
 	if err := b.CheckCheckpoint(data); err != nil {
 		return err
@@ -124,19 +127,21 @@ func (b *Balancer) Restore(data []byte) error {
 	hits, misses, n, body, _ := tokenHeader(data)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.conns) < n/2 {
-		// Not grown to the image's size (a cold reopen): size it once.
-		b.conns = make(map[uint64]conn, n)
-	} else {
-		clear(b.conns)
-	}
-	b.clock.Reset()
+	b.conns.Reset()
+	b.connBytes = 0
 	b.internTableLocked()
 	_ = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
-		b.conns[h] = conn{at: b.internLocked(name, ip)}
-		b.clock.Add(h)
+		i := b.conns.Find(h)
+		if i < 0 {
+			i = b.conns.Add(h)
+		} else {
+			_, at := b.conns.At(i)
+			b.connBytes -= b.connSizeLocked(*at) // named before: the last entry wins
+		}
+		_, at := b.conns.At(i)
+		*at = b.internLocked(name, ip)
+		b.connBytes += b.connSizeLocked(*at)
 	})
-	b.connBytes = len(body)
 	b.hits, b.misses = hits, misses
 	return nil
 }

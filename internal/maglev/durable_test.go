@@ -3,6 +3,7 @@ package maglev
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
 	"slices"
@@ -184,15 +185,75 @@ func TestDepartedBackendSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
-// TestConnTableHoldsNoPointers: neither half of a connection-table slot
-// can hold a pointer, so the collector allocates the map's buckets
-// noscan and never walks them.
+// TestConnTableHoldsNoPointers: a connection-table entry (flow hash and
+// backend index), the index over the entries and the hot bits hold no
+// pointer, so the collector allocates all three noscan and never walks
+// them.
 func TestConnTableHoldsNoPointers(t *testing.T) {
 	lb, err := NewBalancer(testBackends(2), 127)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := reflect.TypeOf(lb.conns)
-	leakcheck.NoPointers(t, "conns key", reflect.Zero(m.Key()).Interface())
-	leakcheck.NoPointers(t, "conns value", reflect.Zero(m.Elem()).Interface())
+	tbl := reflect.TypeOf(lb.conns)
+	for _, name := range []string{"chunks", "index", "hot"} {
+		f, ok := tbl.FieldByName(name)
+		if !ok {
+			t.Fatalf("%v has no field %s", tbl, name)
+		}
+		elem := f.Type.Elem() // the slice's element
+		if elem.Kind() == reflect.Pointer {
+			elem = elem.Elem() // a chunk
+		}
+		leakcheck.NoPointers(t, "conns "+name, reflect.Zero(elem).Interface())
+	}
+}
+
+// restoredInvariants checks what any accepted image must leave behind: a
+// checkpoint size that is the bytes a checkpoint writes, one entry per
+// resident connection.
+func restoredInvariants(t *testing.T, lb *Balancer) {
+	t.Helper()
+	img, err := lb.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img) != lb.CheckpointSize() {
+		t.Fatalf("CheckpointSize %d, a checkpoint writes %d", lb.CheckpointSize(), len(img))
+	}
+	if n := int(binary.LittleEndian.Uint32(img[17:])); n != lb.ConnCount() {
+		t.Fatalf("checkpoint holds %d conns, %d resident", n, lb.ConnCount())
+	}
+}
+
+// TestRestoreImageNamingAFlowTwice: an image whose entries name one flow
+// hash twice restores one connection, the last entry's, and sizes the
+// next checkpoint by it. (Before the fix connBytes was the image's body,
+// so CheckpointSize said 51 bytes while AppendCheckpoint wrote 36, and
+// the extra 15 never drained.)
+func TestRestoreImageNamingAFlowTwice(t *testing.T) {
+	bs := testBackends(3)
+	tok := []byte{balancerTokenVersion}
+	tok = binary.LittleEndian.AppendUint64(tok, 5)
+	tok = binary.LittleEndian.AppendUint64(tok, 2)
+	tok = binary.LittleEndian.AppendUint32(tok, 2)
+	for _, be := range []Backend{bs[0], bs[2]} {
+		tok = binary.LittleEndian.AppendUint64(tok, testTuple(1).Hash())
+		tok = binary.LittleEndian.AppendUint32(tok, uint32(be.IP))
+		tok = binary.LittleEndian.AppendUint16(tok, uint16(len(be.Name)))
+		tok = append(tok, be.Name...)
+	}
+	lb, err := NewBalancer(bs, 251)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.Restore(tok); err != nil {
+		t.Fatal(err)
+	}
+	if lb.ConnCount() != 1 {
+		t.Fatalf("restored %d conns, want 1", lb.ConnCount())
+	}
+	if got := lb.Pick(testTuple(1)); got != bs[2] {
+		t.Fatalf("flow 1 sticks to %+v, want the last entry's %+v", got, bs[2])
+	}
+	restoredInvariants(t, lb)
 }

@@ -66,10 +66,8 @@ func TestConnEvictionSparesHotFlows(t *testing.T) {
 	if lb.Evictions() == 0 {
 		t.Fatal("no evictions happened; the test exercised nothing")
 	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
 	for i := 0; i < hotFlows; i++ {
-		if _, ok := lb.conns[testTuple(i).Hash()]; !ok {
+		if !lb.hasConn(testTuple(i).Hash()) {
 			t.Errorf("hot flow %d was evicted", i)
 		}
 	}
@@ -158,10 +156,7 @@ func TestTokenOverTheCapRestoresWhole(t *testing.T) {
 	if lb.ConnCount() != target || lb.Evictions() != uint64(n+1-target) {
 		t.Fatalf("after one insert: %d connections, %d evictions; want %d, %d", lb.ConnCount(), lb.Evictions(), target, n+1-target)
 	}
-	lb.mu.Lock()
-	_, kept := lb.conns[fresh.Hash()]
-	lb.mu.Unlock()
-	if !kept {
+	if !lb.hasConn(fresh.Hash()) {
 		t.Fatal("the sweep evicted the connection just inserted")
 	}
 	image, err := lb.AppendCheckpoint(nil)

@@ -18,22 +18,32 @@ import (
 func (b *Balancer) connsView() map[uint64]Backend {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	out := make(map[uint64]Backend, len(b.conns))
-	for h, c := range b.conns {
-		out[h] = b.backends[c.at]
+	out := make(map[uint64]Backend, b.conns.Len())
+	for i := 0; i < b.conns.Len(); i++ {
+		h, at := b.conns.At(i)
+		out[h] = b.backends[*at]
 	}
 	return out
 }
 
+// hasConn reports whether the connection table holds flow hash h.
+func (b *Balancer) hasConn(h uint64) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.conns.Find(h) >= 0
+}
+
 // restoreFresh is the Restore that rebuild-in-place replaced: decode into
-// a new map of Backend values, one string per distinct name, then swap
-// it in (as indices, now that that is what the balancer holds).
+// a new map of Backend values, one string per distinct name, then add
+// them to the emptied table in the image's order (as indices, now that
+// that is what the balancer holds).
 func restoreFresh(b *Balancer, data []byte) error {
 	hits, misses, n, body, err := tokenHeader(data)
 	if err != nil {
 		return err
 	}
 	conns := make(map[uint64]Backend, n)
+	var order []uint64
 	names := make(map[string]string)
 	err = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
 		s, seen := names[string(name)]
@@ -42,18 +52,20 @@ func restoreFresh(b *Balancer, data []byte) error {
 			names[s] = s
 		}
 		conns[h] = Backend{Name: s, IP: ip}
+		order = append(order, h)
 	})
 	if err != nil {
 		return err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = make(map[uint64]conn, n), len(body)
-	b.clock.Reset()
+	b.conns.Reset()
+	b.connBytes = len(body)
 	b.internTableLocked()
-	for h, be := range conns {
-		b.conns[h] = conn{at: b.internLocked([]byte(be.Name), be.IP)}
-		b.clock.Add(h)
+	for _, h := range order {
+		be := conns[h]
+		_, at := b.conns.At(b.conns.Add(h))
+		*at = b.internLocked([]byte(be.Name), be.IP)
 	}
 	b.hits, b.misses = hits, misses
 	return nil

@@ -195,8 +195,9 @@ func tableFor(backends []Backend, size int) (*Table, error) {
 // cold connections down to 7/8 of it, with the session table's
 // second-chance clock (package evict). An evicted flow's next packet is
 // re-hashed through the lookup table and reaches the backend it had
-// unless the backend set changed since. A full table is about 0.7 MB of
-// map and clock ring, and at most 0.3 MB of checkpoint.
+// unless the backend set changed since. A full table is 0.41 MB: 16-byte
+// entries made 1024 at a time as it fills, a 128 KiB index and the hot
+// bits (DESIGN.md states the formula). Its checkpoint is at most 0.3 MB.
 const ConnTableSize = 1 << 14
 
 // Balancer is the full load balancer: a lookup table plus a connection
@@ -207,12 +208,12 @@ type Balancer struct {
 	// on every lookup, so no path would ever share a read lock.
 	mu    sync.Mutex
 	table *Table
-	// conns maps a flow hash to its connection: scalars only, so the
-	// collector never scans the map. At most ConnTableSize of them stay
-	// after an insert.
-	conns map[uint64]conn
-	// clock holds conns' hashes for eviction.
-	clock evict.Clock
+	// conns maps a flow hash to where its backend sits in backends:
+	// scalars only, so the collector never scans the entries. At most
+	// ConnTableSize of them stay after an insert. A hit sets the entry's
+	// hot bit and an insert leaves it clear; the bit is not checkpointed,
+	// so a restored connection starts cold.
+	conns evict.Table[int32]
 	// backends interns every Backend a connection points at: the current
 	// table's set, then any backend that has left it but is still named by
 	// a connection made before UpdateBackends or brought back by Restore.
@@ -230,15 +231,6 @@ type Balancer struct {
 	evictions uint64 // connections evicted at the cap
 }
 
-// conn is one tracked connection: where its backend sits in the
-// balancer's interned set, and the clock's reference bit — set on a hit,
-// cleared when the hand passes. The bit is not checkpointed: a restored
-// connection starts cold.
-type conn struct {
-	at  int32
-	hot bool
-}
-
 // NewBalancer creates a balancer over the given backends. Its lookup
 // table is the one every balancer over the same (backends, tableSize)
 // shares.
@@ -247,7 +239,8 @@ func NewBalancer(backends []Backend, tableSize int) (*Balancer, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Balancer{table: t, conns: make(map[uint64]conn)}
+	b := &Balancer{table: t}
+	b.conns.SetLimit(ConnTableSize)
 	b.internTableLocked()
 	return b, nil
 }
@@ -284,52 +277,41 @@ func (b *Balancer) internLocked(name []byte, ip packet.IPv4) int32 {
 func (b *Balancer) Pick(t packet.FiveTuple) Backend {
 	h := t.Hash()
 	b.mu.Lock()
-	c, ok := b.conns[h]
-	if ok {
+	var at int32
+	if i := b.conns.Find(h); i >= 0 {
 		b.hits++
-		if !c.hot { // written once per pass of the hand, not per hit
-			c.hot = true
-			b.conns[h] = c
-		}
+		b.conns.Touch(i)
+		_, c := b.conns.At(i)
+		at = *c
 	} else {
-		c.at = b.tableAt[b.table.index(h)]
-		b.conns[h] = c
-		b.clock.Add(h)
-		b.connBytes += b.connSizeLocked(c)
+		at = b.tableAt[b.table.index(h)]
+		_, c := b.conns.At(b.conns.Add(h))
+		*c = at
+		b.connBytes += b.connSizeLocked(at)
 		b.misses++
 		b.evictLocked(h)
 	}
-	be := b.backends[c.at]
+	be := b.backends[at]
 	b.mu.Unlock()
 	return be
 }
 
-// connSizeLocked is c's size in the checkpoint.
-func (b *Balancer) connSizeLocked(c conn) int {
-	return connFixedSize + len(b.backends[c.at].Name)
+// connSizeLocked is the checkpoint size of a connection to backends[at].
+func (b *Balancer) connSizeLocked(at int32) int {
+	return connFixedSize + len(b.backends[at].Name)
 }
 
 // evictLocked keeps the table at its cap: past ConnTableSize, the clock
 // takes cold connections down to 7/8 of it in one sweep, sparing hot
 // ones and keep, the connection just inserted.
 func (b *Balancer) evictLocked(keep uint64) {
-	victims := b.clock.Sweep(len(b.conns), ConnTableSize, keep, func(h uint64) evict.Verdict {
-		c, ok := b.conns[h]
-		switch {
-		case !ok:
-			return evict.Gone
-		case c.hot:
-			c.hot = false
-			b.conns[h] = c
-			return evict.Spared
-		}
-		return evict.Victim
-	})
-	for _, h := range victims {
-		b.connBytes -= b.connSizeLocked(b.conns[h])
-		delete(b.conns, h)
+	n := b.conns.Sweep(keep)
+	for k := 0; k < n; k++ {
+		_, at := b.conns.Victim(k)
+		b.connBytes -= b.connSizeLocked(*at)
 	}
-	b.evictions += uint64(len(victims))
+	b.conns.Evict()
+	b.evictions += uint64(n)
 }
 
 // UpdateBackends swaps in the (shared) lookup table over a new backend
@@ -358,7 +340,7 @@ func (b *Balancer) UpdateBackends(backends []Backend) error {
 func (b *Balancer) ConnCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.conns)
+	return b.conns.Len()
 }
 
 // Stats reports connection-table hits and misses.
@@ -382,8 +364,8 @@ func (b *Balancer) Evictions() uint64 {
 func (b *Balancer) Reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.conns, b.connBytes = make(map[uint64]conn), 0
-	b.clock.Reset()
+	b.conns.Reset()
+	b.connBytes = 0
 	b.internTableLocked()
 	b.hits, b.misses = 0, 0
 }

@@ -2,6 +2,7 @@ package maglev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -82,9 +83,9 @@ func FuzzBalancerCheckpointOracle(f *testing.F) {
 		if err := dst.Restore(tok); err != nil {
 			t.Fatal(err)
 		}
-		if dst.hits != want.Hits || dst.misses != want.Misses || len(dst.conns) != len(want.Conns) {
+		if dst.hits != want.Hits || dst.misses != want.Misses || dst.ConnCount() != len(want.Conns) {
 			t.Fatalf("restored %d conns %d/%d, oracle %d conns %d/%d",
-				len(dst.conns), dst.hits, dst.misses, len(want.Conns), want.Hits, want.Misses)
+				dst.ConnCount(), dst.hits, dst.misses, len(want.Conns), want.Hits, want.Misses)
 		}
 		got := dst.connsView()
 		for h, be := range want.Conns {
@@ -103,11 +104,43 @@ func FuzzBalancerCheckpointOracle(f *testing.F) {
 		if err := dst2.Restore(tok); err != nil {
 			t.Fatal(err)
 		}
-		if len(dst2.conns) != len(want.Conns) || dst2.misses != want.Misses {
-			t.Fatalf("second restore: %d conns, %d misses; oracle %d, %d", len(dst2.conns), dst2.misses, len(want.Conns), want.Misses)
+		if dst2.ConnCount() != len(want.Conns) || dst2.misses != want.Misses {
+			t.Fatalf("second restore: %d conns, %d misses; oracle %d, %d", dst2.ConnCount(), dst2.misses, len(want.Conns), want.Misses)
 		}
 		if !bytes.Equal(tok, pristine) {
 			t.Fatal("restoring wrote to the token")
+		}
+		restoredInvariants(t, dst2)
+
+		// Hostile images: the token with connections named again as the
+		// input picks them (one flow hash twice or more, the last entry
+		// winning), and the raw input. Whatever an image restores leaves
+		// CheckpointSize equal to the bytes a checkpoint writes.
+		_, _, n, body, _ := tokenHeader(tok)
+		if n > 0 {
+			var entries [][]byte
+			_ = walkConns(body, n, func(h uint64, ip packet.IPv4, name []byte) {
+				e := binary.LittleEndian.AppendUint64(nil, h)
+				e = binary.LittleEndian.AppendUint32(e, uint32(ip))
+				e = binary.LittleEndian.AppendUint16(e, uint16(len(name)))
+				entries = append(entries, append(e, name...))
+			})
+			dup := bytes.Clone(tok)
+			for _, b := range picks {
+				dup = append(dup, entries[int(b)%n]...)
+			}
+			binary.LittleEndian.PutUint32(dup[17:], uint32(n+len(picks)))
+			dst3, _ := NewBalancer(backends, 127)
+			if err := dst3.Restore(dup); err != nil {
+				t.Fatal(err)
+			}
+			if dst3.ConnCount() != n {
+				t.Fatalf("an image naming %d conns restored %d", n, dst3.ConnCount())
+			}
+			restoredInvariants(t, dst3)
+		}
+		if raw, _ := NewBalancer(backends, 127); raw.Restore(data) == nil {
+			restoredInvariants(t, raw)
 		}
 	})
 }

@@ -2,12 +2,12 @@ package session
 
 // durable.go is the table's checkpoint: the v1 wire image is the only
 // checkpointed representation. Capture appends one fixed-size entry per
-// live flow straight from the flow map, under the table lock, into the
-// buffer a domain.StateSet sizes for every part; the same bytes go to the
-// WAL. Restore decodes the bytes back into the table's own maps and one
-// retained slab of flows, sharing one Rc box per distinct backend —
-// Figure 3a's aliasing survives by construction, and an image restores
-// any number of times because Restore only reads it.
+// live flow straight from the flow table, in its ring order, under the
+// table lock, into the buffer a domain.StateSet sizes for every part; the
+// same bytes go to the WAL. Restore decodes the bytes back into the
+// table's own entries, in the image's order, sharing one Rc box per
+// distinct backend — Figure 3a's aliasing survives by construction, and
+// an image restores any number of times because Restore only reads it.
 
 import (
 	"encoding/binary"
@@ -32,19 +32,21 @@ const (
 func (t *Table) CheckpointSize() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return sessionHeaderSize + len(t.flows)*sessionEntrySize
+	return sessionHeaderSize + t.flows.Len()*sessionEntrySize
 }
 
 // AppendCheckpoint appends the table's wire image to buf, reading the
-// live flow map under the table lock. The hot bit is derived state and
+// live flows under the table lock. The hot bit is derived state and
 // stays out.
 func (t *Table) AppendCheckpoint(buf []byte) ([]byte, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	buf = slices.Grow(buf, sessionHeaderSize+len(t.flows)*sessionEntrySize)
+	n := t.flows.Len()
+	buf = slices.Grow(buf, sessionHeaderSize+n*sessionEntrySize)
 	buf = append(buf, sessionTokenVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.flows)))
-	for h, f := range t.flows {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	for i := 0; i < n; i++ {
+		h, f := t.flows.At(i)
 		off := len(buf)
 		buf = buf[:off+sessionEntrySize]
 		e := buf[off:]
@@ -92,16 +94,16 @@ func checkToken(data []byte) (int, error) {
 // Restore replaces the live table with the flow graph a wire image
 // describes, in place: the image is checked whole first (a bad one leaves
 // the table as it was), then under the table lock every live flow's
-// backend handle is released, the flow map is cleared (or replaced by one
-// sized for the image when it holds under half as many flows) and
-// refilled — every flow in one slab the table keeps between restores, one
+// backend handle is released, the flow table is emptied, keeping its
+// memory, and refilled in the image's order with the hand parked — one
 // shared Rc box per distinct backend (each flow holds a clone, the intern
-// map the original), the eviction ring reseeded. The interned boxes are
-// reused: a box the image names again only gains its flows' clones back,
-// so StrongCount is again flows + 1, and a box it no longer names is
-// dropped. A restart thus allocates a box only for a backend the table
-// has not interned, not a graph per restore. The image is only read, so a
-// later fault can restore from the same epoch again.
+// map the original). An image that names a flow hash twice restores one
+// flow, the last entry's, and the clone the first one took is dropped.
+// The interned boxes are reused: a box the image names again only gains
+// its flows' clones back, so StrongCount is again flows + 1, and a box it
+// no longer names is dropped. A restart thus allocates a box only for a
+// backend the table has not interned, not a graph per restore. The image
+// is only read, so a later fault can restore from the same epoch again.
 func (t *Table) Restore(data []byte) error {
 	n, err := checkToken(data)
 	if err != nil {
@@ -109,32 +111,26 @@ func (t *Table) Restore(data []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// Nothing outside the lock holds a *Flow, and the two places inside
-	// it that do are emptied here, so the slab is free to overwrite. Every
-	// strong handle on an interned box but the map's own is a resident
-	// flow's clone, and every flow is forgotten here: release them at
-	// once, so each box is the map's alone before the image's flows clone
-	// it again.
+	// Every strong handle on an interned box but the map's own is a
+	// resident flow's clone, and every flow is forgotten here: release
+	// them at once, so each box is the map's alone before the image's
+	// flows clone it again.
 	for _, rc := range t.intern {
 		_ = rc.DropN(rc.StrongCount() - 1)
 	}
-	if len(t.flows) < n/2 {
-		// A restore onto a table that has not grown to the image's size
-		// (a cold reopen): sized once beats growing a group at a time.
-		t.flows = make(map[uint64]*Flow, n)
-	} else {
-		clear(t.flows)
-	}
-	t.flowPool = nil
-	if cap(t.slab) < n {
-		t.slab = make([]Flow, n)
-	}
-	clear(t.slab[n:cap(t.slab)]) // drop the backend handles of a larger past restore
-	t.slab = t.slab[:n]
-	for i := range t.slab {
-		e := data[sessionHeaderSize+i*sessionEntrySize:]
-		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
-		t.slab[i] = Flow{
+	t.flows.Reset()
+	for k := 0; k < n; k++ {
+		e := data[sessionHeaderSize+k*sessionEntrySize:]
+		h := binary.LittleEndian.Uint64(e)
+		i := t.flows.Find(h)
+		if i < 0 {
+			i = t.flows.Add(h)
+		}
+		_, f := t.flows.At(i)
+		if !f.Backend.IsZero() {
+			_ = f.Backend.Drop() // named before: the last entry wins
+		}
+		*f = Flow{
 			Tuple: packet.FiveTuple{
 				SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
 				DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
@@ -142,12 +138,11 @@ func (t *Table) Restore(data []byte) error {
 				DstPort: binary.LittleEndian.Uint16(e[18:]),
 				Proto:   e[20],
 			},
-			Backend: t.internLocked(ip).Clone(),
+			Backend: t.internLocked(packet.IPv4(binary.LittleEndian.Uint32(e[22:]))).Clone(),
 			Packets: binary.LittleEndian.Uint64(e[26:]),
 			Bytes:   binary.LittleEndian.Uint64(e[34:]),
 			Spilled: e[21] == 1,
 		}
-		t.flows[binary.LittleEndian.Uint64(e)] = &t.slab[i]
 	}
 	for ip, rc := range t.intern {
 		if rc.StrongCount() == 1 { // no restored flow names it
@@ -155,6 +150,5 @@ func (t *Table) Restore(data []byte) error {
 			delete(t.intern, ip)
 		}
 	}
-	t.rebuildRingLocked()
 	return nil
 }

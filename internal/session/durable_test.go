@@ -51,7 +51,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	}
 	dst.mu.Lock()
 	boxes := map[packet.IPv4]linear.Rc[Backend]{}
-	for _, f := range dst.flows {
+	for _, f := range dst.flowsLocked() {
 		ip := f.Backend.Get().IP
 		if prev, ok := boxes[ip]; ok {
 			if !prev.SameBox(f.Backend) {
@@ -67,7 +67,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	// Counters ride along.
 	dst.mu.Lock()
 	h0 := flowTuple(0).Hash()
-	f0 := dst.flows[h0]
+	f0 := dst.flowsLocked()[h0]
 	dst.mu.Unlock()
 	if f0 == nil || f0.Packets != 1 || f0.Bytes != 100 {
 		t.Fatalf("flow 0 counters: %+v", f0)
@@ -123,4 +123,61 @@ func TestDecodeTokenRejectsGarbage(t *testing.T) {
 	if err := tbl.Restore(huge); err == nil {
 		t.Fatal("Restore accepted a 4G-flow count over an empty body")
 	}
+}
+
+// restoredInvariants checks what any accepted image must leave behind:
+// for every interned backend StrongCount == resident flows naming it + 1
+// and at least one flow naming it, and a checkpoint of exactly the
+// resident flows.
+func restoredInvariants(t *testing.T, tbl *Table) {
+	t.Helper()
+	backendCounts(t, tbl, "restore")
+	tbl.mu.Lock()
+	for ip, rc := range tbl.intern {
+		if rc.StrongCount() == 1 {
+			tbl.mu.Unlock()
+			t.Fatalf("backend %v stays interned with no flow naming it", ip)
+		}
+	}
+	tbl.mu.Unlock()
+	img, err := tbl.AppendCheckpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img) != tbl.CheckpointSize() || len(img) != sessionHeaderSize+tbl.Len()*sessionEntrySize {
+		t.Fatalf("image is %d bytes, CheckpointSize %d, %d flows resident", len(img), tbl.CheckpointSize(), tbl.Len())
+	}
+}
+
+// TestRestoreImageNamingAFlowTwice: an image whose entries name one flow
+// hash twice restores one flow, the last entry's. The clone the first
+// entry took is dropped, so its backend's StrongCount is again the flows
+// naming it + 1, and a backend only the overwritten entry named leaves
+// the intern map. (Before the fix the first backend kept a strong count
+// of 2 with no flow naming it, interned for good.)
+func TestRestoreImageNamingAFlowTwice(t *testing.T) {
+	first, last := NewTable(), NewTable()
+	first.Track(flowTuple(1), 0xc0a80001, 100)
+	last.Track(flowTuple(1), 0xc0a80002, 200)
+	last.Track(flowTuple(2), 0xc0a80002, 300)
+	a, _ := first.AppendCheckpoint(nil)
+	b, _ := last.AppendCheckpoint(nil)
+	img := append([]byte{sessionTokenVersion, 3, 0, 0, 0}, a[sessionHeaderSize:]...)
+	img = append(img, b[sessionHeaderSize:]...)
+
+	tbl := NewTable()
+	tbl.Track(flowTuple(7), 0xc0a80001, 1) // a live box the image names first
+	if err := tbl.Restore(img); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Len() != 2 || tbl.Backends() != 1 {
+		t.Fatalf("restored %d flows over %d backends, want 2 over 1", tbl.Len(), tbl.Backends())
+	}
+	if got := tbl.Entries()[flowTuple(1).Hash()]; got != 0xc0a80002 {
+		t.Fatalf("flow 1 → %v, want the last entry's %v", got, packet.IPv4(0xc0a80002))
+	}
+	if f := tbl.flowsLocked()[flowTuple(1).Hash()]; f.Bytes != 200 {
+		t.Fatalf("flow 1 restored %d bytes, want the last entry's 200", f.Bytes)
+	}
+	restoredInvariants(t, tbl)
 }

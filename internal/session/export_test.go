@@ -6,7 +6,8 @@ import "repro/internal/packet"
 // table into the spill index without promoting.
 func (t *Table) lookup(h uint64) (packet.IPv4, bool) {
 	t.mu.Lock()
-	if f, ok := t.flows[h]; ok {
+	if i := t.flows.Find(h); i >= 0 {
+		_, f := t.flows.At(i)
 		ip := f.Backend.Peek().IP
 		t.mu.Unlock()
 		return ip, true
@@ -31,7 +32,7 @@ func (t *Table) lookup(h uint64) (packet.IPv4, bool) {
 func (t *Table) totalFlows() (int, error) {
 	t.mu.Lock()
 	ramOnly := 0
-	for _, f := range t.flows {
+	for _, f := range t.flowsLocked() {
 		if !f.Spilled {
 			ramOnly++
 		}
@@ -46,4 +47,16 @@ func (t *Table) totalFlows() (int, error) {
 		return ramOnly, err
 	}
 	return ramOnly + n, nil
+}
+
+// flowsLocked returns flow hash → the table's own Flow, for tests to
+// range over and index. The pointers are into the table's entries, valid
+// until its next Track, Restore or Reset. Callers hold t.mu.
+func (t *Table) flowsLocked() map[uint64]*Flow {
+	out := make(map[uint64]*Flow, t.flows.Len())
+	for i := 0; i < t.flows.Len(); i++ {
+		h, f := t.flows.At(i)
+		out[h] = f
+	}
+	return out
 }

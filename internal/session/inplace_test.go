@@ -14,19 +14,22 @@ import (
 	"repro/internal/packet"
 )
 
-// restoreFresh is the parent commit's Restore: decode into new maps and a
-// new slab, then swap them in.
+// restoreFresh is the Restore that rebuild-in-place replaced, in the
+// flow table's terms: decode into a new intern map, a new box per
+// distinct backend, and flows added to the emptied table in the image's
+// order.
 func restoreFresh(t *Table, data []byte) error {
 	n, err := checkToken(data)
 	if err != nil {
 		return err
 	}
-	flows := make(map[uint64]*Flow, n)
-	intern := make(map[packet.IPv4]linear.Rc[Backend])
-	slab := make([]Flow, n)
-	for i := range slab {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.intern = make(map[packet.IPv4]linear.Rc[Backend])
+	t.flows.Reset()
+	for i := 0; i < n; i++ {
 		e := data[sessionHeaderSize+i*sessionEntrySize:]
-		f := &slab[i]
+		_, f := t.flows.At(t.flows.Add(binary.LittleEndian.Uint64(e)))
 		f.Tuple = packet.FiveTuple{
 			SrcIP:   packet.IPv4(binary.LittleEndian.Uint32(e[8:])),
 			DstIP:   packet.IPv4(binary.LittleEndian.Uint32(e[12:])),
@@ -38,42 +41,36 @@ func restoreFresh(t *Table, data []byte) error {
 		f.Packets = binary.LittleEndian.Uint64(e[26:])
 		f.Bytes = binary.LittleEndian.Uint64(e[34:])
 		ip := packet.IPv4(binary.LittleEndian.Uint32(e[22:]))
-		rc, seen := intern[ip]
+		rc, seen := t.intern[ip]
 		if !seen {
 			rc = linear.NewRc(Backend{IP: ip})
-			intern[ip] = rc
+			t.intern[ip] = rc
 		}
 		f.Backend = rc.Clone()
-		flows[binary.LittleEndian.Uint64(e)] = f
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.flows = flows
-	t.intern = intern
-	t.rebuildRingLocked()
-	t.flowPool = nil
 	return nil
 }
 
 // sameTable compares everything a restore must bring back: identity,
-// counters, Spilled bits, the eviction ring as a set, and one Rc box per
-// backend with a strong count of its flows plus the intern map's handle.
+// counters, Spilled bits, the ring order, and one Rc box per backend
+// with a strong count of its flows plus the intern map's handle.
 func sameTable(t *testing.T, got, want *Table) {
 	t.Helper()
 	got.mu.Lock()
 	defer got.mu.Unlock()
 	want.mu.Lock()
 	defer want.mu.Unlock()
-	if len(got.flows) != len(want.flows) {
-		t.Fatalf("%d flows, oracle %d", len(got.flows), len(want.flows))
+	gotFlows, wantFlows := got.flowsLocked(), want.flowsLocked()
+	if len(gotFlows) != len(wantFlows) {
+		t.Fatalf("%d flows, oracle %d", len(gotFlows), len(wantFlows))
 	}
 	perBackend := map[packet.IPv4]int64{}
-	for h, wf := range want.flows {
-		gf, ok := got.flows[h]
+	for h, wf := range wantFlows {
+		gf, ok := gotFlows[h]
 		if !ok {
 			t.Fatalf("flow %x missing", h)
 		}
-		if gf.Tuple != wf.Tuple || gf.Packets != wf.Packets || gf.Bytes != wf.Bytes || gf.Spilled != wf.Spilled || gf.hot != wf.hot {
+		if gf.Tuple != wf.Tuple || gf.Packets != wf.Packets || gf.Bytes != wf.Bytes || gf.Spilled != wf.Spilled {
 			t.Fatalf("flow %x = %+v, oracle %+v", h, *gf, *wf)
 		}
 		ip := wf.Backend.Get().IP
@@ -93,22 +90,20 @@ func sameTable(t *testing.T, got, want *Table) {
 			t.Fatalf("backend %v: strong count %d, oracle %d, want flows+1 = %d", ip, g, w, n+1)
 		}
 	}
-	gr, wr := slices.Clone(got.clock.Hashes()), slices.Clone(want.clock.Hashes())
-	slices.Sort(gr)
-	slices.Sort(wr)
-	if !slices.Equal(gr, wr) {
-		t.Fatalf("eviction ring holds %d hashes, oracle %d", len(gr), len(wr))
-	}
-	if len(got.flowPool) != 0 {
-		t.Fatalf("%d pooled flows carried across a restore", len(got.flowPool))
+	for i := 0; i < got.flows.Len(); i++ {
+		gh, _ := got.flows.At(i)
+		wh, _ := want.flows.At(i)
+		if gh != wh {
+			t.Fatalf("ring position %d holds %x, oracle %x", i, gh, wh)
+		}
 	}
 }
 
 // TestRestoreInPlaceMatchesFreshGraph restores a sequence of tokens of
-// varying size onto one long-lived table — populated, spilling, with
-// pooled flows and a slab from the restore before — and onto the oracle,
-// and requires the two to agree after every restore, with traffic in
-// between that evicts and re-admits flows living in the slab.
+// varying size onto one long-lived table — populated, spilling, holding
+// the entries of the restore before — and onto the oracle, and requires
+// the two to agree after every restore, with traffic in between that
+// evicts restored flows and re-admits flows from the index.
 func TestRestoreInPlaceMatchesFreshGraph(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -135,11 +130,10 @@ func TestRestoreInPlaceMatchesFreshGraph(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameTable(t, got, want)
-			// Live traffic between restores: new flows, evictions into
-			// the pool (slab slots among them), promotions out of the
-			// index. Victims follow ring order, which follows map order,
-			// so the two tables part ways here; the next restore has to
-			// bring them back together from whatever this left behind.
+			// Live traffic between restores: new flows, evictions of
+			// restored flows, promotions out of the index. The next
+			// restore has to bring the two back together from whatever
+			// this left behind.
 			for i, n := 0, rng.Intn(300); i < n; i++ {
 				tu, ip := flowTuple(base+rng.Intn(400)), packet.IPv4(0xc0a80001+uint32(rng.Intn(5)))
 				got.Track(tu, ip, 64)
@@ -169,9 +163,9 @@ func TestRestoreBadTokenLeavesTableUntouched(t *testing.T) {
 }
 
 // TestRestoreInPlaceAllocBudget: restoring a 4096-flow token onto a table
-// that already holds those flows allocates nothing: the flow map, the
-// slab and the backend boxes are all reused. It was two maps and a slab,
-// about 0.4 MB, per restore, and then one Rc box per distinct backend.
+// that already holds those flows allocates nothing: the flow table and
+// the backend boxes are reused. It was two maps and a slab, about
+// 0.4 MB, per restore, and then one Rc box per distinct backend.
 func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	const flows, backends = 4096, 8
 	tbl := NewTable()
@@ -182,7 +176,7 @@ func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Restore(tok); err != nil { // first restore sizes the slab
+	if err := tbl.Restore(tok); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {

@@ -2,6 +2,7 @@ package session
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -27,8 +28,8 @@ type oracleFlow struct {
 func oracleOf(t *Table) *oracleImage {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	img := &oracleImage{Flows: make(map[uint64]*oracleFlow, len(t.flows))}
-	for h, f := range t.flows {
+	img := &oracleImage{Flows: make(map[uint64]*oracleFlow, t.flows.Len())}
+	for h, f := range t.flowsLocked() {
 		img.Flows[h] = &oracleFlow{Tuple: f.Tuple, Backend: f.Backend, Packets: f.Packets, Bytes: f.Bytes, Spilled: f.Spilled}
 	}
 	return img
@@ -94,12 +95,13 @@ func FuzzTableCheckpointOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		if len(dst.flows) != len(want.Flows) {
-			t.Fatalf("restored %d flows, oracle has %d", len(dst.flows), len(want.Flows))
+		flows := dst.flowsLocked() // dst is this goroutine's alone
+		if len(flows) != len(want.Flows) {
+			t.Fatalf("restored %d flows, oracle has %d", len(flows), len(want.Flows))
 		}
 		entries := dst.Entries()
 		for h, w := range want.Flows {
-			g := dst.flows[h]
+			g := flows[h]
 			if g == nil {
 				t.Fatalf("flow %x missing after restore", h)
 			}
@@ -113,8 +115,8 @@ func FuzzTableCheckpointOracle(f *testing.F) {
 		}
 		// Sharing: exactly the oracle's alias structure, and each box is
 		// held once by the intern map and once per flow.
-		for h1, g1 := range dst.flows {
-			for h2, g2 := range dst.flows {
+		for h1, g1 := range flows {
+			for h2, g2 := range flows {
 				if g1.Backend.SameBox(g2.Backend) != want.Flows[h1].Backend.SameBox(want.Flows[h2].Backend) {
 					t.Fatalf("flows %x,%x: sharing differs from the oracle", h1, h2)
 				}
@@ -133,7 +135,7 @@ func FuzzTableCheckpointOracle(f *testing.F) {
 
 		// Token reuse: wreck the first restore; a second restore of the
 		// same token is pristine and shares nothing with the first.
-		for _, g := range dst.flows {
+		for _, g := range flows {
 			g.Backend.Set(Backend{IP: 1})
 			g.Packets = 0
 		}
@@ -142,16 +144,41 @@ func FuzzTableCheckpointOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 		for h, w := range want.Flows {
-			g := dst2.flows[h]
+			g := dst2.flowsLocked()[h]
 			if g == nil || g.Packets != w.Packets || g.Backend.Get() != w.Backend.Get() {
 				t.Fatalf("second restore of flow %x: %+v, oracle %+v", h, g, *w)
 			}
-			if g.Backend.SameBox(dst.flows[h].Backend) {
+			if g.Backend.SameBox(flows[h].Backend) {
 				t.Fatalf("two restores of one token share a box at flow %x", h)
 			}
 		}
 		if !bytes.Equal(tok, pristine) {
 			t.Fatal("restoring wrote to the token")
+		}
+		restoredInvariants(t, dst2)
+
+		// Hostile images: the token with entries named again as the
+		// input picks them (one flow hash twice or more, the last entry
+		// winning), and the raw input. Whatever an image restores leaves
+		// the table's invariants.
+		if n := len(tok[sessionHeaderSize:]) / sessionEntrySize; n > 0 {
+			dup := bytes.Clone(tok)
+			for _, b := range assign {
+				k := int(b) % n
+				dup = append(dup, tok[sessionHeaderSize+k*sessionEntrySize:sessionHeaderSize+(k+1)*sessionEntrySize]...)
+			}
+			binary.LittleEndian.PutUint32(dup[1:], uint32(n+len(assign)))
+			dst3 := NewTable()
+			if err := dst3.Restore(dup); err != nil {
+				t.Fatal(err)
+			}
+			if dst3.Len() != n {
+				t.Fatalf("an image naming %d flows restored %d", n, dst3.Len())
+			}
+			restoredInvariants(t, dst3)
+		}
+		if raw := NewTable(); raw.Restore(data) == nil {
+			restoredInvariants(t, raw)
 		}
 	})
 }

@@ -9,7 +9,8 @@ package session
 // statestore.FlowIndex implements it structurally.
 
 import (
-	"repro/internal/evict"
+	"slices"
+
 	"repro/internal/packet"
 )
 
@@ -47,8 +48,11 @@ func (t *Table) SetSpill(s Spill, maxFlows int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.spill = s
-	t.maxFlows = maxFlows
-	t.rebuildRingLocked()
+	t.flows.SetLimit(maxFlows)
+	if maxFlows > 0 {
+		// A sweep from just over the cap takes maxFlows/8+1 victims.
+		t.recScratch = slices.Grow(t.recScratch[:0], maxFlows/8+1)
+	}
 }
 
 // SpillStats reports flows evicted to the index, flows promoted back,
@@ -60,82 +64,54 @@ func (t *Table) SpillStats() (spilled, promoted, errs uint64) {
 	return t.spilled, t.promoted, t.spillErrs
 }
 
-// ringAppendLocked registers a newly resident flow with the eviction
-// clock. The ring is only maintained while a spill index is attached.
-func (t *Table) ringAppendLocked(h uint64) {
-	if t.spill == nil {
-		return
-	}
-	t.clock.Add(h)
-}
-
-// rebuildRingLocked reseeds the clock ring from the resident flow set —
-// used when a spill index is attached to a populated table and after
-// Restore replaces the flow map wholesale.
-func (t *Table) rebuildRingLocked() {
-	t.clock.Reset()
-	if t.spill == nil {
-		return
-	}
-	for h := range t.flows {
-		t.clock.Add(h)
-	}
-}
-
-// promoteLocked pulls an evicted flow back into RAM on a miss. The
-// promoted flow keeps its durable backend and counters and is marked
-// Spilled: the index still holds it, so total-count views must not
-// count it twice.
-func (t *Table) promoteLocked(h uint64) *Flow {
+// promoteLocked pulls an evicted flow back into RAM on a miss and
+// returns its position, or -1. The promoted flow keeps its durable
+// backend and counters and is marked Spilled: the index still holds it,
+// so total-count views must not count it twice.
+func (t *Table) promoteLocked(h uint64) int {
 	rec, ok, err := t.spill.LookupFlow(h)
 	if err != nil {
 		t.spillErrs++
-		return nil
+		return -1
 	}
 	if !ok {
-		return nil
+		return -1
 	}
-	f := t.newFlowLocked()
-	f.Tuple = rec.Tuple
-	f.Backend = t.internLocked(rec.Backend).Clone()
-	f.Packets = rec.Packets
-	f.Bytes = rec.Bytes
-	f.Spilled = true
-	t.flows[h] = f
-	t.ringAppendLocked(h)
+	i := t.flows.Add(h)
+	_, f := t.flows.At(i)
+	*f = Flow{
+		Tuple:   rec.Tuple,
+		Backend: t.internLocked(rec.Backend).Clone(),
+		Packets: rec.Packets,
+		Bytes:   rec.Bytes,
+		Spilled: true,
+	}
 	t.promoted++
-	return f
+	return i
 }
 
 // evictLocked spills surplus flows once the table exceeds its cap,
-// down to ~7/8 of maxFlows in one batch write. keep is the hash of the
-// flow just touched — never a victim.
+// down to ~7/8 of it in one batch write. keep is the hash of the flow
+// just touched — never a victim.
 //
 // Victims come from the second-chance clock (package evict): the hand
-// walks the residency ring, spares any flow whose reference bit is set
-// (clearing the bit), and spills the cold ones it lands on. Hot flows
+// walks the table's ring, spares any flow whose reference bit is set
+// (clearing the bit), and takes the cold ones it lands on. Hot flows
 // therefore survive as long as packets keep arriving for them; a plain
-// map-order walk — the previous policy — spilled hot and cold alike. The
-// victim slice is the clock's and the record slice is scratch retained on
-// the table, so a steady eviction cadence allocates nothing.
+// map-order walk — the policy before the clock — spilled hot and cold
+// alike. The record slice is scratch retained on the table, so a steady
+// eviction cadence allocates nothing.
 func (t *Table) evictLocked(keep uint64) {
-	if t.spill == nil || t.maxFlows <= 0 {
+	if t.spill == nil {
 		return
 	}
-	victims := t.clock.Sweep(len(t.flows), t.maxFlows, keep, func(h uint64) evict.Verdict {
-		f, ok := t.flows[h]
-		switch {
-		case !ok:
-			return evict.Gone // already evicted or replaced
-		case f.hot:
-			f.hot = false
-			return evict.Spared
-		}
-		return evict.Victim
-	})
+	n := t.flows.Sweep(keep)
+	if n == 0 {
+		return
+	}
 	recs := t.recScratch[:0]
-	for _, h := range victims {
-		f := t.flows[h]
+	for k := 0; k < n; k++ {
+		h, f := t.flows.Victim(k)
 		recs = append(recs, SpillRecord{
 			Hash:    h,
 			Tuple:   f.Tuple,
@@ -145,24 +121,18 @@ func (t *Table) evictLocked(keep uint64) {
 		})
 	}
 	t.recScratch = recs[:0]
-	if len(recs) == 0 {
-		return
-	}
 	if err := t.spill.SpillFlows(recs); err != nil {
 		// The batch may not be durable: keep the flows in RAM (the table
-		// runs over its cap — degraded, never wrong), restore the victims
-		// to the clock ring, and count it.
+		// runs over its cap — degraded, never wrong) at the end of the
+		// ring, and count it.
 		t.spillErrs++
-		for _, h := range victims {
-			t.clock.Add(h)
-		}
+		t.flows.Readmit()
 		return
 	}
-	for _, h := range victims {
-		if f, ok := t.flows[h]; ok {
-			delete(t.flows, h)
-			t.freeFlowLocked(f)
-		}
+	for k := 0; k < n; k++ {
+		_, f := t.flows.Victim(k)
+		_ = f.Backend.Drop() // never the last handle: the intern map holds one
 	}
-	t.spilled += uint64(len(recs))
+	t.flows.Evict()
+	t.spilled += uint64(n)
 }

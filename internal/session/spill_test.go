@@ -100,7 +100,7 @@ func TestSpillPromotion(t *testing.T) {
 	}
 	tbl.Track(want.Tuple, 0xdddddddd /* ignored: identity comes from the index */, 25)
 	tbl.mu.Lock()
-	f := tbl.flows[victim]
+	f := tbl.flowsLocked()[victim]
 	tbl.mu.Unlock()
 	if f == nil {
 		t.Fatal("victim not promoted")
@@ -170,7 +170,7 @@ func backendCounts(t *testing.T, tbl *Table, when string) {
 	tbl.mu.Lock()
 	defer tbl.mu.Unlock()
 	naming := map[packet.IPv4]int64{}
-	for _, f := range tbl.flows {
+	for _, f := range tbl.flowsLocked() {
 		naming[f.Backend.Peek().IP]++
 	}
 	for ip, rc := range tbl.intern {

@@ -7,6 +7,11 @@
 // state), so for every interned backend StrongCount is the number of
 // resident flows naming it plus the table's own handle.
 //
+// Each flow is one entry of an evict.Table: its hash and its Flow,
+// inline, in one dense array that is also the eviction clock's ring, so
+// a resident flow costs its 56-byte entry and an index slot, and no
+// object of its own.
+//
 // table.go is the table and its netbricks stage; spill.go bounds it in
 // RAM by evicting cold flows to a Spill index (statestore.FlowIndex) and
 // promoting them back; durable.go is its checkpoint, the v1 wire image
@@ -34,19 +39,16 @@ type Backend struct {
 // soft byte/packet counters (deltas since the last checkpoint are lost
 // across a fault; flow identity is not). Spilled marks a flow the spill
 // index also holds (it was evicted and promoted back), so population
-// counts across RAM and disk count it once.
+// counts across RAM and disk count it once. The flow's second-chance
+// reference bit is the table's (evict.Table.Touch): derived state that
+// checkpoints do not carry (restored flows start cold) and the spill
+// index never sees.
 type Flow struct {
 	Tuple   packet.FiveTuple
 	Backend linear.Rc[Backend]
 	Packets uint64
 	Bytes   uint64
 	Spilled bool
-
-	// hot is the second-chance reference bit: set on every tracked
-	// packet, cleared when the eviction clock hand passes over the flow.
-	// Derived state — checkpoints don't carry it (restored flows start
-	// cold) and the spill index never sees it.
-	hot bool
 }
 
 // Table is the session table: flow hash → Flow, with an intern map
@@ -56,61 +58,28 @@ type Flow struct {
 // abandoned generations itself.
 type Table struct {
 	mu     sync.Mutex
-	flows  map[uint64]*Flow
+	flows  evict.Table[Flow]
 	intern map[packet.IPv4]linear.Rc[Backend]
 
 	// Spill state (see spill.go): when spill is non-nil the RAM table is
-	// a cache over the on-disk flow index, capped at maxFlows.
+	// a cache over the on-disk flow index, capped at the flows' limit.
 	spill     Spill
-	maxFlows  int
 	spilled   uint64
 	promoted  uint64
 	spillErrs uint64
-
-	// Eviction clock (see spill.go) over the resident flows, maintained
-	// only while a spill index is attached.
-	clock evict.Clock
 
 	// moved counts packets steered to a backend other than the one the
 	// table holds for their flow.
 	moved uint64
 
-	// Per-batch scratch reused across evictions, and a free list of Flow
-	// objects so steady-state churn (evict → new flow) allocates nothing.
+	// recScratch is an eviction batch's spill records, reused across
+	// batches.
 	recScratch []SpillRecord
-	flowPool   []*Flow
-
-	// slab holds every flow of the last Restore (durable.go); the next
-	// one overwrites it.
-	slab []Flow
-}
-
-// newFlowLocked takes a zeroed Flow from the pool, or allocates one.
-func (t *Table) newFlowLocked() *Flow {
-	n := len(t.flowPool)
-	if n == 0 {
-		return &Flow{}
-	}
-	f := t.flowPool[n-1]
-	t.flowPool[n-1] = nil
-	t.flowPool = t.flowPool[:n-1]
-	return f
-}
-
-// freeFlowLocked gives back a no-longer-tracked Flow's backend handle,
-// zeroes the Flow and pools it.
-func (t *Table) freeFlowLocked(f *Flow) {
-	_ = f.Backend.Drop() // never the last handle: the intern map holds one
-	*f = Flow{}
-	t.flowPool = append(t.flowPool, f)
 }
 
 // NewTable creates an empty session table.
 func NewTable() *Table {
-	return &Table{
-		flows:  make(map[uint64]*Flow),
-		intern: make(map[packet.IPv4]linear.Rc[Backend]),
-	}
+	return &Table{intern: make(map[packet.IPv4]linear.Rc[Backend])}
 }
 
 // internLocked returns the shared Rc box for a backend IP, creating it
@@ -134,20 +103,20 @@ func (t *Table) Track(tu packet.FiveTuple, ip packet.IPv4, nbytes int) {
 	h := tu.Hash()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	f, ok := t.flows[h]
-	if !ok && t.spill != nil {
-		f = t.promoteLocked(h)
+	i := t.flows.Find(h)
+	if i < 0 && t.spill != nil {
+		i = t.promoteLocked(h)
 	}
-	if f == nil {
-		f = t.newFlowLocked()
+	var f *Flow
+	if i < 0 {
+		i = t.flows.Add(h)
+		_, f = t.flows.At(i)
 		f.Tuple = tu
 		f.Backend = t.internLocked(ip).Clone()
-		t.flows[h] = f
-		t.ringAppendLocked(h)
-	} else if f.Backend.Peek().IP != ip {
+	} else if _, f = t.flows.At(i); f.Backend.Peek().IP != ip {
 		t.moved++
 	}
-	f.hot = true
+	t.flows.Touch(i)
 	f.Packets++
 	f.Bytes += uint64(nbytes)
 	t.evictLocked(h)
@@ -157,7 +126,7 @@ func (t *Table) Track(tu packet.FiveTuple, ip packet.IPv4, nbytes int) {
 func (t *Table) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.flows)
+	return t.flows.Len()
 }
 
 // Moved reports the packets steered to a backend other than the one the
@@ -187,22 +156,20 @@ func (t *Table) Backends() int {
 func (t *Table) Entries() map[uint64]packet.IPv4 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[uint64]packet.IPv4, len(t.flows))
-	for h, f := range t.flows {
+	out := make(map[uint64]packet.IPv4, t.flows.Len())
+	for i := 0; i < t.flows.Len(); i++ {
+		h, f := t.flows.At(i)
 		out[h] = f.Backend.Peek().IP
 	}
 	return out
 }
 
-// Reset cold-starts the table to empty.
+// Reset cold-starts the table to empty, keeping its memory.
 func (t *Table) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.flows = make(map[uint64]*Flow)
-	t.intern = make(map[packet.IPv4]linear.Rc[Backend])
-	t.clock.Reset()
-	t.flowPool = nil
-	t.slab = nil
+	t.flows.Reset()
+	clear(t.intern)
 }
 
 // Operator adapts the table into a NetBricks stage placed after the load
