@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages whose concurrency is load-bearing: the sharded runtime, the
-# supervised protection-domain runtime and its chaos harness, the pool
+# supervised domain runtime and its chaos harness, the pool
 # caches under them, the linear-ownership cells that make it safe (and
 # the sfi reference tables whose crossing is those cells' Rc CAS loops —
 # the package where the teardown-generation race was found), the
@@ -67,12 +67,22 @@ CHAOS_RESTORE_BYTES_MAX ?= 1200000
 # RETA; the eager header slab they replaced added ≈ 16.8 MB.
 NEWPORT_BYTES_MAX ?= 142868480
 
-.PHONY: check build cross test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate loc
+.PHONY: check fmt build cross test test-e2e test-recovery test-bench race race-all vet guard-atomics alloc-gate fuzz bench bench-all bench-gate loc
 
-## check: the PR gate — vet, build, cross-build, full tests, race tier,
-## e2e tier, kill -9 recovery tier, atomics guard, zero-allocation gate,
-## and the benchmark module's own vet + smoke test.
-check: vet build cross test race test-e2e test-recovery guard-atomics alloc-gate test-bench
+## check: the PR gate — gofmt, vet, build, cross-build, full tests, race
+## tier, e2e tier, kill -9 recovery tier, atomics guard, zero-allocation
+## gate, and the benchmark module's own vet + smoke test.
+check: fmt vet build cross test race test-e2e test-recovery guard-atomics alloc-gate test-bench
+
+## fmt: every Go file of the module and of bench/ (a subdirectory, so the
+## same walk) is gofmt-clean; the gate lists the ones that are not.
+fmt:
+	@out=$$(gofmt -l .); \
+	if [ -n "$$out" ]; then \
+		echo "$$out"; \
+		echo "fmt: gofmt -w the files above"; \
+		exit 1; \
+	fi
 
 ## guard-atomics: hot-path counters must be typed atomic cells
 ## (atomic.Uint64 / telemetry.Counter), never raw integers passed to the
@@ -112,8 +122,8 @@ guard-atomics:
 ## frames for either mbuf room (BenchmarkNetportLoopbackLarge sends
 ## 1400-byte ones) — it read 1 while every idle poll made a timer
 ## and every batched syscall a closure. So must the RSS hash by key, which
-## every simulated-NIC packet and every software-steered datagram pays: a
-## table cache that missed would allocate a 36 KiB table per call. The
+## every software-steered datagram pays: a table cache that missed would
+## allocate a 36 KiB table per call. The
 ## construction gate holds a port of 65 536 mbufs to its data arenas plus
 ## 256 KiB: mbuf headers are made on first use, so an eager header slab
 ## (≈ 16 MB of headers and a 0.5 MB free list at that size) fails it.

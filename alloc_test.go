@@ -323,7 +323,7 @@ func TestLiveEpochAllocBudget(t *testing.T) {
 			defer sup.Close()
 			d, err := domain.Spawn(sup, domain.Config[int]{
 				Name:    "worker-0",
-				Handler: func(*domain.Ctx, linear.Owned[int]) error { return nil },
+				Handler: func(linear.Owned[int]) error { return nil },
 				State:   warmStateSet(t),
 			})
 			if err != nil {

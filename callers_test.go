@@ -16,9 +16,11 @@ import (
 )
 
 // callerAllowlist names the declarations in internal/ that no non-test
-// file references and that stay anyway, each with the test or bench
-// that needs it and why. A key is a declaration ("pkg.Name" or
-// "pkg.Type.Method") or a file, which covers every declaration in it.
+// file references, and the fields no non-test file reads, that stay
+// anyway, each with the test or bench that needs it and why. A key is a
+// declaration ("pkg.Name", "pkg.Type.Method" or "pkg.Type.field"), which
+// covers everything under it, or a file, which covers every declaration
+// in it.
 var callerAllowlist = map[string]string{
 	"internal/sfi/alternatives.go":    "BenchmarkAblation* and TestClaim_S3_*: the §3 architectures the paper measures SFI against",
 	"netbricks.NullFilter":            "TestClaim_* and BenchmarkAblation*: Figure 2's null filter, the operator the crossing cost is measured on",
@@ -33,6 +35,8 @@ var callerAllowlist = map[string]string{
 	"internal/leakcheck/leakcheck.go": "the port, pipeline and domain tests: mbuf conservation and pointer-free layouts, checked at cleanup",
 	"faultinject.Injector.Set":        "the checkpointed chaos test: change a fault rate mid-run",
 	"dpdk.NewRSSPartition":            "the dpdk and sharded-runner tests: traffic partitioned by RSS queue",
+	"checkpoint.Stats":                "TestClaim_* and checkpoint's tests: Figure 3's traversal counts, which only a measurement reads",
+	"domain.ckptToken.at":             "domain's lastCheckpoint test seam: the age of the restored epoch, which the admin surface will show",
 }
 
 // callerRoots are the trees whose non-test files, with the root
@@ -148,16 +152,25 @@ type declSite struct {
 }
 
 // callerIndex gathers declarations, references and interface types over
-// every type-checked package of every platform.
+// every type-checked package of every platform, and struct fields with
+// the reads of them. A field is named by where it is declared
+// ("file:offset"), which the platforms' separate type-checks share.
 type callerIndex struct {
 	fset     *token.FileSet
 	decls    map[string]*declSite
 	refs     map[string][]token.Position
 	byMethod map[string][]*types.Interface // interface types by method name
+	fields   map[string]fieldSite
+	read     map[string]bool
 }
 
+// fieldSite is a struct field the guard holds to account: its key
+// ("pkg.Type.field") and its position.
+type fieldSite struct{ key, pos string }
+
 func newCallerIndex(fset *token.FileSet) *callerIndex {
-	return &callerIndex{fset: fset, decls: map[string]*declSite{}, refs: map[string][]token.Position{}, byMethod: map[string][]*types.Interface{}}
+	return &callerIndex{fset: fset, decls: map[string]*declSite{}, refs: map[string][]token.Position{},
+		byMethod: map[string][]*types.Interface{}, fields: map[string]fieldSite{}, read: map[string]bool{}}
 }
 
 // objKey names a package-level object "pkg.Name" and a method
@@ -208,8 +221,10 @@ func (x *callerIndex) add(tf typedFiles, held func(file string) bool) {
 	for id, obj := range tf.info.Uses {
 		x.ref(obj, id)
 	}
+	written := writes(tf.files)
 	for sel, s := range tf.info.Selections {
 		x.ref(s.Obj(), sel.Sel)
+		x.readPath(s, written[sel])
 	}
 	for _, tv := range tf.info.Types {
 		x.addInterface(tv.Type)
@@ -230,6 +245,130 @@ func (x *callerIndex) add(tf typedFiles, held func(file string) bool) {
 	for _, f := range tf.files {
 		if file := x.fset.Position(f.Pos()).Filename; held(file) {
 			x.declareFile(tf.info, f, recvs)
+			x.declareFields(tf.info, f)
+		}
+	}
+}
+
+// writes are the selectors that only store: the direct left-hand side of
+// an assignment, and the operand of ++ or --.
+func writes(files []*ast.File) map[*ast.SelectorExpr]bool {
+	w := map[*ast.SelectorExpr]bool{}
+	mark := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			w[sel] = true
+		}
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					mark(e)
+				}
+			case *ast.IncDecStmt:
+				mark(n.X)
+			}
+			return true
+		})
+	}
+	return w
+}
+
+// readPath records the fields a selection reads: every embedded field it
+// passes through, and the field it selects unless the selection is only
+// stored to. A composite-literal key is no selection, so never a read.
+func (x *callerIndex) readPath(s *types.Selection, store bool) {
+	t, idx := s.Recv(), s.Index()
+	if s.Kind() != types.FieldVal {
+		idx, store = idx[:len(idx)-1], false // the last index is the method's
+	}
+	for i, n := range idx {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		st, ok := t.Underlying().(*types.Struct)
+		if !ok {
+			return // selected through a type parameter: no struct to walk
+		}
+		f := st.Field(n)
+		if !store || i < len(idx)-1 {
+			x.read[x.where(f.Pos())] = true
+		}
+		t = f.Type()
+	}
+}
+
+func (x *callerIndex) where(p token.Pos) string {
+	pos := x.fset.Position(p)
+	return fmt.Sprintf("%s:%d", pos.Filename, pos.Offset)
+}
+
+// declareFields records every field of every struct type f declares,
+// but a blank one and one with a tag (encoding/json reads those), keyed
+// "pkg.Name.field" under the declaration that holds it: the type, or
+// the function or var an anonymous struct sits in.
+func (x *callerIndex) declareFields(info *types.Info, f *ast.File) {
+	pkg := f.Name.Name
+	var walk func(prefix string, n ast.Node)
+	walk = func(prefix string, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec: // a type declared inside a function
+				walk(prefix+"."+n.Name.Name, n.Type)
+				return false
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					ids := field.Names
+					if len(ids) == 0 {
+						ids = []*ast.Ident{embeddedName(field.Type)}
+					}
+					for _, id := range ids {
+						obj, ok := info.Defs[id].(*types.Var)
+						if ok && id.Name != "_" && field.Tag == nil {
+							x.fields[x.where(obj.Pos())] = fieldSite{prefix + "." + id.Name, x.fset.Position(obj.Pos()).String()}
+						}
+						walk(prefix+"."+id.Name, field.Type)
+					}
+				}
+				return false
+			}
+			return true
+		})
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			walk(pkg+"."+d.Name.Name, d)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					walk(pkg+"."+sp.Name.Name, sp.Type)
+				case *ast.ValueSpec:
+					walk(pkg+"."+sp.Names[0].Name, sp)
+				}
+			}
+		}
+	}
+}
+
+// embeddedName is the identifier an embedded field is named by.
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch t := e.(type) {
+		case *ast.Ident:
+			return t
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.SelectorExpr:
+			return t.Sel
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		default:
+			return nil
 		}
 	}
 }
@@ -387,13 +526,18 @@ refs:
 	return false
 }
 
-// unreferenced lists "position: key" for every declaration with no
-// reference, sorted.
+// unreferenced maps the key of every declaration with no reference, and
+// of every field that nothing reads, to its position.
 func (x *callerIndex) unreferenced() map[string]string {
 	out := map[string]string{}
 	for k, d := range x.decls {
 		if !x.referenced(k, d) {
 			out[k] = d.pos.String()
+		}
+	}
+	for at, f := range x.fields {
+		if !x.read[at] {
+			out[f.key] = f.pos
 		}
 	}
 	return out
@@ -452,10 +596,14 @@ func allowed(key string, pos string) string {
 // file of the module (bench/nfbench included), on linux or on darwin; a
 // method that implements an interface its type satisfies counts as
 // referenced, and an interface method counts only when selected through
-// its interface. What only tests reach is deleted, or moved into a test
-// file, or named in callerAllowlist with the test that needs it. The
-// fixture proves the check fires on a function and on an interface
-// method, and honours interface satisfaction and sealing markers.
+// its interface. Every struct field declared in internal/, but a blank or
+// tagged one, is read by such a file: selected anywhere but as the direct
+// left-hand side of an assignment or the operand of ++ or --, and a
+// literal key is no read. What only tests reach is deleted, or moved into
+// a test file, or named in callerAllowlist with the test that needs it.
+// The fixture proves the check fires on a function, on an interface
+// method and on each kind of unread field, and honours interface
+// satisfaction, sealing markers, tags, &x.f and x.f.M().
 func TestEveryExportHasACaller(t *testing.T) {
 	if len(callerAllowlist) > 15 {
 		t.Fatalf("the allowlist has %d entries, at most 15", len(callerAllowlist))
@@ -475,7 +623,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
-		t.Errorf("%s has no caller outside tests: delete it, or move it into a test file", b)
+		t.Errorf("%s has no caller or reader outside tests: delete it, or move it into a test file", b)
 	}
 	for a := range callerAllowlist {
 		if !hit[a] {
@@ -495,9 +643,15 @@ func TestEveryExportHasACaller(t *testing.T) {
 	fx := newCallerIndex(fset)
 	fx.add(tf, func(string) bool { return true })
 	got := fx.unreferenced()
-	_, orphan := got["fixture.Orphan"]
-	_, reset := got["fixture.counter.Reset"]
-	if !orphan || !reset || len(got) != 2 {
-		t.Fatalf("the fixture's two orphans were not the findings: %v", got)
+	want := []string{"fixture.Orphan", "fixture.counter.Reset",
+		"fixture.gauge.unread", "fixture.gauge.stored", "fixture.gauge.keyed", "fixture.gauge.bumped"}
+	bad = nil
+	for _, k := range want {
+		if _, ok := got[k]; !ok {
+			bad = append(bad, k)
+		}
+	}
+	if len(bad) > 0 || len(got) != len(want) {
+		t.Fatalf("the findings were %v, want exactly the fixture's orphans %v", got, want)
 	}
 }

@@ -189,7 +189,8 @@ func run(o options, out io.Writer) error {
 		}
 		defer store.Close()
 		store.RegisterMetrics(reg, nil)
-		log.Printf("durable state: %s, %d domains with a prior epoch", o.stateDir, store.EpochCount())
+		log.Printf("durable state: %s, %d domains with a prior epoch, %d torn bytes and records dropped at open",
+			o.stateDir, store.EpochCount(), store.StatsSnapshot().TornRecords)
 	}
 	var tracer *trace.Tracer
 	if o.traceSample > 0 {

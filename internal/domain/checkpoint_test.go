@@ -104,7 +104,7 @@ func spawnKV(t *testing.T, s *Supervisor, st *kvState) *Domain[int] {
 	d, err := Spawn(s, Config[int]{
 		Name:  "kv",
 		State: st,
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
 				return err
@@ -248,7 +248,7 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 		Name:    "kv-mid",
 		State:   st,
 		Release: func(p *int) { pool.Put(p) },
-		Handler: func(c *Ctx, msg linear.Owned[*int]) error {
+		Handler: func(msg linear.Owned[*int]) error {
 			p, err := msg.Into()
 			if err != nil {
 				return err

@@ -148,7 +148,7 @@ func TestMonitorWakeAllocatesNothing(t *testing.T) {
 // the closed check and the append shared one critical section, a Close
 // between them missed the new domain, which then served on forever.
 func TestSpawnRacingClose(t *testing.T) {
-	handler := func(*Ctx, linear.Owned[int]) error { return nil }
+	handler := func(linear.Owned[int]) error { return nil }
 	for i := 0; i < 20_000; i++ {
 		s := NewSupervisor(Policy{})
 		closed := make(chan struct{})

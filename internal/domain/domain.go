@@ -1,19 +1,20 @@
-// Package domain provides a supervised protection-domain runtime on top
-// of the sfi and linear layers: long-lived goroutines ("domains"), each
-// owning an sfi protection domain and a handler, exchanging work through
-// zero-copy mailboxes of linearly owned payloads.
+// Package domain provides a supervised runtime on top of the linear
+// layer: long-lived goroutines ("domains"), each serving a handler,
+// exchanging work through zero-copy mailboxes of linearly owned payloads.
 //
 // The paper's §3 recovery story — unwind to the domain entry point, clear
-// the reference table, run a user recovery function — is exercised by the
-// sfi package inside a single synchronous call. This package keeps a
-// faulted domain alive *as a service* under sustained traffic: a
-// Supervisor detects faults (handler panics and errors, caught at the
-// domain entry point) and hangs (per-domain heartbeats), tears the
-// domain's sfi reference table down (sfi.Domain.Reset), and restarts
-// that domain alone after an exponential backoff, until a fault streak
-// exhausts its restart budget and the domain stops. Every transition is
-// counted in per-domain atomic stats exposed via Snapshot, the same
-// contract netbricks.ShardedRunner uses for its workers.
+// the reference table, run a user recovery function — is the sfi
+// package's, inside a single synchronous call; a handler that isolates
+// its parts (netbricks.IsolatedPipeline) owns their protection domains
+// and recovers them in its Recover hook. This package keeps a faulted
+// domain alive *as a service* under sustained traffic: a Supervisor
+// detects faults (handler panics and errors, caught at the domain entry
+// point) and hangs (per-domain heartbeats), runs the domain's recovery
+// function, and restarts that domain alone after an exponential backoff,
+// until a fault streak exhausts its restart budget and the domain stops.
+// Every transition is counted in per-domain atomic stats exposed via
+// Snapshot, the same contract netbricks.ShardedRunner uses for its
+// workers.
 //
 // Ownership is the safety argument throughout, exactly as in the
 // synchronous case: a payload is owned by exactly one side of a mailbox
@@ -30,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/linear"
-	"repro/internal/sfi"
 	"repro/internal/telemetry"
 )
 
@@ -96,21 +96,14 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// Ctx is the context handed to handlers: the domain's sfi protection
-// domain, into which handlers may export state via sfi.Export/ExportAt.
-// A domain makes one at Spawn, and every generation serves with it.
-type Ctx struct {
-	PD *sfi.Domain
-}
-
 // Handler processes one payload. The payload arrives owned: the handler
 // may move it onward (e.g. into another domain's mailbox), consume it
 // with Into, or leave it untouched — a payload still live when a fault
 // unwinds to the entry point is reclaimed by the runtime through the
-// Release hook. A returned error is a fault: the supervisor tears the
-// domain down and applies the restart policy, exactly as for a panic.
+// Release hook. A returned error is a fault: the supervisor applies the
+// restart policy, exactly as for a panic.
 // Handlers that can tolerate an error must absorb it themselves.
-type Handler[T any] func(c *Ctx, msg linear.Owned[T]) error
+type Handler[T any] func(msg linear.Owned[T]) error
 
 // Config parameterizes a supervised domain.
 type Config[T any] struct {
@@ -126,9 +119,7 @@ type Config[T any] struct {
 	Release func(T)
 	// Recover reinitializes handler state from clean after a fault,
 	// before the restarted domain serves again — the §3 user recovery
-	// function. The domain's sfi reference table has already been
-	// cleared and re-opened (Manager.Recover) when it runs. A Recover
-	// error counts as another fault.
+	// function. A Recover error counts as another fault.
 	Recover func() error
 	// State, when non-nil and Policy.CheckpointEvery > 0, opts the
 	// domain into checkpointed recovery (§5): the serving goroutine
@@ -208,8 +199,6 @@ type Domain[T any] struct {
 	release func(T)
 	recover func() error
 
-	pd *sfi.Domain
-
 	// rec/actor: the supervisor's flight recorder (nil-safe) and this
 	// domain's interned name in it. The inbox shares the actor ID.
 	rec   *telemetry.Recorder
@@ -235,9 +224,6 @@ type Domain[T any] struct {
 	// faultStreak counts consecutive faults (reset by a completed
 	// invocation); the restart policy's budget applies to the streak.
 	faultStreak atomic.Uint64
-
-	// ctx is what every generation hands its handler; nothing writes it.
-	ctx *Ctx
 
 	// ck is the §5 checkpoint machinery; nil when checkpointing is off.
 	ck *ckptState
@@ -367,10 +353,7 @@ func (d *Domain[T]) fault(epoch uint64) {
 
 // invoke is the domain entry point: heartbeat, guard, fault accounting,
 // and reclamation of payloads abandoned by a fault. It returns nil when
-// the handler completed, or the fault. The sfi teardown (reference-table
-// clear) is NOT done here: only the supervisor's monitor goroutine resets
-// the protection domain, so a stale generation faulting late cannot
-// revoke the table a recovered replacement is already serving from.
+// the handler completed, or the fault.
 func (d *Domain[T]) invoke(msg linear.Owned[T], epoch uint64) error {
 	d.beat.Store(d.now().UnixNano())
 	d.busy.Store(epoch)
@@ -404,7 +387,7 @@ func (d *Domain[T]) guard(msg linear.Owned[T]) (err error) {
 			err = &faultError{domain: d.name, what: "panic", val: p}
 		}
 	}()
-	if herr := d.handler(d.ctx, msg); herr != nil {
+	if herr := d.handler(msg); herr != nil {
 		d.st.errors.Add(1)
 		d.rec.Record(d.actor, telemetry.EvError, d.faultStreak.Load()+1)
 		return &faultError{domain: d.name, err: herr}

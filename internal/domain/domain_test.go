@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/linear"
-	"repro/internal/sfi"
 	"repro/internal/telemetry"
 )
 
@@ -26,7 +25,7 @@ func TestDomainServes(t *testing.T) {
 	var got atomic.Int64
 	d, err := Spawn(s, Config[int]{
 		Name: "svc",
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
 				return err
@@ -68,7 +67,7 @@ func TestDomainCrashRestart(t *testing.T) {
 		Name:    "crashy",
 		Release: func(int) { released.Add(1) },
 		Recover: func() error { recovered.Add(1); return nil },
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, _ := msg.Borrow()
 			crash := v.Value() < 0
 			_ = v.Release()
@@ -122,7 +121,7 @@ func TestDomainErrorIsFault(t *testing.T) {
 	defer s.Close()
 	var calls atomic.Int64
 	d, err := Spawn(s, Config[int]{
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			if calls.Add(1) == 1 {
 				return errors.New("transient")
 			}
@@ -146,77 +145,6 @@ func TestDomainErrorIsFault(t *testing.T) {
 	}
 }
 
-// TestDomainRRefsFailClosedAcrossCrash drives the paper's recovery
-// contract through the supervisor: state exported into the domain's
-// protection domain is revoked by the crash (outstanding RRefs fail
-// closed) and transparently re-bound after the supervisor recovers the
-// domain via the sfi recovery function.
-func TestDomainRRefsFailClosedAcrossCrash(t *testing.T) {
-	p := fastPolicy()
-	s, fc := fakeSupervisor(p)
-	defer s.Close()
-
-	type counter struct{ n int }
-	var rref *sfi.RRef[*counter]
-	served := make(chan struct{}, 1)
-	d, err := Spawn(s, Config[int]{
-		Name: "stateful",
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
-			v, err := msg.Into()
-			if err != nil {
-				return err
-			}
-			if v < 0 {
-				panic("injected")
-			}
-			err = rref.Call("incr", func(ct *counter) error { ct.n++; return nil })
-			served <- struct{}{}
-			return err
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc.expectArmed(t, time.Time{})
-	rref, err = sfi.Export(d.pd, &counter{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slot := rref.Slot()
-	d.pd.SetRecovery(func(pd *sfi.Domain) error {
-		return sfi.ExportAt(pd, slot, &counter{}) // fresh state, same slot
-	})
-
-	if err := d.Inbox().Send(linear.New(1)); err != nil {
-		t.Fatal(err)
-	}
-	<-served                           // the first increment
-	_ = d.Inbox().Send(linear.New(-1)) // crash
-	fc.expectArmed(t, fc.now().Add(p.Backoff))
-
-	// Between teardown and recovery the RRef fails closed.
-	if !d.pd.Failed() {
-		t.Fatal("the crash did not tear the reference table down")
-	}
-	if err := rref.Call("peek", func(*counter) error { return nil }); err == nil {
-		t.Fatal("RRef still served after crash teardown")
-	}
-
-	// After the supervisor restarts the domain, the same RRef re-binds to
-	// the re-populated slot.
-	_ = d.Inbox().Send(linear.New(2))
-	fc.step(t, p.Backoff)
-	fc.expectArmed(t, time.Time{})
-	<-served // the post-recovery increment
-	n, err := sfi.CallResult(rref, "peek", func(ct *counter) (int, error) { return ct.n, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("recovered counter = %d, want 1 (fresh state + one post-recovery call)", n)
-	}
-}
-
 // TestDomainStopsWhenBudgetExhausted: restart budget exhausted — the
 // domain stops, its backlog is destroyed through Release, Done closes.
 func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
@@ -228,7 +156,7 @@ func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	d, err := Spawn(s, Config[int]{
 		Mailbox: 64,
 		Release: func(int) { released.Add(1) },
-		Handler: func(c *Ctx, msg linear.Owned[int]) error { panic("always") },
+		Handler: func(msg linear.Owned[int]) error { panic("always") },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +220,7 @@ func TestDomainHangAbandonment(t *testing.T) {
 	served := make(chan int, 1)
 	d, err := Spawn(s, Config[int]{
 		Name: "staller",
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
 				return err
@@ -341,7 +269,7 @@ func TestOneStuckHandlerIsOneHang(t *testing.T) {
 	defer close(stall)
 	d, err := Spawn(s, Config[int]{
 		Name: "stuck",
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			_, err := msg.Into()
 			entered <- struct{}{}
 			<-stall
@@ -395,7 +323,7 @@ func TestLifecycleOnOneClock(t *testing.T) {
 	d, err := Spawn(s, Config[int]{
 		Name:  "life",
 		State: st,
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
 				return err
@@ -477,7 +405,7 @@ func TestSpawnValidation(t *testing.T) {
 		t.Fatal("Spawn without handler succeeded")
 	}
 	s.Close()
-	if _, err := Spawn(s, Config[int]{Handler: func(*Ctx, linear.Owned[int]) error { return nil }}); !errors.Is(err, ErrSupervisorClosed) {
+	if _, err := Spawn(s, Config[int]{Handler: func(linear.Owned[int]) error { return nil }}); !errors.Is(err, ErrSupervisorClosed) {
 		t.Fatalf("Spawn on closed supervisor: %v", err)
 	}
 }

@@ -210,7 +210,7 @@ func spawnDurableKV(t *testing.T, s *Supervisor, st *durableKV) *Domain[int] {
 	d, err := Spawn(s, Config[int]{
 		Name:  "kv",
 		State: soloKV{st},
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
 				return err
@@ -391,7 +391,7 @@ func TestDurableRequiresCodec(t *testing.T) {
 	_, err := Spawn(sup, Config[int]{
 		Name:    "bare",
 		State:   newKVState(), // no TokenCodec
-		Handler: func(c *Ctx, msg linear.Owned[int]) error { _, e := msg.Into(); return e },
+		Handler: func(msg linear.Owned[int]) error { _, e := msg.Into(); return e },
 	})
 	if err == nil || !strings.Contains(err.Error(), "TokenCodec") {
 		t.Fatalf("Spawn = %v, want TokenCodec error", err)
@@ -411,7 +411,7 @@ func TestDurableBadPayloadFailsSpawn(t *testing.T) {
 	_, err := Spawn(sup, Config[int]{
 		Name:    "kv",
 		State:   soloKV{newDurableKV()},
-		Handler: func(c *Ctx, msg linear.Owned[int]) error { _, e := msg.Into(); return e },
+		Handler: func(msg linear.Owned[int]) error { _, e := msg.Into(); return e },
 	})
 	if err == nil || !strings.Contains(err.Error(), "decode durable epoch") {
 		t.Fatalf("Spawn = %v, want decode error", err)

@@ -46,7 +46,7 @@ func TestFaultErrorText(t *testing.T) {
 	}{
 		{
 			name: "stage panic",
-			fault: invoke(func(c *Ctx, _ linear.Owned[int]) error {
+			fault: invoke(func(linear.Owned[int]) error {
 				return rref.Call("process", func(int) error { panic("boom") })
 			}),
 			want:  "domain worker-0: domain 1 (stage-0-parse) panicked in process: boom: sfi: domain failed during invocation",
@@ -55,13 +55,13 @@ func TestFaultErrorText(t *testing.T) {
 		},
 		{
 			name:  "handler panic",
-			fault: invoke(func(*Ctx, linear.Owned[int]) error { panic("boom") }),
+			fault: invoke(func(linear.Owned[int]) error { panic("boom") }),
 			want:  "domain worker-0: panic: boom: domain: handler crashed",
 			is:    []error{ErrCrashed},
 		},
 		{
 			name:  "handler error",
-			fault: invoke(func(*Ctx, linear.Owned[int]) error { return errHandler }),
+			fault: invoke(func(linear.Owned[int]) error { return errHandler }),
 			want:  "domain worker-0: handler said no",
 			is:    []error{errHandler},
 			isNot: []error{ErrCrashed},

@@ -83,7 +83,7 @@ func TestWrapPanicsReachSupervisor(t *testing.T) {
 	inj := New(3)
 	inj.PanicProb = 0.25
 	var processed, released atomic.Int64
-	h := func(c *domain.Ctx, msg linear.Owned[int]) error {
+	h := func(msg linear.Owned[int]) error {
 		inj.Point("test")
 		if _, err := msg.Into(); err != nil {
 			return err

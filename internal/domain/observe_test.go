@@ -62,7 +62,7 @@ func TestFlightRecorderChaos(t *testing.T) {
 			Name:    fmt.Sprintf("chaos-%d", i),
 			Mailbox: 4,
 			Release: func(b *[64]byte) { pool.Put(b) },
-			Handler: func(c *Ctx, msg linear.Owned[*[64]byte]) error {
+			Handler: func(msg linear.Owned[*[64]byte]) error {
 				seen++
 				if i < 2 && seen >= failFrom {
 					// Permanent failure: the streak exhausts the budget.

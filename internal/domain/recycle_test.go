@@ -258,7 +258,7 @@ func spawnGated(t *testing.T, s *Supervisor, name string, g *gatedSet, kv *durab
 	d, err := Spawn(s, Config[int]{
 		Name:  name,
 		State: g,
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if err != nil {
 				return err
@@ -679,7 +679,7 @@ func TestNoPublishOrHandBackDuringRestore(t *testing.T) {
 		d, err := Spawn(sup, Config[int]{
 			Name:  string(rune('a' + i)),
 			State: st,
-			Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			Handler: func(msg linear.Owned[int]) error {
 				v, err := msg.Into()
 				if err != nil {
 					return err

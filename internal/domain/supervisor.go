@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/sfi"
 	"repro/internal/telemetry"
 )
 
@@ -45,8 +44,7 @@ type Policy struct {
 	Persist Persister
 
 	// Registry, when non-nil, receives every spawned domain's counters
-	// and gauges (labeled {domain=<name>}), the supervisor's aggregate
-	// counters, and the sfi management plane's per-protection-domain
+	// and gauges (labeled {domain=<name>}) and the supervisor's aggregate
 	// counters. Registration happens at Spawn time only; the data path
 	// never touches the registry.
 	Registry *telemetry.Registry
@@ -92,7 +90,6 @@ type child interface {
 	idleEpoch(now time.Time) time.Time
 	stop()
 	recoverState() error
-	pdom() *sfi.Domain
 	bumpStreak() uint64
 	backOff(d time.Duration)
 	resume()
@@ -100,7 +97,6 @@ type child interface {
 }
 
 func (d *Domain[T]) currentEpoch() uint64 { return d.epoch.Load() }
-func (d *Domain[T]) pdom() *sfi.Domain    { return d.pd }
 func (d *Domain[T]) bumpStreak() uint64   { return d.faultStreak.Add(1) }
 
 // backOff puts the domain in backoff for b.
@@ -125,18 +121,12 @@ func (d *Domain[T]) noteHang() {
 }
 
 // recoverState is a restart's recovery, on the monitor goroutine: the
-// sfi protection domain is recovered (its recovery function re-populates
-// reference-table slots), the user Recover hook rebuilds the handler
-// plumbing (the §3 recovery function — e.g. fresh pipeline instances
-// exported into the recovered table), and the §5 restore hands the
-// rebuilt plumbing its last good checkpoint, cold-starting only when no
-// epoch has completed.
+// user Recover hook rebuilds the handler plumbing (the §3 recovery
+// function — e.g. fresh stage instances re-exported into their protection
+// domains' cleared tables), and the §5 restore hands the rebuilt plumbing
+// its last good checkpoint, cold-starting only when no epoch has
+// completed.
 func (d *Domain[T]) recoverState() error {
-	if d.pd.Failed() {
-		if err := d.sup.mgr.Recover(d.pd); err != nil {
-			return err
-		}
-	}
 	if d.recover != nil {
 		if err := d.recover(); err != nil {
 			return err
@@ -161,7 +151,6 @@ type event struct {
 // monitor owns every deadline too: backoffs, idle epochs, the hang poll.
 type Supervisor struct {
 	policy Policy
-	mgr    *sfi.Manager
 	clock  clock
 
 	// children is append-only; closed is set under mu, so a Spawn appends
@@ -188,7 +177,6 @@ func NewSupervisor(p Policy) *Supervisor { return newSupervisor(p, wallClock{}) 
 func newSupervisor(p Policy, clk clock) *Supervisor {
 	s := &Supervisor{
 		policy: p.withDefaults(),
-		mgr:    sfi.NewManager(),
 		clock:  clk,
 		events: make(chan event, 128),
 		kick:   make(chan struct{}, 1),
@@ -198,7 +186,6 @@ func newSupervisor(p Policy, clk clock) *Supervisor {
 		reg.RegisterCounter("supervisor_faults_total", nil, &s.faults)
 		reg.RegisterCounter("supervisor_hangs_total", nil, &s.hangs)
 		reg.RegisterCounter("supervisor_restarts_total", nil, &s.restarts)
-		s.mgr.SetRegistry(reg, nil)
 	}
 	s.wg.Add(1)
 	go s.monitor()
@@ -231,10 +218,8 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 		release: cfg.Release,
 		recover: cfg.Recover,
 		handler: cfg.Handler,
-		pd:      s.mgr.NewDomain(cfg.Name),
 		done:    make(chan struct{}),
 	}
-	d.ctx = &Ctx{PD: d.pd}
 	if cfg.State != nil && s.policy.CheckpointEvery > 0 {
 		d.ck = &ckptState{
 			state:  cfg.State,
@@ -365,30 +350,26 @@ func earliest(a, b time.Time) time.Time {
 	return a
 }
 
-// onFault handles one fault report: verify it is current, clear the
-// domain's reference table (§3 teardown — done here on the monitor, never
-// by serving goroutines, so a stale generation cannot revoke a table its
-// replacement already recovered), then apply the restart policy. The
-// faulting goroutine has already unwound and reclaimed the payload.
+// onFault handles one fault report: verify it is current, then apply the
+// restart policy. The faulting goroutine has already unwound and
+// reclaimed the payload.
 func (s *Supervisor) onFault(p *pending, epoch uint64, now time.Time) {
 	if p.c.currentEpoch() != epoch || p.c.State() == StateStopped {
 		return // superseded or retired while the report was in flight
 	}
 	s.faults.Add(1)
-	p.c.pdom().Reset()
 	s.applyPolicy(p, now)
 }
 
 // abandon is the hang verdict on a child: supersede its serving goroutine
-// (it exits silently at its next checkpoint), clear the reference table,
-// and restart. The verdict can race the end of the handler it judged, so
-// the superseded generation may be anywhere past it — capturing an epoch,
-// or inside the store's append — when the replacement restores.
+// (it exits silently at its next checkpoint) and restart. The verdict can
+// race the end of the handler it judged, so the superseded generation may
+// be anywhere past it — capturing an epoch, or inside the store's append —
+// when the replacement restores.
 func (s *Supervisor) abandon(p *pending, now time.Time) {
 	p.c.noteHang()
 	s.hangs.Add(1)
 	p.c.supersede()
-	p.c.pdom().Reset()
 	s.applyPolicy(p, now)
 }
 

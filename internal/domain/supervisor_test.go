@@ -64,7 +64,7 @@ func TestSupervisorSnapshotAggregates(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d, err := Spawn(s, Config[int]{
 			Name: fmt.Sprintf("w%d", i),
-			Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			Handler: func(msg linear.Owned[int]) error {
 				_, err := msg.Into()
 				return err
 			},
@@ -119,7 +119,7 @@ func TestSupervisorStress(t *testing.T) {
 			Name:    fmt.Sprintf("w%d", w),
 			Mailbox: 2, // stays full: exercises tail-drop under pressure
 			Release: func(int) { released.Add(1) },
-			Handler: func(c *Ctx, msg linear.Owned[int]) error {
+			Handler: func(msg linear.Owned[int]) error {
 				var v int
 				if err := msg.With(func(x int) { v = x }); err != nil {
 					return err
@@ -221,7 +221,7 @@ func TestAbandonedLateSuccessCountsOnce(t *testing.T) {
 	defer s.Close()
 	entered, stall := make(chan struct{}), make(chan struct{})
 	d, err := Spawn(s, Config[int]{
-		Handler: func(c *Ctx, msg linear.Owned[int]) error {
+		Handler: func(msg linear.Owned[int]) error {
 			v, err := msg.Into()
 			if v < 0 {
 				entered <- struct{}{}

@@ -96,11 +96,7 @@ type PortStats struct {
 // packet of one flow lands on the same queue and one worker per queue
 // sees complete flows.
 type Port struct {
-	Index int
-	pool  *mempool.Pool[packet.Packet]
-
-	reta   *packet.RETA
-	rss    *packet.RSSTable // the port key's hash table, resolved once
+	pool   *mempool.Pool[packet.Packet]
 	queues []*rxQueue
 
 	// Stats is exported for harnesses.
@@ -109,7 +105,6 @@ type Port struct {
 
 // Config parameterizes a port.
 type Config struct {
-	Index    int
 	PoolSize int // number of mbufs; default 4096
 	// Gen is the traffic source of a one-queue port (default: one
 	// FixedFlow of DefaultSpec).
@@ -150,12 +145,7 @@ func NewPort(cfg Config) *Port {
 		}
 		cfg.QueueGen = func(int) Generator { return gen }
 	}
-	p := &Port{
-		Index: cfg.Index,
-		rss:   packet.RSSTableFor(packet.DefaultRSSKey),
-		reta:  packet.NewRETA(cfg.RxQueues, 0),
-		pool:  packet.NewPool(cfg.PoolSize, MbufSize),
-	}
+	p := &Port{pool: packet.NewPool(cfg.PoolSize, MbufSize)}
 	for q := 0; q < cfg.RxQueues; q++ {
 		p.queues = append(p.queues, &rxQueue{
 			gen:   cfg.QueueGen(q),

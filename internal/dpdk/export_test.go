@@ -2,5 +2,8 @@ package dpdk
 
 import "repro/internal/packet"
 
-// rssQueue reports which receive queue the port steers a flow to.
-func (p *Port) rssQueue(t packet.FiveTuple) int { return p.reta.Queue(p.rss.HashTuple(t)) }
+// rssQueue reports which receive queue RSS steers a flow to on p: the
+// redirection table partition builds for p's queue count.
+func (p *Port) rssQueue(t packet.FiveTuple) int {
+	return packet.NewRETA(p.Queues(), 0).Queue(t.RSSHash(packet.DefaultRSSKey))
+}

@@ -77,13 +77,8 @@ func (p *Port) RxBurstQueue(q int, out []*packet.Packet) int {
 		}
 		// FrameLen vetted the spec, so Build cannot fail, and the room
 		// holds the frame, so Build writes it in place.
-		frame, _ := packet.Build(pkt.Room(size), rq.spec)
-		// The receive metadata a NIC deposits: port, queue, RSS hash.
-		pkt.Data = frame
+		pkt.Data, _ = packet.Build(pkt.Room(size), rq.spec)
 		pkt.Reset()
-		pkt.RxPort = p.Index
-		pkt.RxQueue = q
-		pkt.RxHash = p.rss.HashTuple(rq.spec.Tuple)
 		p.Stats.RxPackets.Add(1)
 		p.Stats.RxBytes.Add(uint64(pkt.Len()))
 		out[n] = pkt

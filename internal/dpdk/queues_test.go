@@ -34,12 +34,6 @@ func TestPartitionedQueuesDeliverOwnFlows(t *testing.T) {
 			if got := p.rssQueue(pkt.Tuple()); got != q {
 				t.Fatalf("queue %d delivered a flow that hashes to queue %d", q, got)
 			}
-			if pkt.RxQueue != q {
-				t.Fatalf("RxQueue stamp = %d, want %d", pkt.RxQueue, q)
-			}
-			if pkt.RxHash != pkt.Tuple().RSSHash(packet.DefaultRSSKey) {
-				t.Fatal("deposited RSS hash wrong")
-			}
 		}
 		p.TxBurstQueue(q, buf[:n])
 	}
@@ -214,10 +208,10 @@ func TestNewRSSPartitionValidation(t *testing.T) {
 	}
 }
 
-// TestRxHashAndQueuePinned: the hash and queue the port stamps for a
-// fixed flow list are literal values recorded before the RSS hash became
-// table-driven. A changed hash would silently re-steer every flow a
-// restored store remembers.
+// TestRxHashAndQueuePinned: the RSS hash of a fixed flow list and the
+// queue RSS steers each flow to are literal values recorded before the
+// hash became table-driven. A changed hash would silently re-steer every
+// flow a restored store remembers.
 func TestRxHashAndQueuePinned(t *testing.T) {
 	const queues = 4
 	pinned := []struct {
@@ -257,9 +251,9 @@ func TestRxHashAndQueuePinned(t *testing.T) {
 			if !ok {
 				t.Fatalf("queue %d delivered unknown flow %v", q, pkt.Tuple())
 			}
-			if pkt.RxHash != pinned[i].hash || pkt.RxQueue != q || p.rssQueue(pkt.Tuple()) != pinned[i].queue {
-				t.Errorf("flow %d on queue %d stamped hash %#08x queue %d, steers to %d; pinned %#08x queue %d",
-					i, q, pkt.RxHash, pkt.RxQueue, p.rssQueue(pkt.Tuple()), pinned[i].hash, pinned[i].queue)
+			if pkt.RSSHash() != pinned[i].hash || q != pinned[i].queue || p.rssQueue(pkt.Tuple()) != pinned[i].queue {
+				t.Errorf("flow %d polled from queue %d hashes %#08x, steers to %d; pinned %#08x queue %d",
+					i, q, pkt.RSSHash(), p.rssQueue(pkt.Tuple()), pinned[i].hash, pinned[i].queue)
 			}
 			seen[i] = true
 		}

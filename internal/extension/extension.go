@@ -70,7 +70,6 @@ fn main() {
 // Extension is a loaded, verified packet filter.
 type Extension struct {
 	Name   string
-	Report *verifier.Report
 	interp *minirust.Interp
 
 	// Stats.
@@ -104,7 +103,7 @@ func Load(name, src string) (*Extension, *verifier.Report, error) {
 		return nil, rep, fmt.Errorf("extension %s: %w:\n%s", name, ErrRejected, rep)
 	}
 	in := minirust.NewInterp(rep.Checked, minirust.WithMaxSteps(100_000))
-	return &Extension{Name: name, Report: rep, interp: in}, rep, nil
+	return &Extension{Name: name, interp: in}, rep, nil
 }
 
 func checkSignature(f *minirust.FuncDef) error {

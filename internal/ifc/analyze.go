@@ -370,7 +370,6 @@ func (a *analyzer) analyzeCall(f *minirust.FuncDef, args []*absVal, pc string) (
 	a.misses++
 
 	fr := &frame{
-		fn:     f,
 		state:  make(absState, len(f.Params)),
 		pc:     []string{pc},
 		result: a.bottomVal(f.Pos),
@@ -402,7 +401,6 @@ func (a *analyzer) analyzeCall(f *minirust.FuncDef, args []*absVal, pc string) (
 
 // frame is the per-function analysis state.
 type frame struct {
-	fn     *minirust.FuncDef
 	state  absState
 	pc     []string
 	result *absVal

@@ -128,8 +128,7 @@ type FuncDef struct {
 	Ret     Type
 	Body    []Stmt
 	Pos     Pos
-	Recv    string // struct name for methods, "" for free functions
-	IsAssoc bool   // associated function without self (Struct::new)
+	IsAssoc bool // associated function without self (Struct::new)
 }
 
 // Param is one function parameter.

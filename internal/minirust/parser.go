@@ -206,7 +206,7 @@ func (p *parser) fnDef(recv string) (*FuncDef, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &FuncDef{Pos: start.Pos, Recv: recv, Ret: TypeUnit}
+	f := &FuncDef{Pos: start.Pos, Ret: TypeUnit}
 	if recv != "" {
 		f.Name = QualifiedName(recv, name.Text)
 	} else {

@@ -18,7 +18,7 @@
 //
 // One runner drives either: ShardedRunner, one worker per receive queue
 // (Workers: 1 is the paper's single-threaded run), inline or — with
-// Supervise — each worker a supervised protection domain. See worker.go
+// Supervise — each worker a supervised domain. See worker.go
 // for the one per-batch step all of those configurations share.
 package netbricks
 

@@ -94,7 +94,7 @@ type ShardedRunner struct {
 	// takes the process down: nothing contains it.)
 	AutoRecover bool
 
-	// Supervise runs every worker as a supervised protection domain (see
+	// Supervise runs every worker as a supervised domain (see
 	// supervised.go): a feeder goroutine per queue sends batches into the
 	// worker domain's mailbox, and a domain.Supervisor absorbs worker
 	// faults — panics, pipeline errors, stalls — under Policy, restarting

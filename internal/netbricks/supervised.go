@@ -1,4 +1,4 @@
-// Supervised execution: each worker runs as a protection domain under a
+// Supervised execution: each worker runs as a domain under a
 // domain.Supervisor instead of a bare goroutine.
 //
 // An inline worker treats a fault as the end of its run (or, with
@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"repro/internal/domain"
-	"repro/internal/linear"
 )
 
 // runSupervised is Run's supervised body: spawn one supervised domain
@@ -76,7 +75,7 @@ func (w *worker) spawn(sup *domain.Supervisor, depth int) (*domain.Domain[*Batch
 	d, err := domain.Spawn(sup, domain.Config[*Batch]{
 		Name:    fmt.Sprintf("worker-%d", w.q),
 		Mailbox: depth,
-		Handler: func(_ *domain.Ctx, msg linear.Owned[*Batch]) error { return w.serve(msg) },
+		Handler: w.serve,
 		Release: func(b *Batch) {
 			// Batches serve never saw: backlog destroyed when the domain
 			// stops, sends that arrive after it has.

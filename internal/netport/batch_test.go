@@ -108,7 +108,7 @@ func TestTxBatchedPartialSendAccounting(t *testing.T) {
 // in BatchSize chunks; a short send on a later chunk drop-tails only the
 // remainder, and the totals stay exact across chunks.
 func TestTxBatchChunkingAccounting(t *testing.T) {
-	const offered = 10 // BatchSize 4: chunks of 4, 4, 2
+	const offered = 10                           // BatchSize 4: chunks of 4, 4, 2
 	fake := &fakeBatchConn{accepts: []int{4, 2}} // second chunk cut at 2
 	p, pkts, _ := txPort(t, Config{Queues: 1, RingSize: 64, BatchSize: 4}, fake, offered)
 

@@ -118,7 +118,7 @@ func TestE2ELoopbackPipeline(t *testing.T) {
 		Queues:    workers,
 		RingSize:  1024,
 		BatchSize: batchSize,
-		ReusePort: true, // kernel fan-out on Linux; silent distributor fallback elsewhere
+		ReusePort: true,                  // kernel fan-out on Linux; silent distributor fallback elsewhere
 		PollWait:  20 * time.Millisecond, // 8 idle polls = 160ms end-of-traffic grace
 		TxTarget:  sinkAddr,
 		Recorder:  rec,

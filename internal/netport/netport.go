@@ -519,13 +519,10 @@ func (p *Port) deliver(l *rxLoop, dgram []byte) {
 		p.shed(&p.Stats.ParseError, DropParseError, 0)
 		return
 	}
-	hash := p.rss.HashTuple(pkt.Tuple())
 	q := l.queue
 	if q < 0 {
-		q = p.reta.Queue(hash)
+		q = p.reta.Queue(p.rss.HashTuple(pkt.Tuple()))
 	}
-	pkt.RxQueue = q
-	pkt.RxHash = hash
 	// Arm the sampled trace while this loop still owns the mbuf — after
 	// enqueue a worker may already be stamping it. The untraced path
 	// pays one counter increment and branch here, nothing else.

@@ -119,9 +119,6 @@ type Packet struct {
 	l4Off   int
 	tuple   FiveTuple
 	parsed  bool
-	RxPort  int    // ingress port index, set by the driver
-	RxQueue int    // ingress RX queue index, set by the driver
-	RxHash  uint32 // RSS hash deposited by the (simulated) NIC
 	UserTag uint64 // scratch word for NF state (e.g. chosen backend)
 
 	// Trace is the sampled-tracing span riding in the mbuf: a fixed-size
@@ -196,9 +193,6 @@ func (p *Packet) Tuple() FiveTuple { return p.tuple }
 func (p *Packet) Reset() {
 	p.parsed = false
 	p.UserTag = 0
-	p.RxPort = 0
-	p.RxQueue = 0
-	p.RxHash = 0
 	if p.Trace.Armed() {
 		p.Trace.Clear()
 	}

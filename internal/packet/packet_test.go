@@ -189,10 +189,10 @@ func TestSetDstIPRewritesAndChecksums(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	frame, _ := Build(nil, sampleSpec(ProtoTCP, 0))
-	p := &Packet{Data: frame, RxPort: 3, UserTag: 9}
+	p := &Packet{Data: frame, UserTag: 9}
 	_ = p.Parse()
 	p.Reset()
-	if p.Parsed() || p.RxPort != 0 || p.UserTag != 0 {
+	if p.Parsed() || p.UserTag != 0 {
 		t.Fatal("Reset incomplete")
 	}
 }

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestDomainReset exercises the exported teardown: Reset on a live domain
-// clears the reference table and fails outstanding RRefs closed, exactly
-// as a caught panic does, and the standard Recover protocol brings the
-// domain back.
+// TestDomainReset exercises the teardown a caught panic runs: on a live
+// domain it clears the reference table and fails outstanding RRefs
+// closed, and the standard Recover protocol brings the domain back.
 func TestDomainReset(t *testing.T) {
 	mgr := NewManager()
 	d := mgr.NewDomain("svc")
@@ -19,21 +18,21 @@ func TestDomainReset(t *testing.T) {
 	slot := rref.Slot()
 	d.SetRecovery(func(d *Domain) error { return ExportAt(d, slot, "recovered") })
 
-	if !d.Reset() {
-		t.Fatal("Reset on a live domain reported no-op")
+	if !d.teardown() {
+		t.Fatal("teardown of a live domain reported no-op")
 	}
 	if !d.Failed() {
-		t.Fatal("domain not failed after Reset")
+		t.Fatal("domain not failed after teardown")
 	}
 	if d.TableSize() != 0 {
-		t.Fatalf("reference table has %d entries after Reset, want 0", d.TableSize())
+		t.Fatalf("reference table has %d entries after teardown, want 0", d.TableSize())
 	}
 	if err := rref.Call("get", func(string) error { return nil }); !errors.Is(err, ErrDomainFailed) {
-		t.Fatalf("Call after Reset: got %v, want ErrDomainFailed", err)
+		t.Fatalf("Call after teardown: got %v, want ErrDomainFailed", err)
 	}
-	// Reset is idempotent on a non-live domain.
-	if d.Reset() {
-		t.Fatal("Reset on a failed domain reported teardown")
+	// teardown is idempotent on a non-live domain.
+	if d.teardown() {
+		t.Fatal("teardown of a failed domain reported a teardown")
 	}
 
 	if err := mgr.Recover(d); err != nil {
@@ -48,8 +47,8 @@ func TestDomainReset(t *testing.T) {
 	}
 }
 
-// TestDomainResetCountsFault pins the accounting contract shared with the
-// panic path: exactly one fault and the table revocations.
+// TestDomainResetCountsFault pins teardown's accounting: one fault however
+// often it runs, and the table revocations.
 func TestDomainResetCountsFault(t *testing.T) {
 	mgr := NewManager()
 	d := mgr.NewDomain("svc")
@@ -59,8 +58,8 @@ func TestDomainResetCountsFault(t *testing.T) {
 	if _, err := Export(d, 2); err != nil {
 		t.Fatal(err)
 	}
-	d.Reset()
-	d.Reset() // no-op
+	d.teardown()
+	d.teardown() // no-op
 	_, faults, _, revocations, _ := d.Stats.Snapshot()
 	if faults != 1 {
 		t.Fatalf("faults = %d, want 1", faults)
@@ -73,7 +72,7 @@ func TestDomainResetCountsFault(t *testing.T) {
 // TestStalledCallDoesNotPinStaleBinding is the regression for the
 // pinned-proxy hazard the chaos harness exposed: an invocation in flight
 // at teardown time holds the proxy's strong handle for its whole
-// duration, so after Reset + Recover the shared RRef's weak upgrade
+// duration, so after teardown + Recover the shared RRef's weak upgrade
 // still succeeds against the *retired* instance. The teardown-generation
 // stamp must force new calls to re-bind to the recovered entry instead
 // of reaching the object the teardown revoked.
@@ -100,10 +99,10 @@ func TestStalledCallDoesNotPinStaleBinding(t *testing.T) {
 	}()
 	<-entered // the stalled call now holds the old proxy's strong handle
 
-	// Supervisor-style abandonment: tear down and recover while the call
-	// is still in flight inside the old instance.
-	if !d.Reset() {
-		t.Fatal("Reset reported no-op")
+	// Tear down and recover while the call is still in flight inside the
+	// old instance (another caller's panic would do the same).
+	if !d.teardown() {
+		t.Fatal("teardown reported no-op")
 	}
 	if err := mgr.Recover(d); err != nil {
 		t.Fatal(err)

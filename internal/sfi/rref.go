@@ -181,7 +181,7 @@ func (r *RRef[T]) Call(method string, fn func(obj T) error) error {
 func (r *RRef[T]) guard(method string, fn func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			r.dom.fail()
+			r.dom.teardown()
 			err = &panicError{dom: r.dom, method: method, val: p}
 		}
 	}()

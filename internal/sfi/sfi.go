@@ -217,16 +217,13 @@ func (d *Domain) clearTable() {
 	d.mu.Unlock()
 }
 
-// Reset tears a live domain down to its post-fault state: the domain is
-// marked failed and its reference table is cleared, so every outstanding
-// RRef fails closed until Manager.Recover re-populates the slots. This is
-// the §3 teardown step ("unwind to the domain entry point, clear the
-// reference table") exported as a reusable operation: the call path
-// invokes it when a panic is caught at the domain boundary, and external
-// supervisors invoke it directly to retire a domain they have declared
-// hung or otherwise unhealthy. Resetting a domain that is not live is a
-// no-op; Reset reports whether it performed the teardown.
-func (d *Domain) Reset() bool {
+// teardown is the §3 teardown step ("unwind to the domain entry point,
+// clear the reference table"), run when a panic is caught at the domain
+// boundary: the domain is marked failed and its reference table cleared,
+// so every outstanding RRef fails closed until Manager.Recover
+// re-populates the slots. Tearing down a domain that is not live is a
+// no-op; teardown reports whether it performed one.
+func (d *Domain) teardown() bool {
 	if !d.failed.CompareAndSwap(false, true) {
 		return false
 	}
@@ -234,10 +231,6 @@ func (d *Domain) Reset() bool {
 	d.clearTable()
 	return true
 }
-
-// fail tears the domain down after a caught panic: mark failed, then clear
-// the reference table so clients fail closed until recovery.
-func (d *Domain) fail() { d.Reset() }
 
 // Manager is the management plane controlling domain lifecycle: creation
 // and fault recovery.

@@ -262,8 +262,8 @@ func TestOpensParentWrittenStore(t *testing.T) {
 		t.Fatalf("open parent-written store: %v", err)
 	}
 	defer old.Close()
-	if st := old.StatsSnapshot(); st.TornRecords != 0 || st.Epochs != 1 {
-		t.Fatalf("parent-written store: %d torn bytes, %d domains; want 0, 1", st.TornRecords, st.Epochs)
+	if torn, domains := old.StatsSnapshot().TornRecords, old.EpochCount(); torn != 0 || domains != 1 {
+		t.Fatalf("parent-written store: %d torn bytes, %d domains; want 0, 1", torn, domains)
 	}
 	parentPayload, seq, ok, err := old.LastEpoch("worker-0")
 	if err != nil || !ok || seq != 3 {

@@ -263,7 +263,7 @@ func newOwnScript(t *testing.T) *ownScript {
 		wk.dom, err = domain.Spawn(sc.sup, domain.Config[func()]{
 			Name:  wk.state.name,
 			State: wk.state,
-			Handler: func(c *domain.Ctx, msg linear.Owned[func()]) error {
+			Handler: func(msg linear.Owned[func()]) error {
 				fn, err := msg.Into()
 				if err != nil {
 					return err

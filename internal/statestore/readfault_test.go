@@ -76,7 +76,7 @@ func TestFailedEpochReadFailsSpawn(t *testing.T) {
 				d, err := domain.Spawn(sup, domain.Config[int]{
 					Name:    "worker-0",
 					State:   domain.NewStateSet().Add("session", fresh),
-					Handler: func(c *domain.Ctx, msg linear.Owned[int]) error { _, err := msg.Into(); return err },
+					Handler: func(msg linear.Owned[int]) error { _, err := msg.Into(); return err },
 				})
 				return d, fresh, err
 			}

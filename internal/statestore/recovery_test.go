@@ -292,7 +292,7 @@ func TestRecoveryKill9(t *testing.T) {
 		d, err := domain.Spawn(sup, domain.Config[int]{
 			Name:  fmt.Sprintf("worker-%d", w),
 			State: domain.NewStateSet().Add("maglev", lb).Add("session", tbl),
-			Handler: func(c *domain.Ctx, msg linear.Owned[int]) error {
+			Handler: func(msg linear.Owned[int]) error {
 				_, err := msg.Into()
 				return err
 			},

@@ -123,7 +123,6 @@ type Store struct {
 
 // Stats is a point-in-time copy of the store's counters.
 type Stats struct {
-	Epochs       int    // domains with a durable epoch
 	Persisted    uint64 // epoch records appended by this process
 	PersistBytes uint64 // payload bytes appended (epochs + spills)
 	Fsyncs       uint64
@@ -590,11 +589,9 @@ func (s *Store) WALSize() int64 {
 // StatsSnapshot returns a point-in-time copy of the store's counters.
 func (s *Store) StatsSnapshot() Stats {
 	s.mu.Lock()
-	epochs := len(s.epochs)
 	wal := s.wal.size
 	s.mu.Unlock()
 	return Stats{
-		Epochs:       epochs,
 		Persisted:    s.persisted.Load(),
 		PersistBytes: s.persistBytes.Load(),
 		Fsyncs:       s.fsyncs.Load(),
