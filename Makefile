@@ -180,11 +180,12 @@ test:
 	$(GO) test ./...
 
 ## test-e2e: the loopback end-to-end tier — real UDP sockets, pktgen,
-## and the supervised pipeline, under a generous timeout. These tests
-## skip themselves under -short, so a plain `go test -short ./...` stays
-## socket-free.
+## and the supervised pipeline (nf-pipeline's own run included, with a
+## stage held until the hang verdict), under a generous timeout. These
+## tests skip themselves under -short, so a plain `go test -short ./...`
+## stays socket-free.
 test-e2e:
-	$(GO) test -timeout 120s -run 'TestE2E|TestChaosSupervisedPipeline' ./internal/netport ./internal/netbricks
+	$(GO) test -timeout 120s -run 'TestE2E|TestChaosSupervisedPipeline' ./internal/netport ./internal/netbricks ./cmd/nf-pipeline
 
 ## test-recovery: the durable-state acceptance tier — a supervised
 ## pipeline persisting checkpoint epochs over live loopback traffic is

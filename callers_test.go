@@ -16,8 +16,8 @@ import (
 )
 
 // callerAllowlist names the declarations in internal/ that no non-test
-// file references, and the fields no non-test file reads, that stay
-// anyway, each with the test or bench that needs it and why. A key is a
+// file references, and the fields no non-test file reads or writes, that
+// stay anyway, each with the test or bench that needs it and why. A key is a
 // declaration ("pkg.Name", "pkg.Type.Method" or "pkg.Type.field"), which
 // covers everything under it, or a file, which covers every declaration
 // in it.
@@ -153,7 +153,7 @@ type declSite struct {
 
 // callerIndex gathers declarations, references and interface types over
 // every type-checked package of every platform, and struct fields with
-// the reads of them. A field is named by where it is declared
+// the reads and writes of them. A field is named by where it is declared
 // ("file:offset"), which the platforms' separate type-checks share.
 type callerIndex struct {
 	fset     *token.FileSet
@@ -162,6 +162,7 @@ type callerIndex struct {
 	byMethod map[string][]*types.Interface // interface types by method name
 	fields   map[string]fieldSite
 	read     map[string]bool
+	written  map[string]bool
 }
 
 // fieldSite is a struct field the guard holds to account: its key
@@ -170,7 +171,7 @@ type fieldSite struct{ key, pos string }
 
 func newCallerIndex(fset *token.FileSet) *callerIndex {
 	return &callerIndex{fset: fset, decls: map[string]*declSite{}, refs: map[string][]token.Position{},
-		byMethod: map[string][]*types.Interface{}, fields: map[string]fieldSite{}, read: map[string]bool{}}
+		byMethod: map[string][]*types.Interface{}, fields: map[string]fieldSite{}, read: map[string]bool{}, written: map[string]bool{}}
 }
 
 // objKey names a package-level object "pkg.Name" and a method
@@ -194,7 +195,7 @@ func objKey(obj types.Object) string {
 		if o.IsField() || o.Parent() != o.Pkg().Scope() {
 			return ""
 		}
-	case *types.TypeName:
+	case *types.TypeName, *types.Const:
 		if o.Parent() != o.Pkg().Scope() {
 			return ""
 		}
@@ -221,10 +222,10 @@ func (x *callerIndex) add(tf typedFiles, held func(file string) bool) {
 	for id, obj := range tf.info.Uses {
 		x.ref(obj, id)
 	}
-	written := writes(tf.files)
+	stored := x.markWrites(tf)
 	for sel, s := range tf.info.Selections {
 		x.ref(s.Obj(), sel.Sel)
-		x.readPath(s, written[sel])
+		x.readPath(s, stored[sel])
 	}
 	for _, tv := range tf.info.Types {
 		x.addInterface(tv.Type)
@@ -250,39 +251,24 @@ func (x *callerIndex) add(tf typedFiles, held func(file string) bool) {
 	}
 }
 
-// writes are the selectors that only store: the direct left-hand side of
-// an assignment, and the operand of ++ or --.
-func writes(files []*ast.File) map[*ast.SelectorExpr]bool {
-	w := map[*ast.SelectorExpr]bool{}
-	mark := func(e ast.Expr) {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			w[sel] = true
-		}
-	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, e := range n.Lhs {
-					mark(e)
-				}
-			case *ast.IncDecStmt:
-				mark(n.X)
-			}
-			return true
-		})
-	}
-	return w
-}
-
 // readPath records the fields a selection reads: every embedded field it
 // passes through, and the field it selects unless the selection is only
 // stored to. A composite-literal key is no selection, so never a read.
 func (x *callerIndex) readPath(s *types.Selection, store bool) {
-	t, idx := s.Recv(), s.Index()
+	idx := s.Index()
 	if s.Kind() != types.FieldVal {
 		idx, store = idx[:len(idx)-1], false // the last index is the method's
 	}
+	walkPath(s.Recv(), idx, func(f *types.Var, last bool) {
+		if !store || !last {
+			x.read[x.where(f.Pos())] = true
+		}
+	})
+}
+
+// walkPath visits, in order, every field an index path passes through
+// from a value of type t.
+func walkPath(t types.Type, idx []int, visit func(f *types.Var, last bool)) {
 	for i, n := range idx {
 		if p, ok := t.Underlying().(*types.Pointer); ok {
 			t = p.Elem()
@@ -292,9 +278,7 @@ func (x *callerIndex) readPath(s *types.Selection, store bool) {
 			return // selected through a type parameter: no struct to walk
 		}
 		f := st.Field(n)
-		if !store || i < len(idx)-1 {
-			x.read[x.where(f.Pos())] = true
-		}
+		visit(f, i == len(idx)-1)
 		t = f.Type()
 	}
 }
@@ -302,6 +286,140 @@ func (x *callerIndex) readPath(s *types.Selection, store bool) {
 func (x *callerIndex) where(p token.Pos) string {
 	pos := x.fset.Position(p)
 	return fmt.Sprintf("%s:%d", pos.Filename, pos.Offset)
+}
+
+// markWrites records the fields tf's files write: every field on the
+// path of an assignment's left-hand side, of ++ or --, of a range
+// target, of &x.f, and of the operand of a pointer-receiver method
+// (x.mu.Lock() takes &x.mu); a struct literal's keys and positional
+// elements; and every field of a struct whose address becomes an
+// unsafe.Pointer, which the kernel or the runtime may fill. It returns
+// the selectors that only store: the direct left-hand side of an
+// assignment, and the operand of ++ or --.
+func (x *callerIndex) markWrites(tf typedFiles) map[*ast.SelectorExpr]bool {
+	info := tf.info
+	stored := map[*ast.SelectorExpr]bool{}
+	store := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			stored[sel] = true
+		}
+	}
+	path := func(e ast.Expr) {
+		for e != nil {
+			switch n := e.(type) {
+			case *ast.ParenExpr:
+				e = n.X
+			case *ast.StarExpr:
+				e = n.X
+			case *ast.IndexExpr:
+				e = n.X
+			case *ast.SelectorExpr:
+				if s, ok := info.Selections[n]; ok && s.Kind() == types.FieldVal {
+					x.writePath(s.Recv(), s.Index())
+				}
+				e = n.X
+			default:
+				return
+			}
+		}
+	}
+	for _, f := range tf.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					store(e)
+					path(e)
+				}
+			case *ast.IncDecStmt:
+				store(n.X)
+				path(n.X)
+			case *ast.RangeStmt:
+				if n.Tok == token.ASSIGN {
+					path(n.Key)
+					path(n.Value)
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					path(n.X)
+				}
+			case *ast.CompositeLit:
+				x.writeLiteral(info, n)
+			case *ast.SelectorExpr:
+				s, ok := info.Selections[n]
+				if !ok || s.Kind() != types.MethodVal {
+					break
+				}
+				if _, byPtr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); byPtr {
+					x.writePath(s.Recv(), s.Index()[:len(s.Index())-1])
+					if _, isPtr := info.Types[n.X].Type.Underlying().(*types.Pointer); !isPtr {
+						path(n.X)
+					}
+				}
+			case *ast.CallExpr:
+				if tv := info.Types[n.Fun]; tv.IsType() && types.Identical(tv.Type, types.Typ[types.UnsafePointer]) && len(n.Args) == 1 {
+					if p, ok := info.Types[n.Args[0]].Type.Underlying().(*types.Pointer); ok {
+						x.writeAll(p.Elem(), map[types.Type]bool{})
+					}
+				}
+			}
+			return true
+		})
+	}
+	return stored
+}
+
+// writePath records every field an index path passes through from a
+// value of type t.
+func (x *callerIndex) writePath(t types.Type, idx []int) {
+	walkPath(t, idx, func(f *types.Var, _ bool) { x.written[x.where(f.Pos())] = true })
+}
+
+// writeLiteral records the fields a struct literal sets, by key or by
+// position.
+func (x *callerIndex) writeLiteral(info *types.Info, lit *ast.CompositeLit) {
+	tv, ok := info.Types[lit]
+	if !ok {
+		return
+	}
+	t := tv.Type
+	if p, ok := t.Underlying().(*types.Pointer); ok { // &T{} elided in a []*T literal
+		t = p.Elem()
+	}
+	st, ok := t.Underlying().(*types.Struct)
+	if !ok {
+		return
+	}
+	for i, e := range lit.Elts {
+		kv, keyed := e.(*ast.KeyValueExpr)
+		if !keyed {
+			x.written[x.where(st.Field(i).Pos())] = true
+			continue
+		}
+		for j := 0; j < st.NumFields(); j++ {
+			if id, ok := kv.Key.(*ast.Ident); ok && st.Field(j).Name() == id.Name {
+				x.written[x.where(st.Field(j).Pos())] = true
+			}
+		}
+	}
+}
+
+// writeAll records every field of t, and of the structs and arrays it
+// holds by value.
+func (x *callerIndex) writeAll(t types.Type, seen map[types.Type]bool) {
+	if seen[t] {
+		return
+	}
+	seen[t] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			x.written[x.where(u.Field(i).Pos())] = true
+			x.writeAll(u.Field(i).Type(), seen)
+		}
+	case *types.Array:
+		x.writeAll(u.Elem(), seen)
+	}
 }
 
 // declareFields records every field of every struct type f declares,
@@ -407,7 +525,7 @@ func (x *callerIndex) declareFile(info *types.Info, f *ast.File, recvs []span) {
 					}
 				case *ast.ValueSpec:
 					for _, n := range sp.Names {
-						if d.Tok == token.VAR && n.IsExported() {
+						if d.Tok == token.CONST && n.Name != "_" || n.IsExported() {
 							x.declare(info.Defs[n], n, &declSite{own: []span{x.span(sp)}})
 						}
 					}
@@ -526,18 +644,27 @@ refs:
 	return false
 }
 
+// finding is where an unreferenced declaration or field is, and what it
+// lacks.
+type finding struct{ pos, lacks string }
+
 // unreferenced maps the key of every declaration with no reference, and
-// of every field that nothing reads, to its position.
-func (x *callerIndex) unreferenced() map[string]string {
-	out := map[string]string{}
+// of every field that nothing reads or nothing writes, to its finding.
+func (x *callerIndex) unreferenced() map[string]finding {
+	out := map[string]finding{}
 	for k, d := range x.decls {
 		if !x.referenced(k, d) {
-			out[k] = d.pos.String()
+			out[k] = finding{d.pos.String(), "caller"}
 		}
 	}
 	for at, f := range x.fields {
-		if !x.read[at] {
-			out[f.key] = f.pos
+		switch read, written := x.read[at], x.written[at]; {
+		case !read && !written:
+			out[f.key] = finding{f.pos, "reader or writer"}
+		case !read:
+			out[f.key] = finding{f.pos, "reader"}
+		case !written:
+			out[f.key] = finding{f.pos, "writer"}
 		}
 	}
 	return out
@@ -591,19 +718,24 @@ func allowed(key string, pos string) string {
 }
 
 // TestEveryExportHasACaller: every exported function, method, type and
-// var in internal/, every unexported function and method, and every
-// interface method but a sealing marker has a reference from a non-test
-// file of the module (bench/nfbench included), on linux or on darwin; a
-// method that implements an interface its type satisfies counts as
-// referenced, and an interface method counts only when selected through
-// its interface. Every struct field declared in internal/, but a blank or
-// tagged one, is read by such a file: selected anywhere but as the direct
-// left-hand side of an assignment or the operand of ++ or --, and a
-// literal key is no read. What only tests reach is deleted, or moved into
-// a test file, or named in callerAllowlist with the test that needs it.
-// The fixture proves the check fires on a function, on an interface
-// method and on each kind of unread field, and honours interface
-// satisfaction, sealing markers, tags, &x.f and x.f.M().
+// var in internal/, every unexported function and method, every
+// package-level constant, and every interface method but a sealing
+// marker has a reference from a non-test file of the module
+// (bench/nfbench included), on linux or on darwin; a method that
+// implements an interface its type satisfies counts as referenced, and
+// an interface method counts only when selected through its interface.
+// Every struct field declared in internal/, but a blank or tagged one, is
+// read by such a file — selected anywhere but as the direct left-hand
+// side of an assignment or the operand of ++ or --, and a literal key is
+// no read — and written by one: on the path of an assignment's left-hand
+// side, of ++ or --, of a range target, of &x.f or of a pointer-receiver
+// method's operand, as a literal's key or positional element, or inside
+// a struct whose address becomes an unsafe.Pointer. What only tests
+// reach is deleted, or moved into a test file, or named in
+// callerAllowlist with the test that needs it. The fixture proves the
+// check fires on a function, a constant, an interface method, each kind
+// of unread field and an unwritten one, and honours interface
+// satisfaction, sealing markers, tags and every kind of write.
 func TestEveryExportHasACaller(t *testing.T) {
 	if len(callerAllowlist) > 15 {
 		t.Fatalf("the allowlist has %d entries, at most 15", len(callerAllowlist))
@@ -614,16 +746,16 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	hit := map[string]bool{}
 	var bad []string
-	for k, pos := range x.unreferenced() {
-		if a := allowed(k, pos); a != "" {
+	for k, f := range x.unreferenced() {
+		if a := allowed(k, f.pos); a != "" {
 			hit[a] = true
 			continue
 		}
-		bad = append(bad, pos+": "+k)
+		bad = append(bad, f.pos+": "+k+" has no "+f.lacks)
 	}
 	sort.Strings(bad)
 	for _, b := range bad {
-		t.Errorf("%s has no caller or reader outside tests: delete it, or move it into a test file", b)
+		t.Errorf("%s outside tests: delete it, or move it into a test file", b)
 	}
 	for a := range callerAllowlist {
 		if !hit[a] {
@@ -643,8 +775,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 	fx := newCallerIndex(fset)
 	fx.add(tf, func(string) bool { return true })
 	got := fx.unreferenced()
-	want := []string{"fixture.Orphan", "fixture.counter.Reset",
-		"fixture.gauge.unread", "fixture.gauge.stored", "fixture.gauge.keyed", "fixture.gauge.bumped"}
+	want := []string{"fixture.Orphan", "fixture.spare", "fixture.counter.Reset",
+		"fixture.gauge.unread", "fixture.gauge.stored", "fixture.gauge.keyed", "fixture.gauge.bumped", "fixture.gauge.unset"}
 	bad = nil
 	for _, k := range want {
 		if _, ok := got[k]; !ok {

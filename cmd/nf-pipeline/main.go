@@ -57,7 +57,19 @@ import (
 const (
 	batchSize = 32   // packets per batch: one receive burst, one pipeline pass
 	flows     = 4096 // distinct flows the simulated NIC carries
+
+	// hangAfter is the supervisor's hang deadline: a worker whose batch
+	// has been in the pipeline this long is abandoned and restarted. The
+	// slowest batch of a 4-worker loopback run on 2 vCPUs took under
+	// 17 ms (DESIGN.md, "Hang detection"), so a live worker is not
+	// mistaken for a stuck one; a stuck stage stalls its worker for up to
+	// hangAfter plus one poll (hangAfter/4).
+	hangAfter = time.Second
 )
+
+// stageHook, when set, wraps each firewall stage run builds. It is how
+// the end-to-end test holds a stage; no flag reaches it.
+var stageHook func(worker int, op netbricks.Operator) netbricks.Operator
 
 // options is what one command line asks for.
 type options struct {
@@ -315,6 +327,9 @@ func run(o options, out io.Writer) error {
 		if inj != nil {
 			op = &faultyStage{inner: op, inj: inj}
 		}
+		if stageHook != nil {
+			op = stageHook(w, op)
+		}
 		return op
 	}
 
@@ -325,6 +340,7 @@ func run(o options, out io.Writer) error {
 		Registry:    reg,
 		Tracer:      tracer,
 		Policy: domain.Policy{
+			HangAfter:       hangAfter,
 			Recorder:        rec,
 			CheckpointEvery: o.checkpointEvery,
 			OnExhausted: func(name string, events []telemetry.Event) {

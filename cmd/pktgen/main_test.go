@@ -39,7 +39,7 @@ func TestParseArgs(t *testing.T) {
 		})
 	}
 	gen, d, err := parseArgs([]string{"-target", "h:1", "-flows", "128"}, io.Discard)
-	if err != nil || gen.Flows != 128 || gen.Batch != 0 || gen.Sockets != 16 || gen.PPS != 100000 || d != 10*time.Second {
+	if err != nil || gen.Flows != 128 || gen.Sockets != 16 || gen.PPS != 100000 || d != 10*time.Second {
 		t.Fatalf("parseArgs = %+v, %s, %v", gen, d, err)
 	}
 }

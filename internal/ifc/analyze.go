@@ -45,32 +45,25 @@ type Result struct {
 // OK reports whether the program is verified leak-free.
 func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
-// Options tunes the analysis.
-type Options struct {
-	// DisableSummaries turns off per-(function, argument-label) summary
-	// memoization, re-analyzing callee bodies at every call site. This
-	// exists to measure the paper's compositional-reasoning claim ("the
-	// effect of every function on security labels ... can be summarized
-	// by analyzing the code of the function in isolation"): without
-	// summaries the analysis cost tracks the number of *call paths*,
-	// with them the number of distinct (function, input) pairs.
-	DisableSummaries bool
-}
-
 // Analyze runs the abstract interpretation over a type- and borrow-checked
 // program, starting from main, and returns every violation found.
-func Analyze(c *minirust.Checked, lat *Lattice) (*Result, error) {
-	return AnalyzeOpts(c, lat, Options{})
-}
+func Analyze(c *minirust.Checked, lat *Lattice) (*Result, error) { return analyze(c, lat, true) }
 
-// AnalyzeOpts is Analyze with explicit options.
-func AnalyzeOpts(c *minirust.Checked, lat *Lattice, opts Options) (*Result, error) {
+// analyze is Analyze with per-(function, argument-label) summary
+// memoization switchable. Without summaries it re-analyzes callee bodies
+// at every call site; the switch exists to measure the paper's
+// compositional-reasoning claim ("the effect of every function on
+// security labels ... can be summarized by analyzing the code of the
+// function in isolation"): without summaries the analysis cost tracks
+// the number of *call paths*, with them the number of distinct
+// (function, input) pairs.
+func analyze(c *minirust.Checked, lat *Lattice, summaries bool) (*Result, error) {
 	a := &analyzer{
 		checked:     c,
 		lat:         lat,
 		summaries:   make(map[string]*summary),
 		seen:        make(map[string]bool),
-		noSummaries: opts.DisableSummaries,
+		noSummaries: !summaries,
 	}
 	// Validate label annotations up front.
 	for _, name := range c.Prog.Order {
@@ -273,7 +266,7 @@ type analyzer struct {
 	// seen tracks (function, argument-label) frames on the current call
 	// stack for recursion detection.
 	seen map[string]bool
-	// noSummaries disables memoization (see Options.DisableSummaries).
+	// noSummaries disables memoization (see analyze).
 	noSummaries bool
 }
 

@@ -40,11 +40,11 @@ func checkedTree(t testing.TB, depth int) (*minirust.Checked, *Lattice) {
 func TestSummariesCollapseCallTree(t *testing.T) {
 	const depth = 10
 	c, lat := checkedTree(t, depth)
-	with, err := AnalyzeOpts(c, lat, Options{})
+	with, err := analyze(c, lat, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := AnalyzeOpts(c, lat, Options{DisableSummaries: true})
+	without, err := analyze(c, lat, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestNoSummariesSameVerdictOnPaperPrograms(t *testing.T) {
 		minirust.PaperBufferProgram(false, false),
 	} {
 		c, lat := checkSrc(t, src)
-		with, err := AnalyzeOpts(c, lat, Options{})
+		with, err := analyze(c, lat, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		without, err := AnalyzeOpts(c, lat, Options{DisableSummaries: true})
+		without, err := analyze(c, lat, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +94,14 @@ func BenchmarkAblationIFCSummaries(b *testing.B) {
 	c, lat := checkedTree(b, depth)
 	b.Run("with-summaries", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzeOpts(c, lat, Options{}); err != nil {
+			if _, err := analyze(c, lat, true); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("without-summaries", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzeOpts(c, lat, Options{DisableSummaries: true}); err != nil {
+			if _, err := analyze(c, lat, false); err != nil {
 				b.Fatal(err)
 			}
 		}

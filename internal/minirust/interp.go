@@ -30,22 +30,14 @@ func (e *LeakError) Error() string {
 	return fmt.Sprintf("%s: information leak: %s data sent to %s-bounded channel", e.Pos, e.Label, e.Bound)
 }
 
-// Monitor supplies lattice operations for dynamic label tracking. All
-// three funcs must be set. A nil *Monitor disables label tracking.
+// Monitor supplies lattice operations for dynamic label tracking. Both
+// funcs must be set. Bottom is also the bound of the println sink: an
+// untrusted public terminal, as in the paper. A nil *Monitor disables
+// label tracking.
 type Monitor struct {
 	Bottom string
 	Join   func(a, b string) string
 	Le     func(a, b string) bool
-	// PrintlnBound is the channel bound of the println sink (defaults to
-	// Bottom — an untrusted public terminal, as in the paper).
-	PrintlnBound string
-}
-
-func (m *Monitor) printlnBound() string {
-	if m.PrintlnBound != "" {
-		return m.PrintlnBound
-	}
-	return m.Bottom
 }
 
 // Value is a runtime value. Label carries the dynamic security label when
@@ -693,7 +685,7 @@ func (in *Interp) evalBuiltin(v *CallExpr, env *rtEnv) (Value, error) {
 		}
 		if in.monitor != nil {
 			eff := in.join(label, in.pcLabel())
-			bound := in.monitor.printlnBound()
+			bound := in.monitor.Bottom
 			if !in.monitor.Le(eff, bound) {
 				return Value{}, &LeakError{Pos: v.Pos, Label: eff, Bound: bound}
 			}

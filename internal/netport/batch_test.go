@@ -43,7 +43,7 @@ func (f *fakeBatchConn) WriteBatch(payloads [][]byte, _ *net.UDPAddr) (int, erro
 // n mbufs loaded with distinct flow frames.
 func txPort(t *testing.T, cfg Config, fake *fakeBatchConn, n int) (*Port, []*packet.Packet, int) {
 	t.Helper()
-	p, err := newPort(cfg)
+	p, err := newPort(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func benchPipeline(b *testing.B) func(w int) *netbricks.Pipeline {
 type benchOpts struct {
 	pps     int // offered rate (0 = unpaced: the generator's ceiling)
 	ring    int
-	batch   int  // syscall burst on both sides
+	batch   int  // the port's syscall burst (pktgen always sends 64)
 	sockets int  // pktgen source sockets (REUSEPORT entropy)
 	reuse   bool // kernel fan-out instead of the software distributor
 	sample  int  // trace one in this many ingress frames (0 = tracing off)
@@ -86,7 +86,6 @@ func benchLoopback(b *testing.B, o benchOpts) {
 		Base:    base,
 		Flows:   64,
 		Sockets: o.sockets,
-		Batch:   o.batch,
 		PPS:     o.pps,
 		Count:   b.N,
 	}

@@ -133,8 +133,7 @@ func TestE2ELoopbackPipeline(t *testing.T) {
 		Target:  port.Addr().String(),
 		Base:    dpdk.DefaultSpec(),
 		Flows:   flows,
-		Sockets: 32, // outer source-port entropy for the REUSEPORT hash
-		Batch:   batchSize,
+		Sockets: 32,    // outer source-port entropy for the REUSEPORT hash
 		PPS:     40000, // paced under the rx loop's drain rate: kernel socket-buffer drops stay out of the accounting
 		Count:   sendCount,
 	}
@@ -250,7 +249,6 @@ func TestE2ETraceLoopback(t *testing.T) {
 		Base:    dpdk.DefaultSpec(),
 		Flows:   64,
 		Sockets: 32,
-		Batch:   batchSize,
 		PPS:     40000,
 		Count:   sendCount,
 	}

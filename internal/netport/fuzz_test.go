@@ -81,8 +81,8 @@ func FuzzNetportDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Nanosecond PollWait: empty-queue polls must not stall the fuzzer.
-		p, err := newPort(Config{Queues: 4, RingSize: 16, PoolSize: 64,
-			CacheSize: 4, BatchSize: 8, PollWait: time.Nanosecond})
+		p, err := newPort(Config{Queues: 4, RingSize: 16,
+			CacheSize: 4, BatchSize: 8, PollWait: time.Nanosecond}, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 // idlePort builds a small socketless port, closed at cleanup.
 func idlePort(t *testing.T, cfg Config) *Port {
 	t.Helper()
-	p, err := newPort(cfg)
+	p, err := newPort(cfg, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func idlePort(t *testing.T, cfg Config) *Port {
 func TestIdlePollAllocatesNothing(t *testing.T) {
 	out := make([]*packet.Packet, 4)
 
-	expiring := idlePort(t, Config{Queues: 1, RingSize: 16, PoolSize: 64, CacheSize: 4,
+	expiring := idlePort(t, Config{Queues: 1, RingSize: 16, CacheSize: 4,
 		PollWait: 20 * time.Microsecond})
 	if avg := testing.AllocsPerRun(200, func() {
 		if n := expiring.RxBurstQueue(0, out); n != 0 {
@@ -34,7 +34,7 @@ func TestIdlePollAllocatesNothing(t *testing.T) {
 		t.Errorf("expiring idle poll: %v allocs/op, want 0", avg)
 	}
 
-	woken := idlePort(t, Config{Queues: 1, RingSize: 16, PoolSize: 64, CacheSize: 4,
+	woken := idlePort(t, Config{Queues: 1, RingSize: 16, CacheSize: 4,
 		PollWait: time.Hour})
 	rq := woken.queues[0]
 	if avg := testing.AllocsPerRun(200, func() {
@@ -57,7 +57,7 @@ func TestIdlePollAllocatesNothing(t *testing.T) {
 // latency, and then requires a quiet poll to last its whole PollWait.
 func TestIdleTimerLeavesNoStaleTick(t *testing.T) {
 	const wait = 200 * time.Microsecond
-	p := idlePort(t, Config{Queues: 1, RingSize: 16, PoolSize: 64, CacheSize: 4, PollWait: wait})
+	p := idlePort(t, Config{Queues: 1, RingSize: 16, CacheSize: 4, PollWait: wait})
 	rq := p.queues[0]
 	out := make([]*packet.Packet, 4)
 

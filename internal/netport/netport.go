@@ -159,9 +159,6 @@ type Config struct {
 	// port falls back to the single-socket software distributor —
 	// check ReusePortActive to see which mode is live.
 	ReusePort bool
-	// PoolSize is the mbuf count (default: enough to fill every ring and
-	// cache, plus a burst per queue and 1024 spare for in-flight batches).
-	PoolSize int
 	// RingSize bounds each queue's ingress ring in datagrams (default
 	// 1024, rounded up to a power of two). This is the overload-shedding
 	// boundary: when a ring is full, new datagrams for that queue drop.
@@ -284,7 +281,7 @@ type Port struct {
 // socket feeds the software distributor. The caller must Close the port
 // to settle buffer accounting.
 func Open(cfg Config) (*Port, error) {
-	p, err := newPort(cfg)
+	p, err := newPort(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -371,8 +368,10 @@ func openSockets(cfg Config) ([]*net.UDPConn, bool, error) {
 
 // newPort builds the socketless core — pool, queues, steering, and one
 // connless distributor loop. Tests and the fuzz target use it directly
-// to drive the deliver path without a kernel in the loop.
-func newPort(cfg Config) (*Port, error) {
+// to drive the deliver path without a kernel in the loop. pool is the
+// mbuf count; Open passes 0, which sizes the pool to fill every ring and
+// cache, plus a burst per queue and 1024 spare for in-flight batches.
+func newPort(cfg Config, pool int) (*Port, error) {
 	if cfg.Queues <= 0 {
 		cfg.Queues = 1
 	}
@@ -392,8 +391,8 @@ func newPort(cfg Config) (*Port, error) {
 	if cache <= 0 {
 		cache = mempool.DefaultCacheSize
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = cfg.Queues*(cfg.RingSize+2*cache+cfg.BatchSize) + 1024
+	if pool <= 0 {
+		pool = cfg.Queues*(cfg.RingSize+2*cache+cfg.BatchSize) + 1024
 	}
 	p := &Port{
 		rss:      packet.RSSTableFor(packet.DefaultRSSKey),
@@ -402,7 +401,7 @@ func newPort(cfg Config) (*Port, error) {
 		batch:    cfg.BatchSize,
 		rec:      cfg.Recorder,
 		tracer:   cfg.Tracer,
-		pool:     packet.NewPool(cfg.PoolSize, MbufSize),
+		pool:     packet.NewPool(pool, MbufSize),
 	}
 	p.cacheSize = cfg.CacheSize
 	for q := 0; q < cfg.Queues; q++ {

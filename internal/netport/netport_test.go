@@ -48,10 +48,12 @@ func sizedFrame(t testing.TB, size int, fill byte) []byte {
 	t.Helper()
 	spec := testSpec()
 	spec.PayloadLen = size - (packet.EthHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen)
-	spec.PayloadByte = fill
 	frame, err := packet.Build(nil, spec)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := size - spec.PayloadLen; i < size; i++ {
+		frame[i] = fill
 	}
 	return frame
 }
@@ -105,7 +107,7 @@ func accounted(t *testing.T, p *Port) {
 }
 
 func TestDeliverSteersByRSS(t *testing.T) {
-	p, err := newPort(Config{Queues: 4, RingSize: 256})
+	p, err := newPort(Config{Queues: 4, RingSize: 256}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +146,7 @@ func TestDeliverSteersByRSS(t *testing.T) {
 
 func TestOverloadShedsAtRingWithBackpressure(t *testing.T) {
 	rec := telemetry.NewRecorder(64)
-	p, err := newPort(Config{Queues: 1, RingSize: 64, Recorder: rec})
+	p, err := newPort(Config{Queues: 1, RingSize: 64, Recorder: rec}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +197,7 @@ func TestOverloadShedsAtRingWithBackpressure(t *testing.T) {
 }
 
 func TestDeliverShedsMalformed(t *testing.T) {
-	p, err := newPort(Config{Queues: 2, RingSize: 64})
+	p, err := newPort(Config{Queues: 2, RingSize: 64}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +228,7 @@ func TestDeliverShedsMalformed(t *testing.T) {
 }
 
 func TestPoolExhaustionSheds(t *testing.T) {
-	p, err := newPort(Config{Queues: 1, RingSize: 1024, PoolSize: 32, CacheSize: 4})
+	p, err := newPort(Config{Queues: 1, RingSize: 1024, CacheSize: 4}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +261,7 @@ const smallRoom = 128
 // overlaps another, and growing a frame past its room reallocates instead
 // of writing into the neighbour's.
 func TestPoolLayout(t *testing.T) {
-	p, err := newPort(Config{Queues: 1, RingSize: 16, PoolSize: 2*mempool.ChunkSize + 8, CacheSize: 4})
+	p, err := newPort(Config{Queues: 1, RingSize: 16, CacheSize: 4}, 2*mempool.ChunkSize+8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +476,7 @@ func TestE2EMixedFrameSizes(t *testing.T) {
 }
 
 func TestRegisterMetrics(t *testing.T) {
-	p, err := newPort(Config{Queues: 2, RingSize: 64})
+	p, err := newPort(Config{Queues: 2, RingSize: 64}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

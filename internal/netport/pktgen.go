@@ -40,17 +40,14 @@ type Pktgen struct {
 	// encapsulator deriving its outer source port from the inner flow
 	// hash.
 	Sockets int
-	// Batch is how many datagrams one batched send moves (default
-	// DefaultBatch). Pacing and stop checks happen at burst boundaries,
-	// so a stopped generator emits at most the burst already in flight.
-	Batch int
 }
 
-// paceBatch is the legacy pacing granularity, kept as the floor for
-// drift correction: pacing checks happen at burst boundaries, so a 100k
-// pps run with the default burst corrects drift every ~320µs — often
-// enough that time.Now and time.Sleep stay off the per-packet path.
-const paceBatch = 64
+// pktgenBurst is how many datagrams one batched send moves. Pacing and
+// stop checks happen at burst boundaries, so a stopped generator emits
+// at most the burst already in flight, and a 100k pps run corrects drift
+// every ~640µs — often enough that time.Now and time.Sleep stay off the
+// per-packet path.
+const pktgenBurst = 64
 
 // stopped reports whether stop has closed; a nil stop never stops.
 func stopped(stop <-chan struct{}) bool {
@@ -138,15 +135,11 @@ func (g *Pktgen) Run(stop <-chan struct{}) (sent int, err error) {
 		frames[i] = frame
 	}
 
-	batch := g.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
 	// Per-socket payload staging for one burst; flow f's frames always
 	// queue on socket f%sockets.
 	perSock := make([][][]byte, sockets)
 	for s := range perSock {
-		perSock[s] = make([][]byte, 0, batch)
+		perSock[s] = make([][]byte, 0, pktgenBurst)
 	}
 
 	start := time.Now()
@@ -154,7 +147,7 @@ func (g *Pktgen) Run(stop <-chan struct{}) (sent int, err error) {
 		if stopped(stop) {
 			return sent, nil
 		}
-		n := batch
+		n := pktgenBurst
 		if g.Count > 0 {
 			n = min(n, g.Count-i)
 		}

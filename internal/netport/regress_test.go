@@ -60,7 +60,7 @@ func TestTxFailedWriteAccounting(t *testing.T) {
 // TestTxSinkModeCountsAll: with no tx target every frame "transmits"
 // (pure accounting), so the sink path still reports full delivery.
 func TestTxSinkModeCountsAll(t *testing.T) {
-	p, err := newPort(Config{Queues: 1, RingSize: 64})
+	p, err := newPort(Config{Queues: 1, RingSize: 64}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +136,11 @@ func TestPktgenStopInterruptsPacing(t *testing.T) {
 		t.Fatal("generator ignored stop (parked in an uninterruptible pacing sleep?)")
 	}
 }
+
+// paceBatch is the generator's pacing granularity: it sleeps off its
+// lead over the schedule once per burst, and once more after the final
+// partial burst.
+const paceBatch = pktgenBurst
 
 // TestPktgenShortRunPaces (regression): a run shorter than paceBatch
 // must still honor PPS. The old loop only paced at batch boundaries, so

@@ -308,13 +308,12 @@ func (p *Packet) VerifyIPChecksum() bool {
 	return uint16(sum) == 0xffff
 }
 
-// BuildSpec describes a synthetic packet for Build.
+// BuildSpec describes a synthetic packet for Build. Every built packet
+// has TTL 64 and a payload of zero bytes.
 type BuildSpec struct {
 	SrcMAC, DstMAC MAC
 	Tuple          FiveTuple
-	TTL            uint8
 	PayloadLen     int
-	PayloadByte    byte
 }
 
 // FrameLen returns the length of the frame Build makes from s, or the
@@ -361,11 +360,7 @@ func Build(buf []byte, spec BuildSpec) ([]byte, error) {
 	binary.BigEndian.PutUint16(ip[2:4], uint16(IPv4HeaderLen+l4len+spec.PayloadLen))
 	binary.BigEndian.PutUint16(ip[4:6], 0) // ident
 	binary.BigEndian.PutUint16(ip[6:8], 0) // flags/frag
-	ttl := spec.TTL
-	if ttl == 0 {
-		ttl = 64
-	}
-	ip[8] = ttl
+	ip[8] = 64                             // TTL
 	ip[9] = spec.Tuple.Proto
 	binary.BigEndian.PutUint16(ip[10:12], 0)
 	binary.BigEndian.PutUint32(ip[12:16], uint32(spec.Tuple.SrcIP))
@@ -391,9 +386,6 @@ func Build(buf []byte, spec BuildSpec) ([]byte, error) {
 	}
 
 	// Payload.
-	payload := l4[l4len:]
-	for i := range payload {
-		payload[i] = spec.PayloadByte
-	}
+	clear(l4[l4len:])
 	return buf, nil
 }

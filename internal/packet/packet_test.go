@@ -10,17 +10,20 @@ import (
 
 func sampleSpec(proto uint8, payload int) BuildSpec {
 	return BuildSpec{
-		SrcMAC:      MAC{0x02, 0, 0, 0, 0, 1},
-		DstMAC:      MAC{0x02, 0, 0, 0, 0, 2},
-		Tuple:       FiveTuple{SrcIP: Addr(10, 0, 0, 1), DstIP: Addr(192, 168, 1, 2), SrcPort: 12345, DstPort: 80, Proto: proto},
-		TTL:         64,
-		PayloadLen:  payload,
-		PayloadByte: 0xAB,
+		SrcMAC:     MAC{0x02, 0, 0, 0, 0, 1},
+		DstMAC:     MAC{0x02, 0, 0, 0, 0, 2},
+		Tuple:      FiveTuple{SrcIP: Addr(10, 0, 0, 1), DstIP: Addr(192, 168, 1, 2), SrcPort: 12345, DstPort: 80, Proto: proto},
+		PayloadLen: payload,
 	}
 }
 
 func TestBuildParseRoundTripTCP(t *testing.T) {
-	frame, err := Build(nil, sampleSpec(ProtoTCP, 100))
+	// A reused buffer's old bytes must not show through the payload.
+	dirty := make([]byte, 256)
+	for i := range dirty {
+		dirty[i] = 0xAB
+	}
+	frame, err := Build(dirty, sampleSpec(ProtoTCP, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func TestBuildParseRoundTripTCP(t *testing.T) {
 		t.Fatalf("payload len = %d, want 100", got)
 	}
 	for _, b := range pay {
-		if b != 0xAB {
+		if b != 0 {
 			t.Fatal("payload corrupted")
 		}
 	}

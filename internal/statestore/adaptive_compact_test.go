@@ -25,7 +25,7 @@ func persistGenerations(t *testing.T, s *Store, domains, gens, payloadBytes int)
 }
 
 // TestAdaptiveCompactionCadence pins the fix for the fixed 8 MiB WAL
-// compaction trigger: with CompactAfter unset (adaptive), the cadence is
+// compaction trigger: with the adaptive threshold, the cadence is
 // a constant number of whole-state generations regardless of how many
 // domains share the store — a 32-domain run must not compact 32× as
 // often (in generations) as a single-domain run, and a single small
@@ -76,7 +76,7 @@ func TestAdaptiveCompactionSmallDomain(t *testing.T) {
 		gens    = 200
 		payload = 4096
 	)
-	fixed := openT(t, t.TempDir(), Config{Fsync: FsyncNone, CompactAfter: 8 << 20})
+	fixed := openT(t, t.TempDir(), Config{Fsync: FsyncNone}).SetCompactAfter(8 << 20)
 	if c := persistGenerations(t, fixed, 1, gens, payload); c != 0 {
 		t.Fatalf("fixed 8 MiB threshold compacted %d times in %d small epochs", c, gens)
 	}

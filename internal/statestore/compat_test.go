@@ -257,10 +257,11 @@ func copyDir(t *testing.T, from, to string) {
 func TestOpensParentWrittenStore(t *testing.T) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join("testdata", "parent-store"), dir)
-	old, err := statestore.Open(statestore.Config{Dir: dir, CompactAfter: -1, FlowCompactAfter: 10})
+	old, err := statestore.Open(statestore.Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("open parent-written store: %v", err)
 	}
+	old.SetCompactAfter(-1).SetFlowCompactAfter(10)
 	defer old.Close()
 	if torn, domains := old.StatsSnapshot().TornRecords, old.EpochCount(); torn != 0 || domains != 1 {
 		t.Fatalf("parent-written store: %d torn bytes, %d domains; want 0, 1", torn, domains)
@@ -279,10 +280,11 @@ func TestOpensParentWrittenStore(t *testing.T) {
 	}
 
 	freshDir := t.TempDir()
-	fresh, err := statestore.Open(statestore.Config{Dir: freshDir, CompactAfter: -1, FlowCompactAfter: 10})
+	fresh, err := statestore.Open(statestore.Config{Dir: freshDir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh.SetCompactAfter(-1).SetFlowCompactAfter(10)
 	defer fresh.Close()
 	live := newParentStoreState(t, fresh)
 	ourPayload := parentStoreRecipe(t, fresh, live)
@@ -315,10 +317,11 @@ func TestOpensParentWrittenStore(t *testing.T) {
 // reads give live states that share nothing.
 func TestEpochBytesAreImmutable(t *testing.T) {
 	dir := t.TempDir()
-	store, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone, FlowCompactAfter: 10})
+	store, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store.SetFlowCompactAfter(10)
 	defer store.Close()
 	st := newParentStoreState(t, store)
 	st.track(0, 12)
@@ -330,10 +333,11 @@ func TestEpochBytesAreImmutable(t *testing.T) {
 	st.track(12, 40)
 
 	// The reference for "the state it captured": the same traffic, live.
-	refStore, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone, FlowCompactAfter: 10})
+	refStore, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	refStore.SetFlowCompactAfter(10)
 	defer refStore.Close()
 	ref := newParentStoreState(t, refStore)
 	ref.track(0, 12)
@@ -354,18 +358,20 @@ func TestEpochBytesAreImmutable(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone, FlowCompactAfter: 10})
+	reopened, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reopened.SetFlowCompactAfter(10)
 	defer reopened.Close()
 	readBack(reopened, "after a reopen")
 
 	restore := func() *nfState {
-		s, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone, FlowCompactAfter: 10})
+		s, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone})
 		if err != nil {
 			t.Fatal(err)
 		}
+		s.SetFlowCompactAfter(10)
 		t.Cleanup(func() { s.Close() })
 		out := newParentStoreState(t, s)
 		tok, err := out.set.DecodeToken(retained)
@@ -383,10 +389,11 @@ func TestEpochBytesAreImmutable(t *testing.T) {
 	// must still be the captured state.
 	a.track(12, 40)
 	b := restore()
-	ref2Store, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone, FlowCompactAfter: 10})
+	ref2Store, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref2Store.SetFlowCompactAfter(10)
 	defer ref2Store.Close()
 	ref2 := newParentStoreState(t, ref2Store)
 	ref2.track(0, 12)

@@ -89,12 +89,13 @@ type crashSpill struct {
 //     flight (which holds only if each compaction put its new index in
 //     place before it cut the log), and no flow that was never spilled.
 func TestEveryCrashPointRecovers(t *testing.T) {
-	cfg := Config{Dir: filepath.Join(t.TempDir(), "store"), CompactAfter: -1, FlowCompactAfter: -1}
+	cfg := Config{Dir: filepath.Join(t.TempDir(), "store")}
 	fs := &faultFS{}
 	s, err := open(cfg, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetCompactAfter(-1).SetFlowCompactAfter(-1)
 	fi, err := s.FlowIndex("w")
 	if err != nil {
 		t.Fatal(err)
@@ -182,10 +183,11 @@ func checkCrashPoint(t *testing.T, what, dir string, k int, epochs map[string][]
 		return int64(n)
 	}
 	walPrefix, logPrefix := prefix(walName), prefix("w.flog")
-	s, err := Open(Config{Dir: dir, CompactAfter: -1, FlowCompactAfter: -1})
+	s, err := Open(Config{Dir: dir})
 	if err != nil {
 		t.Fatalf("%s: reopen: %v", what, err)
 	}
+	s.SetCompactAfter(-1).SetFlowCompactAfter(-1)
 	defer s.Close()
 	fi, err := s.FlowIndex("w")
 	if err != nil {

@@ -38,7 +38,7 @@ func newFaultRun(t *testing.T) *faultRun {
 	t.Helper()
 	r := &faultRun{
 		t:   t,
-		cfg: Config{Dir: filepath.Join(t.TempDir(), "store"), CompactAfter: -1, FlowCompactAfter: -1},
+		cfg: Config{Dir: filepath.Join(t.TempDir(), "store")},
 		fs:  &faultFS{}, epochs: map[string]string{}, maybeEpoch: map[string][]string{},
 		flows: map[uint64]session.SpillRecord{}, maybeFlow: map[uint64][]session.SpillRecord{},
 	}
@@ -51,6 +51,7 @@ func newFaultRun(t *testing.T) *faultRun {
 	if r.s, err = open(r.cfg, r.fs); err != nil {
 		t.Fatal(err)
 	}
+	r.s.SetCompactAfter(-1).SetFlowCompactAfter(-1)
 	if r.fi, err = r.s.FlowIndex("w"); err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +136,7 @@ var storeOps = []struct {
 		if r.s, err = open(r.cfg, r.fs); err != nil {
 			return err
 		}
+		r.s.SetCompactAfter(-1).SetFlowCompactAfter(-1)
 		r.fi, err = r.s.FlowIndex("w")
 		return err
 	}},
@@ -258,6 +260,7 @@ func (r *faultRun) reopen() {
 	if err != nil {
 		r.t.Fatalf("reopen: %v", err)
 	}
+	s.SetCompactAfter(-1).SetFlowCompactAfter(-1)
 	defer s.Close()
 	fi, err := s.FlowIndex("w")
 	if err != nil {

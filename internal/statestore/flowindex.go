@@ -10,10 +10,10 @@ package statestore
 // found through a RAM overlay that maps each hash to its newest entry in
 // the log, so reads are overlay-then-index, and either way a ReadAt.
 //
-// What an index keeps resident is set by the store's configuration, not
-// by how many flows it holds:
+// What an index keeps resident is set by the store's constants, not by
+// how many flows it holds:
 //
-//	overlay   <= FlowCompactAfter - 1 + one spill batch of log offsets
+//	overlay   <= defaultFlowCompactAfter - 1 + one spill batch of log offsets
 //	          (a u64 hash and an i64 offset per flow, plus the map slot)
 //	keys      one u64 per overlay flow, sorted for the merge
 //	payload,  one spill batch encoded, and the same batch framed
@@ -204,7 +204,7 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	fi.noteBatch(at, payload)
 	fi.store.spilled.Add(uint64(len(recs)))
 	fi.store.persistBytes.Add(uint64(len(payload)))
-	if after := fi.store.cfg.FlowCompactAfter; after > 0 && len(fi.overlay) >= after {
+	if len(fi.overlay) >= fi.store.flowCompactAfter {
 		return fi.compactLocked()
 	}
 	if fi.store.cfg.Fsync != FsyncNone {

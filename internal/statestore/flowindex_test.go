@@ -70,7 +70,7 @@ func TestFlowIndexPutGet(t *testing.T) {
 
 func TestFlowIndexCompactionAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: 32})
+	s := openT(t, dir, Config{}).SetFlowCompactAfter(32)
 	fi, err := s.FlowIndex("w")
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestFlowIndexCompactionAndReopen(t *testing.T) {
 
 func TestFlowIndexTornLogTail(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: -1})
+	s := openT(t, dir, Config{}).SetFlowCompactAfter(-1)
 	fi, err := s.FlowIndex("w")
 	if err != nil {
 		t.Fatal(err)

@@ -67,7 +67,7 @@ func checkIdxFile(t *testing.T, path string) int {
 func TestStreamingMergeWritesTheParentsIndex(t *testing.T) {
 	const parentDigest = "1df319db54c899d141affdce2bc647243e5bebb6be5ee6fa06c15a4aa5d72216"
 	dir := t.TempDir()
-	s := openT(t, dir, Config{Fsync: FsyncNone, FlowCompactAfter: 64})
+	s := openT(t, dir, Config{Fsync: FsyncNone}).SetFlowCompactAfter(64)
 	fi := flowIndexT(t, s, "w")
 	batch := make([]session.SpillRecord, 48)
 	for step := uint64(0); step < 60; step++ {
@@ -103,8 +103,8 @@ func TestStreamingMergeWritesTheParentsIndex(t *testing.T) {
 }
 
 // TestIndexMemoryFollowsTheConfigNotTheFlows: an index grown to 256k
-// flows through ordinary 2048-record spill batches at the default
-// FlowCompactAfter keeps resident only what the configuration bounds —
+// flows through ordinary 2048-record spill batches at
+// defaultFlowCompactAfter keeps resident only what its constants bound —
 // the overlay's buckets, its sorted hashes, one batch's payload and
 // frame, two merge buffers — where the compaction it replaced kept ~89
 // bytes of merge scratch per flow ever spilled (~22 MB here). One more
@@ -187,7 +187,7 @@ func wantFlows(t *testing.T, fi *FlowIndex, from, n int, present bool) {
 // partial frame and every batch spilled after it is lost.
 func TestFailedSpillDoesNotStrandLaterBatches(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	fs.arm(fault{op: "write", name: "w.flog", skip: 1, n: 1})
 	if err := fi.SpillFlows(flowBatch(0, 10, 1)); err != nil {
@@ -206,7 +206,7 @@ func TestFailedSpillDoesNotStrandLaterBatches(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openT(t, dir, Config{FlowCompactAfter: -1})
+	s2 := openT(t, dir, Config{}).SetFlowCompactAfter(-1)
 	fi2 := flowIndexT(t, s2, "w")
 	if torn := s2.StatsSnapshot().TornRecords; torn != 0 {
 		t.Fatalf("reopen found %d torn bytes in a log that was cut clean", torn)
@@ -222,7 +222,7 @@ func TestFailedSpillDoesNotStrandLaterBatches(t *testing.T) {
 // victims in RAM.
 func TestUncuttableSpillLogRefusesLaterSpills(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 10, 1)); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestUncuttableSpillLogRefusesLaterSpills(t *testing.T) {
 	wantFlows(t, fi, 10, 20, false)
 	s.Close()
 
-	s2 := openT(t, dir, Config{FlowCompactAfter: -1})
+	s2 := openT(t, dir, Config{}).SetFlowCompactAfter(-1)
 	fi2 := flowIndexT(t, s2, "w")
 	if torn := s2.StatsSnapshot().TornRecords; torn == 0 {
 		t.Fatal("reopen did not see the partial frame the cut failed to remove")
@@ -261,7 +261,7 @@ func TestUncuttableSpillLogRefusesLaterSpills(t *testing.T) {
 // lookup and compaction failing on a closed file.
 func TestFailedIndexReopenKeepsTheOldHandle(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -306,7 +306,7 @@ func TestFailedIndexReopenKeepsTheOldHandle(t *testing.T) {
 // file behind.
 func TestMergeReadErrorLeavesIndexAndOverlay(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Config{FlowCompactAfter: -1})
+	s := openT(t, dir, Config{}).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -368,9 +368,9 @@ func FuzzFlowIndexMerge(f *testing.F) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
-		cfg := Config{Dir: t.TempDir(), Fsync: FsyncNone, CompactAfter: -1, FlowCompactAfter: 24}
+		cfg := Config{Dir: t.TempDir(), Fsync: FsyncNone}
 		fs := &faultFS{}
-		s := openFaultT(t, cfg.Dir, cfg, fs)
+		s := openFaultT(t, cfg.Dir, cfg, fs).SetCompactAfter(-1).SetFlowCompactAfter(24)
 		fi := flowIndexT(t, s, "w")
 		oracle := map[uint64]session.SpillRecord{}
 		check := func(step int) {
@@ -444,7 +444,7 @@ func FuzzFlowIndexMerge(f *testing.F) {
 				if err := s.Close(); err != nil {
 					t.Fatalf("step %d: close: %v", step, err)
 				}
-				s = openFaultT(t, cfg.Dir, cfg, fs)
+				s = openFaultT(t, cfg.Dir, cfg, fs).SetCompactAfter(-1).SetFlowCompactAfter(24)
 				fi = flowIndexT(t, s, "w")
 			case 4:
 				flowCount(step)

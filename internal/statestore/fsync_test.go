@@ -23,7 +23,7 @@ func TestFailedFsyncPoisonsTheWAL(t *testing.T) {
 	for _, closeFirst := range []bool{true, false} {
 		t.Run(map[bool]string{true: "close", false: "compact"}[closeFirst], func(t *testing.T) {
 			dir, fs := t.TempDir(), &faultFS{}
-			s := openFaultT(t, dir, Config{CompactAfter: -1}, fs)
+			s := openFaultT(t, dir, Config{}, fs).SetCompactAfter(-1)
 			if err := s.PersistEpoch("w", 1, []byte("one")); err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestFailedFsyncPoisonsTheWAL(t *testing.T) {
 // its own and trusting that.
 func TestGroupCommitSiblingGetsTheFailedFsync(t *testing.T) {
 	fs := &faultFS{}
-	s := openFaultT(t, t.TempDir(), Config{CompactAfter: -1}, fs)
+	s := openFaultT(t, t.TempDir(), Config{}, fs).SetCompactAfter(-1)
 	entered, release := make(chan struct{}), make(chan struct{})
 	fs.arm(fault{op: "sync", name: walName, n: 1, hook: func() { close(entered); <-release }})
 	errs := make(chan error, 2)
@@ -95,7 +95,7 @@ func TestGroupCommitSiblingGetsTheFailedFsync(t *testing.T) {
 // acknowledged or read back before it in the new index.
 func TestFailedFsyncPoisonsTheSpillLog(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 10, 1)); err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestFailedFsyncPoisonsTheSpillLog(t *testing.T) {
 	if n := fs.count("sync", "w.flog") - syncs; n != 0 {
 		t.Fatalf("%d fsyncs of a poisoned spill log after its failure, want 0", n)
 	}
-	fi2 := flowIndexT(t, openT(t, dir, Config{FlowCompactAfter: -1}), "w")
+	fi2 := flowIndexT(t, openT(t, dir, Config{}).SetFlowCompactAfter(-1), "w")
 	wantFlows(t, fi2, 0, 20, true)
 	wantFlows(t, fi2, 30, 10, true)
 }
@@ -136,7 +136,7 @@ func TestFailedFsyncPoisonsTheSpillLog(t *testing.T) {
 // index opens whole.
 func TestUnreadableIndexFailsOpen(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestUnreadableIndexFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	s2 := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s2 := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fs.arm(fault{op: "stat", name: "w.fidx", n: 1})
 	if _, err := s2.FlowIndex("w"); !errors.Is(err, errInjected) {
 		t.Fatalf("FlowIndex over an index that cannot be sized = %v, want the injected error", err)
@@ -161,7 +161,7 @@ func TestUnreadableIndexFailsOpen(t *testing.T) {
 // and its bytes are counted as torn.
 func TestTornIndexIsCountedAndAbsent(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestTornIndexIsCountedAndAbsent(t *testing.T) {
 	if err := os.Truncate(filepath.Join(dir, "w.fidx"), size); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s2 := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi2 := flowIndexT(t, s2, "w")
 	if torn := s2.StatsSnapshot().TornRecords; torn != size {
 		t.Fatalf("TornRecords = %d, want the %d bytes of the torn index", torn, size)

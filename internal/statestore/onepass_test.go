@@ -20,7 +20,7 @@ import (
 // inside the longest valid prefix a reopen replays.
 func TestFailedAppendDoesNotStrandLaterEpochs(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{CompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetCompactAfter(-1)
 	if err := s.PersistEpoch("w", 1, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFailedAppendDoesNotStrandLaterEpochs(t *testing.T) {
 // would be retry-and-trust: every later PersistEpoch fails instead.
 func TestUntruncatableWALPoisonsStore(t *testing.T) {
 	fs := &faultFS{}
-	s := openFaultT(t, t.TempDir(), Config{CompactAfter: -1}, fs)
+	s := openFaultT(t, t.TempDir(), Config{}, fs).SetCompactAfter(-1)
 	fs.arm(fault{op: "write", name: walName, n: 1})
 	fs.arm(fault{op: "truncate", name: walName, n: -1})
 	if err := s.PersistEpoch("w", 1, []byte("lost")); !errors.Is(err, errInjected) {
@@ -88,7 +88,7 @@ func TestUntruncatableWALPoisonsStore(t *testing.T) {
 // outside the race detector, which makes sync.Pool drop entries.)
 func TestPersistEpochBorrowsPayload(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Config{Fsync: FsyncNone, CompactAfter: -1})
+	s := openT(t, dir, Config{Fsync: FsyncNone}).SetCompactAfter(-1)
 	payload := make([]byte, 1<<20)
 	seq := uint64(0)
 	persist := func() {
@@ -153,7 +153,7 @@ func TestPersistEpochBorrowsPayload(t *testing.T) {
 // holds one buffer per domain plus one in flight, not the file.
 func TestReplayKeepsOnlyNewestRecord(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Config{Fsync: FsyncNone, CompactAfter: -1})
+	s := openT(t, dir, Config{Fsync: FsyncNone}).SetCompactAfter(-1)
 	const gens, size = 64, 256 << 10
 	for seq := uint64(1); seq <= gens; seq++ {
 		p := bytes.Repeat([]byte{byte(seq)}, size)

@@ -36,7 +36,7 @@ import (
 // scratch warm, a spill batch that triggers no compaction allocates
 // nothing (it was a payload and a frame, about 42 KiB per 512 flows).
 func TestSpillSteadyStateAllocatesNothing(t *testing.T) {
-	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, FlowCompactAfter: -1})
+	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone}).SetFlowCompactAfter(-1)
 	fi, err := s.FlowIndex("worker-0")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +238,7 @@ type ownScript struct {
 func newOwnScript(t *testing.T) *ownScript {
 	t.Helper()
 	sc := &ownScript{t: t, dir: t.TempDir(), fs: &faultFS{}}
-	sc.store = openFaultT(t, sc.dir, Config{Fsync: FsyncGroup, CompactAfter: -1}, sc.fs)
+	sc.store = openFaultT(t, sc.dir, Config{Fsync: FsyncGroup}, sc.fs).SetCompactAfter(-1)
 	sc.book = newOwnBook()
 	sc.sup = domain.NewSupervisor(domain.Policy{
 		Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1,

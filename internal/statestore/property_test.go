@@ -56,10 +56,11 @@ func TestPropertyEpochDurability(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			open := func() *statestore.Store {
-				s, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone, CompactAfter: -1})
+				s, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone})
 				if err != nil {
 					t.Fatalf("Open: %v", err)
 				}
+				s.SetCompactAfter(-1)
 				return s
 			}
 			store := open()
@@ -170,10 +171,11 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 			evicted := map[uint64]packet.IPv4{}
 			var fi *statestore.FlowIndex
 			open := func() (*statestore.Store, *session.Table) {
-				s, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone, FlowCompactAfter: 64})
+				s, err := statestore.Open(statestore.Config{Dir: dir, Fsync: statestore.FsyncNone})
 				if err != nil {
 					t.Fatalf("Open: %v", err)
 				}
+				s.SetFlowCompactAfter(64)
 				fi, err = s.FlowIndex("t")
 				if err != nil {
 					t.Fatalf("FlowIndex: %v", err)

@@ -53,7 +53,7 @@ func TestFailedEpochReadFailsSpawn(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			fs := &faultFS{}
-			s := openFaultT(t, t.TempDir(), Config{CompactAfter: -1}, fs)
+			s := openFaultT(t, t.TempDir(), Config{}, fs).SetCompactAfter(-1)
 			payload, _, tbl := sessionEpoch(t, 20)
 			if err := s.PersistEpoch("worker-0", 1, payload); err != nil {
 				t.Fatal(err)
@@ -147,7 +147,7 @@ func TestFailedReadMidCompactionLeavesTheStore(t *testing.T) {
 	for _, which := range []string{"wal", "base"} {
 		t.Run(which, func(t *testing.T) {
 			dir, fs := t.TempDir(), &faultFS{}
-			s := openFaultT(t, dir, Config{CompactAfter: -1}, fs)
+			s := openFaultT(t, dir, Config{}, fs).SetCompactAfter(-1)
 			for _, e := range []struct {
 				name string
 				seq  uint64
@@ -213,7 +213,7 @@ func TestFailedReadMidCompactionLeavesTheStore(t *testing.T) {
 // compaction merges everything.
 func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
 	dir, fs := t.TempDir(), &faultFS{}
-	s := openFaultT(t, dir, Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, dir, Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 40, 1)); err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestFailedLogReadMidMergeLeavesIndexAndOverlay(t *testing.T) {
 // another flow's entry: that is an error too, never that flow's record.
 func TestFailedOverlayReadPromotesNothing(t *testing.T) {
 	fs := &faultFS{}
-	s := openFaultT(t, t.TempDir(), Config{FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, t.TempDir(), Config{}, fs).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	tbl := session.NewTable()
 	tbl.SetSpill(fi, 16)

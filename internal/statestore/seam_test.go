@@ -87,7 +87,7 @@ func TestOnlyTheSeamTouchesTheDisk(t *testing.T) {
 // index's binary search alike. A probe buffer on the stack escapes
 // through the interface and costs an allocation per lookup.
 func TestLookupAllocatesNothing(t *testing.T) {
-	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone, FlowCompactAfter: -1})
+	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone}).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	if err := fi.SpillFlows(flowBatch(0, 64, 1)); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestLookupAllocatesNothing(t *testing.T) {
 // batch reaches its log as one framed write.
 func TestOneWritePerSpillTwoPerEpoch(t *testing.T) {
 	fs := &faultFS{}
-	s := openFaultT(t, t.TempDir(), Config{Fsync: FsyncNone, CompactAfter: -1, FlowCompactAfter: -1}, fs)
+	s := openFaultT(t, t.TempDir(), Config{Fsync: FsyncNone}, fs).SetCompactAfter(-1).SetFlowCompactAfter(-1)
 	fi := flowIndexT(t, s, "w")
 	for i := 1; i <= 3; i++ {
 		if err := s.PersistEpoch("w", uint64(i), []byte("epoch")); err != nil {

@@ -51,21 +51,6 @@ type Config struct {
 	Dir string
 	// Fsync is the durability mode for epoch and spill appends.
 	Fsync FsyncMode
-	// CompactAfter is the WAL size (bytes) past which an append triggers
-	// inline compaction into base.db. Positive fixes the threshold;
-	// negative disables compaction. Zero (the default) adapts it to the
-	// workload: autoCompactGenerations × the observed live-state size
-	// (domain count × epoch payload size, tracked as epochs land),
-	// clamped to [autoCompactMinBytes, autoCompactMaxBytes]. A fixed
-	// byte threshold compacts every couple of epochs when many domains
-	// write large tokens and near-never for one small domain; scaling by
-	// live-state size makes the cadence a constant number of whole-state
-	// generations either way.
-	CompactAfter int64
-	// FlowCompactAfter is the per-index overlay entry count past which a
-	// spill batch triggers flow-index compaction. Default 8192; negative
-	// disables.
-	FlowCompactAfter int
 }
 
 // epochRec says where a domain's newest durable epoch is, not what it
@@ -87,6 +72,13 @@ type epochRec struct {
 type Store struct {
 	cfg Config
 	fs  fileSystem
+
+	// The compaction triggers, which open sets from the constants below:
+	// the clamp of the adaptive WAL threshold (compactThresholdLocked),
+	// and the overlay entry count past which a spill batch merges a flow
+	// index. The package's tests fix them through export_test.go.
+	compactMin, compactMax int64
+	flowCompactAfter       int
 
 	mu        sync.Mutex // guards wal's appends and reset, base, epochs, liveBytes, copyBuf, compaction
 	wal       *appendLog
@@ -137,12 +129,19 @@ const (
 	walName  = "wal.log"
 	baseName = "base.db"
 
+	// defaultFlowCompactAfter is the overlay entry count past which a
+	// spill batch merges a flow index.
 	defaultFlowCompactAfter = 8192
 
-	// Adaptive compaction (Config.CompactAfter == 0): compact once the
-	// WAL holds about this many generations of the whole live state. The
-	// clamp floor keeps a single tiny domain from compacting every few
-	// appends; the ceiling bounds replay time however large the state.
+	// Adaptive compaction: compact once the WAL holds about this many
+	// generations of the whole live state (domain count × epoch payload
+	// size, tracked as epochs land). A fixed byte threshold compacts
+	// every couple of epochs when many domains write large tokens and
+	// near-never for one small domain; scaling by live-state size makes
+	// the cadence a constant number of whole-state generations either
+	// way. The clamp floor keeps a single tiny domain from compacting
+	// every few appends; the ceiling bounds replay time however large the
+	// state.
 	autoCompactGenerations = 64
 	autoCompactMinBytes    = 256 << 10
 	autoCompactMaxBytes    = 256 << 20
@@ -161,18 +160,18 @@ func open(cfg Config, fs fileSystem) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("statestore: Config.Dir is required")
 	}
-	if cfg.FlowCompactAfter == 0 {
-		cfg.FlowCompactAfter = defaultFlowCompactAfter
-	}
 	if err := fs.MkdirAll(cfg.Dir); err != nil {
 		return nil, fmt.Errorf("statestore: %w", err)
 	}
 	s := &Store{
-		cfg:    cfg,
-		fs:     fs,
-		epochs: make(map[string]epochRec),
-		flows:  make(map[string]*FlowIndex),
-		hdrs:   sync.Pool{New: func() any { return new([]byte) }},
+		cfg:              cfg,
+		fs:               fs,
+		compactMin:       autoCompactMinBytes,
+		compactMax:       autoCompactMaxBytes,
+		flowCompactAfter: defaultFlowCompactAfter,
+		epochs:           make(map[string]epochRec),
+		flows:            make(map[string]*FlowIndex),
+		hdrs:             sync.Pool{New: func() any { return new([]byte) }},
 	}
 	// The compacted image first. A torn base tail (possible only if a
 	// crash beat the rename barrier, which the write path prevents)
@@ -224,20 +223,12 @@ func (s *Store) applyEpochRecord(inBase bool, off int64, rec []byte) {
 	s.epochs[name] = epochRec{seq: seq, inBase: inBase, frame: off, token: at, length: int64(len(token))}
 }
 
-// compactThresholdLocked resolves the effective WAL compaction threshold
-// for this append. Caller holds s.mu.
+// compactThresholdLocked is the WAL size past which this append
+// compacts: autoCompactGenerations × the live state, clamped to
+// [compactMin, compactMax]. Caller holds s.mu.
 func (s *Store) compactThresholdLocked() int64 {
-	if s.cfg.CompactAfter > 0 {
-		return s.cfg.CompactAfter
-	}
 	th := autoCompactGenerations * (s.liveBytes + int64(len(s.epochs))*frameHeaderSize)
-	if th < autoCompactMinBytes {
-		return autoCompactMinBytes
-	}
-	if th > autoCompactMaxBytes {
-		return autoCompactMaxBytes
-	}
-	return th
+	return min(max(th, s.compactMin), s.compactMax)
 }
 
 // Epoch payload layout (inside a frame):
@@ -346,7 +337,7 @@ func (s *Store) PersistEpoch(name string, seq uint64, payload []byte) error {
 	s.persisted.Add(1)
 	s.persistBytes.Add(uint64(len(payload)))
 	switch {
-	case s.cfg.CompactAfter >= 0 && s.wal.size >= s.compactThresholdLocked():
+	case s.wal.size >= s.compactThresholdLocked():
 		// Compaction writes base.db through a rename barrier and then
 		// truncates the WAL, so it subsumes this record's durability.
 		err = s.compactLocked()

@@ -126,7 +126,7 @@ func TestAppendedGarbageIgnored(t *testing.T) {
 func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny threshold: every append compacts almost immediately.
-	s := openT(t, dir, Config{CompactAfter: 256})
+	s := openT(t, dir, Config{}).SetCompactAfter(256)
 	for seq := uint64(1); seq <= 50; seq++ {
 		if err := s.PersistEpoch("w", seq, bytes.Repeat([]byte{byte(seq)}, 64)); err != nil {
 			t.Fatal(err)
@@ -152,7 +152,7 @@ func TestCompaction(t *testing.T) {
 
 func TestExplicitCompactThenReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir, Config{CompactAfter: -1})
+	s := openT(t, dir, Config{}).SetCompactAfter(-1)
 	for seq := uint64(1); seq <= 10; seq++ {
 		if err := s.PersistEpoch("w", seq, []byte{byte(seq)}); err != nil {
 			t.Fatal(err)
