@@ -10,8 +10,10 @@ GO ?= go
 # shared pool and the socket-backed port's receive loop) with the mbuf
 # slab layout both are built on, and the NF states whose capture runs
 # beside their packet path (and, for the firewall, beside other
-# workers' captures of one shared rule DB).
-RACE_PKGS = ./internal/netbricks ./internal/mempool ./internal/packet ./internal/linear ./internal/sfi ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
+# workers' captures of one shared rule DB), and nf-pipeline's own run,
+# where a serve abandoned by the hang verdict transmits on its queue
+# beside its successor.
+RACE_PKGS = ./cmd/nf-pipeline ./internal/netbricks ./internal/mempool ./internal/packet ./internal/linear ./internal/sfi ./internal/domain/... ./internal/telemetry ./internal/telemetry/trace ./internal/netport ./internal/dpdk ./internal/checkpoint ./internal/session ./internal/maglev ./internal/firewall ./internal/statestore
 
 # Per-benchmark time for the JSON bench run; raise for stabler numbers.
 BENCHTIME ?= 0.5s

@@ -61,6 +61,10 @@ func freeAddr(t *testing.T, network string) string {
 	return addr.String()
 }
 
+// patience is how long a test waits for an event: a hang verdict comes
+// up to hangAfter plus one poll after the stage sticks, with margin.
+const patience = hangAfter + 15*time.Second
+
 // scrape reads every series /metrics on addr serves, by its name and
 // labels as printed; nil when the server does not answer yet.
 func scrape(addr string) map[string]float64 {
@@ -83,12 +87,12 @@ func scrape(addr string) map[string]float64 {
 }
 
 // waitMetrics scrapes addr until cond holds and returns that scrape, or
-// fails the test after 15 s, showing the domain and worker counters.
+// fails the test after patience, showing the domain and worker counters.
 func waitMetrics(t *testing.T, addr, what string, cond func(map[string]float64) bool) map[string]float64 {
 	t.Helper()
 	tick := time.NewTicker(10 * time.Millisecond)
 	defer tick.Stop()
-	deadline := time.After(15 * time.Second)
+	deadline := time.After(patience)
 	for {
 		m := scrape(addr)
 		if m != nil && cond(m) {
@@ -104,7 +108,7 @@ func waitMetrics(t *testing.T, addr, what string, cond func(map[string]float64) 
 				}
 			}
 			sort.Strings(shown)
-			t.Fatalf("waited 15s for %s; /metrics has\n%s", what, strings.Join(shown, "\n"))
+			t.Fatalf("waited %v for %s; /metrics has\n%s", patience, what, strings.Join(shown, "\n"))
 		}
 	}
 }
@@ -115,7 +119,10 @@ func waitMetrics(t *testing.T, addr, what string, cond func(map[string]float64) 
 // the worker (domain_hangs_total and domain_restarts_total on /metrics),
 // the restarted worker 0 and worker 1 keep delivering while the stage is
 // still held, and once it is let go the abandoned serve settles its
-// batch, so every mbuf is back in the pool when the run ends.
+// batch, so every mbuf is back in the pool when the run ends. The run
+// forwards to a UDP sink (-egress), so the abandoned serve's transmit
+// shares worker 0's queue with its successor's; under -race this is the
+// check that two transmits on one queue do not race.
 func TestE2EHungStageIsAbandoned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e loopback tier skipped in -short")
@@ -129,7 +136,22 @@ func TestE2EHungStageIsAbandoned(t *testing.T) {
 		}
 		return &heldStage{Operator: op, armed: &armed, entered: entered, release: release, returned: returned}
 	}
-	o := options{workers: 2, batches: 1 << 30, listen: freeAddr(t, "udp"), metricsAddr: freeAddr(t, "tcp")}
+	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sunk atomic.Int64
+	go func() {
+		buf := make([]byte, 2048)
+		for {
+			if _, _, err := sink.ReadFrom(buf); err != nil {
+				return
+			}
+			sunk.Add(1)
+		}
+	}()
+	t.Cleanup(func() { sink.Close() })
+	o := options{workers: 2, batches: 1 << 30, listen: freeAddr(t, "udp"), egress: sink.LocalAddr().String(), metricsAddr: freeAddr(t, "tcp")}
 	var out strings.Builder
 	var runErr error
 	ran := make(chan struct{})
@@ -185,6 +207,12 @@ func TestE2EHungStageIsAbandoned(t *testing.T) {
 
 	letGo()
 	<-returned
+	// Keep the traffic on until the restarted worker 0 has transmitted
+	// again, so its sends run beside the abandoned serve's.
+	w0 = scrape(o.metricsAddr)[`worker_packets_total{worker="0"}`]
+	waitMetrics(t, o.metricsAddr, "worker 0 to deliver after the stage was let go", func(m map[string]float64) bool {
+		return m[`worker_packets_total{worker="0"}`] > w0
+	})
 	stopTraffic()
 	if err := <-genDone; err != nil {
 		t.Fatalf("pktgen: %v", err)
@@ -200,6 +228,9 @@ func TestE2EHungStageIsAbandoned(t *testing.T) {
 	m = scrape(o.metricsAddr)
 	if avail, capacity := m[`pool_available{port="net0"}`], m[`pool_capacity{port="net0"}`]; capacity == 0 || avail != capacity {
 		t.Fatalf("%v of %v mbufs back in the pool after the run\n%s", avail, capacity, out.String())
+	}
+	if sunk.Load() == 0 {
+		t.Fatal("no frame reached the egress sink")
 	}
 	var restarts, errs, crashes, hangs int
 	line := summaryLine(t, out.String(), "supervisor:")

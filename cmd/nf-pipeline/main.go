@@ -60,11 +60,13 @@ const (
 
 	// hangAfter is the supervisor's hang deadline: a worker whose batch
 	// has been in the pipeline this long is abandoned and restarted. The
-	// slowest batch of a 4-worker loopback run on 2 vCPUs took under
-	// 17 ms (DESIGN.md, "Hang detection"), so a live worker is not
-	// mistaken for a stuck one; a stuck stage stalls its worker for up to
-	// hangAfter plus one poll (hangAfter/4).
-	hangAfter = time.Second
+	// slowest batch is one that merges the flow index: in 4-worker
+	// loopback runs on 2 vCPUs with 100ms durable epochs, indexes up to
+	// 16 MB and most packets spilling a flow, no batch took over 537 ms
+	// (DESIGN.md, "Hang detection"). The deadline sits some 20x above
+	// that, so a live worker is not mistaken for a stuck one; a stuck
+	// stage stalls its worker for up to hangAfter plus one poll (1 s).
+	hangAfter = 10 * time.Second
 )
 
 // stageHook, when set, wraps each firewall stage run builds. It is how

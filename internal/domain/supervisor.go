@@ -28,7 +28,7 @@ type Policy struct {
 	// the domain restarted. The supervisor's monitor polls for it every
 	// HangAfter/4, clamped to [1ms, 1s], so a stuck handler holds its
 	// domain for up to HangAfter plus one poll. 0 disables hang
-	// detection; nf-pipeline runs with 1s, far above its slowest batch.
+	// detection; nf-pipeline runs with 10s, far above its slowest batch.
 	HangAfter time.Duration
 
 	// CheckpointEvery enables §5 checkpointed recovery for domains that

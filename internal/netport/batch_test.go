@@ -2,6 +2,8 @@ package netport
 
 import (
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,7 +43,7 @@ func (f *fakeBatchConn) WriteBatch(payloads [][]byte, _ *net.UDPAddr) (int, erro
 
 // txPort builds a socketless port whose egress goes through fake, plus
 // n mbufs loaded with distinct flow frames.
-func txPort(t *testing.T, cfg Config, fake *fakeBatchConn, n int) (*Port, []*packet.Packet, int) {
+func txPort(t *testing.T, cfg Config, fake batchConn, n int) (*Port, []*packet.Packet, int) {
 	t.Helper()
 	p, err := newPort(cfg, 0)
 	if err != nil {
@@ -138,6 +140,72 @@ func TestTxBatchChunkingAccounting(t *testing.T) {
 	rq.mu.Unlock()
 	if cached != offered {
 		t.Fatalf("queue cache holds %d buffers, want all %d recycled", cached, offered)
+	}
+}
+
+// tallyConn counts the payloads it is handed by their first byte, which
+// names the caller that sent them, and the bursts that mix two callers.
+// It yields before it reads a burst, as a send syscall would, so another
+// caller gets to run while the burst is staged.
+type tallyConn struct {
+	mu    sync.Mutex
+	sent  [2]int
+	mixed int
+}
+
+func (c *tallyConn) BatchCap() int { return maxBurst }
+
+func (c *tallyConn) ReadBatch([][]byte, []int) (int, error) {
+	panic("tallyConn: unexpected ReadBatch")
+}
+
+func (c *tallyConn) WriteBatch(payloads [][]byte, _ *net.UDPAddr) (int, error) {
+	runtime.Gosched()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, pl := range payloads {
+		c.sent[pl[0]]++
+		if pl[0] != payloads[0][0] {
+			c.mixed++
+		}
+	}
+	return len(payloads), nil
+}
+
+// TestTxTwoCallersOneQueue: two goroutines transmit on one queue, as a
+// serve abandoned by a hang verdict does when it settles beside its
+// successor. Each burst reaches the wire whole — only its caller's
+// frames, each once — and every buffer recycles.
+func TestTxTwoCallersOneQueue(t *testing.T) {
+	const rounds, burst = 200, 8
+	tally := &tallyConn{}
+	p, _, _ := txPort(t, Config{Queues: 1, RingSize: 64, BatchSize: burst}, tally, 0)
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkts := make([]*packet.Packet, burst)
+			for range rounds {
+				for i := range pkts {
+					pkt, err := p.pool.Get()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					pkt.Data = append(pkt.Data[:0], byte(c))
+					pkts[i] = pkt
+				}
+				if sent := p.TxBurstQueue(0, pkts); sent != burst {
+					t.Errorf("caller %d: TxBurstQueue returned %d, want %d", c, sent, burst)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tally.sent != [2]int{rounds * burst, rounds * burst} || tally.mixed != 0 {
+		t.Fatalf("frames on the wire per caller %v, %d in mixed bursts; want %d each, none mixed",
+			tally.sent, tally.mixed, rounds*burst)
 	}
 }
 

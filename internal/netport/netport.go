@@ -198,9 +198,9 @@ type rxQueue struct {
 	ring  *mempool.Ring[*packet.Packet]
 	ready chan struct{}
 	// idle is the one timer every idle poll of this queue reuses, made
-	// on the first. It belongs to the worker that owns the queue (the
-	// same contract as txbuf) and is stopped with its channel empty
-	// whenever RxBurstQueue is not waiting on it.
+	// on the first. It belongs to the goroutine that polls the queue and
+	// is stopped with its channel empty whenever RxBurstQueue is not
+	// waiting on it.
 	idle  *time.Timer
 	bp    atomic.Bool     // above high watermark (hysteresis state)
 	gauge telemetry.Gauge // 0/1 mirror of bp for the registry
@@ -208,8 +208,11 @@ type rxQueue struct {
 	mu    sync.Mutex
 	cache *mempool.Cache[packet.Packet]
 
-	// txbuf stages egress payload slices for WriteBatch; owned by the
-	// worker that owns this queue (the TxBurstQueue contract).
+	// txMu guards txbuf, which stages egress payload slices for
+	// WriteBatch, for the whole send. The worker that owns the queue is
+	// its one caller, save after a hang verdict: the abandoned serve
+	// settles its batch through TxBurstQueue beside its successor.
+	txMu  sync.Mutex
 	txbuf [][]byte
 
 	actor telemetry.ActorID
@@ -610,8 +613,8 @@ func (rq *rxQueue) wait(d time.Duration) {
 // unaccepted tail counts TxErrors and is drop-tailed, never silently
 // reported as delivered — and all n buffers recycle regardless: a wire
 // error never leaks an mbuf. In REUSEPORT mode each queue transmits
-// through its own socket; concurrent callers on different queues are
-// safe in every mode.
+// through its own socket. Concurrent callers are safe in every mode; two
+// on one queue take turns.
 func (p *Port) TxBurstQueue(q int, pkts []*packet.Packet) int {
 	rq := p.queue(q)
 	sent := 0
@@ -625,6 +628,7 @@ func (p *Port) TxBurstQueue(q int, pkts []*packet.Packet) int {
 			}
 		}
 	} else {
+		rq.txMu.Lock()
 		payloads := rq.txbuf[:0]
 		for _, pkt := range pkts {
 			if pkt != nil {
@@ -649,6 +653,7 @@ func (p *Port) TxBurstQueue(q int, pkts []*packet.Packet) int {
 				break
 			}
 		}
+		rq.txMu.Unlock()
 	}
 	p.Stats.TxPackets.Add(uint64(sent))
 	p.Stats.TxBytes.Add(bytes)
