@@ -53,10 +53,10 @@ var paperBatchSizes = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 // figure2Stages is the pipeline length Figure 2 is reported for.
 const figure2Stages = 5
 
-// rxBatch pulls one batch of size packets from a fresh simulated port
-// (gen nil: one fixed flow).
-func rxBatch(size int, gen dpdk.Generator) *netbricks.Batch {
-	port := dpdk.NewPort(dpdk.Config{PoolSize: size + 64, Gen: gen})
+// rxBatch pulls one batch of size packets, round-robin over flows flows,
+// from a fresh simulated port.
+func rxBatch(size, flows int) *netbricks.Batch {
+	port := dpdk.NewPort(dpdk.Config{PoolSize: size + 64, QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), flows, 1)})
 	pkts := make([]*packet.Packet, size)
 	n := port.RxBurst(pkts)
 	return &netbricks.Batch{Pkts: pkts[:n]}
@@ -67,7 +67,7 @@ func rxBatch(size int, gen dpdk.Generator) *netbricks.Batch {
 // packets. The step hands the batch to the pipeline and takes it back.
 func nullPipeline(tb testing.TB, stages, batchSize int, isolated bool) func() error {
 	tb.Helper()
-	batch := rxBatch(batchSize, nil)
+	batch := rxBatch(batchSize, 1)
 	ops := make([]netbricks.Operator, stages)
 	for i := range ops {
 		ops[i] = netbricks.NullFilter{}
@@ -96,7 +96,7 @@ func consume(out linear.Owned[*netbricks.Batch], err error) error {
 // batchSize packets from 1024 flows.
 func maglevBatch(tb testing.TB, batchSize int) func() error {
 	tb.Helper()
-	batch := rxBatch(batchSize, &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 1024})
+	batch := rxBatch(batchSize, 1024)
 	backends := make([]maglev.Backend, 16)
 	for i := range backends {
 		backends[i] = maglev.Backend{Name: fmt.Sprintf("be-%d", i), IP: packet.Addr(10, 1, 0, byte(i+1))}
@@ -162,7 +162,7 @@ func benchSharded(b *testing.B, workers int, isolated bool) {
 	}
 	r := &netbricks.ShardedRunner{Port: port, Workers: workers, BatchSize: batchSize}
 	if isolated {
-		r.NewIsolated = func(int) (*netbricks.IsolatedPipeline, error) {
+		r.NewIsolated = func(int) (*netbricks.Pipeline, error) {
 			return netbricks.NewIsolatedPipeline(sfi.NewManager(), ops(), nil)
 		}
 	} else {
@@ -251,7 +251,7 @@ func benchSupervised(b *testing.B, crashProb float64) {
 			MaxBackoff:  time.Millisecond,
 			MaxRestarts: -1,
 		},
-		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(int) (*netbricks.Pipeline, error) {
 			return netbricks.NewIsolatedPipeline(sfi.NewManager(),
 				[]netbricks.Operator{netbricks.Parse{}, crashOp{inj: inj}, netbricks.NullFilter{}},
 				[]func() netbricks.Operator{nil, func() netbricks.Operator { return crashOp{inj: inj} }, nil})
@@ -476,7 +476,7 @@ func benchCheckpointed(b *testing.B, epoch time.Duration) {
 			MaxRestarts:     -1,
 			CheckpointEvery: epoch,
 		},
-		NewIsolated: func(w int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*netbricks.Pipeline, error) {
 			return netbricks.NewIsolatedPipeline(sfi.NewManager(),
 				[]netbricks.Operator{
 					netbricks.Parse{},
@@ -599,7 +599,7 @@ func chaosRunner(tb testing.TB, faultEvery, batchesPerWorker int) *netbricks.Sha
 			MaxRestarts:     -1,
 			CheckpointEvery: 10 * time.Millisecond,
 		},
-		NewIsolated: func(w int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*netbricks.Pipeline, error) {
 			fault := func() netbricks.Operator { return everyNth{seen: &seen[w], n: faultEvery} }
 			return netbricks.NewIsolatedPipeline(sfi.NewManager(),
 				[]netbricks.Operator{

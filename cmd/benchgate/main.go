@@ -6,9 +6,8 @@
 //	    | benchgate -bench BenchmarkNetportLoopback -metric pps -min 320000
 //
 // reads `go test -bench` output on stdin (echoed unchanged, like
-// benchjson), or with -file reads a benchjson-written JSON record
-// instead, and exits nonzero if the named benchmark's metric is missing
-// or out of bounds. Three gate shapes compose:
+// benchjson) and exits nonzero if the named benchmark's metric is
+// missing or out of bounds. Three gate shapes compose:
 //
 //   - -min: an absolute floor (throughput must not regress). Floors are
 //     set ~20% under the recorded number so scheduler noise does not
@@ -24,7 +23,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -48,7 +46,6 @@ func main() {
 	max := flag.Float64("max", math.Inf(1), "ceiling: fail if the metric is above this")
 	baseline := flag.String("baseline", "", "benchmark to compare against (relative gate)")
 	minFrac := flag.Float64("min-frac", 0, "relative floor: fail if metric < min-frac * baseline's metric")
-	file := flag.String("file", "", "read a benchjson JSON record instead of bench output on stdin")
 	flag.Parse()
 	if *bench == "" {
 		log.Fatal("-bench is required")
@@ -57,13 +54,7 @@ func main() {
 		log.Fatal("-baseline and -min-frac must be used together")
 	}
 
-	var results map[string]map[string]float64
-	if *file != "" {
-		results = fromJSON(*file)
-	} else {
-		results = fromStdin()
-	}
-
+	results := fromStdin()
 	value, found := results[*bench][*metric]
 	if !found {
 		log.Fatalf("benchmark %s has no %q metric", *bench, *metric)
@@ -93,19 +84,6 @@ func main() {
 	default:
 		log.Printf("ok: %s %s = %.0f (floor %.0f)", *bench, *metric, value, *min)
 	}
-}
-
-// fromJSON reads a benchjson record (benchmark name → unit → value).
-func fromJSON(path string) map[string]map[string]float64 {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results := map[string]map[string]float64{}
-	if err := json.Unmarshal(buf, &results); err != nil {
-		log.Fatalf("%s: %v", path, err)
-	}
-	return results
 }
 
 // fromStdin scans `go test -bench` output, echoing it unchanged, and

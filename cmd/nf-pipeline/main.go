@@ -352,7 +352,7 @@ func run(o options, out io.Writer) error {
 				}
 			},
 		},
-		NewIsolated: func(w int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*netbricks.Pipeline, error) {
 			// Each worker's stage domains live in a private manager; the
 			// worker label keeps their series apart on the shared registry.
 			mgr := sfi.NewManager()
@@ -379,11 +379,9 @@ func run(o options, out io.Writer) error {
 		// read as non-nil to the domain layer.
 		runner.Policy.Persist = store
 	}
-	start := time.Now()
 	// A run that lost a worker still returns its stats: the summary is
 	// printed either way, and the error decides the exit status at the end.
 	stats, runErr := runner.Run(o.batches)
-	elapsed := float64(time.Since(start).Nanoseconds())
 
 	fmt.Fprintf(out, "pipeline:   parse -> firewall -> maglev -> session, one protection domain per stage, supervised workers\n")
 	if o.workers > 1 {
@@ -392,10 +390,6 @@ func run(o options, out io.Writer) error {
 	fmt.Fprintf(out, "batches:    %d processed (%d packets, %d filtered)\n", stats.Batches, stats.Packets, stats.Drops)
 	if stats.Faults > 0 {
 		fmt.Fprintf(out, "faults:     %d injected, %d recovered; pipeline kept running\n", stats.Faults, stats.Recovered)
-	}
-	if stats.Batches > 0 {
-		fmt.Fprintf(out, "cost:       %.0f ns/batch, %.1f ns/packet\n",
-			elapsed/float64(stats.Batches), elapsed/float64(stats.Packets))
 	}
 	var conns int
 	var hits, misses, evictions uint64

@@ -27,7 +27,7 @@ func main() {
 	// balancer over 4 backends.
 	port := dpdk.NewPort(dpdk.Config{
 		PoolSize: 256,
-		Gen:      dpdk.NewZipfFlows(dpdk.DefaultSpec(), 512, 1.2, 7),
+		QueueGen: dpdk.NewZipfPartition(dpdk.DefaultSpec(), 512, 1, 1.2, 7),
 	})
 	backends := []maglev.Backend{
 		{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},
@@ -79,7 +79,7 @@ func main() {
 	// automatic recovery.
 	runner := netbricks.ShardedRunner{
 		Port: port, Workers: 1, BatchSize: 8, AutoRecover: true,
-		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) { return pipeline, nil },
+		NewIsolated: func(int) (*netbricks.Pipeline, error) { return pipeline, nil },
 	}
 	stats, err := runner.Run(20)
 	if err != nil {
@@ -89,10 +89,10 @@ func main() {
 	fmt.Printf("faults contained: %d, recoveries: %d — the pipeline survived its crashing stage\n",
 		stats.Faults, stats.Recovered)
 
-	for _, st := range pipeline.Stages() {
-		calls, faults, recoveries, _, _ := st.Domain.Stats.Snapshot()
+	for _, d := range pipeline.Domains() {
+		calls, faults, recoveries, _, _ := d.Stats.Snapshot()
 		fmt.Printf("  domain %-22s calls=%-3d faults=%d recoveries=%d\n",
-			st.Domain.Name(), calls, faults, recoveries)
+			d.Name(), calls, faults, recoveries)
 	}
 	hits, misses := lb.Stats()
 	fmt.Printf("maglev: %d flows tracked (%d hits, %d misses)\n", lb.ConnCount(), hits, misses)

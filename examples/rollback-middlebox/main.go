@@ -100,13 +100,13 @@ func main() {
 	mon := &monitor{st: newMonitorState()}
 	port := dpdk.NewPort(dpdk.Config{
 		PoolSize: 64,
-		Gen:      &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 6},
+		QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 6, 1),
 	})
 	runner := netbricks.ShardedRunner{
 		Port: port, Workers: 1, BatchSize: 4, Supervise: true,
 		Policy:   domain.Policy{CheckpointEvery: 3 * time.Millisecond},
 		NewState: func(int) domain.Stateful { return mon },
-		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(int) (*netbricks.Pipeline, error) {
 			// The first stage instance crashes on its 6th batch;
 			// replacements are healthy.
 			return netbricks.NewIsolatedPipeline(sfi.NewManager(),

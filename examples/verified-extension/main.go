@@ -99,11 +99,11 @@ func main() {
 	spec.Tuple.Proto = packet.ProtoTCP
 	spec.Tuple.DstPort = 80
 	gen := &poisonGen{base: spec, poisonAt: 7}
-	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, Gen: gen})
+	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, QueueGen: func(int) dpdk.Generator { return gen }})
 
 	runner := netbricks.ShardedRunner{
 		Port: port, Workers: 1, BatchSize: 4, AutoRecover: true,
-		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) { return pipeline, nil },
+		NewIsolated: func(int) (*netbricks.Pipeline, error) { return pipeline, nil },
 	}
 	stats, err := runner.Run(10)
 	if err != nil {

@@ -5,7 +5,7 @@
 // The paper's §3 recovery story — unwind to the domain entry point, clear
 // the reference table, run a user recovery function — is the sfi
 // package's, inside a single synchronous call; a handler that isolates
-// its parts (netbricks.IsolatedPipeline) owns their protection domains
+// its parts (an isolated netbricks.Pipeline) owns their protection domains
 // and recovers them in its Recover hook. This package keeps a faulted
 // domain alive *as a service* under sustained traffic: a Supervisor
 // detects faults (handler panics and errors, caught at the domain entry

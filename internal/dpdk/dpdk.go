@@ -9,7 +9,8 @@
 // source the paper attributes the 90→122-cycle growth to), the pipeline
 // processes the batch to completion, and TxBurst recycles the buffers.
 // Traffic content is produced by pluggable deterministic generators
-// (uniform and zipfian flow mixes) so experiments are reproducible.
+// (round-robin and zipfian flow mixes, partitioned by RSS queue) so
+// experiments are reproducible.
 package dpdk
 
 import (
@@ -29,54 +30,15 @@ const MbufSize = 2048
 // Generator produces the next synthetic packet's parameters.
 //
 // Concurrency contract: a port calls a queue's generator only under that
-// queue's lock, so a stateful generator (UniformFlows, NewZipfFlows and
-// the partition sources) is safe as long as it feeds ONE queue of ONE port,
-// however many goroutines poll the port. What is not safe is sharing one
-// stateful generator between queues or ports, or calling NextSpec
-// yourself while a port owns the generator: nothing serializes across
-// queues. Stateless generators such as FixedFlow are exempt and may be
-// shared freely. The race regression tests in generator_race_test.go pin
-// both halves of this contract.
+// queue's lock, so a stateful generator (the partition sources) is safe
+// as long as it feeds ONE queue of ONE port, however many goroutines poll
+// the port. What is not safe is sharing one generator between queues or
+// ports, or calling NextSpec yourself while a port owns the generator:
+// nothing serializes across queues. The race regression test in
+// generator_race_test.go pins this contract.
 type Generator interface {
 	// NextSpec fills spec with the next packet description.
 	NextSpec(spec *packet.BuildSpec)
-}
-
-// FixedFlow generates every packet from the same flow — the lightest
-// generator, used by the Figure 2 null-filter measurements where content
-// is irrelevant. NextSpec only reads Spec, so one FixedFlow may be
-// shared across any number of ports and goroutines.
-type FixedFlow struct {
-	Spec packet.BuildSpec
-}
-
-// NextSpec implements Generator.
-func (g *FixedFlow) NextSpec(spec *packet.BuildSpec) { *spec = g.Spec }
-
-// UniformFlows cycles round-robin through n distinct flows derived from a
-// base spec.
-type UniformFlows struct {
-	Base  packet.BuildSpec
-	Flows int
-	next  int
-}
-
-// NextSpec implements Generator.
-func (g *UniformFlows) NextSpec(spec *packet.BuildSpec) {
-	*spec = g.Base
-	i := g.next
-	g.next = (g.next + 1) % max(g.Flows, 1)
-	spec.Tuple.SrcIP += packet.IPv4(i)
-	spec.Tuple.SrcPort += uint16(i % 50000)
-}
-
-// NewZipfFlows draws flows flows derived from base (the UniformFlows
-// walk) from a zipfian popularity distribution with skew s (s > 1; 1.1
-// is mild, 2 is heavy) and a deterministic seed — the standard skewed
-// traffic model for load-balancer studies (a few elephant flows, many
-// mice). It is the one-queue case of NewZipfPartition.
-func NewZipfFlows(base packet.BuildSpec, flows int, s float64, seed int64) Generator {
-	return NewZipfPartition(base, flows, 1, s, seed)(0)
 }
 
 // PortStats holds cumulative port counters — telemetry cells, written
@@ -106,17 +68,13 @@ type Port struct {
 // Config parameterizes a port.
 type Config struct {
 	PoolSize int // number of mbufs; default 4096
-	// Gen is the traffic source of a one-queue port (default: one
-	// FixedFlow of DefaultSpec).
-	Gen Generator
-
-	// RxQueues is the number of receive queues (default 1). A port with
-	// more than one takes QueueGen instead of Gen.
+	// RxQueues is the number of receive queues (default 1).
 	RxQueues int
 	// QueueGen supplies each queue's own traffic source, whose flows
 	// already hash to that queue — hardware RSS, precomputed (see
 	// NewRSSPartition and NewZipfPartition). A nil source is a queue no
-	// flow hashes to: it delivers nothing.
+	// flow hashes to: it delivers nothing. A multi-queue port needs it; a
+	// one-queue port without it carries one flow of DefaultSpec.
 	QueueGen func(queue int) Generator
 	// CacheSize bounds each queue's local mempool cache (default
 	// mempool.DefaultCacheSize, clamped to the pool size).
@@ -139,11 +97,7 @@ func NewPort(cfg Config) *Port {
 		if cfg.RxQueues > 1 {
 			panic("dpdk: a multi-queue port takes QueueGen, one source per queue (NewRSSPartition, NewZipfPartition)")
 		}
-		gen := cfg.Gen
-		if gen == nil {
-			gen = &FixedFlow{Spec: DefaultSpec()}
-		}
-		cfg.QueueGen = func(int) Generator { return gen }
+		cfg.QueueGen = NewRSSPartition(DefaultSpec(), 1, 1)
 	}
 	p := &Port{pool: packet.NewPool(cfg.PoolSize, MbufSize)}
 	for q := 0; q < cfg.RxQueues; q++ {

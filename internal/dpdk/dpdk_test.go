@@ -59,7 +59,7 @@ func TestRxBurstBuildsInTheSmallestRoom(t *testing.T) {
 	} {
 		spec := DefaultSpec()
 		spec.PayloadLen = c.frame - headers
-		p := NewPort(Config{PoolSize: 8, Gen: &FixedFlow{Spec: spec}})
+		p := NewPort(Config{PoolSize: 8, QueueGen: NewRSSPartition(spec, 1, 1)})
 		batch := make([]*packet.Packet, 8)
 		n := p.RxBurst(batch)
 		for _, pkt := range batch[:n] {
@@ -86,7 +86,7 @@ func TestRxBurstRejectsOversizedFrame(t *testing.T) {
 	for _, payload := range []int{MbufSize, 3000, -1} {
 		spec := DefaultSpec()
 		spec.PayloadLen = payload
-		p := NewPort(Config{PoolSize: 8, Gen: &FixedFlow{Spec: spec}})
+		p := NewPort(Config{PoolSize: 8, QueueGen: NewRSSPartition(spec, 1, 1)})
 		func() {
 			defer func() {
 				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid spec") {
@@ -138,8 +138,9 @@ func TestTxBurstSkipsNil(t *testing.T) {
 	}
 }
 
+// TestUniformFlowsCycle: a one-queue partition round-robins its flows.
 func TestUniformFlowsCycle(t *testing.T) {
-	g := &UniformFlows{Base: DefaultSpec(), Flows: 4}
+	g := NewRSSPartition(DefaultSpec(), 4, 1)(0)
 	seen := make(map[packet.FiveTuple]bool)
 	var spec packet.BuildSpec
 	for i := 0; i < 8; i++ {
@@ -153,7 +154,7 @@ func TestUniformFlowsCycle(t *testing.T) {
 
 func TestZipfFlowsSkewedAndDeterministic(t *testing.T) {
 	mk := func() map[packet.IPv4]int {
-		g := NewZipfFlows(DefaultSpec(), 1000, 1.5, 42)
+		g := NewZipfPartition(DefaultSpec(), 1000, 1, 1.5, 42)(0)
 		counts := make(map[packet.IPv4]int)
 		var spec packet.BuildSpec
 		for i := 0; i < 5000; i++ {
@@ -179,17 +180,7 @@ func TestZipfFlowsRejectsZeroFlows(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewZipfFlows(DefaultSpec(), 0, 1.5, 1)
-}
-
-func TestFixedFlowConstant(t *testing.T) {
-	g := &FixedFlow{Spec: DefaultSpec()}
-	var a, b packet.BuildSpec
-	g.NextSpec(&a)
-	g.NextSpec(&b)
-	if a.Tuple != b.Tuple {
-		t.Fatal("fixed flow varied")
-	}
+	NewZipfPartition(DefaultSpec(), 0, 1, 1.5, 1)
 }
 
 func BenchmarkRxTxBurst32(b *testing.B) {

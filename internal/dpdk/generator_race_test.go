@@ -1,9 +1,8 @@
-// Regression tests for the Generator concurrency contract (see the
+// Regression test for the Generator concurrency contract (see the
 // Generator doc in dpdk.go): a port calls each queue's stateful
 // generator under that queue's lock, so concurrent multi-queue polling
-// must be race-free; and a stateless FixedFlow must be shareable across
-// ports polled concurrently. Run under `make race` —
-// the race detector is the assertion.
+// must be race-free. Run under `make race` — the race detector is the
+// assertion.
 package dpdk
 
 import (
@@ -53,29 +52,4 @@ func TestGeneratorSteeredConcurrentPolls(t *testing.T) {
 	if got := port.PoolAvailable(); got != port.pool.Capacity() {
 		t.Fatalf("pool: %d of %d buffers after drain", got, port.pool.Capacity())
 	}
-}
-
-// TestGeneratorFixedFlowSharedAcrossPorts shares one stateless FixedFlow
-// between two ports polled concurrently — the documented exemption from
-// the one-port-per-stateful-generator rule.
-func TestGeneratorFixedFlowSharedAcrossPorts(t *testing.T) {
-	shared := &FixedFlow{Spec: DefaultSpec()}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			port := NewPort(Config{PoolSize: 128, Gen: shared})
-			buf := make([]*packet.Packet, 16)
-			for b := 0; b < 200; b++ {
-				n := port.RxBurst(buf)
-				port.FreeQueue(0, buf[:n])
-			}
-			port.Drain()
-			if got := port.PoolAvailable(); got != port.pool.Capacity() {
-				t.Errorf("pool: %d of %d buffers after drain", got, port.pool.Capacity())
-			}
-		}()
-	}
-	wg.Wait()
 }

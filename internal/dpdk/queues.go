@@ -158,10 +158,10 @@ type zipfSpecs struct {
 // NextSpec implements Generator.
 func (g *zipfSpecs) NextSpec(spec *packet.BuildSpec) { *spec = g.specs[g.zipf.Uint64()] }
 
-// partition derives flows distinct flows from base (the same
-// SrcIP/SrcPort walk UniformFlows performs) and splits them
-// across queues by RSS hash and redirection table, keeping each queue's
-// flows in flow order.
+// partition derives flows distinct flows from base — flow i adds i to
+// the source address and i mod 50000 to the source port — and splits
+// them across queues by RSS hash and redirection table, keeping each
+// queue's flows in flow order.
 func partition(base packet.BuildSpec, flows, queues int) [][]packet.BuildSpec {
 	if flows <= 0 {
 		panic("dpdk: flows must be positive")

@@ -99,16 +99,16 @@ func TestSteeredBackpressureBudget(t *testing.T) {
 	p.Drain()
 }
 
-// TestMultiQueuePortNeedsQueueGen: a shared generator cannot feed more
-// than one queue (it would deliver every flow on every queue), so a
-// multi-queue port without per-queue sources is refused at construction.
+// TestMultiQueuePortNeedsQueueGen: one source cannot feed more than one
+// queue (it would deliver every flow on every queue), so a multi-queue
+// port without per-queue sources is refused at construction.
 func TestMultiQueuePortNeedsQueueGen(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "QueueGen") {
 			t.Fatalf("recover() = %v, want a panic naming QueueGen", r)
 		}
 	}()
-	NewPort(Config{PoolSize: 64, RxQueues: 2, Gen: &UniformFlows{Base: DefaultSpec(), Flows: 64}})
+	NewPort(Config{PoolSize: 64, RxQueues: 2})
 }
 
 func TestDrainConsolidatesRingsAndCaches(t *testing.T) {

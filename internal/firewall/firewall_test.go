@@ -193,8 +193,7 @@ func TestRestoredSharedRuleUpdatesAtomically(t *testing.T) {
 func TestOperatorDropsDenied(t *testing.T) {
 	db := NewDB(Deny)
 	_, _ = db.AddRule(packet.Addr(10, 99, 0, 0), 16, Rule{ID: 1, Action: Allow})
-	gen := &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 8}
-	port := dpdk.NewPort(dpdk.Config{PoolSize: 32, Gen: gen})
+	port := dpdk.NewPort(dpdk.Config{PoolSize: 32, QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 8, 1)})
 	pkts := make([]*packet.Packet, 16)
 	n := port.RxBurst(pkts)
 	batch := &netbricks.Batch{Pkts: pkts[:n]}

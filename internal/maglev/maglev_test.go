@@ -218,7 +218,7 @@ func TestOperatorRewritesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	port := dpdk.NewPort(dpdk.Config{PoolSize: 32, Gen: &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 16}})
+	port := dpdk.NewPort(dpdk.Config{PoolSize: 32, QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 16, 1)})
 	pkts := make([]*packet.Packet, 16)
 	n := port.RxBurst(pkts)
 	batch := &netbricks.Batch{Pkts: pkts[:n]}

@@ -69,7 +69,7 @@ func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 			<-release
 		}
 	}
-	newIsolated := func(int) (*IsolatedPipeline, error) {
+	newIsolated := func(int) (*Pipeline, error) {
 		cur := &witnessStage{first: builds.Add(1) == 1, violations: &violations, armed: &armed, firstRan: firstRan}
 		if cur.first {
 			cur.park = park

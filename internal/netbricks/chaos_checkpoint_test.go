@@ -195,7 +195,7 @@ func runCheckpointedChaos(t *testing.T, minFaults, phase2Min uint64, persist dom
 		Port: port, Workers: workers, BatchSize: batchSize,
 		Supervise:    true,
 		MailboxDepth: 2,
-		NewIsolated: func(w int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*netbricks.Pipeline, error) {
 			cur := &chaosStage{inj: inj, violations: &violations}
 			stages := []netbricks.Operator{
 				netbricks.Parse{},

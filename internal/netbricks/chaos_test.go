@@ -53,7 +53,7 @@ func (c *chaosStage) ProcessBatch(*netbricks.Batch) error {
 
 // chaosPipeline builds the per-worker isolated pipeline factory plus the
 // shared violation counter.
-func chaosPipeline(t *testing.T, inj *faultinject.Injector, violations *atomic.Uint64) func(w int) (*netbricks.IsolatedPipeline, error) {
+func chaosPipeline(t *testing.T, inj *faultinject.Injector, violations *atomic.Uint64) func(w int) (*netbricks.Pipeline, error) {
 	t.Helper()
 	db := firewall.NewDB(firewall.Deny)
 	if _, err := db.AddRule(packet.Addr(10, 99, 0, 0), 16, firewall.Rule{ID: 1, Action: firewall.Allow}); err != nil {
@@ -63,7 +63,7 @@ func chaosPipeline(t *testing.T, inj *faultinject.Injector, violations *atomic.U
 		{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},
 		{Name: "be-1", IP: packet.Addr(10, 1, 0, 2)},
 	}
-	return func(w int) (*netbricks.IsolatedPipeline, error) {
+	return func(w int) (*netbricks.Pipeline, error) {
 		lb, err := maglev.NewBalancer(backends, maglev.DefaultTableSize)
 		if err != nil {
 			return nil, err

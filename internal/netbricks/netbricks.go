@@ -4,17 +4,12 @@
 // pipeline of operators, where linear types ensure only one pipeline stage
 // can access a batch at any time.
 //
-// Two pipeline drivers are provided:
-//
-//   - Pipeline passes batches between stages via plain function calls —
-//     the baseline NetBricks architecture, which (as the paper notes) has
-//     no fault containment or recovery; and
-//   - IsolatedPipeline places every stage in its own sfi.Domain and
-//     replaces the function calls with remote invocations that move the
-//     batch across the protection boundary — the paper's experiment.
-//
-// The overhead difference between the two, divided by pipeline length, is
-// the per-remote-invocation cost plotted in Figure 2.
+// One pipeline type, Pipeline, calls its stages either directly — the
+// baseline NetBricks architecture — or, built by NewIsolatedPipeline,
+// through remote invocations that move the batch into each stage's own
+// sfi.Domain — the paper's experiment. The overhead difference between
+// the two, divided by pipeline length, is the per-remote-invocation cost
+// plotted in Figure 2.
 //
 // One runner drives either: ShardedRunner, one worker per receive queue
 // (Workers: 1 is the paper's single-threaded run), inline or — with
@@ -64,7 +59,7 @@ type BurstPort interface {
 }
 
 // Batch is the unit of work: a burst of packets fetched from a port.
-// Exactly one stage owns a batch at a time; the drivers enforce this by
+// Exactly one stage owns a batch at a time; Pipeline enforces this by
 // moving linear.Owned[*Batch] handles between stages.
 type Batch struct {
 	Pkts    []*packet.Packet
@@ -103,8 +98,8 @@ func (b *Batch) Drop(i int) {
 
 // Operator is one pipeline stage. ProcessBatch mutates the batch in place
 // and must not retain references to it after returning — ownership moves
-// on to the next stage (the drivers enforce this for the isolated case and
-// the direct case alike via the linear layer).
+// on to the next stage (Pipeline enforces this for direct and isolated
+// stages alike via the linear layer).
 type Operator interface {
 	// Name identifies the stage in errors and stats.
 	Name() string
@@ -161,16 +156,45 @@ func (f *FaultInjector) ProcessBatch(*Batch) error {
 	return nil
 }
 
-// Pipeline is the baseline NetBricks driver: stages invoked by direct
-// function calls, batch handed off by moving the linear handle.
+// Pipeline is a NetBricks pipeline: a run of stages that a batch passes
+// through to completion, handed from stage to stage by moving its linear
+// handle. A stage is called in one of two ways, fixed when the pipeline is
+// built:
+//
+//   - directly (NewPipeline): a plain function call — the baseline
+//     NetBricks architecture, which (as the paper notes) has no fault
+//     containment or recovery; or
+//   - isolated (NewIsolatedPipeline): a remote invocation that moves the
+//     batch into the stage's own sfi.Domain and back — the paper's
+//     experiment (§3: "we use our SFI library to isolate every pipeline
+//     component in a separate protection domain").
 type Pipeline struct {
-	stages []Operator
+	stages []stage
+
+	// mgr and domains are an isolated pipeline's protection domains, one
+	// per stage in stage order; a direct pipeline has none.
+	mgr     *sfi.Manager
+	domains []*sfi.Domain
 
 	// tracer, when set via SetTracer, stamps sampled trace spans after
-	// each recognized stage; stageIDs caches the Name()→Stage mapping.
-	tracer   *trace.Tracer
-	stageIDs []trace.Stage
+	// each recognized stage.
+	tracer *trace.Tracer
 }
+
+// stage is one pipeline stage: an operator called directly, or — for an
+// isolated stage — the remote reference into the domain that holds the
+// live operator (recovery re-exports a fresh one into the same slot, so
+// the stage keeps no operator of its own).
+type stage struct {
+	name string      // the operator's name, or an isolated stage's domain's
+	id   trace.Stage // stamp position; NumStages for stages outside the NF set
+	op   Operator
+	rref *sfi.RRef[Operator]
+}
+
+// IsolatedPipeline is the name bench/nfbench's pipeline factory still
+// spells for a Pipeline built by NewIsolatedPipeline.
+type IsolatedPipeline = Pipeline
 
 // SetTracer attaches the sampled packet tracer: after each stage whose
 // name maps to a trace stage, the armed spans in the batch are stamped.
@@ -178,59 +202,46 @@ type Pipeline struct {
 func (p *Pipeline) SetTracer(t *trace.Tracer) { p.tracer = t }
 
 // NewPipeline builds a direct-call pipeline.
-func NewPipeline(stages ...Operator) *Pipeline {
-	return &Pipeline{stages: stages, stageIDs: stageIDsFor(stages)}
-}
-
-// Process runs the batch through every stage. Ownership of the batch moves
-// into Process and back out through the return value.
-func (p *Pipeline) Process(b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
-	for i, st := range p.stages {
-		// Hand-off between stages is a move: the previous holder's handle
-		// dies, exactly as NetBricks' linear types guarantee that "only
-		// one pipeline stage can access the batch at any time".
-		next, err := b.Move()
-		if err != nil {
-			return b, fmt.Errorf("pipeline stage %s: %w", st.Name(), err)
-		}
-		b = next
-		var perr error
-		if err := b.With(func(batch *Batch) {
-			perr = st.ProcessBatch(batch)
-			if perr == nil && p.tracer != nil {
-				stampTraced(p.tracer, batch, p.stageIDs[i])
-			}
-		}); err != nil {
-			return b, fmt.Errorf("pipeline stage %s: %w", st.Name(), err)
-		}
-		if perr != nil {
-			return b, fmt.Errorf("pipeline stage %s: %w", st.Name(), perr)
-		}
+func NewPipeline(ops ...Operator) *Pipeline {
+	p := &Pipeline{stages: make([]stage, len(ops))}
+	for i, op := range ops {
+		p.stages[i] = stage{name: op.Name(), id: stageID(op), op: op}
 	}
-	return b, nil
+	return p
 }
 
-// IsolatedStage is one pipeline stage wrapped in its own protection
-// domain.
-type IsolatedStage struct {
-	Domain *sfi.Domain
-	RRef   *sfi.RRef[Operator]
+// NewIsolatedPipeline exports each operator into a fresh domain under mgr.
+// Each domain's recovery function re-exports a fresh operator produced by
+// the corresponding factory (falling back to reusing the operator when no
+// factory is given).
+func NewIsolatedPipeline(mgr *sfi.Manager, ops []Operator, factories []func() Operator) (*Pipeline, error) {
+	p := &Pipeline{mgr: mgr}
+	for i, op := range ops {
+		d := mgr.NewDomain(fmt.Sprintf("stage-%d-%s", i, op.Name()))
+		rref, err := sfi.Export[Operator](d, op)
+		if err != nil {
+			return nil, fmt.Errorf("export stage %d: %w", i, err)
+		}
+		slot := rref.Slot()
+		var factory func() Operator
+		if factories != nil && i < len(factories) && factories[i] != nil {
+			factory = factories[i]
+		} else {
+			opCopy := op
+			factory = func() Operator { return opCopy }
+		}
+		d.SetRecovery(func(d *sfi.Domain) error {
+			return sfi.ExportAt[Operator](d, slot, factory())
+		})
+		p.stages = append(p.stages, stage{name: d.Name(), id: stageID(op), rref: rref})
+		p.domains = append(p.domains, d)
+	}
+	return p, nil
 }
 
-// IsolatedPipeline runs every stage in a separate protection domain,
-// replacing function calls with remote invocations (§3: "we use our SFI
-// library to isolate every pipeline component in a separate protection
-// domain").
-type IsolatedPipeline struct {
-	mgr    *sfi.Manager
-	stages []*IsolatedStage
-
-	// tracer/stageIDs mirror Pipeline's: stamps happen inside the stage
-	// domain, right after a successful ProcessBatch, while the batch is
-	// borrowed across the protection boundary.
-	tracer   *trace.Tracer
-	stageIDs []trace.Stage
-}
+// Domains returns an isolated pipeline's stage domains in stage order
+// (nil for a direct pipeline).
+func (p *Pipeline) Domains() []*sfi.Domain { return p.domains }
 
 // ErrStageFailed wraps a stage fault with its index.
 var ErrStageFailed = errors.New("netbricks: stage failed")
@@ -250,74 +261,60 @@ func (e *stageError) Error() string {
 
 func (e *stageError) Unwrap() []error { return []error{ErrStageFailed, e.err} }
 
-// NewIsolatedPipeline exports each operator into a fresh domain under mgr.
-// Each domain's recovery function re-exports a fresh operator produced by
-// the corresponding factory (falling back to reusing the operator when no
-// factory is given).
-func NewIsolatedPipeline(mgr *sfi.Manager, stages []Operator, factories []func() Operator) (*IsolatedPipeline, error) {
-	ip := &IsolatedPipeline{mgr: mgr, stageIDs: stageIDsFor(stages)}
-	for i, op := range stages {
-		d := mgr.NewDomain(fmt.Sprintf("stage-%d-%s", i, op.Name()))
-		rref, err := sfi.Export[Operator](d, op)
-		if err != nil {
-			return nil, fmt.Errorf("export stage %d: %w", i, err)
-		}
-		slot := rref.Slot()
-		var factory func() Operator
-		if factories != nil && i < len(factories) && factories[i] != nil {
-			factory = factories[i]
+// Process runs the batch through every stage. Ownership of the batch moves
+// into Process and back out through the return value, and from stage to
+// stage in between: each hand-off is a move, so the previous holder's
+// handle dies, exactly as NetBricks' linear types guarantee that "only one
+// pipeline stage can access the batch at any time". An isolated stage's
+// move carries the batch across its protection boundary — zero copies —
+// and back. A stage fault returns an error wrapping ErrStageFailed: a
+// direct stage hands the batch back with it, while an isolated stage's
+// batch is lost with the call (and a panic's error wraps
+// sfi.ErrDomainFailed).
+func (p *Pipeline) Process(b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
+	for i := range p.stages {
+		st := &p.stages[i]
+		var err error
+		if st.rref != nil {
+			b, err = sfi.CallMove(st.rref, "process", b,
+				func(op Operator, batch linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
+					return p.run(op, st.id, batch)
+				})
 		} else {
-			opCopy := op
-			factory = func() Operator { return opCopy }
+			var next linear.Owned[*Batch]
+			if next, err = b.Move(); err == nil {
+				b, err = p.run(st.op, st.id, next)
+			}
 		}
-		d.SetRecovery(func(d *sfi.Domain) error {
-			return sfi.ExportAt[Operator](d, slot, factory())
-		})
-		ip.stages = append(ip.stages, &IsolatedStage{Domain: d, RRef: rref})
-	}
-	return ip, nil
-}
-
-// SetTracer attaches the sampled packet tracer (see Pipeline.SetTracer).
-func (p *IsolatedPipeline) SetTracer(t *trace.Tracer) { p.tracer = t }
-
-// Stages exposes the isolated stages (for fault-injection tests and the
-// recovery benchmark).
-func (p *IsolatedPipeline) Stages() []*IsolatedStage { return p.stages }
-
-// Process runs the batch through every stage via remote invocation. The
-// batch crosses each protection boundary by move — zero copies — and
-// comes back the same way. If a stage panics, the batch is lost with the
-// failed domain and an error wrapping ErrStageFailed and
-// sfi.ErrDomainFailed is returned.
-func (p *IsolatedPipeline) Process(b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
-	for i, st := range p.stages {
-		out, err := sfi.CallMove(st.RRef, "process", b,
-			func(op Operator, batch linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
-				var perr error
-				if err := batch.With(func(bb *Batch) {
-					perr = op.ProcessBatch(bb)
-					if perr == nil && p.tracer != nil {
-						stampTraced(p.tracer, bb, p.stageIDs[i])
-					}
-				}); err != nil {
-					return batch, err
-				}
-				return batch, perr
-			})
 		if err != nil {
-			return linear.Owned[*Batch]{}, &stageError{index: i, name: st.Domain.Name(), err: err}
+			return b, &stageError{index: i, name: st.name, err: err}
 		}
-		b = out
 	}
 	return b, nil
 }
 
-// Recover recovers every failed stage domain.
-func (p *IsolatedPipeline) Recover() error {
-	for _, st := range p.stages {
-		if st.Domain.Failed() {
-			if err := p.mgr.Recover(st.Domain); err != nil {
+// run is one stage's body, the same on either side of a protection
+// boundary: op processes the borrowed batch, and on success the batch's
+// armed spans are stamped at id.
+func (p *Pipeline) run(op Operator, id trace.Stage, b linear.Owned[*Batch]) (linear.Owned[*Batch], error) {
+	var perr error
+	if err := b.With(func(batch *Batch) {
+		perr = op.ProcessBatch(batch)
+		if perr == nil && p.tracer != nil {
+			stampTraced(p.tracer, batch, id)
+		}
+	}); err != nil {
+		return b, err
+	}
+	return b, perr
+}
+
+// Recover recovers every failed stage domain. A direct pipeline has none:
+// its runner rebuilds it instead.
+func (p *Pipeline) Recover() error {
+	for _, d := range p.domains {
+		if d.Failed() {
+			if err := p.mgr.Recover(d); err != nil {
 				return err
 			}
 		}

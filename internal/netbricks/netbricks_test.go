@@ -22,12 +22,12 @@ func newPort(t *testing.T, pool int) *dpdk.Port {
 
 // single is the paper's one-thread run: one worker on a single-queue
 // port, over a pipeline the test built itself.
-func single(port *dpdk.Port, batch int, direct *Pipeline, isolated *IsolatedPipeline) *ShardedRunner {
+func single(port *dpdk.Port, batch int, direct, isolated *Pipeline) *ShardedRunner {
 	r := &ShardedRunner{Port: port, Workers: 1, BatchSize: batch}
 	if direct != nil {
 		r.NewDirect = func(int) *Pipeline { return direct }
 	} else {
-		r.NewIsolated = func(int) (*IsolatedPipeline, error) { return isolated, nil }
+		r.NewIsolated = func(int) (*Pipeline, error) { return isolated, nil }
 	}
 	return r
 }
@@ -112,10 +112,10 @@ func TestIsolatedPipelineProcesses(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 	// Every stage domain saw every batch.
-	for _, st := range ip.Stages() {
-		calls, _, _, _, _ := st.Domain.Stats.Snapshot()
+	for _, d := range ip.Domains() {
+		calls, _, _, _, _ := d.Stats.Snapshot()
 		if calls != 5 {
-			t.Fatalf("stage %s calls = %d, want 5", st.Domain.Name(), calls)
+			t.Fatalf("stage %s calls = %d, want 5", d.Name(), calls)
 		}
 	}
 }
@@ -180,9 +180,9 @@ func TestIsolatedPipelineFaultContainmentAndRecovery(t *testing.T) {
 	if port.PoolAvailable() != 64 {
 		t.Fatalf("pool leak after fault: %d", port.PoolAvailable())
 	}
-	for _, st := range ip.Stages() {
-		if st.Domain.Failed() {
-			t.Fatalf("stage %s still failed", st.Domain.Name())
+	for _, d := range ip.Domains() {
+		if d.Failed() {
+			t.Fatalf("stage %s still failed", d.Name())
 		}
 	}
 }
@@ -203,11 +203,12 @@ func TestIsolatedPipelineFaultWithoutRecoveryStops(t *testing.T) {
 	}
 }
 
-// TestStagePanicErrorText pins the error an isolated pipeline returns for
-// a stage panic — its text, the fmt.Errorf text of the parent of the
-// typed errors byte for byte, and both sentinels it wraps. A supervised
-// worker's domain adds "domain worker-N: " in front (domain's
-// TestFaultErrorText).
+// TestStagePanicErrorText pins the error a pipeline returns for a stage
+// fault. An isolated stage's panic: its text, the fmt.Errorf text of the
+// parent of the typed errors byte for byte, and both sentinels it wraps.
+// A supervised worker's domain adds "domain worker-N: " in front
+// (domain's TestFaultErrorText). A direct stage's error is the same
+// stageError, named by its operator, wrapping the stage's own error.
 func TestStagePanicErrorText(t *testing.T) {
 	ip, err := NewIsolatedPipeline(sfi.NewManager(), []Operator{NullFilter{}, &FaultInjector{PanicOn: 1}}, nil)
 	if err != nil {
@@ -220,6 +221,20 @@ func TestStagePanicErrorText(t *testing.T) {
 	}
 	if !errors.Is(err, ErrStageFailed) || !errors.Is(err, sfi.ErrDomainFailed) {
 		t.Fatalf("err = %v, want ErrStageFailed and sfi.ErrDomainFailed", err)
+	}
+
+	bad := errors.New("bad packet")
+	pl := NewPipeline(NullFilter{}, Transform{Label: "reject", Fn: func(*packet.Packet) error { return bad }})
+	out, err := pl.Process(linear.New(&Batch{Pkts: []*packet.Packet{{}}}))
+	const wantDirect = "stage 1 (reject): netbricks: stage failed: bad packet"
+	if err == nil || err.Error() != wantDirect {
+		t.Fatalf("direct err = %v\nwant  %s", err, wantDirect)
+	}
+	if !errors.Is(err, ErrStageFailed) || !errors.Is(err, bad) {
+		t.Fatalf("direct err = %v, want ErrStageFailed and the stage's own error", err)
+	}
+	if !out.Valid() {
+		t.Fatal("a direct stage's error lost the batch; it hands the batch back")
 	}
 }
 
@@ -238,7 +253,7 @@ func TestRunnerValidation(t *testing.T) {
 		t.Fatal("runner with zero batch size accepted")
 	}
 	both := single(port, 4, NewPipeline(), nil)
-	both.NewIsolated = func(int) (*IsolatedPipeline, error) { return &IsolatedPipeline{}, nil }
+	both.NewIsolated = func(int) (*Pipeline, error) { return &Pipeline{}, nil }
 	if _, err := both.Run(1); err == nil {
 		t.Fatal("runner with both pipelines accepted")
 	}
@@ -305,7 +320,7 @@ func TestIsolationOverheadScalesWithStages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	mk := func(n int) (*IsolatedPipeline, *Pipeline) {
+	mk := func(n int) (*Pipeline, *Pipeline) {
 		var ops []Operator
 		for i := 0; i < n; i++ {
 			ops = append(ops, NullFilter{})
@@ -317,7 +332,7 @@ func TestIsolationOverheadScalesWithStages(t *testing.T) {
 		}
 		return ip, NewPipeline(ops...)
 	}
-	run := func(ip *IsolatedPipeline, pl *Pipeline, batches int) (int, int) {
+	run := func(ip, pl *Pipeline, batches int) (int, int) {
 		isoCalls := 0
 		for i := 0; i < batches; i++ {
 			b := linear.New(&Batch{})
@@ -342,8 +357,8 @@ func TestIsolationOverheadScalesWithStages(t *testing.T) {
 	}
 	ip5, pl5 := mk(5)
 	run(ip5, pl5, 100)
-	for _, st := range ip5.Stages() {
-		calls, _, _, _, _ := st.Domain.Stats.Snapshot()
+	for _, d := range ip5.Domains() {
+		calls, _, _, _, _ := d.Stats.Snapshot()
 		if calls != 100 {
 			t.Fatalf("stage saw %d calls, want 100", calls)
 		}

@@ -65,7 +65,7 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	var builds atomic.Int32
 	r := &ShardedRunner{
 		Port: port, Workers: 1, BatchSize: 4, Supervise: true,
-		NewIsolated: func(int) (*IsolatedPipeline, error) {
+		NewIsolated: func(int) (*Pipeline, error) {
 			return NewIsolatedPipeline(mgr, []Operator{&reuseStage{parked: builds.Add(1) == 1, t: tr}}, nil)
 		},
 		Policy: domain.Policy{

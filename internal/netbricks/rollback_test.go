@@ -97,14 +97,14 @@ func (s *countingStage) ProcessBatch(b *netbricks.Batch) error {
 
 func TestStageFaultRollsBackToCheckpoint(t *testing.T) {
 	const batch, n = 4, 400
-	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, Gen: &dpdk.UniformFlows{Base: dpdk.DefaultSpec(), Flows: 8}})
+	port := dpdk.NewPort(dpdk.Config{PoolSize: 64, QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 8, 1)})
 	leakcheck.Pool(t, "port", port.PoolAvailable)
 	fc := &flowCounter{st: newCounterState()}
 	r := &netbricks.ShardedRunner{
 		Port: port, Workers: 1, BatchSize: batch, Supervise: true,
 		Policy:   domain.Policy{Backoff: 20 * time.Microsecond, CheckpointEvery: time.Millisecond},
 		NewState: func(int) domain.Stateful { return fc },
-		NewIsolated: func(int) (*netbricks.IsolatedPipeline, error) {
+		NewIsolated: func(int) (*netbricks.Pipeline, error) {
 			return netbricks.NewIsolatedPipeline(sfi.NewManager(),
 				[]netbricks.Operator{netbricks.Parse{}, &countingStage{f: fc, armed: true}},
 				[]func() netbricks.Operator{nil, func() netbricks.Operator { return &countingStage{f: fc} }})

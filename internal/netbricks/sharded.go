@@ -87,7 +87,7 @@ type ShardedRunner struct {
 	// NewDirect and NewIsolated are alternatives; exactly one must be
 	// set. The factory runs once per worker, before traffic starts.
 	NewDirect   func(worker int) *Pipeline
-	NewIsolated func(worker int) (*IsolatedPipeline, error)
+	NewIsolated func(worker int) (*Pipeline, error)
 	// AutoRecover makes workers recover their pipeline after a faulted
 	// batch and continue, instead of stopping with the fault as their
 	// error. (A panic in a direct pipeline of an unsupervised worker still

@@ -60,7 +60,7 @@ func TestShardedRunnerIsolated(t *testing.T) {
 	port := newShardedPort(t, workers, 512)
 	r := &ShardedRunner{
 		Port: port, Workers: workers, BatchSize: 8,
-		NewIsolated: func(int) (*IsolatedPipeline, error) {
+		NewIsolated: func(int) (*Pipeline, error) {
 			return NewIsolatedPipeline(sfi.NewManager(), []Operator{Parse{}, NullFilter{}, NullFilter{}}, nil)
 		},
 	}
@@ -159,7 +159,7 @@ func TestShardedRunnerRace(t *testing.T) {
 	port := newShardedPort(t, workers, 1024)
 	r := &ShardedRunner{
 		Port: port, Workers: workers, BatchSize: 8,
-		NewIsolated: func(int) (*IsolatedPipeline, error) {
+		NewIsolated: func(int) (*Pipeline, error) {
 			// Mutating every packet in every stage would race instantly if
 			// two workers ever shared a batch; linear moves make it safe.
 			bump := Transform{Label: "bump", Fn: func(p *packet.Packet) error {
@@ -188,7 +188,7 @@ func TestShardedRunnerFaultRecovery(t *testing.T) {
 	port := newShardedPort(t, workers, 1024)
 	r := &ShardedRunner{
 		Port: port, Workers: workers, BatchSize: 8, AutoRecover: true,
-		NewIsolated: func(w int) (*IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*Pipeline, error) {
 			inj := &FaultInjector{}
 			if w == 1 {
 				inj.PanicOn = 5
@@ -223,7 +223,7 @@ func TestShardedRunnerFaultWithoutRecoveryStopsWorker(t *testing.T) {
 	port := newShardedPort(t, workers, 512)
 	r := &ShardedRunner{
 		Port: port, Workers: workers, BatchSize: 8,
-		NewIsolated: func(w int) (*IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*Pipeline, error) {
 			inj := &FaultInjector{}
 			if w == 0 {
 				inj.PanicOn = 3
@@ -283,7 +283,7 @@ func TestShardedRunnerValidation(t *testing.T) {
 		{"no pipeline", &ShardedRunner{Port: port, Workers: 2, BatchSize: 4}},
 		{"both pipelines", &ShardedRunner{Port: port, Workers: 2, BatchSize: 4,
 			NewDirect: direct,
-			NewIsolated: func(int) (*IsolatedPipeline, error) {
+			NewIsolated: func(int) (*Pipeline, error) {
 				return NewIsolatedPipeline(sfi.NewManager(), []Operator{NullFilter{}}, nil)
 			}}},
 		{"nil port", &ShardedRunner{Workers: 2, BatchSize: 4, NewDirect: direct}},
@@ -310,7 +310,7 @@ func TestShardedRunnerIsolatedFactoryError(t *testing.T) {
 	boom := errors.New("factory failed")
 	r := &ShardedRunner{
 		Port: port, Workers: 2, BatchSize: 4,
-		NewIsolated: func(w int) (*IsolatedPipeline, error) {
+		NewIsolated: func(w int) (*Pipeline, error) {
 			if w == 1 {
 				return nil, boom
 			}
@@ -399,7 +399,7 @@ func TestOneRunnerEveryConfiguration(t *testing.T) {
 				Policy:    domain.Policy{Backoff: 20 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1},
 			}
 			if c.isolated {
-				r.NewIsolated = func(w int) (*IsolatedPipeline, error) {
+				r.NewIsolated = func(w int) (*Pipeline, error) {
 					ops := stages(w)
 					return NewIsolatedPipeline(sfi.NewManager(), ops,
 						[]func() Operator{nil, nil, func() Operator { return ops[2] }})

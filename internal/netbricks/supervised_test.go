@@ -12,7 +12,7 @@ import (
 
 // TestSupervisedStageRRefFailsClosedAcrossRestart is the paper's §3
 // recovery under supervision: a supervised domain serves an
-// IsolatedPipeline whose second stage panics on its second batch. The
+// isolated pipeline whose second stage panics on its second batch. The
 // panic tears the stage's protection domain down, so its RRef fails
 // closed until the supervisor's restart runs the pipeline's Recover,
 // which re-exports a fresh operator into the same slot; the same RRef
@@ -24,7 +24,7 @@ func TestSupervisedStageRRefFailsClosedAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stage := ip.Stages()[1]
+	dom, rref := ip.domains[1], ip.stages[1].rref
 
 	sup := domain.NewSupervisor(domain.Policy{Backoff: 20 * time.Microsecond, MaxRestarts: -1})
 	defer sup.Close()
@@ -60,10 +60,10 @@ func TestSupervisedStageRRefFailsClosedAcrossRestart(t *testing.T) {
 		t.Fatalf("second batch: %v, want the stage panic (sfi.ErrDomainFailed)", err)
 	}
 	// Between the fault and the restart, the stage's RRef fails closed.
-	if !stage.Domain.Failed() {
+	if !dom.Failed() {
 		t.Fatal("the panic did not tear the stage's protection domain down")
 	}
-	if err := stage.RRef.Call("peek", func(Operator) error { return nil }); !errors.Is(err, sfi.ErrDomainFailed) {
+	if err := rref.Call("peek", func(Operator) error { return nil }); !errors.Is(err, sfi.ErrDomainFailed) {
 		t.Fatalf("RRef call before the restart: %v, want sfi.ErrDomainFailed", err)
 	}
 	close(checked)
@@ -73,7 +73,7 @@ func TestSupervisedStageRRefFailsClosedAcrossRestart(t *testing.T) {
 	if err := serve(); err != nil {
 		t.Fatalf("batch after the restart: %v", err)
 	}
-	op, err := sfi.CallResult(stage.RRef, "peek", func(op Operator) (Operator, error) { return op, nil })
+	op, err := sfi.CallResult(rref, "peek", func(op Operator) (Operator, error) { return op, nil })
 	if err != nil {
 		t.Fatalf("RRef call after the restart: %v", err)
 	}

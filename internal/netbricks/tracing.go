@@ -40,19 +40,14 @@ func stampTraced(t *trace.Tracer, b *Batch, st trace.Stage) {
 	}
 }
 
-// stageIDsFor maps each operator's Name onto its stamp position.
-// Operators outside the known NF set map to the NumStages sentinel and
-// are never stamped.
-func stageIDsFor(stages []Operator) []trace.Stage {
-	ids := make([]trace.Stage, len(stages))
-	for i, st := range stages {
-		id, ok := trace.StageForName(st.Name())
-		if !ok {
-			id = trace.NumStages
-		}
-		ids[i] = id
+// stageID maps an operator's Name onto its stamp position. Operators
+// outside the known NF set map to the NumStages sentinel and are never
+// stamped.
+func stageID(op Operator) trace.Stage {
+	if id, ok := trace.StageForName(op.Name()); ok {
+		return id
 	}
-	return ids
+	return trace.NumStages
 }
 
 // mailboxStageClock wires the tracer into a supervised worker's mailbox:

@@ -32,13 +32,14 @@ type worker struct {
 	pipe atomic.Pointer[workerPipeline]
 }
 
-// workerPipeline is either pipeline driver behind one call shape.
+// workerPipeline is one build of the worker's pipeline.
 type workerPipeline struct {
-	process func(linear.Owned[*Batch]) (linear.Owned[*Batch], error)
-	recover func() error
-	// serving counts serve calls inside process. recover runs between
+	p *Pipeline
+	// serving counts serve calls inside p. recover runs between
 	// generations, so a nonzero count there is a serve the supervisor
 	// abandoned (hung, or a superseded sibling) that is still running.
+	// It counts per build, not per pipeline: a factory may return the
+	// same pipeline twice.
 	serving atomic.Int32
 }
 
@@ -56,27 +57,19 @@ func (r *ShardedRunner) newWorker(q, depth int) (*worker, error) {
 }
 
 // build constructs the worker's pipeline from the runner's factory. This
-// is the only place the direct/isolated choice is made and the only place
-// a tracer is attached.
+// is the only place a tracer is attached.
 func (w *worker) build() error {
+	var p *Pipeline
 	if w.r.NewDirect != nil {
-		p := w.r.NewDirect(w.q)
-		p.SetTracer(w.r.Tracer)
-		w.pipe.Store(&workerPipeline{
-			process: p.Process,
-			// A direct pipeline has no stage domains to recover: it is
-			// rebuilt, operator state reinitialized from clean exactly
-			// like a re-exported stage after §3 recovery.
-			recover: w.build,
-		})
-		return nil
+		p = w.r.NewDirect(w.q)
+	} else {
+		var err error
+		if p, err = w.r.NewIsolated(w.q); err != nil {
+			return err
+		}
 	}
-	ip, err := w.r.NewIsolated(w.q)
-	if err != nil {
-		return err
-	}
-	ip.SetTracer(w.r.Tracer)
-	w.pipe.Store(&workerPipeline{process: ip.Process, recover: ip.Recover})
+	p.SetTracer(w.r.Tracer)
+	w.pipe.Store(&workerPipeline{p: p})
 	return nil
 }
 
@@ -141,7 +134,7 @@ func (w *worker) serve(msg linear.Owned[*Batch]) (err error) {
 	pipe := w.pipe.Load()
 	pipe.serving.Add(1)
 	defer pipe.serving.Add(-1)
-	out, err = pipe.process(msg)
+	out, err = pipe.p.Process(msg)
 	w.stats.Latency.ObserveNanos(int64(time.Since(start)))
 	return err
 }
@@ -178,18 +171,23 @@ func (w *worker) settle(out, msg linear.Owned[*Batch], batch *Batch, faulted boo
 	w.free.put(held, b)
 }
 
-// recover brings the pipeline back after a fault serve reported. A serve
-// still inside the pipeline was abandoned mid-call and may hold a bound
-// stage instance: recovering that stage in place would retire the
-// instance under it, so the next generation gets a pipeline of its own
-// and the abandoned call finishes in the old one.
+// recover brings the pipeline back after a fault serve reported: failed
+// stage domains recover in place. A pipeline with no domains is rebuilt
+// instead, operator state reinitialized from clean exactly like a
+// re-exported stage after §3 recovery. So is one a serve is still inside:
+// that serve was abandoned mid-call and may hold a bound stage instance,
+// and recovering the stage in place would retire the instance under it,
+// so the next generation gets a pipeline of its own and the abandoned
+// call finishes in the old one.
 func (w *worker) recover() error {
-	p := w.pipe.Load()
-	recoverFn := p.recover
-	if p.serving.Load() > 0 {
-		recoverFn = w.build
+	wp := w.pipe.Load()
+	var err error
+	if len(wp.p.domains) == 0 || wp.serving.Load() > 0 {
+		err = w.build()
+	} else {
+		err = wp.p.Recover()
 	}
-	if err := recoverFn(); err != nil {
+	if err != nil {
 		return err
 	}
 	w.stats.Recovered.Add(1)

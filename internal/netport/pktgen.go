@@ -13,9 +13,9 @@ import (
 )
 
 // Pktgen sends synthetic frames to a UDP target. Flows are derived from
-// Base by the same SrcIP/SrcPort walk dpdk.UniformFlows performs, so the
-// receiving port's RSS steering spreads them across queues the way the
-// simulated multi-queue port's traffic spreads.
+// Base by the same SrcIP/SrcPort walk dpdk.NewRSSPartition performs, so
+// the receiving port's RSS steering spreads them across queues the way
+// the simulated multi-queue port's traffic spreads.
 type Pktgen struct {
 	// Target is the UDP address to send to.
 	Target string
