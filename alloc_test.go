@@ -271,8 +271,8 @@ func TestFaultAllocBudget(t *testing.T) {
 		faultEvery = 2000
 		// A whole number of fault periods: the fault stage's count carries
 		// across Runs, so each Run faults first faultEvery batches in,
-		// well past its first 10ms epoch (an earlier fault would
-		// cold-start, and chaosRuns fails the Run).
+		// well past its first 10ms epoch: every restore is of a learned
+		// epoch, not of Spawn's seed.
 		batchesPerWorker = 25 * faultEvery
 		runs             = 2
 		maxAllocs        = 20

@@ -631,8 +631,7 @@ type chaosCost struct {
 
 // chaosRuns runs r runs times over batchesPerWorker batches per worker
 // and counts what those runs allocate. Each Run boots fresh domains, and
-// a fault that beat a Run's first epoch would cold-start instead of
-// restoring, so every Run is checked to have restored every fault.
+// every Run is checked to have restored on every restart.
 func chaosRuns(tb testing.TB, r *netbricks.ShardedRunner, runs, batchesPerWorker int) chaosCost {
 	tb.Helper()
 	var c chaosCost
@@ -643,8 +642,9 @@ func chaosRuns(tb testing.TB, r *netbricks.ShardedRunner, runs, batchesPerWorker
 			tb.Fatal(err)
 		}
 		sn, ok := r.SupervisorSnapshot()
-		if !ok || sn.ColdStarts != 0 {
-			tb.Fatalf("run %d: snapshot ok=%v, %d cold starts; every fault should restore", i, ok, sn.ColdStarts)
+		if !ok || sn.ColdStarts != 0 || sn.Restores < sn.Restarts {
+			tb.Fatalf("run %d: snapshot ok=%v, %d cold starts, %d restores over %d restarts; every restart should restore",
+				i, ok, sn.ColdStarts, sn.Restores, sn.Restarts)
 		}
 		c.faults += sn.Crashes + sn.Errors + sn.Hangs
 		c.restores += sn.Restores

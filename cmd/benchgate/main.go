@@ -5,9 +5,10 @@
 //	go test -run='^$' -bench='NetportLoopback$' ./internal/netport \
 //	    | benchgate -bench BenchmarkNetportLoopback -metric pps -min 320000
 //
-// reads `go test -bench` output on stdin (echoed unchanged, like
-// benchjson) and exits nonzero if the named benchmark's metric is
-// missing or out of bounds. Three gate shapes compose:
+// reads `go test -bench` output on stdin (echoed unchanged, keeping the
+// human-readable table in the terminal and in CI logs) and exits nonzero
+// if the named benchmark's metric is missing or out of bounds. Three
+// gate shapes compose:
 //
 //   - -min: an absolute floor (throughput must not regress). Floors are
 //     set ~20% under the recorded number so scheduler noise does not
@@ -19,10 +20,18 @@
 //     benchmark from the same input — the gated bench's metric must be
 //     at least F times B's. This is how the traced loopback proves it
 //     sustains >= 98% of the untraced run's pps.
+//
+// -out FILE also writes every benchmark's metrics (name → unit → value,
+// every value/unit pair go test prints) to FILE as indented JSON, so a
+// micro-benchmark record (`make bench`: BENCH_telemetry.json) can be
+// diffed across commits; with -out, -bench is optional:
+//
+//	go test -run='^$' -bench=Telemetry -benchmem ./internal/telemetry | benchgate -out BENCH_telemetry.json
 package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -40,21 +49,28 @@ var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchgate: ")
-	bench := flag.String("bench", "", "benchmark name to gate (required)")
+	bench := flag.String("bench", "", "benchmark name to gate (required without -out)")
 	metric := flag.String("metric", "pps", "metric unit to compare")
 	min := flag.Float64("min", math.Inf(-1), "floor: fail if the metric is below this")
 	max := flag.Float64("max", math.Inf(1), "ceiling: fail if the metric is above this")
 	baseline := flag.String("baseline", "", "benchmark to compare against (relative gate)")
 	minFrac := flag.Float64("min-frac", 0, "relative floor: fail if metric < min-frac * baseline's metric")
+	out := flag.String("out", "", "also write every benchmark's metrics to this JSON file")
 	flag.Parse()
-	if *bench == "" {
-		log.Fatal("-bench is required")
+	if *bench == "" && *out == "" {
+		log.Fatal("-bench is required without -out")
 	}
 	if (*baseline == "") != (*minFrac == 0) {
 		log.Fatal("-baseline and -min-frac must be used together")
 	}
 
 	results := fromStdin()
+	if *out != "" {
+		writeJSON(*out, results)
+	}
+	if *bench == "" {
+		return
+	}
 	value, found := results[*bench][*metric]
 	if !found {
 		log.Fatalf("benchmark %s has no %q metric", *bench, *metric)
@@ -127,4 +143,20 @@ func fromStdin() map[string]map[string]float64 {
 		log.Fatal("benchmark run did not report PASS")
 	}
 	return results
+}
+
+// writeJSON writes results to path, two-space indented with a trailing
+// newline.
+func writeJSON(path string, results map[string]map[string]float64) {
+	if len(results) == 0 {
+		log.Fatal("no benchmark lines on stdin")
+	}
+	buf, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("wrote %d benchmarks to %s", len(results), path)
 }

@@ -337,10 +337,9 @@ func run(o options, out io.Writer) error {
 
 	runner := &netbricks.ShardedRunner{
 		Port: port, Workers: o.workers, BatchSize: batchSize,
-		Supervise:   true,
-		AutoRecover: true,
-		Registry:    reg,
-		Tracer:      tracer,
+		Supervise: true,
+		Registry:  reg,
+		Tracer:    tracer,
 		Policy: domain.Policy{
 			HangAfter:       hangAfter,
 			Recorder:        rec,
@@ -430,8 +429,8 @@ func run(o options, out io.Writer) error {
 	}
 	if sn, ok := runner.SupervisorSnapshot(); ok {
 		if o.checkpointEvery > 0 {
-			fmt.Fprintf(out, "checkpoint: %s epochs: %d taken (%d failed), %d restores, %d cold starts\n",
-				o.checkpointEvery, sn.Checkpoints, sn.CheckpointFailures, sn.Restores, sn.ColdStarts)
+			fmt.Fprintf(out, "checkpoint: %s epochs: %d taken (%d failed), %d restores\n",
+				o.checkpointEvery, sn.Checkpoints, sn.CheckpointFailures, sn.Restores)
 		}
 		fmt.Fprintf(out, "supervisor: %d restarts (%d errors, %d crashes, %d hangs)\n",
 			sn.Restarts, sn.Errors, sn.Crashes, sn.Hangs)

@@ -155,7 +155,7 @@ func summaryLine(t *testing.T, out, label string) string {
 
 // TestRunRecoversEveryFault runs the command's one configuration over
 // the simulated NIC under chaos: every injected fault is recovered, each
-// recovery is a restore or a cold start, and the port conserves packets
+// recovery is a restore, and the port conserves packets
 // (one batch lost per fault, the rest transmitted).
 func TestRunRecoversEveryFault(t *testing.T) {
 	var out strings.Builder
@@ -168,21 +168,20 @@ func TestRunRecoversEveryFault(t *testing.T) {
 	var rx, tx int
 	fmt.Sscanf(summaryLine(t, out.String(), "port:"), "port: rx=%d tx=%d", &rx, &tx)
 	var every string
-	var taken, failed, restores, cold int
-	fmt.Sscanf(summaryLine(t, out.String(), "checkpoint:"), "checkpoint: %s epochs: %d taken (%d failed), %d restores, %d cold starts",
-		&every, &taken, &failed, &restores, &cold)
-	if faults == 0 || recovered != faults || restores+cold != recovered || rx-tx != faults*batchSize {
-		t.Fatalf("faults=%d recovered=%d restores=%d cold=%d rx=%d tx=%d\n%s",
-			faults, recovered, restores, cold, rx, tx, out.String())
+	var taken, failed, restores int
+	fmt.Sscanf(summaryLine(t, out.String(), "checkpoint:"), "checkpoint: %s epochs: %d taken (%d failed), %d restores",
+		&every, &taken, &failed, &restores)
+	if faults == 0 || recovered != faults || restores != recovered || rx-tx != faults*batchSize {
+		t.Fatalf("faults=%d recovered=%d restores=%d rx=%d tx=%d\n%s",
+			faults, recovered, restores, rx, tx, out.String())
 	}
 }
 
 // TestRunRestoresAcrossRuns: a second run over the same -state-dir boots
-// every worker from its last durable epoch, with no cold start. A
-// worker's first epoch is due 2 ms after it starts, so the first run
-// serves tens of milliseconds of batches and must leave an epoch for
-// every worker in the store; a run shorter than 2 ms left the second
-// run a cold start to make.
+// every worker from its last durable epoch, one restore each. A worker's
+// first epoch is due 2 ms after it starts, so the first run serves tens
+// of milliseconds of batches and must leave an epoch for every worker in
+// the store; a worker without one would boot on empty tables instead.
 func TestRunRestoresAcrossRuns(t *testing.T) {
 	o := options{workers: 2, batches: 3000, checkpointEvery: 2 * time.Millisecond, stateDir: t.TempDir()}
 	var first, second strings.Builder
@@ -204,7 +203,7 @@ func TestRunRestoresAcrossRuns(t *testing.T) {
 	if err := run(o, &second); err != nil {
 		t.Fatalf("second run: %v\n%s", err, second.String())
 	}
-	if l := summaryLine(t, second.String(), "checkpoint:"); !strings.HasSuffix(l, "2 restores, 0 cold starts") {
+	if l := summaryLine(t, second.String(), "checkpoint:"); !strings.HasSuffix(l, ", 2 restores") {
 		t.Fatalf("second run: %s\nfirst run:\n%s", l, first.String())
 	}
 }

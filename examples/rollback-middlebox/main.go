@@ -62,12 +62,6 @@ func (m *monitor) Restore(token any) error {
 	return nil
 }
 
-func (m *monitor) Reset() {
-	m.mu.Lock()
-	m.st = newMonitorState()
-	m.mu.Unlock()
-}
-
 // monitorStage is the pipeline stage counting into the monitor; recovery
 // re-exports a fresh one. It is a slow middlebox, a millisecond per
 // batch, so a 3ms checkpoint epoch is about three batches long.

@@ -12,10 +12,10 @@ package domain
 // hold references; Stateful implementations lock against that.)
 //
 // On restart the supervisor's monitor goroutine hands the last *good*
-// checkpoint to Restore instead of cold-starting: a fault mid-traversal
-// discards the half-built snapshot (it was never published) and the
-// previous token stands. Only a domain with no completed epoch resets to
-// zero state.
+// checkpoint to Restore: a fault mid-traversal discards the half-built
+// snapshot (it was never published) and the previous token stands. Spawn
+// seeds that token before the domain first serves, so there always is
+// one: a restart always restores.
 //
 // An epoch's buffer has one owner at every instant (DESIGN.md, "Who owns
 // an epoch buffer"; takeCheckpoint has the hand-back rules).
@@ -33,10 +33,11 @@ import (
 
 // Stateful is the contract a domain's NF state implements to opt into
 // checkpointed recovery — the runtime-level shape of the paper's
-// Checkpointable trait. Implementations own their synchronization:
-// Checkpoint/Restore/Reset must take the state's internal lock, because
-// an abandoned (hung, superseded) generation can still be touching the
-// state when the current generation snapshots or the monitor restores.
+// Checkpointable trait; Spawn takes its first checkpoint. Implementations
+// own their synchronization: Checkpoint and Restore must take the state's
+// internal lock, because an abandoned (hung, superseded) generation can
+// still be touching the state when the current generation snapshots or
+// the monitor restores.
 type Stateful interface {
 	// Checkpoint returns an opaque restore token capturing the state at
 	// this instant. e is an RcAware engine for states that snapshot by
@@ -53,9 +54,6 @@ type Stateful interface {
 	// DecodeToken) on a state of the same shape, and may be restored
 	// again later: Restore only reads it.
 	Restore(token any) error
-	// Reset reinitializes to clean boot state — the cold start taken
-	// when no checkpoint epoch has completed.
-	Reset()
 }
 
 // TokenCodec is the optional durability extension of Stateful: states
@@ -277,7 +275,8 @@ func (s *StateSet) Restore(token any) error {
 	})
 }
 
-// Reset cold-starts every part.
+// Reset returns every part to its boot state. A restart never resets (it
+// restores); the method stays for wrappers that decorate a set.
 func (s *StateSet) Reset() {
 	for _, p := range s.parts {
 		p.Reset()
@@ -311,7 +310,8 @@ func (s *StateSet) DecodeToken(data []byte) (any, error) {
 
 // ckptToken is one published checkpoint: the adapter's opaque token plus
 // the serving epoch and wall time it was taken at. seq is the durable
-// sequence number (0 when persistence is off). A nil token is a durable
+// sequence number (0 when persistence is off, and for a RAM seed, which
+// Spawn takes at epoch 0). A nil token is a durable
 // reference: the epoch is the store's newest record for the domain, seq,
 // and a restore reads it back through LastEpoch. A record is written only
 // while nobody else can read it: before publish, under gmu while its
@@ -346,8 +346,8 @@ type ckptState struct {
 	// Durability (nil/zero when Policy.Persist is unset): every published
 	// epoch is encoded through codec and appended to persist under a
 	// per-domain monotonic sequence, and Spawn seeds last from the store's
-	// newest durable epoch so process restarts restore instead of
-	// cold-starting.
+	// newest durable epoch when it holds one, so a process restart
+	// restores where the dead process stopped.
 	persist Persister
 	codec   TokenCodec
 	seq     atomic.Uint64
@@ -362,7 +362,6 @@ type ckptState struct {
 	taken         telemetry.Counter
 	failed        telemetry.Counter
 	restores      telemetry.Counter
-	coldStarts    telemetry.Counter
 	persisted     telemetry.Counter
 	persistFailed telemetry.Counter
 	ckptLat       telemetry.Histogram
@@ -423,7 +422,8 @@ func (d *Domain[T]) idleEpoch(now time.Time) time.Time {
 // (whether it held a buffer or referred to the store), and the next epoch
 // rewrites it: records rotate with their buffers, two of them. Anything
 // else — a superseded generation's buffer or record, a failed persist's
-// after a restart — is left to the collector.
+// after a restart, Spawn's RAM seed under a store — is left to the
+// collector.
 func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck := d.ck
 	start := d.now()
@@ -562,59 +562,69 @@ func (d *Domain[T]) restore(token any) error {
 	return nil
 }
 
-// loadDurable seeds the checkpoint machinery from the store's newest
-// durable epoch at Spawn time: a reference to it becomes the domain's
-// last good checkpoint (so even a pre-traffic fault restores it), the
-// sequence continues where the dead process stopped, and the state is
-// restored immediately — a process restart with ≥1 durable epoch
-// cold-starts nothing. Errors are Spawn errors: a store that cannot be
-// read or a token that cannot be decoded is a misconfiguration, not a
-// fault to retry through.
-func (d *Domain[T]) loadDurable() error {
+// seed gives the domain its first good epoch at Spawn, before it serves,
+// so every restart has one to restore: when Policy.Persist's store holds
+// an epoch for the domain, a reference to the newest, restored at once
+// with the sequence continued; otherwise one capture of the state as it
+// was built, a RAM epoch (epoch 0, seq 0) never given to the store. The
+// seed is not counted, timed or recorded as a taken checkpoint. Errors,
+// a capture's panic included, are Spawn errors: a misconfiguration, not
+// a fault to retry through.
+func (d *Domain[T]) seed() (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("seed checkpoint panic: %v", p)
+		}
+		if err != nil {
+			err = fmt.Errorf("domain %s: %w", d.name, err)
+		}
+	}()
 	ck := d.ck
-	token, seq, ok, err := d.durableToken(0)
+	if ck.persist != nil {
+		token, seq, ok, err := d.durableToken(0)
+		if err != nil {
+			return err
+		}
+		if ok {
+			ck.seq.Store(seq)
+			ck.last.Store(&ckptToken{seq: seq, at: d.now()})
+			if err := d.restore(token); err != nil {
+				return fmt.Errorf("restore durable epoch %d: %w", seq, err)
+			}
+			return nil
+		}
+	}
+	token, err := ck.state.Checkpoint(ck.engine)
 	if err != nil {
-		return fmt.Errorf("domain %s: %w", d.name, err)
+		return fmt.Errorf("seed checkpoint: %w", err)
 	}
-	if !ok {
-		return nil
-	}
-	ck.seq.Store(seq)
-	ck.last.Store(&ckptToken{seq: seq, at: d.now()})
-	if err := d.restore(token); err != nil {
-		return fmt.Errorf("domain %s: restore durable epoch %d: %w", d.name, seq, err)
-	}
+	ck.last.Store(&ckptToken{token: token, at: d.now()})
 	return nil
 }
 
-// restoreOrReset is the state half of a restart (recoverState). With a
-// good checkpoint the state is restored from the last token — read back
-// from the store when last is a durable reference, which must still be
-// the store's newest epoch; otherwise it cold-starts. A restore error, a
-// failed read included, is a fault (the streak grows toward stop), never
-// a silent cold start. The generation whose fault or supersession
-// scheduled the restart can no longer publish, and the next starts only
-// after this returns, so the token read here is not replaced or handed
-// back meanwhile (TestNoPublishOrHandBackDuringRestore).
-func (d *Domain[T]) restoreOrReset() error {
+// restoreLast is the state half of a restart (recoverState): the state
+// gets back the last good epoch, the seed until a periodic epoch
+// replaces it — read back from the store when last is a durable
+// reference, which must still be the store's newest epoch. A restore
+// error, a failed read included, is a fault (the streak grows toward
+// stop). The generation whose fault or supersession scheduled the
+// restart can no longer publish, and the next starts only after this
+// returns, so the token read here is not replaced or handed back
+// meanwhile (TestNoPublishOrHandBackDuringRestore).
+func (d *Domain[T]) restoreLast() error {
 	ck := d.ck
-	if last := ck.last.Load(); last != nil {
-		token := last.token
-		var err error
-		if token == nil {
-			token, _, _, err = d.durableToken(last.seq)
-		}
-		if err == nil {
-			err = d.restore(token)
-		}
-		if err != nil {
-			ck.failed.Add(1)
-			return fmt.Errorf("domain %s: restore checkpoint: %w", d.name, err)
-		}
-		return nil
+	last := ck.last.Load()
+	token := last.token
+	var err error
+	if token == nil {
+		token, _, _, err = d.durableToken(last.seq)
 	}
-	ck.state.Reset()
-	ck.coldStarts.Add(1)
-	d.rec.Record(d.actor, telemetry.EvColdStart, 0)
+	if err == nil {
+		err = d.restore(token)
+	}
+	if err != nil {
+		ck.failed.Add(1)
+		return fmt.Errorf("domain %s: restore checkpoint: %w", d.name, err)
+	}
 	return nil
 }

@@ -22,8 +22,9 @@ type kvState struct {
 
 	panicNext atomic.Bool // panic on the next Checkpoint call
 	resets    atomic.Int64
-	// captured, when set, is signalled after every completed capture, and
-	// served after every payload spawnDurableKV's handler stores.
+	// captured, when set, is signalled after every completed capture (the
+	// seed at Spawn included), and served after every payload the
+	// handlers of spawnDurableKV and TestDomainCrashMidCheckpoint store.
 	captured chan struct{}
 	served   chan struct{}
 }
@@ -132,6 +133,7 @@ func TestDomainCheckpointRestore(t *testing.T) {
 	st := newKVState()
 	st.captured = make(chan struct{}, 8)
 	d := spawnKV(t, sup, st)
+	<-st.captured // the seed, at Spawn
 	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 
 	if err := d.Inbox().Send(linear.New(1)); err != nil {
@@ -171,32 +173,48 @@ func TestDomainCheckpointRestore(t *testing.T) {
 	}
 }
 
-// TestDomainColdStartWithoutEpoch: a crash before any checkpoint epoch
-// completes falls back to Reset — cold start only at boot.
-func TestDomainColdStartWithoutEpoch(t *testing.T) {
-	p := ckptPolicy(time.Hour) // no epoch will complete
+// TestDomainHangBeforeFirstEpochRestoresSeed: a generation abandoned as
+// hung before any periodic epoch completes restarts on the epoch Spawn
+// seeded: the state comes back as Spawn found it, the data it was built
+// with included, and the write the hung invocation made is gone.
+func TestDomainHangBeforeFirstEpochRestoresSeed(t *testing.T) {
+	p := ckptPolicy(time.Hour) // no periodic epoch will complete
+	p.HangAfter = 5 * time.Millisecond
 	sup, fc := fakeSupervisor(p)
 	defer sup.Close()
 	st := newKVState()
-	d := spawnKV(t, sup, st)
-	fc.expectArmed(t, fc.now().Add(time.Hour))
-
-	for _, v := range []int{1, -1} {
-		if err := d.Inbox().Send(linear.New(v)); err != nil {
-			t.Fatal(err)
-		}
+	st.set("boot", 7)
+	entered, stall := make(chan struct{}), make(chan struct{})
+	defer close(stall)
+	d, err := Spawn(sup, Config[int]{
+		Name:  "kv-seed",
+		State: st,
+		Handler: func(msg linear.Owned[int]) error {
+			v, err := msg.Into()
+			if err != nil {
+				return err
+			}
+			st.set(fmt.Sprintf("k%d", v), v)
+			entered <- struct{}{}
+			<-stall
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fc.expectArmed(t, fc.now().Add(p.Backoff))
-	fc.step(t, p.Backoff)
-	fc.armed() // the restart, cold
-	if n := d.Snapshot().ColdStarts; n != 1 {
-		t.Fatalf("%d cold starts, want 1", n)
+	fc.expectArmed(t, fc.now().Add(p.hangTick()))
+	if err := d.Inbox().Send(linear.New(1)); err != nil {
+		t.Fatal(err)
 	}
-	if st.size() != 0 {
-		t.Fatalf("state size %d after cold start, want 0", st.size())
+	<-entered
+	awaitHangVerdict(t, fc, d, p, fc.now())
+	fc.next() // the restart, restoring the seed
+	if v, ok := st.get("boot"); !ok || v != 7 || st.size() != 1 {
+		t.Fatalf("boot = (%d, %v), state size %d: want the state Spawn found, {boot: 7}", v, ok, st.size())
 	}
-	if sn := d.Snapshot(); sn.Restores != 0 || sn.Checkpoints != 0 {
-		t.Fatalf("snapshot %+v: want no restores or checkpoints", sn)
+	if sn := d.Snapshot(); sn.Restarts != 1 || sn.Restores != 1 || sn.ColdStarts != 0 || sn.Checkpoints != 0 {
+		t.Fatalf("snapshot %+v: want 1 restart restoring the seed, 0 cold starts, 0 taken checkpoints", sn)
 	}
 }
 
@@ -244,6 +262,7 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 	defer sup.Close()
 	st := newKVState()
 	st.captured = make(chan struct{}, 8)
+	st.served = make(chan struct{}, 8)
 	d, err := Spawn(sup, Config[*int]{
 		Name:    "kv-mid",
 		State:   st,
@@ -255,12 +274,14 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 			}
 			st.set(fmt.Sprintf("k%d", *p), *p)
 			pool.Put(p)
+			st.served <- struct{}{}
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-st.captured // the seed, at Spawn
 	send := func(v int) {
 		buf, err := pool.Get()
 		if err != nil {
@@ -274,20 +295,23 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 
 	send(1)
+	<-st.served
 	fc.step(t, p.CheckpointEvery)
 	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 	<-st.captured // a good checkpoint with k1
 
 	// Arm the fault, then mutate: k2 lands in live state only — the next
 	// checkpoint attempt (which would have captured it) dies mid-flight.
+	// The serving goroutine finished counting the good epoch before it
+	// took k2, so taken is read after k2 is served.
 	st.panicNext.Store(true)
-	taken := d.Snapshot().Checkpoints
 	send(2)
+	<-st.served
+	taken := d.Snapshot().Checkpoints
 	fc.step(t, p.CheckpointEvery)
-	// Two wakes, the epoch's and the fault's, in either order when the
-	// capture runs after the invocation rather than on the idle wake; the
-	// later one arms the restart.
-	fc.armed()
+	// Two wakes: the epoch's, which reaches the idle domain, then the
+	// fault's, which arms the restart.
+	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 	fc.expectArmed(t, fc.now().Add(p.Backoff))
 	fc.step(t, p.Backoff)
 	fc.armed() // the restart, restoring the good epoch
@@ -310,6 +334,7 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 
 	// The restored domain serves on; drain cleanly so leakcheck settles.
 	send(3)
+	<-st.served
 	d.Inbox().Close()
 	<-d.Done()
 	if _, ok := st.get("k3"); !ok {

@@ -26,11 +26,5 @@ func (wallClock) alarm() (<-chan time.Time, func(at, now time.Time)) {
 	}
 }
 
-// now reads the supervisor's clock, or the wall clock for a Domain made
-// without Spawn.
-func (d *Domain[T]) now() time.Time {
-	if d.sup == nil {
-		return time.Now()
-	}
-	return d.sup.clock.now()
-}
+// now reads the supervisor's clock.
+func (d *Domain[T]) now() time.Time { return d.sup.clock.now() }

@@ -12,6 +12,8 @@
 // point) and hangs (per-domain heartbeats), runs the domain's recovery
 // function, and restarts that domain alone after an exponential backoff,
 // until a fault streak exhausts its restart budget and the domain stops.
+// A domain with checkpointed state gets its last good checkpoint back on
+// every restart, and Spawn takes the first one (checkpoint.go).
 // Every transition is counted in per-domain atomic stats exposed via
 // Snapshot, the same contract netbricks.ShardedRunner uses for its
 // workers.
@@ -170,9 +172,11 @@ type Snapshot struct {
 	// TimeInBackoff accumulates scheduled backoff delay.
 	TimeInBackoff time.Duration
 	// Checkpoint lifecycle counters (§5 integration): epochs published,
-	// failed attempts (error or mid-traversal fault), restarts that
-	// restored the last good checkpoint, and restarts that had to
-	// cold-start. All zero when checkpointing is off.
+	// failed attempts (error or mid-traversal fault), and restores of the
+	// last good checkpoint (a restart's, or a durable seed's at Spawn).
+	// All zero when checkpointing is off. ColdStarts counts restarts that
+	// reset the state for want of an epoch: 0 by construction since Spawn
+	// seeds the first one, kept for readers that still report it.
 	Checkpoints        uint64
 	CheckpointFailures uint64
 	Restores           uint64
@@ -266,7 +270,6 @@ func (d *Domain[T]) Snapshot() Snapshot {
 		sn.Checkpoints = ck.taken.Load()
 		sn.CheckpointFailures = ck.failed.Load()
 		sn.Restores = ck.restores.Load()
-		sn.ColdStarts = ck.coldStarts.Load()
 		sn.Persisted = ck.persisted.Load()
 		sn.PersistFailures = ck.persistFailed.Load()
 	}
@@ -451,7 +454,6 @@ func (d *Domain[T]) registerMetrics(reg telemetry.Registrar) {
 		reg.RegisterCounter("domain_checkpoints_taken_total", labels, &ck.taken)
 		reg.RegisterCounter("domain_checkpoint_failures_total", labels, &ck.failed)
 		reg.RegisterCounter("domain_restores_total", labels, &ck.restores)
-		reg.RegisterCounter("domain_cold_starts_total", labels, &ck.coldStarts)
 		reg.RegisterHistogram("domain_checkpoint_seconds", labels, &ck.ckptLat)
 		reg.RegisterHistogram("domain_restore_seconds", labels, &ck.restoreLat)
 		if ck.persist != nil {

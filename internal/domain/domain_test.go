@@ -294,8 +294,9 @@ func TestOneStuckHandlerIsOneHang(t *testing.T) {
 
 // TestLifecycleOnOneClock drives one checkpointing domain through its
 // whole lifecycle on the fake clock, each step at the instant the policy
-// names and not a nanosecond before: fault → restart at Backoff → second
-// fault → restart at 2·Backoff → idle epoch at CheckpointEvery → hang
+// names and not a nanosecond before: fault → restart at Backoff,
+// restoring Spawn's seed → second fault → restart at 2·Backoff, the same
+// → idle epoch at CheckpointEvery → hang
 // verdict by HangAfter plus one poll → restart at 4·Backoff, restoring
 // that epoch → a fault that takes the streak past MaxRestarts → stop.
 func TestLifecycleOnOneClock(t *testing.T) {
@@ -341,6 +342,7 @@ func TestLifecycleOnOneClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-st.captured // the seed, at Spawn
 	send := func(v int) {
 		t.Helper()
 		if err := d.Inbox().Send(linear.New(v)); err != nil {
@@ -384,8 +386,8 @@ func TestLifecycleOnOneClock(t *testing.T) {
 	}
 	exactlyAt(restart, "the restart after the hang")
 	fc.armed()
-	if sn := d.Snapshot(); sn.Restarts != 3 || sn.Restores != 1 || sn.ColdStarts != 2 {
-		t.Fatalf("snapshot %+v: want 3 restarts, the last one restoring the epoch after 2 cold starts", sn)
+	if sn := d.Snapshot(); sn.Restarts != 3 || sn.Restores != 3 || sn.ColdStarts != 0 {
+		t.Fatalf("snapshot %+v: want 3 restarts, each restoring: the seed twice, then the epoch", sn)
 	}
 
 	send(fault) // the fourth fault in a row: past MaxRestarts

@@ -239,6 +239,7 @@ func fakeDurableKV(t *testing.T, p Policy, st *durableKV) (*Supervisor, *fakeClo
 	st.captured = make(chan struct{}, 4)
 	st.served = make(chan struct{}, 4)
 	d := spawnDurableKV(t, sup, st)
+	<-st.captured // the seed, at Spawn
 	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
 	return sup, fc, d
 }

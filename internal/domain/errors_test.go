@@ -3,6 +3,7 @@ package domain
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/linear"
@@ -14,7 +15,6 @@ type faultyState struct{ restoreErr error }
 
 func (faultyState) Checkpoint(*checkpoint.Engine) (any, error) { panic("capture blew up") }
 func (s faultyState) Restore(any) error                        { return s.restoreErr }
-func (faultyState) Reset()                                     {}
 
 // TestFaultErrorText pins the message and the errors.Is chain of each
 // fault the domain's entry points build. The errors are typed and format
@@ -80,16 +80,18 @@ func TestFaultErrorText(t *testing.T) {
 			fault: func(d *Domain[int]) error {
 				d.ck = &ckptState{state: faultyState{restoreErr: errRestore}}
 				d.ck.last.Store(&ckptToken{token: "epoch"})
-				return d.restoreOrReset()
+				return d.restoreLast()
 			},
 			want:  "domain worker-0: restore checkpoint: restore said no",
 			is:    []error{errRestore},
 			isNot: []error{ErrCrashed},
 		},
 	}
+	sup, _ := fakeSupervisor(Policy{})
+	defer sup.Close()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := c.fault(&Domain[int]{name: "worker-0"})
+			err := c.fault(&Domain[int]{name: "worker-0", sup: sup})
 			if err == nil {
 				t.Fatal("no fault")
 			}
@@ -107,5 +109,39 @@ func TestFaultErrorText(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failingState's every capture fails.
+type failingState struct{ faultyState }
+
+func (failingState) Checkpoint(*checkpoint.Engine) (any, error) {
+	return nil, errors.New("capture said no")
+}
+
+// TestSeedFailureFailsSpawn: a state whose first capture, Spawn's seed,
+// errors or panics is a Spawn error naming the domain, and no domain
+// joins the supervisor.
+func TestSeedFailureFailsSpawn(t *testing.T) {
+	sup, _ := fakeSupervisor(ckptPolicy(time.Hour))
+	defer sup.Close()
+	for _, c := range []struct {
+		state Stateful
+		want  string
+	}{
+		{failingState{}, "domain seedless: seed checkpoint: capture said no"},
+		{faultyState{}, "domain seedless: seed checkpoint panic: capture blew up"},
+	} {
+		d, err := Spawn(sup, Config[int]{
+			Name:    "seedless",
+			State:   c.state,
+			Handler: func(linear.Owned[int]) error { return nil },
+		})
+		if d != nil || err == nil || err.Error() != c.want {
+			t.Errorf("Spawn over %T = (%v, %v), want the error %q", c.state, d, err, c.want)
+		}
+	}
+	if n := len(sup.Snapshots()); n != 0 {
+		t.Fatalf("%d domains joined the supervisor", n)
 	}
 }

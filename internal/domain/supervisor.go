@@ -41,8 +41,8 @@ type Policy struct {
 	// durable: every published checkpoint of a domain whose State
 	// implements TokenCodec is encoded and appended to the store, and
 	// Spawn seeds the domain from its newest durable epoch — so a
-	// process restart (kill -9 included) restores where a plain restart
-	// would have cold-started. Spawn fails if the State lacks a codec.
+	// process restart (kill -9 included) restores the state the dead
+	// process last made durable. Spawn fails if the State lacks a codec.
 	Persist Persister
 
 	// Registry, when non-nil, receives every spawned domain's counters
@@ -126,8 +126,8 @@ func (d *Domain[T]) noteHang() {
 // user Recover hook rebuilds the handler plumbing (the §3 recovery
 // function — e.g. fresh stage instances re-exported into their protection
 // domains' cleared tables), and the §5 restore hands the rebuilt plumbing
-// its last good checkpoint, cold-starting only when no epoch has
-// completed.
+// its last good checkpoint (Spawn's seed until a periodic epoch
+// completes).
 func (d *Domain[T]) recoverState() error {
 	if d.recover != nil {
 		if err := d.recover(); err != nil {
@@ -137,7 +137,7 @@ func (d *Domain[T]) recoverState() error {
 	if d.ck == nil {
 		return nil
 	}
-	return d.restoreOrReset()
+	return d.restoreLast()
 }
 
 // event is a fault report from a serving goroutine to the monitor.
@@ -244,11 +244,11 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 	d.rec = s.policy.Recorder
 	d.actor = d.rec.Actor(cfg.Name)
 	d.inbox.Observe(d.rec, d.actor)
-	if d.ck != nil && d.ck.persist != nil {
-		// After the recorder is attached (loadDurable records EvRestore)
-		// and before the serving goroutine starts: the domain's first
-		// invocation already sees the restored state.
-		if err := d.loadDurable(); err != nil {
+	if d.ck != nil {
+		// After the recorder is attached (a durable seed records
+		// EvRestore) and before the serving goroutine starts: the
+		// domain's first invocation already sees a restored state.
+		if err := d.seed(); err != nil {
 			return nil, err
 		}
 	}

@@ -61,26 +61,21 @@ func (f *flowCounter) Restore(token any) error {
 	return nil
 }
 
-func (f *flowCounter) Reset() {
-	f.mu.Lock()
-	f.st = newCounterState()
-	f.mu.Unlock()
-}
-
 // countingStage counts packets into the flowCounter. The armed instance
 // panics once: on the first batch after the state has been checkpointed
-// and a few batches have been counted on top of that, so the restart has
-// an epoch to roll back to and something to lose.
+// by a periodic epoch (the count's first capture is Spawn's seed) and a
+// few batches have been counted on top of that, so the restart has an
+// epoch with packets in it to roll back to and something to lose.
 type countingStage struct {
 	f     *flowCounter
 	armed bool
-	since int // batches counted since the first checkpoint
+	since int // batches counted since the first periodic checkpoint
 }
 
 func (*countingStage) Name() string { return "flow-counter" }
 
 func (s *countingStage) ProcessBatch(b *netbricks.Batch) error {
-	if s.armed && s.f.checkpoints.Load() > 0 {
+	if s.armed && s.f.checkpoints.Load() > 1 {
 		if s.since++; s.since > 3 {
 			panic("injected flow-counter fault")
 		}

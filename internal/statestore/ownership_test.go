@@ -201,8 +201,6 @@ func (o *ownedState) Restore(token any) error {
 	return o.inner.Restore(token)
 }
 
-func (o *ownedState) Reset() { o.inner.Reset() }
-
 func (o *ownedState) RecycleToken(token any) {
 	if data, err := o.inner.EncodeToken(token); err == nil {
 		for i := range data {
@@ -260,6 +258,7 @@ func newOwnScript(t *testing.T) *ownScript {
 			book:    sc.book,
 			permits: make(chan struct{}, 16), // the script grants at most a few ahead
 		}
+		wk.state.permits <- struct{}{} // the seed, Spawn's capture
 		wk.dom, err = domain.Spawn(sc.sup, domain.Config[func()]{
 			Name:  wk.state.name,
 			State: wk.state,

@@ -41,9 +41,6 @@ const (
 	// EvRestore: a restarted domain restored the last good checkpoint.
 	// Arg = restore latency in nanoseconds.
 	EvRestore
-	// EvColdStart: a restarted domain had no completed checkpoint epoch
-	// and reset to zero state instead.
-	EvColdStart
 	// EvTrace: a sampled packet trace completed at TX. Arg = trace ID,
 	// the exemplar link into /debug/traces.
 	EvTrace
@@ -78,8 +75,6 @@ func (k EventKind) String() string {
 		return "checkpoint"
 	case EvRestore:
 		return "restore"
-	case EvColdStart:
-		return "coldstart"
 	case EvTrace:
 		return "trace"
 	case EvTraceAbort:
