@@ -232,17 +232,19 @@ loc:
 	done; \
 	printf '%6d total\n' $$total
 
-## fuzz: short fuzz smoke on the packet parser, the table-driven RSS
-## hash against its bit-serial definition, the mailbox ownership
-## boundary, a StateSet's decode of hostile epoch bytes, the netport
-## decoder, the checkpoint round-trip, the wire-checkpoint-vs-reflect-
-## engine oracles, the epoch-buffer ownership script, the flow index's
+## fuzz: short fuzz smoke on the packet parser (raw bytes, and built
+## packets), the table-driven RSS hash against its bit-serial
+## definition, the mailbox ownership boundary, a StateSet's decode of
+## hostile epoch bytes, the netport decoder, the checkpoint round-trip,
+## the wire-checkpoint-vs-reflect-engine oracles, WAL replay (whole and
+## streamed epochs), the epoch-buffer ownership script, the flow index's
 ## streaming merge against a plain-map oracle, the flow table against the
 ## map and clock it replaced (FuzzFlowTable: same members, same victims
-## in the same order), and the session table's track / evict / spill /
-## promote / checkpoint / restore scripts against a plain-map oracle
-## (seed corpus + 10s each).
+## in the same order), the session table's track / evict / spill /
+## promote / checkpoint / restore scripts against a plain-map oracle, and
+## the minirust parser and interpreter (seed corpus + 10s each).
 fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzParsePacket -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzToeplitzTable -fuzztime=10s ./internal/packet
 	$(GO) test -run='^$$' -fuzz=FuzzMailboxOwnership -fuzztime=10s ./internal/domain
@@ -258,6 +260,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTableCheckpointOracle -fuzztime=10s ./internal/session
 	$(GO) test -run='^$$' -fuzz=FuzzBalancerCheckpointOracle -fuzztime=10s ./internal/maglev
 	$(GO) test -run='^$$' -fuzz=FuzzStatefulCheckpointOracle -fuzztime=10s ./internal/firewall
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/minirust
+	$(GO) test -run='^$$' -fuzz=FuzzInterp -fuzztime=10s ./internal/minirust
 
 ## bench: the telemetry record-path micro-benchmarks, recorded in
 ## BENCH_telemetry.json (every record path must read 0 allocs/op).

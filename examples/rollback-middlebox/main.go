@@ -41,6 +41,10 @@ func newMonitorState() *monitorState {
 type monitor struct {
 	mu sync.Mutex
 	st *monitorState
+	// atFault is the packet total when the stage faulted, and lost what
+	// the rollback took back from it: the packets counted since the
+	// last checkpoint.
+	atFault, lost int
 }
 
 func (m *monitor) Checkpoint(e *checkpoint.Engine) (any, error) {
@@ -57,14 +61,28 @@ func (m *monitor) Restore(token any) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.st = restored.(*monitorState)
-	fmt.Printf("FAULT contained in the monitor's protection domain; rolled back to the last checkpoint (%d flows, %d packets)\n",
-		len(m.st.Counts), m.st.Total.Get())
+	m.lost = m.atFault - m.st.Total.Get()
+	fmt.Println("FAULT contained in the monitor's protection domain; rolled back to the last checkpoint")
 	return nil
 }
 
+// The run's timing: a slow middlebox, at least batchPeriod a batch of
+// batchSize packets, checkpointed every epoch.
+const (
+	batchSize   = 4
+	batchPeriod = time.Millisecond
+	epoch       = 3 * time.Millisecond
+)
+
+// lossBound is the most a rollback can take back. A domain checkpoints
+// after the first batch that ends an epoch or more after its last
+// checkpoint began, and every batch takes at least batchPeriod, so at
+// most epoch/batchPeriod batches are counted after the last checkpoint
+// (the faulting batch counts nothing).
+const lossBound = int(epoch/batchPeriod) * batchSize
+
 // monitorStage is the pipeline stage counting into the monitor; recovery
-// re-exports a fresh one. It is a slow middlebox, a millisecond per
-// batch, so a 3ms checkpoint epoch is about three batches long.
+// re-exports a fresh one.
 type monitorStage struct {
 	m       *monitor
 	panicOn int
@@ -76,9 +94,12 @@ func (s *monitorStage) Name() string { return "monitor" }
 func (s *monitorStage) ProcessBatch(b *netbricks.Batch) error {
 	s.seen++
 	if s.seen == s.panicOn {
+		s.m.mu.Lock()
+		s.m.atFault = s.m.st.Total.Get()
+		s.m.mu.Unlock()
 		panic("injected monitor fault")
 	}
-	time.Sleep(time.Millisecond)
+	time.Sleep(batchPeriod)
 	s.m.mu.Lock()
 	defer s.m.mu.Unlock()
 	for _, p := range b.Pkts {
@@ -97,8 +118,8 @@ func main() {
 		QueueGen: dpdk.NewRSSPartition(dpdk.DefaultSpec(), 6, 1),
 	})
 	runner := netbricks.ShardedRunner{
-		Port: port, Workers: 1, BatchSize: 4, Supervise: true,
-		Policy:   domain.Policy{CheckpointEvery: 3 * time.Millisecond},
+		Port: port, Workers: 1, BatchSize: batchSize, Supervise: true,
+		Policy:   domain.Policy{CheckpointEvery: epoch},
 		NewState: func(int) domain.Stateful { return mon },
 		NewIsolated: func(int) (*netbricks.Pipeline, error) {
 			// The first stage instance crashes on its 6th batch;
@@ -113,10 +134,14 @@ func main() {
 		log.Fatal(err)
 	}
 	sn, _ := runner.SupervisorSnapshot()
-	fmt.Printf("\nmonitor: %d batches forwarded, %d lost to the fault, %d checkpoints, %d rollback-restores\n",
-		stats.Batches, stats.Faults, sn.Checkpoints, sn.Restores)
-	fmt.Println("state loss was bounded by the checkpoint epoch (3ms, about 3 batches),")
-	fmt.Println("not a clean-slate reset — the §5 automation applied to §3 recovery.")
+	fmt.Printf("\nmonitor: %d batches forwarded, %d lost to the fault, %d rollback-restores\n",
+		stats.Batches, stats.Faults, sn.Restores)
+	if mon.lost < 0 || mon.lost > lossBound {
+		log.Fatalf("state loss: the rollback took back %d packets, over the bound of %d", mon.lost, lossBound)
+	}
+	fmt.Printf("state loss within the bound: at most %d packets (%v epoch / %v batches = %d batches of %d)\n",
+		lossBound, epoch, batchPeriod, lossBound/batchSize, batchSize)
+	fmt.Println("— the last checkpoint, not a clean-slate reset: the §5 automation applied to §3 recovery.")
 
 	// Replication on the same machinery: the standby materializes its own
 	// copy of a snapshot of the NF state.
@@ -129,6 +154,9 @@ func main() {
 		log.Fatal(err)
 	}
 	standby := replica.(*monitorState)
-	fmt.Printf("\nstandby replica synced: %d flows, %d packets total\n",
-		len(standby.Counts), standby.Total.Get())
+	if len(standby.Counts) != len(mon.st.Counts) || standby.Total.Get() != mon.st.Total.Get() {
+		log.Fatalf("standby replica differs: %d flows and %d packets, live %d and %d",
+			len(standby.Counts), standby.Total.Get(), len(mon.st.Counts), mon.st.Total.Get())
+	}
+	fmt.Println("\nstandby replica synced: equal to the live state")
 }

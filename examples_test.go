@@ -21,7 +21,7 @@ func TestExamplesRun(t *testing.T) {
 		"isolated-maglev":     "faults contained: 1",
 		"secure-store":        "bug-leaky-read",
 		"firewall-checkpoint": "sharing PRESERVED",
-		"rollback-middlebox":  "rollback-restores",
+		"rollback-middlebox":  "state loss within the bound: at most 12 packets",
 		"verified-extension":  "rejected at information flow",
 	}
 	for name, want := range cases {

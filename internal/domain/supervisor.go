@@ -238,6 +238,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			}
 			d.ck.persist = p
 			d.ck.codec = codec
+			d.ck.streamInto(p, cfg.State, cfg.Name)
 		}
 	}
 	d.state.Store(int32(StateLive))

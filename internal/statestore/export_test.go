@@ -10,8 +10,10 @@ func (s *Store) names() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.epochs))
-	for name := range s.epochs {
-		out = append(out, name)
+	for name, d := range s.epochs {
+		if d.hasEpoch() {
+			out = append(out, name)
+		}
 	}
 	sort.Strings(out)
 	return out

@@ -16,8 +16,7 @@ package statestore
 //	overlay   <= defaultFlowCompactAfter - 1 + one spill batch of log offsets
 //	          (a u64 hash and an i64 offset per flow, plus the map slot)
 //	keys      one u64 per overlay flow, sorted for the merge
-//	payload,  one spill batch encoded, and the same batch framed
-//	frame
+//	frame     one spill batch, encoded in place behind its frame header
 //	merge     one mergeBufSize reader over the old .fidx and one
 //	          mergeBufSize writer into the new one
 //
@@ -92,15 +91,15 @@ type FlowIndex struct {
 	idx      file // nil until the first compaction
 	idxCount int
 
-	// Scratch kept across calls, under mu: a spill batch's payload and
-	// frame, one entry read back from the log or the index, and a
-	// compaction's sorted overlay hashes and its two merge buffers (made
-	// by the first compaction, Reset by each).
-	payload, frame []byte
-	ent            [flowEntrySize]byte
-	keys           []uint64
-	mergeR         *bufio.Reader
-	mergeW         *bufio.Writer
+	// Scratch kept across calls, under mu: a spill batch's frame, one
+	// entry read back from the log or the index, and a compaction's sorted
+	// overlay hashes and its two merge buffers (made by the first
+	// compaction, Reset by each).
+	frame  []byte
+	ent    [flowEntrySize]byte
+	keys   []uint64
+	mergeR *bufio.Reader
+	mergeW *bufio.Writer
 }
 
 // FlowIndex opens (or creates) the named flow index inside the store,
@@ -191,12 +190,15 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	}
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	payload := fi.payload[:0]
+	// The entries are encoded once, behind a header the CRC over them
+	// then fills in: the batch is held once, framed.
+	frame := append(fi.frame[:0], make([]byte, frameHeaderSize)...)
 	for _, r := range recs {
-		payload = encodeFlowEntry(payload, r)
+		frame = encodeFlowEntry(frame, r)
 	}
-	frame := AppendFrame(fi.frame[:0], payload)
-	fi.payload, fi.frame = payload, frame
+	payload := frame[frameHeaderSize:]
+	sealFrame(frame[:frameHeaderSize], payload)
+	fi.frame = frame
 	at := fi.log.size
 	if err := fi.log.append(frame); err != nil {
 		return err

@@ -33,6 +33,15 @@ func SplitFrames(data []byte) (recs [][]byte, n int) {
 	}
 }
 
+// AppendFrame appends one framed record holding payload to buf and
+// returns the extended buffer: the framing every log of the store
+// writes, for tests that build logs by hand.
+func AppendFrame(buf, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+	return append(buf, payload...)
+}
+
 func frames(payloads ...string) []byte {
 	var buf []byte
 	for _, p := range payloads {
