@@ -30,7 +30,7 @@ func TestFirewallTokenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := src.AppendCheckpoint(nil)
+	payload, err := src.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFirewallDecodeRejectsGarbage(t *testing.T) {
 	if err := s.CheckCheckpoint([]byte{0xee, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	payload, err := s.AppendCheckpoint(nil)
+	payload, err := s.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestStatefulsShareOneDB(t *testing.T) {
 			defer wg.Done()
 			tu := packet.FiveTuple{DstIP: 0x0a010203, Proto: 6, DstPort: 80}
 			for i := 0; i < 200; i++ {
-				tok, err := s.AppendCheckpoint(nil)
+				tok, err := s.StreamCheckpoint(nil, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -72,7 +72,7 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tok, err := src.AppendCheckpoint(nil)
+		tok, err := src.StreamCheckpoint(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,10 +136,10 @@ func FuzzStatefulCheckpointOracle(f *testing.F) {
 		if &again[0] != &first[0] {
 			t.Fatal("second epoch of an unchanged DB re-encoded it")
 		}
-		if next, _ := src.AppendCheckpoint(nil); &next[0] == &tok[0] || !bytes.Equal(next, pristine) {
+		if next, _ := src.StreamCheckpoint(nil, nil); &next[0] == &tok[0] || !bytes.Equal(next, pristine) {
 			t.Fatal("a second checkpoint must be the same bytes in a token of its own")
 		}
-		dtok, _ := dst.AppendCheckpoint(nil)
+		dtok, _ := dst.StreamCheckpoint(nil, nil)
 		if !bytes.Equal(dtok, pristine) {
 			t.Fatal("checkpoint after restore differs from the token it was restored from")
 		}

@@ -29,7 +29,7 @@ func TestBalancerTokenRoundTrip(t *testing.T) {
 			SrcPort: uint16(1000 + i), DstPort: 80, Proto: 17,
 		})
 	}
-	payload, err := src.AppendCheckpoint(nil)
+	payload, err := src.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBalancerDecodeRejectsGarbage(t *testing.T) {
 	}
 	// Truncated conn list.
 	b.Pick(packet.FiveTuple{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 17})
-	payload, err := b.AppendCheckpoint(nil)
+	payload, err := b.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDepartedBackendSurvivesCheckpoint(t *testing.T) {
 	for i := 24; i < 32; i++ {
 		src.Pick(testTuple(i)) // new flows see only the new set
 	}
-	tok, err := src.AppendCheckpoint(nil)
+	tok, err := src.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDepartedBackendSurvivesCheckpoint(t *testing.T) {
 	if err := dst.Restore(tok); err != nil {
 		t.Fatal(err)
 	}
-	again, err := dst.AppendCheckpoint(nil)
+	again, err := dst.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestConnTableHoldsNoPointers(t *testing.T) {
 // resident connection.
 func restoredInvariants(t *testing.T, lb *Balancer) {
 	t.Helper()
-	img, err := lb.AppendCheckpoint(nil)
+	img, err := lb.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func restoredInvariants(t *testing.T, lb *Balancer) {
 // TestRestoreImageNamingAFlowTwice: an image whose entries name one flow
 // hash twice restores one connection, the last entry's, and sizes the
 // next checkpoint by it. (Before the fix connBytes was the image's body,
-// so CheckpointSize said 51 bytes while AppendCheckpoint wrote 36, and
+// so CheckpointSize said 51 bytes while the capture wrote 36, and
 // the extra 15 never drained.)
 func TestRestoreImageNamingAFlowTwice(t *testing.T) {
 	bs := testBackends(3)

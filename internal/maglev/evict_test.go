@@ -35,7 +35,7 @@ func TestConnTableIsCapped(t *testing.T) {
 	if lb.ConnCount() < ConnTableSize-ConnTableSize/8 {
 		t.Fatalf("%d connections: a sweep went below 7/8 of the cap", lb.ConnCount())
 	}
-	image, err := lb.AppendCheckpoint(nil)
+	image, err := lb.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestTokenOverTheCapRestoresWhole(t *testing.T) {
 	if !lb.hasConn(fresh.Hash()) {
 		t.Fatal("the sweep evicted the connection just inserted")
 	}
-	image, err := lb.AppendCheckpoint(nil)
+	image, err := lb.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,7 @@ func TestRestoreInPlaceMatchesFreshMap(t *testing.T) {
 			for i, n := 0, rng.Intn(300); i < n; i++ {
 				src.Pick(testTuple(base + rng.Intn(200)))
 			}
-			tok, err := src.AppendCheckpoint(nil)
+			tok, err := src.StreamCheckpoint(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestRestoreInPlaceMatchesFreshMap(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBalancer(t, got, want)
-			again, err := got.AppendCheckpoint(nil)
+			again, err := got.StreamCheckpoint(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +180,7 @@ func TestRestoreBadTokenLeavesBalancerUntouched(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lb.Pick(testTuple(i))
 	}
-	tok, _ := lb.AppendCheckpoint(nil)
+	tok, _ := lb.StreamCheckpoint(nil, nil)
 	good := tok
 	for _, bad := range [][]byte{nil, good[:len(good)-1], append(append([]byte(nil), good...), 0)} {
 		if err := lb.Restore(bad); err == nil {
@@ -201,7 +201,7 @@ func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		lb.Pick(testTuple(i))
 	}
-	tok, err := lb.AppendCheckpoint(nil)
+	tok, err := lb.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -335,7 +335,7 @@ func TestPickConcurrentAccounting(t *testing.T) {
 	if lb.ConnCount() != flows {
 		t.Fatalf("%d connections tracked, want %d", lb.ConnCount(), flows)
 	}
-	image, err := lb.AppendCheckpoint(nil)
+	image, err := lb.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func FuzzBalancerCheckpointOracle(f *testing.F) {
 		if got, want := src.CheckpointSize(), balancerHeaderSize+src.connBytes; got != want {
 			t.Fatalf("CheckpointSize %d, want %d", got, want)
 		}
-		tok, err := src.AppendCheckpoint(nil)
+		tok, err := src.StreamCheckpoint(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

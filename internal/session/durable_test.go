@@ -22,7 +22,7 @@ func TestTokenRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		src.Track(flowTuple(i), packet.IPv4(0xc0a80001+uint32(i%3)), 100+i)
 	}
-	payload, err := src.AppendCheckpoint(nil)
+	payload, err := src.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestTokenRoundTrip(t *testing.T) {
 
 func TestTokenRoundTripEmpty(t *testing.T) {
 	src := NewTable()
-	payload, err := src.AppendCheckpoint(nil)
+	payload, err := src.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func restoredInvariants(t *testing.T, tbl *Table) {
 		}
 	}
 	tbl.mu.Unlock()
-	img, err := tbl.AppendCheckpoint(nil)
+	img, err := tbl.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestRestoreImageNamingAFlowTwice(t *testing.T) {
 	first.Track(flowTuple(1), 0xc0a80001, 100)
 	last.Track(flowTuple(1), 0xc0a80002, 200)
 	last.Track(flowTuple(2), 0xc0a80002, 300)
-	a, _ := first.AppendCheckpoint(nil)
-	b, _ := last.AppendCheckpoint(nil)
+	a, _ := first.StreamCheckpoint(nil, nil)
+	b, _ := last.StreamCheckpoint(nil, nil)
 	img := append([]byte{sessionTokenVersion, 3, 0, 0, 0}, a[sessionHeaderSize:]...)
 	img = append(img, b[sessionHeaderSize:]...)
 

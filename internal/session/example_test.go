@@ -22,7 +22,7 @@ func Example() {
 	t.Track(flow(3), beB, 64)
 	fmt.Println("tracked:", t.Len(), "flows,", t.Backends(), "backends")
 
-	token, _ := t.AppendCheckpoint(nil) // the v1 wire image
+	token, _ := t.StreamCheckpoint(nil, nil) // the v1 wire image
 	t.Reset()
 	fmt.Println("after a cold start:", t.Len(), "flows")
 

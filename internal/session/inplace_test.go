@@ -119,7 +119,7 @@ func TestRestoreInPlaceMatchesFreshGraph(t *testing.T) {
 			for i, n := 0, 1+rng.Intn(200); i < n; i++ {
 				src.Track(flowTuple(base+rng.Intn(150)), packet.IPv4(0xc0a80001+uint32(rng.Intn(5))), 60+rng.Intn(40))
 			}
-			tok, err := src.AppendCheckpoint(nil)
+			tok, err := src.StreamCheckpoint(nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestRestoreBadTokenLeavesTableUntouched(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tbl.Track(flowTuple(i), 0xc0a80001, 100)
 	}
-	tok, _ := tbl.AppendCheckpoint(nil)
+	tok, _ := tbl.StreamCheckpoint(nil, nil)
 	before := tbl.Entries()
 	for _, bad := range [][]byte{nil, {9}, tok[:len(tok)-1], append(slices.Clone(tok), 0)} {
 		if err := tbl.Restore(bad); err == nil {
@@ -172,7 +172,7 @@ func TestRestoreInPlaceAllocBudget(t *testing.T) {
 	for i := 0; i < flows; i++ {
 		tbl.Track(flowTuple(i), packet.IPv4(0xc0a80001+uint32(i%backends)), 100)
 	}
-	tok, err := tbl.AppendCheckpoint(nil)
+	tok, err := tbl.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

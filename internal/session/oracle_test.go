@@ -78,7 +78,7 @@ func FuzzTableCheckpointOracle(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tok, err := src.AppendCheckpoint(nil)
+		tok, err := src.StreamCheckpoint(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -97,7 +97,7 @@ func FuzzTableScript(f *testing.F) {
 			case b < 0xe0:
 				sp.fail = b%2 == 1
 			case b < 0xf0:
-				img, err := tbl.AppendCheckpoint(nil)
+				img, err := tbl.StreamCheckpoint(nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +110,7 @@ func FuzzTableScript(f *testing.F) {
 				if err := tbl.Restore(image); err != nil {
 					t.Fatal(err)
 				}
-				again, err := tbl.AppendCheckpoint(nil)
+				again, err := tbl.StreamCheckpoint(nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

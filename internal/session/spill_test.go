@@ -201,7 +201,7 @@ func TestEvictionGivesBackTheBackendHandle(t *testing.T) {
 	if _, promoted, _ := tbl.SpillStats(); promoted == 0 {
 		t.Fatal("nothing was promoted; the second loop exercised nothing")
 	}
-	tok, err := tbl.AppendCheckpoint(nil)
+	tok, err := tbl.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

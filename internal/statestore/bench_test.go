@@ -44,7 +44,7 @@ func benchTable(b *testing.B) *session.Table {
 // isolates the store's append against a bare write + fsync.
 func ramEpoch(b *testing.B, tbl *session.Table) []byte {
 	b.Helper()
-	payload, err := tbl.AppendCheckpoint(nil)
+	payload, err := tbl.StreamCheckpoint(nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

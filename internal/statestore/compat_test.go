@@ -48,7 +48,7 @@ func resolve(tbl *session.Table, ix session.Spill, h uint64) (packet.IPv4, bool)
 // that starts with the flow hash) into entries by hash.
 func flowImages(t *testing.T, tbl *session.Table) map[uint64][]byte {
 	t.Helper()
-	img, err := tbl.AppendCheckpoint(nil)
+	img, err := tbl.StreamCheckpoint(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

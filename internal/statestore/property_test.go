@@ -83,7 +83,7 @@ func TestPropertyEpochDurability(t *testing.T) {
 						live[tu.Hash()] = ip
 					}
 				case op < 6: // checkpoint + persist
-					payload, err := tbl.AppendCheckpoint(nil)
+					payload, err := tbl.StreamCheckpoint(nil, nil)
 					if err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}
@@ -228,7 +228,7 @@ func TestPropertyCacheOverIndex(t *testing.T) {
 						tracked[tu.Hash()] = ip
 					}
 				case op < 8: // checkpoint + persist the RAM cache image
-					payload, err := tbl.AppendCheckpoint(nil)
+					payload, err := tbl.StreamCheckpoint(nil, nil)
 					if err != nil {
 						t.Fatalf("checkpoint: %v", err)
 					}
