@@ -135,6 +135,11 @@ guard-atomics:
 ## The benches' allocs/op spread a sweep over the cap/8 inserts between
 ## sweeps and would round its garbage to 0, so TestSweepAllocatesNothing
 ## (maglev) and TestEvictionSteadyStateAllocs (session) count whole sweeps.
+## The flow index under session's spill is held to its bound in bytes:
+## TestFlowIndexAllocatesItsBoundOnce (statestore) lets the first cycle of
+## spills, up to its compaction, allocate its resident formula and ten
+## more cycles only their compactions' file handles — its overlay, when
+## it was a map, allocated twice what it held by growing.
 alloc-gate:
 	$(GO) test -run='^$$' -bench='TraceRecordPath' -benchmem -benchtime=10000x ./internal/telemetry/trace \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTraceRecordPathUntraced -metric allocs/op -max 0
@@ -165,6 +170,7 @@ alloc-gate:
 	$(GO) test -run='^$$' -bench='TrackChurn$$' -benchmem -benchtime=1000000x ./internal/session \
 		| $(GO) run ./cmd/benchgate -bench BenchmarkTrackChurn -metric allocs/op -max 0
 	$(GO) test -run='^TestEvictionSteadyStateAllocs$$' -count=1 -v ./internal/session
+	$(GO) test -run='^TestFlowIndexAllocatesItsBoundOnce$$' -count=1 -v ./internal/statestore
 
 vet:
 	$(GO) vet ./...

@@ -6,30 +6,34 @@ package statestore
 // epoch WAL is: same framing, torn-tail recovery and failure rule);
 // compaction merges the log into <name>.fidx, a flat array of
 // fixed-size entries sorted by flow hash that lookups binary-search
-// with ReadAt. Flows spilled since the last compaction are
-// found through a RAM overlay that maps each hash to its newest entry in
-// the log, so reads are overlay-then-index, and either way a ReadAt.
+// with ReadAt. Flows spilled since the last compaction are found
+// through a RAM overlay: an array of (flow hash, log offset) pairs
+// sorted by hash, one per flow, pointing at its newest entry in the
+// log. Reads are overlay-then-index, and either way a ReadAt.
 //
 // What an index keeps resident is set by the store's constants, not by
-// how many flows it holds:
+// how many flows it holds, and each piece is made once, at its size:
 //
-//	overlay   <= defaultFlowCompactAfter - 1 + one spill batch of log offsets
-//	          (a u64 hash and an i64 offset per flow, plus the map slot)
-//	keys      one u64 per overlay flow, sorted for the merge
+//	overlay   defaultFlowCompactAfter + one spill batch of pairs, 16 B a
+//	          flow (a compaction fires once that many entries are logged)
+//	batch     one spill batch of pairs, sorted before it merges into the overlay
 //	frame     one spill batch, encoded in place behind its frame header
 //	merge     one mergeBufSize reader over the old .fidx and one
 //	          mergeBufSize writer into the new one
 //
 // and nothing proportional to idxCount: a compaction streams the old
-// index past the sorted overlay, whose entries it reads back from the
-// log, into the new file, entry by entry.
+// index past the overlay, whose entries it reads back from the log, into
+// the new file, entry by entry. Only a batch larger than any before it
+// regrows them.
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -85,21 +89,41 @@ type FlowIndex struct {
 
 	mu  sync.Mutex
 	log *appendLog
-	// overlay maps each flow spilled since the last compaction to the
-	// offset of its newest entry in the spill log.
-	overlay  map[uint64]int64
+	// overlay holds each flow spilled since the last compaction, sorted
+	// by hash, with the offset of its newest entry in the spill log.
+	// logged counts the entries the log holds, revisits included: a
+	// compaction fires on it, so it bounds the log and the overlay both.
+	overlay  []flowRef
+	logged   int
 	idx      file // nil until the first compaction
 	idxCount int
 
-	// Scratch kept across calls, under mu: a spill batch's frame, one
-	// entry read back from the log or the index, and a compaction's sorted
-	// overlay hashes and its two merge buffers (made by the first
+	// Scratch kept across calls, under mu: a spill batch's frame and its
+	// overlay pairs, sorted for the merge into the overlay (both made at
+	// the largest batch yet), one entry read back from the log or the
+	// index, and a compaction's two merge buffers (made by the first
 	// compaction, Reset by each).
 	frame  []byte
+	batch  []flowRef
 	ent    [flowEntrySize]byte
-	keys   []uint64
 	mergeR *bufio.Reader
 	mergeW *bufio.Writer
+}
+
+// flowRef is an overlay entry: a flow's hash and the log offset of its
+// newest entry.
+type flowRef struct {
+	hash uint64
+	off  int64
+}
+
+// compareRefs orders overlay pairs by hash, then by log offset, so the
+// last of a hash's run is its newest entry.
+func compareRefs(a, b flowRef) int {
+	if c := cmp.Compare(a.hash, b.hash); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.off, b.off)
 }
 
 // FlowIndex opens (or creates) the named flow index inside the store,
@@ -117,7 +141,7 @@ func (s *Store) FlowIndex(name string) (*FlowIndex, error) {
 	if fi, ok := s.flows[name]; ok {
 		return fi, nil
 	}
-	fi := &FlowIndex{store: s, name: name, overlay: make(map[uint64]int64)}
+	fi := &FlowIndex{store: s, name: name}
 	if err := fi.open(); err != nil {
 		return nil, err
 	}
@@ -192,13 +216,16 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	defer fi.mu.Unlock()
 	// The entries are encoded once, behind a header the CRC over them
 	// then fills in: the batch is held once, framed.
-	frame := append(fi.frame[:0], make([]byte, frameHeaderSize)...)
-	for _, r := range recs {
-		frame = encodeFlowEntry(frame, r)
+	size := frameHeaderSize + len(recs)*flowEntrySize
+	if cap(fi.frame) < size {
+		fi.frame = make([]byte, size)
 	}
-	payload := frame[frameHeaderSize:]
+	frame := fi.frame[:size]
+	payload := frame[frameHeaderSize:frameHeaderSize]
+	for _, r := range recs {
+		payload = encodeFlowEntry(payload, r)
+	}
 	sealFrame(frame[:frameHeaderSize], payload)
-	fi.frame = frame
 	at := fi.log.size
 	if err := fi.log.append(frame); err != nil {
 		return err
@@ -206,7 +233,7 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	fi.noteBatch(at, payload)
 	fi.store.spilled.Add(uint64(len(recs)))
 	fi.store.persistBytes.Add(uint64(len(payload)))
-	if len(fi.overlay) >= fi.store.flowCompactAfter {
+	if fi.logged >= fi.store.flowCompactAfter {
 		return fi.compactLocked()
 	}
 	if fi.store.cfg.Fsync != FsyncNone {
@@ -220,13 +247,80 @@ func (fi *FlowIndex) SpillFlows(recs []session.SpillRecord) error {
 	return nil
 }
 
-// noteBatch points the overlay at each entry of a batch whose frame the
-// spill log holds at off (a later entry of one hash wins, as in replay).
+// noteBatch merges into the overlay a batch whose frame the spill log
+// holds at off. The batch's pairs are sorted by (hash, offset) and only
+// the last of each hash is kept, so a later entry of one hash wins, as
+// in replay. A flow the overlay holds takes its new offset in place; the
+// new flows merge in from the back, into room the overlay already has.
 func (fi *FlowIndex) noteBatch(off int64, batch []byte) {
+	m := len(batch) / flowEntrySize
+	fi.growLocked(m)
+	b := fi.batch[:m]
 	at := off + frameHeaderSize
-	for i := 0; i < len(batch); i += flowEntrySize {
-		fi.overlay[binary.LittleEndian.Uint64(batch[i:])] = at + int64(i)
+	for i := range b {
+		b[i] = flowRef{binary.LittleEndian.Uint64(batch[i*flowEntrySize:]), at + int64(i*flowEntrySize)}
 	}
+	slices.SortFunc(b, compareRefs)
+	k := 0 // keep the last pair of each hash
+	for i := range b {
+		if i+1 == len(b) || b[i+1].hash != b[i].hash {
+			b[k] = b[i]
+			k++
+		}
+	}
+	b = b[:k]
+	o := fi.overlay
+	k = 0 // keep the pairs of flows the overlay lacks
+	for i, j := 0, 0; j < len(b); {
+		switch {
+		case i == len(o) || b[j].hash < o[i].hash:
+			b[k] = b[j]
+			k++
+			j++
+		case b[j].hash == o[i].hash:
+			o[i].off = b[j].off
+			i++
+			j++
+		default:
+			i++
+		}
+	}
+	n := len(o)
+	o = o[:n+k]
+	for i, j, d := n-1, k-1, n+k-1; j >= 0; d-- {
+		if i >= 0 && o[i].hash > b[j].hash {
+			o[d] = o[i]
+			i--
+		} else {
+			o[d] = b[j]
+			j--
+		}
+	}
+	fi.overlay = o
+	fi.logged += m
+}
+
+// growLocked makes room for a batch of m entries. The overlay is made
+// at its bound, flowCompactAfter entries plus the batch (a compaction
+// empties it once that many are logged), and regrows only for a batch
+// larger than any before it; past the bound, with compaction off or
+// failing, it grows as append would. The batch's pairs are made at the
+// batch.
+func (fi *FlowIndex) growLocked(m int) {
+	if cap(fi.batch) < m {
+		fi.batch = make([]flowRef, m)
+	}
+	need := len(fi.overlay) + m
+	if need <= cap(fi.overlay) {
+		return
+	}
+	size := max(need, 2*cap(fi.overlay))
+	if after := fi.store.flowCompactAfter; after < math.MaxInt-m && need <= after+m {
+		size = after + m
+	}
+	grown := make([]flowRef, len(fi.overlay), size)
+	copy(grown, fi.overlay)
+	fi.overlay = grown
 }
 
 // readLogEntryLocked reads into fi.ent the spill-log entry at off, which
@@ -248,8 +342,8 @@ func (fi *FlowIndex) readLogEntryLocked(hash uint64, off int64) error {
 func (fi *FlowIndex) LookupFlow(hash uint64) (session.SpillRecord, bool, error) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	if off, ok := fi.overlay[hash]; ok {
-		if err := fi.readLogEntryLocked(hash, off); err != nil {
+	if i, ok := fi.findLocked(hash); ok {
+		if err := fi.readLogEntryLocked(hash, fi.overlay[i].off); err != nil {
 			return session.SpillRecord{}, false, err
 		}
 		fi.store.promotions.Add(1)
@@ -260,6 +354,12 @@ func (fi *FlowIndex) LookupFlow(hash uint64) (session.SpillRecord, bool, error) 
 		fi.store.promotions.Add(1)
 	}
 	return r, ok, err
+}
+
+// findLocked binary-searches the overlay for hash: its position, or
+// where it would go.
+func (fi *FlowIndex) findLocked(hash uint64) (int, bool) {
+	return slices.BinarySearchFunc(fi.overlay, hash, func(r flowRef, h uint64) int { return cmp.Compare(r.hash, h) })
 }
 
 // searchIdxLocked binary-searches the compacted index file by hash,
@@ -312,20 +412,13 @@ func (fi *FlowIndex) Compact() error {
 }
 
 func (fi *FlowIndex) compactLocked() error {
-	// Only the overlay needs sorting: the old index already is.
-	keys := slices.Grow(fi.keys[:0], len(fi.overlay))
-	for h := range fi.overlay {
-		keys = append(keys, h)
-	}
-	slices.Sort(keys)
-	fi.keys = keys
 	if fi.mergeR == nil {
 		fi.mergeR = bufio.NewReaderSize(nil, mergeBufSize)
 		fi.mergeW = bufio.NewWriterSize(nil, mergeBufSize)
 	}
 	count := 0
 	merge := func(w io.Writer) (err error) {
-		count, err = fi.mergeLocked(w, keys)
+		count, err = fi.mergeLocked(w)
 		return err
 	}
 	// The old handle is let go only once the new one is open: until then
@@ -339,7 +432,7 @@ func (fi *FlowIndex) compactLocked() error {
 		fi.idx.Close()
 	}
 	fi.idx, fi.idxCount = idx, count
-	clear(fi.overlay)
+	fi.overlay, fi.logged = fi.overlay[:0], 0
 	if err := fi.log.reset(); err != nil {
 		return fmt.Errorf("statestore: compact %s: %w", fi.name, err)
 	}
@@ -347,12 +440,12 @@ func (fi *FlowIndex) compactLocked() error {
 	return nil
 }
 
-// mergeLocked streams the old index and the overlay records named by
-// keys (sorted) into w as one run sorted by hash, the overlay winning on
-// an equal hash, and reports how many entries it wrote. An old entry
-// that survives is copied as the bytes it is, never decoded.
-func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
-	br, bw := fi.mergeR, fi.mergeW
+// mergeLocked streams the old index and the overlay's records into w as
+// one run sorted by hash, the overlay winning on an equal hash, and
+// reports how many entries it wrote. An old entry that survives is
+// copied as the bytes it is, never decoded.
+func (fi *FlowIndex) mergeLocked(w io.Writer) (int, error) {
+	br, bw, ov := fi.mergeR, fi.mergeW, fi.overlay
 	bw.Reset(w)
 	if fi.idxCount > 0 {
 		br.Reset(io.NewSectionReader(fi.idx, 0, int64(fi.idxCount)*flowEntrySize))
@@ -370,8 +463,8 @@ func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
 		}
 		// Overlay records below the next old entry — all that are left,
 		// once the old index is exhausted — read back from the spill log.
-		for ; k < len(keys) && (old == nil || keys[k] < oldHash); k++ {
-			if err := fi.readLogEntryLocked(keys[k], fi.overlay[keys[k]]); err != nil {
+		for ; k < len(ov) && (old == nil || ov[k].hash < oldHash); k++ {
+			if err := fi.readLogEntryLocked(ov[k].hash, ov[k].off); err != nil {
 				return 0, err
 			}
 			if _, err := bw.Write(fi.ent[:]); err != nil {
@@ -384,7 +477,7 @@ func (fi *FlowIndex) mergeLocked(w io.Writer, keys []uint64) (int, error) {
 		}
 		// A shadowed old entry is dropped; its overlay record goes out on
 		// the next turn, below whatever follows.
-		if k == len(keys) || keys[k] != oldHash {
+		if k == len(ov) || ov[k].hash != oldHash {
 			if _, err := bw.Write(old); err != nil {
 				return 0, err
 			}

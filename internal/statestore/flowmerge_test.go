@@ -105,8 +105,8 @@ func TestStreamingMergeWritesTheParentsIndex(t *testing.T) {
 // TestIndexMemoryFollowsTheConfigNotTheFlows: an index grown to 256k
 // flows through ordinary 2048-record spill batches at
 // defaultFlowCompactAfter keeps resident only what its constants bound —
-// the overlay's buckets, its sorted hashes, one batch's payload and
-// frame, two merge buffers — where the compaction it replaced kept ~89
+// the overlay's pairs, one batch's pairs and its frame, two merge
+// buffers (372–381 KB) — where the compaction it replaced kept ~89
 // bytes of merge scratch per flow ever spilled (~22 MB here). One more
 // compaction of the grown index then allocates the temp file's
 // bookkeeping and nothing else.
@@ -161,6 +161,115 @@ func TestIndexMemoryFollowsTheConfigNotTheFlows(t *testing.T) {
 		if got, ok, err := fi.LookupFlow(spread(c.i)); err != nil || !ok || got.Packets != c.pkts {
 			t.Fatalf("flow %d = %+v, %v, %v; want %d packets", c.i, got, ok, err, c.pkts)
 		}
+	}
+}
+
+// TestRespilledFlowsCompactTheLog: the same flows spilled again and
+// again still compact the spill log. A compaction fires on the entries
+// logged since the last one, revisits included, so the log never holds
+// more than defaultFlowCompactAfter entries plus one batch. When it
+// fired on distinct flows, 200 batches of 2048 over about 4000 flows
+// left a 16.8 MB log and never compacted.
+func TestRespilledFlowsCompactTheLog(t *testing.T) {
+	const batchLen, distinct, batches = 2048, 4000, 20
+	dir := t.TempDir()
+	s := openT(t, dir, Config{Fsync: FsyncNone})
+	fi := flowIndexT(t, s, "w")
+	batch := make([]session.SpillRecord, batchLen)
+	const maxLog = (defaultFlowCompactAfter+batchLen)*flowEntrySize + (defaultFlowCompactAfter/batchLen+1)*frameHeaderSize
+	next := uint64(0)
+	for b := 1; b <= batches; b++ {
+		for i := range batch {
+			batch[i] = rec(spread(next%distinct), 0x0a000001, next)
+			next++
+		}
+		if err := fi.SpillFlows(batch); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(filepath.Join(dir, "w.flog"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() > maxLog {
+			t.Fatalf("after %d batches over %d flows the spill log is %d B, over the %d B one compaction cycle can log", b, distinct, st.Size(), maxLog)
+		}
+	}
+	if got, want := s.StatsSnapshot().Compactions, uint64(batches*batchLen/defaultFlowCompactAfter); got < want {
+		t.Fatalf("%d compactions over %d spilled entries, want at least %d", got, batches*batchLen, want)
+	}
+	if n, err := fi.FlowCount(); err != nil || n != distinct {
+		t.Fatalf("FlowCount = %d, %v; want %d", n, err, distinct)
+	}
+	for i := uint64(next - distinct); i < next; i += 97 {
+		if got, ok, err := fi.LookupFlow(spread(i % distinct)); err != nil || !ok || got.Packets != i {
+			t.Fatalf("flow %d = %+v, %v, %v; want its last spill, %d packets", i%distinct, got, ok, err, i)
+		}
+	}
+}
+
+// TestFlowIndexAllocatesItsBoundOnce counts the bytes an index allocates
+// over spills of mem-durable's eviction batch at defaultFlowCompactAfter,
+// through eleven compactions. The first cycle, up to and including the
+// first compaction, stays within the resident formula of flowindex.go's
+// header (each piece made once, at its size; allocation rounds each up
+// to whole pages), and after it batches and compactions allocate nothing
+// but each compaction's file handles. When the overlay was a map it
+// allocated about twice what it held, by growing, and each compaction
+// sorted a copy of its keys.
+func TestFlowIndexAllocatesItsBoundOnce(t *testing.T) {
+	const batchLen = 16384/8 + 1 // a sweep from just over a 16384-flow cap
+	const handles = 2 << 10      // a compaction's temp file, new index handle and their names
+	// slack covers an allocation made outside the index: 5.5 KB in about
+	// one run in 40, with the collector on or off. It stays under the
+	// smallest piece that could regrow, the batch's pairs (32 KB).
+	const slack = 8 << 10
+	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone})
+	fi := flowIndexT(t, s, "worker-0")
+	batch := make([]session.SpillRecord, batchLen)
+	next := uint64(0)
+	spill := func() {
+		for i := range batch {
+			batch[i] = rec(spread(next%(4*defaultFlowCompactAfter)), 0x0a000001, next)
+			next++
+		}
+		if err := fi.SpillFlows(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ms runtime.MemStats
+	allocated := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	compactions := func() uint64 { return s.StatsSnapshot().Compactions }
+
+	const page = 8 << 10
+	bound := (defaultFlowCompactAfter+batchLen)*16 + // overlay
+		batchLen*16 + // the batch's pairs
+		frameHeaderSize + batchLen*flowEntrySize + // frame
+		2*mergeBufSize + // merge
+		4*page + handles + slack
+	from := allocated()
+	for compactions() == 0 {
+		spill()
+	}
+	first := allocated() - from
+	t.Logf("the first cycle allocated %d B; the resident formula gives %d B", first, bound)
+	if first > uint64(bound) {
+		t.Fatalf("the first cycle, up to its compaction, allocated %d B, over the %d B the resident formula allows", first, bound)
+	}
+
+	const cycles = 10
+	from, c0 := allocated(), compactions()
+	batches := 0
+	for compactions() < c0+cycles {
+		spill()
+		batches++
+	}
+	later := allocated() - from
+	t.Logf("%d more batches and %d compactions allocated %d B", batches, compactions()-c0, later)
+	if later > cycles*handles+slack {
+		t.Fatalf("%d batches and %d compactions after the first allocated %d B, want only the compactions' file handles (<= %d B)", batches, cycles, later, cycles*handles+slack)
 	}
 }
 
@@ -353,7 +462,12 @@ func TestMergeReadErrorLeavesIndexAndOverlay(t *testing.T) {
 // increasing by hash; FlowCount itself must agree whenever the input
 // calls it and at the end. The overlay holds offsets into the spill log,
 // so a stale one — kept past a cut, a compaction's truncate or a reopen —
-// reads another flow's entry or none, and fails a lookup or a merge.
+// reads another flow's entry or none, and fails a lookup or a merge. The
+// overlay must also stay strictly increasing by hash (a batch repeating
+// a hash, or a reopen replaying several frames, must leave one pair per
+// flow), within the entries the log holds, which stay under the
+// compaction threshold, and within its bound: the threshold plus the
+// largest batch yet, which a batch larger than any before it regrows.
 func FuzzFlowIndexMerge(f *testing.F) {
 	// An op byte b is b%6: 0 and 1 spill the next b/6%12+1 bytes as a
 	// batch, 2 compacts, 3 reopens, 4 calls FlowCount, 5 spills a batch
@@ -364,15 +478,21 @@ func FuzzFlowIndexMerge(f *testing.F) {
 	f.Add([]byte{6, 9, 9, 2, 2, 11, 9, 7, 0, 9, 3, 4})                                                                  // a batch repeating one hash; compacting nothing twice; a failed batch; reopen
 	f.Add([]byte{66, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 66, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 0, 25}) // the overlay threshold fires mid-input
 	f.Add([]byte{12, 1, 2, 3, 17, 2, 4, 5, 12, 6, 7, 8, 2, 5, 1, 3, 11, 9, 10, 0, 10})                                  // failed batches between good ones, across a compaction and a reopen
+	f.Add([]byte{66, 5, 53, 5, 7, 101, 7, 5, 9, 9, 149, 5, 7, 2, 4})                                                    // one batch holding hash 5 six times, 7 three times, 9 twice
+	f.Add([]byte{6, 1, 2, 12, 3, 1, 4, 0, 5, 3, 4, 6, 6, 7, 3, 2})                                                      // a reopen replaying three frames that revisit a flow; another replaying one
+	// batches of 1, 2, 3, 5, 11, 12: each regrows the overlay
+	f.Add([]byte{0, 1, 6, 2, 3, 12, 4, 5, 6, 24, 7, 8, 9, 10, 11, 60, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 66, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256]
 		}
 		cfg := Config{Dir: t.TempDir(), Fsync: FsyncNone}
 		fs := &faultFS{}
-		s := openFaultT(t, cfg.Dir, cfg, fs).SetCompactAfter(-1).SetFlowCompactAfter(24)
+		const compactAfter = 24
+		s := openFaultT(t, cfg.Dir, cfg, fs).SetCompactAfter(-1).SetFlowCompactAfter(compactAfter)
 		fi := flowIndexT(t, s, "w")
 		oracle := map[uint64]session.SpillRecord{}
+		maxBatch := 0 // the largest batch the log has taken
 		check := func(step int) {
 			t.Helper()
 			for h, want := range oracle {
@@ -385,14 +505,25 @@ func FuzzFlowIndexMerge(f *testing.F) {
 			}
 			fi.mu.Lock()
 			distinct := fi.idxCount
-			for h := range fi.overlay {
-				if _, ok, err := fi.searchIdxLocked(h); err != nil {
+			for _, r := range fi.overlay {
+				if _, ok, err := fi.searchIdxLocked(r.hash); err != nil {
 					t.Fatal(err)
 				} else if !ok {
 					distinct++
 				}
 			}
 			onDisk := fi.idxCount
+			for i := 1; i < len(fi.overlay); i++ {
+				if fi.overlay[i-1].hash >= fi.overlay[i].hash {
+					t.Fatalf("step %d: overlay pairs %d and %d hold hashes %#x, %#x: not strictly increasing", step, i-1, i, fi.overlay[i-1].hash, fi.overlay[i].hash)
+				}
+			}
+			if len(fi.overlay) > fi.logged || fi.logged >= compactAfter {
+				t.Fatalf("step %d: %d overlay flows over %d logged entries, want at most the entries and the entries under %d", step, len(fi.overlay), fi.logged, compactAfter)
+			}
+			if maxBatch > 0 && (cap(fi.overlay) > compactAfter+maxBatch || cap(fi.batch) > maxBatch) {
+				t.Fatalf("step %d: overlay made for %d pairs and batch for %d, past the bound of %d + %d", step, cap(fi.overlay), cap(fi.batch), compactAfter, maxBatch)
+			}
 			fi.mu.Unlock()
 			if distinct != len(oracle) {
 				t.Fatalf("step %d: index and overlay hold %d distinct flows, the oracle %d", step, distinct, len(oracle))
@@ -433,6 +564,7 @@ func FuzzFlowIndexMerge(f *testing.F) {
 				if err := fi.SpillFlows(batch); err != nil {
 					t.Fatalf("step %d: spill: %v", step, err)
 				}
+				maxBatch = max(maxBatch, n)
 				for _, r := range batch {
 					oracle[r.Hash] = r
 				}
@@ -444,7 +576,7 @@ func FuzzFlowIndexMerge(f *testing.F) {
 				if err := s.Close(); err != nil {
 					t.Fatalf("step %d: close: %v", step, err)
 				}
-				s = openFaultT(t, cfg.Dir, cfg, fs).SetCompactAfter(-1).SetFlowCompactAfter(24)
+				s = openFaultT(t, cfg.Dir, cfg, fs).SetCompactAfter(-1).SetFlowCompactAfter(compactAfter)
 				fi = flowIndexT(t, s, "w")
 			case 4:
 				flowCount(step)

@@ -296,7 +296,9 @@ func TestFailedOverlayReadPromotesNothing(t *testing.T) {
 
 	a, b := spilled[1].Hash(), spilled[0].Hash()
 	fi.mu.Lock()
-	fi.overlay[a] = fi.overlay[b]
+	i, _ := fi.findLocked(a)
+	j, _ := fi.findLocked(b)
+	fi.overlay[i].off = fi.overlay[j].off
 	fi.mu.Unlock()
 	if r, ok, err := fi.LookupFlow(a); err == nil || ok {
 		t.Fatalf("a stale overlay offset read as %+v, %v, %v; want an error", r, ok, err)
