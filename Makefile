@@ -39,26 +39,27 @@ STATESTORE_OVERHEAD_MAX ?= 2.0
 # The epoch=10ms case additionally pays for its checkpoint epochs:
 # recorded 1003-1017 allocs/op at -benchtime=5x, ~40 above epoch=off; the
 # ceiling is 1010 plus 25%. It was ~8-10k when an epoch cost an allocation
-# per live flow. Handing epoch buffers back moved it by only a few
-# objects, because each Run of that bench boots fresh domains over fresh
-# StateSets and is over after two or three epochs per worker, before a
-# buffer has come back once. BenchmarkChaosRestore is the one that runs
-# long enough to see the rotation, and restores besides.
+# per live flow. Each Run of that bench boots fresh domains over fresh
+# StateSets and is over after two or three epochs per worker, while a RAM
+# sink is still making its second buffer; BenchmarkChaosRestore is the
+# one that runs long enough to see the two buffers rotate, and restores
+# besides.
 PIPELINE_ALLOCS_MAX ?= 4000
 PIPELINE_EPOCH_ALLOCS_MAX ?= 1262
 
 # Ceilings for BenchmarkChaosRestore (mem-chaos in miniature: a few dozen
 # 10ms epochs and ~11 restores per Run over 4096 flows). Recorded 553-554
-# allocs/op and 0.60 MB/op, nearly all of it the Run's cold start; before
-# a fault and its restart stopped making garbage a Run read 967-1013
-# allocs/op (≈ 48 objects per fault), and before the hand-back change
-# ~1400 allocs/op and 7.3-8.4 MB/op. The object ceiling is the recorded
-# number plus 25%. The byte ceiling is the one that resolves — an epoch
-# buffer or a restored flow graph is a few large objects, not many — and
-# sits at twice the recorded number, a sixth of what one Run used to leave
-# behind. The bench also prices one fault against a fault-free twin:
-# recorded 10.0-10.1 allocs/fault and 490-510 B/fault (48 and ≈ 2.8 KB
-# before), gated at TestFaultAllocBudget's budget of 20 and 1024 B.
+# allocs/op and 0.60 MB/op, nearly all of it the Run's cold start, when
+# the ceilings were set; before a fault and its restart stopped making
+# garbage a Run read 967-1013 allocs/op (≈ 48 objects per fault), and
+# before epoch buffers rotated ~1400 allocs/op and 7.3-8.4 MB/op. Since a
+# RAM epoch is captured into its domain's sink of two buffers, a Run reads
+# ≈ 500 allocs/op and ≈ 0.59 MB/op. The object ceiling is 553 plus 25%. The byte ceiling is the one that resolves — an epoch buffer or
+# a restored flow graph is a few large objects, not many — and sits at
+# twice 0.60 MB, a sixth of what one Run used to leave behind. The bench
+# also prices one fault against a fault-free twin: recorded 10.0-10.1
+# allocs/fault and 490-510 B/fault (48 and ≈ 2.8 KB before), gated at
+# TestFaultAllocBudget's budget of 20 and 1024 B.
 CHAOS_RESTORE_ALLOCS_MAX ?= 690
 CHAOS_RESTORE_BYTES_MAX ?= 1200000
 
@@ -113,11 +114,11 @@ guard-atomics:
 ## what keeps epoch-buffer and restore garbage from coming back
 ## unnoticed, and its per-fault ceilings (objects and bytes one fault and
 ## its restart allocate, against a fault-free twin) keep the fault path
-## from making garbage again. TestRecycledEpochAllocatesNothing gates the two epoch loops
-## at 0 objects: RAM-only (capture, publish, hand the replaced epoch
-## back — two buffers in rotation) and durable (after one warm-up epoch,
-## capture → PersistEpoch → RecycleToken of that same token — the store
-## keeps the epoch on disk, so one buffer serves every epoch). The last
+## from making garbage again. TestRAMEpochAllocatesNothing (domain) gates
+## a warm RAM epoch of a 4096-flow worker at 0 objects — captured into
+## its domain's sink, whose two buffers rotate — and a restore from the
+## sink at 0 too; TestPersistEpochAllocatesNothing holds
+## the buffer path's whole-epoch append to a statestore.Store at 0. The last
 ## gate holds the socket datapath to the same
 ## standard: the loopback bench (pktgen, recvmmsg, rings, idle polls,
 ## pipeline, sendmmsg accounting) must round to 0 allocs per packet, with
@@ -155,7 +156,8 @@ alloc-gate:
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/op -max $(CHAOS_RESTORE_BYTES_MAX) < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric allocs/fault -max 20 < $$out > /dev/null; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkChaosRestore -metric B/fault -max 1024 < $$out > /dev/null
-	$(GO) test -run='^TestRecycledEpochAllocatesNothing$$' -count=1 -v .
+	$(GO) test -run='^TestRAMEpochAllocatesNothing$$' -count=1 -v ./internal/domain
+	$(GO) test -run='^TestPersistEpochAllocatesNothing$$' -count=1 -v .
 	@set -e; out=$$(mktemp); trap "rm -f $$out" EXIT; \
 	$(GO) test -run='^$$' -bench='NetportLoopback(Large)?$$' -benchmem -benchtime=1s ./internal/netport | tee $$out; \
 	$(GO) run ./cmd/benchgate -bench BenchmarkNetportLoopback -metric allocs/op -max 0 < $$out > /dev/null; \

@@ -3,8 +3,8 @@
 // per-packet path (RX burst → parse → firewall → maglev → session → TX)
 // must stay allocation-free once flows, pools, and scratch are warm;
 // cold starts, first-sight flows and compactions are the only sanctioned
-// allocators, and a checkpoint epoch whose predecessor was handed back
-// allocates nothing either (see DESIGN.md "Memory discipline").
+// allocators, and a warm checkpoint epoch allocates nothing either (see
+// DESIGN.md "Memory discipline").
 package repro
 
 import (
@@ -186,71 +186,46 @@ func TestEpochAllocBudget(t *testing.T) {
 	}
 }
 
-// TestRecycledEpochAllocatesNothing is the other half: the loops the
-// domain runtime runs allocate nothing once warm. With no store: capture,
-// publish as the last good epoch, hand the epoch that was replaced back
-// to the state (two buffers in rotation). With a statestore.Store:
-// capture, PersistEpoch, hand that same token back — the store holds the
-// epoch on disk, so one buffer serves every epoch. These loops stand in
-// for the runtime's; TestLiveEpochAllocBudget runs the runtime's own,
-// publication records and all.
-func TestRecycledEpochAllocatesNothing(t *testing.T) {
-	t.Run("no store", func(t *testing.T) {
-		set := warmStateSet(t)
-		var last any
-		epoch := func() {
-			tok, err := set.Checkpoint(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := last
-			last = tok
-			if old != nil {
-				set.RecycleToken(old)
-			}
-		}
-		epoch()
-		epoch()
-		if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
-			t.Fatalf("a recycled epoch allocates %.1f objects, want 0", allocs)
-		}
-	})
-	t.Run("store", func(t *testing.T) {
-		store, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone})
-		if err != nil {
+// TestPersistEpochAllocatesNothing: appending a whole epoch to a
+// statestore.Store — the buffer path's persist, taken by a state that
+// does not stream and by the epoch after a failed stream — allocates
+// nothing once warm: the store borrows the payload and its frame header
+// comes from a pool. A StateSet domain's epoch streams instead
+// (TestLiveEpochAllocBudget).
+func TestPersistEpochAllocatesNothing(t *testing.T) {
+	store, err := statestore.Open(statestore.Config{Dir: t.TempDir(), Fsync: statestore.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	set := warmStateSet(t)
+	tok, err := set.Checkpoint(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := set.EncodeToken(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	epoch := func() {
+		seq++
+		if err := store.PersistEpoch("worker-0", seq, payload); err != nil {
 			t.Fatal(err)
 		}
-		defer store.Close()
-		set := warmStateSet(t)
-		var seq uint64
-		epoch := func() {
-			tok, err := set.Checkpoint(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := set.EncodeToken(tok)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq++
-			if err := store.PersistEpoch("worker-0", seq, payload); err != nil {
-				t.Fatal(err)
-			}
-			set.RecycleToken(tok)
-		}
-		epoch()
-		if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
-			t.Fatalf("a persisted, recycled epoch allocates %.1f objects, want 0", allocs)
-		}
-		if payload, gotSeq, ok, err := store.LastEpoch("worker-0"); err != nil || !ok || gotSeq != seq || len(payload) == 0 {
-			t.Fatalf("store holds seq %d (ok=%v, err=%v), want %d", gotSeq, ok, err, seq)
-		}
-		// The epochs stay under the adaptive compaction threshold, so
-		// what was measured is the epoch path alone.
-		if c := store.StatsSnapshot().Compactions; c != 0 {
-			t.Fatalf("the store compacted %d times during %d epochs, want 0", c, seq)
-		}
-	})
+	}
+	epoch()
+	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+		t.Fatalf("a persisted epoch allocates %.1f objects, want 0", allocs)
+	}
+	if got, gotSeq, ok, err := store.LastEpoch("worker-0"); err != nil || !ok || gotSeq != seq || len(got) != len(payload) {
+		t.Fatalf("store holds seq %d (ok=%v, err=%v), want %d", gotSeq, ok, err, seq)
+	}
+	// The epochs stay under the adaptive compaction threshold, so what
+	// was measured is the append alone.
+	if c := store.StatsSnapshot().Compactions; c != 0 {
+		t.Fatalf("the store compacted %d times during %d epochs, want 0", c, seq)
+	}
 }
 
 // TestFaultAllocBudget pins what a fault and its restart allocate once a
@@ -291,15 +266,73 @@ func TestFaultAllocBudget(t *testing.T) {
 	}
 }
 
+// TestRecycledEpochAllocatesNothing: a domain with no store recycles its
+// epoch buffers. It captures each epoch into its RAM sink, whose two
+// buffers rotate, so a warm epoch of a 4096-flow worker allocates no
+// bytes, where the buffer path allocates the whole epoch and an eighth of
+// headroom every time (TestEpochAllocBudget). The loop is the runtime's
+// own: a live, idle domain with a 1 ms epoch, on one P as in
+// TestLiveEpochAllocBudget, which counts its objects. internal/domain's
+// TestRAMEpochAllocatesNothing runs an epoch on the test's goroutine and
+// pins it at exactly 0.
+func TestRecycledEpochAllocatesNothing(t *testing.T) {
+	t.Run("no store", func(t *testing.T) {
+		const epochs = 200
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		set := warmStateSet(t)
+		tok, err := set.Checkpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire, err := set.EncodeToken(tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond})
+		defer sup.Close()
+		d, err := domain.Spawn(sup, domain.Config[int]{
+			Name:    "worker-0",
+			Handler: func(linear.Owned[int]) error { return nil },
+			State:   set,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := func() uint64 { return d.Snapshot().Checkpoints }
+		waitEpochs := func(n uint64) {
+			for deadline := time.Now().Add(30 * time.Second); taken() < n; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d epochs after 30s, want %d", taken(), n)
+				}
+			}
+		}
+		waitEpochs(4) // both buffers made
+		var before, after runtime.MemStats
+		from := taken()
+		runtime.ReadMemStats(&before)
+		waitEpochs(from + epochs)
+		runtime.ReadMemStats(&after)
+		n := taken() - from
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+		t.Logf("%d epochs: %.1f bytes per epoch of %d", n, bytes, len(wire))
+		// One 64-byte object per epoch would be 64: a buffer is thousands.
+		if bytes > 64 {
+			t.Fatalf("a live RAM epoch allocates %.1f bytes, want <= 64 (an epoch is %d)", bytes, len(wire))
+		}
+		if sn := d.Snapshot(); sn.CheckpointFailures != 0 || sn.Persisted != 0 {
+			t.Fatalf("snapshot %+v: every epoch should succeed, and none is a persist", sn)
+		}
+	})
+}
+
 // TestLiveEpochAllocBudget runs at least 100 checkpoint epochs through a
-// live, idle Domain — the ticker wakes it, it captures, publishes and hands
-// back — and pins what an epoch allocates once warm: the buffers rotate
-// (TestRecycledEpochAllocatesNothing), and so do the publication records
-// that say which buffer is the last good epoch, two of them, rewritten
-// under the same rule that hands a buffer back. With a statestore.Store
-// the record of the epoch just persisted turns into the reference to the
-// store's copy in place. Before that change an epoch allocated one
-// record, two with a store.
+// live, idle Domain — the ticker wakes it, it captures into its RAM sink
+// or its store and publishes — and pins what an epoch allocates once
+// warm: the sink's buffers rotate (TestRecycledEpochAllocatesNothing),
+// and so do the publication records that name the last good epoch, two
+// of them. With a statestore.Store the record of the epoch just
+// persisted turns into the reference to the store's copy in place.
+// Before that change an epoch allocated one record, two with a store.
 //
 // The count is the process's, so the subtests run on one P. On several,
 // the goroutines parked in Mailbox.recv's select wake on another P than

@@ -678,10 +678,11 @@ func twinCost(tb testing.TB, runs, batchesPerWorker int) chaosCost {
 // BenchmarkChaosRestore runs chaosRunner with a handler panic on every
 // 2000th batch of each worker, so every Run takes a few dozen epochs and
 // restores each worker's maglev and session state five times. allocs/op
-// and B/op are one Run: with epoch buffers handed back and Restore
-// rebuilding in place, its cold start and little else (a Run made ~9 MB
-// of epoch buffers and restored graphs before). allocs/fault and B/fault
-// are one fault and its restart, against a fault-free twin (perFault).
+// and B/op are one Run: with RAM epochs captured into each domain's sink
+// of two buffers and Restore rebuilding in place, its cold start and
+// little else (a Run made ~9 MB of epoch buffers and restored graphs
+// before). allocs/fault and B/fault are one fault and its restart,
+// against a fault-free twin (perFault).
 // alloc-gate holds all four.
 func BenchmarkChaosRestore(b *testing.B) {
 	const faultEvery = 2000

@@ -30,11 +30,12 @@ func (m mapSpill) LookupFlow(h uint64) (session.SpillRecord, bool, error) {
 
 func (m mapSpill) FlowCount() (int, error) { return len(m), nil }
 
-// TestStateSetBufferSettlesAtTheCaps: a StateSet over a capped session
+// TestStateSetBufferSettlesAtTheCaps: a domain over a capped session
 // table and a balancer, both cycled through many fill-and-evict bands
-// with an epoch every few hundred flows, reallocates its epoch buffer at
-// most once after both tables have reached their caps. A balancer with
-// no cap grows its part by a flow per new flow, and the buffer with it.
+// with a RAM epoch every few hundred flows, reallocates its sink's epoch
+// buffers at most once after both tables have reached their caps. A
+// balancer with no cap grows its part by a flow per new flow, and the
+// buffers with it.
 func TestStateSetBufferSettlesAtTheCaps(t *testing.T) {
 	backends := make([]maglev.Backend, 8)
 	for i := range backends {
@@ -47,26 +48,19 @@ func TestStateSetBufferSettlesAtTheCaps(t *testing.T) {
 	const sessionCap = 4096
 	tbl := session.NewTable()
 	tbl.SetSpill(mapSpill{}, sessionCap)
-	set := domain.NewStateSet().Add("maglev", lb).Add("session", tbl)
+	d := spawnIdle(t, domain.NewStateSet().Add("maglev", lb).Add("session", tbl))
 
-	var buf *byte
 	capped, reallocs, epochs := false, 0, 0
 	epoch := func() {
-		tok, err := set.Checkpoint(nil)
-		if err != nil {
+		open, _ := d.SinkBuffers()
+		if err := d.EpochNow(); err != nil {
 			t.Fatal(err)
 		}
-		wire, err := set.EncodeToken(tok)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at := &wire[:1][0]; at != buf {
+		if _, committed := d.SinkBuffers(); cap(open) == 0 || &committed[:1][0] != &open[:1][0] {
 			if capped {
 				reallocs++
 			}
-			buf = at
 		}
-		set.RecycleToken(tok)
 		epochs++
 	}
 	const flows = 40 * (maglev.ConnTableSize/8 + 1) // 40 of the balancer's bands: 7/8 of its cap, past it, and back

@@ -17,13 +17,17 @@ package domain
 // seeds that token before the domain first serves, so there always is
 // one: a restart always restores.
 //
-// An epoch's buffer has one owner at every instant (DESIGN.md, "Who owns
-// an epoch buffer"; takeCheckpoint has the hand-back rules).
+// A state that streams (StateSet) captures every epoch straight into
+// where it is kept: through its domain's one chunk into the policy's
+// store when it takes chunks, and with no store into the open buffer of
+// an in-memory sink of two. One holder of the stream at a time, and a
+// commit only while its generation is current: those two rules are all
+// the ownership the epoch bytes need (DESIGN.md, "Who owns an epoch
+// buffer").
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,11 +47,9 @@ type Stateful interface {
 	// this instant. e is an RcAware engine for states that snapshot by
 	// traversal; StateSet, whose token is its wire form, ignores it. The
 	// token must be independent of the live state (later mutations must
-	// not leak into it) and not written again until the runtime hands it
-	// back: the runtime keeps it as the last good epoch while a restore
-	// or the store's append may be reading the same memory. A state that
-	// does not implement RecycleToken (see tokenRecycler) is never handed
-	// anything back, so for it "until" is "ever".
+	// not leak into it) and never written again: the runtime keeps it as
+	// the last good epoch while a restore or the store's append may be
+	// reading the same memory.
 	Checkpoint(e *checkpoint.Engine) (any, error)
 	// Restore replaces the live state with the token's contents. The
 	// token is always one previously returned by Checkpoint (or
@@ -66,12 +68,12 @@ type Stateful interface {
 // Ownership: both directions may alias rather than copy. StateSet, whose
 // token is its wire form, returns the token's own bytes from EncodeToken
 // and hands data back as the token from DecodeToken. That is sound
-// because an epoch's bytes are not written again until the runtime
-// hands the token back: from the moment Checkpoint returns them, the
-// domain (its last good epoch), the store (for the one PersistEpoch
-// call that appends them) and any restore in progress share one buffer
-// that nobody writes. The bytes DecodeToken is given are the caller's:
-// LastEpoch's fresh slice, which nothing else holds.
+// because a token's bytes are never written again: from the moment
+// Checkpoint returns them, the domain (its last good epoch), the store
+// (for the one PersistEpoch call that appends them) and any restore in
+// progress share one buffer that nobody writes. The bytes DecodeToken is
+// given are the caller's: LastEpoch's fresh slice, which nothing else
+// holds.
 type TokenCodec interface {
 	// EncodeToken serializes a token previously returned by Checkpoint.
 	// The result may share memory with the token and must not be
@@ -101,24 +103,13 @@ type Persister interface {
 	LastEpoch(name string) (payload []byte, seq uint64, ok bool, err error)
 }
 
-// tokenRecycler is the optional hand-back half of Stateful, found by
-// type assertion at Spawn. The runtime calls RecycleToken with a token
-// the state's Checkpoint returned earlier once nothing else can read it:
-// no restore is running, no store append is reading it, and either a
-// newer epoch replaced it as the last good one or the store holds its
-// epoch. The state may write into the token's memory from then on. A
-// state wrapped in a type that does not forward the method is never
-// handed anything back.
-type tokenRecycler interface {
-	RecycleToken(token any)
-}
-
 // epochStreamer is the optional streaming half of a Persister, found by
-// type assertion at Spawn (statestore.Store has it). With it, and a state
-// whose capture streams (StateSet), a durable domain writes its epoch
-// into the store a chunk at a time and keeps no image of it: the store
-// lock is held for one chunk, never for a capture. A Persister wrapped
-// in a type that does not forward these methods takes the buffer path.
+// type assertion at Spawn (statestore.Store has it).
+// With it, and a state whose capture streams (StateSet), a durable domain
+// writes its epoch into the store a chunk at a time and keeps no image of
+// it: the store lock is held for one chunk, never for a capture. A
+// Persister wrapped in a type that does not forward these methods takes
+// the buffer path.
 type epochStreamer interface {
 	// AppendChunk appends chunk index of the named domain's epoch seq,
 	// not its last; index 0 opens the stream. chunk is borrowed for the
@@ -134,17 +125,41 @@ type epochStreamer interface {
 }
 
 // streamCapture is the state half of a streamed epoch, found by type
-// assertion at Spawn beside epochStreamer: *StateSet has it.
+// assertion at Spawn: *StateSet has it.
 type streamCapture interface {
-	streamCheckpoint(st *epochStream) ([]byte, error)
+	checkpointSize() int
+	capture(buf []byte, st *epochStream) ([]byte, error)
 }
 
-// epochChunkSize is the chunk a durable domain streams its epochs
-// through: the only epoch memory such a domain keeps.
+// epochChunkSize is the chunk a domain streams its epochs through: the
+// only epoch memory a durable domain keeps.
 const epochChunkSize = 64 << 10
 
-// epochStream is a durable domain's one chunk and where its full ones
-// go: made at Spawn, held by one capture at a time (ckptState.stream).
+// ramSink is the epoch store of a domain whose state streams and whose
+// policy has no store: an epoch is captured into open, and its commit
+// swaps the two buffers, so the committed one is what a restart restores
+// and the one it replaced is the next epoch's open buffer. It takes no
+// lock. Only the stream's one holder (ckptState.stream) writes open, and
+// the swap runs under gmu while the holder's generation is current, so
+// no commit runs beside a restore, which reads committed between two
+// generations. A superseded holder writes only open.
+type ramSink struct {
+	open, committed setToken
+}
+
+// reserve readies the open buffer for an epoch of size bytes, before
+// the stream opens: one too small is replaced by one of size plus an
+// eighth, so a warm epoch allocates nothing and a state that grows a
+// little never regrows the buffer mid-stream.
+func (s *ramSink) reserve(size int) {
+	if cap(s.open.wire) < size {
+		s.open.wire = make([]byte, 0, size+size/8)
+	}
+}
+
+// epochStream is a streaming domain's one chunk and where its full ones
+// go: made at Spawn, held by one capture at a time (ckptState.stream). A
+// RAM domain's has neither: its capture writes into the sink.
 type epochStream struct {
 	store epochStreamer
 	name  string
@@ -191,14 +206,14 @@ type wireState interface {
 	// flush grows buf. Otherwise buf is a chunk whose capacity is all the
 	// room there is: before an entry that would not fit, the part hands
 	// the full chunk to flush and goes on in the one flush returns. A
-	// durable domain's epoch streams this way.
+	// StateSet domain's epoch streams this way.
 	StreamCheckpoint(buf []byte, flush func([]byte) ([]byte, error)) ([]byte, error)
 	// CheckCheckpoint reports whether Restore would accept data, without
 	// touching the live state: it accepts exactly what Restore does.
 	CheckCheckpoint(data []byte) error
 	// Restore replaces the live state with data's contents; a rejected
-	// data leaves it as it was. data is only read, and not kept: the set
-	// writes the epoch buffer again once the runtime hands it back.
+	// data leaves it as it was. data is only read, and not kept: a RAM
+	// sink writes its buffer again two epochs later.
 	Restore(data []byte) error
 	// Reset reinitializes to clean boot state.
 	Reset()
@@ -212,12 +227,6 @@ type wireState interface {
 type StateSet struct {
 	names []string
 	parts []wireState
-
-	// spare is the one token handed back by RecycleToken and not yet taken
-	// by a Checkpoint. mu guards only the field: a superseded generation
-	// may be capturing while the current one hands a token back.
-	mu    sync.Mutex
-	spare *setToken
 }
 
 // setToken is a StateSet restore token: the set's wire form. It is a
@@ -237,46 +246,28 @@ func (s *StateSet) Add(name string, part wireState) *StateSet {
 	return s
 }
 
-// Checkpoint captures every part (capture) into one buffer sized for all
-// of them. The buffer is the token RecycleToken last handed back when
-// there is one and it is large enough, and freshly allocated otherwise —
-// so a caller that never hands a token back gets a new buffer every
-// call. The engine is unused.
+// Checkpoint captures every part (capture) into a new buffer sized for
+// all of them, plus an eighth: a domain's seed is a RAM sink's first
+// committed epoch, and its buffer the open one of the epoch after next,
+// which the headroom lets a state that grew a little meanwhile still
+// fit. The engine is unused.
 func (s *StateSet) Checkpoint(*checkpoint.Engine) (any, error) {
+	size := s.checkpointSize()
+	buf, err := s.capture(make([]byte, 0, size+size/8), nil)
+	if err != nil {
+		return nil, err
+	}
+	return &setToken{wire: buf}, nil
+}
+
+// checkpointSize reports the bytes a capture would write now: the part
+// count, and each part behind its length.
+func (s *StateSet) checkpointSize() int {
 	size := 4
 	for _, p := range s.parts {
 		size += 4 + p.CheckpointSize()
 	}
-	s.mu.Lock()
-	tok := s.spare
-	s.spare = nil
-	s.mu.Unlock()
-	if tok == nil {
-		tok = &setToken{}
-	}
-	if cap(tok.wire) < size {
-		// Every buffer the set makes leaves an eighth of headroom. A
-		// table that gains a flow per epoch would otherwise reallocate
-		// every epoch, and a worker's tables still grow a little between
-		// its first two epochs: an exact first buffer was outgrown by the
-		// second, after the warm-up's last collection, and stayed resident
-		// as garbage (≈ 1 MB a worker on mem-durable).
-		tok.wire = make([]byte, 0, size+size/8)
-	}
-	buf, err := s.capture(tok.wire, nil)
-	if err != nil {
-		s.RecycleToken(tok) // never published: still ours alone
-		return nil, err
-	}
-	tok.wire = buf
-	return tok, nil
-}
-
-// streamCheckpoint writes Checkpoint's bytes through st's chunk
-// (capture), handing the store every full chunk. It returns the last
-// chunk, not yet appended, which the runtime commits.
-func (s *StateSet) streamCheckpoint(st *epochStream) ([]byte, error) {
-	return s.capture(st.chunk, st)
+	return size
 }
 
 // capture writes the set's wire form into buf: the part count, then
@@ -309,22 +300,6 @@ func (s *StateSet) capture(buf []byte, st *epochStream) ([]byte, error) {
 		}
 	}
 	return buf, nil
-}
-
-// RecycleToken takes back a token Checkpoint returned, once its caller
-// knows nothing reads it any more (see tokenRecycler): its buffer becomes
-// the spare the next Checkpoint writes into. The set keeps one spare, the
-// larger when offered a second.
-func (s *StateSet) RecycleToken(token any) {
-	tok, ok := token.(*setToken)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	if s.spare == nil || cap(tok.wire) > cap(s.spare.wire) {
-		s.spare = tok
-	}
-	s.mu.Unlock()
 }
 
 // eachPart validates the set's framing and calls fn with each
@@ -411,14 +386,14 @@ func (s *StateSet) DecodeToken(data []byte) (any, error) {
 }
 
 // ckptToken is one published checkpoint: the adapter's opaque token plus
-// the serving epoch and wall time it was taken at. seq is the durable
-// sequence number (0 when persistence is off, and for a RAM seed, which
-// Spawn takes at epoch 0). A nil token is a durable
-// reference: the epoch is the store's newest record for the domain, seq,
-// and a restore reads it back through LastEpoch. A record is written only
-// while nobody else can read it: before publish, under gmu while its
-// generation is current (makeDurable), and as a spare once the runtime
-// hands its buffer back (see takeCheckpoint).
+// the serving epoch and wall time it was taken at. seq is the epoch's
+// sequence number in its store (0 for a capture on the buffer path with
+// no store, and for a RAM seed, which Spawn takes at epoch 0). A nil token
+// names the newest epoch committed to the domain's stream: its RAM sink's,
+// or the store's record seq, which a restore reads back through
+// LastEpoch. A record is written only while nobody else can read it:
+// before publish, under gmu while its generation is current
+// (makeDurable), and as the spare once a newer one replaced it (retire).
 type ckptToken struct {
 	token any
 	epoch uint64
@@ -454,20 +429,17 @@ type ckptState struct {
 	codec   TokenCodec
 	seq     atomic.Uint64
 
-	// Streaming (nil when the store or the state cannot stream): the
-	// state's streaming capture, and the domain's one chunk, taken by a
+	// Streaming (nil when the state cannot stream, or the store cannot):
+	// the state's streaming capture, and the domain's stream, taken by a
 	// capture and put back after it (a superseded generation may still be
 	// streaming when the next one's epoch is due; that epoch takes the
-	// buffer path).
+	// buffer path). sink is where a capture writes when there is no store.
 	streamer streamCapture
 	stream   atomic.Pointer[epochStream]
+	sink     *ramSink
 
-	// recycler takes tokens back (nil when the state does not offer it,
-	// and for a domain that streams, which keeps no buffer); see
-	// takeCheckpoint for when. spareRec is the publication record that
-	// went out of use with the last buffer handed back, rewritten by the
-	// next epoch instead of a new one.
-	recycler tokenRecycler
+	// spareRec is a publication record out of use (retire), rewritten by
+	// the next epoch instead of a new one.
 	spareRec atomic.Pointer[ckptToken]
 
 	taken         telemetry.Counter
@@ -515,33 +487,13 @@ func (d *Domain[T]) idleEpoch(now time.Time) time.Time {
 // a capture that finished after its generation was superseded: the
 // monitor may already have chosen what the next generation restores.
 //
-// A domain that streams (streamEpoch) writes its epoch into the store
-// through its one chunk and holds a durable reference, never a buffer.
-// When the stream fails, or a superseded generation still holds the
-// chunk, the epoch takes the buffer path below: a capture into a buffer,
-// published as a RAM epoch, and persisted unless the store failed the
-// stream.
-//
-// Buffers go back to the state (tokenRecycler) when the runtime knows
-// nobody else reads them. Two hand-backs, both made only by a generation
-// that was current when it took the buffer out of last — which rules out
-// a restore, since those run on the monitor strictly between one
-// generation's exit or supersession and the next one's start:
-//
-//   - the epoch this one replaced, if it was still a buffer (no store, or
-//     its persist failed), unless a store is configured and an earlier
-//     generation published it: that generation may have been superseded
-//     inside its own PersistEpoch call, still reading the bytes;
-//   - this epoch itself, once the store holds it (makeDurable): its record
-//     then refers to the store's record instead, so a durable domain
-//     rotates one buffer.
-//
-// The replaced epoch's record goes out of use under the first rule
-// (whether it held a buffer or referred to the store), and the next epoch
-// rewrites it: records rotate with their buffers, two of them. Anything
-// else — a superseded generation's buffer or record, a failed persist's
-// after a restart, Spawn's RAM seed under a store, every buffer of a
-// domain that streams — is left to the collector.
+// A domain that streams (streamEpoch) writes its epoch through its one
+// chunk into its store, or into its RAM sink, and publishes a reference
+// to it. When the stream fails, or a superseded generation still holds
+// it, the epoch takes the buffer path below, as does every epoch of a
+// state that does not stream: a capture into a new buffer, published as
+// a RAM epoch, and persisted unless the store failed the stream. Nothing
+// is written into a published buffer again; a replaced one is garbage.
 func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 	ck := d.ck
 	start := d.now()
@@ -567,10 +519,7 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 		return nil
 	}
 	lat := d.now().Sub(start)
-	tok := ck.spareRec.Swap(nil)
-	if tok == nil {
-		tok = new(ckptToken)
-	}
+	tok := ck.record()
 	*tok = ckptToken{token: token, epoch: epoch, at: start}
 	old, ok := d.publish(tok)
 	if !ok {
@@ -578,20 +527,36 @@ func (d *Domain[T]) takeCheckpoint(epoch uint64) (fault error) {
 		return nil
 	}
 	d.taken(lat)
-	if old != nil && (ck.persist == nil || old.epoch == epoch) {
-		if old.token != nil {
-			ck.recycle(old.token)
-		}
-		ck.spareRec.Store(old)
-	}
+	ck.retire(old, epoch)
 	// Still inside the fault guard: a panic in the codec or the store is a
 	// domain fault, but the RAM epoch above already stands — the restart
 	// restores it. A persist *error* is softer yet: the domain keeps
 	// serving on the RAM epoch, only durability lags (counted).
-	if persist && d.persistEpoch(tok) && d.makeDurable(tok) {
-		ck.recycle(token)
+	if persist && d.persistEpoch(tok) {
+		d.makeDurable(tok)
 	}
 	return nil
+}
+
+// record returns a publication record to fill: the spare, or a new one.
+func (c *ckptState) record() *ckptToken {
+	if tok := c.spareRec.Swap(nil); tok != nil {
+		return tok
+	}
+	return new(ckptToken)
+}
+
+// retire keeps old, the record that generation epoch's publish replaced,
+// as the spare when nobody else can read it, and drops its token: a
+// restore reads a record only between generations, and after its own
+// publish a generation reads its record again only to persist it. So old
+// is free when this generation published it, or when there is no store
+// to persist to.
+func (c *ckptState) retire(old *ckptToken, epoch uint64) {
+	if old != nil && (c.persist == nil || old.epoch == epoch) {
+		old.token = nil
+		c.spareRec.Store(old)
+	}
 }
 
 // taken counts a published epoch, captured in lat.
@@ -601,46 +566,60 @@ func (d *Domain[T]) taken(lat time.Duration) {
 	d.rec.Record(d.actor, telemetry.EvCheckpoint, uint64(lat))
 }
 
-// streamEpoch runs one epoch of a domain that streams, on its one chunk
-// st: the seq is taken as the stream opens, the state's capture hands the
-// store every full chunk, and the last goes in as the epoch's commit —
-// under gmu, only while the generation is current, and publishing the
-// durable reference (a nil token) in the same critical section, so a
-// superseded generation never commits. The fsync follows, outside gmu,
-// and only then is the epoch counted as taken. It reports whether the
-// epoch is done with: it stands, durable, as the last good one, or the
-// generation was superseded (a failed epoch). When not, the caller
+// streamEpoch runs one epoch of a domain that streams, holding its stream
+// st: the seq is taken as the stream opens, and the state's capture hands
+// the store every full chunk, the last going in as the epoch's commit;
+// with no store it writes the whole epoch into the RAM sink's open
+// buffer, sized first, and the commit swaps the sink's buffers. The
+// commit runs under gmu, only while the generation is current, and
+// publishes the reference (a nil token) in the same critical section, so
+// a superseded generation never commits. A store's fsync follows, outside
+// gmu, and only then is the epoch counted as taken (and as persisted). It
+// reports whether the epoch is done with: it stands as the last good one,
+// or the generation was superseded (a failed epoch). When not, the caller
 // captures into RAM instead, and persist says whether that epoch goes to
-// the store whole: not when the store failed this one. A stream that
-// does not commit is aborted, and st goes back to the domain either way.
+// the store whole: not when the store failed this one. A store's stream
+// that does not commit is aborted, and st goes back to the domain either
+// way.
 func (d *Domain[T]) streamEpoch(st *epochStream, epoch uint64, start time.Time) (done, persist bool) {
-	ck := d.ck
+	ck, sink := d.ck, d.ck.sink
 	st.seq, st.index, st.written, st.storeErr = ck.seq.Add(1), 0, 0, false
 	committed := false
 	defer func() {
-		if !committed {
+		if !committed && sink == nil {
 			st.store.AbortEpoch(d.name, st.seq)
 		}
 		ck.stream.Store(st)
 	}()
-	tail, err := ck.streamer.streamCheckpoint(st)
+	var tail []byte
+	var err error
+	if sink != nil {
+		sink.reserve(ck.streamer.checkpointSize())
+		if tail, err = ck.streamer.capture(sink.open.wire, nil); err == nil {
+			sink.open.wire = tail
+		}
+	} else {
+		tail, err = ck.streamer.capture(st.chunk, st)
+	}
 	if err != nil {
 		if st.storeErr {
 			ck.persistFailed.Add(1)
 			return false, false
 		}
-		return false, true
+		return false, ck.persist != nil
 	}
-	tok := ck.spareRec.Swap(nil)
-	if tok == nil {
-		tok = new(ckptToken)
-	}
+	tok := ck.record()
 	*tok = ckptToken{epoch: epoch, seq: st.seq, at: start}
 	var old *ckptToken
 	d.gmu.Lock()
 	current := d.epoch.Load() == epoch
 	if current {
-		if err = st.store.CommitEpoch(d.name, st.seq, st.index, tail); err == nil {
+		if sink != nil {
+			sink.open, sink.committed = sink.committed, sink.open
+		} else {
+			err = st.store.CommitEpoch(d.name, st.seq, st.index, tail)
+		}
+		if err == nil {
 			committed = true
 			old = ck.last.Swap(tok)
 		}
@@ -656,8 +635,10 @@ func (d *Domain[T]) streamEpoch(st *epochStream, epoch uint64, start time.Time) 
 		return false, false
 	}
 	committedAt := d.now()
-	if old != nil && old.epoch == epoch {
-		ck.spareRec.Store(old)
+	ck.retire(old, epoch)
+	if sink != nil {
+		d.taken(committedAt.Sub(start))
+		return true, false
 	}
 	if err := st.store.SyncEpoch(d.name); err != nil {
 		// The epoch's bytes may be gone from the kernel's cache as well as
@@ -672,27 +653,25 @@ func (d *Domain[T]) streamEpoch(st *epochStream, epoch uint64, start time.Time) 
 	return true, false
 }
 
-// streamInto makes the domain stream its epochs into p when p and state
-// can (epochStreamer, streamCapture): the domain gets its one chunk, and
-// no recycler, since it keeps no buffer to hand back.
+// streamInto makes the domain stream its epochs when state can
+// (streamCapture): into a RAM sink when there is no p, and into p through
+// the domain's one chunk when p streams (epochStreamer).
 func (c *ckptState) streamInto(p Persister, state Stateful, name string) {
-	store, ok := p.(epochStreamer)
-	capture, ok2 := state.(streamCapture)
-	if !ok || !ok2 {
+	capture, ok := state.(streamCapture)
+	if !ok {
 		return
 	}
-	st := &epochStream{store: store, name: name, chunk: make([]byte, 0, epochChunkSize)}
-	st.flush = st.appendChunk
+	st := &epochStream{name: name}
+	if p == nil {
+		c.sink = new(ramSink)
+	} else if st.store, ok = p.(epochStreamer); ok {
+		st.chunk = make([]byte, 0, epochChunkSize)
+		st.flush = st.appendChunk
+	} else {
+		return
+	}
 	c.streamer = capture
 	c.stream.Store(st)
-	c.recycler = nil
-}
-
-// recycle hands token back to the state, if it takes tokens back.
-func (c *ckptState) recycle(token any) {
-	if c.recycler != nil {
-		c.recycler.RecycleToken(token)
-	}
 }
 
 // publish makes tok the last good epoch and returns the one it replaced,
@@ -733,17 +712,14 @@ func (d *Domain[T]) persistEpoch(tok *ckptToken) bool {
 }
 
 // makeDurable turns tok, still the last good epoch, into a reference to
-// the store's record of it, and reports whether it did: only while tok's
-// generation is current, under gmu as publish, so no restore is reading
-// tok — and once it has, nothing can reach tok's buffer.
-func (d *Domain[T]) makeDurable(tok *ckptToken) bool {
+// the store's record of it: only while tok's generation is current, under
+// gmu as publish, so no restore is reading tok.
+func (d *Domain[T]) makeDurable(tok *ckptToken) {
 	d.gmu.Lock()
 	defer d.gmu.Unlock()
-	if d.epoch.Load() != tok.epoch || d.ck.last.Load() != tok {
-		return false
+	if d.epoch.Load() == tok.epoch && d.ck.last.Load() == tok {
+		tok.token = nil
 	}
-	tok.token = nil
-	return true
 }
 
 // durableToken reads the store's newest epoch for the domain and decodes
@@ -783,8 +759,9 @@ func (d *Domain[T]) restore(token any) error {
 // so every restart has one to restore: when Policy.Persist's store holds
 // an epoch for the domain, a reference to the newest, restored at once
 // with the sequence continued; otherwise one capture of the state as it
-// was built, a RAM epoch (epoch 0, seq 0) never given to the store. The
-// seed is not counted, timed or recorded as a taken checkpoint. Errors,
+// was built, a RAM epoch (epoch 0, seq 0) never given to the store: the
+// RAM sink's first committed epoch when the domain has one. The seed is
+// not counted, timed or recorded as a taken checkpoint. Errors,
 // a capture's panic included, are Spawn errors: a misconfiguration, not
 // a fault to retry through.
 func (d *Domain[T]) seed() (err error) {
@@ -815,25 +792,32 @@ func (d *Domain[T]) seed() (err error) {
 	if err != nil {
 		return fmt.Errorf("seed checkpoint: %w", err)
 	}
+	if tok, ok := token.(*setToken); ok && ck.sink != nil {
+		ck.sink.committed, token = *tok, nil
+	}
 	ck.last.Store(&ckptToken{token: token, at: d.now()})
 	return nil
 }
 
 // restoreLast is the state half of a restart (recoverState): the state
 // gets back the last good epoch, the seed until a periodic epoch
-// replaces it — read back from the store when last is a durable
-// reference, which must still be the store's newest epoch. A restore
-// error, a failed read included, is a fault (the streak grows toward
-// stop). The generation whose fault or supersession scheduled the
-// restart can no longer publish, and the next starts only after this
-// returns, so the token read here is not replaced or handed back
-// meanwhile (TestNoPublishOrHandBackDuringRestore).
+// replaces it. A reference (a nil token) is the RAM sink's committed
+// epoch, read in place, or else the store's, read back, which must still
+// be its newest epoch. A restore error, a failed read included, is a
+// fault (the streak grows toward stop). The generation whose fault or
+// supersession scheduled the restart can no longer publish or commit, and
+// the next starts only after this returns, so the epoch read here is not
+// replaced or written meanwhile (TestNoPublishOrHandBackDuringRestore).
 func (d *Domain[T]) restoreLast() error {
 	ck := d.ck
 	last := ck.last.Load()
 	token := last.token
 	var err error
-	if token == nil {
+	switch {
+	case token != nil:
+	case ck.sink != nil:
+		token = &ck.sink.committed
+	default:
 		token, _, _, err = d.durableToken(last.seq)
 	}
 	if err == nil {

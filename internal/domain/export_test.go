@@ -53,3 +53,20 @@ func (m *Mailbox[T]) trySend(v linear.Owned[T]) error {
 		return errMailboxFull
 	}
 }
+
+// EpochNow runs one checkpoint epoch of d's current generation on the
+// caller's goroutine, as the serving goroutine does between invocations.
+// The caller keeps that goroutine away from the state: no payloads, and a
+// CheckpointEvery longer than the test.
+func (d *Domain[T]) EpochNow() error { return d.takeCheckpoint(d.epoch.Load()) }
+
+// RestoreNow restores d's last good epoch, as a restart does between two
+// generations; the caller keeps the serving goroutine idle, as for
+// EpochNow.
+func (d *Domain[T]) RestoreNow() error { return d.restoreLast() }
+
+// SinkBuffers returns d's RAM sink's open and committed epoch buffers,
+// which must not be written.
+func (d *Domain[T]) SinkBuffers() (open, committed []byte) {
+	return d.ck.sink.open.wire, d.ck.sink.committed.wire
+}

@@ -1,17 +1,19 @@
 package domain_test
 
 // stateset_test.go holds a StateSet of the production parts to the part
-// contract: a warm restore allocates nothing, and DecodeToken accepts
-// exactly what Restore can apply.
+// contract: a warm RAM epoch and a warm restore allocate nothing, and
+// DecodeToken accepts exactly what Restore can apply.
 
 import (
 	"bytes"
 	"fmt"
 	"maps"
 	"testing"
+	"time"
 
 	"repro/internal/domain"
 	"repro/internal/firewall"
+	"repro/internal/linear"
 	"repro/internal/maglev"
 	"repro/internal/packet"
 	"repro/internal/session"
@@ -64,6 +66,66 @@ func TestWarmStateSetRestoreAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a warm restore made %.2f allocations, want 0", allocs)
+	}
+}
+
+// spawnIdle spawns a domain over state that serves nothing and takes no
+// epoch of its own, for EpochNow and RestoreNow.
+func spawnIdle(t *testing.T, state domain.Stateful) *domain.Domain[int] {
+	t.Helper()
+	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Hour})
+	t.Cleanup(sup.Close)
+	d, err := domain.Spawn(sup, domain.Config[int]{
+		Name:    "worker-0",
+		Handler: func(linear.Owned[int]) error { return nil },
+		State:   state,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRAMEpochAllocatesNothing: a domain with no store captures the
+// epochs of a worker of 4096 flows, several times the durable stream's
+// 64 KiB chunk each, into its RAM sink, and once warm an epoch allocates
+// nothing: the sink's two buffers rotate, each epoch written into the one
+// the epoch before last committed, and so do the publication records. A
+// restore reads the committed epoch in place and allocates nothing
+// either. A commit into the sink is not a persist.
+func TestRAMEpochAllocatesNothing(t *testing.T) {
+	lb, tbl := newBalancer(t, 8, maglev.DefaultTableSize), session.NewTable()
+	track(lb, tbl, 4096)
+	d := spawnIdle(t, domain.NewStateSet().Add("maglev", lb).Add("session", tbl))
+	epoch := func() {
+		if err := d.EpochNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epoch()
+	epoch()
+	open, _ := d.SinkBuffers()
+	epoch()
+	if _, committed := d.SinkBuffers(); &committed[:1][0] != &open[:1][0] {
+		t.Fatal("the epoch was not written into the sink's open buffer")
+	}
+	if allocs := testing.AllocsPerRun(50, epoch); allocs != 0 {
+		t.Fatalf("a warm RAM epoch allocates %.1f objects, want 0", allocs)
+	}
+	if _, committed := d.SinkBuffers(); len(committed) < 3*64<<10 {
+		t.Fatalf("a %d-byte epoch: want one of at least three 64 KiB chunks", len(committed))
+	}
+	restore := func() {
+		if err := d.RestoreNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, restore); allocs != 0 {
+		t.Fatalf("a restore from the sink allocates %.1f objects, want 0", allocs)
+	}
+	sn := d.Snapshot()
+	if sn.Checkpoints < 53 || sn.Restores < 21 || sn.CheckpointFailures != 0 || sn.Persisted != 0 || sn.PersistFailures != 0 {
+		t.Fatalf("snapshot %+v: every epoch and restore should count, and none as a persist", sn)
 	}
 }
 

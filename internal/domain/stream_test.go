@@ -1,10 +1,11 @@
 package domain
 
-// stream_test.go covers the durable epoch that streams: a domain over a
-// store that takes chunks writes every epoch through its one chunk and
-// keeps no image of it, a generation superseded mid-stream never commits,
-// a stream the store fails leaves a RAM epoch standing, and one whose
-// capture fails leaves the epoch to the store whole.
+// stream_test.go covers the epoch that streams: a domain over a store
+// that takes chunks writes every epoch through its one chunk and keeps no
+// image of it, a generation superseded mid-stream never commits into the
+// store or the RAM sink, a stream the store fails leaves a RAM epoch
+// standing, and one whose capture fails leaves the epoch to the store
+// whole.
 
 import (
 	"bytes"
@@ -207,62 +208,98 @@ func TestDurableDomainKeepsNoEpochImage(t *testing.T) {
 }
 
 // TestSupersededStreamNeverCommits: a hang verdict retires the domain
-// after its stream's chunks reached the store and before the commit. The
-// restart restores the store's newest epoch, which is still the last
-// good one; when the old generation goes on it must not commit, and its
-// stream is aborted. The next generation streams again.
+// after its capture reached the store, or its RAM sink's open buffer, and
+// before the commit. The restart restores the newest committed epoch,
+// which is still the last good one: byte for byte, though it is several
+// chunks long. When the old generation goes on it must not commit, and
+// a store's stream is aborted. The next generation streams again.
 func TestSupersededStreamNeverCommits(t *testing.T) {
-	p := newStreamPersister()
-	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
-	defer sup.Close()
-	kv := bigKV()
-	g := newGatedSet(kv)
-	d := spawnGated(t, sup, "victim", g, kv)
-	kv.set("good", 1)
-	epoch(t, d, g)
-	epoch(t, d, g)
-	newest := p.lastSeq("victim")
-	if last := d.ck.last.Load(); last.token != nil || last.seq != newest {
-		t.Fatal("the last good epoch is not the store's newest")
-	}
-	failed := d.Snapshot().CheckpointFailures
+	for _, durable := range []bool{true, false} {
+		name := "ram"
+		if durable {
+			name = "store"
+		}
+		t.Run(name, func(t *testing.T) {
+			p := newStreamPersister()
+			pol := ckptPolicy(200 * time.Microsecond)
+			if durable {
+				pol.Persist = p
+			}
+			sup := NewSupervisor(pol)
+			defer sup.Close()
+			kv := bigKV()
+			g := newGatedSet(kv)
+			d := spawnGated(t, sup, "victim", g, kv)
+			// newest is the domain's newest committed epoch: the store's, or
+			// its RAM sink's.
+			newest := func() []byte {
+				if durable {
+					payload, _, _, _ := p.LastEpoch("victim")
+					return payload
+				}
+				return bytes.Clone(d.ck.sink.committed.wire)
+			}
+			kv.set("good", 1)
+			epoch(t, d, g)
+			epoch(t, d, g)
+			good, last := newest(), d.ck.last.Load()
+			goodSeq := last.seq
+			if last.token != nil || (durable && goodSeq != p.lastSeq("victim")) {
+				t.Fatal("the last good epoch is not a reference to the newest committed one")
+			}
+			if n := reachable(t, d, g); !durable && n != 2 {
+				t.Fatalf("%d epoch buffers reachable, want the sink's two", n)
+			}
+			failed := d.Snapshot().CheckpointFailures
 
-	kv.set("torn", 2) // live only: the stream below carries it
-	g.hold.Store(true)
-	g.permits <- struct{}{}
-	<-g.held // every full chunk is in the store; the commit is next
-	if open, _ := p.streaming("victim"); !open {
-		t.Fatal("no stream open mid-capture")
-	}
-	raceHangVerdict(sup, d)
-	waitFor(t, "the restart restores the victim", func() bool {
-		sn := d.Snapshot()
-		return sn.Restarts >= 1 && sn.Restores >= 1
-	})
-	if _, ok := kv.get("torn"); ok {
-		t.Fatal("the restore kept a key that no committed epoch carried")
-	}
-	g.release <- struct{}{} // the superseded generation goes on to its commit
-	waitFor(t, "the refused commit is counted", func() bool {
-		return d.Snapshot().CheckpointFailures == failed+1
-	})
-	if p.lastSeq("victim") != newest {
-		t.Fatal("a superseded generation committed its epoch")
-	}
-	if open, _ := p.streaming("victim"); open {
-		t.Fatal("the superseded generation's stream was left open")
-	}
-	if last := d.ck.last.Load(); last.token != nil || last.seq != newest {
-		t.Fatal("a superseded generation replaced the last good epoch")
-	}
-	epoch(t, d, g) // may find the chunk still held: the buffer path, persisted whole
-	streamed := g.streamed.Load()
-	epoch(t, d, g)
-	if g.streamed.Load() != streamed+1 {
-		t.Fatal("the new generation does not stream")
-	}
-	if last := d.ck.last.Load(); last.token != nil || last.seq <= newest || last.seq != p.lastSeq("victim") {
-		t.Fatal("the new generation's epoch is not the store's newest")
+			kv.set("torn", 2) // live only: the stream below carries it
+			g.hold.Store(true)
+			g.permits <- struct{}{}
+			<-g.held // every full chunk is in the store, or the epoch in the sink; the commit is next
+			if open, _ := p.streaming("victim"); durable && !open {
+				t.Fatal("no stream open mid-capture")
+			}
+			raceHangVerdict(sup, d)
+			waitFor(t, "the restart restores the victim", func() bool {
+				sn := d.Snapshot()
+				return sn.Restarts >= 1 && sn.Restores >= 1
+			})
+			if _, ok := kv.get("torn"); ok {
+				t.Fatal("the restore kept a key that no committed epoch carried")
+			}
+			restored, err := g.StateSet.Checkpoint(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(good) < 3*epochChunkSize || !bytes.Equal(restored.(*setToken).wire, good) {
+				t.Fatalf("the restored state captures as %d bytes, not the %d bytes of the last good epoch", len(restored.(*setToken).wire), len(good))
+			}
+			g.release <- struct{}{} // the superseded generation goes on to its commit
+			waitFor(t, "the refused commit is counted", func() bool {
+				return d.Snapshot().CheckpointFailures == failed+1
+			})
+			if !bytes.Equal(newest(), good) {
+				t.Fatal("a superseded generation committed its epoch")
+			}
+			if open, _ := p.streaming("victim"); open {
+				t.Fatal("the superseded generation's stream was left open")
+			}
+			if d.ck.last.Load() != last || last.token != nil || last.seq != goodSeq {
+				t.Fatal("a superseded generation replaced the last good epoch")
+			}
+			epoch(t, d, g) // may find the stream still held: the buffer path, persisted whole
+			streamed := g.streamed.Load()
+			epoch(t, d, g)
+			if g.streamed.Load() != streamed+1 {
+				t.Fatal("the new generation does not stream")
+			}
+			if now := d.ck.last.Load(); now.token != nil || now.seq <= goodSeq || (durable && now.seq != p.lastSeq("victim")) {
+				t.Fatal("the new generation's epoch is not the newest committed one")
+			}
+			if sn := d.Snapshot(); !durable && (sn.Persisted != 0 || sn.PersistFailures != 0) {
+				t.Fatalf("a RAM domain counts %d persisted epochs and %d persist failures, want none", sn.Persisted, sn.PersistFailures)
+			}
+		})
 	}
 }
 

@@ -230,7 +230,6 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			wake:   make(chan struct{}, 1),
 		}
 		d.ck.lastAttempt.Store(s.clock.now().UnixNano())
-		d.ck.recycler, _ = cfg.State.(tokenRecycler)
 		if p := s.policy.Persist; p != nil {
 			codec, ok := cfg.State.(TokenCodec)
 			if !ok {
@@ -238,8 +237,8 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			}
 			d.ck.persist = p
 			d.ck.codec = codec
-			d.ck.streamInto(p, cfg.State, cfg.Name)
 		}
+		d.ck.streamInto(s.policy.Persist, cfg.State, cfg.Name)
 	}
 	d.state.Store(int32(StateLive))
 	d.rec = s.policy.Recorder

@@ -84,7 +84,7 @@ func TestUntruncatableWALPoisonsStore(t *testing.T) {
 // around the caller's buffer — and PersistEpoch borrows that buffer for
 // the call only: scribbling over it after every return changes nothing
 // LastEpoch, a compaction or a reopen reads. (The root
-// TestRecycledEpochAllocatesNothing holds the loop to 0 allocations
+// TestPersistEpochAllocatesNothing holds the loop to 0 allocations
 // outside the race detector, which makes sync.Pool drop entries.)
 func TestPersistEpochBorrowsPayload(t *testing.T) {
 	dir := t.TempDir()

@@ -1,12 +1,12 @@
 package statestore
 
-// ownership_test.go is the safety half of recycled epoch buffers: a
-// buffer goes back to the state that wrote it only when nobody reads it
-// any more — the store borrows it for one PersistEpoch call and keeps
-// nothing of it. It runs the real domain runtime over a real StateSet and
+// ownership_test.go holds the buffer path's epochs to their one rule: a
+// captured buffer is never written again, and the store borrows it for
+// one PersistEpoch call and keeps nothing of it. It runs the real domain
+// runtime over a real StateSet behind a wrapper that does not stream and
 // a real Store (with the disk seam failing writes and fsyncs on cue),
-// scripted one epoch at a time, scribbles over every buffer the moment it
-// is handed back, and checks that no reader — a restore, LastEpoch, a
+// scripted one epoch at a time, and checks that no capture writes into a
+// buffer still reachable and that no reader — a restore, LastEpoch, a
 // compaction — ever sees bytes that differ from what some capture
 // produced (for the store: what it was handed under that seq).
 
@@ -64,26 +64,18 @@ func TestSpillSteadyStateAllocatesNothing(t *testing.T) {
 
 // ownBook is what the script knows about every epoch buffer: the
 // checksums captures produced, per domain; the checksum of each epoch as
-// it was handed to the store, per sequence number; which buffers are
-// still reachable (a finalizer crosses them off); and, per domain, how
-// often a capture went to a buffer other than the previous capture's.
+// it was handed to the store, per sequence number; and which buffers are
+// still reachable (a finalizer crosses them off).
 type ownBook struct {
 	mu       sync.Mutex
 	sums     map[string]map[uint32]bool
 	bySeq    map[string]map[uint64]uint32
 	tracked  map[uintptr]bool
-	fresh    map[string]int // buffers never seen before, per domain
-	last     map[string]uintptr
-	moves    map[string]int
 	problems []string
 }
 
 func newOwnBook() *ownBook {
-	return &ownBook{
-		sums: map[string]map[uint32]bool{}, bySeq: map[string]map[uint64]uint32{},
-		tracked: map[uintptr]bool{}, fresh: map[string]int{},
-		last: map[string]uintptr{}, moves: map[string]int{},
-	}
+	return &ownBook{sums: map[string]map[uint32]bool{}, bySeq: map[string]map[uint64]uint32{}, tracked: map[uintptr]bool{}}
 }
 
 func (b *ownBook) problem(format string, args ...any) {
@@ -108,7 +100,9 @@ func (b *ownBook) persisted(name string, seq uint64, data []byte) bool {
 	return ok && sum == crc32.Checksum(data, castagnoli)
 }
 
-// capture records a capture's checksum and starts tracking its buffer.
+// capture records a capture's checksum and starts tracking its buffer,
+// which must be a new one: the buffer of an earlier capture is never
+// freed before its finalizer crossed it off.
 func (b *ownBook) capture(name string, data []byte) {
 	p := &data[:1][0]
 	b.mu.Lock()
@@ -118,15 +112,11 @@ func (b *ownBook) capture(name string, data []byte) {
 	}
 	b.sums[name][crc32.Checksum(data, castagnoli)] = true
 	key := uintptr(unsafe.Pointer(p))
-	if b.last[name] != key {
-		b.moves[name]++
-		b.last[name] = key
-	}
 	if b.tracked[key] {
-		return // a buffer back from the spare
+		b.problems = append(b.problems, fmt.Sprintf("%s: a capture wrote into a buffer an earlier capture still holds", name))
+		return
 	}
 	b.tracked[key] = true
-	b.fresh[name]++
 	runtime.SetFinalizer(p, func(p *byte) {
 		b.mu.Lock()
 		delete(b.tracked, uintptr(unsafe.Pointer(p)))
@@ -156,12 +146,10 @@ func (o *ownedStore) PersistEpoch(name string, seq uint64, payload []byte) error
 	return o.Store.PersistEpoch(name, seq, payload)
 }
 
-// ownedState stands between the runtime and a worker's StateSet. It does
-// not hide RecycleToken, so the runtime recycles exactly as it would
-// without it — but every buffer handed back is scribbled over on the
-// spot, so a reader that was still using it sees bytes no capture
-// produced. A capture waits for a permit from the script, which is how
-// the script knows when nothing is in flight.
+// ownedState stands between the runtime and a worker's StateSet, whose
+// streaming capture it hides: every epoch takes the buffer path, and the
+// book sees every capture. A capture waits for a permit from the script,
+// which is how the script knows when nothing is in flight.
 type ownedState struct {
 	name    string
 	inner   *domain.StateSet
@@ -199,15 +187,6 @@ func (o *ownedState) Restore(token any) error {
 		o.book.problem("%s: restore reads %d bytes no capture produced", o.name, len(data))
 	}
 	return o.inner.Restore(token)
-}
-
-func (o *ownedState) RecycleToken(token any) {
-	if data, err := o.inner.EncodeToken(token); err == nil {
-		for i := range data {
-			data[i] = 0xee
-		}
-	}
-	o.inner.RecycleToken(token)
 }
 
 func (o *ownedState) EncodeToken(token any) ([]byte, error) { return o.inner.EncodeToken(token) }
@@ -307,7 +286,7 @@ func attempts(wk *ownWorker) uint64 {
 }
 
 // settle waits until every worker's only runnable work is a capture
-// parked on its permit: publish, persist and hand-back all run on the
+// parked on its permit: publish and persist both run on the
 // goroutine that captured, before it can ask for the next permit, so
 // nothing touches an epoch buffer while this holds.
 func (sc *ownScript) settle() {
@@ -365,9 +344,8 @@ func (sc *ownScript) crash(w int, inCapture bool) {
 
 // verify runs with everything parked: every epoch LastEpoch reads back
 // and every frame of a compacted base must be the bytes the store was
-// handed under that seq, and no more than two epoch buffers per worker
-// (the spare, and the last good epoch after a failed persist) may still
-// be reachable.
+// handed under that seq, and no more than one epoch buffer per worker
+// (the last good epoch, after a failed persist) may still be reachable.
 func (sc *ownScript) verify(compact bool) {
 	sc.t.Helper()
 	if compact {
@@ -399,7 +377,7 @@ func (sc *ownScript) verify(compact bool) {
 			sc.book.problem("%s: LastEpoch returns as epoch %d bytes the store was never handed", wk.state.name, seq)
 		}
 	}
-	limit := 2 * len(sc.workers)
+	limit := len(sc.workers)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -407,7 +385,7 @@ func (sc *ownScript) verify(compact bool) {
 			break
 		}
 		if time.Now().After(deadline) {
-			sc.t.Fatalf("%d epoch buffers still reachable with everything parked, want <= %d (two per worker)", sc.book.reachable(), limit)
+			sc.t.Fatalf("%d epoch buffers still reachable with everything parked, want <= %d (one per worker)", sc.book.reachable(), limit)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -481,35 +459,11 @@ func TestEpochOwnershipProperty(t *testing.T) {
 	}
 }
 
-// TestEpochBuffersRotate: with no faults and a state that has stopped
-// growing, every epoch of a durable worker is captured into the same one
-// buffer for as long as it runs — the check that the script above is
-// exercising recycling and not only its fallback.
-func TestEpochBuffersRotate(t *testing.T) {
-	sc := newOwnScript(t)
-	counts := func() (fresh, moves int) {
-		sc.book.mu.Lock()
-		defer sc.book.mu.Unlock()
-		return sc.book.fresh["worker-0"], sc.book.moves["worker-0"]
-	}
-	for i := 0; i < 3; i++ { // the first captures were of a smaller state
-		sc.epoch(0, false)
-	}
-	fresh0, moves0 := counts()
-	for i := 0; i < 40; i++ {
-		sc.epoch(0, false)
-	}
-	sc.verify(false)
-	if fresh, moves := counts(); fresh != fresh0 || moves != moves0 {
-		t.Fatalf("40 fault-free epochs of a steady state allocated %d new buffers and changed buffer %d times, want one buffer throughout", fresh-fresh0, moves-moves0)
-	}
-}
-
 // FuzzEpochOwnership plays arbitrary scripts. The seeds are the orders
-// the hand-back rule was written around: a persist that fails and then
-// succeeds (the failed epoch stays in RAM as the last good one and goes
-// back only when a newer one replaces it), an fsync that fails after the
-// append, and a crash right after each.
+// around a failed persist: a persist that fails and then succeeds (the
+// failed epoch stays in RAM as the last good one until a newer one
+// replaces it), an fsync that fails after the append, and a crash right
+// after each.
 func FuzzEpochOwnership(f *testing.F) {
 	f.Add([]byte{opEpoch, opEpoch, opPersistError, opEpoch, opEpoch, opVerify})
 	f.Add([]byte{opEpoch, opEpoch, opFsyncError, opEpoch, opEpoch, opCompact})
