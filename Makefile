@@ -216,11 +216,11 @@ test-bench:
 
 ## race: race-detector pass over the concurrency-bearing packages, one
 ## package binary at a time (-p 1). Several race binaries sharing a 2-CPU
-## machine slow each other 10-20x, and the chaos tier's hang detector is a
-## wall-clock constant (HangAfter: 2ms): under that load it still declares
-## live goroutines hung, which costs restarts and time. A hang before a
-## worker's first periodic epoch no longer fails the tier (the restart
-## restores Spawn's seed); serial is slower and keeps timing repeatable.
+## machine slow each other 10-20x, and the tests that still judge hangs on
+## the wall clock (HangAfter: 2ms) — TestChaosSupervisedPipeline*,
+## TestNoPublishOrHandBackDuringRestore — then declare live goroutines
+## hung, which costs restarts and time, though no verdict they assert.
+## Every test that asserts an exact hang verdict runs on sim.Fake.
 race:
 	$(GO) test -race -p 1 $(RACE_PKGS)
 

@@ -21,6 +21,7 @@ import (
 	"repro/internal/netbricks"
 	"repro/internal/packet"
 	"repro/internal/session"
+	"repro/internal/sim"
 	"repro/internal/statestore"
 )
 
@@ -288,7 +289,7 @@ func TestRecycledEpochAllocatesNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond})
+		sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond}, sim.Wall{})
 		defer sup.Close()
 		d, err := domain.Spawn(sup, domain.Config[int]{
 			Name:    "worker-0",
@@ -369,7 +370,7 @@ func TestLiveEpochAllocBudget(t *testing.T) {
 					}
 				}()
 			}
-			sup := domain.NewSupervisor(pol)
+			sup := domain.NewSupervisor(pol, sim.Wall{})
 			defer sup.Close()
 			d, err := domain.Spawn(sup, domain.Config[int]{
 				Name:    "worker-0",

@@ -134,23 +134,23 @@ func TestDomainCheckpointRestore(t *testing.T) {
 	st.captured = make(chan struct{}, 8)
 	d := spawnKV(t, sup, st)
 	<-st.captured // the seed, at Spawn
-	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	fc.ExpectArmed(t, fc.Now().Add(p.CheckpointEvery))
 
 	if err := d.Inbox().Send(linear.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	// An epoch that provably includes k1: the payload was queued before
 	// the epoch came due, and a queued payload goes before the epoch.
-	fc.step(t, p.CheckpointEvery)
-	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	fc.Step(t, p.CheckpointEvery)
+	fc.ExpectArmed(t, fc.Now().Add(p.CheckpointEvery))
 	<-st.captured
 
 	if err := d.Inbox().Send(linear.New(-1)); err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, fc.now().Add(p.Backoff))
-	fc.step(t, p.Backoff)
-	fc.armed() // the restart, restoring the epoch
+	fc.ExpectArmed(t, fc.Now().Add(p.Backoff))
+	fc.Step(t, p.Backoff)
+	fc.Armed() // the restart, restoring the epoch
 	if v, ok := st.get("k1"); !ok || v != 1 {
 		t.Fatalf("k1 not restored: (%d, %v), state size %d", v, ok, st.size())
 	}
@@ -203,13 +203,13 @@ func TestDomainHangBeforeFirstEpochRestoresSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, fc.now().Add(p.hangTick()))
+	fc.ExpectArmed(t, fc.Now().Add(p.hangTick()))
 	if err := d.Inbox().Send(linear.New(1)); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	awaitHangVerdict(t, fc, d, p, fc.now())
-	fc.next() // the restart, restoring the seed
+	awaitHangVerdict(t, fc, d, p, fc.Now())
+	fc.Next() // the restart, restoring the seed
 	if v, ok := st.get("boot"); !ok || v != 7 || st.size() != 1 {
 		t.Fatalf("boot = (%d, %v), state size %d: want the state Spawn found, {boot: 7}", v, ok, st.size())
 	}
@@ -227,16 +227,16 @@ func TestDomainCheckpointOffIgnoresState(t *testing.T) {
 	defer sup.Close()
 	st := newKVState()
 	d := spawnKV(t, sup, st)
-	fc.expectArmed(t, time.Time{}) // no epochs to schedule
+	fc.ExpectArmed(t, time.Time{}) // no epochs to schedule
 
 	for _, v := range []int{1, -1} {
 		if err := d.Inbox().Send(linear.New(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fc.expectArmed(t, fc.now().Add(p.Backoff))
-	fc.step(t, p.Backoff)
-	fc.expectArmed(t, time.Time{})
+	fc.ExpectArmed(t, fc.Now().Add(p.Backoff))
+	fc.Step(t, p.Backoff)
+	fc.ExpectArmed(t, time.Time{})
 	if n := d.Snapshot().Restarts; n != 1 {
 		t.Fatalf("%d restarts, want 1", n)
 	}
@@ -292,12 +292,12 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	fc.ExpectArmed(t, fc.Now().Add(p.CheckpointEvery))
 
 	send(1)
 	<-st.served
-	fc.step(t, p.CheckpointEvery)
-	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	fc.Step(t, p.CheckpointEvery)
+	fc.ExpectArmed(t, fc.Now().Add(p.CheckpointEvery))
 	<-st.captured // a good checkpoint with k1
 
 	// Arm the fault, then mutate: k2 lands in live state only — the next
@@ -308,13 +308,13 @@ func TestDomainCrashMidCheckpoint(t *testing.T) {
 	send(2)
 	<-st.served
 	taken := d.Snapshot().Checkpoints
-	fc.step(t, p.CheckpointEvery)
+	fc.Step(t, p.CheckpointEvery)
 	// Two wakes: the epoch's, which reaches the idle domain, then the
 	// fault's, which arms the restart.
-	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
-	fc.expectArmed(t, fc.now().Add(p.Backoff))
-	fc.step(t, p.Backoff)
-	fc.armed() // the restart, restoring the good epoch
+	fc.ExpectArmed(t, fc.Now().Add(p.CheckpointEvery))
+	fc.ExpectArmed(t, fc.Now().Add(p.Backoff))
+	fc.Step(t, p.Backoff)
+	fc.Armed() // the restart, restoring the good epoch
 	if sn := d.Snapshot(); sn.CheckpointFailures != 1 || sn.Restores != 1 {
 		t.Fatalf("snapshot %+v: want 1 checkpoint failure and 1 restore", sn)
 	}

@@ -345,6 +345,9 @@ func (d *Domain[T]) run(epoch uint64, quit <-chan struct{}) {
 	}
 }
 
+// now reads the supervisor's clock.
+func (d *Domain[T]) now() time.Time { return d.sup.clock.Now() }
+
 // fault ends a current generation that faulted: it reports to the
 // monitor, and the goroutine exits right after.
 func (d *Domain[T]) fault(epoch uint64) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/linear"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -20,7 +21,7 @@ func fastPolicy() Policy {
 // TestDomainServes: payloads sent into the inbox reach the handler as
 // owned values, in order.
 func TestDomainServes(t *testing.T) {
-	s := NewSupervisor(fastPolicy())
+	s := NewSupervisor(fastPolicy(), sim.Wall{})
 	defer s.Close()
 	var got atomic.Int64
 	d, err := Spawn(s, Config[int]{
@@ -85,16 +86,16 @@ func TestDomainCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, time.Time{})      // Spawn's wake: nothing to schedule
+	fc.ExpectArmed(t, time.Time{})      // Spawn's wake: nothing to schedule
 	for _, v := range []int{1, -1, 2} { // the crash abandons -1; 2 is served after the restart
 		if err := d.Inbox().Send(linear.New(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	<-served
-	fc.expectArmed(t, fc.now().Add(p.Backoff)) // the crash, handled
-	fc.step(t, p.Backoff)
-	fc.expectArmed(t, time.Time{}) // the restart
+	fc.ExpectArmed(t, fc.Now().Add(p.Backoff)) // the crash, handled
+	fc.Step(t, p.Backoff)
+	fc.ExpectArmed(t, time.Time{}) // the restart
 	<-served
 	d.Inbox().Close()
 	<-d.Done()
@@ -132,12 +133,12 @@ func TestDomainErrorIsFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, time.Time{})
+	fc.ExpectArmed(t, time.Time{})
 	_ = d.Inbox().Send(linear.New(1))
 	_ = d.Inbox().Send(linear.New(2))
-	fc.expectArmed(t, fc.now().Add(p.Backoff))
-	fc.step(t, p.Backoff)
-	fc.expectArmed(t, time.Time{})
+	fc.ExpectArmed(t, fc.Now().Add(p.Backoff))
+	fc.Step(t, p.Backoff)
+	fc.ExpectArmed(t, time.Time{})
 	d.Inbox().Close()
 	<-d.Done()
 	if sn := d.Snapshot(); sn.Errors != 1 || sn.Restarts != 1 || sn.Processed != 1 {
@@ -161,14 +162,14 @@ func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, time.Time{})
+	fc.ExpectArmed(t, time.Time{})
 	for i := 0; i < 10; i++ {
 		if err := d.Inbox().Send(linear.New(i)); err != nil {
 			break
 		}
 	}
-	fc.expectArmed(t, fc.now().Add(p.Backoff)) // the first crash
-	fc.step(t, p.Backoff)                      // the restart, whose first payload crashes too
+	fc.ExpectArmed(t, fc.Now().Add(p.Backoff)) // the first crash
+	fc.Step(t, p.Backoff)                      // the restart, whose first payload crashes too
 	select {
 	case <-d.Done():
 	case <-time.After(5 * time.Second):
@@ -187,20 +188,26 @@ func TestDomainStopsWhenBudgetExhausted(t *testing.T) {
 	}
 }
 
+// fakeSupervisor starts a supervisor on a fake clock.
+func fakeSupervisor(p Policy) (*Supervisor, *sim.Fake) {
+	fc := sim.NewFake()
+	return NewSupervisor(p, fc), fc
+}
+
 // awaitHangVerdict steps the clock from one deadline to the next until
 // the monitor gives d's stuck invocation, which began at beat, its hang
 // verdict. The verdict must come after HangAfter and by HangAfter plus
 // one poll. It returns the deadline armed after the verdict.
-func awaitHangVerdict[T any](t *testing.T, fc *fakeClock, d *Domain[T], p Policy, beat time.Time) time.Time {
+func awaitHangVerdict[T any](t *testing.T, fc *sim.Fake, d *Domain[T], p Policy, beat time.Time) time.Time {
 	t.Helper()
 	var at time.Time
 	for i := 0; d.Snapshot().Hangs == 0; i++ {
 		if i == 1000 {
 			t.Fatal("no hang verdict")
 		}
-		at = fc.next()
+		at = fc.Next()
 	}
-	if lag := fc.now().Sub(beat); lag <= p.HangAfter || lag > p.HangAfter+p.hangTick() {
+	if lag := fc.Now().Sub(beat); lag <= p.HangAfter || lag > p.HangAfter+p.hangTick() {
 		t.Fatalf("hang verdict %v into the stuck invocation, want within (%v, %v]", lag, p.HangAfter, p.HangAfter+p.hangTick())
 	}
 	return at
@@ -237,14 +244,14 @@ func TestDomainHangAbandonment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, fc.now().Add(p.hangTick()))
+	fc.ExpectArmed(t, fc.Now().Add(p.hangTick()))
 	_ = d.Inbox().Send(linear.New(-1)) // hangs
 	<-entered
-	at := awaitHangVerdict(t, fc, d, p, fc.now())
-	if want := fc.now().Add(p.Backoff); !at.Equal(want) {
-		t.Fatalf("after the verdict the monitor armed at %v, want the restart at %v", fc.since(at), fc.since(want))
+	at := awaitHangVerdict(t, fc, d, p, fc.Now())
+	if want := fc.Now().Add(p.Backoff); !at.Equal(want) {
+		t.Fatalf("after the verdict the monitor armed at %v, want the restart at %v", fc.Since(at), fc.Since(want))
 	}
-	fc.next()                         // the restart
+	fc.Next()                         // the restart
 	_ = d.Inbox().Send(linear.New(1)) // served by the replacement
 	<-served
 	close(stall) // let the abandoned goroutine finish and exit
@@ -279,13 +286,13 @@ func TestOneStuckHandlerIsOneHang(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, fc.now().Add(p.hangTick()))
+	fc.ExpectArmed(t, fc.Now().Add(p.hangTick()))
 	_ = d.Inbox().Send(linear.New(1))
 	<-entered
-	awaitHangVerdict(t, fc, d, p, fc.now())
-	fc.next() // the restart
+	awaitHangVerdict(t, fc, d, p, fc.Now())
+	fc.Next() // the restart
 	for i := 0; i < 15; i++ {
-		fc.next() // a hang poll: the stuck handler stays stuck; the replacement idles
+		fc.Next() // a hang poll: the stuck handler stays stuck; the replacement idles
 	}
 	if sn := d.Snapshot(); sn.Hangs != 1 || sn.Restarts != 1 {
 		t.Fatalf("one stuck handler over 15 polls: %d hangs and %d restarts, want 1 and 1", sn.Hangs, sn.Restarts)
@@ -316,7 +323,7 @@ func TestLifecycleOnOneClock(t *testing.T) {
 	p.OnExhausted = func(name string, _ []telemetry.Event) { exhausted <- name }
 	s, fc := fakeSupervisor(p)
 	defer s.Close()
-	t0 := fc.now()
+	t0 := fc.Now()
 	st := newKVState()
 	st.captured = make(chan struct{}, 8)
 	entered, stall := make(chan struct{}), make(chan struct{})
@@ -353,39 +360,39 @@ func TestLifecycleOnOneClock(t *testing.T) {
 	// at and not a nanosecond earlier.
 	exactlyAt := func(at time.Time, what string) {
 		t.Helper()
-		if fc.moveTo(at.Add(-time.Nanosecond)) || !fc.moveTo(at) {
-			t.Fatalf("%s did not fire at exactly %v", what, fc.since(at))
+		if fc.MoveTo(at.Add(-time.Nanosecond)) || !fc.MoveTo(at) {
+			t.Fatalf("%s did not fire at exactly %v", what, fc.Since(at))
 		}
 	}
 	firstEpoch := t0.Add(p.CheckpointEvery)
-	fc.expectArmed(t, firstEpoch) // the epoch comes before the first hang poll
+	fc.ExpectArmed(t, firstEpoch) // the epoch comes before the first hang poll
 
 	for i, backoff := range []time.Duration{p.Backoff, 2 * p.Backoff} {
 		send(fault)
-		restart := fc.now().Add(backoff)
-		fc.expectArmed(t, restart)
+		restart := fc.Now().Add(backoff)
+		fc.ExpectArmed(t, restart)
 		exactlyAt(restart, "the restart")
-		fc.expectArmed(t, firstEpoch)
+		fc.ExpectArmed(t, firstEpoch)
 		if n := d.Snapshot().Restarts; n != uint64(i+1) {
 			t.Fatalf("%d restarts after fault %d", n, i+1)
 		}
 	}
 
 	exactlyAt(firstEpoch, "the idle epoch")
-	fc.expectArmed(t, firstEpoch.Add(p.CheckpointEvery))
+	fc.ExpectArmed(t, firstEpoch.Add(p.CheckpointEvery))
 	<-st.captured
 	send(hang) // served after the epoch is published
 	<-entered
 	if at, ok := d.lastCheckpoint(); !ok || !at.Equal(firstEpoch) {
-		t.Fatalf("last checkpoint at %v (%v), want %v", fc.since(at), ok, fc.since(firstEpoch))
+		t.Fatalf("last checkpoint at %v (%v), want %v", fc.Since(at), ok, fc.Since(firstEpoch))
 	}
 
 	restart := awaitHangVerdict(t, fc, d, p, firstEpoch)
-	if want := fc.now().Add(4 * p.Backoff); !restart.Equal(want) {
-		t.Fatalf("the hang's restart armed at %v, want %v", fc.since(restart), fc.since(want))
+	if want := fc.Now().Add(4 * p.Backoff); !restart.Equal(want) {
+		t.Fatalf("the hang's restart armed at %v, want %v", fc.Since(restart), fc.Since(want))
 	}
 	exactlyAt(restart, "the restart after the hang")
-	fc.armed()
+	fc.Armed()
 	if sn := d.Snapshot(); sn.Restarts != 3 || sn.Restores != 3 || sn.ColdStarts != 0 {
 		t.Fatalf("snapshot %+v: want 3 restarts, each restoring: the seed twice, then the epoch", sn)
 	}
@@ -402,7 +409,7 @@ func TestLifecycleOnOneClock(t *testing.T) {
 
 // TestSpawnValidation covers config errors.
 func TestSpawnValidation(t *testing.T) {
-	s := NewSupervisor(Policy{})
+	s := NewSupervisor(Policy{}, sim.Wall{})
 	if _, err := Spawn[int](s, Config[int]{}); err == nil {
 		t.Fatal("Spawn without handler succeeded")
 	}

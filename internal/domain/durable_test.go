@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // durableKV is the wire-form test state, shaped as a StateSet part the
@@ -253,24 +254,24 @@ func spawnDurableKV(t *testing.T, s *Supervisor, st *durableKV) *Domain[int] {
 
 // fakeDurableKV spawns a durable kv domain on a fake clock, ready for
 // durableEpoch.
-func fakeDurableKV(t *testing.T, p Policy, st *durableKV) (*Supervisor, *fakeClock, *Domain[int]) {
+func fakeDurableKV(t *testing.T, p Policy, st *durableKV) (*Supervisor, *sim.Fake, *Domain[int]) {
 	t.Helper()
 	sup, fc := fakeSupervisor(p)
 	st.captured = make(chan struct{}, 4)
 	st.served = make(chan struct{}, 4)
 	d := spawnDurableKV(t, sup, st)
 	<-st.captured // the seed, at Spawn
-	fc.expectArmed(t, fc.now().Add(p.CheckpointEvery))
+	fc.ExpectArmed(t, fc.Now().Add(p.CheckpointEvery))
 	return sup, fc, d
 }
 
 // durableEpoch moves the fake clock to d's next idle epoch and returns
 // once the epoch's capture, publish and append are done: a payload sent
 // after the capture is served only after them.
-func durableEpoch(t *testing.T, fc *fakeClock, d *Domain[int], st *durableKV, every time.Duration) {
+func durableEpoch(t *testing.T, fc *sim.Fake, d *Domain[int], st *durableKV, every time.Duration) {
 	t.Helper()
-	fc.step(t, every)
-	fc.expectArmed(t, fc.now().Add(every))
+	fc.Step(t, every)
+	fc.ExpectArmed(t, fc.Now().Add(every))
 	<-st.captured
 	if err := d.Inbox().Send(linear.New(1)); err != nil {
 		t.Fatal(err)
@@ -282,7 +283,7 @@ func durableEpoch(t *testing.T, fc *fakeClock, d *Domain[int], st *durableKV, ev
 // monotonic sequence numbers and decodable payloads.
 func TestDurableEpochsPersist(t *testing.T) {
 	per := newMemPersister()
-	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per))
+	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per), sim.Wall{})
 	defer sup.Close()
 	st := newDurableKV()
 	d := spawnDurableKV(t, sup, st)
@@ -320,7 +321,7 @@ func TestDurableEpochsPersist(t *testing.T) {
 func TestDurableBootRestore(t *testing.T) {
 	per := newMemPersister()
 	// "First process": run, mutate, persist, close.
-	sup1 := NewSupervisor(durablePolicy(2*time.Millisecond, per))
+	sup1 := NewSupervisor(durablePolicy(2*time.Millisecond, per), sim.Wall{})
 	st1 := newDurableKV()
 	d1 := spawnDurableKV(t, sup1, st1)
 	if err := d1.Inbox().Send(linear.New(42)); err != nil {
@@ -331,7 +332,7 @@ func TestDurableBootRestore(t *testing.T) {
 	sup1.Close()
 
 	// "Second process": same name, same persister, fresh everything.
-	sup2 := NewSupervisor(durablePolicy(2*time.Millisecond, per))
+	sup2 := NewSupervisor(durablePolicy(2*time.Millisecond, per), sim.Wall{})
 	defer sup2.Close()
 	st2 := newDurableKV()
 	d2 := spawnDurableKV(t, sup2, st2)
@@ -352,7 +353,7 @@ func TestDurableBootRestore(t *testing.T) {
 
 	// And a mid-life crash restores the boot-seeded epoch even before
 	// any new epoch completes (the durable epoch is the last-good).
-	sup3 := NewSupervisor(durablePolicy(time.Hour, per))
+	sup3 := NewSupervisor(durablePolicy(time.Hour, per), sim.Wall{})
 	defer sup3.Close()
 	st3 := newDurableKV()
 	d3 := spawnDurableKV(t, sup3, st3)
@@ -407,7 +408,7 @@ func TestDurableEncodeErrorIsSoft(t *testing.T) {
 // error, not a latent runtime surprise.
 func TestDurableRequiresCodec(t *testing.T) {
 	per := newMemPersister()
-	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per))
+	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per), sim.Wall{})
 	defer sup.Close()
 	_, err := Spawn(sup, Config[int]{
 		Name:    "bare",
@@ -427,7 +428,7 @@ func TestDurableBadPayloadFailsSpawn(t *testing.T) {
 		seq     uint64
 		payload []byte
 	}{3, []byte("garbage")}
-	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per))
+	sup := NewSupervisor(durablePolicy(2*time.Millisecond, per), sim.Wall{})
 	defer sup.Close()
 	_, err := Spawn(sup, Config[int]{
 		Name:    "kv",

@@ -43,7 +43,7 @@ func (m *Mailbox[T]) trySend(v linear.Owned[T]) error {
 	m.clockSend(moved)
 	select {
 	case m.ch <- moved:
-		m.noteSend()
+		m.enqueued()
 		return nil
 	case <-m.done:
 		m.destroy(moved)

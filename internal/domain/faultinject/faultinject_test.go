@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // TestInjectorDeterministic: same seed → same fault sequence, so chaos
@@ -77,7 +78,7 @@ func TestWrapPanicsReachSupervisor(t *testing.T) {
 		Backoff:     50 * time.Microsecond,
 		MaxBackoff:  time.Millisecond,
 		MaxRestarts: -1,
-	})
+	}, sim.Wall{})
 	defer s.Close()
 
 	inj := New(3)

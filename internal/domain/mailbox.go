@@ -41,6 +41,7 @@ type Mailbox[T any] struct {
 	ch      chan linear.Owned[T]
 	done    chan struct{}
 	closed  atomic.Bool
+	drained atomic.Bool // set by Drain: the queue has no receiver left
 	release func(T)
 
 	// rec, when non-nil, receives a flight-recorder event per payload
@@ -169,11 +170,22 @@ func (m *Mailbox[T]) Send(v linear.Owned[T]) error {
 	m.clockSend(moved)
 	select {
 	case m.ch <- moved:
-		m.noteSend()
+		m.enqueued()
 		return nil
 	case <-m.done:
 		m.destroy(moved)
 		return ErrMailboxClosed
+	}
+}
+
+// enqueued accounts a payload the queue took. A send that passed the
+// closed check can still land after Drain emptied the queue — select picks
+// at random between the room and a closed done — and nothing receives it
+// then, so it drains again.
+func (m *Mailbox[T]) enqueued() {
+	m.noteSend()
+	if m.drained.Load() {
+		m.Drain()
 	}
 }
 
@@ -235,11 +247,13 @@ func (m *Mailbox[T]) Close() {
 }
 
 // Drain closes the mailbox and destroys every queued payload through the
-// release hook. Supervisors call it when retiring a domain for good, so
-// pool accounting balances even for work that was never processed. It
-// returns the number of payloads destroyed.
+// release hook, and every payload a racing send queues after it.
+// Supervisors call it when retiring a domain for good, so pool accounting
+// balances even for work that was never processed. It returns the number
+// of payloads it destroyed itself.
 func (m *Mailbox[T]) Drain() int {
 	m.Close()
+	m.drained.Store(true)
 	n := 0
 	for {
 		select {

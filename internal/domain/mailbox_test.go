@@ -123,6 +123,63 @@ func TestMailboxDrain(t *testing.T) {
 	}
 }
 
+// TestSendRacingDrain: a Send that passed the closed check while Drain
+// ran either hands its payload to a receiver or destroys it through the
+// release hook — never leaves it queued with nobody left to receive it.
+// On even rounds the send hook holds the first send past its closed
+// check until Drain has returned and the receiver has gone, which forces
+// the late enqueue half the time (select picks at random between the room
+// and the closed done); odd rounds race freely.
+func TestSendRacingDrain(t *testing.T) {
+	const rounds, per = 10_000, 3
+	for i := 0; i < rounds; i++ {
+		var got [per]atomic.Int32 // receptions plus releases, per payload
+		mb := NewMailbox[int](per, func(v int) { got[v].Add(1) })
+		entered, drained := make(chan struct{}), make(chan struct{})
+		held := i%2 == 0
+		if held {
+			mb.SetStageClock(func(int) {
+				entered <- struct{}{}
+				<-drained
+			}, nil)
+		}
+		received, sent := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(received)
+			for {
+				p, err := mb.recv(nil, nil)
+				if err != nil {
+					return
+				}
+				if v, err := p.Into(); err == nil {
+					got[v].Add(1)
+				}
+			}
+		}()
+		go func() {
+			defer close(sent)
+			for v := 0; v < per; v++ {
+				_ = mb.Send(linear.New(v))
+			}
+		}()
+		if held {
+			<-entered
+			mb.Drain()
+			<-received // nobody is left to receive a late enqueue
+		} else {
+			mb.Drain()
+		}
+		close(drained)
+		<-sent
+		<-received
+		for v := range got {
+			if n := got[v].Load(); n != 1 {
+				t.Fatalf("round %d: payload %d received or released %d times, want once", i, v, n)
+			}
+		}
+	}
+}
+
 // TestMailboxBlockingSendUnblocksOnClose: a sender parked on a full
 // mailbox is woken by Close and its payload destroyed, not stranded.
 func TestMailboxBlockingSendUnblocksOnClose(t *testing.T) {

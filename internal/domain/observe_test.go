@@ -11,6 +11,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/linear"
 	"repro/internal/mempool"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -28,6 +29,8 @@ import (
 //     mid-handler with recorder events in flight. The structural half of
 //     that argument — the ring slot type cannot hold a pointer — is
 //     leakcheck.NoPointers in package telemetry's tests.
+//
+// Wall time: it counts no hangs, and its fault counts are lower bounds.
 func TestFlightRecorderChaos(t *testing.T) {
 	pool := mempool.NewPool[[64]byte](512, nil)
 	leakcheck.Pool(t, "chaos payloads", pool.Available)
@@ -46,7 +49,7 @@ func TestFlightRecorderChaos(t *testing.T) {
 		exhausted[name] = len(events)
 		mu.Unlock()
 	}
-	s := NewSupervisor(p)
+	s := NewSupervisor(p, sim.Wall{})
 	defer s.Close()
 
 	const (

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // bufOf is the address of the memory a StateSet token occupies.
@@ -224,7 +225,7 @@ func raceHangVerdict(sup *Supervisor, d *Domain[int]) {
 // old generation's capture finally returns it must not replace that
 // epoch.
 func TestSupersededCaptureDoesNotPublish(t *testing.T) {
-	sup := NewSupervisor(ckptPolicy(200 * time.Microsecond))
+	sup := NewSupervisor(ckptPolicy(200*time.Microsecond), sim.Wall{})
 	defer sup.Close()
 	kv := newDurableKV()
 	g := newGatedSet(kv)
@@ -280,7 +281,7 @@ func TestSupersededCaptureDoesNotPublish(t *testing.T) {
 // newest epoch and a restart restores it.
 func TestSupersededPersistIsRefused(t *testing.T) {
 	p := &copyPersister{memPersister: newMemPersister(), entered: make(chan struct{}), release: make(chan struct{})}
-	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p), sim.Wall{})
 	defer sup.Close()
 	kv := newDurableKV()
 	g := newGatedSet(kv)
@@ -352,11 +353,12 @@ func (s *orderedSet) Restore(token any) error {
 // monitor strictly between the old generation's exit or supersession and
 // the new one's start, so nothing publishes and nothing commits while it
 // reads the last epoch — under handler panics and hang abandonment with
-// epochs every 100µs.
+// epochs every 100µs. Wall time: the hangs only add restores to check, so
+// it asserts none of their counts, and load only adds to them.
 func TestNoPublishOrHandBackDuringRestore(t *testing.T) {
 	p := ckptPolicy(100 * time.Microsecond)
 	p.HangAfter = 2 * time.Millisecond
-	sup := NewSupervisor(p)
+	sup := NewSupervisor(p, sim.Wall{})
 	defer sup.Close()
 	states := make([]*orderedSet, 2)
 	doms := make([]*Domain[int], len(states))

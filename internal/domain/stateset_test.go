@@ -17,6 +17,7 @@ import (
 	"repro/internal/maglev"
 	"repro/internal/packet"
 	"repro/internal/session"
+	"repro/internal/sim"
 )
 
 // newBalancer returns a balancer over n named backends.
@@ -73,7 +74,7 @@ func TestWarmStateSetRestoreAllocatesNothing(t *testing.T) {
 // epoch of its own, for EpochNow and RestoreNow.
 func spawnIdle(t *testing.T, state domain.Stateful) *domain.Domain[int] {
 	t.Helper()
-	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Hour})
+	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Hour}, sim.Wall{})
 	t.Cleanup(sup.Close)
 	d, err := domain.Spawn(sup, domain.Config[int]{
 		Name:    "worker-0",

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // streamPersister is a memPersister that also takes streamed epochs, the
@@ -158,7 +159,7 @@ func bigKV() *durableKV {
 // state the last epoch captured.
 func TestDurableDomainKeepsNoEpochImage(t *testing.T) {
 	p := newStreamPersister()
-	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p), sim.Wall{})
 	defer sup.Close()
 	kv := bigKV()
 	g := newGatedSet(kv)
@@ -225,7 +226,7 @@ func TestSupersededStreamNeverCommits(t *testing.T) {
 			if durable {
 				pol.Persist = p
 			}
-			sup := NewSupervisor(pol)
+			sup := NewSupervisor(pol, sim.Wall{})
 			defer sup.Close()
 			kv := bigKV()
 			g := newGatedSet(kv)
@@ -314,7 +315,7 @@ func TestFailedStreamLeavesARAMEpoch(t *testing.T) {
 	}{{"chunk", true, false}, {"fsync", false, true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := newStreamPersister()
-			sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+			sup := NewSupervisor(durablePolicy(200*time.Microsecond, p), sim.Wall{})
 			defer sup.Close()
 			kv := bigKV()
 			g := newGatedSet(kv)
@@ -382,7 +383,7 @@ func TestFailedStreamLeavesARAMEpoch(t *testing.T) {
 // newest epoch is the last good one.
 func TestCaptureErrorPersistsTheRAMEpoch(t *testing.T) {
 	p := newStreamPersister()
-	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p))
+	sup := NewSupervisor(durablePolicy(200*time.Microsecond, p), sim.Wall{})
 	defer sup.Close()
 	kv := bigKV()
 	g := newGatedSet(kv)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -153,7 +154,7 @@ type event struct {
 // monitor owns every deadline too: backoffs, idle epochs, the hang poll.
 type Supervisor struct {
 	policy Policy
-	clock  clock
+	clock  sim.Clock
 
 	// children is append-only; closed is set under mu, so a Spawn appends
 	// before Close reads children, or fails.
@@ -173,10 +174,10 @@ type Supervisor struct {
 	restarts telemetry.Counter
 }
 
-// NewSupervisor starts a supervisor with the given policy.
-func NewSupervisor(p Policy) *Supervisor { return newSupervisor(p, wallClock{}) }
-
-func newSupervisor(p Policy, clk clock) *Supervisor {
+// NewSupervisor starts a supervisor with the given policy on clk, its
+// one source of time: sim.Wall outside tests, a sim.Fake that the test
+// moves by hand in them.
+func NewSupervisor(p Policy, clk sim.Clock) *Supervisor {
 	s := &Supervisor{
 		policy: p.withDefaults(),
 		clock:  clk,
@@ -229,7 +230,7 @@ func Spawn[T any](s *Supervisor, cfg Config[T]) (*Domain[T], error) {
 			every:  s.policy.CheckpointEvery,
 			wake:   make(chan struct{}, 1),
 		}
-		d.ck.lastAttempt.Store(s.clock.now().UnixNano())
+		d.ck.lastAttempt.Store(s.clock.Now().UnixNano())
 		if p := s.policy.Persist; p != nil {
 			codec, ok := cfg.State.(TokenCodec)
 			if !ok {
@@ -297,7 +298,7 @@ type pending struct {
 // A wake allocates nothing.
 func (s *Supervisor) monitor() {
 	defer s.wg.Done()
-	fired, arm := s.clock.alarm()
+	fired, arm := s.clock.Alarm()
 	defer arm(time.Time{}, time.Time{})
 	var sched []pending
 	var hangAt time.Time // the next hang poll
@@ -310,7 +311,7 @@ func (s *Supervisor) monitor() {
 		case <-s.kick:
 		case <-fired:
 		}
-		now := s.clock.now()
+		now := s.clock.Now()
 		for _, c := range s.kids()[len(sched):] {
 			sched = append(sched, pending{c: c})
 		}

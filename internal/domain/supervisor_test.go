@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // TestPolicyFields pins the supervisor's knobs: the restart policy is
@@ -59,7 +60,7 @@ func TestSupervisorBackoffGrows(t *testing.T) {
 // TestSupervisorSnapshotAggregates: the aggregate snapshot is the sum of
 // the per-domain ones, same semantics as ShardedRunner.Snapshot.
 func TestSupervisorSnapshotAggregates(t *testing.T) {
-	s := NewSupervisor(fastPolicy())
+	s := NewSupervisor(fastPolicy(), sim.Wall{})
 	defer s.Close()
 	for i := 0; i < 3; i++ {
 		d, err := Spawn(s, Config[int]{
@@ -109,7 +110,7 @@ func TestSupervisorStress(t *testing.T) {
 		perProd  = 300
 	)
 	p := fastPolicy()
-	s := NewSupervisor(p)
+	s := NewSupervisor(p, sim.Wall{})
 	defer s.Close()
 
 	var processed, released atomic.Int64
@@ -233,11 +234,11 @@ func TestAbandonedLateSuccessCountsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc.expectArmed(t, fc.now().Add(p.hangTick()))
+	fc.ExpectArmed(t, fc.Now().Add(p.hangTick()))
 	_ = d.Inbox().Send(linear.New(-1))
 	<-entered
-	awaitHangVerdict(t, fc, d, p, fc.now())
-	fc.next() // the restart
+	awaitHangVerdict(t, fc, d, p, fc.Now())
+	fc.Next() // the restart
 	_ = d.Inbox().Send(linear.New(1))
 	close(stall)
 	waitFor(t, "the late completion counted", func() bool { return d.Snapshot().Processed == 2 })

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/dpdk"
+	"repro/internal/leakcheck"
 	"repro/internal/sfi"
+	"repro/internal/sim"
 )
 
 // witnessStage counts calls that reach it after its recovery factory
@@ -51,7 +53,8 @@ func (s *witnessStage) ProcessBatch(*Batch) error {
 // access the chaos tier's witness counts). The stuck call is parked at the
 // top of the first instance's ProcessBatch — after the rref is acquired,
 // before the retired check — so the interleaving is forced, not waited
-// for.
+// for. Run's supervisor is on a fake clock: the verdict and both restarts
+// come when the test moves it.
 func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 	var (
 		violations atomic.Uint64
@@ -94,9 +97,10 @@ func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 			HangAfter:   2 * time.Millisecond,
 		},
 	}
+	fc := sim.NewFake()
 	ran := make(chan error, 1)
 	go func() {
-		_, err := r.Run(50)
+		_, err := r.run(50, fc)
 		ran <- err
 	}()
 	wait := func(ch <-chan struct{}, what string) {
@@ -107,10 +111,20 @@ func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
+	snap := func() domain.Snapshot {
+		sn, _ := r.SupervisorSnapshot()
+		return sn
+	}
 	wait(stuck, "the first call to park in the stage")
+	fc.Armed() // Spawn's wake armed the first hang poll
+	if sn := nextRestart(t, fc, snap); sn.Hangs != 1 {
+		t.Fatalf("%d hangs before the replacement started, want 1", sn.Hangs)
+	}
 	// The next generation's first call through the stage faults, and its
 	// recovery retires an instance.
 	armed.Store(true)
+	fc.Armed() // the replacement faulted: its restart is armed
+	nextRestart(t, fc, snap)
 	wait(retiredOne, "a stage recovery")
 	close(release)
 	wait(firstRan, "the abandoned call to reach its instance")
@@ -122,10 +136,79 @@ func TestAbandonedServeKeepsItsPipeline(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not finish")
 	}
-	if sn, _ := r.SupervisorSnapshot(); sn.Hangs == 0 {
-		t.Fatal("no hang verdict: the stuck call was never abandoned")
+	if sn := snap(); sn.Hangs != 1 {
+		t.Fatalf("%d hang verdicts, want the stuck call's 1", sn.Hangs)
 	}
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d calls reached a retired stage instance", v)
+	}
+}
+
+// parkStage parks the first call it gets until release is closed.
+type parkStage struct {
+	calls   atomic.Int32
+	stuck   chan<- struct{}
+	release <-chan struct{}
+}
+
+func (s *parkStage) Name() string { return "park" }
+
+func (s *parkStage) ProcessBatch(*Batch) error {
+	if s.calls.Add(1) == 1 {
+		close(s.stuck)
+		<-s.release
+	}
+	return nil
+}
+
+// TestRunWaitsForAnAbandonedServe: Run returns only once every batch is
+// home. A serve parks in a stage past its hang verdict; the replacement
+// serves the rest of the budget, drains its inbox and stops while the
+// parked call still holds its batch. Run must not return — nor drain the
+// port under that batch — until the call is released, and then it must
+// return with every mbuf in the pool. The verdict comes on a fake clock;
+// the window in which the test looks for an early return is wall time,
+// and no length of it can fail a Run that waits.
+func TestRunWaitsForAnAbandonedServe(t *testing.T) {
+	port := dpdk.NewPort(dpdk.Config{PoolSize: 256})
+	leakcheck.Pool(t, "port", port.PoolAvailable)
+	stuck, release := make(chan struct{}), make(chan struct{})
+	stage := &parkStage{stuck: stuck, release: release}
+	r := &ShardedRunner{
+		Port: port, Workers: 1, BatchSize: 4, Supervise: true,
+		NewIsolated: func(int) (*Pipeline, error) {
+			return NewIsolatedPipeline(sfi.NewManager(), []Operator{stage}, nil)
+		},
+		Policy: domain.Policy{
+			Backoff:     20 * time.Microsecond,
+			MaxRestarts: -1,
+			HangAfter:   2 * time.Millisecond,
+		},
+	}
+	const budget = 20
+	fc := sim.NewFake()
+	ran := make(chan error, 1)
+	go func() {
+		_, err := r.run(budget, fc)
+		ran <- err
+	}()
+	<-stuck
+	fc.Armed() // Spawn's wake armed the first hang poll
+	snap := func() domain.Snapshot {
+		sn, _ := r.SupervisorSnapshot()
+		return sn
+	}
+	nextRestart(t, fc, snap)
+	select {
+	case err := <-ran:
+		t.Fatalf("Run returned (%v) while a serve it abandoned still held its batch", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-ran; err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Snapshot().Batches; n != budget {
+		t.Fatalf("%d batches served, want %d", n, budget)
 	}
 }

@@ -427,7 +427,8 @@ func runCheckpointedChaos(t *testing.T, minFaults, phase2Min uint64, persist dom
 
 // TestChaosSupervisedPipelineCheckpointed is the stateful-recovery
 // chaos acceptance run (name keeps it inside the test-e2e tier's
-// TestChaosSupervisedPipeline regex).
+// TestChaosSupervisedPipeline regex). Wall time: its hang counts are
+// lower bounds, and load only adds to them.
 func TestChaosSupervisedPipelineCheckpointed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback chaos tier skipped in -short")
@@ -440,6 +441,7 @@ func TestChaosSupervisedPipelineCheckpointed(t *testing.T) {
 // every checkpoint epoch persisted to an on-disk statestore, plus a
 // post-mortem: reopen the store cold and prove each worker's newest
 // durable epoch decodes and restores to its exact converged share.
+// Wall time, as TestChaosSupervisedPipelineCheckpointed.
 func TestChaosSupervisedPipelineCheckpointedDurable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback chaos tier skipped in -short")

@@ -175,6 +175,7 @@ func chaosRun(t *testing.T, port netbricks.BurstPort, workers, batchSize, perWor
 // the kernel's UDP loopback, with the injector crashing the pipeline at
 // 2%. Restarted workers must strand neither rx-ring slots nor
 // socket-side mbufs: after Close, the port pool balances exactly.
+// Wall time: its hang counts are lower bounds, and load only adds to them.
 func TestChaosSupervisedPipeline(t *testing.T) {
 	const (
 		workers   = 4

@@ -9,6 +9,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/dpdk"
 	"repro/internal/sfi"
+	"repro/internal/sim"
 )
 
 // reuseStage parks the first call of the first pipeline built until the
@@ -21,11 +22,11 @@ type reuseStage struct {
 
 // reuseTrace is what the stages and the test share.
 type reuseTrace struct {
-	stuck, release, released chan struct{}
-	faults                   atomic.Int32 // successor calls left to panic
-	sawStuckBatch            atomic.Int32 // successor calls given the parked call's batch while it was parked
-	stuckBatch               atomic.Pointer[Batch]
-	parkedNow                atomic.Bool
+	stuck, release chan struct{}
+	faults         atomic.Int32 // successor calls left to panic
+	sawStuckBatch  atomic.Int32 // successor calls given the parked call's batch while it was parked
+	stuckBatch     atomic.Pointer[Batch]
+	parkedNow      atomic.Bool
 }
 
 func (s *reuseStage) Name() string { return "reuse" }
@@ -37,7 +38,6 @@ func (s *reuseStage) ProcessBatch(b *Batch) error {
 		tr.stuck <- struct{}{}
 		<-tr.release
 		tr.parkedNow.Store(false) // its serve may recycle the batch once this returns
-		close(tr.released)
 		return nil
 	}
 	if tr.parkedNow.Load() && b == tr.stuckBatch.Load() {
@@ -49,18 +49,39 @@ func (s *reuseStage) ProcessBatch(b *Batch) error {
 	return nil
 }
 
+// nextRestart moves fc from one armed deadline to the next until the
+// domain snap reads has restarted once more, and returns its snapshot
+// then. Next returns only once the monitor has handled the wake it
+// caused, so the clock never moves while a restarted generation serves:
+// a test that moves it only through nextRestart gets no hang verdict but
+// the ones it parks a call for.
+func nextRestart(t *testing.T, fc *sim.Fake, snap func() domain.Snapshot) domain.Snapshot {
+	t.Helper()
+	want := snap().Restarts + 1
+	for i := 0; ; i++ {
+		if i == 1000 {
+			t.Fatal("no restart after 1000 wakes")
+		}
+		fc.Next()
+		if sn := snap(); sn.Restarts == want {
+			return sn
+		}
+	}
+}
+
 // TestAbandonedHandlerKeepsWhatItHolds pins the restart path's reuse
 // rule: reuse only what an exited generation held. A handler parks inside
 // a stage past its hang verdict and stays there while its replacement
 // faults and restarts several times — each lost batch goes back to the
 // worker's free list. Then the parked handler is released. Its batch must
 // never have reached the free list the successors load from while it was
-// parked, and the pool must get every mbuf back.
+// parked, and the pool must get every mbuf back. The supervisor runs on a
+// fake clock, so the one hang verdict is the parked call's.
 func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	const faults = 5
 	port := dpdk.NewPort(dpdk.Config{PoolSize: 256})
 	initial := port.PoolAvailable()
-	tr := &reuseTrace{stuck: make(chan struct{}, 1), release: make(chan struct{}), released: make(chan struct{})}
+	tr := &reuseTrace{stuck: make(chan struct{}, 1), release: make(chan struct{})}
 	mgr := sfi.NewManager() // one manager: every pipeline's stage domain has its own ID
 	var builds atomic.Int32
 	r := &ShardedRunner{
@@ -81,7 +102,8 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := domain.NewSupervisor(r.Policy)
+	fc := sim.NewFake()
+	sup := domain.NewSupervisor(r.Policy, fc)
 	defer sup.Close()
 	d, err := w.spawn(sup, 4)
 	if err != nil {
@@ -93,28 +115,20 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 		w.feed(d, math.MaxInt)
 	}()
 
-	wait := func(what string, ok func() bool) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); !ok(); time.Sleep(100 * time.Microsecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-		}
-	}
 	select {
 	case <-tr.stuck:
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for the first call to park")
 	}
-	wait("the hang verdict and a serving replacement", func() bool {
-		sn := d.Snapshot()
-		return sn.Hangs == 1 && sn.Restarts >= 1 && sn.Processed >= 1
-	})
+	fc.Armed() // Spawn's wake armed the first hang poll
+	if sn := nextRestart(t, fc, d.Snapshot); sn.Hangs != 1 {
+		t.Fatalf("%d hangs before the replacement started, want 1", sn.Hangs)
+	}
 	tr.faults.Store(faults)
-	wait("the replacement's faults and restarts", func() bool {
-		sn := d.Snapshot()
-		return sn.Errors == faults && sn.Restarts >= 1+faults && sn.Processed >= 2
-	})
+	for i := 0; i < faults; i++ {
+		fc.Armed() // the replacement faulted: its restart is armed
+		nextRestart(t, fc, d.Snapshot)
+	}
 	stuck := tr.stuckBatch.Load()
 	w.free.mu.Lock()
 	for _, c := range w.free.cells {
@@ -125,15 +139,13 @@ func TestAbandonedHandlerKeepsWhatItHolds(t *testing.T) {
 	w.free.mu.Unlock()
 
 	// Stop the traffic and let the replacement drain and stop, then
-	// release the parked call: the one invocation still to complete is
-	// its, and it completes only once its serve has settled.
+	// release the parked call: its batch is the last one to come home,
+	// once its serve has settled.
 	d.Inbox().Close()
 	<-fed
 	<-d.Done()
-	settled := d.Snapshot().Processed + 1
 	close(tr.release)
-	<-tr.released
-	wait("the parked serve to settle", func() bool { return d.Snapshot().Processed == settled })
+	w.free.wait()
 	sup.Close()
 	port.Drain()
 

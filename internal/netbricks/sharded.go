@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/domain"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/trace"
 )
@@ -160,8 +161,14 @@ func (r *ShardedRunner) Snapshot() RunStats {
 // on a fault (inline, without AutoRecover) or that exhausted its restart
 // budget (supervised) leaves the rest of its queue unserved, and the run
 // says so. On return the port has been drained: every buffer is back in
-// the pool (or a queue cache), so pool-leak accounting balances.
-func (r *ShardedRunner) Run(n int) (RunStats, error) {
+// the pool (or a queue cache), so pool-leak accounting balances. A
+// supervised run returns only once every batch is home, one whose serve a
+// hang verdict abandoned included, so a stage call that never returns
+// holds Run.
+func (r *ShardedRunner) Run(n int) (RunStats, error) { return r.run(n, sim.Wall{}) }
+
+// run is Run with its supervisor on clk.
+func (r *ShardedRunner) run(n int, clk sim.Clock) (RunStats, error) {
 	if r.Workers <= 0 {
 		return RunStats{}, errors.New("netbricks: workers must be positive")
 	}
@@ -208,7 +215,7 @@ func (r *ShardedRunner) Run(n int) (RunStats, error) {
 	}
 	var errs []error
 	if r.Supervise {
-		errs = r.runSupervised(workers, depth, n)
+		errs = r.runSupervised(workers, depth, n, clk)
 	} else {
 		errs = make([]error, r.Workers)
 		var wg sync.WaitGroup

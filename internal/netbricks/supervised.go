@@ -17,18 +17,21 @@ import (
 	"sync"
 
 	"repro/internal/domain"
+	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // runSupervised is Run's supervised body: spawn one supervised domain
-// plus one feeder per worker, wait for the feeders to exhaust their batch
-// budget and the domains to drain, then name the workers that did not
-// last the run.
-func (r *ShardedRunner) runSupervised(workers []*worker, depth, n int) []error {
+// per worker under a supervisor on clk, plus one feeder per worker, wait
+// for the feeders to exhaust their batch budget, the domains to drain and
+// every batch to come home, then name the workers that did not last the
+// run.
+func (r *ShardedRunner) runSupervised(workers []*worker, depth, n int, clk sim.Clock) []error {
 	pol := r.Policy
 	if pol.Registry == nil {
 		pol.Registry = r.Registry
 	}
-	sup := domain.NewSupervisor(pol)
+	sup := domain.NewSupervisor(pol, clk)
 	defer sup.Close()
 	r.sup.Store(sup)
 
@@ -61,6 +64,11 @@ func (r *ShardedRunner) runSupervised(workers []*worker, depth, n int) []error {
 				sn.Name, sn.Crashes, sn.Errors, sn.Hangs, sn.Restarts))
 		}
 	}
+	// A stopped domain may still have a serve out: one a hang verdict
+	// abandoned, whose batch comes home when its stuck call returns.
+	for _, w := range workers {
+		w.free.wait()
+	}
 	return errs
 }
 
@@ -81,6 +89,7 @@ func (w *worker) spawn(sup *domain.Supervisor, depth int) (*domain.Domain[*Batch
 			// stops, sends that arrive after it has.
 			r.Port.FreeQueue(w.q, b.Pkts)
 			r.Port.FreeQueue(w.q, b.Dropped)
+			w.free.put(linear.Owned[*Batch]{}, b)
 		},
 		Recover: w.recover,
 		State:   state,

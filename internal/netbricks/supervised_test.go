@@ -8,6 +8,7 @@ import (
 	"repro/internal/domain"
 	"repro/internal/linear"
 	"repro/internal/sfi"
+	"repro/internal/sim"
 )
 
 // TestSupervisedStageRRefFailsClosedAcrossRestart is the paper's §3
@@ -26,7 +27,7 @@ func TestSupervisedStageRRefFailsClosedAcrossRestart(t *testing.T) {
 	}
 	dom, rref := ip.domains[1], ip.stages[1].rref
 
-	sup := domain.NewSupervisor(domain.Policy{Backoff: 20 * time.Microsecond, MaxRestarts: -1})
+	sup := domain.NewSupervisor(domain.Policy{Backoff: 20 * time.Microsecond, MaxRestarts: -1}, sim.Wall{})
 	defer sup.Close()
 	served := make(chan error, 1)
 	checked := make(chan struct{}) // the torn-down stage has been looked at

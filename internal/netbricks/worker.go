@@ -53,6 +53,7 @@ func (r *ShardedRunner) newWorker(q, depth int) (*worker, error) {
 		free: &batchRecycler{cells: make([]recycledCell, 0, depth+2)},
 		buf:  make([]*packet.Packet, r.BatchSize),
 	}
+	w.free.home.L = &w.free.mu
 	return w, w.build()
 }
 
@@ -157,6 +158,7 @@ func (w *worker) settle(out, msg linear.Owned[*Batch], batch *Batch, faulted boo
 	b, err := held.Into()
 	if err != nil {
 		port.FreeQueue(q, batch.loaded) // held but unusable: free the packets, drop the storage
+		w.free.put(linear.Owned[*Batch]{}, nil)
 		return
 	}
 	if faulted {
@@ -225,9 +227,16 @@ func (w *worker) run(n int) error {
 // supervised workers, where rx and serve run on different goroutines and
 // a hung serve the supervisor abandoned may still be running beside its
 // successor.
+//
+// Every batch that leaves through load comes back through put — settled
+// by serve or destroyed by the mailbox — so out, the batches away, is the
+// worker's whole debt to the pool. It starts at rx, before the batch
+// reaches a mailbox or a hang clock, and wait blocks until it is paid.
 type batchRecycler struct {
 	mu    sync.Mutex
 	cells []recycledCell
+	out   int
+	home  sync.Cond // signalled when out reaches 0; L is &mu
 }
 
 type recycledCell struct {
@@ -240,6 +249,7 @@ type recycledCell struct {
 func (rc *batchRecycler) load(pkts []*packet.Packet, traced bool) linear.Owned[*Batch] {
 	var e recycledCell
 	rc.mu.Lock()
+	rc.out++
 	if n := len(rc.cells); n > 0 {
 		e, rc.cells[n-1] = rc.cells[n-1], recycledCell{}
 		rc.cells = rc.cells[:n-1]
@@ -262,13 +272,28 @@ func (rc *batchRecycler) load(pkts []*packet.Packet, traced bool) linear.Owned[*
 	return linear.New(b)
 }
 
-// put stores a consumed handle (or the zero handle, for a batch whose cell
-// was lost with it) and its settled batch for the next load.
+// put takes a batch home: it stores a consumed handle (or the zero
+// handle, for a batch whose cell was lost with it) and its settled batch
+// for the next load. A nil b is a batch whose storage was dropped.
 func (rc *batchRecycler) put(cell linear.Owned[*Batch], b *Batch) {
-	b.reset()
+	if b != nil {
+		b.reset()
+	}
 	rc.mu.Lock()
-	if len(rc.cells) < cap(rc.cells) {
+	if b != nil && len(rc.cells) < cap(rc.cells) {
 		rc.cells = append(rc.cells, recycledCell{cell: cell, batch: b})
+	}
+	if rc.out--; rc.out == 0 {
+		rc.home.Broadcast()
+	}
+	rc.mu.Unlock()
+}
+
+// wait blocks until every batch that left through load is home.
+func (rc *batchRecycler) wait() {
+	rc.mu.Lock()
+	for rc.out > 0 {
+		rc.home.Wait()
 	}
 	rc.mu.Unlock()
 }

@@ -30,6 +30,7 @@ import (
 	"repro/internal/maglev"
 	"repro/internal/packet"
 	"repro/internal/session"
+	"repro/internal/sim"
 )
 
 // TestSpillSteadyStateAllocatesNothing: with its payload and frame
@@ -220,7 +221,7 @@ func newOwnScript(t *testing.T) *ownScript {
 	sc.sup = domain.NewSupervisor(domain.Policy{
 		Backoff: 50 * time.Microsecond, MaxBackoff: time.Millisecond, MaxRestarts: -1,
 		CheckpointEvery: 100 * time.Microsecond, Persist: &ownedStore{Store: sc.store, book: sc.book},
-	})
+	}, sim.Wall{})
 	for w := 0; w < 2; w++ {
 		lb, err := maglev.NewBalancer([]maglev.Backend{
 			{Name: "be-0", IP: packet.Addr(10, 1, 0, 1)},

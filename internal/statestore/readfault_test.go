@@ -19,6 +19,7 @@ import (
 	"repro/internal/linear"
 	"repro/internal/packet"
 	"repro/internal/session"
+	"repro/internal/sim"
 )
 
 // sessionEpoch is one epoch of a StateSet over a session table tracking
@@ -70,7 +71,7 @@ func TestFailedEpochReadFailsSpawn(t *testing.T) {
 				t.Fatalf("LastEpoch over a failing read = %v, want the injected error", err)
 			}
 			spawn := func() (*domain.Domain[int], *session.Table, error) {
-				sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Hour, Persist: s})
+				sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Hour, Persist: s}, sim.Wall{})
 				t.Cleanup(sup.Close)
 				fresh := session.NewTable()
 				d, err := domain.Spawn(sup, domain.Config[int]{

@@ -27,6 +27,7 @@ import (
 	"repro/internal/netport"
 	"repro/internal/packet"
 	"repro/internal/session"
+	"repro/internal/sim"
 	"repro/internal/statestore"
 )
 
@@ -279,7 +280,7 @@ func TestRecoveryKill9(t *testing.T) {
 		Backoff: time.Millisecond, MaxRestarts: -1,
 		CheckpointEvery: time.Hour,
 		Persist:         store,
-	})
+	}, sim.Wall{})
 	defer sup.Close()
 	got := make(map[uint64]packet.IPv4)
 	var restores, coldStarts uint64

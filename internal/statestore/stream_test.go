@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/domain"
 	"repro/internal/linear"
+	"repro/internal/sim"
 )
 
 // streamT streams payload as epoch seq of name in chunks of at most
@@ -352,7 +353,7 @@ func (p *lockedPart) Reset()                    {}
 // capture goes on, its epoch commits and reads back whole.
 func TestBlockedCaptureDelaysNoOtherDomain(t *testing.T) {
 	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone}).SetCompactAfter(1)
-	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond, Persist: s})
+	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond, Persist: s}, sim.Wall{})
 	defer sup.Close()
 	_, setA, tblA := sessionEpoch(t, 3000) // two chunks of session table
 	lock := &lockedPart{entered: make(chan struct{}, 1)}
@@ -434,7 +435,7 @@ func TestLiveEpochCompactionAllocBudget(t *testing.T) {
 	s := openT(t, t.TempDir(), Config{Fsync: FsyncNone})
 	payload, set, _ := sessionEpoch(t, 4096)
 	s.SetCompactAfter(int64(4 * len(payload)))
-	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond, Persist: s})
+	sup := domain.NewSupervisor(domain.Policy{CheckpointEvery: time.Millisecond, Persist: s}, sim.Wall{})
 	defer sup.Close()
 	d, err := domain.Spawn(sup, domain.Config[int]{
 		Name:    "worker-0",
@@ -453,6 +454,13 @@ func TestLiveEpochCompactionAllocBudget(t *testing.T) {
 		}
 	}
 	waitEpochs(12) // two compactions: every list and buffer made
+	// No collection in the window: one would make sync.Pool remake its
+	// per-P arrays there, objects of the runtime's and not a compaction's.
+	// So collect first, let an epoch remake them, and run none until the
+	// count is read.
+	runtime.GC()
+	waitEpochs(taken() + 2)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	from, c0 := taken(), s.StatsSnapshot().Compactions
 	runtime.ReadMemStats(&before)
